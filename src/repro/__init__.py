@@ -51,7 +51,6 @@ from repro.joins import (
     IndexedJoinQES,
     PageJoinIndex,
     build_join_index,
-    hash_join,
     reference_join,
     schedule_two_stage,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "constant_edge_ratio_sweep",
     "crossover_ne_cs",
     "grace_hash_cost",
-    "hash_join",
     "indexed_join_cost",
     "io_over_f_threshold",
     "materialize_table",

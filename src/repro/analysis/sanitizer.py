@@ -5,7 +5,7 @@ checks the *semantic invariants* a correct execution must satisfy, live,
 while a join runs:
 
 * **clock monotonicity** — the engine's clock never moves backwards
-  across event dispatches (probed via :attr:`SimEngine.monitor`);
+  across event dispatches (probed via :meth:`SimEngine.add_monitor`);
 * **cache accounting** — after every mutating cache operation, resident
   bytes equal the sum of entry sizes and never exceed capacity, staged
   bytes equal the sum of reservations and never exceed the prefetch
@@ -87,7 +87,7 @@ class RunSanitizer:
     def attach_engine(self, engine) -> None:
         """Probe every event dispatch for clock monotonicity."""
         self._last_now = engine.now
-        engine.monitor = self._on_advance
+        engine.add_monitor(self._on_advance)
 
     def _on_advance(self, now: float) -> None:
         self.checks["clock"] += 1
@@ -100,7 +100,12 @@ class RunSanitizer:
     def attach_cache(self, cache, name: str = "") -> None:
         """Re-check the cache's byte accounting after every mutation."""
         self._caches.append((name, cache))
-        cache.install_validator(lambda op, c=cache, n=name: self._check_cache(c, n, op))
+
+        def validate(op, key, nbytes, origin, qid) -> None:
+            if op not in ("hit", "miss"):  # lookups mutate nothing
+                self._check_cache(cache, name, op)
+
+        cache.subscribe(validate)
 
     def _check_cache(self, cache, name: str, op: str) -> None:
         self.checks["cache"] += 1

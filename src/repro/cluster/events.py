@@ -409,12 +409,7 @@ class SimEngine:
         #: cluster when span telemetry is enabled, ``None`` otherwise so
         #: instrumentation sites can short-circuit without allocating
         self.telemetry = None
-        #: optional callable invoked with the new clock value on every
-        #: event dispatch in :meth:`run` — the sanitizer's monotonicity probe
-        self.monitor: Optional[Callable[[float], None]] = None
-        #: additional dispatch observers (see :meth:`add_monitor`); kept
-        #: separate from :attr:`monitor` so attaching telemetry never
-        #: clobbers the sanitizer (or vice versa)
+        #: dispatch observers (see :meth:`add_monitor`)
         self._monitors: List[Callable[[float], None]] = []
         #: the :class:`Process` whose generator is currently executing —
         #: the span recorder keys its per-process span stacks on this
@@ -471,12 +466,10 @@ class SimEngine:
         return [p for p in self._live if not p.triggered]
 
     def add_monitor(self, fn: Callable[[float], None]) -> None:
-        """Register an additional per-dispatch observer.
-
-        Observers run after :attr:`monitor` on every dispatch, in
-        registration order.  Unlike assigning :attr:`monitor` directly
-        (the sanitizer's historical API), registering here composes.
-        """
+        """Register ``fn(now)`` to run on every event dispatch in
+        :meth:`run`, before the event's callback, in registration order
+        (the sanitizer's monotonicity probe, the benchmark's event
+        counter)."""
         self._monitors.append(fn)
 
     def run(self, until: Optional[float] = None) -> float:
@@ -494,8 +487,6 @@ class SimEngine:
                 return self.now
             heapq.heappop(self._queue)
             self.now = at
-            if self.monitor is not None:
-                self.monitor(at)
             for mon in self._monitors:
                 mon(at)
             fn()

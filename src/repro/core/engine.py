@@ -69,7 +69,6 @@ class DerivedDataSource:
         machine: MachineSpec = PAPER_MACHINE,
         shared_nfs: bool = False,
         cache_policy: str = "lru",
-        kernel: str = "vectorized",
         aggregate_mode: str = "central",
         reuse_caches: bool = False,
         pipeline: bool = False,
@@ -95,7 +94,6 @@ class DerivedDataSource:
         self.machine = machine
         self.topology = ClusterTopology(num_storage, num_compute, shared_nfs=shared_nfs)
         self.cache_policy = cache_policy
-        self.kernel = kernel
         self.planner = QueryPlanningService(
             metadata,
             num_storage=num_storage,
@@ -131,7 +129,6 @@ class DerivedDataSource:
                 self.provider,
                 index=plan.index,
                 cache_policy=self.cache_policy,
-                kernel=self.kernel,
                 caches=self._warm_caches if self.reuse_caches else None,
                 pipeline=self.pipeline,
             )
@@ -143,7 +140,6 @@ class DerivedDataSource:
                 view.right,
                 view.on,
                 self.provider,
-                kernel=self.kernel,
                 range_constraint=view.where,
             )
         else:

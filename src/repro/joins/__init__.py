@@ -1,10 +1,10 @@
 """Join layer: the Query Execution Systems and their building blocks.
 
 * :mod:`~repro.joins.hash_join` — the in-memory hash join both distributed
-  algorithms use as their inner kernel, with two interchangeable
-  implementations (a literal dict-based hash join, and a vectorised
-  sort-based kernel producing identical output) and operation counting
-  aligned with the cost models' ``α_build`` / ``α_lookup``.
+  algorithms use as their inner kernel (a vectorised sort-based kernel,
+  plus the literal dict-based hash join it is tested against), with
+  operation counting aligned with the cost models' ``α_build`` /
+  ``α_lookup``.
 * :mod:`~repro.joins.join_index` — the page-level join index: the
   sub-table connectivity graph over chunk bounding boxes, its connected
   components, and the dataset statistics (``n_e``, component ``(a, b)``)
@@ -28,7 +28,6 @@ from repro.joins.grace_hash import GraceHashQES
 from repro.joins.hash_join import (
     JoinKernelStats,
     dict_hash_join,
-    hash_join,
     vectorized_hash_join,
 )
 from repro.joins.graph_analysis import GraphAnalysis, analyze_index, to_networkx
@@ -70,7 +69,6 @@ __all__ = [
     "build_join_index",
     "dict_hash_join",
     "evaluate_order",
-    "hash_join",
     "order_bfs_clustered",
     "order_greedy_opas",
     "order_lexicographic",

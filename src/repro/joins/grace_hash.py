@@ -46,7 +46,7 @@ from repro.faults.errors import (
     TransientTransferFault,
     UnrecoverableFault,
 )
-from repro.joins.hash_join import hash_join
+from repro.joins.hash_join import vectorized_hash_join
 from repro.joins.report import ExecutionReport, PhaseBreakdown
 from repro.metadata.service import MetaDataService
 from repro.services.bds import SubTableProvider
@@ -100,7 +100,6 @@ class GraceHashQES:
         on: Sequence[str],
         provider: SubTableProvider,
         num_buckets: Optional[int] = None,
-        kernel: str = "vectorized",
         range_constraint: Optional["BoundingBox"] = None,
         sanitizer=None,
         critical_path: bool = True,
@@ -112,7 +111,6 @@ class GraceHashQES:
         self.right = metadata.table(right)
         self.on = tuple(on)
         self.provider = provider
-        self.kernel = kernel
         self.range_constraint = range_constraint
         #: optional RunSanitizer installing invariant hooks (``--sanitize``)
         self.sanitizer = sanitizer
@@ -666,12 +664,11 @@ class GraceHashQES:
                 right_bucket = concat_subtables(
                     bucket_data[j][1][b], id=SubTableId(self.right.table_id, b)
                 )
-                out, ks = hash_join(
+                out, ks = vectorized_hash_join(
                     left_bucket,
                     right_bucket,
                     self.on,
                     result_id=SubTableId(-1, j * self.num_buckets + b),
-                    kernel=self.kernel,
                 )
                 report.kernel.matches += ks.matches
                 if out.num_records:

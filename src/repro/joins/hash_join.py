@@ -5,12 +5,12 @@ requires a hash-table be built using the left (inner) relation with the
 attribute of interest and that the resulting hash table be probed with the
 records of the right (outer) relation" (Section 5).
 
-Two interchangeable kernels produce byte-identical results:
+Two kernels produce byte-identical results:
 
 * :func:`dict_hash_join` — a literal hash join over a Python dict, the
-  faithful algorithmic rendering; per-record Python work makes it the
-  choice for small inputs and as a differential-testing oracle.
-* :func:`vectorized_hash_join` — the production kernel: join keys are
+  faithful algorithmic rendering, kept as the reference the kernel tests
+  compare against.
+* :func:`vectorized_hash_join` — the kernel both QES call: join keys are
   densified with ``np.unique`` (equality-preserving integer ids), the left
   side is grouped by a counting sort, and probes become two
   ``searchsorted`` sweeps.  Pure NumPy on the hot path, per the HPC
@@ -33,7 +33,7 @@ import numpy as np
 from repro.datamodel.schema import Schema
 from repro.datamodel.subtable import SubTable, SubTableId
 
-__all__ = ["JoinKernelStats", "dict_hash_join", "vectorized_hash_join", "hash_join"]
+__all__ = ["JoinKernelStats", "dict_hash_join", "vectorized_hash_join"]
 
 
 @dataclass
@@ -190,19 +190,3 @@ def vectorized_hash_join(
     left_idx = order[np.repeat(starts, counts) + within]
 
     return _assemble(left, right, on, left_idx, right_idx, result_id, suffix), stats
-
-
-def hash_join(
-    left: SubTable,
-    right: SubTable,
-    on: Sequence[str],
-    result_id: Optional[SubTableId] = None,
-    suffix: str = "_r",
-    kernel: str = "vectorized",
-) -> Tuple[SubTable, JoinKernelStats]:
-    """Front door: pick a kernel by name (``vectorized`` or ``dict``)."""
-    if kernel == "vectorized":
-        return vectorized_hash_join(left, right, on, result_id, suffix)
-    if kernel == "dict":
-        return dict_hash_join(left, right, on, result_id, suffix)
-    raise ValueError(f"unknown kernel {kernel!r}")

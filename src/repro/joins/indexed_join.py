@@ -55,7 +55,7 @@ from repro.faults.errors import (
     TransientTransferFault,
     UnrecoverableFault,
 )
-from repro.joins.hash_join import hash_join
+from repro.joins.hash_join import vectorized_hash_join
 from repro.joins.join_index import PageJoinIndex, build_join_index
 from repro.joins.report import ExecutionReport, PhaseBreakdown
 from repro.joins.scheduler import PairSchedule, schedule_two_stage
@@ -94,8 +94,6 @@ class IndexedJoinQES:
     cache_policy:
         ``lru`` (default, the paper's choice), ``fifo``, ``lfu`` or
         ``belady``.
-    kernel:
-        In-memory join kernel for functional runs.
     caches:
         Pre-populated per-joiner Caching Service instances (one per compute
         node).  Passing the caches of a previous execution warms this one —
@@ -143,7 +141,6 @@ class IndexedJoinQES:
         schedule: Optional[PairSchedule] = None,
         cache_capacity: Optional[int] = None,
         cache_policy: str = "lru",
-        kernel: str = "vectorized",
         caches: Optional[List[CachingService]] = None,
         pipeline: bool = False,
         prefetch_budget: Optional[int] = None,
@@ -179,7 +176,6 @@ class IndexedJoinQES:
         self.caches = caches
         self.cache_capacity = cache_capacity
         self.cache_policy = cache_policy
-        self.kernel = kernel
         self.pipeline = pipeline
         self.prefetch_budget = prefetch_budget
         self.sanitizer = sanitizer
@@ -253,9 +249,7 @@ class IndexedJoinQES:
             self.metadata.attach_metrics(tel.metrics)
             tel.metrics.histogram("ij.pair_seconds")
             for j, c in enumerate(caches):
-                c.attach_telemetry(
-                    tel, lambda: cluster.engine.now, prefix=f"cache.j{j}"
-                )
+                tel.watch_cache(c, prefix=f"cache.j{j}")
             qspan = tel.recorder.begin(
                 "query",
                 category="query",
@@ -849,12 +843,11 @@ class IndexedJoinQES:
             tel.metrics.counter("op.probe.records").inc(nprobe)
         if results is not None:
             assert isinstance(left_entry, SubTable) and isinstance(right_entry, SubTable)
-            out, ks = hash_join(
+            out, ks = vectorized_hash_join(
                 left_entry,
                 right_entry,
                 self.on,
                 result_id=SubTableId(-1, seq),
-                kernel=self.kernel,
             )
             report.kernel.matches += ks.matches
             if out.num_records:

@@ -5,9 +5,9 @@ alone cannot give: *which* sub-tables are re-fetched or re-built across
 the query stream, how often, and at what recompute cost.  This module
 supplies it in three layers, all passive and all post-hoc:
 
-* :class:`AccessTraceRecorder` — subscribes to the key-granular
-  :class:`~repro.services.cache.CacheAccess` feed of every shared cache
-  and timestamps each hit/miss/insert/drop on the simulated clock.  It
+* :class:`AccessTraceRecorder` — subscribes to every shared cache
+  (:meth:`~repro.services.cache.CachingService.subscribe`) and
+  timestamps each hit/miss/insert/drop on the simulated clock.  It
   schedules nothing, draws no randomness and mutates no cache state, so
   a recorded serve is event-for-event identical to an unrecorded one.
 * Mattson-style **byte-weighted reuse distances** over the recorded
@@ -62,6 +62,10 @@ __all__ = [
 #: configured capacity (the configured point itself included so the
 #: curve is checkable against the measured counters)
 CAPACITY_FRACTIONS = (0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+
+#: the key-granular cache events a trace keeps; pins, staging traffic and
+#: refused puts move no entry in or out of the reference string
+_TRACED_OPS = frozenset({"hit", "miss", "insert", "drop"})
 
 
 # ---------------------------------------------------------------------------
@@ -396,24 +400,21 @@ class AccessTraceRecorder:
 
     def watch(self, node: int, cache) -> None:
         """Subscribe to ``cache``'s access events as compute ``node``."""
-        self._events.setdefault(node, [])
+        events = self._events.setdefault(node, [])
         self._watched[node] = {
             "capacity_bytes": cache.capacity_bytes,
             "policy": cache.policy.name,
         }
-        cache.attach_access_observer(
-            lambda event, node=node: self._record(node, event)
-        )
+
+        def record(op, key, nbytes, origin, qid) -> None:
+            if op in _TRACED_OPS:
+                events.append((self._clock(), op, key, nbytes, qid, origin))
+
+        cache.subscribe(record)
 
     def note_query(self, qid: int, tenant: str) -> None:
         """Map a submitted query to its tenant (fed by ``on_submit``)."""
         self._tenants[qid] = tenant
-
-    def _record(self, node: int, event) -> None:
-        self._events[node].append((
-            self._clock(), event.op, event.key, event.nbytes,
-            event.qid, event.origin,
-        ))
 
     # -- analysis -----------------------------------------------------
 

@@ -126,29 +126,24 @@ class ServeObservatory:
         self._cache_nodes.append(node)
         if self.reuse is not None:
             self.reuse.watch(node, cache)
-        prefix = f"cache.j{node}"
-        self.series.set(f"{prefix}.occupancy_bytes", 0.0)
-        self.series.set(f"{prefix}.staged_bytes", 0.0)
-        seen = {"hits": 0, "misses": 0}
+        hits, misses, occupancy, staged = (
+            f"cache.j{node}.{leaf}"
+            for leaf in ("hits", "misses", "occupancy_bytes", "staged_bytes")
+        )
+        series = self.series
+        series.set(occupancy, 0.0)
+        series.set(staged, 0.0)
 
-        def observe(op: str, cache) -> None:
-            stats = cache.stats
-            if stats.hits > seen["hits"]:
-                self.series.inc(f"{prefix}.hits", stats.hits - seen["hits"])
-                seen["hits"] = stats.hits
-            if stats.misses > seen["misses"]:
-                self.series.inc(
-                    f"{prefix}.misses", stats.misses - seen["misses"]
-                )
-                seen["misses"] = stats.misses
-            self.series.set(
-                f"{prefix}.occupancy_bytes", float(cache.used_bytes)
-            )
-            self.series.set(
-                f"{prefix}.staged_bytes", float(cache.prefetch_bytes)
-            )
+        def observe(op, key, nbytes, origin, qid) -> None:
+            if op == "hit":
+                series.inc(hits)
+            elif op == "miss":
+                series.inc(misses)
+            else:  # lookups move neither level
+                series.set(occupancy, float(cache.used_bytes))
+                series.set(staged, float(cache.prefetch_bytes))
 
-        cache.attach_observer(observe)
+        cache.subscribe(observe)
 
     # -- lifecycle hooks (called by the server) ------------------------
 

@@ -150,10 +150,13 @@ class QueryRecord:
 
     @property
     def queue_wait(self) -> float:
+        # The arrival source sleeps ``at - now`` and ``now + (at - now)``
+        # can round one ulp below ``at``: a query admitted (or shed) in the
+        # instant it was delivered waited zero seconds, not minus one ulp.
         if self.admitted_at is None:
             # never admitted: it waited from arrival to its terminal point
-            return self.finished_at - self.arrival_at
-        return self.admitted_at - self.arrival_at
+            return max(0.0, self.finished_at - self.arrival_at)
+        return max(0.0, self.admitted_at - self.arrival_at)
 
     @property
     def exec_time(self) -> float:
@@ -163,7 +166,7 @@ class QueryRecord:
 
     @property
     def latency(self) -> float:
-        return self.finished_at - self.arrival_at
+        return max(0.0, self.finished_at - self.arrival_at)
 
     def to_payload(self) -> Dict[str, object]:
         return {
@@ -413,7 +416,6 @@ class QueryServer:
         slots: int = 2,
         cache_policy: str = "lru",
         cache_capacity: Optional[int] = None,
-        kernel: str = "vectorized",
         calibration=None,
         sanitize: bool = False,
         telemetry: bool = False,
@@ -430,7 +432,6 @@ class QueryServer:
             # shared cache serves an interleaving no single query knows
             raise ValueError("belady is undefined for a shared server cache")
         self.dataset = dataset
-        self.kernel = kernel
         self.aggregate_mode = aggregate_mode
         self.slots = slots
         self.resilience = resilience if resilience is not None else ResilienceConfig()
@@ -469,9 +470,7 @@ class QueryServer:
             tel = self.cluster.telemetry
             dataset.metadata.attach_metrics(tel.metrics)
             for j, cache in enumerate(self.caches):
-                cache.attach_telemetry(
-                    tel, lambda: self.cluster.engine.now, prefix=f"cache.j{j}"
-                )
+                tel.watch_cache(cache, prefix=f"cache.j{j}")
         # ``observe`` enables the continuous observability layer: pass
         # ``True`` for defaults or an ObservabilityConfig for SLOs and
         # window sizing.  Purely passive — a serve with observability on
@@ -1081,9 +1080,7 @@ class QueryServer:
         if injector is not None and cluster.engine.current_process is not None:
             # the scan dies with its compute node, like a joiner would
             injector.register_compute(compute, cluster.engine.current_process)
-        cache: QueryCacheView = QueryCacheView(
-            self.caches[compute], name=f"q{planned.qid}", qid=planned.qid
-        )
+        cache = QueryCacheView(self.caches[compute], qid=planned.qid)
         ctx.views = [cache]
         tel = cluster.telemetry
         records = 0
@@ -1150,10 +1147,7 @@ class QueryServer:
         )
         if planned.algorithm == "indexed-join":
             caches = [
-                QueryCacheView(
-                    shared, name=f"q{planned.qid}.j{j}", qid=planned.qid
-                )
-                for j, shared in enumerate(self.caches)
+                QueryCacheView(shared, qid=planned.qid) for shared in self.caches
             ]
             ctx.views = caches
             qes = IndexedJoinQES(
@@ -1164,7 +1158,6 @@ class QueryServer:
                 join_view.on,
                 self.dataset.provider,
                 index=planned.plan.index,
-                kernel=self.kernel,
                 caches=caches,
                 busy_joiners=self._busy_for(planned.qid),
                 critical_path=False,
@@ -1179,7 +1172,6 @@ class QueryServer:
                 join_view.right,
                 join_view.on,
                 self.dataset.provider,
-                kernel=self.kernel,
                 range_constraint=join_view.where,
                 critical_path=False,
                 contain_faults=contained,

@@ -21,7 +21,6 @@ from repro.services.bds import (
 )
 from repro.services.cache import (
     BeladyPolicy,
-    CacheAccess,
     CacheStats,
     CachingService,
     EvictionPolicy,
@@ -34,7 +33,6 @@ from repro.services.cache import (
 __all__ = [
     "BasicDataSourceService",
     "BeladyPolicy",
-    "CacheAccess",
     "CacheStats",
     "CachingService",
     "EvictionPolicy",

@@ -22,13 +22,26 @@ consumer later takes a staged entry and inserts it through the ordinary
 :meth:`put` path, which keeps the cache's hit/miss/eviction sequence
 byte-identical to a run without prefetching.
 
-For the reuse observatory the service also keeps *per-entry* access
-bookkeeping — access count, last-access tick, and the entry's origin
-(``"base"`` for a BDS chunk fetched as-is, ``"derived"`` for a DDS
-output such as a sub-table with its built hash table) — and exposes a
-key-granular access-event channel (:meth:`attach_access_observer`).
-Both are passive: they never evict, pin, schedule or draw randomness,
-so enabling them changes no digest and no report byte.
+Everything that *watches* a cache — telemetry, the sanitizer's byte
+ledger check, the observatory's time-series, the reuse trace — does so
+through one channel, :meth:`CachingService.subscribe`: one notification
+per operation, after the state change it describes, as plain arguments
+``fn(op, key, nbytes, origin, qid)``.  ``op`` is the operation's name
+(``pin``, ``unpin``, ``prefetch_begin``, ``prefetch_complete``,
+``prefetch_cancel``, ``take_prefetched``, ``cancel_staged``,
+``invalidate_from``) or, where the outcome matters, the outcome:
+``hit``/``miss`` for :meth:`~CachingService.get`, ``insert``/``reject``
+for :meth:`~CachingService.put`, ``drop`` for
+:meth:`~CachingService.remove` (an explicit remove or invalidation —
+*not* a capacity eviction, which a what-if replay must re-derive
+itself).  ``nbytes``/``origin`` describe the entry (``None`` on a miss:
+there is no entry), ``origin`` being ``"base"`` for a BDS chunk fetched
+as-is and ``"derived"`` for a DDS output such as a sub-table with its
+built hash table; ``qid`` is the query the operation is attributed to
+(see :class:`QueryCacheView`).  An operation that changes nothing (a
+refused ``prefetch_begin``, a ``remove`` of an absent key) notifies
+nobody.  Subscribers are passive: they must treat the cache as
+read-only, so subscribing changes no digest and no report byte.
 """
 
 from __future__ import annotations
@@ -48,7 +61,6 @@ from typing import (
 )
 
 __all__ = [
-    "CacheAccess",
     "CacheStats",
     "CachingService",
     "EvictionPolicy",
@@ -63,26 +75,6 @@ __all__ = [
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
-
-
-@dataclass(frozen=True)
-class CacheAccess(Generic[K]):
-    """One key-granular cache event, as seen by access observers.
-
-    ``op`` is one of ``"hit"``/``"miss"`` (lookups), ``"insert"``
-    (successful put, fresh or replacing) or ``"drop"`` (explicit remove
-    or invalidation — *not* a capacity eviction, which a what-if replay
-    must re-derive itself).  ``nbytes``/``origin`` are ``None`` on a
-    miss (there is no entry to describe); ``qid`` carries the query the
-    access is attributed to when the operation arrived through a
-    :class:`QueryCacheView` with a known query id.
-    """
-
-    op: str
-    key: K
-    nbytes: Optional[int] = None
-    origin: Optional[str] = None
-    qid: Optional[int] = None
 
 
 @dataclass
@@ -134,23 +126,6 @@ class CacheStats:
             bytes_prefetched=self.bytes_prefetched - baseline.bytes_prefetched,
             invalidations=self.invalidations - baseline.invalidations,
         )
-
-    def merge(self, delta: "CacheStats") -> None:
-        """Accumulate ``delta`` into these counters in place.
-
-        :class:`QueryCacheView` uses this to absorb the per-operation
-        deltas of a shared cache into a per-query ledger, which is what
-        keeps ``snapshot``/``since`` attribution exact when several
-        queries interleave on the same :class:`CachingService`.
-        """
-        self.hits += delta.hits
-        self.misses += delta.misses
-        self.evictions += delta.evictions
-        self.bytes_inserted += delta.bytes_inserted
-        self.bytes_evicted += delta.bytes_evicted
-        self.prefetches += delta.prefetches
-        self.bytes_prefetched += delta.bytes_prefetched
-        self.invalidations += delta.invalidations
 
 
 class EvictionPolicy(Generic[K]):
@@ -328,11 +303,6 @@ class _Entry(Generic[V]):
     source: Optional[int] = None
     #: "base" BDS chunk vs "derived" DDS output (chunk + built hash table)
     origin: str = "base"
-    #: lookup hits on this entry since it was (last) inserted
-    accesses: int = 0
-    #: cache-wide access tick of the last lookup that hit this entry
-    #: (-1 until the first hit; ticks advance on every get, hit or miss)
-    last_access: int = -1
 
 
 @dataclass
@@ -376,93 +346,38 @@ class CachingService(Generic[K, V]):
         self._staged: Dict[K, _Staged[V]] = {}
         self._staged_bytes = 0
         self.stats = CacheStats()
-        #: invariant checks run after every mutating operation (sanitizer)
-        self._validators: List = []
-        #: passive observers called as fn(op, cache) after ops and gets
-        self._observers: List = []
-        #: key-granular observers called as fn(CacheAccess)
-        self._access_observers: List = []
-        #: query id the current forwarded view operation attributes to
-        self.access_context: Optional[int] = None
-        #: monotone lookup counter driving per-entry ``last_access``
-        self._ticks = 0
-        self._telemetry = None
-        self._clock = None
-        self._metric_prefix = "cache"
+        #: callables notified once per operation (see :meth:`subscribe`)
+        self._subscribers: List = []
 
-    def attach_telemetry(self, telemetry, clock, prefix: str = "cache") -> None:
-        """Register cache instruments on a telemetry hub.
+    def subscribe(self, fn) -> None:
+        """Register ``fn(op, key, nbytes, origin, qid)`` to be notified of
+        every operation, after its state change (module docstring has the
+        vocabulary).
 
-        The cache has no engine reference, so the simulated clock is
-        injected as a zero-argument ``clock`` callable; occupancy is
-        sampled after every mutating operation, hits/misses counted on
-        :meth:`get`.
+        The one attach point for everything that watches a cache.
+        Subscribing a callable equal to one already subscribed is a
+        no-op, so re-wiring a warm or shared cache to the same sink does
+        not double-count.  Subscribers must treat the cache as read-only.
         """
-        self._telemetry = telemetry
-        self._clock = clock
-        self._metric_prefix = prefix
-        telemetry.metrics.counter(f"{prefix}.hits")
-        telemetry.metrics.counter(f"{prefix}.misses")
-        occupancy = telemetry.metrics.gauge(f"{prefix}.occupancy_bytes")
-        occupancy.set(clock(), float(self._bytes))
+        if fn not in self._subscribers:
+            self._subscribers.append(fn)
 
-    def install_validator(self, fn) -> None:
-        """Register ``fn(op_name)`` to run after every mutating operation.
+    def _ledgers(self, view: Optional[QueryCacheView[K, V]]):
+        """The counters an operation bumps: the shared ones and, when it
+        arrived through a view, that view's private ledger."""
+        return (self.stats,) if view is None else (self.stats, view.stats)
 
-        The runtime sanitizer uses this to re-check the cache's byte
-        accounting at each step; validators must not mutate the cache.
-        """
-        self._validators.append(fn)
-
-    def attach_observer(self, fn) -> None:
-        """Register ``fn(op, cache)`` to run after ops and lookups.
-
-        Unlike validators (sanitizer invariants) and telemetry (span
-        traces), observers feed the observability time-series: occupancy,
-        staged bytes and hit/miss deltas sampled at each state change.
-        Observers must treat the cache as read-only.
-        """
-        self._observers.append(fn)
-
-    def attach_access_observer(self, fn) -> None:
-        """Register ``fn(event)`` for key-granular :class:`CacheAccess`
-        events (hit/miss/insert/drop).
-
-        This is the reuse observatory's trace feed.  Like coarse
-        observers, access observers are strictly passive: they run after
-        the state change they describe and must treat the cache as
-        read-only.
-        """
-        self._access_observers.append(fn)
-
-    def _notify_observers(self, op: str) -> None:
-        for fn in self._observers:
-            fn(op, self)
-
-    def _notify_access(
+    def _notify(
         self,
         op: str,
-        key: K,
+        key: Optional[K] = None,
         nbytes: Optional[int] = None,
         origin: Optional[str] = None,
+        view: Optional[QueryCacheView[K, V]] = None,
     ) -> None:
-        if not self._access_observers:
-            return
-        event = CacheAccess(
-            op=op, key=key, nbytes=nbytes, origin=origin,
-            qid=self.access_context,
-        )
-        for fn in self._access_observers:
-            fn(event)
-
-    def _after_op(self, op: str) -> None:
-        if self._telemetry is not None:
-            self._telemetry.metrics.gauge(
-                f"{self._metric_prefix}.occupancy_bytes"
-            ).set(self._clock(), float(self._bytes))
-        for fn in self._validators:
-            fn(op)
-        self._notify_observers(op)
+        qid = None if view is None else view.qid
+        for fn in self._subscribers:
+            fn(op, key, nbytes, origin, qid)
 
     # -- observers ----------------------------------------------------------------
 
@@ -490,50 +405,30 @@ class CachingService(Generic[K, V]):
     def keys(self) -> Iterable[K]:
         return self._entries.keys()
 
-    def entry_stats(self) -> Dict[K, Dict[str, object]]:
-        """Per-resident-entry bookkeeping for the reuse observatory.
-
-        Purely a read-out of state the cache maintains anyway; calling
-        it (or not) cannot change any digest or report byte.
-        """
-        return {
-            key: {
-                "nbytes": e.nbytes,
-                "origin": e.origin,
-                "accesses": e.accesses,
-                "last_access": e.last_access,
-                "pins": e.pins,
-                "source": e.source,
-            }
-            for key, e in self._entries.items()
-        }
-
     # -- core operations -------------------------------------------------------------
 
-    def get(self, key: K) -> Optional[V]:
-        """Look up ``key``; counts a hit or miss and informs the policy."""
+    def get(
+        self, key: K, view: Optional[QueryCacheView[K, V]] = None
+    ) -> Optional[V]:
+        """Look up ``key``; counts a hit or miss and informs the policy.
+
+        ``view``, here and on every other stat-changing operation, is the
+        :class:`QueryCacheView` the operation arrived through: its
+        private ledger is bumped alongside the shared counters and its
+        ``qid`` rides on the notification.
+        """
         if isinstance(self.policy, BeladyPolicy):
             self.policy.note_reference(key)
-        tick = self._ticks
-        self._ticks += 1
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
-            if self._telemetry is not None:
-                self._telemetry.metrics.counter(
-                    f"{self._metric_prefix}.misses"
-                ).inc()
-            self._notify_access("miss", key)
-            self._notify_observers("get")
+            for stats in self._ledgers(view):
+                stats.misses += 1
+            self._notify("miss", key, view=view)
             return None
-        self.stats.hits += 1
-        entry.accesses += 1
-        entry.last_access = tick
-        if self._telemetry is not None:
-            self._telemetry.metrics.counter(f"{self._metric_prefix}.hits").inc()
+        for stats in self._ledgers(view):
+            stats.hits += 1
         self.policy.on_access(key)
-        self._notify_access("hit", key, entry.nbytes, entry.origin)
-        self._notify_observers("get")
+        self._notify("hit", key, entry.nbytes, entry.origin, view)
         return entry.value
 
     def peek(self, key: K) -> Optional[V]:
@@ -549,6 +444,7 @@ class CachingService(Generic[K, V]):
         pin: bool = False,
         source: Optional[int] = None,
         origin: str = "base",
+        view: Optional[QueryCacheView[K, V]] = None,
     ) -> bool:
         """Insert ``key``; evicts unpinned victims until the entry fits.
 
@@ -565,10 +461,10 @@ class CachingService(Generic[K, V]):
         BDS chunk as fetched, ``"derived"`` for a DDS product (e.g. a
         left sub-table bundled with its built hash table).
         """
-        # validators must also see failed puts: a put can evict victims and
+        # subscribers must also see failed puts: a put can evict victims and
         # still return False when the entry ultimately cannot fit
-        ok = self._put(key, value, nbytes, pin, source, origin)
-        self._after_op("put")
+        ok = self._put(key, value, nbytes, pin, source, origin, view)
+        self._notify("insert" if ok else "reject", key, nbytes, origin, view)
         return ok
 
     def _put(
@@ -579,6 +475,7 @@ class CachingService(Generic[K, V]):
         pin: bool,
         source: Optional[int],
         origin: str,
+        view: Optional[QueryCacheView[K, V]],
     ) -> bool:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
@@ -587,11 +484,12 @@ class CachingService(Generic[K, V]):
             if nbytes > self.capacity_bytes:
                 return False
             while self._bytes - old.nbytes + nbytes > self.capacity_bytes:
-                if not self._evict_one(exclude=key):
+                if not self._evict_one(view, exclude=key):
                     return False
             self._bytes += nbytes - old.nbytes
             if nbytes > old.nbytes:
-                self.stats.bytes_inserted += nbytes - old.nbytes
+                for stats in self._ledgers(view):
+                    stats.bytes_inserted += nbytes - old.nbytes
             old.value = value
             old.nbytes = nbytes
             old.source = source
@@ -599,20 +497,19 @@ class CachingService(Generic[K, V]):
             if pin:
                 old.pins += 1
             self.policy.on_access(key)
-            self._notify_access("insert", key, nbytes, origin)
             return True
         if nbytes > self.capacity_bytes:
             return False
         while self._bytes + nbytes > self.capacity_bytes:
-            if not self._evict_one():
+            if not self._evict_one(view):
                 return False
         self._entries[key] = _Entry(
             value, nbytes, pins=1 if pin else 0, source=source, origin=origin
         )
         self._bytes += nbytes
-        self.stats.bytes_inserted += nbytes
+        for stats in self._ledgers(view):
+            stats.bytes_inserted += nbytes
         self.policy.on_insert(key)
-        self._notify_access("insert", key, nbytes, origin)
         return True
 
     def pin(self, key: K) -> None:
@@ -621,7 +518,7 @@ class CachingService(Generic[K, V]):
             self._entries[key].pins += 1
         except KeyError:
             raise KeyError(f"cannot pin absent key {key!r}") from None
-        self._after_op("pin")
+        self._notify("pin", key)
 
     def unpin(self, key: K) -> None:
         entry = self._entries.get(key)
@@ -630,7 +527,7 @@ class CachingService(Generic[K, V]):
         if entry.pins <= 0:
             raise ValueError(f"key {key!r} is not pinned")
         entry.pins -= 1
-        self._after_op("unpin")
+        self._notify("unpin", key)
 
     def pin_scope(self) -> "PinScope[K, V]":
         """A pin guard scoping every pin it acquires to a ``with`` block.
@@ -671,10 +568,12 @@ class CachingService(Generic[K, V]):
             return False
         self._staged[key] = _Staged(nbytes=nbytes)
         self._staged_bytes += nbytes
-        self._after_op("prefetch_begin")
+        self._notify("prefetch_begin", key, nbytes)
         return True
 
-    def prefetch_complete(self, key: K, value: V) -> None:
+    def prefetch_complete(
+        self, key: K, value: V, view: Optional[QueryCacheView[K, V]] = None
+    ) -> None:
         """Park the transferred value; it is now ready to be taken."""
         staged = self._staged.get(key)
         if staged is None:
@@ -683,16 +582,17 @@ class CachingService(Generic[K, V]):
             raise ValueError(f"prefetch for key {key!r} completed twice")
         staged.value = value
         staged.ready = True
-        self.stats.prefetches += 1
-        self.stats.bytes_prefetched += staged.nbytes
-        self._after_op("prefetch_complete")
+        for stats in self._ledgers(view):
+            stats.prefetches += 1
+            stats.bytes_prefetched += staged.nbytes
+        self._notify("prefetch_complete", key, staged.nbytes, view=view)
 
     def prefetch_cancel(self, key: K) -> None:
         """Abandon a reservation (error paths); releases its budget."""
         staged = self._staged.pop(key, None)
         if staged is not None:
             self._staged_bytes -= staged.nbytes
-            self._after_op("prefetch_cancel")
+            self._notify("prefetch_cancel", key, staged.nbytes)
 
     def take_prefetched(self, key: K) -> Optional[V]:
         """Remove and return a *ready* staged value (``None`` otherwise).
@@ -706,7 +606,7 @@ class CachingService(Generic[K, V]):
             return None
         del self._staged[key]
         self._staged_bytes -= staged.nbytes
-        self._after_op("take_prefetched")
+        self._notify("take_prefetched", key, staged.nbytes)
         return staged.value
 
     def cancel_staged(self) -> int:
@@ -722,10 +622,12 @@ class CachingService(Generic[K, V]):
         if dropped:
             self._staged.clear()
             self._staged_bytes = 0
-            self._after_op("cancel_staged")
+            self._notify("cancel_staged")
         return dropped
 
-    def invalidate_from(self, source: int) -> int:
+    def invalidate_from(
+        self, source: int, view: Optional[QueryCacheView[K, V]] = None
+    ) -> int:
         """Drop every unpinned entry whose bytes came from storage node
         ``source``; returns how many were dropped.
 
@@ -742,8 +644,9 @@ class CachingService(Generic[K, V]):
         ]
         for key in victims:
             self.remove(key)
-        self.stats.invalidations += len(victims)
-        self._after_op("invalidate_from")
+        for stats in self._ledgers(view):
+            stats.invalidations += len(victims)
+        self._notify("invalidate_from", view=view)
         return len(victims)
 
     def remove(self, key: K) -> bool:
@@ -753,8 +656,7 @@ class CachingService(Generic[K, V]):
             return False
         self._bytes -= entry.nbytes
         self.policy.on_remove(key)
-        self._notify_access("drop", key, entry.nbytes, entry.origin)
-        self._after_op("remove")
+        self._notify("drop", key, entry.nbytes, entry.origin)
         return True
 
     def clear(self) -> None:
@@ -763,7 +665,11 @@ class CachingService(Generic[K, V]):
 
     # -- internals -----------------------------------------------------------------------
 
-    def _evict_one(self, exclude: Optional[K] = None) -> bool:
+    def _evict_one(
+        self,
+        view: Optional[QueryCacheView[K, V]],
+        exclude: Optional[K] = None,
+    ) -> bool:
         candidates = {
             k for k, e in self._entries.items() if e.pins == 0 and k != exclude
         }
@@ -772,8 +678,9 @@ class CachingService(Generic[K, V]):
         victim = self.policy.victim(candidates)
         entry = self._entries.pop(victim)
         self._bytes -= entry.nbytes
-        self.stats.evictions += 1
-        self.stats.bytes_evicted += entry.nbytes
+        for stats in self._ledgers(view):
+            stats.evictions += 1
+            stats.bytes_evicted += entry.nbytes
         self.policy.on_remove(victim)
         return True
 
@@ -851,58 +758,33 @@ class PinScope(Generic[K, V]):
 
 
 class QueryCacheView(Generic[K, V]):
-    """Per-query facade over a shared :class:`CachingService`.
+    """Per-query handle on a shared :class:`CachingService`.
 
     Single-query code attributes cache activity with
     ``stats.snapshot()`` before the run and ``stats.since(before)``
     after — correct when the cache serves one query, wrong the moment
     two queries interleave on it (each would absorb the other's hits).
-    A view keeps a private :class:`CacheStats` ledger and, around every
-    forwarded operation, folds the shared cache's counter delta into it,
-    so the snapshot/since idiom keeps working unchanged per query.
+    A view carries a private :class:`CacheStats` ledger and a ``qid``
+    and hands itself to the shared cache's stat-changing operations,
+    which bump the ledger alongside the shared counters and put the qid
+    on the notification, so the snapshot/since idiom keeps working
+    unchanged per query and subscribers can attribute traffic per query
+    (and, through the server's submit records, per tenant).
 
     Only stats are virtualised; entries, budgets and pins are the shared
-    cache's own (that sharing is the point of a view server).
-
-    ``qid`` tags forwarded lookups and inserts with the owning query so
-    key-granular access observers can attribute traffic per query (and,
-    through the server's submit records, per tenant).  The tag is set on
-    the shared cache only for the duration of each forwarded call — the
-    simulation is single-threaded and cache operations are atomic — and
-    is pure bookkeeping: it changes no eviction, pin or stat decision.
+    cache's own (that sharing is the point of a view server), so every
+    other attribute is the shared cache's.
     """
 
     def __init__(
-        self,
-        shared: CachingService[K, V],
-        name: str = "",
-        qid: Optional[int] = None,
+        self, shared: CachingService[K, V], qid: Optional[int] = None
     ) -> None:
         self.shared = shared
-        self.name = name
         self.qid = qid
         self.stats = CacheStats()
 
-    def _absorb(self, before: CacheStats) -> None:
-        self.stats.merge(self.shared.stats.since(before))
-
-    # -- observers (plain pass-through) ----------------------------------
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.shared.capacity_bytes
-
-    @property
-    def used_bytes(self) -> int:
-        return self.shared.used_bytes
-
-    @property
-    def pinned_bytes(self) -> int:
-        return self.shared.pinned_bytes
-
-    @property
-    def policy(self) -> EvictionPolicy[K]:
-        return self.shared.policy
+    def __getattr__(self, name: str):
+        return getattr(self.shared, name)
 
     def __contains__(self, key: K) -> bool:
         return key in self.shared
@@ -910,34 +792,8 @@ class QueryCacheView(Generic[K, V]):
     def __len__(self) -> int:
         return len(self.shared)
 
-    def peek(self, key: K) -> Optional[V]:
-        return self.shared.peek(key)
-
-    def has_prefetched(self, key: K) -> bool:
-        return self.shared.has_prefetched(key)
-
-    @property
-    def prefetch_bytes(self) -> int:
-        return self.shared.prefetch_bytes
-
-    def attach_telemetry(self, telemetry, clock, prefix: str = "cache") -> None:
-        """No-op: the *owner* of the shared cache wires telemetry once;
-        per-query views must not re-register or re-prefix instruments."""
-
-    def install_validator(self, fn) -> None:
-        self.shared.install_validator(fn)
-
-    # -- forwarded operations (stat-attributing) -------------------------
-
     def get(self, key: K) -> Optional[V]:
-        before = self.shared.stats.snapshot()
-        prev = self.shared.access_context
-        self.shared.access_context = self.qid
-        try:
-            return self.shared.get(key)
-        finally:
-            self.shared.access_context = prev
-            self._absorb(before)
+        return self.shared.get(key, self)
 
     def put(
         self,
@@ -948,81 +804,15 @@ class QueryCacheView(Generic[K, V]):
         source: Optional[int] = None,
         origin: str = "base",
     ) -> bool:
-        before = self.shared.stats.snapshot()
-        prev = self.shared.access_context
-        self.shared.access_context = self.qid
-        try:
-            return self.shared.put(
-                key, value, nbytes, pin=pin, source=source, origin=origin
-            )
-        finally:
-            self.shared.access_context = prev
-            self._absorb(before)
-
-    def pin(self, key: K) -> None:
-        self.shared.pin(key)
-
-    def unpin(self, key: K) -> None:
-        self.shared.unpin(key)
-
-    def pin_scope(self) -> PinScope[K, V]:
-        """A pin scope over *this view*, so its inserts carry the view's
-        query attribution for access observers.
-
-        The scope's pins and puts land on the shared cache exactly as
-        before (a pin is global state); routing them through the view
-        additionally tags insert events with ``qid`` and absorbs the
-        operations' stat deltas into the view's private ledger.  Hits
-        and misses — the counters queries report — are untouched by
-        put/pin/unpin, so attribution of reported stats is unchanged.
-        """
-        return PinScope(self)
-
-    def prefetch_begin(self, key: K, nbytes: int) -> bool:
-        before = self.shared.stats.snapshot()
-        try:
-            return self.shared.prefetch_begin(key, nbytes)
-        finally:
-            self._absorb(before)
+        return self.shared.put(key, value, nbytes, pin, source, origin, self)
 
     def prefetch_complete(self, key: K, value: V) -> None:
-        before = self.shared.stats.snapshot()
-        try:
-            self.shared.prefetch_complete(key, value)
-        finally:
-            self._absorb(before)
-
-    def prefetch_cancel(self, key: K) -> None:
-        before = self.shared.stats.snapshot()
-        try:
-            self.shared.prefetch_cancel(key)
-        finally:
-            self._absorb(before)
-
-    def take_prefetched(self, key: K) -> Optional[V]:
-        before = self.shared.stats.snapshot()
-        try:
-            return self.shared.take_prefetched(key)
-        finally:
-            self._absorb(before)
-
-    def cancel_staged(self) -> int:
-        before = self.shared.stats.snapshot()
-        try:
-            return self.shared.cancel_staged()
-        finally:
-            self._absorb(before)
-
-    def remove(self, key: K) -> bool:
-        before = self.shared.stats.snapshot()
-        try:
-            return self.shared.remove(key)
-        finally:
-            self._absorb(before)
+        self.shared.prefetch_complete(key, value, self)
 
     def invalidate_from(self, source: int) -> int:
-        before = self.shared.stats.snapshot()
-        try:
-            return self.shared.invalidate_from(source)
-        finally:
-            self._absorb(before)
+        return self.shared.invalidate_from(source, self)
+
+    def pin_scope(self) -> PinScope[K, V]:
+        """A pin scope over *this view*, so its pinned inserts are
+        attributed like the view's own."""
+        return PinScope(self)

@@ -35,7 +35,6 @@ from repro.telemetry.spans import (
 )
 from repro.telemetry.timeseries import (
     CounterTrack,
-    GaugeTrack,
     TimeSeriesRecorder,
     roll_counter,
     roll_gauge,
@@ -48,7 +47,6 @@ __all__ = [
     "LatencyTracker",
     "MetricsRegistry",
     "CounterTrack",
-    "GaugeTrack",
     "TimeSeriesRecorder",
     "OpLog",
     "maybe_span",
@@ -96,6 +94,20 @@ class Telemetry:
                 "resource.request_bytes", bounds=DEFAULT_BYTE_BUCKETS
             ).observe(nbytes)
 
+    def watch_cache(self, cache, prefix: str = "cache") -> None:
+        """Feed ``<prefix>.hits``/``.misses`` counters and the
+        ``<prefix>.occupancy_bytes`` gauge from ``cache``'s events.
+
+        Occupancy is sampled now and after every mutating operation.
+        Watching the same cache again under the same prefix — a warm
+        cache handed to a later run, a per-query view of a cache its
+        owner already wired — is a no-op: the cache drops a subscriber
+        equal to one it already has.
+        """
+        feed = _CacheFeed(self, cache, prefix)
+        feed.sample()
+        cache.subscribe(feed)
+
     def span_until(self, event, span: Span) -> None:
         """Close ``span`` when ``event`` fires (at the firing time).
 
@@ -109,6 +121,40 @@ class Telemetry:
                 self.recorder.finish(span)
 
         event.callbacks.append(_close)
+
+
+class _CacheFeed:
+    """Cache subscriber behind :meth:`Telemetry.watch_cache`; equal to
+    any other feed of the same hub and prefix."""
+
+    def __init__(self, hub: Telemetry, cache, prefix: str) -> None:
+        self._hub = hub
+        self._prefix = prefix
+        self._cache = cache
+        self._hits = hub.metrics.counter(f"{prefix}.hits")
+        self._misses = hub.metrics.counter(f"{prefix}.misses")
+        self._occupancy = hub.metrics.gauge(f"{prefix}.occupancy_bytes")
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _CacheFeed)
+            and other._hub is self._hub
+            and other._prefix == self._prefix
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._prefix)
+
+    def sample(self) -> None:
+        self._occupancy.set(self._hub.now(), float(self._cache.used_bytes))
+
+    def __call__(self, op, key, nbytes, origin, qid) -> None:
+        if op == "hit":
+            self._hits.inc()
+        elif op == "miss":
+            self._misses.inc()
+        else:
+            self.sample()
 
 
 # re-exported for convenient bucket choices at call sites

@@ -8,9 +8,9 @@ seeing how a serve *evolved*.  This module adds the time dimension:
   increment happened (as ``(t, cumulative)`` pairs on the simulated
   clock), so it can later be rolled into per-window event counts and
   rates.
-* :class:`GaugeTrack` — a step-function level (queue depth, cache
-  occupancy, slots in use ...) sampled at simulated instants, rolled
-  into per-window time-weighted means and maxima.
+* :class:`~repro.telemetry.metrics.Gauge` — a step-function level
+  (queue depth, cache occupancy, slots in use ...) sampled at simulated
+  instants, rolled into per-window time-weighted means and maxima.
 * :class:`TimeSeriesRecorder` — a get-or-create registry of both track
   kinds sharing one clock, with a byte-identical serialisation.
 
@@ -34,9 +34,10 @@ import json
 import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.telemetry.metrics import Gauge
+
 __all__ = [
     "CounterTrack",
-    "GaugeTrack",
     "TimeSeriesRecorder",
     "window_edges",
     "roll_counter",
@@ -72,45 +73,6 @@ class CounterTrack:
 
     def to_dict(self) -> Dict[str, Any]:
         return {"type": "counter_track", "total": self.total}
-
-
-class GaugeTrack:
-    """Step-function level sampled over simulated time.
-
-    Same contract as :class:`repro.telemetry.metrics.Gauge` — monotonic
-    timestamps, last write at an instant wins, equal consecutive values
-    coalesced — but owned by the recorder so a serve can observe levels
-    without requiring the full tracing stack.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.samples: List[Tuple[float, float]] = []
-
-    def set(self, t: float, value: float) -> None:
-        if self.samples:
-            last_t, last_v = self.samples[-1]
-            if t < last_t:
-                raise ValueError(
-                    f"gauge track {self.name!r} sampled at {t} after {last_t}"
-                )
-            if t == last_t:
-                self.samples[-1] = (t, value)
-                return
-            if value == last_v:
-                return
-        self.samples.append((t, value))
-
-    @property
-    def last(self) -> Optional[float]:
-        return self.samples[-1][1] if self.samples else None
-
-    @property
-    def peak(self) -> Optional[float]:
-        return max(v for _, v in self.samples) if self.samples else None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"type": "gauge_track", "last": self.last, "peak": self.peak}
 
 
 def window_edges(width: float, t_end: float) -> List[Tuple[float, float]]:
@@ -241,7 +203,7 @@ class TimeSeriesRecorder:
         self._clock = clock
         self.window = window
         self._counters: Dict[str, CounterTrack] = {}
-        self._gauges: Dict[str, GaugeTrack] = {}
+        self._gauges: Dict[str, Gauge] = {}
 
     def counter(self, name: str) -> CounterTrack:
         track = self._counters.get(name)
@@ -249,10 +211,10 @@ class TimeSeriesRecorder:
             track = self._counters[name] = CounterTrack(name)
         return track
 
-    def gauge(self, name: str) -> GaugeTrack:
+    def gauge(self, name: str) -> Gauge:
         track = self._gauges.get(name)
         if track is None:
-            track = self._gauges[name] = GaugeTrack(name)
+            track = self._gauges[name] = Gauge(name)
         return track
 
     def inc(self, name: str, amount: float = 1.0) -> None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datamodel import Schema, SubTable, SubTableId
-from repro.joins import dict_hash_join, hash_join, vectorized_hash_join
+from repro.joins import dict_hash_join, vectorized_hash_join
 from repro.joins.baselines import sort_merge_join
 
 
@@ -111,16 +111,6 @@ class TestKernels:
         right = make_table(2, [1], [0], [6], "b")
         out, _ = kernel(left, right, on=("x", "y"), result_id=SubTableId(99, 7))
         assert out.id == SubTableId(99, 7)
-
-
-def test_hash_join_kernel_dispatch():
-    left = make_table(1, [1], [0], [5], "a")
-    right = make_table(2, [1], [0], [6], "b")
-    for k in ("dict", "vectorized"):
-        out, _ = hash_join(left, right, on=("x",), kernel=k)
-        assert out.num_records == 1
-    with pytest.raises(ValueError):
-        hash_join(left, right, on=("x",), kernel="bogus")
 
 
 # -- differential tests: dict vs vectorized vs sort-merge ------------------------------

@@ -96,12 +96,12 @@ class TestFunctionalCorrectness:
         ).run()
         assert_matches_oracle(ds, ij)
 
-    def test_ij_dict_kernel_matches(self):
+    def test_ij_single_node_matches_reference_join(self):
         spec = GridSpec(g=(8, 8), p=(4, 4), q=(4, 4))
         ds = build_oil_reservoir_dataset(spec, num_storage=1)
         cluster = paper_cluster(1, 1, spec=TEST_SPEC)
         ij = IndexedJoinQES(
-            cluster, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider, kernel="dict"
+            cluster, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider
         ).run()
         assert_matches_oracle(ds, ij)
 

@@ -444,8 +444,8 @@ class TestCacheViewUnwind:
     def test_interrupted_view_freezes_and_releases(self):
         engine = SimEngine()
         shared = CachingService(10_000, make_policy("lru"))
-        view_a = QueryCacheView(shared, name="qa")
-        view_b = QueryCacheView(shared, name="qb")
+        view_a = QueryCacheView(shared)
+        view_b = QueryCacheView(shared)
 
         def query_a():
             with view_a.pin_scope() as scope:

@@ -21,7 +21,7 @@ import pytest
 from repro.cluster.nodes import MachineSpec
 from repro.server import QueryServer, run_serial_baseline
 from repro.server import server as server_mod
-from repro.workloads import TenantSpec, generate_workload
+from repro.workloads import QueryArrival, TenantSpec, generate_workload
 from repro.workloads.generator import GridSpec
 from repro.workloads.oilres import build_oil_reservoir_dataset
 
@@ -202,6 +202,29 @@ class TestAdmissionBehaviour:
             return rep.admission_order.index(quiet_qid)
 
         assert admit_pos("fair") < admit_pos("fifo")
+
+
+class TestArrivalRounding:
+    def test_same_instant_admission_an_ulp_early_is_a_zero_wait(self):
+        # the arrival source sleeps ``at - now``; 0.444 + (0.945 - 0.444)
+        # lands one ulp below 0.945, so the second query is delivered, and
+        # with a free slot admitted, "before" it arrived — a queue wait of
+        # -1.1e-16 s that used to kill the whole serve in LatencyTracker
+        a, b = 0.444, 0.945
+        assert a + (b - a) < b
+        stream = [
+            QueryArrival(qid=0, tenant="alice", kind="scan", at=a, seed=1),
+            QueryArrival(qid=1, tenant="alice", kind="scan", at=b, seed=2),
+        ]
+        rep = QueryServer(
+            make_dataset(functional=False), num_compute=2, slots=2
+        ).serve(stream)
+        late = rep.records[1]
+        assert late.admitted_at < late.arrival_at  # the ulp is still visible
+        assert late.queue_wait == 0.0
+        assert late.latency >= 0.0
+        assert rep.disposition_counts["completed"] == 2
+        assert rep.tenant_queue_wait["alice"]["max"] >= 0.0
 
 
 class TestGuards:

@@ -15,6 +15,7 @@ from repro.services import (
     make_policy,
 )
 from repro.services.cache import QueryCacheView
+from repro.telemetry import Telemetry
 
 
 class TestBasicOperations:
@@ -333,8 +334,8 @@ class TestFactory:
 
 
 class TestAccessTraceFeed:
-    """The key-granular access channel the reuse observatory subscribes
-    to: purely additive bookkeeping, no behavioural change."""
+    """The one channel everything that watches a cache subscribes to:
+    purely additive bookkeeping, no behavioural change."""
 
     @staticmethod
     def run_trace(c):
@@ -345,69 +346,119 @@ class TestAccessTraceFeed:
         c.remove("c")
         return c
 
-    def test_observer_changes_no_stats_or_contents(self):
-        plain = self.run_trace(CachingService(100))
+    @staticmethod
+    def watch(cache):
+        """Subscribe a recorder; returns its ``(op, key, nbytes, origin,
+        qid)`` list."""
         seen = []
-        watched = CachingService(100)
-        watched.attach_access_observer(seen.append)
+        cache.subscribe(lambda *event: seen.append(event))
+        return seen
+
+    def test_observer_changes_no_stats_or_contents(self):
+        # small enough to evict, so eviction order is compared too
+        plain = self.run_trace(CachingService(25))
+        watched = CachingService(25)
+        seen = self.watch(watched)
         self.run_trace(watched)
         assert dataclasses.asdict(watched.stats) == \
             dataclasses.asdict(plain.stats)
-        assert sorted(watched.keys()) == sorted(plain.keys())
+        assert watched.stats.evictions > 0
+        assert list(watched.keys()) == list(plain.keys())
+        assert list(watched.policy._order) == list(plain.policy._order)
         assert watched.used_bytes == plain.used_bytes
-        assert seen, "observer saw no events"
+        assert seen, "subscriber saw no events"
 
     def test_access_feed_reconciles_with_counters(self):
-        seen = []
         c = CachingService(100)
-        c.attach_access_observer(seen.append)
+        seen = self.watch(c)
         self.run_trace(c)
-        ops = [a.op for a in seen]
+        ops = [op for op, *_ in seen]
         assert ops.count("hit") == c.stats.hits
         assert ops.count("miss") == c.stats.misses
         assert ops.count("insert") == 4  # a b c d
         assert ops.count("drop") == 1
         # misses carry no size yet (the value does not exist); hits,
         # inserts and drops always do
-        assert all(a.nbytes is None for a in seen if a.op == "miss")
-        assert all(a.nbytes == 10 for a in seen if a.op != "miss")
+        assert all(n is None for op, _, n, _, _ in seen if op == "miss")
+        assert all(n == 10 for op, _, n, _, _ in seen if op != "miss")
+        origins = {key: origin for op, key, _, origin, _ in seen if op == "insert"}
+        assert origins == {"a": "base", "b": "derived", "c": "base", "d": "base"}
 
-    def test_entry_stats_track_access_counts_and_origin(self):
-        c = self.run_trace(CachingService(100))
-        stats = c.entry_stats()
-        assert stats["a"]["origin"] == "base"
-        assert stats["b"]["origin"] == "derived"
-        assert stats["a"]["accesses"] == 3  # hits only; misses precede insert
-        assert stats["b"]["accesses"] == 1
-        assert stats["a"]["last_access"] > stats["b"]["last_access"]
-        assert "c" not in stats  # removed entries drop out
+    def test_every_operation_notifies_exactly_once(self):
+        c = CachingService(30, prefetch_budget_bytes=10)
+        seen = self.watch(c)
+        c.put("a", 1, 10, source=0)
+        c.put("b", 2, 10, pin=True)
+        c.put("big", 3, 31)  # refused, but subscribers still hear of it
+        c.pin("a")
+        c.unpin("a")
+        c.prefetch_begin("p", 10)
+        c.prefetch_complete("p", 4)
+        c.take_prefetched("p")
+        c.prefetch_begin("q", 10)
+        c.prefetch_cancel("q")
+        c.prefetch_begin("r", 10)
+        c.cancel_staged()
+        c.invalidate_from(0)  # drops a, then reports itself
+        c.remove("b")
+        assert [op for op, *_ in seen] == [
+            "insert", "insert", "reject", "pin", "unpin",
+            "prefetch_begin", "prefetch_complete", "take_prefetched",
+            "prefetch_begin", "prefetch_cancel",
+            "prefetch_begin", "cancel_staged",
+            "drop", "invalidate_from", "drop",
+        ]
+        # operations that change nothing tell nobody
+        del seen[:]
+        c.remove("absent")
+        c.prefetch_cancel("absent")
+        c.take_prefetched("absent")
+        c.cancel_staged()
+        assert not c.prefetch_begin("huge", 11)
+        assert seen == []
 
     def test_view_tags_accesses_with_qid(self):
         shared = CachingService(100)
-        seen = []
-        shared.attach_access_observer(seen.append)
-        view = QueryCacheView(shared, name="q7", qid=7)
+        seen = self.watch(shared)
+        view = QueryCacheView(shared, qid=7)
         view.get("x")
         view.put("x", 1, 10)
         with view.pin_scope() as scope:
             scope.put("y", 2, 10)
         shared.get("x")
-        by_op = {(a.op, a.key): a.qid for a in seen}
+        by_op = {(op, key): qid for op, key, _, _, qid in seen}
         assert by_op[("miss", "x")] == 7
         assert by_op[("insert", "x")] == 7
         assert by_op[("insert", "y")] == 7
-        assert by_op[("hit", "x")] is None  # direct access: no context
+        assert by_op[("hit", "x")] is None  # direct access: no view
 
     def test_no_observer_costs_nothing_on_report_bytes(self):
         # the digest/report regression: stats snapshots are identical
-        # whether the access channel has subscribers or not
+        # whether the channel has subscribers or not
         plain = self.run_trace(CachingService(100))
         watched = CachingService(100)
-        watched.attach_access_observer(lambda access: None)
+        watched.subscribe(lambda *event: None)
         self.run_trace(watched)
         assert json.dumps(
             dataclasses.asdict(plain.stats), sort_keys=True
         ) == json.dumps(dataclasses.asdict(watched.stats), sort_keys=True)
+
+    def test_watching_twice_with_the_same_telemetry_counts_once(self):
+        # IndexedJoinQES.begin re-wires warm caches, and the views a
+        # server hands it, to the hub their owner already wired
+        hub = Telemetry()
+        shared = CachingService(100)
+        hub.watch_cache(shared, prefix="cache.j0")
+        hub.watch_cache(shared, prefix="cache.j0")
+        hub.watch_cache(QueryCacheView(shared, qid=1), prefix="cache.j0")
+        self.run_trace(shared)
+        assert hub.metrics.counter("cache.j0.hits").value == shared.stats.hits
+        assert hub.metrics.counter("cache.j0.misses").value == shared.stats.misses
+        assert hub.metrics.gauge("cache.j0.occupancy_bytes").last == shared.used_bytes
+        other = Telemetry()  # a later run's hub is a different sink
+        other.watch_cache(shared, prefix="cache.j0")
+        shared.get("a")
+        assert other.metrics.counter("cache.j0.hits").value == 1
 
 
 # -- property tests -------------------------------------------------------------
@@ -467,6 +518,96 @@ def test_capacity_invariant_under_random_op_sequence(ops, policy_name):
                 pins[key] -= 1
         assert c.used_bytes <= capacity
         assert sum(1 for k in "abcdefgh" if k in c) == len(c)
+
+
+_view_ops = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),  # which view
+        # lookups and inserts weighted up, and no list too short, so that
+        # most examples fill the cache and evict
+        st.sampled_from([
+            "get", "get", "get", "put", "put", "put", "put",
+            "pin", "unpin", "remove", "invalidate_from",
+            "prefetch_begin", "prefetch_complete", "prefetch_cancel",
+            "take_prefetched", "cancel_staged",
+        ]),
+        keys,
+        st.integers(min_value=5, max_value=20),
+    ),
+    min_size=20,
+    max_size=200,
+)
+
+
+def _apply(shared, view, op, key, size):
+    """Run one operation through ``view``; returns how many notifications
+    it owes (one per operation that changed anything)."""
+    if op == "get":
+        view.get(key)
+    elif op == "put":
+        view.put(key, key, size, source=size % 2)
+    elif op == "pin":
+        if key not in view:
+            return 0
+        view.pin(key)
+    elif op == "unpin":
+        if key not in view or shared._entries[key].pins == 0:
+            return 0
+        view.unpin(key)
+    elif op == "remove":
+        return int(view.remove(key))
+    elif op == "invalidate_from":
+        return view.invalidate_from(size % 2) + 1  # one drop each, then itself
+    elif op == "prefetch_begin":
+        return int(view.prefetch_begin(key, size))
+    elif op == "prefetch_complete":
+        staged = shared._staged.get(key)
+        if staged is None or staged.ready:
+            return 0
+        view.prefetch_complete(key, key)
+    elif op == "prefetch_cancel":
+        staged = view.has_prefetched(key)
+        view.prefetch_cancel(key)
+        return int(staged)
+    elif op == "take_prefetched":
+        return int(view.take_prefetched(key) is not None)
+    elif op == "cancel_staged":
+        return int(view.cancel_staged() > 0)
+    return 1
+
+
+@given(ops=_view_ops)
+def test_view_ledgers_partition_the_shared_counters(ops):
+    """Any interleaving of operations through several views of one small
+    (evicting) shared cache: the view ledgers sum to the shared counters,
+    each view's hits/misses are exactly the events carrying its qid, every
+    operation notifies once, and none of it depends on being watched."""
+    shared = CachingService(35, prefetch_budget_bytes=25)
+    events = []
+    shared.subscribe(lambda *event: events.append(event))
+    views = [QueryCacheView(shared, qid=qid) for qid in range(3)]
+    unwatched = CachingService(35, prefetch_budget_bytes=25)
+    twins = [QueryCacheView(unwatched, qid=qid) for qid in range(3)]
+    for v, op, key, size in ops:
+        before = len(events)
+        owed = _apply(shared, views[v], op, key, size)
+        assert len(events) - before == owed, (op, events[before:])
+        _apply(unwatched, twins[v], op, key, size)
+        assert shared.used_bytes <= shared.capacity_bytes
+    for field in dataclasses.fields(shared.stats):
+        assert sum(getattr(v.stats, field.name) for v in views) == getattr(
+            shared.stats, field.name
+        ), field.name
+    for view in views:
+        mine = [op for op, _, _, _, qid in events if qid == view.qid]
+        assert mine.count("hit") == view.stats.hits
+        assert mine.count("miss") == view.stats.misses
+    assert dataclasses.asdict(shared.stats) == dataclasses.asdict(unwatched.stats)
+    assert list(shared.keys()) == list(unwatched.keys())
+    assert list(shared.policy._order) == list(unwatched.policy._order)
+    assert [dataclasses.asdict(v.stats) for v in views] == [
+        dataclasses.asdict(t.stats) for t in twins
+    ]
 
 
 @given(trace=st.lists(keys, min_size=1, max_size=150))

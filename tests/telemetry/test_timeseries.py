@@ -6,7 +6,6 @@ import pytest
 
 from repro.telemetry.timeseries import (
     CounterTrack,
-    GaugeTrack,
     TimeSeriesRecorder,
     roll_counter,
     roll_gauge,
@@ -33,14 +32,21 @@ class TestCounterTrack:
 
 
 class TestGaugeTrack:
+    """The recorder's level tracks are :class:`repro.telemetry.metrics.Gauge`
+    instruments; the rolled payload leans on these three rules."""
+
+    @staticmethod
+    def track():
+        return TimeSeriesRecorder(clock=lambda: 0.0).gauge("depth")
+
     def test_same_instant_last_write_wins(self):
-        g = GaugeTrack("depth")
+        g = self.track()
         g.set(1.0, 2.0)
         g.set(1.0, 5.0)
         assert g.samples == [(1.0, 5.0)]
 
     def test_equal_consecutive_values_coalesced(self):
-        g = GaugeTrack("depth")
+        g = self.track()
         g.set(0.0, 1.0)
         g.set(1.0, 1.0)
         g.set(2.0, 3.0)
@@ -49,7 +55,7 @@ class TestGaugeTrack:
         assert g.peak == 3.0
 
     def test_rejects_time_travel(self):
-        g = GaugeTrack("depth")
+        g = self.track()
         g.set(2.0, 1.0)
         with pytest.raises(ValueError):
             g.set(1.0, 0.0)
