@@ -22,10 +22,11 @@ Run as a script, the harness is the benchmark regression tracker::
 simulated makespans — no wall clock anywhere) and writes
 ``results/BENCH_bench_regression.json``, appending a dated summary line
 to the local ``results/history.jsonl`` run log; ``check`` walks every
-``makespan_s`` leaf of that artifact against the committed baseline under
-``baselines/`` and exits 1 on any relative regression beyond
-``--tolerance``, which is what fails CI.  ``--update`` rewrites the
-baseline after an intentional performance change.
+``makespan_s``/``miss_ratio`` leaf of that artifact against the committed
+baseline under ``baselines/`` and exits 1 on any relative regression
+beyond ``--tolerance``, and on any ``digest`` leaf that differs from the
+baseline at all — either fails CI.  ``--update`` rewrites the baseline
+after an intentional behaviour change.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ DEFAULT_TOLERANCE = 0.02
 #: reuse bench's what-if miss ratios (both are "smaller is better", so
 #: the same growth-beyond-tolerance rule applies).
 TRACKED_LEAVES = ("makespan_s", "miss_ratio")
+
+#: Leaf keys compared exactly: a digest names one behaviour, so any
+#: difference from the baseline fails until ``--update`` records it.
+EXACT_LEAVES = ("digest",)
 
 
 def record_table(
@@ -198,35 +203,47 @@ def run_tracked_benchmarks() -> Dict[str, object]:
     return payload
 
 
-def iter_makespans(payload: object, prefix: str = "") -> List[Tuple[str, float]]:
-    """All tracked leaves (:data:`TRACKED_LEAVES`) of a benchmark
-    artifact, path-sorted.
+def _iter_leaves(
+    payload: object, keys: Sequence[str], prefix: str = ""
+) -> List[Tuple[str, object]]:
+    """Every leaf of a benchmark artifact named by ``keys``, path-sorted.
 
     Paths are slash-joined dict keys / list indices, e.g.
     ``switched_small/ij/makespan_s`` or ``mrc/2/miss_ratio``.
     """
-    found: List[Tuple[str, float]] = []
+    found: List[Tuple[str, object]] = []
     if isinstance(payload, dict):
         for key in sorted(payload):
             path = f"{prefix}/{key}" if prefix else str(key)
-            if key in TRACKED_LEAVES:
-                found.append((path, float(payload[key])))
+            if key in keys:
+                found.append((path, payload[key]))
             else:
-                found.extend(iter_makespans(payload[key], path))
+                found.extend(_iter_leaves(payload[key], keys, path))
     elif isinstance(payload, list):
         for i, item in enumerate(payload):
-            found.extend(iter_makespans(item, f"{prefix}/{i}" if prefix else str(i)))
+            found.extend(_iter_leaves(item, keys, f"{prefix}/{i}" if prefix else str(i)))
     return found
+
+
+def iter_makespans(payload: object) -> List[Tuple[str, float]]:
+    """All toleranced leaves (:data:`TRACKED_LEAVES`) of an artifact."""
+    return [(path, float(v)) for path, v in _iter_leaves(payload, TRACKED_LEAVES)]
+
+
+def iter_digests(payload: object) -> List[Tuple[str, object]]:
+    """All exactly-compared leaves (:data:`EXACT_LEAVES`) of an artifact."""
+    return _iter_leaves(payload, EXACT_LEAVES)
 
 
 def compare_benchmarks(
     current: object, baseline: object, tolerance: float = DEFAULT_TOLERANCE
 ) -> Tuple[List[str], List[str]]:
-    """Diff every makespan leaf of ``current`` against ``baseline``.
+    """Diff every tracked leaf of ``current`` against ``baseline``.
 
     Returns ``(regressions, notes)``: regressions are makespans that grew
-    by more than ``tolerance`` (relative) or disappeared from the current
-    artifact — either fails CI; notes record improvements, new leaves and
+    by more than ``tolerance`` (relative), digests that differ at all,
+    and leaves of either kind that disappeared from the current artifact
+    — each fails CI; notes record improvements, new leaves and
     within-tolerance drift.
     """
     cur = dict(iter_makespans(current))
@@ -246,6 +263,17 @@ def compare_benchmarks(
             notes.append(line)
     for path in sorted(set(cur) - set(base)):
         notes.append(f"{path}: new (no baseline), {cur[path]:.6f}s")
+    cur_digests = dict(iter_digests(current))
+    base_digests = dict(iter_digests(baseline))
+    for path in sorted(base_digests):
+        if path not in cur_digests:
+            regressions.append(f"{path}: missing from current results")
+        elif cur_digests[path] != base_digests[path]:
+            regressions.append(
+                f"{path}: {base_digests[path]} -> {cur_digests[path]} (digest changed)"
+            )
+    for path in sorted(set(cur_digests) - set(base_digests)):
+        notes.append(f"{path}: new (no baseline), {cur_digests[path]}")
     return regressions, notes
 
 
@@ -292,7 +320,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             status = 1
         else:
             print(f"{name}: OK — {len(iter_makespans(current))} tracked "
-                  f"leaves within {args.tolerance:.0%} of baseline")
+                  f"leaves within {args.tolerance:.0%} of baseline, "
+                  f"{len(iter_digests(current))} digests identical")
     return status
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = ["Interval", "BoundingBox"]
 
@@ -139,6 +139,13 @@ class BoundingBox:
     def interval(self, name: str) -> Interval:
         """The bound for ``name``; unbounded when not explicitly stored."""
         return self._intervals.get(name) or Interval.unbounded()
+
+    def bounds(self, names: Iterable[str]) -> Tuple[List[float], List[float]]:
+        """The box projected onto ``names`` as parallel ``(lows, highs)``
+        lists — the inverse of :meth:`from_bounds` and the form the R-tree
+        takes.  Attributes the box does not mention come out ``-inf``/``inf``."""
+        intervals = [self.interval(n) for n in names]
+        return [iv.lo for iv in intervals], [iv.hi for iv in intervals]
 
     def __contains__(self, name: str) -> bool:
         return name in self._intervals

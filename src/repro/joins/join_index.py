@@ -19,7 +19,6 @@ edge ratio ``n_e · c_R · c_S / T²``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,17 +28,6 @@ from repro.datamodel.subtable import SubTableId
 from repro.metadata.rtree import RTree
 
 __all__ = ["PageJoinIndex", "Component", "ConnectivityStats", "build_join_index"]
-
-_CLAMP = 1e18
-
-
-def _box_vec(bbox: BoundingBox, on: Sequence[str]) -> Tuple[List[float], List[float]]:
-    lo, hi = [], []
-    for name in on:
-        iv = bbox.interval(name)
-        lo.append(max(iv.lo, -_CLAMP) if not math.isinf(iv.lo) else -_CLAMP)
-        hi.append(min(iv.hi, _CLAMP) if not math.isinf(iv.hi) else _CLAMP)
-    return lo, hi
 
 
 class _UnionFind:
@@ -246,12 +234,8 @@ def build_join_index(
     if left_chunks and right_chunks:
         tree = RTree(ndim=len(on), max_entries=16)
         for c in left_chunks:
-            tree.insert(_box_vec(c.bbox, on), c)
+            tree.insert(c.bbox.bounds(on), c)
         for rc in right_chunks:
-            hits = tree.search(_box_vec(rc.bbox, on))
-            for lc in hits:
-                # R-tree overlap is on clamped coordinates; re-check exactly
-                if lc.bbox.overlaps(rc.bbox, on=on):
-                    pairs.append((lc.id, rc.id))
+            pairs.extend((lc.id, rc.id) for lc in tree.search(rc.bbox.bounds(on)))
     pairs.sort()
     return PageJoinIndex(left_table, right_table, on, pairs)

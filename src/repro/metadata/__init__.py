@@ -6,8 +6,10 @@ range part of a query, the service "may be queried ... to retrieve ids of
 all matching sub-tables ... done efficiently using index structures such as
 R-Trees [6]".
 
-* :mod:`~repro.metadata.rtree` — a from-scratch Guttman R-tree (quadratic
-  split) over n-dimensional boxes.
+* :mod:`~repro.metadata.rtree` — a from-scratch packed R-tree over
+  n-dimensional boxes: bulk-loaded in sort-tile-recursive order on the
+  first search, one array pair per level (load-once: fill it, then
+  query it).
 * :mod:`~repro.metadata.service` — the chunk catalog: registration,
   per-table R-tree indexes on coordinate attributes, range queries, and
   JSON persistence.

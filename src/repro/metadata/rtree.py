@@ -1,23 +1,37 @@
-"""A Guttman R-tree (quadratic split) over n-dimensional boxes.
+"""A packed, load-once R-tree over n-dimensional boxes.
 
 This is the index structure the MetaData Service uses to answer range
-queries against chunk bounding boxes (Guttman [6] in the paper's reference
-list).  The implementation follows the original paper:
+queries against chunk bounding boxes.  Every caller knows all its boxes
+before it asks the first question, so the tree is bulk-loaded rather than
+grown (Guttman's insert/split [6] spends its time on area arithmetic the
+bulk case never needs):
 
-* every node holds between ``min_entries`` and ``max_entries`` entries
-  (except the root);
-* insertion descends by least-enlargement (ties: smallest area);
-* overflow is resolved with the *quadratic* split: pick the pair of entries
-  wasting the most area as seeds, then assign remaining entries by
-  preference, honouring the min-fill constraint;
-* range search prunes subtrees whose MBR does not intersect the query box.
+* ``insert`` validates the box and appends it; nothing is organised yet;
+* the first ``search`` after any insert *packs* everything: the boxes are
+  put in sort-tile-recursive order (Leutenegger et al.: sort on the first
+  dimension, cut into slabs, sort each slab on the next, ...), and every
+  run of ``max_entries`` consecutive boxes becomes a node whose box is
+  their union.  Each level is one ``(n, ndim)`` ``lo``/``hi`` array pair
+  and the children of node ``i`` are the slice ``[i*M, (i+1)*M)`` of the
+  level below, so there are no node objects and no pointers;
+* ``search`` walks the levels top down with one vectorised closed-interval
+  test per level.
+
+**Load-once contract:** an insert between two searches costs a full
+re-pack at the second one.  That is correct but O(n log n); fill the tree,
+then query it.
 
 Boxes are ``(lo, hi)`` pairs of equal-length float sequences (closed
-intervals, touching boxes intersect).  Payloads are opaque.
+intervals, touching boxes intersect).  Bounds may be ``±inf``: the tree
+only compares and takes min/max, so infinities answer exactly as
+:meth:`Interval.overlaps <repro.datamodel.bounding_box.Interval.overlaps>`
+does (tiles are ordered by ``lo``, not by centre — the centre of an
+unbounded interval is NaN).  Payloads are opaque.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,61 +39,46 @@ import numpy as np
 __all__ = ["RTree"]
 
 Boxish = Tuple[Sequence[float], Sequence[float]]
+_Level = Tuple[np.ndarray, np.ndarray]
 
 
-class _Entry:
-    """Leaf entry (payload) or internal entry (child node) with its MBR."""
+def _str_order(keys: np.ndarray, leaf_size: int) -> np.ndarray:
+    """Sort-tile-recursive order of the ``(n, ndim)`` sort keys.
 
-    __slots__ = ("lo", "hi", "child", "payload")
-
-    def __init__(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        child: Optional["_Node"] = None,
-        payload: object = None,
-    ):
-        self.lo = lo
-        self.hi = hi
-        self.child = child
-        self.payload = payload
-
-
-class _Node:
-    __slots__ = ("leaf", "entries")
-
-    def __init__(self, leaf: bool):
-        self.leaf = leaf
-        self.entries: List[_Entry] = []
-
-    def mbr(self) -> Tuple[np.ndarray, np.ndarray]:
-        lo = np.minimum.reduce([e.lo for e in self.entries])
-        hi = np.maximum.reduce([e.hi for e in self.entries])
-        return lo, hi
-
-
-def _area(lo: np.ndarray, hi: np.ndarray) -> float:
-    return float(np.prod(hi - lo))
-
-
-def _enlarged(lo1, hi1, lo2, hi2) -> Tuple[np.ndarray, np.ndarray]:
-    return np.minimum(lo1, lo2), np.maximum(hi1, hi2)
-
-
-def _intersects(lo1, hi1, lo2, hi2) -> bool:
-    return bool(np.all(lo1 <= hi2) and np.all(lo2 <= hi1))
+    Positions are cut into slabs dimension by dimension; every slab size
+    is a multiple of ``leaf_size``, so slab borders are leaf borders.
+    """
+    n, ndim = keys.shape
+    order = np.arange(n)
+    position = np.arange(n)
+    slab = np.zeros(n, dtype=np.intp)  # first position of each position's slab
+    slab_size = n
+    for d in range(ndim):
+        if slab_size <= leaf_size:  # every slab is one leaf already
+            break
+        order = order[np.lexsort((keys[order, d], slab))]
+        if d == ndim - 1:
+            break
+        leaves = -(-slab_size // leaf_size)
+        slices = math.ceil(leaves ** (1.0 / (ndim - d)) - 1e-9)
+        slab_size = leaf_size * -(-leaves // slices)
+        slab += (position - slab) // slab_size * slab_size
+    return order
 
 
 class RTree:
-    """Dynamic R-tree with quadratic node split.
+    """Bulk-loaded (sort-tile-recursive) R-tree, packed lazily on search.
 
     Parameters
     ----------
     ndim:
         Dimensionality of all indexed boxes.
     max_entries / min_entries:
-        Node capacity bounds; ``min_entries`` defaults to
-        ``max_entries // 2`` (and must be ``<= max_entries // 2``).
+        ``max_entries`` is the node capacity ``M``: packed nodes are full
+        except the last of each level.  ``min_entries`` is accepted and
+        validated (``<= max_entries // 2``, the default) so callers need
+        not change, but a packed tree has no underfull-node rule for it
+        to govern.
     """
 
     def __init__(self, ndim: int, max_entries: int = 8, min_entries: Optional[int] = None):
@@ -93,203 +92,96 @@ class RTree:
         self.ndim = ndim
         self.max_entries = max_entries
         self.min_entries = min_entries
-        self._root = _Node(leaf=True)
-        self._size = 0
-        self._height = 1
+        self._boxes: List[np.ndarray] = []  # one validated (2, ndim) array per insert
+        self._payloads: List[object] = []
+        # set by _packed, dropped by insert
+        self._levels: Optional[List[_Level]] = None
+        self._order = np.arange(0)
 
     # -- public API ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._payloads)
 
     @property
     def height(self) -> int:
-        return self._height
+        """Node levels from root to leaves (1 for up to ``max_entries`` boxes)."""
+        return len(self._packed())
 
     def insert(self, box: Boxish, payload: object) -> None:
-        """Insert ``payload`` under bounding ``box = (lo, hi)``."""
-        lo, hi = self._check_box(box)
-        entry = _Entry(lo, hi, payload=payload)
-        split = self._insert(self._root, entry, level=self._height - 1)
-        if split is not None:
-            # root split: grow the tree
-            old_root = self._root
-            self._root = _Node(leaf=False)
-            lo1, hi1 = old_root.mbr()
-            lo2, hi2 = split.mbr()
-            self._root.entries = [
-                _Entry(lo1, hi1, child=old_root),
-                _Entry(lo2, hi2, child=split),
-            ]
-            self._height += 1
-        self._size += 1
+        """Add ``payload`` under bounding ``box = (lo, hi)``."""
+        self._boxes.append(self._check_box(box))
+        self._payloads.append(payload)
+        self._levels = None
 
     def search(self, box: Boxish) -> List[object]:
         """All payloads whose boxes intersect the (closed) query box."""
-        lo, hi = self._check_box(box)
-        out: List[object] = []
-        self._search(self._root, lo, hi, out)
-        return out
+        qlo, qhi = self._check_box(box)
+        levels = self._packed()
+        lo, hi = levels[-1]
+        hits = np.flatnonzero(((lo <= qhi) & (hi >= qlo)).all(axis=1))
+        fan = np.arange(self.max_entries)
+        for lo, hi in reversed(levels[:-1]):
+            kids = (hits[:, None] * self.max_entries + fan).ravel()
+            kids = kids[kids < len(lo)]  # the last node of a level may be short
+            hits = kids[((lo[kids] <= qhi) & (hi[kids] >= qlo)).all(axis=1)]
+        payloads = self._payloads
+        return [payloads[i] for i in self._order[hits].tolist()]
 
     def __iter__(self) -> Iterator[object]:
         """Iterate all payloads (no particular order)."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            for e in node.entries:
-                if node.leaf:
-                    yield e.payload
-                else:
-                    stack.append(e.child)
+        return iter(self._payloads)
 
     # -- internals ----------------------------------------------------------------
 
-    def _check_box(self, box: Boxish) -> Tuple[np.ndarray, np.ndarray]:
-        lo = np.asarray(box[0], dtype=float)
-        hi = np.asarray(box[1], dtype=float)
-        if lo.shape != (self.ndim,) or hi.shape != (self.ndim,):
+    def _check_box(self, box: Boxish) -> np.ndarray:
+        """``box`` as a ``(2, ndim)`` array ``[lo, hi]``, or ``ValueError``."""
+        b = np.asarray(box, dtype=float)  # ragged lo/hi raise ValueError here
+        if b.shape != (2, self.ndim):
             raise ValueError(f"box must be two length-{self.ndim} vectors")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValueError("box bounds may not be NaN")
-        if np.any(lo > hi):
-            raise ValueError(f"empty box: lo={lo} > hi={hi}")
-        return lo, hi
+        if not (b[0] <= b[1]).all():  # a NaN bound compares False as well
+            if np.isnan(b).any():
+                raise ValueError("box bounds may not be NaN")
+            raise ValueError(f"empty box: lo={b[0]} > hi={b[1]}")
+        return b
 
-    def _choose_subtree(self, node: _Node, entry: _Entry) -> _Entry:
-        best = None
-        best_key = None
-        for e in node.entries:
-            lo, hi = _enlarged(e.lo, e.hi, entry.lo, entry.hi)
-            enlargement = _area(lo, hi) - _area(e.lo, e.hi)
-            key = (enlargement, _area(e.lo, e.hi))
-            if best_key is None or key < best_key:
-                best, best_key = e, key
-        assert best is not None
-        return best
-
-    def _insert(self, node: _Node, entry: _Entry, level: int) -> Optional[_Node]:
-        """Insert into subtree rooted at ``node`` (``level`` 0 = leaf).
-
-        Returns the sibling node if ``node`` was split, else ``None``.
-        """
-        if level == 0:
-            node.entries.append(entry)
-        else:
-            slot = self._choose_subtree(node, entry)
-            split = self._insert(slot.child, entry, level - 1)
-            slot.lo, slot.hi = _enlarged(slot.lo, slot.hi, entry.lo, entry.hi)
-            if split is not None:
-                # re-tighten the updated child's MBR and add the new sibling
-                slot.lo, slot.hi = slot.child.mbr()
-                lo, hi = split.mbr()
-                node.entries.append(_Entry(lo, hi, child=split))
-        if len(node.entries) > self.max_entries:
-            return self._split(node)
-        return None
-
-    def _split(self, node: _Node) -> _Node:
-        """Quadratic split; mutates ``node`` into group 1, returns group 2."""
-        entries = node.entries
-        # 1. pick seeds: the pair wasting the most area
-        worst = -1.0
-        seeds = (0, 1)
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                lo, hi = _enlarged(entries[i].lo, entries[i].hi, entries[j].lo, entries[j].hi)
-                waste = _area(lo, hi) - _area(entries[i].lo, entries[i].hi) - _area(
-                    entries[j].lo, entries[j].hi
-                )
-                if waste > worst:
-                    worst = waste
-                    seeds = (i, j)
-        g1 = [entries[seeds[0]]]
-        g2 = [entries[seeds[1]]]
-        lo1, hi1 = g1[0].lo.copy(), g1[0].hi.copy()
-        lo2, hi2 = g2[0].lo.copy(), g2[0].hi.copy()
-        rest = [e for k, e in enumerate(entries) if k not in seeds]
-
-        # 2. distribute the remaining entries
-        while rest:
-            # min-fill guarantee
-            if len(g1) + len(rest) == self.min_entries:
-                g1.extend(rest)
-                for e in rest:
-                    lo1, hi1 = _enlarged(lo1, hi1, e.lo, e.hi)
-                rest = []
-                break
-            if len(g2) + len(rest) == self.min_entries:
-                g2.extend(rest)
-                for e in rest:
-                    lo2, hi2 = _enlarged(lo2, hi2, e.lo, e.hi)
-                rest = []
-                break
-            # pick the entry with maximal preference difference
-            best_idx = 0
-            best_diff = -1.0
-            best_d = (0.0, 0.0)
-            for idx, e in enumerate(rest):
-                l1, h1 = _enlarged(lo1, hi1, e.lo, e.hi)
-                l2, h2 = _enlarged(lo2, hi2, e.lo, e.hi)
-                d1 = _area(l1, h1) - _area(lo1, hi1)
-                d2 = _area(l2, h2) - _area(lo2, hi2)
-                diff = abs(d1 - d2)
-                if diff > best_diff:
-                    best_diff = diff
-                    best_idx = idx
-                    best_d = (d1, d2)
-            e = rest.pop(best_idx)
-            d1, d2 = best_d
-            # prefer smaller enlargement; ties by area then count
-            if d1 < d2 or (d1 == d2 and (_area(lo1, hi1), len(g1)) <= (_area(lo2, hi2), len(g2))):
-                g1.append(e)
-                lo1, hi1 = _enlarged(lo1, hi1, e.lo, e.hi)
-            else:
-                g2.append(e)
-                lo2, hi2 = _enlarged(lo2, hi2, e.lo, e.hi)
-
-        node.entries = g1
-        sibling = _Node(leaf=node.leaf)
-        sibling.entries = g2
-        return sibling
-
-    def _search(self, node: _Node, lo: np.ndarray, hi: np.ndarray, out: List[object]) -> None:
-        for e in node.entries:
-            if _intersects(e.lo, e.hi, lo, hi):
-                if node.leaf:
-                    out.append(e.payload)
-                else:
-                    self._search(e.child, lo, hi, out)
+    def _packed(self) -> List[_Level]:
+        """The levels, entry boxes first and the root's entries last."""
+        if self._levels is None:
+            boxes = np.array(self._boxes, dtype=float).reshape(-1, 2, self.ndim)
+            self._order = _str_order(boxes[:, 0], self.max_entries)
+            lo, hi = boxes[self._order, 0], boxes[self._order, 1]
+            levels = [(lo, hi)]
+            while len(lo) > self.max_entries:
+                starts = np.arange(0, len(lo), self.max_entries)
+                lo = np.minimum.reduceat(lo, starts, axis=0)
+                hi = np.maximum.reduceat(hi, starts, axis=0)
+                levels.append((lo, hi))
+            self._levels = levels
+        return self._levels
 
     # -- diagnostics -------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Validate structural invariants (tests call this after mutations).
+        """Validate structural invariants of the packed tree.
 
-        * every node except the root has between min_entries and max_entries
-          entries;
-        * every internal entry's box equals (or contains) its child's MBR;
-        * all leaves are at the same depth.
+        * the bottom level holds every inserted box exactly once;
+        * each level above has ``ceil(n_below / max_entries)`` nodes (so
+          there are ``ceil(n / max_entries)`` leaves) and only the top
+          level has ``max_entries`` boxes or fewer;
+        * every node's box contains the boxes of its children.
         """
-        leaf_depths = set()
-
-        def visit(node: _Node, depth: int, is_root: bool) -> None:
-            if not is_root:
-                assert self.min_entries <= len(node.entries) <= self.max_entries, (
-                    f"node fill {len(node.entries)} outside "
-                    f"[{self.min_entries}, {self.max_entries}]"
-                )
-            else:
-                assert len(node.entries) <= self.max_entries
-            if node.leaf:
-                leaf_depths.add(depth)
-                return
-            for e in node.entries:
-                clo, chi = e.child.mbr()
-                assert np.all(e.lo <= clo) and np.all(e.hi >= chi), (
-                    "internal entry MBR does not contain child MBR"
-                )
-                visit(e.child, depth + 1, False)
-
-        visit(self._root, 0, True)
-        assert len(leaf_depths) <= 1, f"leaves at different depths: {leaf_depths}"
-        assert not leaf_depths or leaf_depths == {self._height - 1}
+        m = self.max_entries
+        levels = self._packed()
+        assert sorted(self._order.tolist()) == list(range(len(self))), "not a permutation"
+        boxes = np.array(self._boxes, dtype=float).reshape(-1, 2, self.ndim)[self._order]
+        assert np.array_equal(levels[0][0], boxes[:, 0]), "bottom level lost a lower bound"
+        assert np.array_equal(levels[0][1], boxes[:, 1]), "bottom level lost an upper bound"
+        assert len(levels[-1][0]) <= m, "top level wider than one node"
+        for (clo, chi), (plo, phi) in zip(levels, levels[1:]):
+            assert len(clo) > m, "a level above a level that already fits one node"
+            assert len(plo) == -(-len(clo) // m), "wrong node count"
+            parent = np.arange(len(clo)) // m
+            assert np.all(plo[parent] <= clo) and np.all(phi[parent] >= chi), (
+                "node box does not contain a child box"
+            )

@@ -16,7 +16,6 @@ page-level join indexes).
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,16 +29,6 @@ from repro.metadata.rtree import RTree
 from repro.storage.writer import WrittenTable
 
 __all__ = ["MetaDataService", "TableCatalog"]
-
-#: Finite stand-in for infinite bounds inside the R-tree (area arithmetic
-#: cannot host IEEE infinities: inf * 0 = nan).
-_CLAMP = 1e18
-
-
-def _clamped(value: float) -> float:
-    if math.isinf(value):
-        return _CLAMP if value > 0 else -_CLAMP
-    return value
 
 
 @dataclass
@@ -82,13 +71,7 @@ class TableCatalog:
             raise ValueError(f"duplicate chunk id {desc.id}")
         self.chunks[desc.chunk_id] = desc
         if self._rtree is not None:
-            self._rtree.insert(self._box_of(desc), desc)
-
-    def _box_of(self, desc: ChunkDescriptor) -> Tuple[List[float], List[float]]:
-        names = self.coordinate_names
-        lo = [_clamped(desc.bbox.interval(n).lo) for n in names]
-        hi = [_clamped(desc.bbox.interval(n).hi) for n in names]
-        return lo, hi
+            self._rtree.insert(desc.bbox.bounds(self.coordinate_names), desc)
 
     def _ensure_index(self) -> RTree:
         if self._rtree is None:
@@ -101,7 +84,7 @@ class TableCatalog:
             # sorted: the R-tree's structure (and hence candidate order)
             # must not depend on chunk registration order
             for _, desc in sorted(self.chunks.items()):
-                tree.insert(self._box_of(desc), desc)
+                tree.insert(desc.bbox.bounds(names), desc)
             self._rtree = tree
         return self._rtree
 
@@ -113,11 +96,7 @@ class TableCatalog:
         full chunk bounding boxes (chunk bboxes bound scalar attributes
         too — see Figure 1).
         """
-        names = self.coordinate_names
-        tree = self._ensure_index()
-        lo = [_clamped(query.interval(n).lo) for n in names]
-        hi = [_clamped(query.interval(n).hi) for n in names]
-        candidates = tree.search((lo, hi))
+        candidates = self._ensure_index().search(query.bounds(self.coordinate_names))
         out = [c for c in candidates if c.bbox.overlaps(query)]
         out.sort(key=lambda c: c.chunk_id)
         return out

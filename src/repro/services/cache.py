@@ -49,6 +49,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import (
+    Callable,
     Dict,
     Generic,
     Hashable,
@@ -142,8 +143,9 @@ class EvictionPolicy(Generic[K]):
     def on_remove(self, key: K) -> None:
         raise NotImplementedError
 
-    def victim(self, candidates: "set[K]") -> K:
-        """Pick a victim among ``candidates`` (never empty)."""
+    def victim(self, evictable: Callable[[K], bool]) -> Optional[K]:
+        """The resident key to evict next among those ``evictable`` accepts
+        (the service's not-pinned test), or ``None`` when it accepts none."""
         raise NotImplementedError
 
 
@@ -165,11 +167,8 @@ class LRUPolicy(EvictionPolicy[K]):
     def on_remove(self, key: K) -> None:
         self._order.pop(key, None)
 
-    def victim(self, candidates: "set[K]") -> K:
-        for key in self._order:  # oldest first
-            if key in candidates:
-                return key
-        raise RuntimeError("no victim among candidates")
+    def victim(self, evictable: Callable[[K], bool]) -> Optional[K]:
+        return next(filter(evictable, self._order), None)  # oldest first
 
 
 class FIFOPolicy(EvictionPolicy[K]):
@@ -190,11 +189,8 @@ class FIFOPolicy(EvictionPolicy[K]):
     def on_remove(self, key: K) -> None:
         self._order.pop(key, None)
 
-    def victim(self, candidates: "set[K]") -> K:
-        for key in self._order:
-            if key in candidates:
-                return key
-        raise RuntimeError("no victim among candidates")
+    def victim(self, evictable: Callable[[K], bool]) -> Optional[K]:
+        return next(filter(evictable, self._order), None)
 
 
 class LFUPolicy(EvictionPolicy[K]):
@@ -219,8 +215,12 @@ class LFUPolicy(EvictionPolicy[K]):
         self._counts.pop(key, None)
         self._age.pop(key, None)
 
-    def victim(self, candidates: "set[K]") -> K:
-        return min(candidates, key=lambda k: (self._counts.get(k, 0), self._age.get(k, 0)))
+    def victim(self, evictable: Callable[[K], bool]) -> Optional[K]:
+        return min(
+            filter(evictable, self._age),
+            key=lambda k: (self._counts[k], self._age[k]),
+            default=None,
+        )
 
 
 class BeladyPolicy(EvictionPolicy[K]):
@@ -242,6 +242,7 @@ class BeladyPolicy(EvictionPolicy[K]):
         for idx, key in enumerate(self._future):
             self._positions.setdefault(key, []).append(idx)
         self._heads: Dict[K, int] = {k: 0 for k in self._positions}
+        self._resident: Dict[K, None] = {}
 
     def _advance(self, key: K) -> None:
         """Move the per-key head past the current cursor."""
@@ -266,16 +267,16 @@ class BeladyPolicy(EvictionPolicy[K]):
         return positions[head] if head < len(positions) else 2**62
 
     def on_insert(self, key: K) -> None:
-        pass
+        self._resident[key] = None
 
     def on_access(self, key: K) -> None:
         pass
 
     def on_remove(self, key: K) -> None:
-        pass
+        self._resident.pop(key, None)
 
-    def victim(self, candidates: "set[K]") -> K:
-        return max(candidates, key=self._next_use)
+    def victim(self, evictable: Callable[[K], bool]) -> Optional[K]:
+        return max(filter(evictable, self._resident), key=self._next_use, default=None)
 
 
 def make_policy(name: str, future_references: Optional[Sequence] = None) -> EvictionPolicy:
@@ -670,13 +671,11 @@ class CachingService(Generic[K, V]):
         view: Optional[QueryCacheView[K, V]],
         exclude: Optional[K] = None,
     ) -> bool:
-        candidates = {
-            k for k, e in self._entries.items() if e.pins == 0 and k != exclude
-        }
-        if not candidates:
+        entries = self._entries
+        victim = self.policy.victim(lambda k: entries[k].pins == 0 and k != exclude)
+        if victim is None:
             return False
-        victim = self.policy.victim(candidates)
-        entry = self._entries.pop(victim)
+        entry = entries.pop(victim)
         self._bytes -= entry.nbytes
         for stats in self._ledgers(view):
             stats.evictions += 1

@@ -5,10 +5,11 @@ reproduce the paper's closed-form statistics (n_e = N_C · E_C etc.) for
 every aligned grid partitioning.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datamodel import BoundingBox
+from repro.datamodel import BoundingBox, ChunkDescriptor, ChunkRef, SubTableId
 from repro.joins import PageJoinIndex, build_join_index
 from repro.workloads import GridSpec, make_grid_chunk_descriptors
 from repro.workloads.generator import dim_names
@@ -149,3 +150,65 @@ class TestIndexMechanics:
         # the full xy extent): 2 x 2 = 4 edges; on xyz only aligned z-slabs
         assert idx_xy.num_edges == 4
         assert idx_xyz.num_edges == 2
+
+
+# -- irregular partitions: the R-tree path against the all-pairs oracle ---------
+
+INF = float("inf")
+
+
+def irregular_chunks(rng, table_id, n):
+    """``n`` chunks with integer-lattice boxes over (x, y, z): boxes touch,
+    repeat, degenerate to points, leave attributes out (unbounded) and
+    carry half-infinite bounds."""
+    chunks = []
+    for cid in range(n):
+        bounds = {}
+        for name in ("x", "y", "z"):
+            if rng.random() < 0.15:
+                continue  # absent attribute: [-inf, +inf]
+            lo = float(rng.integers(-6, 7))
+            hi = lo + float(rng.integers(0, 4))
+            if rng.random() < 0.1:
+                lo = -INF
+            if rng.random() < 0.1:
+                hi = INF
+            bounds[name] = (lo, hi)
+        chunks.append(
+            ChunkDescriptor(
+                id=SubTableId(table_id, cid),
+                ref=ChunkRef(storage_node=0, path=f"t{table_id}.dat", offset=cid * 8, size=8),
+                attributes=("x", "y", "z"),
+                extractors=("e",),
+                bbox=BoundingBox(bounds),
+                num_records=1,
+            )
+        )
+    return chunks
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_left=st.integers(0, 120),
+    n_right=st.integers(0, 40),
+    on=st.sampled_from([("x",), ("x", "y"), ("y", "z"), ("x", "y", "z")]),
+    constrained=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_build_equals_all_pairs_oracle(n_left, n_right, on, constrained, seed):
+    rng = np.random.default_rng(seed)
+    left = irregular_chunks(rng, 1, n_left)
+    right = irregular_chunks(rng, 2, n_right)
+    constraint = None
+    if constrained:
+        constraint = BoundingBox({"x": (-2.0, INF), "z": (float(rng.integers(-6, 3)), 3.0)})
+    idx = build_join_index(left, right, on=on, range_constraint=constraint)
+    expected = sorted(
+        (lc.id, rc.id)
+        for lc in left
+        for rc in right
+        if lc.bbox.overlaps(rc.bbox, on=on)
+        and (constraint is None or (lc.bbox.overlaps(constraint) and rc.bbox.overlaps(constraint)))
+    )
+    assert idx.pairs == expected
+    assert idx.on == on

@@ -135,3 +135,110 @@ def test_rtree_invariants_and_completeness(boxes):
     # a search with an all-covering window returns everything
     hits = tree.search(((-200, -200), (200, 200)))
     assert sorted(hits) == sorted(p for _, p in boxes)
+
+
+# -- the packed tree: deep levels, infinite bounds, load-once contract ----------
+
+INF = float("inf")
+
+
+def lattice_boxes(rng, n, ndim):
+    """``n`` boxes on a small integer lattice, so that touching boxes, point
+    boxes and exact duplicates are common; ~5 % of bounds are infinite and
+    a few boxes sit entirely at +inf or -inf."""
+    lo = rng.integers(-12, 13, size=(n, ndim)).astype(float)
+    hi = lo + rng.integers(0, 6, size=(n, ndim)) * rng.integers(0, 2, size=(n, ndim))
+    lo[rng.random((n, ndim)) < 0.05] = -INF
+    hi[rng.random((n, ndim)) < 0.05] = INF
+    at_inf = rng.random((n, ndim)) < 0.01
+    lo[at_inf] = hi[at_inf] = INF
+    at_minus_inf = rng.random((n, ndim)) < 0.01
+    lo[at_minus_inf] = hi[at_minus_inf] = -INF
+    if n:
+        copies = rng.integers(0, n, size=n // 5)
+        lo[: len(copies)], hi[: len(copies)] = lo[copies], hi[copies]
+    return [((lo[k].tolist(), hi[k].tolist()), k) for k in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ndim=st.integers(1, 3),
+    n=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_tree_matches_linear_scan_with_infinite_bounds(ndim, n, seed):
+    rng = np.random.default_rng(seed)
+    boxes = lattice_boxes(rng, n, ndim)
+    tree = RTree(ndim=ndim, max_entries=4)
+    for box, payload in boxes:
+        tree.insert(box, payload)
+    tree.check_invariants()
+    assert len(tree) == n and sorted(tree) == list(range(n))
+    if n > 16:
+        assert tree.height >= 3
+    everything = ([-INF] * ndim, [INF] * ndim)
+    assert sorted(tree.search(everything)) == list(range(n))
+    for query, _ in lattice_boxes(rng, 8, ndim):
+        assert sorted(tree.search(query)) == sorted(brute_force(boxes, query))
+
+
+class TestPackedTree:
+    def test_level_shape(self):
+        """ceil(n/M) leaves, ceil of that above, and a root of <= M entries."""
+        t = RTree(ndim=2, max_entries=4)
+        for i in range(50):
+            t.insert(((i % 7, i // 7), (i % 7 + 1, i // 7 + 1)), i)
+        assert t.height == 3
+        assert [len(lo) for lo, _ in t._packed()] == [50, 13, 4]
+        t.check_invariants()
+
+    @pytest.mark.parametrize("n,height", [(0, 1), (1, 1), (4, 1), (5, 2), (16, 2), (17, 3)])
+    def test_height(self, n, height):
+        t = RTree(ndim=1, max_entries=4)
+        for i in range(n):
+            t.insert(((i,), (i + 1,)), i)
+        assert t.height == height
+        t.check_invariants()
+
+    def test_check_invariants_sees_a_node_that_lost_a_child(self):
+        t = RTree(ndim=1, max_entries=4)
+        for i in range(20):
+            t.insert(((i,), (i + 1,)), i)
+        t.check_invariants()
+        t._packed()[1][1][0] -= 2.0  # shrink the first leaf's upper bound
+        with pytest.raises(AssertionError):
+            t.check_invariants()
+
+    def test_insert_after_search_is_found_by_the_next_search(self):
+        t = RTree(ndim=2, max_entries=4)
+        for i in range(30):
+            t.insert(((i, 0), (i + 1, 1)), i)
+        assert sorted(t.search(((100, 100), (101, 101)))) == []
+        t.insert(((100, 100), (100, 100)), "late")
+        assert t.search(((100, 100), (101, 101))) == ["late"]
+        assert len(t) == 31
+        t.check_invariants()
+        # and again, interleaved: every insert is visible to the next search
+        for i in range(31, 40):
+            t.insert(((i, 0), (i + 1, 1)), i)
+            assert i in t.search(((i + 0.5, 0), (i + 0.5, 1)))
+
+    def test_unbounded_box_and_unbounded_query(self):
+        t = RTree(ndim=2)
+        t.insert(((-INF, 0), (INF, 1)), "strip")
+        t.insert(((5, 5), (6, 6)), "cell")
+        t.insert(((INF, INF), (INF, INF)), "corner")
+        assert t.search(((1e300, 0.5), (1e300, 0.5))) == ["strip"]
+        assert sorted(t.search(((-INF, -INF), (INF, INF)))) == ["cell", "corner", "strip"]
+        assert sorted(t.search(((6, 1), (INF, INF)))) == ["cell", "corner", "strip"]
+        assert t.search(((7, 2), (INF, INF))) == ["corner"]
+
+    def test_bad_queries_rejected(self):
+        t = RTree(ndim=2)
+        t.insert(((0, 0), (1, 1)), "a")
+        with pytest.raises(ValueError):
+            t.search(((0,), (1,)))
+        with pytest.raises(ValueError):
+            t.search(((2, 2), (1, 1)))
+        with pytest.raises(ValueError):
+            t.search(((float("nan"), 0), (1, 1)))

@@ -110,6 +110,44 @@ class TestRangeQueries:
         expected = [c for c in cat.all_chunks() if c.bbox.overlaps(query)]
         assert service.find_chunks("T1", query) == expected
 
+    def test_independent_of_registration_order(self):
+        """Same chunks, three registration orders, boxes that touch, repeat
+        and are unbounded: every query answers the same, sorted by id."""
+        inf = float("inf")
+        rng = np.random.default_rng(5)
+        chunks = []
+        for cid in range(150):
+            xlo, ylo = (float(v) for v in rng.integers(0, 12, size=2))
+            xhi = inf if cid % 17 == 0 else xlo + float(rng.integers(0, 3))
+            ylo = -inf if cid % 23 == 0 else ylo
+            chunks.append(make_chunk(1, cid, 0, xlo, xhi, ylo, ylo + 2.0 if ylo > -inf else 3.0))
+        queries = [
+            BoundingBox.empty(),
+            BoundingBox({"x": (3, 5)}),
+            BoundingBox({"x": (4, 4), "y": (6, 6)}),
+            BoundingBox({"x": (11, inf), "y": (-inf, 0)}),
+            BoundingBox({"x": (100, 200)}),
+        ]
+        answers = []
+        for order in (chunks, chunks[::-1], [chunks[i] for i in rng.permutation(150)]):
+            svc = MetaDataService()
+            cat = svc.register_table(1, "T", Schema.of("x", "y", "wp", coordinates=("x", "y")))
+            for c in order:
+                cat.add_chunk(c)
+            answers.append([svc.find_chunks("T", q) for q in queries])
+        assert answers[0] == answers[1] == answers[2]
+        for q, hits in zip(queries, answers[0]):
+            assert hits == [c for c in chunks if c.bbox.overlaps(q)]
+        assert len(answers[0][3]) > 0  # the half-infinite window does select chunks
+
+    def test_chunk_added_after_first_query_is_found(self, service):
+        window = BoundingBox({"x": (100, 110), "y": (100, 110)})
+        assert service.find_chunks("T1", window) == []  # builds the index
+        late = make_chunk(1, 99, node=0, xlo=105, xhi=120, ylo=90, yhi=100)
+        service.table("T1").add_chunk(late)
+        assert service.find_chunks("T1", window) == [late]
+        assert len(service.find_chunks("T1", BoundingBox.empty())) == 17
+
     def test_scalar_attribute_refinement(self):
         svc = MetaDataService()
         schema = Schema.of("x", "wp", coordinates=("x",))

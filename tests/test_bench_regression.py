@@ -1,4 +1,4 @@
-"""Benchmark regression tracker: makespan diffing and the check CLI."""
+"""Benchmark regression tracker: makespan and digest diffing, the check CLI."""
 
 import json
 
@@ -68,6 +68,19 @@ class TestCompareBenchmarks:
         _, notes = harness.compare_benchmarks(current, self.BASE)
         assert any("no baseline" in n for n in notes)
 
+    def test_digest_leaves_compare_exactly(self):
+        base = {"fifo": {"makespan_s": 1.0, "digest": "aa"}, "runs": [{"digest": "bb"}]}
+        assert harness.compare_benchmarks(base, base) == ([], [])
+        flipped = {"fifo": {"makespan_s": 1.0, "digest": "ab"}, "runs": [{"digest": "bb"}]}
+        regressions, _ = harness.compare_benchmarks(flipped, base)
+        assert len(regressions) == 1
+        assert regressions[0].startswith("fifo/digest: aa -> ab")
+        gone = {"fifo": {"makespan_s": 1.0, "digest": "aa"}, "runs": [{}]}
+        regressions, _ = harness.compare_benchmarks(gone, base)
+        assert regressions == ["runs/0/digest: missing from current results"]
+        _, notes = harness.compare_benchmarks(base, gone)
+        assert notes == ["runs/0/digest: new (no baseline), bb"]
+
 
 class TestTrackerCli:
     @pytest.fixture()
@@ -108,6 +121,22 @@ class TestTrackerCli:
         # --update repairs the baseline
         assert harness.main(["check", "--update"]) == 0
         assert harness.main(["check"]) == 0
+
+    def test_check_fails_on_flipped_digest(self, dirs, capsys):
+        """A makespan-identical artifact whose digest moved fails `check`
+        until `--update` records it (BENCH_server drifted this way once)."""
+        results, baselines = dirs
+        results.mkdir()
+        artifact = results / "BENCH_server.json"
+        artifact.write_text(json.dumps({"fifo": {"makespan_s": 1.0, "digest": "aa"}}))
+        assert harness.main(["check", "server"]) == 0  # creates baseline
+        assert harness.main(["check", "server"]) == 0
+        artifact.write_text(json.dumps({"fifo": {"makespan_s": 1.0, "digest": "ab"}}))
+        capsys.readouterr()
+        assert harness.main(["check", "server"]) == 1
+        assert "fifo/digest: aa -> ab" in capsys.readouterr().err
+        assert harness.main(["check", "server", "--update"]) == 0
+        assert harness.main(["check", "server"]) == 0
 
     def test_check_without_artifact_fails(self, dirs, capsys):
         assert harness.main(["check"]) == 1
