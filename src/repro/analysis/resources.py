@@ -656,9 +656,9 @@ class EarlyLedgerClaimRule(Rule):
     and a claim made before the transfer's yield returns overstates the
     ledger whenever the transfer is interrupted mid-flight.  The rule
     flags a ledger ``+=`` from which a transfer suspension (a yield on a
-    ``read_and_send``/``stream_batch`` result, directly or through a
-    summarized local helper) is still reachable without an intervening
-    loop iteration — claim after the yield, or compensate inside the
+    ``read_and_send`` result, directly or through a summarized local
+    helper) is still reachable without an intervening loop iteration —
+    claim after the yield, or compensate inside the
     unwind guard (``finally``/``except``) that already owns the failure
     path.
 

@@ -14,9 +14,9 @@ while a join runs:
   permanently shrink a shared cache);
 * **byte conservation** — every byte the report claims was pulled from
   storage corresponds to a transfer that actually succeeded on the
-  simulated fabric (wrapping ``read_and_send``/``stream_batch``), with
-  loss tolerated only when the fault plan kills compute nodes (a
-  successful transfer whose waiting joiner died is never accounted);
+  simulated fabric (wrapping ``read_and_send``), with loss tolerated
+  only when the fault plan kills compute nodes (a successful transfer
+  whose waiting joiner died is never accounted);
 * **no stranded processes** — at the end of a run every spawned process
   has completed (succeeded or failed), i.e. nothing is silently blocked
   on an event nobody will trigger;
@@ -147,17 +147,14 @@ class RunSanitizer:
             self._fail("cluster already has a sanitizer attached")
         cluster._sanitizer_wrapped = True
         self._cluster = cluster
-        for method in ("read_and_send", "stream_batch"):
-            orig = getattr(cluster, method)
+        orig = cluster.read_and_send
 
-            def wrapped(storage, compute, nbytes, _orig=orig):
-                ev = _orig(storage, compute, nbytes)
-                ev.callbacks.append(
-                    lambda e, n=nbytes: self._on_transfer_done(e, n)
-                )
-                return ev
+        def wrapped(storage, compute, nbytes):
+            ev = orig(storage, compute, nbytes)
+            ev.callbacks.append(lambda e: self._on_transfer_done(e, nbytes))
+            return ev
 
-            setattr(cluster, method, wrapped)
+        cluster.read_and_send = wrapped
 
     def _on_transfer_done(self, ev, nbytes: int) -> None:
         self.checks["transfer"] += 1

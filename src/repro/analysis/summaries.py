@@ -20,8 +20,8 @@ rules consume:
   in ``releases_slot_if_param`` (resolved against literal keyword
   arguments at the call site);
 * ``contains_transfer_yield`` — the function yields on a transfer
-  (``read_and_send`` / ``stream_batch``) somewhere, so a ``yield from
-  helper(...)`` at a call site is itself a transfer suspension.
+  (``read_and_send``) somewhere, so a ``yield from helper(...)`` at a
+  call site is itself a transfer suspension.
 
 Resolution is deliberately name-based and module-local: calls to
 ``helper(...)`` or ``self.helper(...)`` match a definition named
@@ -40,7 +40,7 @@ __all__ = ["FunctionSummary", "ModuleSummaries", "summarize_module"]
 
 _RELEASE_METHODS = {"unpin", "release", "close", "prefetch_cancel", "cancel_staged"}
 _ACQUIRE_METHODS = {"pin"}
-_TRANSFER_METHODS = {"read_and_send", "stream_batch"}
+_TRANSFER_METHODS = {"read_and_send"}
 
 
 @dataclass

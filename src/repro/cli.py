@@ -390,10 +390,18 @@ def _load_tenants(path: Optional[str]):
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if isinstance(data, dict):
-            data = data["tenants"]
+            data = data.get("tenants")
     if not isinstance(data, list) or not data:
         raise ValueError(f"tenant spec {path!r} holds no tenants")
-    return [TenantSpec.from_dict(d) for d in data]
+    tenants = []
+    for i, d in enumerate(data):
+        if not isinstance(d, dict):
+            raise ValueError(f"{path}: tenant #{i} is not an object: {d!r}")
+        try:
+            tenants.append(TenantSpec.from_dict(d))
+        except KeyError as exc:
+            raise ValueError(f"{path}: tenant #{i} has no {exc} key") from None
+    return tenants
 
 
 def _observability_config(args: argparse.Namespace, tenants) -> Optional[object]:
@@ -1098,4 +1106,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a file named on the command line that cannot be opened
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -202,7 +202,8 @@ class ClusterSim:
     # -- composite operations ------------------------------------------------------
 
     def read_and_send(self, storage: int, compute: int, nbytes: int) -> Event:
-        """BDS sub-table service: stream a chunk from disk over the wire.
+        """BDS sub-table service: stream a chunk — or one of Grace Hash's
+        freshly-read record batches — from disk over the wire.
 
         The BDS streams through a read-ahead buffer: the request completes
         when the slowest device finishes (usually the wire), but each
@@ -231,23 +232,6 @@ class ClusterSim:
     def send(self, src_compute_or_storage_fabric: int, dst_fabric: int, nbytes: int) -> Timeout:
         """Raw fabric transfer between two fabric ids."""
         return self.fabric.transfer(src_compute_or_storage_fabric, dst_fabric, nbytes)
-
-    def stream_batch(self, storage: int, compute: int, nbytes: int) -> Event:
-        """Stream ``nbytes`` of freshly-read records from a storage node to
-        a compute node (same pipelined read-ahead semantics and failure
-        modes as :meth:`read_and_send`)."""
-        if self.faults is not None:
-            dead = self.faults.check_storage(storage)
-            if dead is not None:
-                return dead
-        s = self.storage_nodes[storage]
-        c = self.compute_nodes[compute]
-        self.fabric._observe_transfer(s.fabric_id, c.fabric_id, nbytes)
-        resources = [s.disk] + self.fabric.transfer_resources(s.fabric_id, c.fabric_id)
-        transfer = BandwidthResource.reserve_pipeline(resources, nbytes)
-        if self.faults is not None:
-            return self.faults.guard_transfer(transfer, storage)
-        return transfer
 
     def ingest_write(self, compute: int, nbytes: int) -> Event:
         """Bucket write of a just-received batch by the joiner's QES thread.

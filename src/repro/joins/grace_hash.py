@@ -47,12 +47,12 @@ from repro.faults.errors import (
     UnrecoverableFault,
 )
 from repro.joins.hash_join import vectorized_hash_join
-from repro.joins.report import ExecutionReport, PhaseBreakdown
+from repro.joins.report import ExecutionReport, PhaseBreakdown, QESRun
 from repro.metadata.service import MetaDataService
 from repro.services.bds import SubTableProvider
 from repro.telemetry.spans import maybe_span
 
-__all__ = ["GraceHashQES", "GraceHashRun", "hash_records"]
+__all__ = ["GraceHashQES", "hash_records"]
 
 _MIX1 = np.uint64(0x9E3779B97F4A7C15)
 _MIX2 = np.uint64(0xFF51AFD7ED558CCD)
@@ -146,13 +146,13 @@ class GraceHashQES:
         self.cluster.engine.drive(handle.process)
         return handle.finish()
 
-    def begin(self, name: str = "gh-driver") -> "GraceHashRun":
+    def begin(self, name: str = "gh-driver") -> QESRun:
         """Start the execution without draining the engine.
 
         Spawns the supervising driver (barrier + restart rounds + bucket
-        joins) as an ordinary simulated process and returns a
-        :class:`GraceHashRun` handle, mirroring
-        :meth:`IndexedJoinQES.begin` so the query server can interleave
+        joins) as an ordinary simulated process and returns the same
+        :class:`~repro.joins.report.QESRun` handle as
+        :meth:`IndexedJoinQES.begin`, so the query server can interleave
         either QES on a shared engine.  :meth:`run` is exactly ``begin``
         + drain + ``finish``.
         """
@@ -338,7 +338,11 @@ class GraceHashQES:
         process = cluster.engine.process(
             barrier_then_join(), name=name, contain=contain
         )
-        return GraceHashRun(self, process, report, results, tel, qspan, children)
+
+        def fill():
+            report.pairs_joined = n_j * n_b
+
+        return QESRun(self, process, report, results, tel, qspan, children, fill)
 
     # -- phase 1: storage-side streaming ----------------------------------------------
 
@@ -505,7 +509,7 @@ class GraceHashQES:
                     attempt=attempt,
                 )
             try:
-                yield cluster.stream_batch(s, j, nbytes)
+                yield cluster.read_and_send(s, j, nbytes)
             except TransientTransferFault:
                 if tspan is not None:
                     # close before the backoff yield so retry sleep is not
@@ -673,59 +677,3 @@ class GraceHashQES:
                 report.kernel.matches += ks.matches
                 if out.num_records:
                     results[j].append(out)
-
-
-class GraceHashRun:
-    """Handle for one in-flight Grace Hash execution.
-
-    Returned by :meth:`GraceHashQES.begin`; ``process`` is the supervising
-    driver (an event other processes can wait on) and :meth:`finish`
-    assembles the :class:`ExecutionReport` once the driver has completed.
-    """
-
-    def __init__(self, qes, process, report, results, tel, qspan, children=()):
-        self.qes = qes
-        self.process = process
-        self.report = report
-        self._results = results
-        self._tel = tel
-        self._qspan = qspan
-        self._finished = False
-        #: every worker process the driver spawned (streamers, joiners)
-        self.children = children
-
-    def abort(self, cause=None) -> None:
-        """Kill the whole execution tree at the current simulated instant.
-
-        Driver first (so it cannot misread a worker's death as a node
-        crash), then every spawned worker; already-finished processes are
-        unaffected.  The server's deadline path calls this.
-        """
-        self.process.interrupt(cause)
-        for proc in self.children:
-            proc.interrupt(cause)
-
-    def finish(self) -> ExecutionReport:
-        """Assemble and return the report (driver must have completed)."""
-        if not self.process.triggered:
-            raise RuntimeError(
-                "finish() called before the execution's driver completed"
-            )
-        if self._finished:
-            return self.report
-        self._finished = True
-        qes, report = self.qes, self.report
-        report.results = self._results
-        report.pairs_joined = qes.cluster.num_compute * qes.num_buckets
-        if self._tel is not None:
-            self._tel.recorder.finish(self._qspan, at=report.total_time)
-            if qes.critical_path:
-                from repro.telemetry.critical_path import compute_critical_path
-
-                report.critical_path = compute_critical_path(
-                    self._tel.recorder, self._qspan
-                )
-            report.telemetry = self._tel
-        if qes.sanitizer is not None:
-            qes.sanitizer.after_run(qes.cluster.engine, report)
-        return report

@@ -8,33 +8,32 @@ storage nodes.  It then performs a hash join on the received pairs of
 sub-tables.  The QES instance directs the Caching Service Instance to store
 these recently accessed sub-tables."
 
-Execution model per joiner (synchronous request/response, as implemented in
-the paper): for every scheduled pair, fetch-or-hit the left sub-table
-(disk read on its storage node, then network transfer), build its hash
-table if this load has not been built yet (``α_build`` per record —
-rebuilt only after an eviction, so the one-build-per-sub-table property of
-the cost model holds whenever the memory assumption does), fetch-or-hit
-the right sub-table, then probe (``α_lookup`` per right record).
+Execution model: one control loop per joiner (:meth:`IndexedJoinQES._joiner`)
+serves both modes.  For every scheduled pair it fetches-or-hits the left
+sub-table (disk read on its storage node, then network transfer), builds
+its hash table if this load has not been built yet (``α_build`` per record
+— rebuilt only after an eviction, so the one-build-per-sub-table property
+of the cost model holds whenever the memory assumption does),
+fetches-or-hits the right sub-table, then probes (``α_lookup`` per right
+record).  Synchronous request/response, as implemented and measured in
+the paper, is the default.
 
-Pipelined execution (``pipeline=True``) overlaps communication with
-computation: while a joiner builds/probes pair ``k``, a concurrent
-per-joiner prefetch process issues the transfers for pair ``k+1``'s
-sub-tables (double-buffered lookahead from
-:meth:`~repro.joins.scheduler.PairSchedule.iter_lookahead`).  Prefetched
-sub-tables are parked in the Caching Service's bounded staging area —
-outside the main cache, so they can neither evict the active pair nor be
-evicted — and are inserted through the ordinary ``get``/``put`` protocol
-only when their pair becomes active.  The cache therefore observes the
-*exact same* operation sequence as a synchronous run: hits, misses,
-evictions, ``bytes_from_storage`` and the functional join output are all
-byte-identical; only the simulated clock differs, approaching
-``max(T_transfer, T_compute)`` per pair instead of their sum (see
-:func:`repro.core.cost_models.indexed_join_cost`).  When the staging
-budget is exhausted (or a prefetch decision is invalidated by a later
-eviction) the consumer falls back to the paper's synchronous fetch for
-that sub-table, so the pipeline degrades gracefully rather than changing
-behaviour.  The synchronous mode stays the default because it is what the
-paper describes and measures.
+Pipelined execution (``pipeline=True``) is that same loop with a
+background transfer one pair ahead: while the joiner builds/probes pair
+``k``, a per-joiner prefetch process (:meth:`IndexedJoinQES._prefetch_pair`)
+issues the transfers for pair ``k+1``'s sub-tables.  Prefetched sub-tables
+are parked in the Caching Service's bounded staging area — outside the main
+cache, so they can neither evict the active pair nor be evicted — and are
+inserted through the ordinary ``get``/``put`` protocol only when their pair
+becomes active.  The cache therefore observes the *exact same* operation
+sequence as a synchronous run: on a fault-free run hits, misses, evictions,
+``bytes_from_storage`` and the functional join output are all identical;
+only the simulated clock differs, approaching ``max(T_transfer,
+T_compute)`` per pair instead of their sum (see
+:func:`repro.core.cost_models.indexed_join_cost`).  Whatever the
+prefetcher did not stage — skipped, over budget, lost to a fault or
+invalidated by a later eviction — the loop fetches synchronously, so the
+pipeline degrades gracefully rather than changing behaviour.
 
 Functional runs materialise the actual join output through the in-memory
 hash join kernel; model-only runs move stubs and charge identical resource
@@ -57,14 +56,14 @@ from repro.faults.errors import (
 )
 from repro.joins.hash_join import vectorized_hash_join
 from repro.joins.join_index import PageJoinIndex, build_join_index
-from repro.joins.report import ExecutionReport, PhaseBreakdown
+from repro.joins.report import ExecutionReport, PhaseBreakdown, QESRun
 from repro.joins.scheduler import PairSchedule, schedule_two_stage
 from repro.metadata.service import MetaDataService
 from repro.services.bds import SubTableProvider
 from repro.services.cache import CachingService, make_policy
 from repro.telemetry.spans import maybe_span
 
-__all__ = ["IndexedJoinQES", "IndexedJoinRun"]
+__all__ = ["IndexedJoinQES"]
 
 
 class IndexedJoinQES:
@@ -185,6 +184,7 @@ class IndexedJoinQES:
         #: spawns is contained: a fault that exhausts recovery fails the
         #: driver event instead of propagating out of the shared engine
         self.contain_faults = contain_faults
+        self._contain = (FaultError, UnrecoverableFault) if contain_faults else ()
 
     # -- execution ---------------------------------------------------------------
 
@@ -194,13 +194,13 @@ class IndexedJoinQES:
         self.cluster.engine.drive(handle.process)
         return handle.finish()
 
-    def begin(self, name: str = "ij-driver") -> "IndexedJoinRun":
+    def begin(self, name: str = "ij-driver") -> QESRun:
         """Start the execution without draining the engine.
 
         Spawns the supervising driver as an ordinary simulated process and
-        returns an :class:`IndexedJoinRun` handle; the caller (a query
-        server admitting many executions onto one engine) waits on
-        ``handle.process`` and then calls ``handle.finish()`` for the
+        returns a :class:`~repro.joins.report.QESRun` handle; the caller
+        (a query server admitting many executions onto one engine) waits
+        on ``handle.process`` and then calls ``handle.finish()`` for the
         report.  :meth:`run` is exactly ``begin`` + drain + ``finish``.
         """
         cluster = self.cluster
@@ -269,7 +269,6 @@ class IndexedJoinQES:
             tel.recorder.finish(sched)
 
         injector = cluster.faults
-        contain = (FaultError, UnrecoverableFault) if self.contain_faults else ()
         #: every process this run spawns, so a server can abort the whole
         #: tree (driver first, then workers) when a deadline expires
         children: List = []
@@ -279,17 +278,14 @@ class IndexedJoinQES:
             """Start a joiner over an explicit pair batch; returns the
             bookkeeping the coordinator needs to take over on its death."""
             progress = [0]  # index of the first pair not yet fully joined
-            if self.pipeline:
-                body = self._joiner_pipelined(
-                    j, pairs, caches[j], report, results, progress, tag,
-                    tel=tel, qspan=qspan,
-                )
-            else:
-                body = self._joiner(
+            proc = cluster.spawn(
+                self._joiner(
                     j, pairs, caches[j], report, results, progress,
                     tel=tel, qspan=qspan, tag=tag,
-                )
-            proc = cluster.spawn(body, name=f"ij-joiner{j}{tag}", contain=contain)
+                ),
+                name=f"ij-joiner{j}{tag}",
+                contain=self._contain,
+            )
             children.append(proc)
             if injector is not None:
                 injector.register_compute(j, proc)
@@ -356,18 +352,17 @@ class IndexedJoinQES:
             # clock after the join is already complete
             report.total_time = cluster.engine.now
 
-        proc = cluster.engine.process(coordinator(), name=name, contain=contain)
-        return IndexedJoinRun(
-            qes=self,
-            process=proc,
-            report=report,
-            results=results,
-            caches=caches,
-            stats_before=stats_before,
-            tel=tel,
-            qspan=qspan,
-            children=children,
-        )
+        def fill():
+            report.pairs_joined = self.schedule.total_pairs
+            report.cache_stats = [
+                c.stats.since(before) for c, before in zip(caches, stats_before)
+            ]
+            report.extras["num_edges"] = float(self.index.num_edges)
+            report.extras["num_components"] = float(len(self.index.components()))
+            report.extras["pipeline"] = 1.0 if self.pipeline else 0.0
+
+        proc = cluster.engine.process(coordinator(), name=name, contain=self._contain)
+        return QESRun(self, proc, report, results, tel, qspan, children, fill)
 
     # -- fault-tolerant transfer ---------------------------------------------------
 
@@ -462,16 +457,26 @@ class IndexedJoinQES:
             "no surviving replica for chunk", chunk=desc.id, node=last_node
         )
 
-    # -- synchronous mode (paper-faithful) ----------------------------------------
+    # -- the joiner control loop (both modes) -------------------------------------
 
     def _fetch(self, joiner: int, sid: SubTableId, cache: CachingService,
                scope, pb: PhaseBreakdown, report: ExecutionReport,
-               is_left: bool, tel=None, link_span=None, track: str = "qes"):
+               is_left: bool, tel=None, link_span=None, track: str = "qes",
+               inflight: Optional[Dict[SubTableId, Event]] = None):
         """Cache-or-fetch one sub-table; charges transfer (and, for left
         sub-tables, the hash-table build) on a miss.  Generator: yields
-        simulation events; returns (entry, cached_flag).  Every pin is
-        taken through ``scope`` (the pair's :class:`PinScope`) so a fault
-        delivered at any yield still releases it."""
+        simulation events; returns the entry.  Every pin is taken through
+        ``scope`` (the pair's :class:`PinScope`) so a fault delivered at
+        any yield still releases it.
+
+        When pipelining (``inflight`` given) a miss first looks for bytes
+        the prefetcher already moved — staged, or still on the wire — and
+        pays the synchronous transfer only for a sub-table the prefetcher
+        skipped, lost to a fault, or staged before an eviction invalidated
+        its lookahead decision.  The cache protocol (``get`` → miss →
+        ``put`` with a pin) is the same either way; the synchronous mode
+        never consults the staging area.
+        """
         cluster = self.cluster
         node = cluster.joiner(joiner)
         with maybe_span(
@@ -479,18 +484,38 @@ class IndexedJoinQES:
             track=track, chunk=str(sid), side="left" if is_left else "right",
         ) as fspan:
             entry = cache.get(sid)
-            if entry is not None:
-                if fspan is not None:
-                    fspan.attrs["hit"] = True
-                scope.pin(sid)
-                return entry, True
             if fspan is not None:
-                fspan.attrs["hit"] = False
+                fspan.attrs["hit"] = entry is not None
+                if inflight is not None:
+                    fspan.attrs["mode"] = "pipelined"
+            if entry is not None:
+                scope.pin(sid)
+                return entry
             desc = self.metadata.chunk(sid)
-            serving = yield from self._transfer_with_recovery(
-                joiner, desc, cache, pb, report, tel=tel, link_span=link_span
-            )
-            entry = self.provider.fetch(desc, node=serving)
+            staged = None
+            if inflight is not None:
+                staged = cache.take_prefetched(sid)
+                if staged is None and sid in inflight:
+                    # the next pair's prefetcher is mid-transfer on a
+                    # sub-table we share with it — wait for that transfer
+                    # instead of re-issuing
+                    t0 = cluster.engine.now
+                    try:
+                        yield inflight[sid]
+                    except FaultError:
+                        pass  # prefetcher's transfer faulted; recover below
+                    pb.stall += cluster.engine.now - t0
+                    staged = cache.take_prefetched(sid)
+            if staged is not None:
+                if fspan is not None:
+                    fspan.attrs["staged"] = True
+                entry, serving = staged
+            else:
+                serving = yield from self._transfer_with_recovery(
+                    joiner, desc, cache, pb, report, inflight=inflight,
+                    tel=tel, link_span=link_span,
+                )
+                entry = self.provider.fetch(desc, node=serving)
             if is_left:
                 # build the hash table for this load (once until evicted)
                 t0 = cluster.engine.now
@@ -512,139 +537,88 @@ class IndexedJoinQES:
             # since re-creating one costs a fetch *plus* a hash build
             nbytes = desc.size * 2 if is_left else desc.size
             origin = "derived" if is_left else "base"
-            cached = scope.put(
-                sid, entry, nbytes, pin=True, source=serving, origin=origin
-            )
-            return entry, cached
+            scope.put(sid, entry, nbytes, pin=True, source=serving, origin=origin)
+            return entry
 
     def _joiner(self, j: int, pairs, cache: CachingService,
                 report: ExecutionReport,
                 results: Optional[List[List[SubTable]]], progress,
                 tel=None, qspan=None, tag: str = ""):
-        pb = report.per_joiner[j]
-        track = f"qes{tag}"
-        jspan = None
-        if tel is not None:
-            jspan = tel.recorder.begin(
-                f"joiner{j}{tag}", category="control", node=f"compute{j}",
-                track=track, parent=qspan, joiner=j, pairs=len(pairs),
-            )
-        try:
-            for seq, (lid, rid) in enumerate(pairs):
-                t_pair = self.cluster.engine.now
-                with maybe_span(
-                    tel, f"pair{seq}", category="control",
-                    node=f"compute{j}", track=track,
-                    left=str(lid), right=str(rid), pair_seq=seq,
-                ):
-                    # the scope guarantees paired release: a fault thrown
-                    # into any yield below still unpins on the way out, so
-                    # a dying query cannot leave the (shared) cache
-                    # permanently shrunk by orphaned pins
-                    with cache.pin_scope() as scope:
-                        left_entry, _ = yield from self._fetch(
-                            j, lid, cache, scope, pb, report, is_left=True,
-                            tel=tel, link_span=jspan, track=track,
-                        )
-                        right_entry, _ = yield from self._fetch(
-                            j, rid, cache, scope, pb, report, is_left=False,
-                            tel=tel, link_span=jspan, track=track,
-                        )
-                        yield from self._probe_and_emit(
-                            j, seq, left_entry, right_entry, pb, report,
-                            results, tel=tel, track=track,
-                        )
-                if tel is not None:
-                    tel.metrics.histogram("ij.pair_seconds").observe(
-                        self.cluster.engine.now - t_pair
-                    )
-                # no simulation events between emitting the pair's output
-                # above and this update, so a pair is either fully done or
-                # not started from the coordinator's point of view
-                progress[0] = seq + 1
-        finally:
-            if jspan is not None and jspan.end is None:
-                tel.recorder.finish(jspan)
+        """The Section 4.1 control loop of one joiner, in either mode.
 
-    # -- pipelined mode ------------------------------------------------------------
-
-    def _joiner_pipelined(self, j: int, pairs, cache: CachingService,
-                          report: ExecutionReport,
-                          results: Optional[List[List[SubTable]]],
-                          progress, tag: str = "", tel=None, qspan=None):
-        """Double-buffered control loop: consume pair ``k`` while a
-        background process transfers pair ``k+1``'s sub-tables.
-
-        ``inflight`` maps sub-table ids to the event of their in-flight
-        transfer (prefetched *or* fallback), so a sub-table shared between
-        consecutive pairs is never transferred twice — the byte accounting
-        stays identical to the synchronous mode.  ``sources`` remembers
-        which storage node served each staged sub-table so the consumer
-        can tag cache entries for failure invalidation.
+        Pipelined, the loop additionally keeps one background process a
+        pair ahead: it waits for pair ``k``'s prefetcher, starts pair
+        ``k+1``'s, then consumes pair ``k`` exactly as the synchronous
+        loop would.  ``inflight`` (pipelined only) maps sub-table ids to
+        the event of their in-flight transfer, prefetched *or* fallback,
+        so neither side re-issues a transfer the other has on the wire.
         """
         cluster = self.cluster
-        injector = cluster.faults
         pb = report.per_joiner[j]
-        if not pairs:
-            return
         track = f"qes{tag}"
+        inflight = None
+        if self.pipeline:
+            if not pairs:
+                return
+            inflight = {}
+
+            def spawn_prefetch(seq, active):
+                proc = cluster.spawn(
+                    self._prefetch_pair(
+                        j, pairs[seq], active, cache, inflight, pb, report,
+                        tel=tel, jspan=jspan, tag=tag, label=seq,
+                    ),
+                    name=f"ij-prefetch{j}{tag}.{seq}",
+                    contain=self._contain,
+                )
+                self._spawned.append(proc)
+                if cluster.faults is not None:
+                    # prefetchers die with their compute node, like the joiner
+                    cluster.faults.register_compute(j, proc)
+                return proc
+
         jspan = None
         if tel is not None:
             jspan = tel.recorder.begin(
                 f"joiner{j}{tag}", category="control", node=f"compute{j}",
                 track=track, parent=qspan, joiner=j, pairs=len(pairs),
-                pipelined=True,
             )
-        inflight: Dict[SubTableId, Event] = {}
-        sources: Dict[SubTableId, int] = {}
-
-        def spawn_prefetch(pair, label):
-            contain = (
-                (FaultError, UnrecoverableFault) if self.contain_faults else ()
-            )
-            proc = cluster.spawn(
-                self._prefetch_pair(
-                    j, pair, cache, inflight, sources, pb, report,
-                    tel=tel, jspan=jspan, tag=tag, label=label,
-                ),
-                name=f"ij-prefetch{j}{tag}.{label}",
-                contain=contain,
-            )
-            self._spawned.append(proc)
-            if injector is not None:
-                # prefetchers die with their compute node, like the joiner
-                injector.register_compute(j, proc)
-            return proc
-
+            if inflight is not None:
+                jspan.attrs["pipelined"] = True
         try:
-            fetch_next = spawn_prefetch(pairs[0], 0)
+            if inflight is not None:
+                fetch_next = spawn_prefetch(0, ())
             for seq, (lid, rid) in enumerate(pairs):
-                upcoming = pairs[seq + 1 : seq + 2]
                 t_pair = cluster.engine.now
                 with maybe_span(
                     tel, f"pair{seq}", category="control",
                     node=f"compute{j}", track=track,
                     left=str(lid), right=str(rid), pair_seq=seq,
                 ):
-                    t0 = cluster.engine.now
-                    with maybe_span(
-                        tel, "await-prefetch", category="wait",
-                        node=f"compute{j}", track=track, pair_seq=seq,
-                    ):
-                        yield fetch_next
-                    pb.stall += cluster.engine.now - t0
-                    if upcoming:
-                        fetch_next = spawn_prefetch(upcoming[0], seq + 1)
+                    if inflight is not None:
+                        t0 = cluster.engine.now
+                        with maybe_span(
+                            tel, "await-prefetch", category="wait",
+                            node=f"compute{j}", track=track, pair_seq=seq,
+                        ):
+                            yield fetch_next
+                        pb.stall += cluster.engine.now - t0
+                        if seq + 1 < len(pairs):
+                            fetch_next = spawn_prefetch(seq + 1, (lid, rid))
+                    # the scope guarantees paired release: a fault thrown
+                    # into any yield below still unpins on the way out, so
+                    # a dying query cannot leave the (shared) cache
+                    # permanently shrunk by orphaned pins
                     with cache.pin_scope() as scope:
-                        left_entry, _ = yield from self._consume(
-                            j, lid, cache, scope, inflight, sources, pb,
-                            report, is_left=True, tel=tel, link_span=jspan,
-                            track=track,
+                        left_entry = yield from self._fetch(
+                            j, lid, cache, scope, pb, report, is_left=True,
+                            tel=tel, link_span=jspan, track=track,
+                            inflight=inflight,
                         )
-                        right_entry, _ = yield from self._consume(
-                            j, rid, cache, scope, inflight, sources, pb,
-                            report, is_left=False, tel=tel, link_span=jspan,
-                            track=track,
+                        right_entry = yield from self._fetch(
+                            j, rid, cache, scope, pb, report, is_left=False,
+                            tel=tel, link_span=jspan, track=track,
+                            inflight=inflight,
                         )
                         yield from self._probe_and_emit(
                             j, seq, left_entry, right_entry, pb, report,
@@ -654,14 +628,16 @@ class IndexedJoinQES:
                     tel.metrics.histogram("ij.pair_seconds").observe(
                         cluster.engine.now - t_pair
                     )
+                # no simulation events between emitting the pair's output
+                # above and this update, so a pair is either fully done or
+                # not started from the coordinator's point of view
                 progress[0] = seq + 1
         finally:
             if jspan is not None and jspan.end is None:
                 tel.recorder.finish(jspan)
 
-    def _prefetch_pair(self, j: int, pair, cache: CachingService,
+    def _prefetch_pair(self, j: int, pair, active, cache: CachingService,
                        inflight: Dict[SubTableId, Event],
-                       sources: Dict[SubTableId, int],
                        pb: PhaseBreakdown, report: ExecutionReport,
                        tel=None, jspan=None, tag: str = "", label=0):
         """Background transfer process for one upcoming pair.
@@ -670,9 +646,16 @@ class IndexedJoinQES:
         joiner, like the single-threaded QES instance of the paper) and
         the fetched sub-tables parked in the cache's staging area.  A
         sub-table is skipped when it is already resident, staged, in
-        flight, or would overflow the staging budget — the consumer then
-        hits the cache or falls back to a synchronous fetch, keeping
-        ``bytes_from_storage`` identical either way.
+        flight, part of ``active`` (the pair the joiner is consuming while
+        this process runs), or would overflow the staging budget — the
+        consumer then hits the cache or falls back to a synchronous fetch,
+        keeping ``bytes_from_storage`` identical either way.  ``active``
+        covers a window the other tests cannot see: between taking a
+        staged left sub-table and putting it in the cache the consumer
+        yields for the hash build, when the sub-table is neither resident,
+        staged nor in flight although it is about to be resident and
+        pinned — fetching it again would move its bytes twice and strand
+        the second copy in the staging area.
 
         The prefetcher does not retry: a faulted transfer releases its
         staging slot and leaves recovery (replica failover, backoff) to
@@ -686,7 +669,7 @@ class IndexedJoinQES:
             track=f"qes{tag}.pf", parent=jspan,
         ):
             for sid in pair:
-                if sid in cache or sid in inflight:
+                if sid in active or sid in cache or sid in inflight:
                     continue
                 desc = self.metadata.chunk(sid)
                 node = desc.ref.storage_node
@@ -742,87 +725,14 @@ class IndexedJoinQES:
                 report.bytes_from_storage += desc.size
                 if tel is not None:
                     tel.metrics.counter("op.transfer.bytes").inc(desc.size)
-                sources[sid] = node
+                # staged with the node that served it, so the consumer can
+                # tag the cache entry for failure invalidation
                 cache.prefetch_complete(
-                    sid, self.provider.fetch(desc, node=node)
+                    sid, (self.provider.fetch(desc, node=node), node)
                 )
                 del inflight[sid]
 
-    def _consume(self, joiner: int, sid: SubTableId, cache: CachingService,
-                 scope, inflight: Dict[SubTableId, Event],
-                 sources: Dict[SubTableId, int],
-                 pb: PhaseBreakdown, report: ExecutionReport, is_left: bool,
-                 tel=None, link_span=None, track: str = "qes"):
-        """Pipelined counterpart of :meth:`_fetch`.
-
-        Performs the exact cache protocol of the synchronous path
-        (``get`` → miss → ``put`` with a pin) but sources missed bytes
-        from the staging area when the prefetcher already moved them;
-        only sub-tables the prefetcher skipped pay a synchronous
-        transfer here.
-        """
-        cluster = self.cluster
-        node = cluster.joiner(joiner)
-        with maybe_span(
-            tel, "fetch", category="wait", node=f"compute{joiner}",
-            track=track, chunk=str(sid), side="left" if is_left else "right",
-            mode="pipelined",
-        ) as fspan:
-            entry = cache.get(sid)
-            if entry is not None:
-                if fspan is not None:
-                    fspan.attrs["hit"] = True
-                scope.pin(sid)
-                return entry, True
-            if fspan is not None:
-                fspan.attrs["hit"] = False
-            desc = self.metadata.chunk(sid)
-            serving: Optional[int] = None
-            entry = cache.take_prefetched(sid)
-            if entry is None and sid in inflight:
-                # the next pair's prefetcher is mid-transfer on a sub-table
-                # we share with it — wait for that transfer instead of
-                # re-issuing
-                t0 = cluster.engine.now
-                try:
-                    yield inflight[sid]
-                except FaultError:
-                    pass  # prefetcher's transfer faulted; recover synchronously
-                pb.stall += cluster.engine.now - t0
-                entry = cache.take_prefetched(sid)
-            if entry is not None:
-                if fspan is not None:
-                    fspan.attrs["staged"] = True
-                serving = sources.pop(sid, None)
-            else:
-                # prefetch skipped (budget), invalidated (evicted after the
-                # lookahead decision) or faulted: pay the transfer
-                # synchronously through the recovering path, exactly like
-                # the baseline would
-                serving = yield from self._transfer_with_recovery(
-                    joiner, desc, cache, pb, report, inflight=inflight,
-                    tel=tel, link_span=link_span,
-                )
-                entry = self.provider.fetch(desc, node=serving)
-            if is_left:
-                t0 = cluster.engine.now
-                with maybe_span(
-                    tel, "build", category="cpu-build",
-                    node=f"compute{joiner}", track=track,
-                    records=desc.num_records,
-                ):
-                    yield node.compute(node.build_time(desc.num_records))
-                pb.cpu_build += cluster.engine.now - t0
-                report.kernel.builds += desc.num_records
-                if tel is not None:
-                    tel.metrics.counter("op.hash-build.records").inc(
-                        desc.num_records
-                    )
-            nbytes = desc.size * 2 if is_left else desc.size
-            cached = scope.put(sid, entry, nbytes, pin=True, source=serving)
-            return entry, cached
-
-    # -- shared probe/emit ---------------------------------------------------------
+    # -- probe/emit ------------------------------------------------------------------
 
     def _probe_and_emit(self, j: int, seq: int, left_entry, right_entry,
                         pb: PhaseBreakdown, report: ExecutionReport,
@@ -852,72 +762,3 @@ class IndexedJoinQES:
             report.kernel.matches += ks.matches
             if out.num_records:
                 results[j].append(out)
-
-
-class IndexedJoinRun:
-    """Handle for one in-flight Indexed Join execution.
-
-    Returned by :meth:`IndexedJoinQES.begin`; ``process`` is the
-    supervising driver (an event other processes can wait on) and
-    :meth:`finish` assembles the :class:`ExecutionReport` once the driver
-    has completed.
-    """
-
-    def __init__(self, qes, process, report, results, caches, stats_before,
-                 tel, qspan, children=()):
-        self.qes = qes
-        self.process = process
-        self.report = report
-        self._results = results
-        self._caches = caches
-        self._stats_before = stats_before
-        self._tel = tel
-        self._qspan = qspan
-        self._finished = False
-        #: every worker process the driver spawned (joiners, prefetchers)
-        self.children = children
-
-    def abort(self, cause=None) -> None:
-        """Kill the whole execution tree at the current simulated instant.
-
-        Interrupts the driver first (so the coordinator dies before it can
-        observe — and try to reassign — its workers' deaths), then every
-        spawned worker.  Each process unwinds its pin scopes as the
-        interrupt propagates; interrupting already-finished processes is a
-        no-op.  The server's deadline path calls this.
-        """
-        self.process.interrupt(cause)
-        for proc in self.children:
-            proc.interrupt(cause)
-
-    def finish(self) -> ExecutionReport:
-        """Assemble and return the report (driver must have completed)."""
-        if not self.process.triggered:
-            raise RuntimeError(
-                "finish() called before the execution's driver completed"
-            )
-        if self._finished:
-            return self.report
-        self._finished = True
-        qes, report = self.qes, self.report
-        report.pairs_joined = qes.schedule.total_pairs
-        report.results = self._results
-        report.cache_stats = [
-            c.stats.since(before)
-            for c, before in zip(self._caches, self._stats_before)
-        ]
-        report.extras["num_edges"] = float(qes.index.num_edges)
-        report.extras["num_components"] = float(len(qes.index.components()))
-        report.extras["pipeline"] = 1.0 if qes.pipeline else 0.0
-        if self._tel is not None:
-            self._tel.recorder.finish(self._qspan, at=report.total_time)
-            if qes.critical_path:
-                from repro.telemetry.critical_path import compute_critical_path
-
-                report.critical_path = compute_critical_path(
-                    self._tel.recorder, self._qspan
-                )
-            report.telemetry = self._tel
-        if qes.sanitizer is not None:
-            qes.sanitizer.after_run(qes.cluster.engine, report)
-        return report

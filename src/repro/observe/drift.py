@@ -169,7 +169,9 @@ class DriftStore:
                     continue
                 try:
                     records.append(DriftRecord.from_json_obj(json.loads(line)))
-                except (ValueError, KeyError) as exc:
+                except (ValueError, KeyError, TypeError) as exc:
+                    # TypeError: the line parsed, but not to an object
+                    # with numeric terms (a JSON array, string, null…)
                     raise ValueError(
                         f"{self.path}:{lineno}: bad drift record: {exc}"
                     ) from exc

@@ -167,16 +167,6 @@ class TestClusterSim:
 
         assert sim.engine.run_process(proc()) == pytest.approx(20.0)
 
-    def test_stream_batch_matches_read_and_send(self):
-        spec = MachineSpec(disk_read_bw=5.0, link_bw=10.0)
-        sim = ClusterSim(ClusterTopology(1, 1), spec=spec)
-
-        def proc():
-            yield sim.stream_batch(0, 0, 100)
-            return sim.engine.now
-
-        assert sim.engine.run_process(proc()) == pytest.approx(20.0)
-
     def test_read_and_send_aggregate_bandwidth_emerges(self):
         """With n_s=n_j=2 and disk >> net, total transfer time for B bytes
         per joiner approaches B/link (parallel links)."""

@@ -5,12 +5,18 @@ The load-bearing property: pipelining changes *when* bytes move, never
 pipelined run against the synchronous baseline on the same dataset.
 """
 
+from functools import lru_cache
+
 import pytest
 
+from repro.analysis.sanitizer import RunSanitizer
 from repro.cluster import MachineSpec, paper_cluster
 from repro.datamodel.subtable import concat_subtables
+from repro.faults import FaultPlan
+from repro.faults.errors import UnrecoverableFault
 from repro.joins import IndexedJoinQES, reference_join
 from repro.joins.scheduler import schedule_random
+from repro.services.cache import CachingService
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 #: Transfer-bound machine: slow link relative to CPU, so the synchronous
@@ -163,3 +169,129 @@ class TestLookahead:
         sched = PairSchedule(per_joiner=[[]], strategy="test")
         with pytest.raises(ValueError):
             list(sched.iter_lookahead(0, depth=0))
+
+
+# -- one loop, every shape ---------------------------------------------------
+#
+# The suite above only ever ran p = q.  With the right table cut finer than
+# the left (p > q) consecutive pairs share their *left* sub-table, which is
+# the one shape where the prefetcher used to fetch a sub-table the consumer
+# was in the middle of building — moving its bytes twice and stranding the
+# second copy in the staging area.
+
+#: name -> (grid spec, storage nodes, compute nodes)
+SHAPES = {
+    "p<q": (GridSpec(g=(32, 32), p=(2, 2), q=(4, 4)), 2, 3),
+    "p=q": (SPEC, 2, 2),
+    "p>q": (GridSpec(g=(32, 32), p=(4, 4), q=(2, 2)), 2, 3),
+    "p>q-3d": (GridSpec(g=(16, 16, 16), p=(8, 8, 8), q=(4, 4, 4)), 3, 2),
+}
+REGIMES = ("default", "thrashing", "no-prefetch-budget")
+FAULT_PLAN = "seed=5,transient=0.2,storage_crash=0.0004@0"
+
+
+@lru_cache(maxsize=None)
+def shape_dataset(shape, replication=1):
+    spec, n_s, _ = SHAPES[shape]
+    return build_oil_reservoir_dataset(
+        spec, num_storage=n_s, functional=True, replication=replication
+    )
+
+
+def regime_kwargs(ds, regime):
+    if regime == "thrashing":
+        # room for four pairs (a left entry is charged twice, for its hash
+        # table): evicts constantly, yet leaves the pipeline room to work
+        left = ds.metadata.table("T1").all_chunks()[0].size
+        right = ds.metadata.table("T2").all_chunks()[0].size
+        return {"cache_capacity": 4 * (2 * left + right)}
+    if regime == "no-prefetch-budget":
+        return {"prefetch_budget": 0}
+    return {}
+
+
+def shape_qes(shape, ds, pipeline, faults=None, **kw):
+    _, n_s, n_j = SHAPES[shape]
+    cluster = paper_cluster(n_s, n_j, spec=TRANSFER_BOUND, faults=faults)
+    return IndexedJoinQES(
+        cluster, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider,
+        pipeline=pipeline, sanitizer=RunSanitizer(label=f"{shape} pipe={pipeline}"),
+        **kw
+    )
+
+
+def assert_joins_like_reference(ds, report):
+    oracle = reference_join(ds.metadata, ds.provider, "T1", "T2", ds.join_attrs)
+    got = concat_subtables(
+        [sub for per in report.results for sub in per], id=oracle.id
+    )
+    assert got.equals_unordered(oracle)
+
+
+def assert_quiesced(qes):
+    for cache in qes.caches:
+        assert cache.prefetch_bytes == 0
+        assert cache.pinned_bytes == 0
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_pipelined_equals_synchronous_on_every_shape(shape, regime):
+    """Fault-free, every observable but the clock matches, the clock is no
+    worse, nothing is left staged, and the sanitizer (whose ``after_run``
+    is part of ``run()``) raises nothing."""
+    ds = shape_dataset(shape)
+    kw = regime_kwargs(ds, regime)
+    sync_qes = shape_qes(shape, ds, pipeline=False, **kw)
+    pipe_qes = shape_qes(shape, ds, pipeline=True, **kw)
+    sync, pipe = sync_qes.run(), pipe_qes.run()
+    if regime == "thrashing":
+        assert sum(s.evictions for s in sync.cache_stats) > 0
+    assert_same_execution(sync, pipe)
+    assert_joins_like_reference(ds, pipe)
+    assert_quiesced(pipe_qes)
+    assert pipe.total_time <= sync.total_time * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_pipelined_recovers_on_every_shape(shape, regime):
+    """Under transient faults and a storage crash (replication 2) the two
+    modes draw different faults, so bytes may differ — but a pipelined run
+    that completes is still correct, clean at quiesce and sanitizer-clean;
+    the only other acceptable end is a structured UnrecoverableFault."""
+    ds = shape_dataset(shape, replication=2)
+    qes = shape_qes(
+        shape, ds, pipeline=True, faults=FaultPlan.parse(FAULT_PLAN),
+        **regime_kwargs(ds, regime)
+    )
+    try:
+        report = qes.run()
+    except UnrecoverableFault:
+        return
+    assert report.recovery.any_recovery
+    assert_joins_like_reference(ds, report)
+    assert_quiesced(qes)
+
+
+def test_pipelined_left_entries_are_derived():
+    """Left sub-tables enter the cache with their hash table (``derived``
+    for the reuse advisor), right ones as fetched (``base``) — in the
+    pipelined mode exactly as in the synchronous one."""
+    ds = shape_dataset("p>q")
+    _, n_s, n_j = SHAPES["p>q"]
+    left_id = ds.metadata.table("T1").table_id
+    inserts = set()
+
+    def record(op, key, nbytes, origin, qid):
+        if op == "insert":
+            inserts.add((key.table_id == left_id, origin))
+
+    caches = [CachingService(TRANSFER_BOUND.memory_bytes) for _ in range(n_j)]
+    for cache in caches:
+        cache.subscribe(record)
+    IndexedJoinQES(
+        paper_cluster(n_s, n_j, spec=TRANSFER_BOUND), ds.metadata, "T1", "T2",
+        ds.join_attrs, ds.provider, pipeline=True, caches=caches,
+    ).run()
+    assert inserts == {(True, "derived"), (False, "base")}

@@ -332,3 +332,45 @@ class TestAdvise:
         report = self._report(tmp_path, capsys, extra=("--no-reuse",))
         assert main(["advise", report]) == 2
         assert "no reuse section" in capsys.readouterr().err
+
+
+class TestMalformedFiles:
+    """A file argument that is missing or holds the wrong JSON shape is
+    rejected with ``error: <path>: <reason>`` and exit 2, not a traceback."""
+
+    SERVE = ["serve", "--grid", "16,16", "--p", "4,4", "--q", "4,4",
+             "--storage", "2", "--compute", "2", "--tenants"]
+
+    @pytest.mark.parametrize(
+        "argv", [SERVE, ["top"], ["advise"]], ids=["serve-tenants", "top", "advise"]
+    )
+    def test_missing_file(self, argv, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(argv + [str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing}: ")
+        assert "No such file" in err
+
+    @pytest.mark.parametrize("content, reason", [
+        ("[1, 2, 3]", "tenant #0 is not an object"),
+        ('[{"rate": 1.0}]', "tenant #0 has no 'name' key"),
+        ('{"queries": []}', "holds no tenants"),
+    ], ids=["non-objects", "nameless", "no-tenants-key"])
+    def test_tenants_wrong_shape(self, content, reason, tmp_path, capsys):
+        spec = tmp_path / "tenants.json"
+        spec.write_text(content)
+        assert main(self.SERVE + [str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(spec) in err
+        assert reason in err
+
+    @pytest.mark.parametrize("line", [
+        "[1, 2, 3]", '"text"', '{"fingerprint": "f", "algorithm": "ij", '
+        '"term": "Transfer", "predicted_s": null, "observed_s": 1.0}',
+    ], ids=["array", "string", "null-term"])
+    def test_drift_store_wrong_shape(self, line, tmp_path, capsys):
+        store = tmp_path / "drift.jsonl"
+        store.write_text(line + "\n")
+        assert main(["drift", "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {store}:1: bad drift record")
