@@ -18,7 +18,7 @@ that drive resource accounting, but no data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +29,7 @@ from repro.datamodel.schema import Schema
 __all__ = ["SubTableId", "SubTable", "SubTableStub", "concat_subtables"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SubTableId:
     """Identifier ``(i, j)``: table id *i*, chunk id *j* (Section 4).
 
@@ -39,6 +39,16 @@ class SubTableId:
 
     table_id: int
     chunk_id: int
+    #: ids key every cache, pin set and catalog lookup, so the hash is
+    #: computed once — to the value the generated ``__hash__`` would
+    #: return, so no set or dict iteration order depends on the caching
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.table_id, self.chunk_id)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:  # compact: shows up a lot in logs/tests
         return f"({self.table_id},{self.chunk_id})"

@@ -1,8 +1,7 @@
 """Join layer: the Query Execution Systems and their building blocks.
 
 * :mod:`~repro.joins.hash_join` — the in-memory hash join both distributed
-  algorithms use as their inner kernel (a vectorised sort-based kernel,
-  plus the literal dict-based hash join it is tested against), with
+  algorithms use as their inner kernel (vectorised and sort-based), with
   operation counting aligned with the cost models' ``α_build`` /
   ``α_lookup``.
 * :mod:`~repro.joins.join_index` — the page-level join index: the
@@ -25,11 +24,7 @@
 
 from repro.joins.baselines import reference_join
 from repro.joins.grace_hash import GraceHashQES
-from repro.joins.hash_join import (
-    JoinKernelStats,
-    dict_hash_join,
-    vectorized_hash_join,
-)
+from repro.joins.hash_join import JoinKernelStats, vectorized_hash_join
 from repro.joins.graph_analysis import GraphAnalysis, analyze_index, to_networkx
 from repro.joins.indexed_join import IndexedJoinQES
 from repro.joins.opas import (
@@ -67,7 +62,6 @@ __all__ = [
     "PairSchedule",
     "PhaseBreakdown",
     "build_join_index",
-    "dict_hash_join",
     "evaluate_order",
     "order_bfs_clustered",
     "order_greedy_opas",

@@ -15,11 +15,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.datamodel.subtable import SubTable, SubTableId, concat_subtables
-from repro.joins.hash_join import _assemble, _check_join, _key_struct
+from repro.joins.hash_join import _assemble, _check_join
 from repro.metadata.service import MetaDataService
 from repro.services.bds import SubTableProvider
 
 __all__ = ["reference_join", "sort_merge_join"]
+
+
+def _key_struct(sub: SubTable, on: Sequence[str]) -> np.ndarray:
+    """The join-key columns as one structured array, which NumPy sorts
+    and searches lexicographically."""
+    dtype = np.dtype([(name, sub.schema[name].np_dtype) for name in on])
+    out = np.empty(sub.num_records, dtype=dtype)
+    for name in on:
+        out[name] = sub.column(name)
+    return out
 
 
 def sort_merge_join(

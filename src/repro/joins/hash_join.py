@@ -5,22 +5,24 @@ requires a hash-table be built using the left (inner) relation with the
 attribute of interest and that the resulting hash table be probed with the
 records of the right (outer) relation" (Section 5).
 
-Two kernels produce byte-identical results:
+One kernel, :func:`vectorized_hash_join`, serves both QES: every join-key
+column is ranked on its own with ``np.unique`` and the ranks are packed
+into one int64 id per record (equality-preserving), the left side is
+grouped by a stable sort of those ids, and probes become two
+``searchsorted`` sweeps.  Pure NumPy on the hot path, per the HPC guides.
+The literal dict-based hash join it is tested against lives with the tests
+(``tests/joins/reference_kernel.py``).
 
-* :func:`dict_hash_join` — a literal hash join over a Python dict, the
-  faithful algorithmic rendering, kept as the reference the kernel tests
-  compare against.
-* :func:`vectorized_hash_join` — the kernel both QES call: join keys are
-  densified with ``np.unique`` (equality-preserving integer ids), the left
-  side is grouped by a counting sort, and probes become two
-  ``searchsorted`` sweeps.  Pure NumPy on the hot path, per the HPC
-  guides.
+Key equality is *value* equality, column by column: ``-0.0`` joins with
+``0.0`` and a ``NaN`` key joins with nothing, itself included — what SQL's
+``=`` and NumPy's ``==`` both say.  The reference kernel and this one
+return the same rows in the same order under that contract.
 
-Both report :class:`JoinKernelStats` whose ``builds``/``probes`` counts are
-exactly what the cost models charge ``α_build``/``α_lookup`` for: one build
-per left record, one probe per right record (the paper's join-selectivity-1
-assumption makes one lookup per right record sufficient; the kernel itself
-handles arbitrary multiplicity).
+The kernel reports :class:`JoinKernelStats` whose ``builds``/``probes``
+counts are exactly what the cost models charge ``α_build``/``α_lookup``
+for: one build per left record, one probe per right record (the paper's
+join-selectivity-1 assumption makes one lookup per right record
+sufficient; the kernel itself handles arbitrary multiplicity).
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ import numpy as np
 from repro.datamodel.schema import Schema
 from repro.datamodel.subtable import SubTable, SubTableId
 
-__all__ = ["JoinKernelStats", "dict_hash_join", "vectorized_hash_join"]
+__all__ = ["JoinKernelStats", "vectorized_hash_join"]
+
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -51,13 +56,34 @@ class JoinKernelStats:
         return self
 
 
-def _key_struct(sub: SubTable, on: Sequence[str]) -> np.ndarray:
-    """The join-key columns as one structured array (zero-copy per column)."""
-    dtype = np.dtype([(name, sub.schema[name].np_dtype) for name in on])
-    out = np.empty(sub.num_records, dtype=dtype)
+def _key_ids(
+    left: SubTable, right: SubTable, on: Sequence[str]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One int64 id per record of each side, equal exactly when the join
+    keys are equal by value.
+
+    Each key column is ranked over both sides at once
+    (``equal_nan=False``: ``-0.0`` and ``0.0`` share a rank, every ``NaN``
+    gets its own) and the ranks are packed mixed-radix, first column most
+    significant.  Should the radix product outgrow int64, the ids packed
+    so far are re-ranked first — they then number at most one per record,
+    so the next column always fits.
+    """
+    nl = left.num_records
+    ids = np.zeros(nl + right.num_records, dtype=np.int64)
+    radix = 1
     for name in on:
-        out[name] = sub.column(name)
-    return out
+        values, ranks = np.unique(
+            np.concatenate([left.column(name), right.column(name)]),
+            return_inverse=True,
+            equal_nan=False,
+        )
+        if radix * len(values) > _INT64_MAX:
+            packed, ids = np.unique(ids, return_inverse=True)
+            radix = len(packed)
+        ids = ids * len(values) + ranks
+        radix *= len(values)
+    return ids[:nl], ids[nl:]
 
 
 def _result_schema(left: SubTable, right: SubTable, on: Sequence[str], suffix: str) -> Schema:
@@ -101,45 +127,6 @@ def _check_join(left: SubTable, right: SubTable, on: Sequence[str]) -> None:
             )
 
 
-def dict_hash_join(
-    left: SubTable,
-    right: SubTable,
-    on: Sequence[str],
-    result_id: Optional[SubTableId] = None,
-    suffix: str = "_r",
-) -> Tuple[SubTable, JoinKernelStats]:
-    """Literal hash join: build a dict on the left, probe with the right."""
-    _check_join(left, right, on)
-    stats = JoinKernelStats()
-
-    table: dict[bytes, list[int]] = {}
-    left_keys = _key_struct(left, on)
-    for i in range(left.num_records):
-        table.setdefault(left_keys[i].tobytes(), []).append(i)
-        stats.builds += 1
-
-    right_keys = _key_struct(right, on)
-    left_idx: list[int] = []
-    right_idx: list[int] = []
-    for j in range(right.num_records):
-        stats.probes += 1
-        hits = table.get(right_keys[j].tobytes())
-        if hits:
-            left_idx.extend(hits)
-            right_idx.extend([j] * len(hits))
-    stats.matches = len(left_idx)
-    result = _assemble(
-        left,
-        right,
-        on,
-        np.asarray(left_idx, dtype=np.intp),
-        np.asarray(right_idx, dtype=np.intp),
-        result_id,
-        suffix,
-    )
-    return result, stats
-
-
 def vectorized_hash_join(
     left: SubTable,
     right: SubTable,
@@ -149,25 +136,20 @@ def vectorized_hash_join(
 ) -> Tuple[SubTable, JoinKernelStats]:
     """Vectorised equi-join with hash-join-equivalent output.
 
-    Left row order within a key group is preserved (matching the dict
-    kernel's insertion order) and right rows are processed in order, so the
-    two kernels return results in the identical row order — they are
-    drop-in replacements, not merely multiset-equal.
+    Right rows are processed in order and, within one right row's key
+    group, left rows keep their order — the row order of a literal hash
+    join whose buckets keep insertion order, so the reference kernel in
+    the test tree is a drop-in replacement, not merely multiset-equal.
     """
     _check_join(left, right, on)
     stats = JoinKernelStats(builds=left.num_records, probes=right.num_records)
 
-    nl = left.num_records
-    both = np.concatenate([_key_struct(left, on), _key_struct(right, on)])
-    _, inverse = np.unique(both, return_inverse=True)
-    lkeys = inverse[:nl]
-    rkeys = inverse[nl:]
-
-    if nl == 0 or right.num_records == 0:
+    if left.num_records == 0 or right.num_records == 0:
         empty = np.empty(0, dtype=np.intp)
         return _assemble(left, right, on, empty, empty, result_id, suffix), stats
+    lkeys, rkeys = _key_ids(left, right, on)
 
-    # group left rows by key id with a stable counting sort
+    # group left rows by key id with a stable sort
     order = np.argsort(lkeys, kind="stable")
     sorted_keys = lkeys[order]
     # for each right key: the [start, stop) slice of matching left rows

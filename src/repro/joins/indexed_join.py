@@ -42,11 +42,14 @@ costs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cluster.cluster import ClusterSim
 from repro.cluster.events import Event, Interrupt
-from repro.datamodel.subtable import SubTable, SubTableId
+from repro.datamodel.schema import Attribute, Schema
+from repro.datamodel.subtable import SubTable, SubTableId, concat_subtables
 from repro.faults.errors import (
     ComputeNodeDown,
     FaultError,
@@ -212,6 +215,12 @@ class IndexedJoinQES:
         results: Optional[List[List[SubTable]]] = (
             [[] for _ in range(cluster.num_compute)] if self.provider.functional else None
         )
+        #: functional runs: per compute node, the ``(left entry, right
+        #: entry, seq)`` of every pair probed there, in emission order —
+        #: joined set-at-a-time by ``fill`` (see :func:`_join_probed`)
+        probed: List[Optional[list]] = [
+            [] if results is not None else None for _ in range(cluster.num_compute)
+        ]
         if self.caches is not None:
             caches: List[CachingService] = self.caches
         else:
@@ -280,7 +289,7 @@ class IndexedJoinQES:
             progress = [0]  # index of the first pair not yet fully joined
             proc = cluster.spawn(
                 self._joiner(
-                    j, pairs, caches[j], report, results, progress,
+                    j, pairs, caches[j], report, probed[j], progress,
                     tel=tel, qspan=qspan, tag=tag,
                 ),
                 name=f"ij-joiner{j}{tag}",
@@ -353,6 +362,10 @@ class IndexedJoinQES:
             report.total_time = cluster.engine.now
 
         def fill():
+            if results is not None:
+                for j, records in enumerate(probed):
+                    results[j], matches = _join_probed(records, self.on)
+                    report.kernel.matches += matches
             report.pairs_joined = self.schedule.total_pairs
             report.cache_stats = [
                 c.stats.since(before) for c, before in zip(caches, stats_before)
@@ -541,8 +554,7 @@ class IndexedJoinQES:
             return entry
 
     def _joiner(self, j: int, pairs, cache: CachingService,
-                report: ExecutionReport,
-                results: Optional[List[List[SubTable]]], progress,
+                report: ExecutionReport, probed: Optional[list], progress,
                 tel=None, qspan=None, tag: str = ""):
         """The Section 4.1 control loop of one joiner, in either mode.
 
@@ -622,7 +634,7 @@ class IndexedJoinQES:
                         )
                         yield from self._probe_and_emit(
                             j, seq, left_entry, right_entry, pb, report,
-                            results, tel=tel, track=track,
+                            probed, tel=tel, track=track,
                         )
                 if tel is not None:
                     tel.metrics.histogram("ij.pair_seconds").observe(
@@ -736,8 +748,9 @@ class IndexedJoinQES:
 
     def _probe_and_emit(self, j: int, seq: int, left_entry, right_entry,
                         pb: PhaseBreakdown, report: ExecutionReport,
-                        results: Optional[List[List[SubTable]]],
-                        tel=None, track: str = "qes"):
+                        probed: Optional[list], tel=None, track: str = "qes"):
+        """Charge the pair's probe in simulated time; on a functional run,
+        record the pair for :func:`_join_probed` instead of joining it here."""
         cluster = self.cluster
         node = cluster.joiner(j)
         nprobe = right_entry.num_records
@@ -751,14 +764,70 @@ class IndexedJoinQES:
         report.kernel.probes += nprobe
         if tel is not None:
             tel.metrics.counter("op.probe.records").inc(nprobe)
-        if results is not None:
+        if probed is not None:
             assert isinstance(left_entry, SubTable) and isinstance(right_entry, SubTable)
-            out, ks = vectorized_hash_join(
-                left_entry,
-                right_entry,
-                self.on,
-                result_id=SubTableId(-1, seq),
-            )
-            report.kernel.matches += ks.matches
-            if out.num_records:
-                results[j].append(out)
+            probed.append((left_entry, right_entry, seq))
+
+
+def _join_probed(records, on: Sequence[str]) -> Tuple[List[SubTable], int]:
+    """Join every recorded ``(left, right, seq)`` pair with one kernel
+    call; returns the non-empty per-pair outputs, in record order, and
+    the match count.
+
+    Section 4.1 builds a left sub-table's hash table once and probes it
+    with every right sub-table of its component.  The simulated clock
+    has charged exactly that, pair by pair; this is the host doing the
+    same: each *distinct* left sub-table (by identity — a re-fetched
+    copy is a new build) enters the build side once, tagged with its
+    number, every pair's right sub-table enters the probe side tagged
+    with its left's number, and the kernel joins on ``(tag, *on)``.
+    Its output is in right-row order, hence already grouped by pair, in
+    the row order a join of that pair alone would give; a second,
+    non-key column on the probe side carries the pair number to where
+    the groups are cut apart.
+    """
+    if not records:
+        return [], 0
+    lefts = list({id(left): left for left, _, _ in records}.values())
+    tag_of = {id(left): t for t, left in enumerate(lefts)}
+    rights = [right for _, right, _ in records]
+    pair_schema = lefts[0].schema.join(rights[0].schema, on=on)
+    names = pair_schema.names
+    # two column names no attribute of either side or of the output has
+    taken = {*names, *rights[0].schema.names}
+    tag, pair = "left_tag", "pair_seq"
+    while tag in taken:
+        tag += "_"
+    while pair in taken:
+        pair += "_"
+
+    def tagged(parts: List[SubTable], marks: Dict[str, Sequence[int]]) -> SubTable:
+        """``parts`` concatenated, behind one int64 column per entry of
+        ``marks`` that repeats ``marks[name][i]`` over the rows of part ``i``."""
+        body = concat_subtables(parts)
+        sizes = [part.num_records for part in parts]
+        columns = {name: np.repeat(mark, sizes) for name, mark in marks.items()}
+        columns.update(zip(body.schema.names, body.columns()))
+        schema = Schema([*(Attribute(name, "int64") for name in marks), *body.schema])
+        return SubTable(body.id, schema, columns)
+
+    out, stats = vectorized_hash_join(
+        tagged(lefts, {tag: range(len(lefts))}),
+        tagged(
+            rights,
+            {tag: [tag_of[id(left)] for left, _, _ in records],
+             pair: range(len(records))},
+        ),
+        (tag, *on),
+    )
+    cuts = np.searchsorted(out.column(pair), np.arange(len(records) + 1)).tolist()
+    columns = out.columns(names)
+    return [
+        SubTable(
+            SubTableId(-1, seq),
+            pair_schema,
+            dict(zip(names, (column[lo:hi] for column in columns))),
+        )
+        for (_, _, seq), lo, hi in zip(records, cuts, cuts[1:])
+        if hi > lo
+    ], stats.matches

@@ -1,0 +1,233 @@
+"""The set-at-a-time functional join of the Indexed Join QES.
+
+The QES records the pairs it probes and joins them with one kernel call
+per compute node when the execution's results are first needed.  These
+tests pin what that must not change: per-pair outputs equal to joining
+each pair alone, nothing lost or duplicated when a joiner dies, nothing
+joined for a query that never finishes, and every result record still
+flowing through ``repro.joins.hash_join.vectorized_hash_join`` — the name
+``bench/trace.py`` counts records by.
+"""
+
+import contextlib
+import dataclasses
+import functools
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cluster import MachineSpec, paper_cluster
+from repro.datamodel import Attribute, Schema, SubTable, SubTableId
+from repro.datamodel.subtable import concat_subtables
+from repro.faults import FaultPlan, NodeCrash
+from repro.joins import GraceHashQES, IndexedJoinQES, reference_join
+from repro.joins import hash_join
+from repro.joins.indexed_join import _join_probed
+from repro.server import COMPLETED, DEADLINE_EXCEEDED, QueryServer
+from repro.workloads import GridSpec, build_oil_reservoir_dataset
+from repro.workloads.arrivals import QueryArrival
+
+
+@contextlib.contextmanager
+def counted_kernel():
+    """Wrap the kernel the way ``bench/trace.py`` does — rebind it in every
+    loaded ``repro`` module holding it under any name — and count calls
+    and records through it."""
+    kernel = hash_join.vectorized_hash_join
+    seen = {"calls": 0, "records_in": 0, "records_out": 0}
+
+    @functools.wraps(kernel)
+    def counted(left, right, *args, **kwargs):
+        result = kernel(left, right, *args, **kwargs)
+        seen["calls"] += 1
+        seen["records_in"] += left.num_records + right.num_records
+        seen["records_out"] += result[0].num_records
+        return result
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("repro"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is kernel:
+                setattr(module, attr, counted)
+                patched.append((module, attr))
+    try:
+        yield seen
+    finally:
+        for module, attr in patched:
+            setattr(module, attr, kernel)
+
+
+# -- (a) batched == per pair ---------------------------------------------------
+
+#: both sides carry a non-key ``v`` (suffixed ``v_r`` in the output) and
+#: the right a ``left_tag`` — the name the batch would pick for its own tag
+LEFT_SCHEMA = Schema(
+    [Attribute("x", "int32", coordinate=True), Attribute("y", "float32"),
+     Attribute("v", "float32")]
+)
+RIGHT_SCHEMA = Schema(
+    [Attribute("y", "float32"), Attribute("x", "int32", coordinate=True),
+     Attribute("v", "int16"), Attribute("left_tag", "uint8")]
+)
+#: small domains (duplicate keys, zero-match pairs); float keys include
+#: the two values whose equality is not byte equality
+INTS = st.integers(min_value=0, max_value=3)
+FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.0, float("nan")])
+
+
+@st.composite
+def sub_table(draw, schema, table_id, chunk_id):
+    n = draw(st.integers(min_value=0, max_value=6))
+    columns = {
+        a.name: np.asarray(
+            draw(st.lists(FLOATS if a.np_dtype.kind == "f" else INTS,
+                          min_size=n, max_size=n)),
+            a.np_dtype,
+        )
+        for a in schema
+    }
+    return SubTable(SubTableId(table_id, chunk_id), schema, columns)
+
+
+@st.composite
+def pair_records(draw):
+    """A joiner's record list: few distinct sub-tables (so lefts are shared
+    and rights repeat), possibly empty ones, arbitrary ``seq``."""
+    lefts = [draw(sub_table(LEFT_SCHEMA, 1, i)) for i in range(draw(st.integers(1, 3)))]
+    rights = [draw(sub_table(RIGHT_SCHEMA, 2, i)) for i in range(draw(st.integers(1, 3)))]
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(lefts), st.sampled_from(rights),
+                      st.integers(0, 50)),
+            max_size=8,
+        )
+    )
+    return picks
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=pair_records(), on=st.sampled_from([("x",), ("x", "y"), ("y", "x")]))
+def test_batched_join_equals_per_pair_join(records, on):
+    expected, matches = [], 0
+    for left, right, seq in records:
+        out, stats = hash_join.vectorized_hash_join(
+            left, right, on, result_id=SubTableId(-1, seq)
+        )
+        matches += stats.matches
+        if out.num_records:
+            expected.append(out)
+
+    with counted_kernel() as seen:
+        got, got_matches = _join_probed(records, on)
+
+    assert seen["calls"] == (1 if records else 0)
+    assert got_matches == matches
+    assert [g.id for g in got] == [e.id for e in expected]
+    for g, e in zip(got, expected):
+        assert g.schema == e.schema
+        for name in e.schema.names:
+            assert g.column(name).dtype == e.column(name).dtype
+            assert g.column(name).tobytes() == e.column(name).tobytes()
+
+
+def test_each_distinct_left_enters_the_kernel_once():
+    left = SubTable(
+        SubTableId(1, 0), LEFT_SCHEMA,
+        {"x": np.arange(4), "y": np.zeros(4), "v": np.arange(4)},
+    )
+    right = SubTable(
+        SubTableId(2, 0), RIGHT_SCHEMA,
+        {"x": np.arange(4), "y": np.zeros(4), "v": np.arange(4),
+         "left_tag": np.zeros(4)},
+    )
+    with counted_kernel() as seen:
+        got, matches = _join_probed([(left, right, s) for s in range(5)], ("x", "y"))
+    assert matches == 20 and len(got) == 5
+    assert seen["records_in"] == 4 + 5 * 4  # one left, five rights
+    assert seen["records_out"] == 20
+
+
+# -- (b) a joiner dies mid-run ---------------------------------------------------
+
+SLOW = MachineSpec(
+    disk_read_bw=2e5, disk_write_bw=2e5, link_bw=1e5, memory_bytes=512 * 2**20
+)
+#: p > q: every right sub-table is probed by four lefts
+SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(8, 8))
+
+
+def run_ij(ds, n_j=3, faults=None, **kw):
+    cluster = paper_cluster(2, n_j, spec=SLOW, faults=faults)
+    return IndexedJoinQES(
+        cluster, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider, **kw
+    ).run()
+
+
+@pytest.mark.parametrize("pipeline", [False, True], ids=["sync", "pipeline"])
+def test_compute_crash_loses_and_duplicates_no_pair(pipeline):
+    ds = build_oil_reservoir_dataset(
+        SPEC, num_storage=2, functional=True, replication=2
+    )
+    baseline = run_ij(ds, pipeline=pipeline)
+    plan = FaultPlan(
+        seed=7,
+        crashes=(NodeCrash("compute", at=0.4 * baseline.total_time, node=1),),
+    )
+    rep = run_ij(ds, faults=plan, pipeline=pipeline)
+    assert rep.recovery.reassigned_pairs > 0
+    # the dead joiner keeps what it finished; survivors hold their own
+    # pairs and the reassigned ones
+    assert rep.results[1] and len(rep.results[1]) < len(baseline.results[1])
+    outputs = [sub for per in rep.results for sub in per]
+    assert len(outputs) == rep.pairs_joined == baseline.pairs_joined
+    oracle = reference_join(ds.metadata, ds.provider, "T1", "T2", ds.join_attrs)
+    got = concat_subtables(outputs, id=oracle.id)
+    assert got.equals_unordered(oracle)  # multiset equality: no loss, no duplicate
+    assert rep.kernel.matches == rep.result_tuples == oracle.num_records
+
+
+# -- (c) an aborted query joins nothing -------------------------------------------
+
+
+def test_deadline_aborted_query_never_calls_the_kernel():
+    spec = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
+    machine = MachineSpec(disk_read_bw=1e5, link_bw=5e4)
+
+    def serve(stream):
+        ds = build_oil_reservoir_dataset(spec, num_storage=2, functional=True, seed=7)
+        return QueryServer(ds, num_compute=2, machine=machine).serve(stream)
+
+    probe = QueryArrival(qid=0, tenant="a", kind="join", at=0.0, seed=1)
+    with counted_kernel() as seen:
+        (full,) = serve([probe]).records
+    assert full.disposition == COMPLETED and seen["calls"] > 0
+
+    # the deadline lands mid-execution: pairs have been probed (their
+    # bytes moved), none is ever joined
+    cut = dataclasses.replace(probe, deadline=full.exec_time / 2)
+    with counted_kernel() as seen:
+        (aborted,) = serve([cut]).records
+    assert aborted.disposition == DEADLINE_EXCEEDED
+    assert aborted.bytes_from_storage > 0
+    assert seen["calls"] == 0
+
+
+# -- (d) every result record flows through the traced name ------------------------
+
+
+@pytest.mark.parametrize("qes", [IndexedJoinQES, GraceHashQES], ids=["ij", "gh"])
+def test_kernel_boundary_sees_every_result_record(qes):
+    ds = build_oil_reservoir_dataset(SPEC, num_storage=2, functional=True)
+    cluster = paper_cluster(2, 2, spec=SLOW)
+    with counted_kernel() as seen:
+        rep = qes(
+            cluster, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider
+        ).run()
+    assert rep.result_tuples == ds.spec.T > 0
+    assert seen["records_out"] == rep.result_tuples == rep.kernel.matches
+    if qes is IndexedJoinQES:
+        assert seen["calls"] <= cluster.num_compute

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datamodel import Schema, SubTable, SubTableId
-from repro.joins import dict_hash_join, vectorized_hash_join
+from repro.datamodel import Attribute, Schema, SubTable, SubTableId
+from repro.joins import vectorized_hash_join
 from repro.joins.baselines import sort_merge_join
+
+from .reference_kernel import dict_hash_join
 
 
 def make_table(table_id, xs, ys, vals, value_name="v"):
@@ -92,12 +94,7 @@ class TestKernels:
 
     def test_dtype_mismatch_rejected(self, kernel):
         left = make_table(1, [1], [0], [5], "a")
-        schema = Schema(
-            [
-                __import__("repro.datamodel", fromlist=["Attribute"]).Attribute("x", "float64"),
-                __import__("repro.datamodel", fromlist=["Attribute"]).Attribute("b", "float32"),
-            ]
-        )
+        schema = Schema([Attribute("x", "float64"), Attribute("b", "float32")])
         right = SubTable(
             SubTableId(2, 0),
             schema,
@@ -111,6 +108,49 @@ class TestKernels:
         right = make_table(2, [1], [0], [6], "b")
         out, _ = kernel(left, right, on=("x", "y"), result_id=SubTableId(99, 7))
         assert out.id == SubTableId(99, 7)
+
+
+    def test_keys_join_by_value(self, kernel):
+        """The contract both kernels share: ``-0.0 == 0.0`` and a NaN key
+        matches nothing, itself included.  (The dict reference used to
+        compare key *bytes* and returned 3 matches here, not 4.)"""
+        nan = float("nan")
+        left = make_table(1, [0.0, -0.0, nan, 1.0], [0, 0, 0, 0], [10, 11, 12, 13], "a")
+        right = make_table(2, [-0.0, nan, 0.0], [0, 0, 0], [20, 21, 22], "b")
+        out, stats = kernel(left, right, on=("x",))
+        assert stats.matches == out.num_records == 4
+        np.testing.assert_array_equal(out.column("a"), [10, 11, 10, 11])
+        np.testing.assert_array_equal(out.column("b"), [20, 20, 22, 22])
+        out2, _ = kernel(left, right, on=("x", "y"))
+        np.testing.assert_array_equal(out2.column("a"), out.column("a"))
+        np.testing.assert_array_equal(out2.column("b"), out.column("b"))
+
+    def test_many_wide_key_columns(self, kernel):
+        """Eight key columns of 256 distinct values each: the mixed-radix
+        product passes 2**63, so the packed ids must be re-ranked on the
+        way — and equality must survive it."""
+        on = tuple(f"k{i}" for i in range(8))
+        schema = Schema.of(*on, "v", dtype="int32")
+        rng = np.random.default_rng(5)
+        base = np.arange(256, dtype=np.int32)
+
+        def table(table_id, rows):
+            cols = {name: rng.permutation(base)[rows] for name in on}
+            cols["v"] = rows.astype(np.int32)
+            return cols, SubTable(SubTableId(table_id, 0), schema, cols)
+
+        _, left = table(1, np.arange(256))
+        # the right side repeats 64 of the left's key tuples, twice each
+        take = np.repeat(rng.choice(256, size=64, replace=False), 2)
+        right = SubTable(
+            SubTableId(2, 0),
+            schema.rename({"v": "w"}),
+            {**{name: left.column(name)[take] for name in on}, "w": take.astype(np.int32)},
+        )
+        out, stats = kernel(left, right, on=on)
+        assert stats.matches == 128
+        np.testing.assert_array_equal(out.column("v"), take)
+        np.testing.assert_array_equal(out.column("w"), take)
 
 
 # -- differential tests: dict vs vectorized vs sort-merge ------------------------------
