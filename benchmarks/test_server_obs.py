@@ -8,12 +8,18 @@ observation is passive, so the two simulated makespans (and the serve
 digests) are *equal*, not merely close — the "overhead" of watching a
 serve is zero simulated seconds by construction.  The volume counts
 pin the artifact sizes so a change that silently doubles the ops log
-or drops a track shows up in the regression diff.
+or drops a track shows up in the regression diff, and two ``digest``
+leaves pin the artifacts' bytes — the SHA-256 of the ops log's JSONL
+and of the report's ``observability`` section — so "byte-identical" is
+something ``harness.py check`` enforces, not prose.
 
 Everything recorded is deterministic simulated time and counted events;
 no wall-clock values land in the artifact, so the committed baseline
 reproduces byte-for-byte on any machine.
 """
+
+import hashlib
+import json
 
 from benchmarks.harness import fmt, record_json, record_table
 from repro.server import (
@@ -47,6 +53,10 @@ OBSERVE = ObservabilityConfig(
     },
     short_window=0.2, long_window=0.8, burn_threshold=2.0, min_events=4,
 )
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_pair():
@@ -111,6 +121,12 @@ def test_server_obs(benchmark):
         "observed": {"makespan_s": watched.makespan},
         "unobserved": {"makespan_s": plain.makespan},
         "digest": watched.digest(),
+        # the artifacts' bytes, pinned: nested ``digest`` leaves are
+        # compared exactly by ``harness.py check``
+        "oplog": {"digest": _sha256(server.observatory.oplog.to_jsonl())},
+        "observability": {
+            "digest": _sha256(json.dumps(obs, sort_keys=True)),
+        },
         "volumes": volumes,
     })
 

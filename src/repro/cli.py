@@ -437,6 +437,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.workloads.arrivals import generate_workload
     from repro.workloads.oilres import build_oil_reservoir_dataset
 
+    if args.oplog_out and not args.observe:
+        # the ops log is the observatory's; refuse before serving anything
+        raise ValueError("--oplog-out needs --observe")
     spec = _spec(args)
     machine = _machine(args)
     calibration = _drift_calibration(args)
@@ -588,8 +591,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"(burn {alert['short_burn']:.2f}/{alert['long_burn']:.2f} "
                   f"vs threshold {alert['threshold']:.2f}), {cleared}")
     if args.oplog_out:
-        if server.observatory is None:
-            raise ValueError("--oplog-out needs --observe")
         server.observatory.oplog.write(args.oplog_out)
         print(f"oplog jsonl: {args.oplog_out}")
     if args.json_out:

@@ -73,25 +73,18 @@ class RTree:
     ----------
     ndim:
         Dimensionality of all indexed boxes.
-    max_entries / min_entries:
-        ``max_entries`` is the node capacity ``M``: packed nodes are full
-        except the last of each level.  ``min_entries`` is accepted and
-        validated (``<= max_entries // 2``, the default) so callers need
-        not change, but a packed tree has no underfull-node rule for it
-        to govern.
+    max_entries:
+        The node capacity ``M``: packed nodes are full except the last
+        of each level.
     """
 
-    def __init__(self, ndim: int, max_entries: int = 8, min_entries: Optional[int] = None):
+    def __init__(self, ndim: int, max_entries: int = 8):
         if ndim <= 0:
             raise ValueError("ndim must be positive")
         if max_entries < 2:
             raise ValueError("max_entries must be >= 2")
-        min_entries = min_entries if min_entries is not None else max(1, max_entries // 2)
-        if not (1 <= min_entries <= max_entries // 2):
-            raise ValueError("need 1 <= min_entries <= max_entries // 2")
         self.ndim = ndim
         self.max_entries = max_entries
-        self.min_entries = min_entries
         self._boxes: List[np.ndarray] = []  # one validated (2, ndim) array per insert
         self._payloads: List[object] = []
         # set by _packed, dropped by insert

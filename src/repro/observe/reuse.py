@@ -380,7 +380,7 @@ class AccessTraceRecorder:
     One recorder watches every compute node's cache; each key-granular
     event is stamped with the simulated clock and the query id the
     operation arrived under (the serving view's ``qid``), which the
-    server's submit hook later maps to a tenant.  Everything analytical
+    server's ``submit`` event later maps to a tenant.  Everything analytical
     — distances, curves, windows, candidate scores — is computed once,
     after the run, from the recorded trace; recording itself is pure
     appending.
@@ -413,7 +413,7 @@ class AccessTraceRecorder:
         cache.subscribe(record)
 
     def note_query(self, qid: int, tenant: str) -> None:
-        """Map a submitted query to its tenant (fed by ``on_submit``)."""
+        """Map a submitted query to its tenant (fed by ``submit`` events)."""
         self._tenants[qid] = tenant
 
     # -- analysis -----------------------------------------------------

@@ -40,24 +40,9 @@ class AdmissionPolicy:
     ``submit`` enqueues a waiting entry; ``pop`` returns the next entry
     to admit (``None`` when empty).  Entries expose ``qid``, ``tenant``
     and ``predicted_time``.
-
-    An optional depth observer (:meth:`attach_observer`) is notified
-    with the new queue length after every mutation — the observability
-    layer samples its queue-depth gauge from here so no depth change can
-    slip between samples.  Observation is passive: the callback must not
-    touch the queue.
     """
 
     name: str = ""
-    _observer = None
-
-    def attach_observer(self, fn) -> None:
-        """Register ``fn(depth)`` to run after every queue mutation."""
-        self._observer = fn
-
-    def _notify(self) -> None:
-        if self._observer is not None:
-            self._observer(len(self))
 
     def submit(self, entry) -> None:
         raise NotImplementedError
@@ -95,21 +80,17 @@ class FIFOAdmission(AdmissionPolicy):
 
     def submit(self, entry) -> None:
         self._queue.append(entry)
-        self._notify()
 
     def pop(self):
         if not self._queue:
             return None
-        entry = self._queue.popleft()
-        self._notify()
-        return entry
+        return self._queue.popleft()
 
     def remove(self, entry) -> bool:
         try:
             self._queue.remove(entry)
         except ValueError:
             return False
-        self._notify()
         return True
 
     def entries(self) -> List:
@@ -135,22 +116,16 @@ class ShortestPredictedFirst(AdmissionPolicy):
 
     def submit(self, entry) -> None:
         insort(self._queue, (entry.predicted_time, entry.qid, entry))
-        self._notify()
 
     def pop(self):
         if not self._queue:
             return None
-        entry = self._queue.pop(0)[2]
-        self._notify()
-        return entry
+        return self._queue.pop(0)[2]
 
     def remove(self, entry) -> bool:
         before = len(self._queue)
         self._queue = [item for item in self._queue if item[1] != entry.qid]
-        if len(self._queue) == before:
-            return False
-        self._notify()
-        return True
+        return len(self._queue) != before
 
     def entries(self) -> List:
         return [item[2] for item in self._queue]
@@ -180,7 +155,6 @@ class FairShareAdmission(AdmissionPolicy):
             self._queues[tenant] = deque()
             self._served.setdefault(tenant, 0.0)
         self._queues[tenant].append(entry)
-        self._notify()
 
     def pop(self):
         candidates = [t for t, q in self._queues.items() if q]
@@ -189,7 +163,6 @@ class FairShareAdmission(AdmissionPolicy):
         tenant = min(candidates, key=lambda t: (self._served[t], t))
         entry = self._queues[tenant].popleft()
         self._served[tenant] += entry.predicted_time
-        self._notify()
         return entry
 
     def remove(self, entry) -> bool:
@@ -200,7 +173,6 @@ class FairShareAdmission(AdmissionPolicy):
             queue.remove(entry)
         except ValueError:
             return False
-        self._notify()
         return True
 
     def entries(self) -> List:

@@ -43,6 +43,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.telemetry.validate import validate_observability
+
 __all__ = [
     "SPARK_LEVELS",
     "build_dashboard",
@@ -56,12 +58,36 @@ __all__ = [
 SPARK_LEVELS = " .:-=+*#%@"
 
 
+#: top-level sections of a report payload the panels read, by JSON type
+_REPORT_SHAPE = (
+    ("queries", list),
+    ("tenants", dict),
+    ("dispositions", dict),
+    ("cache", dict),
+)
+
+
 def load_report(path: str) -> Dict[str, Any]:
-    """Read a ``repro serve --json-out`` payload."""
+    """Read and shape-check a ``repro serve --json-out`` payload.
+
+    The one loader ``repro top`` and ``repro advise`` share: a file that
+    is not a server report, or whose ``observability`` section violates
+    the schema ``python -m repro.telemetry.validate`` checks, raises
+    ``ValueError`` naming the path and the first violation.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "queries" not in doc:
-        raise ValueError(f"{path}: not a server report (no 'queries' key)")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a server report (not a JSON object)")
+    for key, kind in _REPORT_SHAPE:
+        if not isinstance(doc.get(key), kind):
+            raise ValueError(
+                f"{path}: not a server report (no {key!r} {kind.__name__})"
+            )
+    if "observability" in doc:
+        violations = validate_observability(doc["observability"])
+        if violations:
+            raise ValueError(f"{path}: {violations[0]}")
     return doc
 
 

@@ -1,15 +1,16 @@
-"""The serve observatory: wiring observability into the query server.
+"""The serve observatory: the observability layer as one lifecycle fold.
 
 :class:`ServeObservatory` bundles the three observability surfaces —
 windowed time-series (:mod:`repro.telemetry.timeseries`), the structured
 ops log (:mod:`repro.telemetry.oplog`) and per-tenant SLO tracking
-(:mod:`repro.server.slo`) — behind the narrow hook set the server calls
-at each lifecycle decision.  The server owns *when* to observe; the
-observatory owns *what* gets recorded where, so instrument naming and
-event vocabulary live in exactly one place.
+(:mod:`repro.server.slo`) — behind one subscriber on the server's
+lifecycle channel (``QueryServer.subscribe``) and one on each shared
+cache.  The server owns *when* to observe; the observatory owns *what*
+gets recorded where, so instrument naming and event vocabulary live in
+exactly one place.
 
-The contract that keeps this honest: every hook is **passive**.  No
-hook schedules an engine event, draws randomness, or mutates server
+The contract that keeps this honest: the fold is **passive**.  It
+schedules no engine event, draws no randomness and mutates no server
 state — observability reads the serve, never steers it — so a serve
 with the observatory attached is event-for-event identical to one
 without, and the serve digest cannot move (the acceptance suite and the
@@ -19,9 +20,9 @@ CLI sanitizer both assert exactly this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
-from repro.observe.reuse import AccessTraceRecorder
+from repro.observe.reuse import AccessTraceRecorder, EntryCostModel
 from repro.server.resilience import (
     COMPLETED,
     DEADLINE_EXCEEDED,
@@ -41,6 +42,16 @@ _TERMINAL_EVENT = {
     SHED: "shed",
     FAILED: "failed",
 }
+
+
+def _record_size(dataset) -> float:
+    """Bytes per tuple, read off the catalog — converts cached entry
+    bytes back to tuple counts for the advisor's hash-build term."""
+    for catalog in dataset.metadata.tables():
+        for desc in catalog.all_chunks():
+            if desc.num_records > 0:
+                return desc.size / desc.num_records
+    return 1.0
 
 
 @dataclass(frozen=True)
@@ -69,20 +80,23 @@ class ObservabilityConfig:
 
 
 class ServeObservatory:
-    """Continuous observation of one serve, on the simulated clock."""
+    """Continuous observation of one serve, on the simulated clock.
 
-    def __init__(
-        self,
-        config: ObservabilityConfig,
-        clock: Callable[[], float],
-        slots: int,
-        span_source: Optional[Callable[[], Optional[int]]] = None,
-    ) -> None:
+    Attaches itself: one subscriber on ``server``'s lifecycle channel
+    (:meth:`__call__`) and one on each of its shared caches.
+    """
+
+    def __init__(self, config: ObservabilityConfig, server) -> None:
         self.config = config
-        self._clock = clock
-        self._slots = slots
+        cluster = server.cluster
+        clock = self._clock = lambda: cluster.engine.now
+        self._slots = server.slots
         self.series = TimeSeriesRecorder(clock, window=config.window)
-        self.oplog = OpLog(clock, span_source=span_source)
+        tel = cluster.telemetry
+        self.oplog = OpLog(
+            clock,
+            span_source=tel.recorder.current_span_id if tel is not None else None,
+        )
         self.slo = SLOTracker(
             dict(config.slo),
             short_window=config.short_window,
@@ -90,40 +104,31 @@ class ServeObservatory:
             threshold=config.burn_threshold,
             min_events=config.min_events,
         )
-        self._cache_nodes: List[int] = []
         #: key-granular access recorder feeding the reuse analysis
         #: (None when config.reuse is off)
-        self.reuse: Optional[AccessTraceRecorder] = (
-            AccessTraceRecorder(clock, window=config.window)
-            if config.reuse
-            else None
-        )
+        self.reuse: Optional[AccessTraceRecorder] = None
+        if config.reuse:
+            self.reuse = AccessTraceRecorder(clock, window=config.window)
+            # price recompute-vs-fetch with the same machine constants
+            # (and calibration) the planner itself uses
+            self.reuse.cost_model = EntryCostModel.from_machine(
+                server.planner.machine,
+                record_size=_record_size(server.dataset),
+                calibration=server.planner.calibration,
+            )
         # level gauges start at their true t=0 values so the first
         # window's time-weighted means are defined from the origin
         self.series.set("server.queue_depth", 0.0)
         self.series.set("server.inflight", 0.0)
         self.series.set("server.slot_utilization", 0.0)
+        if server.resilience.breaker_threshold is not None:
+            self.series.set("server.breaker_open", 0.0)
+        for node, cache in enumerate(server.caches):
+            self._watch_cache(node, cache)
+        server.subscribe(self)
 
-    # -- passive attachments -------------------------------------------
-
-    def watch_policy(self, policy) -> None:
-        """Sample the queue-depth gauge on every admission-queue change."""
-        policy.attach_observer(
-            lambda depth: self.series.set("server.queue_depth", float(depth))
-        )
-
-    def watch_breaker(self, breaker) -> None:
-        """Track breaker open/close edges as gauge steps and log events."""
-        self.series.set("server.breaker_open", 0.0)
-        breaker.attach_observer(lambda is_open: self._on_breaker(is_open))
-
-    def _on_breaker(self, is_open: bool) -> None:
-        self.series.set("server.breaker_open", 1.0 if is_open else 0.0)
-        self.oplog.emit("breaker_open" if is_open else "breaker_close")
-
-    def watch_cache(self, node: int, cache) -> None:
+    def _watch_cache(self, node: int, cache) -> None:
         """Sample one compute node's shared cache at each state change."""
-        self._cache_nodes.append(node)
         if self.reuse is not None:
             self.reuse.watch(node, cache)
         hits, misses, occupancy, staged = (
@@ -145,98 +150,64 @@ class ServeObservatory:
 
         cache.subscribe(observe)
 
-    # -- lifecycle hooks (called by the server) ------------------------
+    # -- the lifecycle fold (QueryServer.subscribe) --------------------
 
-    def on_submit(self, entry) -> None:
-        if self.reuse is not None:
-            self.reuse.note_query(entry.qid, entry.tenant)
-        self.series.inc("server.submitted")
-        self.oplog.emit(
-            "submit",
-            qid=entry.qid,
-            tenant=entry.tenant,
-            kind=entry.planned.kind,
-            predicted=entry.predicted_time,
-        )
+    def __call__(self, kind, subject, slots_free, depth, fields) -> None:
+        """Fold one lifecycle event into series, ops log and SLO state.
 
-    def on_queue(self, entry, depth: int) -> None:
-        self.oplog.emit("queue", qid=entry.qid, tenant=entry.tenant, depth=depth)
-
-    def on_evict(self, victim, reason: str) -> None:
-        self.oplog.emit(
-            "evict", qid=victim.qid, tenant=victim.tenant, reason=reason
-        )
-
-    def on_admit(self, entry, slots_free: int, depth: int) -> None:
-        self.series.inc("server.admitted")
-        self._sample_slots(slots_free)
-        self.oplog.emit(
-            "admit",
-            qid=entry.qid,
-            tenant=entry.tenant,
-            wait=self._clock() - entry.submitted_at,
-            depth=depth,
-            slots_in_use=self._slots - slots_free,
-        )
-
-    def on_slots(self, slots_free: int) -> None:
-        self._sample_slots(slots_free)
-
-    def _sample_slots(self, slots_free: int) -> None:
+        Both levels are sampled on every event: each change of either is
+        followed by an event at the same simulated instant, and a gauge
+        replaces same-instant and drops same-value samples, so no change
+        is missed and none is recorded twice.
+        """
+        series, emit = self.series, self.oplog.emit
         in_use = self._slots - slots_free
-        self.series.set("server.inflight", float(in_use))
-        self.series.set("server.slot_utilization", in_use / self._slots)
+        series.set("server.queue_depth", float(depth))
+        series.set("server.inflight", float(in_use))
+        series.set("server.slot_utilization", in_use / self._slots)
+        if kind == "terminal":
+            self._terminal(subject)
+            return
+        if kind == "breaker":
+            series.set("server.breaker_open", float(fields["open"]))
+            emit("breaker_open" if fields["open"] else "breaker_close")
+            return
+        who = {"qid": subject.qid, "tenant": subject.tenant}
+        if kind == "retry":
+            series.inc("server.retries")
+            emit("retry", attempt=fields["attempt"], **who)
+            emit("backoff", delay=fields["delay"], **who)
+            return
+        if kind == "submit":
+            series.inc("server.submitted")
+            if self.reuse is not None:
+                self.reuse.note_query(subject.qid, subject.tenant)
+        elif kind == "queue":
+            fields = {"depth": depth}
+        elif kind == "admit":
+            series.inc("server.admitted")
+            fields = dict(fields, depth=depth, slots_in_use=in_use)
+        elif kind == "fault":
+            series.inc("server.faults")
+        emit(kind, **who, **fields)
 
-    def on_deadline(self, entry, where: str) -> None:
-        self.oplog.emit(
-            "deadline", qid=entry.qid, tenant=entry.tenant, where=where
-        )
-
-    def on_fault(self, entry, attempt: int, cause: BaseException) -> None:
-        self.series.inc("server.faults")
-        self.oplog.emit(
-            "fault",
-            qid=entry.qid,
-            tenant=entry.tenant,
-            attempt=attempt,
-            cause=type(cause).__name__,
-        )
-
-    def on_retry(self, entry, attempt: int, delay: float) -> None:
-        self.series.inc("server.retries")
-        self.oplog.emit(
-            "retry", qid=entry.qid, tenant=entry.tenant, attempt=attempt
-        )
-        self.oplog.emit(
-            "backoff", qid=entry.qid, tenant=entry.tenant, delay=delay
-        )
-
-    def on_terminal(self, record, slots_free: int) -> None:
+    def _terminal(self, record) -> None:
         """Account one terminal disposition: series, SLO budget, oplog."""
-        self._sample_slots(slots_free)
+        emit = self.oplog.emit
+        who = {"qid": record.qid, "tenant": record.tenant}
         self.series.inc(f"server.disposition.{record.disposition}")
-        if record.disposition == COMPLETED and record.retries > 0:
-            self.oplog.emit(
-                "recovery",
-                qid=record.qid,
-                tenant=record.tenant,
-                retries=record.retries,
-            )
         fields: Dict[str, Any] = {}
         if record.disposition == COMPLETED:
+            if record.retries > 0:
+                emit("recovery", retries=record.retries, **who)
             fields["latency"] = record.latency
         elif record.failure is not None:
             fields["reason"] = record.failure
-        self.oplog.emit(
-            _TERMINAL_EVENT[record.disposition],
-            qid=record.qid,
-            tenant=record.tenant,
-            **fields,
-        )
+        emit(_TERMINAL_EVENT[record.disposition], **who, **fields)
         for kind, alert in self.slo.record(
             self._clock(), record.tenant, record.disposition, record.latency
         ):
-            self.oplog.emit(
+            emit(
                 kind,
                 tenant=alert.tenant,
                 short_burn=alert.short_burn,

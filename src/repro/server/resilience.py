@@ -265,29 +265,20 @@ class CircuitBreaker:
         self._waits: Deque[float] = deque(maxlen=window)
         #: queries shed while open (diagnostic, reported by the server)
         self.tripped = 0
-        self._observer = None
-        self._last_open = False
 
-    def attach_observer(self, fn) -> None:
-        """Register ``fn(open: bool)`` for open/close edge transitions.
+    def observe_wait(self, wait: float) -> Optional[bool]:
+        """Feed one observed queue wait into the window.
 
         The breaker's state is a pure function of the wait window, so it
-        can only flip when a new wait is observed; :meth:`observe_wait`
-        re-evaluates and fires the callback on each edge.  Observation
-        must stay passive — the callback sees state, never steers it.
+        can only flip here: returns the new state (``True`` = open) when
+        this wait flipped it, else ``None``.
         """
-        self._observer = fn
-        self._last_open = self.is_open()
-
-    def observe_wait(self, wait: float) -> None:
         if wait < 0:
             raise ValueError(f"negative queue wait {wait}")
+        was_open = self.is_open()
         self._waits.append(wait)
-        if self._observer is not None:
-            now_open = self.is_open()
-            if now_open != self._last_open:
-                self._last_open = now_open
-                self._observer(now_open)
+        now_open = self.is_open()
+        return now_open if now_open != was_open else None
 
     def is_open(self) -> bool:
         if len(self._waits) < self.min_samples:

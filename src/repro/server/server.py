@@ -60,7 +60,6 @@ from repro.faults.errors import (
 from repro.joins.grace_hash import GraceHashQES
 from repro.joins.indexed_join import IndexedJoinQES
 from repro.joins.report import ExecutionReport
-from repro.observe.reuse import EntryCostModel
 from repro.server.admission import make_admission_policy
 from repro.server.observatory import ObservabilityConfig, ServeObservatory
 from repro.server.queries import PlannedQuery, build_query
@@ -382,16 +381,6 @@ class _ExecContext:
         self.views: Optional[List[QueryCacheView]] = None
 
 
-def _record_size(dataset: OilReservoirDataset) -> float:
-    """Bytes per tuple, read off the catalog — converts cached entry
-    bytes back to tuple counts for the advisor's hash-build term."""
-    for catalog in dataset.metadata.tables():
-        for desc in catalog.all_chunks():
-            if desc.num_records > 0:
-                return desc.size / desc.num_records
-    return 1.0
-
-
 class QueryServer:
     """Serve one arrival stream on one simulated cluster.
 
@@ -471,6 +460,7 @@ class QueryServer:
             dataset.metadata.attach_metrics(tel.metrics)
             for j, cache in enumerate(self.caches):
                 tel.watch_cache(cache, prefix=f"cache.j{j}")
+        self._subscribers: List[Callable] = []
         # ``observe`` enables the continuous observability layer: pass
         # ``True`` for defaults or an ObservabilityConfig for SLOs and
         # window sizing.  Purely passive — a serve with observability on
@@ -478,41 +468,17 @@ class QueryServer:
         # by the CLI sanitizer).
         self.observatory: Optional[ServeObservatory] = None
         if observe:
-            config = (
+            self.observatory = ServeObservatory(
                 observe
                 if isinstance(observe, ObservabilityConfig)
-                else ObservabilityConfig()
+                else ObservabilityConfig(),
+                self,
             )
-            span_source = (
-                self.cluster.telemetry.recorder.current_span_id
-                if telemetry
-                else None
-            )
-            self.observatory = ServeObservatory(
-                config,
-                clock=lambda: self.cluster.engine.now,
-                slots=slots,
-                span_source=span_source,
-            )
-            self.observatory.watch_policy(self._policy)
-            if self._breaker is not None:
-                self.observatory.watch_breaker(self._breaker)
-            for j, cache in enumerate(self.caches):
-                self.observatory.watch_cache(j, cache)
-            if self.observatory.reuse is not None:
-                # price recompute-vs-fetch with the same machine constants
-                # (and calibration) the planner itself uses
-                self.observatory.reuse.cost_model = EntryCostModel.from_machine(
-                    machine,
-                    record_size=_record_size(dataset),
-                    calibration=calibration,
-                )
         # -- serve-time state ------------------------------------------
         self._served = False
         self._slots_free = slots
         self._arrivals_done = False
         self._total = 0
-        self._completed = 0
         self._terminal = 0
         self._last_terminal_at = 0.0
         self._wake: Optional[Event] = None
@@ -528,6 +494,26 @@ class QueryServer:
         self._dispositions: Dict[int, Dict[str, int]] = {}
 
     # -- public API ----------------------------------------------------
+
+    def subscribe(self, fn: Callable) -> None:
+        """Register ``fn(kind, subject, slots_free, depth, fields)``.
+
+        The one lifecycle channel (DESIGN.md §13).  ``fn`` runs after
+        each decision's state change, in the simulated process that made
+        it: ``kind`` is one of ``submit queue evict admit breaker
+        deadline fault retry terminal``, ``subject`` the
+        :class:`QueuedQuery` (the :class:`QueryRecord` for ``terminal``,
+        ``None`` for ``breaker``), the two levels — free slots and
+        admission-queue depth — are as that change left them, and
+        ``fields`` holds the kind's own scalars.  Every change of either
+        level is followed at the same simulated instant by an event.
+        Subscribers are passive: they read the serve, never steer it.
+        """
+        self._subscribers.append(fn)
+
+    def _emit(self, kind: str, subject, /, **fields) -> None:
+        for fn in self._subscribers:
+            fn(kind, subject, self._slots_free, len(self._policy), fields)
 
     def serve(self, arrivals: Sequence[QueryArrival]) -> ServerReport:
         """Run the whole stream to quiescence and report.
@@ -634,13 +620,13 @@ class QueryServer:
                 yield engine.timeout(arrival.at - engine.now)
             planned = build_query(self.dataset, self.planner, arrival)
             entry = QueuedQuery(planned, engine.now, engine.event())
-            if self.observatory is not None:
-                self.observatory.on_submit(entry)
+            self._emit(
+                "submit", entry, kind=planned.kind, predicted=planned.predicted_time
+            )
             if self._shed_on_submit(entry):
                 continue
             self._policy.submit(entry)
-            if self.observatory is not None:
-                self.observatory.on_queue(entry, len(self._policy))
+            self._emit("queue", entry)
             engine.process(self._lifecycle(entry), name=f"server-q{entry.qid}")
             self._kick()
         self._arrivals_done = True
@@ -673,8 +659,7 @@ class QueryServer:
         if not self._policy.remove(victim):
             # the victim was admitted at this very instant; nobody sheds
             return False
-        if self.observatory is not None:
-            self.observatory.on_evict(victim, note)
+        self._emit("evict", victim, reason=note)
         victim.admitted.fail(QueryShed(victim.qid, note))
         return False
 
@@ -696,12 +681,12 @@ class QueryServer:
                 self._slots_free -= 1
                 entry.admitted_at = engine.now
                 self._admission_order.append(entry.qid)
+                wait = engine.now - entry.submitted_at
                 if self._breaker is not None:
-                    self._breaker.observe_wait(engine.now - entry.submitted_at)
-                if self.observatory is not None:
-                    self.observatory.on_admit(
-                        entry, self._slots_free, len(self._policy)
-                    )
+                    flipped = self._breaker.observe_wait(wait)
+                    if flipped is not None:
+                        self._emit("breaker", None, open=flipped)
+                self._emit("admit", entry, wait=wait)
                 entry.admitted.succeed()
             if (
                 self._arrivals_done
@@ -758,14 +743,12 @@ class QueryServer:
         if disposition == COMPLETED:
             self._latency.record(entry.tenant, record.latency)
             self._queue_wait.record(entry.tenant, record.queue_wait)
-            self._completed += 1
         self._bytes_from_storage += outcome.bytes_from_storage
         if release_slot:
             self._slots_free += 1
         self._terminal += 1
         self._last_terminal_at = engine.now
-        if self.observatory is not None:
-            self.observatory.on_terminal(record, self._slots_free)
+        self._emit("terminal", record)
         self._kick()
 
     def _lifecycle(self, entry: QueuedQuery):
@@ -831,13 +814,10 @@ class QueryServer:
                 # but the deadline won the race: hand the slot straight
                 # back (it was never used)
                 self._slots_free += 1
-                if self.observatory is not None:
-                    self.observatory.on_slots(self._slots_free)
                 self._kick()
             else:
                 self._policy.remove(entry)
-            if self.observatory is not None:
-                self.observatory.on_deadline(entry, "queued")
+            self._emit("deadline", entry, where="queued")
             self._finalize(
                 entry, DEADLINE_EXCEEDED, _Outcome(), note="deadline while queued"
             )
@@ -891,8 +871,7 @@ class QueryServer:
             except (FaultError, UnrecoverableFault) as exc:
                 failure = exc
             if deadline_hit:
-                if self.observatory is not None:
-                    self.observatory.on_deadline(entry, "executing")
+                self._emit("deadline", entry, where="executing")
                 yield from self._abort_attempt(entry, exec_proc, ctx)
                 self._salvage(outcome, ctx)
                 outcome.bytes_from_storage += wasted
@@ -910,8 +889,9 @@ class QueryServer:
                 return
             # the attempt died on a fault: kill its leftovers (surviving
             # joiners of a half-dead execution) and decide its fate
-            if self.observatory is not None:
-                self.observatory.on_fault(entry, attempt, failure)
+            self._emit(
+                "fault", entry, attempt=attempt, cause=type(failure).__name__
+            )
             self._salvage(outcome, ctx)
             if ctx.handle is not None:
                 ctx.handle.abort(QueryAborted(entry.qid, "attempt failed"))
@@ -930,8 +910,7 @@ class QueryServer:
                 return
             wasted += outcome.bytes_from_storage
             delay = retry.backoff(planned.arrival.seed, attempt)
-            if self.observatory is not None:
-                self.observatory.on_retry(entry, attempt, delay)
+            self._emit("retry", entry, attempt=attempt, delay=delay)
             timer = engine.timeout(delay)
             if deadline_ev is None:
                 yield timer
@@ -939,8 +918,7 @@ class QueryServer:
                 brace = engine.any_of([timer, deadline_ev])
                 yield brace
                 if brace.first_index == 1:
-                    if self.observatory is not None:
-                        self.observatory.on_deadline(entry, "backoff")
+                    self._emit("deadline", entry, where="backoff")
                     self._finalize(
                         entry, DEADLINE_EXCEEDED,
                         _Outcome(bytes_from_storage=wasted),

@@ -368,7 +368,7 @@ class CachingService(Generic[K, V]):
         arrived through a view, that view's private ledger."""
         return (self.stats,) if view is None else (self.stats, view.stats)
 
-    def _notify(
+    def _emit(
         self,
         op: str,
         key: Optional[K] = None,
@@ -424,12 +424,12 @@ class CachingService(Generic[K, V]):
         if entry is None:
             for stats in self._ledgers(view):
                 stats.misses += 1
-            self._notify("miss", key, view=view)
+            self._emit("miss", key, view=view)
             return None
         for stats in self._ledgers(view):
             stats.hits += 1
         self.policy.on_access(key)
-        self._notify("hit", key, entry.nbytes, entry.origin, view)
+        self._emit("hit", key, entry.nbytes, entry.origin, view)
         return entry.value
 
     def peek(self, key: K) -> Optional[V]:
@@ -465,7 +465,7 @@ class CachingService(Generic[K, V]):
         # subscribers must also see failed puts: a put can evict victims and
         # still return False when the entry ultimately cannot fit
         ok = self._put(key, value, nbytes, pin, source, origin, view)
-        self._notify("insert" if ok else "reject", key, nbytes, origin, view)
+        self._emit("insert" if ok else "reject", key, nbytes, origin, view)
         return ok
 
     def _put(
@@ -519,7 +519,7 @@ class CachingService(Generic[K, V]):
             self._entries[key].pins += 1
         except KeyError:
             raise KeyError(f"cannot pin absent key {key!r}") from None
-        self._notify("pin", key)
+        self._emit("pin", key)
 
     def unpin(self, key: K) -> None:
         entry = self._entries.get(key)
@@ -528,7 +528,7 @@ class CachingService(Generic[K, V]):
         if entry.pins <= 0:
             raise ValueError(f"key {key!r} is not pinned")
         entry.pins -= 1
-        self._notify("unpin", key)
+        self._emit("unpin", key)
 
     def pin_scope(self) -> "PinScope[K, V]":
         """A pin guard scoping every pin it acquires to a ``with`` block.
@@ -569,7 +569,7 @@ class CachingService(Generic[K, V]):
             return False
         self._staged[key] = _Staged(nbytes=nbytes)
         self._staged_bytes += nbytes
-        self._notify("prefetch_begin", key, nbytes)
+        self._emit("prefetch_begin", key, nbytes)
         return True
 
     def prefetch_complete(
@@ -586,14 +586,14 @@ class CachingService(Generic[K, V]):
         for stats in self._ledgers(view):
             stats.prefetches += 1
             stats.bytes_prefetched += staged.nbytes
-        self._notify("prefetch_complete", key, staged.nbytes, view=view)
+        self._emit("prefetch_complete", key, staged.nbytes, view=view)
 
     def prefetch_cancel(self, key: K) -> None:
         """Abandon a reservation (error paths); releases its budget."""
         staged = self._staged.pop(key, None)
         if staged is not None:
             self._staged_bytes -= staged.nbytes
-            self._notify("prefetch_cancel", key, staged.nbytes)
+            self._emit("prefetch_cancel", key, staged.nbytes)
 
     def take_prefetched(self, key: K) -> Optional[V]:
         """Remove and return a *ready* staged value (``None`` otherwise).
@@ -607,7 +607,7 @@ class CachingService(Generic[K, V]):
             return None
         del self._staged[key]
         self._staged_bytes -= staged.nbytes
-        self._notify("take_prefetched", key, staged.nbytes)
+        self._emit("take_prefetched", key, staged.nbytes)
         return staged.value
 
     def cancel_staged(self) -> int:
@@ -623,7 +623,7 @@ class CachingService(Generic[K, V]):
         if dropped:
             self._staged.clear()
             self._staged_bytes = 0
-            self._notify("cancel_staged")
+            self._emit("cancel_staged")
         return dropped
 
     def invalidate_from(
@@ -647,7 +647,7 @@ class CachingService(Generic[K, V]):
             self.remove(key)
         for stats in self._ledgers(view):
             stats.invalidations += len(victims)
-        self._notify("invalidate_from", view=view)
+        self._emit("invalidate_from", view=view)
         return len(victims)
 
     def remove(self, key: K) -> bool:
@@ -657,7 +657,7 @@ class CachingService(Generic[K, V]):
             return False
         self._bytes -= entry.nbytes
         self.policy.on_remove(key)
-        self._notify("drop", key, entry.nbytes, entry.origin)
+        self._emit("drop", key, entry.nbytes, entry.origin)
         return True
 
     def clear(self) -> None:

@@ -38,12 +38,12 @@ OPLOG_EVENTS = frozenset(
         "admit",  # granted a slot (fields: wait, depth, slots_in_use)
         "shed",  # terminal shed (field: reason)
         "evict",  # queued victim evicted in favour of an arrival
-        "retry",  # attempt failed, another will run (fields: attempt, cause)
+        "retry",  # attempt failed, another will run (field: attempt)
         "backoff",  # retry delay begins (field: delay)
-        "breaker_open",  # circuit breaker opened (field: p99)
+        "breaker_open",  # circuit breaker opened
         "breaker_close",  # circuit breaker closed again
         "deadline",  # deadline race lost (field: where)
-        "fault",  # an attempt died to an injected fault (field: cause)
+        "fault",  # an attempt died to an injected fault (fields: attempt, cause)
         "failed",  # terminal failure after retries exhausted
         "recovery",  # completed after >=1 failed attempt (field: retries)
         "complete",  # terminal success (field: latency)

@@ -71,8 +71,6 @@ class TestRTreeBasics:
             RTree(ndim=0)
         with pytest.raises(ValueError):
             RTree(ndim=2, max_entries=1)
-        with pytest.raises(ValueError):
-            RTree(ndim=2, max_entries=4, min_entries=3)
 
     def test_grid_range_query(self):
         # 10x10 unit cells; query a 3x4 window

@@ -229,10 +229,16 @@ class TestObservedServe:
         assert "observability" in json.loads(report.read_text())
 
     def test_oplog_out_requires_observe(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
         assert main(self.SMALL + [
             "--oplog-out", str(tmp_path / "ops.jsonl"),
+            "--json-out", str(report),
         ]) == 2
-        assert "--observe" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "error: --oplog-out needs --observe\n"
+        # rejected at the boundary: nothing was served, nothing written
+        assert "digest:" not in captured.out
+        assert not report.exists()
 
 
 class TestTop:
@@ -350,6 +356,25 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {missing}: ")
         assert "No such file" in err
+
+    @pytest.mark.parametrize("command", ["top", "advise"])
+    @pytest.mark.parametrize("content, reason", [
+        ('{"queries": 3}', "not a server report (no 'queries' list)"),
+        ('{"queries": []}', "not a server report (no 'tenants' dict)"),
+        (
+            '{"queries": [], "tenants": {}, "dispositions": {}, "cache": {},'
+            ' "observability": {"timeseries": {"t_end": 1.0, "gauges":'
+            ' {"server.queue_depth": {"windows": "oops"}}}}}',
+            "gauge 'server.queue_depth': missing or empty windows",
+        ),
+    ], ids=["queries-not-a-list", "no-sections", "gauge-windows-not-a-list"])
+    def test_report_wrong_shape(self, command, content, reason, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(content)
+        assert main([command, str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {report}: {reason}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("content, reason", [
         ("[1, 2, 3]", "tenant #0 is not an object"),
