@@ -14,9 +14,10 @@ while a join runs:
   permanently shrink a shared cache);
 * **byte conservation** — every byte the report claims was pulled from
   storage corresponds to a transfer that actually succeeded on the
-  simulated fabric (wrapping ``read_and_send``), with loss tolerated
-  only when the fault plan kills compute nodes (a successful transfer
-  whose waiting joiner died is never accounted);
+  simulated fabric (a completion callback on the event of every
+  ``storage_read`` the engine's channel announces), with loss tolerated
+  only when a compute node crashed (a successful transfer whose waiting
+  joiner died is never accounted);
 * **no stranded processes** — at the end of a run every spawned process
   has completed (succeeded or failed), i.e. nothing is silently blocked
   on an event nobody will trigger;
@@ -55,8 +56,8 @@ class SanitizerViolation(AssertionError):
 class RunSanitizer:
     """Installable invariant checks for one QES execution.
 
-    One instance watches one execution (one engine, its caches, its
-    cluster).  Attach points are called by the QES ``run()`` methods when
+    One instance watches one execution (one engine and its caches).
+    Attach points are called by the QES ``run()`` methods when
     a sanitizer is passed; ``after_run`` performs the end-of-run checks
     and must be called exactly once, after the engine has drained.
     """
@@ -75,7 +76,7 @@ class RunSanitizer:
         self.transferred_ok = 0
         self._last_now: Optional[float] = None
         self._caches: List[Tuple[str, object]] = []
-        self._cluster = None
+        self._compute_crashed = False
         self._underclaim_ok: Optional[str] = None
 
     def _fail(self, message: str) -> None:
@@ -85,9 +86,29 @@ class RunSanitizer:
     # -- attach points ----------------------------------------------------------
 
     def attach_engine(self, engine) -> None:
-        """Probe every event dispatch for clock monotonicity."""
+        """Probe every event dispatch for clock monotonicity, and tally
+        the bytes of every storage read that succeeds.
+
+        A ``storage_read`` event carries the exact event the QES waits on
+        (the fault-guarded one), so the tally counts precisely the
+        transfers whose success a control loop could have accounted.
+        """
         self._last_now = engine.now
         engine.add_monitor(self._on_advance)
+        engine.subscribe(self._on_event)
+
+    def _on_event(self, kind: str, *fields) -> None:
+        if kind == "storage_read":
+            ev, _storage, _compute, nbytes = fields
+
+            def done(read) -> None:
+                self.checks["transfer"] += 1
+                if read.ok:
+                    self.transferred_ok += nbytes
+
+            ev.callbacks.append(done)
+        elif kind == "fault" and fields[0] == "compute-crash":
+            self._compute_crashed = True
 
     def _on_advance(self, now: float) -> None:
         self.checks["clock"] += 1
@@ -136,31 +157,6 @@ class RunSanitizer:
         if negative:
             self._fail(f"{where}: negative pin count on {negative!r}")
 
-    def attach_cluster(self, cluster) -> None:
-        """Tally the bytes of every storage transfer that succeeds.
-
-        The wrapped methods return the exact event the QES observes (the
-        fault-guarded one), so the tally counts precisely the transfers
-        whose success a control loop could have accounted.
-        """
-        if getattr(cluster, "_sanitizer_wrapped", False):
-            self._fail("cluster already has a sanitizer attached")
-        cluster._sanitizer_wrapped = True
-        self._cluster = cluster
-        orig = cluster.read_and_send
-
-        def wrapped(storage, compute, nbytes):
-            ev = orig(storage, compute, nbytes)
-            ev.callbacks.append(lambda e: self._on_transfer_done(e, nbytes))
-            return ev
-
-        cluster.read_and_send = wrapped
-
-    def _on_transfer_done(self, ev, nbytes: int) -> None:
-        self.checks["transfer"] += 1
-        if ev.ok:
-            self.transferred_ok += nbytes
-
     # -- end-of-run checks -------------------------------------------------------
 
     def after_run(self, engine, report) -> None:
@@ -196,7 +192,7 @@ class RunSanitizer:
                     "by end of run"
                 )
         self._check_conservation(report)
-        tel = getattr(engine, "telemetry", None)
+        tel = getattr(report, "telemetry", None)
         if tel is not None:
             self._check_telemetry(tel, report)
 
@@ -223,7 +219,7 @@ class RunSanitizer:
         if (
             claimed < self.transferred_ok
             and self._underclaim_ok is None
-            and not self._compute_crashes_planned()
+            and not self._compute_crashed
         ):
             # without compute crashes every successful transfer has a live
             # waiter, so the ledgers must agree exactly
@@ -277,12 +273,6 @@ class RunSanitizer:
                     f"critical-path segments sum to {cp.attributed!r}, "
                     f"not the makespan {cp.total!r}"
                 )
-
-    def _compute_crashes_planned(self) -> bool:
-        injector = getattr(self._cluster, "faults", None) if self._cluster else None
-        if injector is None:
-            return False
-        return any(c.kind == "compute" for c in injector.plan.crashes)
 
     def summary(self) -> Dict[str, int]:
         """Counts of invariant evaluations (all hooks must have fired)."""

@@ -88,10 +88,11 @@ class ClusterSim:
         the default ``"fifo"`` is for the sanitizer's shadow runs only.
 
         ``telemetry`` builds a :class:`repro.telemetry.Telemetry` hub for
-        the run (exposed as ``self.telemetry`` and ``engine.telemetry``):
-        causal span tracing, the metrics registry, and — since spans
-        subsume busy intervals — a :class:`Tracer` view sharing the same
-        recorder, as if ``trace=True``.
+        the run (exposed as ``self.telemetry``): causal span tracing, the
+        metrics registry, and — since spans subsume busy intervals — a
+        :class:`Tracer` view sharing the same recorder, as if
+        ``trace=True``.  Both watch the cluster layer as subscribers of
+        the engine's event channel, the tracer first.
         """
         self.topology = topology
         self.spec = spec
@@ -106,14 +107,17 @@ class ClusterSim:
                     raise ValueError(f"no {kind} node {node_id} in this topology")
         self.engine = SimEngine(tie_break=tie_break)
         self.telemetry = None
+        #: the trace recorder, when constructed with ``trace=True``
+        self.tracer: Optional[Tracer] = None
         if telemetry:
             from repro.telemetry import Telemetry
 
             self.telemetry = Telemetry(self.engine)
-            self.engine.telemetry = self.telemetry
-            self.engine.tracer = Tracer(recorder=self.telemetry.recorder)
+            self.tracer = Tracer(recorder=self.telemetry.recorder)
         elif trace:
-            self.engine.tracer = Tracer()
+            self.tracer = Tracer()
+        if self.tracer is not None:
+            self.engine.subscribe(self.tracer)
         total = topology.num_storage + topology.num_compute
         if topology.shared_nfs:
             self.fabric: NetworkFabric = NFSFabric(
@@ -152,7 +156,7 @@ class ClusterSim:
             self._register_telemetry()
 
     def _register_telemetry(self) -> None:
-        """Map resources to logical nodes and register component metrics."""
+        """Map resources to logical nodes and subscribe the hub."""
         tel = self.telemetry
         nodes = tel.resource_nodes
         for s in self.storage_nodes:
@@ -165,9 +169,7 @@ class ClusterSim:
                 nodes[c.scratch.name] = f"compute{c.node_id}"
         if getattr(self.fabric, "_backplane", None) is not None:
             nodes[self.fabric._backplane.name] = "network"
-        self.fabric.attach_telemetry(tel)
-        if self.faults is not None:
-            self.faults.attach_telemetry(tel)
+        tel.watch_engine(self.engine, faults=self.faults is not None)
 
     # -- shorthand accessors ----------------------------------------------------
 
@@ -216,18 +218,22 @@ class ClusterSim:
         fail-fast (no resources burned) when the node is already dead,
         mid-flight on a node crash, or at completion on a transient fault.
         """
-        if self.faults is not None:
-            dead = self.faults.check_storage(storage)
-            if dead is not None:
-                return dead
-        s = self.storage_nodes[storage]
-        c = self.compute_nodes[compute]
-        self.fabric._observe_transfer(s.fabric_id, c.fabric_id, nbytes)
-        resources = [s.disk] + self.fabric.transfer_resources(s.fabric_id, c.fabric_id)
-        transfer = BandwidthResource.reserve_pipeline(resources, nbytes)
-        if self.faults is not None:
-            return self.faults.guard_transfer(transfer, storage)
-        return transfer
+        engine, faults = self.engine, self.faults
+        read = faults.check_storage(storage) if faults is not None else None
+        if read is None:
+            s = self.storage_nodes[storage]
+            c = self.compute_nodes[compute]
+            if engine._subscribers:
+                engine._emit("transfer", s.fabric_id, c.fabric_id, nbytes)
+            resources = [s.disk] + self.fabric.transfer_resources(
+                s.fabric_id, c.fabric_id
+            )
+            read = BandwidthResource.reserve_pipeline(resources, nbytes)
+            if faults is not None:
+                read = faults.guard_transfer(read, storage)
+        if engine._subscribers:
+            engine._emit("storage_read", read, storage, compute, nbytes)
+        return read
 
     def send(self, src_compute_or_storage_fabric: int, dst_fabric: int, nbytes: int) -> Timeout:
         """Raw fabric transfer between two fabric ids."""
@@ -284,11 +290,6 @@ class ClusterSim:
         return self.engine.process(
             driver(), name=f"nfs_{'write' if write else 'read'} c{c.node_id}"
         )
-
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        """The trace recorder, when constructed with ``trace=True``."""
-        return self.engine.tracer
 
     # -- reporting ------------------------------------------------------------------
 

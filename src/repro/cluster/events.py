@@ -402,13 +402,9 @@ class SimEngine:
         #: live (not yet completed) processes, in spawn order — the
         #: substrate of the deadlock diagnostic
         self._live: Dict[Process, None] = {}
-        #: optional :class:`repro.cluster.trace.Tracer` recording resource
-        #: busy intervals; assigned by the cluster when tracing is enabled
-        self.tracer = None
-        #: optional :class:`repro.telemetry.Telemetry` hub; assigned by the
-        #: cluster when span telemetry is enabled, ``None`` otherwise so
-        #: instrumentation sites can short-circuit without allocating
-        self.telemetry = None
+        #: cluster-layer observers (see :meth:`subscribe`); emit sites test
+        #: the list's truth first, so an unwatched run builds no arguments
+        self._subscribers: List[Callable[..., None]] = []
         #: dispatch observers (see :meth:`add_monitor`)
         self._monitors: List[Callable[[float], None]] = []
         #: the :class:`Process` whose generator is currently executing —
@@ -464,6 +460,27 @@ class SimEngine:
     def pending_processes(self) -> List[Process]:
         """Processes spawned but not yet completed, in spawn order."""
         return [p for p in self._live if not p.triggered]
+
+    def subscribe(self, fn: Callable[..., None]) -> None:
+        """Register ``fn(kind, *fields)``, called after the state change of
+        every cluster-layer operation — the one attach point for whatever
+        watches that layer (DESIGN.md §13 has emit sites and ordering):
+
+        * ``reserve``: resource name, ``now``, ``start``, ``end``, ``nbytes``;
+        * ``transfer``: source and destination fabric ids, ``nbytes``;
+        * ``storage_read``: the event its reader waits on, storage node,
+          compute node, ``nbytes``;
+        * ``fault``: name, node, bandwidth factor (``None`` for a crash).
+
+        A callable equal to one already subscribed is dropped (the cache's
+        rule).  Subscribers only read.
+        """
+        if fn not in self._subscribers:
+            self._subscribers.append(fn)
+
+    def _emit(self, kind: str, *fields: Any) -> None:
+        for fn in self._subscribers:
+            fn(kind, *fields)
 
     def add_monitor(self, fn: Callable[[float], None]) -> None:
         """Register ``fn(now)`` to run on every event dispatch in

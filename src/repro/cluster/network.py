@@ -28,44 +28,43 @@ __all__ = ["NetworkFabric", "SwitchedFabric", "NFSFabric"]
 
 
 class NetworkFabric:
-    """Interface: move ``nbytes`` from node ``src`` to node ``dst``."""
+    """Per-node NICs at one link rate; moves ``nbytes`` from node ``src``
+    to node ``dst``, occupying both NICs for the transfer's duration."""
 
-    #: optional :class:`repro.telemetry.Telemetry` hub; when attached,
-    #: every transfer feeds the ``net.*`` counters/histograms
-    telemetry = None
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Register the fabric's instruments on a telemetry hub."""
-        self.telemetry = telemetry
-        telemetry.metrics.counter("net.transfers")
-        telemetry.metrics.histogram(
-            "net.transfer_bytes", bounds=telemetry.BYTE_BUCKETS
-        )
-
-    def _observe_transfer(self, src: int, dst: int, nbytes: int) -> None:
-        tel = self.telemetry
-        if tel is None:
-            return
-        tel.metrics.counter("net.transfers").inc()
-        tel.metrics.histogram(
-            "net.transfer_bytes", bounds=tel.BYTE_BUCKETS
-        ).observe(nbytes)
+    def __init__(
+        self, engine: SimEngine, num_nodes: int, link_bandwidth: float, latency: float
+    ):
+        if num_nodes <= 0:
+            raise ValueError("num_nodes must be positive")
+        self.engine = engine
+        self._nics: Dict[int, BandwidthResource] = {
+            n: BandwidthResource(engine, link_bandwidth, latency=latency, name=f"nic{n}")
+            for n in range(num_nodes)
+        }
 
     def transfer(self, src: int, dst: int, nbytes: int) -> Timeout:
-        raise NotImplementedError
+        if self.engine._subscribers:
+            self.engine._emit("transfer", src, dst, nbytes)
+        resources = self.transfer_resources(src, dst)
+        if not resources:
+            return self.engine.timeout(0.0)
+        return BandwidthResource.reserve_joint(resources, nbytes)
 
     def nic(self, node: int) -> BandwidthResource:
         """The NIC resource of ``node`` (for reports)."""
-        raise NotImplementedError
+        try:
+            return self._nics[node]
+        except KeyError:
+            raise KeyError(f"no node {node} on this fabric") from None
 
     def transfer_resources(self, src: int, dst: int) -> "list[BandwidthResource]":
         """The serial resources a ``src → dst`` transfer occupies.
 
         Used by callers that pipeline a transfer with other devices (e.g. a
         streaming chunk read: disk + NICs as one joint reservation).
-        Loopback transfers occupy nothing.
+        Loopback transfers occupy nothing (same process space).
         """
-        raise NotImplementedError
+        return [] if src == dst else [self.nic(src), self.nic(dst)]
 
 
 class SwitchedFabric(NetworkFabric):
@@ -92,39 +91,20 @@ class SwitchedFabric(NetworkFabric):
         backplane_bandwidth: Optional[float] = None,
         latency: float = 0.0,
     ):
-        if num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
-        self.engine = engine
-        self._nics: Dict[int, BandwidthResource] = {
-            n: BandwidthResource(engine, link_bandwidth, latency=latency, name=f"nic{n}")
-            for n in range(num_nodes)
-        }
+        super().__init__(engine, num_nodes, link_bandwidth, latency)
         self._backplane: Optional[BandwidthResource] = None
         if backplane_bandwidth is not None:
             self._backplane = BandwidthResource(
                 engine, backplane_bandwidth, name="backplane"
             )
 
-    def nic(self, node: int) -> BandwidthResource:
-        try:
-            return self._nics[node]
-        except KeyError:
-            raise KeyError(f"no node {node} on this fabric") from None
-
     def transfer_resources(self, src: int, dst: int) -> "list[BandwidthResource]":
         if src == dst:
-            return []  # loopback: free (same process space)
+            return []
         resources = [self.nic(src), self.nic(dst)]
         if self._backplane is not None:
             resources.append(self._backplane)
         return resources
-
-    def transfer(self, src: int, dst: int, nbytes: int) -> Timeout:
-        self._observe_transfer(src, dst, nbytes)
-        resources = self.transfer_resources(src, dst)
-        if not resources:
-            return self.engine.timeout(0.0)
-        return BandwidthResource.reserve_joint(resources, nbytes)
 
 
 class NFSFabric(NetworkFabric):
@@ -145,31 +125,7 @@ class NFSFabric(NetworkFabric):
         server: int = 0,
         latency: float = 0.0,
     ):
-        if num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
+        super().__init__(engine, num_nodes, link_bandwidth, latency)
         if not (0 <= server < num_nodes):
             raise ValueError(f"server id {server} out of range")
-        self.engine = engine
         self.server = server
-        self._nics: Dict[int, BandwidthResource] = {
-            n: BandwidthResource(engine, link_bandwidth, latency=latency, name=f"nic{n}")
-            for n in range(num_nodes)
-        }
-
-    def nic(self, node: int) -> BandwidthResource:
-        try:
-            return self._nics[node]
-        except KeyError:
-            raise KeyError(f"no node {node} on this fabric") from None
-
-    def transfer_resources(self, src: int, dst: int) -> "list[BandwidthResource]":
-        if src == dst:
-            return []
-        return [self.nic(src), self.nic(dst)]
-
-    def transfer(self, src: int, dst: int, nbytes: int) -> Timeout:
-        self._observe_transfer(src, dst, nbytes)
-        resources = self.transfer_resources(src, dst)
-        if not resources:
-            return self.engine.timeout(0.0)
-        return BandwidthResource.reserve_joint(resources, nbytes)

@@ -120,10 +120,8 @@ class BandwidthResource:
         self.stats.bytes_served += nbytes
         self.stats.num_requests += 1
         self.stats.last_completion = completion
-        if self.engine.tracer is not None:
-            self.engine.tracer.record(self.name, start, completion)
-        if self.engine.telemetry is not None:
-            self.engine.telemetry.on_reservation(self.name, now, start, nbytes)
+        if self.engine._subscribers:
+            self.engine._emit("reserve", self.name, now, start, completion, nbytes)
         return self.engine.timeout(completion - now)
 
     # -- coordinated multi-resource reservation ------------------------------------
@@ -169,10 +167,8 @@ class BandwidthResource:
             r.stats.num_requests += 1
             r.stats.last_completion = r._busy_until
             completion = max(completion, r._busy_until)
-            if engine.tracer is not None:
-                engine.tracer.record(r.name, start, r._busy_until)
-            if engine.telemetry is not None:
-                engine.telemetry.on_reservation(r.name, now, start, nbytes)
+            if engine._subscribers:
+                engine._emit("reserve", r.name, now, start, r._busy_until, nbytes)
         return engine.timeout(completion - now)
 
     @staticmethod
@@ -200,10 +196,8 @@ class BandwidthResource:
             r.stats.bytes_served += nbytes
             r.stats.num_requests += 1
             r.stats.last_completion = completion
-            if engine.tracer is not None:
-                engine.tracer.record(r.name, start, completion)
-            if engine.telemetry is not None:
-                engine.telemetry.on_reservation(r.name, now, start, nbytes)
+            if engine._subscribers:
+                engine._emit("reserve", r.name, now, start, completion, nbytes)
         return engine.timeout(completion - now)
 
     def __repr__(self) -> str:

@@ -2,10 +2,11 @@
 
 Understanding *why* an execution took as long as it did — which device was
 the bottleneck, where convoys formed, how the Grace Hash phases tile —
-needs more than end-to-end time.  A :class:`Tracer` attached to a
-simulation records every reservation as a ``(resource, start, end)``
-interval; :meth:`Tracer.gantt` renders the intervals as a terminal Gantt
-chart and :meth:`Tracer.utilisation` summarises busy fractions.
+needs more than end-to-end time.  A :class:`Tracer` subscribed to a
+simulation's engine records every ``reserve`` event as a
+``(resource, start, end)`` interval; :meth:`Tracer.gantt` renders the
+intervals as a terminal Gantt chart and :meth:`Tracer.utilisation`
+summarises busy fractions.
 
 The tracer is a thin view over the telemetry span store: every recorded
 interval is a ``category="resource"`` span in a
@@ -20,8 +21,8 @@ bug.  :meth:`Tracer.record` therefore *detects* overlap and raises
 (``on_overlap="warn"`` downgrades to a warning) instead of letting
 utilisation silently exceed and then be clamped to 100%.
 
-Enable with ``ClusterSim(..., trace=True)`` (or by assigning
-``sim.engine.tracer = Tracer()`` before running) — tracing is off by
+Enable with ``ClusterSim(..., trace=True)`` (or with
+``engine.subscribe(Tracer())`` before running) — tracing is off by
 default because interval lists grow linearly with reservations.
 """
 
@@ -77,6 +78,12 @@ class Tracer:
         #: per-resource interval endpoints sorted by start, for overlap
         #: detection in O(log n) per record
         self._sorted: Dict[str, List[Tuple[float, float]]] = {}
+
+    def __call__(self, kind: str, *fields) -> None:
+        """Engine subscriber: one interval per ``reserve`` event."""
+        if kind == "reserve":
+            resource, _now, start, end, _nbytes = fields
+            self.record(resource, start, end)
 
     def record(self, resource: str, start: float, end: float) -> None:
         if end < start:

@@ -18,6 +18,10 @@ recovery *policy*.  Its contract with the cluster layer:
   when that node's crash fires, the injector interrupts them with
   :class:`ComputeNodeDown` as the cause.
 
+Every fault that fires — crash, degradation onset, transient failure — is
+announced, after its state change, as a ``fault`` event on the engine's
+channel (:meth:`SimEngine.subscribe`).
+
 Determinism: transient-failure draws are counter-based splitmix64 draws
 made at *guard time*; since the simulation itself is deterministic, the
 sequence of guard calls — and hence the whole faulty trace — is a pure
@@ -45,7 +49,6 @@ class FaultInjector:
         self.cluster = cluster
         self.plan = plan
         self.engine = cluster.engine
-        self.telemetry = None
         #: node ids whose crash has already fired
         self.dead_storage: Set[int] = set()
         self.dead_compute: Set[int] = set()
@@ -86,26 +89,6 @@ class FaultInjector:
                 name=f"fault-{deg.kind}-degrade{node}",
             )
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Register fault instruments; crash instants become fault spans."""
-        self.telemetry = telemetry
-        telemetry.metrics.counter("faults.storage_crashes")
-        telemetry.metrics.counter("faults.compute_crashes")
-        telemetry.metrics.counter("faults.degradations")
-        telemetry.metrics.counter("faults.transient_failures")
-
-    def _mark_fault(self, name: str, counter: str, **attrs) -> None:
-        tel = self.telemetry
-        if tel is None:
-            return
-        tel.metrics.counter(counter).inc()
-        # zero-length marker span: visible as an instant in the trace
-        span = tel.recorder.begin(
-            name, category="fault", node="global", track="faults",
-            parent=None, detached=True, **attrs,
-        )
-        tel.recorder.finish(span)
-
     def _validate_node(self, kind: str, node: int) -> None:
         n = self.cluster.num_storage if kind == "storage" else self.cluster.num_compute
         if not (0 <= node < n):
@@ -117,15 +100,11 @@ class FaultInjector:
         yield self.engine.timeout(crash.at)
         if crash.kind == "storage":
             self.dead_storage.add(node)
-            self._mark_fault(
-                "storage-crash", "faults.storage_crashes", fault_node=node
-            )
+            self.engine._emit("fault", "storage-crash", node, None)
             self._storage_crash_events[node].succeed(node)
         else:
             self.dead_compute.add(node)
-            self._mark_fault(
-                "compute-crash", "faults.compute_crashes", fault_node=node
-            )
+            self.engine._emit("fault", "compute-crash", node, None)
             for proc in self._compute_procs.get(node, []):
                 proc.interrupt(ComputeNodeDown(node))
 
@@ -140,10 +119,7 @@ class FaultInjector:
         # scales service times of *subsequent* reservations; requests
         # already reserved keep their committed completion times
         resource.bandwidth *= deg.factor
-        self._mark_fault(
-            f"{deg.kind}-degradation", "faults.degradations",
-            fault_node=node, factor=deg.factor,
-        )
+        self.engine._emit("fault", f"{deg.kind}-degradation", node, deg.factor)
 
     # -- queries ----------------------------------------------------------------
 
@@ -183,10 +159,7 @@ class FaultInjector:
             if out.triggered:
                 return  # the crash signal won the race mid-transfer
             if fail_transient:
-                self._mark_fault(
-                    "transient-fault", "faults.transient_failures",
-                    fault_node=node,
-                )
+                self.engine._emit("fault", "transient-fault", node, None)
                 out.fail(TransientTransferFault(node))
             else:
                 out.succeed(ev.value)

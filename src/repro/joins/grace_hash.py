@@ -169,7 +169,6 @@ class GraceHashQES:
 
         if self.sanitizer is not None:
             self.sanitizer.attach_engine(cluster.engine)
-            self.sanitizer.attach_cluster(cluster)
 
         tel = cluster.telemetry
         qspan = pspan = None
@@ -342,7 +341,9 @@ class GraceHashQES:
         def fill():
             report.pairs_joined = n_j * n_b
 
-        return QESRun(self, process, report, results, tel, qspan, children, fill)
+        return QESRun(
+            self, process, report, results, tel, (qspan, pspan), children, fill
+        )
 
     # -- phase 1: storage-side streaming ----------------------------------------------
 

@@ -248,7 +248,6 @@ class IndexedJoinQES:
 
         if self.sanitizer is not None:
             self.sanitizer.attach_engine(cluster.engine)
-            self.sanitizer.attach_cluster(cluster)
             for j, c in enumerate(caches):
                 self.sanitizer.attach_cache(c, name=f"joiner{j}")
 
@@ -375,7 +374,7 @@ class IndexedJoinQES:
             report.extras["pipeline"] = 1.0 if self.pipeline else 0.0
 
         proc = cluster.engine.process(coordinator(), name=name, contain=self._contain)
-        return QESRun(self, proc, report, results, tel, qspan, children, fill)
+        return QESRun(self, proc, report, results, tel, (qspan,), children, fill)
 
     # -- fault-tolerant transfer ---------------------------------------------------
 

@@ -222,17 +222,19 @@ class QESRun:
     :meth:`finish` assembles the :class:`ExecutionReport` once the driver
     has completed.  ``fill`` is the QES's own report fill-in (pair count,
     cache statistics, extras) — the only part that differs per algorithm.
+    ``spans`` are the spans ``begin`` opened for the run as a whole, the
+    query span first: no process scope closes them.
     """
 
     def __init__(self, qes, process, report: ExecutionReport, results,
-                 tel, qspan, children, fill: Callable[[], None]):
+                 tel, spans, children, fill: Callable[[], None]):
         self.qes = qes
         self.process = process
         self.report = report
         self.children = children
         self._results = results
         self._tel = tel
-        self._qspan = qspan
+        self._spans = spans
         self._fill = fill
         self._finished = False
 
@@ -248,6 +250,12 @@ class QESRun:
         self.process.interrupt(cause)
         for proc in self.children:
             proc.interrupt(cause)
+        if self._tel is not None:
+            # nothing will finish() an aborted run, and its driver dies
+            # before any barrier: the whole-run spans end here
+            error = "Interrupt" if cause is None else type(cause).__name__
+            for span in self._spans:
+                self._tel.recorder.abandon(span, error)
 
     def finish(self) -> ExecutionReport:
         """Assemble and return the report (driver must have completed)."""
@@ -262,12 +270,13 @@ class QESRun:
         report.results = self._results
         self._fill()
         if self._tel is not None:
-            self._tel.recorder.finish(self._qspan, at=report.total_time)
+            qspan = self._spans[0]
+            self._tel.recorder.finish(qspan, at=report.total_time)
             if qes.critical_path:
                 from repro.telemetry.critical_path import compute_critical_path
 
                 report.critical_path = compute_critical_path(
-                    self._tel.recorder, self._qspan
+                    self._tel.recorder, qspan
                 )
             report.telemetry = self._tel
         if qes.sanitizer is not None:

@@ -452,7 +452,6 @@ class QueryServer:
 
             self.sanitizer = RunSanitizer()
             self.sanitizer.attach_engine(self.cluster.engine)
-            self.sanitizer.attach_cluster(self.cluster)
             for j, cache in enumerate(self.caches):
                 self.sanitizer.attach_cache(cache, name=f"node{j}")
         if telemetry:
@@ -576,7 +575,8 @@ class QueryServer:
         if self.sanitizer is not None:
             # one pseudo-report covering the whole serving run: the byte
             # ledger is the sum over every query (scans included), so
-            # conservation still checks exactly; no critical path — the
+            # conservation still checks exactly; it carries the hub so the
+            # span invariants are checked, but no critical path — the
             # recorder spans many interleaved queries
             degraded = any(
                 r.disposition != COMPLETED or r.retries for r in report.records
@@ -593,6 +593,7 @@ class QueryServer:
                 functional=self.dataset.functional,
                 total_time=engine.now,
                 bytes_from_storage=self._bytes_from_storage,
+                telemetry=self.cluster.telemetry,
             )
             self.sanitizer.after_run(engine, pseudo)
         return report

@@ -5,9 +5,11 @@
 :class:`~repro.telemetry.metrics.MetricsRegistry` (counters, gauges,
 histograms), and the resource→node mapping the exporters use to group
 tracks.  A :class:`~repro.cluster.cluster.ClusterSim` built with
-``telemetry=True`` owns one instance, reachable from every component as
-``engine.telemetry``; when the flag is off the attribute is ``None`` and
-every instrumentation site short-circuits without allocating (see
+``telemetry=True`` owns one instance, ``cluster.telemetry``: instrumented
+code opens spans on it, and it subscribes to the engine's event channel
+for what the cluster layer does on its own (reservations, transfers,
+faults).  When the flag is off the attribute is ``None`` and every
+instrumentation site short-circuits without allocating (see
 :func:`~repro.telemetry.spans.maybe_span`).
 
 Everything recorded is a pure function of the simulation: spans stamp
@@ -18,14 +20,10 @@ to an untraced one.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.telemetry.latency import LatencyTracker, percentile
-from repro.telemetry.metrics import (
-    DEFAULT_BYTE_BUCKETS,
-    DEFAULT_SECONDS_BUCKETS,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import DEFAULT_BYTE_BUCKETS, MetricsRegistry
 from repro.telemetry.oplog import OpLog, validate_oplog
 from repro.telemetry.spans import (
     NULL_SPAN,
@@ -77,22 +75,46 @@ class Telemetry:
     def node_of(self, resource: str) -> str:
         return self.resource_nodes.get(resource, "global")
 
-    # -- hooks called from the cluster layer -----------------------------
+    # -- the fold over the engine's event channel ------------------------
 
-    def on_reservation(
-        self, resource: str, now: float, start: float, nbytes: Optional[float]
-    ) -> None:
-        """Observe one bandwidth reservation on ``resource``.
+    def watch_engine(self, engine, faults: bool) -> None:
+        """Subscribe to ``engine``'s cluster-layer events, registering the
+        ``net.*`` instruments — and, on a cluster with a fault plan
+        installed, the ``faults.*`` counters — so they export at zero."""
+        self.metrics.counter("net.transfers")
+        self.metrics.histogram("net.transfer_bytes", bounds=DEFAULT_BYTE_BUCKETS)
+        if faults:
+            for counter in _FAULT_COUNTERS.values():
+                self.metrics.counter(counter)
+        engine.subscribe(self)
 
-        ``start - now`` is the time the request sat behind earlier
-        reservations — the FIFO queue delay — recorded as a per-resource
-        gauge so convoys show up as sustained non-zero queue depth.
-        """
-        self.metrics.gauge(f"queue.{resource}").set(now, start - now)
-        if nbytes is not None:
-            self.metrics.histogram(
+    def __call__(self, kind: str, *fields) -> None:
+        metrics = self.metrics
+        if kind == "reserve":
+            # ``start - now`` is the FIFO queue delay: time spent behind
+            # earlier reservations, so convoys show as sustained non-zero
+            resource, now, start, _end, nbytes = fields
+            metrics.gauge(f"queue.{resource}").set(now, start - now)
+            metrics.histogram(
                 "resource.request_bytes", bounds=DEFAULT_BYTE_BUCKETS
             ).observe(nbytes)
+        elif kind == "transfer":
+            metrics.counter("net.transfers").inc()
+            metrics.histogram(
+                "net.transfer_bytes", bounds=DEFAULT_BYTE_BUCKETS
+            ).observe(fields[2])
+        elif kind == "fault":
+            name, node, factor = fields
+            metrics.counter(_FAULT_COUNTERS[name]).inc()
+            attrs = {"fault_node": node}
+            if factor is not None:
+                attrs["factor"] = factor
+            # zero-length marker span: visible as an instant in the trace
+            span = self.recorder.begin(
+                name, category="fault", node="global", track="faults",
+                parent=None, detached=True, **attrs,
+            )
+            self.recorder.finish(span)
 
     def watch_cache(self, cache, prefix: str = "cache") -> None:
         """Feed ``<prefix>.hits``/``.misses`` counters and the
@@ -121,6 +143,16 @@ class Telemetry:
                 self.recorder.finish(span)
 
         event.callbacks.append(_close)
+
+
+#: ``fault`` event name → the counter it bumps
+_FAULT_COUNTERS = {
+    "storage-crash": "faults.storage_crashes",
+    "compute-crash": "faults.compute_crashes",
+    "disk-degradation": "faults.degradations",
+    "nic-degradation": "faults.degradations",
+    "transient-fault": "faults.transient_failures",
+}
 
 
 class _CacheFeed:
@@ -156,7 +188,3 @@ class _CacheFeed:
         else:
             self.sample()
 
-
-# re-exported for convenient bucket choices at call sites
-Telemetry.BYTE_BUCKETS = DEFAULT_BYTE_BUCKETS
-Telemetry.SECONDS_BUCKETS = DEFAULT_SECONDS_BUCKETS

@@ -231,6 +231,16 @@ class SpanRecorder:
                 stack.remove(span)
         return span
 
+    def abandon(self, span: Span, error: str) -> None:
+        """Close ``span`` now — whatever would have finished it was killed
+        — with every open *detached* span directly beneath it (left to
+        their callbacks they would outlive it), each annotated ``error=``
+        like a :class:`SpanCtx` exit.  Closed spans are left alone."""
+        for s in (span, *self.children_of(span)):
+            if s.end is None and (s is span or s.span_id not in self._stack_key):
+                s.attrs.setdefault("error", error)
+                self.finish(s)
+
     def span(
         self,
         name: str,

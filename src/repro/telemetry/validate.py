@@ -258,19 +258,24 @@ def _validate_reuse(reuse: Any, errors: List[str]) -> None:
                        errors)
     else:
         errors.append("reuse: 'mrc.per_tenant' is not an object")
-    windows = reuse.get("working_set", {}).get("windows", [])
+    working_set = reuse.get("working_set")
+    windows = working_set.get("windows") if isinstance(working_set, dict) else None
     if isinstance(windows, list) and windows:
-        total = sum(
-            w.get("accesses", 0) for w in windows if isinstance(w, dict)
-        )
-        if total != trace.get("accesses"):
+        accesses = [w.get("accesses", 0) for w in windows if isinstance(w, dict)]
+        if any(not isinstance(a, int) for a in accesses):
+            errors.append("reuse: working-set window with non-integer accesses")
+        elif sum(accesses) != trace.get("accesses"):
             errors.append(
-                f"reuse: working-set windows sum to {total} accesses, "
+                f"reuse: working-set windows sum to {sum(accesses)} accesses, "
                 f"trace recorded {trace.get('accesses')}"
             )
     else:
         errors.append("reuse: missing working-set windows")
-    candidates = reuse.get("advisor", {}).get("candidates", [])
+    advisor = reuse.get("advisor", {})
+    if not isinstance(advisor, dict):
+        errors.append("reuse: 'advisor' is not an object")
+        return
+    candidates = advisor.get("candidates", [])
     if not isinstance(candidates, list):
         errors.append("reuse: 'advisor.candidates' is not an array")
         return
@@ -279,11 +284,14 @@ def _validate_reuse(reuse: Any, errors: List[str]) -> None:
         if not isinstance(c, dict):
             errors.append(f"reuse: candidate {j} not an object")
             return
-        score = c.get("score_s")
+        score, nbytes = c.get("score_s"), c.get("nbytes", 0)
         if not isinstance(score, (int, float)) or not math.isfinite(score):
             errors.append(f"reuse: candidate {j} score {score!r} not finite")
             continue
-        order = (-score, c.get("nbytes", 0), str(c.get("key")))
+        if not isinstance(nbytes, int):
+            errors.append(f"reuse: candidate {j} nbytes {nbytes!r} not an integer")
+            continue
+        order = (-score, nbytes, str(c.get("key")))
         if prev_key is not None and order < prev_key:
             errors.append(
                 f"reuse: candidate {j} ({c.get('key')!r}) out of "
@@ -309,24 +317,28 @@ def validate_observability(section: Any) -> List[str]:
     t_end = ts.get("t_end")
     if not isinstance(t_end, (int, float)) or t_end < 0:
         return [f"bad t_end {t_end!r}"]
-    for name in sorted(ts.get("counters", {})):
-        track = ts["counters"][name]
-        _check_windows(f"counter {name!r}", track.get("windows"), t_end, errors)
-        counts = [
-            w.get("count")
-            for w in track.get("windows", [])
-            if isinstance(w, dict)
-        ]
-        if any(not isinstance(c, (int, float)) or c < 0 for c in counts):
-            errors.append(f"counter {name!r}: negative or missing count")
-        elif counts and sum(counts) != track.get("total"):
-            errors.append(
-                f"counter {name!r}: windows sum to {sum(counts)}, "
-                f"total is {track.get('total')}"
-            )
-    for name in sorted(ts.get("gauges", {})):
-        track = ts["gauges"][name]
-        _check_windows(f"gauge {name!r}", track.get("windows"), t_end, errors)
+    for kind in ("counter", "gauge"):
+        tracks = ts.get(f"{kind}s", {})
+        if not isinstance(tracks, dict):
+            errors.append(f"timeseries '{kind}s' is not an object")
+            continue
+        for name in sorted(tracks):
+            track = tracks[name]
+            if not isinstance(track, dict):
+                errors.append(f"{kind} {name!r}: not an object")
+                continue
+            windows = track.get("windows")
+            _check_windows(f"{kind} {name!r}", windows, t_end, errors)
+            if kind == "gauge" or not isinstance(windows, list):
+                continue
+            counts = [w.get("count") for w in windows if isinstance(w, dict)]
+            if any(not isinstance(c, (int, float)) or c < 0 for c in counts):
+                errors.append(f"counter {name!r}: negative or missing count")
+            elif counts and sum(counts) != track.get("total"):
+                errors.append(
+                    f"counter {name!r}: windows sum to {sum(counts)}, "
+                    f"total is {track.get('total')}"
+                )
     alerts = section.get("alerts", [])
     if isinstance(alerts, list):
         fired = [

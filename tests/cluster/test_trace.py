@@ -168,7 +168,8 @@ class TestGanttEdgeCases:
 class TestEngineIntegration:
     def test_resources_record_when_traced(self):
         eng = SimEngine()
-        eng.tracer = Tracer()
+        tracer = Tracer()
+        eng.subscribe(tracer)
         r = BandwidthResource(eng, bandwidth=10.0, name="dev")
 
         def proc():
@@ -176,7 +177,7 @@ class TestEngineIntegration:
             yield r.reserve(30)
 
         eng.run_process(proc())
-        ivs = eng.tracer.by_resource("dev")
+        ivs = tracer.by_resource("dev")
         assert len(ivs) == 2
         assert ivs[0].start == 0.0 and ivs[0].end == pytest.approx(5.0)
         assert ivs[1].start == pytest.approx(5.0) and ivs[1].end == pytest.approx(8.0)
@@ -188,11 +189,12 @@ class TestEngineIntegration:
         def proc():
             yield r.reserve(50)
 
-        eng.run_process(proc())  # must not raise; tracer is None
+        eng.run_process(proc())  # must not raise; nothing is subscribed
 
     def test_joint_and_pipeline_record_per_resource(self):
         eng = SimEngine()
-        eng.tracer = Tracer()
+        tracer = Tracer()
+        eng.subscribe(tracer)
         a = BandwidthResource(eng, bandwidth=10.0, name="a")
         b = BandwidthResource(eng, bandwidth=20.0, name="b")
 
@@ -201,8 +203,8 @@ class TestEngineIntegration:
             yield BandwidthResource.reserve_pipeline([a, b], 100)
 
         eng.run_process(proc())
-        a_ivs = eng.tracer.by_resource("a")
-        b_ivs = eng.tracer.by_resource("b")
+        a_ivs = tracer.by_resource("a")
+        b_ivs = tracer.by_resource("b")
         assert len(a_ivs) == len(b_ivs) == 2
         # joint: both held for the slower duration
         assert a_ivs[0].duration == b_ivs[0].duration == pytest.approx(10.0)

@@ -35,6 +35,7 @@ from repro.server import (
     RetryPolicy,
     run_serial_baseline,
 )
+from repro.server import server as server_mod
 from repro.services.cache import CachingService, QueryCacheView, make_policy
 from repro.workloads import TenantSpec, generate_workload
 from repro.workloads.arrivals import QueryArrival
@@ -80,6 +81,20 @@ def arrivals(seed=42, deadline=None, tenants=TENANTS):
     if deadline is not None:
         out = [dataclasses.replace(a, deadline=deadline) for a in out]
     return out
+
+
+def force_grace_hash(monkeypatch):
+    """Route every join/aggregate through the Grace Hash QES instead of
+    the planner's pick."""
+    original = server_mod.build_query
+
+    def force_gh(dataset, planner, arrival):
+        planned = original(dataset, planner, arrival)
+        if planned.kind == "scan":
+            return planned
+        return dataclasses.replace(planned, algorithm="grace-hash")
+
+    monkeypatch.setattr(server_mod, "build_query", force_gh)
 
 
 def check_quiescence(server, report, stream):
@@ -288,6 +303,64 @@ class TestDeadlines:
         )
         rep = server.serve(stream)
         check_quiescence(server, rep, stream)
+
+
+class TestAbortedSpans:
+    """A traced serve closes every span of an execution it kills.
+
+    ``QESRun.abort`` ends the whole-run spans nothing else will: the
+    ``query`` span ``finish()`` would have closed, Grace Hash's
+    ``partition`` span when the abort lands before the barrier, and the
+    detached ``bucket-write`` spans of writes still in flight (left to
+    their callbacks they would outlive their parent).  The sanitizer's
+    span checks are what fail: once ``N telemetry span(s) never closed:
+    'query', ...`` on every one of these serves.
+    """
+
+    @pytest.fixture(params=["indexed-join", "grace-hash"])
+    def algorithm(self, request, monkeypatch):
+        if request.param == "grace-hash":
+            force_grace_hash(monkeypatch)
+        return request.param
+
+    def errors(self, server):
+        spans = server.cluster.telemetry.recorder.spans
+        return {(s.name, s.attrs["error"]) for s in spans if "error" in s.attrs}
+
+    # 0.05 lands in Grace Hash's bucket joins, 0.005 in its partition phase
+    @pytest.mark.parametrize("deadline", [0.005, 0.02, 0.05])
+    def test_deadline_abort_closes_the_runs_spans(self, algorithm, deadline):
+        stream = arrivals(deadline=deadline)
+        server = QueryServer(
+            make_dataset(), num_compute=2, machine=SLOW, slots=1,
+            telemetry=True, sanitize=True,
+        )
+        rep = server.serve(stream)  # SanitizerViolation before the fix
+        check_quiescence(server, rep, stream)
+        assert server.sanitizer.checks["telemetry"] == 1
+        assert server.cluster.telemetry.recorder.open_spans() == []
+        aborted = rep.disposition_counts[DEADLINE_EXCEEDED] > 0
+        assert (("query", "QueryAborted") in self.errors(server)) == aborted
+        if algorithm == "grace-hash" and deadline < 0.05:
+            assert aborted
+            assert ("partition", "QueryAborted") in self.errors(server)
+            assert ("bucket-write", "QueryAborted") in self.errors(server)
+
+    def test_fault_killed_attempt_closes_the_runs_spans(self, algorithm):
+        # a compute crash kills Grace Hash outright (the retry supervisor
+        # then aborts the attempt's leftovers); the Indexed Join survives
+        # it by reassignment and must be left alone
+        stream = arrivals()
+        server = QueryServer(
+            make_dataset(replication=2), num_compute=3, machine=SLOW, slots=1,
+            telemetry=True, sanitize=True, faults="seed=3,compute_crash=0.3",
+        )
+        rep = server.serve(stream)
+        check_quiescence(server, rep, stream)
+        assert server.cluster.telemetry.recorder.open_spans() == []
+        killed = algorithm == "grace-hash"
+        assert (rep.disposition_counts[FAILED] > 0) == killed
+        assert (("query", "QueryAborted") in self.errors(server)) == killed
 
 
 class TestOverload:

@@ -189,11 +189,8 @@ CHAOS = [
     dict(faults="seed=9,transient=0.5,max_attempts=2",
          resilience=ResilienceConfig(retry=RetryPolicy(budget=3))),
     dict(faults="seed=7,storage_crash=0.3"),
-    # span telemetry on: the ops log's ``span`` field is live.  Unsanitized:
-    # an aborted QES run leaves its ``query`` span open (``QESRun.abort``
-    # never finishes it), which the sanitizer rightly reports
-    dict(slots=1, deadline=0.02, policy="fair",
-         telemetry=True, sanitize=False),
+    # span telemetry on: the ops log's ``span`` field is live
+    dict(slots=1, deadline=0.02, policy="fair", telemetry=True),
 ]
 
 
@@ -204,8 +201,7 @@ def test_chaos_scenarios_speak_the_grammar(idx):
         deadline=scenario.pop("deadline", None),
         tenants=scenario.pop("tenants", TENANTS),
     )
-    scenario.setdefault("sanitize", True)
-    server, recorder, report = serve(stream, **scenario)
+    server, recorder, report = serve(stream, sanitize=True, **scenario)
     check_channel(server, recorder, report, stream)
 
 

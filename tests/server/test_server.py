@@ -13,17 +13,17 @@ The contracts under test:
   conservation, zero pinned bytes).
 """
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.cluster.nodes import MachineSpec
 from repro.server import QueryServer, run_serial_baseline
-from repro.server import server as server_mod
 from repro.workloads import QueryArrival, TenantSpec, generate_workload
 from repro.workloads.generator import GridSpec
 from repro.workloads.oilres import build_oil_reservoir_dataset
+
+from .test_chaos import force_grace_hash
 
 SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
 TENANTS = (
@@ -104,18 +104,9 @@ class TestSanitized:
         assert all(c.pinned_bytes == 0 for c in server.caches)
 
     def test_grace_hash_queries_serve_cleanly(self, monkeypatch):
-        # route every join/aggregate through the Grace-hash QES instead
-        # of the planner's pick, exercising its begin/finish split under
+        # exercises the Grace Hash QES's begin/finish split under
         # concurrent admission
-        original = server_mod.build_query
-
-        def force_gh(dataset, planner, arrival):
-            planned = original(dataset, planner, arrival)
-            if planned.kind == "scan":
-                return planned
-            return dataclasses.replace(planned, algorithm="grace-hash")
-
-        monkeypatch.setattr(server_mod, "build_query", force_gh)
+        force_grace_hash(monkeypatch)
         ds = make_dataset()
         server = QueryServer(ds, num_compute=2, policy="spf", sanitize=True)
         rep = server.serve(arrivals())

@@ -1,6 +1,9 @@
 """Artifact validators: trace metric dumps, observability sections, CLI."""
 
+import copy
 import json
+
+import pytest
 
 from repro.telemetry.validate import (
     main,
@@ -114,6 +117,66 @@ class TestValidateObservability:
     def test_non_object_rejected(self):
         assert validate_observability([]) != []
         assert validate_observability({"no": "timeseries"}) != []
+
+    @pytest.mark.parametrize("kind", ["counters", "gauges"])
+    @pytest.mark.parametrize("tracks, reason", [
+        (5, "timeseries '{kind}' is not an object"),
+        ([1], "timeseries '{kind}' is not an object"),
+        ({"x": 3}, "{kind_} 'x': not an object"),
+        ({"x": {"windows": 5}}, "{kind_} 'x': missing or empty windows"),
+    ], ids=["number", "array", "track-a-number", "windows-a-number"])
+    def test_malformed_tracks_are_violations_not_exceptions(
+        self, kind, tracks, reason
+    ):
+        # each of these was a TypeError / IndexError / AttributeError
+        section = _obs_section()
+        section["timeseries"][kind] = tracks
+        assert validate_observability(section) == [
+            reason.format(kind=kind, kind_=kind[:-1])
+        ]
+
+    def test_no_mutation_of_a_valid_section_raises(self):
+        # boundary fuzz (ROADMAP 5e): swap every node of a valid section,
+        # reuse payload included, for every wrongly typed value — the
+        # validator must answer with violation strings, never raise
+        section = _obs_section()
+        section["reuse"] = {
+            "trace": {"accesses": 3},
+            "mrc": {
+                "global": [
+                    {"capacity_bytes": 1, "misses": 2, "accesses": 3,
+                     "miss_ratio": 2 / 3},
+                ],
+                "per_tenant": {"alice": []},
+            },
+            "working_set": {"windows": [{"accesses": 3}]},
+            "advisor": {"candidates": [
+                {"key": "T1:0", "score_s": 1.0, "nbytes": 64},
+                {"key": "T1:1", "score_s": 0.5, "nbytes": 64},
+            ]},
+        }
+        assert validate_observability(section) == []
+
+        def paths(node, prefix=()):
+            if prefix:
+                yield prefix
+            children = (
+                node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ()
+            )
+            for key, child in children:
+                yield from paths(child, prefix + (key,))
+
+        wrong = [5, -1.5, "x", True, None, [], [1], {}, {"x": 3}]
+        for path in list(paths(section)):
+            for value in wrong:
+                mutated = copy.deepcopy(section)
+                parent = mutated
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+                errors = validate_observability(mutated)
+                assert all(isinstance(e, str) for e in errors), (path, value)
 
 
 class TestValidateCli:

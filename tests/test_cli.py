@@ -367,7 +367,19 @@ class TestMalformedFiles:
             ' {"server.queue_depth": {"windows": "oops"}}}}}',
             "gauge 'server.queue_depth': missing or empty windows",
         ),
-    ], ids=["queries-not-a-list", "no-sections", "gauge-windows-not-a-list"])
+        (
+            '{"queries": [], "tenants": {}, "dispositions": {}, "cache": {},'
+            ' "observability": {"timeseries": {"t_end": 1.0, "counters": 5}}}',
+            "timeseries 'counters' is not an object",
+        ),
+        (
+            '{"queries": [], "tenants": {}, "dispositions": {}, "cache": {},'
+            ' "observability": {"timeseries": {"t_end": 1.0, "gauges":'
+            ' {"server.queue_depth": 3}}}}',
+            "gauge 'server.queue_depth': not an object",
+        ),
+    ], ids=["queries-not-a-list", "no-sections", "gauge-windows-not-a-list",
+            "counters-not-an-object", "gauge-track-not-an-object"])
     def test_report_wrong_shape(self, command, content, reason, tmp_path, capsys):
         report = tmp_path / "report.json"
         report.write_text(content)
