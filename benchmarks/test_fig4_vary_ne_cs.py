@@ -9,23 +9,15 @@ cost models "predict the crossover point accurately".
 
 import pytest
 
-from benchmarks.harness import fmt, record_table, run_point
+from benchmarks.harness import fmt, record_table
 from repro import crossover_ne_cs
-from repro.workloads import constant_edge_ratio_sweep
-
-GRID = (128, 128, 128)
-COMPONENT = (32, 32, 32)
-STEPS = 7
-N_S = N_J = 5
-
-
-def run_figure4():
-    points = constant_edge_ratio_sweep(GRID, COMPONENT, steps=STEPS)
-    return [run_point(pt.spec, N_S, N_J) for pt in points]
+from repro.experiments.figures import run_figure4
 
 
 def test_fig4_vary_ne_cs(benchmark):
-    results = benchmark.pedantic(run_figure4, rounds=1, iterations=1)
+    series = benchmark.pedantic(run_figure4, rounds=1, iterations=1)
+    results = [r for _, r in series]
+    first = results[0]
 
     rows = [
         [
@@ -36,12 +28,13 @@ def test_fig4_vary_ne_cs(benchmark):
         ]
         for r in results
     ]
-    predicted_x = crossover_ne_cs(results[0].params)
+    predicted_x = crossover_ne_cs(first.params)
     record_table(
         "fig4_vary_ne_cs",
         f"Figure 4 — execution time vs n_e*c_S "
-        f"(grid {GRID}, component {COMPONENT}, edge ratio "
-        f"{results[0].spec.edge_ratio:.2e} constant, {N_S}+{N_J} nodes)",
+        f"(grid {first.spec.g}, component {first.spec.q}, edge ratio "
+        f"{first.spec.edge_ratio:.2e} constant, "
+        f"{first.params.n_s}+{first.params.n_j} nodes)",
         ["n_e*c_S", "IJ sim (s)", "IJ model", "GH sim (s)", "GH model", "winner"],
         rows,
         notes=[f"model-predicted crossover: n_e*c_S = {predicted_x:,.0f}"],

@@ -7,20 +7,13 @@ added — "the difference in execution times is inversely proportional to
 the number of compute nodes".
 """
 
-from benchmarks.harness import fmt, record_table, run_point
-from repro.workloads import GridSpec
-
-SPEC = GridSpec(g=(128, 128, 128), p=(32, 32, 32), q=(32, 32, 32))  # degree 1
-N_S = 5
-N_J_SWEEP = (1, 2, 3, 4, 5)
-
-
-def run_figure5():
-    return [(n_j, run_point(SPEC, N_S, n_j)) for n_j in N_J_SWEEP]
+from benchmarks.harness import fmt, record_table
+from repro.experiments.figures import run_figure5
 
 
 def test_fig5_vary_compute_nodes(benchmark):
     results = benchmark.pedantic(run_figure5, rounds=1, iterations=1)
+    first = results[0][1]
 
     rows = [
         [
@@ -34,7 +27,8 @@ def test_fig5_vary_compute_nodes(benchmark):
     record_table(
         "fig5_vary_compute_nodes",
         f"Figure 5 — execution time vs compute nodes "
-        f"(low n_e*c_S dataset {SPEC.g}, degree 1, {N_S} storage nodes)",
+        f"(low n_e*c_S dataset {first.spec.g}, degree 1, "
+        f"{first.params.n_s} storage nodes)",
         ["n_j", "IJ sim (s)", "IJ model", "GH sim (s)", "GH model", "gap (s)"],
         rows,
     )

@@ -9,22 +9,16 @@ difference when tables involved are very large."
 
 import pytest
 
-from benchmarks.harness import fmt, record_table, run_point
-from repro.workloads import GridSpec
-from repro.workloads.sweeps import tuple_count_sweep
-
-BASE = GridSpec(g=(128, 128, 128), p=(32, 32, 32), q=(32, 32, 32))  # degree 1
-FACTORS = (1, 4, 16, 64, 1024)  # T: 2.1M .. 2.1B tuples
-N_S = N_J = 5
-
-
-def run_figure6():
-    points = tuple_count_sweep(BASE, FACTORS, scale_dim=0)
-    return [run_point(pt.spec, N_S, N_J) for pt in points]
+from benchmarks.harness import fmt, record_table
+from repro.experiments.figures import run_figure6
 
 
 def test_fig6_vary_tuples(benchmark):
-    results = benchmark.pedantic(run_figure6, rounds=1, iterations=1)
+    # degree-1 dataset, T from 2.1M to 2.1B tuples
+    series = benchmark.pedantic(run_figure6, rounds=1, iterations=1)
+    results = [r for _, r in series]
+    base = results[0]
+    factors = [t // base.spec.T for t, _ in series]
 
     rows = [
         [
@@ -37,8 +31,9 @@ def test_fig6_vary_tuples(benchmark):
     ]
     record_table(
         "fig6_vary_tuples",
-        f"Figure 6 — execution time vs T (partitions fixed at p={BASE.p}, "
-        f"q={BASE.q}; {N_S}+{N_J} nodes)",
+        f"Figure 6 — execution time vs T (partitions fixed at "
+        f"p={base.spec.p}, q={base.spec.q}; "
+        f"{base.params.n_s}+{base.params.n_j} nodes)",
         ["T", "IJ sim (s)", "IJ model", "GH sim (s)", "GH model", "gap (s)"],
         rows,
     )
@@ -47,8 +42,7 @@ def test_fig6_vary_tuples(benchmark):
     assert results[-1].spec.T >= 2_000_000_000
 
     # claim: both approaches scale linearly with T
-    base = results[0]
-    for r, factor in zip(results, FACTORS):
+    for r, factor in zip(results, factors):
         assert r.ij_sim == pytest.approx(base.ij_sim * factor, rel=0.10), (
             f"IJ not linear at factor {factor}"
         )
@@ -59,7 +53,7 @@ def test_fig6_vary_tuples(benchmark):
     # claim: the difference also grows linearly -> choice matters at scale
     base_gap = base.gh_sim - base.ij_sim
     last_gap = results[-1].gh_sim - results[-1].ij_sim
-    assert last_gap == pytest.approx(base_gap * FACTORS[-1], rel=0.15)
+    assert last_gap == pytest.approx(base_gap * factors[-1], rel=0.15)
     assert last_gap > 100  # seconds — "a big difference" at 2B tuples
 
     # degree-1 dataset: IJ is the right choice at every size

@@ -9,24 +9,13 @@ schema (Section 2).
 
 import pytest
 
-from benchmarks.harness import fmt, record_table, run_point
-from repro.workloads import GridSpec
-
-SPEC = GridSpec(g=(128, 128, 128), p=(32, 32, 32), q=(32, 32, 32))  # degree 1
-N_S = N_J = 5
-#: extra 4-byte attributes beyond (x, y, z, value): 4 → 21 total
-EXTRA_ATTRS = (0, 4, 8, 12, 17)
-
-
-def run_figure7():
-    out = []
-    for extra in EXTRA_ATTRS:
-        out.append((4 + extra, run_point(SPEC, N_S, N_J, extra_attributes=extra)))
-    return out
+from benchmarks.harness import fmt, record_table
+from repro.experiments.figures import run_figure7
 
 
 def test_fig7_vary_attributes(benchmark):
     results = benchmark.pedantic(run_figure7, rounds=1, iterations=1)
+    first = results[0][1]
 
     rows = [
         [
@@ -39,8 +28,8 @@ def test_fig7_vary_attributes(benchmark):
     ]
     record_table(
         "fig7_vary_attributes",
-        f"Figure 7 — execution time vs attributes (grid {SPEC.g}, 4-byte "
-        f"attributes, {N_S}+{N_J} nodes)",
+        f"Figure 7 — execution time vs attributes (grid {first.spec.g}, 4-byte "
+        f"attributes, {first.params.n_s}+{first.params.n_j} nodes)",
         ["attrs", "RS (B)", "IJ sim (s)", "IJ model", "GH sim (s)", "GH model"],
         rows,
     )

@@ -8,26 +8,14 @@ IJ outperforms Grace Hash as expected" — and the advantage keeps growing,
 which is the paper's hardware-trend argument for IJ.
 """
 
-from benchmarks.harness import fmt, record_table, run_point
-from repro import PAPER_MACHINE
-from repro.workloads import GridSpec
-
-#: degree-8 dataset: enough IJ lookups that the CPU term matters
-SPEC = GridSpec(g=(128, 128, 128), p=(16, 16, 16), q=(32, 32, 32))
-N_S = N_J = 5
-F_SWEEP = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-
-
-def run_figure8():
-    out = []
-    for f in F_SWEEP:
-        machine = PAPER_MACHINE.with_cpu_factor(f)
-        out.append((f, run_point(SPEC, N_S, N_J, machine=machine)))
-    return out
+from benchmarks.harness import fmt, record_table
+from repro.experiments.figures import run_figure8
 
 
 def test_fig8_computing_power(benchmark):
+    # degree-8 dataset: enough IJ lookups that the CPU term matters
     results = benchmark.pedantic(run_figure8, rounds=1, iterations=1)
+    spec, params = results[0][1].spec, results[0][1].params
 
     rows = [
         [
@@ -41,7 +29,7 @@ def test_fig8_computing_power(benchmark):
     record_table(
         "fig8_computing_power",
         f"Figure 8 — effect of computing power F (degree-8 dataset "
-        f"{SPEC.g}, p={SPEC.p}, q={SPEC.q}; {N_S}+{N_J} nodes)",
+        f"{spec.g}, p={spec.p}, q={spec.q}; {params.n_s}+{params.n_j} nodes)",
         ["F", "IJ sim (s)", "IJ model", "GH sim (s)", "GH model", "winner"],
         rows,
     )

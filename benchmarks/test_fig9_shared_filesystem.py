@@ -18,25 +18,13 @@ model (latency-free) still captures the IJ-vs-GH ordering; the seek storm
 is what turns GH's flat line into a rising one.
 """
 
-from benchmarks.harness import fmt, record_table, run_point
-from repro import MachineSpec
-from repro.workloads import GridSpec
-
-SPEC = GridSpec(g=(64, 64, 64), p=(16, 16, 16), q=(16, 16, 16))  # degree 1
-N_J_SWEEP = (1, 2, 4, 8)
-#: the shared server pays a seek per request once clients interleave
-NFS_MACHINE = MachineSpec(disk_latency=5e-3)
-
-
-def run_figure9():
-    return [
-        (n_j, run_point(SPEC, n_s=1, n_j=n_j, shared_nfs=True, machine=NFS_MACHINE))
-        for n_j in N_J_SWEEP
-    ]
+from benchmarks.harness import fmt, record_table
+from repro.experiments.figures import run_figure9
 
 
 def test_fig9_shared_filesystem(benchmark):
     results = benchmark.pedantic(run_figure9, rounds=1, iterations=1)
+    spec = results[0][1].spec
 
     rows = [
         [
@@ -50,7 +38,7 @@ def test_fig9_shared_filesystem(benchmark):
     record_table(
         "fig9_shared_filesystem",
         f"Figure 9 — single NFS server, diskless compute nodes "
-        f"(dataset {SPEC.g}, 5 ms server seek per request)",
+        f"(dataset {spec.g}, 5 ms server seek per request)",
         ["n_j", "IJ sim (s)", "IJ model", "GH sim (s)", "GH model", "GH/IJ"],
         rows,
         notes=["model columns are the latency-free closed forms: they rank the "
@@ -74,7 +62,7 @@ def test_fig9_shared_filesystem(benchmark):
     assert ij_times[-1] <= ij_times[0] * 1.05
 
     # sanity: every byte flowed through the single server in both cases
-    total_bytes = 2 * SPEC.T * results[0][1].params.RS_R
+    total_bytes = 2 * spec.T * results[0][1].params.RS_R
     for _, r in results:
         assert r.ij_report.bytes_from_storage == total_bytes
         assert r.gh_report.bytes_scratch_written == total_bytes

@@ -50,7 +50,6 @@ _STAGE_RELEASES = {
     "prefetch_cancel",
     "prefetch_complete",
     "take_prefetched",
-    "cancel_staged",
 }
 _TERMINALS = {"succeed", "fail"}
 #: byte-ledger attributes whose += is a claim of completed work

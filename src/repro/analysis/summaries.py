@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Set
 
 __all__ = ["FunctionSummary", "ModuleSummaries", "summarize_module"]
 
-_RELEASE_METHODS = {"unpin", "release", "close", "prefetch_cancel", "cancel_staged"}
+_RELEASE_METHODS = {"unpin", "release", "close", "prefetch_cancel"}
 _ACQUIRE_METHODS = {"pin"}
 _TRANSFER_METHODS = {"read_and_send"}
 

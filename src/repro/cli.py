@@ -61,22 +61,30 @@ Commands
 ``calibrate``
     Measure this host's per-tuple hash constants (α_build, α_lookup).
 
-``run`` and ``sweep`` accept ``--sanitize`` to execute under the runtime
-simulation sanitizer (invariant hooks plus a nondeterminism-detecting
-shadow run per QES); a violation exits with status 4.  Both also accept
-``--trace-out FILE`` to record telemetry and export one Chrome trace per
-QES execution (``FILE`` with ``.ij``/``.gh`` tags before the extension).
-
-Every command takes ``--grid/--p/--q`` as comma-separated sizes and the
-deployment shape via ``--storage/--compute``; ``--calibrated host`` swaps
-the paper-testbed CPU constants for the host's measured ones, and
-``--calibrated drift`` re-plans with per-term corrections fitted from the
-drift store.
+Each command registers exactly the flags its handler reads, and argparse
+refuses the rest (exit 2).  ``--grid/--p/--q`` (comma-separated sizes):
+``info``, ``plan``, ``explain``, ``run``, ``trace``, ``serve``.
+``--storage/--compute/--cpu-factor`` (the deployment shape) and
+``--calibrated`` (bare or ``host``: this host's measured CPU constants
+instead of the paper testbed's): ``plan``, ``explain``, ``run``, ``sweep``,
+``trace``, ``serve``.  ``--calibrated drift`` with ``--drift-store``
+(re-plan with per-term corrections fitted from the drift store): the
+commands that predict from the cost models — ``plan``, ``explain``,
+``run``, ``serve``.  ``--nfs``: ``plan``, ``explain``, ``run``, ``trace``.
+``--pipeline``: those four and ``sweep``.  ``--faults/--replication``:
+``run``, ``trace``, ``serve``.  ``--sanitize`` (the runtime simulation
+sanitizer — invariant hooks plus a nondeterminism-detecting shadow run
+per QES; a violation exits with status 4): ``run``, ``sweep``, ``trace``,
+``serve``.  ``--trace-out FILE`` (record telemetry and export one Chrome
+trace per QES execution, ``FILE`` with ``.ij``/``.gh`` tags before the
+extension): ``run`` and ``sweep``; ``trace`` always records and writes to
+its own ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -137,56 +145,72 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
                    help="right-table partition sizes (default 16,16,16)")
 
 
-def _add_deploy_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--storage", type=int, default=5, help="storage nodes (default 5)")
-    p.add_argument("--compute", type=int, default=5, help="compute nodes (default 5)")
-    p.add_argument("--nfs", action="store_true",
-                   help="shared-NFS deployment (single server, diskless compute)")
-    p.add_argument("--cpu-factor", type=float, default=1.0,
-                   help="computing-power factor F (default 1.0)")
-    p.add_argument("--calibrated", nargs="?", const="host", default=None,
-                   choices=["host", "drift"],
-                   help="re-plan with calibrated constants: 'host' (the "
-                        "default when the flag is bare) measures this host's "
-                        "hash constants; 'drift' applies per-term corrections "
-                        "fitted from the drift store (see `repro drift`)")
-    p.add_argument("--drift-store", type=str, default=None, metavar="FILE",
-                   help="drift-record store (default benchmarks/results/"
-                        "DRIFT.jsonl; 'none' disables appending on "
-                        "`run --analyze`)")
-    p.add_argument("--pipeline", action=argparse.BooleanOptionalAction, default=False,
-                   help="overlap Indexed Join transfers with build/probe work "
-                        "(prefetch pipeline; default off — the paper's QES is "
-                        "synchronous)")
-    p.add_argument("--faults", type=str, default=None, metavar="SPEC",
+#: the deployment flags by name.  Each subcommand registers exactly the
+#: ones its handler reads (:func:`_add_flags`), so argparse refuses the
+#: rest with exit 2 instead of accepting a flag nothing will look at.
+_FLAGS = {
+    "storage": dict(type=int, default=5, help="storage nodes (default 5)"),
+    "compute": dict(type=int, default=5, help="compute nodes (default 5)"),
+    "nfs": dict(action="store_true",
+                help="shared-NFS deployment (single server, diskless compute)"),
+    "cpu-factor": dict(type=float, default=1.0,
+                       help="computing-power factor F (default 1.0)"),
+    "pipeline": dict(action=argparse.BooleanOptionalAction, default=False,
+                     help="overlap Indexed Join transfers with build/probe work "
+                          "(prefetch pipeline; default off — the paper's QES is "
+                          "synchronous)"),
+    "faults": dict(type=str, default=None, metavar="SPEC",
                    help="inject a deterministic fault plan, e.g. "
                         "'seed=7,storage_crash=0.5,transient=0.01' "
-                        "(see FaultPlan.parse for the full grammar)")
-    p.add_argument("--replication", type=int, default=1, metavar="K",
-                   help="write each chunk to K storage nodes so reads can "
-                        "fail over (default 1 — no replication)")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run under the simulation sanitizer: invariant hooks "
-                        "(clock, cache accounting, byte conservation, no "
-                        "stranded processes, telemetry consistency) plus a "
-                        "shadow execution per QES that detects "
-                        "same-timestamp nondeterminism")
-    p.add_argument("--trace-out", type=str, default=None, metavar="FILE",
-                   help="record causal span telemetry and write one Chrome "
-                        "trace-event JSON per QES execution (FILE gets "
-                        ".ij/.gh tags before its extension)")
+                        "(see FaultPlan.parse for the full grammar)"),
+    "replication": dict(type=int, default=1, metavar="K",
+                        help="write each chunk to K storage nodes so reads can "
+                             "fail over (default 1 — no replication)"),
+    "sanitize": dict(action="store_true",
+                     help="run under the simulation sanitizer: invariant hooks "
+                          "(clock, cache accounting, byte conservation, no "
+                          "stranded processes, telemetry consistency) plus a "
+                          "shadow execution per QES that detects "
+                          "same-timestamp nondeterminism"),
+    "trace-out": dict(type=str, default=None, metavar="FILE",
+                      help="record causal span telemetry and write one Chrome "
+                           "trace-event JSON per QES execution (FILE gets "
+                           ".ij/.gh tags before its extension)"),
+}
+_CLUSTER_FLAGS = ("storage", "compute", "cpu-factor")
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
+
+
+def _add_calibrated_args(p: argparse.ArgumentParser, drift: bool) -> None:
+    """``--calibrated``; its ``drift`` choice and the store that reads only
+    for the commands that predict from the cost models (``drift``)."""
+    text = ("re-plan with calibrated constants: 'host' (the default when "
+            "the flag is bare) measures this host's hash constants")
+    if drift:
+        text += ("; 'drift' applies per-term corrections fitted from the "
+                 "drift store (see `repro drift`)")
+        p.add_argument("--drift-store", type=str, default=None, metavar="FILE",
+                       help="drift-record store (default benchmarks/results/"
+                            "DRIFT.jsonl; 'none' disables appending on "
+                            "`run --analyze`)")
+    p.add_argument("--calibrated", nargs="?", const="host", default=None,
+                   choices=["host", "drift"] if drift else ["host"], help=text)
 
 
 def _machine(args: argparse.Namespace) -> MachineSpec:
     base = PAPER_MACHINE
-    if getattr(args, "calibrated", None) == "host":
+    if args.calibrated == "host":
         base = calibrate_host_machine().machine(base)
-    return base.with_cpu_factor(getattr(args, "cpu_factor", 1.0))
+    return base.with_cpu_factor(args.cpu_factor)
 
 
 def _drift_calibration(args: argparse.Namespace) -> Optional[TermCalibration]:
     """Fitted per-term corrections when ``--calibrated drift`` was given."""
-    if getattr(args, "calibrated", None) != "drift":
+    if args.calibrated != "drift":
         return None
     store = DriftStore(_store_path(args))
     records = store.load()
@@ -199,8 +223,7 @@ def _drift_calibration(args: argparse.Namespace) -> Optional[TermCalibration]:
 
 
 def _store_path(args: argparse.Namespace) -> Optional[str]:
-    path = getattr(args, "drift_store", None)
-    return None if path in (None, "none") else path
+    return None if args.drift_store in (None, "none") else args.drift_store
 
 
 def _view_params(args: argparse.Namespace) -> CostParameters:
@@ -425,7 +448,7 @@ def _observability_config(args: argparse.Namespace, tenants) -> Optional[object]
         slo[t.name] = SLOObjective(**kwargs)
     return ObservabilityConfig(
         window=args.obs_window, slo=slo,
-        reuse=not getattr(args, "no_reuse", False),
+        reuse=not args.no_reuse,
     )
 
 
@@ -723,52 +746,39 @@ def _cmd_drift(args: argparse.Namespace) -> int:
     return 0
 
 
+#: sweep axis → (figure, the deployment arguments it takes, headers of the
+#: axis column and of what follows the two time columns, those cells)
+_SWEEPS = {
+    "ne-cs": (run_figure4, ("n_s", "n_j", "machine"), ("n_e*c_S", "winner"),
+              lambda x, r: (f"{x:,}", r.sim_winner)),
+    "compute-nodes": (run_figure5, ("n_s", "machine"), ("n_j", "gap"),
+                      lambda x, r: (x, f"{r.gh_sim - r.ij_sim:.2f}")),
+    "tuples": (functools.partial(run_figure6, factors=(1, 4, 16, 64)),
+               ("n_s", "n_j", "machine"), ("T",), lambda x, r: (f"{x:,}",)),
+    "attributes": (run_figure7, ("n_s", "n_j", "machine"), ("attrs",),
+                   lambda x, r: (x,)),
+    "cpu": (run_figure8, ("n_s", "n_j", "machine"), ("F", "winner"),
+            lambda x, r: (x, r.sim_winner)),
+    "nfs": (run_figure9, (), ("n_j", "GH/IJ"),
+            lambda x, r: (x, f"{r.gh_sim / r.ij_sim:.1f}x")),
+}
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    machine = _machine(args)
-    pipe = args.pipeline
-    san = args.sanitize
+    figure, takes, (x_header, *more_headers), cells = _SWEEPS[args.axis]
+    deploy = dict(n_s=args.storage, n_j=args.compute, machine=_machine(args))
     traced = args.trace_out is not None
-    rows: List[Sequence[object]] = []
-    if args.axis == "ne-cs":
-        results = run_figure4(n_s=args.storage, n_j=args.compute, machine=machine,
-                              pipeline=pipe, sanitize=san, telemetry=traced)
-        header = ["n_e*c_S", "IJ (s)", "GH (s)", "winner"]
-        rows = [[f"{r.spec.ne_cs:,}", f"{r.ij_sim:.2f}", f"{r.gh_sim:.2f}", r.sim_winner]
-                for r in results]
-    elif args.axis == "compute-nodes":
-        results = run_figure5(n_s=args.storage, machine=machine, pipeline=pipe,
-                              sanitize=san, telemetry=traced)
-        header = ["n_j", "IJ (s)", "GH (s)", "gap"]
-        rows = [[n, f"{r.ij_sim:.2f}", f"{r.gh_sim:.2f}", f"{r.gh_sim - r.ij_sim:.2f}"]
-                for n, r in results]
-    elif args.axis == "tuples":
-        results = run_figure6(factors=(1, 4, 16, 64), n_s=args.storage,
-                              n_j=args.compute, machine=machine, pipeline=pipe,
-                              sanitize=san, telemetry=traced)
-        header = ["T", "IJ (s)", "GH (s)"]
-        rows = [[f"{r.spec.T:,}", f"{r.ij_sim:.2f}", f"{r.gh_sim:.2f}"] for r in results]
-    elif args.axis == "attributes":
-        results = run_figure7(n_s=args.storage, n_j=args.compute, machine=machine,
-                              pipeline=pipe, sanitize=san, telemetry=traced)
-        header = ["attrs", "IJ (s)", "GH (s)"]
-        rows = [[n, f"{r.ij_sim:.2f}", f"{r.gh_sim:.2f}"] for n, r in results]
-    elif args.axis == "cpu":
-        results = run_figure8(n_s=args.storage, n_j=args.compute, machine=machine,
-                              pipeline=pipe, sanitize=san, telemetry=traced)
-        header = ["F", "IJ (s)", "GH (s)", "winner"]
-        rows = [[f, f"{r.ij_sim:.2f}", f"{r.gh_sim:.2f}", r.sim_winner]
-                for f, r in results]
-    elif args.axis == "nfs":
-        results = run_figure9(pipeline=pipe, sanitize=san, telemetry=traced)
-        header = ["n_j", "IJ (s)", "GH (s)", "GH/IJ"]
-        rows = [[n, f"{r.ij_sim:.2f}", f"{r.gh_sim:.2f}", f"{r.gh_sim / r.ij_sim:.1f}x"]
-                for n, r in results]
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.axis)
-    print(_table(header, rows))
+    results = figure(
+        **{name: deploy[name] for name in takes},
+        pipeline=args.pipeline, sanitize=args.sanitize, telemetry=traced,
+    )
+    rows = []
+    for x, r in results:
+        first, *more = cells(x, r)
+        rows.append([first, f"{r.ij_sim:.2f}", f"{r.gh_sim:.2f}", *more])
+    print(_table([x_header, "IJ (s)", "GH (s)", *more_headers], rows))
     if traced:
-        for i, item in enumerate(results):
-            point = item[1] if isinstance(item, tuple) else item
+        for i, (_, point) in enumerate(results):
             _export_traces(
                 args.trace_out,
                 (f"p{i}.ij", point.ij_report),
@@ -853,7 +863,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="evaluate the cost models and pick a QES")
     _add_spec_args(p_plan)
-    _add_deploy_args(p_plan)
+    _add_flags(p_plan, *_CLUSTER_FLAGS, "nfs", "pipeline")
+    _add_calibrated_args(p_plan, drift=True)
     p_plan.set_defaults(fn=_cmd_plan)
 
     p_explain = sub.add_parser(
@@ -862,7 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
              "without executing",
     )
     _add_spec_args(p_explain)
-    _add_deploy_args(p_explain)
+    _add_flags(p_explain, *_CLUSTER_FLAGS, "nfs", "pipeline")
+    _add_calibrated_args(p_explain, drift=True)
     p_explain.add_argument("--json", action="store_true",
                            help="emit the machine-readable explanation "
                                 "(sorted keys) instead of the tree")
@@ -870,7 +882,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute both QES on the simulated cluster")
     _add_spec_args(p_run)
-    _add_deploy_args(p_run)
+    _add_flags(p_run, *_CLUSTER_FLAGS, "nfs", "pipeline", "faults",
+               "replication", "sanitize", "trace-out")
+    _add_calibrated_args(p_run, drift=True)
     p_run.add_argument("--analyze", action="store_true",
                        help="profile the executions operator by operator "
                             "(predicted vs. observed per model term), report "
@@ -887,18 +901,8 @@ def build_parser() -> argparse.ArgumentParser:
              "one shared cluster",
     )
     _add_spec_args(p_serve)
-    p_serve.add_argument("--storage", type=int, default=5,
-                         help="storage nodes (default 5)")
-    p_serve.add_argument("--compute", type=int, default=5,
-                         help="compute nodes (default 5)")
-    p_serve.add_argument("--cpu-factor", type=float, default=1.0,
-                         help="computing-power factor F (default 1.0)")
-    p_serve.add_argument("--calibrated", nargs="?", const="host", default=None,
-                         choices=["host", "drift"],
-                         help="plan queries with calibrated constants "
-                              "(see `repro plan --help`)")
-    p_serve.add_argument("--drift-store", type=str, default=None, metavar="FILE",
-                         help="drift-record store for --calibrated drift")
+    _add_flags(p_serve, *_CLUSTER_FLAGS)
+    _add_calibrated_args(p_serve, drift=True)
     p_serve.add_argument("--seed", type=int, default=0,
                          help="workload seed (default 0); the whole served "
                               "stream is a pure function of (tenants, seed)")
@@ -1020,11 +1024,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_advise.set_defaults(fn=_cmd_advise)
 
     p_sweep = sub.add_parser("sweep", help="regenerate one of the paper's sweeps")
-    p_sweep.add_argument(
-        "axis",
-        choices=["ne-cs", "compute-nodes", "tuples", "attributes", "cpu", "nfs"],
-    )
-    _add_deploy_args(p_sweep)
+    p_sweep.add_argument("axis", choices=list(_SWEEPS))
+    _add_flags(p_sweep, *_CLUSTER_FLAGS, "pipeline", "sanitize", "trace-out")
+    _add_calibrated_args(p_sweep, drift=False)
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_trace = sub.add_parser(
@@ -1032,7 +1034,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute both QES with span telemetry and export Chrome traces",
     )
     _add_spec_args(p_trace)
-    _add_deploy_args(p_trace)
+    _add_flags(p_trace, *_CLUSTER_FLAGS, "nfs", "pipeline", "faults",
+               "replication", "sanitize")
+    _add_calibrated_args(p_trace, drift=False)
     p_trace.add_argument("--out", type=str, default="run.json", metavar="FILE",
                          help="Chrome trace-event output base name (default "
                               "run.json; written as run.ij.json / run.gh.json)")

@@ -1,22 +1,27 @@
 """One function per evaluation figure.
 
-Each function returns the measured series for its figure at configurable
-scale; the benchmark suite runs them at the defaults recorded in
-EXPERIMENTS.md, the CLI exposes them with user-chosen sizes.
+Each function runs its figure's sweep — by default the paper's protocol,
+at the scale recorded in EXPERIMENTS.md, which is what the benchmark
+suite (``benchmarks/test_fig*.py``) calls; the CLI's ``repro sweep``
+passes its own deployment — and returns the measured series as
+``[(axis value, PointResult)]``.
 
-All sweeps accept ``pipeline=True`` to run (and predict) the Indexed Join
-in its overlapped prefetching mode — an ablation the paper's synchronous
-QES does not have, useful for seeing how much of each figure's IJ curve is
-exposed transfer time.  ``sanitize=True`` additionally runs every point
-under the runtime sanitizer (invariant hooks plus a shadow execution per
-QES — see :func:`repro.experiments.runner.run_point`).  ``calibration``
-re-predicts every point with fitted per-term model corrections (the
-simulations are unaffected; see :mod:`repro.observe`).
+Beyond its own sweep parameters every figure accepts the run options of
+:func:`_run_options` and forwards them to each point: ``machine``;
+``pipeline=True`` to run (and predict) the Indexed Join in its overlapped
+prefetching mode — an ablation the paper's synchronous QES does not have,
+useful for seeing how much of each figure's IJ curve is exposed transfer
+time; ``sanitize=True`` to run every point under the runtime sanitizer
+(invariant hooks plus a shadow execution per QES — see
+:func:`repro.experiments.runner.run_point`); ``telemetry=True`` to record
+spans on every point; ``calibration`` to re-predict every point with
+fitted per-term model corrections (the simulations are unaffected; see
+:mod:`repro.observe`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
 from repro.core.cost_models import TermCalibration
@@ -33,6 +38,21 @@ __all__ = [
     "run_figure9",
 ]
 
+Series = List[Tuple[Any, PointResult]]
+
+
+def _run_options(
+    machine: MachineSpec = PAPER_MACHINE,
+    pipeline: bool = False,
+    sanitize: bool = False,
+    telemetry: bool = False,
+    calibration: Optional[TermCalibration] = None,
+) -> Dict[str, Any]:
+    """The options every figure forwards to each :func:`run_point`,
+    checked against this one signature."""
+    return dict(machine=machine, pipeline=pipeline, sanitize=sanitize,
+                telemetry=telemetry, calibration=calibration)
+
 
 def run_figure4(
     grid: Tuple[int, ...] = (128, 128, 128),
@@ -40,44 +60,23 @@ def run_figure4(
     steps: int = 7,
     n_s: int = 5,
     n_j: int = 5,
-    machine: MachineSpec = PAPER_MACHINE,
-    pipeline: bool = False,
-    sanitize: bool = False,
-    telemetry: bool = False,
-    calibration: Optional[TermCalibration] = None,
-) -> List[PointResult]:
+    **run: Any,
+) -> Series:
     """Execution time vs ``n_e·c_S`` at constant grid and edge ratio."""
+    run = _run_options(**run)
     points = constant_edge_ratio_sweep(grid, component, steps=steps)
-    return [
-        run_point(
-            pt.spec, n_s, n_j, machine=machine, pipeline=pipeline,
-            sanitize=sanitize, telemetry=telemetry, calibration=calibration,
-        )
-        for pt in points
-    ]
+    return [(pt.spec.ne_cs, run_point(pt.spec, n_s, n_j, **run)) for pt in points]
 
 
 def run_figure5(
     spec: GridSpec = GridSpec((128, 128, 128), (32, 32, 32), (32, 32, 32)),
     n_s: int = 5,
     n_j_sweep: Sequence[int] = (1, 2, 3, 4, 5),
-    machine: MachineSpec = PAPER_MACHINE,
-    pipeline: bool = False,
-    sanitize: bool = False,
-    telemetry: bool = False,
-    calibration: Optional[TermCalibration] = None,
-) -> List[Tuple[int, PointResult]]:
+    **run: Any,
+) -> Series:
     """Execution time vs number of compute nodes (low ``n_e·c_S``)."""
-    return [
-        (
-            n_j,
-            run_point(
-                spec, n_s, n_j, machine=machine, pipeline=pipeline,
-                sanitize=sanitize, telemetry=telemetry, calibration=calibration,
-            ),
-        )
-        for n_j in n_j_sweep
-    ]
+    run = _run_options(**run)
+    return [(n_j, run_point(spec, n_s, n_j, **run)) for n_j in n_j_sweep]
 
 
 def run_figure6(
@@ -85,21 +84,12 @@ def run_figure6(
     factors: Sequence[int] = (1, 4, 16, 64, 1024),
     n_s: int = 5,
     n_j: int = 5,
-    machine: MachineSpec = PAPER_MACHINE,
-    pipeline: bool = False,
-    sanitize: bool = False,
-    telemetry: bool = False,
-    calibration: Optional[TermCalibration] = None,
-) -> List[PointResult]:
+    **run: Any,
+) -> Series:
     """Execution time vs T, partitions held fixed (to ~2 B tuples)."""
+    run = _run_options(**run)
     points = tuple_count_sweep(base, factors, scale_dim=0)
-    return [
-        run_point(
-            pt.spec, n_s, n_j, machine=machine, pipeline=pipeline,
-            sanitize=sanitize, telemetry=telemetry, calibration=calibration,
-        )
-        for pt in points
-    ]
+    return [(pt.spec.T, run_point(pt.spec, n_s, n_j, **run)) for pt in points]
 
 
 def run_figure7(
@@ -107,21 +97,12 @@ def run_figure7(
     extra_attributes: Sequence[int] = (0, 4, 8, 12, 17),
     n_s: int = 5,
     n_j: int = 5,
-    machine: MachineSpec = PAPER_MACHINE,
-    pipeline: bool = False,
-    sanitize: bool = False,
-    telemetry: bool = False,
-    calibration: Optional[TermCalibration] = None,
-) -> List[Tuple[int, PointResult]]:
+    **run: Any,
+) -> Series:
     """Execution time vs attribute count (4-byte attributes)."""
+    run = _run_options(**run)
     return [
-        (
-            4 + extra,
-            run_point(
-                spec, n_s, n_j, machine=machine, extra_attributes=extra,
-                pipeline=pipeline, sanitize=sanitize, telemetry=telemetry, calibration=calibration,
-            ),
-        )
+        (4 + extra, run_point(spec, n_s, n_j, extra_attributes=extra, **run))
         for extra in extra_attributes
     ]
 
@@ -131,21 +112,13 @@ def run_figure8(
     f_sweep: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
     n_s: int = 5,
     n_j: int = 5,
-    machine: MachineSpec = PAPER_MACHINE,
-    pipeline: bool = False,
-    sanitize: bool = False,
-    telemetry: bool = False,
-    calibration: Optional[TermCalibration] = None,
-) -> List[Tuple[float, PointResult]]:
+    **run: Any,
+) -> Series:
     """Execution time vs computing-power factor F."""
+    run = _run_options(**run)
+    machine = run.pop("machine")
     return [
-        (
-            f,
-            run_point(
-                spec, n_s, n_j, machine=machine.with_cpu_factor(f),
-                pipeline=pipeline, sanitize=sanitize, telemetry=telemetry, calibration=calibration,
-            ),
-        )
+        (f, run_point(spec, n_s, n_j, machine=machine.with_cpu_factor(f), **run))
         for f in f_sweep
     ]
 
@@ -154,19 +127,14 @@ def run_figure9(
     spec: GridSpec = GridSpec((64, 64, 64), (16, 16, 16), (16, 16, 16)),
     n_j_sweep: Sequence[int] = (1, 2, 4, 8),
     machine: MachineSpec = MachineSpec(disk_latency=5e-3),
-    pipeline: bool = False,
-    sanitize: bool = False,
-    telemetry: bool = False,
-    calibration: Optional[TermCalibration] = None,
-) -> List[Tuple[int, PointResult]]:
-    """Shared-NFS deployment: execution time vs compute nodes."""
+    **run: Any,
+) -> Series:
+    """Shared-NFS deployment: execution time vs compute nodes.
+
+    The default machine charges the single server a 5 ms seek per
+    request — what makes Grace Hash's batch count hurt as nodes are added.
+    """
+    run = _run_options(machine=machine, **run)
     return [
-        (
-            n_j,
-            run_point(
-                spec, n_s=1, n_j=n_j, shared_nfs=True, machine=machine,
-                pipeline=pipeline, sanitize=sanitize, telemetry=telemetry, calibration=calibration,
-            ),
-        )
-        for n_j in n_j_sweep
+        (n_j, run_point(spec, 1, n_j, shared_nfs=True, **run)) for n_j in n_j_sweep
     ]

@@ -12,6 +12,8 @@
   the paper's two-stage strategy (components dealt equally, pairs in
   lexicographic order) plus alternative orders for the scheduling
   ablation.
+* :mod:`~repro.joins.qes` — what a QES *is*: one execution, with the
+  lifecycle (``run``/``begin``/``abort``/``finish``) both algorithms share.
 * :mod:`~repro.joins.indexed_join` — the distributed page-level Indexed
   Join QES.
 * :mod:`~repro.joins.grace_hash` — the distributed Grace Hash QES

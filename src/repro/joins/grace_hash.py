@@ -41,13 +41,12 @@ from repro.datamodel.chunk import ChunkDescriptor
 from repro.datamodel.subtable import SubTable, SubTableId, concat_subtables
 from repro.faults.errors import (
     ComputeNodeDown,
-    FaultError,
     StorageNodeDown,
     TransientTransferFault,
     UnrecoverableFault,
 )
 from repro.joins.hash_join import vectorized_hash_join
-from repro.joins.report import ExecutionReport, PhaseBreakdown, QESRun
+from repro.joins.qes import QES
 from repro.metadata.service import MetaDataService
 from repro.services.bds import SubTableProvider
 from repro.telemetry.spans import maybe_span
@@ -81,7 +80,7 @@ def hash_records(sub: SubTable, on: Sequence[str]) -> np.ndarray:
     return h
 
 
-class GraceHashQES:
+class GraceHashQES(QES):
     """One fully-configured Grace Hash execution.
 
     Parameters mirror :class:`~repro.joins.indexed_join.IndexedJoinQES`
@@ -90,6 +89,7 @@ class GraceHashQES:
     """
 
     algorithm = "grace-hash"
+    driver_name = "gh-driver"
 
     def __init__(
         self,
@@ -105,23 +105,12 @@ class GraceHashQES:
         critical_path: bool = True,
         contain_faults: bool = False,
     ):
-        self.cluster = cluster
-        self.metadata = metadata
-        self.left = metadata.table(left)
-        self.right = metadata.table(right)
-        self.on = tuple(on)
-        self.provider = provider
+        super().__init__(
+            cluster, metadata, left, right, on, provider,
+            sanitizer=sanitizer, critical_path=critical_path,
+            contain_faults=contain_faults,
+        )
         self.range_constraint = range_constraint
-        #: optional RunSanitizer installing invariant hooks (``--sanitize``)
-        self.sanitizer = sanitizer
-        #: compute the telemetry critical path at finish; the query server
-        #: disables this for its per-query executions (one global recorder
-        #: spans many interleaved queries, so a per-query path is undefined)
-        self.critical_path = critical_path
-        #: when True (the query server's mode), every process this QES
-        #: spawns is contained: a fault that exhausts recovery fails the
-        #: driver event instead of propagating out of the shared engine
-        self.contain_faults = contain_faults
         self.num_buckets = (
             num_buckets if num_buckets is not None else self._choose_num_buckets()
         )
@@ -140,79 +129,42 @@ class GraceHashQES:
 
     # -- execution -----------------------------------------------------------------
 
-    def run(self) -> ExecutionReport:
-        """Execute to completion on this QES's engine (single-query mode)."""
-        handle = self.begin()
-        self.cluster.engine.drive(handle.process)
-        return handle.finish()
+    def _query_attrs(self):
+        return {"num_buckets": self.num_buckets}
 
-    def begin(self, name: str = "gh-driver") -> QESRun:
-        """Start the execution without draining the engine.
-
-        Spawns the supervising driver (barrier + restart rounds + bucket
-        joins) as an ordinary simulated process and returns the same
-        :class:`~repro.joins.report.QESRun` handle as
-        :meth:`IndexedJoinQES.begin`, so the query server can interleave
-        either QES on a shared engine.  :meth:`run` is exactly ``begin``
-        + drain + ``finish``.
-        """
-        cluster = self.cluster
+    def _start(self) -> None:
+        """Phase 1 starts with the driver: one streamer per storage node,
+        partitioning both tables into the compute nodes' buckets."""
+        cluster, tel = self.cluster, self.tel
         n_j = cluster.num_compute
         n_b = self.num_buckets
-        functional = self.provider.functional
-        report = ExecutionReport(
-            algorithm=self.algorithm,
-            functional=functional,
-            per_joiner=[PhaseBreakdown() for _ in range(n_j)],
-        )
-        report.extras["num_buckets"] = float(n_b)
-
-        if self.sanitizer is not None:
-            self.sanitizer.attach_engine(cluster.engine)
-
-        tel = cluster.telemetry
-        qspan = pspan = None
+        self.report.extras["num_buckets"] = float(n_b)
+        self.pspan = None
         if tel is not None:
-            self.metadata.attach_metrics(tel.metrics)
             tel.metrics.histogram("gh.bucket_seconds")
-            qspan = tel.recorder.begin(
-                "query",
-                category="query",
-                node="global",
-                track="main",
-                algorithm=self.algorithm,
-                functional=functional,
-                num_buckets=n_b,
-            )
-            pspan = tel.recorder.begin(
+            self.pspan = tel.recorder.begin(
                 "partition",
                 category="control",
                 node="global",
                 track="main",
             )
-
+            self.spans.append(self.pspan)
         # bucket state: sizes always; record payloads only when functional
         # indices: [joiner][side][bucket]
-        bucket_bytes = [[[0] * n_b for _ in range(2)] for _ in range(n_j)]
-        bucket_records = [[[0] * n_b for _ in range(2)] for _ in range(n_j)]
-        bucket_data: Optional[List[List[List[List[SubTable]]]]] = (
+        self.bucket_bytes = [[[0] * n_b for _ in range(2)] for _ in range(n_j)]
+        self.bucket_records = [[[0] * n_b for _ in range(2)] for _ in range(n_j)]
+        self.bucket_data: Optional[List[List[List[List[SubTable]]]]] = (
             [[[[] for _ in range(n_b)] for _ in range(2)] for _ in range(n_j)]
-            if functional
+            if self.results is not None
             else None
         )
-
-        # ---- phase 1: partition both tables ------------------------------------
-        injector = cluster.faults
-        contain = (FaultError, UnrecoverableFault) if self.contain_faults else ()
-        #: every process this run spawns, so a server can abort the whole
-        #: tree (driver first, then workers) when a deadline expires
-        children: list = []
-        pending_writes: list = []
+        #: the fire-and-forget bucket writes the partition barrier waits on
+        self.pending_writes: list = []
         #: chunk ids whose bucket contributions are fully recorded; a chunk
         #: interrupted mid-stream never commits and is redone from a replica
-        committed: set = set()
-        all_chunks: List[ChunkDescriptor] = []
-        storage_procs = []
+        self.committed: set = set()
+        self._all_chunks: List[ChunkDescriptor] = []
+        self._streamers = []
         for s in range(cluster.num_storage):
             chunks = self.metadata.chunks_on_node(self.left.table_id, s) + \
                 self.metadata.chunks_on_node(self.right.table_id, s)
@@ -220,146 +172,98 @@ class GraceHashQES:
                 chunks = [
                     c for c in chunks if c.bbox.overlaps(self.range_constraint)
                 ]
-            all_chunks.extend(chunks)
-            storage_procs.append(
-                cluster.engine.process(
-                    self._storage_streamer(
-                        s, chunks, bucket_bytes, bucket_records, bucket_data,
-                        report, pending_writes, committed, tel=tel, pspan=pspan,
-                    ),
-                    name=f"gh-storage{s}",
-                    contain=contain,
-                )
+            self._all_chunks.extend(chunks)
+            self._streamers.append(
+                self._spawn(self._storage_streamer(s, chunks), name=f"gh-storage{s}")
             )
-        children.extend(storage_procs)
 
-        def barrier_then_join():
-            yield cluster.engine.all_of(storage_procs)
-            # ---- restart rounds: re-partition uncommitted chunks --------
-            # A storage crash aborts that node's streamer mid-chunk; every
-            # chunk it had not committed restarts, whole, from the first
-            # surviving replica.  Loops because a replica node can itself
-            # die during a restart round.
-            round_no = 0
-            while injector is not None:
-                missing = [c for c in all_chunks if c.id not in committed]
-                if not missing:
-                    break
-                round_no += 1
-                groups: dict = {}
-                for desc in missing:
-                    node = next(
-                        (
-                            r.storage_node
-                            for r in desc.all_refs
-                            if not injector.storage_is_dead(r.storage_node)
-                        ),
-                        None,
-                    )
-                    if node is None:
-                        raise UnrecoverableFault(
-                            "no surviving replica to restart chunk from",
-                            chunk=desc.id,
-                            node=desc.ref.storage_node,
-                        )
-                    groups.setdefault(node, []).append(desc)
-                report.recovery.restarted_chunks += len(missing)
-                retry_procs = [
-                    cluster.engine.process(
-                        self._storage_streamer(
-                            node, descs, bucket_bytes, bucket_records,
-                            bucket_data, report, pending_writes, committed,
-                            tel=tel, pspan=pspan,
-                        ),
-                        name=f"gh-storage{node}.r{round_no}",
-                        contain=contain,
-                    )
-                    for node, descs in sorted(groups.items())
-                ]
-                children.extend(retry_procs)
-                yield cluster.engine.all_of(retry_procs)
-            yield cluster.engine.all_of(pending_writes)
-            if tel is not None:
-                tel.recorder.finish(pspan)
-            report.extras["partition_phase_time"] = cluster.engine.now
-            # all scratch activity so far is bucket writes: snapshot it as
-            # the per-joiner Write term
-            for j in range(n_j):
-                joiner = cluster.joiner(j)
-                if joiner.has_local_disk:
-                    report.per_joiner[j].scratch_write = (
-                        joiner.scratch.stats.busy_time
-                    )
-            # Grace Hash cannot survive a compute-node loss: the node's
-            # scratch disk held one h1-partition of *both* tables, and
-            # unlike the Indexed Join there is no replica to re-read
-            # buckets from.  Terminate with a structured fault instead.
-            if injector is not None and injector.dead_compute:
-                raise UnrecoverableFault(
-                    "grace hash lost partitioned bucket data with its "
-                    "compute node",
-                    node=min(injector.dead_compute),
-                )
-            joiners = [
-                cluster.engine.process(
-                    self._bucket_joiner(
-                        j, bucket_bytes, bucket_records, bucket_data, report,
-                        results, tel=tel, qspan=qspan,
+    def _driver(self):
+        """Partition barrier, restart rounds, then the bucket joins."""
+        cluster, tel, report = self.cluster, self.tel, self.report
+        injector = cluster.faults
+        yield cluster.engine.all_of(self._streamers)
+        # ---- restart rounds: re-partition uncommitted chunks --------
+        # A storage crash aborts that node's streamer mid-chunk; every
+        # chunk it had not committed restarts, whole, from the first
+        # surviving replica.  Loops because a replica node can itself
+        # die during a restart round.
+        round_no = 0
+        while injector is not None:
+            missing = [c for c in self._all_chunks if c.id not in self.committed]
+            if not missing:
+                break
+            round_no += 1
+            groups: dict = {}
+            for desc in missing:
+                node = next(
+                    (
+                        r.storage_node
+                        for r in desc.all_refs
+                        if not injector.storage_is_dead(r.storage_node)
                     ),
-                    name=f"gh-joiner{j}",
-                    contain=contain,
+                    None,
                 )
-                for j in range(n_j)
-            ]
-            children.extend(joiners)
-            if injector is not None:
-                for j, proc in enumerate(joiners):
-                    injector.register_compute(j, proc)
-            try:
-                yield cluster.engine.all_of(joiners)
-            except Interrupt as intr:
-                if not isinstance(intr.cause, ComputeNodeDown):
-                    # not a node death (e.g. a server aborting the whole
-                    # query on a deadline): die without relabelling it
-                    raise
-                raise UnrecoverableFault(
-                    "grace hash lost partitioned bucket data with its "
-                    "compute node",
-                    node=intr.cause.node,
-                ) from intr
-            # capture before returning: pending fault timers may advance
-            # the clock after the join is already complete
-            report.total_time = cluster.engine.now
+                if node is None:
+                    raise UnrecoverableFault(
+                        "no surviving replica to restart chunk from",
+                        chunk=desc.id,
+                        node=desc.ref.storage_node,
+                    )
+                groups.setdefault(node, []).append(desc)
+            report.recovery.restarted_chunks += len(missing)
+            yield cluster.engine.all_of([
+                self._spawn(
+                    self._storage_streamer(node, descs),
+                    name=f"gh-storage{node}.r{round_no}",
+                )
+                for node, descs in sorted(groups.items())
+            ])
+        yield cluster.engine.all_of(self.pending_writes)
+        if tel is not None:
+            tel.recorder.finish(self.pspan)
+        report.extras["partition_phase_time"] = cluster.engine.now
+        # all scratch activity so far is bucket writes: snapshot it as
+        # the per-joiner Write term
+        for j in range(cluster.num_compute):
+            joiner = cluster.joiner(j)
+            if joiner.has_local_disk:
+                report.per_joiner[j].scratch_write = joiner.scratch.stats.busy_time
+        # Grace Hash cannot survive a compute-node loss: the node's
+        # scratch disk held one h1-partition of *both* tables, and
+        # unlike the Indexed Join there is no replica to re-read
+        # buckets from.  Terminate with a structured fault instead.
+        if injector is not None and injector.dead_compute:
+            raise UnrecoverableFault(
+                "grace hash lost partitioned bucket data with its "
+                "compute node",
+                node=min(injector.dead_compute),
+            )
+        joiners = [
+            self._spawn(self._bucket_joiner(j), name=f"gh-joiner{j}", compute=j)
+            for j in range(cluster.num_compute)
+        ]
+        try:
+            yield cluster.engine.all_of(joiners)
+        except Interrupt as intr:
+            if not isinstance(intr.cause, ComputeNodeDown):
+                # not a node death (e.g. a server aborting the whole
+                # query on a deadline): die without relabelling it
+                raise
+            raise UnrecoverableFault(
+                "grace hash lost partitioned bucket data with its "
+                "compute node",
+                node=intr.cause.node,
+            ) from intr
+        # capture before returning: pending fault timers may advance
+        # the clock after the join is already complete
+        report.total_time = cluster.engine.now
 
-        results: Optional[List[List[SubTable]]] = (
-            [[] for _ in range(n_j)] if functional else None
-        )
-        process = cluster.engine.process(
-            barrier_then_join(), name=name, contain=contain
-        )
-
-        def fill():
-            report.pairs_joined = n_j * n_b
-
-        return QESRun(
-            self, process, report, results, tel, (qspan, pspan), children, fill
-        )
+    def _fill(self) -> None:
+        self.report.pairs_joined = self.cluster.num_compute * self.num_buckets
 
     # -- phase 1: storage-side streaming ----------------------------------------------
 
-    def _storage_streamer(
-        self,
-        s: int,
-        chunks: List[ChunkDescriptor],
-        bucket_bytes,
-        bucket_records,
-        bucket_data,
-        report: ExecutionReport,
-        pending_writes: list,
-        committed: set,
-        tel=None,
-        pspan=None,
-    ):
+    def _storage_streamer(self, s: int, chunks: List[ChunkDescriptor]):
         """Stream every chunk in ``chunks`` from sender node ``s``.
 
         When ``s`` crashes mid-stream the streamer stops: the chunk in
@@ -369,10 +273,11 @@ class GraceHashQES:
         replica.  Batches already shipped for the aborted chunk are wasted
         work, accounted in ``report.recovery``.
         """
-        cluster = self.cluster
+        cluster, tel = self.cluster, self.tel
+        committed = self.committed
         with maybe_span(
             tel, f"stream{s}", category="control", node=f"storage{s}",
-            track="stream", parent=pspan, chunks=len(chunks),
+            track="stream", parent=self.pspan, chunks=len(chunks),
         ):
             for desc in chunks:
                 if desc.id in committed:
@@ -384,31 +289,15 @@ class GraceHashQES:
                         tel, "chunk", category="control", node=f"storage{s}",
                         track="stream", chunk=str(desc.id),
                     ):
-                        yield from self._stream_chunk(
-                            s, desc, bucket_bytes, bucket_records, bucket_data,
-                            report, pending_writes, shipped, tel=tel,
-                            pspan=pspan,
-                        )
+                        yield from self._stream_chunk(s, desc, shipped)
                 except StorageNodeDown:
-                    rec = report.recovery
+                    rec = self.report.recovery
                     rec.wasted_seconds += cluster.engine.now - t0
                     rec.wasted_bytes += shipped[0]
                     return
                 committed.add(desc.id)
 
-    def _stream_chunk(
-        self,
-        s: int,
-        desc: ChunkDescriptor,
-        bucket_bytes,
-        bucket_records,
-        bucket_data,
-        report: ExecutionReport,
-        pending_writes: list,
-        shipped: list,
-        tel=None,
-        pspan=None,
-    ):
+    def _stream_chunk(self, s: int, desc: ChunkDescriptor, shipped: list):
         """Partition one chunk: ship all its batches, then commit.
 
         The bucket-state updates are deferred until every batch is on its
@@ -416,9 +305,9 @@ class GraceHashQES:
         chunk's contribution is all-or-nothing — the invariant chunk
         restart relies on for exactly-once bucket contents.
         """
-        cluster = self.cluster
-        n_j = cluster.num_compute
+        n_j = self.cluster.num_compute
         n_b = self.num_buckets
+        bucket_data = self.bucket_data
         side = 0 if desc.table_id == self.left.table_id else 1
         # the chunk read itself is charged per shipped batch inside
         # _ship_batch (the storage QES streams records as it reads)
@@ -440,8 +329,7 @@ class GraceHashQES:
                 if batch_records == 0:
                     continue
                 yield from self._ship_batch(
-                    s, j, batch_records * record_size, report, pending_writes,
-                    shipped, tel=tel, pspan=pspan,
+                    s, j, batch_records * record_size, shipped
                 )
                 for b in range(n_b):
                     mask = jmask & (bucket_of == b)
@@ -459,21 +347,19 @@ class GraceHashQES:
                 if batch_records == 0:
                     continue
                 yield from self._ship_batch(
-                    s, j, batch_records * record_size, report, pending_writes,
-                    shipped, tel=tel, pspan=pspan,
+                    s, j, batch_records * record_size, shipped
                 )
                 bbase, brem = divmod(batch_records, n_b)
                 for b in range(n_b):
                     cnt = bbase + (1 if b < brem else 0)
                     commits.append((j, b, cnt, cnt * record_size, None))
         for j, b, cnt, nbytes, data in commits:
-            bucket_records[j][side][b] += cnt
-            bucket_bytes[j][side][b] += nbytes
+            self.bucket_records[j][side][b] += cnt
+            self.bucket_bytes[j][side][b] += nbytes
             if data is not None:
                 bucket_data[j][side][b].append(data)
 
-    def _ship_batch(self, s: int, j: int, nbytes: int, report: ExecutionReport,
-                    pending_writes: list, shipped: list, tel=None, pspan=None):
+    def _ship_batch(self, s: int, j: int, nbytes: int, shipped: list):
         """Send one record batch and post its remote bucket write.
 
         The sender waits for the wire transfer (it owns the sending
@@ -491,7 +377,7 @@ class GraceHashQES:
         :class:`StorageNodeDown` propagates to the streamer, which aborts
         the chunk.
         """
-        cluster = self.cluster
+        cluster, tel, report = self.cluster, self.tel, self.report
         injector = cluster.faults
         pb = report.per_joiner[j]
         rec = report.recovery
@@ -552,13 +438,13 @@ class GraceHashQES:
                     category="scratch-write",
                     node=f"compute{j}",
                     track=f"ingest{j}",
-                    parent=pspan,
+                    parent=self.pspan,
                     detached=True,
                     bytes=nbytes,
                 )
                 tel.recorder.link(wspan, tspan)
                 tel.span_until(write_ev, wspan)
-            pending_writes.append(write_ev)
+            self.pending_writes.append(write_ev)
             report.bytes_from_storage += nbytes
             report.bytes_scratch_written += nbytes
             if tel is not None:
@@ -569,19 +455,14 @@ class GraceHashQES:
 
     # -- phase 2: local bucket joins ----------------------------------------------------
 
-    def _bucket_joiner(
-        self,
-        j: int,
-        bucket_bytes,
-        bucket_records,
-        bucket_data,
-        report: ExecutionReport,
-        results: Optional[List[List[SubTable]]],
-        tel=None,
-        qspan=None,
-    ):
-        cluster = self.cluster
-        node = cluster.joiner(j)
+    def _bucket_joiner(self, j: int):
+        """Join joiner ``j``'s bucket pairs one by one, node-locally:
+        read both buckets off scratch, build on the left, probe with the
+        right."""
+        cluster, tel, report = self.cluster, self.tel, self.report
+        n_b = self.num_buckets
+        bucket_bytes, bucket_records = self.bucket_bytes[j], self.bucket_records[j]
+        bucket_data, results = self.bucket_data, self.results
         pb = report.per_joiner[j]
         jspan = None
         if tel is not None:
@@ -590,91 +471,54 @@ class GraceHashQES:
                 category="control",
                 node=f"compute{j}",
                 track="join",
-                parent=qspan,
+                parent=self.spans[0],
                 joiner=j,
-                buckets=self.num_buckets,
+                buckets=n_b,
             )
         try:
-            yield from self._join_buckets(
-                j, bucket_bytes, bucket_records, bucket_data, report, results,
-                tel,
-            )
+            for b in range(n_b):
+                lbytes, rbytes = bucket_bytes[0][b], bucket_bytes[1][b]
+                lrecs, rrecs = bucket_records[0][b], bucket_records[1][b]
+                if lrecs == 0 and rrecs == 0:
+                    continue
+                tb = cluster.engine.now
+
+                t0 = cluster.engine.now
+                with maybe_span(
+                    tel, "bucket-read", category="scratch-read",
+                    node=f"compute{j}", track="join", bucket=b,
+                    bytes=lbytes + rbytes,
+                ):
+                    yield cluster.scratch_read(j, lbytes + rbytes)
+                pb.scratch_read += cluster.engine.now - t0
+                report.bytes_scratch_read += lbytes + rbytes
+                if tel is not None:
+                    tel.metrics.counter("op.bucket-read.bytes").inc(lbytes + rbytes)
+
+                yield from self._charge_cpu("build", j, lrecs, "join", bucket=b)
+                yield from self._charge_cpu("probe", j, rrecs, "join", bucket=b)
+
+                if tel is not None:
+                    tel.metrics.histogram("gh.bucket_seconds").observe(
+                        cluster.engine.now - tb
+                    )
+
+                if results is not None and lrecs and rrecs:
+                    left_bucket = concat_subtables(
+                        bucket_data[j][0][b], id=SubTableId(self.left.table_id, b)
+                    )
+                    right_bucket = concat_subtables(
+                        bucket_data[j][1][b], id=SubTableId(self.right.table_id, b)
+                    )
+                    out, ks = vectorized_hash_join(
+                        left_bucket,
+                        right_bucket,
+                        self.on,
+                        result_id=SubTableId(-1, j * n_b + b),
+                    )
+                    report.kernel.matches += ks.matches
+                    if out.num_records:
+                        results[j].append(out)
         finally:
             if jspan is not None and jspan.end is None:
                 tel.recorder.finish(jspan)
-
-    def _join_buckets(
-        self,
-        j: int,
-        bucket_bytes,
-        bucket_records,
-        bucket_data,
-        report: ExecutionReport,
-        results: Optional[List[List[SubTable]]],
-        tel,
-    ):
-        cluster = self.cluster
-        node = cluster.joiner(j)
-        pb = report.per_joiner[j]
-        for b in range(self.num_buckets):
-            lbytes, rbytes = bucket_bytes[j][0][b], bucket_bytes[j][1][b]
-            lrecs, rrecs = bucket_records[j][0][b], bucket_records[j][1][b]
-            if lrecs == 0 and rrecs == 0:
-                continue
-            tb = cluster.engine.now
-
-            t0 = cluster.engine.now
-            with maybe_span(
-                tel, "bucket-read", category="scratch-read",
-                node=f"compute{j}", track="join", bucket=b,
-                bytes=lbytes + rbytes,
-            ):
-                yield cluster.scratch_read(j, lbytes + rbytes)
-            pb.scratch_read += cluster.engine.now - t0
-            report.bytes_scratch_read += lbytes + rbytes
-            if tel is not None:
-                tel.metrics.counter("op.bucket-read.bytes").inc(lbytes + rbytes)
-
-            t0 = cluster.engine.now
-            with maybe_span(
-                tel, "build", category="cpu-build", node=f"compute{j}",
-                track="join", bucket=b, records=lrecs,
-            ):
-                yield node.compute(node.build_time(lrecs))
-            pb.cpu_build += cluster.engine.now - t0
-            report.kernel.builds += lrecs
-            if tel is not None:
-                tel.metrics.counter("op.hash-build.records").inc(lrecs)
-
-            t0 = cluster.engine.now
-            with maybe_span(
-                tel, "probe", category="cpu-probe", node=f"compute{j}",
-                track="join", bucket=b, records=rrecs,
-            ):
-                yield node.compute(node.lookup_time(rrecs))
-            pb.cpu_lookup += cluster.engine.now - t0
-            report.kernel.probes += rrecs
-            if tel is not None:
-                tel.metrics.counter("op.probe.records").inc(rrecs)
-
-            if tel is not None:
-                tel.metrics.histogram("gh.bucket_seconds").observe(
-                    cluster.engine.now - tb
-                )
-
-            if results is not None and bucket_data is not None and lrecs and rrecs:
-                left_bucket = concat_subtables(
-                    bucket_data[j][0][b], id=SubTableId(self.left.table_id, b)
-                )
-                right_bucket = concat_subtables(
-                    bucket_data[j][1][b], id=SubTableId(self.right.table_id, b)
-                )
-                out, ks = vectorized_hash_join(
-                    left_bucket,
-                    right_bucket,
-                    self.on,
-                    result_id=SubTableId(-1, j * self.num_buckets + b),
-                )
-                report.kernel.matches += ks.matches
-                if out.num_records:
-                    results[j].append(out)

@@ -59,7 +59,7 @@ from repro.faults.errors import (
 )
 from repro.joins.hash_join import vectorized_hash_join
 from repro.joins.join_index import PageJoinIndex, build_join_index
-from repro.joins.report import ExecutionReport, PhaseBreakdown, QESRun
+from repro.joins.qes import QES
 from repro.joins.scheduler import PairSchedule, schedule_two_stage
 from repro.metadata.service import MetaDataService
 from repro.services.bds import SubTableProvider
@@ -69,21 +69,11 @@ from repro.telemetry.spans import maybe_span
 __all__ = ["IndexedJoinQES"]
 
 
-class IndexedJoinQES:
+class IndexedJoinQES(QES):
     """One fully-configured Indexed Join execution.
 
-    Parameters
-    ----------
-    cluster:
-        The simulated cluster to run on.
-    metadata:
-        MetaData Service holding both tables' chunk catalogs.
-    left, right:
-        Table keys (ids or names); ``left`` is the build (inner) side.
-    on:
-        Join attribute names.
-    provider:
-        Sub-table provider (functional or stub).
+    Parameters beyond those of :class:`~repro.joins.qes.QES`:
+
     index:
         Precomputed page-level join index; built from chunk bounding boxes
         when omitted (the paper treats this as an offline step, so index
@@ -109,27 +99,16 @@ class IndexedJoinQES:
     prefetch_budget:
         Staging budget in bytes for the pipelined mode's prefetched
         sub-tables; defaults to a quarter of the cache capacity.
-    sanitizer:
-        A :class:`repro.analysis.sanitizer.RunSanitizer` to install
-        invariant hooks into this execution's engine, caches and
-        transfers (``--sanitize`` runs).  ``None`` (the default) adds no
-        instrumentation.  Under a query server the sanitizer belongs to
-        the *server* (one engine, one cluster, shared caches), so
-        per-query executions pass ``None`` here.
     busy_joiners:
         Zero-argument callable returning the compute nodes currently
         executing *another query's* pair (shared pools under a query
         server).  Consulted at reassignment time so dead-joiner recovery
         never hands pairs to a joiner busy with foreign work.  ``None``
         (single-query runs) excludes nobody.
-    critical_path:
-        Compute the critical-path attribution on telemetry-enabled runs
-        (default).  A server turns this off per query: with several
-        queries interleaved on one fabric, a single query's span tree no
-        longer covers a contiguous slice of the makespan.
     """
 
     algorithm = "indexed-join"
+    driver_name = "ij-driver"
 
     def __init__(
         self,
@@ -151,12 +130,11 @@ class IndexedJoinQES:
         critical_path: bool = True,
         contain_faults: bool = False,
     ):
-        self.cluster = cluster
-        self.metadata = metadata
-        self.left = metadata.table(left)
-        self.right = metadata.table(right)
-        self.on = tuple(on)
-        self.provider = provider
+        super().__init__(
+            cluster, metadata, left, right, on, provider,
+            sanitizer=sanitizer, critical_path=critical_path,
+            contain_faults=contain_faults,
+        )
         self.index = index if index is not None else build_join_index(
             self.left.all_chunks(), self.right.all_chunks(), self.on
         )
@@ -180,51 +158,26 @@ class IndexedJoinQES:
         self.cache_policy = cache_policy
         self.pipeline = pipeline
         self.prefetch_budget = prefetch_budget
-        self.sanitizer = sanitizer
         self.busy_joiners = busy_joiners
-        self.critical_path = critical_path
-        #: when True (the query server's mode), every process this QES
-        #: spawns is contained: a fault that exhausts recovery fails the
-        #: driver event instead of propagating out of the shared engine
-        self.contain_faults = contain_faults
-        self._contain = (FaultError, UnrecoverableFault) if contain_faults else ()
 
     # -- execution ---------------------------------------------------------------
 
-    def run(self) -> ExecutionReport:
-        """Execute to completion on this QES's engine (single-query mode)."""
-        handle = self.begin()
-        self.cluster.engine.drive(handle.process)
-        return handle.finish()
+    def _query_attrs(self):
+        return {"pipeline": self.pipeline}
 
-    def begin(self, name: str = "ij-driver") -> QESRun:
-        """Start the execution without draining the engine.
-
-        Spawns the supervising driver as an ordinary simulated process and
-        returns a :class:`~repro.joins.report.QESRun` handle; the caller
-        (a query server admitting many executions onto one engine) waits
-        on ``handle.process`` and then calls ``handle.finish()`` for the
-        report.  :meth:`run` is exactly ``begin`` + drain + ``finish``.
-        """
+    def _start(self) -> None:
         cluster = self.cluster
-        report = ExecutionReport(
-            algorithm=self.algorithm,
-            functional=self.provider.functional,
-            per_joiner=[PhaseBreakdown() for _ in range(cluster.num_compute)],
-        )
-        results: Optional[List[List[SubTable]]] = (
-            [[] for _ in range(cluster.num_compute)] if self.provider.functional else None
-        )
         #: functional runs: per compute node, the ``(left entry, right
         #: entry, seq)`` of every pair probed there, in emission order —
-        #: joined set-at-a-time by ``fill`` (see :func:`_join_probed`)
-        probed: List[Optional[list]] = [
-            [] if results is not None else None for _ in range(cluster.num_compute)
+        #: joined set-at-a-time by ``_fill`` (see :func:`_join_probed`)
+        self.probed: List[Optional[list]] = [
+            [] if self.results is not None else None
+            for _ in range(cluster.num_compute)
         ]
-        if self.caches is not None:
-            caches: List[CachingService] = self.caches
-        else:
-            caches = []
+        if self.caches is None:
+            # built here, not in the constructor, and left on the instance
+            # so callers can warm a later execution with them
+            self.caches = []
             for j in range(cluster.num_compute):
                 capacity = (
                     self.cache_capacity
@@ -235,38 +188,22 @@ class IndexedJoinQES:
                     policy = make_policy("belady", self.schedule.reference_string(j))
                 else:
                     policy = make_policy(self.cache_policy)
-                caches.append(
+                self.caches.append(
                     CachingService(
                         capacity, policy, prefetch_budget_bytes=self.prefetch_budget
                     )
                 )
-            # expose the caches so callers can warm a later execution
-            self.caches = caches
         # snapshot so the report carries this run's deltas, not the caches'
         # lifetime counters (a warmed cache has history from earlier runs)
-        stats_before = [c.stats.snapshot() for c in caches]
-
+        self._stats_before = [c.stats.snapshot() for c in self.caches]
         if self.sanitizer is not None:
-            self.sanitizer.attach_engine(cluster.engine)
-            for j, c in enumerate(caches):
+            for j, c in enumerate(self.caches):
                 self.sanitizer.attach_cache(c, name=f"joiner{j}")
-
-        tel = cluster.telemetry
-        qspan = None
+        tel = self.tel
         if tel is not None:
-            self.metadata.attach_metrics(tel.metrics)
             tel.metrics.histogram("ij.pair_seconds")
-            for j, c in enumerate(caches):
+            for j, c in enumerate(self.caches):
                 tel.watch_cache(c, prefix=f"cache.j{j}")
-            qspan = tel.recorder.begin(
-                "query",
-                category="query",
-                node="global",
-                track="main",
-                algorithm=self.algorithm,
-                pipeline=self.pipeline,
-                functional=self.provider.functional,
-            )
             sched = tel.recorder.begin(
                 "schedule",
                 category="control",
@@ -276,114 +213,97 @@ class IndexedJoinQES:
             )
             tel.recorder.finish(sched)
 
+    def _launch(self, j: int, pairs, tag: str = ""):
+        """Start a joiner over an explicit pair batch; returns the
+        bookkeeping the driver needs to take over on its death."""
+        progress = [0]  # index of the first pair not yet fully joined
+        proc = self._spawn(
+            self._joiner(j, pairs, progress, tag),
+            name=f"ij-joiner{j}{tag}",
+            compute=j,
+        )
+        return (j, pairs, progress, proc)
+
+    def _driver(self):
+        """Supervise the joiners: on a compute-node death, move the dead
+        joiner's unfinished pairs onto survivors and keep going.
+
+        A pair is "finished" only once its output is emitted and its
+        pins released (the joiner advances ``progress`` with no
+        intervening simulation events), so reassignment neither loses
+        nor duplicates output.
+        """
+        cluster = self.cluster
         injector = cluster.faults
-        #: every process this run spawns, so a server can abort the whole
-        #: tree (driver first, then workers) when a deadline expires
-        children: List = []
-        self._spawned = children
-
-        def launch(j: int, pairs, tag: str = ""):
-            """Start a joiner over an explicit pair batch; returns the
-            bookkeeping the coordinator needs to take over on its death."""
-            progress = [0]  # index of the first pair not yet fully joined
-            proc = cluster.spawn(
-                self._joiner(
-                    j, pairs, caches[j], report, probed[j], progress,
-                    tel=tel, qspan=qspan, tag=tag,
-                ),
-                name=f"ij-joiner{j}{tag}",
-                contain=self._contain,
-            )
-            children.append(proc)
-            if injector is not None:
-                injector.register_compute(j, proc)
-            return (j, pairs, progress, proc)
-
-        def coordinator():
-            """Supervise the joiners: on a compute-node death, move the dead
-            joiner's unfinished pairs onto survivors and keep going.
-
-            A pair is "finished" only once its output is emitted and its
-            pins released (the joiner advances ``progress`` with no
-            intervening simulation events), so reassignment neither loses
-            nor duplicates output.
-            """
-            active = [
-                launch(j, list(self.schedule.per_joiner[j]))
-                for j in range(cluster.num_compute)
-            ]
-            generation = 0
-            i = 0
-            while i < len(active):
-                j, pairs, progress, proc = active[i]
-                i += 1
-                try:
-                    yield proc
-                except Interrupt as intr:
-                    if injector is None or not isinstance(
-                        intr.cause, ComputeNodeDown
-                    ):
-                        # not a node death (e.g. a server aborting the whole
-                        # query on a deadline): die, don't reassign
-                        raise
-                    # staged entries the dead joiner prefetched but never
-                    # consumed would hold staging budget until quiesce;
-                    # reassigned pairs re-fetch through the survivor's cache
-                    caches[j].cancel_staged()
-                    remaining = pairs[progress[0] :]
-                    if not remaining:
-                        continue
-                    survivors = [
-                        s
-                        for s in range(cluster.num_compute)
-                        if not injector.compute_is_dead(s)
-                    ]
-                    if not survivors:
-                        raise UnrecoverableFault(
-                            "no surviving compute node to take over pairs of "
-                            f"dead joiner {j}",
-                            chunk=remaining[0][0],
-                            node=j,
-                        )
-                    generation += 1
-                    report.recovery.reassigned_pairs += len(remaining)
-                    busy = (
-                        tuple(self.busy_joiners())
-                        if self.busy_joiners is not None
-                        else ()
+        active = [
+            self._launch(j, list(self.schedule.per_joiner[j]))
+            for j in range(cluster.num_compute)
+        ]
+        generation = 0
+        i = 0
+        while i < len(active):
+            j, pairs, progress, proc = active[i]
+            i += 1
+            try:
+                yield proc
+            except Interrupt as intr:
+                if injector is None or not isinstance(intr.cause, ComputeNodeDown):
+                    # not a node death (e.g. a server aborting the whole
+                    # query on a deadline): die, don't reassign
+                    raise
+                # the dead joiner handed back what its prefetchers had
+                # staged as it unwound; reassigned pairs re-fetch through
+                # the survivor's cache
+                remaining = pairs[progress[0] :]
+                if not remaining:
+                    continue
+                survivors = [
+                    s
+                    for s in range(cluster.num_compute)
+                    if not injector.compute_is_dead(s)
+                ]
+                if not survivors:
+                    raise UnrecoverableFault(
+                        "no surviving compute node to take over pairs of "
+                        f"dead joiner {j}",
+                        chunk=remaining[0][0],
+                        node=j,
                     )
-                    for s, batch in self.schedule.reassign(
-                        remaining, survivors, busy=busy
-                    ).items():
-                        active.append(launch(s, batch, tag=f".r{generation}"))
-            # capture before returning: pending fault timers may advance the
-            # clock after the join is already complete
-            report.total_time = cluster.engine.now
+                generation += 1
+                self.report.recovery.reassigned_pairs += len(remaining)
+                busy = (
+                    tuple(self.busy_joiners())
+                    if self.busy_joiners is not None
+                    else ()
+                )
+                for s, batch in self.schedule.reassign(
+                    remaining, survivors, busy=busy
+                ).items():
+                    active.append(self._launch(s, batch, tag=f".r{generation}"))
+        # capture before returning: pending fault timers may advance the
+        # clock after the join is already complete
+        self.report.total_time = cluster.engine.now
 
-        def fill():
-            if results is not None:
-                for j, records in enumerate(probed):
-                    results[j], matches = _join_probed(records, self.on)
-                    report.kernel.matches += matches
-            report.pairs_joined = self.schedule.total_pairs
-            report.cache_stats = [
-                c.stats.since(before) for c, before in zip(caches, stats_before)
-            ]
-            report.extras["num_edges"] = float(self.index.num_edges)
-            report.extras["num_components"] = float(len(self.index.components()))
-            report.extras["pipeline"] = 1.0 if self.pipeline else 0.0
-
-        proc = cluster.engine.process(coordinator(), name=name, contain=self._contain)
-        return QESRun(self, proc, report, results, tel, (qspan,), children, fill)
+    def _fill(self) -> None:
+        report = self.report
+        if self.results is not None:
+            for j, records in enumerate(self.probed):
+                self.results[j], matches = _join_probed(records, self.on)
+                report.kernel.matches += matches
+        report.pairs_joined = self.schedule.total_pairs
+        report.cache_stats = [
+            c.stats.since(before)
+            for c, before in zip(self.caches, self._stats_before)
+        ]
+        report.extras["num_edges"] = float(self.index.num_edges)
+        report.extras["num_components"] = float(len(self.index.components()))
+        report.extras["pipeline"] = 1.0 if self.pipeline else 0.0
 
     # -- fault-tolerant transfer ---------------------------------------------------
 
-    def _transfer_with_recovery(self, joiner: int, desc, cache: Optional[CachingService],
-                                pb: PhaseBreakdown, report: ExecutionReport,
-                                inflight: Optional[Dict[SubTableId, Event]] = None,
-                                tel=None, link_span=None, lane: str = ""):
-        """Move one sub-table to ``joiner``, surviving transient faults and
-        storage-node crashes.  Generator; returns the storage node that
+    def _transfer_with_recovery(self, j: int, desc, inflight, link_span):
+        """Move one sub-table to joiner ``j``, surviving transient faults
+        and storage-node crashes.  Generator; returns the storage node that
         ultimately served the bytes.
 
         Replicas are tried primary-first.  On each node, transient faults
@@ -394,8 +314,10 @@ class IndexedJoinQES:
         path — same events, same accounting.  Raises
         :class:`UnrecoverableFault` when no replica can serve the chunk.
         """
-        cluster = self.cluster
+        cluster, tel, report = self.cluster, self.tel, self.report
         injector = cluster.faults
+        cache = self.caches[j]
+        pb = report.per_joiner[j]
         rec = report.recovery
         last_node = None
         for ref in desc.all_refs:
@@ -404,14 +326,14 @@ class IndexedJoinQES:
             while True:
                 attempt += 1
                 t0 = cluster.engine.now
-                transfer = cluster.read_and_send(node, joiner, desc.size)
+                transfer = cluster.read_and_send(node, j, desc.size)
                 tspan = None
                 if tel is not None:
                     tspan = tel.recorder.begin(
                         "transfer",
                         category="transfer",
                         node=f"storage{node}",
-                        track=f"serve-compute{joiner}{lane}",
+                        track=f"serve-compute{j}",
                         chunk=str(desc.id),
                         bytes=desc.size,
                         attempt=attempt,
@@ -450,8 +372,7 @@ class IndexedJoinQES:
                     pb.stall += dt
                     rec.failovers += 1
                     rec.wasted_seconds += dt
-                    if cache is not None:
-                        rec.cache_invalidations += cache.invalidate_from(node)
+                    rec.cache_invalidations += cache.invalidate_from(node)
                     break  # fail over to the next replica
                 finally:
                     if inflight is not None:
@@ -471,10 +392,8 @@ class IndexedJoinQES:
 
     # -- the joiner control loop (both modes) -------------------------------------
 
-    def _fetch(self, joiner: int, sid: SubTableId, cache: CachingService,
-               scope, pb: PhaseBreakdown, report: ExecutionReport,
-               is_left: bool, tel=None, link_span=None, track: str = "qes",
-               inflight: Optional[Dict[SubTableId, Event]] = None):
+    def _fetch(self, j: int, sid: SubTableId, scope, link_span, track: str,
+               inflight: Optional[Dict[SubTableId, Event]], is_left: bool):
         """Cache-or-fetch one sub-table; charges transfer (and, for left
         sub-tables, the hash-table build) on a miss.  Generator: yields
         simulation events; returns the entry.  Every pin is taken through
@@ -490,9 +409,9 @@ class IndexedJoinQES:
         never consults the staging area.
         """
         cluster = self.cluster
-        node = cluster.joiner(joiner)
+        cache = self.caches[j]
         with maybe_span(
-            tel, "fetch", category="wait", node=f"compute{joiner}",
+            self.tel, "fetch", category="wait", node=f"compute{j}",
             track=track, chunk=str(sid), side="left" if is_left else "right",
         ) as fspan:
             entry = cache.get(sid)
@@ -516,7 +435,7 @@ class IndexedJoinQES:
                         yield inflight[sid]
                     except FaultError:
                         pass  # prefetcher's transfer faulted; recover below
-                    pb.stall += cluster.engine.now - t0
+                    self.report.per_joiner[j].stall += cluster.engine.now - t0
                     staged = cache.take_prefetched(sid)
             if staged is not None:
                 if fspan is not None:
@@ -524,25 +443,12 @@ class IndexedJoinQES:
                 entry, serving = staged
             else:
                 serving = yield from self._transfer_with_recovery(
-                    joiner, desc, cache, pb, report, inflight=inflight,
-                    tel=tel, link_span=link_span,
+                    j, desc, inflight, link_span
                 )
                 entry = self.provider.fetch(desc, node=serving)
             if is_left:
                 # build the hash table for this load (once until evicted)
-                t0 = cluster.engine.now
-                with maybe_span(
-                    tel, "build", category="cpu-build",
-                    node=f"compute{joiner}", track=track,
-                    records=desc.num_records,
-                ):
-                    yield node.compute(node.build_time(desc.num_records))
-                pb.cpu_build += cluster.engine.now - t0
-                report.kernel.builds += desc.num_records
-                if tel is not None:
-                    tel.metrics.counter("op.hash-build.records").inc(
-                        desc.num_records
-                    )
+                yield from self._charge_cpu("build", j, desc.num_records, track)
             # left entries are charged double: sub-table + its hash table
             # (this is exactly the 2·c_R term of the memory assumption) —
             # and classified as derived DDS output for the reuse advisor,
@@ -552,9 +458,7 @@ class IndexedJoinQES:
             scope.put(sid, entry, nbytes, pin=True, source=serving, origin=origin)
             return entry
 
-    def _joiner(self, j: int, pairs, cache: CachingService,
-                report: ExecutionReport, probed: Optional[list], progress,
-                tel=None, qspan=None, tag: str = ""):
+    def _joiner(self, j: int, pairs, progress, tag: str = ""):
         """The Section 4.1 control loop of one joiner, in either mode.
 
         Pipelined, the loop additionally keeps one background process a
@@ -564,41 +468,27 @@ class IndexedJoinQES:
         the event of their in-flight transfer, prefetched *or* fallback,
         so neither side re-issues a transfer the other has on the wire.
         """
-        cluster = self.cluster
-        pb = report.per_joiner[j]
+        cluster, tel = self.cluster, self.tel
+        cache = self.caches[j]
+        pb = self.report.per_joiner[j]
+        probed = self.probed[j]
         track = f"qes{tag}"
         inflight = None
         if self.pipeline:
             if not pairs:
                 return
             inflight = {}
-
-            def spawn_prefetch(seq, active):
-                proc = cluster.spawn(
-                    self._prefetch_pair(
-                        j, pairs[seq], active, cache, inflight, pb, report,
-                        tel=tel, jspan=jspan, tag=tag, label=seq,
-                    ),
-                    name=f"ij-prefetch{j}{tag}.{seq}",
-                    contain=self._contain,
-                )
-                self._spawned.append(proc)
-                if cluster.faults is not None:
-                    # prefetchers die with their compute node, like the joiner
-                    cluster.faults.register_compute(j, proc)
-                return proc
-
         jspan = None
         if tel is not None:
             jspan = tel.recorder.begin(
                 f"joiner{j}{tag}", category="control", node=f"compute{j}",
-                track=track, parent=qspan, joiner=j, pairs=len(pairs),
+                track=track, parent=self.spans[0], joiner=j, pairs=len(pairs),
             )
             if inflight is not None:
                 jspan.attrs["pipelined"] = True
         try:
             if inflight is not None:
-                fetch_next = spawn_prefetch(0, ())
+                fetch_next = self._prefetch(j, pairs, 0, (), inflight, jspan, tag)
             for seq, (lid, rid) in enumerate(pairs):
                 t_pair = cluster.engine.now
                 with maybe_span(
@@ -615,43 +505,63 @@ class IndexedJoinQES:
                             yield fetch_next
                         pb.stall += cluster.engine.now - t0
                         if seq + 1 < len(pairs):
-                            fetch_next = spawn_prefetch(seq + 1, (lid, rid))
+                            fetch_next = self._prefetch(
+                                j, pairs, seq + 1, (lid, rid), inflight, jspan, tag
+                            )
                     # the scope guarantees paired release: a fault thrown
                     # into any yield below still unpins on the way out, so
                     # a dying query cannot leave the (shared) cache
                     # permanently shrunk by orphaned pins
                     with cache.pin_scope() as scope:
                         left_entry = yield from self._fetch(
-                            j, lid, cache, scope, pb, report, is_left=True,
-                            tel=tel, link_span=jspan, track=track,
-                            inflight=inflight,
+                            j, lid, scope, jspan, track, inflight, is_left=True
                         )
                         right_entry = yield from self._fetch(
-                            j, rid, cache, scope, pb, report, is_left=False,
-                            tel=tel, link_span=jspan, track=track,
-                            inflight=inflight,
+                            j, rid, scope, jspan, track, inflight, is_left=False
                         )
-                        yield from self._probe_and_emit(
-                            j, seq, left_entry, right_entry, pb, report,
-                            probed, tel=tel, track=track,
+                        yield from self._charge_cpu(
+                            "probe", j, right_entry.num_records, track
                         )
+                        if probed is not None:
+                            # joined set-at-a-time by :func:`_join_probed`
+                            assert isinstance(left_entry, SubTable)
+                            assert isinstance(right_entry, SubTable)
+                            probed.append((left_entry, right_entry, seq))
                 if tel is not None:
                     tel.metrics.histogram("ij.pair_seconds").observe(
                         cluster.engine.now - t_pair
                     )
                 # no simulation events between emitting the pair's output
                 # above and this update, so a pair is either fully done or
-                # not started from the coordinator's point of view
+                # not started from the driver's point of view
                 progress[0] = seq + 1
+        except BaseException:
+            # killed mid-pair (abort, node death, exhausted recovery):
+            # nobody is left to take what the prefetchers parked for the
+            # pair in hand and the one ahead, so hand that staging budget
+            # back — by key, the cache may be shared with other queries.
+            # A sub-table still on the wire is its prefetcher's to release.
+            if inflight is not None:
+                for pair in pairs[progress[0] : progress[0] + 2]:
+                    for sid in pair:
+                        cache.take_prefetched(sid)
+            raise
         finally:
             if jspan is not None and jspan.end is None:
                 tel.recorder.finish(jspan)
 
-    def _prefetch_pair(self, j: int, pair, active, cache: CachingService,
-                       inflight: Dict[SubTableId, Event],
-                       pb: PhaseBreakdown, report: ExecutionReport,
-                       tel=None, jspan=None, tag: str = "", label=0):
-        """Background transfer process for one upcoming pair.
+    def _prefetch(self, j: int, pairs, seq: int, active, inflight, jspan, tag):
+        """Spawn the background transfer process for upcoming pair ``seq``;
+        it dies with its compute node, like the joiner."""
+        return self._spawn(
+            self._prefetch_pair(j, pairs[seq], seq, active, inflight, jspan, tag),
+            name=f"ij-prefetch{j}{tag}.{seq}",
+            compute=j,
+        )
+
+    def _prefetch_pair(self, j: int, pair, seq: int, active,
+                       inflight: Dict[SubTableId, Event], jspan, tag: str):
+        """Background transfer process for upcoming pair ``seq``.
 
         Transfers are issued sequentially (one outstanding request per
         joiner, like the single-threaded QES instance of the paper) and
@@ -672,11 +582,13 @@ class IndexedJoinQES:
         staging slot and leaves recovery (replica failover, backoff) to
         the consumer's synchronous path, which owns the accounting.
         """
-        cluster = self.cluster
+        cluster, tel, report = self.cluster, self.tel, self.report
         injector = cluster.faults
+        cache = self.caches[j]
+        pb = report.per_joiner[j]
         rec = report.recovery
         with maybe_span(
-            tel, f"prefetch{label}", category="control", node=f"compute{j}",
+            tel, f"prefetch{seq}", category="control", node=f"compute{j}",
             track=f"qes{tag}.pf", parent=jspan,
         ):
             for sid in pair:
@@ -742,30 +654,6 @@ class IndexedJoinQES:
                     sid, (self.provider.fetch(desc, node=node), node)
                 )
                 del inflight[sid]
-
-    # -- probe/emit ------------------------------------------------------------------
-
-    def _probe_and_emit(self, j: int, seq: int, left_entry, right_entry,
-                        pb: PhaseBreakdown, report: ExecutionReport,
-                        probed: Optional[list], tel=None, track: str = "qes"):
-        """Charge the pair's probe in simulated time; on a functional run,
-        record the pair for :func:`_join_probed` instead of joining it here."""
-        cluster = self.cluster
-        node = cluster.joiner(j)
-        nprobe = right_entry.num_records
-        t0 = cluster.engine.now
-        with maybe_span(
-            tel, "probe", category="cpu-probe", node=f"compute{j}",
-            track=track, records=nprobe,
-        ):
-            yield node.compute(node.lookup_time(nprobe))
-        pb.cpu_lookup += cluster.engine.now - t0
-        report.kernel.probes += nprobe
-        if tel is not None:
-            tel.metrics.counter("op.probe.records").inc(nprobe)
-        if probed is not None:
-            assert isinstance(left_entry, SubTable) and isinstance(right_entry, SubTable)
-            probed.append((left_entry, right_entry, seq))
 
 
 def _join_probed(records, on: Sequence[str]) -> Tuple[List[SubTable], int]:

@@ -1,0 +1,261 @@
+"""The Query Execution System as one execution (Section 4).
+
+"Each compute node runs a QES instance that receives a pair of sub-table
+ids to join": a QES object here *is* one distributed join execution — its
+configuration, its supervising driver process, every worker it spawned,
+its report and its whole-run telemetry spans.  :class:`QES` owns what the
+two algorithms share (the lifecycle: :meth:`~QES.run`, :meth:`~QES.begin`,
+:meth:`~QES.abort`, :meth:`~QES.finish`); :class:`~repro.joins.
+indexed_join.IndexedJoinQES` and :class:`~repro.joins.grace_hash.
+GraceHashQES` add their constructor extras, the driver and worker
+generators, and the report fill-in.  Workers read per-execution state off
+the instance; their signatures carry only what is per worker, per pair or
+per chunk.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, List, Optional, Sequence
+
+from repro.cluster.cluster import ClusterSim
+from repro.datamodel.subtable import SubTable
+from repro.faults.errors import FaultError, UnrecoverableFault
+from repro.joins.report import ExecutionReport, PhaseBreakdown
+from repro.metadata.service import MetaDataService
+from repro.services.bds import SubTableProvider
+from repro.telemetry.spans import maybe_span
+
+__all__ = ["QES"]
+
+#: the two charged CPU phases, by span name: PhaseBreakdown field, span
+#: category, JoinKernelStats counter, node cost function, records metric
+_CPU_PHASES = {
+    "build": ("cpu_build", "cpu-build", "builds", "build_time",
+              "op.hash-build.records"),
+    "probe": ("cpu_lookup", "cpu-probe", "probes", "lookup_time",
+              "op.probe.records"),
+}
+
+
+class QES:
+    """One join execution on a simulated cluster; single-shot.
+
+    Parameters shared by both algorithms:
+
+    cluster:
+        The simulated cluster to run on.
+    metadata:
+        MetaData Service holding both tables' chunk catalogs.
+    left, right:
+        Table keys (ids or names); ``left`` is the build (inner) side.
+    on:
+        Join attribute names.
+    provider:
+        Sub-table provider (functional or stub).
+    sanitizer:
+        A :class:`repro.analysis.sanitizer.RunSanitizer` to install
+        invariant hooks into this execution's engine, caches and
+        transfers (``--sanitize`` runs).  ``None`` (the default) adds no
+        instrumentation.  Under a query server the sanitizer belongs to
+        the *server* (one engine, one cluster, shared caches), so
+        per-query executions pass ``None`` here.
+    critical_path:
+        Compute the critical-path attribution on telemetry-enabled runs
+        (default).  A server turns this off per query: with several
+        queries interleaved on one fabric, a single query's span tree no
+        longer covers a contiguous slice of the makespan.
+    contain_faults:
+        When True (the query server's mode), every process this QES
+        spawns is contained: a fault that exhausts recovery fails the
+        driver event instead of propagating out of the shared engine.
+
+    After :meth:`begin`: ``process`` is the supervising driver (an event
+    other processes can wait on), ``children`` every worker process it
+    spawned, ``report`` the :class:`ExecutionReport` being filled,
+    ``tel`` the cluster's telemetry hub (or ``None``) and ``spans`` the
+    spans opened for the run as a whole, the ``query`` span first — no
+    process scope closes them.
+    """
+
+    #: report / ``query``-span label and the driver's default process name
+    algorithm: str
+    driver_name: str
+
+    def __init__(
+        self,
+        cluster: ClusterSim,
+        metadata: MetaDataService,
+        left: int | str,
+        right: int | str,
+        on: Sequence[str],
+        provider: SubTableProvider,
+        sanitizer=None,
+        critical_path: bool = True,
+        contain_faults: bool = False,
+    ):
+        self.cluster = cluster
+        self.metadata = metadata
+        self.left = metadata.table(left)
+        self.right = metadata.table(right)
+        self.on = tuple(on)
+        self.provider = provider
+        self.sanitizer = sanitizer
+        self.critical_path = critical_path
+        self.contain_faults = contain_faults
+        self._contain = (FaultError, UnrecoverableFault) if contain_faults else ()
+        self.process = None
+        self._finished = False
+
+    # -- lifecycle -----------------------------------------------------------------
+
+    def run(self) -> ExecutionReport:
+        """Execute to completion on this QES's engine (single-query mode):
+        exactly :meth:`begin` + drain + :meth:`finish`."""
+        self.begin()
+        self.cluster.engine.drive(self.process)
+        return self.finish()
+
+    def begin(self, name: Optional[str] = None) -> "QES":
+        """Start the execution without draining the engine.
+
+        Spawns the supervising driver as an ordinary simulated process
+        and returns ``self``; the caller (a query server admitting many
+        executions onto one engine) waits on ``process`` and then calls
+        :meth:`finish` for the report.  A QES is one execution: a second
+        ``begin`` raises.
+        """
+        if self.process is not None:
+            raise RuntimeError("begin() called twice: a QES is one execution")
+        cluster = self.cluster
+        n_j = cluster.num_compute
+        functional = self.provider.functional
+        self.report = ExecutionReport(
+            algorithm=self.algorithm,
+            functional=functional,
+            per_joiner=[PhaseBreakdown() for _ in range(n_j)],
+        )
+        #: result tuples per joiner (functional runs only)
+        self.results: Optional[List[List[SubTable]]] = (
+            [[] for _ in range(n_j)] if functional else None
+        )
+        #: every process this run spawns, so a server can abort the whole
+        #: tree (driver first, then workers) when a deadline expires
+        self.children: List = []
+        if self.sanitizer is not None:
+            self.sanitizer.attach_engine(cluster.engine)
+        tel = self.tel = cluster.telemetry
+        self.spans: List = []
+        if tel is not None:
+            self.metadata.attach_metrics(tel.metrics)
+            self.spans.append(
+                tel.recorder.begin(
+                    "query",
+                    category="query",
+                    node="global",
+                    track="main",
+                    algorithm=self.algorithm,
+                    functional=functional,
+                    **self._query_attrs(),
+                )
+            )
+        self._start()
+        self.process = cluster.engine.process(
+            self._driver(), name=name or self.driver_name, contain=self._contain
+        )
+        return self
+
+    def abort(self, cause=None) -> None:
+        """Kill the whole execution tree at the current simulated instant.
+
+        Interrupts the driver first (so it dies before it can observe —
+        and misread as a node crash, or try to reassign — its workers'
+        deaths), then every spawned worker.  Each process unwinds its pin
+        scopes as the interrupt propagates; interrupting already-finished
+        processes is a no-op.  The server's deadline path calls this.
+        """
+        self.process.interrupt(cause)
+        for proc in self.children:
+            proc.interrupt(cause)
+        if self.tel is not None:
+            # nothing will finish() an aborted run, and its driver dies
+            # before any barrier: the whole-run spans end here
+            error = "Interrupt" if cause is None else type(cause).__name__
+            for span in self.spans:
+                self.tel.recorder.abandon(span, error)
+
+    def finish(self) -> ExecutionReport:
+        """Assemble and return the report (driver must have completed)."""
+        if self.process is None or not self.process.triggered:
+            raise RuntimeError(
+                "finish() called before the execution's driver completed"
+            )
+        report = self.report
+        if self._finished:
+            return report
+        self._finished = True
+        report.results = self.results
+        self._fill()
+        tel = self.tel
+        if tel is not None:
+            qspan = self.spans[0]
+            tel.recorder.finish(qspan, at=report.total_time)
+            if self.critical_path:
+                from repro.telemetry.critical_path import compute_critical_path
+
+                report.critical_path = compute_critical_path(tel.recorder, qspan)
+            report.telemetry = tel
+        if self.sanitizer is not None:
+            self.sanitizer.after_run(self.cluster.engine, report)
+        return report
+
+    # -- what the algorithms build on ----------------------------------------------
+
+    def _spawn(self, gen, name: str, compute: Optional[int] = None):
+        """Start a worker process of this execution: contained like the
+        driver, recorded in ``children`` and — when it runs on compute
+        node ``compute`` — registered to die with that node."""
+        proc = self.cluster.spawn(gen, name=name, contain=self._contain)
+        self.children.append(proc)
+        if compute is not None and self.cluster.faults is not None:
+            self.cluster.faults.register_compute(compute, proc)
+        return proc
+
+    def _charge_cpu(self, phase: str, j: int, records: int, track: str,
+                    **attrs: Any):
+        """Charge joiner ``j`` the hash ``"build"`` or ``"probe"`` of
+        ``records`` records in simulated time: the wait into the joiner's
+        :class:`PhaseBreakdown`, a span of the phase's category, the
+        report's kernel counter and the records metric.  Generator."""
+        field, category, counter, cost, metric = _CPU_PHASES[phase]
+        cluster, tel, report = self.cluster, self.tel, self.report
+        node = cluster.joiner(j)
+        pb = report.per_joiner[j]
+        t0 = cluster.engine.now
+        with maybe_span(
+            tel, phase, category=category, node=f"compute{j}", track=track,
+            records=records, **attrs,
+        ):
+            yield node.compute(getattr(node, cost)(records))
+        setattr(pb, field, getattr(pb, field) + (cluster.engine.now - t0))
+        setattr(report.kernel, counter, getattr(report.kernel, counter) + records)
+        if tel is not None:
+            tel.metrics.counter(metric).inc(records)
+
+    # -- what each algorithm supplies ------------------------------------------------
+
+    def _query_attrs(self) -> Dict[str, Any]:
+        """The algorithm's own attributes on the ``query`` span."""
+        raise NotImplementedError
+
+    def _start(self) -> None:
+        """Set up per-execution state, open the algorithm's own whole-run
+        spans and spawn whatever starts ahead of the driver."""
+        raise NotImplementedError
+
+    def _driver(self):
+        """The supervising generator; sets ``report.total_time`` last."""
+        raise NotImplementedError
+
+    def _fill(self) -> None:
+        """The algorithm's report fill-in, run once by :meth:`finish`."""
+        raise NotImplementedError

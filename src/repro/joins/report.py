@@ -10,13 +10,13 @@ statistics) used by tests and the model-validation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.datamodel.subtable import SubTable
 from repro.joins.hash_join import JoinKernelStats
 from repro.services.cache import CacheStats
 
-__all__ = ["PhaseBreakdown", "RecoveryStats", "ExecutionReport", "QESRun"]
+__all__ = ["PhaseBreakdown", "RecoveryStats", "ExecutionReport"]
 
 
 @dataclass
@@ -211,74 +211,3 @@ class ExecutionReport:
                 "  " + line for line in self.critical_path.summary_lines(3)
             )
         return "\n".join(lines)
-
-
-class QESRun:
-    """Handle for one in-flight QES execution (either algorithm).
-
-    Returned by ``IndexedJoinQES.begin`` / ``GraceHashQES.begin``;
-    ``process`` is the supervising driver (an event other processes can
-    wait on), ``children`` every worker process it spawned, and
-    :meth:`finish` assembles the :class:`ExecutionReport` once the driver
-    has completed.  ``fill`` is the QES's own report fill-in (pair count,
-    cache statistics, extras) — the only part that differs per algorithm.
-    ``spans`` are the spans ``begin`` opened for the run as a whole, the
-    query span first: no process scope closes them.
-    """
-
-    def __init__(self, qes, process, report: ExecutionReport, results,
-                 tel, spans, children, fill: Callable[[], None]):
-        self.qes = qes
-        self.process = process
-        self.report = report
-        self.children = children
-        self._results = results
-        self._tel = tel
-        self._spans = spans
-        self._fill = fill
-        self._finished = False
-
-    def abort(self, cause=None) -> None:
-        """Kill the whole execution tree at the current simulated instant.
-
-        Interrupts the driver first (so it dies before it can observe —
-        and misread as a node crash, or try to reassign — its workers'
-        deaths), then every spawned worker.  Each process unwinds its pin
-        scopes as the interrupt propagates; interrupting already-finished
-        processes is a no-op.  The server's deadline path calls this.
-        """
-        self.process.interrupt(cause)
-        for proc in self.children:
-            proc.interrupt(cause)
-        if self._tel is not None:
-            # nothing will finish() an aborted run, and its driver dies
-            # before any barrier: the whole-run spans end here
-            error = "Interrupt" if cause is None else type(cause).__name__
-            for span in self._spans:
-                self._tel.recorder.abandon(span, error)
-
-    def finish(self) -> ExecutionReport:
-        """Assemble and return the report (driver must have completed)."""
-        if not self.process.triggered:
-            raise RuntimeError(
-                "finish() called before the execution's driver completed"
-            )
-        if self._finished:
-            return self.report
-        self._finished = True
-        qes, report = self.qes, self.report
-        report.results = self._results
-        self._fill()
-        if self._tel is not None:
-            qspan = self._spans[0]
-            self._tel.recorder.finish(qspan, at=report.total_time)
-            if qes.critical_path:
-                from repro.telemetry.critical_path import compute_critical_path
-
-                report.critical_path = compute_critical_path(
-                    self._tel.recorder, qspan
-                )
-            report.telemetry = self._tel
-        if qes.sanitizer is not None:
-            qes.sanitizer.after_run(qes.cluster.engine, report)
-        return report

@@ -28,10 +28,10 @@ through one channel, :meth:`CachingService.subscribe`: one notification
 per operation, after the state change it describes, as plain arguments
 ``fn(op, key, nbytes, origin, qid)``.  ``op`` is the operation's name
 (``pin``, ``unpin``, ``prefetch_begin``, ``prefetch_complete``,
-``prefetch_cancel``, ``take_prefetched``, ``cancel_staged``,
-``invalidate_from``) or, where the outcome matters, the outcome:
-``hit``/``miss`` for :meth:`~CachingService.get`, ``insert``/``reject``
-for :meth:`~CachingService.put`, ``drop`` for
+``prefetch_cancel``, ``take_prefetched``, ``invalidate_from``) or, where
+the outcome matters, the outcome: ``hit``/``miss`` for
+:meth:`~CachingService.get`, ``insert``/``reject`` for
+:meth:`~CachingService.put`, ``drop`` for
 :meth:`~CachingService.remove` (an explicit remove or invalidation —
 *not* a capacity eviction, which a what-if replay must re-derive
 itself).  ``nbytes``/``origin`` describe the entry (``None`` on a miss:
@@ -609,22 +609,6 @@ class CachingService(Generic[K, V]):
         self._staged_bytes -= staged.nbytes
         self._emit("take_prefetched", key, staged.nbytes)
         return staged.value
-
-    def cancel_staged(self) -> int:
-        """Drop every staged prefetch — in flight or ready — returning the
-        staging budget; returns how many entries were dropped.
-
-        Recovery code calls this when the prefetching consumer dies: a
-        ready staged entry with no consumer left to ``take`` it would
-        otherwise hold staging budget until the run ends, which the
-        sanitizer reports as a staging leak at quiesce.
-        """
-        dropped = len(self._staged)
-        if dropped:
-            self._staged.clear()
-            self._staged_bytes = 0
-            self._emit("cancel_staged")
-        return dropped
 
     def invalidate_from(
         self, source: int, view: Optional[QueryCacheView[K, V]] = None

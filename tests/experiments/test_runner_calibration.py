@@ -51,10 +51,11 @@ class TestFigureSweeps:
         results = run_figure4(grid=(32, 32, 32), component=(8, 8, 8), steps=3,
                               n_s=2, n_j=2)
         assert len(results) == 3
-        ne_cs = [r.spec.ne_cs for r in results]
+        ne_cs = [x for x, _ in results]
+        assert ne_cs == [r.spec.ne_cs for _, r in results]
         assert ne_cs[1] == 2 * ne_cs[0] and ne_cs[2] == 4 * ne_cs[0]
         # constant edge ratio throughout
-        ratios = {r.spec.edge_ratio for r in results}
+        ratios = {r.spec.edge_ratio for _, r in results}
         assert len(ratios) == 1
 
     def test_figure5_small(self):

@@ -308,7 +308,7 @@ class TestDeadlines:
 class TestAbortedSpans:
     """A traced serve closes every span of an execution it kills.
 
-    ``QESRun.abort`` ends the whole-run spans nothing else will: the
+    ``QES.abort`` ends the whole-run spans nothing else will: the
     ``query`` span ``finish()`` would have closed, Grace Hash's
     ``partition`` span when the abort lands before the barrier, and the
     detached ``bucket-write`` spans of writes still in flight (left to

@@ -397,15 +397,12 @@ class TestAccessTraceFeed:
         c.take_prefetched("p")
         c.prefetch_begin("q", 10)
         c.prefetch_cancel("q")
-        c.prefetch_begin("r", 10)
-        c.cancel_staged()
         c.invalidate_from(0)  # drops a, then reports itself
         c.remove("b")
         assert [op for op, *_ in seen] == [
             "insert", "insert", "reject", "pin", "unpin",
             "prefetch_begin", "prefetch_complete", "take_prefetched",
             "prefetch_begin", "prefetch_cancel",
-            "prefetch_begin", "cancel_staged",
             "drop", "invalidate_from", "drop",
         ]
         # operations that change nothing tell nobody
@@ -413,7 +410,6 @@ class TestAccessTraceFeed:
         c.remove("absent")
         c.prefetch_cancel("absent")
         c.take_prefetched("absent")
-        c.cancel_staged()
         assert not c.prefetch_begin("huge", 11)
         assert seen == []
 
@@ -529,7 +525,7 @@ _view_ops = st.lists(
             "get", "get", "get", "put", "put", "put", "put",
             "pin", "unpin", "remove", "invalidate_from",
             "prefetch_begin", "prefetch_complete", "prefetch_cancel",
-            "take_prefetched", "cancel_staged",
+            "take_prefetched",
         ]),
         keys,
         st.integers(min_value=5, max_value=20),
@@ -571,8 +567,6 @@ def _apply(shared, view, op, key, size):
         return int(staged)
     elif op == "take_prefetched":
         return int(view.take_prefetched(key) is not None)
-    elif op == "cancel_staged":
-        return int(view.cancel_staged() > 0)
     return 1
 
 

@@ -411,3 +411,60 @@ class TestMalformedFiles:
         assert main(["drift", "--store", str(store)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {store}:1: bad drift record")
+
+
+class TestUnreadFlagsRefused:
+    """A subcommand registers exactly the flags its handler reads: a flag
+    nothing would look at is argparse's exit 2 before anything runs, not
+    a run that silently ignored it (a fault sweep that ran fault-free)."""
+
+    SMALL = ["--grid", "16,16", "--p", "4,4", "--q", "4,4",
+             "--storage", "2", "--compute", "2"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "nfs", "--faults", "this is not a spec"],
+        ["sweep", "nfs", "--replication", "7"],
+        ["sweep", "nfs", "--calibrated", "drift"],
+        ["sweep", "nfs", "--drift-store", "/nonexistent/x"],
+        ["sweep", "nfs", "--nfs"],
+        ["plan", *SMALL, "--faults", "not a spec"],
+        ["plan", *SMALL, "--replication", "9"],
+        ["plan", *SMALL, "--sanitize"],
+        ["plan", *SMALL, "--trace-out", "/nonexistent/dir/x.json"],
+        ["explain", *SMALL, "--faults", "not a spec"],
+        ["explain", *SMALL, "--replication", "9"],
+        ["explain", *SMALL, "--sanitize"],
+        ["explain", *SMALL, "--trace-out", "/nonexistent/dir/x.json"],
+        ["trace", *SMALL, "--calibrated", "drift"],
+        ["trace", *SMALL, "--drift-store", "/nonexistent/x"],
+        ["trace", *SMALL, "--trace-out", "/nonexistent/y"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2] if argv[-2].startswith('--') else argv[-1]}")
+    def test_refused_before_anything_runs(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where an accepted `trace` would write
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("unrecognized arguments" in captured.err
+                or "invalid choice: 'drift'" in captured.err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--nfs", "--cpu-factor", "2", "--calibrated", "drift",
+         "--drift-store", "x", "--pipeline"],
+        ["explain", "--nfs", "--cpu-factor", "2", "--calibrated", "drift",
+         "--drift-store", "x", "--pipeline", "--json"],
+        ["run", "--nfs", "--cpu-factor", "2", "--calibrated", "drift",
+         "--drift-store", "x", "--pipeline", "--faults", "seed=1",
+         "--replication", "2", "--sanitize", "--trace-out", "x"],
+        ["sweep", "cpu", "--cpu-factor", "2", "--calibrated", "host",
+         "--pipeline", "--sanitize", "--trace-out", "x"],
+        ["trace", "--nfs", "--cpu-factor", "2", "--calibrated", "--pipeline",
+         "--faults", "seed=1", "--replication", "2", "--sanitize"],
+        ["serve", "--cpu-factor", "2", "--calibrated", "drift",
+         "--drift-store", "x"],
+    ], ids=lambda argv: argv[0])
+    def test_every_flag_a_handler_reads_still_parses(self, argv):
+        args = build_parser().parse_args(argv + ["--storage", "3", "--compute", "4"])
+        assert (args.storage, args.compute, args.cpu_factor) == (3, 4, 2.0)
