@@ -403,7 +403,8 @@ def _load_tenants(path: Optional[str]):
     """Tenant specs from a JSON file, or the built-in two-tenant mix.
 
     The file holds either a list of tenant objects or ``{"tenants":
-    [...]}``; each object is a :meth:`TenantSpec.from_dict` mapping.
+    [...]}``; each object is a :meth:`TenantSpec.from_dict` mapping.  Whatever
+    is wrong with the file is a ``ValueError`` naming it and the tenant.
     """
     from repro.workloads.arrivals import TenantSpec
 
@@ -411,19 +412,22 @@ def _load_tenants(path: Optional[str]):
         data = list(_DEFAULT_TENANTS)
     else:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ValueError(f"{path}: not JSON: {exc}") from None
         if isinstance(data, dict):
             data = data.get("tenants")
     if not isinstance(data, list) or not data:
-        raise ValueError(f"tenant spec {path!r} holds no tenants")
+        raise ValueError(f"{path}: holds no tenants")
     tenants = []
     for i, d in enumerate(data):
-        if not isinstance(d, dict):
-            raise ValueError(f"{path}: tenant #{i} is not an object: {d!r}")
         try:
             tenants.append(TenantSpec.from_dict(d))
         except KeyError as exc:
-            raise ValueError(f"{path}: tenant #{i} has no {exc} key") from None
+            raise ValueError(f"{path}: tenant #{i}: no {exc} key") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: tenant #{i}: {exc}") from None
     return tenants
 
 

@@ -18,8 +18,8 @@ same data.
 Intervals on a serial FIFO resource are disjoint by construction of the
 reservation calculus — two overlapping intervals mean a reservation
 bug.  :meth:`Tracer.record` therefore *detects* overlap and raises
-(``on_overlap="warn"`` downgrades to a warning) instead of letting
-utilisation silently exceed and then be clamped to 100%.
+instead of letting utilisation silently exceed and then be clamped to
+100%.
 
 Enable with ``ClusterSim(..., trace=True)`` (or with
 ``engine.subscribe(Tracer())`` before running) — tracing is off by
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -61,20 +60,12 @@ class Tracer:
 
     ``recorder`` is the span store backing the view; omitted, the tracer
     owns a private engineless recorder (the historical standalone
-    usage).  ``on_overlap`` selects what happens when an interval
-    overlaps an earlier one on the same resource: ``"raise"`` (default)
-    or ``"warn"``.
+    usage).  An interval that overlaps an earlier one on the same
+    resource is an :class:`OverlapError`.
     """
 
-    def __init__(
-        self,
-        recorder: Optional[SpanRecorder] = None,
-        on_overlap: str = "raise",
-    ) -> None:
-        if on_overlap not in ("raise", "warn"):
-            raise ValueError(f"unknown on_overlap mode {on_overlap!r}")
+    def __init__(self, recorder: Optional[SpanRecorder] = None) -> None:
         self.recorder = recorder if recorder is not None else SpanRecorder()
-        self.on_overlap = on_overlap
         #: per-resource interval endpoints sorted by start, for overlap
         #: detection in O(log n) per record
         self._sorted: Dict[str, List[Tuple[float, float]]] = {}
@@ -101,13 +92,10 @@ class Tracer:
             clash = ivals[pos]
         ivals.insert(pos, (start, end))
         if clash is not None:
-            msg = (
+            raise OverlapError(
                 f"overlapping reservations on serial resource {resource!r}: "
                 f"[{start:g}, {end:g}] vs [{clash[0]:g}, {clash[1]:g}]"
             )
-            if self.on_overlap == "raise":
-                raise OverlapError(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=3)
 
     # -- queries ----------------------------------------------------------------
 

@@ -26,6 +26,7 @@ from repro.core.cost_models import (
 )
 from repro.core.view import JoinView
 from repro.datamodel.bounding_box import BoundingBox
+from repro.datamodel.chunk import ChunkDescriptor
 from repro.joins.join_index import PageJoinIndex, build_join_index
 from repro.metadata.service import MetaDataService
 
@@ -114,8 +115,9 @@ class ScanPlan:
 
     table: str
     where: Optional[BoundingBox]
-    num_chunks: int
-    nbytes: int
+    #: the chunks pruning kept, in chunk-id order: what the scan reads, and
+    #: what the chunk count and byte total that ``transfer`` prices derive from
+    chunks: Tuple[ChunkDescriptor, ...]
     #: modelled transfer seconds (bandwidth + per-chunk latency)
     transfer: float
 
@@ -231,8 +233,7 @@ class QueryPlanningService:
         return ScanPlan(
             table=catalog.name,
             where=where,
-            num_chunks=len(chunks),
-            nbytes=nbytes,
+            chunks=tuple(chunks),
             transfer=nbytes / bw + latency * len(chunks),
         )
 

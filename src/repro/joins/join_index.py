@@ -211,21 +211,17 @@ def build_join_index(
     left_chunks: Sequence[ChunkDescriptor],
     right_chunks: Sequence[ChunkDescriptor],
     on: Sequence[str],
-    range_constraint: Optional[BoundingBox] = None,
 ) -> PageJoinIndex:
     """Construct the connectivity graph from chunk metadata.
 
     Candidate pairs are chunks whose bounding boxes overlap on every join
-    attribute.  ``range_constraint`` (the view's WHERE range) prunes chunks
-    before pairing.  The pair list is produced in lexicographic
-    ``(left id, right id)`` order.
+    attribute.  A view's WHERE range prunes the built index
+    (:meth:`PageJoinIndex.restrict`).  The pair list is produced in
+    lexicographic ``(left id, right id)`` order.
     """
     on = tuple(on)
     if not on:
         raise ValueError("join index needs at least one join attribute")
-    if range_constraint is not None:
-        left_chunks = [c for c in left_chunks if c.bbox.overlaps(range_constraint)]
-        right_chunks = [c for c in right_chunks if c.bbox.overlaps(range_constraint)]
 
     left_table = left_chunks[0].table_id if left_chunks else -1
     right_table = right_chunks[0].table_id if right_chunks else -1

@@ -23,7 +23,7 @@ Alternative orders exist for the scheduling ablation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.rng import deterministic_shuffle
 from repro.datamodel.subtable import SubTableId
@@ -97,9 +97,7 @@ class PairSchedule:
         Pure planning — the schedule itself is not mutated (``per_joiner``
         keeps the original assignment for reference strings and reports);
         the QES launches the returned per-survivor batches as fresh joiner
-        processes.  A caller that instead wants a live joiner to absorb
-        the pairs into its own stream commits the batch with
-        :meth:`extend`.
+        processes.
         """
         if not survivors:
             raise ValueError("no surviving joiners to reassign pairs to")
@@ -109,35 +107,6 @@ class PairSchedule:
         for i, pair in enumerate(pairs):
             out.setdefault(eligible[i % len(eligible)], []).append(pair)
         return out
-
-    def extend(self, joiner: int, pairs: List[Pair]) -> None:
-        """Append reassigned ``pairs`` to one joiner's live schedule.
-
-        Append-only by contract: :meth:`iter_lookahead` enumerates the
-        *live* per-joiner list, so an in-progress lookahead iteration over
-        the same joiner sees the appended pairs exactly once (no skips,
-        no duplicates) and its ``upcoming`` windows extend into them —
-        the consistency reassign-during-lookahead requires.
-        """
-        self.per_joiner[joiner].extend(pairs)
-
-    def iter_lookahead(
-        self, joiner: int, depth: int = 1
-    ) -> "Iterator[Tuple[int, Pair, Tuple[Pair, ...]]]":
-        """Iterate one joiner's pairs with a window into the future.
-
-        Yields ``(seq, pair, upcoming)``, where ``upcoming`` holds the next
-        ``depth`` scheduled pairs (fewer near the end of the schedule) — a
-        pair-granular view of the same future knowledge
-        :meth:`reference_string` exposes reference-granularly.  The
-        pipelined Indexed Join drives its prefetcher from this window:
-        ``depth=1`` is classic double-buffering.
-        """
-        if depth < 1:
-            raise ValueError("lookahead depth must be >= 1")
-        pairs = self.per_joiner[joiner]
-        for seq, pair in enumerate(pairs):
-            yield seq, pair, tuple(pairs[seq + 1 : seq + 1 + depth])
 
 
 def schedule_two_stage(index: PageJoinIndex, num_joiners: int) -> PairSchedule:

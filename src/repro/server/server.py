@@ -1048,12 +1048,6 @@ class QueryServer:
         cluster = self.cluster
         provider = self.dataset.provider
         functional = provider.functional
-        catalog = self.dataset.metadata.table(planned.table)
-        if planned.where is not None and len(planned.where):
-            chunks = list(catalog.find_chunks(planned.where))
-        else:
-            chunks = list(catalog.all_chunks())
-        chunks.sort(key=lambda c: (c.id.table_id, c.id.chunk_id))
         compute = self._scan_target(planned.qid)
         injector = cluster.faults
         if injector is not None and cluster.engine.current_process is not None:
@@ -1064,7 +1058,7 @@ class QueryServer:
         tel = cluster.telemetry
         records = 0
         with cache.pin_scope() as scope:
-            for desc in chunks:
+            for desc in planned.plan.chunks:
                 value = cache.get(desc.id)
                 if value is None:
                     with maybe_span(

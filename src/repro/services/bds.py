@@ -38,9 +38,10 @@ __all__ = [
 class BasicDataSourceService:
     """One BDS instance: a storage node's chunk store plus its extractors.
 
-    ``bytes_read`` counts the chunk bytes this instance actually touched —
-    with projection pushdown (``columns=...``) against a column-selective
-    layout, substantially less than the chunk sizes served.
+    ``bytes_read`` counts the chunk bytes this instance actually read: the
+    summed sizes of the ranges each request's extractor named — with
+    ``columns=...`` against a layout that can skip bytes, substantially
+    less than the chunk sizes served; otherwise exactly the chunk sizes.
     """
 
     def __init__(
@@ -64,11 +65,11 @@ class BasicDataSourceService:
         """Read, parse and return the basic sub-table for ``desc``.
 
         Only chunks local to this BDS's storage node are served, matching
-        the paper's placement of BDS instances.  With ``columns`` given,
-        the BDS attempts a *column-selective* read: layouts that store
-        columns contiguously serve just the projected attributes' byte
-        ranges; record-interleaved layouts silently fall back to a full
-        read followed by projection.
+        the paper's placement of BDS instances.  There is one path: the
+        extractor names the byte ranges the wanted columns need (the whole
+        chunk when its layout cannot skip bytes), the store reads them, the
+        extractor decodes them.  A full read (``columns=None``) is the same
+        path over every column.
         """
         if desc.ref.storage_node != self.storage_node:
             raise ValueError(
@@ -76,26 +77,15 @@ class BasicDataSourceService:
                 f"serves node {self.storage_node}"
             )
         extractor = self.extractors.resolve_first(desc.extractors)
-        if columns is not None:
-            names = list(columns)
-            unknown = set(names) - set(extractor.schema.names)
-            if unknown:
-                raise KeyError(f"columns not in chunk schema: {sorted(unknown)}")
-            ranges = extractor.column_ranges(names, desc.size)
-            if ranges is not None:
-                data = self.store.read_ranges(desc.ref, ranges)
-                self.bytes_read += len(data)
-                return extractor.extract_columns(
-                    data, desc.id, names, desc.num_records, bbox=desc.bbox
-                )
-            raw = self.store.read(desc.ref)
-            self.bytes_read += len(raw)
-            full = extractor.extract(raw, desc.id, bbox=desc.bbox)
-            ordered = [n for n in extractor.schema.names if n in set(names)]
-            return full.project(ordered)
-        raw = self.store.read(desc.ref)
-        self.bytes_read += len(raw)
-        return extractor.extract(raw, desc.id, bbox=desc.bbox)
+        names = None if columns is None else list(columns)
+        unknown = sorted({n for n in names or () if n not in extractor.schema})
+        if unknown:
+            raise KeyError(f"columns not in chunk schema: {unknown}")
+        data = self.store.read_ranges(
+            desc.ref, extractor.column_ranges(names, desc.size)
+        )
+        self.bytes_read += len(data)
+        return extractor.extract(data, desc.id, bbox=desc.bbox, columns=names)
 
     def __repr__(self) -> str:
         return f"BasicDataSourceService(node={self.storage_node})"

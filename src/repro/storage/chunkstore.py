@@ -38,12 +38,13 @@ class ChunkStore:
     def read_ranges(self, ref: ChunkRef, ranges: "List[Tuple[int, int]]") -> bytes:
         """Read chunk-relative ``(offset, size)`` ranges, concatenated.
 
-        This is the I/O half of projection pushdown: only the byte ranges
-        a column-selective layout reported are touched.  The base
-        implementation validates the ranges and issues one seek+read per
-        range; stores may override with smarter strategies.
+        This is the I/O half of the read path: only the byte ranges the
+        chunk's layout reported are touched.  The base implementation
+        validates the ranges and issues one seek+read per range — a single
+        range is that read's bytes, uncopied; stores may override with
+        smarter strategies.
         """
-        out = bytearray()
+        parts = []
         for offset, size in ranges:
             if offset < 0 or size < 0 or offset + size > ref.size:
                 raise ValueError(
@@ -55,8 +56,8 @@ class ChunkStore:
                 offset=ref.offset + offset,
                 size=size,
             )
-            out.extend(self.read(sub))
-        return bytes(out)
+            parts.append(self.read(sub))
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
 
 class LocalChunkStore(ChunkStore):

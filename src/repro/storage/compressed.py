@@ -17,14 +17,16 @@ this is the one layout whose chunk size is data-dependent — which is the
 point: smaller chunks mean proportionally less disk and network time in
 both QES algorithms.
 
-Column-selective reads are not supported (columns have variable encoded
-sizes; a future format revision could add a range directory).
+A read cannot skip bytes (columns have variable encoded sizes; a future
+format revision could add a range directory), so ``column_ranges`` is the
+base class's whole chunk.  A projected ``deserialize`` still walks and
+length-checks every column header, and decodes only the named payloads.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -120,7 +122,10 @@ class CompressedColumnLayout(ChunkLayout):
             out.extend(payload)
         return bytes(out)
 
-    def deserialize(self, data: bytes, schema: Schema) -> Dict[str, np.ndarray]:
+    def deserialize(
+        self, data: bytes, schema: Schema, names: Optional[Sequence[str]] = None
+    ) -> Dict[str, np.ndarray]:
+        wanted = {a.name for a in self._select(schema, names)}
         if len(data) < _HEADER.size:
             raise ValueError("truncated compressed chunk (no header)")
         (n,) = _HEADER.unpack_from(data, 0)
@@ -134,7 +139,8 @@ class CompressedColumnLayout(ChunkLayout):
             payload = data[offset : offset + length]
             if len(payload) != length:
                 raise ValueError(f"truncated payload for column {attr.name!r}")
-            out[attr.name] = _decode_column(tag, payload, attr.np_dtype, n)
+            if attr.name in wanted:
+                out[attr.name] = _decode_column(tag, payload, attr.np_dtype, n)
             offset += length
         if offset != len(data):
             raise ValueError(f"{len(data) - offset} trailing bytes in compressed chunk")

@@ -10,11 +10,17 @@ Each chunk's metadata lists the *names* of the extractors able to parse it;
 hand-written subclasses of :class:`Extractor` or compiled from a layout
 descriptor via :func:`build_extractor` (the automatic-generation path of
 Weng et al. [17]).
+
+Either kind answers the two calls the BDS's one read path makes —
+``column_ranges`` (which bytes do these columns need?) and ``extract``
+(decode those bytes into those columns); a hand-written extractor that
+only knows how to parse a whole chunk inherits "the whole chunk" for the
+first and narrows its result with ``projected_schema`` in the second.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.schema import Schema
@@ -28,28 +34,52 @@ __all__ = ["Extractor", "DescribedExtractor", "ExtractorRegistry", "build_extrac
 class Extractor:
     """Interprets raw chunk bytes as a sub-table.
 
-    Subclasses provide ``name``, ``schema`` and :meth:`extract`.  The base
-    class also exposes :meth:`encode` so dataset writers can produce chunks
-    an extractor is guaranteed to round-trip (not all extractors must
-    support writing; read-only ones may leave ``encode`` unimplemented).
+    Subclasses provide ``name``, ``schema`` and :meth:`extract`.  An
+    extractor that can tell which bytes a column lives in also overrides
+    :meth:`column_ranges`; one that cannot is handed the whole chunk and
+    honours ``columns`` by parsing everything and keeping the named
+    attributes.  The base class also exposes :meth:`encode` so dataset
+    writers can produce chunks an extractor is guaranteed to round-trip
+    (not all extractors must support writing; read-only ones may leave
+    ``encode`` unimplemented).
     """
 
     name: str = ""
     schema: Schema
+
+    def column_ranges(
+        self, names: Optional[Sequence[str]], chunk_size: int
+    ) -> List[Tuple[int, int]]:
+        """Chunk-relative ``(offset, size)`` byte ranges :meth:`extract`
+        needs to produce the named columns (``None``: every column), in
+        the order it expects them concatenated.  Default: the whole chunk."""
+        return [(0, chunk_size)]
 
     def extract(
         self,
         raw: bytes,
         id: SubTableId,
         bbox: Optional[BoundingBox] = None,
+        columns: Optional[Sequence[str]] = None,
     ) -> SubTable:
         """Parse ``raw`` into the sub-table identified by ``id``.
 
-        ``bbox`` is the chunk's metadata bounding box; when provided it is
-        attached to the sub-table so downstream consumers (join index, range
-        pruning) avoid rescanning the data.
+        ``raw`` is the concatenation of the bytes ``column_ranges(columns,
+        ...)`` named, and the result holds exactly the named attributes in
+        schema order (:meth:`projected_schema`), whatever order they were
+        asked for in; ``columns=None`` is every attribute.  ``bbox`` is the
+        chunk's metadata bounding box; when provided it is attached to the
+        sub-table so downstream consumers (join index, range pruning) avoid
+        rescanning the data.
         """
         raise NotImplementedError
+
+    def projected_schema(self, columns: Optional[Sequence[str]]) -> Schema:
+        """Schema of the sub-table a read of ``columns`` returns."""
+        if columns is None:
+            return self.schema
+        wanted = set(columns)
+        return self.schema.project([n for n in self.schema.names if n in wanted])
 
     def encode(self, subtable: SubTable) -> bytes:
         """Serialise a sub-table into chunk bytes this extractor can parse."""
@@ -68,14 +98,22 @@ class DescribedExtractor(Extractor):
         self.schema = descriptor.schema
         self._layout: ChunkLayout = descriptor.layout()
 
+    def column_ranges(
+        self, names: Optional[Sequence[str]], chunk_size: int
+    ) -> List[Tuple[int, int]]:
+        return self._layout.column_ranges(self.schema, names, chunk_size)
+
     def extract(
         self,
         raw: bytes,
         id: SubTableId,
         bbox: Optional[BoundingBox] = None,
+        columns: Optional[Sequence[str]] = None,
     ) -> SubTable:
-        columns = self._layout.deserialize(raw, self.schema)
-        return SubTable(id, self.schema, columns, bbox=bbox)
+        schema = self.projected_schema(columns)
+        return SubTable(
+            id, schema, self._layout.deserialize(raw, self.schema, columns), bbox=bbox
+        )
 
     def encode(self, subtable: SubTable) -> bytes:
         if subtable.schema != self.schema:
@@ -86,30 +124,6 @@ class DescribedExtractor(Extractor):
         return self._layout.serialize(
             {n: subtable.column(n) for n in self.schema.names}, self.schema
         )
-
-    # -- projection pushdown --------------------------------------------------------
-
-    def column_ranges(self, names, chunk_size: int):
-        """Byte ranges for the given columns, or ``None`` when this
-        extractor's layout is not column-selective (see
-        :meth:`repro.storage.layout.ChunkLayout.column_ranges`)."""
-        return self._layout.column_ranges(self.schema, names, chunk_size)
-
-    def extract_columns(
-        self,
-        data: bytes,
-        id: SubTableId,
-        names,
-        num_records: int,
-        bbox: Optional[BoundingBox] = None,
-    ) -> SubTable:
-        """Parse the concatenated :meth:`column_ranges` bytes into a
-        sub-table over the projected schema (columns in schema order)."""
-        ordered = [n for n in self.schema.names if n in set(names)]
-        columns = self._layout.deserialize_columns(
-            data, self.schema, ordered, num_records
-        )
-        return SubTable(id, self.schema.project(ordered), columns, bbox=bbox)
 
 
 def build_extractor(descriptor: LayoutDescriptor | str) -> DescribedExtractor:

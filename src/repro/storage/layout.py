@@ -15,6 +15,13 @@ outputs commonly use:
 
 All layouts are loss-free and vectorised: (de)serialisation is NumPy
 reshaping/view work, never per-record Python loops.
+
+Reading is one contract, and a full read is its projection onto every
+column: ``column_ranges(schema, names, size)`` names the bytes the wanted
+columns need — only theirs for the two columnar layouts, the whole chunk
+for layouts that cannot skip bytes — and ``deserialize(data, schema,
+names)`` decodes exactly those bytes into exactly those columns.  Every
+returned array is a writable copy the caller owns.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datamodel.schema import Schema
+from repro.datamodel.schema import Attribute, Schema
 
 __all__ = [
     "ChunkLayout",
@@ -46,43 +53,50 @@ class ChunkLayout:
         authoritative) into chunk bytes."""
         raise NotImplementedError
 
-    def deserialize(self, data: bytes, schema: Schema) -> Dict[str, np.ndarray]:
-        """Decode chunk bytes back into one array per attribute."""
-        raise NotImplementedError
-
-    # -- projection pushdown ----------------------------------------------------
-
     def column_ranges(
-        self, schema: Schema, names: "Sequence[str]", chunk_size: int
-    ) -> "Optional[List[Tuple[int, int]]]":
-        """Byte ranges holding the given columns, or ``None`` when this
-        layout cannot serve columns selectively.
+        self, schema: Schema, names: "Optional[Sequence[str]]", chunk_size: int
+    ) -> "List[Tuple[int, int]]":
+        """Byte ranges a read of the given columns has to touch.
 
         Ranges are ``(offset, size)`` pairs relative to the chunk start,
-        ordered so that :meth:`deserialize_columns` can decode their
-        concatenation.  Column-selective reads are what make projection
-        pushdown to the BDS worthwhile: a 21-attribute chunk queried for
-        two attributes reads ~10% of its bytes.  Record-interleaved
-        layouts cannot skip anything and return ``None``.
+        ordered so that :meth:`deserialize` can decode their concatenation;
+        ``names=None`` asks for every column.  A layout that stores columns
+        contiguously names only the wanted columns' bytes — a 21-attribute
+        chunk queried for two attributes reads ~10% of its bytes.  A layout
+        that cannot skip bytes keeps this default: the whole chunk.
         """
-        return None
+        return [(0, chunk_size)]
 
-    def deserialize_columns(
-        self, data: bytes, schema: Schema, names: "Sequence[str]", num_records: int
+    def deserialize(
+        self, data: bytes, schema: Schema, names: "Optional[Sequence[str]]" = None
     ) -> Dict[str, np.ndarray]:
-        """Decode the concatenation of :meth:`column_ranges` bytes."""
-        raise NotImplementedError(f"layout {self.name!r} has no column reads")
+        """Decode the bytes ``column_ranges(schema, names, ...)`` names into
+        one array per named attribute (every attribute for ``None``)."""
+        raise NotImplementedError
 
     # -- shared helpers -------------------------------------------------------
 
-    def _num_records(self, data: bytes, schema: Schema) -> int:
-        rs = schema.record_size
-        if len(data) % rs != 0:
+    @staticmethod
+    def _select(schema: Schema, names: "Optional[Sequence[str]]") -> Tuple[Attribute, ...]:
+        """The attributes ``names`` picks, in schema order (every one for
+        ``None``); naming a column the schema does not have is an error."""
+        if names is None:
+            return schema.attributes
+        wanted = set(names)
+        unknown = sorted(n for n in wanted if n not in schema)
+        if unknown:
+            raise KeyError(f"columns not in schema: {unknown}")
+        return tuple(a for a in schema if a.name in wanted)
+
+    def _num_records(self, size: int, attrs: "Schema | Sequence[Attribute]") -> int:
+        """How many records of ``attrs`` fill ``size`` bytes exactly."""
+        rs = sum(a.itemsize for a in attrs)
+        if not rs or size % rs:
             raise ValueError(
-                f"chunk size {len(data)} is not a multiple of record size {rs} "
-                f"for schema {schema.names} (layout {self.name!r})"
+                f"chunk size {size} is not a multiple of record size {rs} "
+                f"for columns {[a.name for a in attrs]} (layout {self.name!r})"
             )
-        return len(data) // rs
+        return size // rs
 
     @staticmethod
     def _check_columns(columns: Mapping[str, np.ndarray], schema: Schema) -> int:
@@ -111,11 +125,14 @@ class RowMajorLayout(ChunkLayout):
             out[attr.name] = np.asarray(columns[attr.name], dtype=attr.np_dtype)
         return out.tobytes()
 
-    def deserialize(self, data: bytes, schema: Schema) -> Dict[str, np.ndarray]:
-        self._num_records(data, schema)
+    def deserialize(
+        self, data: bytes, schema: Schema, names: "Optional[Sequence[str]]" = None
+    ) -> Dict[str, np.ndarray]:
+        attrs = self._select(schema, names)
+        self._num_records(len(data), schema)
         arr = np.frombuffer(data, dtype=schema.to_numpy_dtype())
         # copy out of the read-only buffer so callers own their columns
-        return {name: np.ascontiguousarray(arr[name]) for name in schema.names}
+        return {a.name: np.ascontiguousarray(arr[a.name]) for a in attrs}
 
 
 class ColumnMajorLayout(ChunkLayout):
@@ -131,28 +148,13 @@ class ColumnMajorLayout(ChunkLayout):
         ]
         return b"".join(parts)
 
-    def deserialize(self, data: bytes, schema: Schema) -> Dict[str, np.ndarray]:
-        n = self._num_records(data, schema)
-        out: Dict[str, np.ndarray] = {}
-        offset = 0
-        for attr in schema:
-            nbytes = n * attr.itemsize
-            out[attr.name] = np.frombuffer(data, dtype=attr.np_dtype, count=n, offset=offset).copy()
-            offset += nbytes
-        return out
-
     def column_ranges(self, schema, names, chunk_size):
-        if chunk_size % schema.record_size:
-            raise ValueError(
-                f"chunk size {chunk_size} is not a multiple of record size "
-                f"{schema.record_size}"
-            )
-        n = chunk_size // schema.record_size
-        wanted = set(names)
-        unknown = wanted - set(schema.names)
-        if unknown:
-            raise KeyError(f"columns not in schema: {sorted(unknown)}")
-        ranges = []
+        wanted = {a.name for a in self._select(schema, names)}
+        if len(wanted) == len(schema):
+            # every column is the whole chunk: one read, not one per column
+            return super().column_ranges(schema, names, chunk_size)
+        n = self._num_records(chunk_size, schema)
+        ranges: List[Tuple[int, int]] = []
         offset = 0
         for attr in schema:
             nbytes = n * attr.itemsize
@@ -161,20 +163,16 @@ class ColumnMajorLayout(ChunkLayout):
             offset += nbytes
         return ranges
 
-    def deserialize_columns(self, data, schema, names, num_records):
-        wanted = [a for a in schema if a.name in set(names)]
+    def deserialize(
+        self, data: bytes, schema: Schema, names: "Optional[Sequence[str]]" = None
+    ) -> Dict[str, np.ndarray]:
+        attrs = self._select(schema, names)
+        n = self._num_records(len(data), attrs)
         out: Dict[str, np.ndarray] = {}
         offset = 0
-        for attr in wanted:
-            out[attr.name] = np.frombuffer(
-                data, dtype=attr.np_dtype, count=num_records, offset=offset
-            ).copy()
-            offset += num_records * attr.itemsize
-        if offset != len(data):
-            raise ValueError(
-                f"column data size {len(data)} does not match {num_records} "
-                f"records of {[a.name for a in wanted]}"
-            )
+        for attr in attrs:
+            out[attr.name] = np.frombuffer(data, dtype=attr.np_dtype, count=n, offset=offset).copy()
+            offset += n * attr.itemsize
         return out
 
 
@@ -205,31 +203,13 @@ class InterleavedBlockLayout(ChunkLayout):
                 parts.append(cols[attr.name][start:stop].tobytes())
         return b"".join(parts)
 
-    def deserialize(self, data: bytes, schema: Schema) -> Dict[str, np.ndarray]:
-        n = self._num_records(data, schema)
-        out = {attr.name: np.empty(n, dtype=attr.np_dtype) for attr in schema}
-        offset = 0
-        for start in range(0, n, self.block_records):
-            count = min(self.block_records, n - start)
-            for attr in schema:
-                out[attr.name][start : start + count] = np.frombuffer(
-                    data, dtype=attr.np_dtype, count=count, offset=offset
-                )
-                offset += count * attr.itemsize
-        return out
-
     def column_ranges(self, schema, names, chunk_size):
-        if chunk_size % schema.record_size:
-            raise ValueError(
-                f"chunk size {chunk_size} is not a multiple of record size "
-                f"{schema.record_size}"
-            )
-        n = chunk_size // schema.record_size
-        wanted = set(names)
-        unknown = wanted - set(schema.names)
-        if unknown:
-            raise KeyError(f"columns not in schema: {sorted(unknown)}")
-        ranges = []
+        wanted = {a.name for a in self._select(schema, names)}
+        if len(wanted) == len(schema):
+            # every column is the whole chunk: one read, not one per column
+            return super().column_ranges(schema, names, chunk_size)
+        n = self._num_records(chunk_size, schema)
+        ranges: List[Tuple[int, int]] = []
         offset = 0
         for start in range(0, n, self.block_records):
             count = min(self.block_records, n - start)
@@ -240,22 +220,20 @@ class InterleavedBlockLayout(ChunkLayout):
                 offset += nbytes
         return ranges
 
-    def deserialize_columns(self, data, schema, names, num_records):
-        wanted = [a for a in schema if a.name in set(names)]
-        out = {a.name: np.empty(num_records, dtype=a.np_dtype) for a in wanted}
+    def deserialize(
+        self, data: bytes, schema: Schema, names: "Optional[Sequence[str]]" = None
+    ) -> Dict[str, np.ndarray]:
+        attrs = self._select(schema, names)
+        n = self._num_records(len(data), attrs)
+        out = {attr.name: np.empty(n, dtype=attr.np_dtype) for attr in attrs}
         offset = 0
-        for start in range(0, num_records, self.block_records):
-            count = min(self.block_records, num_records - start)
-            for attr in wanted:
+        for start in range(0, n, self.block_records):
+            count = min(self.block_records, n - start)
+            for attr in attrs:
                 out[attr.name][start : start + count] = np.frombuffer(
                     data, dtype=attr.np_dtype, count=count, offset=offset
                 )
                 offset += count * attr.itemsize
-        if offset != len(data):
-            raise ValueError(
-                f"column data size {len(data)} does not match {num_records} "
-                f"records of {[a.name for a in wanted]}"
-            )
         return out
 
     def __repr__(self) -> str:

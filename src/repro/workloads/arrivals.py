@@ -39,6 +39,9 @@ __all__ = [
 
 _KINDS = ("scan", "join", "aggregate")
 _PROCESSES = ("poisson", "bursty")
+_TENANT_KEYS = frozenset(
+    ("name", "rate", "num_queries", "mix", "process", "alpha", "deadline", "slo")
+)
 
 
 @dataclass(frozen=True)
@@ -152,13 +155,28 @@ class TenantSpec:
         """Build from a JSON-ish mapping (the CLI's tenant-mix spec).
 
         A ``mix`` given as a mapping is ordered by kind name so the spec
-        file's key order can never change the workload.
+        file's key order can never change the workload.  A key this does
+        not read is an error, not a tenant that quietly got the default.
         """
+        if not isinstance(data, Mapping):
+            raise TypeError(f"not an object: {data!r}")
+        unknown = sorted(set(data) - _TENANT_KEYS)
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} (know {sorted(_TENANT_KEYS)})")
         mix = data.get("mix", {"scan": 1.0})
         if isinstance(mix, Mapping):
             mix_t = tuple(sorted((str(k), float(v)) for k, v in mix.items()))
-        else:
+        elif isinstance(mix, (list, tuple)) and all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in mix
+        ):
             mix_t = tuple((str(k), float(v)) for k, v in mix)
+        else:
+            raise ValueError(
+                f"mix must be an object or a list of [kind, weight] pairs, got {mix!r}"
+            )
+        num_queries = data.get("num_queries", 0)
+        if int(num_queries) != num_queries:
+            raise ValueError(f"num_queries must be a whole number, got {num_queries!r}")
         raw_deadline = data.get("deadline")
         slo = data.get("slo") or {}
         if not isinstance(slo, Mapping):
@@ -169,7 +187,7 @@ class TenantSpec:
         return cls(
             name=str(data["name"]),
             rate=float(data.get("rate", 1.0)),
-            num_queries=int(data.get("num_queries", 0)),
+            num_queries=int(num_queries),
             mix=mix_t,
             process=str(data.get("process", "poisson")),
             alpha=float(data.get("alpha", 1.5)),

@@ -97,20 +97,6 @@ class TestOverlapDetection:
         t.record("nic", 1.0, 3.0)  # different device — no clash
         assert t.horizon == 3.0
 
-    def test_warn_mode_downgrades(self):
-        t = Tracer(on_overlap="warn")
-        t.record("disk", 0.0, 2.0)
-        with pytest.warns(RuntimeWarning):
-            t.record("disk", 1.0, 3.0)
-        # both intervals are kept; utilisation over the horizon now
-        # exceeds 1 and must refuse to clamp silently
-        with pytest.raises(OverlapError):
-            t.utilisation("disk", horizon=2.0)
-
-    def test_unknown_overlap_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(on_overlap="ignore")
-
     def test_utilisation_never_clamps_quietly(self):
         t = Tracer()
         t.record("disk", 0.0, 4.0)

@@ -119,6 +119,25 @@ class TestPlanner:
         assert constrained.params.T == full.params.T // 2
         assert constrained.params.n_e == full.params.n_e // 2
 
+    def test_scan_plan_holds_the_chunks_it_priced(self, dataset):
+        qps = QueryPlanningService(dataset.metadata, 2, 2, machine=MACHINE)
+        catalog = dataset.metadata.table("T2")
+        box = BoundingBox({"x": (0, 7)})
+        for where, expected in [
+            (box, catalog.find_chunks(box)),
+            (None, catalog.all_chunks()),
+            (BoundingBox({}), catalog.all_chunks()),
+        ]:
+            plan = qps.plan_scan("T2", where)
+            assert list(plan.chunks) == expected
+            assert [c.chunk_id for c in plan.chunks] == sorted(c.chunk_id for c in expected)
+            nbytes = sum(c.size for c in expected)
+            assert plan.transfer == pytest.approx(
+                nbytes / min(MACHINE.disk_read_bw, MACHINE.link_bw)
+                + len(expected) * (MACHINE.disk_latency + MACHINE.net_latency)
+            )
+        assert 0 < len(qps.plan_scan("T2", box).chunks) < len(catalog.all_chunks())
+
     def test_validation(self, dataset):
         with pytest.raises(ValueError):
             QueryPlanningService(dataset.metadata, 0, 1)

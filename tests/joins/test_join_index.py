@@ -108,9 +108,9 @@ class TestIndexMechanics:
         spec = GridSpec(g=(8, 8), p=(4, 4), q=(4, 4))
         left, right = chunks_for(spec)
         # constrain to the lower-left quadrant only
-        idx = build_join_index(
-            left, right, on=("x", "y"),
-            range_constraint=BoundingBox({"x": (0, 3), "y": (0, 3)}),
+        idx = build_join_index(left, right, on=("x", "y")).restrict(
+            BoundingBox({"x": (0, 3), "y": (0, 3)}),
+            {c.id: c.bbox for c in left + right},
         )
         assert idx.num_edges == 1
 
@@ -202,7 +202,9 @@ def test_build_equals_all_pairs_oracle(n_left, n_right, on, constrained, seed):
     constraint = None
     if constrained:
         constraint = BoundingBox({"x": (-2.0, INF), "z": (float(rng.integers(-6, 3)), 3.0)})
-    idx = build_join_index(left, right, on=on, range_constraint=constraint)
+    idx = build_join_index(left, right, on=on)
+    if constrained:
+        idx = idx.restrict(constraint, {c.id: c.bbox for c in left + right})
     expected = sorted(
         (lc.id, rc.id)
         for lc in left

@@ -152,25 +152,6 @@ class TestWarmPipelined:
         assert sum(s.prefetches for s in warm.cache_stats) == 0
 
 
-class TestLookahead:
-    def test_window_contents(self):
-        from repro.joins.scheduler import PairSchedule
-
-        pairs = [("a", "b"), ("c", "d"), ("e", "f")]
-        sched = PairSchedule(per_joiner=[pairs], strategy="test")
-        seen = list(sched.iter_lookahead(0, depth=2))
-        assert seen[0] == (0, ("a", "b"), (("c", "d"), ("e", "f")))
-        assert seen[1] == (1, ("c", "d"), (("e", "f"),))
-        assert seen[2] == (2, ("e", "f"), ())
-
-    def test_depth_validated(self):
-        from repro.joins.scheduler import PairSchedule
-
-        sched = PairSchedule(per_joiner=[[]], strategy="test")
-        with pytest.raises(ValueError):
-            list(sched.iter_lookahead(0, depth=0))
-
-
 # -- one loop, every shape ---------------------------------------------------
 #
 # The suite above only ever ran p = q.  With the right table cut finer than

@@ -180,37 +180,3 @@ class TestBusyAwareReassign:
         before = [list(p) for p in sched.per_joiner]
         sched.reassign(list(sched.per_joiner[0]), survivors=[1], busy=[])
         assert [list(p) for p in sched.per_joiner] == before
-
-
-class TestExtendDuringLookahead:
-    """Regression: a live joiner absorbing reassigned pairs via
-    :meth:`extend` must stay consistent with an in-progress
-    :meth:`iter_lookahead` iteration — appended pairs are seen exactly
-    once and upcoming windows extend into them."""
-
-    def test_extend_visible_exactly_once(self):
-        idx = index_for(SPEC)
-        sched = schedule_two_stage(idx, 2)
-        original = list(sched.per_joiner[0])
-        extra = list(sched.per_joiner[1])[:3]
-        seen = []
-        it = sched.iter_lookahead(0, depth=2)
-        for seq, pair, upcoming in it:
-            seen.append(pair)
-            if seq == 0:
-                sched.extend(0, extra)
-        assert seen == original + extra
-
-    def test_window_extends_into_appended_pairs(self):
-        idx = index_for(SPEC)
-        sched = schedule_two_stage(idx, 2)
-        original = list(sched.per_joiner[0])
-        extra = list(sched.per_joiner[1])[:2]
-        windows = {}
-        for seq, pair, upcoming in sched.iter_lookahead(0, depth=2):
-            if seq == 0:
-                sched.extend(0, extra)
-            windows[seq] = upcoming
-        # at the old tail, the window now looks into the appended pairs
-        tail = len(original) - 1
-        assert windows[tail] == tuple(extra[:2])

@@ -118,7 +118,7 @@ class TestErrors:
             LAYOUT.deserialize(data + b"\x00\x00", SCHEMA)
 
     def test_no_column_reads(self):
-        assert LAYOUT.column_ranges(SCHEMA, ["x"], 100) is None
+        assert LAYOUT.column_ranges(SCHEMA, ["x"], 100) == [(0, 100)]
 
 
 class TestIntegration:

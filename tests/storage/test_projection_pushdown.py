@@ -34,7 +34,7 @@ def make_columns(n, seed=0):
 
 class TestColumnRanges:
     def test_row_major_not_selective(self):
-        assert RowMajorLayout().column_ranges(WIDE_SCHEMA, ["x"], 240) is None
+        assert RowMajorLayout().column_ranges(WIDE_SCHEMA, ["x"], 240) == [(0, 240)]
 
     def test_column_major_ranges(self):
         layout = ColumnMajorLayout()
@@ -50,7 +50,7 @@ class TestColumnRanges:
         data = layout.serialize(cols, WIDE_SCHEMA)
         ranges = layout.column_ranges(WIDE_SCHEMA, ["x", "d"], len(data))
         picked = b"".join(data[o : o + s] for o, s in ranges)
-        back = layout.deserialize_columns(picked, WIDE_SCHEMA, ["x", "d"], 23)
+        back = layout.deserialize(picked, WIDE_SCHEMA, ["x", "d"])
         np.testing.assert_array_equal(back["x"], cols["x"])
         np.testing.assert_array_equal(back["d"], cols["d"])
         assert set(back) == {"x", "d"}
@@ -63,7 +63,7 @@ class TestColumnRanges:
         data = layout.serialize(cols, WIDE_SCHEMA)
         ranges = layout.column_ranges(WIDE_SCHEMA, ["b"], len(data))
         picked = b"".join(data[o : o + s] for o, s in ranges)
-        back = layout.deserialize_columns(picked, WIDE_SCHEMA, ["b"], 23)
+        back = layout.deserialize(picked, WIDE_SCHEMA, ["b"])
         np.testing.assert_array_equal(back["b"], cols["b"])
         # one range per block
         assert len(ranges) == -(-23 // 7)
@@ -90,7 +90,7 @@ class TestColumnRanges:
             data = layout.serialize(cols, WIDE_SCHEMA)
             ranges = layout.column_ranges(WIDE_SCHEMA, names, len(data))
             picked = b"".join(data[o : o + s] for o, s in ranges)
-            back = layout.deserialize_columns(picked, WIDE_SCHEMA, names, n)
+            back = layout.deserialize(picked, WIDE_SCHEMA, names)
             for name in names:
                 np.testing.assert_array_equal(back[name], cols[name])
 

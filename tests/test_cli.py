@@ -389,17 +389,53 @@ class TestMalformedFiles:
         assert captured.out == ""
 
     @pytest.mark.parametrize("content, reason", [
-        ("[1, 2, 3]", "tenant #0 is not an object"),
-        ('[{"rate": 1.0}]', "tenant #0 has no 'name' key"),
+        ("[1, 2, 3]", "tenant #0: not an object"),
+        ('[{"rate": 1.0}]', "tenant #0: no 'name' key"),
         ('{"queries": []}', "holds no tenants"),
-    ], ids=["non-objects", "nameless", "no-tenants-key"])
+        ('[{"name": "a", "rate": null, "num_queries": 3}]', "tenant #0: float() argument"),
+        ('[{"name": "a", "rate": [1], "num_queries": 3}]', "tenant #0: float() argument"),
+        ('[{"name": "a", "mix": 5, "num_queries": 3}]', "tenant #0: mix must be"),
+        ('[{"name": "a", "num_queries": 2.5}]', "tenant #0: num_queries must be a whole number"),
+        ('[{"name": "a", "num_querys": 5}]', "tenant #0: unknown keys ['num_querys']"),
+        ('[{"name": "a", "rate": "fast"}]', "tenant #0: could not convert"),
+        ('[{"name": "a", "mix": ["scan"]}]', "tenant #0: mix must be"),
+        ('[{"name": ', "not JSON"),
+    ], ids=["non-objects", "nameless", "no-tenants-key", "null-rate", "list-rate",
+            "scalar-mix", "fractional-count", "misspelt-key", "word-rate",
+            "unpaired-mix", "unparsable"])
     def test_tenants_wrong_shape(self, content, reason, tmp_path, capsys):
         spec = tmp_path / "tenants.json"
         spec.write_text(content)
         assert main(self.SERVE + [str(spec)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(spec) in err
-        assert reason in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {spec}: {reason}")
+        # nothing was served: no report, no digest line
+        assert captured.out == ""
+
+    VALID_TENANT = {
+        "name": "a", "rate": 2.0, "num_queries": 2, "mix": {"scan": 1.0},
+        "process": "bursty", "alpha": 1.5, "deadline": 5.0,
+        "slo": {"availability": 0.9, "latency": 1.0},
+    }
+
+    @pytest.mark.parametrize(
+        "value", [None, [], {}, "x", -1, 2.5, True],
+        ids=["null", "list", "object", "string", "negative", "fraction", "true"],
+    )
+    @pytest.mark.parametrize("key", sorted(VALID_TENANT))
+    def test_tenant_key_sweep(self, key, value, tmp_path, capsys):
+        """Any JSON value under any tenant key is either served or named
+        in an exit-2 message — never a traceback, never half of each."""
+        spec = tmp_path / "tenants.json"
+        spec.write_text(json.dumps([{**self.VALID_TENANT, key: value}]))
+        status = main(self.SERVE + [str(spec)])
+        captured = capsys.readouterr()
+        if status == 0:
+            assert "digest: " in captured.out and captured.err == ""
+        else:
+            assert status == 2
+            assert captured.err.startswith(f"error: {spec}: tenant #0: ")
+            assert captured.out == ""
 
     @pytest.mark.parametrize("line", [
         "[1, 2, 3]", '"text"', '{"fingerprint": "f", "algorithm": "ij", '
