@@ -66,8 +66,10 @@ refuses the rest (exit 2).  ``--grid/--p/--q`` (comma-separated sizes):
 ``info``, ``plan``, ``explain``, ``run``, ``trace``, ``serve``.
 ``--storage/--compute/--cpu-factor`` (the deployment shape) and
 ``--calibrated`` (bare or ``host``: this host's measured CPU constants
-instead of the paper testbed's): ``plan``, ``explain``, ``run``, ``sweep``,
-``trace``, ``serve``.  ``--calibrated drift`` with ``--drift-store``
+instead of the paper testbed's): ``plan``, ``explain``, ``run``, ``trace``,
+``serve``, and each ``sweep`` axis for the ones its figure takes (``nfs``
+fixes its own deployment and takes none; ``compute-nodes`` sweeps
+``--compute`` itself).  ``--calibrated drift`` with ``--drift-store``
 (re-plan with per-term corrections fitted from the drift store): the
 commands that predict from the cost models — ``plan``, ``explain``,
 ``run``, ``serve``.  ``--nfs``: ``plan``, ``explain``, ``run``, ``trace``.
@@ -750,6 +752,13 @@ def _cmd_drift(args: argparse.Namespace) -> int:
     return 0
 
 
+#: deployment argument of a figure → (the flag that sets it, how to read it)
+_SWEEP_DEPLOYMENT = {
+    "n_s": ("storage", lambda args: args.storage),
+    "n_j": ("compute", lambda args: args.compute),
+    "machine": ("cpu-factor", _machine),  # which reads --calibrated too
+}
+
 #: sweep axis → (figure, the deployment arguments it takes, headers of the
 #: axis column and of what follows the two time columns, those cells)
 _SWEEPS = {
@@ -770,10 +779,9 @@ _SWEEPS = {
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     figure, takes, (x_header, *more_headers), cells = _SWEEPS[args.axis]
-    deploy = dict(n_s=args.storage, n_j=args.compute, machine=_machine(args))
     traced = args.trace_out is not None
     results = figure(
-        **{name: deploy[name] for name in takes},
+        **{name: _SWEEP_DEPLOYMENT[name][1](args) for name in takes},
         pipeline=args.pipeline, sanitize=args.sanitize, telemetry=traced,
     )
     rows = []
@@ -1028,9 +1036,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_advise.set_defaults(fn=_cmd_advise)
 
     p_sweep = sub.add_parser("sweep", help="regenerate one of the paper's sweeps")
-    p_sweep.add_argument("axis", choices=list(_SWEEPS))
-    _add_flags(p_sweep, *_CLUSTER_FLAGS, "pipeline", "sanitize", "trace-out")
-    _add_calibrated_args(p_sweep, drift=False)
+    axes = p_sweep.add_subparsers(dest="axis", required=True)
+    for axis, (_, takes, *_) in _SWEEPS.items():
+        # an axis takes the deployment flags its figure does, no others
+        p_axis = axes.add_parser(axis)
+        _add_flags(p_axis, *(_SWEEP_DEPLOYMENT[name][0] for name in takes),
+                   "pipeline", "sanitize", "trace-out")
+        if "machine" in takes:
+            _add_calibrated_args(p_axis, drift=False)
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_trace = sub.add_parser(

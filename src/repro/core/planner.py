@@ -11,8 +11,8 @@ the cheaper QES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
 from repro.core.cost_models import (
@@ -126,8 +126,29 @@ class ScanPlan:
         return self.transfer
 
 
+@dataclass
+class _HeldIndex:
+    """A built unconstrained join index beside the MetaData Service entry
+    it was built from, and what planning over all of it comes to."""
+
+    entry: object
+    index: PageJoinIndex
+    #: ``pipeline`` → the plan of a view without a range constraint; its
+    #: parameters and costs are frozen and shared by every such Plan
+    plans: Dict[bool, Plan] = field(default_factory=dict)
+
+
 class QueryPlanningService:
-    """Plans join views for a fixed deployment (machine spec + topology)."""
+    """Plans join views for a fixed deployment (machine spec + topology).
+
+    A planner plans once (DESIGN.md §3.5): it holds the built join index
+    of every view key it has planned, valid for as long as the MetaData
+    Service's entry under that key is the object the index was built from
+    (the key-value round-trip is persistence, not the read path), and the
+    costed plan of the unconstrained view per ``pipeline``.  A range
+    constraint is not memoised; it is one ``find_chunks`` per table and a
+    mask over the held index.
+    """
 
     def __init__(
         self,
@@ -148,6 +169,7 @@ class QueryPlanningService:
         #: fitted per-term model corrections (see the drift observatory,
         #: DESIGN.md §9); ``None`` plans with the raw Section 5 models
         self.calibration = calibration
+        self._held: Dict[str, _HeldIndex] = {}
 
     # -- join index management ----------------------------------------------------
 
@@ -163,23 +185,22 @@ class QueryPlanningService:
             self.metadata.table(view.right).all_chunks(),
             view.on,
         )
-        self.metadata.put(self._index_key(view), index.to_dict())
+        key, entry = self._index_key(view), index.to_dict()
+        self.metadata.put(key, entry)
+        self._held[key] = _HeldIndex(entry, index)
         return index
 
-    def _index_for(self, view: JoinView) -> PageJoinIndex:
-        cached = self.metadata.get(self._index_key(view))
-        if cached is not None:
-            index = PageJoinIndex.from_dict(cached)  # type: ignore[arg-type]
-        else:
-            index = self.precompute_index(view)
-        if view.where is not None and len(view.where):
-            boxes = {
-                c.id: c.bbox
-                for cat in (self.metadata.table(view.left), self.metadata.table(view.right))
-                for c in cat.all_chunks()
-            }
-            index = index.restrict(view.where, boxes)
-        return index
+    def _held_index(self, view: JoinView) -> _HeldIndex:
+        """The built unconstrained index for ``view``, reused for as long
+        as the MetaData Service's entry is the object it was built from."""
+        key = self._index_key(view)
+        entry = self.metadata.get(key)
+        if entry is None:
+            self.precompute_index(view)
+        elif key not in self._held or self._held[key].entry is not entry:
+            index = PageJoinIndex.from_dict(entry)  # type: ignore[arg-type]
+            self._held[key] = _HeldIndex(entry, index)
+        return self._held[key]
 
     # -- planning ---------------------------------------------------------------------
 
@@ -187,15 +208,23 @@ class QueryPlanningService:
         self, view: JoinView, index: Optional[PageJoinIndex] = None
     ) -> Tuple[CostParameters, PageJoinIndex]:
         """Fill Table 1 from metadata for ``view`` under this deployment."""
-        index = index if index is not None else self._index_for(view)
         left = self.metadata.table(view.left)
         right = self.metadata.table(view.right)
-        if view.where is not None and len(view.where):
+        constrained = view.where is not None and len(view.where)
+        if constrained:
             left_chunks = left.find_chunks(view.where)
             right_chunks = right.find_chunks(view.where)
         else:
             left_chunks = left.all_chunks()
             right_chunks = right.all_chunks()
+        if index is None:
+            index = self._held_index(view).index
+            if constrained:
+                # ``find_chunks`` keeps exactly the chunks whose boxes
+                # overlap the constraint: the endpoints a pair may have
+                index = index.select(
+                    [c.id for c in left_chunks], [c.id for c in right_chunks]
+                )
         T_left = sum(c.num_records for c in left_chunks)
         c_R = max(1, round(T_left / len(left_chunks))) if left_chunks else 1
         T_right = sum(c.num_records for c in right_chunks)
@@ -244,6 +273,14 @@ class QueryPlanningService:
         mode (``Total_IJ_pipe = max(Transfer, Cpu)``), which can flip the
         choice towards IJ on transfer-bound deployments.
         """
+        if view.where is not None and len(view.where):
+            return self._costed(view, pipeline)
+        plans = self._held_index(view).plans
+        if pipeline not in plans:
+            plans[pipeline] = self._costed(view, pipeline)
+        return replace(plans[pipeline], view=view)
+
+    def _costed(self, view: JoinView, pipeline: bool) -> Plan:
         params, index = self.derive_parameters(view)
         ij = indexed_join_cost(params, pipelined=pipeline)
         gh = grace_hash_cost(params)

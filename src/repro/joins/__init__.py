@@ -27,7 +27,6 @@
 from repro.joins.baselines import reference_join
 from repro.joins.grace_hash import GraceHashQES
 from repro.joins.hash_join import JoinKernelStats, vectorized_hash_join
-from repro.joins.graph_analysis import GraphAnalysis, analyze_index, to_networkx
 from repro.joins.indexed_join import IndexedJoinQES
 from repro.joins.opas import (
     evaluate_order,
@@ -55,10 +54,7 @@ __all__ = [
     "ConnectivityStats",
     "ExecutionReport",
     "GraceHashQES",
-    "GraphAnalysis",
     "IndexedJoinQES",
-    "analyze_index",
-    "to_networkx",
     "JoinKernelStats",
     "PageJoinIndex",
     "PairSchedule",

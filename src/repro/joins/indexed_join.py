@@ -296,7 +296,7 @@ class IndexedJoinQES(QES):
             for c, before in zip(self.caches, self._stats_before)
         ]
         report.extras["num_edges"] = float(self.index.num_edges)
-        report.extras["num_components"] = float(len(self.index.components()))
+        report.extras["num_components"] = float(self.index.num_components)
         report.extras["pipeline"] = 1.0 if self.pipeline else 0.0
 
     # -- fault-tolerant transfer ---------------------------------------------------

@@ -8,9 +8,10 @@ the attribute, only these page pairs are checked for matches." (Section 4.1)
 Basic sub-tables play the role of pages; *candidate pairs* are sub-tables
 whose bounding boxes overlap on the join attributes.  The index is built
 with an R-tree over the left table's chunk boxes (one range query per right
-chunk), and connected components are extracted with union-find —
-"independent components of this graph are identified" (Section 5.1), the
-unit the two-stage scheduler deals out to compute nodes.
+chunk) and held as two int arrays of endpoint ordinals; connected
+components are a union-find label pass over those ints — "independent
+components of this graph are identified" (Section 5.1), the unit the
+two-stage scheduler deals out to compute nodes.
 
 :class:`ConnectivityStats` exposes the dataset parameters of Table 1 the
 index determines: ``n_e``, the per-component ``(a, b)`` counts, and the
@@ -19,8 +20,11 @@ edge ratio ``n_e · c_R · c_S / T²``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.chunk import ChunkDescriptor
@@ -28,28 +32,6 @@ from repro.datamodel.subtable import SubTableId
 from repro.metadata.rtree import RTree
 
 __all__ = ["PageJoinIndex", "Component", "ConnectivityStats", "build_join_index"]
-
-
-class _UnionFind:
-    """Path-halving union-find over arbitrary hashable items."""
-
-    def __init__(self) -> None:
-        self._parent: Dict[object, object] = {}
-
-    def add(self, x: object) -> None:
-        self._parent.setdefault(x, x)
-
-    def find(self, x: object) -> object:
-        parent = self._parent
-        while parent[x] is not x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: object, b: object) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra is not rb:
-            self._parent[ra] = rb
 
 
 @dataclass
@@ -96,90 +78,170 @@ class ConnectivityStats:
 
 
 class PageJoinIndex:
-    """The precomputed join index for one (left table, right table, attrs)."""
+    """The precomputed join index for one (left table, right table, attrs).
+
+    Pairs are two int arrays of endpoint *ordinals* into two sorted id
+    lists — one :class:`SubTableId` object per chunk, shared by every
+    pair, component and schedule made from the index — in lexicographic
+    ``(left id, right id)`` order.  Pruning is a boolean mask over the
+    arrays (:meth:`select`), component extraction a union/label pass over
+    ints (:meth:`component_labels`); the tuple forms (:attr:`pairs`,
+    :meth:`components`) are materialised on demand.  An index is never
+    mutated once built, which is what lets a planner hold one and hand
+    it, and the schedules remembered on it, to every query
+    (DESIGN.md §3.5).
+    """
 
     def __init__(
         self,
         left_table: int,
         right_table: int,
         on: Tuple[str, ...],
-        pairs: List[Tuple[SubTableId, SubTableId]],
+        pairs: Iterable[Tuple[SubTableId, SubTableId]],
     ):
         self.left_table = left_table
         self.right_table = right_table
         self.on = tuple(on)
-        self.pairs = pairs
-        self._components: Optional[List[Component]] = None
+        pairs = list(pairs)
+        # sorted id lists (a superset of the endpoints after a select) and
+        # each id's ordinal in them
+        self._left_ids: List[SubTableId] = sorted({l for l, _ in pairs})
+        self._right_ids: List[SubTableId] = sorted({r for _, r in pairs})
+        self._left_pos = {sid: k for k, sid in enumerate(self._left_ids)}
+        self._right_pos = {sid: k for k, sid in enumerate(self._right_ids)}
+        li = np.fromiter((self._left_pos[l] for l, _ in pairs), np.intp, len(pairs))
+        ri = np.fromiter((self._right_pos[r] for _, r in pairs), np.intp, len(pairs))
+        order = np.lexsort((ri, li))
+        self._set_pairs(li[order], ri[order])
+
+    def _set_pairs(self, li: np.ndarray, ri: np.ndarray) -> None:
+        # endpoint ordinals of every pair, lexicographic by (li, ri)
+        self._li = li
+        self._ri = ri
+        self._pairs: Optional[List[Tuple[SubTableId, SubTableId]]] = None
+        self._labels: Optional[np.ndarray] = None
+        #: two-stage schedules by joiner count, remembered by
+        #: :func:`~repro.joins.scheduler.schedule_two_stage`
+        self.schedules: Dict[int, object] = {}
 
     # -- graph structure -------------------------------------------------------
 
     @property
     def num_edges(self) -> int:
-        return len(self.pairs)
+        return len(self._li)
+
+    @property
+    def pairs(self) -> List[Tuple[SubTableId, SubTableId]]:
+        """The candidate pairs, lexicographic by ``(left id, right id)``."""
+        if self._pairs is None:
+            left, right = self._left_ids, self._right_ids
+            self._pairs = [
+                (left[i], right[j])
+                for i, j in zip(self._li.tolist(), self._ri.tolist())
+            ]
+        return self._pairs
+
+    def component_labels(self) -> np.ndarray:
+        """Per pair, the ordinal of its component in :meth:`components`
+        order: union-find over endpoint ordinals, roots numbered by first
+        appearance (pairs are lexicographic, so by smallest left id)."""
+        if self._labels is None:
+            n_left = len(self._left_ids)
+            parent = list(range(n_left + len(self._right_ids)))
+
+            def find(x: int) -> int:
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]  # path halving
+                    x = parent[x]
+                return x
+
+            lefts = self._li.tolist()
+            for l, r in zip(lefts, (self._ri + n_left).tolist()):
+                parent[find(r)] = find(l)
+            numbering: Dict[int, int] = {}
+            self._labels = np.fromiter(
+                (numbering.setdefault(find(l), len(numbering)) for l in lefts),
+                np.intp, len(lefts),
+            )
+        return self._labels
+
+    @property
+    def num_components(self) -> int:
+        return int(self.component_labels().max(initial=-1)) + 1
+
+    def _endpoint_components(self, ordinals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One side's distinct endpoint ordinals, ascending, and the
+        component label of each (that of the first pair it appears in)."""
+        present, first = np.unique(ordinals, return_index=True)
+        return present, self.component_labels()[first]
 
     def components(self) -> List[Component]:
         """Connected components, deterministic order (by smallest left id)."""
-        if self._components is None:
-            uf = _UnionFind()
-            for l, r in self.pairs:
-                uf.add(("L", l))
-                uf.add(("R", r))
-                uf.union(("L", l), ("R", r))
-            groups: Dict[object, Component] = {}
-            seen_left: Dict[object, set] = {}
-            seen_right: Dict[object, set] = {}
-            for l, r in self.pairs:
-                root = uf.find(("L", l))
-                comp = groups.get(root)
-                if comp is None:
-                    comp = groups[root] = Component()
-                    seen_left[root] = set()
-                    seen_right[root] = set()
-                if l not in seen_left[root]:
-                    seen_left[root].add(l)
-                    comp.left_ids.append(l)
-                if r not in seen_right[root]:
-                    seen_right[root].add(r)
-                    comp.right_ids.append(r)
-                comp.pairs.append((l, r))
-            comps = list(groups.values())
-            for comp in comps:
-                comp.left_ids.sort()
-                comp.right_ids.sort()
-                comp.pairs.sort()
-            comps.sort(key=lambda c: c.left_ids[0])
-            self._components = comps
-        return self._components
+        comps = [Component() for _ in range(self.num_components)]
+        for c, pair in zip(self.component_labels().tolist(), self.pairs):
+            comps[c].pairs.append(pair)
+        for ids, ordinals, side in (
+            (self._left_ids, self._li, "left_ids"),
+            (self._right_ids, self._ri, "right_ids"),
+        ):
+            present, labels = self._endpoint_components(ordinals)
+            for o, c in zip(present.tolist(), labels.tolist()):
+                getattr(comps[c], side).append(ids[o])
+        return comps
 
     def stats(self) -> ConnectivityStats:
-        comps = self.components()
-        lefts = {l for l, _ in self.pairs}
-        rights = {r for _, r in self.pairs}
+        lefts, left_labels = self._endpoint_components(self._li)
+        rights, right_labels = self._endpoint_components(self._ri)
         n_e = self.num_edges
         return ConnectivityStats(
             num_edges=n_e,
-            num_components=len(comps),
+            num_components=self.num_components,
             num_left=len(lefts),
             num_right=len(rights),
-            avg_left_degree=n_e / len(lefts) if lefts else 0.0,
-            avg_right_degree=n_e / len(rights) if rights else 0.0,
-            max_component_a=max((c.a for c in comps), default=0),
-            max_component_b=max((c.b for c in comps), default=0),
+            avg_left_degree=n_e / len(lefts) if len(lefts) else 0.0,
+            avg_right_degree=n_e / len(rights) if len(rights) else 0.0,
+            max_component_a=int(np.bincount(left_labels).max(initial=0)),
+            max_component_b=int(np.bincount(right_labels).max(initial=0)),
         )
+
+    # -- pruning ---------------------------------------------------------------
+
+    def select(
+        self, left_ids: Iterable[SubTableId], right_ids: Iterable[SubTableId]
+    ) -> "PageJoinIndex":
+        """The pairs whose left endpoint is in ``left_ids`` and right
+        endpoint in ``right_ids`` (ids the index does not know are
+        ignored), as one mask over the ordinal arrays."""
+
+        def member(pos: Dict[SubTableId, int], ids: Iterable[SubTableId]) -> np.ndarray:
+            mask = np.zeros(len(pos), dtype=bool)
+            mask[[k for k in map(pos.get, ids) if k is not None]] = True
+            return mask
+
+        keep = (
+            member(self._left_pos, left_ids)[self._li]
+            & member(self._right_pos, right_ids)[self._ri]
+        )
+        out = copy.copy(self)  # shares the id lists and their ordinals
+        out._set_pairs(self._li[keep], self._ri[keep])
+        return out
 
     def restrict(self, query: BoundingBox, chunk_boxes: Dict[SubTableId, BoundingBox]) -> "PageJoinIndex":
         """Prune pairs whose union box misses ``query``.
 
         "Any additional range constraints may be applied at the sub-table
         level to prune away unwanted edges (and nodes)."  A pair survives
-        only if *both* endpoints' boxes intersect the constraint.
+        only if *both* endpoints' boxes intersect the constraint — tested
+        once per distinct endpoint.
         """
-        kept = [
-            (l, r)
-            for l, r in self.pairs
-            if chunk_boxes[l].overlaps(query) and chunk_boxes[r].overlaps(query)
-        ]
-        return PageJoinIndex(self.left_table, self.right_table, self.on, kept)
+
+        def overlapping(ids: List[SubTableId], ordinals: np.ndarray) -> List[SubTableId]:
+            endpoints = (ids[o] for o in np.unique(ordinals).tolist())
+            return [i for i in endpoints if chunk_boxes[i].overlaps(query)]
+
+        return self.select(
+            overlapping(self._left_ids, self._li), overlapping(self._right_ids, self._ri)
+        )
 
     # -- persistence (MetaData Service key-value store) ------------------------------
 
@@ -216,7 +278,7 @@ def build_join_index(
 
     Candidate pairs are chunks whose bounding boxes overlap on every join
     attribute.  A view's WHERE range prunes the built index
-    (:meth:`PageJoinIndex.restrict`).  The pair list is produced in
+    (:meth:`PageJoinIndex.restrict`).  The index keeps its pairs in
     lexicographic ``(left id, right id)`` order.
     """
     on = tuple(on)
@@ -233,5 +295,4 @@ def build_join_index(
             tree.insert(c.bbox.bounds(on), c)
         for rc in right_chunks:
             pairs.extend((lc.id, rc.id) for lc in tree.search(rc.bbox.bounds(on)))
-    pairs.sort()
     return PageJoinIndex(left_table, right_table, on, pairs)

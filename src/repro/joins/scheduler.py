@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
+import numpy as np
+
 from repro.core.rng import deterministic_shuffle
 from repro.datamodel.subtable import SubTableId
 from repro.joins.join_index import PageJoinIndex
@@ -117,21 +119,36 @@ def schedule_two_stage(index: PageJoinIndex, num_joiners: int) -> PairSchedule:
     also yields near-equal pair counts when component sizes are uniform —
     which they are under the paper's regular-partitioning assumption —
     and degrades gracefully when they are not.
+
+    Runs on the index's int form (component label per pair) and is
+    remembered on the index per joiner count: an index is immutable, an
+    execution copies its joiner's list at launch and :meth:`PairSchedule.
+    reassign` is pure, so every join over one index shares one schedule.
     """
     if num_joiners <= 0:
         raise ValueError("num_joiners must be positive")
-    comps = index.components()
-    per_joiner: List[List[Pair]] = [[] for _ in range(num_joiners)]
-    loads = [0] * num_joiners
-    # stable greedy: biggest component to least-loaded joiner; ties keep
-    # deterministic component order
-    for comp in sorted(comps, key=lambda c: -c.num_edges):
-        target = loads.index(min(loads))
-        per_joiner[target].extend(comp.pairs)
-        loads[target] += comp.num_edges
-    for pairs in per_joiner:
-        pairs.sort()  # lexicographic ((i1,j1),(i2,j2))
-    return PairSchedule(per_joiner=per_joiner, strategy="two-stage")
+    schedule = index.schedules.get(num_joiners)
+    if schedule is None:
+        labels = index.component_labels()
+        sizes = np.bincount(labels).tolist()
+        owner = np.zeros(len(sizes), dtype=np.intp)
+        loads = [0] * num_joiners
+        # stable greedy: biggest component to least-loaded joiner; ties keep
+        # deterministic component order
+        for c in sorted(range(len(sizes)), key=lambda c: -sizes[c]):
+            owner[c] = target = loads.index(min(loads))
+            loads[target] += sizes[c]
+        # the index's pairs are lexicographic ((i1,j1),(i2,j2)), so each
+        # joiner's share taken in index order already is
+        pairs, joiner_of_pair = index.pairs, owner[labels]
+        schedule = index.schedules[num_joiners] = PairSchedule(
+            per_joiner=[
+                [pairs[k] for k in np.flatnonzero(joiner_of_pair == j).tolist()]
+                for j in range(num_joiners)
+            ],
+            strategy="two-stage",
+        )
+    return schedule
 
 
 def schedule_random(index: PageJoinIndex, num_joiners: int, seed: int = 0) -> PairSchedule:
@@ -158,8 +175,7 @@ def schedule_interleaved(index: PageJoinIndex, num_joiners: int) -> PairSchedule
     warns about."""
     if num_joiners <= 0:
         raise ValueError("num_joiners must be positive")
-    pairs = sorted(index.pairs)
     per_joiner: List[List[Pair]] = [[] for _ in range(num_joiners)]
-    for i, pair in enumerate(pairs):
+    for i, pair in enumerate(index.pairs):
         per_joiner[i % num_joiners].append(pair)
     return PairSchedule(per_joiner=per_joiner, strategy="interleaved")

@@ -96,8 +96,13 @@ class TableCatalog:
         full chunk bounding boxes (chunk bboxes bound scalar attributes
         too — see Figure 1).
         """
-        candidates = self._ensure_index().search(query.bounds(self.coordinate_names))
-        out = [c for c in candidates if c.bbox.overlaps(query)]
+        names = self.coordinate_names
+        out = self._ensure_index().search(query.bounds(names))
+        # the R-tree's entry test is the exact closed-interval one on every
+        # coordinate; only what it did not see is left to refine on
+        rest = [n for n in query if n not in names]
+        if rest:
+            out = [c for c in out if c.bbox.overlaps(query, on=rest)]
         out.sort(key=lambda c: c.chunk_id)
         return out
 

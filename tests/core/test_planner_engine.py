@@ -11,8 +11,10 @@ from repro.core import (
     JoinView,
     QueryPlanningService,
 )
+from repro.core.cost_models import TermCalibration
 from repro.datamodel import BoundingBox
-from repro.joins import reference_join
+from repro.joins import PageJoinIndex, reference_join
+from repro.metadata import MetaDataService
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 MACHINE = MachineSpec()
@@ -187,6 +189,126 @@ class TestPlanner:
         assert p1.params.calibration == cal
         assert p1.ij_cost.transfer == pytest.approx(2 * p0.ij_cost.transfer)
         assert p1.ij_cost.cpu == pytest.approx(p0.ij_cost.cpu)
+
+
+class TestPlansOnce:
+    """The planner holds the built index and the unconstrained plan; what
+    it hands out twice must be equal, shared where that is safe, and never
+    outlive the MetaData Service entry it was built from."""
+
+    SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
+    BOXES = [
+        BoundingBox({"x": (0, 7)}),
+        BoundingBox({"x": (3, 9), "y": (5, float("inf"))}),
+        BoundingBox({"y": (40, 50)}),  # beyond the grid: no chunk, no pair
+    ]
+
+    def fresh(self, **planner_args):
+        ds = build_oil_reservoir_dataset(self.SPEC, num_storage=2, functional=False)
+        view = JoinView("V1", "T1", "T2", on=ds.join_attrs)
+        return ds, view, QueryPlanningService(ds.metadata, 2, 2, machine=MACHINE, **planner_args)
+
+    @staticmethod
+    def chunk_boxes(ds):
+        return {
+            c.id: c.bbox
+            for t in ("T1", "T2") for c in ds.metadata.table(t).all_chunks()
+        }
+
+    @staticmethod
+    def same_plan(a, b):
+        assert (a.algorithm, a.params, a.ij_cost, a.gh_cost, a.pipeline) == (
+            b.algorithm, b.params, b.ij_cost, b.gh_cost, b.pipeline
+        )
+        assert a.index.pairs == b.index.pairs
+
+    def test_second_plan_is_equal_and_shares_the_base_index(self, monkeypatch):
+        ds, view, qps = self.fresh()
+        built = []
+        from_dict = PageJoinIndex.from_dict.__func__
+        monkeypatch.setattr(
+            PageJoinIndex, "from_dict",
+            classmethod(lambda cls, data: built.append(1) or from_dict(cls, data)),
+        )
+        first = qps.plan(view)
+        again = qps.plan(JoinView("V2", "T1", "T2", on=ds.join_attrs))
+        self.same_plan(first, again)
+        assert first is not again and again.view.name == "V2"
+        assert first.index is again.index
+        assert first.params is again.params  # frozen, so shareable
+        piped = qps.plan(view, pipeline=True)
+        assert piped.pipeline and piped.index is first.index
+        assert piped.ij_cost.total <= first.ij_cost.total
+        # a planner that finds the entry already there builds it once
+        other = QueryPlanningService(ds.metadata, 2, 2, machine=MACHINE)
+        plans = [other.plan(view) for _ in range(3)]
+        assert built == [1]
+        assert plans[0].index is plans[2].index is not first.index
+        self.same_plan(plans[0], first)
+
+    def test_constrained_plans_are_cut_from_the_held_index(self):
+        ds, view, qps = self.fresh()
+        base = qps.plan(view).index
+        boxes = self.chunk_boxes(ds)
+        for where in self.BOXES:
+            constrained = JoinView("V2", "T1", "T2", on=ds.join_attrs, where=where)
+            a, b = qps.plan(constrained), qps.plan(constrained)
+            self.same_plan(a, b)
+            assert a.index is not b.index and a.index is not base
+            assert a.index.pairs == base.restrict(where, boxes).pairs == [
+                (l, r) for l, r in base.pairs
+                if boxes[l].overlaps(where) and boxes[r].overlaps(where)
+            ]
+            left = ds.metadata.table("T1").find_chunks(where)
+            assert a.params.T == sum(c.num_records for c in left)
+            assert a.params.n_e == a.index.num_edges
+        assert a.index.num_edges == 0 and a.params.T == 0
+        # the index they were cut from is as it was
+        assert qps.plan(view).index is base and base.num_edges == self.SPEC.n_e
+
+    def test_replaced_entry_is_rebuilt(self):
+        ds, view, qps = self.fresh()
+        first = qps.plan(view)
+        key = f"join_index/T1/T2/{','.join(ds.join_attrs)}"
+        boxes = self.chunk_boxes(ds)
+        other = first.index.restrict(self.BOXES[0], boxes)
+        ds.metadata.put(key, other.to_dict())
+        second = qps.plan(view)
+        assert second.index is not first.index
+        assert second.index.pairs == other.pairs
+        assert second.params.n_e == other.num_edges == first.params.n_e // 2
+        assert qps.plan(view).index is second.index
+        # an equal entry that is another object is a new entry all the same
+        ds.metadata.put(key, other.to_dict())
+        assert qps.plan(view).index is not second.index
+
+    def test_saved_and_loaded_catalog_plans_the_same(self, tmp_path):
+        ds, view, qps = self.fresh()
+        constrained = JoinView("V2", "T1", "T2", on=ds.join_attrs, where=self.BOXES[1])
+        before = qps.plan(view), qps.plan(constrained)
+        ds.metadata.save(tmp_path / "catalog.json")
+        loaded = MetaDataService.load(tmp_path / "catalog.json")
+        reloaded = QueryPlanningService(loaded, 2, 2, machine=MACHINE)
+        self.same_plan(reloaded.plan(view), before[0])
+        self.same_plan(reloaded.plan(constrained), before[1])
+
+    def test_calibrated_planner_shares_no_memo(self):
+        ds, view, plain = self.fresh()
+        calibration = TermCalibration(transfer=3.0, cpu_lookup=2.0)
+        uncalibrated = plain.plan(view)
+        calibrated = QueryPlanningService(
+            ds.metadata, 2, 2, machine=MACHINE, calibration=calibration
+        )
+        assert calibrated._held is not plain._held and not calibrated._held
+        plan = calibrated.plan(view)
+        assert plan.params.calibration == calibration
+        assert plan.ij_cost.total > uncalibrated.ij_cost.total
+        # the same as a calibrated planner that never saw the other one,
+        # whichever of the two plans first
+        _, _, alone = self.fresh(calibration=calibration)
+        self.same_plan(plan, alone.plan(view))
+        self.same_plan(plain.plan(view), uncalibrated)
+        assert plain.plan(view).params.calibration != calibration
 
 
 class TestDerivedDataSource:

@@ -1,13 +1,13 @@
-"""Connectivity-graph analytics.
+"""Connectivity-graph analytics: the networkx oracle for the join index.
 
-The cost models consume only ``n_e`` and the average right-degree, but
-choosing partitionings (and understanding when the OPAS problem will bite)
-benefits from richer structure: degree distributions, component-shape
-histograms, and regularity checks.  This module analyses a
-:class:`~repro.joins.join_index.PageJoinIndex` and can export it as a
-`networkx <https://networkx.org>`_ bipartite graph for ad-hoc exploration
-— which also gives the test suite an independent oracle for the index's
-own union-find component computation.
+The cost models consume only ``n_e`` and the average right-degree; the
+richer structure here (degree distributions, component-shape histograms,
+regularity checks, a `networkx <https://networkx.org>`_ bipartite export)
+is what the test suite holds the index's int-label component pass
+against.  It lives beside the tests because nothing under ``src/`` calls
+it and the package declares numpy only: ``import repro`` must not need
+networkx.  It shares :class:`~repro.joins.join_index.PageJoinIndex`'s
+``pairs`` and nothing of its algorithm.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.joins import build_join_index
-from repro.joins.graph_analysis import analyze_index, to_networkx
+from .graph_analysis import analyze_index, to_networkx
 from repro.workloads import GridSpec, make_grid_chunk_descriptors
 from repro.workloads.generator import dim_names
 from repro.workloads.irregular import build_irregular_dataset
@@ -67,7 +67,7 @@ class TestNetworkxOracle:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_components_match_networkx(self, data):
-        """Our union-find component extraction agrees with networkx on
+        """Our int-label component extraction agrees with networkx on
         random aligned partitionings — independent implementations."""
         dims = data.draw(st.integers(min_value=1, max_value=2))
         g, p, q = [], [], []

@@ -5,14 +5,22 @@ reproduce the paper's closed-form statistics (n_e = N_C · E_C etc.) for
 every aligned grid partitioning.
 """
 
+import hashlib
+import json
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datamodel import BoundingBox, ChunkDescriptor, ChunkRef, SubTableId
-from repro.joins import PageJoinIndex, build_join_index
+from repro.joins import ConnectivityStats, PageJoinIndex, build_join_index
 from repro.workloads import GridSpec, make_grid_chunk_descriptors
 from repro.workloads.generator import dim_names
+from repro.workloads.oilres import build_oil_reservoir_dataset
+
+from .graph_analysis import to_networkx
+from .index_draws import index_cases
 
 
 def chunks_for(spec: GridSpec, record_size=16, num_storage=2):
@@ -214,3 +222,132 @@ def test_build_equals_all_pairs_oracle(n_left, n_right, on, constrained, seed):
     )
     assert idx.pairs == expected
     assert idx.on == on
+
+
+# -- the array index against three oracles --------------------------------------
+#
+# all-pairs ``overlaps`` for the pairs, networkx for the components, the
+# paper's closed forms for the statistics — on the built index and on what
+# ``select``/``restrict`` make of it.
+
+#: sha256 of ``json.dumps(to_dict())`` of the serve benchmarks' precomputed
+#: index (32x32 grid, 4x4 / 2x2 chunks), taken at the commit before the index
+#: became arrays: the MetaData Service entry must not move by a byte
+SERVE_INDEX_SHA256 = "6ae16c1e5f35b6fad0438f6a108bb738d0bdf4363a857e3c1e0223323b9a600a"
+
+
+def assert_matches_networkx(idx: PageJoinIndex):
+    comps = idx.components()
+    ours = [
+        sorted([("L", l) for l in c.left_ids] + [("R", r) for r in c.right_ids])
+        for c in comps
+    ]
+    theirs = [sorted(nodes) for nodes in nx.connected_components(to_networkx(idx))]
+    assert sorted(ours) == sorted(theirs)
+    for comp in comps:
+        assert comp.left_ids == sorted(set(comp.left_ids))
+        assert comp.right_ids == sorted(set(comp.right_ids))
+        assert comp.pairs == sorted(comp.pairs)
+        assert {l for l, _ in comp.pairs} == set(comp.left_ids)
+        assert {r for _, r in comp.pairs} == set(comp.right_ids)
+    firsts = [c.left_ids[0] for c in comps]
+    assert firsts == sorted(firsts)  # ordered by smallest left id
+    assert sorted(p for c in comps for p in c.pairs) == idx.pairs
+    labels = idx.component_labels().tolist()
+    assert all(pair in comps[c].pairs for c, pair in zip(labels, idx.pairs))
+    stats = idx.stats()
+    assert stats.num_edges == idx.num_edges == len(idx.pairs)
+    assert stats.num_components == idx.num_components == len(comps)
+    assert stats.num_left == len({l for l, _ in idx.pairs})
+    assert stats.num_right == len({r for _, r in idx.pairs})
+    assert stats.max_component_a == max((c.a for c in comps), default=0)
+    assert stats.max_component_b == max((c.b for c in comps), default=0)
+
+
+def assert_roundtrips(idx: PageJoinIndex):
+    back = PageJoinIndex.from_dict(json.loads(json.dumps(idx.to_dict())))
+    assert back.pairs == idx.pairs
+    assert (back.left_table, back.right_table, back.on) == (
+        idx.left_table, idx.right_table, idx.on
+    )
+    assert back.to_dict() == idx.to_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=index_cases())
+def test_array_index_against_its_oracles(case):
+    idx = build_join_index(case.left, case.right, on=case.on)
+    all_pairs = sorted(
+        (lc.id, rc.id)
+        for lc in case.left
+        for rc in case.right
+        if lc.bbox.overlaps(rc.bbox, on=case.on)
+    )
+    assert idx.pairs == all_pairs  # and so lexicographic
+    assert_matches_networkx(idx)
+    assert_roundtrips(idx)
+    spec = case.spec
+    if spec is not None and len(case.on) == spec.ndim:
+        assert idx.stats() == ConnectivityStats(
+            num_edges=spec.n_e,
+            num_components=spec.N_C,
+            num_left=spec.m_R,
+            num_right=spec.m_S,
+            avg_left_degree=spec.n_e / spec.m_R,
+            avg_right_degree=spec.n_e / spec.m_S,
+            max_component_a=spec.a,
+            max_component_b=spec.b,
+        )
+    boxes = case.chunk_boxes
+    for query in case.boxes:
+        # pair by pair, as restrict was written before the index was arrays
+        expected = [
+            (l, r) for l, r in all_pairs
+            if boxes[l].overlaps(query) and boxes[r].overlaps(query)
+        ]
+        restricted = idx.restrict(query, boxes)
+        selected = idx.select(
+            [c.id for c in case.left if c.bbox.overlaps(query)],
+            [c.id for c in case.right if c.bbox.overlaps(query)],
+        )
+        assert restricted.pairs == selected.pairs == expected
+        assert restricted.on == idx.on
+        assert_matches_networkx(restricted)
+        assert_roundtrips(restricted)
+        # pruning what is already pruned changes nothing, and the index it
+        # was cut from is untouched
+        assert restricted.restrict(query, boxes).pairs == expected
+    assert idx.pairs == all_pairs
+    # the second box lies beyond the grid on a join attribute
+    assert idx.restrict(case.boxes[1], boxes).pairs == []
+    assert idx.restrict(case.boxes[1], boxes).components() == []
+
+
+def test_select_ignores_ids_the_index_does_not_know():
+    spec = GridSpec(g=(8, 8), p=(4, 4), q=(4, 4))
+    idx = index_for(spec)
+    stranger = SubTableId(9, 0)
+    sub = idx.select([idx.pairs[0][0], stranger], [r for _, r in idx.pairs] + [stranger])
+    assert sub.pairs == [idx.pairs[0]]
+    assert idx.select([], []).pairs == []
+
+
+def test_unsorted_and_repeated_pairs_are_kept_in_order():
+    a, b = SubTableId(1, 0), SubTableId(1, 1)
+    x, y = SubTableId(2, 0), SubTableId(2, 1)
+    idx = PageJoinIndex(1, 2, ("x",), [(b, y), (a, y), (b, x), (a, y)])
+    assert idx.pairs == [(a, y), (a, y), (b, x), (b, y)]
+    assert idx.num_edges == 4 and idx.num_components == 1
+
+
+def test_serve_grid_entry_is_byte_identical():
+    ds = build_oil_reservoir_dataset(
+        GridSpec(g=(32, 32), p=(4, 4), q=(2, 2)), num_storage=2, functional=False, seed=7
+    )
+    idx = build_join_index(
+        ds.metadata.table(ds.left).all_chunks(),
+        ds.metadata.table(ds.right).all_chunks(),
+        ds.join_attrs,
+    )
+    text = json.dumps(idx.to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == SERVE_INDEX_SHA256

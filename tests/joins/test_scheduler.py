@@ -12,6 +12,8 @@ from repro.joins import (
 from repro.workloads import GridSpec, make_grid_chunk_descriptors
 from repro.workloads.generator import dim_names
 
+from .index_draws import index_cases
+
 
 def index_for(spec):
     left = make_grid_chunk_descriptors(1, spec.g, spec.p, 16, 2)
@@ -180,3 +182,54 @@ class TestBusyAwareReassign:
         before = [list(p) for p in sched.per_joiner]
         sched.reassign(list(sched.per_joiner[0]), survivors=[1], busy=[])
         assert [list(p) for p in sched.per_joiner] == before
+
+
+# -- the int-form schedule against the implementation it replaced ---------------
+
+
+def two_stage_as_it_was(pairs, num_joiners):
+    """``PageJoinIndex.components`` + ``schedule_two_stage`` as they stood
+    before the index became int arrays, transcribed: union-find over
+    ``("L", id)``/``("R", id)`` keys, components ordered by smallest left
+    id, dealt largest first to the least-loaded joiner, each joiner's pairs
+    sorted."""
+    parent = {}
+
+    def find(x):
+        while parent[x] is not x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for l, r in pairs:
+        a, b = parent.setdefault(("L", l), ("L", l)), parent.setdefault(("R", r), ("R", r))
+        ra, rb = find(a), find(b)
+        if ra is not rb:
+            parent[ra] = rb
+    groups = {}
+    for l, r in pairs:
+        groups.setdefault(find(parent[("L", l)]), []).append((l, r))
+    comps = sorted((sorted(c) for c in groups.values()), key=lambda c: min(l for l, _ in c))
+    per_joiner = [[] for _ in range(num_joiners)]
+    loads = [0] * num_joiners
+    for comp in sorted(comps, key=lambda c: -len(c)):
+        target = loads.index(min(loads))
+        per_joiner[target].extend(comp)
+        loads[target] += len(comp)
+    for mine in per_joiner:
+        mine.sort()
+    return per_joiner
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=index_cases(), joiners=st.integers(min_value=1, max_value=6))
+def test_int_form_schedule_equals_the_tuple_form(case, joiners):
+    idx = build_join_index(case.left, case.right, on=case.on)
+    boxes = case.chunk_boxes
+    for index in [idx] + [idx.restrict(query, boxes) for query in case.boxes]:
+        sched = schedule_two_stage(index, joiners)
+        assert sched.per_joiner == two_stage_as_it_was(index.pairs, joiners)
+        assert sched.strategy == "two-stage"
+        # remembered on the index, per joiner count
+        assert schedule_two_stage(index, joiners) is sched
+        assert schedule_two_stage(index, joiners + 1) is not sched

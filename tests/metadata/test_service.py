@@ -166,6 +166,38 @@ class TestRangeQueries:
         assert svc.find_chunks("T", BoundingBox({"x": (0, 5), "wp": (0.0, 0.4)})) == []
         assert len(svc.find_chunks("T", BoundingBox({"x": (0, 5), "wp": (0.6, 0.7)}))) == 1
 
+    def test_refinement_sees_only_what_the_rtree_did_not(self):
+        """The R-tree answers the coordinate bounds exactly; the refinement
+        runs over the query's other attributes only — and the answer is
+        still the linear scan's, whichever side leaves an attribute out."""
+        inf = float("inf")
+        rng = np.random.default_rng(11)
+        svc = MetaDataService()
+        cat = svc.register_table(1, "T", Schema.of("x", "y", "wp", coordinates=("x", "y")))
+        for cid in range(120):
+            xlo, ylo = (float(v) for v in rng.integers(0, 12, size=2))
+            bounds = {"x": (xlo, xlo + float(rng.integers(0, 3))), "y": (ylo, ylo + 1.0)}
+            if cid % 5:  # one chunk in five carries no wp bound: unbounded
+                wlo = float(rng.integers(0, 8)) / 10
+                bounds["wp"] = (wlo, wlo + 0.2)
+            chunk = make_chunk(1, cid, 0, 0, 0, 0, 0)
+            cat.add_chunk(
+                ChunkDescriptor(
+                    id=chunk.id, ref=chunk.ref, attributes=chunk.attributes,
+                    extractors=chunk.extractors, bbox=BoundingBox(bounds), num_records=1,
+                )
+            )
+        for query in [
+            BoundingBox({"wp": (0.3, 0.5)}),
+            BoundingBox({"wp": (-inf, 0.1)}),
+            BoundingBox({"x": (3, 6), "wp": (0.3, 0.5)}),
+            BoundingBox({"x": (3, 6), "y": (2, inf), "wp": (0.65, 0.65)}),
+            BoundingBox({"wp": (5.0, 6.0)}),
+        ]:
+            expected = [c for c in cat.all_chunks() if c.bbox.overlaps(query)]
+            assert svc.find_chunks("T", query) == expected
+        assert 0 < len(svc.find_chunks("T", BoundingBox({"wp": (5.0, 6.0)}))) < 120
+
     def test_chunks_on_node(self, service):
         on0 = service.chunks_on_node("T1", 0)
         assert all(c.ref.storage_node == 0 for c in on0)

@@ -476,6 +476,24 @@ class TestUnreadFlagsRefused:
         ["trace", *SMALL, "--trace-out", "/nonexistent/y"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2] if argv[-2].startswith('--') else argv[-1]}")
     def test_refused_before_anything_runs(self, argv, capsys, tmp_path, monkeypatch):
+        self.refused(argv, capsys, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("axis,flag", [
+        ("nfs", ["--storage", "2"]),
+        ("nfs", ["--compute", "2"]),
+        ("nfs", ["--cpu-factor", "2"]),
+        ("nfs", ["--calibrated"]),
+        ("compute-nodes", ["--compute", "2"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_sweep_axis_takes_only_what_its_figure_reads(
+        self, axis, flag, capsys, tmp_path, monkeypatch
+    ):
+        """Figure 9 fixes its own deployment and Figure 5 sweeps ``n_j``
+        itself: these ran the default sweep, identical stdout, exit 0."""
+        self.refused(["sweep", axis, *flag], capsys, tmp_path, monkeypatch)
+
+    @staticmethod
+    def refused(argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # where an accepted `trace` would write
         with pytest.raises(SystemExit) as exc:
             main(argv)
