@@ -1,0 +1,241 @@
+"""The serve fence: did a change move any byte a served stream produces?
+
+A refactor of the server, the QES or the cluster layer claims "byte-
+identical"; this is how to check it without trusting the claim.  A fixed,
+seeded matrix of ``repro serve`` cells — spelled out below, nothing drawn
+at run time — is run one subprocess per cell, each in an empty scratch
+directory, and a *manifest* records per cell the exit status and the
+SHA-256 of stdout, stderr and every file the cell wrote (``--json-out``
+always, ``--oplog-out`` on observed cells).  Two manifests are compared
+with ``diff``::
+
+    python benchmarks/fence.py manifest --slice serve --src PARENT/src > a.json
+    python benchmarks/fence.py manifest --slice serve > b.json
+    python benchmarks/fence.py diff a.json b.json   # names moved cells, exit 1
+
+``--src`` is the ``src/`` directory the cells import ``repro`` from
+(default: this checkout's), so one copy of this file fences any two
+trees.  Slices:
+
+``serve``
+    102 cells.  *Default tenants* (the CLI's built-in interactive + batch
+    pair, 12 queries): three grids × seeds {1, 7} × nine flag sets, from
+    a plain model-only serve to faulted, deadlined, shed, sanitized and
+    observed ones.  *Chaos*: three 32×32 partitionings × seeds {3, 11} ×
+    eight fault/deadline/overload flag sets over ``fence_tenants.json``,
+    a 120-query three-tenant stream dense enough that attempts overlap,
+    retry, miss deadlines and get shed.
+``smoke``
+    Six of those cells (:data:`SMOKE`), ~5 s; CI diffs it against the
+    committed ``benchmarks/baselines/FENCE_smoke.json``.
+
+A manifest holds no path, time or host detail: the same tree gives the
+same bytes anywhere.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from typing import Dict, List, Sequence, Tuple
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DEFAULT_SRC = os.path.join(os.path.dirname(HERE), "src")
+CHAOS_TENANTS = os.path.join(HERE, "fence_tenants.json")
+
+SHAPE = ["--storage", "2", "--compute", "3"]
+
+GRIDS = {
+    "g32p8q4": ["--grid", "32,32", "--p", "8,8", "--q", "4,4"],
+    "g32p4q8": ["--grid", "32,32", "--p", "4,4", "--q", "8,8"],
+    "g32p4q4": ["--grid", "32,32", "--p", "4,4", "--q", "4,4"],
+    "g16cube": ["--grid", "16,16,16", "--p", "4,4,4", "--q", "4,4,4"],
+}
+
+# -- the default-tenants matrix: 3 grids x 2 seeds x 9 flag sets = 54 cells ----
+
+DEFAULT_GRIDS = ("g32p8q4", "g32p4q8", "g16cube")
+DEFAULT_SEEDS = (1, 7)
+DEFAULT_FLAGS = {
+    "plain": [],
+    "functional": ["--functional"],
+    "spf3": ["--policy", "spf", "--slots", "3"],
+    "fair1-observe": ["--policy", "fair", "--slots", "1", "--observe"],
+    "transient-storage-crash": [
+        "--faults", "seed=7,transient=0.3,storage_crash=1.0",
+        "--replication", "2", "--functional",
+    ],
+    "deadline-compute-crash-retry": [
+        "--faults", "seed=5,compute_crash=1.0,transient=0.03,max_attempts=1",
+        "--deadline", "0.1", "--retry-budget", "3", "--fail-mode", "graceful",
+    ],
+    "queue-limit-deadline": [
+        "--queue-limit", "1", "--shed-policy", "reject-lowest-priority",
+        "--slots", "1", "--deadline", "0.5", "--cpu-factor", "0.0005",
+    ],
+    "sanitize-functional": ["--sanitize", "--functional"],
+    "lfu-observe-functional": [
+        "--cache-policy", "lfu", "--observe", "--functional",
+    ],
+}
+
+# -- the chaos matrix: 3 partitionings x 2 seeds x 8 flag sets = 48 cells ------
+
+CHAOS_GRIDS = ("g32p8q4", "g32p4q8", "g32p4q4")
+CHAOS_SEEDS = (3, 11)
+CHAOS_FLAGS = {
+    "transient-masked": [
+        "--faults", "seed=5,transient=0.3,retry_base=0.0002",
+        "--replication", "2", "--functional",
+    ],
+    "retry-pressure": [
+        "--faults", "seed=9,transient=0.5,max_attempts=2,retry_base=0.0002",
+        "--retry-budget", "3", "--fail-mode", "graceful", "--functional",
+    ],
+    "storage-crash-masked-sanitize": [
+        "--faults", "seed=7,storage_crash=0.01", "--replication", "2",
+        "--functional", "--sanitize",
+    ],
+    "storage-crash-unmasked": [
+        "--faults", "seed=7,storage_crash=0.01,transient=0.1,retry_base=0.0002",
+        "--fail-mode", "graceful",
+    ],
+    "compute-crash-observe": [
+        "--faults", "seed=3,compute_crash=0.01,transient=0.2,retry_base=0.0002",
+        "--replication", "2", "--retry-budget", "1",
+        "--fail-mode", "graceful", "--functional", "--observe",
+    ],
+    "tight-slo": ["--deadline", "0.001", "--slots", "1", "--functional"],
+    "overload-shed-observe": [
+        "--queue-limit", "3", "--shed-policy", "reject-lowest-priority",
+        "--slots", "1", "--policy", "spf", "--observe",
+    ],
+    "everything": [
+        "--faults",
+        "seed=11,transient=0.3,storage_crash=0.02,compute_crash=0.015,"
+        "retry_base=0.0002",
+        "--replication", "2", "--deadline", "0.004", "--queue-limit", "6",
+        "--shed-policy", "reject-newest", "--policy", "fair", "--slots", "3",
+        "--fail-mode", "graceful", "--functional",
+    ],
+}
+
+#: the CI slice: one cell per mechanism the fence exists to watch
+SMOKE = (
+    "default/g32p8q4/s1/plain",
+    "default/g16cube/s7/sanitize-functional",
+    "default/g32p4q8/s7/lfu-observe-functional",
+    "chaos/g32p4q8/s3/retry-pressure",
+    "chaos/g32p8q4/s11/compute-crash-observe",
+    "chaos/g32p4q4/s3/everything",
+)
+
+
+def cells(slice_name: str) -> List[Tuple[str, List[str]]]:
+    """``(cell id, repro argv)`` of every cell of a slice, in id order."""
+    out: Dict[str, List[str]] = {}
+    for matrix, grids, seeds, flag_sets, extra in (
+        ("default", DEFAULT_GRIDS, DEFAULT_SEEDS, DEFAULT_FLAGS, []),
+        ("chaos", CHAOS_GRIDS, CHAOS_SEEDS, CHAOS_FLAGS,
+         ["--tenants", CHAOS_TENANTS]),
+    ):
+        for grid in grids:
+            for seed in seeds:
+                for name, flags in flag_sets.items():
+                    argv = ["serve", *GRIDS[grid], *SHAPE, "--seed", str(seed),
+                            *extra, *flags, "--json-out", "report.json"]
+                    if "--observe" in flags:
+                        argv += ["--oplog-out", "ops.jsonl"]
+                    out[f"{matrix}/{grid}/s{seed}/{name}"] = argv
+    if slice_name == "smoke":
+        out = {cell: out[cell] for cell in SMOKE}
+    return sorted(out.items())
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cell(argv: Sequence[str], src: str) -> Dict[str, object]:
+    """Run one cell in an empty scratch directory; hash what it produced."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+    with tempfile.TemporaryDirectory(prefix="fence-") as cwd:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            cwd=cwd, env=env, capture_output=True, check=False,
+        )
+        files = {}
+        for name in sorted(os.listdir(cwd)):
+            with open(os.path.join(cwd, name), "rb") as fh:
+                files[name] = _sha(fh.read())
+    return {
+        "exit": proc.returncode,
+        "stdout": _sha(proc.stdout),
+        "stderr": _sha(proc.stderr),
+        "files": files,
+    }
+
+
+def manifest(slice_name: str, src: str) -> Dict[str, object]:
+    return {
+        "slice": slice_name,
+        "cells": {cell: run_cell(argv, src) for cell, argv in cells(slice_name)},
+    }
+
+
+def diff(a: Dict[str, object], b: Dict[str, object]) -> List[str]:
+    """One line per cell that differs between two manifests."""
+    moved = []
+    cells_a, cells_b = a["cells"], b["cells"]
+    for cell in sorted(set(cells_a) | set(cells_b)):
+        if cell not in cells_a or cell not in cells_b:
+            moved.append(f"{cell}: only in {'b' if cell in cells_b else 'a'}")
+            continue
+        ca, cb = cells_a[cell], cells_b[cell]
+        what = [k for k in ("exit", "stdout", "stderr") if ca[k] != cb[k]]
+        what += [
+            name
+            for name in sorted(set(ca["files"]) | set(cb["files"]))
+            if ca["files"].get(name) != cb["files"].get(name)
+        ]
+        if what:
+            moved.append(f"{cell}: {', '.join(what)}")
+    return moved
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_man = sub.add_parser("manifest", help="run a slice, print its manifest")
+    p_man.add_argument("--slice", choices=("smoke", "serve"), default="serve")
+    p_man.add_argument("--src", default=DEFAULT_SRC, metavar="DIR",
+                       help="src/ directory to import repro from")
+    p_diff = sub.add_parser("diff", help="compare two manifests")
+    p_diff.add_argument("a")
+    p_diff.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "manifest":
+        json.dump(
+            manifest(args.slice, os.path.abspath(args.src)), sys.stdout,
+            indent=1, sort_keys=True,
+        )
+        sys.stdout.write("\n")
+        return 0
+    with open(args.a, encoding="utf-8") as fa, open(args.b, encoding="utf-8") as fb:
+        moved = diff(json.load(fa), json.load(fb))
+    for line in moved:
+        print(line)
+    if moved:
+        print(f"{len(moved)} cell(s) moved")
+        return 1
+    print("fence: no cell moved")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

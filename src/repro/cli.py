@@ -88,6 +88,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -458,6 +459,19 @@ def _observability_config(args: argparse.Namespace, tenants) -> Optional[object]
     )
 
 
+def _open_output(path: str):
+    """Open an ``--*-out`` file for writing, creating its parent
+    directories like ``--trace-out`` does; a path that cannot be opened
+    is a ``ValueError`` naming it."""
+    try:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import dataclasses
 
@@ -469,6 +483,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.oplog_out and not args.observe:
         # the ops log is the observatory's; refuse before serving anything
         raise ValueError("--oplog-out needs --observe")
+    for path in filter(None, (args.oplog_out, args.json_out)):
+        # a stream must not run to its last query and then have nowhere
+        # to be written: both outputs are opened before anything is served
+        _open_output(path).close()
     spec = _spec(args)
     machine = _machine(args)
     calibration = _drift_calibration(args)

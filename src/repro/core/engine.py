@@ -19,8 +19,7 @@ from repro.cluster.cluster import ClusterSim, ClusterTopology
 from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
 from repro.core.planner import Plan, QueryPlanningService
 from repro.core.view import AggregationView, JoinView
-from repro.datamodel.bounding_box import BoundingBox
-from repro.datamodel.subtable import SubTable, SubTableId, concat_subtables
+from repro.datamodel.subtable import SubTable, SubTableId, bbox_mask, concat_subtables
 from repro.joins.grace_hash import GraceHashQES
 from repro.joins.indexed_join import IndexedJoinQES
 from repro.joins.report import ExecutionReport
@@ -29,18 +28,6 @@ from repro.query.aggregate import aggregate
 from repro.services.bds import SubTableProvider
 
 __all__ = ["DerivedDataSource", "QueryResult", "assemble_result", "bbox_mask"]
-
-
-def bbox_mask(sub: SubTable, box: BoundingBox) -> np.ndarray:
-    """Record-level mask for a bounding-box constraint (attributes absent
-    from the sub-table are unconstrained)."""
-    mask = np.ones(sub.num_records, dtype=bool)
-    for name in box:
-        if name in sub.schema:
-            iv = box.interval(name)
-            col = sub.column(name)
-            mask &= (col >= iv.lo) & (col <= iv.hi)
-    return mask
 
 
 @dataclass

@@ -26,7 +26,7 @@ import numpy as np
 from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.schema import Schema
 
-__all__ = ["SubTableId", "SubTable", "SubTableStub", "concat_subtables"]
+__all__ = ["SubTableId", "SubTable", "SubTableStub", "bbox_mask", "concat_subtables"]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -211,6 +211,18 @@ class SubTableStub:
 
     def __len__(self) -> int:
         return self.num_records
+
+
+def bbox_mask(sub: SubTable, box: BoundingBox) -> np.ndarray:
+    """Record-level mask for a bounding-box constraint (attributes absent
+    from the sub-table are unconstrained)."""
+    mask = np.ones(sub.num_records, dtype=bool)
+    for name in box:
+        if name in sub.schema:
+            iv = box.interval(name)
+            col = sub.column(name)
+            mask &= (col >= iv.lo) & (col <= iv.hi)
+    return mask
 
 
 def concat_subtables(

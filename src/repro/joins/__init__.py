@@ -13,11 +13,14 @@
   lexicographic order) plus alternative orders for the scheduling
   ablation.
 * :mod:`~repro.joins.qes` — what a QES *is*: one execution, with the
-  lifecycle (``run``/``begin``/``abort``/``finish``) both algorithms share.
+  lifecycle (``run``/``begin``/``abort``/``finish``) and the
+  fetch-with-recovery every execution shares.
 * :mod:`~repro.joins.indexed_join` — the distributed page-level Indexed
   Join QES.
 * :mod:`~repro.joins.grace_hash` — the distributed Grace Hash QES
   (modified, as in the paper, so bucket joins are node-local).
+* :mod:`~repro.joins.scan` — the range-scan QES: one table, one box, one
+  compute node, through the same caches.
 * :mod:`~repro.joins.baselines` — single-node reference joins used as
   correctness oracles and comparison baselines.
 * :mod:`~repro.joins.report` — execution reports: simulated time
@@ -42,6 +45,7 @@ from repro.joins.join_index import (
     build_join_index,
 )
 from repro.joins.report import ExecutionReport, PhaseBreakdown
+from repro.joins.scan import ScanQES
 from repro.joins.scheduler import (
     PairSchedule,
     schedule_interleaved,
@@ -59,6 +63,7 @@ __all__ = [
     "PageJoinIndex",
     "PairSchedule",
     "PhaseBreakdown",
+    "ScanQES",
     "build_join_index",
     "evaluate_order",
     "order_bfs_clustered",

@@ -106,10 +106,13 @@ class GraceHashQES(QES):
         contain_faults: bool = False,
     ):
         super().__init__(
-            cluster, metadata, left, right, on, provider,
+            cluster, metadata, provider,
             sanitizer=sanitizer, critical_path=critical_path,
             contain_faults=contain_faults,
         )
+        self.left = metadata.table(left)
+        self.right = metadata.table(right)
+        self.on = tuple(on)
         self.range_constraint = range_constraint
         self.num_buckets = (
             num_buckets if num_buckets is not None else self._choose_num_buckets()

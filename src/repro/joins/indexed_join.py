@@ -50,13 +50,7 @@ from repro.cluster.cluster import ClusterSim
 from repro.cluster.events import Event, Interrupt
 from repro.datamodel.schema import Attribute, Schema
 from repro.datamodel.subtable import SubTable, SubTableId, concat_subtables
-from repro.faults.errors import (
-    ComputeNodeDown,
-    FaultError,
-    StorageNodeDown,
-    TransientTransferFault,
-    UnrecoverableFault,
-)
+from repro.faults.errors import ComputeNodeDown, FaultError, UnrecoverableFault
 from repro.joins.hash_join import vectorized_hash_join
 from repro.joins.join_index import PageJoinIndex, build_join_index
 from repro.joins.qes import QES
@@ -131,10 +125,13 @@ class IndexedJoinQES(QES):
         contain_faults: bool = False,
     ):
         super().__init__(
-            cluster, metadata, left, right, on, provider,
+            cluster, metadata, provider,
             sanitizer=sanitizer, critical_path=critical_path,
             contain_faults=contain_faults,
         )
+        self.left = metadata.table(left)
+        self.right = metadata.table(right)
+        self.on = tuple(on)
         self.index = index if index is not None else build_join_index(
             self.left.all_chunks(), self.right.all_chunks(), self.on
         )
@@ -193,12 +190,6 @@ class IndexedJoinQES(QES):
                         capacity, policy, prefetch_budget_bytes=self.prefetch_budget
                     )
                 )
-        # snapshot so the report carries this run's deltas, not the caches'
-        # lifetime counters (a warmed cache has history from earlier runs)
-        self._stats_before = [c.stats.snapshot() for c in self.caches]
-        if self.sanitizer is not None:
-            for j, c in enumerate(self.caches):
-                self.sanitizer.attach_cache(c, name=f"joiner{j}")
         tel = self.tel
         if tel is not None:
             tel.metrics.histogram("ij.pair_seconds")
@@ -291,104 +282,9 @@ class IndexedJoinQES(QES):
                 self.results[j], matches = _join_probed(records, self.on)
                 report.kernel.matches += matches
         report.pairs_joined = self.schedule.total_pairs
-        report.cache_stats = [
-            c.stats.since(before)
-            for c, before in zip(self.caches, self._stats_before)
-        ]
         report.extras["num_edges"] = float(self.index.num_edges)
         report.extras["num_components"] = float(self.index.num_components)
         report.extras["pipeline"] = 1.0 if self.pipeline else 0.0
-
-    # -- fault-tolerant transfer ---------------------------------------------------
-
-    def _transfer_with_recovery(self, j: int, desc, inflight, link_span):
-        """Move one sub-table to joiner ``j``, surviving transient faults
-        and storage-node crashes.  Generator; returns the storage node that
-        ultimately served the bytes.
-
-        Replicas are tried primary-first.  On each node, transient faults
-        are retried with exponential backoff up to ``plan.max_attempts``;
-        a node crash invalidates cache entries sourced from that node and
-        fails over to the next replica.  Without fault injection the loop
-        collapses to the single primary transfer of the fault-free code
-        path — same events, same accounting.  Raises
-        :class:`UnrecoverableFault` when no replica can serve the chunk.
-        """
-        cluster, tel, report = self.cluster, self.tel, self.report
-        injector = cluster.faults
-        cache = self.caches[j]
-        pb = report.per_joiner[j]
-        rec = report.recovery
-        last_node = None
-        for ref in desc.all_refs:
-            node = last_node = ref.storage_node
-            attempt = 0
-            while True:
-                attempt += 1
-                t0 = cluster.engine.now
-                transfer = cluster.read_and_send(node, j, desc.size)
-                tspan = None
-                if tel is not None:
-                    tspan = tel.recorder.begin(
-                        "transfer",
-                        category="transfer",
-                        node=f"storage{node}",
-                        track=f"serve-compute{j}",
-                        chunk=str(desc.id),
-                        bytes=desc.size,
-                        attempt=attempt,
-                    )
-                    if link_span is not None:
-                        tel.recorder.link(tspan, link_span)
-                if inflight is not None:
-                    inflight[desc.id] = transfer
-                try:
-                    yield transfer
-                except TransientTransferFault:
-                    if tspan is not None:
-                        tspan.attrs["error"] = "TransientTransferFault"
-                        tel.recorder.finish(tspan)
-                        tspan = None
-                    dt = cluster.engine.now - t0
-                    pb.stall += dt
-                    rec.retries += 1
-                    rec.wasted_seconds += dt
-                    rec.wasted_bytes += desc.size
-                    plan = injector.plan
-                    if attempt >= plan.max_attempts:
-                        break  # give up on this replica, try the next
-                    backoff = plan.retry_base * (2 ** (attempt - 1))
-                    if backoff > 0:
-                        yield cluster.engine.timeout(backoff)
-                        pb.stall += backoff
-                        rec.wasted_seconds += backoff
-                    continue
-                except StorageNodeDown:
-                    if tspan is not None:
-                        tspan.attrs["error"] = "StorageNodeDown"
-                        tel.recorder.finish(tspan)
-                        tspan = None
-                    dt = cluster.engine.now - t0
-                    pb.stall += dt
-                    rec.failovers += 1
-                    rec.wasted_seconds += dt
-                    rec.cache_invalidations += cache.invalidate_from(node)
-                    break  # fail over to the next replica
-                finally:
-                    if inflight is not None:
-                        inflight.pop(desc.id, None)
-                    if tspan is not None and tspan.end is None:
-                        tel.recorder.finish(tspan)
-                dt = cluster.engine.now - t0
-                pb.transfer += dt
-                pb.stall += dt  # the control loop waits out every byte
-                report.bytes_from_storage += desc.size
-                if tel is not None:
-                    tel.metrics.counter("op.transfer.bytes").inc(desc.size)
-                return node
-        raise UnrecoverableFault(
-            "no surviving replica for chunk", chunk=desc.id, node=last_node
-        )
 
     # -- the joiner control loop (both modes) -------------------------------------
 

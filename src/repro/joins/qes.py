@@ -1,13 +1,14 @@
 """The Query Execution System as one execution (Section 4).
 
 "Each compute node runs a QES instance that receives a pair of sub-table
-ids to join": a QES object here *is* one distributed join execution — its
+ids to join": a QES object here *is* one distributed execution — its
 configuration, its supervising driver process, every worker it spawned,
-its report and its whole-run telemetry spans.  :class:`QES` owns what the
-two algorithms share (the lifecycle: :meth:`~QES.run`, :meth:`~QES.begin`,
-:meth:`~QES.abort`, :meth:`~QES.finish`); :class:`~repro.joins.
-indexed_join.IndexedJoinQES` and :class:`~repro.joins.grace_hash.
-GraceHashQES` add their constructor extras, the driver and worker
+its report and its whole-run telemetry spans.  :class:`QES` owns what
+every execution shares (the lifecycle: :meth:`~QES.run`, :meth:`~QES.begin`,
+:meth:`~QES.abort`, :meth:`~QES.finish`; one sub-table to one compute node
+with recovery); :class:`~repro.joins.indexed_join.IndexedJoinQES`,
+:class:`~repro.joins.grace_hash.GraceHashQES` and :class:`~repro.joins.
+scan.ScanQES` add what they execute over, the driver and worker
 generators, and the report fill-in.  Workers read per-execution state off
 the instance; their signatures carry only what is per worker, per pair or
 per chunk.
@@ -15,11 +16,16 @@ per chunk.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.cluster.cluster import ClusterSim
 from repro.datamodel.subtable import SubTable
-from repro.faults.errors import FaultError, UnrecoverableFault
+from repro.faults.errors import (
+    FaultError,
+    StorageNodeDown,
+    TransientTransferFault,
+    UnrecoverableFault,
+)
 from repro.joins.report import ExecutionReport, PhaseBreakdown
 from repro.metadata.service import MetaDataService
 from repro.services.bds import SubTableProvider
@@ -38,18 +44,14 @@ _CPU_PHASES = {
 
 
 class QES:
-    """One join execution on a simulated cluster; single-shot.
+    """One execution on a simulated cluster; single-shot.
 
-    Parameters shared by both algorithms:
+    Parameters shared by every QES:
 
     cluster:
         The simulated cluster to run on.
     metadata:
-        MetaData Service holding both tables' chunk catalogs.
-    left, right:
-        Table keys (ids or names); ``left`` is the build (inner) side.
-    on:
-        Join attribute names.
+        MetaData Service holding the chunk catalogs of the tables read.
     provider:
         Sub-table provider (functional or stub).
     sanitizer:
@@ -80,14 +82,14 @@ class QES:
     #: report / ``query``-span label and the driver's default process name
     algorithm: str
     driver_name: str
+    #: one Caching Service per compute node, set by :meth:`_start` at the
+    #: latest by the executions that cache; ``None`` for the one that does not
+    caches: Optional[List] = None
 
     def __init__(
         self,
         cluster: ClusterSim,
         metadata: MetaDataService,
-        left: int | str,
-        right: int | str,
-        on: Sequence[str],
         provider: SubTableProvider,
         sanitizer=None,
         critical_path: bool = True,
@@ -95,9 +97,6 @@ class QES:
     ):
         self.cluster = cluster
         self.metadata = metadata
-        self.left = metadata.table(left)
-        self.right = metadata.table(right)
-        self.on = tuple(on)
         self.provider = provider
         self.sanitizer = sanitizer
         self.critical_path = critical_path
@@ -159,6 +158,12 @@ class QES:
                 )
             )
         self._start()
+        # snapshot so the report carries this run's deltas, not the caches'
+        # lifetime counters (a warmed cache has history from earlier runs)
+        self._stats_before = [c.stats.snapshot() for c in self.caches or ()]
+        if self.sanitizer is not None:
+            for j, c in enumerate(self.caches or ()):
+                self.sanitizer.attach_cache(c, name=f"joiner{j}")
         self.process = cluster.engine.process(
             self._driver(), name=name or self.driver_name, contain=self._contain
         )
@@ -194,6 +199,10 @@ class QES:
             return report
         self._finished = True
         report.results = self.results
+        report.cache_stats = [
+            c.stats.since(before)
+            for c, before in zip(self.caches or (), self._stats_before)
+        ]
         self._fill()
         tel = self.tel
         if tel is not None:
@@ -240,6 +249,97 @@ class QES:
         setattr(report.kernel, counter, getattr(report.kernel, counter) + records)
         if tel is not None:
             tel.metrics.counter(metric).inc(records)
+
+    def _transfer_with_recovery(self, j: int, desc, inflight, link_span):
+        """Move one sub-table to compute node ``j``, surviving transient
+        faults and storage-node crashes.  Generator; returns the storage
+        node that ultimately served the bytes.  The one fetch-with-recovery:
+        the Indexed Join's ``_fetch`` and the scan both miss into it, and
+        both keep per-node ``self.caches`` for it to invalidate.
+
+        Replicas are tried primary-first.  On each node, transient faults
+        are retried with exponential backoff up to ``plan.max_attempts``;
+        a node crash invalidates cache entries sourced from that node and
+        fails over to the next replica.  Without fault injection the loop
+        collapses to the single primary transfer of the fault-free code
+        path — same events, same accounting.  Raises
+        :class:`UnrecoverableFault` when no replica can serve the chunk.
+        """
+        cluster, tel, report = self.cluster, self.tel, self.report
+        injector = cluster.faults
+        cache = self.caches[j]
+        pb = report.per_joiner[j]
+        rec = report.recovery
+        last_node = None
+        for ref in desc.all_refs:
+            node = last_node = ref.storage_node
+            attempt = 0
+            while True:
+                attempt += 1
+                t0 = cluster.engine.now
+                transfer = cluster.read_and_send(node, j, desc.size)
+                tspan = None
+                if tel is not None:
+                    tspan = tel.recorder.begin(
+                        "transfer",
+                        category="transfer",
+                        node=f"storage{node}",
+                        track=f"serve-compute{j}",
+                        chunk=str(desc.id),
+                        bytes=desc.size,
+                        attempt=attempt,
+                    )
+                    if link_span is not None:
+                        tel.recorder.link(tspan, link_span)
+                if inflight is not None:
+                    inflight[desc.id] = transfer
+                try:
+                    yield transfer
+                except TransientTransferFault:
+                    if tspan is not None:
+                        tspan.attrs["error"] = "TransientTransferFault"
+                        tel.recorder.finish(tspan)
+                        tspan = None
+                    dt = cluster.engine.now - t0
+                    pb.stall += dt
+                    rec.retries += 1
+                    rec.wasted_seconds += dt
+                    rec.wasted_bytes += desc.size
+                    plan = injector.plan
+                    if attempt >= plan.max_attempts:
+                        break  # give up on this replica, try the next
+                    backoff = plan.retry_base * (2 ** (attempt - 1))
+                    if backoff > 0:
+                        yield cluster.engine.timeout(backoff)
+                        pb.stall += backoff
+                        rec.wasted_seconds += backoff
+                    continue
+                except StorageNodeDown:
+                    if tspan is not None:
+                        tspan.attrs["error"] = "StorageNodeDown"
+                        tel.recorder.finish(tspan)
+                        tspan = None
+                    dt = cluster.engine.now - t0
+                    pb.stall += dt
+                    rec.failovers += 1
+                    rec.wasted_seconds += dt
+                    rec.cache_invalidations += cache.invalidate_from(node)
+                    break  # fail over to the next replica
+                finally:
+                    if inflight is not None:
+                        inflight.pop(desc.id, None)
+                    if tspan is not None and tspan.end is None:
+                        tel.recorder.finish(tspan)
+                dt = cluster.engine.now - t0
+                pb.transfer += dt
+                pb.stall += dt  # the control loop waits out every byte
+                report.bytes_from_storage += desc.size
+                if tel is not None:
+                    tel.metrics.counter("op.transfer.bytes").inc(desc.size)
+                return node
+        raise UnrecoverableFault(
+            "no surviving replica for chunk", chunk=desc.id, node=last_node
+        )
 
     # -- what each algorithm supplies ------------------------------------------------
 

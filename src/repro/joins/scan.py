@@ -1,0 +1,143 @@
+"""The range-scan QES (Section 4).
+
+"The MetaData Service may be queried using the range part of the query to
+retrieve ids of all matching sub-tables ... the BDS is asked to generate
+each of the sub-tables", which the Caching Service then stores: a range
+query walks the same services as a join, so it is the same kind of
+object — one execution on the :class:`~repro.joins.qes.QES` base, whose
+driver *is* the scan.  No workers, no schedule.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence
+
+from repro.cluster.cluster import ClusterSim
+from repro.datamodel.bounding_box import BoundingBox
+from repro.datamodel.chunk import ChunkDescriptor
+from repro.datamodel.subtable import bbox_mask
+from repro.faults.errors import UnrecoverableFault
+from repro.joins.qes import QES
+from repro.metadata.service import MetaDataService
+from repro.services.bds import SubTableProvider
+from repro.services.cache import CachingService, make_policy
+from repro.telemetry.spans import maybe_span
+
+__all__ = ["ScanQES"]
+
+
+class ScanQES(QES):
+    """One range scan of one table, streamed to one compute node.
+
+    Parameters beyond those of :class:`~repro.joins.qes.QES`:
+
+    table:
+        Table key (id or name).
+    where:
+        The range part of the query; an empty box selects every record.
+    compute:
+        The compute node the chunks stream to — or, when a fault plan
+        has already killed it, the next surviving one.  The scan dies
+        with the node it streams to.
+    chunks:
+        The chunks the range part keeps, when a planner has already found
+        them; asked of the MetaData Service when omitted.
+    caches:
+        Per-compute-node Caching Service instances, as for the Indexed
+        Join: chunks a previous execution left there are hits.  Fresh LRU
+        caches of the machine's memory size when omitted.
+    """
+
+    algorithm = "scan"
+    driver_name = "scan-driver"
+
+    def __init__(
+        self,
+        cluster: ClusterSim,
+        metadata: MetaDataService,
+        table: int | str,
+        where: BoundingBox,
+        provider: SubTableProvider,
+        compute: int = 0,
+        chunks: Optional[Sequence[ChunkDescriptor]] = None,
+        caches: Optional[List[CachingService]] = None,
+        sanitizer=None,
+        critical_path: bool = True,
+        contain_faults: bool = False,
+    ):
+        super().__init__(
+            cluster, metadata, provider,
+            sanitizer=sanitizer, critical_path=critical_path,
+            contain_faults=contain_faults,
+        )
+        self.table = metadata.table(table)
+        self.where = where
+        if not 0 <= compute < cluster.num_compute:
+            raise ValueError(
+                f"compute node {compute} outside a cluster of {cluster.num_compute}"
+            )
+        self.compute = compute
+        self.chunks = tuple(
+            chunks if chunks is not None else self.table.find_chunks(where)
+        )
+        self.caches = caches
+
+    def _query_attrs(self):
+        return {"table": self.table.name, "chunks": len(self.chunks)}
+
+    def _start(self) -> None:
+        cluster = self.cluster
+        if self.caches is None:
+            self.caches = [
+                CachingService(cluster.joiner(j).memory_bytes, make_policy("lru"))
+                for j in range(cluster.num_compute)
+            ]
+        #: records inside ``where`` so far (functional runs only)
+        self.selected = 0
+
+    def _driver(self):
+        """The scan: every chunk through the target node's cache, each
+        miss a real simulated transfer (the Indexed Join's own
+        fetch-with-recovery), all pins under one scope — an abort or node
+        death mid-scan releases them as it unwinds.  A functional run
+        counts the records inside the box chunk by chunk; it never
+        materialises a filtered copy."""
+        cluster = self.cluster
+        injector = cluster.faults
+        j = self.compute
+        if injector is not None:
+            n = cluster.num_compute
+            alive = [
+                s for s in ((j + k) % n for k in range(n))
+                if not injector.compute_is_dead(s)
+            ]
+            if not alive:
+                raise UnrecoverableFault("no surviving compute node for scan", node=j)
+            j = alive[0]
+            # the scan dies with its compute node, like a joiner would
+            injector.register_compute(j, self.process)
+        cache = self.caches[j]
+        functional = self.provider.functional
+        with maybe_span(
+            self.tel, f"scan{j}", category="control", node=f"compute{j}",
+            track="qes", parent=self.spans[0] if self.spans else None,
+        ), cache.pin_scope() as scope:
+            for desc in self.chunks:
+                value = cache.get(desc.id)
+                if value is None:
+                    node = yield from self._transfer_with_recovery(
+                        j, desc, None, None
+                    )
+                    value = self.provider.fetch(desc, node=node)
+                    scope.put(desc.id, value, desc.size, pin=True, source=node)
+                else:
+                    scope.pin(desc.id)
+                if functional:
+                    self.selected += int(bbox_mask(value, self.where).sum())
+        # capture before returning: pending fault timers may advance the
+        # clock after the scan is already complete
+        self.report.total_time = cluster.engine.now
+
+    def _fill(self) -> None:
+        if self.report.functional:
+            self.report.extras["selected_records"] = float(self.selected)

@@ -49,17 +49,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 from repro.cluster.cluster import ClusterSim, ClusterTopology
 from repro.cluster.events import Event, Interrupt, SimulationError
 from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
-from repro.core.engine import assemble_result, bbox_mask
+from repro.core.engine import assemble_result
 from repro.core.planner import QueryPlanningService
-from repro.faults.errors import (
-    FaultError,
-    StorageNodeDown,
-    TransientTransferFault,
-    UnrecoverableFault,
-)
+from repro.faults.errors import FaultError, UnrecoverableFault
 from repro.joins.grace_hash import GraceHashQES
 from repro.joins.indexed_join import IndexedJoinQES
+from repro.joins.qes import QES
 from repro.joins.report import ExecutionReport
+from repro.joins.scan import ScanQES
 from repro.server.admission import make_admission_policy
 from repro.server.observatory import ObservabilityConfig, ServeObservatory
 from repro.server.queries import PlannedQuery, build_query
@@ -366,19 +363,6 @@ class _Outcome:
     cache_hits: int = 0
     cache_misses: int = 0
     result_records: Optional[int] = None
-
-
-class _ExecContext:
-    """Mutable cell the execution generator populates so the lifecycle
-    can reach into an attempt that died mid-flight: the QES run handle
-    (to abort its process tree and read partial byte counts) and the
-    per-query cache views (whose stats freeze at unwind)."""
-
-    __slots__ = ("handle", "views")
-
-    def __init__(self) -> None:
-        self.handle = None
-        self.views: Optional[List[QueryCacheView]] = None
 
 
 class QueryServer:
@@ -783,16 +767,8 @@ class QueryServer:
                 track=f"tenant.{entry.tenant}",
             ):
                 admitted = yield from self._await_admission(entry, deadline_ev)
-            if not admitted:
-                return
-            if self.cluster.faults is None and deadline_ev is None:
-                # fast path: no faults to survive, no deadline to race —
-                # execute inline, event-for-event the pre-resilience server
-                outcome = _Outcome()
-                yield from self._execute(planned, outcome, _ExecContext())
-                self._finalize(entry, COMPLETED, outcome, release_slot=True)
-                return
-            yield from self._run_resilient(entry, deadline_ev)
+            if admitted:
+                yield from self._supervise(entry, deadline_ev)
 
     def _await_admission(self, entry: QueuedQuery, deadline_ev: Optional[Event]):
         """Wait for a slot; handle shedding evictions and queued expiry.
@@ -827,16 +803,17 @@ class QueryServer:
             self._finalize(entry, SHED, _Outcome(), note=shed.reason)
             return False
 
-    def _run_resilient(self, entry: QueuedQuery, deadline_ev: Optional[Event]):
-        """Execute with deadline races and fault retries.
+    def _supervise(self, entry: QueuedQuery, deadline_ev: Optional[Event]):
+        """Execute the admitted query: attempts, deadline races, retries.
 
-        Each attempt runs as a *contained* child process: a fault that
-        exhausts QES recovery fails the child instead of tearing down
-        the engine, and this supervisor decides — retry after seeded
-        backoff, or record the terminal ``failed`` disposition.  A
-        deadline win aborts the attempt's whole process tree and waits
-        for it to unwind (releasing its cache pins) before recording
-        ``deadline_exceeded``.
+        Each attempt is one *contained* QES (:meth:`_begin`): a fault
+        that exhausts its recovery fails the driver instead of tearing
+        down the engine, and this supervisor — waiting on the driver
+        itself — decides: retry after seeded backoff, or record the
+        terminal ``failed`` disposition.  A deadline win aborts the
+        attempt before recording ``deadline_exceeded``.  With no
+        deadline and no fault plan nothing races and nothing fails: the
+        loop is begin, wait, finish, finalize.
         """
         engine = self.cluster.engine
         planned = entry.planned
@@ -851,65 +828,68 @@ class QueryServer:
                     retries=attempt - 1, note="deadline", release_slot=True,
                 )
                 return
-            outcome = _Outcome()
-            ctx = _ExecContext()
-            exec_proc = engine.process(
-                self._execute(planned, outcome, ctx),
-                name=f"server-q{entry.qid}.x{attempt}",
-                contain=(FaultError, UnrecoverableFault),
-            )
+            qes = self._begin(planned)
             failure: Optional[BaseException] = None
             deadline_hit = False
             try:
                 if deadline_ev is None:
-                    yield exec_proc
+                    yield qes.process
                 else:
-                    race = engine.any_of([exec_proc, deadline_ev])
+                    race = engine.any_of([qes.process, deadline_ev])
                     yield race
                     deadline_hit = race.first_index == 1
             except Interrupt as intr:
-                failure = self._fault_cause(intr)
+                # a contained execution only dies by interrupt when the
+                # fault injector killed its compute placement; anything
+                # else is a model bug and stays loud
+                if not isinstance(intr.cause, FaultError):
+                    raise
+                failure = intr.cause
             except (FaultError, UnrecoverableFault) as exc:
                 failure = exc
             if deadline_hit:
+                # kill the attempt's whole process tree and wait for its
+                # driver to unwind (pins release as the interrupt
+                # propagates through its scopes)
                 self._emit("deadline", entry, where="executing")
-                yield from self._abort_attempt(entry, exec_proc, ctx)
-                self._salvage(outcome, ctx)
-                outcome.bytes_from_storage += wasted
-                self._finalize(
-                    entry, DEADLINE_EXCEEDED, outcome,
-                    retries=attempt - 1, note="deadline", release_slot=True,
+                qes.abort(QueryAborted(entry.qid, "deadline"))
+                if not qes.process.triggered:
+                    try:
+                        yield qes.process
+                    except (Interrupt, FaultError, UnrecoverableFault):
+                        pass
+            elif failure is not None:
+                # the attempt died on a fault: kill its leftovers
+                # (surviving joiners of a half-dead execution)
+                self._emit(
+                    "fault", entry, attempt=attempt, cause=type(failure).__name__
                 )
-                return
-            if failure is None:
-                outcome.bytes_from_storage += wasted
-                self._finalize(
-                    entry, COMPLETED, outcome, retries=attempt - 1,
-                    release_slot=True,
-                )
-                return
-            # the attempt died on a fault: kill its leftovers (surviving
-            # joiners of a half-dead execution) and decide its fate
-            self._emit(
-                "fault", entry, attempt=attempt, cause=type(failure).__name__
+                qes.abort(QueryAborted(entry.qid, "attempt failed"))
+            self._joiners_in_use.pop(planned.qid, None)
+            outcome = self._outcome(
+                planned, qes, finished=failure is None and not deadline_hit
             )
-            self._salvage(outcome, ctx)
-            if ctx.handle is not None:
-                ctx.handle.abort(QueryAborted(entry.qid, "attempt failed"))
+            outcome.bytes_from_storage += wasted
+            if deadline_hit or failure is None:
+                self._finalize(
+                    entry, DEADLINE_EXCEEDED if deadline_hit else COMPLETED,
+                    outcome, retries=attempt - 1,
+                    note="deadline" if deadline_hit else None, release_slot=True,
+                )
+                return
             if attempt > retry.budget:
                 if (
                     isinstance(failure, UnrecoverableFault)
                     and self.resilience.on_unrecoverable == "raise"
                 ):
                     raise failure
-                outcome.bytes_from_storage += wasted
                 self._finalize(
                     entry, FAILED, outcome, retries=attempt - 1,
                     note=f"{type(failure).__name__}: {failure}",
                     release_slot=True,
                 )
                 return
-            wasted += outcome.bytes_from_storage
+            wasted = outcome.bytes_from_storage
             delay = retry.backoff(planned.arrival.seed, attempt)
             self._emit("retry", entry, attempt=attempt, delay=delay)
             timer = engine.timeout(delay)
@@ -928,159 +908,38 @@ class QueryServer:
                     )
                     return
 
-    def _fault_cause(self, intr: Interrupt) -> BaseException:
-        """Map an execution killed by interrupt to its fault cause.
+    def _outcome(self, planned: PlannedQuery, qes: QES, finished: bool) -> _Outcome:
+        """What one attempt contributed, off its QES.
 
-        A contained execution only dies by interrupt when the fault
-        injector killed its compute placement; anything else is a model
-        bug and stays loud.
+        The byte count and the per-query cache ledgers are whatever the
+        attempt really did, finished or killed (the report counts bytes
+        as they arrive; the views' stats freeze at unwind).  Only a
+        finished attempt answered anything.
         """
-        if isinstance(intr.cause, FaultError):
-            return intr.cause
-        raise intr
-
-    def _abort_attempt(self, entry: QueuedQuery, exec_proc, ctx: _ExecContext):
-        """Kill an in-flight attempt's whole process tree and wait for
-        the attempt process itself to unwind (pins release as the
-        interrupt propagates through its scopes)."""
-        cause = QueryAborted(entry.qid, "deadline")
-        if ctx.handle is not None:
-            ctx.handle.abort(cause)
-        if exec_proc.interrupt(cause) or not exec_proc.triggered:
-            try:
-                yield exec_proc
-            except Interrupt:
-                pass
-            except (FaultError, UnrecoverableFault):
-                pass
-
-    def _salvage(self, outcome: _Outcome, ctx: _ExecContext) -> None:
-        """Freeze what a dead attempt really did into its outcome.
-
-        Scans accumulate bytes incrementally; joins claim the partial
-        byte count off the QES report.  Cache stats freeze at whatever
-        the per-query views had attributed when the unwind hit.  An
-        unfinished attempt answered nothing.
-        """
-        if ctx.handle is not None:
-            outcome.bytes_from_storage = ctx.handle.report.bytes_from_storage
-        if ctx.views:
-            outcome.cache_hits = sum(v.stats.hits for v in ctx.views)
-            outcome.cache_misses = sum(v.stats.misses for v in ctx.views)
-        outcome.pairs_joined = 0
-        outcome.result_records = None
-
-    # -- execution backends --------------------------------------------
-
-    def _execute(self, planned: PlannedQuery, outcome: _Outcome, ctx: _ExecContext):
-        """Run one attempt of one query, writing into ``outcome``."""
-        if planned.kind == "scan":
-            yield from self._execute_scan(planned, outcome, ctx)
-        else:
-            yield from self._execute_join(planned, outcome, ctx)
-
-    def _scan_target(self, qid: int) -> int:
-        """Compute node a scan streams to: ``qid % num_compute``, failing
-        over to the next surviving node when the fault plan killed it."""
-        n = self.cluster.num_compute
-        base = qid % n
-        injector = self.cluster.faults
-        if injector is None:
-            return base
-        for k in range(n):
-            j = (base + k) % n
-            if not injector.compute_is_dead(j):
-                return j
-        raise UnrecoverableFault("no surviving compute node for scan", node=base)
-
-    def _scan_transfer(self, compute: int, desc, cache: QueryCacheView):
-        """Move one chunk to ``compute``, surviving transient faults and
-        storage crashes; returns the storage node that served the bytes.
-
-        The replica-failover / backoff structure mirrors the Indexed
-        Join's ``_transfer_with_recovery``; fault-free it collapses to
-        the single primary transfer, same events, same accounting.
-        Raises :class:`UnrecoverableFault` when no replica survives.
-        """
-        cluster = self.cluster
-        injector = cluster.faults
-        last_node = desc.ref.storage_node
-        for ref in desc.all_refs:
-            node = last_node = ref.storage_node
-            attempt = 0
-            while True:
-                attempt += 1
-                transfer = cluster.read_and_send(node, compute, desc.size)
-                try:
-                    yield transfer
-                except TransientTransferFault:
-                    plan = injector.plan
-                    if attempt >= plan.max_attempts:
-                        break
-                    backoff = plan.retry_base * (2 ** (attempt - 1))
-                    if backoff > 0:
-                        yield cluster.engine.timeout(backoff)
-                    continue
-                except StorageNodeDown:
-                    # drop cached entries sourced from the dead node and
-                    # fail over to the next replica
-                    cache.invalidate_from(node)
-                    break
-                return node
-        raise UnrecoverableFault(
-            "no surviving replica for scanned chunk",
-            chunk=desc.id,
-            node=last_node,
+        views = qes.caches or ()
+        outcome = _Outcome(
+            bytes_from_storage=qes.report.bytes_from_storage,
+            cache_hits=sum(v.stats.hits for v in views),
+            cache_misses=sum(v.stats.misses for v in views),
         )
+        if not finished:
+            return outcome
+        report = qes.finish()
+        outcome.pairs_joined = report.pairs_joined
+        if planned.kind == "scan":
+            selected = report.extras.get("selected_records")
+            outcome.result_records = None if selected is None else int(selected)
+        else:
+            table = assemble_result(
+                report, planned.view, self.dataset.metadata,
+                aggregate_mode=self.aggregate_mode,
+            )
+            outcome.result_records = (
+                table.num_records if table is not None else None
+            )
+        return outcome
 
-    def _execute_scan(self, planned: PlannedQuery, outcome: _Outcome,
-                      ctx: _ExecContext):
-        """Range scan through the shared cache of one compute node.
-
-        Chunks stream to ``qid % num_compute`` (cheap deterministic
-        placement, failing over off dead nodes); each miss is a real
-        simulated transfer and the fetched sub-table is inserted into
-        that node's shared cache, so overlapping scans — and joins
-        touching the same chunks — hit.  Pins are scope-guarded for the
-        duration of the scan, so an abort mid-scan releases them as it
-        unwinds.
-        """
-        cluster = self.cluster
-        provider = self.dataset.provider
-        functional = provider.functional
-        compute = self._scan_target(planned.qid)
-        injector = cluster.faults
-        if injector is not None and cluster.engine.current_process is not None:
-            # the scan dies with its compute node, like a joiner would
-            injector.register_compute(compute, cluster.engine.current_process)
-        cache = QueryCacheView(self.caches[compute], qid=planned.qid)
-        ctx.views = [cache]
-        tel = cluster.telemetry
-        records = 0
-        with cache.pin_scope() as scope:
-            for desc in planned.plan.chunks:
-                value = cache.get(desc.id)
-                if value is None:
-                    with maybe_span(
-                        tel, "transfer", category="transfer",
-                        node=f"storage{desc.ref.storage_node}",
-                        track=f"scan{compute}", bytes=desc.size,
-                    ):
-                        node = yield from self._scan_transfer(
-                            compute, desc, cache
-                        )
-                    value = provider.fetch(desc, node=node)
-                    scope.put(
-                        desc.id, value, desc.size, pin=True, source=node,
-                    )
-                    outcome.bytes_from_storage += desc.size
-                else:
-                    scope.pin(desc.id)
-                if functional:
-                    records += int(bbox_mask(value, planned.where).sum())
-        outcome.cache_hits = cache.stats.hits
-        outcome.cache_misses = cache.stats.misses
-        outcome.result_records = records if functional else None
+    # -- execution -----------------------------------------------------
 
     def _busy_for(self, qid: int) -> Callable[[], List[int]]:
         """Compute nodes another in-flight query is currently joining on.
@@ -1100,71 +959,45 @@ class QueryServer:
 
         return busy
 
-    def _execute_join(self, planned: PlannedQuery, outcome: _Outcome,
-                      ctx: _ExecContext):
-        """Run a join/aggregate query through the real QES machinery.
+    def _begin(self, planned: PlannedQuery) -> QES:
+        """Build and start one attempt of one query: its QES, contained.
 
-        The QES ``begin``/``finish`` split is what makes this possible
-        on a shared engine: the driver is an ordinary process this
-        attempt waits on, and per-node :class:`QueryCacheView` facades
-        give the execution report exact per-query cache attribution
-        while entries land in (and hit from) the shared caches.  The run
-        handle is parked in ``ctx`` so the supervisor can abort the
-        whole process tree on a deadline.
+        The two executions that cache get per-node
+        :class:`QueryCacheView` facades, which give exact per-query
+        cache attribution while entries land in (and hit from) the
+        shared caches.  A scan streams to ``qid % num_compute`` (cheap
+        deterministic placement), so overlapping scans — and joins
+        touching the same chunks — hit.
         """
         cluster = self.cluster
+        dataset = self.dataset
+        qid = planned.qid
+        common = {"critical_path": False, "contain_faults": True}
+        if planned.algorithm != "grace-hash":
+            common["caches"] = [
+                QueryCacheView(shared, qid=qid) for shared in self.caches
+            ]
+        if planned.kind == "scan":
+            return ScanQES(
+                cluster, dataset.metadata, planned.table, planned.where,
+                dataset.provider, compute=qid % cluster.num_compute,
+                chunks=planned.plan.chunks, **common,
+            ).begin(name=f"q{qid}-scan")
         view = planned.view
         join_view = view.source if hasattr(view, "source") else view
-        contained = self.cluster.faults is not None or (
-            planned.arrival.deadline is not None
+        args = (
+            cluster, dataset.metadata, join_view.left, join_view.right,
+            join_view.on, dataset.provider,
         )
+        self._joiners_in_use[qid] = set(range(cluster.num_compute))
         if planned.algorithm == "indexed-join":
-            caches = [
-                QueryCacheView(shared, qid=planned.qid) for shared in self.caches
-            ]
-            ctx.views = caches
-            qes = IndexedJoinQES(
-                cluster,
-                self.dataset.metadata,
-                join_view.left,
-                join_view.right,
-                join_view.on,
-                self.dataset.provider,
-                index=planned.plan.index,
-                caches=caches,
-                busy_joiners=self._busy_for(planned.qid),
-                critical_path=False,
-                contain_faults=contained,
-            )
-            handle = qes.begin(name=f"q{planned.qid}-ij")
-        else:
-            qes = GraceHashQES(
-                cluster,
-                self.dataset.metadata,
-                join_view.left,
-                join_view.right,
-                join_view.on,
-                self.dataset.provider,
-                range_constraint=join_view.where,
-                critical_path=False,
-                contain_faults=contained,
-            )
-            handle = qes.begin(name=f"q{planned.qid}-gh")
-        ctx.handle = handle
-        self._joiners_in_use[planned.qid] = set(range(cluster.num_compute))
-        try:
-            yield handle.process
-        finally:
-            self._joiners_in_use.pop(planned.qid, None)
-        report = handle.finish()
-        table = assemble_result(
-            report, view, self.dataset.metadata, aggregate_mode=self.aggregate_mode
-        )
-        outcome.bytes_from_storage = report.bytes_from_storage
-        outcome.pairs_joined = report.pairs_joined
-        outcome.cache_hits = sum(cs.hits for cs in report.cache_stats)
-        outcome.cache_misses = sum(cs.misses for cs in report.cache_stats)
-        outcome.result_records = table.num_records if table is not None else None
+            return IndexedJoinQES(
+                *args, index=planned.plan.index,
+                busy_joiners=self._busy_for(qid), **common,
+            ).begin(name=f"q{qid}-ij")
+        return GraceHashQES(
+            *args, range_constraint=join_view.where, **common
+        ).begin(name=f"q{qid}-gh")
 
 
 # -- serial baseline -------------------------------------------------------

@@ -1,19 +1,20 @@
-"""The QES execution contract, once, for both algorithms.
+"""The QES execution contract, once, for every execution.
 
 A QES object is one execution (DESIGN.md §3): ``begin()`` starts it and
 returns the execution itself, ``process`` is the driver to wait on,
 ``finish()`` assembles the report once the driver is done, ``abort()``
 kills the whole process tree and leaves nothing behind.  The query
 server relies on every clause; these tests exercise them with no server
-in the way — Indexed Join synchronous and pipelined, and Grace Hash,
-model-only and functional.
+in the way — Indexed Join synchronous and pipelined, Grace Hash and the
+range scan, model-only and functional.
 """
 
 import pytest
 
 from repro.analysis.sanitizer import full_digest
 from repro.cluster import MachineSpec, paper_cluster
-from repro.joins import GraceHashQES, IndexedJoinQES
+from repro.datamodel.bounding_box import BoundingBox
+from repro.joins import GraceHashQES, IndexedJoinQES, ScanQES
 from repro.joins import grace_hash, indexed_join
 from repro.server.resilience import QueryAborted
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
@@ -21,9 +22,11 @@ from repro.workloads import GridSpec, build_oil_reservoir_dataset
 #: 192-byte sub-tables on a slow fabric, so an abort lands mid-transfer
 SPEC = GridSpec(g=(32, 32), p=(4, 4), q=(8, 8))
 SLOW = MachineSpec(disk_read_bw=1e5, link_bw=5e4)
+#: keeps 36 of T1's 64 chunks and cuts through the records of 20 of them
+BOX = BoundingBox({"x": (3.0, 21.0), "y": (9.0, 30.0)})
 
 
-@pytest.fixture(params=["ij-sync", "ij-pipe", "gh"])
+@pytest.fixture(params=["ij-sync", "ij-pipe", "gh", "scan"])
 def mode(request):
     return request.param
 
@@ -40,6 +43,8 @@ def make_qes(mode, functional):
 
     def make(telemetry=False):
         cluster = paper_cluster(2, 3, spec=SLOW, telemetry=telemetry)
+        if mode == "scan":
+            return ScanQES(cluster, ds.metadata, "T1", BOX, ds.provider, compute=1)
         args = (cluster, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider)
         if mode == "gh":
             return GraceHashQES(*args)
@@ -76,13 +81,15 @@ def test_finish_before_the_driver_completes_raises(make_qes):
         run.finish()
 
 
-def test_finish_twice_is_one_report_and_one_fill(make_qes, functional, kernel_calls):
+def test_finish_twice_is_one_report_and_one_fill(
+    make_qes, functional, kernel_calls, mode
+):
     qes = make_qes()
     run = qes.begin()
     qes.cluster.engine.drive(run.process)
     report = run.finish()
     joined = len(kernel_calls)
-    assert (joined > 0) == functional
+    assert (joined > 0) == (functional and mode != "scan")  # a scan joins nothing
     assert run.finish() is report
     assert len(kernel_calls) == joined
     assert report.result_tuples == make_qes().run().result_tuples
@@ -99,7 +106,7 @@ def test_second_begin_raises(make_qes):
 
 
 @pytest.mark.parametrize("fraction", [0.1, 0.4, 0.8])
-def test_abort_leaves_nothing_behind(make_qes, fraction):
+def test_abort_leaves_nothing_behind(make_qes, mode, fraction):
     makespan = make_qes().run().total_time
     qes = make_qes(telemetry=True)
     engine = qes.cluster.engine
@@ -114,7 +121,9 @@ def test_abort_leaves_nothing_behind(make_qes, fraction):
     engine.process(killer(), name="killer")
     engine.run()
     assert run.process.triggered and not run.process.ok
-    assert run.children and all(proc.triggered for proc in run.children)
+    # a scan's driver is the scan: it is the one execution with no workers
+    assert bool(run.children) == (mode != "scan")
+    assert all(proc.triggered for proc in run.children)
     assert engine.pending_processes() == []
     for cache in getattr(qes, "caches", None) or ():
         assert cache.pinned_bytes == 0

@@ -437,6 +437,30 @@ class TestMalformedFiles:
             assert captured.err.startswith(f"error: {spec}: tenant #0: ")
             assert captured.out == ""
 
+    @pytest.mark.parametrize("flags, blocked", [
+        (["--json-out"], "under-a-file"),
+        (["--observe", "--oplog-out"], "a-directory"),
+    ], ids=["json-out", "oplog-out"])
+    def test_unwritable_serve_output(self, flags, blocked, tmp_path, capsys):
+        """An output that cannot be opened is refused before the stream
+        is served, not after it (when there was nowhere left to write)."""
+        (tmp_path / "file").write_text("")
+        out = {"under-a-file": tmp_path / "file" / "x.json",
+               "a-directory": tmp_path}[blocked]
+        assert main(self.SERVE[:-1] + flags + [str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out}: ")
+        assert captured.out == ""
+
+    def test_serve_outputs_create_their_directories(self, tmp_path, capsys):
+        report = tmp_path / "new" / "dir" / "report.json"
+        oplog = tmp_path / "other" / "ops.jsonl"
+        assert main(self.SERVE[:-1] + [
+            "--observe", "--json-out", str(report), "--oplog-out", str(oplog),
+        ]) == 0
+        assert json.loads(report.read_text())["num_queries"] == 12
+        assert oplog.read_text().count("\n") > 12
+
     @pytest.mark.parametrize("line", [
         "[1, 2, 3]", '"text"', '{"fingerprint": "f", "algorithm": "ij", '
         '"term": "Transfer", "predicted_s": null, "observed_s": 1.0}',
