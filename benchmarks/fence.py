@@ -1,13 +1,14 @@
-"""The serve fence: did a change move any byte a served stream produces?
+"""The byte-identity fence: did a change move any byte a serve or a
+join execution produces?
 
 A refactor of the server, the QES or the cluster layer claims "byte-
 identical"; this is how to check it without trusting the claim.  A fixed,
-seeded matrix of ``repro serve`` cells — spelled out below, nothing drawn
-at run time — is run one subprocess per cell, each in an empty scratch
-directory, and a *manifest* records per cell the exit status and the
-SHA-256 of stdout, stderr and every file the cell wrote (``--json-out``
-always, ``--oplog-out`` on observed cells).  Two manifests are compared
-with ``diff``::
+seeded matrix of cells — ``repro serve`` command lines and functional QES
+executions, spelled out below, nothing drawn at run time — is run one
+subprocess per cell, each in an empty scratch directory, and a *manifest*
+records per cell the exit status and the SHA-256 of stdout, stderr and
+every file the cell wrote (``--json-out`` always, ``--oplog-out`` on
+observed cells).  Two manifests are compared with ``diff``::
 
     python benchmarks/fence.py manifest --slice serve --src PARENT/src > a.json
     python benchmarks/fence.py manifest --slice serve > b.json
@@ -28,6 +29,18 @@ trees.  Slices:
 ``smoke``
     Six of those cells (:data:`SMOKE`), ~5 s; CI diffs it against the
     committed ``benchmarks/baselines/FENCE_smoke.json``.
+``qes``
+    27 cells, ~15 s: the functional answer bytes, with no server and no
+    CLI in the way.  ``IndexedJoinQES`` (synchronous and pipelined) and
+    ``GraceHashQES`` over a p<q, a p=q and a p>q grid × {no faults, a
+    compute-node crash at 40 % of the fault-free makespan, transient
+    transfer faults at 0.3} on a ``replication=2`` dataset.  A cell
+    prints, per compute node, the SHA-256 of its result columns
+    *concatenated* (so how many parts a node holds its answer in is not
+    fenced, every byte and the row order are), and the report's
+    counters: ``total_time``, ``pairs_joined``, storage and scratch
+    bytes, ``kernel.*``, per-node cache stats, recovery.  CI diffs it
+    against ``benchmarks/baselines/FENCE_qes.json``.
 
 A manifest holds no path, time or host detail: the same tree gives the
 same bytes anywhere.
@@ -125,6 +138,16 @@ CHAOS_FLAGS = {
     ],
 }
 
+# -- the qes matrix: (IJ sync, IJ pipelined, GH) x 3 grids x 3 fault sets -----
+
+QES_GRIDS = {
+    "p<q": ((16, 16), (4, 4), (8, 8)),
+    "p=q": ((16, 16), (4, 4), (4, 4)),
+    "p>q": ((16, 16), (8, 8), (4, 4)),
+}
+QES_MODES = ("ij-sync", "ij-pipe", "gh")
+QES_FAULTS = ("none", "compute-crash", "transient")
+
 #: the CI slice: one cell per mechanism the fence exists to watch
 SMOKE = (
     "default/g32p8q4/s1/plain",
@@ -137,7 +160,12 @@ SMOKE = (
 
 
 def cells(slice_name: str) -> List[Tuple[str, List[str]]]:
-    """``(cell id, repro argv)`` of every cell of a slice, in id order."""
+    """``(cell id, python argv)`` of every cell of a slice, in id order."""
+    if slice_name == "qes":
+        return sorted(
+            (f"qes/{grid}/{mode}/{faults}", [__file__, "qes-cell", grid, mode, faults])
+            for grid in QES_GRIDS for mode in QES_MODES for faults in QES_FAULTS
+        )
     out: Dict[str, List[str]] = {}
     for matrix, grids, seeds, flag_sets, extra in (
         ("default", DEFAULT_GRIDS, DEFAULT_SEEDS, DEFAULT_FLAGS, []),
@@ -147,8 +175,9 @@ def cells(slice_name: str) -> List[Tuple[str, List[str]]]:
         for grid in grids:
             for seed in seeds:
                 for name, flags in flag_sets.items():
-                    argv = ["serve", *GRIDS[grid], *SHAPE, "--seed", str(seed),
-                            *extra, *flags, "--json-out", "report.json"]
+                    argv = ["-m", "repro", "serve", *GRIDS[grid], *SHAPE,
+                            "--seed", str(seed), *extra, *flags,
+                            "--json-out", "report.json"]
                     if "--observe" in flags:
                         argv += ["--oplog-out", "ops.jsonl"]
                     out[f"{matrix}/{grid}/s{seed}/{name}"] = argv
@@ -166,7 +195,7 @@ def run_cell(argv: Sequence[str], src: str) -> Dict[str, object]:
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
     with tempfile.TemporaryDirectory(prefix="fence-") as cwd:
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
+            [sys.executable, *argv],
             cwd=cwd, env=env, capture_output=True, check=False,
         )
         files = {}
@@ -178,6 +207,70 @@ def run_cell(argv: Sequence[str], src: str) -> Dict[str, object]:
         "stdout": _sha(proc.stdout),
         "stderr": _sha(proc.stderr),
         "files": files,
+    }
+
+
+def qes_cell(grid: str, mode: str, faults: str) -> Dict[str, object]:
+    """One functional execution, as what the fence pins of it (``qes``
+    in the module docstring).  Imports ``repro`` from ``PYTHONPATH``."""
+    import dataclasses
+
+    from repro.cluster import MachineSpec, paper_cluster
+    from repro.datamodel.subtable import concat_subtables
+    from repro.faults import FaultPlan, NodeCrash, UnrecoverableFault
+    from repro.joins import GraceHashQES, IndexedJoinQES
+    from repro.workloads import GridSpec, build_oil_reservoir_dataset
+
+    g, p, q = QES_GRIDS[grid]
+    slow = MachineSpec(
+        disk_read_bw=2e5, disk_write_bw=2e5, link_bw=1e5, memory_bytes=512 * 2**20
+    )
+
+    def run(plan):
+        ds = build_oil_reservoir_dataset(
+            GridSpec(g=g, p=p, q=q), num_storage=2, functional=True,
+            replication=2, seed=7,
+        )
+        cluster = paper_cluster(2, 3, spec=slow, faults=plan)
+        args = (cluster, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider)
+        if mode == "gh":
+            return GraceHashQES(*args).run()
+        return IndexedJoinQES(*args, pipeline=mode == "ij-pipe").run()
+
+    plan = None
+    if faults == "compute-crash":
+        plan = FaultPlan(
+            seed=7,
+            crashes=(NodeCrash("compute", at=0.4 * run(None).total_time, node=1),),
+        )
+    elif faults == "transient":
+        plan = FaultPlan(seed=7, transfer_failure_rate=0.3)
+    try:
+        report = run(plan)
+    except UnrecoverableFault as exc:
+        # Grace Hash cannot outlive a compute node: the refusal is the cell
+        return {"unrecoverable": str(exc)}
+
+    def answer(parts):
+        if not parts:
+            return None
+        table = concat_subtables(parts)
+        digest = hashlib.sha256()
+        for name in table.schema.names:
+            column = table.column(name)
+            digest.update(f"{name}:{column.dtype.str}:".encode())
+            digest.update(column.tobytes())
+        return {"records": table.num_records, "sha256": digest.hexdigest()}
+
+    return {
+        "total_time": report.total_time,
+        "pairs_joined": report.pairs_joined,
+        "bytes_from_storage": report.bytes_from_storage,
+        "bytes_scratch": [report.bytes_scratch_written, report.bytes_scratch_read],
+        "kernel": dataclasses.asdict(report.kernel),
+        "cache_stats": [dataclasses.asdict(c) for c in report.cache_stats],
+        "recovery": dataclasses.asdict(report.recovery),
+        "results": [answer(per) for per in report.results],
     }
 
 
@@ -212,13 +305,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     p_man = sub.add_parser("manifest", help="run a slice, print its manifest")
-    p_man.add_argument("--slice", choices=("smoke", "serve"), default="serve")
+    p_man.add_argument("--slice", choices=("smoke", "serve", "qes"), default="serve")
     p_man.add_argument("--src", default=DEFAULT_SRC, metavar="DIR",
                        help="src/ directory to import repro from")
     p_diff = sub.add_parser("diff", help="compare two manifests")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
+    p_cell = sub.add_parser("qes-cell", help="run one cell of the qes slice")
+    p_cell.add_argument("grid", choices=sorted(QES_GRIDS))
+    p_cell.add_argument("mode", choices=QES_MODES)
+    p_cell.add_argument("faults", choices=QES_FAULTS)
     args = parser.parse_args(argv)
+    if args.command == "qes-cell":
+        json.dump(
+            qes_cell(args.grid, args.mode, args.faults), sys.stdout,
+            indent=1, sort_keys=True,
+        )
+        sys.stdout.write("\n")
+        return 0
     if args.command == "manifest":
         json.dump(
             manifest(args.slice, os.path.abspath(args.src)), sys.stdout,

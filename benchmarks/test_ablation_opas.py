@@ -15,8 +15,9 @@ OPAS literature as complementary.
 """
 
 from benchmarks.harness import fmt, record_table
+from benchmarks.opas import reorder_schedule
 from repro import IndexedJoinQES, paper_cluster
-from repro.joins import build_join_index, reorder_schedule, schedule_two_stage
+from repro.joins import build_join_index, schedule_two_stage
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 #: one-component pathology: p and q fully anti-aligned — every left chunk

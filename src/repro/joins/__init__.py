@@ -31,13 +31,6 @@ from repro.joins.baselines import reference_join
 from repro.joins.grace_hash import GraceHashQES
 from repro.joins.hash_join import JoinKernelStats, vectorized_hash_join
 from repro.joins.indexed_join import IndexedJoinQES
-from repro.joins.opas import (
-    evaluate_order,
-    order_bfs_clustered,
-    order_greedy_opas,
-    order_lexicographic,
-    reorder_schedule,
-)
 from repro.joins.join_index import (
     Component,
     ConnectivityStats,
@@ -65,12 +58,7 @@ __all__ = [
     "PhaseBreakdown",
     "ScanQES",
     "build_join_index",
-    "evaluate_order",
-    "order_bfs_clustered",
-    "order_greedy_opas",
-    "order_lexicographic",
     "reference_join",
-    "reorder_schedule",
     "schedule_interleaved",
     "schedule_random",
     "schedule_two_stage",

@@ -49,7 +49,7 @@ from repro.joins.hash_join import vectorized_hash_join
 from repro.joins.qes import QES
 from repro.metadata.service import MetaDataService
 from repro.services.bds import SubTableProvider
-from repro.telemetry.spans import maybe_span
+from repro.telemetry.spans import NULL_SPAN, maybe_span
 
 __all__ = ["GraceHashQES", "hash_records"]
 
@@ -288,8 +288,8 @@ class GraceHashQES(QES):
                 t0 = cluster.engine.now
                 shipped = [0]
                 try:
-                    with maybe_span(
-                        tel, "chunk", category="control", node=f"storage{s}",
+                    with NULL_SPAN if tel is None else tel.recorder.span(
+                        "chunk", category="control", node=f"storage{s}",
                         track="stream", chunk=str(desc.id),
                     ):
                         yield from self._stream_chunk(s, desc, shipped)

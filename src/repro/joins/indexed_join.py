@@ -58,7 +58,7 @@ from repro.joins.scheduler import PairSchedule, schedule_two_stage
 from repro.metadata.service import MetaDataService
 from repro.services.bds import SubTableProvider
 from repro.services.cache import CachingService, make_policy
-from repro.telemetry.spans import maybe_span
+from repro.telemetry.spans import NULL_SPAN
 
 __all__ = ["IndexedJoinQES"]
 
@@ -165,7 +165,7 @@ class IndexedJoinQES(QES):
     def _start(self) -> None:
         cluster = self.cluster
         #: functional runs: per compute node, the ``(left entry, right
-        #: entry, seq)`` of every pair probed there, in emission order —
+        #: entry)`` of every pair probed there, in emission order —
         #: joined set-at-a-time by ``_fill`` (see :func:`_join_probed`)
         self.probed: List[Optional[list]] = [
             [] if self.results is not None else None
@@ -304,11 +304,11 @@ class IndexedJoinQES(QES):
         ``put`` with a pin) is the same either way; the synchronous mode
         never consults the staging area.
         """
-        cluster = self.cluster
+        cluster, tel = self.cluster, self.tel
         cache = self.caches[j]
-        with maybe_span(
-            self.tel, "fetch", category="wait", node=f"compute{j}",
-            track=track, chunk=str(sid), side="left" if is_left else "right",
+        with NULL_SPAN if tel is None else tel.recorder.span(
+            "fetch", category="wait", node=f"compute{j}", track=track,
+            chunk=str(sid), side="left" if is_left else "right",
         ) as fspan:
             entry = cache.get(sid)
             if fspan is not None:
@@ -387,15 +387,17 @@ class IndexedJoinQES(QES):
                 fetch_next = self._prefetch(j, pairs, 0, (), inflight, jspan, tag)
             for seq, (lid, rid) in enumerate(pairs):
                 t_pair = cluster.engine.now
-                with maybe_span(
-                    tel, f"pair{seq}", category="control",
+                # per-pair sites guard on ``tel`` themselves: an untraced run
+                # formats no span name and stringifies no id (``maybe_span``)
+                with NULL_SPAN if tel is None else tel.recorder.span(
+                    f"pair{seq}", category="control",
                     node=f"compute{j}", track=track,
                     left=str(lid), right=str(rid), pair_seq=seq,
                 ):
                     if inflight is not None:
                         t0 = cluster.engine.now
-                        with maybe_span(
-                            tel, "await-prefetch", category="wait",
+                        with NULL_SPAN if tel is None else tel.recorder.span(
+                            "await-prefetch", category="wait",
                             node=f"compute{j}", track=track, pair_seq=seq,
                         ):
                             yield fetch_next
@@ -422,7 +424,7 @@ class IndexedJoinQES(QES):
                             # joined set-at-a-time by :func:`_join_probed`
                             assert isinstance(left_entry, SubTable)
                             assert isinstance(right_entry, SubTable)
-                            probed.append((left_entry, right_entry, seq))
+                            probed.append((left_entry, right_entry))
                 if tel is not None:
                     tel.metrics.histogram("ij.pair_seconds").observe(
                         cluster.engine.now - t_pair
@@ -483,8 +485,8 @@ class IndexedJoinQES(QES):
         cache = self.caches[j]
         pb = report.per_joiner[j]
         rec = report.recovery
-        with maybe_span(
-            tel, f"prefetch{seq}", category="control", node=f"compute{j}",
+        with NULL_SPAN if tel is None else tel.recorder.span(
+            f"prefetch{seq}", category="control", node=f"compute{j}",
             track=f"qes{tag}.pf", parent=jspan,
         ):
             for sid in pair:
@@ -553,9 +555,9 @@ class IndexedJoinQES(QES):
 
 
 def _join_probed(records, on: Sequence[str]) -> Tuple[List[SubTable], int]:
-    """Join every recorded ``(left, right, seq)`` pair with one kernel
-    call; returns the non-empty per-pair outputs, in record order, and
-    the match count.
+    """Join every recorded ``(left, right)`` pair with one kernel call;
+    returns the kernel's output whole — one sub-table, none when nothing
+    matched — and the match count.
 
     Section 4.1 builds a left sub-table's hash table once and probes it
     with every right sub-table of its component.  The simulated clock
@@ -564,53 +566,37 @@ def _join_probed(records, on: Sequence[str]) -> Tuple[List[SubTable], int]:
     copy is a new build) enters the build side once, tagged with its
     number, every pair's right sub-table enters the probe side tagged
     with its left's number, and the kernel joins on ``(tag, *on)``.
-    Its output is in right-row order, hence already grouped by pair, in
-    the row order a join of that pair alone would give; a second,
-    non-key column on the probe side carries the pair number to where
-    the groups are cut apart.
+    Its output is in right-row order, hence already in pair order with
+    each pair's rows in the order a join of that pair alone would give:
+    it is the concatenation of the per-pair joins and is never cut.
     """
     if not records:
         return [], 0
-    lefts = list({id(left): left for left, _, _ in records}.values())
+    lefts = list({id(left): left for left, _ in records}.values())
     tag_of = {id(left): t for t, left in enumerate(lefts)}
-    rights = [right for _, right, _ in records]
+    rights = [right for _, right in records]
     pair_schema = lefts[0].schema.join(rights[0].schema, on=on)
-    names = pair_schema.names
-    # two column names no attribute of either side or of the output has
-    taken = {*names, *rights[0].schema.names}
-    tag, pair = "left_tag", "pair_seq"
+    # a column name no attribute of either side or of the output has
+    taken = {*pair_schema.names, *rights[0].schema.names}
+    tag = "left_tag"
     while tag in taken:
         tag += "_"
-    while pair in taken:
-        pair += "_"
 
-    def tagged(parts: List[SubTable], marks: Dict[str, Sequence[int]]) -> SubTable:
-        """``parts`` concatenated, behind one int64 column per entry of
-        ``marks`` that repeats ``marks[name][i]`` over the rows of part ``i``."""
+    def tagged(parts: List[SubTable], marks: Sequence[int]) -> SubTable:
+        """``parts`` concatenated, behind an int64 ``tag`` column that
+        repeats ``marks[i]`` over the rows of part ``i``."""
         body = concat_subtables(parts)
-        sizes = [part.num_records for part in parts]
-        columns = {name: np.repeat(mark, sizes) for name, mark in marks.items()}
+        columns = {tag: np.repeat(marks, [part.num_records for part in parts])}
         columns.update(zip(body.schema.names, body.columns()))
-        schema = Schema([*(Attribute(name, "int64") for name in marks), *body.schema])
-        return SubTable(body.id, schema, columns)
+        return SubTable(
+            body.id, Schema([Attribute(tag, "int64"), *body.schema]), columns
+        )
 
     out, stats = vectorized_hash_join(
-        tagged(lefts, {tag: range(len(lefts))}),
-        tagged(
-            rights,
-            {tag: [tag_of[id(left)] for left, _, _ in records],
-             pair: range(len(records))},
-        ),
+        tagged(lefts, range(len(lefts))),
+        tagged(rights, [tag_of[id(left)] for left, _ in records]),
         (tag, *on),
     )
-    cuts = np.searchsorted(out.column(pair), np.arange(len(records) + 1)).tolist()
-    columns = out.columns(names)
-    return [
-        SubTable(
-            SubTableId(-1, seq),
-            pair_schema,
-            dict(zip(names, (column[lo:hi] for column in columns))),
-        )
-        for (_, _, seq), lo, hi in zip(records, cuts, cuts[1:])
-        if hi > lo
-    ], stats.matches
+    if not stats.matches:
+        return [], 0
+    return [out.project(pair_schema.names)], stats.matches

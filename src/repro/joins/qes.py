@@ -29,7 +29,7 @@ from repro.faults.errors import (
 from repro.joins.report import ExecutionReport, PhaseBreakdown
 from repro.metadata.service import MetaDataService
 from repro.services.bds import SubTableProvider
-from repro.telemetry.spans import maybe_span
+from repro.telemetry.spans import NULL_SPAN
 
 __all__ = ["QES"]
 
@@ -240,8 +240,10 @@ class QES:
         node = cluster.joiner(j)
         pb = report.per_joiner[j]
         t0 = cluster.engine.now
-        with maybe_span(
-            tel, phase, category=category, node=f"compute{j}", track=track,
+        # per pair on the joiner loop: guarded on ``tel`` itself, so an
+        # untraced run builds no span arguments (see ``maybe_span``)
+        with NULL_SPAN if tel is None else tel.recorder.span(
+            phase, category=category, node=f"compute{j}", track=track,
             records=records, **attrs,
         ):
             yield node.compute(getattr(node, cost)(records))

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.telemetry.validate import validate_observability
+from repro.telemetry.validate import check_leaf_types, validate_observability
 
 __all__ = [
     "SPARK_LEVELS",
@@ -66,6 +66,9 @@ _REPORT_SHAPE = (
     ("cache", dict),
 )
 
+#: leaves outside the ``observability`` section the panels count with
+_REPORT_LEAVES = (("dispositions.per_tenant.*.*", (int,)),)
+
 
 def load_report(path: str) -> Dict[str, Any]:
     """Read and shape-check a ``repro serve --json-out`` payload.
@@ -84,10 +87,12 @@ def load_report(path: str) -> Dict[str, Any]:
             raise ValueError(
                 f"{path}: not a server report (no {key!r} {kind.__name__})"
             )
+    violations: List[str] = []
+    check_leaf_types(doc, _REPORT_LEAVES, violations)
     if "observability" in doc:
-        violations = validate_observability(doc["observability"])
-        if violations:
-            raise ValueError(f"{path}: {violations[0]}")
+        violations += validate_observability(doc["observability"])
+    if violations:
+        raise ValueError(f"{path}: {violations[0]}")
     return doc
 
 

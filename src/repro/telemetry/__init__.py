@@ -9,8 +9,8 @@ tracks.  A :class:`~repro.cluster.cluster.ClusterSim` built with
 code opens spans on it, and it subscribes to the engine's event channel
 for what the cluster layer does on its own (reservations, transfers,
 faults).  When the flag is off the attribute is ``None`` and every
-instrumentation site short-circuits without allocating (see
-:func:`~repro.telemetry.spans.maybe_span`).
+instrumentation site short-circuits — per-pair sites without building
+their span arguments at all (see :func:`~repro.telemetry.spans.maybe_span`).
 
 Everything recorded is a pure function of the simulation: spans stamp
 ``engine.now``, metrics are fed simulated timestamps, and no telemetry

@@ -88,9 +88,9 @@ class Span:
 class _NullSpan:
     """Do-nothing stand-in returned by :func:`maybe_span` when disabled.
 
-    A singleton with no state: entering yields ``None`` so instrumented
-    code can write ``with maybe_span(tel, ...):`` without allocating
-    anything on the disabled path.
+    A singleton with no state: entering yields ``None``, so the
+    disabled path of ``with maybe_span(tel, ...):`` touches no span
+    machinery.
     """
 
     __slots__ = ()
@@ -345,8 +345,13 @@ def maybe_span(tel, name: str, **kwargs: Any):
     """``tel.recorder.span(...)`` when telemetry is on, else a no-op.
 
     The disabled branch touches no span machinery at all — it returns
-    the shared :data:`NULL_SPAN` singleton — which is what makes
-    instrumentation zero-cost when tracing is off.
+    the shared :data:`NULL_SPAN` singleton.  Its keyword arguments are
+    still built by the caller, so this form is for sites that run a few
+    times per execution; a site on a per-pair or per-chunk path (the
+    Indexed Join's joiner loop, ``QES._charge_cpu``, Grace Hash's
+    streamer) writes ``with NULL_SPAN if tel is None else
+    tel.recorder.span(...)`` so that with tracing off it formats no
+    name, stringifies no id and allocates nothing.
     """
     if tel is None:
         return NULL_SPAN

@@ -17,7 +17,9 @@ Three artifact kinds, one CLI:
   a ``reuse`` section, additionally: every miss-ratio curve monotone
   non-increasing in capacity, working-set window accesses summing to
   the trace total, and advisor candidate scores finite and in the
-  deterministic (-score, nbytes, key) order.
+  deterministic (-score, nbytes, key) order.  Last, every leaf that
+  ``repro top`` / ``repro advise`` compute or format with has the JSON
+  type they need (:data:`_RENDERED_LEAVES`).
 
 CI runs ``python -m repro.telemetry.validate <artifacts...>`` over the
 smoke-run outputs; tests call the validators directly.
@@ -33,6 +35,7 @@ from typing import Any, Dict, List
 from repro.telemetry.oplog import validate_oplog
 
 __all__ = [
+    "check_leaf_types",
     "validate_chrome_trace",
     "validate_observability",
     "validate_oplog",
@@ -165,6 +168,58 @@ def validate_chrome_trace(doc: Any) -> List[str]:
     if isinstance(other, dict) and "metrics" in other:
         _validate_metrics_dump(other["metrics"], errors)
     return errors
+
+
+_NUMBER = (int, float)
+_OPTIONAL_NUMBER = (int, float, type(None))
+
+#: leaves of the ``observability`` section that ``repro top`` and
+#: ``repro advise`` do arithmetic on or format with a numeric spec, by
+#: path (``*``: every key of an object / element of an array) → the JSON
+#: types they can take.  Checked where the section is validated, so no
+#: renderer has to distrust a loaded report.
+_RENDERED_LEAVES = (
+    ("timeseries.gauges.*.windows.*.mean", _OPTIONAL_NUMBER),
+    ("derived.cache_hit_rate.*.rate", _OPTIONAL_NUMBER),
+    ("oplog.events.*", (int,)),
+    ("reuse.capacity_bytes", (int,)),
+    ("reuse.trace.hits", (int,)),
+    ("reuse.trace.footprint_bytes", (int,)),
+    ("reuse.working_set.windows.*.hits", (int,)),
+    ("reuse.working_set.windows.*.distinct_bytes", _NUMBER),
+    ("reuse.advisor.candidates.*.origin", (str,)),
+    ("reuse.advisor.candidates.*.benefit_s", _NUMBER),
+    ("reuse.advisor.candidates.*.cost_s", _NUMBER),
+)
+
+
+def check_leaf_types(root: Any, table, errors: List[str]) -> None:
+    """Append one violation per leaf of ``root`` that a ``(path, types)``
+    row of ``table`` reaches and whose value is none of ``types``.  A
+    path that leads nowhere (absent key, wrong container) checks nothing:
+    container shapes are the callers' own checks, and an absent leaf is
+    the renderers' "degrade" case."""
+    for path, types in table:
+        nodes = [("", root)]
+        for step in path.split("."):
+            reached = []
+            for where, node in nodes:
+                if step == "*" and isinstance(node, dict):
+                    items = sorted(node.items())
+                elif step == "*" and isinstance(node, list):
+                    items = enumerate(node)
+                elif isinstance(node, dict) and step in node:
+                    items = [(step, node[step])]
+                else:
+                    items = ()
+                reached += [(f"{where}.{key}", value) for key, value in items]
+            nodes = reached
+        for where, value in nodes:
+            if not isinstance(value, types):
+                expected = "/".join(
+                    "null" if t is type(None) else t.__name__ for t in types
+                )
+                errors.append(f"{where[1:]}: {value!r} is not {expected}")
 
 
 def _check_windows(
@@ -352,6 +407,7 @@ def validate_observability(section: Any) -> List[str]:
         errors.append("'alerts' is not an array")
     if "reuse" in section:
         _validate_reuse(section["reuse"], errors)
+    check_leaf_types(section, _RENDERED_LEAVES, errors)
     return errors
 
 

@@ -4,7 +4,7 @@ One case is the chunk descriptors of two tables over the same grid, the
 join attributes, and range boxes to prune with.  Partitionings are regular
 grids in every p/q relation (``p<q`` and ``p>q`` nest one table's chunks in
 the other's, ``p=q`` aligns them, ``mixed`` crosses them) or independent
-KD tilings (:func:`repro.workloads.irregular.kd_tiles`); the join runs on
+KD tilings (:func:`tests.joins.irregular.kd_tiles`); the join runs on
 all coordinates or a subset.  Sizes keep each table at 64 chunks or fewer,
 so the all-pairs oracle stays cheap.
 """
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.datamodel import BoundingBox, ChunkDescriptor, ChunkRef, SubTableId
 from repro.workloads import GridSpec, make_grid_chunk_descriptors
 from repro.workloads.generator import dim_names
-from repro.workloads.irregular import kd_tiles
+from .irregular import kd_tiles
 
 INF = float("inf")
 #: grid extent → the chunk extents drawn for it (at most 4 chunks a dimension)

@@ -2,8 +2,9 @@
 
 The QES records the pairs it probes and joins them with one kernel call
 per compute node when the execution's results are first needed.  These
-tests pin what that must not change: per-pair outputs equal to joining
-each pair alone, nothing lost or duplicated when a joiner dies, nothing
+tests pin what that must not change: a node's one output table equal to
+the concatenation of each pair joined alone, never more than one part
+per node, nothing lost or duplicated when a joiner dies, nothing
 joined for a query that never finishes, and every result record still
 flowing through ``repro.joins.hash_join.vectorized_hash_join`` — the name
 ``bench/trace.py`` counts records by.
@@ -96,13 +97,12 @@ def sub_table(draw, schema, table_id, chunk_id):
 @st.composite
 def pair_records(draw):
     """A joiner's record list: few distinct sub-tables (so lefts are shared
-    and rights repeat), possibly empty ones, arbitrary ``seq``."""
+    and rights repeat), possibly empty ones."""
     lefts = [draw(sub_table(LEFT_SCHEMA, 1, i)) for i in range(draw(st.integers(1, 3)))]
     rights = [draw(sub_table(RIGHT_SCHEMA, 2, i)) for i in range(draw(st.integers(1, 3)))]
     picks = draw(
         st.lists(
-            st.tuples(st.sampled_from(lefts), st.sampled_from(rights),
-                      st.integers(0, 50)),
+            st.tuples(st.sampled_from(lefts), st.sampled_from(rights)),
             max_size=8,
         )
     )
@@ -112,26 +112,29 @@ def pair_records(draw):
 @settings(max_examples=150, deadline=None)
 @given(records=pair_records(), on=st.sampled_from([("x",), ("x", "y"), ("y", "x")]))
 def test_batched_join_equals_per_pair_join(records, on):
-    expected, matches = [], 0
-    for left, right, seq in records:
-        out, stats = hash_join.vectorized_hash_join(
-            left, right, on, result_id=SubTableId(-1, seq)
-        )
+    """The one returned table is the concatenation, in record order, of
+    each pair joined alone: schema, dtypes, bytes and row order."""
+    alone, matches = [], 0
+    for left, right in records:
+        out, stats = hash_join.vectorized_hash_join(left, right, on)
         matches += stats.matches
-        if out.num_records:
-            expected.append(out)
+        alone.append(out)
 
     with counted_kernel() as seen:
         got, got_matches = _join_probed(records, on)
 
     assert seen["calls"] == (1 if records else 0)
     assert got_matches == matches
-    assert [g.id for g in got] == [e.id for e in expected]
-    for g, e in zip(got, expected):
-        assert g.schema == e.schema
-        for name in e.schema.names:
-            assert g.column(name).dtype == e.column(name).dtype
-            assert g.column(name).tobytes() == e.column(name).tobytes()
+    # the kernel's output whole, never a slice of it: one part, or none
+    assert len(got) == (1 if matches else 0)
+    if not matches:
+        return
+    (whole,) = got
+    expected = concat_subtables(alone)
+    assert whole.schema == expected.schema
+    for name in expected.schema.names:
+        assert whole.column(name).dtype == expected.column(name).dtype
+        assert whole.column(name).tobytes() == expected.column(name).tobytes()
 
 
 def test_each_distinct_left_enters_the_kernel_once():
@@ -145,8 +148,8 @@ def test_each_distinct_left_enters_the_kernel_once():
          "left_tag": np.zeros(4)},
     )
     with counted_kernel() as seen:
-        got, matches = _join_probed([(left, right, s) for s in range(5)], ("x", "y"))
-    assert matches == 20 and len(got) == 5
+        got, matches = _join_probed([(left, right)] * 5, ("x", "y"))
+    assert matches == 20 and [sub.num_records for sub in got] == [20]
     assert seen["records_in"] == 4 + 5 * 4  # one left, five rights
     assert seen["records_out"] == 20
 
@@ -179,11 +182,14 @@ def test_compute_crash_loses_and_duplicates_no_pair(pipeline):
     )
     rep = run_ij(ds, faults=plan, pipeline=pipeline)
     assert rep.recovery.reassigned_pairs > 0
+    assert rep.pairs_joined == baseline.pairs_joined
+    # one kernel call per node, its output never cut: at most one part each
+    assert all(len(per) <= 1 for per in rep.results)
     # the dead joiner keeps what it finished; survivors hold their own
     # pairs and the reassigned ones
-    assert rep.results[1] and len(rep.results[1]) < len(baseline.results[1])
+    (dead,), (whole,) = rep.results[1], baseline.results[1]
+    assert 0 < dead.num_records < whole.num_records
     outputs = [sub for per in rep.results for sub in per]
-    assert len(outputs) == rep.pairs_joined == baseline.pairs_joined
     oracle = reference_join(ds.metadata, ds.provider, "T1", "T2", ds.join_attrs)
     got = concat_subtables(outputs, id=oracle.id)
     assert got.equals_unordered(oracle)  # multiset equality: no loss, no duplicate

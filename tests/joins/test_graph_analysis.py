@@ -8,7 +8,7 @@ from repro.joins import build_join_index
 from .graph_analysis import analyze_index, to_networkx
 from repro.workloads import GridSpec, make_grid_chunk_descriptors
 from repro.workloads.generator import dim_names
-from repro.workloads.irregular import build_irregular_dataset
+from .irregular import build_irregular_dataset
 
 
 def index_for(spec: GridSpec):

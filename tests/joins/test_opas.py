@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datamodel import SubTableId
 from repro.joins import build_join_index
-from repro.joins.opas import (
+from benchmarks.opas import (
     evaluate_order,
     optimal_order_bruteforce,
     order_bfs_clustered,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.telemetry.validate import main as validate_main
 
 
 class TestParsing:
@@ -387,6 +388,69 @@ class TestMalformedFiles:
         captured = capsys.readouterr()
         assert captured.err == f"error: {report}: {reason}\n"
         assert captured.out == ""
+
+    def test_every_report_leaf_mutation_is_served_or_refused(
+        self, tmp_path, capsys
+    ):
+        """Boundary fuzz by generator, not by list: every scalar leaf path
+        of a freshly served observed report, mutated to each of four wrong
+        JSON values, leaves every reader of the file rendering it or
+        refusing it in one ``error: <path>: <reason>`` line — never
+        raising."""
+        report = tmp_path / "report.json"
+        assert main(self.SERVE[:-1] + [
+            "--observe", "--json-out", str(report),
+        ]) == 0
+        valid = json.loads(report.read_text())
+
+        def leaves(node, path=()):
+            if isinstance(node, (dict, list)):
+                items = sorted(node.items()) if isinstance(node, dict) \
+                    else enumerate(node)
+                for key, child in items:
+                    yield from leaves(child, (*path, key))
+            else:
+                yield path
+
+        mutant = tmp_path / "mutant.json"
+        readers = [
+            ("top", lambda f: main(["top", f]), 2),
+            ("top --json", lambda f: main(["top", f, "--json"]), 2),
+            ("advise", lambda f: main(["advise", f]), 2),
+            # the validator's own "violations found" status is 1
+            ("validate", lambda f: validate_main([f]), 1),
+        ]
+        # one representative per leaf path, array positions collapsed
+        # (the 12 query records and the windows of a track are one shape)
+        paths = list({
+            tuple("[]" if isinstance(key, int) else key for key in path): path
+            for path in leaves(valid)
+        }.values())
+        assert len(paths) > 200
+        raised = []
+        for path in paths:
+            *parents, last = path
+            node = valid
+            for key in parents:
+                node = node[key]
+            original = node[last]
+            for value in ("x", None, [], {}):
+                node[last] = value
+                mutant.write_text(json.dumps(valid))
+                for name, read, refused in readers:
+                    try:
+                        status = read(str(mutant))
+                    except Exception as exc:  # what a traceback would be
+                        raised.append((name, path, value, repr(exc)))
+                        continue
+                    captured = capsys.readouterr()
+                    assert status in (0, refused), (name, path, value)
+                    assert "Traceback" not in captured.err
+                    if status == 2:
+                        assert captured.err.startswith(f"error: {mutant}: ")
+                        assert captured.out == ""
+            node[last] = original
+        assert raised == []
 
     @pytest.mark.parametrize("content, reason", [
         ("[1, 2, 3]", "tenant #0: not an object"),

@@ -2,12 +2,14 @@
 what moved.  (Running the slices is CI's job and a refactoring PR's; one
 cell is run here so a broken ``run_cell`` fails tier-1, not the fence.)"""
 
+import hashlib
 import json
 from pathlib import Path
 
 from benchmarks import fence
 
 BASELINE = Path(fence.HERE) / "baselines" / "FENCE_smoke.json"
+QES_BASELINE = Path(fence.HERE) / "baselines" / "FENCE_qes.json"
 
 
 def test_the_serve_slice_is_102_distinct_cells_and_smoke_six_of_them():
@@ -29,6 +31,33 @@ def test_the_committed_manifest_is_the_smoke_slice():
     assert committed["slice"] == "smoke"
     assert sorted(committed["cells"]) == sorted(fence.SMOKE)
     assert all(cell["exit"] == 0 for cell in committed["cells"].values())
+
+
+def test_the_qes_slice_is_27_cells_and_its_manifest_is_committed():
+    qes = dict(fence.cells("qes"))
+    assert len(qes) == 27 == len({tuple(argv) for argv in qes.values()})
+    committed = json.loads(QES_BASELINE.read_text())
+    assert committed["slice"] == "qes"
+    assert sorted(committed["cells"]) == sorted(qes)
+    for cell in committed["cells"].values():
+        # a cell is its stdout: nothing written, nothing on stderr
+        assert cell["exit"] == 0 and cell["files"] == {}
+        assert cell["stderr"] == hashlib.sha256(b"").hexdigest()
+
+
+def test_one_qes_cell_reproduces_its_committed_hash():
+    """In process, so a broken ``qes_cell`` fails tier-1.  The answer
+    digest is of a node's parts concatenated: Grace Hash holds in one
+    part per bucket what the Indexed Join holds in one per node."""
+    cell = fence.qes_cell("p<q", "ij-sync", "none")
+    printed = json.dumps(cell, indent=1, sort_keys=True) + "\n"
+    committed = json.loads(QES_BASELINE.read_text())["cells"]
+    assert committed["qes/p<q/ij-sync/none"]["stdout"] == (
+        hashlib.sha256(printed.encode()).hexdigest()
+    )
+    for answer in (cell, fence.qes_cell("p<q", "gh", "none")):
+        assert answer["kernel"]["matches"] == 256
+        assert sum(node["records"] for node in answer["results"] if node) == 256
 
 
 def test_diff_names_the_cell_and_what_moved_in_it():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro import GraceHashQES, IndexedJoinQES, paper_cluster, reference_join
 from repro.datamodel.subtable import concat_subtables
 from repro.joins import build_join_index
-from repro.workloads.irregular import (
+from ..joins.irregular import (
     build_irregular_dataset,
     kd_tiles,
     make_irregular_partitions,
