@@ -1,10 +1,11 @@
-"""The byte-identity fence: did a change move any byte a serve or a
-join execution produces?
+"""The byte-identity fence: did a change move any byte a serve, a join
+execution or a query produces?
 
-A refactor of the server, the QES or the cluster layer claims "byte-
-identical"; this is how to check it without trusting the claim.  A fixed,
-seeded matrix of cells — ``repro serve`` command lines and functional QES
-executions, spelled out below, nothing drawn at run time — is run one
+A refactor of the server, the QES, the query layer or the cluster layer
+claims "byte-identical"; this is how to check it without trusting the
+claim.  A fixed, seeded matrix of cells — ``repro serve`` command lines,
+functional QES executions and SQL texts, spelled out below, nothing drawn
+at run time — is run one
 subprocess per cell, each in an empty scratch directory, and a *manifest*
 records per cell the exit status and the SHA-256 of stdout, stderr and
 every file the cell wrote (``--json-out`` always, ``--oplog-out`` on
@@ -41,6 +42,18 @@ trees.  Slices:
     counters: ``total_time``, ``pairs_joined``, storage and scratch
     bytes, ``kernel.*``, per-node cache stats, recovery.  CI diffs it
     against ``benchmarks/baselines/FENCE_qes.json``.
+``sql``
+    14 cells, ~10 s: the answer bytes of the query layer, through the
+    public ``QueryExecutor`` and registered derived data sources over a
+    file-backed 16³ functional dataset.  One cell per SQL text
+    (:data:`SQL_CELLS`): the host benchmark's five ``view_query``
+    templates, its view query under each QES, GROUP BY on several keys,
+    under a WHERE that selects nothing and over a view, ``COUNT(*)``
+    alone, and an ``AggregationView`` assembled centrally and from
+    per-joiner partials.  A cell prints the answer's schema and the
+    SHA-256 of its names, dtypes and column bytes, row order included.
+    Answers only: error texts are unit-tested.  CI diffs it against
+    ``benchmarks/baselines/FENCE_sql.json``.
 
 A manifest holds no path, time or host detail: the same tree gives the
 same bytes anywhere.
@@ -148,6 +161,32 @@ QES_GRIDS = {
 QES_MODES = ("ij-sync", "ij-pipe", "gh")
 QES_FAULTS = ("none", "compute-crash", "transient")
 
+# -- the sql matrix: one cell per SQL text -------------------------------------
+
+SQL_GRID = ((16, 16, 16), (8, 8, 8), (4, 4, 4))
+#: cell -> (SQL text, QES a view source runs under).  V1 is T1 joined with
+#: T2; A1c and A1d are ``SELECT z, AVG(wp), COUNT(*) FROM V1 GROUP BY z`` as
+#: an ``AggregationView``, assembled centrally / from per-joiner partials
+SQL_CELLS = {
+    "scan": ("SELECT * FROM T1", "auto"),
+    "project": ("SELECT oilp FROM T1", "auto"),
+    "range": ("SELECT * FROM T1 WHERE x IN [2, 11] AND y IN [3, 9] AND z IN [0, 12]", "auto"),
+    "agg": ("SELECT AVG(oilp), COUNT(*) FROM T1 WHERE x IN [2, 11] AND y IN [3, 9]", "auto"),
+    "groupby": ("SELECT z, AVG(oilp) FROM T1 GROUP BY z", "auto"),
+    "view-ij": ("SELECT * FROM V1 WHERE x < 4", "indexed-join"),
+    "view-gh": ("SELECT * FROM V1 WHERE x < 4", "grace-hash"),
+    "groupby-multikey": (
+        "SELECT z, x, SUM(oilp), MIN(oilp), MAX(oilp), COUNT(*) FROM T1 "
+        "WHERE y IN [3, 9] GROUP BY z, x", "auto",
+    ),
+    "groupby-nothing-selected": ("SELECT z, AVG(oilp) FROM T1 WHERE x > 1000 GROUP BY z", "auto"),
+    "count-star": ("SELECT COUNT(*) FROM T1", "auto"),
+    "view-groupby": ("SELECT y, z, AVG(wp), MAX(oilp) FROM V1 GROUP BY y, z", "indexed-join"),
+    "view-agg-gh": ("SELECT SUM(wp), COUNT(*) FROM V1 WHERE z IN [4, 9]", "grace-hash"),
+    "aggview-central": ("SELECT * FROM A1c", "indexed-join"),
+    "aggview-distributed": ("SELECT * FROM A1d", "indexed-join"),
+}
+
 #: the CI slice: one cell per mechanism the fence exists to watch
 SMOKE = (
     "default/g32p8q4/s1/plain",
@@ -161,6 +200,8 @@ SMOKE = (
 
 def cells(slice_name: str) -> List[Tuple[str, List[str]]]:
     """``(cell id, python argv)`` of every cell of a slice, in id order."""
+    if slice_name == "sql":
+        return sorted((f"sql/{name}", [__file__, "sql-cell", name]) for name in SQL_CELLS)
     if slice_name == "qes":
         return sorted(
             (f"qes/{grid}/{mode}/{faults}", [__file__, "qes-cell", grid, mode, faults])
@@ -210,6 +251,16 @@ def run_cell(argv: Sequence[str], src: str) -> Dict[str, object]:
     }
 
 
+def _table_digest(table) -> Dict[str, object]:
+    """Row count and the SHA-256 of every column's name, dtype and bytes."""
+    digest = hashlib.sha256()
+    for name in table.schema.names:
+        column = table.column(name)
+        digest.update(f"{name}:{column.dtype.str}:".encode())
+        digest.update(column.tobytes())
+    return {"records": table.num_records, "sha256": digest.hexdigest()}
+
+
 def qes_cell(grid: str, mode: str, faults: str) -> Dict[str, object]:
     """One functional execution, as what the fence pins of it (``qes``
     in the module docstring).  Imports ``repro`` from ``PYTHONPATH``."""
@@ -252,15 +303,7 @@ def qes_cell(grid: str, mode: str, faults: str) -> Dict[str, object]:
         return {"unrecoverable": str(exc)}
 
     def answer(parts):
-        if not parts:
-            return None
-        table = concat_subtables(parts)
-        digest = hashlib.sha256()
-        for name in table.schema.names:
-            column = table.column(name)
-            digest.update(f"{name}:{column.dtype.str}:".encode())
-            digest.update(column.tobytes())
-        return {"records": table.num_records, "sha256": digest.hexdigest()}
+        return _table_digest(concat_subtables(parts)) if parts else None
 
     return {
         "total_time": report.total_time,
@@ -271,6 +314,43 @@ def qes_cell(grid: str, mode: str, faults: str) -> Dict[str, object]:
         "cache_stats": [dataclasses.asdict(c) for c in report.cache_stats],
         "recovery": dataclasses.asdict(report.recovery),
         "results": [answer(per) for per in report.results],
+    }
+
+
+def sql_cell(name: str) -> Dict[str, object]:
+    """One SQL text's answer, as what the fence pins of it (``sql`` in the
+    module docstring).  Imports ``repro`` from ``PYTHONPATH``."""
+    from repro.core import Aggregate, AggregationView, DerivedDataSource, JoinView
+    from repro.query import QueryExecutor
+    from repro.workloads import GridSpec, build_oil_reservoir_dataset
+
+    sql, algorithm = SQL_CELLS[name]
+    g, p, q = SQL_GRID
+    # the chunk files go beside, not into, the cell's working directory:
+    # run_cell hashes every file it finds there
+    with tempfile.TemporaryDirectory(prefix="fence-sql-") as storage:
+        ds = build_oil_reservoir_dataset(
+            GridSpec(g=g, p=p, q=q), num_storage=2, functional=True, seed=7,
+            storage_dir=storage,
+        )
+        executor = QueryExecutor(ds.metadata, ds.provider)
+        join = JoinView("V1", ds.left, ds.right, on=ds.join_attrs)
+        aggregates = (Aggregate("avg", "wp"), Aggregate("count", "*"))
+        for view, mode in (
+            (join, "central"),
+            (AggregationView("A1c", join, aggregates, group_by=("z",)), "central"),
+            (AggregationView("A1d", join, aggregates, group_by=("z",)), "distributed"),
+        ):
+            executor.register_dds(DerivedDataSource(
+                view, ds.metadata, ds.provider, num_storage=2, num_compute=3,
+                aggregate_mode=mode,
+            ))
+        table = executor.execute(sql, algorithm=algorithm)
+    return {
+        "sql": sql,
+        "algorithm": algorithm,
+        "schema": [[a.name, table.column(a.name).dtype.str] for a in table.schema],
+        **_table_digest(table),
     }
 
 
@@ -305,7 +385,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     p_man = sub.add_parser("manifest", help="run a slice, print its manifest")
-    p_man.add_argument("--slice", choices=("smoke", "serve", "qes"), default="serve")
+    p_man.add_argument(
+        "--slice", choices=("smoke", "serve", "qes", "sql"), default="serve"
+    )
     p_man.add_argument("--src", default=DEFAULT_SRC, metavar="DIR",
                        help="src/ directory to import repro from")
     p_diff = sub.add_parser("diff", help="compare two manifests")
@@ -315,19 +397,17 @@ def main(argv=None) -> int:
     p_cell.add_argument("grid", choices=sorted(QES_GRIDS))
     p_cell.add_argument("mode", choices=QES_MODES)
     p_cell.add_argument("faults", choices=QES_FAULTS)
+    p_sql = sub.add_parser("sql-cell", help="run one cell of the sql slice")
+    p_sql.add_argument("name", choices=sorted(SQL_CELLS))
     args = parser.parse_args(argv)
-    if args.command == "qes-cell":
-        json.dump(
-            qes_cell(args.grid, args.mode, args.faults), sys.stdout,
-            indent=1, sort_keys=True,
-        )
-        sys.stdout.write("\n")
-        return 0
-    if args.command == "manifest":
-        json.dump(
-            manifest(args.slice, os.path.abspath(args.src)), sys.stdout,
-            indent=1, sort_keys=True,
-        )
+    if args.command != "diff":
+        if args.command == "qes-cell":
+            printed = qes_cell(args.grid, args.mode, args.faults)
+        elif args.command == "sql-cell":
+            printed = sql_cell(args.name)
+        else:
+            printed = manifest(args.slice, os.path.abspath(args.src))
+        json.dump(printed, sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
         return 0
     with open(args.a, encoding="utf-8") as fa, open(args.b, encoding="utf-8") as fb:

@@ -5,18 +5,18 @@ requires a hash-table be built using the left (inner) relation with the
 attribute of interest and that the resulting hash table be probed with the
 records of the right (outer) relation" (Section 5).
 
-One kernel, :func:`vectorized_hash_join`, serves both QES: every join-key
-column is ranked on its own with ``np.unique`` and the ranks are packed
-into one int64 id per record (equality-preserving), the left side is
-grouped by a stable sort of those ids, and probes become two
+One kernel, :func:`vectorized_hash_join`, serves both QES: the join keys of
+both sides become one int64 id per record
+(:func:`repro.datamodel.keys.key_ids`, which GROUP BY shares), the left
+side is grouped by a stable sort of those ids, and probes become two
 ``searchsorted`` sweeps.  Pure NumPy on the hot path, per the HPC guides.
 The literal dict-based hash join it is tested against lives with the tests
 (``tests/joins/reference_kernel.py``).
 
-Key equality is *value* equality, column by column: ``-0.0`` joins with
-``0.0`` and a ``NaN`` key joins with nothing, itself included — what SQL's
-``=`` and NumPy's ``==`` both say.  The reference kernel and this one
-return the same rows in the same order under that contract.
+Key equality is ``key_ids``' *value* equality: ``-0.0`` joins with ``0.0``
+and a ``NaN`` key joins with nothing, itself included — what SQL's ``=``
+and NumPy's ``==`` both say.  The reference kernel and this one return the
+same rows in the same order under that contract.
 
 The kernel reports :class:`JoinKernelStats` whose ``builds``/``probes``
 counts are exactly what the cost models charge ``α_build``/``α_lookup``
@@ -32,13 +32,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datamodel.schema import Schema
+from repro.datamodel.keys import key_ids
 from repro.datamodel.subtable import SubTable, SubTableId
 
 __all__ = ["JoinKernelStats", "vectorized_hash_join"]
-
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -56,40 +53,6 @@ class JoinKernelStats:
         return self
 
 
-def _key_ids(
-    left: SubTable, right: SubTable, on: Sequence[str]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One int64 id per record of each side, equal exactly when the join
-    keys are equal by value.
-
-    Each key column is ranked over both sides at once
-    (``equal_nan=False``: ``-0.0`` and ``0.0`` share a rank, every ``NaN``
-    gets its own) and the ranks are packed mixed-radix, first column most
-    significant.  Should the radix product outgrow int64, the ids packed
-    so far are re-ranked first — they then number at most one per record,
-    so the next column always fits.
-    """
-    nl = left.num_records
-    ids = np.zeros(nl + right.num_records, dtype=np.int64)
-    radix = 1
-    for name in on:
-        values, ranks = np.unique(
-            np.concatenate([left.column(name), right.column(name)]),
-            return_inverse=True,
-            equal_nan=False,
-        )
-        if radix * len(values) > _INT64_MAX:
-            packed, ids = np.unique(ids, return_inverse=True)
-            radix = len(packed)
-        ids = ids * len(values) + ranks
-        radix *= len(values)
-    return ids[:nl], ids[nl:]
-
-
-def _result_schema(left: SubTable, right: SubTable, on: Sequence[str], suffix: str) -> Schema:
-    return left.schema.join(right.schema, on=on, suffix=suffix)
-
-
 def _assemble(
     left: SubTable,
     right: SubTable,
@@ -100,7 +63,7 @@ def _assemble(
     suffix: str,
 ) -> SubTable:
     """Materialise the join result from matched row-index pairs."""
-    schema = _result_schema(left, right, on, suffix)
+    schema = left.schema.join(right.schema, on=on, suffix=suffix)
     columns = {}
     names_iter = iter(schema.names)
     for attr in left.schema:
@@ -147,7 +110,9 @@ def vectorized_hash_join(
     if left.num_records == 0 or right.num_records == 0:
         empty = np.empty(0, dtype=np.intp)
         return _assemble(left, right, on, empty, empty, result_id, suffix), stats
-    lkeys, rkeys = _key_ids(left, right, on)
+    # ids over both sides at once, so equal keys share an id across them
+    ids = key_ids([np.concatenate([left.column(k), right.column(k)]) for k in on])
+    lkeys, rkeys = ids[: left.num_records], ids[left.num_records :]
 
     # group left rows by key id with a stable sort
     order = np.argsort(lkeys, kind="stable")

@@ -10,7 +10,7 @@ The grammar (see :mod:`repro.query.parser`) covers the paper's query forms:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.core.view import Aggregate
 from repro.query.predicate import Predicate, TruePredicate
@@ -56,6 +56,12 @@ class SelectQuery:
     @property
     def has_aggregates(self) -> bool:
         return any(i.is_aggregate for i in self.items)
+
+    def attrs(self) -> Set[str]:
+        """Every attribute the query names: select list, aggregate
+        arguments, GROUP BY and predicate."""
+        named = {i.aggregate.attr if i.is_aggregate else i.column for i in self.items}
+        return (named | set(self.group_by) | self.where.attrs()) - {"*"}
 
     def __post_init__(self) -> None:
         if self.group_by and not self.has_aggregates:

@@ -58,45 +58,38 @@ class QueryExecutor:
         """
         if isinstance(query, str):
             query = parse_query(query)
-        if query.source in self._dds:
-            return self._execute_on_view(query, algorithm)
-        return self._execute_on_table(query)
+        dds = self._dds.get(query.source)
+        # a table's catalog, or the view's whole answer: either carries the
+        # schema every name in the query must come from
+        if dds is None:
+            source = self.metadata.table(query.source)  # raises KeyError if unknown
+        else:
+            source = self._execute_on_view(dds, algorithm)
+        unknown = sorted(query.attrs() - set(source.schema.names))
+        if unknown:
+            raise KeyError(
+                f"unknown column {unknown[0]!r}: {query.source} has "
+                f"{', '.join(source.schema.names)}"
+            )
+        if dds is None:
+            table = self._execute_on_table(query, source)
+        elif isinstance(query.where, TruePredicate):
+            table = source
+        else:
+            table = source.select(query.where.mask(source))
+        return self._shape_output(query, table)
 
     @staticmethod
     def _needed_columns(query: SelectQuery, schema) -> Optional[list]:
-        """Columns a base-table scan must materialise: the select list plus
-        every attribute the predicate touches.  ``None`` means all (SELECT *
-        or COUNT(*) over everything)."""
-        if query.is_star:
-            return None
-        needed = set()
-        for item in query.items:
-            if item.is_aggregate:
-                if item.aggregate.attr == "*":
-                    continue
-                needed.add(item.aggregate.attr)
-            else:
-                needed.add(item.column)
-        needed.update(query.group_by)
-        # predicate attributes: collect from the bbox relaxation plus a walk
-        from repro.query.predicate import And, Comparison, Or, RangePredicate
-
-        def walk(pred):
-            if isinstance(pred, (And, Or)):
-                for child in pred.children:
-                    walk(child)
-            elif isinstance(pred, Comparison):
-                needed.add(pred.attr)
-            elif isinstance(pred, RangePredicate):
-                needed.add(pred.attr)
-
-        walk(query.where)
-        if not needed or needed >= set(schema.names):
+        """Columns a base-table scan must materialise: every attribute the
+        query names.  ``None`` means all (SELECT * or COUNT(*) over
+        everything)."""
+        needed = query.attrs()
+        if query.is_star or not needed or needed == set(schema.names):
             return None
         return [n for n in schema.names if n in needed]
 
-    def _execute_on_table(self, query: SelectQuery) -> SubTable:
-        catalog = self.metadata.table(query.source)  # raises KeyError if unknown
+    def _execute_on_table(self, query: SelectQuery, catalog) -> SubTable:
         if not self.provider.functional:
             raise ValueError("base-table queries need a functional provider")
         # chunk-level pruning via the predicate's bounding-box relaxation,
@@ -113,26 +106,21 @@ class QueryExecutor:
             if sub.num_records:
                 parts.append(sub)
         if parts:
-            table = concat_subtables(parts, id=SubTableId(catalog.table_id, -1))
-        else:
-            table = SubTable(
-                SubTableId(catalog.table_id, -1),
-                out_schema,
-                {a.name: np.empty(0, dtype=a.np_dtype) for a in out_schema},
-            )
-        return self._shape_output(query, table)
+            return concat_subtables(parts, id=SubTableId(catalog.table_id, -1))
+        return SubTable(
+            SubTableId(catalog.table_id, -1),
+            out_schema,
+            {a.name: np.empty(0, dtype=a.np_dtype) for a in out_schema},
+        )
 
-    def _execute_on_view(self, query: SelectQuery, algorithm: str) -> SubTable:
-        dds = self._dds[query.source]
+    def _execute_on_view(self, dds: "DerivedDataSource", algorithm: str) -> SubTable:
+        """The whole view, joined by its derived data source."""
         result = dds.execute(algorithm=algorithm)
         if result.table is None:
             raise ValueError(
-                f"derived data source {query.source!r} ran model-only; no records"
+                f"derived data source {dds.view.name!r} ran model-only; no records"
             )
-        table = result.table
-        if not isinstance(query.where, TruePredicate):
-            table = table.select(query.where.mask(table))
-        return self._shape_output(query, table)
+        return result.table
 
     @staticmethod
     def _shape_output(query: SelectQuery, table: SubTable) -> SubTable:

@@ -9,12 +9,15 @@ Every predicate supports two evaluations:
   relaxation is conservative: any record satisfying the predicate lies
   inside the box (disjunctions relax to the union box; attributes
   constrained differently across branches become unbounded).
+
+:meth:`Predicate.attrs` names the attributes a predicate reads — what the
+executor checks against the source's schema and projects the scan onto.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Set, Tuple
 
 import numpy as np
 
@@ -35,6 +38,10 @@ class Predicate:
     def bbox(self) -> BoundingBox:
         raise NotImplementedError
 
+    def attrs(self) -> Set[str]:
+        """Every attribute the predicate reads."""
+        raise NotImplementedError
+
     def __and__(self, other: "Predicate") -> "Predicate":
         return And((self, other))
 
@@ -51,6 +58,9 @@ class TruePredicate(Predicate):
 
     def bbox(self) -> BoundingBox:
         return BoundingBox.empty()
+
+    def attrs(self) -> Set[str]:
+        return set()
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,9 @@ class Comparison(Predicate):
             return BoundingBox({self.attr: (self.value, self.value)})
         return BoundingBox.empty()  # != constrains nothing at box level
 
+    def attrs(self) -> Set[str]:
+        return {self.attr}
+
 
 @dataclass(frozen=True)
 class RangePredicate(Predicate):
@@ -109,6 +122,9 @@ class RangePredicate(Predicate):
 
     def bbox(self) -> BoundingBox:
         return BoundingBox({self.attr: (self.lo, self.hi)})
+
+    def attrs(self) -> Set[str]:
+        return {self.attr}
 
 
 @dataclass(frozen=True)
@@ -136,6 +152,9 @@ class And(Predicate):
                 return out
             out = inter
         return out
+
+    def attrs(self) -> Set[str]:
+        return set().union(*(c.attrs() for c in self.children))
 
     def __repr__(self) -> str:
         return " AND ".join(repr(c) for c in self.children)
@@ -167,3 +186,6 @@ class Or(Predicate):
             ivs = [b.interval(name) for b in boxes]
             out[name] = Interval(min(iv.lo for iv in ivs), max(iv.hi for iv in ivs))
         return BoundingBox(out)
+
+    def attrs(self) -> Set[str]:
+        return set().union(*(c.attrs() for c in self.children))

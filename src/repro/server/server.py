@@ -393,7 +393,6 @@ class QueryServer:
         sanitize: bool = False,
         telemetry: bool = False,
         tie_break: str = "fifo",
-        aggregate_mode: str = "central",
         faults=None,
         resilience: Optional[ResilienceConfig] = None,
         observe=False,
@@ -405,7 +404,6 @@ class QueryServer:
             # shared cache serves an interleaving no single query knows
             raise ValueError("belady is undefined for a shared server cache")
         self.dataset = dataset
-        self.aggregate_mode = aggregate_mode
         self.slots = slots
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.cluster = ClusterSim(
@@ -930,10 +928,7 @@ class QueryServer:
             selected = report.extras.get("selected_records")
             outcome.result_records = None if selected is None else int(selected)
         else:
-            table = assemble_result(
-                report, planned.view, self.dataset.metadata,
-                aggregate_mode=self.aggregate_mode,
-            )
+            table = assemble_result(report, planned.view, self.dataset.metadata)
             outcome.result_records = (
                 table.num_records if table is not None else None
             )

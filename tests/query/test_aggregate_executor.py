@@ -9,6 +9,8 @@ from repro.core import Aggregate, DerivedDataSource, JoinView
 from repro.datamodel import Schema, SubTable, SubTableId
 from repro.query import QueryExecutor, aggregate
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
+from tests.datamodel.key_draws import column, key_columns, typed_table
+from tests.query.reference_aggregate import reference_aggregate
 
 
 def table_of(values_by_col, dtypes=None):
@@ -106,6 +108,90 @@ class TestAggregate:
         np.testing.assert_allclose(out.column("max_v"), [max(ref[k]) for k in keys], rtol=1e-6)
 
 
+FUNCS = ("count", "sum", "avg", "min", "max")
+
+
+def outcome(fn, *args):
+    """What a call answers, down to the bytes — or what it refuses with."""
+    try:
+        with np.errstate(all="ignore"):  # inf - inf in a drawn value column
+            out = fn(*args)
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    return out.id, out.schema.attributes, [
+        (out.column(n).dtype, out.column(n).tobytes()) for n in out.schema.names
+    ]
+
+
+class TestAggregateEqualsTheStructuredSort:
+    """``aggregate`` groups by ``key_ids``; ``reference_aggregate`` is the
+    structured-dtype sort it replaced.  Same schema, dtypes, group order and
+    column bytes (so the same within-group summation order), same refusals."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_zero_to_three_keys_all_functions(self, data):
+        keys = data.draw(key_columns(min_columns=0, max_columns=3))
+        n = len(keys[0]) if keys else data.draw(st.integers(min_value=0, max_value=24))
+        group_by = [f"k{i}" for i in range(len(keys))]
+        columns = dict(zip(group_by, keys), v=data.draw(column(n)), w=data.draw(column(n)))
+        aggs = [
+            Aggregate(f, "*" if f == "count" and data.draw(st.booleans()) else attr)
+            for f in data.draw(st.lists(st.sampled_from(FUNCS), min_size=1, max_size=5, unique=True))
+            for attr in data.draw(st.sampled_from((["v"], ["w"], ["v", "w"])))
+        ]
+        table = typed_table(columns)
+        assert outcome(aggregate, table, aggs, group_by) == outcome(
+            reference_aggregate, table, aggs, group_by
+        )
+
+    def both(self, columns, aggs, group_by=()):
+        table = typed_table({k: np.asarray(v) for k, v in columns.items()})
+        got = outcome(aggregate, table, aggs, group_by)
+        assert got == outcome(reference_aggregate, table, aggs, group_by)
+        return aggregate(table, aggs, group_by)
+
+    def test_every_nan_key_is_its_own_group_at_the_end(self):
+        nan = float("nan")
+        out = self.both(
+            {"k0": [nan, 2.0, nan, 1.0, 2.0], "v": [10.0, 20.0, 30.0, 40.0, 50.0]},
+            [Aggregate("sum", "v"), Aggregate("count", "*")], ["k0"],
+        )
+        np.testing.assert_array_equal(out.column("k0"), [1.0, 2.0, nan, nan])
+        np.testing.assert_array_equal(out.column("sum_v"), [40.0, 70.0, 10.0, 30.0])
+        np.testing.assert_array_equal(out.column("count_all"), [1, 2, 1, 1])
+
+    def test_nan_in_the_first_key_ties_so_the_second_key_orders(self):
+        nan = float("nan")
+        out = self.both(
+            {"k0": [nan, nan, nan], "k1": [5, 3, 5], "v": [1.0, 2.0, 4.0]},
+            [Aggregate("max", "v")], ["k0", "k1"],
+        )
+        np.testing.assert_array_equal(out.column("k1"), [3, 5, 5])
+        np.testing.assert_array_equal(out.column("max_v"), [2.0, 1.0, 4.0])
+
+    def test_signed_zeros_are_one_group_carrying_the_first_seen(self):
+        out = self.both(
+            {"k0": [-0.0, 0.0, 1.0, 0.0], "v": [1.0, 2.0, 3.0, 4.0]},
+            [Aggregate("avg", "v")], ["k0"],
+        )
+        assert out.num_records == 2
+        assert np.signbit(out.column("k0")[0])  # -0.0 came first
+        np.testing.assert_array_equal(out.column("avg_v"), [7.0 / 3.0, 3.0])
+
+    def test_empty_grouped_input_has_no_group_and_refuses_nothing(self):
+        empty = {"k0": np.empty(0, dtype=np.int32), "v": np.empty(0, dtype=np.float32)}
+        out = self.both(empty, [Aggregate(f, "v") for f in FUNCS], ["k0"])
+        assert out.num_records == 0 and out.column("k0").dtype == np.int32
+
+    def test_ungrouped_empty_input(self):
+        empty = {"v": np.empty(0, dtype=np.float32)}
+        out = self.both(empty, [Aggregate("count", "*"), Aggregate("sum", "v")])
+        assert out.column("count_all").tolist() == out.column("sum_v").tolist() == [0.0]
+        with pytest.raises(ValueError, match="MIN over an empty input is undefined"):
+            self.both(empty, [Aggregate("count", "v"), Aggregate("min", "v")])
+
+
 @pytest.fixture(scope="module")
 def executor_setup():
     spec = GridSpec(g=(16, 16), p=(4, 4), q=(4, 4))
@@ -170,6 +256,24 @@ class TestQueryExecutor:
         _, ex, _ = executor_setup
         with pytest.raises(KeyError):
             ex.execute("SELECT * FROM Nope")
+
+    @pytest.mark.parametrize("sql, source", [
+        ("SELECT nope FROM T1", "T1"),
+        ("SELECT AVG(nope) FROM T1", "T1"),
+        ("SELECT x, COUNT(*) FROM T1 GROUP BY x, nope", "T1"),
+        ("SELECT * FROM T1 WHERE x < 3 OR (y > 2 AND nope = 1)", "T1"),
+        ("SELECT * FROM V1 WHERE nope < 3", "V1"),
+        ("SELECT MAX(nope) FROM V1", "V1"),
+    ])
+    def test_unknown_column_names_the_column_the_source_and_its_attributes(
+        self, executor_setup, sql, source
+    ):
+        """Was ``ValueError: a schema needs at least one attribute`` on a
+        table and a ``KeyError`` blaming ``sub-table (-1,0)`` on a view."""
+        _, ex, _ = executor_setup
+        has = "x, y, oilp" + (", wp" if source == "V1" else "")
+        with pytest.raises(KeyError, match=f"unknown column 'nope': {source} has {has}"):
+            ex.execute(sql)
 
     def test_duplicate_dds_rejected(self, executor_setup):
         _, ex, dds = executor_setup

@@ -10,6 +10,7 @@ from repro.datamodel import Schema, SubTable, SubTableId
 from repro.query.aggregate import aggregate
 from repro.query.partial import decompose, merge_partials, partial_aggregate
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
+from tests.datamodel.key_draws import column, key_columns, typed_table
 
 
 def table_of(values_by_col):
@@ -92,36 +93,40 @@ class TestMergeEqualsCentral:
         np.testing.assert_array_equal(merged.column("g"), [0, 7])
         np.testing.assert_array_equal(merged.column("max_v"), [1, 9])
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
-        values=st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=60),
+        keys=key_columns(max_columns=3, min_records=1),
         groups=st.data(),
         num_parts=st.integers(min_value=1, max_value=5),
     )
-    def test_merge_equals_central_random(self, values, groups, num_parts):
-        gs = [groups.draw(st.integers(min_value=0, max_value=3)) for _ in values]
-        whole = table_of({"g": gs, "v": values})
+    def test_merge_equals_central_random(self, keys, groups, num_parts):
+        """Over ``key_ids``' value classes (NaN, signed zeros, infinities,
+        mixed dtypes — every drawn value dyadic, so sums are exact in any
+        order).  A NaN key is its own group on both sides but in a
+        different place, so the two are compared sorted on every column."""
+        n = len(keys[0])
+        group_by = [f"k{i}" for i in range(len(keys))]
+        columns = dict(zip(group_by, keys), v=groups.draw(column(n)))
         # random partition into num_parts pieces
-        assignment = [groups.draw(st.integers(min_value=0, max_value=num_parts - 1))
-                      for _ in values]
-        parts = []
-        for p in range(num_parts):
-            idx = [i for i, a in enumerate(assignment) if a == p]
-            if idx:
-                parts.append(
-                    table_of({"g": [gs[i] for i in idx], "v": [values[i] for i in idx]})
-                )
-        if not parts:
-            return
-        central = aggregate(whole, ALL_AGGS, ["g"]).sort_by(["g"])
-        merged = merge_partials(
-            [partial_aggregate(t, ALL_AGGS, ["g"]) for t in parts], ALL_AGGS, ["g"]
-        ).sort_by(["g"])
-        assert merged.num_records == central.num_records
-        for name in central.schema.names:
-            np.testing.assert_allclose(
-                merged.column(name), central.column(name), rtol=1e-9
+        assignment = np.array(
+            [groups.draw(st.integers(min_value=0, max_value=num_parts - 1)) for _ in range(n)]
+        )
+        parts = [
+            typed_table({name: c[assignment == p] for name, c in columns.items()})
+            for p in range(num_parts)
+            if (assignment == p).any()
+        ]
+        with np.errstate(invalid="ignore"):  # inf - inf in a drawn value column
+            central = aggregate(typed_table(columns), ALL_AGGS, group_by)
+            merged = merge_partials(
+                [partial_aggregate(t, ALL_AGGS, group_by) for t in parts], ALL_AGGS, group_by
             )
+        assert merged.schema == central.schema
+        assert merged.num_records == central.num_records
+        names = central.schema.names
+        central, merged = central.sort_by(names), merged.sort_by(names)
+        for name in names:
+            np.testing.assert_array_equal(merged.column(name), central.column(name))
 
 
 class TestEngineIntegration:

@@ -71,6 +71,12 @@ class TestBoolean:
         assert TruePredicate().mask(sub).all()
         assert TruePredicate().bbox() == BoundingBox.empty()
 
+    def test_attrs_is_every_attribute_read(self):
+        assert TruePredicate().attrs() == set()
+        tree = (Comparison("x", "<", 3) | (RangePredicate("y", 0, 2) & Comparison("v", "!=", 1)))
+        assert tree.attrs() == {"x", "y", "v"}
+        assert (tree & TruePredicate()).attrs() == {"x", "y", "v"}
+
     def test_and_bbox_intersects(self):
         p = RangePredicate("x", 0, 10) & RangePredicate("x", 5, 20)
         iv = p.bbox().interval("x")

@@ -1,6 +1,7 @@
 """``benchmarks/fence.py``: the matrix is what it says, and ``diff`` names
 what moved.  (Running the slices is CI's job and a refactoring PR's; one
-cell is run here so a broken ``run_cell`` fails tier-1, not the fence.)"""
+cell of each kind is run here so a broken ``run_cell``, ``qes_cell`` or
+``sql_cell`` fails tier-1, not the fence.)"""
 
 import hashlib
 import json
@@ -10,6 +11,7 @@ from benchmarks import fence
 
 BASELINE = Path(fence.HERE) / "baselines" / "FENCE_smoke.json"
 QES_BASELINE = Path(fence.HERE) / "baselines" / "FENCE_qes.json"
+SQL_BASELINE = Path(fence.HERE) / "baselines" / "FENCE_sql.json"
 
 
 def test_the_serve_slice_is_102_distinct_cells_and_smoke_six_of_them():
@@ -58,6 +60,25 @@ def test_one_qes_cell_reproduces_its_committed_hash():
     for answer in (cell, fence.qes_cell("p<q", "gh", "none")):
         assert answer["kernel"]["matches"] == 256
         assert sum(node["records"] for node in answer["results"] if node) == 256
+
+
+def test_the_sql_slice_is_committed_and_one_cell_reproduces_its_hash():
+    """One cell per SQL text; the grouped one is run in process, so a
+    GROUP BY that moves a byte fails tier-1 as well as CI's diff."""
+    sql = dict(fence.cells("sql"))
+    assert sorted(sql) == sorted(f"sql/{name}" for name in fence.SQL_CELLS)
+    committed = json.loads(SQL_BASELINE.read_text())
+    assert committed["slice"] == "sql"
+    assert sorted(committed["cells"]) == sorted(sql)
+    for cell in committed["cells"].values():
+        assert cell["exit"] == 0 and cell["files"] == {}
+        assert cell["stderr"] == hashlib.sha256(b"").hexdigest()
+    answer = fence.sql_cell("groupby-multikey")
+    assert answer["records"] == 16 * 16 and answer["schema"][:2] == [["z", "<f4"], ["x", "<f4"]]
+    printed = json.dumps(answer, indent=1, sort_keys=True) + "\n"
+    assert committed["cells"]["sql/groupby-multikey"]["stdout"] == (
+        hashlib.sha256(printed.encode()).hexdigest()
+    )
 
 
 def test_diff_names_the_cell_and_what_moved_in_it():
