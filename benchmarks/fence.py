@@ -3,13 +3,14 @@ execution or a query produces?
 
 A refactor of the server, the QES, the query layer or the cluster layer
 claims "byte-identical"; this is how to check it without trusting the
-claim.  A fixed, seeded matrix of cells — ``repro serve`` command lines,
-functional QES executions and SQL texts, spelled out below, nothing drawn
-at run time — is run one
+claim.  A fixed, seeded matrix of cells — ``repro serve``, ``trace`` and
+``run`` command lines, functional QES executions, SQL texts and an
+example, spelled out below, nothing drawn at run time — is run one
 subprocess per cell, each in an empty scratch directory, and a *manifest*
 records per cell the exit status and the SHA-256 of stdout, stderr and
 every file the cell wrote (``--json-out`` always, ``--oplog-out`` on
-observed cells).  Two manifests are compared with ``diff``::
+observed cells, the Chrome traces of ``trace`` and ``run``).  Two
+manifests are compared with ``diff``::
 
     python benchmarks/fence.py manifest --slice serve --src PARENT/src > a.json
     python benchmarks/fence.py manifest --slice serve > b.json
@@ -54,6 +55,16 @@ trees.  Slices:
     SHA-256 of its names, dtypes and column bytes, row order included.
     Answers only: error texts are unit-tested.  CI diffs it against
     ``benchmarks/baselines/FENCE_sql.json``.
+``trace``
+    21 cells, ~8 s: what the telemetry layer prints and writes.  18
+    ``repro trace --dump`` cells (the ``qes`` grids × synchronous and
+    ``--pipeline`` × no faults, transient faults with a storage crash on a
+    sanitized replicated run, and a compute crash), each hashing stdout —
+    critical paths, resource summaries, the text dump — and both Chrome
+    traces; two ``repro run --trace-out --analyze`` cells (synchronous and
+    pipelined); and ``examples/cluster_trace.py``'s Gantt charts, run from
+    beside the ``--src`` tree so each tree runs its own copy.  CI diffs it
+    against ``benchmarks/baselines/FENCE_trace.json``.
 
 A manifest holds no path, time or host detail: the same tree gives the
 same bytes anywhere.
@@ -161,6 +172,19 @@ QES_GRIDS = {
 QES_MODES = ("ij-sync", "ij-pipe", "gh")
 QES_FAULTS = ("none", "compute-crash", "transient")
 
+# -- the trace matrix: 3 grids x 2 modes x 3 fault sets, 2 runs, 1 example -----
+
+TRACE_MODES = {"sync": [], "pipe": ["--pipeline"]}
+TRACE_FAULTS = {
+    "none": [],
+    "transient-storage-crash-sanitize": [
+        "--faults", "seed=7,transient=0.3,storage_crash=0.5",
+        "--replication", "2", "--sanitize",
+    ],
+    "compute-crash": ["--faults", "seed=5,compute_crash=0.01"],
+}
+TRACE_EXAMPLE = "cluster_trace.py"
+
 # -- the sql matrix: one cell per SQL text -------------------------------------
 
 SQL_GRID = ((16, 16, 16), (8, 8, 8), (4, 4, 4))
@@ -198,8 +222,39 @@ SMOKE = (
 )
 
 
-def cells(slice_name: str) -> List[Tuple[str, List[str]]]:
-    """``(cell id, python argv)`` of every cell of a slice, in id order."""
+def _grid_flags(grid: str) -> List[str]:
+    """``--grid/--p/--q`` for one of :data:`QES_GRIDS`."""
+    return [
+        word
+        for flag, dims in zip(("--grid", "--p", "--q"), QES_GRIDS[grid])
+        for word in (flag, ",".join(map(str, dims)))
+    ]
+
+
+def cells(slice_name: str, src: str = DEFAULT_SRC) -> List[Tuple[str, List[str]]]:
+    """``(cell id, python argv)`` of every cell of a slice, in id order;
+    ``src`` locates the example the ``trace`` slice runs (the one beside
+    that tree, so each tree runs its own)."""
+    if slice_name == "trace":
+        out = {
+            f"trace/{grid}/{mode}/{faults}": [
+                "-m", "repro", "trace", *_grid_flags(grid), *SHAPE, "--dump",
+                "--top", "3", "--out", "t.json", *mode_flags, *fault_flags,
+            ]
+            for grid in QES_GRIDS
+            for mode, mode_flags in TRACE_MODES.items()
+            for faults, fault_flags in TRACE_FAULTS.items()
+        }
+        for mode, mode_flags in TRACE_MODES.items():
+            out[f"run/p=q/{mode}"] = [
+                "-m", "repro", "run", *_grid_flags("p=q"), *SHAPE,
+                "--trace-out", "r.json", "--analyze", "--drift-store", "none",
+                *mode_flags,
+            ]
+        out[f"example/{TRACE_EXAMPLE}"] = [
+            os.path.join(os.path.dirname(os.path.abspath(src)), "examples", TRACE_EXAMPLE)
+        ]
+        return sorted(out.items())
     if slice_name == "sql":
         return sorted((f"sql/{name}", [__file__, "sql-cell", name]) for name in SQL_CELLS)
     if slice_name == "qes":
@@ -357,7 +412,7 @@ def sql_cell(name: str) -> Dict[str, object]:
 def manifest(slice_name: str, src: str) -> Dict[str, object]:
     return {
         "slice": slice_name,
-        "cells": {cell: run_cell(argv, src) for cell, argv in cells(slice_name)},
+        "cells": {cell: run_cell(argv, src) for cell, argv in cells(slice_name, src)},
     }
 
 
@@ -386,7 +441,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_man = sub.add_parser("manifest", help="run a slice, print its manifest")
     p_man.add_argument(
-        "--slice", choices=("smoke", "serve", "qes", "sql"), default="serve"
+        "--slice", choices=("smoke", "serve", "qes", "sql", "trace"), default="serve"
     )
     p_man.add_argument("--src", default=DEFAULT_SRC, metavar="DIR",
                        help="src/ directory to import repro from")

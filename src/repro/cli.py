@@ -321,6 +321,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.trace_out:
+        _claim_outputs(*(_trace_path(args.trace_out, tag) for tag in ("ij", "gh")))
+    if args.analyze:
+        _claim_outputs(args.analyze_json)
+        if args.drift_store != "none":
+            # appended to, never truncated
+            _claim_outputs(str(DriftStore(_store_path(args)).path), mode="a")
     spec = _spec(args)
     machine = _machine(args)
     result = run_point(
@@ -459,17 +466,25 @@ def _observability_config(args: argparse.Namespace, tenants) -> Optional[object]
     )
 
 
-def _open_output(path: str):
-    """Open an ``--*-out`` file for writing, creating its parent
-    directories like ``--trace-out`` does; a path that cannot be opened
-    is a ``ValueError`` naming it."""
+def _open_output(path: str, mode: str = "w"):
+    """Open an output file, creating its parent directories like
+    ``--trace-out`` does; a path that cannot be opened is a
+    ``ValueError`` naming it."""
     try:
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        return open(path, "w", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror}") from None
+
+
+def _claim_outputs(*paths: Optional[str], mode: str = "w") -> None:
+    """Open every output a command will write before it does any work: a
+    run must not simulate to its end and then have nowhere to write.
+    ``None`` entries (outputs not asked for) are skipped."""
+    for path in filter(None, paths):
+        _open_output(path, mode).close()
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -483,10 +498,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.oplog_out and not args.observe:
         # the ops log is the observatory's; refuse before serving anything
         raise ValueError("--oplog-out needs --observe")
-    for path in filter(None, (args.oplog_out, args.json_out)):
-        # a stream must not run to its last query and then have nowhere
-        # to be written: both outputs are opened before anything is served
-        _open_output(path).close()
+    _claim_outputs(args.oplog_out, args.json_out)
     spec = _spec(args)
     machine = _machine(args)
     calibration = _drift_calibration(args)
@@ -798,6 +810,11 @@ _SWEEPS = {
 def _cmd_sweep(args: argparse.Namespace) -> int:
     figure, takes, (x_header, *more_headers), cells = _SWEEPS[args.axis]
     traced = args.trace_out is not None
+    if traced:
+        # the file names depend on how many points the figure has; the
+        # first point's are written whatever the count, so opening them
+        # checks the directory every other one lands in
+        _claim_outputs(*(_trace_path(args.trace_out, f"p0.{tag}") for tag in ("ij", "gh")))
     results = figure(
         **{name: _SWEEP_DEPLOYMENT[name][1](args) for name in takes},
         pipeline=args.pipeline, sanitize=args.sanitize, telemetry=traced,
@@ -818,9 +835,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.cluster.trace import Tracer
-    from repro.telemetry.export import text_dump
+    from repro.telemetry.export import resource_summary, text_dump
 
+    _claim_outputs(*(_trace_path(args.out, tag) for tag in ("ij", "gh")))
     spec = _spec(args)
     machine = _machine(args)
     result = run_point(
@@ -844,8 +861,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"\n{name}: {rep.total_time:.3f}s simulated")
         for line in rep.critical_path.summary_lines(args.top):
             print(f"  {line}")
-        view = Tracer(recorder=rep.telemetry.recorder)
-        print("  " + "\n  ".join(view.summary().splitlines()))
+        print("  " + "\n  ".join(resource_summary(rep.telemetry).splitlines()))
         if args.dump:
             print(text_dump(rep.telemetry))
     return 0
@@ -1148,6 +1164,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # a file named on the command line that cannot be opened
-        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        # a file named on the command line that cannot be opened, or a
+        # stream that closed under us (``repro trace ... | head -1``)
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,11 @@ simulator:
 * :mod:`~repro.cluster.cluster` — :class:`ClusterSim`, assembling engine,
   nodes and fabric, with the paper-testbed presets.
 
+Nothing here records what it did: reservations, transfers, storage reads
+and faults are announced on :meth:`SimEngine.subscribe`'s channel, where a
+``telemetry=True`` cluster's hub records each reservation as a resource
+span (drawn by :func:`repro.telemetry.export.gantt`).
+
 Every byte a join algorithm moves and every hash operation it performs is
 charged against these resources, so end-to-end "execution times" emerge
 from contention rather than being computed from a formula — that is what
@@ -44,7 +49,6 @@ from repro.cluster.events import (
 from repro.cluster.network import NetworkFabric, NFSFabric, SwitchedFabric
 from repro.cluster.nodes import ComputeNode, MachineSpec, StorageNode, PAPER_MACHINE
 from repro.cluster.resources import BandwidthResource, ResourceStats
-from repro.cluster.trace import Interval, Tracer
 
 __all__ = [
     "AllOf",
@@ -55,7 +59,6 @@ __all__ = [
     "ComputeNode",
     "Event",
     "Interrupt",
-    "Interval",
     "MachineSpec",
     "NFSFabric",
     "NetworkFabric",
@@ -67,7 +70,6 @@ __all__ = [
     "StorageNode",
     "SwitchedFabric",
     "Timeout",
-    "Tracer",
     "nfs_cluster",
     "paper_cluster",
 ]

@@ -30,7 +30,6 @@ from repro.cluster.events import Event, Process, SimEngine, Timeout
 from repro.cluster.network import NetworkFabric, NFSFabric, SwitchedFabric
 from repro.cluster.nodes import ComputeNode, MachineSpec, StorageNode, PAPER_MACHINE
 from repro.cluster.resources import BandwidthResource
-from repro.cluster.trace import Tracer
 
 __all__ = ["ClusterSim", "ClusterTopology", "paper_cluster", "nfs_cluster"]
 
@@ -64,7 +63,6 @@ class ClusterSim:
         backplane_bandwidth: Optional[float] = None,
         storage_specs: Optional[Dict[int, MachineSpec]] = None,
         compute_specs: Optional[Dict[int, MachineSpec]] = None,
-        trace: bool = False,
         faults=None,
         tie_break: str = "fifo",
         telemetry: bool = False,
@@ -89,10 +87,9 @@ class ClusterSim:
 
         ``telemetry`` builds a :class:`repro.telemetry.Telemetry` hub for
         the run (exposed as ``self.telemetry``): causal span tracing, the
-        metrics registry, and — since spans subsume busy intervals — a
-        :class:`Tracer` view sharing the same recorder, as if
-        ``trace=True``.  Both watch the cluster layer as subscribers of
-        the engine's event channel, the tracer first.
+        metrics registry, and one resource-occupancy span per reservation
+        (what :func:`repro.telemetry.export.gantt` draws).  The hub watches
+        the cluster layer as a subscriber of the engine's event channel.
         """
         self.topology = topology
         self.spec = spec
@@ -107,17 +104,10 @@ class ClusterSim:
                     raise ValueError(f"no {kind} node {node_id} in this topology")
         self.engine = SimEngine(tie_break=tie_break)
         self.telemetry = None
-        #: the trace recorder, when constructed with ``trace=True``
-        self.tracer: Optional[Tracer] = None
         if telemetry:
             from repro.telemetry import Telemetry
 
             self.telemetry = Telemetry(self.engine)
-            self.tracer = Tracer(recorder=self.telemetry.recorder)
-        elif trace:
-            self.tracer = Tracer()
-        if self.tracer is not None:
-            self.engine.subscribe(self.tracer)
         total = topology.num_storage + topology.num_compute
         if topology.shared_nfs:
             self.fabric: NetworkFabric = NFSFabric(

@@ -93,12 +93,6 @@ class IndexedJoinQES(QES):
     prefetch_budget:
         Staging budget in bytes for the pipelined mode's prefetched
         sub-tables; defaults to a quarter of the cache capacity.
-    busy_joiners:
-        Zero-argument callable returning the compute nodes currently
-        executing *another query's* pair (shared pools under a query
-        server).  Consulted at reassignment time so dead-joiner recovery
-        never hands pairs to a joiner busy with foreign work.  ``None``
-        (single-query runs) excludes nobody.
     """
 
     algorithm = "indexed-join"
@@ -120,7 +114,6 @@ class IndexedJoinQES(QES):
         pipeline: bool = False,
         prefetch_budget: Optional[int] = None,
         sanitizer=None,
-        busy_joiners=None,
         critical_path: bool = True,
         contain_faults: bool = False,
     ):
@@ -155,7 +148,6 @@ class IndexedJoinQES(QES):
         self.cache_policy = cache_policy
         self.pipeline = pipeline
         self.prefetch_budget = prefetch_budget
-        self.busy_joiners = busy_joiners
 
     # -- execution ---------------------------------------------------------------
 
@@ -262,14 +254,7 @@ class IndexedJoinQES(QES):
                     )
                 generation += 1
                 self.report.recovery.reassigned_pairs += len(remaining)
-                busy = (
-                    tuple(self.busy_joiners())
-                    if self.busy_joiners is not None
-                    else ()
-                )
-                for s, batch in self.schedule.reassign(
-                    remaining, survivors, busy=busy
-                ).items():
+                for s, batch in self.schedule.reassign(remaining, survivors).items():
                     active.append(self._launch(s, batch, tag=f".r{generation}"))
         # capture before returning: pending fault timers may advance the
         # clock after the join is already complete

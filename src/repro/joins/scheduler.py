@@ -23,7 +23,7 @@ Alternative orders exist for the scheduling ablation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -81,20 +81,10 @@ class PairSchedule:
         return refs
 
     def reassign(
-        self,
-        pairs: List[Pair],
-        survivors: List[int],
-        busy: "Iterable[int]" = (),
+        self, pairs: List[Pair], survivors: List[int]
     ) -> "Dict[int, List[Pair]]":
         """Redistribute a dead joiner's unfinished ``pairs`` over
         ``survivors``, round-robin in schedule order.
-
-        ``busy`` names joiners that, while alive, are currently executing
-        *another query's* pair (shared compute pools under a multi-tenant
-        server): they are excluded from the rotation so reassignment never
-        injects pairs behind a foreign query's in-flight work.  When the
-        exclusion would leave nobody eligible, all survivors are used —
-        a busy joiner is merely slower, a lost pair is wrong output.
 
         Pure planning — the schedule itself is not mutated (``per_joiner``
         keeps the original assignment for reference strings and reports);
@@ -103,11 +93,9 @@ class PairSchedule:
         """
         if not survivors:
             raise ValueError("no surviving joiners to reassign pairs to")
-        blocked = set(busy)
-        eligible = [s for s in survivors if s not in blocked] or list(survivors)
         out: Dict[int, List[Pair]] = {}
         for i, pair in enumerate(pairs):
-            out.setdefault(eligible[i % len(eligible)], []).append(pair)
+            out.setdefault(survivors[i % len(survivors)], []).append(pair)
         return out
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import ClusterSim, ClusterTopology
 from repro.cluster.events import Event, Interrupt, SimulationError
@@ -465,9 +465,6 @@ class QueryServer:
         self._wake: Optional[Event] = None
         self._admission_order: List[int] = []
         self._records: Dict[int, QueryRecord] = {}
-        #: compute nodes occupied per in-flight join query (feeds the
-        #: scheduler's busy-aware reassignment on faults)
-        self._joiners_in_use: Dict[int, Set[int]] = {}
         self._bytes_from_storage = 0
         self._latency = LatencyTracker()
         self._queue_wait = LatencyTracker()
@@ -863,7 +860,6 @@ class QueryServer:
                     "fault", entry, attempt=attempt, cause=type(failure).__name__
                 )
                 qes.abort(QueryAborted(entry.qid, "attempt failed"))
-            self._joiners_in_use.pop(planned.qid, None)
             outcome = self._outcome(
                 planned, qes, finished=failure is None and not deadline_hit
             )
@@ -936,24 +932,6 @@ class QueryServer:
 
     # -- execution -----------------------------------------------------
 
-    def _busy_for(self, qid: int) -> Callable[[], List[int]]:
-        """Compute nodes another in-flight query is currently joining on.
-
-        Conservative: a join occupies every compute node for its whole
-        execution (every joiner holds part of its schedule).  The IJ
-        scheduler falls back to all survivors when exclusion would leave
-        nobody eligible.
-        """
-
-        def busy() -> List[int]:
-            occupied: Set[int] = set()
-            for other, nodes in self._joiners_in_use.items():
-                if other != qid:
-                    occupied |= nodes
-            return sorted(occupied)
-
-        return busy
-
     def _begin(self, planned: PlannedQuery) -> QES:
         """Build and start one attempt of one query: its QES, contained.
 
@@ -984,11 +962,9 @@ class QueryServer:
             cluster, dataset.metadata, join_view.left, join_view.right,
             join_view.on, dataset.provider,
         )
-        self._joiners_in_use[qid] = set(range(cluster.num_compute))
         if planned.algorithm == "indexed-join":
             return IndexedJoinQES(
-                *args, index=planned.plan.index,
-                busy_joiners=self._busy_for(qid), **common,
+                *args, index=planned.plan.index, **common,
             ).begin(name=f"q{qid}-ij")
         return GraceHashQES(
             *args, range_constraint=join_view.where, **common

@@ -93,7 +93,8 @@ class Telemetry:
         if kind == "reserve":
             # ``start - now`` is the FIFO queue delay: time spent behind
             # earlier reservations, so convoys show as sustained non-zero
-            resource, now, start, _end, nbytes = fields
+            resource, now, start, end, nbytes = fields
+            self.recorder.record_interval(resource, start, end)
             metrics.gauge(f"queue.{resource}").set(now, start - now)
             metrics.histogram(
                 "resource.request_bytes", bounds=DEFAULT_BYTE_BUCKETS

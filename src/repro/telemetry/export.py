@@ -1,4 +1,5 @@
-"""Trace exporters: Chrome trace-event JSON and a deterministic text dump.
+"""Trace exporters: Chrome trace-event JSON, a deterministic text dump,
+and the resource views (an ASCII Gantt chart and a busy summary).
 
 The JSON exporter emits the Chrome trace-event format (the ``JSON object
 format``: a top-level ``traceEvents`` array), loadable in Perfetto /
@@ -19,6 +20,12 @@ Timestamps are simulated seconds scaled to microseconds and rounded to
 3 decimals (sub-nanosecond), so the serialised file is deterministic.
 The text dump is the test-friendly form: the full span tree, resource
 summaries, and every metric, all name-sorted.
+
+:func:`gantt` and :func:`resource_summary` read the resource spans
+grouped once per resource (:func:`resource_intervals`).  The recorder
+refuses overlap on a serial resource, so utilisation above 1 cannot come
+from recorded data and raises :class:`~repro.telemetry.spans.OverlapError`
+instead of being clamped.
 """
 
 from __future__ import annotations
@@ -27,12 +34,15 @@ import json
 import math
 import os
 import re
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry import Telemetry
-from repro.telemetry.spans import Span
+from repro.telemetry.spans import OverlapError, Span
 
-__all__ = ["chrome_trace", "write_chrome_trace", "text_dump"]
+__all__ = [
+    "chrome_trace", "write_chrome_trace", "text_dump",
+    "resource_intervals", "gantt", "resource_summary",
+]
 
 _NODE_ORDER = {"global": 0, "storage": 1, "compute": 2, "network": 3}
 _TRAILING_NUM = re.compile(r"^(.*?)(\d+)$")
@@ -227,20 +237,12 @@ def text_dump(tel: Telemetry) -> str:
                 f"{_fmt_attrs(span)}"
             )
 
-    resource_spans = [s for s in rec.spans if s.category == "resource"]
-    if resource_spans:
+    per = resource_intervals(tel)
+    if per:
         lines.append("== resources ==")
-        per: Dict[str, List[Span]] = {}
-        for span in resource_spans:
-            per.setdefault(span.name, []).append(span)
         for name in sorted(per):
-            ivals = per[name]
-            busy = math.fsum(
-                s.duration
-                for s in sorted(ivals, key=lambda s: (s.start, s.span_id))
-            )
             lines.append(
-                f"{name}: intervals={len(ivals)} busy={busy:.9g}s"
+                f"{name}: intervals={len(per[name])} busy={_busy(per[name]):.9g}s"
             )
 
     if len(tel.metrics):
@@ -261,3 +263,84 @@ def text_dump(tel: Telemetry) -> str:
                     f"total={d['total']:.9g}"
                 )
     return "\n".join(lines) + "\n"
+
+
+# -- resource views ------------------------------------------------------------
+
+
+def resource_intervals(tel: Telemetry) -> Dict[str, List[Span]]:
+    """The resource-occupancy spans grouped per resource: resources in
+    the order they were first reserved, each one's spans in record order
+    (which is start order: the recorder refuses an interval that starts
+    before the previous one on its resource ended)."""
+    per: Dict[str, List[Span]] = {}
+    for span in tel.recorder.spans:
+        if span.category == "resource":
+            per.setdefault(span.name, []).append(span)
+    return per
+
+
+def _busy(spans: List[Span]) -> float:
+    # fsum is exactly rounded, so the result does not depend on span order
+    return math.fsum(s.end - s.start for s in spans)
+
+
+def _horizon(per: Dict[str, List[Span]]) -> float:
+    return max((s.end for spans in per.values() for s in spans), default=0.0)
+
+
+def _utilisation(name: str, busy: float, horizon: float) -> float:
+    """Busy fraction over ``horizon``; a ratio above 1.0 beyond float noise
+    means busy time exceeds elapsed time, and raises."""
+    if horizon <= 0:
+        return 0.0
+    ratio = busy / horizon
+    if ratio > 1.0 + 1e-9:
+        raise OverlapError(
+            f"utilisation of {name!r} is {ratio:.6f} > 1 over "
+            f"horizon {horizon:g}s — busy time exceeds elapsed time"
+        )
+    return min(1.0, ratio)  # shave float noise only
+
+
+def gantt(
+    tel: Telemetry, width: int = 72, resources: Optional[Sequence[str]] = None
+) -> str:
+    """ASCII Gantt chart: one row per resource (``resources``, or each in
+    the order first reserved), '#' where busy, then its utilisation.  A
+    cell is busy when any part of its time slice overlaps an interval, so
+    very short reservations remain visible."""
+    if width <= 0:
+        raise ValueError("width must be positive")
+    per = resource_intervals(tel)
+    horizon = _horizon(per)
+    names = list(per) if resources is None else resources
+    label_w = max((len(n) for n in names), default=0)
+    lines = []
+    for name in names:
+        spans = per.get(name, [])
+        cells = [" "] * width
+        if horizon > 0:
+            for span in spans:
+                # clamp into [0, width): an interval touching the exact
+                # horizon (zero-length included) still gets a cell
+                lo = min(int(span.start / horizon * width), width - 1)
+                hi = min(int(span.end / horizon * width), width - 1)
+                for c in range(lo, hi + 1):
+                    cells[c] = "#"
+        util = _utilisation(name, _busy(spans), horizon)
+        lines.append(f"{name.rjust(label_w)} |{''.join(cells)}| {util:5.1%}")
+    # the 0 tick sits under the first cell, inside the bars
+    lines.append(f"{'':>{label_w}}  0{'.' * (width - 2)}{horizon:.3g}s")
+    return "\n".join(lines)
+
+
+def resource_summary(tel: Telemetry) -> str:
+    """Per-resource busy time and utilisation, busiest first."""
+    per = resource_intervals(tel)
+    horizon = _horizon(per)
+    lines = [f"horizon: {horizon:.3f}s"]
+    for busy, name in sorted(((_busy(s), n) for n, s in per.items()), reverse=True):
+        util = f"  ({_utilisation(name, busy, horizon):5.1%})" if horizon else ""
+        lines.append(f"  {name:<14} busy {busy:8.3f}s{util}")
+    return "\n".join(lines)

@@ -28,6 +28,7 @@ __all__ = [
     "Span",
     "SpanCtx",
     "SpanRecorder",
+    "OverlapError",
     "NULL_SPAN",
     "maybe_span",
     "TERM_OF_CATEGORY",
@@ -48,6 +49,10 @@ TERM_OF_CATEGORY: Dict[str, str] = {
     "resource": "Other",
     "fault": "Other",
 }
+
+
+class OverlapError(ValueError):
+    """Two intervals on one serial resource overlap — a reservation bug."""
 
 
 @dataclass(eq=False)
@@ -153,6 +158,8 @@ class SpanRecorder:
         #: the query setup opened).
         self._stack_key: Dict[int, Any] = {}
         self._next_id = 0
+        #: end of the last interval recorded per resource
+        self._resource_end: Dict[str, float] = {}
 
     # -- clock / context -------------------------------------------------
 
@@ -264,19 +271,27 @@ class SpanRecorder:
             ),
         )
 
-    def record_interval(
-        self, resource: str, start: float, end: float, **attrs: Any
-    ) -> Span:
+    def record_interval(self, resource: str, start: float, end: float) -> Span:
         """Record a closed resource-occupancy interval as a root span.
 
-        This is the bridge for :class:`~repro.cluster.trace.Tracer`:
-        bandwidth reservations land here as ``category="resource"``
-        spans, one per (resource, interval), outside the causal tree.
+        The telemetry hub calls this once per ``reserve`` event: every
+        bandwidth reservation is a ``category="resource"`` span outside
+        the causal tree.  A resource is a serial FIFO server, so an
+        interval starting before the previous one on it ended is a
+        reservation bug: :class:`OverlapError`.
         """
         if end < start:
             raise ValueError(
                 f"interval on {resource!r} ends at {end} before start {start}"
             )
+        last = self._resource_end.get(resource, start)
+        if start < last:
+            raise OverlapError(
+                f"overlapping reservations on serial resource {resource!r}: "
+                f"[{start:g}, {end:g}] starts before the previous one ended "
+                f"at {last:g}"
+            )
+        self._resource_end[resource] = end
         span = self.begin(
             resource,
             category="resource",
@@ -285,7 +300,6 @@ class SpanRecorder:
             parent=None,
             start=start,
             detached=True,
-            **attrs,
         )
         span.end = end
         return span

@@ -3,14 +3,15 @@
 ``SimEngine.subscribe`` is the one place the cluster layer can be watched
 from.  A recording subscriber — living here, in the test tree — rides
 along on both QES, both topologies and a set of faulted runs, and
-everything the tracer, the telemetry hub and the sanitizer rely on is
-asserted from the recorded events alone:
+everything the telemetry hub and the sanitizer rely on is asserted from
+the recorded events alone:
 
 * ``reserve`` events carry whole reservations: recounted per resource
   they equal that resource's ``ResourceStats`` and ``resource_report()``
   (requests, bytes and last completion exactly, busy time to rounding),
   and they obey the FIFO calculus — a reservation starts no earlier than
-  it was asked for nor than the previous one on its resource ended;
+  it was asked for nor than the previous one on its resource ended,
+  which is the invariant the hub's resource spans are recorded under;
 * ``storage_read`` events carry the event their reader waits on: the
   bytes of those that succeeded are the sanitizer's ``transferred_ok``,
   and on a fault-free run the report's ``bytes_from_storage``;

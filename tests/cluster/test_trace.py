@@ -1,133 +1,148 @@
-"""Tests for execution tracing."""
+"""Tests for execution tracing: the hub's resource-occupancy spans, the
+overlap invariant the recorder holds them to, and the resource views of
+``repro.telemetry.export`` (Gantt chart and busy summary) over them."""
+
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
     BandwidthResource,
     ClusterSim,
     ClusterTopology,
     SimEngine,
-    Tracer,
 )
-from repro.cluster.trace import OverlapError
 from repro.joins import GraceHashQES, IndexedJoinQES
+from repro.telemetry import Telemetry
+from repro.telemetry.export import gantt, resource_intervals, resource_summary
+from repro.telemetry.spans import OverlapError
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
+from tests.telemetry.reference_tracer import ReferenceTracer
+
+
+def recorded(*intervals):
+    """A hub holding ``(resource, start, end)`` intervals, in order."""
+    tel = Telemetry()
+    for iv in intervals:
+        tel.recorder.record_interval(*iv)
+    return tel
+
+
+def busy(tel, resource):
+    return math.fsum(s.duration for s in resource_intervals(tel).get(resource, []))
+
+
+def horizon(tel):
+    return max((s.end for ss in resource_intervals(tel).values() for s in ss), default=0.0)
 
 
 class TestTracerBasics:
     def test_record_and_query(self):
-        t = Tracer()
-        t.record("disk", 0.0, 1.0)
-        t.record("disk", 2.0, 3.0)
-        t.record("nic", 0.5, 2.5)
-        assert t.horizon == 3.0
-        assert t.busy_time("disk") == pytest.approx(2.0)
-        assert t.busy_time("nic") == pytest.approx(2.0)
-        assert t.utilisation("disk") == pytest.approx(2.0 / 3.0)
-        assert set(t.resources()) == {"disk", "nic"}
+        tel = recorded(("disk", 0.0, 1.0), ("disk", 2.0, 3.0), ("nic", 0.5, 2.5))
+        assert busy(tel, "disk") == pytest.approx(2.0)
+        assert busy(tel, "nic") == pytest.approx(2.0)
+        assert list(resource_intervals(tel)) == ["disk", "nic"]
+        assert resource_summary(tel).splitlines() == [
+            "horizon: 3.000s",
+            "  nic            busy    2.000s  (66.7%)",
+            "  disk           busy    2.000s  (66.7%)",
+        ]
 
     def test_invalid_interval(self):
-        t = Tracer()
         with pytest.raises(ValueError):
-            t.record("x", 2.0, 1.0)
+            recorded(("x", 2.0, 1.0))
 
     def test_empty_tracer(self):
-        t = Tracer()
-        assert t.horizon == 0.0
-        assert t.utilisation("nothing") == 0.0
-        assert t.gantt() != ""
+        tel = Telemetry()
+        assert resource_intervals(tel) == {}
+        assert resource_summary(tel) == "horizon: 0.000s"
+        assert gantt(tel) != ""
+        assert gantt(tel, resources=["nothing"]).splitlines()[0].endswith("  0.0%")
 
     def test_gantt_marks_busy_cells(self):
-        t = Tracer()
-        t.record("disk", 0.0, 5.0)
-        t.record("disk", 5.0, 10.0)
-        chart = t.gantt(width=10, resources=["disk"])
+        tel = recorded(("disk", 0.0, 5.0), ("disk", 5.0, 10.0))
+        chart = gantt(tel, width=10, resources=["disk"])
         row = chart.splitlines()[0]
         assert row.count("#") == 10  # fully busy
         assert "100.0%" in row
 
     def test_gantt_zero_length_interval_visible(self):
-        t = Tracer()
-        t.record("cpu", 0.0, 10.0)
-        t.record("disk", 5.0, 5.0)
-        chart = t.gantt(width=10)
+        tel = recorded(("cpu", 0.0, 10.0), ("disk", 5.0, 5.0))
+        chart = gantt(tel, width=10)
         disk_row = [l for l in chart.splitlines() if l.startswith("disk")][0]
         assert "#" in disk_row
 
     def test_gantt_width_validation(self):
         with pytest.raises(ValueError):
-            Tracer().gantt(width=0)
+            gantt(Telemetry(), width=0)
 
     def test_summary_sorted_by_busy(self):
-        t = Tracer()
-        t.record("a", 0, 1)
-        t.record("b", 0, 5)
-        lines = t.summary().splitlines()
+        tel = recorded(("a", 0, 1), ("b", 0, 5))
+        lines = resource_summary(tel).splitlines()
         assert "b" in lines[1] and "a" in lines[2]
 
 
 class TestOverlapDetection:
     def test_overlapping_intervals_raise(self):
-        t = Tracer()
-        t.record("disk", 0.0, 2.0)
-        with pytest.raises(OverlapError):
-            t.record("disk", 1.0, 3.0)
+        tel = recorded(("disk", 0.0, 2.0))
+        with pytest.raises(OverlapError, match="'disk'"):
+            tel.recorder.record_interval("disk", 1.0, 3.0)
 
     def test_overlap_detected_out_of_order(self):
-        t = Tracer()
-        t.record("disk", 4.0, 6.0)
+        tel = recorded(("disk", 4.0, 6.0))
         with pytest.raises(OverlapError):
-            t.record("disk", 3.0, 5.0)
+            tel.recorder.record_interval("disk", 3.0, 5.0)
 
     def test_containment_is_overlap(self):
-        t = Tracer()
-        t.record("disk", 0.0, 10.0)
+        tel = recorded(("disk", 0.0, 10.0))
         with pytest.raises(OverlapError):
-            t.record("disk", 2.0, 3.0)
+            tel.recorder.record_interval("disk", 2.0, 3.0)
+        # the refused interval is not recorded
+        assert len(resource_intervals(tel)["disk"]) == 1
 
     def test_touching_endpoints_allowed(self):
-        t = Tracer()
-        t.record("disk", 0.0, 1.0)
-        t.record("disk", 1.0, 2.0)  # back-to-back is fine
-        assert t.busy_time("disk") == pytest.approx(2.0)
+        tel = recorded(("disk", 0.0, 1.0), ("disk", 1.0, 2.0))  # back-to-back
+        assert busy(tel, "disk") == pytest.approx(2.0)
 
     def test_distinct_resources_may_overlap(self):
-        t = Tracer()
-        t.record("disk", 0.0, 2.0)
-        t.record("nic", 1.0, 3.0)  # different device — no clash
-        assert t.horizon == 3.0
+        tel = recorded(("disk", 0.0, 2.0), ("nic", 1.0, 3.0))  # different devices
+        assert horizon(tel) == 3.0
 
     def test_utilisation_never_clamps_quietly(self):
-        t = Tracer()
-        t.record("disk", 0.0, 4.0)
-        # a horizon shorter than the busy time means someone mis-measured
-        with pytest.raises(OverlapError):
-            t.utilisation("disk", horizon=2.0)
+        # spans opened by hand bypass the recorder's invariant: two
+        # overlapping ones make busy time exceed the horizon, which the
+        # views refuse to draw as 100%
+        tel = Telemetry()
+        rec = tel.recorder
+        for _ in range(2):
+            span = rec.begin("disk", category="resource", parent=None,
+                             start=0.0, detached=True)
+            rec.finish(span, at=4.0)
+        with pytest.raises(OverlapError, match="busy time exceeds"):
+            gantt(tel)
+        with pytest.raises(OverlapError, match="busy time exceeds"):
+            resource_summary(tel)
 
 
 class TestGanttEdgeCases:
     def test_zero_horizon_only_zero_length_intervals(self):
-        t = Tracer()
-        t.record("disk", 0.0, 0.0)
-        assert t.horizon == 0.0
-        chart = t.gantt(width=10)
+        tel = recorded(("disk", 0.0, 0.0))
+        assert horizon(tel) == 0.0
+        chart = gantt(tel, width=10)
         disk_row = chart.splitlines()[0]
         assert disk_row.startswith("disk")
         assert "0.0%" in disk_row  # zero horizon -> utilisation 0, no crash
 
     def test_single_zero_length_interval_visible(self):
-        t = Tracer()
-        t.record("cpu", 0.0, 8.0)
-        t.record("disk", 8.0, 8.0)  # at the very end of the horizon
-        chart = t.gantt(width=8)
+        tel = recorded(("cpu", 0.0, 8.0), ("disk", 8.0, 8.0))  # at the horizon
+        chart = gantt(tel, width=8)
         disk_row = [l for l in chart.splitlines() if l.startswith("disk")][0]
         assert disk_row.count("#") == 1
 
     def test_resource_name_alignment(self):
-        t = Tracer()
-        t.record("a", 0.0, 1.0)
-        t.record("longer-name", 0.0, 1.0)
-        lines = t.gantt(width=12).splitlines()
+        tel = recorded(("a", 0.0, 1.0), ("longer-name", 0.0, 1.0))
+        lines = gantt(tel, width=12).splitlines()
         # every row's first bar is in the same column
         bars = {line.index("|") for line in lines[:-1]}
         assert len(bars) == 1
@@ -135,27 +150,85 @@ class TestGanttEdgeCases:
         assert lines[-1].index("0") == lines[0].index("|") + 1
 
     def test_width_one(self):
-        t = Tracer()
-        t.record("disk", 0.0, 1.0)
-        t.record("cpu", 0.5, 1.0)
-        chart = t.gantt(width=1)
+        tel = recorded(("disk", 0.0, 1.0), ("cpu", 0.5, 1.0))
+        chart = gantt(tel, width=1)
         for line in chart.splitlines()[:-1]:
             assert "|#|" in line
 
     def test_gantt_row_cells_never_exceed_width(self):
-        t = Tracer()
-        t.record("disk", 0.0, 10.0)
-        t.record("disk", 10.0, 10.0)  # zero-length at the exact horizon
-        chart = t.gantt(width=5, resources=["disk"])
+        # zero-length at the exact horizon
+        tel = recorded(("disk", 0.0, 10.0), ("disk", 10.0, 10.0))
+        chart = gantt(tel, width=5, resources=["disk"])
         row = chart.splitlines()[0]
         assert row.count("#") == 5
 
 
+#: per resource, gaps and durations drawn from a small grid so touching
+#: (gap 0), zero-length (duration 0) and coinciding ends all occur often
+_steps = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.5]),
+              st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.75, 1e-7])),
+    max_size=6,
+)
+
+
+@st.composite
+def disjoint_intervals(draw):
+    """Disjoint intervals on up to four resources, interleaved in a drawn
+    record order (per resource, in start order — the recorder's rule)."""
+    per = {}
+    for name in draw(st.lists(st.sampled_from(["s0.disk", "nic3", "c1.cpu", "a"]),
+                              min_size=1, max_size=4, unique=True)):
+        t, ivs = 0.0, []
+        for gap, dur in draw(_steps):
+            ivs.append((name, t + gap, t + gap + dur))
+            t = t + gap + dur
+        per[name] = ivs
+    order = draw(st.permutations([n for n, ivs in per.items() for _ in ivs]))
+    queues = {n: list(ivs) for n, ivs in per.items()}
+    return [queues[n].pop(0) for n in order]
+
+
+class TestFrozenRendering:
+    """``gantt`` and ``resource_summary`` print what the frozen view
+    printed, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(intervals=disjoint_intervals(), width=st.integers(1, 80),
+           pick=st.booleans(), data=st.data())
+    def test_views_equal_the_frozen_ones(self, intervals, width, pick, data):
+        tel = recorded(*intervals)
+        ref = ReferenceTracer(intervals)
+        resources = None
+        if pick:
+            # an explicit row list: reordered, subset, unknown names
+            names = sorted({iv[0] for iv in intervals}) + ["idle"]
+            resources = data.draw(st.lists(st.sampled_from(names), unique=True))
+        assert gantt(tel, width=width, resources=resources) == ref.gantt(
+            width=width, resources=resources
+        )
+        assert resource_summary(tel) == ref.summary()
+
+    def test_a_horizon_touching_interval_and_a_recorded_example(self):
+        intervals = [("nic", 0.0, 2.0), ("disk", 0.0, 0.0), ("disk", 0.0, 3.0),
+                     ("nic", 3.0, 3.0)]
+        tel = recorded(*intervals)
+        ref = ReferenceTracer(intervals)
+        for width in (1, 2, 7, 64):
+            assert gantt(tel, width=width) == ref.gantt(width=width)
+        assert resource_summary(tel) == ref.summary()
+
+
 class TestEngineIntegration:
-    def test_resources_record_when_traced(self):
+    @staticmethod
+    def watched():
         eng = SimEngine()
-        tracer = Tracer()
-        eng.subscribe(tracer)
+        tel = Telemetry(eng)
+        tel.watch_engine(eng, faults=False)
+        return eng, tel
+
+    def test_resources_record_when_traced(self):
+        eng, tel = self.watched()
         r = BandwidthResource(eng, bandwidth=10.0, name="dev")
 
         def proc():
@@ -163,7 +236,7 @@ class TestEngineIntegration:
             yield r.reserve(30)
 
         eng.run_process(proc())
-        ivs = tracer.by_resource("dev")
+        ivs = resource_intervals(tel)["dev"]
         assert len(ivs) == 2
         assert ivs[0].start == 0.0 and ivs[0].end == pytest.approx(5.0)
         assert ivs[1].start == pytest.approx(5.0) and ivs[1].end == pytest.approx(8.0)
@@ -178,9 +251,7 @@ class TestEngineIntegration:
         eng.run_process(proc())  # must not raise; nothing is subscribed
 
     def test_joint_and_pipeline_record_per_resource(self):
-        eng = SimEngine()
-        tracer = Tracer()
-        eng.subscribe(tracer)
+        eng, tel = self.watched()
         a = BandwidthResource(eng, bandwidth=10.0, name="a")
         b = BandwidthResource(eng, bandwidth=20.0, name="b")
 
@@ -189,8 +260,8 @@ class TestEngineIntegration:
             yield BandwidthResource.reserve_pipeline([a, b], 100)
 
         eng.run_process(proc())
-        a_ivs = tracer.by_resource("a")
-        b_ivs = tracer.by_resource("b")
+        a_ivs = resource_intervals(tel)["a"]
+        b_ivs = resource_intervals(tel)["b"]
         assert len(a_ivs) == len(b_ivs) == 2
         # joint: both held for the slower duration
         assert a_ivs[0].duration == b_ivs[0].duration == pytest.approx(10.0)
@@ -199,27 +270,57 @@ class TestEngineIntegration:
         assert b_ivs[1].duration == pytest.approx(5.0)
 
 
+SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(4, 4))
+
+
 class TestClusterTracing:
     def test_traced_execution_busy_matches_stats(self):
-        spec = GridSpec(g=(16, 16), p=(4, 4), q=(4, 4))
-        ds = build_oil_reservoir_dataset(spec, num_storage=2, functional=False)
-        sim = ClusterSim(ClusterTopology(2, 2), trace=True)
+        ds = build_oil_reservoir_dataset(SPEC, num_storage=2, functional=False)
+        sim = ClusterSim(ClusterTopology(2, 2), telemetry=True)
         IndexedJoinQES(sim, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider).run()
-        tracer = sim.tracer
-        assert tracer is not None and tracer.intervals
+        tel = sim.telemetry
+        assert resource_intervals(tel)
         # trace busy time agrees with the resource counters
         for s in sim.storage_nodes:
-            assert tracer.busy_time(s.disk.name) == pytest.approx(s.disk.stats.busy_time)
+            assert busy(tel, s.disk.name) == pytest.approx(s.disk.stats.busy_time)
         # no interval extends past the simulation end
-        assert tracer.horizon <= sim.engine.now + 1e-12
+        assert horizon(tel) <= sim.engine.now + 1e-12
 
     def test_gh_trace_shows_scratch_phase(self):
-        spec = GridSpec(g=(16, 16), p=(4, 4), q=(4, 4))
-        ds = build_oil_reservoir_dataset(spec, num_storage=2, functional=False)
-        sim = ClusterSim(ClusterTopology(2, 2), trace=True)
+        ds = build_oil_reservoir_dataset(SPEC, num_storage=2, functional=False)
+        sim = ClusterSim(ClusterTopology(2, 2), telemetry=True)
         GraceHashQES(sim, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider).run()
         scratch_names = [c.scratch.name for c in sim.compute_nodes]
         for name in scratch_names:
-            assert sim.tracer.busy_time(name) > 0
-        chart = sim.tracer.gantt(width=40)
+            assert busy(sim.telemetry, name) > 0
+        chart = gantt(sim.telemetry, width=40)
         assert all(name in chart for name in scratch_names)
+
+    def test_the_hub_is_the_one_subscriber(self):
+        """Before any QES attaches, a traced cluster's engine has one
+        subscriber — the hub, which records occupancy and its metrics."""
+        sim = ClusterSim(ClusterTopology(2, 2), telemetry=True, faults="seed=1")
+        assert sim.engine._subscribers == [sim.telemetry]
+        assert ClusterSim(ClusterTopology(2, 2)).engine._subscribers == []
+
+    def test_a_rewound_resource_is_an_overlap_naming_it(self):
+        """A reservation calculus that lets a resource be booked twice for
+        the same time fails the traced run, naming the resource."""
+        # one storage node serving two joiners: its NIC queues requests
+        ds = build_oil_reservoir_dataset(SPEC, num_storage=1, functional=False)
+        sim = ClusterSim(ClusterTopology(1, 2), telemetry=True)
+        nic = sim.fabric.nic(sim.storage_nodes[0].fabric_id)
+        requests = []
+
+        def rewind(kind, *fields):
+            # after the NIC's third reservation, forget it was ever busy
+            if kind == "reserve" and fields[0] == nic.name:
+                requests.append(fields)
+                if len(requests) == 3:
+                    nic._busy_until = 0.0
+
+        sim.engine.subscribe(rewind)
+        qes = IndexedJoinQES(sim, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider)
+        with pytest.raises(OverlapError, match=repr(nic.name)):
+            qes.run()
+        assert len(requests) == 3

@@ -145,42 +145,24 @@ def test_two_stage_covers_all_pairs(joiners, shape):
         assert max(counts) - min(counts) <= max_comp
 
 
-class TestBusyAwareReassign:
-    """Regression: reassignment under a shared compute pool must not hand
-    a dead joiner's pairs to survivors that are busy executing *another
-    query's* pair — unless exclusion would leave nobody at all."""
+class TestReassign:
+    """A dead joiner's unfinished pairs are dealt over the survivors."""
 
-    def test_busy_survivors_excluded(self):
+    def test_spreads_over_every_survivor_each_pair_once(self):
         idx = index_for(SPEC)
         sched = schedule_two_stage(idx, 4)
         orphans = list(sched.per_joiner[0])
-        out = sched.reassign(orphans, survivors=[1, 2, 3], busy=[2])
-        assert set(out) <= {1, 3}
-        flat = [p for pairs in out.values() for p in pairs]
-        assert sorted(flat) == sorted(orphans)
-
-    def test_all_busy_falls_back_to_all_survivors(self):
-        idx = index_for(SPEC)
-        sched = schedule_two_stage(idx, 4)
-        orphans = list(sched.per_joiner[0])
-        out = sched.reassign(orphans, survivors=[1, 2], busy=[1, 2, 3])
-        # a busy joiner is merely slower; a lost pair is wrong output
-        assert set(out) <= {1, 2}
-        flat = [p for pairs in out.values() for p in pairs]
-        assert sorted(flat) == sorted(orphans)
-
-    def test_foreign_busy_ids_ignored(self):
-        idx = index_for(SPEC)
-        sched = schedule_two_stage(idx, 4)
-        orphans = list(sched.per_joiner[0])
-        out = sched.reassign(orphans, survivors=[1, 2], busy=[7, 9])
-        assert set(out) <= {1, 2}
+        assert len(orphans) >= 3
+        out = sched.reassign(orphans, survivors=[1, 2, 3])
+        assert sorted(out) == [1, 2, 3]
+        # round-robin in schedule order; a lost pair is wrong output
+        assert out == {s: orphans[i::3] for i, s in enumerate([1, 2, 3])}
 
     def test_reassign_does_not_mutate_schedule(self):
         idx = index_for(SPEC)
         sched = schedule_two_stage(idx, 4)
         before = [list(p) for p in sched.per_joiner]
-        sched.reassign(list(sched.per_joiner[0]), survivors=[1], busy=[])
+        sched.reassign(list(sched.per_joiner[0]), survivors=[1])
         assert [list(p) for p in sched.per_joiner] == before
 
 

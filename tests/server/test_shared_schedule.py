@@ -60,9 +60,9 @@ def test_dead_joiner_reassignment_leaves_the_shared_schedule_alone(monkeypatch):
     reassigned = []
     reassign = PairSchedule.reassign
 
-    def spy(self, pairs, survivors, busy=()):
+    def spy(self, pairs, survivors):
         reassigned.append((self, len(pairs)))
-        return reassign(self, pairs, survivors, busy=busy)
+        return reassign(self, pairs, survivors)
 
     monkeypatch.setattr(PairSchedule, "reassign", spy)
     report = server.serve(stream)

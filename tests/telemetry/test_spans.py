@@ -162,11 +162,11 @@ class TestLinksAndQueries:
     def test_record_interval_is_detached_resource_root(self):
         rec = SpanRecorder()
         rec.begin("outer")
-        iv = rec.record_interval("disk0", 1.0, 4.0, nbytes=10)
+        iv = rec.record_interval("disk0", 1.0, 4.0)
         assert iv.category == "resource"
         assert iv.parent_id is None
         assert iv.start == 1.0 and iv.end == 4.0
-        assert iv.attrs == {"nbytes": 10}
+        assert iv.attrs == {}
         assert iv not in rec.open_spans()
 
     def test_record_interval_rejects_negative(self):

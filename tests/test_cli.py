@@ -516,6 +516,50 @@ class TestMalformedFiles:
         assert captured.err.startswith(f"error: {out}: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, opened", [
+        (["trace", *SERVE[1:-1], "--out"], "t.ij.json"),
+        (["run", *SERVE[1:-1], "--trace-out"], "t.ij.json"),
+        (["run", *SERVE[1:-1], "--analyze", "--drift-store", "none",
+          "--analyze-json"], "t.json"),
+        (["run", *SERVE[1:-1], "--analyze", "--drift-store"], "t.json"),
+        (["sweep", "nfs", "--trace-out"], "t.p0.ij.json"),
+    ], ids=["trace-out", "run-trace-out", "analyze-json", "drift-store",
+            "sweep-trace-out"])
+    def test_unwritable_command_output(self, argv, opened, tmp_path, capsys,
+                                       monkeypatch):
+        """Like serve's: every output is opened before anything is
+        simulated, so a path that cannot be written costs no run and
+        prints nothing but the error.  (A sweep's file names depend on its
+        point count; its first point's files stand for the directory.)"""
+        import repro.cli as cli
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated before its outputs were opened")
+
+        monkeypatch.setattr(cli, "run_point", simulate)
+        monkeypatch.setitem(cli._SWEEPS, "nfs", (simulate, *cli._SWEEPS["nfs"][1:]))
+        (tmp_path / "file").write_text("")
+        assert main(argv + [str(tmp_path / "file" / "t.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {tmp_path / 'file' / opened}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_a_closed_stdout_is_an_error_naming_no_file(self, monkeypatch, capsys):
+        """``repro trace ... | head -1``: the pipe closes under a print."""
+        import errno
+        import sys
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["info"]) == 2
+        assert capsys.readouterr().err == "error: Broken pipe\n"
+
     def test_serve_outputs_create_their_directories(self, tmp_path, capsys):
         report = tmp_path / "new" / "dir" / "report.json"
         oplog = tmp_path / "other" / "ops.jsonl"

@@ -38,10 +38,14 @@ def test_traces_identical():
     traces = []
     for _ in range(2):
         ds = build_oil_reservoir_dataset(SPEC, num_storage=2, functional=False)
-        sim = ClusterSim(ClusterTopology(2, 2), trace=True)
+        sim = ClusterSim(ClusterTopology(2, 2), telemetry=True)
         GraceHashQES(sim, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider).run()
         traces.append(
-            [(iv.resource, iv.start, iv.end) for iv in sim.tracer.intervals]
+            [
+                (s.name, s.start, s.end)
+                for s in sim.telemetry.recorder.spans
+                if s.category == "resource"
+            ]
         )
     assert traces[0] == traces[1]
 

@@ -12,6 +12,7 @@ from benchmarks import fence
 BASELINE = Path(fence.HERE) / "baselines" / "FENCE_smoke.json"
 QES_BASELINE = Path(fence.HERE) / "baselines" / "FENCE_qes.json"
 SQL_BASELINE = Path(fence.HERE) / "baselines" / "FENCE_sql.json"
+TRACE_BASELINE = Path(fence.HERE) / "baselines" / "FENCE_trace.json"
 
 
 def test_the_serve_slice_is_102_distinct_cells_and_smoke_six_of_them():
@@ -79,6 +80,29 @@ def test_the_sql_slice_is_committed_and_one_cell_reproduces_its_hash():
     assert committed["cells"]["sql/groupby-multikey"]["stdout"] == (
         hashlib.sha256(printed.encode()).hexdigest()
     )
+
+
+def test_the_trace_slice_is_committed_and_its_views_reproduce_their_hashes(tmp_path):
+    """18 ``repro trace`` cells, two ``repro run`` cells and the Gantt
+    example.  One trace cell (resource summaries and the text dump on
+    stdout) and the example (the charts) are run here, so a resource view
+    that moves a byte fails tier-1 as well as CI's diff."""
+    trace = dict(fence.cells("trace"))
+    assert len(trace) == 21 == len({tuple(argv) for argv in trace.values()})
+    assert sum(cell.startswith("trace/") for cell in trace) == 18
+    committed = json.loads(TRACE_BASELINE.read_text())
+    assert committed["slice"] == "trace"
+    assert sorted(committed["cells"]) == sorted(trace)
+    for cell, hashed in committed["cells"].items():
+        written = {"trace": ["t.gh.json", "t.ij.json"], "run": ["r.gh.json", "r.ij.json"],
+                   "example": []}[cell.split("/")[0]]
+        assert hashed["exit"] == 0 and sorted(hashed["files"]) == written
+    # the example is the one beside the tree the cells import repro from
+    src = tmp_path / "tree" / "src"
+    example = dict(fence.cells("trace", str(src)))["example/cluster_trace.py"]
+    assert example == [str(tmp_path / "tree" / "examples" / "cluster_trace.py")]
+    for cell in ("trace/p>q/pipe/transient-storage-crash-sanitize", "example/cluster_trace.py"):
+        assert fence.run_cell(trace[cell], fence.DEFAULT_SRC) == committed["cells"][cell]
 
 
 def test_diff_names_the_cell_and_what_moved_in_it():
