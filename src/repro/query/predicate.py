@@ -16,6 +16,7 @@ executor checks against the source's schema and projects the scan onto.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Set, Tuple
 
@@ -92,9 +93,16 @@ class Comparison(Predicate):
 
     def bbox(self) -> BoundingBox:
         inf = float("inf")
-        if self.op in ("<", "<="):
+        # a strict bound relaxes to the closed box just inside it: no
+        # float64 lies strictly between v and nextafter(v), and no value
+        # of a float32 or integer column either, so it stays conservative
+        if self.op == "<":
+            return BoundingBox({self.attr: (-inf, math.nextafter(self.value, -inf))})
+        if self.op == "<=":
             return BoundingBox({self.attr: (-inf, self.value)})
-        if self.op in (">", ">="):
+        if self.op == ">":
+            return BoundingBox({self.attr: (math.nextafter(self.value, inf), inf)})
+        if self.op == ">=":
             return BoundingBox({self.attr: (self.value, inf)})
         if self.op == "=":
             return BoundingBox({self.attr: (self.value, self.value)})

@@ -43,6 +43,11 @@ _TERMINAL_EVENT = {
     FAILED: "failed",
 }
 
+#: cache operations that move neither ``used_bytes`` nor ``prefetch_bytes``
+#: (lookups aside); a refused put is not one — it may have evicted
+#: victims before it gave up
+_LEVEL_NEUTRAL = frozenset({"pin", "unpin", "prefetch_complete"})
+
 
 def _record_size(dataset) -> float:
     """Bytes per tuple, read off the catalog — converts cached entry
@@ -144,7 +149,7 @@ class ServeObservatory:
                 series.inc(hits)
             elif op == "miss":
                 series.inc(misses)
-            else:  # lookups move neither level
+            elif op not in _LEVEL_NEUTRAL:
                 series.set(occupancy, float(cache.used_bytes))
                 series.set(staged, float(cache.prefetch_bytes))
 

@@ -280,6 +280,25 @@ class TestQueryExecutor:
         with pytest.raises(ValueError):
             ex.register_dds(dds)
 
+    @pytest.mark.parametrize("sql, keep", [
+        ("SELECT * FROM T1 WHERE x < 4", lambda x: x < 4),
+        ("SELECT * FROM T1 WHERE x > 11", lambda x: x > 11),
+    ])
+    def test_strict_bound_fetches_one_slab(self, executor_setup, monkeypatch, sql, keep):
+        """A strict comparison prunes to the x-slab inside its bound (4 of
+        16 chunks); the slab that only touches the bound at its edge (4
+        more) is not fetched, and the answer is the full scan's."""
+        ds, ex, _ = executor_setup
+        full = ex.execute("SELECT * FROM T1")
+        fetched = []
+        fetch = ds.provider.fetch
+        monkeypatch.setattr(
+            ds.provider, "fetch", lambda desc, **kw: fetched.append(desc) or fetch(desc, **kw)
+        )
+        out = ex.execute(sql)
+        assert len(fetched) == 4
+        assert out.equals_unordered(full.select(keep(full.column("x"))))
+
     def test_base_table_agrees_between_pruned_and_full_scan(self, executor_setup):
         """Chunk pruning must not change results, only work."""
         _, ex, _ = executor_setup

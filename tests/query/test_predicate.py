@@ -1,5 +1,7 @@
 """Tests for record-level predicates and their bounding-box relaxations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -36,11 +38,32 @@ class TestComparison:
             Comparison("x", "~", 1.0)
 
     def test_bbox_relaxations(self):
-        assert Comparison("x", "<", 5.0).bbox().interval("x").hi == 5.0
-        assert Comparison("x", ">", 5.0).bbox().interval("x").lo == 5.0
+        # strict bounds relax to the closed box just inside the bound
+        assert Comparison("x", "<", 5.0).bbox().interval("x").hi == math.nextafter(5.0, -math.inf)
+        assert Comparison("x", ">", 5.0).bbox().interval("x").lo == math.nextafter(5.0, math.inf)
+        assert Comparison("x", "<=", 5.0).bbox().interval("x").hi == 5.0
+        assert Comparison("x", ">=", 5.0).bbox().interval("x").lo == 5.0
         eq = Comparison("x", "=", 5.0).bbox().interval("x")
         assert eq.lo == eq.hi == 5.0
         assert Comparison("x", "!=", 5.0).bbox() == BoundingBox.empty()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int32])
+    @pytest.mark.parametrize("op", ["<", ">"])
+    @pytest.mark.parametrize("value", [5.0, 5.5, 0.1, -0.0, 2.0**24 + 1, 2.0**53 + 2])
+    def test_strict_box_is_conservative(self, dtype, op, value):
+        """Every record the mask keeps lies inside the strict box, for
+        values on, beside and between a column type's representable points."""
+        near = np.array([value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf)])
+        x = np.concatenate([near + d for d in (-2, -1, 0, 1, 2)])
+        if np.issubdtype(dtype, np.integer):
+            info = np.iinfo(dtype)
+            x = np.clip(np.floor(x), info.min, info.max)
+        x = x.astype(dtype)
+        sub = SubTable(SubTableId(1, 0), Schema.of("x", coordinates=("x",)), {"x": x})
+        pred = Comparison("x", op, value)
+        box = pred.bbox().interval("x")
+        kept = x[pred.mask(sub)].astype(np.float64)
+        assert ((kept >= box.lo) & (kept <= box.hi)).all()
 
 
 class TestRange:
