@@ -43,7 +43,7 @@ __all__ = [
     "EarlyLedgerClaimRule",
 ]
 
-_PIN_ACQUIRES = {"pin"}
+_PIN_ACQUIRES = {"pin", "acquire"}
 _PIN_RELEASES = {"unpin", "release", "close"}
 _STAGE_ACQUIRE = "prefetch_begin"
 _STAGE_RELEASES = {
@@ -165,23 +165,39 @@ class _GenKill:
         return any(token in killed for killed in self.kill.values())
 
 
-def _summary_release_names(
-    call: ast.Call, summaries: ModuleSummaries
-) -> Set[str]:
-    """Receiver names discharged by calling a summarized local helper."""
+def _helper_args(call: ast.Call, summaries: ModuleSummaries, fact: str) -> Set[str]:
+    """Argument names a call to a summarized local helper passes to the
+    parameters of its ``fact`` (``releases_pin_params`` — the names the
+    call discharges — or ``acquires_via_params`` — the names it pins)."""
     summary = summaries.resolve(call)
     if summary is None:
         return set()
+    indices = getattr(summary, fact)
     out: Set[str] = set()
     offset = 1 if summary.params and summary.params[0] in ("self", "cls") else 0
     for i, arg in enumerate(call.args):
-        if isinstance(arg, ast.Name) and i + offset in summary.releases_pin_params:
+        if isinstance(arg, ast.Name) and i + offset in indices:
             out.add(arg.id)
     for kw in call.keywords:
         if kw.arg in summary.params and isinstance(kw.value, ast.Name):
-            if summary.params.index(kw.arg) in summary.releases_pin_params:
+            if summary.params.index(kw.arg) in indices:
                 out.add(kw.value.id)
     return out
+
+
+def _acquired(call: ast.Call, summaries: ModuleSummaries) -> Iterator[Tuple[str, str]]:
+    """``(family, receiver)`` for each resource ``call`` takes: a pin or a
+    staging reservation on its own receiver, or a pin a summarized local
+    helper takes through one of the call's arguments."""
+    recv = _recv_name(call)
+    if recv is not None:
+        attr = call.func.attr
+        if attr in _PIN_ACQUIRES or (attr == "put" and _keyword_true(call, "pin")):
+            yield "pin", recv
+        elif attr == _STAGE_ACQUIRE:
+            yield "stage", recv
+    for name in sorted(_helper_args(call, summaries, "acquires_via_params")):
+        yield "pin", name
 
 
 def _leak_check(
@@ -219,8 +235,9 @@ def _leak_check(
 class PinLeakRule(Rule):
     """R001: cache pin or staging reservation leaks on some path.
 
-    A pin (:meth:`CachingService.pin` / ``put(..., pin=True)``) excludes
-    its entry from eviction until the matching ``unpin``; a staging
+    A pin (:meth:`CachingService.pin`, the hit of an ``acquire``, or
+    ``put(..., pin=True)``) excludes its entry from eviction until the
+    matching ``unpin``; a staging
     reservation (:meth:`CachingService.prefetch_begin`) holds prefetch
     budget until completed, taken or cancelled.  Faults are delivered as
     exceptions thrown into the holder at a yield, so a resource held
@@ -230,7 +247,10 @@ class PinLeakRule(Rule):
     The rule charges acquisitions through a raw local receiver (pins) or
     any simple receiver (staging); pins taken through a function
     parameter or a ``with ... as scope`` binding are the scope owner's
-    responsibility and are exempt.
+    responsibility and are exempt.  A pin a module-local helper takes
+    through a parameter (its summary's ``acquires_via_params``) is
+    charged at the call site, to the argument passed there — so the
+    caller must hand it a scope it owns.
 
     Bad::
 
@@ -266,34 +286,25 @@ class PinLeakRule(Rule):
             obligations: List[_Obligation] = []
             for node in cfg.nodes:
                 for call in _calls_in(node):
-                    recv = _recv_name(call)
-                    if recv is None:
-                        continue
-                    attr = call.func.attr
-                    family: Optional[str] = None
-                    what = ""
-                    if attr in _PIN_ACQUIRES or (
-                        attr == "put" and _keyword_true(call, "pin")
-                    ):
-                        if recv not in params and recv not in cfg.scope_bindings:
-                            family, what = "pin", f"pin on cache {recv!r}"
-                    elif attr == _STAGE_ACQUIRE:
-                        family = "stage"
-                        what = f"staging reservation on {recv!r}"
-                    if family is None:
-                        continue
-                    token = f"{family}:{node.id}:{call.lineno}"
-                    site = node
-                    if isinstance(node.stmt, ast.If):
-                        polarity = _test_acquire_polarity(node.stmt.test, call)
-                        if polarity is not None:
-                            assumed = _assume_succ(node, cfg, polarity)
-                            if assumed is not None:
-                                site = assumed
-                    gk.add_gen(site.id, token)
-                    obligations.append(
-                        _Obligation(token, call, recv, family, what)
-                    )
+                    for family, recv in _acquired(call, summaries):
+                        if family == "pin":
+                            if recv in params or recv in cfg.scope_bindings:
+                                continue
+                            what = f"pin on cache {recv!r}"
+                        else:
+                            what = f"staging reservation on {recv!r}"
+                        token = f"{family}:{node.id}:{call.lineno}:{recv}"
+                        site = node
+                        if isinstance(node.stmt, ast.If):
+                            polarity = _test_acquire_polarity(node.stmt.test, call)
+                            if polarity is not None:
+                                assumed = _assume_succ(node, cfg, polarity)
+                                if assumed is not None:
+                                    site = assumed
+                        gk.add_gen(site.id, token)
+                        obligations.append(
+                            _Obligation(token, call, recv, family, what)
+                        )
             if not obligations:
                 continue
             by_recv: Dict[Tuple[str, str], List[str]] = {}
@@ -309,7 +320,7 @@ class PinLeakRule(Rule):
                             released.add(("pin", recv))
                         if attr in _STAGE_RELEASES:
                             released.add(("stage", recv))
-                    for name in _summary_release_names(call, summaries):
+                    for name in _helper_args(call, summaries, "releases_pin_params"):
                         released.add(("pin", name))
                         released.add(("stage", name))
                     for key in released:

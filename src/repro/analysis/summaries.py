@@ -12,9 +12,11 @@ rules consume:
   sites, which is safe for may-leak rules in the "forward release exists"
   direction);
 * ``acquires_via_params`` — parameter indices through which the function
-  acquires pins (``param.pin(...)`` / ``param.put(..., pin=True)``):
+  acquires pins (``param.pin(...)`` / ``param.acquire(...)`` /
+  ``param.put(..., pin=True)``):
   the *caller* owns those, typically via a ``pin_scope()`` context
-  manager, so the callee is not charged with an obligation;
+  manager, so the callee is not charged with an obligation and the
+  caller's argument is;
 * ``releases_slot`` — the function performs ``self._slots_free += 1``
   unconditionally, or gated on a boolean parameter whose name is recorded
   in ``releases_slot_if_param`` (resolved against literal keyword
@@ -39,7 +41,7 @@ from typing import Dict, List, Optional, Set
 __all__ = ["FunctionSummary", "ModuleSummaries", "summarize_module"]
 
 _RELEASE_METHODS = {"unpin", "release", "close", "prefetch_cancel"}
-_ACQUIRE_METHODS = {"pin"}
+_ACQUIRE_METHODS = {"pin", "acquire"}
 _TRANSFER_METHODS = {"read_and_send"}
 
 

@@ -147,16 +147,6 @@ class ComputeNode:
         """Reserve a bucket read on the local scratch disk."""
         return self.scratch.reserve_at_rate(nbytes, self.spec.disk_read_bw)
 
-    def compute(self, seconds: float):
-        """Reserve CPU time (hash build / probe work)."""
-        return self.cpu.reserve_time(seconds)
-
-    def build_time(self, tuples: int) -> float:
-        return tuples * self.spec.build_cost
-
-    def lookup_time(self, lookups: int) -> float:
-        return lookups * self.spec.lookup_cost
-
     def __repr__(self) -> str:
         return (
             f"ComputeNode(id={self.node_id}, fabric={self.fabric_id}, "

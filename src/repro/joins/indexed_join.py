@@ -285,24 +285,23 @@ class IndexedJoinQES(QES):
         the prefetcher already moved — staged, or still on the wire — and
         pays the synchronous transfer only for a sub-table the prefetcher
         skipped, lost to a fault, or staged before an eviction invalidated
-        its lookahead decision.  The cache protocol (``get`` → miss →
-        ``put`` with a pin) is the same either way; the synchronous mode
-        never consults the staging area.
+        its lookahead decision.  The cache protocol (``acquire`` → hit,
+        pinned; or miss → ``put`` with a pin) is the same either way; the
+        synchronous mode never consults the staging area.
         """
         cluster, tel = self.cluster, self.tel
-        cache = self.caches[j]
         with NULL_SPAN if tel is None else tel.recorder.span(
             "fetch", category="wait", node=f"compute{j}", track=track,
             chunk=str(sid), side="left" if is_left else "right",
         ) as fspan:
-            entry = cache.get(sid)
+            entry = scope.acquire(sid)
             if fspan is not None:
                 fspan.attrs["hit"] = entry is not None
                 if inflight is not None:
                     fspan.attrs["mode"] = "pipelined"
             if entry is not None:
-                scope.pin(sid)
                 return entry
+            cache = self.caches[j]
             desc = self.metadata.chunk(sid)
             staged = None
             if inflight is not None:

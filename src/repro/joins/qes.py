@@ -29,18 +29,8 @@ from repro.faults.errors import (
 from repro.joins.report import ExecutionReport, PhaseBreakdown
 from repro.metadata.service import MetaDataService
 from repro.services.bds import SubTableProvider
-from repro.telemetry.spans import NULL_SPAN
 
 __all__ = ["QES"]
-
-#: the two charged CPU phases, by span name: PhaseBreakdown field, span
-#: category, JoinKernelStats counter, node cost function, records metric
-_CPU_PHASES = {
-    "build": ("cpu_build", "cpu-build", "builds", "build_time",
-              "op.hash-build.records"),
-    "probe": ("cpu_lookup", "cpu-probe", "probes", "lookup_time",
-              "op.probe.records"),
-}
 
 
 class QES:
@@ -234,23 +224,34 @@ class QES:
         """Charge joiner ``j`` the hash ``"build"`` or ``"probe"`` of
         ``records`` records in simulated time: the wait into the joiner's
         :class:`PhaseBreakdown`, a span of the phase's category, the
-        report's kernel counter and the records metric.  Generator."""
-        field, category, counter, cost, metric = _CPU_PHASES[phase]
-        cluster, tel, report = self.cluster, self.tel, self.report
-        node = cluster.joiner(j)
-        pb = report.per_joiner[j]
-        t0 = cluster.engine.now
-        # per pair on the joiner loop: guarded on ``tel`` itself, so an
-        # untraced run builds no span arguments (see ``maybe_span``)
-        with NULL_SPAN if tel is None else tel.recorder.span(
-            phase, category=category, node=f"compute{j}", track=track,
-            records=records, **attrs,
-        ):
-            yield node.compute(getattr(node, cost)(records))
-        setattr(pb, field, getattr(pb, field) + (cluster.engine.now - t0))
-        setattr(report.kernel, counter, getattr(report.kernel, counter) + records)
+        report's kernel counter and the records metric — credited only
+        once the charge has been waited out.  Generator."""
+        tel, engine = self.tel, self.cluster.engine
+        node = self.cluster.joiner(j)
+        build = phase == "build"
+        seconds = records * (node.spec.build_cost if build else node.spec.lookup_cost)
+        t0 = engine.now
+        if tel is None:
+            yield node.cpu.reserve_time(seconds)
+        else:
+            # per pair on the joiner loop: only a traced run builds span
+            # arguments (see ``maybe_span``)
+            with tel.recorder.span(
+                phase, category="cpu-build" if build else "cpu-probe",
+                node=f"compute{j}", track=track, records=records, **attrs,
+            ):
+                yield node.cpu.reserve_time(seconds)
+        pb, kernel = self.report.per_joiner[j], self.report.kernel
+        if build:
+            pb.cpu_build += engine.now - t0
+            kernel.builds += records
+        else:
+            pb.cpu_lookup += engine.now - t0
+            kernel.probes += records
         if tel is not None:
-            tel.metrics.counter(metric).inc(records)
+            tel.metrics.counter(
+                "op.hash-build.records" if build else "op.probe.records"
+            ).inc(records)
 
     def _transfer_with_recovery(self, j: int, desc, inflight, link_span):
         """Move one sub-table to compute node ``j``, surviving transient

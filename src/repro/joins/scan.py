@@ -123,15 +123,13 @@ class ScanQES(QES):
             track="qes", parent=self.spans[0] if self.spans else None,
         ), cache.pin_scope() as scope:
             for desc in self.chunks:
-                value = cache.get(desc.id)
+                value = scope.acquire(desc.id)
                 if value is None:
                     node = yield from self._transfer_with_recovery(
                         j, desc, None, None
                     )
                     value = self.provider.fetch(desc, node=node)
                     scope.put(desc.id, value, desc.size, pin=True, source=node)
-                else:
-                    scope.pin(desc.id)
                 if functional:
                     self.selected += int(bbox_mask(value, self.where).sum())
         # capture before returning: pending fault timers may advance the

@@ -41,7 +41,18 @@ built hash table; ``qid`` is the query the operation is attributed to
 (see :class:`QueryCacheView`).  An operation that changes nothing (a
 refused ``prefetch_begin``, a ``remove`` of an absent key) notifies
 nobody.  Subscribers are passive: they must treat the cache as
-read-only, so subscribing changes no digest and no report byte.
+read-only, so subscribing changes no digest and no report byte.  With
+no subscriber, nothing is built or called: every notification site
+tests the subscriber list first.
+
+A QES checks the cache once per sub-table of a pair (Section 4.1) and
+pins what it found for as long as the pair is being joined.  That check
+is one call, :meth:`CachingService.acquire` — usually through
+:meth:`PinScope.acquire`, which also records the pin for release: a hit
+is counted, moves the policy's recency and takes one pin, notifying
+``hit`` then ``pin`` exactly as a :meth:`~CachingService.get` followed
+by a :meth:`~CachingService.pin` would; a miss is counted and notified
+as ``miss`` and pins nothing.
 """
 
 from __future__ import annotations
@@ -363,11 +374,6 @@ class CachingService(Generic[K, V]):
         if fn not in self._subscribers:
             self._subscribers.append(fn)
 
-    def _ledgers(self, view: Optional[QueryCacheView[K, V]]):
-        """The counters an operation bumps: the shared ones and, when it
-        arrived through a view, that view's private ledger."""
-        return (self.stats,) if view is None else (self.stats, view.stats)
-
     def _emit(
         self,
         op: str,
@@ -376,6 +382,8 @@ class CachingService(Generic[K, V]):
         origin: Optional[str] = None,
         view: Optional[QueryCacheView[K, V]] = None,
     ) -> None:
+        """Notify every subscriber; callers test ``self._subscribers``
+        first, so an unwatched cache makes no call at all."""
         qid = None if view is None else view.qid
         for fn in self._subscribers:
             fn(op, key, nbytes, origin, qid)
@@ -418,19 +426,47 @@ class CachingService(Generic[K, V]):
         private ledger is bumped alongside the shared counters and its
         ``qid`` rides on the notification.
         """
+        entry = self._lookup(key, view)
+        return None if entry is None else entry.value
+
+    def acquire(
+        self, key: K, view: Optional[QueryCacheView[K, V]] = None
+    ) -> Optional[V]:
+        """:meth:`get` and, on a hit, :meth:`pin`, as one call: the same
+        counters, policy update and notifications (``hit`` then ``pin``),
+        in the same order.  Returns the pinned value, or ``None`` on a
+        miss, which pins nothing.  Each hit owes one :meth:`unpin`;
+        :meth:`PinScope.acquire` records it for release."""
+        entry = self._lookup(key, view)
+        if entry is None:
+            return None
+        entry.pins += 1
+        if self._subscribers:
+            self._emit("pin", key)
+        return entry.value
+
+    def _lookup(
+        self, key: K, view: Optional[QueryCacheView[K, V]]
+    ) -> Optional[_Entry[V]]:
+        """The counted lookup behind :meth:`get` and :meth:`acquire`:
+        the entry on a hit, ``None`` on a miss."""
         if isinstance(self.policy, BeladyPolicy):
             self.policy.note_reference(key)
         entry = self._entries.get(key)
         if entry is None:
-            for stats in self._ledgers(view):
-                stats.misses += 1
-            self._emit("miss", key, view=view)
+            self.stats.misses += 1
+            if view is not None:
+                view.stats.misses += 1
+            if self._subscribers:
+                self._emit("miss", key, view=view)
             return None
-        for stats in self._ledgers(view):
-            stats.hits += 1
+        self.stats.hits += 1
+        if view is not None:
+            view.stats.hits += 1
         self.policy.on_access(key)
-        self._emit("hit", key, entry.nbytes, entry.origin, view)
-        return entry.value
+        if self._subscribers:
+            self._emit("hit", key, entry.nbytes, entry.origin, view)
+        return entry
 
     def peek(self, key: K) -> Optional[V]:
         """Look up without touching statistics or recency state."""
@@ -465,7 +501,8 @@ class CachingService(Generic[K, V]):
         # subscribers must also see failed puts: a put can evict victims and
         # still return False when the entry ultimately cannot fit
         ok = self._put(key, value, nbytes, pin, source, origin, view)
-        self._emit("insert" if ok else "reject", key, nbytes, origin, view)
+        if self._subscribers:
+            self._emit("insert" if ok else "reject", key, nbytes, origin, view)
         return ok
 
     def _put(
@@ -489,8 +526,9 @@ class CachingService(Generic[K, V]):
                     return False
             self._bytes += nbytes - old.nbytes
             if nbytes > old.nbytes:
-                for stats in self._ledgers(view):
-                    stats.bytes_inserted += nbytes - old.nbytes
+                self.stats.bytes_inserted += nbytes - old.nbytes
+                if view is not None:
+                    view.stats.bytes_inserted += nbytes - old.nbytes
             old.value = value
             old.nbytes = nbytes
             old.source = source
@@ -508,8 +546,9 @@ class CachingService(Generic[K, V]):
             value, nbytes, pins=1 if pin else 0, source=source, origin=origin
         )
         self._bytes += nbytes
-        for stats in self._ledgers(view):
-            stats.bytes_inserted += nbytes
+        self.stats.bytes_inserted += nbytes
+        if view is not None:
+            view.stats.bytes_inserted += nbytes
         self.policy.on_insert(key)
         return True
 
@@ -519,7 +558,8 @@ class CachingService(Generic[K, V]):
             self._entries[key].pins += 1
         except KeyError:
             raise KeyError(f"cannot pin absent key {key!r}") from None
-        self._emit("pin", key)
+        if self._subscribers:
+            self._emit("pin", key)
 
     def unpin(self, key: K) -> None:
         entry = self._entries.get(key)
@@ -528,7 +568,8 @@ class CachingService(Generic[K, V]):
         if entry.pins <= 0:
             raise ValueError(f"key {key!r} is not pinned")
         entry.pins -= 1
-        self._emit("unpin", key)
+        if self._subscribers:
+            self._emit("unpin", key)
 
     def pin_scope(self) -> "PinScope[K, V]":
         """A pin guard scoping every pin it acquires to a ``with`` block.
@@ -569,7 +610,8 @@ class CachingService(Generic[K, V]):
             return False
         self._staged[key] = _Staged(nbytes=nbytes)
         self._staged_bytes += nbytes
-        self._emit("prefetch_begin", key, nbytes)
+        if self._subscribers:
+            self._emit("prefetch_begin", key, nbytes)
         return True
 
     def prefetch_complete(
@@ -583,17 +625,21 @@ class CachingService(Generic[K, V]):
             raise ValueError(f"prefetch for key {key!r} completed twice")
         staged.value = value
         staged.ready = True
-        for stats in self._ledgers(view):
-            stats.prefetches += 1
-            stats.bytes_prefetched += staged.nbytes
-        self._emit("prefetch_complete", key, staged.nbytes, view=view)
+        self.stats.prefetches += 1
+        self.stats.bytes_prefetched += staged.nbytes
+        if view is not None:
+            view.stats.prefetches += 1
+            view.stats.bytes_prefetched += staged.nbytes
+        if self._subscribers:
+            self._emit("prefetch_complete", key, staged.nbytes, view=view)
 
     def prefetch_cancel(self, key: K) -> None:
         """Abandon a reservation (error paths); releases its budget."""
         staged = self._staged.pop(key, None)
         if staged is not None:
             self._staged_bytes -= staged.nbytes
-            self._emit("prefetch_cancel", key, staged.nbytes)
+            if self._subscribers:
+                self._emit("prefetch_cancel", key, staged.nbytes)
 
     def take_prefetched(self, key: K) -> Optional[V]:
         """Remove and return a *ready* staged value (``None`` otherwise).
@@ -607,7 +653,8 @@ class CachingService(Generic[K, V]):
             return None
         del self._staged[key]
         self._staged_bytes -= staged.nbytes
-        self._emit("take_prefetched", key, staged.nbytes)
+        if self._subscribers:
+            self._emit("take_prefetched", key, staged.nbytes)
         return staged.value
 
     def invalidate_from(
@@ -629,9 +676,11 @@ class CachingService(Generic[K, V]):
         ]
         for key in victims:
             self.remove(key)
-        for stats in self._ledgers(view):
-            stats.invalidations += len(victims)
-        self._emit("invalidate_from", view=view)
+        self.stats.invalidations += len(victims)
+        if view is not None:
+            view.stats.invalidations += len(victims)
+        if self._subscribers:
+            self._emit("invalidate_from", view=view)
         return len(victims)
 
     def remove(self, key: K) -> bool:
@@ -641,7 +690,8 @@ class CachingService(Generic[K, V]):
             return False
         self._bytes -= entry.nbytes
         self.policy.on_remove(key)
-        self._emit("drop", key, entry.nbytes, entry.origin)
+        if self._subscribers:
+            self._emit("drop", key, entry.nbytes, entry.origin)
         return True
 
     def clear(self) -> None:
@@ -661,9 +711,11 @@ class CachingService(Generic[K, V]):
             return False
         entry = entries.pop(victim)
         self._bytes -= entry.nbytes
-        for stats in self._ledgers(view):
-            stats.evictions += 1
-            stats.bytes_evicted += entry.nbytes
+        self.stats.evictions += 1
+        self.stats.bytes_evicted += entry.nbytes
+        if view is not None:
+            view.stats.evictions += 1
+            view.stats.bytes_evicted += entry.nbytes
         self.policy.on_remove(victim)
         return True
 
@@ -671,21 +723,30 @@ class CachingService(Generic[K, V]):
 class PinScope(Generic[K, V]):
     """Context-managed pin guard over one :class:`CachingService`.
 
-    Every pin acquired *through the scope* — :meth:`pin`, or a
-    :meth:`put` with ``pin=True`` that actually inserted — is recorded,
-    and any still-held pin is released when the scope closes, however it
-    closes.  Code may release early with :meth:`release` (the normal
-    after-probe unpin); the exit path then has nothing left to do.
+    Every pin acquired *through the scope* — a hit of :meth:`acquire`,
+    :meth:`pin`, or a :meth:`put` with ``pin=True`` that actually
+    inserted — is recorded, and any still-held pin is released when the
+    scope closes, however it closes.  Code may release early with
+    :meth:`release` (the normal after-probe unpin); the exit path then
+    has nothing left to do.
 
     The scope holds only pins it acquired, so independent queries can
     each run their own scopes against the same shared cache without
-    stealing each other's pins.
+    stealing each other's pins.  A scope opened on a
+    :class:`QueryCacheView` keeps the shared cache and the view apart:
+    its lookups and inserts are attributed to the view, its pins and
+    unpins go to the shared cache directly.
     """
 
-    __slots__ = ("_cache", "_held", "_closed")
+    __slots__ = ("_cache", "_view", "_held", "_closed")
 
-    def __init__(self, cache: CachingService[K, V]) -> None:
+    def __init__(
+        self,
+        cache: CachingService[K, V],
+        view: Optional[QueryCacheView[K, V]] = None,
+    ) -> None:
         self._cache = cache
+        self._view = view
         self._held: List[K] = []
         self._closed = False
 
@@ -699,6 +760,14 @@ class PinScope(Generic[K, V]):
     @property
     def held(self) -> Tuple[K, ...]:
         return tuple(self._held)
+
+    def acquire(self, key: K) -> Optional[V]:
+        """:meth:`CachingService.acquire`: the value, pinned and tracked
+        by this scope, or ``None`` on a miss (nothing pinned)."""
+        value = self._cache.acquire(key, self._view)
+        if value is not None:
+            self._held.append(key)
+        return value
 
     def pin(self, key: K) -> None:
         """Pin ``key`` on the underlying cache, tracked by this scope."""
@@ -716,9 +785,7 @@ class PinScope(Generic[K, V]):
     ) -> bool:
         """Forwarding :meth:`CachingService.put`; a successful pinned
         insert is tracked exactly like an explicit :meth:`pin`."""
-        ok = self._cache.put(
-            key, value, nbytes, pin=pin, source=source, origin=origin
-        )
+        ok = self._cache.put(key, value, nbytes, pin, source, origin, self._view)
         if ok and pin:
             self._held.append(key)
         return ok
@@ -755,9 +822,12 @@ class QueryCacheView(Generic[K, V]):
     (and, through the server's submit records, per tenant).
 
     Only stats are virtualised; entries, budgets and pins are the shared
-    cache's own (that sharing is the point of a view server), so every
-    other attribute is the shared cache's.
+    cache's own (that sharing is the point of a view server).  A view
+    offers exactly the operations a query's execution uses, each written
+    out below; anything else is read off :attr:`shared`.
     """
+
+    __slots__ = ("shared", "qid", "stats")
 
     def __init__(
         self, shared: CachingService[K, V], qid: Optional[int] = None
@@ -766,17 +836,33 @@ class QueryCacheView(Generic[K, V]):
         self.qid = qid
         self.stats = CacheStats()
 
-    def __getattr__(self, name: str):
-        return getattr(self.shared, name)
-
     def __contains__(self, key: K) -> bool:
         return key in self.shared
 
     def __len__(self) -> int:
         return len(self.shared)
 
+    @property
+    def used_bytes(self) -> int:
+        return self.shared.used_bytes
+
+    def subscribe(self, fn) -> None:
+        self.shared.subscribe(fn)
+
     def get(self, key: K) -> Optional[V]:
         return self.shared.get(key, self)
+
+    def acquire(self, key: K) -> Optional[V]:
+        return self.shared.acquire(key, self)
+
+    def pin(self, key: K) -> None:
+        self.shared.pin(key)
+
+    def unpin(self, key: K) -> None:
+        self.shared.unpin(key)
+
+    def remove(self, key: K) -> bool:
+        return self.shared.remove(key)
 
     def put(
         self,
@@ -789,13 +875,25 @@ class QueryCacheView(Generic[K, V]):
     ) -> bool:
         return self.shared.put(key, value, nbytes, pin, source, origin, self)
 
+    def has_prefetched(self, key: K) -> bool:
+        return self.shared.has_prefetched(key)
+
+    def prefetch_begin(self, key: K, nbytes: int) -> bool:
+        return self.shared.prefetch_begin(key, nbytes)
+
     def prefetch_complete(self, key: K, value: V) -> None:
         self.shared.prefetch_complete(key, value, self)
+
+    def prefetch_cancel(self, key: K) -> None:
+        self.shared.prefetch_cancel(key)
+
+    def take_prefetched(self, key: K) -> Optional[V]:
+        return self.shared.take_prefetched(key)
 
     def invalidate_from(self, source: int) -> int:
         return self.shared.invalidate_from(source, self)
 
     def pin_scope(self) -> PinScope[K, V]:
-        """A pin scope over *this view*, so its pinned inserts are
-        attributed like the view's own."""
-        return PinScope(self)
+        """A pin scope over the shared cache that attributes its lookups
+        and pinned inserts to *this view*."""
+        return PinScope(self.shared, self)

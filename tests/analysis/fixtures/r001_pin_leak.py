@@ -19,6 +19,27 @@ def pin_never_released(make_cache, sid):
     return cache
 
 
+def acquire_across_yield(engine, make_cache, sid):
+    # a hit of acquire is a pin, held here across the suspension
+    cache = make_cache()
+    entry = cache.acquire(sid)  # expect: R001
+    yield engine.timeout(1.0)
+    cache.unpin(sid)
+    return entry
+
+
+def _fetch_into(scope, sid):
+    return scope.acquire(sid)
+
+
+def helper_pins_an_unscoped_argument(engine, make_cache, sid):
+    # the helper pins through its parameter: the caller's argument owes it
+    cache = make_cache()
+    entry = _fetch_into(cache, sid)  # expect: R001
+    yield engine.timeout(1.0)
+    return entry
+
+
 def staging_unguarded(engine, cluster, cache, node, j, sid, size):
     if not cache.prefetch_begin(sid, size):  # expect: R001
         return
@@ -40,6 +61,21 @@ def pin_scope_ok(engine, cache, sid):
     with cache.pin_scope() as scope:
         scope.pin(sid)
         yield engine.timeout(1.0)
+
+
+def acquire_scope_ok(engine, cache, sid):
+    # a scope's acquire records the hit's pin for release on every exit
+    with cache.pin_scope() as scope:
+        entry = scope.acquire(sid)
+        yield engine.timeout(1.0)
+    return entry
+
+
+def helper_pins_a_scoped_argument_ok(engine, cache, sid):
+    with cache.pin_scope() as scope:
+        entry = _fetch_into(scope, sid)
+        yield engine.timeout(1.0)
+    return entry
 
 
 def pin_finally_ok(engine, make_cache, sid):

@@ -2,10 +2,13 @@
 and the acceptance scenario — a seeded wall-clock read must be named with
 its rule id and line number."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.analysis import lint_source
 
@@ -47,15 +50,28 @@ def test_disable_inside_string_literal_is_ignored():
 # -- module entry point --------------------------------------------------------------
 
 
-def test_src_tree_is_clean():
-    proc = run_linter("src")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == ""
+@pytest.fixture(scope="module")
+def src_lint():
+    """One whole-``src`` pass for every test that lints it: JSON
+    diagnostics, then the zero-suppression check."""
+    return run_linter("--format", "json", "--no-suppressions", "src")
 
 
-def test_src_and_tests_are_clean():
-    proc = run_linter("src", "tests")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+@pytest.fixture(scope="module")
+def tree_lint():
+    """One pass over ``src`` and ``tests`` together."""
+    return run_linter("src", "tests")
+
+
+def test_src_tree_is_clean(src_lint):
+    assert src_lint.returncode == 0, src_lint.stdout + src_lint.stderr
+    # nothing but the empty diagnostic list: no violation, no suppression
+    assert json.loads(src_lint.stdout) == []
+    assert src_lint.stderr == ""
+
+
+def test_src_and_tests_are_clean(tree_lint):
+    assert tree_lint.returncode == 0, tree_lint.stdout + tree_lint.stderr
 
 
 def test_list_rules_prints_catalogue():
@@ -130,8 +146,6 @@ def bad_file(tmp_path):
 
 
 def test_json_format_is_machine_readable(tmp_path):
-    import json
-
     target = bad_file(tmp_path)
     proc = run_linter("--format", "json", str(target))
     assert proc.returncode == 1
@@ -142,12 +156,9 @@ def test_json_format_is_machine_readable(tmp_path):
     assert "unwind" in report[0]["message"]
 
 
-def test_json_format_clean_tree_is_empty_list():
-    proc = run_linter("--format", "json", "src")
-    assert proc.returncode == 0
-    import json
-
-    assert json.loads(proc.stdout) == []
+def test_json_format_clean_tree_is_empty_list(src_lint):
+    assert src_lint.returncode == 0
+    assert json.loads(src_lint.stdout) == []
 
 
 def test_github_format_emits_error_annotations(tmp_path):
@@ -184,7 +195,7 @@ def test_no_suppressions_passes_on_directive_free_tree(tmp_path):
     assert proc.returncode == 0
 
 
-def test_src_tree_has_zero_suppressions():
+def test_src_tree_has_zero_suppressions(src_lint):
     # the enforced policy: no `# simlint: disable=` anywhere under src/
-    proc = run_linter("--no-suppressions", "src")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert src_lint.returncode == 0, src_lint.stdout + src_lint.stderr
+    assert "suppression" not in src_lint.stdout + src_lint.stderr

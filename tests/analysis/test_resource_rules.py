@@ -115,6 +115,24 @@ def test_summaries_expose_pin_facts():
     assert summary.acquires_via_params == {0}
 
 
+def test_summaries_count_an_acquire_hit_as_a_pin():
+    tree = ast.parse("def helper(scope, sid):\n    return scope.acquire(sid)\n")
+    assert summarize_module(tree).get("helper").acquires_via_params == {0}
+
+
+def test_helper_pin_through_callers_own_parameter_is_exempt():
+    # the caller was handed the scope too: its owner answers for the pin
+    source = (
+        "def _fetch(scope, sid):\n"
+        "    return scope.acquire(sid)\n"
+        "\n"
+        "def probe(engine, scope, sid):\n"
+        "    _fetch(scope, sid)\n"
+        "    yield engine.timeout(1.0)\n"
+    )
+    assert rules_of(source) == []
+
+
 def test_summaries_close_transfer_yields_transitively():
     tree = ast.parse(
         "def outer(cluster, node, j, size):\n"

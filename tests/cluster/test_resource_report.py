@@ -38,7 +38,7 @@ class TestResourceReport:
             yield sim.read_and_send(0, 0, 1000)
             yield sim.scratch_write(0, 500)
             yield sim.scratch_read(0, 500)
-            yield sim.joiner(0).compute(0.01)
+            yield sim.joiner(0).cpu.reserve_time(0.01)
 
         return proc()
 
