@@ -3,13 +3,13 @@ execution or a query produces?
 
 A refactor of the server, the QES, the query layer or the cluster layer
 claims "byte-identical"; this is how to check it without trusting the
-claim.  A fixed, seeded matrix of cells — ``repro serve``, ``trace`` and
-``run`` command lines, functional QES executions, SQL texts and an
-example, spelled out below, nothing drawn at run time — is run one
+claim.  A fixed, seeded matrix of cells — ``repro serve``, ``trace``,
+``run`` and ``sweep`` command lines, functional QES executions, SQL texts
+and an example, spelled out below, nothing drawn at run time — is run one
 subprocess per cell, each in an empty scratch directory, and a *manifest*
 records per cell the exit status and the SHA-256 of stdout, stderr and
 every file the cell wrote (``--json-out`` always, ``--oplog-out`` on
-observed cells, the Chrome traces of ``trace`` and ``run``).  Two
+observed cells, the Chrome traces of ``trace``, ``run`` and ``sweep``).  Two
 manifests are compared with ``diff``::
 
     python benchmarks/fence.py manifest --slice serve --src PARENT/src > a.json
@@ -65,6 +65,12 @@ trees.  Slices:
     pipelined); and ``examples/cluster_trace.py``'s Gantt charts, run from
     beside the ``--src`` tree so each tree runs its own copy.  CI diffs it
     against ``benchmarks/baselines/FENCE_trace.json``.
+``sweep``
+    22 cells, ~20 s: the paper's figure sweeps as ``repro sweep`` prints
+    them.  Each of the six axes synchronous, ``--pipeline`` and
+    ``--sanitize``; the three cheapest axes with ``--trace-out`` (hashing
+    every point's Chrome traces), and one of them pipelined as well.  CI
+    diffs it against ``benchmarks/baselines/FENCE_sweep.json``.
 
 A manifest holds no path, time or host detail: the same tree gives the
 same bytes anywhere.
@@ -185,6 +191,18 @@ TRACE_FAULTS = {
 }
 TRACE_EXAMPLE = "cluster_trace.py"
 
+# -- the sweep matrix: 6 axes x 3 flag sets, 4 traced cells --------------------
+
+SWEEP_AXES = ("ne-cs", "compute-nodes", "tuples", "attributes", "cpu", "nfs")
+SWEEP_FLAGS = {"sync": [], "pipe": ["--pipeline"], "sanitize": ["--sanitize"]}
+#: traced cells write two Chrome traces per point: only the small sweeps
+SWEEP_TRACED = {
+    ("compute-nodes", "trace"): ["--trace-out", "s.json"],
+    ("attributes", "trace"): ["--trace-out", "s.json"],
+    ("nfs", "trace"): ["--trace-out", "s.json"],
+    ("nfs", "pipe-trace"): ["--pipeline", "--trace-out", "s.json"],
+}
+
 # -- the sql matrix: one cell per SQL text -------------------------------------
 
 SQL_GRID = ((16, 16, 16), (8, 8, 8), (4, 4, 4))
@@ -255,6 +273,15 @@ def cells(slice_name: str, src: str = DEFAULT_SRC) -> List[Tuple[str, List[str]]
             os.path.join(os.path.dirname(os.path.abspath(src)), "examples", TRACE_EXAMPLE)
         ]
         return sorted(out.items())
+    if slice_name == "sweep":
+        sweeps = {
+            (axis, mode): flags for axis in SWEEP_AXES for mode, flags in SWEEP_FLAGS.items()
+        }
+        sweeps.update(SWEEP_TRACED)
+        return sorted(
+            (f"sweep/{axis}/{mode}", ["-m", "repro", "sweep", axis, *flags])
+            for (axis, mode), flags in sweeps.items()
+        )
     if slice_name == "sql":
         return sorted((f"sql/{name}", [__file__, "sql-cell", name]) for name in SQL_CELLS)
     if slice_name == "qes":
@@ -441,7 +468,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_man = sub.add_parser("manifest", help="run a slice, print its manifest")
     p_man.add_argument(
-        "--slice", choices=("smoke", "serve", "qes", "sql", "trace"), default="serve"
+        "--slice", choices=("smoke", "serve", "qes", "sql", "trace", "sweep"),
+        default="serve",
     )
     p_man.add_argument("--src", default=DEFAULT_SRC, metavar="DIR",
                        help="src/ directory to import repro from")

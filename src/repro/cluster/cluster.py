@@ -135,6 +135,21 @@ class ClusterSim:
             )
             for j in range(topology.num_compute)
         ]
+        # the devices each reservation holds, built once: a storage node's
+        # disk and the (storage, compute) wire, and each joiner's NIC and
+        # scratch disk.  Faults scale ``bandwidth`` in place and every
+        # reservation reads it then, so the lists are never stale
+        self._routes: List[List[List[BandwidthResource]]] = [
+            [
+                [s.disk] + self.fabric.transfer_resources(s.fabric_id, c.fabric_id)
+                for c in self.compute_nodes
+            ]
+            for s in self.storage_nodes
+        ]
+        self._ingest: List[List[BandwidthResource]] = [
+            [self.fabric.nic(c.fabric_id), c.scratch] if c.has_local_disk else []
+            for c in self.compute_nodes
+        ]
         self.faults = None
         if faults is not None:
             from repro.faults import FaultInjector, FaultPlan
@@ -211,14 +226,13 @@ class ClusterSim:
         engine, faults = self.engine, self.faults
         read = faults.check_storage(storage) if faults is not None else None
         if read is None:
-            s = self.storage_nodes[storage]
-            c = self.compute_nodes[compute]
+            route = self._routes[storage][compute]
             if engine._subscribers:
-                engine._emit("transfer", s.fabric_id, c.fabric_id, nbytes)
-            resources = [s.disk] + self.fabric.transfer_resources(
-                s.fabric_id, c.fabric_id
-            )
-            read = BandwidthResource.reserve_pipeline(resources, nbytes)
+                engine._emit(
+                    "transfer", self.storage_nodes[storage].fabric_id,
+                    self.compute_nodes[compute].fabric_id, nbytes,
+                )
+            read = BandwidthResource.reserve_pipeline(route, nbytes)
             if faults is not None:
                 read = faults.guard_transfer(read, storage)
         if engine._subscribers:
@@ -244,8 +258,7 @@ class ClusterSim:
         if not c.has_local_disk:
             return self._nfs_scratch(c, nbytes, write=True)
         seconds = c.spec.disk_latency + nbytes / c.spec.disk_write_bw
-        resources = [self.fabric.nic(c.fabric_id), c.scratch]
-        return BandwidthResource.reserve_joint_seconds(resources, seconds, nbytes)
+        return BandwidthResource.reserve_joint_seconds(self._ingest[compute], seconds, nbytes)
 
     def scratch_write(self, compute: int, nbytes: int) -> Event:
         """Write ``nbytes`` of bucket data from compute node ``compute``.

@@ -15,6 +15,7 @@ measuring α on the real machine and plugging it into the model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -48,13 +49,17 @@ class MachineSpec:
     net_latency: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN passes every ``<=``/``<`` test, and an infinite rate, factor
+        # or cost makes simulated times zero or infinite
         for name in ("disk_read_bw", "disk_write_bw", "link_bw", "cpu_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("alpha_build", "alpha_lookup", "disk_latency", "net_latency"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.memory_bytes <= 0:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+        if not self.memory_bytes > 0:
             raise ValueError("memory_bytes must be positive")
 
     # -- effective CPU costs ----------------------------------------------------

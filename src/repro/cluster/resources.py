@@ -67,9 +67,10 @@ class BandwidthResource:
         latency: float = 0.0,
         name: str = "",
     ):
-        if bandwidth <= 0:
+        # ``not >``/``not >=``: NaN fails every comparison, so these refuse it
+        if not bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        if latency < 0:
+        if not latency >= 0:
             raise ValueError(f"latency must be >= 0, got {latency}")
         self.engine = engine
         self.bandwidth = float(bandwidth)
@@ -88,13 +89,15 @@ class BandwidthResource:
 
         Returns a timeout that fires when the request completes.
         """
-        if nbytes < 0:
+        if not nbytes >= 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         return self._reserve_seconds(self.service_time(nbytes), nbytes)
 
     def reserve_time(self, seconds: float) -> Timeout:
         """Reserve the resource for a raw duration (CPU work)."""
-        if seconds < 0:
+        # a NaN duration would make busy_until NaN, and max(now, NaN) is
+        # now: the next request would find the FIFO queue empty
+        if not seconds >= 0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
         return self._reserve_seconds(seconds, 0)
 
@@ -105,24 +108,26 @@ class BandwidthResource:
         (IDE disks read faster than they write) while remaining one serial
         FIFO device.
         """
-        if nbytes < 0:
+        if not nbytes >= 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if bandwidth <= 0:
+        if not bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         return self._reserve_seconds(self.latency + nbytes / bandwidth, nbytes)
 
     def _reserve_seconds(self, service: float, nbytes: int) -> Timeout:
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         start = max(now, self._busy_until)
         completion = start + service
         self._busy_until = completion
-        self.stats.busy_time += service
-        self.stats.bytes_served += nbytes
-        self.stats.num_requests += 1
-        self.stats.last_completion = completion
-        if self.engine._subscribers:
-            self.engine._emit("reserve", self.name, now, start, completion, nbytes)
-        return self.engine.timeout(completion - now)
+        stats = self.stats
+        stats.busy_time += service
+        stats.bytes_served += nbytes
+        stats.num_requests += 1
+        stats.last_completion = completion
+        if engine._subscribers:
+            engine._emit("reserve", self.name, now, start, completion, nbytes)
+        return Timeout(engine, completion - now)
 
     # -- coordinated multi-resource reservation ------------------------------------
 
@@ -153,23 +158,28 @@ class BandwidthResource:
         """
         if not resources:
             raise ValueError("need at least one resource")
-        if nbytes < 0:
+        if not nbytes >= 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         engine = resources[0].engine
-        now = engine.now
-        start = max([now] + [r._busy_until for r in resources])
-        completion = start
+        now = start = engine.now
         for r in resources:
-            service = r.service_time(nbytes)
-            r._busy_until = start + service
-            r.stats.busy_time += service
-            r.stats.bytes_served += nbytes
-            r.stats.num_requests += 1
-            r.stats.last_completion = r._busy_until
-            completion = max(completion, r._busy_until)
-            if engine._subscribers:
-                engine._emit("reserve", r.name, now, start, r._busy_until, nbytes)
-        return engine.timeout(completion - now)
+            if r._busy_until > start:
+                start = r._busy_until
+        completion = start
+        emit = engine._subscribers
+        for r in resources:
+            service = r.latency + nbytes / r.bandwidth
+            end = r._busy_until = start + service
+            stats = r.stats
+            stats.busy_time += service
+            stats.bytes_served += nbytes
+            stats.num_requests += 1
+            stats.last_completion = end
+            if end > completion:
+                completion = end
+            if emit:
+                engine._emit("reserve", r.name, now, start, end, nbytes)
+        return Timeout(engine, completion - now)
 
     @staticmethod
     def reserve_joint_seconds(
@@ -184,21 +194,25 @@ class BandwidthResource:
         """
         if not resources:
             raise ValueError("need at least one resource")
-        if seconds < 0:
+        if not seconds >= 0:
             raise ValueError("seconds must be >= 0")
         engine = resources[0].engine
-        now = engine.now
-        start = max([now] + [r._busy_until for r in resources])
+        now = start = engine.now
+        for r in resources:
+            if r._busy_until > start:
+                start = r._busy_until
         completion = start + seconds
+        emit = engine._subscribers
         for r in resources:
             r._busy_until = completion
-            r.stats.busy_time += seconds
-            r.stats.bytes_served += nbytes
-            r.stats.num_requests += 1
-            r.stats.last_completion = completion
-            if engine._subscribers:
+            stats = r.stats
+            stats.busy_time += seconds
+            stats.bytes_served += nbytes
+            stats.num_requests += 1
+            stats.last_completion = completion
+            if emit:
                 engine._emit("reserve", r.name, now, start, completion, nbytes)
-        return engine.timeout(completion - now)
+        return Timeout(engine, completion - now)
 
     def __repr__(self) -> str:
         return (

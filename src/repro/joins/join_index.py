@@ -7,8 +7,9 @@ the attribute, only these page pairs are checked for matches." (Section 4.1)
 
 Basic sub-tables play the role of pages; *candidate pairs* are sub-tables
 whose bounding boxes overlap on the join attributes.  The index is built
-with an R-tree over the left table's chunk boxes (one range query per right
-chunk) and held as two int arrays of endpoint ordinals; connected
+by one sort-and-sweep over both tables' chunk boxes (the box join by
+sorting of "Faster Relational Algorithms Using Geometric Data
+Structures") and held as two int arrays of endpoint ordinals; connected
 components are a union-find label pass over those ints — "independent
 components of this graph are identified" (Section 5.1), the unit the
 two-stage scheduler deals out to compute nodes.
@@ -29,7 +30,6 @@ import numpy as np
 from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.chunk import ChunkDescriptor
 from repro.datamodel.subtable import SubTableId
-from repro.metadata.rtree import RTree
 
 __all__ = ["PageJoinIndex", "Component", "ConnectivityStats", "build_join_index"]
 
@@ -99,20 +99,40 @@ class PageJoinIndex:
         on: Tuple[str, ...],
         pairs: Iterable[Tuple[SubTableId, SubTableId]],
     ):
+        pairs = list(pairs)
+        left_ids, li = _ordinals([l for l, _ in pairs])
+        right_ids, ri = _ordinals([r for _, r in pairs])
+        order = np.lexsort((ri, li))
+        self._init(left_table, right_table, on, left_ids, right_ids, li[order], ri[order])
+
+    @classmethod
+    def from_ordinals(
+        cls,
+        left_table: int,
+        right_table: int,
+        on: Tuple[str, ...],
+        left_ids: List[SubTableId],
+        right_ids: List[SubTableId],
+        li: np.ndarray,
+        ri: np.ndarray,
+    ) -> "PageJoinIndex":
+        """An index over two sorted id lists, its pairs given as endpoint
+        ordinals into them, already lexicographic by ``(li, ri)``."""
+        index = cls.__new__(cls)
+        index._init(left_table, right_table, on, left_ids, right_ids, li, ri)
+        return index
+
+    def _init(self, left_table, right_table, on, left_ids, right_ids, li, ri) -> None:
         self.left_table = left_table
         self.right_table = right_table
         self.on = tuple(on)
-        pairs = list(pairs)
-        # sorted id lists (a superset of the endpoints after a select) and
-        # each id's ordinal in them
-        self._left_ids: List[SubTableId] = sorted({l for l, _ in pairs})
-        self._right_ids: List[SubTableId] = sorted({r for _, r in pairs})
-        self._left_pos = {sid: k for k, sid in enumerate(self._left_ids)}
-        self._right_pos = {sid: k for k, sid in enumerate(self._right_ids)}
-        li = np.fromiter((self._left_pos[l] for l, _ in pairs), np.intp, len(pairs))
-        ri = np.fromiter((self._right_pos[r] for _, r in pairs), np.intp, len(pairs))
-        order = np.lexsort((ri, li))
-        self._set_pairs(li[order], ri[order])
+        # sorted id lists (a superset of the endpoints) and each id's
+        # ordinal in them
+        self._left_ids: List[SubTableId] = left_ids
+        self._right_ids: List[SubTableId] = right_ids
+        self._left_pos = {sid: k for k, sid in enumerate(left_ids)}
+        self._right_pos = {sid: k for k, sid in enumerate(right_ids)}
+        self._set_pairs(li, ri)
 
     def _set_pairs(self, li: np.ndarray, ri: np.ndarray) -> None:
         # endpoint ordinals of every pair, lexicographic by (li, ri)
@@ -269,6 +289,20 @@ class PageJoinIndex:
         )
 
 
+def _ordinals(ids: Sequence[SubTableId]) -> Tuple[List[SubTableId], np.ndarray]:
+    """The distinct ``ids`` sorted, and each given id's ordinal in them."""
+    distinct = sorted(set(ids))
+    pos = {sid: k for k, sid in enumerate(distinct)}
+    return distinct, np.fromiter((pos[sid] for sid in ids), np.intp, len(ids))
+
+
+def _boxes(chunks: Sequence[ChunkDescriptor], on: Tuple[str, ...]) -> np.ndarray:
+    """Each chunk's box on ``on`` as ``[k, 0]`` lower and ``[k, 1]`` upper
+    bounds (``-inf``/``inf`` where the box does not mention an attribute)."""
+    flat = np.array([c.bbox.bounds(on) for c in chunks], dtype=np.float64)
+    return flat.reshape(len(chunks), 2, len(on))
+
+
 def build_join_index(
     left_chunks: Sequence[ChunkDescriptor],
     right_chunks: Sequence[ChunkDescriptor],
@@ -277,7 +311,13 @@ def build_join_index(
     """Construct the connectivity graph from chunk metadata.
 
     Candidate pairs are chunks whose bounding boxes overlap on every join
-    attribute.  A view's WHERE range prunes the built index
+    attribute, as closed intervals (:meth:`Interval.overlaps`).  One
+    sort-and-sweep finds them: the lefts sorted by lower bound on the first
+    join attribute, beside the running maximum of their upper bounds, give
+    each right chunk a window of sorted positions by two binary searches —
+    no left outside it can overlap — and one vectorised filter over every
+    join attribute keeps the windows' overlapping pairs.  Memory is the
+    candidate count.  A view's WHERE range prunes the built index
     (:meth:`PageJoinIndex.restrict`).  The index keeps its pairs in
     lexicographic ``(left id, right id)`` order.
     """
@@ -287,12 +327,24 @@ def build_join_index(
 
     left_table = left_chunks[0].table_id if left_chunks else -1
     right_table = right_chunks[0].table_id if right_chunks else -1
+    left_ids, left_rank = _ordinals([c.id for c in left_chunks])
+    right_ids, right_rank = _ordinals([c.id for c in right_chunks])
+    left, right = _boxes(left_chunks, on), _boxes(right_chunks, on)
 
-    pairs: List[Tuple[SubTableId, SubTableId]] = []
-    if left_chunks and right_chunks:
-        tree = RTree(ndim=len(on), max_entries=16)
-        for c in left_chunks:
-            tree.insert(c.bbox.bounds(on), c)
-        for rc in right_chunks:
-            pairs.extend((lc.id, rc.id) for lc in tree.search(rc.bbox.bounds(on)))
-    return PageJoinIndex(left_table, right_table, on, pairs)
+    by_low = np.argsort(left[:, 0, 0], kind="stable")
+    lows = left[by_low, 0, 0]
+    reach = np.maximum.accumulate(left[by_low, 1, 0])
+    # the window of right k: from the first sorted left whose reach meets
+    # its lower bound, to the last whose lower bound is within its upper
+    first = np.searchsorted(reach, right[:, 0, 0], side="left")
+    stop = np.searchsorted(lows, right[:, 1, 0], side="right")
+    counts = np.maximum(stop - first, 0)
+    r = np.repeat(np.arange(len(right_chunks)), counts)
+    window_start = np.cumsum(counts) - counts
+    l = by_low[np.arange(len(r)) - np.repeat(window_start - first, counts)]
+    overlap = np.all((left[l, 0] <= right[r, 1]) & (right[r, 0] <= left[l, 1]), axis=1)
+    li, ri = left_rank[l[overlap]], right_rank[r[overlap]]
+    order = np.lexsort((ri, li))
+    return PageJoinIndex.from_ordinals(
+        left_table, right_table, on, left_ids, right_ids, li[order], ri[order]
+    )

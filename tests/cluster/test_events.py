@@ -41,6 +41,16 @@ class TestTimeout:
         with pytest.raises(ValueError):
             eng.timeout(-1.0)
 
+    def test_nan_delay_rejected(self):
+        """A NaN timeout would set the clock to NaN, and the next event
+        would move it backwards from there."""
+        eng = SimEngine()
+        with pytest.raises(ValueError):
+            eng.timeout(float("nan"))
+        with pytest.raises(ValueError):
+            eng.fail_after(float("nan"), RuntimeError("never"))
+        assert eng.run() == 0.0 and eng._queue == []
+
 
 class TestProcess:
     def test_process_return_value(self):

@@ -38,6 +38,20 @@ class TestMachineSpec:
             MachineSpec(alpha_build=-1e-9)
         with pytest.raises(ValueError):
             MachineSpec(memory_bytes=0)
+        with pytest.raises(ValueError):
+            MachineSpec(memory_bytes=float("nan"))
+
+    @pytest.mark.parametrize("field", [
+        "disk_read_bw", "disk_write_bw", "link_bw", "cpu_factor",
+        "alpha_build", "alpha_lookup", "disk_latency", "net_latency",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nan_and_infinity_rejected(self, field, value):
+        """NaN passes every ``<=`` test, and an infinite rate, factor or
+        cost makes simulated times zero or infinite: both are refused by
+        name."""
+        with pytest.raises(ValueError, match=field):
+            MachineSpec(**{field: value})
 
 
 class TestSwitchedFabric:

@@ -83,6 +83,44 @@ class TestBasicReservation:
         with pytest.raises(ValueError):
             r.reserve_at_rate(1, 0)
 
+    def test_nan_refused_everywhere(self):
+        nan = float("nan")
+        eng = SimEngine()
+        with pytest.raises(ValueError):
+            BandwidthResource(eng, bandwidth=nan)
+        with pytest.raises(ValueError):
+            BandwidthResource(eng, bandwidth=1, latency=nan)
+        r = BandwidthResource(eng, bandwidth=1)
+        for reserve in (r.reserve, r.reserve_time, lambda x: r.reserve_at_rate(1, x),
+                        lambda x: BandwidthResource.reserve_pipeline([r], x),
+                        lambda x: BandwidthResource.reserve_joint_seconds([r], x)):
+            with pytest.raises(ValueError):
+                reserve(nan)
+        assert r.stats.num_requests == 0
+
+    def test_nan_duration_does_not_empty_the_queue(self):
+        """A NaN reservation would leave ``busy_until`` NaN, and
+        ``max(now, NaN)`` is ``now``: the next request would start at once
+        instead of queueing behind the first."""
+        eng = SimEngine()
+        cpu = BandwidthResource(eng, bandwidth=1.0)
+        done = []
+
+        def proc():
+            yield cpu.reserve_time(2.0)
+            done.append(eng.now)
+
+        def poisoner():
+            with pytest.raises(ValueError):
+                cpu.reserve_time(float("nan"))
+            yield cpu.reserve_time(1.0)
+            done.append(eng.now)
+
+        eng.process(proc())
+        eng.process(poisoner())
+        eng.run()
+        assert done == [2.0, 3.0]
+
     def test_stats_accumulate(self):
         eng = SimEngine()
         r = BandwidthResource(eng, bandwidth=10.0)

@@ -160,27 +160,30 @@ class TestIndexMechanics:
         assert idx_xyz.num_edges == 2
 
 
-# -- irregular partitions: the R-tree path against the all-pairs oracle ---------
+# -- irregular partitions: the sweep against the all-pairs oracle ---------------
 
 INF = float("inf")
 
 
-def irregular_chunks(rng, table_id, n):
-    """``n`` chunks with integer-lattice boxes over (x, y, z): boxes touch,
-    repeat, degenerate to points, leave attributes out (unbounded) and
-    carry half-infinite bounds."""
+def irregular_chunks(rng, table_id, n, span=6):
+    """``n`` chunks with integer-lattice boxes over (x, y, z) in
+    ``[-span, span + 3]``: boxes touch, repeat, degenerate to points, leave
+    attributes out (unbounded), carry half-infinite bounds and sit wholly
+    at one infinity."""
     chunks = []
     for cid in range(n):
         bounds = {}
         for name in ("x", "y", "z"):
             if rng.random() < 0.15:
                 continue  # absent attribute: [-inf, +inf]
-            lo = float(rng.integers(-6, 7))
+            lo = float(rng.integers(-span, span + 1))
             hi = lo + float(rng.integers(0, 4))
             if rng.random() < 0.1:
                 lo = -INF
             if rng.random() < 0.1:
                 hi = INF
+            if rng.random() < 0.03:
+                lo = hi = INF if rng.random() < 0.5 else -INF  # a point at infinity
             bounds[name] = (lo, hi)
         chunks.append(
             ChunkDescriptor(
@@ -222,6 +225,88 @@ def test_build_equals_all_pairs_oracle(n_left, n_right, on, constrained, seed):
     )
     assert idx.pairs == expected
     assert idx.on == on
+
+
+def oracle_pairs(left, right, on):
+    """Every overlapping pair, by ``BoundingBox.overlaps``, in
+    lexicographic ``(left id, right id)`` order."""
+    return sorted(
+        (lc.id, rc.id) for lc in left for rc in right if lc.bbox.overlaps(rc.bbox, on=on)
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n_left=st.integers(65, 160),
+    n_right=st.integers(65, 160),
+    span=st.sampled_from([6, 40]),
+    on=st.sampled_from([("x",), ("z", "x"), ("x", "y", "z")]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_over_tables_above_64_chunks_equals_the_oracle(n_left, n_right, span, on, seed):
+    """Tables past the draws' 64-chunk cap, in ids shuffled against box
+    order; the join attributes in any order (the sweep sorts on the first)."""
+    rng = np.random.default_rng(seed)
+    left = irregular_chunks(rng, 1, n_left, span)
+    right = irregular_chunks(rng, 2, n_right, span)
+    rng.shuffle(left)
+    rng.shuffle(right)
+    idx = build_join_index(left, right, on=on)
+    assert idx.pairs == oracle_pairs(left, right, on)
+    assert all(a < b for a, b in zip(idx.pairs, idx.pairs[1:]))
+
+
+def test_infinite_and_touching_bounds_answer_as_interval_overlaps():
+    def chunk(table_id, cid, lo, hi):
+        return ChunkDescriptor(
+            id=SubTableId(table_id, cid),
+            ref=ChunkRef(storage_node=0, path="t.dat", offset=cid, size=1),
+            attributes=("x",), extractors=("e",),
+            bbox=BoundingBox({"x": (lo, hi)}), num_records=1,
+        )
+
+    spans = [(-INF, -INF), (-INF, 0.0), (0.0, 0.0), (0.0, 1.0), (1.0, 2.0),
+             (2.0, INF), (INF, INF), (-INF, INF), (3.0, 3.0)]
+    left = [chunk(1, k, lo, hi) for k, (lo, hi) in enumerate(spans)]
+    right = [chunk(2, k, lo, hi) for k, (lo, hi) in enumerate(reversed(spans))]
+    idx = build_join_index(left, right, on=("x",))
+    assert idx.pairs == oracle_pairs(left, right, ("x",))
+    pairs = {(l.chunk_id, r.chunk_id) for l, r in idx.pairs}
+    at = {span: k for k, span in enumerate(reversed(spans))}
+    assert (0, at[(-INF, -INF)]) in pairs and (0, at[(-INF, 0.0)]) in pairs
+    assert (6, at[(INF, INF)]) in pairs and (6, at[(2.0, INF)]) in pairs
+    assert (6, at[(3.0, 3.0)]) not in pairs and (0, at[(0.0, 0.0)]) not in pairs
+    assert (3, at[(1.0, 2.0)]) in pairs  # [0, 1] touches [1, 2]
+    assert (2, at[(0.0, 0.0)]) in pairs  # a point meets itself
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_one_empty_side_has_no_pairs(side):
+    left, right = chunks_for(GridSpec(g=(8, 8), p=(4, 4), q=(2, 2)))
+    left, right = ([], right) if side == "left" else (left, [])
+    idx = build_join_index(left, right, on=("x", "y"))
+    assert idx.num_edges == 0 and idx.pairs == [] and idx.components() == []
+    assert (idx.left_table, idx.right_table) == (
+        (-1, 2) if side == "left" else (1, -1)
+    )
+    assert idx.stats().num_components == 0
+
+
+def test_the_t_sweep_point_matches_figure_3s_closed_form():
+    """The T-sweep point of the host benchmark: 2,048 x 2,048 chunks of
+    equal partitionings, so every component is one pair (a = b = 1)."""
+    spec = GridSpec(g=(4096, 128, 128), p=(32, 32, 32), q=(32, 32, 32))
+    left, right = chunks_for(spec)
+    assert len(left) == len(right) == spec.m_R == spec.m_S == 2048
+    idx = build_join_index(left, right, on=dim_names(3))
+    assert idx.stats() == ConnectivityStats(
+        num_edges=spec.n_e, num_components=spec.N_C, num_left=2048, num_right=2048,
+        avg_left_degree=1.0, avg_right_degree=1.0, max_component_a=1, max_component_b=1,
+    )
+    assert spec.n_e == spec.N_C == 2048 and (spec.a, spec.b, spec.E_C) == (1, 1, 1)
+    # equal partitionings enumerate their tiles alike: chunk k meets chunk k
+    assert idx.pairs == [(l.id, r.id) for l, r in zip(left, right)]
+    assert idx.pairs == sorted(idx.pairs)
 
 
 # -- the array index against three oracles --------------------------------------

@@ -68,6 +68,18 @@ class TestPlan:
 
 
 class TestRun:
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--grid", "16,16", "--p", "4,4", "--q", "4,4"],
+        ["plan", "--grid", "16,16", "--p", "4,4", "--q", "4,4"],
+        ["sweep", "cpu"],
+    ])
+    def test_cpu_factor_must_be_positive_and_finite(self, capsys, command, value):
+        """Once a NaN factor printed NaN times and exited 0."""
+        assert main(command + ["--cpu-factor", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: cpu_factor must be positive and finite" in err
+
     def test_run_reports_both_algorithms(self, capsys):
         assert main(["run", "--grid", "32,32,32", "--p", "8,8,8",
                      "--q", "8,8,8", "--storage", "2", "--compute", "2"]) == 0

@@ -13,6 +13,7 @@ BASELINE = Path(fence.HERE) / "baselines" / "FENCE_smoke.json"
 QES_BASELINE = Path(fence.HERE) / "baselines" / "FENCE_qes.json"
 SQL_BASELINE = Path(fence.HERE) / "baselines" / "FENCE_sql.json"
 TRACE_BASELINE = Path(fence.HERE) / "baselines" / "FENCE_trace.json"
+SWEEP_BASELINE = Path(fence.HERE) / "baselines" / "FENCE_sweep.json"
 
 
 def test_the_serve_slice_is_102_distinct_cells_and_smoke_six_of_them():
@@ -103,6 +104,24 @@ def test_the_trace_slice_is_committed_and_its_views_reproduce_their_hashes(tmp_p
     assert example == [str(tmp_path / "tree" / "examples" / "cluster_trace.py")]
     for cell in ("trace/p>q/pipe/transient-storage-crash-sanitize", "example/cluster_trace.py"):
         assert fence.run_cell(trace[cell], fence.DEFAULT_SRC) == committed["cells"][cell]
+
+
+def test_the_sweep_slice_is_committed_and_one_cell_reproduces_its_hashes():
+    """Every axis synchronous, pipelined and sanitized, four traced cells.
+    The Figure 9 cell is run here (0.4 s), so a sweep that moves a byte
+    fails tier-1 as well as CI's diff."""
+    sweep = dict(fence.cells("sweep"))
+    assert len(sweep) == 22 == len({tuple(argv) for argv in sweep.values()})
+    for axis in fence.SWEEP_AXES:
+        assert {f"sweep/{axis}/{mode}" for mode in fence.SWEEP_FLAGS} <= set(sweep)
+    committed = json.loads(SWEEP_BASELINE.read_text())
+    assert committed["slice"] == "sweep"
+    assert sorted(committed["cells"]) == sorted(sweep)
+    for cell, hashed in committed["cells"].items():
+        assert hashed["exit"] == 0
+        assert bool(hashed["files"]) == ("--trace-out" in sweep[cell])
+    cell = "sweep/nfs/sync"
+    assert fence.run_cell(sweep[cell], fence.DEFAULT_SRC) == committed["cells"][cell]
 
 
 def test_diff_names_the_cell_and_what_moved_in_it():
