@@ -16,31 +16,23 @@ Two complementary checkers for the simulation stack:
 See ``DESIGN.md`` §7 for the rule catalogue and the invariant list.
 """
 
-from repro.analysis.cfg import CFG, CFGNode, build_cfg
-from repro.analysis.dataflow import solve
 from repro.analysis.diagnostics import Diagnostic, filter_suppressed, suppressions
 from repro.analysis.linter import find_suppressions, lint_paths, lint_source, main
 from repro.analysis.rules import RULES, FileContext, Rule, register
 from repro.analysis.sanitizer import RunSanitizer, SanitizerViolation
-from repro.analysis.summaries import summarize_module
 
 __all__ = [
-    "CFG",
-    "CFGNode",
     "Diagnostic",
     "FileContext",
     "RULES",
     "Rule",
     "RunSanitizer",
     "SanitizerViolation",
-    "build_cfg",
     "filter_suppressed",
     "find_suppressions",
     "lint_paths",
     "lint_source",
     "main",
     "register",
-    "solve",
-    "summarize_module",
     "suppressions",
 ]

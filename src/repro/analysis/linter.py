@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 # importing the rule modules populates the registry
 import repro.analysis.determinism  # noqa: F401
 import repro.analysis.protocol  # noqa: F401
-import repro.analysis.resources  # noqa: F401
 from repro.analysis.diagnostics import Diagnostic, filter_suppressed, suppressions
 from repro.analysis.rules import RULES, FileContext, iter_rules
 

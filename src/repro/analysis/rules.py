@@ -1,8 +1,7 @@
 """Rule framework and shared AST helpers for ``simlint``.
 
 A rule is a class with an ``id`` (``D...`` determinism, ``P...`` engine
-protocol, ``C...`` convention, ``R...`` resource protocol), a human
-``title``, a ``scope`` and a
+protocol, ``C...`` convention), a human ``title``, a ``scope`` and a
 ``check`` method producing :class:`~repro.analysis.diagnostics.Diagnostic`
 objects for one parsed file.  The class docstring *is* the rule's
 documentation — it must state the hazard and show a bad and a good
@@ -23,12 +22,8 @@ Scopes
 Adding a rule
 -------------
 
-1. Subclass :class:`Rule` in :mod:`repro.analysis.determinism` (D rules),
-   :mod:`repro.analysis.protocol` (P/C rules) or
-   :mod:`repro.analysis.resources` (R rules — all-paths properties over
-   the :mod:`repro.analysis.cfg` graph and
-   :mod:`repro.analysis.dataflow` fixpoint, with
-   :mod:`repro.analysis.summaries` call summaries), decorate with
+1. Subclass :class:`Rule` in :mod:`repro.analysis.determinism` (D rules)
+   or :mod:`repro.analysis.protocol` (P/C rules), decorate with
    :func:`register`, and write the docstring with a ``Bad``/``Good``
    pair.
 2. Add a fixture under ``tests/analysis/fixtures/`` whose violating

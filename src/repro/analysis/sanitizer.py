@@ -21,6 +21,9 @@ while a join runs:
 * **no stranded processes** — at the end of a run every spawned process
   has completed (succeeded or failed), i.e. nothing is silently blocked
   on an event nobody will trigger;
+* **admission quiesce** (served streams only) — every admission slot is
+  free again and every submitted query holds exactly one terminal
+  record;
 * **telemetry consistency** (telemetry-enabled runs only) — every span
   that was opened is closed, every span's end is at or after its start,
   child spans nest within their parents, and the critical-path analysis
@@ -195,6 +198,25 @@ class RunSanitizer:
         tel = getattr(report, "telemetry", None)
         if tel is not None:
             self._check_telemetry(tel, report)
+
+    def after_serve(self, server, submitted) -> None:
+        """A served stream's quiesce, checked before :meth:`after_run`:
+        every admission slot is free again, and every submitted qid holds
+        exactly one terminal record (a count alone would pass a query
+        retired twice beside one never retired)."""
+        if server._slots_free != server.slots:
+            self._fail(
+                f"{server._slots_free} of {server.slots} admission slots free "
+                "at quiesce; every admitted query must hand its slot back"
+            )
+        recorded = set(server._records)
+        if recorded != set(submitted) or server._terminal != len(submitted):
+            missing = sorted(set(submitted) - recorded)
+            self._fail(
+                f"{server._terminal} terminal dispositions recorded for "
+                f"{len(submitted)} submitted queries (no record for qids "
+                f"{missing}); every query must reach exactly one"
+            )
 
     def allow_transfer_underclaim(self, reason: str) -> None:
         """Tolerate successful transfers the report does not claim.

@@ -19,6 +19,7 @@ CLI sanitizer both assert exactly this).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -80,8 +81,10 @@ class ObservabilityConfig:
     reuse: bool = True
 
     def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError(f"window must be positive, got {self.window}")
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ValueError(
+                f"observability window must be positive and finite, got {self.window}"
+            )
 
 
 class ServeObservatory:

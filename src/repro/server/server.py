@@ -552,6 +552,7 @@ class QueryServer:
         if self.observatory is not None:
             report.observability = self.observatory.finalize(makespan)
         if self.sanitizer is not None:
+            self.sanitizer.after_serve(self, [a.qid for a in ordered])
             # one pseudo-report covering the whole serving run: the byte
             # ledger is the sum over every query (scans included), so
             # conservation still checks exactly; it carries the hub so the

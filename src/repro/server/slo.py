@@ -26,6 +26,7 @@ reproducible fact about the workload, not about the machine that ran it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -51,9 +52,11 @@ class SLOObjective:
             raise ValueError(
                 f"availability {self.availability} outside (0, 1)"
             )
-        if self.latency_target is not None and self.latency_target <= 0:
+        if self.latency_target is not None and not (
+            math.isfinite(self.latency_target) and self.latency_target > 0
+        ):
             raise ValueError(
-                f"latency target {self.latency_target} must be positive"
+                f"latency target {self.latency_target} must be positive and finite"
             )
 
     @property

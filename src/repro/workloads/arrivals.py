@@ -68,10 +68,10 @@ class QueryArrival:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown query kind {self.kind!r} (know {_KINDS})")
-        if self.at < 0:
-            raise ValueError(f"negative arrival time {self.at}")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
+        if not (math.isfinite(self.at) and self.at >= 0):
+            raise ValueError(f"arrival time must be finite and >= 0, got {self.at}")
+        if self.deadline is not None and not _positive(self.deadline):
+            raise ValueError(f"deadline must be positive and finite, got {self.deadline}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,10 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant needs a name")
-        if self.rate <= 0:
-            raise ValueError(f"tenant {self.name!r}: rate must be positive")
+        if not _positive(self.rate):
+            raise ValueError(
+                f"tenant {self.name!r}: rate must be positive and finite, got {self.rate}"
+            )
         if self.num_queries < 0:
             raise ValueError(f"tenant {self.name!r}: num_queries must be >= 0")
         if self.process not in _PROCESSES:
@@ -117,13 +119,15 @@ class TenantSpec:
                 f"tenant {self.name!r}: unknown process {self.process!r} "
                 f"(know {_PROCESSES})"
             )
-        if self.alpha <= 1.0:
+        if not (math.isfinite(self.alpha) and self.alpha > 1.0):
             raise ValueError(
-                f"tenant {self.name!r}: alpha must be > 1 (finite mean gap)"
+                f"tenant {self.name!r}: alpha must be finite and > 1 (finite "
+                f"mean gap), got {self.alpha}"
             )
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not _positive(self.deadline):
             raise ValueError(
-                f"tenant {self.name!r}: deadline must be positive"
+                f"tenant {self.name!r}: deadline must be positive and finite, "
+                f"got {self.deadline}"
             )
         if self.slo_availability is not None and not (
             0.0 < self.slo_availability < 1.0
@@ -132,9 +136,10 @@ class TenantSpec:
                 f"tenant {self.name!r}: slo availability "
                 f"{self.slo_availability} outside (0, 1)"
             )
-        if self.slo_latency is not None and self.slo_latency <= 0:
+        if self.slo_latency is not None and not _positive(self.slo_latency):
             raise ValueError(
-                f"tenant {self.name!r}: slo latency must be positive"
+                f"tenant {self.name!r}: slo latency must be positive and finite, "
+                f"got {self.slo_latency}"
             )
         if not self.mix:
             raise ValueError(f"tenant {self.name!r}: empty query mix")
@@ -144,8 +149,11 @@ class TenantSpec:
                 raise ValueError(
                     f"tenant {self.name!r}: unknown kind {kind!r} (know {_KINDS})"
                 )
-            if weight < 0:
-                raise ValueError(f"tenant {self.name!r}: negative weight on {kind!r}")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(
+                    f"tenant {self.name!r}: mix weight on {kind!r} must be finite "
+                    f"and >= 0, got {weight}"
+                )
             total += weight
         if total <= 0:
             raise ValueError(f"tenant {self.name!r}: mix weights sum to zero")
@@ -175,7 +183,11 @@ class TenantSpec:
                 f"mix must be an object or a list of [kind, weight] pairs, got {mix!r}"
             )
         num_queries = data.get("num_queries", 0)
-        if int(num_queries) != num_queries:
+        try:
+            whole = int(num_queries) == num_queries
+        except (OverflowError, TypeError, ValueError):  # inf, null, nan, "x"
+            whole = False
+        if not whole:
             raise ValueError(f"num_queries must be a whole number, got {num_queries!r}")
         raw_deadline = data.get("deadline")
         slo = data.get("slo") or {}
@@ -197,6 +209,11 @@ class TenantSpec:
             ),
             slo_latency=float(slo["latency"]) if "latency" in slo else None,
         )
+
+
+def _positive(x: float) -> bool:
+    """``x > 0`` and finite: NaN and infinities are refused, not served."""
+    return math.isfinite(x) and x > 0
 
 
 def poisson_gaps(rate: float, n: int, seed: int) -> List[float]:

@@ -77,8 +77,8 @@ def test_negative_pin_detected():
 
 
 def test_staged_bytes_at_quiesce_detected():
-    # the runtime half of R001's staging obligation: a prefetch_begin
-    # nobody completes or cancels must fail the run at quiesce
+    # the staging protocol at quiesce: a prefetch_begin nobody completes
+    # or cancels must fail the run
     san = RunSanitizer(label="staged")
     engine = SimEngine()
     san.attach_engine(engine)

@@ -288,8 +288,9 @@ class TestStagingLifecycle:
     cancelled its reservation only for ``FaultError``; a joiner killed
     mid-transfer unwound through the yield with the budget still held,
     and ready-staged entries the dead joiner never consumed stayed
-    parked until quiesce.  (simlint R001 now rejects the bad shape
-    statically — see tests/analysis/test_resource_rules.py.)"""
+    parked until quiesce.  (Dropping either arm's ``prefetch_cancel`` is
+    a cell of ``benchmarks/protocol_mutations.py``; this class is one of
+    the gates that catch it.)"""
 
     def test_compute_crash_leaves_no_staged_bytes(self):
         ds = build()

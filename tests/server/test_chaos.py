@@ -7,8 +7,9 @@ Every scenario asserts the serving contract of DESIGN.md §12:
   structured error in strict mode), it never hangs;
 * every submitted query reaches **exactly one** terminal disposition
   (``completed | deadline_exceeded | shed | failed``);
-* at quiescence no execution slot is leaked and no cache pin survives
-  (``pinned_bytes == 0`` on every shared cache);
+* at quiescence no execution slot is leaked and no cache pin or staged
+  prefetch byte survives (``pinned_bytes == prefetch_bytes == 0`` on
+  every shared cache);
 * the byte ledger is conserved (the report total is the sum over the
   per-query records, wasted attempts included);
 * the whole faulted run replays byte-identically;
@@ -21,6 +22,7 @@ import json
 
 import pytest
 
+from repro.analysis.sanitizer import SanitizerViolation
 from repro.cluster.events import SimEngine
 from repro.cluster.nodes import MachineSpec
 from repro.faults.errors import UnrecoverableFault
@@ -103,9 +105,10 @@ def check_quiescence(server, report, stream):
     assert sorted(r.qid for r in report.records) == sorted(a.qid for a in stream)
     assert all(r.disposition in DISPOSITIONS for r in report.records)
     assert sum(report.disposition_counts.values()) == len(stream)
-    # zero slot leaks, zero surviving pins
+    # zero slot leaks, zero surviving pins or staged prefetch bytes
     assert server._slots_free == server.slots
     assert all(c.pinned_bytes == 0 for c in server.caches)
+    assert all(c.prefetch_bytes == 0 for c in server.caches)
     # byte-ledger conservation across the records
     assert report.bytes_from_storage == sum(
         r.bytes_from_storage for r in report.records
@@ -507,6 +510,59 @@ class TestReplayAndReporting:
         assert data["goodput_qps"] == rep.goodput
         assert data["dispositions"]["totals"] == counts
         assert set(data["dispositions"]["per_tenant"]) == {"alice", "bob"}
+
+
+class TestQuiescenceGates:
+    """Each quiesce clause fails on the protocol break it guards.  The
+    sanitizer's admission clauses matter where the server's own count
+    check cannot see: an unsanitized serve with the same break returns a
+    report as if nothing happened."""
+
+    def _serve(self, stream, sanitize=False):
+        server = QueryServer(make_dataset(), num_compute=2, machine=SLOW, sanitize=sanitize)
+        return server, server.serve(stream)
+
+    def test_a_leaked_slot_fails_the_sanitized_serve(self, monkeypatch):
+        finalize = QueryServer._finalize
+
+        def leaky(self, entry, *args, release_slot=False, **kwargs):
+            # the `_finalize never releases` mutation, for query 0 only
+            finalize(self, entry, *args, release_slot=release_slot and entry.qid != 0,
+                     **kwargs)
+
+        monkeypatch.setattr(QueryServer, "_finalize", leaky)
+        stream = arrivals()
+        server, report = self._serve(stream)
+        assert len(report.records) == len(stream)
+        assert server._slots_free == server.slots - 1
+        with pytest.raises(SanitizerViolation, match="1 of 2 admission slots free"):
+            self._serve(stream, sanitize=True)
+
+    def test_a_lost_terminal_record_fails_the_sanitized_serve(self, monkeypatch):
+        finalize = QueryServer._finalize
+
+        def misfiled(self, entry, *args, **kwargs):
+            finalize(self, entry, *args, **kwargs)
+            if entry.qid == 1:
+                # retired under another query's qid: the terminal count
+                # still equals the submitted count
+                self._records[0] = self._records.pop(1)
+
+        monkeypatch.setattr(QueryServer, "_finalize", misfiled)
+        stream = arrivals()
+        _, report = self._serve(stream)
+        assert len(report.records) == len(stream) - 1
+        with pytest.raises(SanitizerViolation, match=r"no record for qids \[1\]"):
+            self._serve(stream, sanitize=True)
+
+    def test_check_quiescence_refuses_staged_bytes(self):
+        stream = arrivals()
+        server, report = self._serve(stream)
+        check_quiescence(server, report, stream)
+        # what a dropped prefetch_cancel leaves behind: a parked reservation
+        assert server.caches[0].prefetch_begin("orphan", 1)
+        with pytest.raises(AssertionError):
+            check_quiescence(server, report, stream)
 
 
 class TestCacheViewUnwind:

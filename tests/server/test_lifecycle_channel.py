@@ -293,6 +293,28 @@ def test_same_instant_slot_hand_back():
     assert report.admission_order == [0, 1, 2]
 
 
+def test_absorbed_deadline_returns_the_slot():
+    # The supervisor's top-of-loop deadline check.  q0 and q1 arrive at
+    # the same instant; q0's kick leaves the dispatcher's wake pending, so
+    # the dispatcher grants both slots before q1's lifecycle has started.
+    # q1's deadline is below half an ulp of its arrival (1.0 + 1e-20 ==
+    # 1.0): its timer is pushed after the grant, the admission race settles
+    # for the slot at once, the timer fires, and only then does the
+    # lifecycle resume — holding a slot, with the deadline already past,
+    # before any attempt began.  The slot must come back.
+    stream = [
+        QueryArrival(qid=0, tenant="a", kind="scan", at=1.0, seed=1),
+        QueryArrival(qid=1, tenant="a", kind="scan", at=1.0, seed=2, deadline=1e-20),
+    ]
+    server, recorder, report = serve(stream, slots=2, sanitize=True)
+    spelled = check_channel(server, recorder, report, stream)
+    assert spelled == {0: "SQATc", 1: "SQATd"}
+    (expired,) = [r for r in report.records if r.qid == 1]
+    assert (expired.admitted_at, expired.finished_at) == (1.0, 1.0)
+    assert expired.failure == "deadline" and expired.retries == 0
+    assert server._slots_free == server.slots
+
+
 def test_subscribers_see_every_event_in_subscription_order():
     stream = arrivals()
     dataset = make_dataset()

@@ -513,6 +513,54 @@ class TestMalformedFiles:
             assert captured.err.startswith(f"error: {spec}: tenant #0: ")
             assert captured.out == ""
 
+    #: each numeric tenant field, as a path into the tenant object, and
+    #: the words the refusal names it by
+    NUMERIC_FIELDS = {
+        "rate": "rate", "num_queries": "num_queries", "alpha": "alpha",
+        "deadline": "deadline", "mix.scan": "mix weight",
+        "slo.availability": "slo availability", "slo.latency": "slo latency",
+    }
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 0, -1],
+        ids=["nan", "inf", "-inf", "zero", "negative"],
+    )
+    @pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
+    def test_tenant_numeric_field_sweep(self, field, value, tmp_path, capsys):
+        """NaN, infinities, zero and negatives under every numeric field are
+        refused with exit 2 and a message naming the tenant and the field —
+        never served with NaN arrivals or a NaN in the report.  The one
+        valid value is a tenant with no queries."""
+        tenant = json.loads(json.dumps(self.VALID_TENANT))
+        *parents, last = field.split(".")
+        node = tenant
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        spec = tmp_path / "tenants.json"
+        spec.write_text(json.dumps([tenant]))
+        status = main(self.SERVE + [str(spec), "--observe"])
+        captured = capsys.readouterr()
+        if field == "num_queries" and value == 0:
+            assert status == 0 and "digest: " in captured.out
+            return
+        assert status == 2
+        assert captured.err.startswith(f"error: {spec}: tenant #0: ")
+        assert self.NUMERIC_FIELDS[field] in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--deadline", "nan"], "tenant 'interactive': deadline must be positive and finite"),
+        (["--deadline=-inf"], "tenant 'interactive': deadline must be positive and finite"),
+        (["--observe", "--obs-window", "nan"], "observability window must be positive"),
+        (["--observe", "--obs-window", "inf"], "observability window must be positive"),
+    ], ids=["deadline-nan", "deadline-neg-inf", "obs-window-nan", "obs-window-inf"])
+    def test_non_finite_serve_flags(self, flags, message, capsys):
+        assert main(self.SERVE[:-1] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flags, blocked", [
         (["--json-out"], "under-a-file"),
         (["--observe", "--oplog-out"], "a-directory"),
