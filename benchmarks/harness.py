@@ -20,13 +20,12 @@ Run as a script, the harness is the benchmark regression tracker::
 
 ``bench`` executes the small tracked configurations (deterministic
 simulated makespans — no wall clock anywhere) and writes
-``results/BENCH_bench_regression.json``, appending a dated summary line
-to the local ``results/history.jsonl`` run log; ``check`` walks every
-``makespan_s``/``miss_ratio`` leaf of that artifact against the committed
-baseline under ``baselines/`` and exits 1 on any relative regression
-beyond ``--tolerance``, and on any ``digest`` leaf that differs from the
-baseline at all — either fails CI.  ``--update`` rewrites the baseline
-after an intentional behaviour change.
+``results/BENCH_bench_regression.json``; ``check`` compares that artifact
+(or any named ``results/BENCH_<name>.json``) with the committed baseline
+under ``baselines/`` exactly, leaf by leaf, and exits 1 naming every leaf
+path that differs — a slower makespan, a faster one, a moved digest, a
+leaf added or removed.  The simulated clock is deterministic, so any
+difference is a behaviour change; ``--update`` records an intended one.
 """
 
 from __future__ import annotations
@@ -43,22 +42,6 @@ from repro.joins.report import ExecutionReport
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BASELINES_DIR = Path(__file__).parent / "baselines"
-
-#: Relative makespan increase tolerated before `check` fails.  Simulated
-#: times are deterministic, so any drift is a real behaviour change; the
-#: slack only absorbs float-level noise from refactors that reorder
-#: arithmetic.
-DEFAULT_TOLERANCE = 0.02
-
-#: Leaf keys the regression tracker walks: simulated makespans plus the
-#: reuse bench's what-if miss ratios (both are "smaller is better", so
-#: the same growth-beyond-tolerance rule applies).
-TRACKED_LEAVES = ("makespan_s", "miss_ratio")
-
-#: Leaf keys compared exactly: a digest names one behaviour, so any
-#: difference from the baseline fails until ``--update`` records it.
-EXACT_LEAVES = ("digest",)
-
 
 def record_table(
     name: str,
@@ -145,31 +128,6 @@ def record_json(name: str, payload: object) -> Path:
     return path
 
 
-def append_history(name: str, payload: object) -> Path:
-    """Append one dated line for ``payload`` to ``results/history.jsonl``.
-
-    The history file is an append-only local record of every ``bench``
-    run — date, artifact name and all makespan leaves — so a developer
-    can see how tracked makespans moved across their own runs without
-    digging through git history of the baselines.  The date is wall
-    clock (this is host-side tooling, not simulation code, so simlint's
-    no-wall-clock rule does not apply here) and the line layout is
-    sorted-key JSON like every other artifact.
-    """
-    import datetime
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "history.jsonl"
-    entry = {
-        "date": datetime.date.today().isoformat(),
-        "artifact": name,
-        "makespans": dict(iter_makespans(payload)),
-    }
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    return path
-
-
 # -- benchmark regression tracking --------------------------------------------------
 
 
@@ -203,78 +161,46 @@ def run_tracked_benchmarks() -> Dict[str, object]:
     return payload
 
 
-def _iter_leaves(
-    payload: object, keys: Sequence[str], prefix: str = ""
-) -> List[Tuple[str, object]]:
-    """Every leaf of a benchmark artifact named by ``keys``, path-sorted.
+def leaves(payload: object, prefix: str = "") -> List[Tuple[str, object]]:
+    """Every leaf of a benchmark artifact as ``(path, value)``, path-sorted.
 
     Paths are slash-joined dict keys / list indices, e.g.
-    ``switched_small/ij/makespan_s`` or ``mrc/2/miss_ratio``.
+    ``switched_small/ij/makespan_s`` or ``mrc/2/miss_ratio``; an empty
+    dict or list is a leaf of its own.
     """
+    if isinstance(payload, dict) and payload:
+        items = [(str(key), payload[key]) for key in sorted(payload)]
+    elif isinstance(payload, list) and payload:
+        items = [(str(i), item) for i, item in enumerate(payload)]
+    else:
+        return [(prefix, payload)]
     found: List[Tuple[str, object]] = []
-    if isinstance(payload, dict):
-        for key in sorted(payload):
-            path = f"{prefix}/{key}" if prefix else str(key)
-            if key in keys:
-                found.append((path, payload[key]))
-            else:
-                found.extend(_iter_leaves(payload[key], keys, path))
-    elif isinstance(payload, list):
-        for i, item in enumerate(payload):
-            found.extend(_iter_leaves(item, keys, f"{prefix}/{i}" if prefix else str(i)))
+    for key, child in items:
+        found.extend(leaves(child, f"{prefix}/{key}" if prefix else key))
     return found
 
 
 def iter_makespans(payload: object) -> List[Tuple[str, float]]:
-    """All toleranced leaves (:data:`TRACKED_LEAVES`) of an artifact."""
-    return [(path, float(v)) for path, v in _iter_leaves(payload, TRACKED_LEAVES)]
+    """The simulated makespans of an artifact, as ``bench`` prints them."""
+    return [
+        (path, float(value)) for path, value in leaves(payload)
+        if path.rsplit("/", 1)[-1] == "makespan_s"
+    ]
 
 
-def iter_digests(payload: object) -> List[Tuple[str, object]]:
-    """All exactly-compared leaves (:data:`EXACT_LEAVES`) of an artifact."""
-    return _iter_leaves(payload, EXACT_LEAVES)
-
-
-def compare_benchmarks(
-    current: object, baseline: object, tolerance: float = DEFAULT_TOLERANCE
-) -> Tuple[List[str], List[str]]:
-    """Diff every tracked leaf of ``current`` against ``baseline``.
-
-    Returns ``(regressions, notes)``: regressions are makespans that grew
-    by more than ``tolerance`` (relative), digests that differ at all,
-    and leaves of either kind that disappeared from the current artifact
-    — each fails CI; notes record improvements, new leaves and
-    within-tolerance drift.
-    """
-    cur = dict(iter_makespans(current))
-    base = dict(iter_makespans(baseline))
-    regressions: List[str] = []
-    notes: List[str] = []
-    for path in sorted(base):
+def compare_benchmarks(current: object, baseline: object) -> List[str]:
+    """Every leaf path where ``current`` differs from ``baseline``, sorted;
+    empty when the two artifacts are equal."""
+    cur, base = dict(leaves(current)), dict(leaves(baseline))
+    diffs: List[str] = []
+    for path in sorted(set(cur) | set(base)):
         if path not in cur:
-            regressions.append(f"{path}: missing from current results")
-            continue
-        b, c = base[path], cur[path]
-        rel = (c - b) / b if b > 0 else (0.0 if c == b else float("inf"))
-        line = f"{path}: {b:.6f}s -> {c:.6f}s ({rel:+.2%})"
-        if rel > tolerance:
-            regressions.append(line)
-        elif rel != 0:
-            notes.append(line)
-    for path in sorted(set(cur) - set(base)):
-        notes.append(f"{path}: new (no baseline), {cur[path]:.6f}s")
-    cur_digests = dict(iter_digests(current))
-    base_digests = dict(iter_digests(baseline))
-    for path in sorted(base_digests):
-        if path not in cur_digests:
-            regressions.append(f"{path}: missing from current results")
-        elif cur_digests[path] != base_digests[path]:
-            regressions.append(
-                f"{path}: {base_digests[path]} -> {cur_digests[path]} (digest changed)"
-            )
-    for path in sorted(set(cur_digests) - set(base_digests)):
-        notes.append(f"{path}: new (no baseline), {cur_digests[path]}")
-    return regressions, notes
+            diffs.append(f"{path}: missing from current results")
+        elif path not in base:
+            diffs.append(f"{path}: new (no baseline), {cur[path]}")
+        elif cur[path] != base[path]:
+            diffs.append(f"{path}: {base[path]} -> {cur[path]}")
+    return diffs
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -283,8 +209,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for leaf, value in iter_makespans(payload):
         print(f"{leaf}: {value:.6f}s")
     print(f"wrote {path}")
-    history = append_history(args.name, payload)
-    print(f"appended {history}")
     return 0
 
 
@@ -309,19 +233,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"{name}: baseline {verb}: {baseline_path}")
             continue
         baseline = json.loads(baseline_path.read_text())
-        regressions, notes = compare_benchmarks(
-            current, baseline, tolerance=args.tolerance
-        )
-        for line in notes:
-            print(f"{name}: note: {line}")
-        if regressions:
-            for line in regressions:
-                print(f"{name}: REGRESSION: {line}", file=sys.stderr)
+        diffs = compare_benchmarks(current, baseline)
+        for line in diffs:
+            print(f"{name}: DIFFERS: {line}", file=sys.stderr)
+        if diffs:
             status = 1
         else:
-            print(f"{name}: OK — {len(iter_makespans(current))} tracked "
-                  f"leaves within {args.tolerance:.0%} of baseline, "
-                  f"{len(iter_digests(current))} digests identical")
+            print(f"{name}: OK — all {len(leaves(current))} leaves equal "
+                  "the baseline")
     return status
 
 
@@ -342,9 +261,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     p_check.add_argument("names", nargs="*", default=["bench_regression"],
                          help="artifact names (default bench_regression)")
-    p_check.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                         help="relative makespan increase allowed "
-                              f"(default {DEFAULT_TOLERANCE})")
     p_check.add_argument("--update", action="store_true",
                          help="rewrite the baselines from the current "
                               "artifacts instead of checking")

@@ -22,8 +22,9 @@ while a join runs:
   has completed (succeeded or failed), i.e. nothing is silently blocked
   on an event nobody will trigger;
 * **admission quiesce** (served streams only) — every admission slot is
-  free again and every submitted query holds exactly one terminal
-  record;
+  free again, every submitted query holds exactly one terminal record,
+  the report's byte total is the sum over its records, and no query
+  that did not complete carries an answer;
 * **telemetry consistency** (telemetry-enabled runs only) — every span
   that was opened is closed, every span's end is at or after its start,
   child spans nest within their parents, and the critical-path analysis
@@ -36,7 +37,8 @@ runner shadow-executes the identical workload with the engine's
 same-time tie-break reversed (see ``SimEngine(tie_break="reversed")``)
 and flags any divergence in the observables a simulation is entitled to
 report.  Generators cannot be forked mid-run, so the "fork" is realised
-as a full second execution of the same pure-input workload.
+as a full second execution of the same pure-input workload.  A served
+stream's shadow is :func:`repro.server.check_shadow_serve`.
 """
 
 from __future__ import annotations
@@ -199,11 +201,12 @@ class RunSanitizer:
         if tel is not None:
             self._check_telemetry(tel, report)
 
-    def after_serve(self, server, submitted) -> None:
+    def after_serve(self, server, report, submitted) -> None:
         """A served stream's quiesce, checked before :meth:`after_run`:
-        every admission slot is free again, and every submitted qid holds
-        exactly one terminal record (a count alone would pass a query
-        retired twice beside one never retired)."""
+        every slot is free again; every submitted qid holds exactly one
+        terminal record (a count alone would pass a query retired twice
+        beside one never retired) with a known disposition; the report's
+        byte total is its records' sum; no unfinished query answers."""
         if server._slots_free != server.slots:
             self._fail(
                 f"{server._slots_free} of {server.slots} admission slots free "
@@ -217,6 +220,19 @@ class RunSanitizer:
                 f"{len(submitted)} submitted queries (no record for qids "
                 f"{missing}); every query must reach exactly one"
             )
+        summed = sum(r.bytes_from_storage for r in report.records)
+        if report.bytes_from_storage != summed:
+            self._fail(
+                f"report claims {report.bytes_from_storage} bytes from storage "
+                f"but its records sum to {summed}"
+            )
+        from repro.server.resilience import COMPLETED, DISPOSITIONS
+
+        for r in report.records:
+            if r.disposition not in DISPOSITIONS:
+                self._fail(f"q{r.qid} ended in unknown disposition {r.disposition!r}")
+            if r.disposition != COMPLETED and (r.result_records, r.pairs_joined) != (None, 0):
+                self._fail(f"q{r.qid} ended {r.disposition} yet reports an answer")
 
     def allow_transfer_underclaim(self, reason: str) -> None:
         """Tolerate successful transfers the report does not claim.

@@ -139,6 +139,14 @@ def _dims(text: str) -> Tuple[int, ...]:
     return dims
 
 
+def _count(text: str) -> int:
+    """A positive int: how many rows, segments or columns to show."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=_dims, default=(64, 64, 64),
                    help="grid size per dimension (default 64,64,64)")
@@ -491,7 +499,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.server import QueryServer, ResilienceConfig, RetryPolicy, \
-        run_serial_baseline
+        check_shadow_serve, run_serial_baseline
     from repro.workloads.arrivals import generate_workload
     from repro.workloads.oilres import build_oil_reservoir_dataset
 
@@ -541,40 +549,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             observe=observe if observed and observe is not None else False,
         )
 
-    degraded = args.faults is not None or any(
-        a.deadline is not None for a in arrivals
-    )
     server = build_server("fifo", observed=True)
     report = server.serve(arrivals)
-    if args.sanitize and not degraded:
-        # shadow serve with the engine's same-instant tie-break reversed:
-        # the semantic outcome (admission order, per-query answers) must
-        # not depend on how simultaneous events happened to be ordered.
-        # The shadow runs unobserved — observation is passive by
-        # construction, so the digests must still agree.
-        shadow = build_server("reversed").serve(arrivals)
-        if shadow.digest() != report.digest():
-            raise SanitizerViolation(
-                "server outcome depends on same-instant event order "
-                f"(digest {report.digest()[:12]} vs {shadow.digest()[:12]} "
-                "under reversed tie-break)"
-            )
-    elif args.sanitize:
-        # under faults or deadlines, which dispositions win a race *is*
-        # trace-order-dependent, so the reversed shadow is not comparable;
-        # the replacement guarantee is exact replay: the identical run
-        # must reproduce the full report payload byte for byte (the
-        # unobserved replay is compared minus the observability section,
-        # which records the serve without perturbing it)
-        replay = build_server("fifo").serve(arrivals)
-        observed_payload = dict(report.to_payload())
-        observed_payload.pop("observability", None)
-        if json.dumps(replay.to_payload(), sort_keys=True) != json.dumps(
-            observed_payload, sort_keys=True
-        ):
-            raise SanitizerViolation(
-                "faulted serve did not replay byte-identically"
-            )
+    shadow = args.sanitize and check_shadow_serve(server, report, arrivals, build_server)
 
     print(spec.describe())
     print(f"policy: {report.policy}   slots: {report.slots}   "
@@ -618,10 +595,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"{base.bytes_from_storage:,} B from storage, "
               f"{base.total_exec_time:.3f}s summed execution")
     print(f"digest: {report.digest()}")
-    if args.sanitize and not degraded:
+    if shadow == "reversed":
         print("sanitizer: invariant hooks and reversed-tie-break shadow "
               "serve passed")
-    elif args.sanitize:
+    elif shadow == "replay":
         print("sanitizer: invariant hooks and byte-identical faulted "
               "replay passed")
     if report.observability is not None:
@@ -975,7 +952,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run under the simulation sanitizer and "
                               "re-serve with the engine's same-instant "
                               "tie-break reversed; a semantic digest "
-                              "mismatch exits 4 (with faults or deadlines "
+                              "mismatch exits 4 (with faults, deadlines, "
+                              "a non-fifo policy, shedding or a breaker "
                               "the shadow is a byte-identical replay "
                               "instead)")
     p_serve.add_argument("--json-out", type=str, default=None, metavar="FILE",
@@ -1050,7 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--json", action="store_true",
                        help="emit the dashboard panels as sorted-key JSON "
                             "instead of text")
-    p_top.add_argument("--width", type=int, default=60, metavar="COLS",
+    p_top.add_argument("--width", type=_count, default=60, metavar="COLS",
                        help="sparkline width in columns (default 60)")
     p_top.set_defaults(fn=_cmd_top)
 
@@ -1062,7 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_advise.add_argument("report", metavar="REPORT.json",
                           help="report payload from `repro serve --observe "
                                "--json-out` (needs the reuse section)")
-    p_advise.add_argument("--top", type=int, default=5, metavar="K",
+    p_advise.add_argument("--top", type=_count, default=5, metavar="K",
                           help="number of candidates to show (default 5)")
     p_advise.add_argument("--json", action="store_true",
                           help="emit the full reuse section as sorted-key "
@@ -1091,7 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--out", type=str, default="run.json", metavar="FILE",
                          help="Chrome trace-event output base name (default "
                               "run.json; written as run.ij.json / run.gh.json)")
-    p_trace.add_argument("--top", type=int, default=5, metavar="K",
+    p_trace.add_argument("--top", type=_count, default=5, metavar="K",
                          help="critical-path segments to list (default 5)")
     p_trace.add_argument("--dump", action="store_true",
                          help="also print the deterministic text dump of the "

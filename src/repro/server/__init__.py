@@ -8,8 +8,9 @@
 * :mod:`~repro.server.resilience` — serving under failure and overload:
   terminal dispositions, retry backoff, load-shedding policies and the
   queue-wait circuit breaker.
-* :mod:`~repro.server.server` — the :class:`QueryServer` itself plus the
-  cold-cache serial baseline it is measured against.
+* :mod:`~repro.server.server` — the :class:`QueryServer` itself, its
+  shadow serve (:func:`check_shadow_serve`) and the cold-cache serial
+  baseline it is measured against.
 * :mod:`~repro.server.slo` — per-tenant SLO objectives, error budgets
   and multi-window burn-rate alerts.
 * :mod:`~repro.server.observatory` — the passive observability layer
@@ -49,6 +50,7 @@ from repro.server.server import (
     QueryServer,
     SerialBaseline,
     ServerReport,
+    check_shadow_serve,
     run_serial_baseline,
 )
 from repro.server.slo import BurnAlert, SLOObjective, SLOTracker
@@ -83,6 +85,7 @@ __all__ = [
     "ShortestPredictedFirst",
     "TokenBucketShedder",
     "build_query",
+    "check_shadow_serve",
     "draw_box",
     "make_admission_policy",
     "make_shed_policy",

@@ -22,6 +22,7 @@ faulted workloads byte-for-byte on top of these policies.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Tuple
@@ -117,10 +118,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.budget < 0:
             raise ValueError(f"retry budget must be >= 0, got {self.budget}")
-        if self.base <= 0:
-            raise ValueError(f"retry base must be positive, got {self.base}")
-        if self.cap < self.base:
-            raise ValueError(f"retry cap {self.cap} below base {self.base}")
+        if not (self.base > 0 and math.isfinite(self.base)):
+            raise ValueError(f"retry base must be positive and finite, got {self.base}")
+        if not (self.cap >= self.base and math.isfinite(self.cap)):
+            raise ValueError(f"retry cap {self.cap} below base {self.base} or not finite")
 
     def backoff(self, seed: int, attempt: int) -> float:
         if attempt < 1:
@@ -200,10 +201,10 @@ class TokenBucketShedder(ShedPolicy):
     name = "token-bucket"
 
     def __init__(self, rate: float, burst: float, limit: Optional[int] = None):
-        if rate <= 0:
-            raise ValueError(f"token rate must be positive, got {rate}")
-        if burst < 1:
-            raise ValueError(f"token burst must be >= 1, got {burst}")
+        if not (rate > 0 and math.isfinite(rate)):
+            raise ValueError(f"token rate must be positive and finite, got {rate}")
+        if not (burst >= 1 and math.isfinite(burst)):
+            raise ValueError(f"token burst must be >= 1 and finite, got {burst}")
         if limit is not None and limit < 1:
             raise ValueError(f"queue limit must be >= 1, got {limit}")
         self.rate = rate
@@ -250,10 +251,10 @@ class CircuitBreaker:
         window: int = 32,
         min_samples: int = 4,
     ):
-        if threshold <= 0:
-            raise ValueError(f"breaker threshold must be positive, got {threshold}")
-        if cost_cutoff < 0:
-            raise ValueError(f"cost cutoff must be >= 0, got {cost_cutoff}")
+        if not (threshold > 0 and math.isfinite(threshold)):
+            raise ValueError(f"breaker threshold must be positive and finite, got {threshold}")
+        if not (cost_cutoff >= 0 and math.isfinite(cost_cutoff)):
+            raise ValueError(f"breaker cost cutoff must be >= 0 and finite, got {cost_cutoff}")
         if window < min_samples:
             raise ValueError(
                 f"window {window} smaller than min_samples {min_samples}"

@@ -81,6 +81,7 @@ __all__ = [
     "QueryServer",
     "ServerReport",
     "SerialBaseline",
+    "check_shadow_serve",
     "run_serial_baseline",
 ]
 
@@ -552,7 +553,7 @@ class QueryServer:
         if self.observatory is not None:
             report.observability = self.observatory.finalize(makespan)
         if self.sanitizer is not None:
-            self.sanitizer.after_serve(self, [a.qid for a in ordered])
+            self.sanitizer.after_serve(self, report, [a.qid for a in ordered])
             # one pseudo-report covering the whole serving run: the byte
             # ledger is the sum over every query (scans included), so
             # conservation still checks exactly; it carries the hub so the
@@ -970,6 +971,49 @@ class QueryServer:
         return GraceHashQES(
             *args, range_constraint=join_view.where, **common
         ).begin(name=f"q{qid}-gh")
+
+
+# -- shadow serve ----------------------------------------------------------
+
+
+def check_shadow_serve(
+    server: QueryServer,
+    report: ServerReport,
+    arrivals: Sequence[QueryArrival],
+    build: Callable[[str], QueryServer],
+) -> str:
+    """The serving contract's shadow clause: serve ``arrivals`` again on
+    ``build(tie_break)``, an unobserved copy of ``server``.
+
+    Reordering simultaneous events legitimately moves timing, so the
+    tie-break is reversed (and :meth:`ServerReport.digest` must not move)
+    only where no decision reads the timing: no faults or deadline, FIFO
+    admission, no shedding or breaker.  Elsewhere the payload, minus the
+    observability section, must replay byte for byte.  Returns
+    ``"reversed"`` or ``"replay"``; a divergence is a SanitizerViolation.
+    """
+    from repro.analysis.sanitizer import SanitizerViolation
+
+    if (
+        server.cluster.faults is None
+        and all(a.deadline is None for a in arrivals)
+        and server._policy.name == "fifo"
+        and server._shedder is None
+        and server._breaker is None
+    ):
+        shadow = build("reversed").serve(arrivals)
+        if shadow.digest() != report.digest():
+            raise SanitizerViolation(
+                "server outcome depends on same-instant event order "
+                f"(digest {report.digest()[:12]} vs {shadow.digest()[:12]} "
+                "under reversed tie-break)"
+            )
+        return "reversed"
+    observed = {k: v for k, v in report.to_payload().items() if k != "observability"}
+    replayed = build("fifo").serve(arrivals).to_payload()
+    if json.dumps(replayed, sort_keys=True) != json.dumps(observed, sort_keys=True):
+        raise SanitizerViolation("faulted serve did not replay byte-identically")
+    return "replay"
 
 
 # -- serial baseline -------------------------------------------------------

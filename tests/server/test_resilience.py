@@ -8,6 +8,8 @@ deadline machinery drives.  The integrated behaviour under concurrency
 lives in ``test_chaos.py``.
 """
 
+import math
+
 import pytest
 
 from repro.faults.errors import (
@@ -69,6 +71,9 @@ class TestRetryPolicy:
             RetryPolicy(base=1.0, cap=0.5)
         with pytest.raises(ValueError):
             RetryPolicy().backoff(0, 0)
+        for bad in (dict(base=math.nan), dict(base=math.inf), dict(cap=math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                RetryPolicy(**bad)
 
     def test_is_retryable(self):
         assert is_retryable(TransientTransferFault(node=0))
@@ -183,6 +188,13 @@ class TestCircuitBreaker:
             CircuitBreaker(threshold=1.0, cost_cutoff=-1.0)
         with pytest.raises(ValueError):
             CircuitBreaker(threshold=1.0, cost_cutoff=0.0, window=2, min_samples=4)
+        # a NaN threshold once passed `<= 0` and never tripped
+        for threshold, cutoff in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                CircuitBreaker(threshold=threshold, cost_cutoff=cutoff)
+        for rate, burst in ((math.nan, 2.0), (math.inf, 2.0), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                TokenBucketShedder(rate=rate, burst=burst)
 
 
 class TestResilienceConfig:

@@ -1,4 +1,4 @@
-"""Benchmark regression tracker: makespan and digest diffing, the check CLI."""
+"""Benchmark regression tracker: exact leaf-by-leaf diffing, the check CLI."""
 
 import json
 
@@ -27,59 +27,37 @@ class TestCompareBenchmarks:
     BASE = {"cfg": {"ij": {"makespan_s": 1.0}, "gh": {"makespan_s": 2.0}}}
 
     def test_identical_is_clean(self):
-        regressions, notes = harness.compare_benchmarks(self.BASE, self.BASE)
-        assert regressions == [] and notes == []
+        assert harness.compare_benchmarks(self.BASE, self.BASE) == []
 
-    def test_regression_beyond_tolerance_flagged(self):
-        current = {"cfg": {"ij": {"makespan_s": 1.5},
-                           "gh": {"makespan_s": 2.0}}}
-        regressions, _ = harness.compare_benchmarks(
-            current, self.BASE, tolerance=0.02
-        )
-        assert len(regressions) == 1
-        assert "cfg/ij/makespan_s" in regressions[0]
-        assert "+50.00%" in regressions[0]
-
-    def test_within_tolerance_is_a_note(self):
-        current = {"cfg": {"ij": {"makespan_s": 1.01},
-                           "gh": {"makespan_s": 2.0}}}
-        regressions, notes = harness.compare_benchmarks(
-            current, self.BASE, tolerance=0.02
-        )
-        assert regressions == []
-        assert len(notes) == 1
-
-    def test_improvement_is_a_note_not_a_failure(self):
-        current = {"cfg": {"ij": {"makespan_s": 0.5},
-                           "gh": {"makespan_s": 2.0}}}
-        regressions, notes = harness.compare_benchmarks(current, self.BASE)
-        assert regressions == []
-        assert any("-50.00%" in n for n in notes)
+    @pytest.mark.parametrize("current, diff", [
+        ({"ij": {"makespan_s": 1.5}}, "cfg/ij/makespan_s: 1.0 -> 1.5"),
+        ({"ij": {"makespan_s": 1.01}}, "cfg/ij/makespan_s: 1.0 -> 1.01"),
+        ({"ij": {"makespan_s": 0.5}}, "cfg/ij/makespan_s: 1.0 -> 0.5"),
+        ({"new": {"makespan_s": 9.0}}, "cfg/new/makespan_s: new (no baseline), 9.0"),
+        ({"ij": {"makespan_s": 1.0, "hits": []}}, "cfg/ij/hits: new (no baseline), []"),
+    ], ids=["growth", "drift", "speedup", "new-leaf", "new-empty-leaf"])
+    def test_any_difference_is_named(self, current, diff):
+        """No tolerance and no direction: a speedup fails like a slowdown
+        until ``--update`` records it."""
+        current = {"cfg": {**self.BASE["cfg"], **current}}
+        assert harness.compare_benchmarks(current, self.BASE) == [diff]
 
     def test_missing_leaf_is_a_regression(self):
         current = {"cfg": {"ij": {"makespan_s": 1.0}}}
-        regressions, _ = harness.compare_benchmarks(current, self.BASE)
-        assert regressions == ["cfg/gh/makespan_s: missing from current results"]
-
-    def test_new_leaf_is_a_note(self):
-        current = {"cfg": {"ij": {"makespan_s": 1.0},
-                           "gh": {"makespan_s": 2.0},
-                           "new": {"makespan_s": 9.0}}}
-        _, notes = harness.compare_benchmarks(current, self.BASE)
-        assert any("no baseline" in n for n in notes)
+        assert harness.compare_benchmarks(current, self.BASE) == [
+            "cfg/gh/makespan_s: missing from current results"
+        ]
 
     def test_digest_leaves_compare_exactly(self):
         base = {"fifo": {"makespan_s": 1.0, "digest": "aa"}, "runs": [{"digest": "bb"}]}
-        assert harness.compare_benchmarks(base, base) == ([], [])
+        assert harness.compare_benchmarks(base, base) == []
         flipped = {"fifo": {"makespan_s": 1.0, "digest": "ab"}, "runs": [{"digest": "bb"}]}
-        regressions, _ = harness.compare_benchmarks(flipped, base)
-        assert len(regressions) == 1
-        assert regressions[0].startswith("fifo/digest: aa -> ab")
+        assert harness.compare_benchmarks(flipped, base) == ["fifo/digest: aa -> ab"]
         gone = {"fifo": {"makespan_s": 1.0, "digest": "aa"}, "runs": [{}]}
-        regressions, _ = harness.compare_benchmarks(gone, base)
-        assert regressions == ["runs/0/digest: missing from current results"]
-        _, notes = harness.compare_benchmarks(base, gone)
-        assert notes == ["runs/0/digest: new (no baseline), bb"]
+        assert harness.compare_benchmarks(gone, base) == [
+            "runs/0: new (no baseline), {}",
+            "runs/0/digest: missing from current results",
+        ]
 
 
 class TestTrackerCli:
@@ -117,7 +95,7 @@ class TestTrackerCli:
         base_path.write_text(json.dumps(baseline))
         capsys.readouterr()
         assert harness.main(["check"]) == 1
-        assert "REGRESSION" in capsys.readouterr().err
+        assert "DIFFERS: switched_small/ij/makespan_s" in capsys.readouterr().err
         # --update repairs the baseline
         assert harness.main(["check", "--update"]) == 0
         assert harness.main(["check"]) == 0
@@ -142,32 +120,10 @@ class TestTrackerCli:
         assert harness.main(["check"]) == 1
         assert "no current artifact" in capsys.readouterr().err
 
-    def test_bench_appends_dated_history_line(self, dirs, capsys):
-        results, _ = dirs
-        assert harness.main(["bench"]) == 0
-        assert harness.main(["bench"]) == 0
-        history = results / "history.jsonl"
-        lines = [
-            json.loads(line)
-            for line in history.read_text().splitlines() if line
-        ]
-        assert len(lines) == 2
-        for entry in lines:
-            assert set(entry) == {"artifact", "date", "makespans"}
-            assert entry["artifact"] == "bench_regression"
-            # ISO date, e.g. 2026-08-08
-            assert len(entry["date"].split("-")) == 3
-            assert "switched_small/ij/makespan_s" in entry["makespans"]
-        # deterministic simulation: both runs logged identical makespans
-        assert lines[0]["makespans"] == lines[1]["makespans"]
-
     def test_committed_baseline_matches_current_behaviour(self):
         """The baseline in git must reproduce on this checkout — the same
         determinism CI relies on."""
         baseline_path = harness.BASELINES_DIR / "BENCH_bench_regression.json"
         baseline = json.loads(baseline_path.read_text())
         current = harness.run_tracked_benchmarks()
-        regressions, notes = harness.compare_benchmarks(current, baseline)
-        assert regressions == []
-        # deterministic simulation: not merely within tolerance, identical
-        assert harness.iter_makespans(current) == harness.iter_makespans(baseline)
+        assert harness.compare_benchmarks(current, baseline) == []

@@ -1,11 +1,80 @@
 """Tests for the command-line interface."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.telemetry.validate import main as validate_main
+
+
+def walk_report_leaf_mutations(workdir, every=1):
+    """Boundary fuzz by generator, not by list: every ``every``-th scalar
+    leaf path of a freshly served observed report, mutated to each of four
+    wrong JSON values, leaves every reader of the file rendering it or
+    refusing it in one ``error: <path>: <reason>`` line — never raising.
+    Returns how many leaf paths were walked; CI calls it with ``every=1``.
+    """
+    report = Path(workdir) / "report.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(TestMalformedFiles.SERVE[:-1] + [
+            "--observe", "--json-out", str(report),
+        ]) == 0
+    valid = json.loads(report.read_text())
+
+    def leaves(node, path=()):
+        if isinstance(node, (dict, list)):
+            items = sorted(node.items()) if isinstance(node, dict) \
+                else enumerate(node)
+            for key, child in items:
+                yield from leaves(child, (*path, key))
+        else:
+            yield path
+
+    mutant = Path(workdir) / "mutant.json"
+    readers = [
+        ("top", lambda f: main(["top", f]), 2),
+        ("top --json", lambda f: main(["top", f, "--json"]), 2),
+        ("advise", lambda f: main(["advise", f]), 2),
+        # the validator's own "violations found" status is 1
+        ("validate", lambda f: validate_main([f]), 1),
+    ]
+    # one representative per leaf path, array positions collapsed
+    # (the 12 query records and the windows of a track are one shape)
+    paths = list({
+        tuple("[]" if isinstance(key, int) else key for key in path): path
+        for path in leaves(valid)
+    }.values())
+    assert len(paths) > 200
+    raised = []
+    for path in paths[::every]:
+        *parents, last = path
+        node = valid
+        for key in parents:
+            node = node[key]
+        original = node[last]
+        for value in ("x", None, [], {}):
+            node[last] = value
+            mutant.write_text(json.dumps(valid))
+            for name, read, refused in readers:
+                out, err = io.StringIO(), io.StringIO()
+                try:
+                    with redirect_stdout(out), redirect_stderr(err):
+                        status = read(str(mutant))
+                except Exception as exc:  # what a traceback would be
+                    raised.append((name, path, value, repr(exc)))
+                    continue
+                assert status in (0, refused), (name, path, value)
+                assert "Traceback" not in err.getvalue()
+                if status == 2:
+                    assert err.getvalue().startswith(f"error: {mutant}: ")
+                    assert out.getvalue() == ""
+        node[last] = original
+    assert raised == []
+    return len(paths[::every])
 
 
 class TestParsing:
@@ -401,68 +470,9 @@ class TestMalformedFiles:
         assert captured.err == f"error: {report}: {reason}\n"
         assert captured.out == ""
 
-    def test_every_report_leaf_mutation_is_served_or_refused(
-        self, tmp_path, capsys
-    ):
-        """Boundary fuzz by generator, not by list: every scalar leaf path
-        of a freshly served observed report, mutated to each of four wrong
-        JSON values, leaves every reader of the file rendering it or
-        refusing it in one ``error: <path>: <reason>`` line — never
-        raising."""
-        report = tmp_path / "report.json"
-        assert main(self.SERVE[:-1] + [
-            "--observe", "--json-out", str(report),
-        ]) == 0
-        valid = json.loads(report.read_text())
-
-        def leaves(node, path=()):
-            if isinstance(node, (dict, list)):
-                items = sorted(node.items()) if isinstance(node, dict) \
-                    else enumerate(node)
-                for key, child in items:
-                    yield from leaves(child, (*path, key))
-            else:
-                yield path
-
-        mutant = tmp_path / "mutant.json"
-        readers = [
-            ("top", lambda f: main(["top", f]), 2),
-            ("top --json", lambda f: main(["top", f, "--json"]), 2),
-            ("advise", lambda f: main(["advise", f]), 2),
-            # the validator's own "violations found" status is 1
-            ("validate", lambda f: validate_main([f]), 1),
-        ]
-        # one representative per leaf path, array positions collapsed
-        # (the 12 query records and the windows of a track are one shape)
-        paths = list({
-            tuple("[]" if isinstance(key, int) else key for key in path): path
-            for path in leaves(valid)
-        }.values())
-        assert len(paths) > 200
-        raised = []
-        for path in paths:
-            *parents, last = path
-            node = valid
-            for key in parents:
-                node = node[key]
-            original = node[last]
-            for value in ("x", None, [], {}):
-                node[last] = value
-                mutant.write_text(json.dumps(valid))
-                for name, read, refused in readers:
-                    try:
-                        status = read(str(mutant))
-                    except Exception as exc:  # what a traceback would be
-                        raised.append((name, path, value, repr(exc)))
-                        continue
-                    captured = capsys.readouterr()
-                    assert status in (0, refused), (name, path, value)
-                    assert "Traceback" not in captured.err
-                    if status == 2:
-                        assert captured.err.startswith(f"error: {mutant}: ")
-                        assert captured.out == ""
-            node[last] = original
-        assert raised == []
+    def test_every_report_leaf_mutation_is_served_or_refused(self, tmp_path):
+        # a fixed eighth of the leaf paths; CI walks all of them
+        assert walk_report_leaf_mutations(tmp_path, every=8) > 25
 
     @pytest.mark.parametrize("content, reason", [
         ("[1, 2, 3]", "tenant #0: not an object"),
@@ -554,12 +564,28 @@ class TestMalformedFiles:
         (["--deadline=-inf"], "tenant 'interactive': deadline must be positive and finite"),
         (["--observe", "--obs-window", "nan"], "observability window must be positive"),
         (["--observe", "--obs-window", "inf"], "observability window must be positive"),
-    ], ids=["deadline-nan", "deadline-neg-inf", "obs-window-nan", "obs-window-inf"])
+        # a NaN threshold once served exactly like no breaker at all
+        (["--breaker-threshold", "nan"], "breaker threshold must be positive and finite"),
+        (["--breaker-threshold", "inf"], "breaker threshold must be positive and finite"),
+    ], ids=["deadline-nan", "deadline-neg-inf", "obs-window-nan", "obs-window-inf",
+            "breaker-threshold-nan", "breaker-threshold-inf"])
     def test_non_finite_serve_flags(self, flags, message, capsys):
         assert main(self.SERVE[:-1] + flags) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["advise", "r.json", "--top", "-1"], ["top", "r.json", "--width", "0"],
+        ["top", "r.json", "--width", "-3"], ["trace", "--top", "-2"],
+    ], ids=["advise-top", "top-width-zero", "top-width-negative", "trace-top"])
+    def test_count_flags_must_be_positive(self, argv, capsys):
+        """`advise --top -1` once listed all but one candidate."""
+        with pytest.raises(SystemExit, match="2"):
+            main(argv)
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1
+        assert f"must be positive: '{argv[-1]}'" in err
 
     @pytest.mark.parametrize("flags, blocked", [
         (["--json-out"], "under-a-file"),
