@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["key_ids"]
+__all__ = ["id_order", "key_ids"]
 
 _INT64_MAX = np.iinfo(np.int64).max
+#: every whole number this large or smaller is exact in float64 (and so in
+#: every float dtype that holds it), and in int64
+_EXACT = 2**53
+#: counting ranks allocates one flag per value between a column's least
+#: and greatest: a column is counted while that span exceeds its length
+#: by no more than this
+_SPAN_SLACK = 1 << 16
 
 
 def key_ids(columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -22,23 +29,52 @@ def key_ids(columns: Sequence[np.ndarray]) -> np.ndarray:
       tied keys in record order — so a stable ``argsort`` of the ids is the
       stable lexicographic sort of the records.
 
-    Each column is ranked on its own with ``np.unique`` and the ranks are
-    packed mixed-radix.  Should the radix product outgrow int64, the ids
-    packed so far are re-ranked first (order-preserving) — they then number
-    at most one per record, so the next digit always fits.
+    Each column is ranked on its own — its dense ranks, ``np.unique``'s
+    inverse — and the ranks are packed mixed-radix.  A column of whole
+    numbers over a small span (grid coordinates, tags) is ranked by
+    counting the values it holds, every other column by ``np.unique``'s
+    sort; both give the same ranks.  Should the radix product outgrow
+    int64, the ids packed so far are re-ranked first (order-preserving) —
+    they then number at most one per record, so the next digit always fits.
     """
     ids = np.zeros(len(columns[0]), dtype=np.int64)
     radix = 1
     has_nan = False  # or, once a column holds one, a mask of the keys that do
     for column in columns:
-        values, ranks = np.unique(column, return_inverse=True)
-        if len(values) and values[-1] != values[-1]:  # NaNs share the last rank
-            has_nan = has_nan | (ranks == len(values) - 1)
-        ids, radix = _pack(ids, radix, ranks, len(values))
+        counted = _counted_ranks(column)
+        if counted is not None:
+            ranks, base = counted
+        else:
+            values, ranks = np.unique(column, return_inverse=True)
+            base = len(values)
+            if base and values[-1] != values[-1]:  # NaNs share the last rank
+                has_nan = has_nan | (ranks == base - 1)
+        ids, radix = _pack(ids, radix, ranks, base)
     if has_nan is not False:  # a last digit numbers the NaN keys in record order
         count = np.cumsum(has_nan)
         ids, _ = _pack(ids, radix, np.where(has_nan, count, 0), int(count[-1]) + 1)
     return ids
+
+
+def _counted_ranks(column: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
+    """``column``'s dense ranks and how many distinct values it holds, by
+    counting: one flag per value of its span, a running count of the flags
+    set.  ``None`` unless every value is a whole number within ``±2**53``
+    (so no ``NaN`` or ``±inf``) and the span is small (``_SPAN_SLACK``)."""
+    if not len(column) or column.dtype.kind not in "fiu":
+        return None
+    lo, hi = column.min().item(), column.max().item()
+    # NaN, an infinity and a wide span all fail the first test
+    if not hi - lo <= len(column) + _SPAN_SLACK or not -_EXACT <= lo <= hi <= _EXACT:
+        return None
+    offsets = column.astype(np.int64)
+    if column.dtype.kind == "f" and not (offsets == column).all():
+        return None  # a fraction (-0.0 is whole: it equals its int, 0)
+    offsets -= int(lo)
+    seen = np.zeros(int(hi - lo) + 1, dtype=bool)
+    seen[offsets] = True
+    rank_of = np.cumsum(seen, dtype=np.intp) - 1
+    return rank_of[offsets], int(rank_of[-1]) + 1
 
 
 def _pack(ids: np.ndarray, radix: int, digit: np.ndarray, base: int) -> Tuple[np.ndarray, int]:
@@ -47,3 +83,22 @@ def _pack(ids: np.ndarray, radix: int, digit: np.ndarray, base: int) -> Tuple[np
         packed, ids = np.unique(ids, return_inverse=True)
         radix = len(packed)
     return ids * base + digit, radix * base
+
+
+def id_order(ids: np.ndarray) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for non-negative int64 ``ids``,
+    such as :func:`key_ids` returns.
+
+    NumPy sorts 16-bit integers by radix, in linear time, and wider ones by
+    comparison.  So ids below ``2**16`` are sorted as uint16 in one radix
+    pass, ids below ``2**32`` in two — by the low 16 bits, then stably by
+    the high 16 (least significant digit first) — and only wider ids are
+    compared.
+    """
+    top = int(ids.max()) if len(ids) else 0
+    if top < 1 << 16:
+        return np.argsort(ids.astype(np.uint16), kind="stable")
+    if top < 1 << 32:
+        order = np.argsort((ids & 0xFFFF).astype(np.uint16), kind="stable")
+        return order[np.argsort((ids[order] >> 16).astype(np.uint16), kind="stable")]
+    return np.argsort(ids, kind="stable")

@@ -159,7 +159,8 @@ class SubTable:
         )
 
     def take(self, indices: np.ndarray) -> "SubTable":
-        """Records at ``indices`` (may repeat / reorder)."""
+        """Records at ``indices`` (may repeat / reorder); a ``slice``
+        gives views of the columns, not copies."""
         return SubTable(
             self.id, self.schema, {n: c[indices] for n, c in self._columns.items()}
         )

@@ -29,6 +29,7 @@ assumes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import List, Optional, Sequence
 
@@ -38,6 +39,7 @@ from repro.cluster.cluster import ClusterSim
 from repro.cluster.events import Interrupt
 from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.chunk import ChunkDescriptor
+from repro.datamodel.keys import id_order
 from repro.datamodel.subtable import SubTable, SubTableId, concat_subtables
 from repro.faults.errors import (
     ComputeNodeDown,
@@ -321,25 +323,32 @@ class GraceHashQES(QES):
             sub = self.provider.fetch(desc, node=s)
             assert isinstance(sub, SubTable)
             h = hash_records(sub, self.on)
-            joiner_of = (h % np.uint64(n_j)).astype(np.intp)
-            bucket_of = ((h >> np.uint64(20)) % np.uint64(n_b)).astype(np.intp)
+            # one stable sort by destination (joiner, bucket): each
+            # destination's records are then one run, in record order
+            dest = (h % np.uint64(n_j)) * np.uint64(n_b) + (
+                (h >> np.uint64(20)) % np.uint64(n_b)
+            )
+            dest = dest.astype(np.int64)
+            routed = sub.take(id_order(dest))
+            per_dest = np.bincount(dest, minlength=n_j * n_b).tolist()
+            ends = list(itertools.accumulate(per_dest))
             # staggered all-to-all: sender s starts at joiner s so
             # concurrent senders hit distinct receiver NICs
             for jj in range(n_j):
                 j = (jj + s) % n_j
-                jmask = joiner_of == j
-                batch_records = int(jmask.sum())
+                batch_records = sum(per_dest[j * n_b:(j + 1) * n_b])
                 if batch_records == 0:
                     continue
                 yield from self._ship_batch(
                     s, j, batch_records * record_size, shipped
                 )
                 for b in range(n_b):
-                    mask = jmask & (bucket_of == b)
-                    cnt = int(mask.sum())
+                    d = j * n_b + b
+                    cnt = per_dest[d]
                     if cnt == 0:
                         continue
-                    commits.append((j, b, cnt, cnt * record_size, sub.select(mask)))
+                    rows = routed.take(slice(ends[d] - cnt, ends[d]))
+                    commits.append((j, b, cnt, cnt * record_size, rows))
         else:
             # model-only: even h1/h2 split with remainder spread;
             # same staggered all-to-all order as the functional path

@@ -32,10 +32,15 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datamodel.keys import key_ids
+from repro.datamodel.keys import id_order, key_ids
 from repro.datamodel.subtable import SubTable, SubTableId
 
 __all__ = ["JoinKernelStats", "vectorized_hash_join"]
+
+#: a probe counts (one bincount over the key space) while the key space is
+#: at most this many times the records; past it, each probe is two binary
+#: searches of the sorted left ids
+_COUNTED_SPACE = 4
 
 
 @dataclass
@@ -115,12 +120,19 @@ def vectorized_hash_join(
     lkeys, rkeys = ids[: left.num_records], ids[left.num_records :]
 
     # group left rows by key id with a stable sort
-    order = np.argsort(lkeys, kind="stable")
-    sorted_keys = lkeys[order]
-    # for each right key: the [start, stop) slice of matching left rows
-    starts = np.searchsorted(sorted_keys, rkeys, side="left")
-    stops = np.searchsorted(sorted_keys, rkeys, side="right")
-    counts = stops - starts
+    order = id_order(lkeys)
+    # for each right key: where its run of matching left rows starts in
+    # that order, and how long it is
+    space = int(ids.max()) + 1
+    if space <= _COUNTED_SPACE * len(ids):
+        # counted: left rows per id, and the running total before each
+        per_key = np.bincount(lkeys, minlength=space)
+        starts = (np.cumsum(per_key) - per_key)[rkeys]
+        counts = per_key[rkeys]
+    else:
+        sorted_keys = lkeys[order]
+        starts = np.searchsorted(sorted_keys, rkeys, side="left")
+        counts = np.searchsorted(sorted_keys, rkeys, side="right") - starts
 
     total = int(counts.sum())
     stats.matches = total

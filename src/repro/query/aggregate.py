@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.view import Aggregate
-from repro.datamodel.keys import key_ids
+from repro.datamodel.keys import id_order, key_ids
 from repro.datamodel.schema import Attribute, Schema
 from repro.datamodel.subtable import SubTable, SubTableId
 
@@ -72,7 +72,7 @@ def aggregate(
     if group_by:
         # sort records by key id; a group is a run of one id
         ids = key_ids([sub.column(g) for g in group_by])
-        order = np.argsort(ids, kind="stable")
+        order = id_order(ids)
         ids = ids[order]
         boundary = np.ones(n, dtype=bool)
         boundary[1:] = ids[1:] != ids[:-1]

@@ -6,11 +6,12 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.datamodel import keys
-from repro.datamodel.keys import key_ids
+from repro.datamodel.keys import id_order, key_ids
 from tests.datamodel.key_draws import key_columns
+from tests.datamodel.reference_keys import reference_key_ids
 
 
 def _tuples(columns):
@@ -56,6 +57,58 @@ def test_the_rerank_keeps_partition_and_order(columns):
     np.testing.assert_array_equal(
         np.argsort(reranked, kind="stable"), np.argsort(plain, kind="stable")
     )
+
+
+@st.composite
+def whole_column(draw, n):
+    """A column the counting path takes, or one at its edges: whole
+    numbers of every int and float dtype, far from zero, at ±2**53, over a
+    span just inside or just past the counting limit; now and then with a
+    ``-0.0``, a fraction, a ``NaN`` or an ``inf`` mixed in."""
+    dtype = np.dtype(draw(st.sampled_from(
+        ("int8", "uint8", "int16", "int32", "int64", "uint64", "float32", "float64")
+    )))
+    if dtype.kind in "iu":
+        lo_bound = max(int(np.iinfo(dtype).min), -(2**53) - 8)
+        hi_bound = min(int(np.iinfo(dtype).max), 2**53 + 8)
+    else:
+        lo_bound, hi_bound = (-(2**24), 2**24) if dtype == np.float32 else (-(2**53), 2**53)
+    base = draw(st.integers(min_value=lo_bound, max_value=hi_bound))
+    span = draw(st.sampled_from((1, 3, n + keys._SPAN_SLACK, n + keys._SPAN_SLACK + 1)))
+    offsets = draw(st.lists(st.integers(min_value=0, max_value=span), min_size=n, max_size=n))
+    column = np.array([min(base + o, hi_bound) for o in offsets], dtype=dtype)
+    if dtype.kind == "f" and draw(st.booleans()):
+        column[draw(st.integers(min_value=0, max_value=n - 1))] = draw(
+            st.sampled_from((-0.0, 0.5, float("nan"), float("inf")))
+        )
+    return column
+
+
+@st.composite
+def whole_columns(draw):
+    n = draw(st.integers(min_value=1, max_value=24))
+    return [draw(whole_column(n)) for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=whole_columns() | key_columns(min_records=1))
+def test_counted_ranks_are_the_sorted_ranks(columns):
+    """Byte for byte the ids of the frozen ``np.unique`` ranking."""
+    got = key_ids(columns)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, reference_key_ids(columns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    top=st.sampled_from((1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**62)),
+    draws=st.lists(st.integers(min_value=0, max_value=2**62), max_size=60),
+)
+def test_id_order_is_the_stable_argsort(top, draws):
+    """One radix pass below 2**16, two below 2**32, a comparison sort past
+    it: each the stable order, ties in record order."""
+    ids = np.array([d % (top + 1) for d in draws] + [top] * (len(draws) % 3), dtype=np.int64)
+    np.testing.assert_array_equal(id_order(ids), np.argsort(ids, kind="stable"))
 
 
 def test_named_cases():

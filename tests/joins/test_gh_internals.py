@@ -119,6 +119,39 @@ class TestBucketSelection:
         )
         assert got.equals_unordered(oracle)
 
+    def test_buckets_hold_what_the_mask_partition_selects(self):
+        """One stable sort by (joiner, bucket) routes each record where
+        the h1/h2 masks do, in record order: every bucket part is byte-equal
+        to ``sub.select((h % n_j == j) & ((h >> 20) % n_b == b))``."""
+        spec = GridSpec(g=(16, 16), p=(4, 4), q=(8, 8))
+        ds = build_oil_reservoir_dataset(spec, num_storage=2)
+        qes = GraceHashQES(
+            paper_cluster(2, 3), ds.metadata, "T1", "T2", ds.join_attrs,
+            ds.provider, num_buckets=3,
+        )
+        qes.run()
+        n_j, n_b = 3, 3
+        filled = 0
+        for side, table in enumerate(("T1", "T2")):
+            for desc in ds.metadata.table(table).all_chunks():
+                sub = ds.provider.fetch(desc)
+                h = hash_records(sub, ds.join_attrs)
+                for j in range(n_j):
+                    for b in range(n_b):
+                        mask = (h % np.uint64(n_j) == j) & (
+                            (h >> np.uint64(20)) % np.uint64(n_b) == b
+                        )
+                        parts = [p for p in qes.bucket_data[j][side][b] if p.id == sub.id]
+                        if not mask.any():
+                            assert parts == []
+                            continue
+                        (part,) = parts
+                        want = sub.select(mask)
+                        for name in sub.schema.names:
+                            assert part.column(name).tobytes() == want.column(name).tobytes()
+                        filled += 1
+        assert filled > 2 * n_j * n_b  # several chunks per bucket, both sides
+
     def test_reference_join_requires_functional_provider(self):
         spec = GridSpec(g=(8, 8), p=(4, 4), q=(4, 4))
         ds = build_oil_reservoir_dataset(spec, num_storage=1, functional=False)
