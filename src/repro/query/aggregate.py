@@ -64,9 +64,11 @@ def aggregate(
         if g not in sub.schema:
             raise KeyError(f"group-by attribute {g!r} not in {sub.schema.names}")
 
-    out_attrs = [
+    # built before any reduction, so a duplicate output name is refused
+    # ahead of an empty-input error
+    schema = Schema([
         Attribute(g, sub.schema[g].dtype, sub.schema[g].coordinate) for g in group_by
-    ] + [Attribute(a.alias, "float64") for a in aggregates]
+    ] + [Attribute(a.alias, "float64") for a in aggregates])
 
     n = sub.num_records
     if group_by:
@@ -90,4 +92,4 @@ def aggregate(
             columns[a.alias] = _segment_reduce(
                 a.func, sub.column(a.attr)[order], starts, counts
             )
-    return SubTable(result_id, Schema(out_attrs), columns)
+    return SubTable(result_id, schema, columns)

@@ -191,6 +191,12 @@ class TestAggregateEqualsTheStructuredSort:
         with pytest.raises(ValueError, match="MIN over an empty input is undefined"):
             self.both(empty, [Aggregate("count", "v"), Aggregate("min", "v")])
 
+    def test_duplicate_output_name_is_refused_before_an_empty_input(self):
+        empty = {"v": np.empty(0, dtype=np.float64)}
+        twice = [Aggregate("count", "*"), Aggregate("count", "*"), Aggregate("avg", "v")]
+        with pytest.raises(ValueError, match="duplicate attribute name 'count_all'"):
+            self.both(empty, twice)
+
 
 @pytest.fixture(scope="module")
 def executor_setup():
