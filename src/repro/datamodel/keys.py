@@ -12,10 +12,12 @@ _INT64_MAX = np.iinfo(np.int64).max
 #: every whole number this large or smaller is exact in float64 (and so in
 #: every float dtype that holds it), and in int64
 _EXACT = 2**53
-#: counting ranks allocates one flag per value between a column's least
-#: and greatest: a column is counted while that span exceeds its length
-#: by no more than this
-_SPAN_SLACK = 1 << 16
+#: counting ranks sets one flag per value between a column's least and
+#: greatest, and beats ``np.unique`` (measured with
+#: ``benchmarks/key_crossover.py ranks``) on a column of at least this many
+#: values whose span is at most ``_COUNTED_SPAN`` times its length
+_COUNTED_MIN = 512
+_COUNTED_SPAN = 2
 
 
 def key_ids(columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -60,12 +62,13 @@ def _counted_ranks(column: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
     """``column``'s dense ranks and how many distinct values it holds, by
     counting: one flag per value of its span, a running count of the flags
     set.  ``None`` unless every value is a whole number within ``±2**53``
-    (so no ``NaN`` or ``±inf``) and the span is small (``_SPAN_SLACK``)."""
-    if not len(column) or column.dtype.kind not in "fiu":
+    (so no ``NaN`` or ``±inf``), the column is long and its span is small
+    (``_COUNTED_MIN``, ``_COUNTED_SPAN``)."""
+    if len(column) < _COUNTED_MIN or column.dtype.kind not in "fiu":
         return None
     lo, hi = column.min().item(), column.max().item()
     # NaN, an infinity and a wide span all fail the first test
-    if not hi - lo <= len(column) + _SPAN_SLACK or not -_EXACT <= lo <= hi <= _EXACT:
+    if not hi - lo <= _COUNTED_SPAN * len(column) or not -_EXACT <= lo <= hi <= _EXACT:
         return None
     offsets = column.astype(np.int64)
     if column.dtype.kind == "f" and not (offsets == column).all():

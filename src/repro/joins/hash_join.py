@@ -39,7 +39,8 @@ __all__ = ["JoinKernelStats", "vectorized_hash_join"]
 
 #: a probe counts (one bincount over the key space) while the key space is
 #: at most this many times the records; past it, each probe is two binary
-#: searches of the sorted left ids
+#: searches of the sorted left ids.  On ``view_query``'s calls counting wins
+#: through 4x and loses from 8x on some (``benchmarks/key_crossover.py probe``)
 _COUNTED_SPACE = 4
 
 

@@ -74,9 +74,13 @@ def whole_column(draw, n):
     else:
         lo_bound, hi_bound = (-(2**24), 2**24) if dtype == np.float32 else (-(2**53), 2**53)
     base = draw(st.integers(min_value=lo_bound, max_value=hi_bound))
-    span = draw(st.sampled_from((1, 3, n + keys._SPAN_SLACK, n + keys._SPAN_SLACK + 1)))
-    offsets = draw(st.lists(st.integers(min_value=0, max_value=span), min_size=n, max_size=n))
-    column = np.array([min(base + o, hi_bound) for o in offsets], dtype=dtype)
+    limit = keys._COUNTED_SPAN * n
+    span = draw(st.sampled_from((1, 3, limit, limit + 1)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    offsets = rng.integers(0, span + 1, n)
+    if draw(st.booleans()):
+        offsets[:2] = (0, span)  # the whole span, so a limit + 1 span is refused
+    column = np.minimum(base + offsets, hi_bound).astype(dtype)
     if dtype.kind == "f" and draw(st.booleans()):
         column[draw(st.integers(min_value=0, max_value=n - 1))] = draw(
             st.sampled_from((-0.0, 0.5, float("nan"), float("inf")))
@@ -86,7 +90,8 @@ def whole_column(draw, n):
 
 @st.composite
 def whole_columns(draw):
-    n = draw(st.integers(min_value=1, max_value=24))
+    """Columns as long as the counting path's shortest, or one shorter."""
+    n = keys._COUNTED_MIN + draw(st.integers(min_value=-1, max_value=24))
     return [draw(whole_column(n)) for _ in range(draw(st.integers(min_value=1, max_value=3)))]
 
 
