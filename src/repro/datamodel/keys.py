@@ -32,14 +32,16 @@ def key_ids(columns: Sequence[np.ndarray]) -> np.ndarray:
       stable lexicographic sort of the records.
 
     Each column is ranked on its own — its dense ranks, ``np.unique``'s
-    inverse — and the ranks are packed mixed-radix.  A column of whole
-    numbers over a small span (grid coordinates, tags) is ranked by
-    counting the values it holds, every other column by ``np.unique``'s
-    sort; both give the same ranks.  Should the radix product outgrow
-    int64, the ids packed so far are re-ranked first (order-preserving) —
-    they then number at most one per record, so the next digit always fits.
+    inverse — and the ranks are packed mixed-radix: the first column's
+    ranks are the ids, each later column is one more digit, packed in
+    place.  A column of whole numbers over a small span (grid coordinates,
+    tags) is ranked by counting the values it holds, every other column by
+    ``np.unique``'s sort; both give the same ranks.  Should the radix
+    product outgrow int64, the ids packed so far are re-ranked first
+    (order-preserving) — they then number at most one per record, so the
+    next digit always fits.
     """
-    ids = np.zeros(len(columns[0]), dtype=np.int64)
+    ids = None
     radix = 1
     has_nan = False  # or, once a column holds one, a mask of the keys that do
     for column in columns:
@@ -51,7 +53,10 @@ def key_ids(columns: Sequence[np.ndarray]) -> np.ndarray:
             base = len(values)
             if base and values[-1] != values[-1]:  # NaNs share the last rank
                 has_nan = has_nan | (ranks == base - 1)
-        ids, radix = _pack(ids, radix, ranks, base)
+        if ids is None:  # ranks are a fresh array: the ids grow in it
+            ids, radix = ranks.astype(np.int64, copy=False), base
+        else:
+            ids, radix = _pack(ids, radix, ranks, base)
     if has_nan is not False:  # a last digit numbers the NaN keys in record order
         count = np.cumsum(has_nan)
         ids, _ = _pack(ids, radix, np.where(has_nan, count, 0), int(count[-1]) + 1)
@@ -61,9 +66,10 @@ def key_ids(columns: Sequence[np.ndarray]) -> np.ndarray:
 def _counted_ranks(column: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
     """``column``'s dense ranks and how many distinct values it holds, by
     counting: one flag per value of its span, a running count of the flags
-    set.  ``None`` unless every value is a whole number within ``±2**53``
-    (so no ``NaN`` or ``±inf``), the column is long and its span is small
-    (``_COUNTED_MIN``, ``_COUNTED_SPAN``)."""
+    set — or, when every value of the span is held, the offsets from the
+    least value themselves.  ``None`` unless every value is a whole number
+    within ``±2**53`` (so no ``NaN`` or ``±inf``), the column is long and
+    its span is small (``_COUNTED_MIN``, ``_COUNTED_SPAN``)."""
     if len(column) < _COUNTED_MIN or column.dtype.kind not in "fiu":
         return None
     lo, hi = column.min().item(), column.max().item()
@@ -76,16 +82,21 @@ def _counted_ranks(column: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
     offsets -= int(lo)
     seen = np.zeros(int(hi - lo) + 1, dtype=bool)
     seen[offsets] = True
+    if seen.all():  # a grid's coordinates: rank and offset are one
+        return offsets, len(seen)
     rank_of = np.cumsum(seen, dtype=np.intp) - 1
     return rank_of[offsets], int(rank_of[-1]) + 1
 
 
 def _pack(ids: np.ndarray, radix: int, digit: np.ndarray, base: int) -> Tuple[np.ndarray, int]:
-    """Append one mixed-radix ``digit`` (values below ``base``) to ``ids``."""
+    """Append one mixed-radix ``digit`` (values below ``base``) to ``ids``,
+    in place unless the prefix is re-ranked first."""
     if radix * base > _INT64_MAX:
         packed, ids = np.unique(ids, return_inverse=True)
         radix = len(packed)
-    return ids * base + digit, radix * base
+    ids *= base
+    ids += digit
+    return ids, radix * base
 
 
 def id_order(ids: np.ndarray) -> np.ndarray:

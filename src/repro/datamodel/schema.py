@@ -13,7 +13,7 @@ lookup, record size, and conversion to a NumPy structured dtype.  Record size
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +37,9 @@ class Attribute:
     name: str
     dtype: str = "float32"
     coordinate: bool = False
+    #: ``dtype`` as a NumPy dtype, resolved once: every sub-table built
+    #: over this attribute casts its column to it
+    np_dtype: np.dtype = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.isidentifier():
@@ -46,10 +49,7 @@ class Attribute:
             raise ValueError(f"unsupported attribute dtype {self.dtype!r} (need int/uint/float)")
         # normalise the dtype spelling so equality is structural
         object.__setattr__(self, "dtype", np_dtype.name)
-
-    @property
-    def np_dtype(self) -> np.dtype:
-        return np.dtype(self.dtype)
+        object.__setattr__(self, "np_dtype", np_dtype)
 
     @property
     def itemsize(self) -> int:
@@ -58,9 +58,13 @@ class Attribute:
 
 
 class Schema:
-    """An ordered collection of :class:`Attribute` with unique names."""
+    """An ordered collection of :class:`Attribute` with unique names.
 
-    __slots__ = ("_attributes", "_index")
+    A schema is immutable, so its names, record size and structured dtype
+    are computed once, not on each of the many sub-tables that share it.
+    """
+
+    __slots__ = ("_attributes", "_index", "_names", "_record_size", "_np_dtype")
 
     def __init__(self, attributes: Iterable[Attribute]):
         attrs: List[Attribute] = list(attributes)
@@ -75,6 +79,9 @@ class Schema:
             index[attr.name] = i
         self._attributes: Tuple[Attribute, ...] = tuple(attrs)
         self._index: Dict[str, int] = index
+        self._names: Tuple[str, ...] = tuple(index)
+        self._record_size = sum(a.itemsize for a in attrs)
+        self._np_dtype = None
 
     # -- construction helpers -----------------------------------------------
 
@@ -95,7 +102,7 @@ class Schema:
 
     @property
     def names(self) -> Tuple[str, ...]:
-        return tuple(a.name for a in self._attributes)
+        return self._names
 
     @property
     def coordinate_names(self) -> Tuple[str, ...]:
@@ -104,7 +111,7 @@ class Schema:
     @property
     def record_size(self) -> int:
         """Bytes per record — ``RS`` in the paper's cost models."""
-        return sum(a.itemsize for a in self._attributes)
+        return self._record_size
 
     def __len__(self) -> int:
         return len(self._attributes)
@@ -174,7 +181,9 @@ class Schema:
 
     def to_numpy_dtype(self) -> np.dtype:
         """Structured dtype with one field per attribute, in schema order."""
-        return np.dtype([(a.name, a.dtype) for a in self._attributes])
+        if self._np_dtype is None:
+            self._np_dtype = np.dtype([(a.name, a.dtype) for a in self._attributes])
+        return self._np_dtype
 
     # -- (de)serialisation ----------------------------------------------------------
 

@@ -64,11 +64,15 @@ def hash_records(sub: SubTable, on: Sequence[str]) -> np.ndarray:
     """Vectorised 64-bit mix of the join-key bit patterns of every record.
 
     Equal keys hash equally across tables because hashing operates on the
-    raw bit patterns of the (dtype-checked) join columns.
+    bit patterns of the (dtype-checked) join columns — once a float
+    column's ``-0.0`` is made ``0.0``, since the kernel joins the two by
+    value and so they must reach the same joiner and bucket.
     """
     h = np.zeros(sub.num_records, dtype=np.uint64)
     for name in on:
         col = sub.column(name)
+        if col.dtype.kind == "f":
+            col = col + col.dtype.type(0)  # -0.0 + 0.0 is 0.0; all else as it was
         if col.dtype.itemsize == 4:
             bits = col.view(np.uint32).astype(np.uint64)
         elif col.dtype.itemsize == 8:

@@ -7,9 +7,13 @@ records of the right (outer) relation" (Section 5).
 
 One kernel, :func:`vectorized_hash_join`, serves both QES: the join keys of
 both sides become one int64 id per record
-(:func:`repro.datamodel.keys.key_ids`, which GROUP BY shares), the left
-side is grouped by a stable sort of those ids, and probes become two
-``searchsorted`` sweeps.  Pure NumPy on the hot path, per the HPC guides.
+(:func:`repro.datamodel.keys.key_ids`, which GROUP BY shares).  When no
+two left records share an id and the id space is small, the ids are the
+hash table's addresses: the build writes each left row into its id's
+slot, and a probe reads one slot (the paper's selectivity-1 case, and
+every call ``view_query`` makes).  Otherwise the left side is grouped by
+a stable sort of its ids, and probes become two ``searchsorted`` sweeps.
+Pure NumPy on the hot path, per the HPC guides.
 The literal dict-based hash join it is tested against lives with the tests
 (``tests/joins/reference_kernel.py``).
 
@@ -37,11 +41,12 @@ from repro.datamodel.subtable import SubTable, SubTableId
 
 __all__ = ["JoinKernelStats", "vectorized_hash_join"]
 
-#: a probe counts (one bincount over the key space) while the key space is
-#: at most this many times the records; past it, each probe is two binary
-#: searches of the sorted left ids.  On ``view_query``'s calls counting wins
-#: through 4x and loses from 8x on some (``benchmarks/key_crossover.py probe``)
-_COUNTED_SPACE = 4
+#: unique left ids are addressed directly while the id space is at most this
+#: many times the ids: on ``view_query``'s calls the table wins every cell
+#: through 128x, and from 256x it is a toss-up between runs
+#: (``benchmarks/key_crossover.py build``).  Past it, and for repeated left
+#: ids, the left ids are sorted and searched
+_DIRECT_SPACE = 128
 
 
 @dataclass
@@ -119,34 +124,49 @@ def vectorized_hash_join(
     # ids over both sides at once, so equal keys share an id across them
     ids = key_ids([np.concatenate([left.column(k), right.column(k)]) for k in on])
     lkeys, rkeys = ids[: left.num_records], ids[left.num_records :]
+    matched = _direct_probe(lkeys, rkeys, int(ids.max()) + 1)
+    left_idx, right_idx = matched if matched is not None else _sorted_probe(lkeys, rkeys)
+    stats.matches = len(left_idx)
+    return _assemble(left, right, on, left_idx, right_idx, result_id, suffix), stats
 
-    # group left rows by key id with a stable sort
+
+def _direct_probe(
+    lkeys: np.ndarray, rkeys: np.ndarray, space: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The matching ``(left_idx, right_idx)`` rows by direct addressing, or
+    ``None`` when a left id repeats or the id ``space`` (the largest id, plus
+    one) is too wide.
+
+    Each left row is written into its id's slot of a table over the id
+    space; reading the slots back finds every left row still there exactly
+    when no two left rows share an id.  Each right row then reads its
+    id's slot: at most one match, so right order is the output order.
+    """
+    if space > _DIRECT_SPACE * (len(lkeys) + len(rkeys)):
+        return None
+    rows = np.arange(len(lkeys), dtype=np.int32)
+    slot = np.full(space, -1, dtype=np.int32)
+    slot[lkeys] = rows
+    if not np.array_equal(slot[lkeys], rows):
+        return None
+    hit = slot[rkeys]
+    right_idx = np.flatnonzero(hit >= 0)
+    return hit[right_idx].astype(np.intp), right_idx
+
+
+def _sorted_probe(lkeys: np.ndarray, rkeys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The matching ``(left_idx, right_idx)`` rows through a stable sort of
+    the left ids: each right id's run of equal left ids is found by two
+    binary searches, and expanded in left order."""
     order = id_order(lkeys)
-    # for each right key: where its run of matching left rows starts in
-    # that order, and how long it is
-    space = int(ids.max()) + 1
-    if space <= _COUNTED_SPACE * len(ids):
-        # counted: left rows per id, and the running total before each
-        per_key = np.bincount(lkeys, minlength=space)
-        starts = (np.cumsum(per_key) - per_key)[rkeys]
-        counts = per_key[rkeys]
-    else:
-        sorted_keys = lkeys[order]
-        starts = np.searchsorted(sorted_keys, rkeys, side="left")
-        counts = np.searchsorted(sorted_keys, rkeys, side="right") - starts
-
+    sorted_keys = lkeys[order]
+    starts = np.searchsorted(sorted_keys, rkeys, side="left")
+    counts = np.searchsorted(sorted_keys, rkeys, side="right") - starts
     total = int(counts.sum())
-    stats.matches = total
-    if total == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return _assemble(left, right, on, empty, empty, result_id, suffix), stats
-
     # expand: for right row j with counts[j] matches, take left rows
-    # order[starts[j] .. stops[j])
-    right_idx = np.repeat(np.arange(right.num_records, dtype=np.intp), counts)
+    # order[starts[j] .. starts[j] + counts[j])
+    right_idx = np.repeat(np.arange(len(rkeys), dtype=np.intp), counts)
     # offsets within each right row's match range
     cum = np.concatenate(([0], np.cumsum(counts)))
     within = np.arange(total, dtype=np.intp) - np.repeat(cum[:-1], counts)
-    left_idx = order[np.repeat(starts, counts) + within]
-
-    return _assemble(left, right, on, left_idx, right_idx, result_id, suffix), stats
+    return order[np.repeat(starts, counts) + within], right_idx

@@ -1,16 +1,24 @@
 """Vectorised grouped aggregation.
 
 Implements the Section 2 requirement that view definitions "may involve
-aggregation operations such [as] AVG or SUM".  Grouping uses ``np.unique``
-over the group-key columns — :func:`repro.datamodel.keys.key_ids`, the ids
+aggregation operations such [as] AVG or SUM".  Groups are the ids of
+:func:`repro.datamodel.keys.key_ids` over the group-key columns — the ids
 the join kernel matches on, so GROUP BY and ``=`` agree on which keys are
-equal — and the per-group reductions use sorted-segment arithmetic: no
-per-group Python loops over records.
+equal.  Over a small id space COUNT, SUM and AVG are counted per id
+(``bincount``); everything else is reduced over the records sorted by id
+with sorted-segment arithmetic.  No per-group Python loops over records.
+
+Both ways give the same bytes.  A sorted segment's sum is ``np.add``'s
+pairwise summation, a counted one adds in record order, so a value column
+is counted only when every partial sum of it is exact in float64 — then
+any order of addition gives the one exact sum.  An exact sum is ``-0.0``
+only when every value added was ``-0.0``, which a count that starts from
+``0.0`` has to be told.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -20,6 +28,53 @@ from repro.datamodel.schema import Attribute, Schema
 from repro.datamodel.subtable import SubTable, SubTableId
 
 __all__ = ["aggregate"]
+
+#: GROUP BY counts its groups while the largest group id is below this many
+#: times the records: counting wins below it, ties at it and loses at twice
+#: it (``benchmarks/key_crossover.py groupby``)
+_COUNTED_SPACE = 1
+
+
+def _exact_sums(column: np.ndarray) -> bool:
+    """Whether every partial sum of ``column``, as float64, is exact.
+
+    Each value is a whole multiple of one power of two ``unit`` (1 for
+    integers; for floats, the least value's unit in the last place), and
+    the record count times the largest magnitude stays within ``2**52``
+    units.  A ``NaN`` or an infinity fails the bound.
+    """
+    if column.dtype.kind in "iu":
+        top, unit = max(-int(column.min()), int(column.max())), 1.0
+    else:
+        magnitude = np.abs(column)
+        top = float(magnitude.max())
+        least = magnitude.min(where=magnitude > 0, initial=np.inf)
+        unit = np.ldexp(1.0, int(np.frexp(least)[1]) - np.finfo(column.dtype).nmant - 1)
+    return len(column) * top <= 2.0**52 * unit
+
+
+def _counted(
+    sub: SubTable, ids: np.ndarray, aggregates: Sequence[Aggregate], group_by: Sequence[str]
+) -> Dict[str, np.ndarray]:
+    """The grouped columns by counting over the id space: present ids in
+    key order, each group's keys from its first record."""
+    per_id = np.bincount(ids)
+    present = np.flatnonzero(per_id)
+    counts = per_id[present]
+    first = np.full(len(per_id), len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    columns = {g: sub.column(g)[first[present]] for g in group_by}
+    for a in aggregates:
+        if a.func == "count":
+            columns[a.alias] = counts.astype(np.float64)
+            continue
+        values = sub.column(a.attr)
+        sums = np.bincount(ids, weights=values)[present]
+        if not sums.all():  # an exact zero is -0.0 when every value was -0.0
+            negative = np.bincount(ids, weights=np.signbit(values))[present]
+            sums[(sums == 0) & (negative == counts)] = -0.0
+        columns[a.alias] = sums if a.func == "sum" else sums / counts
+    return columns
 
 
 def _segment_reduce(func: str, values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -72,8 +127,13 @@ def aggregate(
 
     n = sub.num_records
     if group_by:
-        # sort records by key id; a group is a run of one id
         ids = key_ids([sub.column(g) for g in group_by])
+        if n and int(ids.max()) < _COUNTED_SPACE * n and all(
+            a.func == "count" or (a.func in ("sum", "avg") and _exact_sums(sub.column(a.attr)))
+            for a in aggregates
+        ):
+            return SubTable(result_id, schema, _counted(sub, ids, aggregates, group_by))
+        # sort records by key id; a group is a run of one id
         order = id_order(ids)
         ids = ids[order]
         boundary = np.ones(n, dtype=bool)

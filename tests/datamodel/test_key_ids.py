@@ -13,6 +13,10 @@ from repro.datamodel.keys import id_order, key_ids
 from tests.datamodel.key_draws import key_columns
 from tests.datamodel.reference_keys import reference_key_ids
 
+#: example budgets are multiples of the loaded Hypothesis profile's (100 by
+#: default), so a wider profile widens every draw here
+BUDGET = settings.default.max_examples
+
 
 def _tuples(columns):
     return list(zip(*(c.tolist() for c in columns)))
@@ -39,13 +43,13 @@ def _check(columns, ids):
     assert np.argsort(ids, kind="stable").tolist() == _lexicographic(columns)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * BUDGET, deadline=None)
 @given(columns=key_columns())
 def test_ids_are_equal_as_the_tuples_are_and_sort_as_they_do(columns):
     _check(columns, key_ids(columns))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=2 * BUDGET, deadline=None)
 @given(columns=key_columns(min_columns=2))
 def test_the_rerank_keeps_partition_and_order(columns):
     """With the int64 limit pulled down to 1 every digit after the first
@@ -95,7 +99,7 @@ def whole_columns(draw):
     return [draw(whole_column(n)) for _ in range(draw(st.integers(min_value=1, max_value=3)))]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * BUDGET, deadline=None)
 @given(columns=whole_columns() | key_columns(min_records=1))
 def test_counted_ranks_are_the_sorted_ranks(columns):
     """Byte for byte the ids of the frozen ``np.unique`` ranking."""
@@ -104,7 +108,47 @@ def test_counted_ranks_are_the_sorted_ranks(columns):
     np.testing.assert_array_equal(got, reference_key_ids(columns))
 
 
-@settings(max_examples=200, deadline=None)
+@st.composite
+def occupied_column(draw, n, full):
+    """A column the counting path takes: ``n`` whole numbers over a span
+    that holds every value (``full``: its offsets are its ranks) or has a
+    hole inside it (its ranks skip one value)."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if full:
+        span = draw(st.integers(min_value=0, max_value=n - 1))
+        offsets = rng.permutation(
+            np.concatenate([np.arange(span + 1), rng.integers(0, span + 1, n - span - 1)])
+        )
+    else:
+        span = draw(st.integers(min_value=2, max_value=keys._COUNTED_SPAN * n))
+        hole = draw(st.integers(min_value=1, max_value=span - 1))
+        offsets = rng.integers(0, span, n)
+        offsets[offsets >= hole] += 1
+        offsets[:2] = (0, span)
+    base = draw(st.integers(min_value=-1000, max_value=1000))
+    return (base + offsets).astype(draw(st.sampled_from(("int32", "float32", "float64"))))
+
+
+@st.composite
+def occupied_columns(draw):
+    """A fully occupied span beside a partly occupied one, in either order,
+    and now and then a third of either kind."""
+    n = keys._COUNTED_MIN + draw(st.integers(min_value=0, max_value=24))
+    kinds = draw(st.permutations([True, False])) + draw(st.lists(st.booleans(), max_size=1))
+    return [draw(occupied_column(n, full)) for full in kinds]
+
+
+@settings(max_examples=BUDGET, deadline=None)
+@given(columns=occupied_columns())
+def test_full_and_partly_occupied_spans_pack_to_the_sorted_ids(columns):
+    """A full span's offsets go in as its ranks and a holed span's ranks
+    are gathered; packed in place, byte for byte the frozen ids."""
+    for column in columns:
+        assert keys._counted_ranks(column) is not None
+    np.testing.assert_array_equal(key_ids(columns), reference_key_ids(columns))
+
+
+@settings(max_examples=2 * BUDGET, deadline=None)
 @given(
     top=st.sampled_from((1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**62)),
     draws=st.lists(st.integers(min_value=0, max_value=2**62), max_size=60),

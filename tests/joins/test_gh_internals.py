@@ -8,6 +8,7 @@ from repro.cluster import MachineSpec, paper_cluster
 from repro.datamodel import Schema, SubTable, SubTableId
 from repro.joins import GraceHashQES, reference_join
 from repro.joins.grace_hash import hash_records
+from repro.services.bds import SubTableProvider
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 
@@ -23,6 +24,25 @@ def table_with_keys(xs, ys):
             "v": np.zeros(n, dtype=np.float32),
         },
     )
+
+
+class NegativeZeroKeys(SubTableProvider):
+    """``inner``'s sub-tables, with ``-0.0`` for every ``0.0`` in table
+    ``table_id``'s key columns ``on``."""
+
+    functional = True
+
+    def __init__(self, inner, table_id, on):
+        self.inner, self.table_id, self.on = inner, table_id, on
+
+    def fetch(self, desc, columns=None, node=None):
+        sub = self.inner.fetch(desc, columns=columns, node=node)
+        if desc.table_id != self.table_id:
+            return sub
+        cols = {name: sub.column(name) for name in sub.schema.names}
+        for name in self.on:
+            cols[name] = np.where(cols[name] == 0, -0.0, cols[name]).astype(cols[name].dtype)
+        return SubTable(sub.id, sub.schema, cols)
 
 
 class TestHashRecords:
@@ -62,6 +82,22 @@ class TestHashRecords:
         for n_j in (2, 3, 5, 7):
             counts = np.bincount((h % np.uint64(n_j)).astype(int), minlength=n_j)
             assert counts.min() > 0.8 * counts.max(), (n_j, counts)
+
+    def test_signed_zeros_hash_equal(self):
+        """The kernel joins ``-0.0`` with ``0.0``, so both must reach one
+        joiner and bucket."""
+        for dtype in ("float32", "float64"):
+            schema = Schema.of("x", "y", dtype=dtype)
+            pos, neg = (
+                SubTable(SubTableId(1, 0), schema, {
+                    "x": np.array([z, 1.0, z], dtype=dtype),
+                    "y": np.array([2.0, z, z], dtype=dtype),
+                })
+                for z in (0.0, -0.0)
+            )
+            np.testing.assert_array_equal(
+                hash_records(pos, ("x", "y")), hash_records(neg, ("x", "y"))
+            )
 
     def test_order_of_join_attrs_matters(self):
         t = table_with_keys([1, 2], [2, 1])
@@ -151,6 +187,23 @@ class TestBucketSelection:
                             assert part.column(name).tobytes() == want.column(name).tobytes()
                         filled += 1
         assert filled > 2 * n_j * n_b  # several chunks per bucket, both sides
+
+    def test_negative_zero_keys_meet_their_positive_zero_partners(self):
+        """T2 serves ``-0.0`` wherever its keys hold ``0.0``: at three
+        joiners the two zeros once hashed to different joiners and those
+        matches were lost; the answer is the oracle's, row for row."""
+        spec = GridSpec(g=(8, 8), p=(4, 4), q=(4, 4))
+        ds = build_oil_reservoir_dataset(spec, num_storage=2)
+        provider = NegativeZeroKeys(ds.provider, ds.metadata.table("T2").table_id, ds.join_attrs)
+        report = GraceHashQES(
+            paper_cluster(2, 3), ds.metadata, "T1", "T2", ds.join_attrs, provider,
+        ).run()
+        oracle = reference_join(ds.metadata, provider, "T1", "T2", ds.join_attrs)
+        assert oracle.num_records == spec.T
+        from repro.datamodel.subtable import concat_subtables
+
+        got = concat_subtables([s for per in report.results for s in per], id=oracle.id)
+        assert got.equals_unordered(oracle)
 
     def test_reference_join_requires_functional_provider(self):
         spec = GridSpec(g=(8, 8), p=(4, 4), q=(4, 4))

@@ -1,14 +1,20 @@
 """Tests for the in-memory hash join kernels."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datamodel import Attribute, Schema, SubTable, SubTableId
-from repro.joins import vectorized_hash_join
+from repro.joins import hash_join, vectorized_hash_join
 from repro.joins.baselines import sort_merge_join
 
 from .reference_kernel import dict_hash_join
+
+#: example budgets are multiples of the loaded Hypothesis profile's (100 by
+#: default), so a wider profile widens every draw here
+BUDGET = settings.default.max_examples
 
 
 def make_table(table_id, xs, ys, vals, value_name="v"):
@@ -167,7 +173,7 @@ def random_table(draw, table_id, value_name):
     return make_table(table_id, xs, ys, vals, value_name)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=BUDGET * 6 // 5, deadline=None)
 @given(left=random_table(1, "a"), right=random_table(2, "b"))
 def test_kernels_agree_exactly(left, right):
     """dict and vectorized kernels return identical rows in identical order."""
@@ -180,7 +186,7 @@ def test_kernels_agree_exactly(left, right):
         np.testing.assert_array_equal(out_d.column(name), out_v.column(name))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=BUDGET * 6 // 5, deadline=None)
 @given(left=random_table(1, "a"), right=random_table(2, "b"))
 def test_hash_join_agrees_with_sort_merge(left, right):
     """Hash kernels agree (as multisets) with the independent sort-merge."""
@@ -189,7 +195,7 @@ def test_hash_join_agrees_with_sort_merge(left, right):
     assert out_h.equals_unordered(out_m)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=BUDGET * 3 // 5, deadline=None)
 @given(left=random_table(1, "a"), right=random_table(2, "b"))
 def test_match_count_equals_key_multiplicity_product(left, right):
     """|result| == sum over keys of count_left(k) * count_right(k)."""
@@ -200,3 +206,87 @@ def test_match_count_equals_key_multiplicity_product(left, right):
     expected = sum(c * rc.get(k, 0) for k, c in lc.items())
     out, stats = vectorized_hash_join(left, right, on=("x", "y"))
     assert out.num_records == expected == stats.matches
+
+
+# -- the two probe paths: direct build and sorted search ------------------------------
+
+KEY_POOLS = {
+    # a few values, so keys repeat and the id space stays dense
+    "narrow": (float("nan"), -0.0, 0.0, 1.0, 2.0),
+    # many values, so a few key columns multiply past the direct-build bound
+    "wide": tuple(float(v) for v in range(-40, 400, 7)) + (float("nan"), -0.0, 0.0),
+}
+
+
+@st.composite
+def keyed_table(draw, table_id, value_name, on, unique):
+    """A table keyed on ``on`` (float64, values from a drawn pool per
+    column); with ``unique``, no two of its keys are equal by value."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    pools = [KEY_POOLS[draw(st.sampled_from(sorted(KEY_POOLS)))] for _ in on]
+    cols = {
+        k: np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=np.float64)
+        for k, pool in zip(on, pools)
+    }
+    if unique:  # keep each key's first record; NaN keys equal nothing, so all stay
+        seen, keep = set(), []
+        for i, key in enumerate(zip(*(cols[k].tolist() for k in on))):
+            if any(v != v for v in key) or key not in seen:
+                seen.add(key)
+                keep.append(i)
+        cols = {k: c[keep] for k, c in cols.items()}
+    cols[value_name] = np.arange(len(cols[on[0]]), dtype=np.float64)
+    schema = Schema(
+        [Attribute(k, "float64", coordinate=True) for k in on] + [Attribute(value_name, "float64")]
+    )
+    return SubTable(SubTableId(table_id, 0), schema, cols)
+
+
+@settings(max_examples=2 * BUDGET, deadline=None)
+@given(data=st.data())
+def test_both_probe_paths_equal_the_reference_row_for_row(data):
+    """Unique and repeated left keys, NaN and signed-zero keys, empty
+    sides, one to three key columns, with the direct-build bound drawn
+    below, at and far above the drawn id space: row for row the dict
+    hash join, and the direct build taken exactly when the left keys are
+    unique and the space is within the bound."""
+    on = ("x", "y", "z")[: data.draw(st.integers(min_value=1, max_value=3))]
+    unique = data.draw(st.booleans())
+    left = data.draw(keyed_table(1, "a", on, unique))
+    right = data.draw(keyed_table(2, "b", on, False))
+    bound = data.draw(st.sampled_from((0, 1, 4, hash_join._DIRECT_SPACE)))
+    taken = []
+
+    def spy(lkeys, rkeys, space):
+        matched = direct(lkeys, rkeys, space)
+        taken.append((matched is not None, len(np.unique(lkeys)) == len(lkeys),
+                      space <= bound * (len(lkeys) + len(rkeys))))
+        return matched
+
+    direct = hash_join._direct_probe
+    with mock.patch.object(hash_join, "_DIRECT_SPACE", bound), \
+            mock.patch.object(hash_join, "_direct_probe", spy):
+        out_v, st_v = vectorized_hash_join(left, right, on=on)
+    out_d, st_d = dict_hash_join(left, right, on=on)
+    assert (st_v.builds, st_v.probes, st_v.matches) == (st_d.builds, st_d.probes, st_d.matches)
+    assert out_v.schema == out_d.schema
+    for name in out_d.schema.names:
+        assert out_v.column(name).tobytes() == out_d.column(name).tobytes(), name
+    for was_direct, left_unique, within in taken:
+        assert was_direct == (left_unique and within)
+    if unique:
+        assert not taken or taken[0][1]
+
+
+def test_repeated_left_keys_take_the_sorted_search():
+    left = make_table(1, [0, 1, 0], [0, 0, 0], [10, 11, 12], "a")
+    right = make_table(2, [0, 1], [0, 0], [20, 21], "b")
+    with mock.patch.object(hash_join, "_sorted_probe", wraps=hash_join._sorted_probe) as searched:
+        out, _ = vectorized_hash_join(left, right, on=("x", "y"))
+    assert searched.call_count == 1
+    np.testing.assert_array_equal(out.column("a"), [10, 12, 11])
+    unique = make_table(1, [0, 1, 2], [0, 0, 0], [10, 11, 12], "a")
+    with mock.patch.object(hash_join, "_sorted_probe", wraps=hash_join._sorted_probe) as searched:
+        out, _ = vectorized_hash_join(unique, right, on=("x", "y"))
+    assert searched.call_count == 0
+    np.testing.assert_array_equal(out.column("a"), [10, 11])

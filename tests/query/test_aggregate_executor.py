@@ -1,5 +1,8 @@
 """Tests for grouped aggregation and the query executor."""
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,12 @@ from repro.query import QueryExecutor, aggregate
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 from tests.datamodel.key_draws import column, key_columns, typed_table
 from tests.query.reference_aggregate import reference_aggregate
+
+agg_module = importlib.import_module("repro.query.aggregate")
+
+#: example budgets are multiples of the loaded Hypothesis profile's (100 by
+#: default), so a wider profile widens every draw here
+BUDGET = settings.default.max_examples
 
 
 def table_of(values_by_col, dtypes=None):
@@ -83,7 +92,7 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(table_of({"v": [1]}), [])
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=BUDGET * 3 // 5, deadline=None)
     @given(
         groups=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=60),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -128,7 +137,7 @@ class TestAggregateEqualsTheStructuredSort:
     structured-dtype sort it replaced.  Same schema, dtypes, group order and
     column bytes (so the same within-group summation order), same refusals."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=3 * BUDGET, deadline=None)
     @given(data=st.data())
     def test_zero_to_three_keys_all_functions(self, data):
         keys = data.draw(key_columns(min_columns=0, max_columns=3))
@@ -196,6 +205,97 @@ class TestAggregateEqualsTheStructuredSort:
         twice = [Aggregate("count", "*"), Aggregate("count", "*"), Aggregate("avg", "v")]
         with pytest.raises(ValueError, match="duplicate attribute name 'count_all'"):
             self.both(empty, twice)
+
+
+#: value columns of the counted-path draw, each from a seeded generator: the
+#: first four add exactly in float64, the last two do not
+VALUE_KINDS = {
+    "int32": lambda rng, n: rng.integers(-1000, 1000, n).astype(np.int32),
+    "int64": lambda rng, n: rng.integers(-(2**40), 2**40, n),
+    "whole float32": lambda rng, n: rng.integers(-1000, 1000, n).astype(np.float32),
+    "signed zeros": lambda rng, n: rng.choice(np.array([-0.0, -0.0, 0.0, 1.5]), n),
+    "uniform float32": lambda rng, n: rng.random(n).astype(np.float32),
+    "wide float64": lambda rng, n: rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n),
+}
+
+
+@st.composite
+def counted_tables(draw):
+    """512–640 records grouped by one or two keys over a small span (so
+    the id space straddles the counting bound), with value columns that
+    add exactly and ones that do not."""
+    n = draw(st.integers(min_value=512, max_value=640))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    keys = {
+        f"k{i}": rng.integers(0, draw(st.sampled_from((1, 4, 40, n // 2))), n).astype(
+            draw(st.sampled_from(("int32", "float32", "float64")))
+        )
+        for i in range(draw(st.integers(min_value=1, max_value=2)))
+    }
+    values = {name: VALUE_KINDS[draw(st.sampled_from(sorted(VALUE_KINDS)))](rng, n)
+              for name in ("v", "w")}
+    if draw(st.booleans()):  # a -0.0 or, now and then, a non-finite value
+        values["v"] = values["v"].astype(np.float64)
+        values["v"][rng.integers(0, n, 3)] = draw(st.sampled_from((-0.0, np.inf, np.nan)))
+    return {**keys, **values}
+
+
+class TestCountedGroupBy:
+    """GROUP BY by counting, held to the structured sort byte for byte."""
+
+    both = TestAggregateEqualsTheStructuredSort.both
+
+    @settings(max_examples=BUDGET, deadline=None)
+    @given(columns=counted_tables(), data=st.data())
+    def test_counted_draw_equals_the_structured_sort(self, columns, data):
+        aggs = [
+            Aggregate(f, attr)
+            for f in data.draw(st.lists(st.sampled_from(FUNCS[:3] * 3 + FUNCS[3:]),
+                                        min_size=1, max_size=3, unique=True))
+            for attr in data.draw(st.sampled_from((["v"], ["w"], ["v", "w"])))
+        ]
+        group_by = sorted(k for k in columns if k.startswith("k"))
+        self.both(columns, aggs, group_by)
+
+    def test_counting_takes_exact_sums_only(self):
+        """COUNT and exact SUM/AVG are counted.  Values spread over
+        sixteen decades make the sums round, so that column is sorted and
+        summed pairwise, as the reference does — a count in record order
+        would have given other bits."""
+        rng = np.random.default_rng(3)
+        g = rng.integers(0, 64, 4096).astype(np.float32)
+        exact = {"g": g, "v": rng.random(4096).astype(np.float32)}
+        rounds = {"g": g, "v": rng.random(4096) * 10.0 ** rng.integers(-8, 8, 4096)}
+        aggs = [Aggregate("count", "*"), Aggregate("sum", "v"), Aggregate("avg", "v")]
+        spy = mock.patch.object(agg_module, "_counted", wraps=agg_module._counted)
+        with spy as counted:
+            self.both(exact, aggs, ["g"])
+            assert counted.called
+            counted.reset_mock()
+            out = self.both(rounds, aggs, ["g"])
+            assert not counted.called
+        in_record_order = np.bincount(g.astype(np.intp), weights=rounds["v"])
+        assert in_record_order.tobytes() != out.column("sum_v").tobytes()
+
+    def test_sum_of_an_all_negative_zero_group_is_negative_zero(self):
+        """Counting starts from +0.0, and +0.0 + -0.0 is +0.0; the sorted
+        sum of only -0.0s is -0.0."""
+        out = self.both(
+            {"g": np.array([1, 2, 1, 2, 3] * 128, dtype=np.int32),
+             "v": np.array([-0.0, 0.0, -0.0, -0.0, 2.0] * 128)},
+            [Aggregate("sum", "v"), Aggregate("avg", "v")], ["g"],
+        )
+        assert np.signbit(out.column("sum_v")).tolist() == [True, False, False]
+        assert np.signbit(out.column("avg_v")).tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_value_columns_keep_the_sort(self, bad):
+        v = np.arange(1024, dtype=np.float64)
+        v[[5, 700]] = bad, -bad if bad == bad else 1.0
+        with mock.patch.object(agg_module, "_counted", wraps=agg_module._counted) as counted:
+            self.both({"g": np.arange(1024) % 8, "v": v},
+                      [Aggregate("sum", "v"), Aggregate("avg", "v")], ["g"])
+        assert not counted.called
 
 
 @pytest.fixture(scope="module")
