@@ -1,37 +1,57 @@
-"""The protocol mutation matrix: which gate catches a broken protocol?
+"""The mutation matrix: which gate catches a broken protocol, a lost
+replay guarantee or a malformed trace?
 
-The Section 4.1 joiner loop and the server around it keep five
-protocols: a cache entry stays pinned while in use (``pin``), prefetch
-staging is taken or cancelled (``stage``), an admission slot is handed
-back (``slot``), an event reaches exactly one terminal (``event``), and
-a byte ledger is credited only after its transfer (``ledger``).  Each
-cell of :data:`CELLS` breaks one clause at one real ``src/`` site with
-anchored ``(old, new)`` edits — an anchor that does not match exactly
-once is an :class:`AnchorError`, never a silently skipped cell — and
-records which gate notices:
+Each cell of :data:`CELLS` breaks one clause at one real ``src/`` site
+with anchored ``(old, new)`` edits — an anchor that does not match
+exactly once is an :class:`AnchorError`, never a silently skipped cell —
+and records which gate notices.  Cells come in three families, one
+results file each (``results/MUTATION_<family>.json``):
 
-* the *lint* column: the simlint rules that flag the edited file and
-  not the unedited one, with whatever rules the measured tree
-  registers;
+* ``protocol``: the Section 4.1 joiner loop and the server around it
+  keep five protocols: a cache entry stays pinned while in use
+  (``pin``), prefetch staging is taken or cancelled (``stage``), an
+  admission slot is handed back (``slot``), an event reaches exactly one
+  terminal (``event``), and a byte ledger is credited only after its
+  transfer (``ledger``);
+* ``determinism``: one or more cells per simlint rule (the clause is the
+  rule id) — a wall clock or an unseeded generator, a set iterated into
+  a schedule, a float sum over a set, a leaked event, a ``yield`` in an
+  ``except Interrupt`` handler, a container mutated while iterated, an
+  unobserved ``fail_after``, a raw ``heapq`` push;
+* ``trace``: a span never closed, a flow event with no source, an ops
+  log written out of ``seq`` order.
+
+Two columns per cell and side:
+
+* the *lint* column: for ``protocol`` and ``determinism``, the simlint
+  rules that flag the edited file and not the unedited one, with
+  whatever rules the measured tree registers; for ``trace``, the
+  validators (:data:`VALIDATED`) that flag the CI smoke artifacts
+  (:data:`ARTIFACT_RUNS`) regenerated from the edited tree and not those
+  of the unedited one;
 * the *runtime* column: the test files of :data:`SUITE` (the sanitizer,
   the QES contract, chaos quiescence, the fence, ...) with at least one
-  failing test, and how many.
+  failing test, and how many.  A cell with ``hashseeds`` runs the suite
+  once per ``PYTHONHASHSEED`` and is caught only if every seed fails a
+  test (the per-seed counts are kept under ``hashseeds``).
 
 ::
 
-    python benchmarks/protocol_mutations.py measure --tree PARENT --side parent
-    python benchmarks/protocol_mutations.py measure --side change
+    python benchmarks/protocol_mutations.py measure --tree PARENT --side parent --cell trace
+    python benchmarks/protocol_mutations.py measure --side change --cell determinism
     python benchmarks/protocol_mutations.py check
 
 ``measure`` copies a tree (``src``, ``tests``, ``benchmarks``,
 ``examples``, ``pyproject.toml``) into a scratch directory, runs
 :data:`SUITE` there unedited (it must pass), then per cell applies the
-edits, lints, runs the suite and restores the file; both columns go under
-``cells[name][side]`` of ``results/MUTATION_protocol.json``, other sides
-untouched.  A suite run that outlives :data:`TIMEOUT_S` counts as caught.
-``check`` re-runs only the runtime column: each cell's recorded
-``change`` test files against this tree, exit 1 if any cell escapes them.
-``--cell NAME`` (repeatable) restricts either command.
+edits, fills both columns and restores the file; they go under
+``cells[name][side]`` of the cell's family file, other sides untouched.
+A suite run that outlives :data:`TIMEOUT_S` counts as caught.  ``check``
+re-runs each cell's recorded ``change`` test files against this tree —
+or, for a cell no runtime gate caught, the kept tool that flagged it —
+and exits 1 if any cell escapes them.  ``--cell``
+(repeatable) takes a cell name or a family name and restricts either
+command.
 """
 
 from __future__ import annotations
@@ -51,7 +71,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
-RESULTS = os.path.join(HERE, "results", "MUTATION_protocol.json")
+FAMILIES = ("protocol", "determinism", "trace")
 
 #: what a cell's test run imports and reads, copied per measured tree
 TREE = ("src", "tests", "benchmarks", "examples", "pyproject.toml")
@@ -72,6 +92,31 @@ SUITE = (
 #: per test run; a mutation that hangs the suite is recorded as caught
 TIMEOUT_S = 900
 
+#: the CI smoke runs ("Traced smoke run", "Observed serve smoke run")
+#: whose artifacts the trace family's validators read
+ARTIFACT_RUNS = (
+    ("trace", "--grid", "16,16", "--p", "4,4", "--q", "4,4", "--storage", "2",
+     "--compute", "2", "--out", "traces/run.json"),
+    ("trace", "--grid", "16,16", "--p", "4,4", "--q", "4,4", "--storage", "2",
+     "--compute", "2", "--replication", "2", "--faults",
+     "seed=7,transient=0.2,storage_crash=0.05", "--sanitize",
+     "--out", "traces/faulted.json"),
+    ("serve", "--grid", "16,16", "--p", "4,4", "--q", "2,2", "--storage", "2",
+     "--compute", "2", "--seed", "7", "--functional", "--replication", "2",
+     "--faults", "seed=7,storage_crash=0.3", "--sanitize", "--observe",
+     "--json-out", "observatory/report.json",
+     "--oplog-out", "observatory/ops.jsonl"),
+)
+
+#: ``repro.telemetry.validate`` function → the artifacts it reads
+VALIDATED = {
+    "validate_chrome_trace": (
+        "traces/run.ij.json", "traces/run.gh.json",
+        "traces/faulted.ij.json", "traces/faulted.gh.json",
+    ),
+    "validate_oplog": ("observatory/ops.jsonl",),
+}
+
 
 class AnchorError(ValueError):
     """A cell's anchor no longer matches its file exactly once."""
@@ -88,6 +133,10 @@ class Cell:
     edits: Tuple[Tuple[str, str], ...]
     #: what a reader of the matrix needs beyond the columns
     note: str = ""
+    family: str = "protocol"
+    #: ``PYTHONHASHSEED`` values the suite runs under; caught only if
+    #: every one of them fails a test
+    hashseeds: Tuple[str, ...] = ()
 
 
 CELLS: Tuple[Cell, ...] = (
@@ -241,6 +290,140 @@ CELLS: Tuple[Cell, ...] = (
         "a shipped batch is never credited to `bytes_from_storage`",
         (("            report.bytes_from_storage += nbytes\n", ""),),
     ),
+    # -- determinism: at least one cell per simlint rule --------------------------
+    Cell(
+        "D001/dispatcher/wall-clock-admission", "D001", "server/server.py",
+        "QueryServer._dispatcher",
+        "a query's admission time is the host's wall clock, not `engine.now`",
+        (("import hashlib\n", "import hashlib\nimport time\n"),
+         ("                entry.admitted_at = engine.now\n",
+          "                entry.admitted_at = time.time()\n")),
+        family="determinism",
+    ),
+    Cell(
+        "D001/generator/unseeded-values", "D001", "workloads/generator.py",
+        "make_grid_partitions",
+        "the value columns are drawn from an unseeded `default_rng()`",
+        (("    rng = np.random.default_rng(seed)\n",
+          "    rng = np.random.default_rng()\n"),),
+        family="determinism",
+    ),
+    Cell(
+        "D002/join-index/ordinals-from-set", "D002", "joins/join_index.py",
+        "_ordinals",
+        "the distinct sub-table ids, which order the join index's pairs and "
+        "so the schedule, come out of a set unsorted",
+        (("    distinct = sorted(set(ids))\n",
+          "    distinct = [sid for sid in set(ids)]\n"),),
+        family="determinism", hashseeds=("0", "1"),
+    ),
+    Cell(
+        "D002/chrome-trace/node-pids-from-set", "D002", "telemetry/export.py",
+        "chrome_trace",
+        "trace process ids are handed out in the hash order of a set of "
+        "node names",
+        (("    nodes = sorted({_span_node(tel, s) for s in spans}, key=_node_sort_key)\n",
+          "    nodes = [n for n in {_span_node(tel, s) for s in spans}]\n"),),
+        family="determinism", hashseeds=("0", "1"),
+    ),
+    Cell(
+        "D003/latency/mean-over-set", "D003", "telemetry/latency.py",
+        "LatencyTracker.summary",
+        "a served report's mean latency sums a set of the samples",
+        (('                "mean": sum(vals) / len(vals),\n',
+          '                "mean": sum(set(vals)) / len(vals),\n'),),
+        family="determinism", hashseeds=("0", "1"),
+    ),
+    Cell(
+        "P001/injector/crash-signal-leaked", "P001", "faults/injector.py",
+        "FaultInjector.__init__",
+        "a storage node's crash signal is created but never registered, so "
+        "nothing can trigger it and no transfer waits on it",
+        (("                self._storage_crash_events[node] = self.engine.event()\n",
+          "                crash_signal = self.engine.event()\n"),),
+        family="determinism",
+    ),
+    Cell(
+        "P002/ij-driver/yield-in-interrupt", "P002", "joins/indexed_join.py",
+        "IndexedJoinQES._driver",
+        "the dead-joiner handler waits a zero timeout before reassigning its "
+        "pairs",
+        (("                # the dead joiner handed back what its prefetchers had\n",
+          "                yield cluster.engine.timeout(0)\n"
+          "                # the dead joiner handed back what its prefetchers had\n"),),
+        family="determinism",
+    ),
+    Cell(
+        "P003/cache/invalidate-over-live-dict", "P003", "services/cache.py",
+        "CachingService.invalidate_from",
+        "the victims are popped from the entry dict the loop walks",
+        (("        for key in victims:\n"
+          "            self.remove(key)\n",
+          "        for key in self._entries:\n"
+          "            if key in victims:\n"
+          "                entry = self._entries.pop(key)\n"
+          "                self._bytes -= entry.nbytes\n"
+          "                self.policy.on_remove(key)\n"
+          "                if self._subscribers:\n"
+          '                    self._emit("drop", key, entry.nbytes, entry.origin)\n'),),
+        family="determinism",
+    ),
+    Cell(
+        "P004/injector/dead-node-refusal-dropped", "P004", "faults/injector.py",
+        "FaultInjector.check_storage",
+        "the fail-fast `fail_after` for a dead storage node is created and "
+        "discarded instead of returned",
+        (("            return self.engine.fail_after(0.0, StorageNodeDown(node))\n",
+          "            self.engine.fail_after(0.0, StorageNodeDown(node))\n"),),
+        family="determinism",
+    ),
+    Cell(
+        "C001/spf-admission/raw-heappush", "C001", "server/admission.py",
+        "ShortestPredictedFirst.submit",
+        "the shortest-predicted-first queue is a raw `heapq` heap popped "
+        "from the front",
+        (("from bisect import insort\n", "from heapq import heappush\n"),
+         ("        insort(self._queue, (entry.predicted_time, entry.qid, entry))\n",
+          "        heappush(self._queue, (entry.predicted_time, entry.qid, entry))\n")),
+        family="determinism",
+    ),
+    # -- trace: what the Chrome-trace and ops-log validators exist to catch -------
+    Cell(
+        "trace/gh-partition/span-never-closed", "span", "joins/grace_hash.py",
+        "GraceHashQES._driver",
+        "the partition-phase span is never finished",
+        (("        if tel is not None:\n"
+          "            tel.recorder.finish(self.pspan)\n",
+          "        if tel is not None:\n"
+          "            pass\n"),),
+        family="trace",
+    ),
+    Cell(
+        "trace/export/flow-without-source", "flow", "telemetry/export.py",
+        "chrome_trace",
+        "a follows-from edge exports its flow end (`ph: f`) without the start",
+        (('            events.append(\n'
+          '                {\n'
+          '                    "name": "follows-from",\n'
+          '                    "cat": "flow",\n'
+          '                    "ph": "s",\n'
+          '                    "id": flow_id,\n'
+          '                    "ts": min(ts, _us(src.end)),\n'
+          '                    "pid": pid_of[src_node],\n'
+          '                    "tid": tid_of[(src_node, src.track)],\n'
+          '                }\n'
+          '            )\n', ''),),
+        family="trace",
+    ),
+    Cell(
+        "trace/oplog/written-out-of-seq", "oplog", "telemetry/oplog.py",
+        "OpLog.to_jsonl",
+        "the ops log is written sorted by (t, event), not in `seq` order",
+        (('            json.dumps(record, sort_keys=True) + "\\n" for record in self.records\n',
+          '            json.dumps(record, sort_keys=True) + "\\n"\n'
+          '            for record in sorted(self.records, key=lambda r: (r["t"], r["event"]))\n'),),
+        family="trace",
+    ),
 )
 
 CELLS_BY_NAME = {cell.name: cell for cell in CELLS}
@@ -271,14 +454,19 @@ def copy_tree(tree: str, dest: str) -> None:
             shutil.copy2(src, os.path.join(dest, name))
 
 
-def _env(root: str) -> Dict[str, str]:
+def _env(root: str, hashseed: Optional[str] = None) -> Dict[str, str]:
     # no bytecode: a restored file must never be shadowed by a stale .pyc
-    return dict(
+    env = dict(
         os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1"
     )
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = hashseed
+    return env
 
 
-def run_tests(root: str, paths: Sequence[str]) -> Dict[str, int]:
+def run_tests(
+    root: str, paths: Sequence[str], hashseed: Optional[str] = None
+) -> Dict[str, int]:
     """Failing (or erroring) tests per file of ``paths`` run under ``root``."""
     with tempfile.TemporaryDirectory(prefix="mutation-junit-") as tmp:
         xml = os.path.join(tmp, "junit.xml")
@@ -286,8 +474,8 @@ def run_tests(root: str, paths: Sequence[str]) -> Dict[str, int]:
             subprocess.run(
                 [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
                  "-o", "junit_family=xunit1", f"--junitxml={xml}", *paths],
-                cwd=root, env=_env(root), capture_output=True, check=False,
-                timeout=TIMEOUT_S,
+                cwd=root, env=_env(root, hashseed), capture_output=True,
+                check=False, timeout=TIMEOUT_S,
             )
         except subprocess.TimeoutExpired:
             return {"<timeout>": 1}
@@ -298,8 +486,24 @@ def run_tests(root: str, paths: Sequence[str]) -> Dict[str, int]:
     return dict(sorted(failed.items()))
 
 
+def run_cell_tests(
+    root: str, paths: Sequence[str], cell: Cell
+) -> Tuple[Dict[str, int], Dict[str, Dict[str, int]]]:
+    """The cell's runtime column, and per hash seed what it was drawn from:
+    empty unless every one of ``cell.hashseeds`` fails a test, else each
+    file that failed under some seed with its largest count."""
+    if not cell.hashseeds:
+        return run_tests(root, paths), {}
+    per_seed = {seed: run_tests(root, paths, seed) for seed in cell.hashseeds}
+    if not all(per_seed.values()):
+        return {}, per_seed
+    files = sorted(set().union(*per_seed.values()))
+    return {f: max(failed.get(f, 0) for failed in per_seed.values()) for f in files}, per_seed
+
+
 def lint_counts(root: str, path: str) -> Counter:
-    """simlint diagnostics per rule for one file, with ``root``'s rules."""
+    """simlint diagnostics per rule for one file, with ``root``'s rules
+    (none when the tree has no linter)."""
     proc = subprocess.run(
         [sys.executable, "-m", "repro.analysis", "--format", "json", path],
         cwd=root, env=_env(root), capture_output=True, text=True, check=False,
@@ -310,9 +514,61 @@ def lint_counts(root: str, path: str) -> Counter:
 def rule_catalogue(root: str) -> List[str]:
     proc = subprocess.run(
         [sys.executable, "-m", "repro.analysis", "--list-rules"],
-        cwd=root, env=_env(root), capture_output=True, text=True, check=True,
+        cwd=root, env=_env(root), capture_output=True, text=True, check=False,
     )
+    if proc.returncode:
+        return []
     return [line.split()[0] for line in proc.stdout.splitlines() if line.strip()]
+
+
+#: run in the measured tree: each ``VALIDATED`` function it still has →
+#: how many violations it finds over its artifacts (a missing one: none)
+_VALIDATE = """
+import json, sys
+from repro.telemetry import validate
+out = {}
+for name, paths in json.loads(sys.argv[1]).items():
+    check = getattr(validate, name, None)
+    if check is None:
+        continue
+    out[name] = 0
+    for path in paths:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                if path.endswith(".jsonl"):
+                    doc = [json.loads(line) for line in fh if line.strip()]
+                else:
+                    doc = json.load(fh)
+        except (OSError, ValueError):
+            continue
+        out[name] += len(check(doc))
+print(json.dumps(out))
+"""
+
+
+def validator_counts(root: str) -> Counter:
+    """Violations per validator over the CI smoke artifacts, regenerated
+    from ``root``'s ``src``; the keys are the validators ``root`` has."""
+    with tempfile.TemporaryDirectory(prefix="mutation-artifacts-") as out:
+        for path in {os.path.dirname(p) for ps in VALIDATED.values() for p in ps}:
+            os.makedirs(os.path.join(out, path))
+        for argv in ARTIFACT_RUNS:
+            subprocess.run(
+                [sys.executable, "-m", "repro", *argv], cwd=out, env=_env(root),
+                capture_output=True, check=False, timeout=TIMEOUT_S,
+            )
+        proc = subprocess.run(
+            [sys.executable, "-c", _VALIDATE, json.dumps(VALIDATED)],
+            cwd=out, env=_env(root), capture_output=True, text=True, check=True,
+        )
+    return Counter(json.loads(proc.stdout))
+
+
+def tool_counts(root: str, cell: Cell) -> Counter:
+    """What the cell's family's static tool reports on the current tree."""
+    if cell.family == "trace":
+        return validator_counts(root)
+    return lint_counts(root, os.path.join(root, "src", "repro", cell.file))
 
 
 @contextmanager
@@ -333,65 +589,91 @@ def mutated(root: str, cell: Cell) -> Iterator[str]:
 
 
 def _select(names: Optional[Sequence[str]]) -> List[Cell]:
+    """Cells by name or by family, in :data:`CELLS` order."""
     if not names:
         return list(CELLS)
-    unknown = sorted(set(names) - set(CELLS_BY_NAME))
+    unknown = sorted(set(names) - set(CELLS_BY_NAME) - set(FAMILIES))
     if unknown:
         raise SystemExit(f"unknown cell(s): {', '.join(unknown)}")
-    return [CELLS_BY_NAME[n] for n in names]
+    return [c for c in CELLS if c.name in names or c.family in names]
+
+
+def results_path(family: str) -> str:
+    return os.path.join(HERE, "results", f"MUTATION_{family}.json")
+
+
+def load_results(family: str) -> dict:
+    path = results_path(family)
+    if not os.path.exists(path):
+        return {"suite": list(SUITE), "sides": {}, "cells": {}}
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def measure(tree: str, side: str, cells: List[Cell]) -> int:
-    results = {"suite": list(SUITE), "sides": {}, "cells": {}}
-    if os.path.exists(RESULTS):
-        with open(RESULTS, encoding="utf-8") as fh:
-            results = json.load(fh)
+    families = sorted({cell.family for cell in cells}, key=FAMILIES.index)
+    results = {family: load_results(family) for family in families}
     with tempfile.TemporaryDirectory(prefix="mutation-tree-") as root:
         copy_tree(tree, root)
-        clean = run_tests(root, SUITE)
-        if clean:
-            print(f"the unedited suite fails: {clean}", file=sys.stderr)
-            return 1
-        results["sides"][side] = {"rules": rule_catalogue(root)}
+        for seed in sorted({None, *(s for c in cells for s in c.hashseeds)}, key=str):
+            clean = run_tests(root, SUITE, seed)
+            if clean:
+                print(f"the unedited suite fails (PYTHONHASHSEED={seed}): {clean}",
+                      file=sys.stderr)
+                return 1
+        for family in families:
+            rules = (sorted(validator_counts(root)) if family == "trace"
+                     else rule_catalogue(root))
+            results[family]["sides"][side] = {"rules": rules}
         for cell in cells:
-            before = lint_counts(root, os.path.join(root, "src", "repro", cell.file))
-            with mutated(root, cell) as path:
-                after = lint_counts(root, path)
-                failed = run_tests(root, SUITE)
+            before = tool_counts(root, cell)
+            with mutated(root, cell):
+                after = tool_counts(root, cell)
+                failed, per_seed = run_cell_tests(root, SUITE, cell)
             flagged = sorted(rule for rule in after if after[rule] > before[rule])
-            row = results["cells"].setdefault(cell.name, {})
+            row = results[cell.family]["cells"].setdefault(cell.name, {})
             row.update(
                 clause=cell.clause, site=f"{cell.file} {cell.site}",
                 mutation=cell.mutation, note=cell.note,
             )
             row[side] = {"lint": flagged, "failed": failed}
+            if per_seed:
+                row[side]["hashseeds"] = per_seed
             print(f"{cell.name}: lint {flagged or '-'}; "
                   f"{sum(failed.values())} failing test(s) in {len(failed)} file(s)",
                   file=sys.stderr)
-    results["cells"] = dict(sorted(results["cells"].items()))
-    with open(RESULTS, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for family, data in results.items():
+        data["cells"] = dict(sorted(data["cells"].items()))
+        with open(results_path(family), "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     return 0
 
 
 def check(cells: List[Cell]) -> int:
-    """Re-run each cell against its recorded change-side test files."""
-    with open(RESULTS, encoding="utf-8") as fh:
-        rows = json.load(fh)["cells"]
+    """Re-run each cell against its recorded change-side test files or, for
+    a cell no runtime gate catches, the kept tool that flagged it."""
+    rows = {}
+    for family in {cell.family for cell in cells}:
+        rows.update(load_results(family)["cells"])
     escaped = []
     with tempfile.TemporaryDirectory(prefix="mutation-tree-") as root:
         copy_tree(REPO, root)
         for cell in cells:
             files = sorted(rows[cell.name]["change"]["failed"])
+            tools = [] if files else rows[cell.name]["change"]["lint"]
+            before = tool_counts(root, cell) if tools else Counter()
             with mutated(root, cell):
-                failed = run_tests(root, files) if files else {}
+                failed = run_cell_tests(root, files, cell)[0] if files else {}
+                after = tool_counts(root, cell) if tools else Counter()
+            flagged = [tool for tool in tools if after[tool] > before[tool]]
             print(f"{cell.name}: {sum(failed.values())} failing test(s) in "
-                  f"{', '.join(failed) or 'none'}")
-            if not failed:
+                  f"{', '.join(failed) or 'none'}"
+                  + (f"; flagged by {', '.join(flagged) or 'nothing'}" if tools else ""))
+            if not failed and not flagged:
                 escaped.append(cell.name)
     if escaped:
-        print(f"{len(escaped)} cell(s) escaped every runtime gate: {', '.join(escaped)}")
+        print(f"{len(escaped)} cell(s) escaped every gate: {', '.join(escaped)}")
         return 1
     print(f"every one of {len(cells)} cell(s) caught")
     return 0
@@ -405,7 +687,7 @@ def main(argv=None) -> int:
     p_measure.add_argument("--side", required=True, choices=("parent", "change"))
     p_check = sub.add_parser("check", help="re-run the recorded runtime column")
     for p in (p_measure, p_check):
-        p.add_argument("--cell", action="append", metavar="NAME")
+        p.add_argument("--cell", action="append", metavar="NAME|FAMILY")
     args = parser.parse_args(argv)
     cells = _select(args.cell)
     if args.command == "measure":

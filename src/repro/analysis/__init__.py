@@ -1,12 +1,11 @@
-"""``simlint``: static determinism/protocol analysis, plus the runtime sanitizer.
+"""``simlint``: static engine-protocol analysis, plus the runtime sanitizer.
 
 Two complementary checkers for the simulation stack:
 
 * the **linter** (:mod:`repro.analysis.linter`, ``python -m repro.analysis``
-  or ``repro lint``) — AST rules that reject the syntactic shapes of
-  nondeterminism (wall clocks, unseeded RNGs, unordered iteration) and of
-  engine-protocol misuse (leaked events, unadjudicated races) before they
-  run;
+  or ``repro lint``) — AST rules for the engine-protocol misuse no runtime
+  gate sees: today one, P002 (a ``yield`` inside an ``except Interrupt``
+  handler);
 * the **sanitizer** (:mod:`repro.analysis.sanitizer`, ``repro run
   --sanitize``) — runtime invariant hooks installed into the engine,
   caches and query-execution strategies that catch the semantic bugs no

@@ -1,4 +1,4 @@
-"""``python -m repro.analysis`` — run the simlint determinism linter."""
+"""``python -m repro.analysis`` — run the simlint engine-protocol linter."""
 
 import sys
 

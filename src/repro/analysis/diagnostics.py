@@ -5,7 +5,7 @@ location; :func:`suppressions` extracts the per-line suppression table a
 file declares through ``# simlint: disable=RULE[,RULE...]`` trailing
 comments.  Suppressions are deliberately line-granular and rule-explicit:
 a blanket "disable everything here" switch would defeat the point of a
-determinism linter, which is that every exception is visible and
+linter, which is that every exception is visible and
 reviewable at the line that needs it.
 """
 

@@ -15,8 +15,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence
 
-# importing the rule modules populates the registry
-import repro.analysis.determinism  # noqa: F401
+# importing the rule module populates the registry
 import repro.analysis.protocol  # noqa: F401
 from repro.analysis.diagnostics import Diagnostic, filter_suppressed, suppressions
 from repro.analysis.rules import RULES, FileContext, iter_rules
@@ -51,6 +50,14 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
     # reverse=True + stack pop → lexicographic emission order
 
 
+def _read(file: Path) -> str:
+    try:
+        return file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # a usage error (exit 2) that names the file, like a missing path
+        raise ValueError(f"{file}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def _is_sim_source(path: Path) -> bool:
     parts = path.resolve().parts
     return "repro" in parts and "tests" not in parts
@@ -79,9 +86,10 @@ def lint_source(
     ctx = FileContext(
         path=path, source=source, tree=tree, is_sim_source=is_sim_source
     )
+    rules = iter_rules(select)  # an unknown id is refused for any file
     diags: List[Diagnostic] = []
-    for rule in iter_rules(select):
-        if rule.applies(ctx):
+    if is_sim_source:
+        for rule in rules:
             diags.extend(rule.check(ctx))
     diags = filter_suppressed(diags, suppressions(source))
     diags.sort(key=lambda d: (d.line, d.col, d.rule))
@@ -94,7 +102,7 @@ def lint_paths(
     """Lint every Python file under ``paths``."""
     out: List[Diagnostic] = []
     for file in iter_python_files(paths):
-        source = file.read_text(encoding="utf-8")
+        source = _read(file)
         out.extend(
             lint_source(
                 source,
@@ -116,7 +124,7 @@ def find_suppressions(paths: Sequence[str]) -> List[tuple]:
     """
     out: List[tuple] = []
     for file in iter_python_files(paths):
-        source = file.read_text(encoding="utf-8")
+        source = _read(file)
         for line, rules in sorted(suppressions(source).items()):
             out.append((str(file), line, tuple(sorted(rules))))
     return out
@@ -152,7 +160,7 @@ def _format_github(d: Diagnostic) -> str:
 def _list_rules() -> str:
     width = max(len(r.id) for r in RULES.values())
     lines = [
-        f"{rule.id:<{width}}  [{rule.scope:>3}]  {rule.title}"
+        f"{rule.id:<{width}}  {rule.title}"
         for rule in RULES.values()
     ]
     return "\n".join(lines)
@@ -169,8 +177,8 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="simlint",
         description=(
-            "Determinism and engine-protocol linter for the simulation "
-            "codebase. Exit status 1 when any diagnostic is emitted."
+            "Engine-protocol linter for the simulation codebase. Exit "
+            "status 1 when any diagnostic is emitted."
         ),
     )
     parser.add_argument(

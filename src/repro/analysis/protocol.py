@@ -1,22 +1,21 @@
-"""Engine-protocol rules P001–P004 and convention rule C001.
+"""Engine-protocol rule P002.
 
-The discrete-event engine (:mod:`repro.cluster.events`) has a small
-protocol: events must eventually trigger, interrupted processes must
-clean up synchronously, races must be adjudicated.  Violations do not
-crash — they strand processes, silently drop failures, or leave the
-trace dependent on iteration order, which is exactly the class of bug
-the deadlock diagnostic and the runtime sanitizer exist to catch late.
-These rules catch the syntactic shapes of those bugs early.
+The discrete-event engine (:mod:`repro.cluster.events`) kills or
+redirects a process by throwing :class:`Interrupt` into it, and the
+interrupter assumes the process unwinds synchronously.  A ``yield``
+inside the handler re-enters the event loop mid-unwind; nothing at
+runtime notices when the extra wait happens to move no byte, which is
+why this rule stays (DESIGN.md §7.1 names the mutation only it catches).
 
-P001/P002/P004 are scope ``"src"``: the engine test-suite deliberately
-writes the discouraged shapes to pin engine behaviour (abandoned race
-losers, yields inside interrupt handlers), and must stay free to do so.
+Like every rule it checks simulation source only: the engine test-suite
+deliberately yields inside interrupt handlers to pin engine behaviour,
+and must stay free to do so.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.rules import (
@@ -27,116 +26,7 @@ from repro.analysis.rules import (
     walk_scope,
 )
 
-__all__ = [
-    "LeakedEventRule",
-    "YieldInInterruptHandlerRule",
-    "MutateWhileIteratingRule",
-    "UnadjudicatedRaceRule",
-    "RawHeapqRule",
-]
-
-#: reading any of these on a race/event result counts as adjudicating it
-_RACE_ATTRS = {"first", "first_index", "ok", "value", "triggered"}
-
-#: method calls that mutate the container they are called on
-_MUTATORS = {
-    "add",
-    "append",
-    "clear",
-    "discard",
-    "extend",
-    "insert",
-    "invalidate_from",
-    "pop",
-    "popitem",
-    "put",
-    "remove",
-    "setdefault",
-    "update",
-}
-
-
-def _scopes(tree: ast.AST) -> Iterator[ast.AST]:
-    """The module plus every (async) function definition, outermost first."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def _is_event_ctor(call: ast.Call) -> bool:
-    """``engine.event()`` / ``self.engine.event()`` / ``Event(engine)``."""
-    name = dotted_name(call.func)
-    if name is None:
-        return False
-    if name == "Event" or name.endswith(".Event"):
-        return True
-    return (name == "event" or name.endswith(".event")) and not call.args
-
-
-@register
-class LeakedEventRule(Rule):
-    """P001: Event created but never given a chance to trigger.
-
-    A bare event (:meth:`SimEngine.event`) only fires when someone calls
-    ``succeed``/``fail`` on it.  Creating one and dropping the reference
-    — or never touching it again — guarantees it stays pending forever;
-    any process that ends up waiting on it deadlocks, surfacing much
-    later as a ``run_process`` diagnostic with no pointer back here.
-    The rule flags event constructions whose result is discarded, and
-    event-valued names never read again in their scope (lambdas count as
-    readers: handing an event to a deferred callback is the engine's own
-    completion idiom).
-
-    Bad::
-
-        engine.event()                   # result discarded
-        done = engine.event()            # never succeed()ed/fail()ed
-
-    Good::
-
-        done = engine.event()
-        engine._schedule(t, lambda: done.succeed())
-    """
-
-    id = "P001"
-    title = "event created but never triggered or observed"
-    scope = "src"
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for scope in _scopes(ctx.tree):
-            nodes = list(walk_scope(scope))
-            loads: Set[str] = {
-                n.id
-                for n in nodes
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-            }
-            for node in nodes:
-                if (
-                    isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Call)
-                    and _is_event_ctor(node.value)
-                ):
-                    yield ctx.diag(
-                        self,
-                        node,
-                        "event constructed and discarded; it can never be "
-                        "succeed()ed or fail()ed",
-                    )
-                elif (
-                    isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Call)
-                    and _is_event_ctor(node.value)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and node.targets[0].id not in loads
-                ):
-                    yield ctx.diag(
-                        self,
-                        node,
-                        f"event bound to `{node.targets[0].id}` but never used; "
-                        "nothing can trigger it and nothing waits on it",
-                    )
+__all__ = ["YieldInInterruptHandlerRule"]
 
 
 @register
@@ -168,7 +58,6 @@ class YieldInInterruptHandlerRule(Rule):
 
     id = "P002"
     title = "yield inside except-Interrupt handler"
-    scope = "src"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node in ast.walk(ctx.tree):
@@ -189,205 +78,3 @@ class YieldInInterruptHandlerRule(Rule):
                             "yield inside an except-Interrupt handler suspends a "
                             "process mid-interruption; clean up synchronously",
                         )
-
-
-@register
-class MutateWhileIteratingRule(Rule):
-    """P003: mutating a container while iterating over it.
-
-    Iterating a dict/set while adding or removing entries raises
-    ``RuntimeError`` at best; at worst (mutating through a method like
-    ``CachingService.invalidate_from`` that itself rebuilds internal
-    maps) it silently skips entries, and *which* entries depends on
-    insertion order — a determinism bug wearing a correctness bug's
-    clothes.  Snapshot first: iterate ``list(c)`` / ``list(c.items())``
-    or collect victims and mutate after the loop.
-
-    Bad::
-
-        for key in cache.chunks:
-            if stale(key):
-                cache.chunks.pop(key)         # mutates the dict mid-walk
-
-    Good::
-
-        for key in list(cache.chunks):
-            if stale(key):
-                cache.chunks.pop(key)
-    """
-
-    id = "P003"
-    title = "container mutated while being iterated"
-    scope = "all"
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.For, ast.AsyncFor)):
-                continue
-            target = self._iterated_container(node.iter)
-            if target is None:
-                continue
-            for stmt in node.body:
-                for sub in ast.walk(stmt):
-                    hit = self._mutation_of(sub, target)
-                    if hit is not None:
-                        yield ctx.diag(
-                            self,
-                            sub,
-                            f"`{target}` is mutated (.{hit}) while the loop at "
-                            f"line {node.lineno} iterates it; iterate a snapshot "
-                            "(`list(...)`) instead",
-                        )
-
-    @staticmethod
-    def _iterated_container(it: ast.AST) -> Optional[str]:
-        """The dotted name of the container being walked, if recognisable."""
-        if isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute):
-            if it.func.attr in ("keys", "values", "items") and not it.args:
-                return dotted_name(it.func.value)
-            return None
-        return dotted_name(it)
-
-    @staticmethod
-    def _mutation_of(node: ast.AST, target: str) -> Optional[str]:
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATORS and dotted_name(node.func.value) == target:
-                return node.func.attr
-        if isinstance(node, (ast.Assign, ast.Delete)):
-            targets = node.targets
-            for t in targets:
-                if isinstance(t, ast.Subscript) and dotted_name(t.value) == target:
-                    return "[]=" if isinstance(node, ast.Assign) else "del []"
-        return None
-
-
-@register
-class UnadjudicatedRaceRule(Rule):
-    """P004: race or timed failure with the losing branch unhandled.
-
-    ``any_of`` resolves to the *winner's* value; the loser keeps running
-    and its outcome is discarded.  Code that yields a race without ever
-    asking who won (``first``/``first_index``/``ok``/``value``) behaves
-    identically on data and on deadline — the timeout branch is dead
-    code that silently truncates work.  Likewise a ``fail_after`` whose
-    event is discarded fails into the void: nobody waits, nobody sees
-    the error.
-
-    Bad::
-
-        yield engine.any_of([transfer, engine.timeout(deadline)])  # who won?
-        engine.fail_after(ttl, StorageNodeDown(n))                 # unobserved
-
-    Good::
-
-        race = engine.any_of([transfer, engine.timeout(deadline)])
-        yield race
-        if race.first_index == 1:
-            raise TransferTimeout(desc)
-    """
-
-    id = "P004"
-    title = "race/timed-failure result unhandled"
-    scope = "src"
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for scope in _scopes(ctx.tree):
-            nodes = list(walk_scope(scope))
-            adjudicated: Set[str] = {
-                dn
-                for n in nodes
-                if isinstance(n, ast.Attribute)
-                and n.attr in _RACE_ATTRS
-                and (dn := dotted_name(n.value)) is not None
-            }
-            for node in nodes:
-                if isinstance(node, ast.Expr):
-                    inner = node.value
-                    if isinstance(inner, (ast.Yield, ast.YieldFrom)):
-                        inner = inner.value
-                    if (
-                        isinstance(inner, ast.Call)
-                        and (name := dotted_name(inner.func)) is not None
-                    ):
-                        tail = name.split(".")[-1]
-                        if tail in ("any_of", "AnyOf") and isinstance(
-                            node.value, (ast.Yield, ast.YieldFrom)
-                        ):
-                            yield ctx.diag(
-                                self,
-                                node,
-                                "race yielded without binding it; the winner "
-                                "cannot be distinguished from the loser",
-                            )
-                        elif tail == "fail_after" and not isinstance(
-                            node.value, (ast.Yield, ast.YieldFrom)
-                        ):
-                            yield ctx.diag(
-                                self,
-                                node,
-                                "`fail_after` event discarded; its failure can "
-                                "never be observed by any process",
-                            )
-                elif (
-                    isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Call)
-                    and (name := dotted_name(node.value.func)) is not None
-                    and name.split(".")[-1] in ("any_of", "AnyOf")
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and node.targets[0].id not in adjudicated
-                ):
-                    yield ctx.diag(
-                        self,
-                        node,
-                        f"race bound to `{node.targets[0].id}` but never "
-                        "adjudicated (no .first/.first_index/.ok/.value/"
-                        ".triggered read); handle the losing branch",
-                    )
-
-
-@register
-class RawHeapqRule(Rule):
-    """C001: direct ``heapq`` use outside the engine.
-
-    The engine's queue discipline — ``(at, seq)`` keys with a monotonic
-    sequence number breaking same-time ties in FIFO order — is the
-    determinism contract of the whole simulation; it lives in exactly
-    one place, :mod:`repro.cluster.events`.  A second hand-rolled heap
-    ordering simulated work will eventually order same-priority items by
-    comparison of whatever lands in the tuple (or crash on uncomparable
-    payloads), forking the tie-break policy.  Schedule through the
-    engine, or sort explicitly.
-
-    Bad::
-
-        import heapq
-        heapq.heappush(ready, (cost, pair))    # ties break on pair contents
-
-    Good::
-
-        ready.sort(key=lambda p: (cost_of(p), p.chunk_id))  # explicit ties
-    """
-
-    id = "C001"
-    title = "direct heapq use outside cluster/events.py"
-    scope = "all"
-
-    def applies(self, ctx: FileContext) -> bool:
-        path = ctx.path.replace("\\", "/")
-        return not path.endswith("cluster/events.py")
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            found: List[Tuple[ast.AST, str]] = []
-            if isinstance(node, ast.Import):
-                found = [(node, a.name) for a in node.names if a.name == "heapq"]
-            elif isinstance(node, ast.ImportFrom) and node.module == "heapq":
-                found = [(node, "heapq")]
-            for loc, _ in found:
-                yield ctx.diag(
-                    self,
-                    loc,
-                    "heapq outside the engine forks the tie-break policy; "
-                    "schedule through SimEngine or sort with an explicit key",
-                )

@@ -1,30 +1,25 @@
 """Rule framework and shared AST helpers for ``simlint``.
 
-A rule is a class with an ``id`` (``D...`` determinism, ``P...`` engine
-protocol, ``C...`` convention), a human ``title``, a ``scope`` and a
-``check`` method producing :class:`~repro.analysis.diagnostics.Diagnostic`
-objects for one parsed file.  The class docstring *is* the rule's
-documentation — it must state the hazard and show a bad and a good
-example; ``python -m repro.analysis --explain RULE`` prints it verbatim.
+A rule is a class with an ``id`` (``P...`` engine protocol), a human
+``title`` and a ``check`` method producing
+:class:`~repro.analysis.diagnostics.Diagnostic` objects for one parsed
+file.  The class docstring *is* the rule's documentation — it must state
+the hazard and show a bad and a good example; ``python -m
+repro.analysis --explain RULE`` prints it verbatim.
 
-Scopes
-------
-
-``"src"``
-    The rule applies only to simulation source (files under the
-    ``repro`` package).  Engine-protocol rules use this: the test suite
-    deliberately exercises the discouraged patterns (leaked events,
-    yields inside interrupt handlers) to pin the engine's behaviour.
-``"all"``
-    The rule applies to every linted file, tests included — determinism
-    hazards in tests make tests flaky, so they are never exempt.
+Rules apply only to simulation source (files under the ``repro``
+package): the test suite deliberately exercises the discouraged patterns
+(yields inside interrupt handlers) to pin the engine's behaviour.
 
 Adding a rule
 -------------
 
-1. Subclass :class:`Rule` in :mod:`repro.analysis.determinism` (D rules)
-   or :mod:`repro.analysis.protocol` (P/C rules), decorate with
-   :func:`register`, and write the docstring with a ``Bad``/``Good``
+A rule earns its place the way the kept one did (DESIGN.md §7.1): a cell
+of ``benchmarks/protocol_mutations.py`` at a real ``src/`` site that the
+rule flags and no runtime gate catches.
+
+1. Subclass :class:`Rule` in :mod:`repro.analysis.protocol`, decorate
+   with :func:`register`, and write the docstring with a ``Bad``/``Good``
    pair.
 2. Add a fixture under ``tests/analysis/fixtures/`` whose violating
    lines carry ``# expect: RULE`` markers; the fixture harness asserts
@@ -47,7 +42,6 @@ __all__ = [
     "RULES",
     "register",
     "dotted_name",
-    "is_set_expr",
     "iter_rules",
 ]
 
@@ -60,7 +54,7 @@ class FileContext:
     source: str
     tree: ast.AST
     #: whether the file is simulation source (under the ``repro`` package)
-    #: as opposed to a test/benchmark/script — see rule scopes
+    #: as opposed to a test/benchmark/script, which no rule checks
     is_sim_source: bool
 
     def diag(self, rule: "Rule", node: ast.AST, message: str) -> Diagnostic:
@@ -78,10 +72,6 @@ class Rule:
 
     id: str = ""
     title: str = ""
-    scope: str = "src"  # "src" | "all"
-
-    def applies(self, ctx: FileContext) -> bool:
-        return self.scope == "all" or ctx.is_sim_source
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         raise NotImplementedError
@@ -123,24 +113,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def is_set_expr(node: ast.AST) -> bool:
-    """Whether ``node`` syntactically produces a ``set`` (unordered).
-
-    Covers literals, comprehensions, ``set()``/``frozenset()`` calls and
-    the set-algebra operators combining any of those.
-    """
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        if node.func.id in ("set", "frozenset"):
-            return True
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)
-    ):
-        return is_set_expr(node.left) or is_set_expr(node.right)
-    return False
 
 
 def walk_scope(node: ast.AST) -> Iterator[ast.AST]:

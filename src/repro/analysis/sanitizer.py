@@ -1,6 +1,6 @@
 """Runtime simulation sanitizer: invariant hooks for ``--sanitize`` runs.
 
-The linter rejects the *syntactic shapes* of nondeterminism; this module
+The linter rejects one syntactic shape of engine misuse; this module
 checks the *semantic invariants* a correct execution must satisfy, live,
 while a join runs:
 

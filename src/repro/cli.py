@@ -52,7 +52,7 @@ Commands
     (``ne-cs``, ``compute-nodes``, ``tuples``, ``attributes``, ``cpu``,
     ``nfs``).
 ``lint``
-    Run ``simlint``, the determinism/engine-protocol static linter, over
+    Run ``simlint``, the engine-protocol static linter, over
     source paths (same as ``python -m repro.analysis``).
 ``trace``
     Execute both QES with causal span telemetry, write Chrome trace-event
@@ -1078,7 +1078,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="run simlint, the determinism/engine-protocol linter "
+        help="run simlint, the engine-protocol linter "
              "(equivalent to `python -m repro.analysis`)",
     )
     p_lint.add_argument("paths", nargs="*", default=["src"],

@@ -134,15 +134,10 @@ class DerivedDataSource:
         report = qes.run()
         if self.reuse_caches and chosen == "indexed-join":
             self._warm_caches = qes.caches
-        table = self._assemble(report, plan)
-        return QueryResult(table=table, report=report, plan=plan)
-
-    # -- result assembly -----------------------------------------------------------------
-
-    def _assemble(self, report: ExecutionReport, plan: Plan) -> Optional[SubTable]:
-        return assemble_result(
+        table = assemble_result(
             report, self.view, self.metadata, aggregate_mode=self.aggregate_mode
         )
+        return QueryResult(table=table, report=report, plan=plan)
 
 
 def assemble_result(

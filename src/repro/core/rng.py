@@ -11,10 +11,10 @@ replay the moment any consumer adds or removes a draw.
 
 This module is the single home of the splitmix64 mixer everything else
 derives from; :mod:`repro.faults` re-exports :func:`splitmix64` for
-backwards compatibility.  The ``simlint`` D001 rule
-(:mod:`repro.analysis`) enforces that simulation code draws through
-these helpers (or an explicitly seeded ``np.random.default_rng``) rather
-than through wall clocks or unseeded RNGs.
+backwards compatibility.  Simulation code draws through these helpers
+(or an explicitly seeded ``np.random.default_rng``), never through wall
+clocks or unseeded RNGs; the replay gates (the fence, the determinism
+tests) fail when it does (DESIGN.md §7.1).
 """
 
 from __future__ import annotations

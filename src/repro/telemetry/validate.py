@@ -1,13 +1,7 @@
 """Structural validators for exported observability artifacts.
 
-Three artifact kinds, one CLI:
+Two artifact kinds, one CLI:
 
-* **Chrome trace-event JSON** (``repro trace``): the ``traceEvents``
-  contract — required keys per phase, numeric non-negative
-  timestamps/durations, paired flow events, counter ('C') series
-  timestamp-monotonic per (pid, name), and the embedded metrics dump
-  internally consistent (gauge samples timestamp-monotonic, counters
-  non-negative).
 * **Ops logs** (``.jsonl`` from ``repro serve --oplog-out``): delegated
   to :func:`repro.telemetry.oplog.validate_oplog`.
 * **Server reports** (``repro serve --json-out``): the embedded
@@ -30,145 +24,16 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Any, Dict, List
+from typing import Any, List
 
 from repro.telemetry.oplog import validate_oplog
 
 __all__ = [
     "check_leaf_types",
-    "validate_chrome_trace",
     "validate_observability",
     "validate_oplog",
     "main",
 ]
-
-#: phases the exporter emits → keys every such event must carry
-_REQUIRED_KEYS = {
-    "X": ("name", "cat", "ph", "ts", "dur", "pid", "tid", "args"),
-    "M": ("name", "ph", "pid", "args"),
-    "C": ("name", "ph", "ts", "pid", "args"),
-    "s": ("name", "ph", "id", "ts", "pid", "tid"),
-    "f": ("name", "ph", "id", "ts", "pid", "tid", "bp"),
-}
-
-_METADATA_NAMES = {"process_name", "process_sort_index", "thread_name"}
-
-
-def _validate_metrics_dump(metrics: Any, errors: List[str]) -> None:
-    """Check the ``otherData.metrics`` registry dump embedded in a trace.
-
-    Gauge samples must be timestamp-monotonic (strictly increasing —
-    the recorder coalesces same-instant re-samples) and counters must
-    be non-negative: both are invariants the instruments enforce at
-    write time, so a violation here means the exporter corrupted them.
-    """
-    if not isinstance(metrics, dict):
-        errors.append("otherData.metrics: not an object")
-        return
-    for name in sorted(metrics):
-        dump = metrics[name]
-        if not isinstance(dump, dict):
-            errors.append(f"metric {name!r}: not an object")
-            continue
-        kind = dump.get("type")
-        if kind == "counter":
-            value = dump.get("value")
-            if not isinstance(value, (int, float)) or value < 0:
-                errors.append(
-                    f"metric {name!r}: counter value {value!r} negative "
-                    "or non-numeric"
-                )
-        elif kind == "gauge":
-            samples = dump.get("samples", [])
-            prev = None
-            for j, sample in enumerate(samples):
-                if (
-                    not isinstance(sample, (list, tuple))
-                    or len(sample) != 2
-                    or not all(isinstance(x, (int, float)) for x in sample)
-                ):
-                    errors.append(
-                        f"metric {name!r}: sample {j} malformed {sample!r}"
-                    )
-                    continue
-                t = sample[0]
-                if prev is not None and t <= prev:
-                    errors.append(
-                        f"metric {name!r}: sample {j} timestamp {t} not "
-                        f"increasing from {prev}"
-                    )
-                prev = t
-
-
-def validate_chrome_trace(doc: Any) -> List[str]:
-    """Return a list of violations (empty == valid)."""
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return ["top level is not a JSON object"]
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        return ["missing or non-array 'traceEvents'"]
-    if not events:
-        errors.append("'traceEvents' is empty")
-
-    flow_starts: Dict[Any, int] = {}
-    flow_ends: Dict[Any, int] = {}
-    counter_last_ts: Dict[Any, float] = {}
-    for i, ev in enumerate(events):
-        where = f"traceEvents[{i}]"
-        if not isinstance(ev, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        ph = ev.get("ph")
-        if ph not in _REQUIRED_KEYS:
-            errors.append(f"{where}: unknown phase {ph!r}")
-            continue
-        for key in _REQUIRED_KEYS[ph]:
-            if key not in ev:
-                errors.append(f"{where}: phase {ph!r} missing key {key!r}")
-        if "ts" in _REQUIRED_KEYS[ph] and "ts" in ev:
-            ts = ev["ts"]
-            if not isinstance(ts, (int, float)) or ts < 0:
-                errors.append(f"{where}: non-numeric or negative ts {ts!r}")
-        if ph == "X" and "dur" in ev:
-            dur = ev["dur"]
-            if not isinstance(dur, (int, float)) or dur < 0:
-                errors.append(f"{where}: non-numeric or negative dur {dur!r}")
-        if ph == "M" and ev.get("name") not in _METADATA_NAMES:
-            errors.append(
-                f"{where}: unexpected metadata name {ev.get('name')!r}"
-            )
-        if ph == "f" and ev.get("bp") != "e":
-            errors.append(f"{where}: flow end must set bp='e'")
-        if ph == "s":
-            flow_starts[ev.get("id")] = flow_starts.get(ev.get("id"), 0) + 1
-        if ph == "f":
-            flow_ends[ev.get("id")] = flow_ends.get(ev.get("id"), 0) + 1
-        if ph == "C" and isinstance(ev.get("ts"), (int, float)):
-            # counter samples render as a time series per (pid, name);
-            # the exporter walks gauge samples in recorded order, so a
-            # backwards timestamp means the source gauge was corrupted
-            key = (ev.get("pid"), ev.get("name"))
-            ts = ev["ts"]
-            prev = counter_last_ts.get(key)
-            if prev is not None and ts < prev:
-                errors.append(
-                    f"{where}: counter series {ev.get('name')!r} ts {ts} "
-                    f"decreases from {prev}"
-                )
-            counter_last_ts[key] = ts
-
-    for fid in sorted(set(flow_starts) | set(flow_ends), key=repr):
-        if flow_starts.get(fid, 0) != flow_ends.get(fid, 0):
-            errors.append(
-                f"flow id {fid!r}: {flow_starts.get(fid, 0)} starts vs "
-                f"{flow_ends.get(fid, 0)} ends"
-            )
-    other = doc.get("otherData")
-    if isinstance(other, dict) and "metrics" in other:
-        _validate_metrics_dump(other["metrics"], errors)
-    return errors
-
 
 _NUMBER = (int, float)
 _OPTIONAL_NUMBER = (int, float, type(None))
@@ -427,14 +292,12 @@ def _validate_file(path: str) -> List[str]:
         return validate_oplog(records)
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if isinstance(doc, dict) and "traceEvents" in doc:
-        return validate_chrome_trace(doc)
     if isinstance(doc, dict) and "observability" in doc:
         return validate_observability(doc["observability"])
     if isinstance(doc, dict) and "queries" in doc:
         # a server report without observability: nothing to check here
         return []
-    return ["unrecognised artifact (not a trace, oplog, or server report)"]
+    return ["unrecognised artifact (not an oplog or a server report)"]
 
 
 def main(argv: List[str]) -> int:
@@ -448,7 +311,7 @@ def main(argv: List[str]) -> int:
     for path in argv:
         try:
             errors = _validate_file(path)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding
             print(f"{path}: unreadable ({exc})")
             status = 1
             continue

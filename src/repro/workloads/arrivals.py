@@ -17,15 +17,14 @@ Two arrival processes cover the evaluation shapes:
 
 Every draw is a counter-based :mod:`repro.core.rng` splitmix64 value —
 no stateful RNG, no wall clock — so a workload is a pure function of
-``(tenants, seed)`` and replays byte-identically everywhere (simlint
-D001 clean by construction).
+``(tenants, seed)`` and replays byte-identically everywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.rng import splitmix64, uniform
 

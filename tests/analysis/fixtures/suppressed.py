@@ -1,13 +1,11 @@
-"""Fixture: real violations silenced by `# simlint: disable=` directives.
+"""Fixture: a real violation silenced by a `# simlint: disable=` directive.
 
 Zero `# expect:` markers — the harness asserts simlint stays silent.
 """
 
-import heapq  # simlint: disable=C001
-import time
 
-
-def stamp(engine):
-    t = time.time()  # simlint: disable=D001
-    heapq.heappush([], (t, engine))
-    return t
+def worker(engine):
+    try:
+        yield engine.timeout(1.0)
+    except Interrupt:  # noqa: F821 - fixtures are parsed, never imported
+        yield engine.timeout(0.5)  # simlint: disable=P002

@@ -1,6 +1,6 @@
 """Linter front-end tests: suppression directives, the module entry point,
-and the acceptance scenario — a seeded wall-clock read must be named with
-its rule id and line number."""
+and the acceptance scenario — the mutation the kept rule exists for must be
+named with its rule id and line number."""
 
 import json
 import os
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks import protocol_mutations as pm
 from repro.analysis import lint_source
 
 REPO = Path(__file__).resolve().parents[2]
@@ -27,30 +28,39 @@ def run_linter(*args, cwd=REPO):
     )
 
 
+#: a P002 violation on line 5, column 9
+VIOLATION = (
+    "def worker(engine):\n"
+    "    try:\n"
+    "        yield engine.timeout(1.0)\n"
+    "    except Interrupt:\n"
+    "        yield engine.timeout(0.5)"
+)
+
+
 # -- suppression ---------------------------------------------------------------------
 
 
 def test_disable_comment_suppresses_named_rule():
-    source = "import time\nstamp = time.time()  # simlint: disable=D001\n"
-    assert lint_source(source, "x.py") == []
+    assert [d.rule for d in lint_source(VIOLATION + "\n", "x.py")] == ["P002"]
+    assert lint_source(VIOLATION + "  # simlint: disable=P002\n", "x.py") == []
 
 
 def test_disable_comment_is_rule_specific():
-    source = "import time\nstamp = time.time()  # simlint: disable=C001\n"
+    source = VIOLATION + "  # simlint: disable=E999\n"
     diags = lint_source(source, "x.py")
-    assert [d.rule for d in diags] == ["D001"]
+    assert [d.rule for d in diags] == ["P002"]
 
 
 def test_multi_rule_disable_suppresses_each_listed_rule():
-    line = "import heapq; import time; STAMP = time.time()"
-    assert [d.rule for d in lint_source(line + "\n", "x.py")] == ["C001", "D001"]
-    assert lint_source(line + "  # simlint: disable=D001,C001\n", "x.py") == []
+    assert lint_source(VIOLATION + "  # simlint: disable=E999,P002\n", "x.py") == []
+    assert lint_source(VIOLATION + "  # simlint: disable=P002, E999\n", "x.py") == []
 
 
 def test_disable_inside_string_literal_is_ignored():
-    source = 'import time\ns = "# simlint: disable=D001"\nstamp = time.time()\n'
+    source = VIOLATION.replace("engine.timeout(0.5)", '"# simlint: disable=P002"') + "\n"
     diags = lint_source(source, "x.py")
-    assert [d.rule for d in diags] == ["D001"]
+    assert [d.rule for d in diags] == ["P002"]
 
 
 # -- module entry point --------------------------------------------------------------
@@ -78,11 +88,12 @@ def test_list_rules_prints_catalogue():
     proc = run_linter("--list-rules")
     assert proc.returncode == 0
     listed = [line.split()[0] for line in proc.stdout.splitlines()]
-    assert listed == ["D001", "D002", "D003", "P001", "P002", "P003", "P004", "C001"]
+    # the rules the mutation matrix kept (DESIGN.md §7.1)
+    assert listed == ["P002"]
 
 
 def test_explain_shows_bad_and_good():
-    proc = run_linter("--explain", "P001")
+    proc = run_linter("--explain", "P002")
     assert proc.returncode == 0
     assert "Bad::" in proc.stdout
     assert "Good::" in proc.stdout
@@ -100,22 +111,30 @@ def test_unknown_select_is_a_usage_error():
     assert "unknown rule" in proc.stderr
 
 
-# -- acceptance: a seeded violation is found and located -----------------------------
+def test_non_utf8_file_is_a_usage_error_naming_it(tmp_path):
+    target = tmp_path / "bad.py"
+    target.write_bytes(b"\xff\xfe")
+    proc = run_linter(str(target))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"simlint: error: {target}: not UTF-8")
 
 
-def test_seeded_wallclock_read_is_named_with_line(tmp_path):
-    original = (REPO / "src" / "repro" / "joins" / "indexed_join.py").read_text(
-        encoding="utf-8"
-    )
-    seeded = original + "\nimport time\n_SEED_STAMP = time.time()\n"
-    target = tmp_path / "indexed_join.py"
+# -- acceptance: the cell only P002 catches is found and located ----------------------
+
+
+def test_seeded_yield_in_interrupt_is_named_with_line(tmp_path):
+    """The mutation matrix's P002 cell, which no runtime gate catches."""
+    cell = pm.CELLS_BY_NAME["P002/ij-driver/yield-in-interrupt"]
+    original = (REPO / "src" / "repro" / cell.file).read_text(encoding="utf-8")
+    seeded = pm.mutate(original, cell)
+    target = tmp_path / "repro" / cell.file
+    target.parent.mkdir(parents=True)
     target.write_text(seeded, encoding="utf-8")
-    lineno = len(seeded.splitlines())  # the time.time() call is the last line
+    lineno = seeded.splitlines().index("                yield cluster.engine.timeout(0)") + 1
 
     proc = run_linter(str(target))
     assert proc.returncode == 1
-    assert "D001" in proc.stdout
-    assert f"{target}:{lineno}:" in proc.stdout
+    assert f"{target}:{lineno}:17: P002" in proc.stdout
     assert "1 violation found" in proc.stderr
 
 
@@ -125,12 +144,7 @@ def test_seeded_wallclock_read_is_named_with_line(tmp_path):
 def bad_file(tmp_path):
     target = tmp_path / "repro" / "probe.py"
     target.parent.mkdir()
-    target.write_text(
-        "import time\n"
-        "\n"
-        "STAMP = time.time()\n",
-        encoding="utf-8",
-    )
+    target.write_text(VIOLATION + "\n", encoding="utf-8")
     return target
 
 
@@ -139,10 +153,10 @@ def test_json_format_is_machine_readable(tmp_path):
     proc = run_linter("--format", "json", str(target))
     assert proc.returncode == 1
     report = json.loads(proc.stdout)
-    assert [d["rule"] for d in report] == ["D001"]
+    assert [d["rule"] for d in report] == ["P002"]
     assert report[0]["path"] == str(target)
-    assert report[0]["line"] == 3
-    assert "wall-clock" in report[0]["message"]
+    assert report[0]["line"] == 5
+    assert "except-Interrupt" in report[0]["message"]
 
 
 def test_json_format_clean_tree_is_empty_list(tree_lint):
@@ -155,8 +169,8 @@ def test_github_format_emits_error_annotations(tmp_path):
     proc = run_linter("--format", "github", str(target))
     assert proc.returncode == 1
     line = proc.stdout.splitlines()[0]
-    assert line.startswith(f"::error file={target},line=3,col=")
-    assert "title=simlint D001" in line
+    assert line.startswith(f"::error file={target},line=5,col=")
+    assert "title=simlint P002" in line
 
 
 # -- the zero-suppression policy -----------------------------------------------------
@@ -165,14 +179,10 @@ def test_github_format_emits_error_annotations(tmp_path):
 def test_no_suppressions_fails_on_any_directive(tmp_path):
     target = tmp_path / "repro" / "quiet.py"
     target.parent.mkdir()
-    target.write_text(
-        "import time\n"
-        "stamp = time.time()  # simlint: disable=D001\n",
-        encoding="utf-8",
-    )
+    target.write_text(VIOLATION + "  # simlint: disable=P002\n", encoding="utf-8")
     proc = run_linter("--no-suppressions", str(target))
     assert proc.returncode == 1
-    assert "suppression of D001" in proc.stdout
+    assert "suppression of P002" in proc.stdout
     assert "zero-suppression policy" in proc.stderr
 
 

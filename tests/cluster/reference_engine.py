@@ -7,8 +7,8 @@ built through ``Event.__init__`` and ``_schedule``, and a resumption runs
 ``_resume`` then ``_step``.  ``tests/cluster/test_engine_equivalence.py``
 drives drawn process programs through both engines and requires the same
 trace and the same dispatch count, under either tie-break.  The one edit:
-the heap primitives come through the engine module, the only module simlint
-(C001) lets import ``heapq``; they are the same functions.
+the heap primitives come through the engine module, the only module that
+imports ``heapq``; they are the same functions.
 """
 
 from __future__ import annotations

@@ -1,10 +1,7 @@
-"""Exporters: Chrome trace-event JSON, the text dump, and the validator."""
-
-import json
+"""Exporters: Chrome trace-event JSON and the text dump."""
 
 from repro.telemetry import Telemetry
 from repro.telemetry.export import chrome_trace, text_dump, write_chrome_trace
-from repro.telemetry.validate import validate_chrome_trace
 
 
 def small_telemetry():
@@ -31,9 +28,6 @@ def small_telemetry():
 
 
 class TestChromeTrace:
-    def test_validates_clean(self):
-        assert validate_chrome_trace(chrome_trace(small_telemetry())) == []
-
     def test_one_process_per_node(self):
         doc = chrome_trace(small_telemetry())
         names = {
@@ -97,7 +91,6 @@ class TestChromeTrace:
         write_chrome_trace(small_telemetry(), p1)
         write_chrome_trace(small_telemetry(), p2)
         assert p1.read_text() == p2.read_text()
-        assert validate_chrome_trace(json.loads(p1.read_text())) == []
 
 
 class TestTextDump:
@@ -118,42 +111,3 @@ class TestTextDump:
         assert not query.startswith(" ")
         assert transfer.startswith("  ")
         assert "{bytes=512}" in transfer
-
-
-class TestValidator:
-    def test_rejects_non_object(self):
-        assert validate_chrome_trace([]) == ["top level is not a JSON object"]
-
-    def test_rejects_missing_events(self):
-        assert validate_chrome_trace({}) == ["missing or non-array 'traceEvents'"]
-
-    def test_flags_empty_events(self):
-        assert "'traceEvents' is empty" in validate_chrome_trace(
-            {"traceEvents": []}
-        )
-
-    def test_flags_unknown_phase_and_missing_keys(self):
-        doc = {"traceEvents": [
-            {"ph": "Z"},
-            {"ph": "X", "name": "a", "cat": "c", "ts": 0.0,
-             "pid": 1, "tid": 1, "args": {}},  # missing dur
-        ]}
-        errors = validate_chrome_trace(doc)
-        assert any("unknown phase 'Z'" in e for e in errors)
-        assert any("missing key 'dur'" in e for e in errors)
-
-    def test_flags_negative_timestamps(self):
-        doc = {"traceEvents": [
-            {"ph": "X", "name": "a", "cat": "c", "ts": -1.0, "dur": 1.0,
-             "pid": 1, "tid": 1, "args": {}},
-        ]}
-        assert any("negative ts" in e for e in validate_chrome_trace(doc))
-
-    def test_flags_unpaired_flows(self):
-        doc = {"traceEvents": [
-            {"ph": "s", "name": "f", "id": 7, "ts": 0.0, "pid": 1, "tid": 1},
-        ]}
-        assert any(
-            "flow id 7: 1 starts vs 0 ends" in e
-            for e in validate_chrome_trace(doc)
-        )

@@ -1,68 +1,11 @@
-"""Artifact validators: trace metric dumps, observability sections, CLI."""
+"""Artifact validators: observability sections, CLI."""
 
 import copy
 import json
 
 import pytest
 
-from repro.telemetry.validate import (
-    main,
-    validate_chrome_trace,
-    validate_observability,
-)
-
-
-def _trace(events=None, metrics=None):
-    doc = {"traceEvents": events if events is not None else [
-        {"name": "p", "ph": "M", "pid": 0,
-         "args": {"name": "x"}},
-    ]}
-    # make the metadata event legal
-    doc["traceEvents"][0]["name"] = "process_name"
-    if metrics is not None:
-        doc["otherData"] = {"metrics": metrics}
-    return doc
-
-
-class TestTraceMetricsDump:
-    def test_gauge_samples_must_be_timestamp_monotonic(self):
-        doc = _trace(metrics={
-            "queue.disk": {
-                "type": "gauge",
-                "samples": [[0.0, 1.0], [2.0, 3.0], [1.0, 0.0]],
-            },
-        })
-        errors = validate_chrome_trace(doc)
-        assert any("not increasing" in e for e in errors)
-
-    def test_malformed_gauge_sample_reported(self):
-        doc = _trace(metrics={
-            "queue.disk": {"type": "gauge", "samples": [[0.0], "nope"]},
-        })
-        errors = validate_chrome_trace(doc)
-        assert sum("malformed" in e for e in errors) == 2
-
-    def test_counter_value_must_be_non_negative(self):
-        doc = _trace(metrics={"bytes.read": {"type": "counter", "value": -1}})
-        errors = validate_chrome_trace(doc)
-        assert any("negative" in e for e in errors)
-
-    def test_clean_metrics_pass(self):
-        doc = _trace(metrics={
-            "bytes.read": {"type": "counter", "value": 42},
-            "queue.disk": {"type": "gauge", "samples": [[0.0, 1.0], [2.0, 0.0]]},
-        })
-        assert validate_chrome_trace(doc) == []
-
-    def test_counter_series_events_must_be_monotonic(self):
-        events = [
-            {"name": "depth", "ph": "C", "ts": 2.0, "pid": 0,
-             "args": {"v": 1}},
-            {"name": "depth", "ph": "C", "ts": 1.0, "pid": 0,
-             "args": {"v": 2}},
-        ]
-        errors = validate_chrome_trace({"traceEvents": events})
-        assert any("decreases" in e for e in errors)
+from repro.telemetry.validate import main, validate_observability
 
 
 def _obs_section(counter_windows=None, total=2.0):
@@ -205,6 +148,14 @@ class TestValidateCli:
         mystery = tmp_path / "what.json"
         mystery.write_text(json.dumps({"hello": 1}))
         assert main([str(mystery)]) == 1
+
+    @pytest.mark.parametrize("name", ["bad.json", "bad.jsonl"])
+    def test_non_utf8_file_is_unreadable(self, tmp_path, capsys, name):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\xfe")
+        assert main([str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"{bad}: unreadable (") and "utf-8" in out
 
     def test_no_args_usage(self, capsys):
         assert main([]) == 2

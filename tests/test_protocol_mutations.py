@@ -1,6 +1,6 @@
 """``benchmarks/protocol_mutations.py``: every cell still applies to this
-tree, and the committed matrix is complete.  (Running the cells is CI's
-job: each one runs a test suite.)"""
+tree, and each family's committed matrix is complete.  (Running the cells
+is CI's job: each one runs a test suite.)"""
 
 import json
 from pathlib import Path
@@ -10,6 +10,10 @@ import pytest
 from benchmarks import protocol_mutations as pm
 
 SRC = Path(pm.REPO) / "src" / "repro"
+
+
+def committed(family):
+    return json.loads(Path(pm.results_path(family)).read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("cell", pm.CELLS, ids=lambda c: c.name)
@@ -29,20 +33,75 @@ def test_a_stale_anchor_is_loud():
         pm.mutate(text + text, cell)
 
 
-def test_the_committed_matrix_covers_every_cell_and_side():
-    results = json.loads(Path(pm.RESULTS).read_text(encoding="utf-8"))
+def test_a_family_name_selects_its_cells():
+    assert pm._select(["trace"]) == [c for c in pm.CELLS if c.family == "trace"]
+    assert {c.family for c in pm.CELLS} == set(pm.FAMILIES)
+
+
+@pytest.mark.parametrize("family", pm.FAMILIES)
+def test_each_family_matrix_lists_every_cell_and_both_sides(family):
+    results = committed(family)
     assert results["suite"] == list(pm.SUITE)
-    # the lint column was measured while the R rules existed
-    assert {"R001", "R002", "R003", "R004"} <= set(results["sides"]["parent"]["rules"])
-    assert not any(r.startswith("R") for r in results["sides"]["change"]["rules"])
-    assert sorted(results["cells"]) == sorted(cell.name for cell in pm.CELLS)
-    for cell in pm.CELLS:
+    assert set(results["sides"]) == {"parent", "change"}
+    cells = [cell for cell in pm.CELLS if cell.family == family]
+    assert sorted(results["cells"]) == sorted(cell.name for cell in cells)
+    for cell in cells:
         row = results["cells"][cell.name]
         assert row["clause"] == cell.clause
         assert set(row) >= {"parent", "change"}
-        # every cell is caught by at least one runtime gate on this tree
-        assert row["change"]["failed"], cell.name
+        for side in ("parent", "change"):
+            # D002/D003 cells ran under each PYTHONHASHSEED they name
+            assert sorted(row[side].get("hashseeds", {})) == sorted(cell.hashseeds)
+
+
+@pytest.mark.parametrize("family", pm.FAMILIES)
+def test_every_cell_is_caught_on_the_change_side(family):
+    """By a runtime gate, or by a rule or check the change side still has."""
+    results = committed(family)
+    kept = set(results["sides"]["change"]["rules"])
+    for name, row in results["cells"].items():
+        assert row["change"]["failed"] or kept & set(row["change"]["lint"]), name
+
+
+def test_the_committed_matrix_covers_every_cell_and_side():
+    results = committed("protocol")
+    # the lint column was measured while the R rules existed
+    assert {"R001", "R002", "R003", "R004"} <= set(results["sides"]["parent"]["rules"])
+    assert not any(r.startswith("R") for r in results["sides"]["change"]["rules"])
+    for cell in pm.CELLS:
+        if cell.family == "protocol":
+            # every cell is caught by at least one runtime gate on this tree
+            assert results["cells"][cell.name]["change"]["failed"], cell.name
     # the R rules caught nothing a runtime gate missed on the parent tree
     for name, row in results["cells"].items():
         if row["parent"]["lint"]:
             assert row["parent"]["failed"], name
+
+
+def test_a_rule_is_kept_exactly_when_a_cell_escapes_every_runtime_gate():
+    """The deletion rule, on the parent column: a simlint rule stays only
+    if it flags a cell no runtime gate catches under every hash seed."""
+    results = committed("determinism")
+    only_it = {
+        rule
+        for row in results["cells"].values() if not row["parent"]["failed"]
+        for rule in row["parent"]["lint"]
+    }
+    assert results["sides"]["change"]["rules"] == sorted(only_it) == ["P002"]
+    assert set(results["sides"]["parent"]["rules"]) >= {cell.clause for cell in pm.CELLS
+                                                        if cell.family == "determinism"}
+
+
+def test_the_trace_validators_kept_are_the_oplog_one():
+    # validate_chrome_trace flagged only a cell the trace fence catches;
+    # the ops-log cell fails only a test that calls validate_oplog itself
+    # (DESIGN.md §7.1)
+    results = committed("trace")
+    assert results["sides"]["parent"]["rules"] == ["validate_chrome_trace", "validate_oplog"]
+    assert results["sides"]["change"]["rules"] == ["validate_oplog"]
+    flow = results["cells"]["trace/export/flow-without-source"]["parent"]
+    assert flow["lint"] == ["validate_chrome_trace"] and "tests/test_fence.py" in flow["failed"]
+    oplog = results["cells"]["trace/oplog/written-out-of-seq"]
+    for side in ("parent", "change"):
+        assert oplog[side]["lint"] == ["validate_oplog"]
+        assert oplog[side]["failed"] == {"tests/server/test_observatory.py": 1}
