@@ -3,13 +3,15 @@
 The ROADMAP's materialized-view item needs an answer the serve counters
 alone cannot give: *which* sub-tables are re-fetched or re-built across
 the query stream, how often, and at what recompute cost.  This module
-supplies it in three layers, all passive and all post-hoc:
+supplies it in three layers, all passive:
 
 * :class:`AccessTraceRecorder` — subscribes to every shared cache
   (:meth:`~repro.services.cache.CachingService.subscribe`) and
   timestamps each hit/miss/insert/drop on the simulated clock.  It
   schedules nothing, draws no randomness and mutates no cache state, so
   a recorded serve is event-for-event identical to an unrecorded one.
+  The trace is folded block by block while the serve runs, so memory is
+  bounded by the keys, the windows and one block, not by the serve.
 * Mattson-style **byte-weighted reuse distances** over the recorded
   access string, rolled into what-if miss-ratio curves (MRC) at
   alternative cache capacities — global and per tenant — plus windowed
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -63,6 +64,11 @@ CAPACITY_FRACTIONS = (0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
 #: reference string
 _HIT, _MISS, _INSERT, _DROP = range(4)
 _OP_CODES = {"hit": _HIT, "miss": _MISS, "insert": _INSERT, "drop": _DROP}
+
+#: trace rows folded at a time (DESIGN.md §14 has the peak-RSS / wall
+#: table it was chosen from); the recorder folds whenever this many rows
+#: arrived since its last fold
+_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +130,13 @@ def _dominance(upto: np.ndarray, after: np.ndarray, end: np.ndarray, w: np.ndarr
     return total
 
 
-def _stack_distances(kid: np.ndarray, nbytes: np.ndarray, access: np.ndarray) -> np.ndarray:
-    """The kernel behind :func:`reuse_distances`, over int columns: one
-    distance per access (``-1`` for a compulsory miss); an op that is
-    not an access is a drop.
+def _stack_distances(
+    kid: np.ndarray, nbytes: np.ndarray, access: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One distance per access (``-1`` for a compulsory miss) over int
+    columns, where an op that is not an access is a drop; and, in order,
+    the positions of the accesses that leave their key resident (no op on
+    the key follows them).
 
     Access ``i`` re-touches the key's previous access ``p`` unless a
     drop came between.  An access's bytes stay on the stack until the
@@ -147,7 +156,56 @@ def _stack_distances(kid: np.ndarray, nbytes: np.ndarray, access: np.ndarray) ->
     p = prev[q]
     out = np.full(n, -1, dtype=np.int64)
     out[q] = w[p] + live[q] - _dominance(p, q, end, w)
-    return out[access]
+    return out[access], np.flatnonzero(access & (end == n))
+
+
+class _LruStack:
+    """One access string's LRU stack between blocks: each resident key's
+    last access, oldest first, with the bytes it left resident.
+
+    :func:`_fold_stacks` prefixes the string's next rows with these as
+    accesses, which makes their distances the ones a pass over the whole
+    string gives: an access's distance counts its key's previous access
+    and the resident keys' *last* accesses since, and a resident key
+    keeps both its bytes and its recency order in the prefix; a key
+    dropped since its last access is absent, so its next access is
+    compulsory.
+    """
+
+    __slots__ = ("kid", "nbytes")
+
+    def __init__(self) -> None:
+        self.kid = self.nbytes = np.empty(0, dtype=np.int64)
+
+
+def _fold_stacks(strings) -> List[np.ndarray]:
+    """Each ``(stack, kid, nbytes, access)`` string's distances, its stack
+    moved past its rows — all strings in one kernel pass.
+
+    The strings are laid end to end, each behind its stack and with its
+    key ids shifted to a range of its own.  An access's distance only
+    counts ops after its key's previous access, which is in its own
+    string, so the strings cannot see each other.
+    """
+    if not strings:
+        return []
+    span = 1 + max((int(k.max()) for s in strings for k in (s[0].kid, s[1]) if len(k)), default=0)
+    parts, bounds, at = [], [], 0
+    for i, (stack, kid, nbytes, access) in enumerate(strings):
+        m = len(stack.kid)
+        parts.append((stack.kid + i * span, stack.nbytes, np.ones(m, dtype=bool)))
+        parts.append((kid + i * span, nbytes, access))
+        bounds.append((at, at + m, at + m + len(kid)))  # stack, own rows, end
+        at += m + len(kid)
+    kid, nbytes, access = (np.concatenate(column) for column in zip(*parts))
+    distances, resident = _stack_distances(kid, nbytes, access)
+    rank = np.concatenate(([0], np.cumsum(access)))  # accesses before each position
+    out = []
+    for i, ((stack, *_), (begin, own, end)) in enumerate(zip(strings, bounds)):
+        out.append(distances[rank[own] : rank[end]])
+        keep = resident[np.searchsorted(resident, begin) : np.searchsorted(resident, end)]
+        stack.kid, stack.nbytes = kid[keep] - i * span, nbytes[keep]
+    return out
 
 
 def reuse_distances(trace: Sequence[Tuple[str, Hashable, int]]) -> List[Optional[int]]:
@@ -161,8 +219,8 @@ def reuse_distances(trace: Sequence[Tuple[str, Hashable, int]]) -> List[Optional
     the bytes of every distinct key touched in between.  Under LRU the
     access hits a cache of capacity ``C`` iff its distance is ``<= C``,
     so one pass prices every capacity at once — that is Mattson's stack
-    algorithm, byte-weighted for variable-size entries, computed offline
-    in O(n log^2 n) by :func:`_stack_distances`.
+    algorithm, byte-weighted for variable-size entries, folded a block
+    at a time (:class:`_LruStack`), O(n log^2 n) within a block.
     """
     items = list(trace)
     for kind, _, nbytes in items:
@@ -172,8 +230,12 @@ def reuse_distances(trace: Sequence[Tuple[str, Hashable, int]]) -> List[Optional
             raise ValueError("access bytes must be >= 0")
     access = np.array([kind == "access" for kind, _, _ in items], dtype=bool)
     nbytes = np.array([n if kind == "access" else 0 for kind, _, n in items], dtype=np.int64)
-    distances = _stack_distances(_compact(key for _, key, _ in items), nbytes, access)
-    return [None if d < 0 else d for d in distances.tolist()]
+    kid = _compact(key for _, key, _ in items)
+    stack = _LruStack()
+    blocks = [slice(i, i + _BLOCK) for i in range(0, len(items), _BLOCK)]
+    distances = [_fold_stacks([(stack, kid[b], nbytes[b], access[b])])[0] for b in blocks]
+    out = np.concatenate([np.empty(0, dtype=np.int64)] + distances)
+    return [None if d < 0 else d for d in out.tolist()]
 
 
 def _points(capacities: Sequence[int], accesses: int, hits: Sequence[int]) -> List[Dict[str, Any]]:
@@ -189,9 +251,28 @@ def _points(capacities: Sequence[int], accesses: int, hits: Sequence[int]) -> Li
     ]
 
 
-def _hits(distances: np.ndarray, capacities: Sequence[int]) -> np.ndarray:
-    """How many accesses hit at each capacity (distance <= capacity)."""
-    return np.searchsorted(np.sort(distances[distances >= 0]), capacities, side="right")
+#: a ``(distances, accesses)`` histogram with nothing in it
+_NO_DISTANCES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def _count(histogram, distances: np.ndarray):
+    """A histogram — sorted distinct distances and how many accesses had
+    each — with ``distances`` added."""
+    values, counts = histogram
+    merged, at = np.unique(np.concatenate((values, distances)), return_inverse=True)
+    total = np.bincount(at[len(values):], minlength=len(merged))
+    total[at[: len(values)]] += counts
+    return merged, total
+
+
+def _curve(histogram, capacities: Sequence[int]) -> List[Dict[str, Any]]:
+    """What-if points at each capacity from a distance histogram: an
+    access hits a capacity its distance fits in (compulsory: none)."""
+    values, counts = histogram
+    fits = values >= 0
+    hits = np.concatenate(([0], np.cumsum(counts[fits])))
+    at = np.searchsorted(values[fits], capacities, side="right")
+    return _points(capacities, int(counts.sum()), hits[at].tolist())
 
 
 def miss_ratio_curve(
@@ -202,9 +283,8 @@ def miss_ratio_curve(
     Monotone non-increasing in capacity by construction: a distance that
     fits in ``C`` fits in every larger capacity.
     """
-    caps = sorted({int(c) for c in capacities})
-    dist = np.array([-1 if d is None else d for d in distances], dtype=np.int64)
-    return _points(caps, len(dist), _hits(dist, caps).tolist())
+    distances = np.array([-1 if d is None else d for d in distances], dtype=np.int64)
+    return _curve(_count(_NO_DISTANCES, distances), sorted({int(c) for c in capacities}))
 
 
 # ---------------------------------------------------------------------------
@@ -212,37 +292,125 @@ def miss_ratio_curve(
 # ---------------------------------------------------------------------------
 
 
-def _distinct(group: np.ndarray, ident: np.ndarray, nbytes: np.ndarray, count: int):
-    """Per group in ``range(count)``: how many distinct ``ident`` occur in
-    it, and the sum of each one's last ``nbytes`` there."""
-    span = int(ident.max()) + 1 if len(ident) else 1
-    # first occurrence in the reversed columns = last occurrence
-    cells, last = np.unique((group * span + ident)[::-1], return_index=True)
-    total = np.zeros(count, dtype=np.int64)
-    np.add.at(total, cells // span, nbytes[::-1][last])
-    return np.bincount(cells // span, minlength=count), total
+class _WorkingSet:
+    """Working-set windows of one cache, folded as its accesses arrive.
+
+    Access counts are kept per window.  Distinct keys and their bytes
+    are kept for closed windows only (a window closes when an access
+    falls in a later one), read off two per-key columns — the window of
+    the key's last access and the size it had there — or, for a window
+    that opens and closes within one fold, off that fold's rows.  The
+    final window of a horizon absorbs every window after it, and its
+    keys are those whose last access lies in that suffix, at their last
+    size, so accesses stamped at or past the horizon need no retained
+    window.
+    """
+
+    def __init__(self, width: float) -> None:
+        self.width = width
+        self.hits: List[int] = []
+        self.misses: List[int] = []
+        #: window -> (distinct keys, distinct bytes), once closed
+        self.closed: Dict[int, Tuple[int, int]] = {}
+        self.newest = -1
+        self.last_window = np.empty(0, dtype=np.int64)
+        self.last_bytes = np.empty(0, dtype=np.int64)
+
+    def grow(self, keys: int) -> None:
+        self.last_window = _grown(self.last_window, keys)
+        self.last_bytes = _grown(self.last_bytes, keys)
+
+    def add(self, t: np.ndarray, hit: np.ndarray, kid: np.ndarray, nbytes: np.ndarray) -> None:
+        """Fold accesses in time order (key ids below :meth:`grow`'s)."""
+        index = (t / self.width).astype(np.int64)
+        if not len(index):
+            return
+        first, top = int(index[0]), int(index[-1])
+        if first < self.newest or np.any(np.diff(index) < 0):
+            raise ValueError("working-set accesses must come in time order")
+        hits = np.bincount(index[hit] - first, minlength=top - first + 1).tolist()
+        counts = np.bincount(index - first).tolist()
+        for column in (self.hits, self.misses):
+            column.extend([0] * (top + 1 - len(column)))
+        for w in range(first, top + 1):
+            self.hits[w] += hits[w - first]
+            self.misses[w] += counts[w - first] - hits[w - first]
+        # each key's last access in each window, ordered by (window, key)
+        span = int(kid.max()) + 1
+        cells, last = _last(index * span + kid)
+        window, key, size = cells // span, cells % span, nbytes[last]
+        if first > self.newest >= 0:
+            self.closed[self.newest] = self.since(self.newest)
+        now = window == first
+        self.last_window[key[now]] = first
+        self.last_bytes[key[now]] = size[now]
+        if top > first:
+            self.closed[first] = self.since(first)
+            later = ~now
+            window, key, size = window[later] - first, key[later], size[later]
+            distinct = np.bincount(window).tolist()
+            nbytes_in = np.zeros(top - first + 1, dtype=np.int64)
+            np.add.at(nbytes_in, window, size)
+            for w in range(first + 1, top):
+                self.closed[w] = (distinct[w - first], int(nbytes_in[w - first]))
+            keys, at = _last(key)
+            self.last_window[keys] = window[at] + first
+            self.last_bytes[keys] = size[at]
+        self.newest = top
+
+    def since(self, window: int) -> Tuple[int, int]:
+        """Distinct keys last accessed in ``window`` or later, and the
+        sum of their sizes there."""
+        mask = self.last_window >= window
+        return int(np.count_nonzero(mask)), int(self.last_bytes[mask].sum())
+
+    def totals(self, count: int) -> List[Tuple[int, int, int, int]]:
+        """``(hits, misses, distinct keys, distinct bytes)`` for each of
+        ``count`` windows, the last one absorbing any later windows."""
+        out = []
+        for w in range(count - 1):
+            hits = self.hits[w] if w < len(self.hits) else 0
+            misses = self.misses[w] if w < len(self.misses) else 0
+            distinct = self.since(w) if w == self.newest else self.closed.get(w, (0, 0))
+            out.append((hits, misses) + distinct)
+        tail = count - 1
+        out.append(
+            (sum(self.hits[tail:]), sum(self.misses[tail:]))
+            + self.since(tail)
+        )
+        return out
 
 
-def _windows(t, hit, ident, nbytes, width: float, t_end: float) -> List[Dict[str, Any]]:
-    """Working-set windows over access columns (``ident`` distinguishes
-    the keys; the last size seen in a window is the key's size there)."""
-    edges = window_edges(width, t_end)
-    count = len(edges)
-    index = np.minimum((t / width).astype(np.int64), count - 1)
-    hits = np.bincount(index[hit], minlength=count)
-    misses = np.bincount(index[~hit], minlength=count)
-    distinct, distinct_bytes = _distinct(index, ident, nbytes, count)
+def _grown(column: np.ndarray, size: int, fill=-1) -> np.ndarray:
+    """``column`` extended along its first axis to at least ``size``
+    rows of ``fill`` (-1: nothing yet), doubling so growth is amortised."""
+    if len(column) >= size:
+        return column
+    out = np.full((max(size, 2 * len(column)),) + column.shape[1:], fill, dtype=column.dtype)
+    out[: len(column)] = column
+    return out
+
+
+def _last(kid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each distinct key in ``kid`` and the position of its last row."""
+    keys, first = np.unique(kid[::-1], return_index=True)
+    return keys, len(kid) - 1 - first
+
+
+def _window_rows(
+    edges: List[Tuple[float, float]], totals: Sequence[Tuple[int, int, int, int]]
+) -> List[Dict[str, Any]]:
     return [
         {
             "t0": t0,
             "t1": t1,
-            "accesses": int(hits[i] + misses[i]),
-            "hits": int(hits[i]),
-            "misses": int(misses[i]),
-            "distinct_keys": int(distinct[i]),
-            "distinct_bytes": int(distinct_bytes[i]),
+            "accesses": hits + misses,
+            "hits": hits,
+            "misses": misses,
+            "distinct_keys": keys,
+            "distinct_bytes": nbytes,
         }
-        for i, (t0, t1) in enumerate(edges)
+        for (t0, t1), (hits, misses, keys, nbytes) in zip(edges, totals)
     ]
 
 
@@ -251,17 +419,25 @@ def working_set_windows(
 ) -> List[Dict[str, Any]]:
     """Windowed working-set estimate over timestamped accesses.
 
-    ``events`` are ``(t, op, key, nbytes)`` with ``op`` in ``hit``/
-    ``miss``; the window grid is the observatory's own
+    ``events`` are ``(t, op, key, nbytes)`` in time order with ``op`` in
+    ``hit``/``miss``; the window grid is the observatory's own
     (:func:`repro.telemetry.timeseries.window_edges`, final window
     closed, an access at ``t`` in window ``int(t / width)``), so
     per-window access counts sum to the trace total exactly — the
-    reconciliation the validator checks.
+    reconciliation the validator checks.  The last size seen in a window
+    is the key's size there.
     """
-    t = np.array([e[0] for e in events], dtype=np.float64)
-    hit = np.array([e[1] == "hit" for e in events], dtype=bool)
-    nbytes = np.array([e[3] for e in events], dtype=np.int64)
-    return _windows(t, hit, _compact(e[2] for e in events), nbytes, width, t_end)
+    edges = window_edges(width, t_end)
+    kid = _compact(e[2] for e in events)
+    windows = _WorkingSet(width)
+    windows.grow(int(kid.max()) + 1 if len(kid) else 0)
+    windows.add(
+        np.array([e[0] for e in events], dtype=np.float64),
+        np.array([e[1] == "hit" for e in events], dtype=bool),
+        kid,
+        np.array([e[3] for e in events], dtype=np.int64),
+    )
+    return _window_rows(edges, windows.totals(len(edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +595,17 @@ def rank_candidates(
 # ---------------------------------------------------------------------------
 
 
-#: every watched node's columns as one table, in node order, miss sizes
-#: back-filled; ``node``/``tenant`` are positions in the sorted node and
-#: tenant lists (tenant -1: none)
-_Trace = namedtuple("_Trace", "t node op kid nbytes tenant derived")
-
-
-def _backfill(miss: np.ndarray, group: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
+def _backfill(
+    miss: np.ndarray, group: np.ndarray, nbytes: np.ndarray, before: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """A miss carries no size (nothing is resident); the size it *will*
     occupy is the next size recorded for its key, falling back to the
     last one seen before it, then 0 (a query that died between its miss
-    and its put).  ``group`` identifies the key on its node."""
+    and its put).  ``group`` identifies the key on its node and
+    ``before`` is each row's last size among rows folded earlier (-1:
+    none).  Returns the sizes, and which of them are final: all but a
+    miss with no size after it yet, which stays provisional until the
+    trace ends."""
     n = len(group)
     order = np.argsort(group, kind="stable")
     sized = ~miss[order]
@@ -439,12 +615,58 @@ def _backfill(miss: np.ndarray, group: np.ndarray, nbytes: np.ndarray) -> np.nda
     # one sentinel slot answers both "none after" (n) and "none before" (-1)
     key = np.append(group[order], -1)
     size = np.append(nbytes[order], 0)
+    ahead = key[nxt] == key[:-1]
     fill = np.where(
-        key[nxt] == key[:-1], size[nxt], np.where(key[prv] == key[:-1], size[prv], 0)
+        ahead,
+        size[nxt],
+        np.where(key[prv] == key[:-1], size[prv], np.maximum(before[order], 0)),
     )
     out = np.empty_like(nbytes)
     out[order] = np.where(sized, size[:-1], fill)
-    return out
+    final = np.empty(n, dtype=bool)
+    final[order] = sized | ahead
+    return out, final
+
+
+class _NodeFold:
+    """One watched cache's share of the running analysis: its op counts,
+    per key the last size recorded (the miss back-fill's fallback), its
+    working set (whose last-access columns are also the footprint), and
+    one LRU stack per access string — ``None`` for every access, a
+    tenant's name for that tenant's accesses plus every drop."""
+
+    __slots__ = ("ops", "last_size", "working_set", "stacks")
+
+    def __init__(self, width: float) -> None:
+        self.ops = np.zeros(4, dtype=np.int64)
+        self.last_size = np.empty(0, dtype=np.int64)
+        self.working_set = _WorkingSet(width)
+        self.stacks: Dict[Optional[str], _LruStack] = {}
+
+    def grow(self, keys: int) -> None:
+        self.last_size = _grown(self.last_size, keys)
+        self.working_set.grow(keys)
+
+    def fold(self, t, op, kid, nbytes, label, labels):
+        """Fold one block's rows on this node; returns its access strings
+        that have rows to fold, as ``{name: (stack, kid, nbytes, access)}``
+        for :func:`_fold_stacks`."""
+        access, drop, sized = op <= _MISS, op == _DROP, op != _MISS
+        self.ops += np.bincount(op, minlength=4)
+        keys, last = _last(kid[sized])
+        self.last_size[keys] = nbytes[sized][last]
+        self.working_set.add(t[access], op[access] == _HIT, kid[access], nbytes[access])
+        strings = {name: access & (label == j) for j, name in enumerate(labels)}
+        strings[None] = access
+        for name in self.stacks:
+            strings.setdefault(name, np.zeros_like(access))
+        out = {}
+        for name, own in strings.items():
+            if own.any() or (name in self.stacks and drop.any()):
+                rows = own | drop
+                stack = self.stacks.setdefault(name, _LruStack())
+                out[name] = (stack, kid[rows], nbytes[rows], access[rows])
+        return out
 
 
 class AccessTraceRecorder:
@@ -453,51 +675,144 @@ class AccessTraceRecorder:
     One recorder watches every compute node's cache; each key-granular
     event is stamped with the simulated clock and the query id the
     operation arrived under (the serving view's ``qid``), which the
-    server's ``submit`` event later maps to a tenant.  Recording is pure
-    appending to two growable columns per node — the float clock and
-    five ints per event: op code, a compact key id (one ``key -> id``
-    dict over all nodes, in first-seen order, so ``str(key)`` can be
-    rendered back), ``nbytes`` (-1 for a miss, which has no size yet),
-    ``qid`` (-1 for none) and whether the entry is derived.  Everything
-    analytical — back-filled miss sizes, distances, curves, windows,
-    candidate scores — is computed once, after the run, as array
-    operations over that table.
+    server's ``submit`` event maps to a tenant (:meth:`note_query`).
+    Recording appends to one buffer — the float clock and four ints per
+    event: the op code, whether the entry is derived and the node packed
+    in one, a compact key id (one ``key -> id`` dict over all nodes, in
+    first-seen order, so ``str(key)`` can be rendered back), ``nbytes``
+    (-1 for a miss, which has no size yet) and ``qid`` (-1 for none).
+
+    Every :data:`_BLOCK` rows the buffer is folded into running state:
+    per-key advisor statistics, per-node op counts and footprints,
+    working-set windows, and a histogram of the distances of each
+    access string, exact across blocks
+    (:class:`_LruStack`).  A fold stops at the earliest miss whose size
+    is not known yet — the next size recorded for its key — so the
+    buffer holds one block plus the rows since the oldest unresolved
+    miss.  A query's tenant is the one noted when its accesses fold.
+    :meth:`analyze` folds the rest (a miss that never saw a later size
+    takes the back-fill's fallback) and prices the capacity grid, which
+    only the whole trace's footprint fixes, from the histograms.
     """
 
     def __init__(self, clock: Callable[[], float], window: float = 1.0):
+        if not (math.isfinite(window) and window > 0):
+            raise ValueError(f"window width must be positive and finite, got {window}")
         self._clock = clock
         self.window = window
-        #: node -> (clock column, (op, key id, nbytes, qid, derived) rows)
-        self._columns: Dict[int, Tuple[array, array]] = {}
+        #: the rows not folded yet: clock column and (op + 4 * derived +
+        #: 8 * node, key id, nbytes, qid) per row
+        self._times = array("d")
+        self._rows = array("q")
+        self._fold_at = _BLOCK
         #: every traced key -> its compact id, in first-seen order
         self._key_ids: Dict[Hashable, int] = {}
         #: node -> configured capacity / policy of the watched cache
         self._watched: Dict[int, Dict[str, Any]] = {}
+        self._nodes: Dict[int, _NodeFold] = {}
         self._tenants: Dict[int, str] = {}
         self.cost_model: Optional[EntryCostModel] = None
+        # per key id: largest size, op counts and ever derived; the nodes
+        # and tenants that accessed a key as sorted ``node << 32 | key id``
+        # and ``tenant << 32 | key id`` codes (tenants numbered in the
+        # order their accesses first folded)
+        self._key_bytes = np.empty(0, dtype=np.int64)
+        self._key_ops = np.zeros((0, 4), dtype=np.int64)
+        self._key_derived = np.zeros(0, dtype=bool)
+        self._key_nodes = self._key_tenants = np.empty(0, dtype=np.int64)
+        self._tenant_numbers: Dict[str, int] = {}
+        #: access string (None: all; else a tenant) -> distance histogram
+        self._histograms: Dict[Optional[str], Tuple[np.ndarray, np.ndarray]] = {}
 
     # -- recording hooks ----------------------------------------------
 
     def watch(self, node: int, cache) -> None:
         """Subscribe to ``cache``'s access events as compute ``node``."""
-        times, rows = self._columns.setdefault(node, (array("d"), array("q")))
         self._watched[node] = {"capacity_bytes": cache.capacity_bytes, "policy": cache.policy.name}
-        clock, ids = self._clock, self._key_ids
+        self._nodes.setdefault(node, _NodeFold(self.window))
+        times, rows, clock, ids = self._times, self._rows, self._clock, self._key_ids
+        codes = {op: code + 8 * node for op, code in _OP_CODES.items()}
 
         def record(op, key, nbytes, origin, qid) -> None:
-            code = _OP_CODES.get(op)
+            code = codes.get(op)
             if code is not None:
                 times.append(clock())
                 rows.extend((
-                    code, ids.setdefault(key, len(ids)), -1 if nbytes is None else nbytes,
-                    -1 if qid is None else qid, origin == "derived",
+                    code + 4 * (origin == "derived"), ids.setdefault(key, len(ids)),
+                    -1 if nbytes is None else nbytes, -1 if qid is None else qid,
                 ))
+                if len(times) >= self._fold_at:
+                    self._fold()
 
         cache.subscribe(record)
 
     def note_query(self, qid: int, tenant: str) -> None:
         """Map a submitted query to its tenant (fed by ``submit`` events)."""
         self._tenants[qid] = tenant
+
+    # -- the fold -------------------------------------------------------
+
+    def _fold(self, final: bool = False) -> None:
+        """Fold the buffered rows up to the earliest miss whose size is
+        still unknown, or all of them when ``final``."""
+        n = len(self._times)
+        if n:
+            keys = len(self._key_ids)
+            self._key_bytes = _grown(self._key_bytes, keys)
+            self._key_ops = _grown(self._key_ops, keys, 0)
+            self._key_derived = _grown(self._key_derived, keys, False)
+            for fold in self._nodes.values():
+                fold.grow(keys)
+            t = np.array(self._times, dtype=np.float64)
+            packed, kid, nbytes, qid = np.array(self._rows, dtype=np.int64).reshape(-1, 4).T
+            node, op, derived = packed >> 3, packed & 3, (packed & 4) != 0
+            nodes, slot = np.unique(node, return_inverse=True)
+            before = np.empty(n, dtype=np.int64)
+            for j, watched in enumerate(nodes.tolist()):
+                on = slot == j
+                before[on] = self._nodes[watched].last_size[kid[on]]
+            sizes, known = _backfill(op == _MISS, kid * len(nodes) + slot, nbytes, before)
+            upto = n if final or known.all() else int(np.argmin(known))
+            if upto:
+                cut = slice(0, upto)
+                self._fold_rows(t[cut], node[cut], op[cut], kid[cut], sizes[cut], qid[cut],
+                                derived[cut])
+                del self._times[:upto]
+                del self._rows[: 4 * upto]
+        self._fold_at = len(self._times) + _BLOCK
+
+    def _fold_rows(self, t, node, op, kid, nbytes, qid, derived) -> None:
+        access = op <= _MISS
+        qids, inverse = np.unique(qid, return_inverse=True)
+        tenants = [self._tenants.get(q) for q in qids.tolist()]
+        labels = list(dict.fromkeys(name for name in tenants if name is not None))
+        label = np.array(
+            [-1 if name is None else labels.index(name) for name in tenants], dtype=np.int64
+        )[inverse]
+
+        np.maximum.at(self._key_bytes, kid, nbytes)
+        self._key_ops += np.bincount(kid * 4 + op, minlength=self._key_ops.size).reshape(-1, 4)
+        self._key_derived[kid[derived]] = True
+        known = access & (label >= 0)
+        number = np.array(
+            [self._tenant_numbers.setdefault(name, len(self._tenant_numbers)) for name in labels],
+            dtype=np.int64,
+        )
+        self._key_nodes = np.union1d(self._key_nodes, node[access] << 32 | kid[access])
+        self._key_tenants = np.union1d(self._key_tenants, number[label[known]] << 32 | kid[known])
+
+        nodes, slot = np.unique(node, return_inverse=True)
+
+        folded: Dict[Optional[str], List[np.ndarray]] = {}
+        for j, node in enumerate(nodes.tolist()):
+            on = slot == j
+            strings = self._nodes[node].fold(t[on], op[on], kid[on], nbytes[on], label[on], labels)
+            for name, distances in zip(strings, _fold_stacks(list(strings.values()))):
+                folded.setdefault(name, []).append(distances)
+        for name, parts in folded.items():
+            self._histograms[name] = _count(
+                self._histograms.get(name, _NO_DISTANCES), np.concatenate(parts)
+            )
 
     # -- analysis -----------------------------------------------------
 
@@ -516,36 +831,32 @@ class AccessTraceRecorder:
         return max((w["capacity_bytes"] for w in self._watched.values()), default=0)
 
     def analyze(self, makespan: float) -> Dict[str, Any]:
-        """Distil the trace into the ``observability.reuse`` payload."""
-        nodes = sorted(self._columns)
+        """Distil the trace into the ``observability.reuse`` payload.
+
+        Folds what is still buffered first, so the trace ends here: a
+        miss not followed by a size for its key by now keeps the
+        back-fill's fallback.
+        """
+        edges = window_edges(self.window, makespan)
+        self._fold(final=True)
+        nodes = sorted(self._watched)
         tenants = sorted(set(self._tenants.values()))
-        tr = self._table(nodes, tenants)
-        access, drop = tr.op <= _MISS, tr.op == _DROP
-        per_key = self._per_key(tr, access, nodes, tenants)
-        summary = self._trace_summary(tr, access, nodes, len(per_key))
+        per_key = self._per_key()
+        summary = self._trace_summary(nodes, len(per_key))
         footprints = [n["footprint_bytes"] for n in summary["per_node"]]
         grid = self.capacity_grid(max(footprints, default=0))
 
-        # per node, the global access string and one per tenant (its own
-        # gets plus every drop: an invalidation empties the key for all
-        # tenants alike); each curve sums its strings over the nodes —
-        # the what-if where every node's cache has the same capacity
-        accesses = [0] * (1 + len(tenants))
-        hits = np.zeros((1 + len(tenants), len(grid)), dtype=np.int64)
-        for i in range(len(nodes)):
-            on = tr.node == i
-            masks = [on & (access | drop)]
-            masks += [on & (drop | (access & (tr.tenant == j))) for j in range(len(tenants))]
-            for s, mask in enumerate(masks):
-                distances = _stack_distances(tr.kid[mask], tr.nbytes[mask], access[mask])
-                accesses[s] += len(distances)
-                hits[s] += _hits(distances, grid)
-        curves = [_points(grid, a, h) for a, h in zip(accesses, hits.tolist())]
+        # the global access string and one per tenant (its own gets plus
+        # every drop: an invalidation empties the key for all tenants
+        # alike), each summed over the nodes — the what-if where every
+        # node's cache has the same capacity
+        curves = [
+            _curve(self._histograms.get(name, _NO_DISTANCES), grid) for name in [None] + tenants
+        ]
 
-        ident = tr.node[access] * len(self._key_ids) + tr.kid[access]
-        windows = _windows(
-            tr.t[access], tr.op[access] == _HIT, ident, tr.nbytes[access], self.window, makespan
-        )
+        per_node = [self._nodes[n].working_set.totals(len(edges)) for n in nodes]
+        totals = [tuple(map(sum, zip(*cells))) for cells in zip(*per_node)]
+        windows = _window_rows(edges, totals or [(0, 0, 0, 0)] * len(edges))
 
         advisor: Dict[str, Any] = {"candidates": [], "cost_model": None}
         if self.cost_model is not None:
@@ -566,77 +877,53 @@ class AccessTraceRecorder:
 
     # -- analysis internals -------------------------------------------
 
-    def _table(self, nodes: List[int], tenants: List[str]) -> _Trace:
-        times = [np.array(self._columns[n][0], dtype=np.float64) for n in nodes]
-        rows = np.concatenate(
-            [np.empty(0, dtype=np.int64)]
-            + [np.array(self._columns[n][1], dtype=np.int64) for n in nodes]
-        )
-        op, kid, nbytes, qid, derived = rows.reshape(-1, 5).T
-        node = np.repeat(np.arange(len(nodes)), [len(t) for t in times])
-        index = {name: j for j, name in enumerate(tenants)}
-        qids, inverse = np.unique(qid, return_inverse=True)
-        tenant = np.array(
-            [index.get(self._tenants.get(q), -1) for q in qids.tolist()], dtype=np.int64
-        )[inverse]
-        missed = _backfill(op == _MISS, node * len(self._key_ids) + kid, nbytes)
-        return _Trace(
-            np.concatenate([np.empty(0)] + times), node, op, kid, missed, tenant, derived == 1
-        )
-
-    def _per_key(
-        self, tr: _Trace, access: np.ndarray, nodes: List[int], tenants: List[str]
-    ) -> Dict[str, Dict[str, Any]]:
+    def _per_key(self) -> Dict[str, Dict[str, Any]]:
         """Advisor stats per ``str(key)``, merged over the nodes."""
         strs = [str(key) for key in self._key_ids]
-        sid = _compact(strs)[tr.kid]
+        sid = _compact(strs)
         names = list(dict.fromkeys(strs))
-        count = len(names)
+        count, keys = len(names), len(strs)
         nbytes = np.zeros(count, dtype=np.int64)
-        np.maximum.at(nbytes, sid, tr.nbytes)
-        ops = np.bincount(tr.op * count + sid, minlength=4 * count).reshape(4, count)
+        np.maximum.at(nbytes, sid, self._key_bytes[:keys])
+        ops = np.zeros((count, 4), dtype=np.int64)
+        np.add.at(ops, sid, self._key_ops[:keys])
         # a key ever cached as a DDS product is priced as derived
-        derived = np.bincount(sid[tr.derived], minlength=count)
+        derived = np.zeros(count, dtype=bool)
+        derived[sid[self._key_derived[:keys]]] = True
         stats = [
             {
                 "nbytes": int(nbytes[s]),
                 "origin": "derived" if derived[s] else "base",
-                "accesses": int(ops[_HIT, s] + ops[_MISS, s]),
-                "hits": int(ops[_HIT, s]),
-                "misses": int(ops[_MISS, s]),
+                "accesses": int(ops[s, _HIT] + ops[s, _MISS]),
+                "hits": int(ops[s, _HIT]),
+                "misses": int(ops[s, _MISS]),
                 "nodes": set(),
                 "tenants": set(),
             }
             for s in range(count)
         ]
-        known = access & (tr.tenant >= 0)
-        for name, labels, mask, col in (
-            ("nodes", nodes, access, tr.node), ("tenants", tenants, known, tr.tenant)
-        ):
-            span = max(1, len(labels))
-            for cell in np.unique(sid[mask] * span + col[mask]).tolist():
-                stats[cell // span][name].add(labels[cell % span])
+        sids, tenants = sid.tolist(), list(self._tenant_numbers)
+        for code in self._key_nodes.tolist():
+            stats[sids[code & 0xFFFFFFFF]]["nodes"].add(code >> 32)
+        for code in self._key_tenants.tolist():
+            stats[sids[code & 0xFFFFFFFF]]["tenants"].add(tenants[code >> 32])
         return dict(zip(names, stats))
 
-    @staticmethod
-    def _trace_summary(
-        tr: _Trace, access: np.ndarray, nodes: List[int], distinct_keys: int
-    ) -> Dict[str, Any]:
-        count = len(nodes)
-        ops = np.bincount(tr.op * count + tr.node, minlength=4 * count).reshape(4, count)
-        keys, footprint = _distinct(tr.node[access], tr.kid[access], tr.nbytes[access], count)
-        per_node = [
-            {
+    def _trace_summary(self, nodes: List[int], distinct_keys: int) -> Dict[str, Any]:
+        per_node = []
+        for node in nodes:
+            fold = self._nodes[node]
+            keys, footprint = fold.working_set.since(0)
+            ops = fold.ops.tolist()
+            per_node.append({
                 "node": node,
-                "distinct_keys": int(keys[i]),
-                "footprint_bytes": int(footprint[i]),
-                "accesses": int(ops[_HIT, i] + ops[_MISS, i]),
-                "hits": int(ops[_HIT, i]),
-                "misses": int(ops[_MISS, i]),
-                "drops": int(ops[_DROP, i]),
-            }
-            for i, node in enumerate(nodes)
-        ]
+                "distinct_keys": keys,
+                "footprint_bytes": footprint,
+                "accesses": ops[_HIT] + ops[_MISS],
+                "hits": ops[_HIT],
+                "misses": ops[_MISS],
+                "drops": ops[_DROP],
+            })
         totals = ("accesses", "hits", "misses", "drops")
         return {
             **{name: sum(n[name] for n in per_node) for name in totals},

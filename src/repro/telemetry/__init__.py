@@ -34,7 +34,6 @@ from repro.telemetry.spans import (
 from repro.telemetry.timeseries import (
     CounterTrack,
     TimeSeriesRecorder,
-    roll_counter,
     roll_gauge,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "OpLog",
     "maybe_span",
     "percentile",
-    "roll_counter",
     "roll_gauge",
     "validate_oplog",
     "NULL_SPAN",

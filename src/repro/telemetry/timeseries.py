@@ -4,10 +4,9 @@ The metrics registry (:mod:`repro.telemetry.metrics`) keeps counters as
 single running totals — good for end-of-run summaries, useless for
 seeing how a serve *evolved*.  This module adds the time dimension:
 
-* :class:`CounterTrack` — a monotonic counter that remembers *when* each
-  increment happened (as ``(t, cumulative)`` pairs on the simulated
-  clock), so it can later be rolled into per-window event counts and
-  rates.
+* :class:`CounterTrack` — a monotonic counter folded, increment by
+  increment, into per-window sums on the simulated clock, so it rolls
+  into per-window event counts and rates without keeping its history.
 * :class:`~repro.telemetry.metrics.Gauge` — a step-function level
   (queue depth, cache occupancy, slots in use ...) sampled at simulated
   instants, rolled into per-window time-weighted means and maxima.
@@ -16,10 +15,10 @@ seeing how a serve *evolved*.  This module adds the time dimension:
 
 Everything here is *passive*: tracks never touch the event engine, never
 schedule timeouts, and never draw randomness, so attaching them to a
-serve cannot perturb its schedule.  Windowing is done once, after the
-run, from the recorded tracks — the "fixed-interval sampler" is a pure
-function of (events, window width, horizon), which keeps the rolled form
-a deterministic function of the run rather than of any sampling process.
+serve cannot perturb its schedule.  The rolled form is a pure function
+of (increments, window width, horizon): a counter's window sums are the
+same float additions, in the same order, whether they are made as the
+increments arrive or after the run.
 
 Window convention: the horizon ``[0, t_end]`` is cut into
 ``ceil(t_end / width)`` half-open windows ``[k*w, (k+1)*w)``; the final
@@ -40,39 +39,99 @@ __all__ = [
     "CounterTrack",
     "TimeSeriesRecorder",
     "window_edges",
-    "roll_counter",
     "roll_gauge",
 ]
 
 
 class CounterTrack:
-    """Monotonic counter with a timestamped cumulative history.
+    """Monotonic counter folded into per-window sums as it is incremented.
 
-    ``inc(t, amount)`` appends ``(t, total_after)``; timestamps must be
-    non-decreasing (they come from the simulated clock) and amounts
-    non-negative.  Increments at the same instant are kept as separate
-    events — rolling only cares about the cumulative value at window
-    edges, so coalescing is unnecessary and would lose the event count.
+    ``inc(t, amount)`` adds the increment's delta (``total_after -
+    total_before``) to the running sum of window ``int(t / width)``;
+    timestamps must be finite, non-negative and non-decreasing (they
+    come from the simulated clock) and amounts finite and non-negative.
+    Besides one sum per window up to the newest, the track keeps one
+    more float: the previous window's sum continued by the newest
+    window's deltas, in order.  That is the final window's count when
+    the newest window starts exactly at the horizon (increments stamped
+    at ``t_end = k * width`` belong to the window closed at ``t_end``),
+    so every rolled count is the same float as a walk over the whole
+    increment history.  Windows wholly past a horizon join its final
+    window as sums, the same float too whenever the amounts are whole
+    numbers (every track a serve keeps counts by one).  ``increments``
+    counts the ``inc`` calls.
     """
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, width: float = 1.0) -> None:
+        _check_width(width)
         self.name = name
+        self.width = width
         self.total = 0.0
-        self.events: List[Tuple[float, float]] = []
+        self.increments = 0
+        self._last_t = 0.0
+        self._sums: List[float] = []
+        self._carry = 0.0
 
     def inc(self, t: float, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter track {self.name!r} cannot decrease")
-        if self.events and t < self.events[-1][0]:
+        # chained comparisons are False for NaN, so these refuse it too
+        if not 0.0 <= amount < math.inf:
             raise ValueError(
-                f"counter track {self.name!r} incremented at {t} after "
-                f"{self.events[-1][0]}"
+                f"counter track {self.name!r}: amount must be finite and "
+                f"non-negative, got {amount}"
             )
-        self.total += amount
-        self.events.append((t, self.total))
+        if not self._last_t <= t < math.inf:
+            raise ValueError(
+                f"counter track {self.name!r} incremented at {t} after {self._last_t}"
+            )
+        before = self.total
+        total = self.total = before + amount
+        sums = self._sums
+        k = int(t / self.width)
+        if k >= len(sums):
+            sums.extend([0.0] * (k + 1 - len(sums)))
+            self._carry = sums[k - 1] if k else 0.0
+        delta = total - before
+        sums[k] += delta
+        self._carry += delta
+        self._last_t = t
+        self.increments += 1
+
+    def windows(self, t_end: float) -> List[Dict[str, float]]:
+        """Per-window counts and rates over ``[0, t_end]``.
+
+        Each window reports the number of counted units inside it and the
+        rate per simulated second; counts across all windows sum to the
+        track total by construction.
+        """
+        edges = window_edges(self.width, t_end)
+        count, sums = len(edges), self._sums
+        counts = sums[:count] + [0.0] * (count - len(sums))
+        if len(sums) == count + 1:
+            counts[-1] = self._carry
+        else:
+            # windows past the horizon's last: added window by window
+            for value in sums[count:]:
+                counts[-1] += value
+        out = []
+        for (t0, t1), value in zip(edges, counts):
+            span = t1 - t0
+            out.append(
+                {
+                    "t0": t0,
+                    "t1": t1,
+                    "count": value,
+                    "rate": value / span if span > 0 else 0.0,
+                }
+            )
+        return out
 
     def to_dict(self) -> Dict[str, Any]:
         return {"type": "counter_track", "total": self.total}
+
+
+def _check_width(width: float) -> None:
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"window width must be positive and finite, got {width}")
 
 
 def window_edges(width: float, t_end: float) -> List[Tuple[float, float]]:
@@ -81,10 +140,9 @@ def window_edges(width: float, t_end: float) -> List[Tuple[float, float]]:
     Always yields at least one window so an empty serve (``t_end == 0``)
     still rolls to a well-formed, if degenerate, series.
     """
-    if width <= 0:
-        raise ValueError(f"window width must be positive, got {width}")
-    if t_end < 0:
-        raise ValueError(f"horizon must be non-negative, got {t_end}")
+    _check_width(width)
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"horizon must be finite and non-negative, got {t_end}")
     count = max(1, int(math.ceil(t_end / width)))
     edges = []
     for k in range(count):
@@ -92,40 +150,6 @@ def window_edges(width: float, t_end: float) -> List[Tuple[float, float]]:
         t1 = min((k + 1) * width, t_end) if k == count - 1 else (k + 1) * width
         edges.append((t0, max(t1, t0)))
     return edges
-
-
-def _window_index(t: float, width: float, count: int) -> int:
-    """Window index for an event at ``t`` (horizon events go last)."""
-    return min(int(t / width), count - 1)
-
-
-def roll_counter(
-    events: Sequence[Tuple[float, float]], width: float, t_end: float
-) -> List[Dict[str, float]]:
-    """Roll ``(t, cumulative)`` events into per-window counts and rates.
-
-    Each window reports the number of counted units inside it and the
-    rate per simulated second; counts across all windows sum to the
-    track total by construction.
-    """
-    edges = window_edges(width, t_end)
-    counts = [0.0] * len(edges)
-    prev = 0.0
-    for t, cumulative in events:
-        counts[_window_index(t, width, len(edges))] += cumulative - prev
-        prev = cumulative
-    out = []
-    for (t0, t1), count in zip(edges, counts):
-        span = t1 - t0
-        out.append(
-            {
-                "t0": t0,
-                "t1": t1,
-                "count": count,
-                "rate": count / span if span > 0 else 0.0,
-            }
-        )
-    return out
 
 
 def roll_gauge(
@@ -198,8 +222,7 @@ class TimeSeriesRecorder:
     """
 
     def __init__(self, clock: Callable[[], float], window: float = 1.0) -> None:
-        if window <= 0:
-            raise ValueError(f"window width must be positive, got {window}")
+        _check_width(window)
         self._clock = clock
         self.window = window
         self._counters: Dict[str, CounterTrack] = {}
@@ -208,7 +231,7 @@ class TimeSeriesRecorder:
     def counter(self, name: str) -> CounterTrack:
         track = self._counters.get(name)
         if track is None:
-            track = self._counters[name] = CounterTrack(name)
+            track = self._counters[name] = CounterTrack(name, self.window)
         return track
 
     def gauge(self, name: str) -> Gauge:
@@ -218,7 +241,10 @@ class TimeSeriesRecorder:
         return track
 
     def inc(self, name: str, amount: float = 1.0) -> None:
-        self.counter(name).inc(self._clock(), amount)
+        track = self._counters.get(name)
+        if track is None:
+            track = self.counter(name)
+        track.inc(self._clock(), amount)
 
     def set(self, name: str, value: float) -> None:
         self.gauge(name).set(self._clock(), value)
@@ -231,7 +257,7 @@ class TimeSeriesRecorder:
 
     def point_count(self) -> int:
         """Total recorded points across every track (volume metric)."""
-        return sum(len(c.events) for c in self._counters.values()) + sum(
+        return sum(c.increments for c in self._counters.values()) + sum(
             len(g.samples) for g in self._gauges.values()
         )
 
@@ -247,7 +273,7 @@ class TimeSeriesRecorder:
             track = self._counters[name]
             counters[name] = {
                 "total": track.total,
-                "windows": roll_counter(track.events, self.window, t_end),
+                "windows": track.windows(t_end),
             }
         gauges = {}
         for name in self.gauge_names():

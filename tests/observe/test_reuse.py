@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.observe.reuse import (
+    AccessTraceRecorder,
     EntryCostModel,
     miss_ratio_curve,
     rank_candidates,
@@ -127,6 +128,17 @@ class TestWorkingSetWindows:
         assert sum(w["accesses"] for w in windows) == len(events)
         assert [w["distinct_bytes"] for w in windows] == [8, 4, 8]
         assert windows[0]["hits"] == 1 and windows[0]["misses"] == 1
+
+    def test_accesses_out_of_time_order_are_refused(self):
+        with pytest.raises(ValueError, match="time order"):
+            working_set_windows([(1.5, "hit", "a", 8), (0.2, "hit", "b", 8)], 1.0, 2.0)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+    def test_a_recorder_refuses_an_unusable_window(self, window):
+        # the trace folds into windows while the serve runs, so a bad
+        # width has to be refused before the first access
+        with pytest.raises(ValueError, match="window"):
+            AccessTraceRecorder(lambda: 0.0, window=window)
 
     def test_final_window_closed(self):
         # an access exactly at t_end lands in the last window, not past it

@@ -1,16 +1,29 @@
 """Windowed time-series tracks: recording, rolling, serialisation."""
 
 import json
+import math
 
 import pytest
 
 from repro.telemetry.timeseries import (
     CounterTrack,
     TimeSeriesRecorder,
-    roll_counter,
     roll_gauge,
     window_edges,
 )
+
+
+def counts(windows):
+    return [w["count"] for w in windows]
+
+
+def rolled(events, width, t_end):
+    """``(t, cumulative)`` events through a counter track, rolled."""
+    track, prev = CounterTrack("x", width), 0.0
+    for t, cumulative in events:
+        track.inc(t, cumulative - prev)
+        prev = cumulative
+    return track.windows(t_end)
 
 
 class TestCounterTrack:
@@ -20,7 +33,8 @@ class TestCounterTrack:
         c.inc(0.5, 2.0)
         c.inc(1.5)
         assert c.total == 4.0
-        assert c.events == [(0.5, 1.0), (0.5, 3.0), (1.5, 4.0)]
+        assert c.increments == 3
+        assert counts(c.windows(2.0)) == [3.0, 1.0]
 
     def test_rejects_decreasing_time_and_negative_amount(self):
         c = CounterTrack("x")
@@ -29,6 +43,48 @@ class TestCounterTrack:
             c.inc(0.5)
         with pytest.raises(ValueError):
             c.inc(2.0, -1.0)
+
+    def test_keeps_one_float_per_window_reached_plus_one(self):
+        c = CounterTrack("x", 0.5)
+        for i in range(1000):
+            c.inc(i * 0.01)
+        assert c.increments == 1000
+        assert len(c._sums) + 1 == int(9.99 / 0.5) + 1 + 1
+        assert sum(counts(c.windows(10.0))) == 1000.0
+
+
+class TestNonFiniteInputs:
+    """Each of these used to corrupt a track without a word."""
+
+    def test_nan_amount_is_refused(self):
+        c = CounterTrack("served")
+        with pytest.raises(ValueError, match="'served'"):
+            c.inc(0.0, math.nan)
+        with pytest.raises(ValueError, match="'served'"):
+            c.inc(0.0, math.inf)
+        assert c.total == 0.0 and c.increments == 0
+
+    def test_nan_timestamp_is_refused_and_keeps_the_order_check(self):
+        c = CounterTrack("served")
+        c.inc(2.0)
+        with pytest.raises(ValueError, match="'served'"):
+            c.inc(math.nan)
+        with pytest.raises(ValueError, match="'served'"):
+            c.inc(1.0)
+        with pytest.raises(ValueError, match="'served'"):
+            c.inc(math.inf)
+
+    @pytest.mark.parametrize("window", [math.nan, math.inf, -1.0])
+    def test_non_finite_recorder_window_is_refused(self, window):
+        with pytest.raises(ValueError, match="window"):
+            TimeSeriesRecorder(lambda: 0.0, window=window)
+
+    @pytest.mark.parametrize("width,t_end", [
+        (math.inf, 3.0), (math.nan, 3.0), (1.0, math.inf), (1.0, math.nan),
+    ])
+    def test_non_finite_window_edges_are_refused(self, width, t_end):
+        with pytest.raises(ValueError):
+            window_edges(width, t_end)
 
 
 class TestGaugeTrack:
@@ -81,17 +137,21 @@ class TestWindowEdges:
 class TestRollCounter:
     def test_counts_sum_to_total(self):
         events = [(0.2, 1.0), (0.8, 2.0), (1.1, 5.0), (2.5, 6.0)]
-        windows = roll_counter(events, 1.0, 2.5)
+        windows = rolled(events, 1.0, 2.5)
         assert sum(w["count"] for w in windows) == 6.0
         assert [w["count"] for w in windows] == [2.0, 3.0, 1.0]
 
     def test_event_at_horizon_lands_in_final_window(self):
-        windows = roll_counter([(2.0, 1.0)], 1.0, 2.0)
+        windows = rolled([(2.0, 1.0)], 1.0, 2.0)
         assert [w["count"] for w in windows] == [0.0, 1.0]
 
     def test_rate_uses_window_span(self):
-        windows = roll_counter([(0.25, 4.0)], 0.5, 0.5)
+        windows = rolled([(0.25, 4.0)], 0.5, 0.5)
         assert windows == [{"t0": 0.0, "t1": 0.5, "count": 4.0, "rate": 8.0}]
+
+    def test_events_past_the_horizon_join_the_final_window(self):
+        windows = rolled([(0.5, 1.0), (2.5, 2.0), (3.5, 4.0)], 1.0, 1.5)
+        assert [w["count"] for w in windows] == [1.0, 3.0]
 
 
 class TestRollGauge:
@@ -134,7 +194,7 @@ class TestTimeSeriesRecorder:
         state["now"] = 1.5
         rec.inc("served")
         rec.set("depth", 3.0)
-        assert rec.counter("served").events == [(0.0, 1.0), (1.5, 2.0)]
+        assert counts(rec.counter("served").windows(2.0)) == [1.0, 1.0]
         assert rec.gauge("depth").samples == [(1.5, 3.0)]
         assert rec.point_count() == 3
 
