@@ -13,22 +13,23 @@ results file each (``results/MUTATION_<family>.json``):
   admission slot is handed back (``slot``), an event reaches exactly one
   terminal (``event``), and a byte ledger is credited only after its
   transfer (``ledger``);
-* ``determinism``: one or more cells per simlint rule (the clause is the
-  rule id) — a wall clock or an unseeded generator, a set iterated into
-  a schedule, a float sum over a set, a leaked event, a ``yield`` in an
-  ``except Interrupt`` handler, a container mutated while iterated, an
-  unobserved ``fail_after``, a raw ``heapq`` push;
+* ``determinism``: one or more cells per rule the deleted ``simlint``
+  linter had (the clause is the rule id) — a wall clock or an unseeded
+  generator, a set iterated into a schedule, a float sum over a set, a
+  leaked event, a ``yield`` in an ``except Interrupt`` handler, a
+  container mutated while iterated, an unobserved ``fail_after``, a raw
+  ``heapq`` push;
 * ``trace``: a span never closed, a flow event with no source, an ops
   log written out of ``seq`` order.
 
 Two columns per cell and side:
 
-* the *lint* column: for ``protocol`` and ``determinism``, the simlint
-  rules that flag the edited file and not the unedited one, with
-  whatever rules the measured tree registers; for ``trace``, the
-  validators (:data:`VALIDATED`) that flag the CI smoke artifacts
-  (:data:`ARTIFACT_RUNS`) regenerated from the edited tree and not those
-  of the unedited one;
+* the *lint* column: for ``trace``, the validators (:data:`VALIDATED`)
+  that flag the CI smoke artifacts (:data:`ARTIFACT_RUNS`) regenerated
+  from the edited tree and not those of the unedited one.  ``protocol``
+  and ``determinism`` have no static tool any more and record ``[]``;
+  their ``parent`` columns keep what the simlint rules flagged while
+  they existed;
 * the *runtime* column: the test files of :data:`SUITE` (the sanitizer,
   the QES contract, chaos quiescence, the fence, ...) with at least one
   failing test, and how many.  A cell with ``hashseeds`` runs the suite
@@ -47,9 +48,9 @@ Two columns per cell and side:
 edits, fills both columns and restores the file; they go under
 ``cells[name][side]`` of the cell's family file, other sides untouched.
 A suite run that outlives :data:`TIMEOUT_S` counts as caught.  ``check``
-re-runs each cell's recorded ``change`` test files against this tree —
-or, for a cell no runtime gate caught, the kept tool that flagged it —
-and exits 1 if any cell escapes them.  ``--cell``
+re-runs each cell's recorded ``change`` test files against this tree
+and exits 1 if any cell escapes them (a cell with none recorded always
+does).  ``--cell``
 (repeatable) takes a cell name or a family name and restricts either
 command.
 """
@@ -290,7 +291,7 @@ CELLS: Tuple[Cell, ...] = (
         "a shipped batch is never credited to `bytes_from_storage`",
         (("            report.bytes_from_storage += nbytes\n", ""),),
     ),
-    # -- determinism: at least one cell per simlint rule --------------------------
+    # -- determinism: at least one cell per former simlint rule -------------------
     Cell(
         "D001/dispatcher/wall-clock-admission", "D001", "server/server.py",
         "QueryServer._dispatcher",
@@ -501,26 +502,6 @@ def run_cell_tests(
     return {f: max(failed.get(f, 0) for failed in per_seed.values()) for f in files}, per_seed
 
 
-def lint_counts(root: str, path: str) -> Counter:
-    """simlint diagnostics per rule for one file, with ``root``'s rules
-    (none when the tree has no linter)."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "--format", "json", path],
-        cwd=root, env=_env(root), capture_output=True, text=True, check=False,
-    )
-    return Counter(d["rule"] for d in json.loads(proc.stdout or "[]"))
-
-
-def rule_catalogue(root: str) -> List[str]:
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "--list-rules"],
-        cwd=root, env=_env(root), capture_output=True, text=True, check=False,
-    )
-    if proc.returncode:
-        return []
-    return [line.split()[0] for line in proc.stdout.splitlines() if line.strip()]
-
-
 #: run in the measured tree: each ``VALIDATED`` function it still has →
 #: how many violations it finds over its artifacts (a missing one: none)
 _VALIDATE = """
@@ -565,10 +546,9 @@ def validator_counts(root: str) -> Counter:
 
 
 def tool_counts(root: str, cell: Cell) -> Counter:
-    """What the cell's family's static tool reports on the current tree."""
-    if cell.family == "trace":
-        return validator_counts(root)
-    return lint_counts(root, os.path.join(root, "src", "repro", cell.file))
+    """What the cell's family's static tool reports on the current tree:
+    only ``trace`` has one."""
+    return validator_counts(root) if cell.family == "trace" else Counter()
 
 
 @contextmanager
@@ -622,8 +602,7 @@ def measure(tree: str, side: str, cells: List[Cell]) -> int:
                       file=sys.stderr)
                 return 1
         for family in families:
-            rules = (sorted(validator_counts(root)) if family == "trace"
-                     else rule_catalogue(root))
+            rules = sorted(validator_counts(root)) if family == "trace" else []
             results[family]["sides"][side] = {"rules": rules}
         for cell in cells:
             before = tool_counts(root, cell)
@@ -651,8 +630,7 @@ def measure(tree: str, side: str, cells: List[Cell]) -> int:
 
 
 def check(cells: List[Cell]) -> int:
-    """Re-run each cell against its recorded change-side test files or, for
-    a cell no runtime gate catches, the kept tool that flagged it."""
+    """Re-run each cell against its recorded change-side test files."""
     rows = {}
     for family in {cell.family for cell in cells}:
         rows.update(load_results(family)["cells"])
@@ -661,16 +639,11 @@ def check(cells: List[Cell]) -> int:
         copy_tree(REPO, root)
         for cell in cells:
             files = sorted(rows[cell.name]["change"]["failed"])
-            tools = [] if files else rows[cell.name]["change"]["lint"]
-            before = tool_counts(root, cell) if tools else Counter()
             with mutated(root, cell):
                 failed = run_cell_tests(root, files, cell)[0] if files else {}
-                after = tool_counts(root, cell) if tools else Counter()
-            flagged = [tool for tool in tools if after[tool] > before[tool]]
             print(f"{cell.name}: {sum(failed.values())} failing test(s) in "
-                  f"{', '.join(failed) or 'none'}"
-                  + (f"; flagged by {', '.join(flagged) or 'nothing'}" if tools else ""))
-            if not failed and not flagged:
+                  f"{', '.join(failed) or 'none'}")
+            if not failed:
                 escaped.append(cell.name)
     if escaped:
         print(f"{len(escaped)} cell(s) escaped every gate: {', '.join(escaped)}")
@@ -682,7 +655,7 @@ def check(cells: List[Cell]) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p_measure = sub.add_parser("measure", help="lint and test every cell on one tree")
+    p_measure = sub.add_parser("measure", help="test every cell on one tree")
     p_measure.add_argument("--tree", default=REPO, help="tree to measure (default: this one)")
     p_measure.add_argument("--side", required=True, choices=("parent", "change"))
     p_check = sub.add_parser("check", help="re-run the recorded runtime column")

@@ -51,9 +51,6 @@ Commands
     Regenerate one of the paper's figure sweeps at a chosen scale
     (``ne-cs``, ``compute-nodes``, ``tuples``, ``attributes``, ``cpu``,
     ``nfs``).
-``lint``
-    Run ``simlint``, the engine-protocol static linter, over
-    source paths (same as ``python -m repro.analysis``).
 ``trace``
     Execute both QES with causal span telemetry, write Chrome trace-event
     JSON (loadable in Perfetto / ``chrome://tracing``) and print the
@@ -90,7 +87,7 @@ import functools
 import json
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
 from repro.core.cost_models import (
@@ -844,24 +841,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    # lazy import: the linter is pure stdlib but pulls in the rule modules
-    from repro.analysis.linter import main as lint_main
-
-    argv: List[str] = list(args.paths)
-    if args.select:
-        argv += ["--select", args.select]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.explain:
-        argv += ["--explain", args.explain]
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.no_suppressions:
-        argv.append("--no-suppressions")
-    return lint_main(argv)
-
-
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     result = calibrate_host_machine(tuples=args.tuples, repeats=args.repeats)
     print(f"alpha_build  = {result.alpha_build:.3e} s/tuple")
@@ -1075,28 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also print the deterministic text dump of the "
                               "span tree and metrics")
     p_trace.set_defaults(fn=_cmd_trace)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="run simlint, the engine-protocol linter "
-             "(equivalent to `python -m repro.analysis`)",
-    )
-    p_lint.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
-    p_lint.add_argument("--select", metavar="RULES",
-                        help="comma-separated rule ids to run")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    p_lint.add_argument("--explain", metavar="RULE",
-                        help="print one rule's documentation and exit")
-    p_lint.add_argument("--format", choices=["text", "json", "github"],
-                        default="text",
-                        help="diagnostic output format (json for reports, "
-                             "github for inline ::error annotations)")
-    p_lint.add_argument("--no-suppressions", action="store_true",
-                        help="also fail on any `# simlint: disable=` "
-                             "directive (zero-suppression policy)")
-    p_lint.set_defaults(fn=_cmd_lint)
 
     p_drift = sub.add_parser(
         "drift",

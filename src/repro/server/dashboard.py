@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.telemetry.validate import check_leaf_types, validate_observability
+from repro.telemetry.validate import check_leaf_types, validate_observability, validate_oplog
 
 __all__ = [
     "SPARK_LEVELS",
@@ -97,7 +97,9 @@ def load_report(path: str) -> Dict[str, Any]:
 
 
 def load_oplog(path: str) -> List[Dict[str, Any]]:
-    """Read a ``repro serve --oplog-out`` JSONL file."""
+    """Read a ``repro serve --oplog-out`` JSONL file; a line that is not
+    JSON or a log that breaks the schema (:func:`validate_oplog`) is a
+    ``ValueError`` naming the file and the first violation."""
     records: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -108,6 +110,9 @@ def load_oplog(path: str) -> List[Dict[str, Any]]:
                 records.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno} unparseable ({exc})")
+    violations = validate_oplog(records)
+    if violations:
+        raise ValueError(f"{path}: {violations[0]}")
     return records
 
 

@@ -161,7 +161,7 @@ def validate_oplog(records: Sequence[Dict[str, Any]]) -> List[str]:
         else:
             prev_t = t
         event = record["event"]
-        if event not in OPLOG_EVENTS:
+        if not isinstance(event, str) or event not in OPLOG_EVENTS:
             violations.append(f"{where}: unknown event {event!r}")
         for key in ("qid", "span"):
             if key in record and (

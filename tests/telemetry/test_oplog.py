@@ -83,6 +83,9 @@ class TestValidateOplog:
         assert "submit" in OPLOG_EVENTS and "alert" in OPLOG_EVENTS
         bad = [{"seq": 0, "t": 0.0, "event": "frobnicate"}]
         assert any("unknown event" in v for v in validate_oplog(bad))
+        # an unhashable event is unknown too, not a TypeError
+        bad = [{"seq": 0, "t": 0.0, "event": ["submit"]}]
+        assert validate_oplog(bad)[0] == "record 0: unknown event ['submit']"
 
     def test_seq_must_match_position(self):
         bad = [{"seq": 3, "t": 0.0, "event": "submit"}]

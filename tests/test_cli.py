@@ -369,6 +369,38 @@ class TestTop:
         assert main(["top", str(bogus)]) == 2
         assert "not a server report" in capsys.readouterr().err
 
+    @pytest.fixture(scope="class")
+    def served_oplog(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("served")
+        report, oplog = out / "report.json", out / "ops.jsonl"
+        with redirect_stdout(io.StringIO()):
+            assert main(TestServe.SMALL + [
+                "--observe", "--json-out", str(report), "--oplog-out", str(oplog),
+            ]) == 0
+        return str(report), oplog.read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("lines, reason", [
+        (['[1, 2]\n'], "record 0: not a JSON object"),
+        (['{"seq": 0}\n'], "record 0: missing keys ['t', 'event']"),
+        (['{"seq": 0, "t": 0.0, "event": "frobnicate"}\n'],
+         "record 0: unknown event 'frobnicate'"),
+        (['{"seq": 0, "t": 0.0, "event": ["x"]}\n'], "record 0: unknown event ['x']"),
+        (['{"seq": 0, "t": 0.0, "event": "submit", "qid": 1, "why": [1]}\n'],
+         "record 0: field 'why' is not a scalar (list)"),
+        (None, "record 1: seq 2 != expected 1"),
+    ], ids=["non-object", "missing-key", "unknown-event", "list-event",
+            "non-scalar-field", "seq-gap"])
+    def test_top_refuses_a_malformed_oplog(self, served_oplog, lines, reason,
+                                           tmp_path, capsys):
+        report, valid = served_oplog
+        oplog = tmp_path / "ops.jsonl"
+        # the seq gap: a served log with its second record cut out
+        oplog.write_text("".join(lines or valid[:1] + valid[2:]))
+        assert main(["top", report, "--oplog", str(oplog)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {oplog}: {reason}\n"
+        assert captured.out == ""
+
     def test_top_renders_reuse_panel(self, tmp_path, capsys):
         report, _ = self._artifacts(tmp_path, capsys)
         assert main(["top", report]) == 0

@@ -136,7 +136,13 @@ def test_diff_names_the_cell_and_what_moved_in_it():
 
 
 def test_one_cell_reproduces_its_committed_hashes():
-    cell = "default/g32p8q4/s1/plain"
-    committed = json.loads(BASELINE.read_text())["cells"][cell]
-    argv = dict(fence.cells("smoke"))[cell]
-    assert fence.run_cell(argv, fence.DEFAULT_SRC) == committed
+    """A plain serve, and the smoke slice's observed one, so an ops log
+    written in any order but ``seq`` fails a byte gate in tier-1, not only
+    a test that calls ``validate_oplog`` itself."""
+    committed = json.loads(BASELINE.read_text())["cells"]
+    smoke = dict(fence.cells("smoke"))
+    assert sorted(committed["default/g32p4q8/s7/lfu-observe-functional"]["files"]) == [
+        "ops.jsonl", "report.json",
+    ]
+    for cell in ("default/g32p8q4/s1/plain", "default/g32p4q8/s7/lfu-observe-functional"):
+        assert fence.run_cell(smoke[cell], fence.DEFAULT_SRC) == committed[cell], cell

@@ -56,11 +56,10 @@ def test_each_family_matrix_lists_every_cell_and_both_sides(family):
 
 @pytest.mark.parametrize("family", pm.FAMILIES)
 def test_every_cell_is_caught_on_the_change_side(family):
-    """By a runtime gate, or by a rule or check the change side still has."""
+    """By a recorded test file: no static tool is a gate of its own."""
     results = committed(family)
-    kept = set(results["sides"]["change"]["rules"])
     for name, row in results["cells"].items():
-        assert row["change"]["failed"] or kept & set(row["change"]["lint"]), name
+        assert row["change"]["failed"], name
 
 
 def test_the_committed_matrix_covers_every_cell_and_side():
@@ -79,29 +78,39 @@ def test_the_committed_matrix_covers_every_cell_and_side():
 
 
 def test_a_rule_is_kept_exactly_when_a_cell_escapes_every_runtime_gate():
-    """The deletion rule, on the parent column: a simlint rule stays only
-    if it flags a cell no runtime gate catches under every hash seed."""
+    """The deletion rule, on the parent column: a simlint rule stayed only
+    if it flagged a cell no runtime gate caught under every hash seed.
+    That left P002, which is now a test of its own, so the change side
+    has no rules and its cell fails that test."""
     results = committed("determinism")
     only_it = {
         rule
         for row in results["cells"].values() if not row["parent"]["failed"]
         for rule in row["parent"]["lint"]
     }
-    assert results["sides"]["change"]["rules"] == sorted(only_it) == ["P002"]
+    assert sorted(only_it) == ["P002"]
+    assert results["sides"]["change"]["rules"] == []
+    p002 = results["cells"]["P002/ij-driver/yield-in-interrupt"]["change"]
+    assert p002["lint"] == [] and "tests/test_determinism.py" in p002["failed"]
     assert set(results["sides"]["parent"]["rules"]) >= {cell.clause for cell in pm.CELLS
                                                         if cell.family == "determinism"}
 
 
 def test_the_trace_validators_kept_are_the_oplog_one():
-    # validate_chrome_trace flagged only a cell the trace fence catches;
-    # the ops-log cell fails only a test that calls validate_oplog itself
-    # (DESIGN.md §7.1)
+    # validate_chrome_trace flagged only a cell the trace fence catches.
+    # On the parent the ops-log cell failed only a test that calls
+    # validate_oplog itself; now the fence's observed cell fails on it too
+    # (DESIGN.md §7.1).  validate_oplog stays as the check of ops logs
+    # handed to `repro top --oplog`.
     results = committed("trace")
     assert results["sides"]["parent"]["rules"] == ["validate_chrome_trace", "validate_oplog"]
     assert results["sides"]["change"]["rules"] == ["validate_oplog"]
     flow = results["cells"]["trace/export/flow-without-source"]["parent"]
     assert flow["lint"] == ["validate_chrome_trace"] and "tests/test_fence.py" in flow["failed"]
     oplog = results["cells"]["trace/oplog/written-out-of-seq"]
+    assert oplog["parent"]["failed"] == {"tests/server/test_observatory.py": 1}
+    assert oplog["change"]["failed"] == {
+        "tests/server/test_observatory.py": 1, "tests/test_fence.py": 1,
+    }
     for side in ("parent", "change"):
         assert oplog[side]["lint"] == ["validate_oplog"]
-        assert oplog[side]["failed"] == {"tests/server/test_observatory.py": 1}
