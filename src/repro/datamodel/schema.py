@@ -24,6 +24,25 @@ __all__ = ["Attribute", "Schema"]
 #: attribute was of size 4 bytes" experimental setup.
 _SUPPORTED_KINDS = {"i", "u", "f"}
 
+#: dtype spelling -> (normalised name, NumPy dtype), for every string
+#: spelling an attribute accepted: ``np.dtype`` and ``dtype.name`` run once
+#: per spelling, not once per attribute
+_RESOLVED: Dict[str, Tuple[str, np.dtype]] = {}
+
+
+def _resolve(spelling) -> Tuple[str, np.dtype]:
+    """The normalised name and NumPy dtype of ``spelling``; refuses any
+    kind but int/uint/float."""
+    resolved = _RESOLVED.get(spelling) if isinstance(spelling, str) else None
+    if resolved is None:
+        np_dtype = np.dtype(spelling)
+        if np_dtype.kind not in _SUPPORTED_KINDS:
+            raise ValueError(f"unsupported attribute dtype {spelling!r} (need int/uint/float)")
+        resolved = (np_dtype.name, np_dtype)
+        if isinstance(spelling, str):
+            _RESOLVED[spelling] = resolved
+    return resolved
+
 
 @dataclass(frozen=True)
 class Attribute:
@@ -44,11 +63,9 @@ class Attribute:
     def __post_init__(self) -> None:
         if not self.name or not self.name.isidentifier():
             raise ValueError(f"attribute name must be a valid identifier, got {self.name!r}")
-        np_dtype = np.dtype(self.dtype)
-        if np_dtype.kind not in _SUPPORTED_KINDS:
-            raise ValueError(f"unsupported attribute dtype {self.dtype!r} (need int/uint/float)")
+        name, np_dtype = _resolve(self.dtype)
         # normalise the dtype spelling so equality is structural
-        object.__setattr__(self, "dtype", np_dtype.name)
+        object.__setattr__(self, "dtype", name)
         object.__setattr__(self, "np_dtype", np_dtype)
 
     @property
@@ -168,13 +185,13 @@ class Schema:
         for attr in other:
             if attr.name in on_set:
                 continue
-            name = attr.name
-            if name in taken:
-                name = name + suffix
+            if attr.name in taken:
+                name = attr.name + suffix
                 if name in taken:
                     raise ValueError(f"cannot disambiguate joined attribute {attr.name!r}")
-            taken.add(name)
-            out.append(Attribute(name, attr.dtype, attr.coordinate))
+                attr = Attribute(name, attr.dtype, attr.coordinate)
+            taken.add(attr.name)
+            out.append(attr)
         return Schema(out)
 
     # -- numpy interop -----------------------------------------------------------

@@ -18,7 +18,8 @@ that drive resource accounting, but no data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,35 +30,34 @@ from repro.datamodel.schema import Schema
 __all__ = ["SubTableId", "SubTable", "SubTableStub", "bbox_mask", "concat_subtables"]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class SubTableId:
+class SubTableId(tuple):
     """Identifier ``(i, j)``: table id *i*, chunk id *j* (Section 4).
 
     The ordering is lexicographic, which is exactly the order the paper's
-    two-stage IJ scheduler sorts pair lists by.
+    two-stage IJ scheduler sorts pair lists by.  An id is a ``(table_id,
+    chunk_id)`` tuple, so every cache, pin set and catalog lookup hashes
+    and compares it in C, to ``hash((table_id, chunk_id))``.
     """
 
-    table_id: int
-    chunk_id: int
-    #: ids key every cache, pin set and catalog lookup, so the hash is
-    #: computed once — to the value the generated ``__hash__`` would
-    #: return, so no set or dict iteration order depends on the caching
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.table_id, self.chunk_id)))
+    def __new__(cls, table_id: int, chunk_id: int) -> "SubTableId":
+        return tuple.__new__(cls, (table_id, chunk_id))
 
-    def __hash__(self) -> int:
-        return self._hash
+    table_id = property(itemgetter(0), doc="Table id *i*.")
+    chunk_id = property(itemgetter(1), doc="Chunk id *j* within the table.")
+
+    def __getnewargs__(self) -> Tuple[int, int]:
+        return tuple(self)
 
     def __repr__(self) -> str:  # compact: shows up a lot in logs/tests
-        return f"({self.table_id},{self.chunk_id})"
+        return f"({self[0]},{self[1]})"
 
 
 class SubTable:
     """A column-oriented set of records with an id, schema and bounds."""
 
-    __slots__ = ("id", "schema", "_columns", "_bbox")
+    __slots__ = ("id", "schema", "num_records", "_columns", "_bbox")
 
     def __init__(
         self,
@@ -70,25 +70,27 @@ class SubTable:
             raise ValueError(
                 f"columns {sorted(columns)} do not match schema {sorted(schema.names)}"
             )
-        lengths = {name: len(col) for name, col in columns.items()}
-        if len(set(lengths.values())) > 1:
+        # Normalise dtypes up front so downstream join kernels can rely on them.
+        normalised: Dict[str, np.ndarray] = {}
+        for a in schema:
+            col = np.array(columns[a.name], dtype=a.np_dtype, copy=None, order="C")
+            if col.ndim != 1:
+                raise ValueError(
+                    f"column {a.name!r} has shape {col.shape}; a column is one-dimensional"
+                )
+            normalised[a.name] = col
+        num_records = len(col)
+        if any(len(c) != num_records for c in normalised.values()):
+            lengths = {name: len(c) for name, c in normalised.items()}
             raise ValueError(f"ragged columns: {lengths}")
         self.id = id
         self.schema = schema
-        # Normalise dtypes up front so downstream join kernels can rely on them.
-        self._columns: Dict[str, np.ndarray] = {
-            a.name: np.ascontiguousarray(columns[a.name], dtype=a.np_dtype)
-            for a in schema
-        }
+        self._columns = normalised
+        #: the record count, fixed at construction (every column has it)
+        self.num_records: int = num_records
         self._bbox = bbox
 
     # -- basic accessors ------------------------------------------------------
-
-    @property
-    def num_records(self) -> int:
-        if not self._columns:
-            return 0
-        return len(next(iter(self._columns.values())))
 
     def __len__(self) -> int:
         return self.num_records
@@ -106,7 +108,9 @@ class SubTable:
             raise KeyError(f"no column {name!r} in sub-table {self.id}") from None
 
     def columns(self, names: Optional[Sequence[str]] = None) -> Tuple[np.ndarray, ...]:
-        names = names if names is not None else self.schema.names
+        """The arrays of ``names``, or of every column in schema order."""
+        if names is None:
+            return tuple(self._columns.values())  # built in schema order
         return tuple(self.column(n) for n in names)
 
     @property

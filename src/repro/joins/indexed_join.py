@@ -49,7 +49,7 @@ import numpy as np
 from repro.cluster.cluster import ClusterSim
 from repro.cluster.events import Event, Interrupt
 from repro.datamodel.schema import Attribute, Schema
-from repro.datamodel.subtable import SubTable, SubTableId, concat_subtables
+from repro.datamodel.subtable import SubTable, SubTableId
 from repro.faults.errors import ComputeNodeDown, FaultError, UnrecoverableFault
 from repro.joins.hash_join import vectorized_hash_join
 from repro.joins.join_index import PageJoinIndex, build_join_index
@@ -281,6 +281,11 @@ class IndexedJoinQES(QES):
         ``scope`` (the pair's :class:`PinScope`) so a fault delivered at
         any yield still releases it.
 
+        Untraced, the joiner has already looked ``sid`` up and missed (a
+        hit never enters this generator), so the lookup here is the
+        ``fetch`` span's, made only when there is a span: each sub-table
+        of a pair is counted once, as a hit or as a miss.
+
         When pipelining (``inflight`` given) a miss first looks for bytes
         the prefetcher already moved — staged, or still on the wire — and
         pays the synchronous transfer only for a sub-table the prefetcher
@@ -294,13 +299,13 @@ class IndexedJoinQES(QES):
             "fetch", category="wait", node=f"compute{j}", track=track,
             chunk=str(sid), side="left" if is_left else "right",
         ) as fspan:
-            entry = scope.acquire(sid)
             if fspan is not None:
+                entry = scope.acquire(sid)
                 fspan.attrs["hit"] = entry is not None
                 if inflight is not None:
                     fspan.attrs["mode"] = "pipelined"
-            if entry is not None:
-                return entry
+                if entry is not None:
+                    return entry
             cache = self.caches[j]
             desc = self.metadata.chunk(sid)
             staged = None
@@ -395,12 +400,17 @@ class IndexedJoinQES(QES):
                     # a dying query cannot leave the (shared) cache
                     # permanently shrunk by orphaned pins
                     with cache.pin_scope() as scope:
-                        left_entry = yield from self._fetch(
-                            j, lid, scope, jspan, track, inflight, is_left=True
-                        )
-                        right_entry = yield from self._fetch(
-                            j, rid, scope, jspan, track, inflight, is_left=False
-                        )
+                        # untraced, a hit is one lookup, not a generator
+                        left_entry = None if tel is not None else scope.acquire(lid)
+                        if left_entry is None:
+                            left_entry = yield from self._fetch(
+                                j, lid, scope, jspan, track, inflight, is_left=True
+                            )
+                        right_entry = None if tel is not None else scope.acquire(rid)
+                        if right_entry is None:
+                            right_entry = yield from self._fetch(
+                                j, rid, scope, jspan, track, inflight, is_left=False
+                            )
                         yield from self._charge_cpu(
                             "probe", j, right_entry.num_records, track
                         )
@@ -565,16 +575,17 @@ def _join_probed(records, on: Sequence[str]) -> Tuple[List[SubTable], int]:
     tag = "left_tag"
     while tag in taken:
         tag += "_"
+    tag_attr = Attribute(tag, "int64")
 
     def tagged(parts: List[SubTable], marks: Sequence[int]) -> SubTable:
-        """``parts`` concatenated, behind an int64 ``tag`` column that
-        repeats ``marks[i]`` over the rows of part ``i``."""
-        body = concat_subtables(parts)
+        """``parts`` (one table's sub-tables, so one schema) concatenated
+        column by column, behind an int64 ``tag`` column that repeats
+        ``marks[i]`` over the rows of part ``i``."""
+        schema = parts[0].schema
         columns = {tag: np.repeat(marks, [part.num_records for part in parts])}
-        columns.update(zip(body.schema.names, body.columns()))
-        return SubTable(
-            body.id, Schema([Attribute(tag, "int64"), *body.schema]), columns
-        )
+        per_column = zip(*[part.columns() for part in parts])
+        columns.update(zip(schema.names, map(np.concatenate, per_column)))
+        return SubTable(parts[0].id, Schema([tag_attr, *schema]), columns)
 
     out, stats = vectorized_hash_join(
         tagged(lefts, range(len(lefts))),

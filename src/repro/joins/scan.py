@@ -101,7 +101,8 @@ class ScanQES(QES):
         fetch-with-recovery), all pins under one scope — an abort or node
         death mid-scan releases them as it unwinds.  A functional run
         counts the records inside the box chunk by chunk; it never
-        materialises a filtered copy."""
+        materialises a filtered copy, and masks only the chunks whose
+        stored bounds cross the box: a chunk inside it counts whole."""
         cluster = self.cluster
         injector = cluster.faults
         j = self.compute
@@ -130,7 +131,12 @@ class ScanQES(QES):
                     )
                     value = self.provider.fetch(desc, node=node)
                     scope.put(desc.id, value, desc.size, pin=True, source=node)
-                if functional:
+                if not functional:
+                    continue
+                if self.where.contains_box(desc.bbox):
+                    # every record of the chunk lies inside its bounds
+                    self.selected += value.num_records
+                else:
                     self.selected += int(bbox_mask(value, self.where).sum())
         # capture before returning: pending fault timers may advance the
         # clock after the scan is already complete

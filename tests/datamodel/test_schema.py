@@ -29,6 +29,14 @@ class TestAttribute:
         with pytest.raises(ValueError):
             Attribute("x", "U10")
 
+    def test_unsupported_dtype_is_refused_every_time(self):
+        # dtype spellings are resolved once and remembered; a refused
+        # spelling must never be remembered as resolved
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unsupported attribute dtype 'complex64'"):
+                Attribute("a", "complex64")
+        assert Attribute("a", "float32") == Attribute("a", "f4")
+
 
 class TestSchema:
     def test_of_shorthand(self):
@@ -83,6 +91,13 @@ class TestSchema:
         t2 = Schema.of("x", "v")
         j = t1.join(t2, on=("x",))
         assert j.names == ("x", "v", "v_r")
+
+    def test_join_keeps_unrenamed_attributes(self):
+        t1 = Schema.of("x", "v")
+        t2 = Schema.of("x", "v", "w", coordinates=("w",))
+        j = t1.join(t2, on=("x",))
+        assert j["w"] is t2["w"] and j["w"].coordinate
+        assert j["v_r"] == Attribute("v_r", t2["v"].dtype)
 
     def test_join_missing_attr(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Tests for SubTable / SubTableStub / concat."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -44,6 +47,13 @@ class TestSubTableBasics:
                 schema,
                 {"x": np.zeros(3), "y": np.zeros(4), "wp": np.zeros(3)},
             )
+
+    @pytest.mark.parametrize(
+        "bad", [np.zeros((3, 2)), np.float32(1.0)], ids=["2-d", "0-d"]
+    )
+    def test_a_column_must_be_one_dimensional(self, bad):
+        with pytest.raises(ValueError, match="column 'x' has shape"):
+            SubTable(SubTableId(0, 0), Schema.of("x", "v"), {"x": bad, "v": np.zeros(3)})
 
     def test_columns_cast_to_schema_dtype(self, schema):
         t = SubTable(
@@ -136,6 +146,30 @@ class TestSubTableId:
 
     def test_repr(self):
         assert repr(SubTableId(1, 2)) == "(1,2)"
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12))
+    def test_hash_order_text_and_pickle(self, pairs):
+        """An id hashes as its ``(table_id, chunk_id)`` tuple, so no set or
+        dict order depends on its type; it sorts as the field-by-field
+        order did; it reads ``(t,c)``; and it survives a pickle."""
+        ids = [SubTableId(t, c) for t, c in pairs]
+        for sid, (t, c) in zip(ids, pairs):
+            assert hash(sid) == hash((t, c))
+            assert (sid.table_id, sid.chunk_id) == (t, c)
+            assert repr(sid) == str(sid) == f"{sid}" == f"({t},{c})"
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(sid, protocol))
+                assert back == sid and type(back) is SubTableId
+            assert type(copy.deepcopy(sid)) is SubTableId
+        assert [(s.table_id, s.chunk_id) for s in sorted(ids)] == sorted(pairs)
+        assert list(set(ids)) == [SubTableId(*p) for p in set(pairs)]
+
+    def test_ids_are_immutable(self):
+        sid = SubTableId(1, 2)
+        with pytest.raises(AttributeError):
+            sid.table_id = 3
+        with pytest.raises(AttributeError):
+            sid.extra = 1
 
 
 class TestStub:

@@ -30,6 +30,10 @@ from repro.server import COMPLETED, DEADLINE_EXCEEDED, QueryServer
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 from repro.workloads.arrivals import QueryArrival
 
+#: example budgets are multiples of the loaded Hypothesis profile's (100 by
+#: default), so a wider profile widens every draw here
+BUDGET = settings.default.max_examples
+
 
 @contextlib.contextmanager
 def counted_kernel():
@@ -109,7 +113,7 @@ def pair_records(draw):
     return picks
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=BUDGET * 3 // 2, deadline=None)
 @given(records=pair_records(), on=st.sampled_from([("x",), ("x", "y"), ("y", "x")]))
 def test_batched_join_equals_per_pair_join(records, on):
     """The one returned table is the concatenation, in record order, of

@@ -11,6 +11,7 @@ from repro.cluster import MachineSpec, paper_cluster, nfs_cluster
 from repro.datamodel.subtable import concat_subtables
 from repro.joins import GraceHashQES, IndexedJoinQES, reference_join
 from repro.joins.scheduler import schedule_random
+from repro.services.cache import CachingService, QueryCacheView, make_policy
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 #: Small machine spec so tests exercise contention without big datasets.
@@ -153,6 +154,40 @@ class TestAccountingInvariants:
         assert ij.bytes_from_storage == (
             ds.metadata.table("T1").nbytes + ds.metadata.table("T2").nbytes
         )
+
+    @pytest.mark.parametrize("capacity", [512 * 2**20, 4096], ids=["roomy", "tight"])
+    @pytest.mark.parametrize("pipeline", [False, True], ids=["sync", "pipe"])
+    def test_each_side_of_a_pair_is_looked_up_once(self, pipeline, capacity):
+        """A cold then a warm query through shared caches: each query's
+        view counts one hit or one miss per sub-table of each pair —
+        untraced, where a hit never enters the fetch generator, and
+        traced, where every lookup is its ``fetch`` span's — and the two
+        read the same counts."""
+        spec = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
+        ds = build_oil_reservoir_dataset(spec, num_storage=2)
+        counts = {}
+        for traced in (False, True):
+            shared = [
+                CachingService(capacity, make_policy("lru"),
+                               prefetch_budget_bytes=capacity // 4)
+                for _ in range(2)
+            ]
+            counts[traced] = []
+            for qid in range(2):
+                views = [QueryCacheView(cache, qid=qid) for cache in shared]
+                report = IndexedJoinQES(
+                    paper_cluster(2, 2, spec=TEST_SPEC, telemetry=traced),
+                    ds.metadata, "T1", "T2", ds.join_attrs, ds.provider,
+                    caches=views, pipeline=pipeline,
+                ).run()
+                hits = sum(view.stats.hits for view in views)
+                misses = sum(view.stats.misses for view in views)
+                assert hits + misses == 2 * report.pairs_joined
+                counts[traced].append((hits, misses))
+        assert counts[False] == counts[True]
+        (_, cold_misses), (warm_hits, warm_misses) = counts[False]
+        assert cold_misses > 0 and warm_hits > 0
+        assert (warm_misses == 0) == (capacity > 4096)
 
     def test_gh_io_volume_is_twice_dataset(self):
         spec = GridSpec(g=(16, 16), p=(4, 4), q=(4, 4))

@@ -3,13 +3,18 @@
 :class:`~repro.joins.ScanQES` shares its lifecycle with the joins
 (``test_qes_contract.py`` drives it through begin/abort/finish); this
 file checks what only a scan does — the functional count against
-``bbox_mask`` over the whole table, the byte ledger against the chunks
-the range part keeps, hits on a second scan through the same caches —
-and that the recovery a scan performs is visible in its report: the
+``bbox_mask`` over the whole table and against a brute-force count over
+drawn boxes (chunks inside the box are counted by their bounds), the
+byte ledger against the chunks the range part keeps, hits on a second
+scan through the same caches — and that the recovery a scan performs is visible in its report: the
 server's private scan loop kept no ledger, so it never was.
 """
 
+import functools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.sanitizer import RunSanitizer
 from repro.cluster import MachineSpec, paper_cluster
@@ -82,6 +87,68 @@ def test_count_bytes_and_warm_rescan(spec, table, which):
     assert [s.hits for s in warm.cache_stats] == [0, 0, len(kept)]
     assert warm.extras["selected_records"] == expected
     assert all(cache.pinned_bytes == 0 for cache in cold.caches)
+
+
+#: the property's grids: the three above, and z-slabs one cell thick, whose
+#: chunk bounds are degenerate on ``z``
+COUNT_GRIDS = {**GRIDS, "slabs": GridSpec(g=(8, 8, 4), p=(4, 8, 1), q=(8, 4, 2))}
+#: example budgets are multiples of the loaded Hypothesis profile's
+BUDGET = settings.default.max_examples
+
+
+@functools.lru_cache(maxsize=None)
+def counted_dataset(grid):
+    return build_oil_reservoir_dataset(COUNT_GRIDS[grid], num_storage=2, functional=True)
+
+
+@functools.lru_cache(maxsize=None)
+def raw_columns(grid, table):
+    """Every column of ``table``, all chunks end to end."""
+    ds = counted_dataset(grid)
+    parts = [ds.provider.fetch(c) for c in ds.metadata.table(table).all_chunks()]
+    return {name: np.concatenate([p.column(name) for p in parts])
+            for name in parts[0].schema.names}
+
+
+@st.composite
+def counted_scans(draw):
+    """A grid, a table and a box over it: each coordinate unbounded or
+    between two chunk-bound edges, which may coincide (a degenerate
+    interval) or sit half a cell off; now and then the table's value
+    attribute bounded too, and the empty box whenever nothing is drawn."""
+    grid = draw(st.sampled_from(sorted(COUNT_GRIDS)))
+    table = draw(st.sampled_from(["T1", "T2"]))
+    catalog = counted_dataset(grid).metadata.table(table)
+    intervals = {}
+    for name in catalog.schema.coordinate_names:
+        if not draw(st.booleans()):
+            continue
+        edges = sorted({v for c in catalog.all_chunks()
+                        for v in (c.bbox.interval(name).lo, c.bbox.interval(name).hi)})
+        nudge = st.sampled_from([0.0, 0.0, 0.0, -0.5, 0.5])
+        lo = draw(st.sampled_from(edges)) + draw(nudge)
+        hi = draw(st.sampled_from(edges)) + draw(nudge)
+        intervals[name] = (min(lo, hi), max(lo, hi))
+    if draw(st.booleans()):
+        value = next(a.name for a in catalog.schema if not a.coordinate)
+        lo, hi = sorted(draw(st.floats(-0.25, 1.25)) for _ in range(2))
+        intervals[value] = (lo, hi)
+    return grid, table, BoundingBox(intervals)
+
+
+@settings(max_examples=BUDGET, deadline=None)
+@given(counted_scans())
+def test_counts_by_bounds_equal_a_brute_force_count(drawn):
+    """Chunks inside the box count whole, the rest through their masks:
+    the sum is the number of raw records inside the box."""
+    grid, table, box = drawn
+    columns = raw_columns(grid, table)
+    inside = np.ones(len(next(iter(columns.values()))), dtype=bool)
+    for name in box:
+        iv = box.interval(name)
+        inside &= (columns[name] >= iv.lo) & (columns[name] <= iv.hi)
+    report = scan(counted_dataset(grid), table, box, compute=1).run()
+    assert report.extras["selected_records"] == int(inside.sum())
 
 
 def test_model_only_scan_moves_the_same_bytes_and_counts_nothing(spec):
