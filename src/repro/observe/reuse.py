@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.telemetry.timeseries import window_edges
+from repro.telemetry.timeseries import window_edges, window_index
 
 __all__ = [
     "AccessTraceRecorder",
@@ -59,9 +59,9 @@ __all__ = [
 #: curve is checkable against the measured counters)
 CAPACITY_FRACTIONS = (0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
 
-#: the key-granular cache events a trace keeps, by their op code; pins,
-#: staging traffic and refused puts move no entry in or out of the
-#: reference string
+#: the key-granular cache events a trace keeps, by their op code; staging
+#: traffic and refused puts move no entry in or out of the reference
+#: string
 _HIT, _MISS, _INSERT, _DROP = range(4)
 _OP_CODES = {"hit": _HIT, "miss": _MISS, "insert": _INSERT, "drop": _DROP}
 
@@ -322,9 +322,10 @@ class _WorkingSet:
 
     def add(self, t: np.ndarray, hit: np.ndarray, kid: np.ndarray, nbytes: np.ndarray) -> None:
         """Fold accesses in time order (key ids below :meth:`grow`'s)."""
-        index = (t / self.width).astype(np.int64)
-        if not len(index):
+        if not len(t):
             return
+        window_index(t[-1], self.width)
+        index = (t / self.width).astype(np.int64)
         first, top = int(index[0]), int(index[-1])
         if first < self.newest or np.any(np.diff(index) < 0):
             raise ValueError("working-set accesses must come in time order")
@@ -650,12 +651,14 @@ class _NodeFold:
     def fold(self, t, op, kid, nbytes, label, labels):
         """Fold one block's rows on this node; returns its access strings
         that have rows to fold, as ``{name: (stack, kid, nbytes, access)}``
-        for :func:`_fold_stacks`."""
+        for :func:`_fold_stacks` (none when ``labels`` is ``None``)."""
         access, drop, sized = op <= _MISS, op == _DROP, op != _MISS
         self.ops += np.bincount(op, minlength=4)
         keys, last = _last(kid[sized])
         self.last_size[keys] = nbytes[sized][last]
         self.working_set.add(t[access], op[access] == _HIT, kid[access], nbytes[access])
+        if labels is None:
+            return {}
         strings = {name: access & (label == j) for j, name in enumerate(labels)}
         strings[None] = access
         for name in self.stacks:
@@ -695,11 +698,14 @@ class AccessTraceRecorder:
     only the whole trace's footprint fixes, from the histograms.
     """
 
-    def __init__(self, clock: Callable[[], float], window: float = 1.0):
+    def __init__(self, clock: Callable[[], float], window: float = 1.0, reuse: bool = True):
         if not (math.isfinite(window) and window > 0):
             raise ValueError(f"window width must be positive and finite, got {window}")
         self._clock = clock
         self.window = window
+        #: False: fold per-node counts and working sets only (what
+        #: :meth:`window_totals` reads), no distances or per-key statistics
+        self.reuse = reuse
         #: the rows not folded yet: clock column and (op + 4 * derived +
         #: 8 * node, key id, nbytes, qid) per row
         self._times = array("d")
@@ -782,24 +788,26 @@ class AccessTraceRecorder:
         self._fold_at = len(self._times) + _BLOCK
 
     def _fold_rows(self, t, node, op, kid, nbytes, qid, derived) -> None:
-        access = op <= _MISS
-        qids, inverse = np.unique(qid, return_inverse=True)
-        tenants = [self._tenants.get(q) for q in qids.tolist()]
-        labels = list(dict.fromkeys(name for name in tenants if name is not None))
-        label = np.array(
-            [-1 if name is None else labels.index(name) for name in tenants], dtype=np.int64
-        )[inverse]
+        label, labels = np.full(len(op), -1), None
+        if self.reuse:
+            access = op <= _MISS
+            qids, inverse = np.unique(qid, return_inverse=True)
+            tenants = [self._tenants.get(q) for q in qids.tolist()]
+            labels = list(dict.fromkeys(name for name in tenants if name is not None))
+            label = np.array(
+                [-1 if name is None else labels.index(name) for name in tenants], dtype=np.int64
+            )[inverse]
 
-        np.maximum.at(self._key_bytes, kid, nbytes)
-        self._key_ops += np.bincount(kid * 4 + op, minlength=self._key_ops.size).reshape(-1, 4)
-        self._key_derived[kid[derived]] = True
-        known = access & (label >= 0)
-        number = np.array(
-            [self._tenant_numbers.setdefault(name, len(self._tenant_numbers)) for name in labels],
-            dtype=np.int64,
-        )
-        self._key_nodes = np.union1d(self._key_nodes, node[access] << 32 | kid[access])
-        self._key_tenants = np.union1d(self._key_tenants, number[label[known]] << 32 | kid[known])
+            np.maximum.at(self._key_bytes, kid, nbytes)
+            self._key_ops += np.bincount(kid * 4 + op, minlength=self._key_ops.size).reshape(-1, 4)
+            self._key_derived[kid[derived]] = True
+            known = access & (label >= 0)
+            numbers = self._tenant_numbers
+            number = np.array([numbers.setdefault(name, len(numbers)) for name in labels],
+                              dtype=np.int64)
+            self._key_nodes = np.union1d(self._key_nodes, node[access] << 32 | kid[access])
+            self._key_tenants = np.union1d(self._key_tenants,
+                                           number[label[known]] << 32 | kid[known])
 
         nodes, slot = np.unique(node, return_inverse=True)
 
@@ -815,6 +823,13 @@ class AccessTraceRecorder:
             )
 
     # -- analysis -----------------------------------------------------
+
+    def window_totals(self, makespan: float) -> Dict[int, List[Tuple[int, int, int, int]]]:
+        """Each watched node's ``(hits, misses, distinct keys, distinct
+        bytes)`` per window of ``[0, makespan]``; folds the buffer first."""
+        self._fold(final=True)
+        count = len(window_edges(self.window, makespan))
+        return {n: self._nodes[n].working_set.totals(count) for n in sorted(self._watched)}
 
     def capacity_grid(self, footprint: int = 0) -> List[int]:
         """What-if capacities: fractions of the trace's largest per-node
@@ -838,7 +853,7 @@ class AccessTraceRecorder:
         back-fill's fallback.
         """
         edges = window_edges(self.window, makespan)
-        self._fold(final=True)
+        per_node = self.window_totals(makespan)
         nodes = sorted(self._watched)
         tenants = sorted(set(self._tenants.values()))
         per_key = self._per_key()
@@ -854,8 +869,7 @@ class AccessTraceRecorder:
             _curve(self._histograms.get(name, _NO_DISTANCES), grid) for name in [None] + tenants
         ]
 
-        per_node = [self._nodes[n].working_set.totals(len(edges)) for n in nodes]
-        totals = [tuple(map(sum, zip(*cells))) for cells in zip(*per_node)]
+        totals = [tuple(map(sum, zip(*cells))) for cells in zip(*per_node.values())]
         windows = _window_rows(edges, totals or [(0, 0, 0, 0)] * len(edges))
 
         advisor: Dict[str, Any] = {"candidates": [], "cost_model": None}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
 from repro.observe.reuse import AccessTraceRecorder, EntryCostModel
 from repro.server.resilience import (
@@ -32,7 +32,7 @@ from repro.server.resilience import (
 )
 from repro.server.slo import SLOObjective, SLOTracker
 from repro.telemetry.oplog import OpLog
-from repro.telemetry.timeseries import TimeSeriesRecorder, window_edges
+from repro.telemetry.timeseries import TimeSeriesRecorder, counter_windows, window_edges
 
 __all__ = ["ObservabilityConfig", "ServeObservatory"]
 
@@ -43,11 +43,6 @@ _TERMINAL_EVENT = {
     SHED: "shed",
     FAILED: "failed",
 }
-
-#: cache operations that move neither ``used_bytes`` nor ``prefetch_bytes``
-#: (lookups aside); a refused put is not one — it may have evicted
-#: victims before it gave up
-_LEVEL_NEUTRAL = frozenset({"pin", "unpin", "prefetch_complete"})
 
 
 def _record_size(dataset) -> float:
@@ -75,9 +70,9 @@ class ObservabilityConfig:
     long_window: float = 20.0
     burn_threshold: float = 2.0
     min_events: int = 4
-    #: record per-entry cache access traces and emit the reuse analysis
-    #: (miss-ratio curves, working set, materialization advisor) under
-    #: ``observability.reuse``; passive like everything else here
+    #: run the reuse analysis (miss-ratio curves, working set,
+    #: materialization advisor) and emit it under ``observability.reuse``;
+    #: off, the access trace still folds the cache hit/miss tracks
     reuse: bool = True
 
     def __post_init__(self) -> None:
@@ -112,18 +107,16 @@ class ServeObservatory:
             threshold=config.burn_threshold,
             min_events=config.min_events,
         )
-        #: key-granular access recorder feeding the reuse analysis
-        #: (None when config.reuse is off)
-        self.reuse: Optional[AccessTraceRecorder] = None
-        if config.reuse:
-            self.reuse = AccessTraceRecorder(clock, window=config.window)
-            # price recompute-vs-fetch with the same machine constants
-            # (and calibration) the planner itself uses
-            self.reuse.cost_model = EntryCostModel.from_machine(
-                server.planner.machine,
-                record_size=_record_size(server.dataset),
-                calibration=server.planner.calibration,
-            )
+        #: key-granular access recorder: the cache hit/miss tracks and,
+        #: when config.reuse is on, the reuse analysis
+        self.reuse = AccessTraceRecorder(clock, window=config.window, reuse=config.reuse)
+        # price recompute-vs-fetch with the same machine constants (and
+        # calibration) the planner itself uses
+        self.reuse.cost_model = EntryCostModel.from_machine(
+            server.planner.machine,
+            record_size=_record_size(server.dataset),
+            calibration=server.planner.calibration,
+        )
         # level gauges start at their true t=0 values so the first
         # window's time-weighted means are defined from the origin
         self.series.set("server.queue_depth", 0.0)
@@ -136,23 +129,16 @@ class ServeObservatory:
         server.subscribe(self)
 
     def _watch_cache(self, node: int, cache) -> None:
-        """Sample one compute node's shared cache at each state change."""
-        if self.reuse is not None:
-            self.reuse.watch(node, cache)
-        hits, misses, occupancy, staged = (
-            f"cache.j{node}.{leaf}"
-            for leaf in ("hits", "misses", "occupancy_bytes", "staged_bytes")
-        )
+        """Trace one compute node's shared cache, and sample its levels
+        at each state change (every notification but a lookup)."""
+        self.reuse.watch(node, cache)
+        occupancy, staged = f"cache.j{node}.occupancy_bytes", f"cache.j{node}.staged_bytes"
         series = self.series
         series.set(occupancy, 0.0)
         series.set(staged, 0.0)
 
         def observe(op, key, nbytes, origin, qid) -> None:
-            if op == "hit":
-                series.inc(hits)
-            elif op == "miss":
-                series.inc(misses)
-            elif op not in _LEVEL_NEUTRAL:
+            if op != "hit" and op != "miss":
                 series.set(occupancy, float(cache.used_bytes))
                 series.set(staged, float(cache.prefetch_bytes))
 
@@ -188,8 +174,7 @@ class ServeObservatory:
             return
         if kind == "submit":
             series.inc("server.submitted")
-            if self.reuse is not None:
-                self.reuse.note_query(subject.qid, subject.tenant)
+            self.reuse.note_query(subject.qid, subject.tenant)
         elif kind == "queue":
             fields = {"depth": depth}
         elif kind == "admit":
@@ -225,46 +210,37 @@ class ServeObservatory:
 
     # -- reporting ------------------------------------------------------
 
-    def _derived_hit_rate(
-        self, payload: Dict[str, Any], makespan: float
-    ) -> List[Dict[str, Any]]:
-        """Per-window shared-cache hit rate across every watched node."""
+    def _lookup_tracks(self, timeseries: Dict[str, Any], makespan: float) -> List[Dict[str, Any]]:
+        """Write each node's ``cache.j{n}.hits``/``.misses`` track (if not
+        all zero) into ``timeseries`` from the access trace's per-window
+        counts; returns the per-window hit rate across the nodes."""
         edges = window_edges(self.config.window, makespan)
-        hits = [0.0] * len(edges)
-        misses = [0.0] * len(edges)
-        for name, track in payload["counters"].items():
-            target = None
-            if name.startswith("cache.") and name.endswith(".hits"):
-                target = hits
-            elif name.startswith("cache.") and name.endswith(".misses"):
-                target = misses
-            if target is None:
-                continue
-            for i, win in enumerate(track["windows"]):
-                target[i] += win["count"]
-        out = []
-        for (t0, t1), h, m in zip(edges, hits, misses):
-            accesses = h + m
-            out.append(
-                {
-                    "t0": t0,
-                    "t1": t1,
-                    "hits": h,
-                    "misses": m,
-                    "rate": h / accesses if accesses else None,
-                }
-            )
-        return out
+        per_node = self.reuse.window_totals(makespan)
+        counters = timeseries["counters"]
+        for node, cells in per_node.items():
+            for leaf, counts in zip(("hits", "misses"), zip(*cells)):
+                if any(counts):
+                    counters[f"cache.j{node}.{leaf}"] = {
+                        "total": float(sum(counts)),
+                        "windows": counter_windows(edges, [float(c) for c in counts]),
+                    }
+        timeseries["counters"] = dict(sorted(counters.items()))
+        rates = []
+        for i, (t0, t1) in enumerate(edges):
+            hits, misses = (sum(cells[i][k] for cells in per_node.values()) for k in (0, 1))
+            rates.append({"t0": t0, "t1": t1, "hits": float(hits), "misses": float(misses),
+                          "rate": hits / (hits + misses) if hits + misses else None})
+        return rates
 
     def finalize(self, makespan: float) -> Dict[str, Any]:
         """Roll every track over ``[0, makespan]`` and assemble the
         ``observability`` section of the server report."""
+        # the reuse analysis folds the trace's last rows first
+        reuse = self.reuse.analyze(makespan) if self.config.reuse else None
         timeseries = self.series.to_payload(makespan)
         payload = {
             "timeseries": timeseries,
-            "derived": {
-                "cache_hit_rate": self._derived_hit_rate(timeseries, makespan)
-            },
+            "derived": {"cache_hit_rate": self._lookup_tracks(timeseries, makespan)},
             "slo": self.slo.summary(),
             "alerts": self.slo.alert_payload(),
             "oplog": {
@@ -272,6 +248,6 @@ class ServeObservatory:
                 "events": self.oplog.counts(),
             },
         }
-        if self.reuse is not None:
-            payload["reuse"] = self.reuse.analyze(makespan)
+        if reuse is not None:
+            payload["reuse"] = reuse
         return payload

@@ -25,34 +25,34 @@ byte-identical to a run without prefetching.
 Everything that *watches* a cache — telemetry, the sanitizer's byte
 ledger check, the observatory's time-series, the reuse trace — does so
 through one channel, :meth:`CachingService.subscribe`: one notification
-per operation, after the state change it describes, as plain arguments
-``fn(op, key, nbytes, origin, qid)``.  ``op`` is the operation's name
-(``pin``, ``unpin``, ``prefetch_begin``, ``prefetch_complete``,
-``prefetch_cancel``, ``take_prefetched``, ``invalidate_from``) or, where
-the outcome matters, the outcome: ``hit``/``miss`` for
-:meth:`~CachingService.get`, ``insert``/``reject`` for
-:meth:`~CachingService.put`, ``drop`` for
+per lookup and per state change, after the change it describes, as
+plain arguments ``fn(op, key, nbytes, origin, qid)``.  ``op`` is the
+operation's name (``prefetch_begin``, ``prefetch_cancel``,
+``take_prefetched``, ``invalidate_from``) or, where the outcome matters,
+the outcome: ``hit``/``miss`` for :meth:`~CachingService.get`,
+``insert``/``reject`` for :meth:`~CachingService.put`, ``drop`` for
 :meth:`~CachingService.remove` (an explicit remove or invalidation —
 *not* a capacity eviction, which a what-if replay must re-derive
 itself).  ``nbytes``/``origin`` describe the entry (``None`` on a miss:
 there is no entry), ``origin`` being ``"base"`` for a BDS chunk fetched
 as-is and ``"derived"`` for a DDS output such as a sub-table with its
 built hash table; ``qid`` is the query the operation is attributed to
-(see :class:`QueryCacheView`).  An operation that changes nothing (a
-refused ``prefetch_begin``, a ``remove`` of an absent key) notifies
-nobody.  Subscribers are passive: they must treat the cache as
-read-only, so subscribing changes no digest and no report byte.  With
-no subscriber, nothing is built or called: every notification site
-tests the subscriber list first.
+(see :class:`QueryCacheView`).  An operation that moves no entry and
+neither ``used_bytes`` nor ``prefetch_bytes`` notifies nobody: a pin, an
+unpin, a ``prefetch_complete``, a refused ``prefetch_begin``, a
+``remove`` of an absent key.  Subscribers are passive: they must treat
+the cache as read-only, so subscribing changes no digest and no report
+byte.  With no subscriber, nothing is built or called: every
+notification site tests the subscriber list first.
 
 A QES checks the cache once per sub-table of a pair (Section 4.1) and
 pins what it found for as long as the pair is being joined.  That check
 is one call, :meth:`CachingService.acquire` — usually through
 :meth:`PinScope.acquire`, which also records the pin for release: a hit
 is counted, moves the policy's recency and takes one pin, notifying
-``hit`` then ``pin`` exactly as a :meth:`~CachingService.get` followed
-by a :meth:`~CachingService.pin` would; a miss is counted and notified
-as ``miss`` and pins nothing.
+``hit`` exactly as a :meth:`~CachingService.get` followed by a
+:meth:`~CachingService.pin` would; a miss is counted and notified as
+``miss`` and pins nothing.  A pinned entry cannot be removed.
 """
 
 from __future__ import annotations
@@ -358,13 +358,13 @@ class CachingService(Generic[K, V]):
         self._staged: Dict[K, _Staged[V]] = {}
         self._staged_bytes = 0
         self.stats = CacheStats()
-        #: callables notified once per operation (see :meth:`subscribe`)
+        #: callables notified of lookups and state changes (:meth:`subscribe`)
         self._subscribers: List = []
 
     def subscribe(self, fn) -> None:
         """Register ``fn(op, key, nbytes, origin, qid)`` to be notified of
-        every operation, after its state change (module docstring has the
-        vocabulary).
+        every lookup and state change, after it happens (module docstring
+        has the vocabulary).
 
         The one attach point for everything that watches a cache.
         Subscribing a callable equal to one already subscribed is a
@@ -433,16 +433,13 @@ class CachingService(Generic[K, V]):
         self, key: K, view: Optional[QueryCacheView[K, V]] = None
     ) -> Optional[V]:
         """:meth:`get` and, on a hit, :meth:`pin`, as one call: the same
-        counters, policy update and notifications (``hit`` then ``pin``),
-        in the same order.  Returns the pinned value, or ``None`` on a
-        miss, which pins nothing.  Each hit owes one :meth:`unpin`;
-        :meth:`PinScope.acquire` records it for release."""
+        counters, policy update and notification (``hit``).  Returns the
+        pinned value, or ``None`` on a miss, which pins nothing.  Each hit
+        owes one :meth:`unpin`; :meth:`PinScope.acquire` records it."""
         entry = self._lookup(key, view)
         if entry is None:
             return None
         entry.pins += 1
-        if self._subscribers:
-            self._emit("pin", key)
         return entry.value
 
     def _lookup(
@@ -558,8 +555,6 @@ class CachingService(Generic[K, V]):
             self._entries[key].pins += 1
         except KeyError:
             raise KeyError(f"cannot pin absent key {key!r}") from None
-        if self._subscribers:
-            self._emit("pin", key)
 
     def unpin(self, key: K) -> None:
         entry = self._entries.get(key)
@@ -568,8 +563,6 @@ class CachingService(Generic[K, V]):
         if entry.pins <= 0:
             raise ValueError(f"key {key!r} is not pinned")
         entry.pins -= 1
-        if self._subscribers:
-            self._emit("unpin", key)
 
     def pin_scope(self) -> "PinScope[K, V]":
         """A pin guard scoping every pin it acquires to a ``with`` block.
@@ -630,8 +623,6 @@ class CachingService(Generic[K, V]):
         if view is not None:
             view.stats.prefetches += 1
             view.stats.bytes_prefetched += staged.nbytes
-        if self._subscribers:
-            self._emit("prefetch_complete", key, staged.nbytes, view=view)
 
     def prefetch_cancel(self, key: K) -> None:
         """Abandon a reservation (error paths); releases its budget."""
@@ -684,10 +675,14 @@ class CachingService(Generic[K, V]):
         return len(victims)
 
     def remove(self, key: K) -> bool:
-        """Explicitly drop ``key`` (not counted as an eviction)."""
-        entry = self._entries.pop(key, None)
+        """Explicitly drop ``key`` (not counted as an eviction); ``False``
+        when absent, a ``ValueError`` when pinned (its holder owes an unpin)."""
+        entry = self._entries.get(key)
         if entry is None:
             return False
+        if entry.pins:
+            raise ValueError(f"cannot remove pinned key {key!r}")
+        del self._entries[key]
         self._bytes -= entry.nbytes
         self.policy.on_remove(key)
         if self._subscribers:
@@ -695,6 +690,10 @@ class CachingService(Generic[K, V]):
         return True
 
     def clear(self) -> None:
+        """Drop every entry; refused, dropping nothing, while any is pinned."""
+        pinned = [k for k, e in self._entries.items() if e.pins]
+        if pinned:
+            raise ValueError(f"cannot clear a cache with pinned keys {pinned!r}")
         for key in list(self._entries):
             self.remove(key)
 

@@ -24,7 +24,8 @@ Window convention: the horizon ``[0, t_end]`` is cut into
 ``ceil(t_end / width)`` half-open windows ``[k*w, (k+1)*w)``; the final
 window is closed at ``t_end`` so events stamped exactly at the makespan
 (terminal dispositions of the last query) are counted, and per-window
-counts always sum to the track total.
+counts always sum to the track total.  A time past :data:`MAX_WINDOWS`
+windows is refused (:func:`window_index`).
 """
 
 from __future__ import annotations
@@ -36,11 +37,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.telemetry.metrics import Gauge
 
 __all__ = [
+    "MAX_WINDOWS",
     "CounterTrack",
     "TimeSeriesRecorder",
+    "counter_windows",
     "window_edges",
+    "window_index",
     "roll_gauge",
 ]
+
+#: the most windows a horizon is cut into
+MAX_WINDOWS = 100_000
 
 
 class CounterTrack:
@@ -84,9 +91,9 @@ class CounterTrack:
                 f"counter track {self.name!r} incremented at {t} after {self._last_t}"
             )
         before = self.total
+        k = window_index(t, self.width)
         total = self.total = before + amount
         sums = self._sums
-        k = int(t / self.width)
         if k >= len(sums):
             sums.extend([0.0] * (k + 1 - len(sums)))
             self._carry = sums[k - 1] if k else 0.0
@@ -112,18 +119,7 @@ class CounterTrack:
             # windows past the horizon's last: added window by window
             for value in sums[count:]:
                 counts[-1] += value
-        out = []
-        for (t0, t1), value in zip(edges, counts):
-            span = t1 - t0
-            out.append(
-                {
-                    "t0": t0,
-                    "t1": t1,
-                    "count": value,
-                    "rate": value / span if span > 0 else 0.0,
-                }
-            )
-        return out
+        return counter_windows(edges, counts)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"type": "counter_track", "total": self.total}
@@ -132,6 +128,21 @@ class CounterTrack:
 def _check_width(width: float) -> None:
     if not (math.isfinite(width) and width > 0):
         raise ValueError(f"window width must be positive and finite, got {width}")
+
+
+def window_index(t: float, width: float) -> int:
+    """``int(t / width)``, refused past :data:`MAX_WINDOWS` (NaN included)."""
+    if not t / width <= MAX_WINDOWS:
+        raise ValueError(f"window width {width} puts time {t} past the {MAX_WINDOWS}-window cap")
+    return int(t / width)
+
+
+def counter_windows(edges, counts) -> List[Dict[str, float]]:
+    """Per-window ``count`` rows, with the rate per simulated second."""
+    return [
+        {"t0": t0, "t1": t1, "count": c, "rate": c / (t1 - t0) if t1 > t0 else 0.0}
+        for (t0, t1), c in zip(edges, counts)
+    ]
 
 
 def window_edges(width: float, t_end: float) -> List[Tuple[float, float]]:
@@ -143,6 +154,7 @@ def window_edges(width: float, t_end: float) -> List[Tuple[float, float]]:
     _check_width(width)
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"horizon must be finite and non-negative, got {t_end}")
+    window_index(t_end, width)
     count = max(1, int(math.ceil(t_end / width)))
     edges = []
     for k in range(count):
@@ -241,10 +253,7 @@ class TimeSeriesRecorder:
         return track
 
     def inc(self, name: str, amount: float = 1.0) -> None:
-        track = self._counters.get(name)
-        if track is None:
-            track = self.counter(name)
-        track.inc(self._clock(), amount)
+        self.counter(name).inc(self._clock(), amount)
 
     def set(self, name: str, value: float) -> None:
         self.gauge(name).set(self._clock(), value)

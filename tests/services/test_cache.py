@@ -123,6 +123,23 @@ class TestPinning:
         with pytest.raises(ValueError):
             c.unpin("a")
 
+    def test_a_pinned_entry_is_neither_removed_nor_cleared(self):
+        """Removing a held entry once returned True, and the holder's
+        release then raised ``KeyError``; ``clear`` dropped it too."""
+        c = CachingService(1000)
+        c.put("a", 1, 10)
+        c.put("b", 2, 10)
+        with c.pin_scope() as scope:
+            scope.acquire("a")
+            with pytest.raises(ValueError, match="cannot remove pinned key 'a'"):
+                c.remove("a")
+            with pytest.raises(ValueError, match=r"pinned keys \['a'\]"):
+                c.clear()
+            assert list(c.keys()) == ["a", "b"] and c.used_bytes == 20
+        assert c.remove("a")
+        c.clear()
+        assert len(c) == 0 and c.used_bytes == 0
+
 
 class TestLRU:
     def test_lru_evicts_least_recent(self):
@@ -385,6 +402,8 @@ class TestAccessTraceFeed:
         assert origins == {"a": "base", "b": "derived", "c": "base", "d": "base"}
 
     def test_every_operation_notifies_exactly_once(self):
+        """Every operation that moves the entries or a byte level
+        notifies once; pins and a completed prefetch move neither."""
         c = CachingService(30, prefetch_budget_bytes=10)
         seen = self.watch(c)
         c.put("a", 1, 10, source=0)
@@ -398,20 +417,31 @@ class TestAccessTraceFeed:
         c.prefetch_begin("q", 10)
         c.prefetch_cancel("q")
         c.invalidate_from(0)  # drops a, then reports itself
+        c.unpin("b")
         c.remove("b")
         assert [op for op, *_ in seen] == [
-            "insert", "insert", "reject", "pin", "unpin",
-            "prefetch_begin", "prefetch_complete", "take_prefetched",
+            "insert", "insert", "reject",
+            "prefetch_begin", "take_prefetched",
             "prefetch_begin", "prefetch_cancel",
             "drop", "invalidate_from", "drop",
         ]
         # operations that change nothing tell nobody
         del seen[:]
+        c.put("c", 5, 10)
+        del seen[:]
+        with c.pin_scope() as scope:
+            assert scope.acquire("c") == 5  # one hit, and a silent pin
+            del seen[:]
+            scope.pin("c")
+        assert c.prefetch_begin("r", 10)
+        del seen[:]
+        c.prefetch_complete("r", 6)
         c.remove("absent")
         c.prefetch_cancel("absent")
         c.take_prefetched("absent")
         assert not c.prefetch_begin("huge", 11)
         assert seen == []
+        assert c.pinned_bytes == 0
 
     def test_view_tags_accesses_with_qid(self):
         shared = CachingService(100)
@@ -537,20 +567,26 @@ _view_ops = st.lists(
 
 def _apply(shared, view, op, key, size):
     """Run one operation through ``view``; returns how many notifications
-    it owes (one per operation that changed anything)."""
+    it owes: one per lookup and per operation that moved the entries or a
+    byte level, none for a pin, an unpin or a completed prefetch, and
+    none for a refused remove of a pinned key."""
     if op == "get":
         view.get(key)
     elif op == "put":
         view.put(key, key, size, source=size % 2)
     elif op == "pin":
-        if key not in view:
-            return 0
-        view.pin(key)
+        if key in view:
+            view.pin(key)
+        return 0
     elif op == "unpin":
-        if key not in view or shared._entries[key].pins == 0:
-            return 0
-        view.unpin(key)
+        if key in view and shared._entries[key].pins:
+            view.unpin(key)
+        return 0
     elif op == "remove":
+        if key in view and shared._entries[key].pins:
+            with pytest.raises(ValueError, match="pinned"):
+                view.remove(key)
+            return 0
         return int(view.remove(key))
     elif op == "invalidate_from":
         return view.invalidate_from(size % 2) + 1  # one drop each, then itself
@@ -558,9 +594,9 @@ def _apply(shared, view, op, key, size):
         return int(view.prefetch_begin(key, size))
     elif op == "prefetch_complete":
         staged = shared._staged.get(key)
-        if staged is None or staged.ready:
-            return 0
-        view.prefetch_complete(key, key)
+        if staged is not None and not staged.ready:
+            view.prefetch_complete(key, key)
+        return 0
     elif op == "prefetch_cancel":
         staged = view.has_prefetched(key)
         view.prefetch_cancel(key)
@@ -575,7 +611,9 @@ def test_view_ledgers_partition_the_shared_counters(ops):
     """Any interleaving of operations through several views of one small
     (evicting) shared cache: the view ledgers sum to the shared counters,
     each view's hits/misses are exactly the events carrying its qid, every
-    operation notifies once, and none of it depends on being watched."""
+    lookup and state change notifies once (a pin, an unpin or a completed
+    prefetch notifies nobody, a pinned key is never removed), and none of
+    it depends on being watched."""
     shared = CachingService(35, prefetch_budget_bytes=25)
     events = []
     shared.subscribe(lambda *event: events.append(event))

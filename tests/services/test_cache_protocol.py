@@ -135,6 +135,8 @@ def test_acquire_is_get_then_pin(ops, policy, with_view):
 
 
 def test_a_hit_notifies_hit_then_pin_and_a_miss_pins_nothing():
+    """A hit notifies ``hit`` and pins silently; a miss notifies ``miss``
+    and pins nothing; the release notifies nobody either."""
     cache = CachingService(100)
     seen = []
     cache.subscribe(lambda *event: seen.append(event))
@@ -148,9 +150,7 @@ def test_a_hit_notifies_hit_then_pin_and_a_miss_pins_nothing():
         assert cache._entries["a"].pins == 1
     assert seen == [
         ("hit", "a", 10, "derived", 5),
-        ("pin", "a", None, None, None),
         ("miss", "b", None, None, 5),
-        ("unpin", "a", None, None, None),
     ]
     assert (view.stats.hits, view.stats.misses) == (1, 1)
     assert cache.pinned_bytes == 0

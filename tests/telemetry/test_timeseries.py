@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from repro.observe.reuse import working_set_windows
 from repro.telemetry.timeseries import (
+    MAX_WINDOWS,
     CounterTrack,
     TimeSeriesRecorder,
     roll_gauge,
@@ -132,6 +134,26 @@ class TestWindowEdges:
             window_edges(0.0, 1.0)
         with pytest.raises(ValueError):
             window_edges(1.0, -1.0)
+
+    def test_at_most_max_windows(self):
+        """Every window index goes through ``window_index``: the edges,
+        a counter increment and a folded access are refused past the cap,
+        and none is at it."""
+        width, cap = 0.5, MAX_WINDOWS * 0.5
+        assert len(window_edges(width, cap)) == MAX_WINDOWS
+        track = CounterTrack("x", width)
+        track.inc(cap)
+        assert len(working_set_windows([(cap, "hit", "k", 1)], width, cap)) == MAX_WINDOWS
+        past = math.nextafter(cap, math.inf)
+        for refused in (
+            lambda: window_edges(width, past),
+            lambda: track.inc(past),
+            lambda: working_set_windows([(past, "hit", "k", 1)], width, cap),
+            lambda: CounterTrack("y", 1e-300).inc(1.0),
+        ):
+            with pytest.raises(ValueError, match=f"past the {MAX_WINDOWS}-window cap"):
+                refused()
+        assert track.total == 1.0
 
 
 class TestRollCounter:

@@ -607,6 +607,18 @@ class TestMalformedFiles:
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("window", ["1e-300", "1e-6"])
+    def test_an_observed_serve_keeps_at_most_max_windows(self, window, capsys):
+        """A window of 1e-300 s once crashed the serve with an
+        ``OverflowError`` traceback, and one of 1e-6 s ran for minutes."""
+        argv = ["serve", "--grid", "8,8", "--p", "2,2", "--q", "2,2", "--storage", "2",
+                "--compute", "2", "--seed", "7", "--observe", "--obs-window", window]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1
+        assert captured.err.startswith(f"error: window width {float(window)} puts time ")
+        assert "100000-window cap" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["advise", "r.json", "--top", "-1"], ["top", "r.json", "--width", "0"],
         ["top", "r.json", "--width", "-3"], ["trace", "--top", "-2"],
