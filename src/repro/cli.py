@@ -466,7 +466,8 @@ def _observability_config(args: argparse.Namespace, tenants) -> Optional[object]
             kwargs["availability"] = t.slo_availability
         slo[t.name] = SLOObjective(**kwargs)
     return ObservabilityConfig(
-        window=args.obs_window, slo=slo,
+        window=ObservabilityConfig.window if args.obs_window is None else args.obs_window,
+        slo=slo,
         reuse=not args.no_reuse,
     )
 
@@ -500,9 +501,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.workloads.arrivals import generate_workload
     from repro.workloads.oilres import build_oil_reservoir_dataset
 
-    if args.oplog_out and not args.observe:
-        # the ops log is the observatory's; refuse before serving anything
-        raise ValueError("--oplog-out needs --observe")
+    if not args.observe:
+        # the ops log, the window and the reuse analysis are the
+        # observatory's; refuse them before serving anything
+        for flag, given in (("--oplog-out", args.oplog_out),
+                            ("--obs-window", args.obs_window is not None),
+                            ("--no-reuse", args.no_reuse)):
+            if given:
+                raise ValueError(f"{flag} needs --observe")
     _claim_outputs(args.oplog_out, args.json_out)
     spec = _spec(args)
     machine = _machine(args)
@@ -981,17 +987,17 @@ def build_parser() -> argparse.ArgumentParser:
                               "alerts); lands in the report payload under "
                               "'observability' and never perturbs the "
                               "serve (digest-identical by construction)")
-    p_serve.add_argument("--obs-window", type=float, default=1.0, metavar="S",
+    p_serve.add_argument("--obs-window", type=float, default=None, metavar="S",
                          help="time-series aggregation window in simulated "
-                              "seconds (default 1.0)")
+                              "seconds (default 1.0; requires --observe)")
     p_serve.add_argument("--oplog-out", type=str, default=None, metavar="FILE",
                          help="write the structured ops log as JSONL "
                               "(one lifecycle decision per line; "
                               "requires --observe)")
     p_serve.add_argument("--no-reuse", action="store_true",
-                         help="within --observe, skip the per-entry cache "
-                              "access trace and reuse analysis (miss-ratio "
-                              "curves, working set, materialization advisor)")
+                         help="requires --observe; skip the reuse analysis "
+                              "(miss-ratio curves, working set, "
+                              "materialization advisor)")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_top = sub.add_parser(

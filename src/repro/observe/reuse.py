@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.telemetry.timeseries import window_edges, window_index
+from repro.telemetry.timeseries import horizon_counts, window_edges, window_index
 
 __all__ = [
     "AccessTraceRecorder",
@@ -368,18 +368,12 @@ class _WorkingSet:
     def totals(self, count: int) -> List[Tuple[int, int, int, int]]:
         """``(hits, misses, distinct keys, distinct bytes)`` for each of
         ``count`` windows, the last one absorbing any later windows."""
-        out = []
-        for w in range(count - 1):
-            hits = self.hits[w] if w < len(self.hits) else 0
-            misses = self.misses[w] if w < len(self.misses) else 0
-            distinct = self.since(w) if w == self.newest else self.closed.get(w, (0, 0))
-            out.append((hits, misses) + distinct)
-        tail = count - 1
-        out.append(
-            (sum(self.hits[tail:]), sum(self.misses[tail:]))
-            + self.since(tail)
-        )
-        return out
+        distinct = [
+            self.since(w) if w == self.newest else self.closed.get(w, (0, 0))
+            for w in range(count - 1)
+        ] + [self.since(count - 1)]
+        hits, misses = (horizon_counts(c, count) for c in (self.hits, self.misses))
+        return [(h, m) + d for h, m, d in zip(hits, misses, distinct)]
 
 
 def _grown(column: np.ndarray, size: int, fill=-1) -> np.ndarray:

@@ -222,7 +222,7 @@ class ServeObservatory:
                 if any(counts):
                     counters[f"cache.j{node}.{leaf}"] = {
                         "total": float(sum(counts)),
-                        "windows": counter_windows(edges, [float(c) for c in counts]),
+                        "windows": counter_windows(edges, counts),
                     }
         timeseries["counters"] = dict(sorted(counters.items()))
         rates = []

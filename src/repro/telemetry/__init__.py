@@ -31,11 +31,7 @@ from repro.telemetry.spans import (
     SpanRecorder,
     maybe_span,
 )
-from repro.telemetry.timeseries import (
-    CounterTrack,
-    TimeSeriesRecorder,
-    roll_gauge,
-)
+from repro.telemetry.timeseries import TimeSeriesRecorder, roll_gauge
 
 __all__ = [
     "Telemetry",
@@ -43,7 +39,6 @@ __all__ = [
     "SpanRecorder",
     "LatencyTracker",
     "MetricsRegistry",
-    "CounterTrack",
     "TimeSeriesRecorder",
     "OpLog",
     "maybe_span",

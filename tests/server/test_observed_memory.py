@@ -2,9 +2,9 @@
 
 Checked by counts, not RSS: an observed serve of N queries per tenant
 and one of 4N must both keep at most one block of trace rows plus the
-rows since the oldest miss whose size is still unknown, and at most one
-float per window reached plus one per counter track — while
-``point_count()`` still counts every point recorded.
+rows since the oldest miss whose size is still unknown, and one whole
+count per window reached per counter track — while ``point_count()``
+still counts every point recorded.
 """
 
 import pytest
@@ -48,9 +48,9 @@ def observed_serve(queries, monkeypatch):
     increments = {}
     inc = TimeSeriesRecorder.inc
 
-    def counting_inc(self, name, amount=1.0):
+    def counting_inc(self, name):
         increments[name] = increments.get(name, 0) + 1
-        inc(self, name, amount)
+        inc(self, name)
 
     monkeypatch.setattr(reuse, "_BLOCK", BLOCK)
     monkeypatch.setattr(TimeSeriesRecorder, "inc", counting_inc)
@@ -89,15 +89,18 @@ def test_retained_trace_rows_do_not_grow_with_the_serve(serves):
     assert probes[1].rows > 10 * bound
 
 
-def test_counter_tracks_keep_a_float_per_window_plus_one(serves):
+def test_counter_tracks_keep_one_int_per_window_reached(serves):
     for server, report, _, increments in serves:
         series = server.observatory.series
         counters = report.observability["timeseries"]["counters"]
         windows = len(next(iter(counters.values()))["windows"])
         for name in series.counter_names():
-            track = series.counter(name)
-            assert len(track._sums) + 1 <= windows + 1
-            assert track.increments == increments[name]
+            counts = series._counts[name]
+            # a terminal event stamped at the makespan reaches one window
+            # past the horizon's last
+            assert len(counts) <= windows + 1
+            assert all(type(n) is int for n in counts)
+            assert sum(counts) == increments[name]
         gauge_points = sum(len(series.gauge(name).samples) for name in series.gauge_names())
         assert series.point_count() == sum(increments.values()) + gauge_points
     assert sum(serves[1][3].values()) > 3 * sum(serves[0][3].values())

@@ -1,17 +1,19 @@
-"""The counter rolling the folded :class:`CounterTrack` is tested against.
+"""The rolls the time series' counter and gauge tracks are tested against.
 
 A counter track used to keep every increment as a ``(t, cumulative)``
 pair and roll the whole history into windows after the run; this module
-keeps that walk (and the window grid it used) frozen, so the track's
-running per-window sums can be compared with it byte for byte.
+keeps that walk (and the window grid it used) frozen, so the recorder's
+per-window counts can be compared with it byte for byte.  It also keeps
+the gauge roll that scanned every segment for every window, so the
+one-pass :func:`repro.telemetry.timeseries.roll_gauge` can be.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["cumulative_history", "roll_counter", "window_edges"]
+__all__ = ["cumulative_history", "roll_counter", "roll_gauge", "window_edges"]
 
 
 def cumulative_history(increments: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
@@ -67,6 +69,49 @@ def roll_counter(
                 "t1": t1,
                 "count": count,
                 "rate": count / span if span > 0 else 0.0,
+            }
+        )
+    return out
+
+
+def roll_gauge(
+    samples: Sequence[Tuple[float, float]], width: float, t_end: float
+) -> List[Dict[str, Any]]:
+    """Roll step-function samples into per-window time-weighted stats,
+    every segment against every window (no level before the first
+    sample)."""
+    edges = window_edges(width, t_end)
+    segments: List[Tuple[float, float, float]] = []
+    for i, (t, v) in enumerate(samples):
+        end = samples[i + 1][0] if i + 1 < len(samples) else max(t_end, t)
+        segments.append((t, end, v))
+
+    out: List[Dict[str, Any]] = []
+    for t0, t1 in edges:
+        weighted = 0.0
+        defined = 0.0
+        wmax: Optional[float] = None
+        last: Optional[float] = None
+        for s0, s1, value in segments:
+            lo = max(t0, s0)
+            hi = min(t1, s1)
+            if hi < lo:
+                continue
+            if hi > lo:
+                weighted += value * (hi - lo)
+                defined += hi - lo
+                wmax = value if wmax is None else max(wmax, value)
+                last = value
+            elif t0 == t1 and s0 <= t0 <= s1:
+                wmax = value if wmax is None else max(wmax, value)
+                last = value
+        out.append(
+            {
+                "t0": t0,
+                "t1": t1,
+                "mean": weighted / defined if defined > 0 else last,
+                "max": wmax,
+                "last": last,
             }
         )
     return out

@@ -8,10 +8,10 @@ import pytest
 from repro.observe.reuse import working_set_windows
 from repro.telemetry.timeseries import (
     MAX_WINDOWS,
-    CounterTrack,
     TimeSeriesRecorder,
     roll_gauge,
     window_edges,
+    window_index,
 )
 
 
@@ -19,62 +19,69 @@ def counts(windows):
     return [w["count"] for w in windows]
 
 
-def rolled(events, width, t_end):
-    """``(t, cumulative)`` events through a counter track, rolled."""
-    track, prev = CounterTrack("x", width), 0.0
-    for t, cumulative in events:
-        track.inc(t, cumulative - prev)
-        prev = cumulative
-    return track.windows(t_end)
+class Clocked:
+    """A recorder of ``width``-second windows on a settable clock."""
+
+    def __init__(self, width=1.0):
+        self.now = 0.0
+        self.series = TimeSeriesRecorder(lambda: self.now, window=width)
+
+    def inc_at(self, t, name="x"):
+        self.now = t
+        self.series.inc(name)
+
+    def windows(self, t_end, name="x"):
+        return self.series.to_payload(t_end)["counters"][name]["windows"]
+
+
+def rolled(times, width, t_end):
+    """One event at each of ``times`` through a counter track, rolled."""
+    clocked = Clocked(width)
+    for t in times:
+        clocked.inc_at(t)
+    return clocked.windows(t_end)
 
 
 class TestCounterTrack:
     def test_accumulates_with_timestamps(self):
-        c = CounterTrack("x")
-        c.inc(0.5)
-        c.inc(0.5, 2.0)
-        c.inc(1.5)
-        assert c.total == 4.0
-        assert c.increments == 3
+        c = Clocked()
+        for t in (0.5, 0.5, 0.5, 1.5):
+            c.inc_at(t)
+        assert c.series.point_count() == 4
+        assert c.series.to_payload(2.0)["counters"]["x"]["total"] == 4.0
         assert counts(c.windows(2.0)) == [3.0, 1.0]
 
-    def test_rejects_decreasing_time_and_negative_amount(self):
-        c = CounterTrack("x")
-        c.inc(1.0)
-        with pytest.raises(ValueError):
-            c.inc(0.5)
-        with pytest.raises(ValueError):
-            c.inc(2.0, -1.0)
+    def test_rejects_negative_time(self):
+        # int(-1.5) is -1: a list index that would credit the last window
+        c = Clocked()
+        for t in (-0.5, -1.5, -math.inf):
+            with pytest.raises(ValueError, match="before the window grid"):
+                window_index(t, 1.0)
+            with pytest.raises(ValueError, match="before the window grid"):
+                c.inc_at(t)
+        assert window_index(-0.0, 1.0) == 0
+        assert c.series.point_count() == 0
 
-    def test_keeps_one_float_per_window_reached_plus_one(self):
-        c = CounterTrack("x", 0.5)
+    def test_keeps_one_int_per_window_reached(self):
+        c = Clocked(0.5)
         for i in range(1000):
-            c.inc(i * 0.01)
-        assert c.increments == 1000
-        assert len(c._sums) + 1 == int(9.99 / 0.5) + 1 + 1
+            c.inc_at(i * 0.01)
+        assert len(c.series._counts["x"]) == int(9.99 / 0.5) + 1
+        assert all(type(n) is int for n in c.series._counts["x"])
+        assert sum(c.series._counts["x"]) == 1000
         assert sum(counts(c.windows(10.0))) == 1000.0
 
 
 class TestNonFiniteInputs:
     """Each of these used to corrupt a track without a word."""
 
-    def test_nan_amount_is_refused(self):
-        c = CounterTrack("served")
-        with pytest.raises(ValueError, match="'served'"):
-            c.inc(0.0, math.nan)
-        with pytest.raises(ValueError, match="'served'"):
-            c.inc(0.0, math.inf)
-        assert c.total == 0.0 and c.increments == 0
-
-    def test_nan_timestamp_is_refused_and_keeps_the_order_check(self):
-        c = CounterTrack("served")
-        c.inc(2.0)
-        with pytest.raises(ValueError, match="'served'"):
-            c.inc(math.nan)
-        with pytest.raises(ValueError, match="'served'"):
-            c.inc(1.0)
-        with pytest.raises(ValueError, match="'served'"):
-            c.inc(math.inf)
+    def test_nan_and_infinite_timestamps_are_refused(self):
+        c = Clocked()
+        c.inc_at(2.0)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="window cap"):
+                c.inc_at(t)
+        assert c.series.point_count() == 1
 
     @pytest.mark.parametrize("window", [math.nan, math.inf, -1.0])
     def test_non_finite_recorder_window_is_refused(self, window):
@@ -141,38 +148,38 @@ class TestWindowEdges:
         and none is at it."""
         width, cap = 0.5, MAX_WINDOWS * 0.5
         assert len(window_edges(width, cap)) == MAX_WINDOWS
-        track = CounterTrack("x", width)
-        track.inc(cap)
+        track = Clocked(width)
+        track.inc_at(cap)
         assert len(working_set_windows([(cap, "hit", "k", 1)], width, cap)) == MAX_WINDOWS
         past = math.nextafter(cap, math.inf)
         for refused in (
             lambda: window_edges(width, past),
-            lambda: track.inc(past),
+            lambda: track.inc_at(past),
             lambda: working_set_windows([(past, "hit", "k", 1)], width, cap),
-            lambda: CounterTrack("y", 1e-300).inc(1.0),
+            lambda: Clocked(1e-300).inc_at(1.0),
         ):
             with pytest.raises(ValueError, match=f"past the {MAX_WINDOWS}-window cap"):
                 refused()
-        assert track.total == 1.0
+        assert track.series.point_count() == 1
 
 
 class TestRollCounter:
     def test_counts_sum_to_total(self):
-        events = [(0.2, 1.0), (0.8, 2.0), (1.1, 5.0), (2.5, 6.0)]
-        windows = rolled(events, 1.0, 2.5)
+        times = [0.2, 0.8, 1.1, 1.1, 1.5, 2.5]
+        windows = rolled(times, 1.0, 2.5)
         assert sum(w["count"] for w in windows) == 6.0
         assert [w["count"] for w in windows] == [2.0, 3.0, 1.0]
 
     def test_event_at_horizon_lands_in_final_window(self):
-        windows = rolled([(2.0, 1.0)], 1.0, 2.0)
+        windows = rolled([2.0], 1.0, 2.0)
         assert [w["count"] for w in windows] == [0.0, 1.0]
 
     def test_rate_uses_window_span(self):
-        windows = rolled([(0.25, 4.0)], 0.5, 0.5)
+        windows = rolled([0.25] * 4, 0.5, 0.5)
         assert windows == [{"t0": 0.0, "t1": 0.5, "count": 4.0, "rate": 8.0}]
 
     def test_events_past_the_horizon_join_the_final_window(self):
-        windows = rolled([(0.5, 1.0), (2.5, 2.0), (3.5, 4.0)], 1.0, 1.5)
+        windows = rolled([0.5, 2.5, 3.5, 3.5], 1.0, 1.5)
         assert [w["count"] for w in windows] == [1.0, 3.0]
 
 
@@ -191,17 +198,10 @@ class TestRollGauge:
         }
         assert windows[1]["mean"] == 7.0
 
-    def test_initial_level_defines_the_gap(self):
-        windows = roll_gauge([(1.5, 7.0)], 1.0, 2.0, initial=1.0)
-        assert windows[0]["mean"] == 1.0
-        # second window: 1.0 for 0.5s then 7.0 for 0.5s
-        assert windows[1]["mean"] == 4.0
-
     def test_no_samples_at_all(self):
         assert roll_gauge([], 1.0, 1.0) == [
             {"t0": 0.0, "t1": 1.0, "mean": None, "max": None, "last": None}
         ]
-        assert roll_gauge([], 1.0, 1.0, initial=3.0)[0]["mean"] == 3.0
 
 
 class TestTimeSeriesRecorder:
@@ -216,7 +216,7 @@ class TestTimeSeriesRecorder:
         state["now"] = 1.5
         rec.inc("served")
         rec.set("depth", 3.0)
-        assert counts(rec.counter("served").windows(2.0)) == [1.0, 1.0]
+        assert counts(rec.to_payload(2.0)["counters"]["served"]["windows"]) == [1.0, 1.0]
         assert rec.gauge("depth").samples == [(1.5, 3.0)]
         assert rec.point_count() == 3
 
@@ -227,14 +227,15 @@ class TestTimeSeriesRecorder:
                 state["now"] = t
                 rec.inc("served")
                 rec.set("depth", t * 2)
-            return rec.to_json(3.0)
+            return json.dumps(rec.to_payload(3.0), sort_keys=True)
 
         assert run() == json.dumps(json.loads(run()), sort_keys=True)
         assert run() == run()
 
     def test_payload_counts_sum_and_names_sorted(self):
         state, rec = self._recorder()
-        rec.inc("b.count", 2.0)
+        rec.inc("b.count")
+        rec.inc("b.count")
         state["now"] = 1.4
         rec.inc("a.count")
         payload = rec.to_payload(2.0)

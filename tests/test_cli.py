@@ -322,6 +322,16 @@ class TestObservedServe:
         assert "digest:" not in captured.out
         assert not report.exists()
 
+    @pytest.mark.parametrize("flags", [["--obs-window", "0.25"], ["--no-reuse"]],
+                             ids=["obs-window", "no-reuse"])
+    def test_observatory_flags_require_observe(self, flags, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(self.SMALL + flags + ["--json-out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flags[0]} needs --observe\n"
+        assert "digest:" not in captured.out
+        assert not report.exists()
+
 
 class TestTop:
     def _artifacts(self, tmp_path, capsys):
