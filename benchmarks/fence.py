@@ -44,15 +44,15 @@ trees.  Slices:
     bytes, ``kernel.*``, per-node cache stats, recovery.  CI diffs it
     against ``benchmarks/baselines/FENCE_qes.json``.
 ``sql``
-    14 cells, ~10 s: the answer bytes of the query layer, through the
+    13 cells, ~10 s: the answer bytes of the query layer, through the
     public ``QueryExecutor`` and registered derived data sources over a
     file-backed 16³ functional dataset.  One cell per SQL text
     (:data:`SQL_CELLS`): the host benchmark's five ``view_query``
     templates, its view query under each QES, GROUP BY on several keys,
     under a WHERE that selects nothing and over a view, ``COUNT(*)``
-    alone, and an ``AggregationView`` assembled centrally and from
-    per-joiner partials.  A cell prints the answer's schema and the
-    SHA-256 of its names, dtypes and column bytes, row order included.
+    alone, and an ``AggregationView``.  A cell prints the answer's schema
+    and the SHA-256 of its names, dtypes and column bytes, row order
+    included.
     Answers only: error texts are unit-tested.  CI diffs it against
     ``benchmarks/baselines/FENCE_sql.json``.
 ``trace``
@@ -207,8 +207,8 @@ SWEEP_TRACED = {
 
 SQL_GRID = ((16, 16, 16), (8, 8, 8), (4, 4, 4))
 #: cell -> (SQL text, QES a view source runs under).  V1 is T1 joined with
-#: T2; A1c and A1d are ``SELECT z, AVG(wp), COUNT(*) FROM V1 GROUP BY z`` as
-#: an ``AggregationView``, assembled centrally / from per-joiner partials
+#: T2; A1c is ``SELECT z, AVG(wp), COUNT(*) FROM V1 GROUP BY z`` as an
+#: ``AggregationView``
 SQL_CELLS = {
     "scan": ("SELECT * FROM T1", "auto"),
     "project": ("SELECT oilp FROM T1", "auto"),
@@ -226,7 +226,6 @@ SQL_CELLS = {
     "view-groupby": ("SELECT y, z, AVG(wp), MAX(oilp) FROM V1 GROUP BY y, z", "indexed-join"),
     "view-agg-gh": ("SELECT SUM(wp), COUNT(*) FROM V1 WHERE z IN [4, 9]", "grace-hash"),
     "aggview-central": ("SELECT * FROM A1c", "indexed-join"),
-    "aggview-distributed": ("SELECT * FROM A1d", "indexed-join"),
 }
 
 #: the CI slice: one cell per mechanism the fence exists to watch
@@ -418,14 +417,9 @@ def sql_cell(name: str) -> Dict[str, object]:
         executor = QueryExecutor(ds.metadata, ds.provider)
         join = JoinView("V1", ds.left, ds.right, on=ds.join_attrs)
         aggregates = (Aggregate("avg", "wp"), Aggregate("count", "*"))
-        for view, mode in (
-            (join, "central"),
-            (AggregationView("A1c", join, aggregates, group_by=("z",)), "central"),
-            (AggregationView("A1d", join, aggregates, group_by=("z",)), "distributed"),
-        ):
+        for view in (join, AggregationView("A1c", join, aggregates, group_by=("z",))):
             executor.register_dds(DerivedDataSource(
                 view, ds.metadata, ds.provider, num_storage=2, num_compute=3,
-                aggregate_mode=mode,
             ))
         table = executor.execute(sql, algorithm=algorithm)
     return {

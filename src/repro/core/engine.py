@@ -1,11 +1,16 @@
 """The Derived Data Source: views bound to services, executed end to end.
 
-A :class:`DerivedDataSource` owns one view (join or aggregation), the
-MetaData Service and sub-table provider behind it, and a deployment shape
-(machine spec, node counts, storage mode).  ``execute`` runs the full
-pipeline of Figure 2: plan (QPS, cost models) → QES (Indexed Join or Grace
-Hash on a fresh simulated cluster) → record-level range selection →
-optional aggregation — returning both the answer and the execution report.
+A :class:`DerivedDataSource` is one view (join or aggregation) and its
+deployment: the MetaData Service and sub-table provider behind it, the
+machine spec and the node counts.  ``execute`` runs the full pipeline of
+Figure 2: plan (QPS, cost models) → QES (Indexed Join or Grace Hash on a
+fresh simulated cluster) → record-level range selection → optional
+aggregation — returning both the answer and the execution report.
+
+:func:`view_qes` is the one constructor that turns a planned view into a
+QES, and :func:`assemble_result` the one assembly of its answer; the query
+server (:mod:`repro.server.server`) runs its joins and aggregates through
+both, on its shared cluster and caches.
 """
 
 from __future__ import annotations
@@ -22,12 +27,13 @@ from repro.core.view import AggregationView, JoinView
 from repro.datamodel.subtable import SubTable, SubTableId, bbox_mask, concat_subtables
 from repro.joins.grace_hash import GraceHashQES
 from repro.joins.indexed_join import IndexedJoinQES
+from repro.joins.qes import QES
 from repro.joins.report import ExecutionReport
 from repro.metadata.service import MetaDataService
 from repro.query.aggregate import aggregate
 from repro.services.bds import SubTableProvider
 
-__all__ = ["DerivedDataSource", "QueryResult", "assemble_result", "bbox_mask"]
+__all__ = ["DerivedDataSource", "QueryResult", "assemble_result", "bbox_mask", "view_qes"]
 
 
 @dataclass
@@ -54,46 +60,22 @@ class DerivedDataSource:
         num_storage: int,
         num_compute: int,
         machine: MachineSpec = PAPER_MACHINE,
-        shared_nfs: bool = False,
-        cache_policy: str = "lru",
-        aggregate_mode: str = "central",
-        reuse_caches: bool = False,
-        pipeline: bool = False,
     ):
-        if aggregate_mode not in ("central", "distributed"):
-            raise ValueError(f"unknown aggregate_mode {aggregate_mode!r}")
-        if reuse_caches and cache_policy == "belady":
-            raise ValueError("cache reuse across queries is incompatible with "
-                             "the offline belady policy")
-        self.aggregate_mode = aggregate_mode
-        #: run the Indexed Join in its pipelined (prefetching) mode, and
-        #: cost it accordingly during planning
-        self.pipeline = pipeline
-        #: keep each joiner's Caching Service alive between executions, so a
-        #: repeated (or overlapping) query hits warm caches — the
-        #: cross-query role the paper assigns the Caching Service
-        self.reuse_caches = reuse_caches
-        self._warm_caches = None
         self.view = view
         self.join_view: JoinView = view.source if isinstance(view, AggregationView) else view
         self.metadata = metadata
         self.provider = provider
         self.machine = machine
-        self.topology = ClusterTopology(num_storage, num_compute, shared_nfs=shared_nfs)
-        self.cache_policy = cache_policy
+        self.topology = ClusterTopology(num_storage, num_compute)
         self.planner = QueryPlanningService(
-            metadata,
-            num_storage=num_storage,
-            num_compute=num_compute,
-            machine=machine,
-            shared_nfs=shared_nfs,
+            metadata, num_storage=num_storage, num_compute=num_compute, machine=machine
         )
 
     # -- public API -------------------------------------------------------------------
 
     def plan(self) -> Plan:
         """Cost-model comparison for this view under this deployment."""
-        return self.planner.plan(self.join_view, pipeline=self.pipeline)
+        return self.planner.plan(self.join_view)
 
     def execute(self, algorithm: str = "auto") -> QueryResult:
         """Materialise the view.
@@ -105,46 +87,43 @@ class DerivedDataSource:
         plan = self.plan()
         chosen = plan.algorithm if algorithm == "auto" else algorithm
         cluster = ClusterSim(self.topology, spec=self.machine)
-        view = self.join_view
-        if chosen == "indexed-join":
-            qes = IndexedJoinQES(
-                cluster,
-                self.metadata,
-                view.left,
-                view.right,
-                view.on,
-                self.provider,
-                index=plan.index,
-                cache_policy=self.cache_policy,
-                caches=self._warm_caches if self.reuse_caches else None,
-                pipeline=self.pipeline,
-            )
-        elif chosen == "grace-hash":
-            qes = GraceHashQES(
-                cluster,
-                self.metadata,
-                view.left,
-                view.right,
-                view.on,
-                self.provider,
-                range_constraint=view.where,
-            )
-        else:
-            raise ValueError(f"unknown algorithm {chosen!r}")
-        report = qes.run()
-        if self.reuse_caches and chosen == "indexed-join":
-            self._warm_caches = qes.caches
-        table = assemble_result(
-            report, self.view, self.metadata, aggregate_mode=self.aggregate_mode
-        )
+        report = view_qes(
+            chosen, cluster, self.metadata, self.provider, self.view, plan
+        ).run()
+        table = assemble_result(report, self.view, self.metadata)
         return QueryResult(table=table, report=report, plan=plan)
+
+
+def view_qes(
+    algorithm: str,
+    cluster: ClusterSim,
+    metadata: MetaDataService,
+    provider: SubTableProvider,
+    view: JoinView | AggregationView,
+    plan: Plan,
+    **options,
+) -> QES:
+    """The QES that computes ``view``'s join on ``cluster``, not yet begun.
+
+    The one place a view becomes an execution: ``indexed-join`` walks the
+    planned ``plan.index``, ``grace-hash`` prunes chunks by the view's
+    range constraint.  ``options`` go to the QES constructor as they are
+    (the query server passes its shared ``caches``, ``critical_path`` and
+    ``contain_faults``).
+    """
+    join = view.source if isinstance(view, AggregationView) else view
+    args = (cluster, metadata, join.left, join.right, join.on, provider)
+    if algorithm == "indexed-join":
+        return IndexedJoinQES(*args, index=plan.index, **options)
+    if algorithm == "grace-hash":
+        return GraceHashQES(*args, range_constraint=join.where, **options)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def assemble_result(
     report: ExecutionReport,
     view: JoinView | AggregationView,
     metadata: MetaDataService,
-    aggregate_mode: str = "central",
 ) -> Optional[SubTable]:
     """Turn a join QES report into the view's record-level answer.
 
@@ -160,18 +139,6 @@ def assemble_result(
         return None
     join_view: JoinView = view.source if isinstance(view, AggregationView) else view
     where = join_view.where
-
-    def filtered(table: SubTable) -> SubTable:
-        # record-level range selection (QES prune only at chunk level)
-        if where is not None and len(where):
-            return table.select(bbox_mask(table, where))
-        return table
-
-    if isinstance(view, AggregationView) and aggregate_mode == "distributed":
-        distributed = _distributed_aggregate(report, view, filtered)
-        if distributed is not None:
-            return distributed
-
     parts = [sub for per in report.results for sub in per]
     if not parts:
         left = metadata.table(join_view.left).schema
@@ -184,39 +151,10 @@ def assemble_result(
         )
     else:
         table = concat_subtables(parts, id=SubTableId(-1, 0))
-    table = filtered(table)
+    if where is not None and len(where):
+        # record-level range selection (QES prune only at chunk level)
+        table = table.select(bbox_mask(table, where))
     if isinstance(view, AggregationView):
         table = aggregate(table, view.aggregates, view.group_by)
     return table
 
-
-def _distributed_aggregate(report: ExecutionReport, view: AggregationView, filtered):
-    """Per-joiner partial aggregation plus a central merge.
-
-    Each joiner reduces its own join output to partial-state rows, so
-    only those (typically tiny) partials travel to the coordinator —
-    the classic two-phase aggregation the paper's future-work section
-    points at.  Returns ``None`` when no joiner produced records (the
-    caller's central path then defines the empty-input semantics).
-    ``report.extras`` records the byte reduction.
-    """
-    from repro.query.partial import merge_partials, partial_aggregate
-
-    partials = []
-    raw_bytes = 0
-    for per in report.results or []:
-        if not per:
-            continue
-        table = filtered(concat_subtables(per, id=SubTableId(-1, 0)))
-        if table.num_records == 0:
-            continue
-        raw_bytes += table.nbytes
-        partials.append(
-            partial_aggregate(table, view.aggregates, view.group_by)
-        )
-    if not partials:
-        return None
-    merged = merge_partials(partials, view.aggregates, view.group_by)
-    report.extras["agg_raw_result_bytes"] = float(raw_bytes)
-    report.extras["agg_partial_bytes"] = float(sum(p.nbytes for p in partials))
-    return merged

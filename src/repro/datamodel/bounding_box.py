@@ -85,9 +85,9 @@ class BoundingBox:
     default.  Consequently two boxes always overlap on an attribute that
     neither mentions, and a box with no entries overlaps everything.
 
-    Instances are immutable; :meth:`union`, :meth:`intersect` and
-    :meth:`tighten` return new boxes.  Immutability lets sub-tables,
-    chunk descriptors and R-tree nodes share boxes freely.
+    Instances are immutable; :meth:`union` and :meth:`intersect` return
+    new boxes.  Immutability lets sub-tables, chunk descriptors and R-tree
+    nodes share boxes freely.
     """
 
     __slots__ = ("_intervals", "_hash")
@@ -227,15 +227,6 @@ class BoundingBox:
                 return None
             out[name] = iv
         return BoundingBox(out)
-
-    def tighten(self, other: "BoundingBox") -> "BoundingBox":
-        """Clamp this box's bounds by ``other`` (used to refine pair bounds
-        after an actual join, per Section 4.1: "this bound can be updated and
-        made tighter").  Attributes that become empty keep the tighter of the
-        two lower bounds — callers should use :meth:`intersect` when they need
-        to detect emptiness."""
-        tightened = self.intersect(other)
-        return tightened if tightened is not None else self
 
     def volume(self, names: Optional[Iterable[str]] = None) -> float:
         """Product of interval lengths over ``names`` (default: all bounded

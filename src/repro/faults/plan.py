@@ -23,7 +23,7 @@ disk's bandwidth by ``factor`` from time ``t`` on.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 # the mixer lives in repro.core.rng (shared with placement and scheduling);
@@ -120,9 +120,6 @@ class FaultPlan:
             and self.transfer_failure_rate == 0.0
             and not self.degradations
         )
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":

@@ -163,18 +163,21 @@ class DriftStore:
             return []
         records = []
         with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(DriftRecord.from_json_obj(json.loads(line)))
-                except (ValueError, KeyError, TypeError) as exc:
-                    # TypeError: the line parsed, but not to an object
-                    # with numeric terms (a JSON array, string, null…)
-                    raise ValueError(
-                        f"{self.path}:{lineno}: bad drift record: {exc}"
-                    ) from exc
+            try:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        records.append(DriftRecord.from_json_obj(json.loads(line)))
+                    except (ValueError, KeyError, TypeError) as exc:
+                        # TypeError: the line parsed, but not to an object
+                        # with numeric terms (a JSON array, string, null…)
+                        raise ValueError(
+                            f"{self.path}:{lineno}: bad drift record: {exc}"
+                        ) from exc
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{self.path}: not UTF-8 text ({exc})") from exc
         return records
 
 

@@ -54,8 +54,12 @@ class QueryExecutor:
         """Run a query; returns the result sub-table.
 
         Requires a functional provider for base-table queries (a stub
-        provider cannot produce records).
+        provider cannot produce records).  ``algorithm`` picks a view's
+        QES: ``auto`` (the planner's choice), ``indexed-join`` or
+        ``grace-hash``; anything else is refused before any work.
         """
+        if algorithm not in ("auto", "indexed-join", "grace-hash"):
+            raise ValueError(f"unknown algorithm {algorithm!r}")
         if isinstance(query, str):
             query = parse_query(query)
         dds = self._dds.get(query.source)

@@ -79,7 +79,10 @@ def load_report(path: str) -> Dict[str, Any]:
     ``ValueError`` naming the path and the first violation.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: not a server report ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a server report (not a JSON object)")
     for key, kind in _REPORT_SHAPE:
@@ -102,14 +105,17 @@ def load_oplog(path: str) -> List[Dict[str, Any]]:
     ``ValueError`` naming the file and the first violation."""
     records: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno} unparseable ({exc})")
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: line {lineno} unparseable ({exc})")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
     violations = validate_oplog(records)
     if violations:
         raise ValueError(f"{path}: {violations[0]}")

@@ -15,8 +15,9 @@ arrival stream (:mod:`repro.workloads.arrivals`) inside a single
 * admitted queries execute concurrently on the shared cluster: range
   scans stream chunks to a compute node, joins run the real
   :class:`~repro.joins.indexed_join.IndexedJoinQES` /
-  :class:`~repro.joins.grace_hash.GraceHashQES` via their ``begin`` /
-  ``finish`` handles;
+  :class:`~repro.joins.grace_hash.GraceHashQES` that
+  :func:`~repro.core.engine.view_qes` builds for a derived data source,
+  via their ``begin`` / ``finish`` handles;
 * one :class:`~repro.services.cache.CachingService` per compute node is
   shared by *all* in-flight queries (each sees it through a
   :class:`~repro.services.cache.QueryCacheView` for exact per-query stat
@@ -49,11 +50,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.cluster.cluster import ClusterSim, ClusterTopology
 from repro.cluster.events import Event, Interrupt, SimulationError
 from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
-from repro.core.engine import assemble_result
+from repro.core.engine import assemble_result, view_qes
 from repro.core.planner import QueryPlanningService
 from repro.faults.errors import FaultError, UnrecoverableFault
-from repro.joins.grace_hash import GraceHashQES
-from repro.joins.indexed_join import IndexedJoinQES
 from repro.joins.qes import QES
 from repro.joins.report import ExecutionReport
 from repro.joins.scan import ScanQES
@@ -958,19 +957,11 @@ class QueryServer:
                 dataset.provider, compute=qid % cluster.num_compute,
                 chunks=planned.plan.chunks, **common,
             ).begin(name=f"q{qid}-scan")
-        view = planned.view
-        join_view = view.source if hasattr(view, "source") else view
-        args = (
-            cluster, dataset.metadata, join_view.left, join_view.right,
-            join_view.on, dataset.provider,
-        )
-        if planned.algorithm == "indexed-join":
-            return IndexedJoinQES(
-                *args, index=planned.plan.index, **common,
-            ).begin(name=f"q{qid}-ij")
-        return GraceHashQES(
-            *args, range_constraint=join_view.where, **common
-        ).begin(name=f"q{qid}-gh")
+        tag = "ij" if planned.algorithm == "indexed-join" else "gh"
+        return view_qes(
+            planned.algorithm, cluster, dataset.metadata, dataset.provider,
+            planned.view, planned.plan, **common,
+        ).begin(name=f"q{qid}-{tag}")
 
 
 # -- shadow serve ----------------------------------------------------------

@@ -2,94 +2,82 @@
 
 import pytest
 
-from repro.cluster import MachineSpec
-from repro.core import DerivedDataSource, JoinView
+from repro.cluster import MachineSpec, paper_cluster
+from repro.core import DerivedDataSource, JoinView, QueryPlanningService
+from repro.core.engine import assemble_result, view_qes
+from repro.datamodel import BoundingBox
+from repro.joins import IndexedJoinQES
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 MACHINE = MachineSpec()
 SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(4, 4))
 
 
+def indexed_join(ds, view, caches=None):
+    """Run ``view`` under the Indexed Join, warmed by ``caches`` when given:
+    the caches it ran with, its report and its record-level answer."""
+    plan = QueryPlanningService(ds.metadata, 2, 2, machine=MACHINE).plan(view)
+    qes = view_qes(
+        "indexed-join", paper_cluster(2, 2, spec=MACHINE), ds.metadata, ds.provider,
+        view, plan, caches=caches,
+    )
+    report = qes.run()
+    return qes.caches, report, assemble_result(report, view, ds.metadata)
+
+
 class TestWarmCaches:
-    def make_dds(self, reuse):
-        ds = build_oil_reservoir_dataset(SPEC, num_storage=2)
+    """An Indexed Join handed the caches of an earlier one starts warm —
+    the cross-query role the paper assigns the Caching Service."""
+
+    @pytest.fixture()
+    def ds(self):
+        return build_oil_reservoir_dataset(SPEC, num_storage=2)
+
+    def test_second_execution_is_nearly_free(self, ds):
         view = JoinView("V1", "T1", "T2", on=ds.join_attrs)
-        return ds, DerivedDataSource(
-            view, ds.metadata, ds.provider, num_storage=2, num_compute=2,
-            machine=MACHINE, reuse_caches=reuse,
-        )
-
-    def test_second_execution_is_nearly_free(self):
-        ds, dds = self.make_dds(reuse=True)
-        cold = dds.execute(algorithm="indexed-join")
-        warm = dds.execute(algorithm="indexed-join")
-        assert warm.table.equals_unordered(cold.table)
+        caches, cold, cold_table = indexed_join(ds, view)
+        _, warm, warm_table = indexed_join(ds, view, caches)
+        assert warm_table.equals_unordered(cold_table)
         # everything was cached: no storage traffic at all
-        assert warm.report.bytes_from_storage == 0
-        assert warm.report.total_time < cold.report.total_time / 2
+        assert warm.bytes_from_storage == 0
+        assert warm.total_time < cold.total_time / 2
 
-    def test_warm_run_reports_per_run_stats_not_cumulative(self):
+    def test_warm_run_reports_per_run_stats_not_cumulative(self, ds):
         """Regression: the report used to alias the caches' live
         :class:`CacheStats`, so a warm run showed the cold run's misses
         too.  Each report must carry only its own execution's deltas."""
-        ds, dds = self.make_dds(reuse=True)
-        cold = dds.execute(algorithm="indexed-join")
-        warm = dds.execute(algorithm="indexed-join")
-        cold_misses = sum(s.misses for s in cold.report.cache_stats)
+        view = JoinView("V1", "T1", "T2", on=ds.join_attrs)
+        caches, cold, _ = indexed_join(ds, view)
+        _, warm, _ = indexed_join(ds, view, caches)
+        cold_misses = sum(s.misses for s in cold.cache_stats)
         assert cold_misses > 0
         # every access in the warm run is a hit — and none of the cold
         # run's misses leak into its stats
-        assert sum(s.misses for s in warm.report.cache_stats) == 0
-        assert sum(s.hits for s in warm.report.cache_stats) == \
-            2 * warm.report.pairs_joined
+        assert sum(s.misses for s in warm.cache_stats) == 0
+        assert sum(s.hits for s in warm.cache_stats) == 2 * warm.pairs_joined
         # the cold report is itself immutable history: running again must
         # not have mutated it retroactively
-        assert sum(s.misses for s in cold.report.cache_stats) == cold_misses
+        assert sum(s.misses for s in cold.cache_stats) == cold_misses
 
-    def test_without_reuse_second_run_pays_full_price(self):
-        ds, dds = self.make_dds(reuse=False)
-        first = dds.execute(algorithm="indexed-join")
-        second = dds.execute(algorithm="indexed-join")
-        assert second.report.bytes_from_storage == first.report.bytes_from_storage
-        assert second.report.total_time == pytest.approx(first.report.total_time)
+    def test_without_reuse_second_run_pays_full_price(self, ds):
+        view = JoinView("V1", "T1", "T2", on=ds.join_attrs)
+        _, first, _ = indexed_join(ds, view)
+        _, second, _ = indexed_join(ds, view)
+        assert second.bytes_from_storage == first.bytes_from_storage
+        assert second.total_time == pytest.approx(first.total_time)
 
-    def test_overlapping_view_benefits_partially(self):
+    def test_overlapping_view_benefits_partially(self, ds):
         """A narrower view over the same tables reuses the warm entries."""
-        ds = build_oil_reservoir_dataset(SPEC, num_storage=2)
-        full = DerivedDataSource(
-            JoinView("V1", "T1", "T2", on=ds.join_attrs),
-            ds.metadata, ds.provider, num_storage=2, num_compute=2,
-            machine=MACHINE, reuse_caches=True,
-        )
-        full.execute(algorithm="indexed-join")
-        # share the warm caches with a restricted view through the same DDS
-        from repro.datamodel import BoundingBox
+        caches, _, _ = indexed_join(ds, JoinView("V1", "T1", "T2", on=ds.join_attrs))
+        narrow = JoinView("V2", "T1", "T2", on=ds.join_attrs,
+                          where=BoundingBox({"x": (0, 7)}))
+        _, report, table = indexed_join(ds, narrow, caches)
+        assert report.bytes_from_storage == 0  # all hits
+        assert table.num_records == SPEC.T // 2
 
-        narrow = DerivedDataSource(
-            JoinView("V2", "T1", "T2", on=ds.join_attrs,
-                     where=BoundingBox({"x": (0, 7)})),
-            ds.metadata, ds.provider, num_storage=2, num_compute=2,
-            machine=MACHINE, reuse_caches=True,
-        )
-        narrow._warm_caches = full._warm_caches
-        result = narrow.execute(algorithm="indexed-join")
-        assert result.report.bytes_from_storage == 0  # all hits
-        assert result.num_records == SPEC.T // 2
-
-    def test_belady_with_reuse_rejected(self):
-        ds = build_oil_reservoir_dataset(SPEC, num_storage=2)
-        with pytest.raises(ValueError):
-            DerivedDataSource(
-                JoinView("V1", "T1", "T2", on=ds.join_attrs),
-                ds.metadata, ds.provider, num_storage=2, num_compute=2,
-                cache_policy="belady", reuse_caches=True,
-            )
-
-    def test_qes_cache_count_validated(self):
-        from repro import IndexedJoinQES, paper_cluster
+    def test_qes_cache_count_validated(self, ds):
         from repro.services import CachingService
 
-        ds = build_oil_reservoir_dataset(SPEC, num_storage=2)
         with pytest.raises(ValueError):
             IndexedJoinQES(
                 paper_cluster(2, 2), ds.metadata, "T1", "T2", ds.join_attrs,

@@ -164,12 +164,6 @@ class TestBoundingBoxGeometry:
     def test_intersect_disjoint_is_none(self):
         assert BoundingBox({"x": (0, 1)}).intersect(BoundingBox({"x": (2, 3)})) is None
 
-    def test_tighten(self):
-        a = BoundingBox({"x": (0, 10)})
-        assert a.tighten(BoundingBox({"x": (5, 20)})).interval("x") == Interval(5, 10)
-        # disjoint tighten keeps the original rather than producing emptiness
-        assert a.tighten(BoundingBox({"x": (20, 30)})) == a
-
     def test_volume(self):
         box = BoundingBox({"x": (0, 2), "y": (0, 3)})
         assert box.volume() == 6.0

@@ -319,6 +319,19 @@ class TestQueryExecutor:
         assert out.num_records == 16
         assert out.schema.names == ("x", "y", "oilp")
 
+    @pytest.mark.parametrize("source", ["T1", "V1"])
+    def test_unknown_algorithm_refused_before_any_work(self, source, executor_setup,
+                                                       monkeypatch):
+        ds, ex, dds = executor_setup
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("planned or fetched before refusing")
+
+        monkeypatch.setattr(ds.provider, "fetch", no_work)
+        monkeypatch.setattr(dds, "plan", no_work)
+        with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
+            ex.execute(f"SELECT * FROM {source}", algorithm="nope")
+
     def test_base_table_projection(self, executor_setup):
         _, ex, _ = executor_setup
         out = ex.execute("SELECT oilp FROM T1 WHERE x = 0 AND y = 0")

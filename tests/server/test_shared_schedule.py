@@ -10,11 +10,12 @@ mid-join (its unfinished pairs are re-dealt) and the pipelined mode (which
 reads ahead in its list) — and compare the lists element for element.
 """
 
+from repro.cluster import paper_cluster
 from repro.cluster.nodes import MachineSpec
 from repro.cli import main
-from repro.core import DerivedDataSource, JoinView
+from repro.core import JoinView, QueryPlanningService
 from repro.core.rng import uniform
-from repro.joins import reference_join
+from repro.joins import IndexedJoinQES, reference_join
 from repro.joins.scheduler import PairSchedule, schedule_two_stage
 from repro.server import COMPLETED, QueryServer
 from repro.workloads.arrivals import QueryArrival
@@ -83,24 +84,32 @@ def test_dead_joiner_reassignment_leaves_the_shared_schedule_alone(monkeypatch):
 def test_pipelined_executions_share_one_schedule():
     dataset = build_oil_reservoir_dataset(SPEC, num_storage=2, functional=True, seed=7)
     view = JoinView("v", dataset.left, dataset.right, on=dataset.join_attrs)
-    dds = DerivedDataSource(
-        view, dataset.metadata, dataset.provider, num_storage=2, num_compute=3,
-        pipeline=True,
-    )
-    first = dds.execute("indexed-join")
-    held = first.plan.index
+    planner = QueryPlanningService(dataset.metadata, num_storage=2, num_compute=3)
+
+    def run():
+        index = planner.plan(view, pipeline=True).index
+        return index, IndexedJoinQES(
+            paper_cluster(2, 3), dataset.metadata, view.left, view.right, view.on,
+            dataset.provider, index=index, pipeline=True,
+        ).run()
+
+    held, first = run()
     schedule = held.schedules[3]
     before = snapshot(schedule)
-    second = dds.execute("indexed-join")
-    assert second.plan.index is held and held.schedules == {3: schedule}
+    index, second = run()
+    assert index is held and held.schedules == {3: schedule}
     assert same_elements(schedule, before)
-    assert first.report.extras["pipeline"] == second.report.extras["pipeline"] == 1.0
-    assert first.report.total_time == second.report.total_time
-    assert first.report.pairs_joined == second.report.pairs_joined == held.num_edges
+    assert first.extras["pipeline"] == second.extras["pipeline"] == 1.0
+    assert first.total_time == second.total_time
+    assert first.pairs_joined == second.pairs_joined == held.num_edges
     expected = reference_join(
         dataset.metadata, dataset.provider, "T1", "T2", dataset.join_attrs
     )
-    assert first.num_records == second.num_records == expected.num_records == SPEC.T
+
+    def records(report):
+        return sum(t.num_records for per in report.results for t in per)
+
+    assert records(first) == records(second) == expected.num_records == SPEC.T
 
 
 def test_sanitized_serve_on_the_ci_grid_exits_zero(capsys):

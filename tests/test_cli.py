@@ -512,6 +512,25 @@ class TestMalformedFiles:
         assert captured.err == f"error: {report}: {reason}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["top", "top-oplog", "advise", "drift"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"root:x:0:0:root:/root:/bin/sh\n"],
+                             ids=["binary", "text"])
+    def test_unreadable_file_is_named(self, command, content, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        report = tmp_path / "report.json"
+        report.write_text('{"queries": [], "tenants": {}, "dispositions": {}, "cache": {}}')
+        argv = {
+            "top": ["top", str(bad)],
+            "top-oplog": ["top", str(report), "--oplog", str(bad)],
+            "advise": ["advise", str(bad)],
+            "drift": ["drift", "--store", str(bad)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}:")
+        assert captured.out == ""
+
     def test_every_report_leaf_mutation_is_served_or_refused(self, tmp_path):
         # a fixed eighth of the leaf paths; CI walks all of them
         assert walk_report_leaf_mutations(tmp_path, every=8) > 25
