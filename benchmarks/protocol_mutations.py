@@ -366,7 +366,7 @@ CELLS: Tuple[Cell, ...] = (
           "                self._bytes -= entry.nbytes\n"
           "                self.policy.on_remove(key)\n"
           "                if self._subscribers:\n"
-          '                    self._emit("drop", key, entry.nbytes, entry.origin)\n'),),
+          '                    self._emit("drop", key, entry.nbytes)\n'),),
         family="determinism",
     ),
     Cell(

@@ -1,16 +1,15 @@
-"""Benchmark: the cache reuse observatory and its advisor's payoff.
+"""Benchmark: the cache reuse observatory.
 
 Serves a seeded chaos tenant mix with the access-trace recorder on,
-then replays the same stream fault-free with the advisor's top
-candidate pre-warmed (simulated materialization).  The artifact
+then replays the same stream fault-free.  The artifact
 ``results/BENCH_server_reuse.json`` tracks:
 
 * both serve makespans (``makespan_s`` leaves — recorder on vs. the
-  pre-warmed replay),
+  fault-free replay) and the replay's bytes from storage,
 * every point of the global what-if miss-ratio curve (``miss_ratio``
   leaves, so a change that degrades the curve at any capacity fails the
   regression check),
-* the advisor's top candidate key and its score, pinning the ranking.
+* the trace's access, hit, miss and distinct-key counts.
 
 Everything recorded is deterministic simulated time and counted
 accesses; no wall-clock values land in the artifact, so the committed
@@ -18,7 +17,6 @@ baseline reproduces byte-for-byte on any machine.
 """
 
 from benchmarks.harness import fmt, record_json, record_table
-from repro.observe.reuse import prewarm
 from repro.server import (
     ObservabilityConfig,
     QueryServer,
@@ -53,7 +51,7 @@ def make_dataset():
 
 
 def chaos_serve():
-    """The observed chaos serve whose trace feeds the advisor."""
+    """The observed chaos serve whose trace the curve is drawn from."""
     server = QueryServer(
         make_dataset(), num_compute=2, slots=2, sanitize=True,
         faults="seed=9,transient=0.5,max_attempts=2",
@@ -63,38 +61,25 @@ def chaos_serve():
     return server.serve(generate_workload(TENANTS, seed=SEED))
 
 
-def clean_serve(prewarm_keys=()):
-    """Fault-free replay, optionally with candidates pre-materialized."""
-    dataset = make_dataset()
-    server = QueryServer(dataset, num_compute=2, slots=2, observe=OBSERVE)
-    if prewarm_keys:
-        assert prewarm(server, dataset, prewarm_keys) > 0
+def clean_serve(cache_capacity=None):
+    """The same stream served fault-free."""
+    server = QueryServer(
+        make_dataset(), num_compute=2, slots=2, observe=OBSERVE,
+        cache_capacity=cache_capacity,
+    )
     return server.serve(generate_workload(TENANTS, seed=SEED))
 
 
-def run_triple():
-    observed = chaos_serve()
-    baseline = clean_serve()
-    top = baseline.observability["reuse"]["advisor"]["candidates"][0]
-    warmed = clean_serve(prewarm_keys=(top["key"],))
-    return observed, baseline, warmed, top
+def run_pair():
+    return chaos_serve(), clean_serve()
 
 
 def test_server_reuse(benchmark):
-    observed, baseline, warmed, top = benchmark.pedantic(
-        run_triple, rounds=1, iterations=1
-    )
+    observed, baseline = benchmark.pedantic(run_pair, rounds=1, iterations=1)
 
     reuse = observed.observability["reuse"]
     mrc = reuse["mrc"]["global"]
     trace = reuse["trace"]
-
-    # the advisor's pick pays on the replay: strictly fewer bytes pulled
-    # from storage, or a strictly shorter makespan
-    assert (
-        warmed.bytes_from_storage < baseline.bytes_from_storage
-        or warmed.makespan < baseline.makespan
-    )
 
     record_table(
         "server_reuse",
@@ -106,12 +91,9 @@ def test_server_reuse(benchmark):
             for p in mrc
         ],
         notes=[
-            f"advisor top candidate: {top['key']} ({top['origin']}, "
-            f"{top['nbytes']} B, score {top['score_s']:.6f}s)",
-            f"prewarmed replay: bytes_from_storage "
-            f"{baseline.bytes_from_storage} -> {warmed.bytes_from_storage}, "
-            f"makespan {fmt(baseline.makespan, 6)}s -> "
-            f"{fmt(warmed.makespan, 6)}s",
+            f"fault-free replay: bytes_from_storage "
+            f"{baseline.bytes_from_storage}, makespan "
+            f"{fmt(baseline.makespan, 6)}s",
         ],
     )
     record_json("server_reuse", {
@@ -120,10 +102,6 @@ def test_server_reuse(benchmark):
             "makespan_s": baseline.makespan,
             "bytes_from_storage": baseline.bytes_from_storage,
         },
-        "replay_prewarmed": {
-            "makespan_s": warmed.makespan,
-            "bytes_from_storage": warmed.bytes_from_storage,
-        },
         "mrc": [
             {
                 "capacity_bytes": p["capacity_bytes"],
@@ -131,12 +109,6 @@ def test_server_reuse(benchmark):
             }
             for p in mrc
         ],
-        "advisor_top": {
-            "key": top["key"],
-            "origin": top["origin"],
-            "nbytes": top["nbytes"],
-            "score_s": top["score_s"],
-        },
         "trace": {
             "accesses": trace["accesses"],
             "distinct_keys": trace["distinct_keys"],

@@ -127,7 +127,7 @@ class RunSanitizer:
         """Re-check the cache's byte accounting after every mutation."""
         self._caches.append((name, cache))
 
-        def validate(op, key, nbytes, origin, qid) -> None:
+        def validate(op, key, nbytes, qid) -> None:
             if op not in ("hit", "miss"):  # lookups mutate nothing
                 self._check_cache(cache, name, op)
 

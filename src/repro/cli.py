@@ -39,14 +39,13 @@ Commands
     Render the SLO dashboard from a served report: per-tenant latency
     percentiles, queue/utilisation/hit-rate sparkline timelines, error
     budgets, burn-rate alert history, the ops-log event histogram and
-    the cache-reuse panel (top advisor candidates + what-if miss-ratio
-    curve) when the report carries one (``--json`` for the
-    machine-readable panels).
+    the cache-reuse panel (working set and what-if miss-ratio curve)
+    when the report carries one (``--json`` for the machine-readable
+    panels).
 ``advise``
-    Read a served report's ``observability.reuse`` section and print the
-    materialization advisor's verdict: trace summary, the what-if
-    miss-ratio curve at alternative cache capacities, and the top
-    cost-ranked :class:`MaterializationCandidate` rows.
+    Read a served report's ``observability.reuse`` section and print its
+    trace summary and the what-if miss-ratio curve at alternative cache
+    capacities.
 ``sweep``
     Regenerate one of the paper's figure sweeps at a chosen scale
     (``ne-cs``, ``compute-nodes``, ``tuples``, ``attributes``, ``cpu``,
@@ -613,13 +612,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         reuse = obs.get("reuse")
         if reuse is not None:
             trace = reuse["trace"]
-            candidates = reuse["advisor"]["candidates"]
-            top = f", top candidate {candidates[0]['key']}" if candidates \
-                else ""
             print(f"reuse: {trace['accesses']} accesses over "
                   f"{trace['distinct_keys']} keys "
-                  f"({trace['hits']} hits / {trace['misses']} misses)"
-                  f"{top} — run `repro advise` on the report")
+                  f"({trace['hits']} hits / {trace['misses']} misses) "
+                  f"— run `repro advise` on the report")
         for alert in alerts:
             cleared = (
                 f"cleared at {alert['cleared_at']:.4f}s"
@@ -669,7 +665,9 @@ def _cmd_advise(args: argparse.Namespace) -> int:
             f"--observe (and without --no-reuse)"
         )
     if args.json:
-        print(json.dumps(reuse, indent=2, sort_keys=True))
+        # the keys this version writes: an older report's extra ones drop
+        keys = ("capacity_bytes", "policy", "window_s", "trace", "mrc", "working_set")
+        print(json.dumps({k: reuse[k] for k in keys if k in reuse}, indent=2, sort_keys=True))
         return 0
 
     trace = reuse["trace"]
@@ -693,31 +691,6 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     ]
     print(_table(["capacity (B)", "misses", "miss ratio"], rows))
     print("(* = configured capacity; per-tenant curves in --json)")
-
-    candidates = reuse["advisor"]["candidates"]
-    if not candidates:
-        print("\nadvisor: no candidates (no cost model or empty trace)")
-        return 0
-    print(f"\ntop {min(args.top, len(candidates))} materialization "
-          f"candidates (of {len(candidates)} scored):")
-    rows = [
-        [
-            rank + 1, c["key"], c["origin"], c["nbytes"], c["accesses"],
-            c["misses"], f"{c['benefit_s']:.6f}", f"{c['cost_s']:.6f}",
-            f"{c['score_s']:.6f}",
-        ]
-        for rank, c in enumerate(candidates[: args.top])
-    ]
-    print(_table(
-        ["#", "key", "origin", "bytes", "accesses", "misses",
-         "benefit (s)", "cost (s)", "score (s)"],
-        rows,
-    ))
-    best = candidates[0]
-    print(f"advise: materialize {best['key']} ({best['origin']}, "
-          f"{best['nbytes']} B) — observed {best['misses']} misses across "
-          f"{best['nodes']} node(s), est. net saving "
-          f"{best['score_s']:.6f}s per serve")
     return 0
 
 
@@ -996,8 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "requires --observe)")
     p_serve.add_argument("--no-reuse", action="store_true",
                          help="requires --observe; skip the reuse analysis "
-                              "(miss-ratio curves, working set, "
-                              "materialization advisor)")
+                              "(what-if miss-ratio curves and working set)")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_top = sub.add_parser(
@@ -1019,14 +991,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_advise = sub.add_parser(
         "advise",
-        help="rank materialization candidates from a served report's "
+        help="print the what-if miss-ratio curve from a served report's "
              "cache reuse trace",
     )
     p_advise.add_argument("report", metavar="REPORT.json",
                           help="report payload from `repro serve --observe "
                                "--json-out` (needs the reuse section)")
-    p_advise.add_argument("--top", type=_count, default=5, metavar="K",
-                          help="number of candidates to show (default 5)")
     p_advise.add_argument("--json", action="store_true",
                           help="emit the full reuse section as sorted-key "
                                "JSON instead of text")

@@ -335,12 +335,9 @@ class IndexedJoinQES(QES):
                 # build the hash table for this load (once until evicted)
                 yield from self._charge_cpu("build", j, desc.num_records, track)
             # left entries are charged double: sub-table + its hash table
-            # (this is exactly the 2·c_R term of the memory assumption) —
-            # and classified as derived DDS output for the reuse advisor,
-            # since re-creating one costs a fetch *plus* a hash build
+            # (this is exactly the 2·c_R term of the memory assumption)
             nbytes = desc.size * 2 if is_left else desc.size
-            origin = "derived" if is_left else "base"
-            scope.put(sid, entry, nbytes, pin=True, source=serving, origin=origin)
+            scope.put(sid, entry, nbytes, pin=True, source=serving)
             return entry
 
     def _joiner(self, j: int, pairs, progress, tag: str = ""):

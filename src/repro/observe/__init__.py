@@ -13,7 +13,7 @@ and the simulated executions they predict:
   that feeds fitted per-term constants back into the planner.
 - :mod:`repro.observe.reuse` — the cache reuse observatory behind
   ``repro advise``: per-entry access traces, Mattson miss-ratio
-  curves, working-set windows and the materialization advisor.
+  curves and working-set windows.
 """
 
 from repro.observe.drift import (
@@ -38,12 +38,7 @@ from repro.observe.profile import (
 )
 from repro.observe.reuse import (
     AccessTraceRecorder,
-    EntryCostModel,
-    MaterializationCandidate,
     miss_ratio_curve,
-    prewarm,
-    rank_candidates,
-    resolve_chunk,
     reuse_distances,
     working_set_windows,
 )
@@ -67,12 +62,7 @@ __all__ = [
     "planned_operators",
     "profile_execution",
     "AccessTraceRecorder",
-    "EntryCostModel",
-    "MaterializationCandidate",
     "miss_ratio_curve",
-    "prewarm",
-    "rank_candidates",
-    "resolve_chunk",
     "reuse_distances",
     "working_set_windows",
 ]

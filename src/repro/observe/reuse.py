@@ -1,9 +1,9 @@
-"""Cache reuse observatory: traces, miss-ratio curves, and an advisor.
+"""Cache reuse observatory: access traces, miss-ratio curves, working sets.
 
-The ROADMAP's materialized-view item needs an answer the serve counters
-alone cannot give: *which* sub-tables are re-fetched or re-built across
-the query stream, how often, and at what recompute cost.  This module
-supplies it in three layers, all passive:
+The serve counters say how often the shared caches hit; they cannot say
+how the hit rate would move with the cache size, or how much the stream
+touches per window.  This module answers both, in two layers, all
+passive:
 
 * :class:`AccessTraceRecorder` — subscribes to every shared cache
   (:meth:`~repro.services.cache.CachingService.subscribe`) and
@@ -16,10 +16,6 @@ supplies it in three layers, all passive:
   access string, rolled into what-if miss-ratio curves (MRC) at
   alternative cache capacities — global and per tenant — plus windowed
   working-set estimation on the observatory's window grid.
-* A **materialization advisor** ranking :class:`MaterializationCandidate`
-  entries by cost-weighted benefit: the calibrated recompute-vs-fetch
-  cost a miss on the entry actually incurs, times the observed misses,
-  against the one-time cost of producing and storing the entry.
 
 Why replay-by-distance instead of replaying the op log against a smaller
 cache?  A raw replay is wrong: keys that *hit* in the recorded run were
@@ -35,7 +31,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,12 +39,7 @@ from repro.telemetry.timeseries import horizon_counts, window_edges, window_inde
 
 __all__ = [
     "AccessTraceRecorder",
-    "EntryCostModel",
-    "MaterializationCandidate",
     "miss_ratio_curve",
-    "prewarm",
-    "rank_candidates",
-    "resolve_chunk",
     "reuse_distances",
     "working_set_windows",
 ]
@@ -376,12 +366,12 @@ class _WorkingSet:
         return [(h, m) + d for h, m, d in zip(hits, misses, distinct)]
 
 
-def _grown(column: np.ndarray, size: int, fill=-1) -> np.ndarray:
-    """``column`` extended along its first axis to at least ``size``
-    rows of ``fill`` (-1: nothing yet), doubling so growth is amortised."""
+def _grown(column: np.ndarray, size: int) -> np.ndarray:
+    """``column`` extended to at least ``size`` entries of -1 (nothing
+    yet), doubling so growth is amortised."""
     if len(column) >= size:
         return column
-    out = np.full((max(size, 2 * len(column)),) + column.shape[1:], fill, dtype=column.dtype)
+    out = np.full(max(size, 2 * len(column)), -1, dtype=column.dtype)
     out[: len(column)] = column
     return out
 
@@ -433,156 +423,6 @@ def working_set_windows(
         np.array([e[3] for e in events], dtype=np.int64),
     )
     return _window_rows(edges, windows.totals(len(edges)))
-
-
-# ---------------------------------------------------------------------------
-# costs and the advisor
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EntryCostModel:
-    """Calibrated recompute-vs-fetch pricing for one cached entry.
-
-    All rates come from the cluster's :class:`MachineSpec` (optionally
-    scaled by a :class:`TermCalibration`'s ``cpu_build``); ``record_size``
-    converts entry bytes back to tuple counts for the hash-build term.
-    A *base* entry is a BDS chunk: recreating it is one storage fetch.
-    A *derived* entry is a DDS product (sub-table plus built hash table,
-    charged at 2x the chunk bytes): recreating it is the base fetch plus
-    the calibrated build CPU — the asymmetry the advisor exists to price.
-    """
-
-    link_bw: float
-    read_io_bw: float
-    write_io_bw: float
-    build_cost: float
-    record_size: float
-    cpu_build: float = 1.0
-
-    @classmethod
-    def from_machine(
-        cls, machine, record_size: float, calibration=None
-    ) -> "EntryCostModel":
-        cpu_build = 1.0
-        if calibration is not None:
-            cpu_build = float(getattr(calibration, "cpu_build", 1.0))
-        return cls(
-            link_bw=machine.link_bw,
-            read_io_bw=machine.disk_read_bw,
-            write_io_bw=machine.disk_write_bw,
-            build_cost=machine.build_cost,
-            record_size=max(1.0, float(record_size)),
-            cpu_build=cpu_build,
-        )
-
-    def base_bytes(self, nbytes: int, origin: str) -> int:
-        """Bytes actually moved from storage (derived entries carry the
-        in-memory hash table on top of the fetched chunk)."""
-        return nbytes // 2 if origin == "derived" else nbytes
-
-    def fetch_seconds(self, nbytes: int) -> float:
-        return nbytes / min(self.link_bw, self.read_io_bw)
-
-    def recompute_seconds(self, nbytes: int, origin: str) -> float:
-        """What one miss on this entry costs to serve from scratch."""
-        base = self.base_bytes(nbytes, origin)
-        seconds = self.fetch_seconds(base)
-        if origin == "derived":
-            tuples = base / self.record_size
-            seconds += self.cpu_build * self.build_cost * tuples
-        return seconds
-
-    def materialize_seconds(self, nbytes: int, origin: str) -> float:
-        """One-time cost of producing and storing the entry as a view:
-        fetch the base bytes, (re)build if derived, write the result."""
-        return (
-            self.recompute_seconds(nbytes, origin)
-            + nbytes / self.write_io_bw
-        )
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "link_bw": self.link_bw,
-            "read_io_bw": self.read_io_bw,
-            "write_io_bw": self.write_io_bw,
-            "build_cost": self.build_cost,
-            "record_size": self.record_size,
-            "cpu_build": self.cpu_build,
-        }
-
-
-@dataclass(frozen=True)
-class MaterializationCandidate:
-    """One cached key, scored for pre-materialization.
-
-    ``score_s = benefit_s - cost_s`` where ``benefit_s`` is the observed
-    misses times the calibrated per-miss recompute cost (what a
-    materialized copy would have saved this serve) and ``cost_s`` is the
-    one-time produce-and-store price.  Ties break deterministically on
-    (smaller bytes, key string) so replays and tie-break inversions
-    rank identically.
-    """
-
-    key: str
-    origin: str
-    nbytes: int
-    accesses: int
-    hits: int
-    misses: int
-    nodes: int
-    tenants: Tuple[str, ...]
-    benefit_s: float
-    cost_s: float
-    score_s: float
-
-    @property
-    def sort_key(self) -> Tuple[float, int, str]:
-        return (-self.score_s, self.nbytes, self.key)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "origin": self.origin,
-            "nbytes": self.nbytes,
-            "accesses": self.accesses,
-            "hits": self.hits,
-            "misses": self.misses,
-            "nodes": self.nodes,
-            "tenants": list(self.tenants),
-            "benefit_s": self.benefit_s,
-            "cost_s": self.cost_s,
-            "score_s": self.score_s,
-        }
-
-
-def rank_candidates(
-    per_key: Dict[str, Dict[str, Any]], cost_model: EntryCostModel
-) -> List[MaterializationCandidate]:
-    """Score and deterministically order every observed key."""
-    out = []
-    for key, s in per_key.items():
-        recompute = cost_model.recompute_seconds(s["nbytes"], s["origin"])
-        benefit = s["misses"] * recompute
-        cost = cost_model.materialize_seconds(s["nbytes"], s["origin"])
-        for value in (benefit, cost):
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite advisor score for {key!r}")
-        out.append(MaterializationCandidate(
-            key=key,
-            origin=s["origin"],
-            nbytes=s["nbytes"],
-            accesses=s["accesses"],
-            hits=s["hits"],
-            misses=s["misses"],
-            nodes=len(s["nodes"]),
-            tenants=tuple(sorted(s["tenants"])),
-            benefit_s=benefit,
-            cost_s=cost,
-            score_s=benefit - cost,
-        ))
-    out.sort(key=lambda c: c.sort_key)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -674,16 +514,15 @@ class AccessTraceRecorder:
     operation arrived under (the serving view's ``qid``), which the
     server's ``submit`` event maps to a tenant (:meth:`note_query`).
     Recording appends to one buffer — the float clock and four ints per
-    event: the op code, whether the entry is derived and the node packed
-    in one, a compact key id (one ``key -> id`` dict over all nodes, in
-    first-seen order, so ``str(key)`` can be rendered back), ``nbytes``
-    (-1 for a miss, which has no size yet) and ``qid`` (-1 for none).
+    event: the op code and the node packed in one, a compact key id (one
+    ``key -> id`` dict over all nodes, whose ``str`` forms the trace
+    summary counts), ``nbytes`` (-1 for a miss, which has no size yet)
+    and ``qid`` (-1 for none).
 
     Every :data:`_BLOCK` rows the buffer is folded into running state:
-    per-key advisor statistics, per-node op counts and footprints,
-    working-set windows, and a histogram of the distances of each
-    access string, exact across blocks
-    (:class:`_LruStack`).  A fold stops at the earliest miss whose size
+    per-node op counts and footprints, working-set windows, and a
+    histogram of the distances of each access string, exact across
+    blocks (:class:`_LruStack`).  A fold stops at the earliest miss whose size
     is not known yet — the next size recorded for its key — so the
     buffer holds one block plus the rows since the oldest unresolved
     miss.  A query's tenant is the one noted when its accesses fold.
@@ -698,10 +537,10 @@ class AccessTraceRecorder:
         self._clock = clock
         self.window = window
         #: False: fold per-node counts and working sets only (what
-        #: :meth:`window_totals` reads), no distances or per-key statistics
+        #: :meth:`window_totals` reads), no distances
         self.reuse = reuse
-        #: the rows not folded yet: clock column and (op + 4 * derived +
-        #: 8 * node, key id, nbytes, qid) per row
+        #: the rows not folded yet: clock column and (op + 4 * node,
+        #: key id, nbytes, qid) per row
         self._times = array("d")
         self._rows = array("q")
         self._fold_at = _BLOCK
@@ -711,16 +550,6 @@ class AccessTraceRecorder:
         self._watched: Dict[int, Dict[str, Any]] = {}
         self._nodes: Dict[int, _NodeFold] = {}
         self._tenants: Dict[int, str] = {}
-        self.cost_model: Optional[EntryCostModel] = None
-        # per key id: largest size, op counts and ever derived; the nodes
-        # and tenants that accessed a key as sorted ``node << 32 | key id``
-        # and ``tenant << 32 | key id`` codes (tenants numbered in the
-        # order their accesses first folded)
-        self._key_bytes = np.empty(0, dtype=np.int64)
-        self._key_ops = np.zeros((0, 4), dtype=np.int64)
-        self._key_derived = np.zeros(0, dtype=bool)
-        self._key_nodes = self._key_tenants = np.empty(0, dtype=np.int64)
-        self._tenant_numbers: Dict[str, int] = {}
         #: access string (None: all; else a tenant) -> distance histogram
         self._histograms: Dict[Optional[str], Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -731,14 +560,14 @@ class AccessTraceRecorder:
         self._watched[node] = {"capacity_bytes": cache.capacity_bytes, "policy": cache.policy.name}
         self._nodes.setdefault(node, _NodeFold(self.window))
         times, rows, clock, ids = self._times, self._rows, self._clock, self._key_ids
-        codes = {op: code + 8 * node for op, code in _OP_CODES.items()}
+        codes = {op: code + 4 * node for op, code in _OP_CODES.items()}
 
-        def record(op, key, nbytes, origin, qid) -> None:
+        def record(op, key, nbytes, qid) -> None:
             code = codes.get(op)
             if code is not None:
                 times.append(clock())
                 rows.extend((
-                    code + 4 * (origin == "derived"), ids.setdefault(key, len(ids)),
+                    code, ids.setdefault(key, len(ids)),
                     -1 if nbytes is None else nbytes, -1 if qid is None else qid,
                 ))
                 if len(times) >= self._fold_at:
@@ -757,15 +586,11 @@ class AccessTraceRecorder:
         still unknown, or all of them when ``final``."""
         n = len(self._times)
         if n:
-            keys = len(self._key_ids)
-            self._key_bytes = _grown(self._key_bytes, keys)
-            self._key_ops = _grown(self._key_ops, keys, 0)
-            self._key_derived = _grown(self._key_derived, keys, False)
             for fold in self._nodes.values():
-                fold.grow(keys)
+                fold.grow(len(self._key_ids))
             t = np.array(self._times, dtype=np.float64)
             packed, kid, nbytes, qid = np.array(self._rows, dtype=np.int64).reshape(-1, 4).T
-            node, op, derived = packed >> 3, packed & 3, (packed & 4) != 0
+            node, op = packed >> 2, packed & 3
             nodes, slot = np.unique(node, return_inverse=True)
             before = np.empty(n, dtype=np.int64)
             for j, watched in enumerate(nodes.tolist()):
@@ -775,33 +600,20 @@ class AccessTraceRecorder:
             upto = n if final or known.all() else int(np.argmin(known))
             if upto:
                 cut = slice(0, upto)
-                self._fold_rows(t[cut], node[cut], op[cut], kid[cut], sizes[cut], qid[cut],
-                                derived[cut])
+                self._fold_rows(t[cut], node[cut], op[cut], kid[cut], sizes[cut], qid[cut])
                 del self._times[:upto]
                 del self._rows[: 4 * upto]
         self._fold_at = len(self._times) + _BLOCK
 
-    def _fold_rows(self, t, node, op, kid, nbytes, qid, derived) -> None:
+    def _fold_rows(self, t, node, op, kid, nbytes, qid) -> None:
         label, labels = np.full(len(op), -1), None
         if self.reuse:
-            access = op <= _MISS
             qids, inverse = np.unique(qid, return_inverse=True)
             tenants = [self._tenants.get(q) for q in qids.tolist()]
             labels = list(dict.fromkeys(name for name in tenants if name is not None))
             label = np.array(
                 [-1 if name is None else labels.index(name) for name in tenants], dtype=np.int64
             )[inverse]
-
-            np.maximum.at(self._key_bytes, kid, nbytes)
-            self._key_ops += np.bincount(kid * 4 + op, minlength=self._key_ops.size).reshape(-1, 4)
-            self._key_derived[kid[derived]] = True
-            known = access & (label >= 0)
-            numbers = self._tenant_numbers
-            number = np.array([numbers.setdefault(name, len(numbers)) for name in labels],
-                              dtype=np.int64)
-            self._key_nodes = np.union1d(self._key_nodes, node[access] << 32 | kid[access])
-            self._key_tenants = np.union1d(self._key_tenants,
-                                           number[label[known]] << 32 | kid[known])
 
         nodes, slot = np.unique(node, return_inverse=True)
 
@@ -850,8 +662,7 @@ class AccessTraceRecorder:
         per_node = self.window_totals(makespan)
         nodes = sorted(self._watched)
         tenants = sorted(set(self._tenants.values()))
-        per_key = self._per_key()
-        summary = self._trace_summary(nodes, len(per_key))
+        summary = self._trace_summary(nodes, len({str(key) for key in self._key_ids}))
         footprints = [n["footprint_bytes"] for n in summary["per_node"]]
         grid = self.capacity_grid(max(footprints, default=0))
 
@@ -866,13 +677,6 @@ class AccessTraceRecorder:
         totals = [tuple(map(sum, zip(*cells))) for cells in zip(*per_node.values())]
         windows = _window_rows(edges, totals or [(0, 0, 0, 0)] * len(edges))
 
-        advisor: Dict[str, Any] = {"candidates": [], "cost_model": None}
-        if self.cost_model is not None:
-            advisor = {
-                "cost_model": self.cost_model.to_dict(),
-                "candidates": [c.to_dict() for c in rank_candidates(per_key, self.cost_model)],
-            }
-
         return {
             "capacity_bytes": self.configured_capacity(),
             "policy": next((w["policy"] for w in self._watched.values()), ""),
@@ -880,42 +684,9 @@ class AccessTraceRecorder:
             "trace": summary,
             "mrc": {"global": curves[0], "per_tenant": dict(zip(tenants, curves[1:]))},
             "working_set": {"window_s": self.window, "windows": windows},
-            "advisor": advisor,
         }
 
     # -- analysis internals -------------------------------------------
-
-    def _per_key(self) -> Dict[str, Dict[str, Any]]:
-        """Advisor stats per ``str(key)``, merged over the nodes."""
-        strs = [str(key) for key in self._key_ids]
-        sid = _compact(strs)
-        names = list(dict.fromkeys(strs))
-        count, keys = len(names), len(strs)
-        nbytes = np.zeros(count, dtype=np.int64)
-        np.maximum.at(nbytes, sid, self._key_bytes[:keys])
-        ops = np.zeros((count, 4), dtype=np.int64)
-        np.add.at(ops, sid, self._key_ops[:keys])
-        # a key ever cached as a DDS product is priced as derived
-        derived = np.zeros(count, dtype=bool)
-        derived[sid[self._key_derived[:keys]]] = True
-        stats = [
-            {
-                "nbytes": int(nbytes[s]),
-                "origin": "derived" if derived[s] else "base",
-                "accesses": int(ops[s, _HIT] + ops[s, _MISS]),
-                "hits": int(ops[s, _HIT]),
-                "misses": int(ops[s, _MISS]),
-                "nodes": set(),
-                "tenants": set(),
-            }
-            for s in range(count)
-        ]
-        sids, tenants = sid.tolist(), list(self._tenant_numbers)
-        for code in self._key_nodes.tolist():
-            stats[sids[code & 0xFFFFFFFF]]["nodes"].add(code >> 32)
-        for code in self._key_tenants.tolist():
-            stats[sids[code & 0xFFFFFFFF]]["tenants"].add(tenants[code >> 32])
-        return dict(zip(names, stats))
 
     def _trace_summary(self, nodes: List[int], distinct_keys: int) -> Dict[str, Any]:
         per_node = []
@@ -939,39 +710,3 @@ class AccessTraceRecorder:
             "footprint_bytes": sum(n["footprint_bytes"] for n in per_node),
             "per_node": per_node,
         }
-
-
-# ---------------------------------------------------------------------------
-# simulated materialization (pre-warm) helpers
-# ---------------------------------------------------------------------------
-
-
-def resolve_chunk(metadata, key: str):
-    """Map an advisor candidate's key string back to its descriptor."""
-    for catalog in metadata.tables():
-        for desc in catalog.all_chunks():
-            if str(desc.id) == key:
-                return desc
-    raise KeyError(f"no chunk matches advisor key {key!r}")
-
-
-def prewarm(server, dataset, keys: Sequence[str]) -> int:
-    """Simulate materialization: seed the server's shared caches with
-    the named sub-tables before the serve, so their first access hits.
-
-    Used by the acceptance suite and the reuse benchmark to check that
-    the advisor's top candidate actually pays: a replay with it
-    pre-warmed must strictly improve makespan or bytes_from_storage.
-    Returns how many entries were inserted.
-    """
-    inserted = 0
-    for key in keys:
-        desc = resolve_chunk(dataset.metadata, key)
-        value = dataset.provider.fetch(desc)
-        for cache in server.caches:
-            if cache.put(
-                desc.id, value, desc.size,
-                source=desc.ref.storage_node, origin="base",
-            ):
-                inserted += 1
-    return inserted

@@ -33,9 +33,9 @@ Panels
     summary embedded in the report.
 ``reuse``
     Cache-reuse observatory — per-window working-set/hit-rate
-    sparklines, the what-if miss-ratio curve at alternative capacities,
-    and the top materialization-advisor candidates.  Degrades to a
-    one-line notice when the report was served with ``--no-reuse``.
+    sparklines and the what-if miss-ratio curve at alternative
+    capacities.  Degrades to a one-line notice when the report was
+    served with ``--no-reuse``.
 """
 
 from __future__ import annotations
@@ -222,7 +222,6 @@ def build_dashboard(
         reuse = obs.get("reuse")
         if reuse is not None:
             windows = reuse.get("working_set", {}).get("windows", [])
-            candidates = reuse.get("advisor", {}).get("candidates", [])
             dash["reuse"] = {
                 "capacity_bytes": reuse.get("capacity_bytes"),
                 "policy": reuse.get("policy"),
@@ -235,8 +234,6 @@ def build_dashboard(
                     float(w["distinct_bytes"]) for w in windows
                 ],
                 "mrc": list(reuse.get("mrc", {}).get("global", [])),
-                "candidates": candidates[:5],
-                "num_candidates": len(candidates),
             }
     if oplog_records is not None:
         counts: Dict[str, int] = {}
@@ -381,23 +378,6 @@ def render_dashboard(dash: Dict[str, Any], width: int = 60) -> str:
                     ["capacity (B)", "misses", "miss ratio"], mrc_rows
                 )
                 body.append("(* = configured capacity)")
-            cand_rows = [
-                [
-                    str(i + 1), c["key"], c["origin"], str(c["nbytes"]),
-                    str(c["misses"]), _fmt(c["score_s"], 6),
-                ]
-                for i, c in enumerate(reuse["candidates"])
-            ]
-            if cand_rows:
-                body.append("")
-                body.append(
-                    f"advisor top {len(cand_rows)} of "
-                    f"{reuse['num_candidates']} candidates:"
-                )
-                body += _aligned(
-                    ["#", "key", "origin", "bytes", "misses", "score (s)"],
-                    cand_rows,
-                )
             lines += _panel("cache reuse", body)
     if dash["oplog"]:
         total = sum(dash["oplog"].values())

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping
 
-from repro.observe.reuse import AccessTraceRecorder, EntryCostModel
+from repro.observe.reuse import AccessTraceRecorder
 from repro.server.resilience import (
     COMPLETED,
     DEADLINE_EXCEEDED,
@@ -45,16 +45,6 @@ _TERMINAL_EVENT = {
 }
 
 
-def _record_size(dataset) -> float:
-    """Bytes per tuple, read off the catalog — converts cached entry
-    bytes back to tuple counts for the advisor's hash-build term."""
-    for catalog in dataset.metadata.tables():
-        for desc in catalog.all_chunks():
-            if desc.num_records > 0:
-                return desc.size / desc.num_records
-    return 1.0
-
-
 @dataclass(frozen=True)
 class ObservabilityConfig:
     """Knobs for one serve's observability layer.
@@ -70,9 +60,9 @@ class ObservabilityConfig:
     long_window: float = 20.0
     burn_threshold: float = 2.0
     min_events: int = 4
-    #: run the reuse analysis (miss-ratio curves, working set,
-    #: materialization advisor) and emit it under ``observability.reuse``;
-    #: off, the access trace still folds the cache hit/miss tracks
+    #: run the reuse analysis (miss-ratio curves, working set) and emit
+    #: it under ``observability.reuse``; off, the access trace still folds
+    #: the cache hit/miss tracks
     reuse: bool = True
 
     def __post_init__(self) -> None:
@@ -110,13 +100,6 @@ class ServeObservatory:
         #: key-granular access recorder: the cache hit/miss tracks and,
         #: when config.reuse is on, the reuse analysis
         self.reuse = AccessTraceRecorder(clock, window=config.window, reuse=config.reuse)
-        # price recompute-vs-fetch with the same machine constants (and
-        # calibration) the planner itself uses
-        self.reuse.cost_model = EntryCostModel.from_machine(
-            server.planner.machine,
-            record_size=_record_size(server.dataset),
-            calibration=server.planner.calibration,
-        )
         # level gauges start at their true t=0 values so the first
         # window's time-weighted means are defined from the origin
         self.series.set("server.queue_depth", 0.0)
@@ -137,7 +120,7 @@ class ServeObservatory:
         series.set(occupancy, 0.0)
         series.set(staged, 0.0)
 
-        def observe(op, key, nbytes, origin, qid) -> None:
+        def observe(op, key, nbytes, qid) -> None:
             if op != "hit" and op != "miss":
                 series.set(occupancy, float(cache.used_bytes))
                 series.set(staged, float(cache.prefetch_bytes))

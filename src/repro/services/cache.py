@@ -26,18 +26,16 @@ Everything that *watches* a cache — telemetry, the sanitizer's byte
 ledger check, the observatory's time-series, the reuse trace — does so
 through one channel, :meth:`CachingService.subscribe`: one notification
 per lookup and per state change, after the change it describes, as
-plain arguments ``fn(op, key, nbytes, origin, qid)``.  ``op`` is the
+plain arguments ``fn(op, key, nbytes, qid)``.  ``op`` is the
 operation's name (``prefetch_begin``, ``prefetch_cancel``,
 ``take_prefetched``, ``invalidate_from``) or, where the outcome matters,
 the outcome: ``hit``/``miss`` for :meth:`~CachingService.get`,
 ``insert``/``reject`` for :meth:`~CachingService.put`, ``drop`` for
 :meth:`~CachingService.remove` (an explicit remove or invalidation —
 *not* a capacity eviction, which a what-if replay must re-derive
-itself).  ``nbytes``/``origin`` describe the entry (``None`` on a miss:
-there is no entry), ``origin`` being ``"base"`` for a BDS chunk fetched
-as-is and ``"derived"`` for a DDS output such as a sub-table with its
-built hash table; ``qid`` is the query the operation is attributed to
-(see :class:`QueryCacheView`).  An operation that moves no entry and
+itself).  ``nbytes`` is the entry's size (``None`` on a miss: there is
+no entry); ``qid`` is the query the operation is attributed to (see
+:class:`QueryCacheView`).  An operation that moves no entry and
 neither ``used_bytes`` nor ``prefetch_bytes`` notifies nobody: a pin, an
 unpin, a ``prefetch_complete``, a refused ``prefetch_begin``, a
 ``remove`` of an absent key.  Subscribers are passive: they must treat
@@ -313,8 +311,6 @@ class _Entry(Generic[V]):
     pins: int = 0
     #: storage node the bytes came from (None when untracked)
     source: Optional[int] = None
-    #: "base" BDS chunk vs "derived" DDS output (chunk + built hash table)
-    origin: str = "base"
 
 
 @dataclass
@@ -362,7 +358,7 @@ class CachingService(Generic[K, V]):
         self._subscribers: List = []
 
     def subscribe(self, fn) -> None:
-        """Register ``fn(op, key, nbytes, origin, qid)`` to be notified of
+        """Register ``fn(op, key, nbytes, qid)`` to be notified of
         every lookup and state change, after it happens (module docstring
         has the vocabulary).
 
@@ -379,14 +375,13 @@ class CachingService(Generic[K, V]):
         op: str,
         key: Optional[K] = None,
         nbytes: Optional[int] = None,
-        origin: Optional[str] = None,
         view: Optional[QueryCacheView[K, V]] = None,
     ) -> None:
         """Notify every subscriber; callers test ``self._subscribers``
         first, so an unwatched cache makes no call at all."""
         qid = None if view is None else view.qid
         for fn in self._subscribers:
-            fn(op, key, nbytes, origin, qid)
+            fn(op, key, nbytes, qid)
 
     # -- observers ----------------------------------------------------------------
 
@@ -462,7 +457,7 @@ class CachingService(Generic[K, V]):
             view.stats.hits += 1
         self.policy.on_access(key)
         if self._subscribers:
-            self._emit("hit", key, entry.nbytes, entry.origin, view)
+            self._emit("hit", key, entry.nbytes, view)
         return entry
 
     def peek(self, key: K) -> Optional[V]:
@@ -477,7 +472,6 @@ class CachingService(Generic[K, V]):
         nbytes: int,
         pin: bool = False,
         source: Optional[int] = None,
-        origin: str = "base",
         view: Optional[QueryCacheView[K, V]] = None,
     ) -> bool:
         """Insert ``key``; evicts unpinned victims until the entry fits.
@@ -490,16 +484,13 @@ class CachingService(Generic[K, V]):
         and the growth delta is accounted in ``stats.bytes_inserted``.
 
         ``source`` records which storage node served the bytes, enabling
-        :meth:`invalidate_from` when that node later fails.  ``origin``
-        classifies the bytes for the reuse observatory: ``"base"`` for a
-        BDS chunk as fetched, ``"derived"`` for a DDS product (e.g. a
-        left sub-table bundled with its built hash table).
+        :meth:`invalidate_from` when that node later fails.
         """
         # subscribers must also see failed puts: a put can evict victims and
         # still return False when the entry ultimately cannot fit
-        ok = self._put(key, value, nbytes, pin, source, origin, view)
+        ok = self._put(key, value, nbytes, pin, source, view)
         if self._subscribers:
-            self._emit("insert" if ok else "reject", key, nbytes, origin, view)
+            self._emit("insert" if ok else "reject", key, nbytes, view)
         return ok
 
     def _put(
@@ -509,7 +500,6 @@ class CachingService(Generic[K, V]):
         nbytes: int,
         pin: bool,
         source: Optional[int],
-        origin: str,
         view: Optional[QueryCacheView[K, V]],
     ) -> bool:
         if nbytes < 0:
@@ -529,7 +519,6 @@ class CachingService(Generic[K, V]):
             old.value = value
             old.nbytes = nbytes
             old.source = source
-            old.origin = origin
             if pin:
                 old.pins += 1
             self.policy.on_access(key)
@@ -539,9 +528,7 @@ class CachingService(Generic[K, V]):
         while self._bytes + nbytes > self.capacity_bytes:
             if not self._evict_one(view):
                 return False
-        self._entries[key] = _Entry(
-            value, nbytes, pins=1 if pin else 0, source=source, origin=origin
-        )
+        self._entries[key] = _Entry(value, nbytes, pins=1 if pin else 0, source=source)
         self._bytes += nbytes
         self.stats.bytes_inserted += nbytes
         if view is not None:
@@ -686,7 +673,7 @@ class CachingService(Generic[K, V]):
         self._bytes -= entry.nbytes
         self.policy.on_remove(key)
         if self._subscribers:
-            self._emit("drop", key, entry.nbytes, entry.origin)
+            self._emit("drop", key, entry.nbytes)
         return True
 
     def clear(self) -> None:
@@ -780,11 +767,10 @@ class PinScope(Generic[K, V]):
         nbytes: int,
         pin: bool = False,
         source: Optional[int] = None,
-        origin: str = "base",
     ) -> bool:
         """Forwarding :meth:`CachingService.put`; a successful pinned
         insert is tracked exactly like an explicit :meth:`pin`."""
-        ok = self._cache.put(key, value, nbytes, pin, source, origin, self._view)
+        ok = self._cache.put(key, value, nbytes, pin, source, self._view)
         if ok and pin:
             self._held.append(key)
         return ok
@@ -870,9 +856,8 @@ class QueryCacheView(Generic[K, V]):
         nbytes: int,
         pin: bool = False,
         source: Optional[int] = None,
-        origin: str = "base",
     ) -> bool:
-        return self.shared.put(key, value, nbytes, pin, source, origin, self)
+        return self.shared.put(key, value, nbytes, pin, source, self)
 
     def has_prefetched(self, key: K) -> bool:
         return self.shared.has_prefetched(key)

@@ -174,7 +174,7 @@ class _CacheFeed:
     def sample(self) -> None:
         self._occupancy.set(self._hub.now(), float(self._cache.used_bytes))
 
-    def __call__(self, op, key, nbytes, origin, qid) -> None:
+    def __call__(self, op, key, nbytes, qid) -> None:
         if op == "hit":
             self._hits.inc()
         elif op == "miss":

@@ -9,9 +9,8 @@ Two artifact kinds, one CLI:
   per-window counter counts non-negative and summing to the track
   total, alert history ordered by fire time.  When the report carries
   a ``reuse`` section, additionally: every miss-ratio curve monotone
-  non-increasing in capacity, working-set window accesses summing to
-  the trace total, and advisor candidate scores finite and in the
-  deterministic (-score, nbytes, key) order.  Last, every leaf that
+  non-increasing in capacity, and working-set window accesses summing
+  to the trace total.  Last, every leaf that
   ``repro top`` / ``repro advise`` compute or format with has the JSON
   type they need (:data:`_RENDERED_LEAVES`).
 
@@ -22,7 +21,6 @@ smoke-run outputs; tests call the validators directly.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from typing import Any, List
 
@@ -52,9 +50,6 @@ _RENDERED_LEAVES = (
     ("reuse.trace.footprint_bytes", (int,)),
     ("reuse.working_set.windows.*.hits", (int,)),
     ("reuse.working_set.windows.*.distinct_bytes", _NUMBER),
-    ("reuse.advisor.candidates.*.origin", (str,)),
-    ("reuse.advisor.candidates.*.benefit_s", _NUMBER),
-    ("reuse.advisor.candidates.*.cost_s", _NUMBER),
 )
 
 
@@ -158,7 +153,7 @@ def _check_mrc(name: str, points: Any, errors: List[str]) -> None:
 
 def _validate_reuse(reuse: Any, errors: List[str]) -> None:
     """The ``observability.reuse`` payload from the access-trace
-    recorder: see the module docstring for the three invariants."""
+    recorder: see the module docstring for the two invariants."""
     if not isinstance(reuse, dict):
         errors.append("'reuse' is not an object")
         return
@@ -191,33 +186,6 @@ def _validate_reuse(reuse: Any, errors: List[str]) -> None:
             )
     else:
         errors.append("reuse: missing working-set windows")
-    advisor = reuse.get("advisor", {})
-    if not isinstance(advisor, dict):
-        errors.append("reuse: 'advisor' is not an object")
-        return
-    candidates = advisor.get("candidates", [])
-    if not isinstance(candidates, list):
-        errors.append("reuse: 'advisor.candidates' is not an array")
-        return
-    prev_key = None
-    for j, c in enumerate(candidates):
-        if not isinstance(c, dict):
-            errors.append(f"reuse: candidate {j} not an object")
-            return
-        score, nbytes = c.get("score_s"), c.get("nbytes", 0)
-        if not isinstance(score, (int, float)) or not math.isfinite(score):
-            errors.append(f"reuse: candidate {j} score {score!r} not finite")
-            continue
-        if not isinstance(nbytes, int):
-            errors.append(f"reuse: candidate {j} nbytes {nbytes!r} not an integer")
-            continue
-        order = (-score, nbytes, str(c.get("key")))
-        if prev_key is not None and order < prev_key:
-            errors.append(
-                f"reuse: candidate {j} ({c.get('key')!r}) out of "
-                "deterministic (-score, nbytes, key) order"
-            )
-        prev_key = order
 
 
 def validate_observability(section: Any) -> List[str]:

@@ -172,42 +172,59 @@ class TenantSpec:
             raise ValueError(f"unknown keys {unknown} (know {sorted(_TENANT_KEYS)})")
         mix = data.get("mix", {"scan": 1.0})
         if isinstance(mix, Mapping):
-            mix_t = tuple(sorted((str(k), float(v)) for k, v in mix.items()))
+            mix_t = tuple(sorted((str(k), _weight(k, v)) for k, v in mix.items()))
         elif isinstance(mix, (list, tuple)) and all(
             isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in mix
         ):
-            mix_t = tuple((str(k), float(v)) for k, v in mix)
+            mix_t = tuple((str(k), _weight(k, v)) for k, v in mix)
         else:
             raise ValueError(
                 f"mix must be an object or a list of [kind, weight] pairs, got {mix!r}"
             )
-        num_queries = data.get("num_queries", 0)
+        num_queries = _number(data.get("num_queries", 0), "num_queries")
         try:
             whole = int(num_queries) == num_queries
-        except (OverflowError, TypeError, ValueError):  # inf, null, nan, "x"
+        except (OverflowError, TypeError, ValueError):  # inf, null, nan
             whole = False
         if not whole:
             raise ValueError(f"num_queries must be a whole number, got {num_queries!r}")
         raw_deadline = data.get("deadline")
-        slo = data.get("slo") or {}
-        if not isinstance(slo, Mapping):
+        slo = data.get("slo")
+        if slo is None:
+            slo = {}
+        elif not isinstance(slo, Mapping):
             raise ValueError(f"tenant slo must be an object, got {slo!r}")
         unknown = sorted(set(slo) - {"availability", "latency"})
         if unknown:
             raise ValueError(f"unknown slo keys {unknown}")
         return cls(
             name=str(data["name"]),
-            rate=float(data.get("rate", 1.0)),
+            rate=float(_number(data.get("rate", 1.0), "rate")),
             num_queries=int(num_queries),
             mix=mix_t,
             process=str(data.get("process", "poisson")),
-            alpha=float(data.get("alpha", 1.5)),
-            deadline=None if raw_deadline is None else float(raw_deadline),
+            alpha=float(_number(data.get("alpha", 1.5), "alpha")),
+            deadline=None if raw_deadline is None else float(_number(raw_deadline, "deadline")),
             slo_availability=(
-                float(slo["availability"]) if "availability" in slo else None
+                float(_number(slo["availability"], "slo availability"))
+                if "availability" in slo else None
             ),
-            slo_latency=float(slo["latency"]) if "latency" in slo else None,
+            slo_latency=(
+                float(_number(slo["latency"], "slo latency")) if "latency" in slo else None
+            ),
         )
+
+
+def _number(value, what: str):
+    """``value``, refused when it is a JSON boolean or string: ``float``
+    and ``int`` would quietly read ``true`` as 1 and ``"2"`` as 2."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _weight(kind, value) -> float:
+    return float(_number(value, f"mix weight on {kind!r}"))
 
 
 def _positive(x: float) -> bool:

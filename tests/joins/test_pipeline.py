@@ -16,7 +16,6 @@ from repro.faults import FaultPlan
 from repro.faults.errors import UnrecoverableFault
 from repro.joins import IndexedJoinQES, reference_join
 from repro.joins.scheduler import schedule_random
-from repro.services.cache import CachingService
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 #: Transfer-bound machine: slow link relative to CPU, so the synchronous
@@ -253,26 +252,3 @@ def test_pipelined_recovers_on_every_shape(shape, regime):
     assert report.recovery.any_recovery
     assert_joins_like_reference(ds, report)
     assert_quiesced(qes)
-
-
-def test_pipelined_left_entries_are_derived():
-    """Left sub-tables enter the cache with their hash table (``derived``
-    for the reuse advisor), right ones as fetched (``base``) — in the
-    pipelined mode exactly as in the synchronous one."""
-    ds = shape_dataset("p>q")
-    _, n_s, n_j = SHAPES["p>q"]
-    left_id = ds.metadata.table("T1").table_id
-    inserts = set()
-
-    def record(op, key, nbytes, origin, qid):
-        if op == "insert":
-            inserts.add((key.table_id == left_id, origin))
-
-    caches = [CachingService(TRANSFER_BOUND.memory_bytes) for _ in range(n_j)]
-    for cache in caches:
-        cache.subscribe(record)
-    IndexedJoinQES(
-        paper_cluster(n_s, n_j, spec=TRANSFER_BOUND), ds.metadata, "T1", "T2",
-        ds.join_attrs, ds.provider, pipeline=True, caches=caches,
-    ).run()
-    assert inserts == {(True, "derived"), (False, "base")}

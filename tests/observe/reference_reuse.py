@@ -4,8 +4,8 @@ A tuple-per-event recorder whose analysis walks the retained tuples: the
 miss-size back-fill in two dict passes, Mattson byte-weighted stack
 distances through a Fenwick tree over last-access positions, one
 sorted-list curve per access string and a dict per working-set window.
-It shares the production module's cost model and advisor ranking and
-nothing of its trace layout or kernel, so the two analyses can be
+It shares the production module's capacity fractions and nothing of
+its trace layout or kernel, so the two analyses can be
 compared byte for byte on the same recorded serve.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.observe.reuse import CAPACITY_FRACTIONS, EntryCostModel, rank_candidates
+from repro.observe.reuse import CAPACITY_FRACTIONS
 from repro.telemetry.timeseries import window_edges
 
 _TRACED_OPS = frozenset({"hit", "miss", "insert", "drop"})
@@ -167,7 +167,7 @@ class FrozenAccessTraceRecorder:
     event is stamped with the simulated clock and the query id the
     operation arrived under (the serving view's ``qid``), which the
     server's ``submit`` event later maps to a tenant.  Everything analytical
-    — distances, curves, windows, candidate scores — is computed once,
+    — distances, curves, windows — is computed once,
     after the run, from the recorded trace; recording itself is pure
     appending.
     """
@@ -175,12 +175,11 @@ class FrozenAccessTraceRecorder:
     def __init__(self, clock: Callable[[], float], window: float = 1.0):
         self._clock = clock
         self.window = window
-        #: node -> [(t, op, key, nbytes, qid, origin)] in simulated-time order
+        #: node -> [(t, op, key, nbytes, qid)] in simulated-time order
         self._events: Dict[int, List[tuple]] = {}
         #: node -> configured capacity / policy of the watched cache
         self._watched: Dict[int, Dict[str, Any]] = {}
         self._tenants: Dict[int, str] = {}
-        self.cost_model: Optional[EntryCostModel] = None
 
     # -- recording hooks ----------------------------------------------
 
@@ -192,9 +191,9 @@ class FrozenAccessTraceRecorder:
             "policy": cache.policy.name,
         }
 
-        def record(op, key, nbytes, origin, qid) -> None:
+        def record(op, key, nbytes, qid) -> None:
             if op in _TRACED_OPS:
-                events.append((self._clock(), op, key, nbytes, qid, origin))
+                events.append((self._clock(), op, key, nbytes, qid))
 
         cache.subscribe(record)
 
@@ -205,7 +204,7 @@ class FrozenAccessTraceRecorder:
     # -- analysis -----------------------------------------------------
 
     def _resolved(self, node: int) -> List[tuple]:
-        """The node's trace with miss sizes and origins back-filled.
+        """The node's trace with miss sizes back-filled.
 
         A miss event carries no size (nothing resident); the size it
         *will* occupy is taken from the next insert/hit of the same key,
@@ -216,26 +215,21 @@ class FrozenAccessTraceRecorder:
         next_size: Dict[Hashable, int] = {}
         fills: List[Optional[int]] = [None] * len(events)
         for i in range(len(events) - 1, -1, -1):
-            _, op, key, nbytes, _, _ = events[i]
+            _, op, key, nbytes, _ = events[i]
             if op == "miss":
                 fills[i] = next_size.get(key)
             elif nbytes is not None:
                 next_size[key] = nbytes
         out = []
         prev_size: Dict[Hashable, int] = {}
-        prev_origin: Dict[Hashable, str] = {}
-        for i, (t, op, key, nbytes, qid, origin) in enumerate(events):
+        for i, (t, op, key, nbytes, qid) in enumerate(events):
             if op == "miss":
                 nbytes = fills[i]
                 if nbytes is None:
                     nbytes = prev_size.get(key, 0)
             else:
                 prev_size[key] = nbytes
-            if origin is None:
-                origin = prev_origin.get(key, "base")
-            else:
-                prev_origin[key] = origin
-            out.append((t, op, key, nbytes, qid, origin))
+            out.append((t, op, key, nbytes, qid))
         return out
 
     @staticmethod
@@ -244,7 +238,7 @@ class FrozenAccessTraceRecorder:
         residency, inserts only serve as size sources (every server
         insert follows the miss that already placed the key)."""
         ops = []
-        for _, op, key, nbytes, _, _ in events:
+        for _, op, key, nbytes, _ in events:
             if op in ("hit", "miss"):
                 ops.append(("access", key, nbytes))
             elif op == "drop":
@@ -272,8 +266,7 @@ class FrozenAccessTraceRecorder:
         nodes = sorted(self._events)
         resolved = {node: self._resolved(node) for node in nodes}
         capacity = self.configured_capacity()
-        per_key = self._per_key(resolved)
-        summary = self._trace_summary(resolved, per_key)
+        summary = self._trace_summary(resolved)
         grid = self.capacity_grid(max(
             (n["footprint_bytes"] for n in summary["per_node"]), default=0
         ))
@@ -298,20 +291,10 @@ class FrozenAccessTraceRecorder:
 
         windows = working_set_windows(
             [(t, op, (node, key), nbytes)
-             for (t, op, key, nbytes, _, _), node in self._flat(resolved)],
+             for (t, op, key, nbytes, _), node in self._flat(resolved)],
             self.window,
             makespan,
         )
-
-        advisor: Dict[str, Any] = {"candidates": [], "cost_model": None}
-        if self.cost_model is not None:
-            advisor = {
-                "cost_model": self.cost_model.to_dict(),
-                "candidates": [
-                    c.to_dict()
-                    for c in rank_candidates(per_key, self.cost_model)
-                ],
-            }
 
         return {
             "capacity_bytes": capacity,
@@ -328,7 +311,6 @@ class FrozenAccessTraceRecorder:
                 },
             },
             "working_set": {"window_s": self.window, "windows": windows},
-            "advisor": advisor,
         }
 
     # -- analysis internals -------------------------------------------
@@ -345,7 +327,7 @@ class FrozenAccessTraceRecorder:
         """One tenant's private access string: its own gets, plus every
         drop (an invalidation empties the key for all tenants alike)."""
         ops = []
-        for _, op, key, nbytes, qid, _ in events:
+        for _, op, key, nbytes, qid in events:
             if op in ("hit", "miss"):
                 if self._tenants.get(qid) == tenant:
                     ops.append(("access", key, nbytes))
@@ -353,42 +335,14 @@ class FrozenAccessTraceRecorder:
                 ops.append(("drop", key, 0))
         return ops
 
-    def _per_key(
-        self, resolved: Dict[int, List[tuple]]
-    ) -> Dict[str, Dict[str, Any]]:
-        per_key: Dict[str, Dict[str, Any]] = {}
-        for node in sorted(resolved):
-            for _, op, key, nbytes, qid, origin in resolved[node]:
-                stats = per_key.setdefault(str(key), {
-                    "nbytes": 0, "origin": "base", "accesses": 0,
-                    "hits": 0, "misses": 0, "nodes": set(), "tenants": set(),
-                })
-                # a key ever cached as a DDS product is priced as derived
-                if origin == "derived":
-                    stats["origin"] = "derived"
-                stats["nbytes"] = max(stats["nbytes"], nbytes or 0)
-                if op not in ("hit", "miss"):
-                    continue
-                stats["accesses"] += 1
-                stats["hits" if op == "hit" else "misses"] += 1
-                stats["nodes"].add(node)
-                tenant = self._tenants.get(qid)
-                if tenant is not None:
-                    stats["tenants"].add(tenant)
-        return per_key
-
-    def _trace_summary(
-        self,
-        resolved: Dict[int, List[tuple]],
-        per_key: Dict[str, Dict[str, Any]],
-    ) -> Dict[str, Any]:
+    def _trace_summary(self, resolved: Dict[int, List[tuple]]) -> Dict[str, Any]:
         per_node = []
         totals = {"accesses": 0, "hits": 0, "misses": 0, "drops": 0}
         footprint = 0
         for node in sorted(resolved):
             counts = {"accesses": 0, "hits": 0, "misses": 0, "drops": 0}
             sizes: Dict[Hashable, int] = {}
-            for _, op, key, nbytes, _, _ in resolved[node]:
+            for _, op, key, nbytes, _ in resolved[node]:
                 if op in ("hit", "miss"):
                     counts["accesses"] += 1
                     counts["hits" if op == "hit" else "misses"] += 1
@@ -406,7 +360,7 @@ class FrozenAccessTraceRecorder:
                 totals[name] += counts[name]
         return {
             **totals,
-            "distinct_keys": len(per_key),
+            "distinct_keys": len({str(e[2]) for events in resolved.values() for e in events}),
             "footprint_bytes": footprint,
             "per_node": per_node,
         }

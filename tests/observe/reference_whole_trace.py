@@ -4,10 +4,9 @@ This is the columnar recorder an observed serve used before its trace
 was folded block by block: it retained every key-granular cache event
 (two growable columns per node) and analysed the whole trace once, at
 ``analyze``, with numpy — miss sizes back-filled over the full trace,
-one Mattson stack-distance pass per access string, the working set and
-the advisor statistics from the retained columns.  It shares the
-production module's cost model, advisor ranking and capacity fractions
-and nothing of its fold, so ``analyze`` payloads of the two can be
+one Mattson stack-distance pass per access string and the working set
+from the retained columns.  It shares the production module's capacity
+fractions and nothing of its fold, so ``analyze`` payloads of the two can be
 compared byte for byte on the same events.
 """
 
@@ -19,7 +18,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.observe.reuse import CAPACITY_FRACTIONS, EntryCostModel, rank_candidates
+from repro.observe.reuse import CAPACITY_FRACTIONS
 from tests.telemetry.reference_timeseries import window_edges
 
 __all__ = ["WholeTraceRecorder", "reuse_distances"]
@@ -204,7 +203,7 @@ def _windows(t, hit, ident, nbytes, width: float, t_end: float) -> List[Dict[str
 #: every watched node's columns as one table, in node order, miss sizes
 #: back-filled; ``node``/``tenant`` are positions in the sorted node and
 #: tenant lists (tenant -1: none)
-_Trace = namedtuple("_Trace", "t node op kid nbytes tenant derived")
+_Trace = namedtuple("_Trace", "t node op kid nbytes tenant")
 
 
 def _backfill(miss: np.ndarray, group: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
@@ -237,26 +236,24 @@ class WholeTraceRecorder:
     operation arrived under (the serving view's ``qid``), which the
     server's ``submit`` event later maps to a tenant.  Recording is pure
     appending to two growable columns per node — the float clock and
-    five ints per event: op code, a compact key id (one ``key -> id``
-    dict over all nodes, in first-seen order, so ``str(key)`` can be
-    rendered back), ``nbytes`` (-1 for a miss, which has no size yet),
-    ``qid`` (-1 for none) and whether the entry is derived.  Everything
-    analytical — back-filled miss sizes, distances, curves, windows,
-    candidate scores — is computed once, after the run, as array
-    operations over that table.
+    four ints per event: op code, a compact key id (one ``key -> id``
+    dict over all nodes, whose ``str`` forms the trace summary counts),
+    ``nbytes`` (-1 for a miss, which has no size yet) and ``qid`` (-1
+    for none).  Everything analytical — back-filled miss sizes,
+    distances, curves, windows — is computed once, after the run, as
+    array operations over that table.
     """
 
     def __init__(self, clock: Callable[[], float], window: float = 1.0):
         self._clock = clock
         self.window = window
-        #: node -> (clock column, (op, key id, nbytes, qid, derived) rows)
+        #: node -> (clock column, (op, key id, nbytes, qid) rows)
         self._columns: Dict[int, Tuple[array, array]] = {}
         #: every traced key -> its compact id, in first-seen order
         self._key_ids: Dict[Hashable, int] = {}
         #: node -> configured capacity / policy of the watched cache
         self._watched: Dict[int, Dict[str, Any]] = {}
         self._tenants: Dict[int, str] = {}
-        self.cost_model: Optional[EntryCostModel] = None
 
     # -- recording hooks ----------------------------------------------
 
@@ -266,13 +263,13 @@ class WholeTraceRecorder:
         self._watched[node] = {"capacity_bytes": cache.capacity_bytes, "policy": cache.policy.name}
         clock, ids = self._clock, self._key_ids
 
-        def record(op, key, nbytes, origin, qid) -> None:
+        def record(op, key, nbytes, qid) -> None:
             code = _OP_CODES.get(op)
             if code is not None:
                 times.append(clock())
                 rows.extend((
                     code, ids.setdefault(key, len(ids)), -1 if nbytes is None else nbytes,
-                    -1 if qid is None else qid, origin == "derived",
+                    -1 if qid is None else qid,
                 ))
 
         cache.subscribe(record)
@@ -303,8 +300,8 @@ class WholeTraceRecorder:
         tenants = sorted(set(self._tenants.values()))
         tr = self._table(nodes, tenants)
         access, drop = tr.op <= _MISS, tr.op == _DROP
-        per_key = self._per_key(tr, access, nodes, tenants)
-        summary = self._trace_summary(tr, access, nodes, len(per_key))
+        distinct_keys = len({str(key) for key in self._key_ids})
+        summary = self._trace_summary(tr, access, nodes, distinct_keys)
         footprints = [n["footprint_bytes"] for n in summary["per_node"]]
         grid = self.capacity_grid(max(footprints, default=0))
 
@@ -329,13 +326,6 @@ class WholeTraceRecorder:
             tr.t[access], tr.op[access] == _HIT, ident, tr.nbytes[access], self.window, makespan
         )
 
-        advisor: Dict[str, Any] = {"candidates": [], "cost_model": None}
-        if self.cost_model is not None:
-            advisor = {
-                "cost_model": self.cost_model.to_dict(),
-                "candidates": [c.to_dict() for c in rank_candidates(per_key, self.cost_model)],
-            }
-
         return {
             "capacity_bytes": self.configured_capacity(),
             "policy": next((w["policy"] for w in self._watched.values()), ""),
@@ -343,7 +333,6 @@ class WholeTraceRecorder:
             "trace": summary,
             "mrc": {"global": curves[0], "per_tenant": dict(zip(tenants, curves[1:]))},
             "working_set": {"window_s": self.window, "windows": windows},
-            "advisor": advisor,
         }
 
     # -- analysis internals -------------------------------------------
@@ -354,7 +343,7 @@ class WholeTraceRecorder:
             [np.empty(0, dtype=np.int64)]
             + [np.array(self._columns[n][1], dtype=np.int64) for n in nodes]
         )
-        op, kid, nbytes, qid, derived = rows.reshape(-1, 5).T
+        op, kid, nbytes, qid = rows.reshape(-1, 4).T
         node = np.repeat(np.arange(len(nodes)), [len(t) for t in times])
         index = {name: j for j, name in enumerate(tenants)}
         qids, inverse = np.unique(qid, return_inverse=True)
@@ -363,42 +352,8 @@ class WholeTraceRecorder:
         )[inverse]
         missed = _backfill(op == _MISS, node * len(self._key_ids) + kid, nbytes)
         return _Trace(
-            np.concatenate([np.empty(0)] + times), node, op, kid, missed, tenant, derived == 1
+            np.concatenate([np.empty(0)] + times), node, op, kid, missed, tenant
         )
-
-    def _per_key(
-        self, tr: _Trace, access: np.ndarray, nodes: List[int], tenants: List[str]
-    ) -> Dict[str, Dict[str, Any]]:
-        """Advisor stats per ``str(key)``, merged over the nodes."""
-        strs = [str(key) for key in self._key_ids]
-        sid = _compact(strs)[tr.kid]
-        names = list(dict.fromkeys(strs))
-        count = len(names)
-        nbytes = np.zeros(count, dtype=np.int64)
-        np.maximum.at(nbytes, sid, tr.nbytes)
-        ops = np.bincount(tr.op * count + sid, minlength=4 * count).reshape(4, count)
-        # a key ever cached as a DDS product is priced as derived
-        derived = np.bincount(sid[tr.derived], minlength=count)
-        stats = [
-            {
-                "nbytes": int(nbytes[s]),
-                "origin": "derived" if derived[s] else "base",
-                "accesses": int(ops[_HIT, s] + ops[_MISS, s]),
-                "hits": int(ops[_HIT, s]),
-                "misses": int(ops[_MISS, s]),
-                "nodes": set(),
-                "tenants": set(),
-            }
-            for s in range(count)
-        ]
-        known = access & (tr.tenant >= 0)
-        for name, labels, mask, col in (
-            ("nodes", nodes, access, tr.node), ("tenants", tenants, known, tr.tenant)
-        ):
-            span = max(1, len(labels))
-            for cell in np.unique(sid[mask] * span + col[mask]).tolist():
-                stats[cell // span][name].add(labels[cell % span])
-        return dict(zip(names, stats))
 
     @staticmethod
     def _trace_summary(

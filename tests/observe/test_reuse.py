@@ -1,6 +1,6 @@
 """Unit and property tests for the reuse-analysis layer in isolation:
-stack distances against a naive oracle, curve shape, working-set window
-reconciliation, and advisor ordering."""
+stack distances against a naive oracle, curve shape and working-set
+window reconciliation."""
 
 import math
 
@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.observe.reuse import (
     AccessTraceRecorder,
-    EntryCostModel,
     miss_ratio_curve,
-    rank_candidates,
     reuse_distances,
     working_set_windows,
 )
@@ -146,49 +144,3 @@ class TestWorkingSetWindows:
             [(2.0, "hit", "a", 8)], width=1.0, t_end=2.0
         )
         assert windows[-1]["accesses"] == 1
-
-
-class TestRankCandidates:
-    MODEL = EntryCostModel(
-        link_bw=100.0, read_io_bw=50.0, write_io_bw=25.0,
-        build_cost=1e-3, record_size=4.0,
-    )
-
-    @staticmethod
-    def stats(nbytes, misses, origin="base"):
-        return {
-            "origin": origin, "nbytes": nbytes, "accesses": misses + 1,
-            "hits": 1, "misses": misses, "nodes": {0}, "tenants": {"t"},
-        }
-
-    def test_orders_by_score_then_bytes_then_key(self):
-        per_key = {
-            "big": self.stats(64, 4),
-            "small": self.stats(8, 4),
-            "tie_a": self.stats(8, 4),
-        }
-        ranked = rank_candidates(per_key, self.MODEL)
-        # more misses on bigger entries -> bigger benefit; among equal
-        # scores the smaller-bytes / lexicographically-first key wins
-        assert [c.sort_key for c in ranked] == sorted(
-            c.sort_key for c in ranked
-        )
-        tied = [c.key for c in ranked if c.nbytes == 8]
-        assert tied == sorted(tied)
-
-    def test_scores_are_finite(self):
-        ranked = rank_candidates(
-            {"k": self.stats(16, 3, origin="derived")}, self.MODEL
-        )
-        (cand,) = ranked
-        assert math.isfinite(cand.score_s)
-        assert cand.benefit_s == pytest.approx(
-            3 * self.MODEL.recompute_seconds(16, "derived")
-        )
-
-    def test_zero_miss_entries_still_scored_deterministically(self):
-        ranked = rank_candidates(
-            {"a": self.stats(8, 0), "b": self.stats(8, 3)}, self.MODEL
-        )
-        assert [c.key for c in ranked] == ["b", "a"]
-        assert ranked[1].benefit_s == 0.0

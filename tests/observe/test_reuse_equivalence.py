@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.observe.reuse import (
     AccessTraceRecorder,
-    EntryCostModel,
     miss_ratio_curve,
     reuse_distances,
     working_set_windows,
@@ -111,22 +110,16 @@ OPS = ["hit", "miss", "miss", "insert", "drop", "reject", "pin", "unpin", "prefe
 
 @st.composite
 def cache_events(draw):
-    """``(node, dt, op, key, nbytes, origin, qid)`` as a cache emits them:
-    a miss has no size or origin, pins and invalidations no size, and
+    """``(node, dt, op, key, nbytes, qid)`` as a cache emits them: a
+    miss has no size, nor do pins and invalidations, and
     nothing guarantees a miss is ever followed by its insert."""
     node = draw(st.integers(0, 2))
     op = draw(st.sampled_from(OPS))
     key = None if op == "invalidate_from" else draw(KEYS)
     sized = op in ("hit", "insert", "drop", "reject", "prefetch_begin")
     nbytes = draw(SIZES) if sized else None
-    origin = draw(st.sampled_from(["base", "derived"])) if op in ("hit", "insert", "drop",
-                                                                   "reject") else None
     qid = draw(st.one_of(st.none(), st.integers(0, 5)))
-    return node, draw(st.sampled_from([0.0, 0.0, 0.1, 0.37, 1.0])), op, key, nbytes, origin, qid
-
-
-COST = EntryCostModel(link_bw=1e8, read_io_bw=5e7, write_io_bw=4e7, build_cost=1e-7,
-                      record_size=16.0, cpu_build=1.3)
+    return node, draw(st.sampled_from([0.0, 0.0, 0.1, 0.37, 1.0])), op, key, nbytes, qid
 
 
 def both_recorders(clock, window, nodes, capacity):
@@ -154,14 +147,11 @@ class TestFold:
         st.dictionaries(st.integers(0, 5), st.sampled_from(["a", "b", "c"]), max_size=6),
         st.sampled_from([0.25, 0.7, 1.0]),
         st.floats(0, 2.0),
-        st.booleans(),
         st.integers(1, 2**33),
     )
-    def test_drawn_event_streams(self, events, order, tenants, window, extra, priced, capacity):
+    def test_drawn_event_streams(self, events, order, tenants, window, extra, capacity):
         now = [0.0]
         caches, new, old = both_recorders(lambda: now[0], window, order, capacity)
-        if priced:
-            new.cost_model = old.cost_model = COST
         # a tenant that submitted but never reached a cache
         for qid, tenant in list(tenants.items()) + [(99, "idle")]:
             new.note_query(qid, tenant)
@@ -196,7 +186,6 @@ def observed_serve(seed, faults, slots, idle):
     )
     ours = server.observatory.reuse
     old = frozen.FrozenAccessTraceRecorder(ours._clock, window=ours.window)
-    old.cost_model = ours.cost_model
     for node, cache in enumerate(server.caches):
         old.watch(node, cache)
     server.subscribe(

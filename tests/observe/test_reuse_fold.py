@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.observe import reuse
 from tests.observe import reference_whole_trace as whole
 from tests.observe.test_reuse import oracle_distances
-from tests.observe.test_reuse_equivalence import COST, FakeCache, access_strings, cache_events
+from tests.observe.test_reuse_equivalence import FakeCache, access_strings, cache_events
 
 SCALE = int(os.environ.get("REPRO_REUSE_EXAMPLES", "1"))
 BLOCKS = [1, 2, 7]
@@ -42,7 +42,7 @@ def block_size(rows):
 
 class Replay:
     """The folding recorder and the whole-trace one on the same fake
-    caches, fed ``(node, dt, op, key, nbytes, origin, qid)`` events."""
+    caches, fed ``(node, dt, op, key, nbytes, qid)`` events."""
 
     def __init__(self, nodes=(0, 1), window=0.5, capacity=1 << 12, tenants=None):
         self.now = 0.0
@@ -50,7 +50,6 @@ class Replay:
         clock = lambda: self.now  # noqa: E731
         self.new = reuse.AccessTraceRecorder(clock, window=window)
         self.old = whole.WholeTraceRecorder(clock, window=window)
-        self.new.cost_model = self.old.cost_model = COST
         for node, cache in self.caches.items():
             self.new.watch(node, cache)
             self.old.watch(node, cache)
@@ -88,22 +87,21 @@ def serve_streams(draw):
         if action == "put" and pending:
             n, key, q = pending.pop(draw(st.integers(0, len(pending) - 1)))
             size = draw(st.sampled_from([16, 64, 4096]))
-            origin = draw(st.sampled_from(["base", "derived"]))
             resident[n, key] = size
-            events.append((n, dt, "insert", key, size, origin, q))
+            events.append((n, dt, "insert", key, size, q))
         elif action == "die" and pending:
             pending.pop(0)
         elif action == "drop" and resident:
             (n, key), size = sorted(resident.items())[draw(st.integers(0, len(resident) - 1))]
             del resident[n, key]
-            events.append((n, dt, "drop", key, size, "base", None))
+            events.append((n, dt, "drop", key, size, None))
         else:
             key = draw(st.integers(0, 9))
             if (node, key) in resident:
-                events.append((node, dt, "hit", key, resident[node, key], "base", qid))
+                events.append((node, dt, "hit", key, resident[node, key], qid))
             else:
                 pending.append((node, key, qid))
-                events.append((node, dt, "miss", key, None, None, qid))
+                events.append((node, dt, "miss", key, None, qid))
     return events
 
 
@@ -138,13 +136,13 @@ class TestScriptedShapes:
     def test_a_miss_folds_apart_from_its_put(self, block):
         with block_size(block):
             replay = Replay(tenants={1: "a", 2: "b"})
-            replay.feed([(0, 0.1, "miss", "k", None, None, 1)])
-            replay.feed([(1, 0.1, "miss", f"o{i}", None, None, 2) for i in range(3)])
-            replay.feed([(1, 0.0, "insert", f"o{i}", 32, "base", 2) for i in range(3)])
+            replay.feed([(0, 0.1, "miss", "k", None, 1)])
+            replay.feed([(1, 0.1, "miss", f"o{i}", None, 2) for i in range(3)])
+            replay.feed([(1, 0.0, "insert", f"o{i}", 32, 2) for i in range(3)])
             # nothing past the unresolved miss on k has folded
             assert replay.buffered == 7
-            replay.feed([(0, 0.2, "insert", "k", 64, "derived", 1)])
-            replay.feed([(0, 0.1, "hit", "k", 64, "derived", 2)] * block)
+            replay.feed([(0, 0.2, "insert", "k", 64, 1)])
+            replay.feed([(0, 0.1, "hit", "k", 64, 2)] * block)
             # the put resolved it: the next fold took everything
             assert replay.buffered < block
             payload = replay.check()
@@ -153,27 +151,27 @@ class TestScriptedShapes:
     def test_a_drop_closes_a_block(self, block):
         with block_size(block):
             replay = Replay(tenants={1: "a"})
-            head = [(0, 0.1, "miss", "x", None, None, 1), (0, 0.0, "insert", "x", 8, "base", 1)]
-            head += [(0, 0.0, "hit", "x", 8, "base", 1)] * ((-3) % block or block)
+            head = [(0, 0.1, "miss", "x", None, 1), (0, 0.0, "insert", "x", 8, 1)]
+            head += [(0, 0.0, "hit", "x", 8, 1)] * ((-3) % block or block)
             replay.feed(head)
             assert replay.buffered == len(head) % block
-            replay.feed([(0, 0.1, "drop", "x", 8, "base", None)])
+            replay.feed([(0, 0.1, "drop", "x", 8, None)])
             # the drop was the block's last row and folded with it
             assert replay.buffered == 0
-            replay.feed([(0, 0.1, "miss", "x", None, None, 1),
-                         (0, 0.0, "insert", "x", 8, "base", 1)])
+            replay.feed([(0, 0.1, "miss", "x", None, 1),
+                         (0, 0.0, "insert", "x", 8, 1)])
             payload = replay.check()
             assert payload["mrc"]["global"][-1]["hits"] == len(head) - 2
 
     def test_a_query_dies_between_miss_and_put(self, block):
         with block_size(block):
             replay = Replay(tenants={1: "a", 2: "b"})
-            replay.feed([(0, 0.1, "miss", "k", None, None, 1),
-                         (0, 0.0, "insert", "k", 48, "base", 1),
-                         (0, 0.1, "drop", "k", 48, "base", None)])
+            replay.feed([(0, 0.1, "miss", "k", None, 1),
+                         (0, 0.0, "insert", "k", 48, 1),
+                         (0, 0.1, "drop", "k", 48, None)])
             # query 2 misses k and dies; k's size is never recorded again
-            replay.feed([(0, 0.1, "miss", "k", None, None, 2)])
-            replay.feed([(1, 0.1, "hit" if i else "miss", "z", None if i == 0 else 8, "base", 1)
+            replay.feed([(0, 0.1, "miss", "k", None, 2)])
+            replay.feed([(1, 0.1, "hit" if i else "miss", "z", None if i == 0 else 8, 1)
                          for i in range(3 * block)])
             assert replay.buffered >= 3 * block  # held behind the dead miss
             payload = replay.check()
@@ -184,12 +182,12 @@ class TestScriptedShapes:
     def test_a_key_untouched_for_many_blocks(self, block):
         with block_size(block):
             replay = Replay(tenants={1: "a"})
-            replay.feed([(0, 0.1, "miss", "cold", None, None, 1),
-                         (0, 0.0, "insert", "cold", 1000, "base", 1)])
+            replay.feed([(0, 0.1, "miss", "cold", None, 1),
+                         (0, 0.0, "insert", "cold", 1000, 1)])
             for i in range(6 * block):
-                replay.feed([(0, 0.01, "miss", f"w{i}", None, None, 1),
-                             (0, 0.0, "insert", f"w{i}", 10, "base", 1)])
-            replay.feed([(0, 0.1, "hit", "cold", 1000, "base", 1)])
+                replay.feed([(0, 0.01, "miss", f"w{i}", None, 1),
+                             (0, 0.0, "insert", f"w{i}", 10, 1)])
+            replay.feed([(0, 0.1, "hit", "cold", 1000, 1)])
             payload = replay.check()
             # the cold key's reuse distance is its own bytes plus every
             # key touched since: a hit from 1000 + 60 * block bytes on
@@ -212,7 +210,6 @@ def test_observed_serve(block):
                              observe=ObservabilityConfig(window=0.5))
         ours = server.observatory.reuse
         old = whole.WholeTraceRecorder(ours._clock, window=ours.window)
-        old.cost_model = ours.cost_model
         for node, cache in enumerate(server.caches):
             old.watch(node, cache)
         server.subscribe(lambda kind, subject, *_: old.note_query(subject.qid, subject.tenant)

@@ -45,7 +45,7 @@ def always_set(series, node, cache):
     series.set(occupancy, 0.0)
     series.set(staged, 0.0)
 
-    def observe(op, key, nbytes, origin, qid):
+    def observe(op, key, nbytes, qid):
         if op not in ("hit", "miss"):
             series.set(occupancy, float(cache.used_bytes))
             series.set(staged, float(cache.prefetch_bytes))
@@ -58,7 +58,7 @@ def count_each(series, node, cache):
     increment per hit and per miss, as it arrives."""
     hits, misses = f"cache.j{node}.hits", f"cache.j{node}.misses"
 
-    def observe(op, key, nbytes, origin, qid):
+    def observe(op, key, nbytes, qid):
         if op == "hit":
             series.inc(hits)
         elif op == "miss":

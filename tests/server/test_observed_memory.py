@@ -29,7 +29,7 @@ class TraceProbe:
         self.unresolved = {}
 
     def on(self, node):
-        def probe(op, key, nbytes, origin, qid):
+        def probe(op, key, nbytes, qid):
             if op not in TRACED:
                 return
             if op == "miss":

@@ -1,6 +1,6 @@
 """Acceptance suite for the cache reuse observatory.
 
-Four contracts, on the same sanitized chaos harness as
+Three contracts, on the same sanitized chaos harness as
 ``test_observatory.py``:
 
 * recording is byte-free — a serve with the access-trace recorder on is
@@ -9,17 +9,12 @@ Four contracts, on the same sanitized chaos harness as
 * the what-if miss-ratio curve is *exact* at the configured capacity on
   fault-free serves: its hit/miss split reproduces the measured cache
   counters, including under capacity pressure with real evictions;
-* the advisor ranking is deterministic across replays and engine
-  tie-break inversions;
-* the top-ranked candidate demonstrably pays — pre-warming it strictly
-  improves bytes_from_storage (or makespan) on a replay.
+* the reuse section is deterministic across replays and engine
+  tie-break inversions.
 """
 
 import json
 
-import pytest
-
-from repro.observe.reuse import prewarm, resolve_chunk
 from repro.server import (
     ObservabilityConfig,
     QueryServer,
@@ -69,16 +64,13 @@ def chaos_serve(observe, tie_break="fifo"):
     return server, server.serve(stream)
 
 
-def clean_serve(observe=OBSERVED, prewarm_keys=(), **kwargs):
+def clean_serve(observe=OBSERVED, **kwargs):
     """Fault-free serve — the regime where the MRC is provably exact."""
     stream = generate_workload(TENANTS, seed=42)
-    dataset = make_dataset(replication=2)
     server = QueryServer(
-        dataset, num_compute=2, slots=kwargs.pop("slots", 2),
+        make_dataset(replication=2), num_compute=2, slots=kwargs.pop("slots", 2),
         observe=observe, **kwargs,
     )
-    if prewarm_keys:
-        assert prewarm(server, dataset, prewarm_keys) > 0
     return server, server.serve(stream)
 
 
@@ -142,6 +134,9 @@ class TestExactness:
 
 
 class TestAdvisorDeterminism:
+    """The reuse section, byte for byte, under replay and tie-break
+    inversion."""
+
     def test_identical_across_replays(self):
         _, a = chaos_serve(observe=OBSERVED)
         _, b = chaos_serve(observe=OBSERVED)
@@ -167,38 +162,3 @@ class TestAdvisorDeterminism:
         for points in per_tenant.values():
             misses = [p["misses"] for p in points]
             assert all(x >= y for x, y in zip(misses, misses[1:]))
-
-
-class TestAdvisorPays:
-    def test_top_candidate_prewarm_strictly_improves_replay(self):
-        _, baseline = clean_serve()
-        candidates = (
-            baseline.observability["reuse"]["advisor"]["candidates"]
-        )
-        assert candidates, "advisor produced no candidates"
-        top = candidates[0]
-        assert top["score_s"] > 0
-        _, warmed = clean_serve(prewarm_keys=(top["key"],))
-        assert (
-            warmed.bytes_from_storage < baseline.bytes_from_storage
-            or warmed.makespan < baseline.makespan
-        ), (
-            f"prewarming {top['key']} did not pay: "
-            f"bytes {baseline.bytes_from_storage}->"
-            f"{warmed.bytes_from_storage}, makespan "
-            f"{baseline.makespan}->{warmed.makespan}"
-        )
-
-    def test_resolve_chunk_round_trips_candidate_keys(self):
-        _, report = clean_serve()
-        dataset = make_dataset(replication=2)
-        for cand in (
-            report.observability["reuse"]["advisor"]["candidates"][:5]
-        ):
-            desc = resolve_chunk(dataset.metadata, cand["key"])
-            assert str(desc.id) == cand["key"]
-
-    def test_unknown_key_rejected(self):
-        dataset = make_dataset()
-        with pytest.raises(KeyError):
-            resolve_chunk(dataset.metadata, "(99,99)")

@@ -358,15 +358,14 @@ class TestAccessTraceFeed:
     def run_trace(c):
         for key in "abacbdaa":
             if c.get(key) is None:
-                c.put(key, key.upper(), 10, origin="derived" if key == "b"
-                      else "base")
+                c.put(key, key.upper(), 10)
         c.remove("c")
         return c
 
     @staticmethod
     def watch(cache):
-        """Subscribe a recorder; returns its ``(op, key, nbytes, origin,
-        qid)`` list."""
+        """Subscribe a recorder; returns its ``(op, key, nbytes, qid)``
+        list."""
         seen = []
         cache.subscribe(lambda *event: seen.append(event))
         return seen
@@ -396,10 +395,8 @@ class TestAccessTraceFeed:
         assert ops.count("drop") == 1
         # misses carry no size yet (the value does not exist); hits,
         # inserts and drops always do
-        assert all(n is None for op, _, n, _, _ in seen if op == "miss")
-        assert all(n == 10 for op, _, n, _, _ in seen if op != "miss")
-        origins = {key: origin for op, key, _, origin, _ in seen if op == "insert"}
-        assert origins == {"a": "base", "b": "derived", "c": "base", "d": "base"}
+        assert all(n is None for op, _, n, _ in seen if op == "miss")
+        assert all(n == 10 for op, _, n, _ in seen if op != "miss")
 
     def test_every_operation_notifies_exactly_once(self):
         """Every operation that moves the entries or a byte level
@@ -452,7 +449,7 @@ class TestAccessTraceFeed:
         with view.pin_scope() as scope:
             scope.put("y", 2, 10)
         shared.get("x")
-        by_op = {(op, key): qid for op, key, _, _, qid in seen}
+        by_op = {(op, key): qid for op, key, _, qid in seen}
         assert by_op[("miss", "x")] == 7
         assert by_op[("insert", "x")] == 7
         assert by_op[("insert", "y")] == 7
@@ -631,7 +628,7 @@ def test_view_ledgers_partition_the_shared_counters(ops):
             shared.stats, field.name
         ), field.name
     for view in views:
-        mine = [op for op, _, _, _, qid in events if qid == view.qid]
+        mine = [op for op, _, _, qid in events if qid == view.qid]
         assert mine.count("hit") == view.stats.hits
         assert mine.count("miss") == view.stats.misses
     assert dataclasses.asdict(shared.stats) == dataclasses.asdict(unwatched.stats)

@@ -141,7 +141,7 @@ def test_a_hit_notifies_hit_then_pin_and_a_miss_pins_nothing():
     seen = []
     cache.subscribe(lambda *event: seen.append(event))
     view = QueryCacheView(cache, qid=5)
-    cache.put("a", "va", 10, origin="derived")
+    cache.put("a", "va", 10)
     del seen[:]
     with view.pin_scope() as scope:
         assert scope.acquire("a") == "va"
@@ -149,8 +149,8 @@ def test_a_hit_notifies_hit_then_pin_and_a_miss_pins_nothing():
         assert scope.held == ("a",)
         assert cache._entries["a"].pins == 1
     assert seen == [
-        ("hit", "a", 10, "derived", 5),
-        ("miss", "b", None, None, 5),
+        ("hit", "a", 10, 5),
+        ("miss", "b", None, 5),
     ]
     assert (view.stats.hits, view.stats.misses) == (1, 1)
     assert cache.pinned_bytes == 0

@@ -93,10 +93,6 @@ class TestValidateObservability:
                 "per_tenant": {"alice": []},
             },
             "working_set": {"windows": [{"accesses": 3}]},
-            "advisor": {"candidates": [
-                {"key": "T1:0", "score_s": 1.0, "nbytes": 64},
-                {"key": "T1:1", "score_s": 0.5, "nbytes": 64},
-            ]},
         }
         assert validate_observability(section) == []
 

@@ -416,7 +416,6 @@ class TestTop:
         assert main(["top", report]) == 0
         out = capsys.readouterr().out
         assert "== cache reuse" in out
-        assert "advisor top" in out
         assert "configured capacity" in out
 
     def test_top_degrades_when_served_with_no_reuse(self, tmp_path, capsys):
@@ -442,13 +441,33 @@ class TestAdvise:
         capsys.readouterr()
         return str(report)
 
-    def test_advise_ranks_candidates(self, tmp_path, capsys):
+    def test_a_report_with_an_advisor_section_reads_as_one_without(self, tmp_path, capsys):
+        """Reports written while the reuse section carried a
+        materialization advisor still read: every reader ignores it."""
         report = self._report(tmp_path, capsys)
-        assert main(["advise", report, "--top", "3"]) == 0
+        payload = json.loads(Path(report).read_text())
+        payload["observability"]["reuse"]["advisor"] = {
+            "cost_model": {"link_bw": 1.25e8, "read_io_bw": 5e7, "write_io_bw": 4e7,
+                           "build_cost": 2e-7, "record_size": 24.0, "cpu_build": 1.0},
+            "candidates": [{
+                "key": "(1,0)", "origin": "derived", "nbytes": 384, "accesses": 12,
+                "hits": 9, "misses": 3, "nodes": 2, "tenants": ["batch"],
+                "benefit_s": 5.6e-05, "cost_s": 4.7e-05, "score_s": 8.96e-06,
+            }],
+        }
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(payload))
+        for argv in (["advise"], ["advise", "--json"], ["top"], ["top", "--json"]):
+            outputs = []
+            for path in (report, str(legacy)):
+                assert main([argv[0], path, *argv[1:]]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1], argv
+        assert validate_main([report, str(legacy)]) == 0
+        assert main(["advise", report]) == 0
         out = capsys.readouterr().out
         assert "cache reuse —" in out
         assert "what-if miss-ratio curve" in out
-        assert "advise: materialize" in out
 
     def test_advise_json_matches_report_section(self, tmp_path, capsys):
         report = self._report(tmp_path, capsys)
@@ -544,7 +563,7 @@ class TestMalformedFiles:
         ('[{"name": "a", "mix": 5, "num_queries": 3}]', "tenant #0: mix must be"),
         ('[{"name": "a", "num_queries": 2.5}]', "tenant #0: num_queries must be a whole number"),
         ('[{"name": "a", "num_querys": 5}]', "tenant #0: unknown keys ['num_querys']"),
-        ('[{"name": "a", "rate": "fast"}]', "tenant #0: could not convert"),
+        ('[{"name": "a", "rate": "fast"}]', "tenant #0: rate must be a number, got 'fast'"),
         ('[{"name": "a", "mix": ["scan"]}]', "tenant #0: mix must be"),
         ('[{"name": ', "not JSON"),
     ], ids=["non-objects", "nameless", "no-tenants-key", "null-rate", "list-rate",
@@ -593,15 +612,16 @@ class TestMalformedFiles:
     }
 
     @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), float("-inf"), 0, -1],
-        ids=["nan", "inf", "-inf", "zero", "negative"],
+        "value", [float("nan"), float("inf"), float("-inf"), 0, -1, True, "1"],
+        ids=["nan", "inf", "-inf", "zero", "negative", "true", "string"],
     )
     @pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
     def test_tenant_numeric_field_sweep(self, field, value, tmp_path, capsys):
-        """NaN, infinities, zero and negatives under every numeric field are
-        refused with exit 2 and a message naming the tenant and the field —
-        never served with NaN arrivals or a NaN in the report.  The one
-        valid value is a tenant with no queries."""
+        """NaN, infinities, zero, negatives, booleans and numeric strings
+        under every numeric field are refused with exit 2 and a message
+        naming the tenant and the field — never served with NaN arrivals,
+        a NaN in the report or ``true`` read as 1.  The one valid value is
+        a tenant with no queries."""
         tenant = json.loads(json.dumps(self.VALID_TENANT))
         *parents, last = field.split(".")
         node = tenant
@@ -618,6 +638,17 @@ class TestMalformedFiles:
         assert status == 2
         assert captured.err.startswith(f"error: {spec}: tenant #0: ")
         assert self.NUMERIC_FIELDS[field] in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("slo", [[], 0, False, ""], ids=["list", "zero", "false", "empty"])
+    def test_tenant_slo_must_be_an_object_or_absent(self, slo, tmp_path, capsys):
+        """A falsy ``slo`` that is not ``null`` is refused, not read as
+        "no SLO"."""
+        spec = tmp_path / "tenants.json"
+        spec.write_text(json.dumps([{**self.VALID_TENANT, "slo": slo}]))
+        assert main(self.SERVE + [str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {spec}: tenant #0: tenant slo must be an object")
         assert captured.out == ""
 
     @pytest.mark.parametrize("flags, message", [
@@ -649,11 +680,12 @@ class TestMalformedFiles:
         assert "100000-window cap" in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["advise", "r.json", "--top", "-1"], ["top", "r.json", "--width", "0"],
-        ["top", "r.json", "--width", "-3"], ["trace", "--top", "-2"],
-    ], ids=["advise-top", "top-width-zero", "top-width-negative", "trace-top"])
+        ["top", "r.json", "--width", "0"], ["top", "r.json", "--width", "-3"],
+        ["trace", "--top", "-2"],
+    ], ids=["top-width-zero", "top-width-negative", "trace-top"])
     def test_count_flags_must_be_positive(self, argv, capsys):
-        """`advise --top -1` once listed all but one candidate."""
+        """A count of zero or less is refused before any work, in one
+        error line."""
         with pytest.raises(SystemExit, match="2"):
             main(argv)
         out, err = capsys.readouterr()
