@@ -84,6 +84,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence, Tuple
@@ -140,6 +141,14 @@ def _count(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
+def _margin(text: str) -> float:
+    """A finite float >= 0: how far a ratio may stray from 1 unflagged."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (value >= 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0: {text!r}")
     return value
 
 
@@ -1038,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_drift.add_argument("--store", type=str, default=None, metavar="FILE",
                          help="drift store to read (default benchmarks/"
                               "results/DRIFT.jsonl)")
-    p_drift.add_argument("--threshold", type=float,
+    p_drift.add_argument("--threshold", type=_margin,
                          default=DEFAULT_DRIFT_THRESHOLD, metavar="X",
                          help="flag terms whose observed/predicted ratio (or "
                               "its inverse) exceeds 1+X (default "

@@ -16,8 +16,8 @@ simulator:
   service completes at ``max(t, busy_until) + s``.  This is exactly
   non-preemptive FIFO queueing, costs O(1) per request, and lets multi-GB
   experiments run in milliseconds of wall time.
-* :mod:`~repro.cluster.network` — per-node NICs plus an optional switch
-  backplane; switched and shared-NFS fabrics.
+* :mod:`~repro.cluster.network` — per-node NICs behind a non-blocking
+  switch, and the shared-NFS fabric.
 * :mod:`~repro.cluster.nodes` — machine specs (bandwidths, per-tuple hash
   costs, memory) and storage/compute node bundles.
 * :mod:`~repro.cluster.cluster` — :class:`ClusterSim`, assembling engine,
@@ -46,7 +46,7 @@ from repro.cluster.events import (
     SimulationError,
     Timeout,
 )
-from repro.cluster.network import NetworkFabric, NFSFabric, SwitchedFabric
+from repro.cluster.network import NetworkFabric, NFSFabric
 from repro.cluster.nodes import ComputeNode, MachineSpec, StorageNode, PAPER_MACHINE
 from repro.cluster.resources import BandwidthResource, ResourceStats
 
@@ -68,7 +68,6 @@ __all__ = [
     "SimEngine",
     "SimulationError",
     "StorageNode",
-    "SwitchedFabric",
     "Timeout",
     "nfs_cluster",
     "paper_cluster",

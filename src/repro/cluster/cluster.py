@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cluster.events import Event, Process, SimEngine, Timeout
-from repro.cluster.network import NetworkFabric, NFSFabric, SwitchedFabric
+from repro.cluster.network import NetworkFabric, NFSFabric
 from repro.cluster.nodes import ComputeNode, MachineSpec, StorageNode, PAPER_MACHINE
 from repro.cluster.resources import BandwidthResource
 
@@ -60,7 +60,6 @@ class ClusterSim:
         self,
         topology: ClusterTopology,
         spec: MachineSpec = PAPER_MACHINE,
-        backplane_bandwidth: Optional[float] = None,
         storage_specs: Optional[Dict[int, MachineSpec]] = None,
         compute_specs: Optional[Dict[int, MachineSpec]] = None,
         faults=None,
@@ -114,12 +113,8 @@ class ClusterSim:
                 self.engine, total, spec.link_bw, server=0, latency=spec.net_latency
             )
         else:
-            self.fabric = SwitchedFabric(
-                self.engine,
-                total,
-                spec.link_bw,
-                backplane_bandwidth=backplane_bandwidth,
-                latency=spec.net_latency,
+            self.fabric = NetworkFabric(
+                self.engine, total, spec.link_bw, spec.net_latency
             )
         self.storage_nodes: List[StorageNode] = [
             StorageNode(self.engine, i, i, storage_specs.get(i, spec))
@@ -172,8 +167,6 @@ class ClusterSim:
             nodes[self.fabric.nic(c.fabric_id).name] = f"compute{c.node_id}"
             if c.has_local_disk:
                 nodes[c.scratch.name] = f"compute{c.node_id}"
-        if getattr(self.fabric, "_backplane", None) is not None:
-            nodes[self.fabric._backplane.name] = "network"
         tel.watch_engine(self.engine, faults=self.faults is not None)
 
     # -- shorthand accessors ----------------------------------------------------

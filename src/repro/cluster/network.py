@@ -2,9 +2,9 @@
 
 Two fabrics cover the paper's experiments:
 
-* :class:`SwitchedFabric` — the main testbed: every node has a full-duplexish
-  NIC at the link rate; a transfer occupies the sender's NIC and the
-  receiver's NIC (and optionally a finite switch backplane) for its
+* :class:`NetworkFabric` — the main testbed: every node has a
+  full-duplexish NIC at the link rate behind a non-blocking switch; a
+  transfer occupies the sender's NIC and the receiver's NIC for its
   duration.  Aggregate storage→compute bandwidth therefore emerges as
   ``min(n_s, n_j) · link_bw`` when all flows are active — the paper's
   ``Net_bw(n_s, n_j)``.
@@ -19,12 +19,12 @@ assembly layer maps storage/compute nodes onto them.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cluster.events import SimEngine, Timeout
 from repro.cluster.resources import BandwidthResource
 
-__all__ = ["NetworkFabric", "SwitchedFabric", "NFSFabric"]
+__all__ = ["NetworkFabric", "NFSFabric"]
 
 
 class NetworkFabric:
@@ -65,46 +65,6 @@ class NetworkFabric:
         Loopback transfers occupy nothing (same process space).
         """
         return [] if src == dst else [self.nic(src), self.nic(dst)]
-
-
-class SwitchedFabric(NetworkFabric):
-    """Per-node NICs behind a switch with an optional finite backplane.
-
-    Parameters
-    ----------
-    engine, num_nodes:
-        The simulation engine and the number of attached nodes.
-    link_bandwidth:
-        Per-NIC rate in bytes/second (Fast Ethernet: 12.5 MB/s).
-    backplane_bandwidth:
-        Aggregate switch capacity; ``None`` (default) models a
-        non-blocking switch.
-    latency:
-        Per-message fixed cost (software + wire latency).
-    """
-
-    def __init__(
-        self,
-        engine: SimEngine,
-        num_nodes: int,
-        link_bandwidth: float,
-        backplane_bandwidth: Optional[float] = None,
-        latency: float = 0.0,
-    ):
-        super().__init__(engine, num_nodes, link_bandwidth, latency)
-        self._backplane: Optional[BandwidthResource] = None
-        if backplane_bandwidth is not None:
-            self._backplane = BandwidthResource(
-                engine, backplane_bandwidth, name="backplane"
-            )
-
-    def transfer_resources(self, src: int, dst: int) -> "list[BandwidthResource]":
-        if src == dst:
-            return []
-        resources = [self.nic(src), self.nic(dst)]
-        if self._backplane is not None:
-            resources.append(self._backplane)
-        return resources
 
 
 class NFSFabric(NetworkFabric):

@@ -136,7 +136,7 @@ class BandwidthResource:
         """Reserve several resources for one transfer simultaneously.
 
         Models store-and-forward operations that occupy multiple serial
-        devices at once (sender NIC + receiver NIC + switch backplane): the
+        devices at once (sender NIC + receiver NIC, or disk + NICs): the
         operation starts when *all* resources are free, runs at the rate of
         the *slowest*, and occupies all of them until it completes.
         """

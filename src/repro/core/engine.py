@@ -108,8 +108,7 @@ def view_qes(
     The one place a view becomes an execution: ``indexed-join`` walks the
     planned ``plan.index``, ``grace-hash`` prunes chunks by the view's
     range constraint.  ``options`` go to the QES constructor as they are
-    (the query server passes its shared ``caches``, ``critical_path`` and
-    ``contain_faults``).
+    (the query server passes its shared ``caches`` and ``contain_faults``).
     """
     join = view.source if isinstance(view, AggregationView) else view
     args = (cluster, metadata, join.left, join.right, join.on, provider)

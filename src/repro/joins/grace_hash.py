@@ -105,26 +105,19 @@ class GraceHashQES(QES):
         right: int | str,
         on: Sequence[str],
         provider: SubTableProvider,
-        num_buckets: Optional[int] = None,
         range_constraint: Optional["BoundingBox"] = None,
         sanitizer=None,
-        critical_path: bool = True,
         contain_faults: bool = False,
     ):
         super().__init__(
             cluster, metadata, provider,
-            sanitizer=sanitizer, critical_path=critical_path,
-            contain_faults=contain_faults,
+            sanitizer=sanitizer, contain_faults=contain_faults,
         )
         self.left = metadata.table(left)
         self.right = metadata.table(right)
         self.on = tuple(on)
         self.range_constraint = range_constraint
-        self.num_buckets = (
-            num_buckets if num_buckets is not None else self._choose_num_buckets()
-        )
-        if self.num_buckets <= 0:
-            raise ValueError("num_buckets must be positive")
+        self.num_buckets = self._choose_num_buckets()
 
     def _choose_num_buckets(self) -> int:
         """Smallest bucket count such that a bucket pair (plus the left

@@ -90,9 +90,6 @@ class IndexedJoinQES(QES):
         Overlap sub-table transfers with build/probe work (see module
         docstring).  Off by default — the synchronous mode is what the
         paper describes.
-    prefetch_budget:
-        Staging budget in bytes for the pipelined mode's prefetched
-        sub-tables; defaults to a quarter of the cache capacity.
     """
 
     algorithm = "indexed-join"
@@ -112,15 +109,12 @@ class IndexedJoinQES(QES):
         cache_policy: str = "lru",
         caches: Optional[List[CachingService]] = None,
         pipeline: bool = False,
-        prefetch_budget: Optional[int] = None,
         sanitizer=None,
-        critical_path: bool = True,
         contain_faults: bool = False,
     ):
         super().__init__(
             cluster, metadata, provider,
-            sanitizer=sanitizer, critical_path=critical_path,
-            contain_faults=contain_faults,
+            sanitizer=sanitizer, contain_faults=contain_faults,
         )
         self.left = metadata.table(left)
         self.right = metadata.table(right)
@@ -147,7 +141,6 @@ class IndexedJoinQES(QES):
         self.cache_capacity = cache_capacity
         self.cache_policy = cache_policy
         self.pipeline = pipeline
-        self.prefetch_budget = prefetch_budget
 
     # -- execution ---------------------------------------------------------------
 
@@ -177,11 +170,7 @@ class IndexedJoinQES(QES):
                     policy = make_policy("belady", self.schedule.reference_string(j))
                 else:
                     policy = make_policy(self.cache_policy)
-                self.caches.append(
-                    CachingService(
-                        capacity, policy, prefetch_budget_bytes=self.prefetch_budget
-                    )
-                )
+                self.caches.append(CachingService(capacity, policy))
         tel = self.tel
         if tel is not None:
             tel.metrics.histogram("ij.pair_seconds")

@@ -51,11 +51,6 @@ class QES:
         instrumentation.  Under a query server the sanitizer belongs to
         the *server* (one engine, one cluster, shared caches), so
         per-query executions pass ``None`` here.
-    critical_path:
-        Compute the critical-path attribution on telemetry-enabled runs
-        (default).  A server turns this off per query: with several
-        queries interleaved on one fabric, a single query's span tree no
-        longer covers a contiguous slice of the makespan.
     contain_faults:
         When True (the query server's mode), every process this QES
         spawns is contained: a fault that exhausts recovery fails the
@@ -82,14 +77,12 @@ class QES:
         metadata: MetaDataService,
         provider: SubTableProvider,
         sanitizer=None,
-        critical_path: bool = True,
         contain_faults: bool = False,
     ):
         self.cluster = cluster
         self.metadata = metadata
         self.provider = provider
         self.sanitizer = sanitizer
-        self.critical_path = critical_path
         self.contain_faults = contain_faults
         self._contain = (FaultError, UnrecoverableFault) if contain_faults else ()
         self.process = None
@@ -198,10 +191,9 @@ class QES:
         if tel is not None:
             qspan = self.spans[0]
             tel.recorder.finish(qspan, at=report.total_time)
-            if self.critical_path:
-                from repro.telemetry.critical_path import compute_critical_path
+            from repro.telemetry.critical_path import compute_critical_path
 
-                report.critical_path = compute_critical_path(tel.recorder, qspan)
+            report.critical_path = compute_critical_path(tel.recorder, qspan)
             report.telemetry = tel
         if self.sanitizer is not None:
             self.sanitizer.after_run(self.cluster.engine, report)

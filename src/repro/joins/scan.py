@@ -62,13 +62,11 @@ class ScanQES(QES):
         chunks: Optional[Sequence[ChunkDescriptor]] = None,
         caches: Optional[List[CachingService]] = None,
         sanitizer=None,
-        critical_path: bool = True,
         contain_faults: bool = False,
     ):
         super().__init__(
             cluster, metadata, provider,
-            sanitizer=sanitizer, critical_path=critical_path,
-            contain_faults=contain_faults,
+            sanitizer=sanitizer, contain_faults=contain_faults,
         )
         self.table = metadata.table(table)
         self.where = where

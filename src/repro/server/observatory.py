@@ -85,11 +85,7 @@ class ServeObservatory:
         clock = self._clock = lambda: cluster.engine.now
         self._slots = server.slots
         self.series = TimeSeriesRecorder(clock, window=config.window)
-        tel = cluster.telemetry
-        self.oplog = OpLog(
-            clock,
-            span_source=tel.recorder.current_span_id if tel is not None else None,
-        )
+        self.oplog = OpLog(clock)
         self.slo = SLOTracker(
             dict(config.slo),
             short_window=config.short_window,

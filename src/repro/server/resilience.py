@@ -244,25 +244,21 @@ class CircuitBreaker:
     window.
     """
 
-    def __init__(
-        self,
-        threshold: float,
-        cost_cutoff: float,
-        window: int = 32,
-        min_samples: int = 4,
-    ):
+    #: waits the window must hold before the breaker can open
+    MIN_SAMPLES = 4
+
+    def __init__(self, threshold: float, cost_cutoff: float, window: int = 32):
         if not (threshold > 0 and math.isfinite(threshold)):
             raise ValueError(f"breaker threshold must be positive and finite, got {threshold}")
         if not (cost_cutoff >= 0 and math.isfinite(cost_cutoff)):
             raise ValueError(f"breaker cost cutoff must be >= 0 and finite, got {cost_cutoff}")
-        if window < min_samples:
+        if window < self.MIN_SAMPLES:
             raise ValueError(
-                f"window {window} smaller than min_samples {min_samples}"
+                f"window {window} smaller than MIN_SAMPLES {self.MIN_SAMPLES}"
             )
         self.threshold = threshold
         self.cost_cutoff = cost_cutoff
         self.window = window
-        self.min_samples = min_samples
         self._waits: Deque[float] = deque(maxlen=window)
         #: queries shed while open (diagnostic, reported by the server)
         self.tripped = 0
@@ -282,7 +278,7 @@ class CircuitBreaker:
         return now_open if now_open != was_open else None
 
     def is_open(self) -> bool:
-        if len(self._waits) < self.min_samples:
+        if len(self._waits) < self.MIN_SAMPLES:
             return False
         return percentile(list(self._waits), 99) > self.threshold
 

@@ -71,7 +71,6 @@ from repro.server.resilience import (
 )
 from repro.services.cache import CachingService, QueryCacheView, make_policy
 from repro.telemetry.latency import LatencyTracker, goodput
-from repro.telemetry.spans import maybe_span
 from repro.workloads.arrivals import QueryArrival
 from repro.workloads.oilres import OilReservoirDataset
 
@@ -391,7 +390,6 @@ class QueryServer:
         cache_capacity: Optional[int] = None,
         calibration=None,
         sanitize: bool = False,
-        telemetry: bool = False,
         tie_break: str = "fifo",
         faults=None,
         resilience: Optional[ResilienceConfig] = None,
@@ -410,7 +408,6 @@ class QueryServer:
             ClusterTopology(dataset.num_storage, num_compute),
             spec=machine,
             tie_break=tie_break,
-            telemetry=telemetry,
             faults=faults,
         )
         self.planner = QueryPlanningService(
@@ -436,11 +433,6 @@ class QueryServer:
             self.sanitizer.attach_engine(self.cluster.engine)
             for j, cache in enumerate(self.caches):
                 self.sanitizer.attach_cache(cache, name=f"node{j}")
-        if telemetry:
-            tel = self.cluster.telemetry
-            dataset.metadata.attach_metrics(tel.metrics)
-            for j, cache in enumerate(self.caches):
-                tel.watch_cache(cache, prefix=f"cache.j{j}")
         self._subscribers: List[Callable] = []
         # ``observe`` enables the continuous observability layer: pass
         # ``True`` for defaults or an ObservabilityConfig for SLOs and
@@ -555,9 +547,7 @@ class QueryServer:
             self.sanitizer.after_serve(self, report, [a.qid for a in ordered])
             # one pseudo-report covering the whole serving run: the byte
             # ledger is the sum over every query (scans included), so
-            # conservation still checks exactly; it carries the hub so the
-            # span invariants are checked, but no critical path — the
-            # recorder spans many interleaved queries
+            # conservation still checks exactly
             degraded = any(
                 r.disposition != COMPLETED or r.retries for r in report.records
             )
@@ -573,7 +563,6 @@ class QueryServer:
                 functional=self.dataset.functional,
                 total_time=engine.now,
                 bytes_from_storage=self._bytes_from_storage,
-                telemetry=self.cluster.telemetry,
             )
             self.sanitizer.after_run(engine, pseudo)
         return report
@@ -741,30 +730,12 @@ class QueryServer:
         retried with seeded backoff up to the budget.  Every path ends
         in exactly one :meth:`_finalize`.
         """
-        engine = self.cluster.engine
-        tel = self.cluster.telemetry
-        planned = entry.planned
         deadline_ev: Optional[Event] = None
-        if planned.arrival.deadline is not None:
-            deadline_ev = engine.timeout(planned.arrival.deadline)
-        with maybe_span(
-            tel,
-            f"q{entry.qid}",
-            category="query",
-            node="global",
-            track=f"tenant.{entry.tenant}",
-            qid=entry.qid,
-            tenant=entry.tenant,
-            kind=planned.kind,
-            algorithm=planned.algorithm,
-        ):
-            with maybe_span(
-                tel, "queue-wait", category="wait", node="global",
-                track=f"tenant.{entry.tenant}",
-            ):
-                admitted = yield from self._await_admission(entry, deadline_ev)
-            if admitted:
-                yield from self._supervise(entry, deadline_ev)
+        if entry.planned.arrival.deadline is not None:
+            deadline_ev = self.cluster.engine.timeout(entry.planned.arrival.deadline)
+        admitted = yield from self._await_admission(entry, deadline_ev)
+        if admitted:
+            yield from self._supervise(entry, deadline_ev)
 
     def _await_admission(self, entry: QueuedQuery, deadline_ev: Optional[Event]):
         """Wait for a slot; handle shedding evictions and queued expiry.
@@ -946,7 +917,7 @@ class QueryServer:
         cluster = self.cluster
         dataset = self.dataset
         qid = planned.qid
-        common = {"critical_path": False, "contain_faults": True}
+        common = {"contain_faults": True}
         if planned.algorithm != "grace-hash":
             common["caches"] = [
                 QueryCacheView(shared, qid=qid) for shared in self.caches

@@ -57,9 +57,9 @@ class Telemetry:
         self.label = label
         self.recorder = SpanRecorder(engine)
         self.metrics = MetricsRegistry()
-        #: resource name (``s0.disk``, ``nic7``, ``backplane``) → logical
-        #: node (``storage0``, ``compute2``, ``network``); populated by
-        #: the cluster at construction, consumed by the exporters.
+        #: resource name (``s0.disk``, ``nic7``) → logical node
+        #: (``storage0``, ``compute2``); populated by the cluster at
+        #: construction, consumed by the exporters.
         self.resource_nodes: Dict[str, str] = {}
 
     def now(self) -> float:

@@ -44,14 +44,14 @@ __all__ = [
     "resource_intervals", "gantt", "resource_summary",
 ]
 
-_NODE_ORDER = {"global": 0, "storage": 1, "compute": 2, "network": 3}
+_NODE_ORDER = {"global": 0, "storage": 1, "compute": 2}
 _TRAILING_NUM = re.compile(r"^(.*?)(\d+)$")
 
 
 def _node_sort_key(node: str) -> Tuple[int, str, int]:
     m = _TRAILING_NUM.match(node)
     stem, num = (m.group(1), int(m.group(2))) if m else (node, -1)
-    return (_NODE_ORDER.get(stem, 4), stem, num)
+    return (_NODE_ORDER.get(stem, 3), stem, num)
 
 
 def _us(seconds: float) -> float:

@@ -9,13 +9,11 @@ the narrative companion to the windowed time-series: the series shows
 shed and why.
 
 Records are append-only and never reordered, so a byte-identical replay
-produces a byte-identical log.  When span tracing is active alongside
-observability, each record also carries the id of the innermost open
-span at emission time (``span``), linking the decision into the causal
-trace.
+produces a byte-identical log.
 
 The schema is deliberately small: ``seq``, ``t`` and ``event`` are
-mandatory; ``qid``, ``tenant`` and ``span`` are optional identities; any
+mandatory; ``qid`` and ``tenant`` are optional identities (the validator
+also type-checks a ``span`` identity in logs written elsewhere); any
 further keys are event-specific scalars.  :func:`validate_oplog` checks
 this contract and is wired into ``python -m repro.telemetry.validate``
 for ``.jsonl`` files.
@@ -62,19 +60,13 @@ _SCALAR = (str, int, float, bool, type(None))
 class OpLog:
     """Append-only, simulated-time-stamped decision log.
 
-    ``clock`` returns simulated seconds; ``span_source`` (optional)
-    returns the current causal span id or ``None``.  Emission is purely
+    ``clock`` returns simulated seconds.  Emission is purely
     observational — no engine interaction, no randomness — so logging
     cannot perturb the run it describes.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        span_source: Optional[Callable[[], Optional[int]]] = None,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self._span_source = span_source
         self.records: List[Dict[str, Any]] = []
 
     def __len__(self) -> int:
@@ -99,10 +91,6 @@ class OpLog:
             record["qid"] = qid
         if tenant is not None:
             record["tenant"] = tenant
-        if self._span_source is not None:
-            span = self._span_source()
-            if span is not None:
-                record["span"] = span
         for key, value in fields.items():
             if key in record:
                 raise ValueError(f"oplog field {key!r} shadows a core key")
@@ -147,10 +135,10 @@ def validate_oplog(records: Sequence[Dict[str, Any]]) -> List[str]:
         if missing:
             violations.append(f"{where}: missing keys {missing}")
             continue
-        if record["seq"] != i:
-            violations.append(
-                f"{where}: seq {record['seq']!r} != expected {i}"
-            )
+        seq = record["seq"]
+        # ``False == 0`` and ``2.0 == 2``: only a true int is a position
+        if not isinstance(seq, int) or isinstance(seq, bool) or seq != i:
+            violations.append(f"{where}: seq {seq!r} != expected {i}")
         t = record["t"]
         if not isinstance(t, (int, float)) or isinstance(t, bool) or t < 0:
             violations.append(f"{where}: bad timestamp {t!r}")

@@ -310,16 +310,6 @@ class SpanRecorder:
 
     # -- queries ---------------------------------------------------------
 
-    def current_span_id(self) -> Optional[int]:
-        """Id of the innermost open span in the current process context.
-
-        ``None`` outside any span.  The ops log uses this to stamp
-        lifecycle records with the causal span they occurred under when
-        tracing is enabled alongside observability.
-        """
-        stack = self._stacks.get(self._context_key())
-        return stack[-1].span_id if stack else None
-
     def get(self, span_id: int) -> Span:
         return self._by_id[span_id]
 

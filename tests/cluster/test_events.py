@@ -230,16 +230,6 @@ class TestEngine:
         with pytest.raises(SimulationError):
             _ = eng.event().value
 
-    def test_run_until(self):
-        eng = SimEngine()
-
-        def proc():
-            yield eng.timeout(10)
-
-        eng.process(proc())
-        assert eng.run(until=3.0) == 3.0
-        assert eng.run() == 10.0
-
     def test_determinism_same_time_events_fire_in_schedule_order(self):
         eng = SimEngine()
         log = []
@@ -514,31 +504,6 @@ class TestAnyOf:
         assert eng.run_process(parent()) == 1.0
         eng.run()
         assert log == ["fast", "slow"]
-
-
-class TestRunUntil:
-    def test_clock_advances_to_until_when_queue_drains_early(self):
-        """Regression: run(until=T) with a queue that drains before T must
-        still advance the clock to T and return T."""
-        eng = SimEngine()
-
-        def proc():
-            yield eng.timeout(2)
-
-        eng.process(proc())
-        assert eng.run(until=10.0) == 10.0
-        assert eng.now == 10.0
-
-    def test_empty_queue_run_until(self):
-        eng = SimEngine()
-        assert eng.run(until=7.5) == 7.5
-        assert eng.now == 7.5
-
-    def test_until_in_the_past_is_noop(self):
-        eng = SimEngine()
-        eng.run(until=5.0)
-        assert eng.run(until=3.0) == 5.0
-        assert eng.now == 5.0
 
 
 class TestDeadlockDiagnostic:

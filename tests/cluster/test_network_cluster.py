@@ -6,10 +6,10 @@ from repro.cluster import (
     ClusterSim,
     ClusterTopology,
     MachineSpec,
+    NetworkFabric,
     NFSFabric,
     PAPER_MACHINE,
     SimEngine,
-    SwitchedFabric,
     nfs_cluster,
     paper_cluster,
 )
@@ -54,10 +54,10 @@ class TestMachineSpec:
             MachineSpec(**{field: value})
 
 
-class TestSwitchedFabric:
+class TestNetworkFabric:
     def test_point_to_point_time(self):
         eng = SimEngine()
-        fab = SwitchedFabric(eng, num_nodes=4, link_bandwidth=10.0)
+        fab = NetworkFabric(eng, num_nodes=4, link_bandwidth=10.0, latency=0.0)
 
         def proc():
             yield fab.transfer(0, 2, 100)
@@ -67,7 +67,7 @@ class TestSwitchedFabric:
 
     def test_loopback_is_free(self):
         eng = SimEngine()
-        fab = SwitchedFabric(eng, num_nodes=2, link_bandwidth=10.0)
+        fab = NetworkFabric(eng, num_nodes=2, link_bandwidth=10.0, latency=0.0)
 
         def proc():
             yield fab.transfer(1, 1, 10_000)
@@ -78,7 +78,7 @@ class TestSwitchedFabric:
     def test_disjoint_pairs_transfer_in_parallel(self):
         """A switch lets disjoint node pairs run concurrently."""
         eng = SimEngine()
-        fab = SwitchedFabric(eng, num_nodes=4, link_bandwidth=10.0)
+        fab = NetworkFabric(eng, num_nodes=4, link_bandwidth=10.0, latency=0.0)
 
         def proc(src, dst):
             yield fab.transfer(src, dst, 100)
@@ -89,7 +89,7 @@ class TestSwitchedFabric:
 
     def test_shared_receiver_serialises(self):
         eng = SimEngine()
-        fab = SwitchedFabric(eng, num_nodes=3, link_bandwidth=10.0)
+        fab = NetworkFabric(eng, num_nodes=3, link_bandwidth=10.0, latency=0.0)
 
         def proc(src):
             yield fab.transfer(src, 2, 100)
@@ -98,21 +98,9 @@ class TestSwitchedFabric:
         eng.process(proc(1))
         assert eng.run() == pytest.approx(20.0)  # receiver NIC is the bottleneck
 
-    def test_backplane_caps_aggregate(self):
-        eng = SimEngine()
-        fab = SwitchedFabric(eng, num_nodes=4, link_bandwidth=10.0, backplane_bandwidth=10.0)
-
-        def proc(src, dst):
-            yield fab.transfer(src, dst, 100)
-
-        eng.process(proc(0, 1))
-        eng.process(proc(2, 3))
-        # backplane serialises the two otherwise-disjoint transfers
-        assert eng.run() == pytest.approx(20.0)
-
     def test_unknown_node(self):
         eng = SimEngine()
-        fab = SwitchedFabric(eng, num_nodes=2, link_bandwidth=10.0)
+        fab = NetworkFabric(eng, num_nodes=2, link_bandwidth=10.0, latency=0.0)
         with pytest.raises(KeyError):
             fab.nic(5)
 

@@ -128,15 +128,6 @@ class TestBucketSelection:
         # per joiner: ~1.5 KiB of T1 + 1.5 KiB of T2 -> several buckets
         assert qes.num_buckets > 1
 
-    def test_explicit_zero_buckets_rejected(self):
-        spec = GridSpec(g=(8, 8), p=(4, 4), q=(4, 4))
-        ds = build_oil_reservoir_dataset(spec, num_storage=1, functional=False)
-        with pytest.raises(ValueError):
-            GraceHashQES(
-                paper_cluster(1, 1), ds.metadata, "T1", "T2",
-                ds.join_attrs, ds.provider, num_buckets=0,
-            )
-
     def test_constrained_memory_run_still_correct(self):
         """Many buckets (out-of-core regime) do not change the answer."""
         spec = GridSpec(g=(16, 16), p=(4, 4), q=(4, 4))
@@ -161,12 +152,14 @@ class TestBucketSelection:
         to ``sub.select((h % n_j == j) & ((h >> 20) % n_b == b))``."""
         spec = GridSpec(g=(16, 16), p=(4, 4), q=(8, 8))
         ds = build_oil_reservoir_dataset(spec, num_storage=2)
+        # 3 KiB of bucket pair per joiner in 1 KiB of memory: three buckets
         qes = GraceHashQES(
-            paper_cluster(2, 3), ds.metadata, "T1", "T2", ds.join_attrs,
-            ds.provider, num_buckets=3,
+            paper_cluster(2, 3, spec=MachineSpec(memory_bytes=1024)), ds.metadata,
+            "T1", "T2", ds.join_attrs, ds.provider,
         )
         qes.run()
-        n_j, n_b = 3, 3
+        n_j, n_b = 3, qes.num_buckets
+        assert n_b == 3
         filled = 0
         for side, table in enumerate(("T1", "T2")):
             for desc in ds.metadata.table(table).all_chunks():

@@ -16,6 +16,7 @@ from repro.faults import FaultPlan
 from repro.faults.errors import UnrecoverableFault
 from repro.joins import IndexedJoinQES, reference_join
 from repro.joins.scheduler import schedule_random
+from repro.services.cache import CachingService, make_policy
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 #: Transfer-bound machine: slow link relative to CPU, so the synchronous
@@ -36,6 +37,17 @@ def run_ij(ds, pipeline, n_s=2, n_j=2, machine=TRANSFER_BOUND, **kw):
         cluster, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider,
         pipeline=pipeline, **kw
     ).run()
+
+
+def staging_free_caches(n_j):
+    """The caches an Indexed Join on ``TRANSFER_BOUND`` builds by default,
+    but with no staging budget: every prefetch is skipped."""
+    return [
+        CachingService(
+            TRANSFER_BOUND.memory_bytes, make_policy("lru"), prefetch_budget_bytes=0
+        )
+        for _ in range(n_j)
+    ]
 
 
 def assert_same_execution(sync, pipe):
@@ -100,7 +112,7 @@ class TestEquivalence:
         same clock as the baseline, not just same bytes."""
         ds = build_oil_reservoir_dataset(SPEC, num_storage=2, functional=True)
         sync = run_ij(ds, pipeline=False)
-        pipe = run_ij(ds, pipeline=True, prefetch_budget=0)
+        pipe = run_ij(ds, pipeline=True, caches=staging_free_caches(2))
         assert_same_execution(sync, pipe)
         assert pipe.total_time == pytest.approx(sync.total_time)
         assert pipe.overlap_ratio == 0.0
@@ -178,7 +190,8 @@ def shape_dataset(shape, replication=1):
     )
 
 
-def regime_kwargs(ds, regime):
+def regime_kwargs(shape, ds, regime):
+    """One QES's options for ``regime``: fresh caches on every call."""
     if regime == "thrashing":
         # room for four pairs (a left entry is charged twice, for its hash
         # table): evicts constantly, yet leaves the pipeline room to work
@@ -186,7 +199,7 @@ def regime_kwargs(ds, regime):
         right = ds.metadata.table("T2").all_chunks()[0].size
         return {"cache_capacity": 4 * (2 * left + right)}
     if regime == "no-prefetch-budget":
-        return {"prefetch_budget": 0}
+        return {"caches": staging_free_caches(SHAPES[shape][2])}
     return {}
 
 
@@ -221,9 +234,8 @@ def test_pipelined_equals_synchronous_on_every_shape(shape, regime):
     worse, nothing is left staged, and the sanitizer (whose ``after_run``
     is part of ``run()``) raises nothing."""
     ds = shape_dataset(shape)
-    kw = regime_kwargs(ds, regime)
-    sync_qes = shape_qes(shape, ds, pipeline=False, **kw)
-    pipe_qes = shape_qes(shape, ds, pipeline=True, **kw)
+    sync_qes = shape_qes(shape, ds, pipeline=False, **regime_kwargs(shape, ds, regime))
+    pipe_qes = shape_qes(shape, ds, pipeline=True, **regime_kwargs(shape, ds, regime))
     sync, pipe = sync_qes.run(), pipe_qes.run()
     if regime == "thrashing":
         assert sum(s.evictions for s in sync.cache_stats) > 0
@@ -243,7 +255,7 @@ def test_pipelined_recovers_on_every_shape(shape, regime):
     ds = shape_dataset(shape, replication=2)
     qes = shape_qes(
         shape, ds, pipeline=True, faults=FaultPlan.parse(FAULT_PLAN),
-        **regime_kwargs(ds, regime)
+        **regime_kwargs(shape, ds, regime)
     )
     try:
         report = qes.run()

@@ -111,7 +111,7 @@ def test_second_begin_raises(make_qes):
 
 
 @pytest.mark.parametrize("fraction", [0.1, 0.4, 0.8])
-def test_abort_leaves_nothing_behind(make_qes, mode, fraction):
+def test_abort_leaves_nothing_behind(make_qes, mode, functional, fraction):
     makespan = make_qes().run().total_time
     qes = make_qes(telemetry=True)
     engine = qes.cluster.engine
@@ -135,3 +135,17 @@ def test_abort_leaves_nothing_behind(make_qes, mode, fraction):
         # staged by a prefetcher, never taken: leaked before the fix
         assert cache.prefetch_bytes == 0
     assert qes.cluster.telemetry.recorder.open_spans() == []
+    # the whole-run spans nothing will finish() end with the abort's cause:
+    # the ``query`` span always, Grace Hash's ``partition`` span while the
+    # partition phase runs (0.1, 0.4) and its ``bucket-write``s in flight
+    # (functional at 0.4: the model-only run has none on the wire then)
+    errors = {
+        (span.name, span.attrs["error"])
+        for span in qes.cluster.telemetry.recorder.spans
+        if "error" in span.attrs
+    }
+    assert ("query", "QueryAborted") in errors
+    if mode == "gh":
+        assert (("partition", "QueryAborted") in errors) == (fraction < 0.8)
+        if functional and fraction == 0.4:
+            assert ("bucket-write", "QueryAborted") in errors

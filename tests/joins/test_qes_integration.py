@@ -5,6 +5,8 @@ single-node sort-merge oracle; simulated timings are checked for basic
 physical sanity (monotonicity in data size, benefit from parallelism).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import MachineSpec, paper_cluster, nfs_cluster
@@ -73,11 +75,14 @@ class TestFunctionalCorrectness:
     def test_gh_multiple_buckets_still_correct(self):
         spec = GridSpec(g=(16, 16), p=(4, 4), q=(4, 4))
         ds = build_oil_reservoir_dataset(spec, num_storage=2)
-        cluster = paper_cluster(2, 2, spec=TEST_SPEC)
-        gh = GraceHashQES(
-            cluster, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider, num_buckets=7
-        ).run()
+        # 4.5 KiB of bucket pair per joiner in 700 bytes of memory
+        cluster = paper_cluster(2, 2, spec=replace(TEST_SPEC, memory_bytes=700))
+        qes = GraceHashQES(
+            cluster, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider
+        )
+        gh = qes.run()
         assert_matches_oracle(ds, gh)
+        assert qes.num_buckets == 7
         assert gh.extras["num_buckets"] == 7
 
     def test_ij_with_random_schedule_still_correct(self):

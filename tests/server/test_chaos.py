@@ -227,60 +227,6 @@ class TestDeadlines:
         assert 0 <= r.bytes_from_storage <= full.bytes_from_storage
         assert r.result_records is None
 
-class TestAbortedSpans:
-    """A traced serve closes every span of an execution it kills.
-
-    ``QES.abort`` ends the whole-run spans nothing else will: the
-    ``query`` span ``finish()`` would have closed, Grace Hash's
-    ``partition`` span when the abort lands before the barrier, and the
-    detached ``bucket-write`` spans of writes still in flight (left to
-    their callbacks they would outlive their parent).  The sanitizer's
-    span checks are what fail: once ``N telemetry span(s) never closed:
-    'query', ...`` on every one of these serves.
-    """
-
-    @pytest.fixture(params=["indexed-join", "grace-hash"])
-    def algorithm(self, request, monkeypatch):
-        if request.param == "grace-hash":
-            force_grace_hash(monkeypatch)
-        return request.param
-
-    def errors(self, server):
-        spans = server.cluster.telemetry.recorder.spans
-        return {(s.name, s.attrs["error"]) for s in spans if "error" in s.attrs}
-
-    # 0.05 lands in Grace Hash's bucket joins, 0.005 in its partition phase
-    @pytest.mark.parametrize("deadline", [0.005, 0.02, 0.05])
-    def test_deadline_abort_closes_the_runs_spans(self, algorithm, deadline):
-        stream = arrivals(deadline=deadline)
-        server = QueryServer(
-            make_dataset(), num_compute=2, machine=SLOW, slots=1,
-            telemetry=True, sanitize=True,
-        )
-        rep = server.serve(stream)  # SanitizerViolation before the fix
-        assert server.sanitizer.checks["telemetry"] == 1  # no span left open
-        aborted = rep.disposition_counts[DEADLINE_EXCEEDED] > 0
-        assert (("query", "QueryAborted") in self.errors(server)) == aborted
-        if algorithm == "grace-hash" and deadline < 0.05:
-            assert aborted
-            assert ("partition", "QueryAborted") in self.errors(server)
-            assert ("bucket-write", "QueryAborted") in self.errors(server)
-
-    def test_fault_killed_attempt_closes_the_runs_spans(self, algorithm):
-        # a compute crash kills Grace Hash outright (the retry supervisor
-        # then aborts the attempt's leftovers); the Indexed Join survives
-        # it by reassignment and must be left alone
-        stream = arrivals()
-        server = QueryServer(
-            make_dataset(replication=2), num_compute=3, machine=SLOW, slots=1,
-            telemetry=True, sanitize=True, faults="seed=3,compute_crash=0.3",
-        )
-        rep = server.serve(stream)  # the sanitizer refuses an open span
-        killed = algorithm == "grace-hash"
-        assert (rep.disposition_counts[FAILED] > 0) == killed
-        assert (("query", "QueryAborted") in self.errors(server)) == killed
-
-
 class TestOverload:
     def test_bounded_queue_sheds_reject_newest(self):
         stream = arrivals(tenants=BURSTY)

@@ -233,8 +233,6 @@ CHAOS = [
     dict(faults="seed=9,transient=0.5,max_attempts=2",
          resilience=ResilienceConfig(retry=RetryPolicy(budget=3))),
     dict(faults="seed=7,storage_crash=0.3"),
-    # span telemetry on: the ops log's ``span`` field is live
-    dict(slots=1, deadline=0.02, policy="fair", telemetry=True),
 ]
 
 

@@ -152,18 +152,16 @@ class TestShedPolicies:
 
 
 class TestCircuitBreaker:
-    def test_closed_until_min_samples(self):
-        breaker = CircuitBreaker(threshold=0.1, cost_cutoff=0.0, min_samples=4)
-        for _ in range(3):
+    def test_closed_until_enough_samples(self):
+        breaker = CircuitBreaker(threshold=0.1, cost_cutoff=0.0)
+        for _ in range(CircuitBreaker.MIN_SAMPLES - 1):
             breaker.observe_wait(5.0)
         assert not breaker.is_open()
         breaker.observe_wait(5.0)
         assert breaker.is_open()
 
     def test_opens_on_p99_and_closes_as_window_ages(self):
-        breaker = CircuitBreaker(
-            threshold=0.1, cost_cutoff=0.0, window=4, min_samples=4
-        )
+        breaker = CircuitBreaker(threshold=0.1, cost_cutoff=0.0, window=4)
         for _ in range(4):
             breaker.observe_wait(1.0)
         assert breaker.should_shed(0.5)
@@ -175,8 +173,9 @@ class TestCircuitBreaker:
         assert not breaker.should_shed(0.5)
 
     def test_cost_cutoff_lets_cheap_queries_flow(self):
-        breaker = CircuitBreaker(threshold=0.1, cost_cutoff=1.0, min_samples=1)
-        breaker.observe_wait(9.0)
+        breaker = CircuitBreaker(threshold=0.1, cost_cutoff=1.0)
+        for _ in range(CircuitBreaker.MIN_SAMPLES):
+            breaker.observe_wait(9.0)
         assert breaker.is_open()
         assert not breaker.should_shed(0.2)  # predicted cheap: admitted
         assert breaker.should_shed(3.0)
@@ -187,7 +186,7 @@ class TestCircuitBreaker:
         with pytest.raises(ValueError):
             CircuitBreaker(threshold=1.0, cost_cutoff=-1.0)
         with pytest.raises(ValueError):
-            CircuitBreaker(threshold=1.0, cost_cutoff=0.0, window=2, min_samples=4)
+            CircuitBreaker(threshold=1.0, cost_cutoff=0.0, window=2)
         # a NaN threshold once passed `<= 0` and never tripped
         for threshold, cutoff in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf)):
             with pytest.raises(ValueError, match="finite"):

@@ -7,12 +7,9 @@ import pytest
 from repro.telemetry.oplog import OPLOG_EVENTS, OpLog, validate_oplog
 
 
-def _log(spans=None):
+def _log():
     state = {"now": 0.0}
-    log = OpLog(
-        lambda: state["now"],
-        span_source=(lambda: spans.pop(0)) if spans is not None else None,
-    )
+    log = OpLog(lambda: state["now"])
     return state, log
 
 
@@ -39,13 +36,6 @@ class TestOpLog:
         _, log = _log()
         with pytest.raises(ValueError):
             log.emit("submit", seq=99)
-
-    def test_span_source_attached_when_open(self):
-        _, log = _log(spans=[7, None])
-        log.emit("submit", qid=1)
-        log.emit("complete", qid=1)
-        assert log.records[0]["span"] == 7
-        assert "span" not in log.records[1]
 
     def test_counts_sorted_histogram(self):
         _, log = _log()
@@ -90,6 +80,16 @@ class TestValidateOplog:
     def test_seq_must_match_position(self):
         bad = [{"seq": 3, "t": 0.0, "event": "submit"}]
         assert any("seq" in v for v in validate_oplog(bad))
+        # ``False == 0``, ``True == 1`` and ``2.0 == 2``, yet none is a position
+        bad = [
+            {"seq": False, "t": 0.0, "event": "submit"},
+            {"seq": True, "t": 0.0, "event": "submit"},
+            {"seq": 2.0, "t": 0.0, "event": "submit"},
+        ]
+        violations = validate_oplog(bad)
+        assert [v.split(":")[0] for v in violations if "seq" in v] == [
+            "record 0", "record 1", "record 2",
+        ]
 
     def test_time_must_not_decrease(self):
         bad = [

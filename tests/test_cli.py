@@ -692,6 +692,16 @@ class TestMalformedFiles:
         assert out == "" and err.count("error:") == 1
         assert f"must be positive: '{argv[-1]}'" in err
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_drift_threshold_must_be_finite_and_non_negative(self, threshold, capsys):
+        """``nan`` and ``inf`` once flagged nothing, so ``--check`` passed
+        vacuously, and ``-1`` flagged every term."""
+        with pytest.raises(SystemExit, match="2"):
+            main(["drift", "--store", "unread.jsonl", "--check", "--threshold", threshold])
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1
+        assert f"must be finite and >= 0: '{threshold}'" in err
+
     @pytest.mark.parametrize("flags, blocked", [
         (["--json-out"], "under-a-file"),
         (["--observe", "--oplog-out"], "a-directory"),
