@@ -116,6 +116,7 @@ VALIDATED = {
         "traces/faulted.ij.json", "traces/faulted.gh.json",
     ),
     "validate_oplog": ("observatory/ops.jsonl",),
+    "validate_report": ("observatory/report.json",),
 }
 
 

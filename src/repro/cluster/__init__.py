@@ -48,7 +48,7 @@ from repro.cluster.events import (
 )
 from repro.cluster.network import NetworkFabric, NFSFabric
 from repro.cluster.nodes import ComputeNode, MachineSpec, StorageNode, PAPER_MACHINE
-from repro.cluster.resources import BandwidthResource, ResourceStats
+from repro.cluster.resources import BandwidthResource
 
 __all__ = [
     "AllOf",
@@ -64,7 +64,6 @@ __all__ = [
     "NetworkFabric",
     "PAPER_MACHINE",
     "Process",
-    "ResourceStats",
     "SimEngine",
     "SimulationError",
     "StorageNode",

@@ -250,8 +250,9 @@ class ClusterSim:
         c = self.compute_nodes[compute]
         if not c.has_local_disk:
             return self._nfs_scratch(c, nbytes, write=True)
-        seconds = c.spec.disk_latency + nbytes / c.spec.disk_write_bw
-        return BandwidthResource.reserve_joint_seconds(self._ingest[compute], seconds, nbytes)
+        return BandwidthResource.reserve_joint_seconds(
+            self._ingest[compute], c.write_seconds(nbytes), nbytes
+        )
 
     def scratch_write(self, compute: int, nbytes: int) -> Event:
         """Write ``nbytes`` of bucket data from compute node ``compute``.
@@ -286,31 +287,6 @@ class ClusterSim:
         return self.engine.process(
             driver(), name=f"nfs_{'write' if write else 'read'} c{c.node_id}"
         )
-
-    # -- reporting ------------------------------------------------------------------
-
-    def resource_report(self) -> Dict[str, Dict[str, float]]:
-        """Utilisation counters for every resource (at current sim time)."""
-        horizon = self.engine.now
-        out: Dict[str, Dict[str, float]] = {}
-
-        def add(res: BandwidthResource) -> None:
-            out[res.name] = {
-                "busy_time": res.stats.busy_time,
-                "bytes": float(res.stats.bytes_served),
-                "requests": float(res.stats.num_requests),
-                "utilisation": res.stats.utilisation(horizon),
-            }
-
-        for s in self.storage_nodes:
-            add(s.disk)
-        for c in self.compute_nodes:
-            add(c.cpu)
-            if c.has_local_disk:
-                add(c.scratch)
-        for fid in range(self.num_storage + self.num_compute):
-            add(self.fabric.nic(fid))
-        return out
 
 
 def paper_cluster(

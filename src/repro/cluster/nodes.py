@@ -144,6 +144,10 @@ class ComputeNode:
             raise RuntimeError(f"compute node {self.node_id} has no local disk")
         return self._scratch
 
+    def write_seconds(self, nbytes: int) -> float:
+        """Service time of an ``nbytes`` write on the local scratch disk."""
+        return self.spec.disk_latency + nbytes / self.spec.disk_write_bw
+
     def scratch_write(self, nbytes: int):
         """Reserve a bucket write on the local scratch disk."""
         return self.scratch.reserve_at_rate(nbytes, self.spec.disk_write_bw)

@@ -12,35 +12,16 @@ parameter sweep (Figure 6 of the paper goes to 2 billion tuples) simulate
 in well under a second — per the HPC guides, the hot path does arithmetic,
 not bookkeeping.
 
-Besides time, each resource accumulates utilisation statistics
-(:class:`ResourceStats`) that the execution reports expose — the analogue
-of the ``iostat``/``ifconfig`` counters one would read on the real cluster.
+A resource keeps no record of what it served: each reservation is
+announced as the engine's ``reserve`` event (DESIGN.md §13), which is the
+one record of device time — a subscriber that wants utilisation sums it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.cluster.events import SimEngine, Timeout
 
-__all__ = ["BandwidthResource", "ResourceStats"]
-
-
-@dataclass
-class ResourceStats:
-    """Cumulative counters for one resource."""
-
-    busy_time: float = 0.0
-    bytes_served: int = 0
-    num_requests: int = 0
-    #: completion time of the last reservation — resource-local makespan
-    last_completion: float = 0.0
-
-    def utilisation(self, horizon: float) -> float:
-        """Fraction of ``horizon`` the resource spent busy."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / horizon)
+__all__ = ["BandwidthResource"]
 
 
 class BandwidthResource:
@@ -77,7 +58,6 @@ class BandwidthResource:
         self.latency = float(latency)
         self.name = name
         self._busy_until = 0.0
-        self.stats = ResourceStats()
 
     # -- reservation ------------------------------------------------------------
 
@@ -120,11 +100,6 @@ class BandwidthResource:
         start = max(now, self._busy_until)
         completion = start + service
         self._busy_until = completion
-        stats = self.stats
-        stats.busy_time += service
-        stats.bytes_served += nbytes
-        stats.num_requests += 1
-        stats.last_completion = completion
         if engine._subscribers:
             engine._emit("reserve", self.name, now, start, completion, nbytes)
         return Timeout(engine, completion - now)
@@ -170,11 +145,6 @@ class BandwidthResource:
         for r in resources:
             service = r.latency + nbytes / r.bandwidth
             end = r._busy_until = start + service
-            stats = r.stats
-            stats.busy_time += service
-            stats.bytes_served += nbytes
-            stats.num_requests += 1
-            stats.last_completion = end
             if end > completion:
                 completion = end
             if emit:
@@ -205,11 +175,6 @@ class BandwidthResource:
         emit = engine._subscribers
         for r in resources:
             r._busy_until = completion
-            stats = r.stats
-            stats.busy_time += seconds
-            stats.bytes_served += nbytes
-            stats.num_requests += 1
-            stats.last_completion = completion
             if emit:
                 engine._emit("reserve", r.name, now, start, completion, nbytes)
         return Timeout(engine, completion - now)

@@ -128,10 +128,9 @@ class ScanPlan:
 
 @dataclass
 class _HeldIndex:
-    """A built unconstrained join index beside the MetaData Service entry
-    it was built from, and what planning over all of it comes to."""
+    """The built unconstrained join index a MetaData Service entry holds,
+    and what planning over all of it comes to for this planner."""
 
-    entry: object
     index: PageJoinIndex
     #: ``pipeline`` → the plan of a view without a range constraint; its
     #: parameters and costs are frozen and shared by every such Plan
@@ -141,13 +140,12 @@ class _HeldIndex:
 class QueryPlanningService:
     """Plans join views for a fixed deployment (machine spec + topology).
 
-    A planner plans once (DESIGN.md §3.5): it holds the built join index
-    of every view key it has planned, valid for as long as the MetaData
-    Service's entry under that key is the object the index was built from
-    (the key-value round-trip is persistence, not the read path), and the
-    costed plan of the unconstrained view per ``pipeline``.  A range
-    constraint is not memoised; it is one ``find_chunks`` per table and a
-    mask over the held index.
+    A planner plans once (DESIGN.md §3.5): the MetaData Service's entry
+    under a view's key *is* the built join index, which every planner on
+    the catalog adopts, and this planner keeps the costed plan of the
+    unconstrained view per ``pipeline`` for as long as the entry is that
+    index.  A range constraint is not memoised; it is one
+    ``find_chunks`` per table and a mask over the held index.
     """
 
     def __init__(
@@ -178,28 +176,28 @@ class QueryPlanningService:
 
     def precompute_index(self, view: JoinView) -> PageJoinIndex:
         """Build the *unconstrained* page index for the view's join
-        attributes and persist it in the MetaData Service — "the page-index
+        attributes and keep it in the MetaData Service — "the page-index
         can be precomputed for common join attributes" (Section 4.1)."""
         index = build_join_index(
             self.metadata.table(view.left).all_chunks(),
             self.metadata.table(view.right).all_chunks(),
             view.on,
         )
-        key, entry = self._index_key(view), index.to_dict()
-        self.metadata.put(key, entry)
-        self._held[key] = _HeldIndex(entry, index)
+        key = self._index_key(view)
+        self.metadata.put(key, index)
+        self._held[key] = _HeldIndex(index)
         return index
 
     def _held_index(self, view: JoinView) -> _HeldIndex:
-        """The built unconstrained index for ``view``, reused for as long
-        as the MetaData Service's entry is the object it was built from."""
+        """The unconstrained index for ``view`` — whatever index the
+        MetaData Service holds under its key, built if there is none —
+        with this planner's plans over it."""
         key = self._index_key(view)
-        entry = self.metadata.get(key)
-        if entry is None:
+        index = self.metadata.get(key)
+        if index is None:
             self.precompute_index(view)
-        elif key not in self._held or self._held[key].entry is not entry:
-            index = PageJoinIndex.from_dict(entry)  # type: ignore[arg-type]
-            self._held[key] = _HeldIndex(entry, index)
+        elif key not in self._held or self._held[key].index is not index:
+            self._held[key] = _HeldIndex(index)  # type: ignore[arg-type]
         return self._held[key]
 
     # -- planning ---------------------------------------------------------------------

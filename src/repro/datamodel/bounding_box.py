@@ -237,12 +237,3 @@ class BoundingBox:
         for name in names:
             vol *= self.interval(name).length
         return vol
-
-    # -- (de)serialisation -------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Tuple[float, float]]:
-        return {n: (iv.lo, iv.hi) for n, iv in self._intervals.items()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Tuple[float, float]]) -> "BoundingBox":
-        return cls({n: Interval(float(lo), float(hi)) for n, (lo, hi) in data.items()})

@@ -15,7 +15,7 @@ services.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.subtable import SubTableId
@@ -89,53 +89,3 @@ class ChunkDescriptor:
     def size(self) -> int:
         """On-disk size in bytes (the I/O unit the BDS reads)."""
         return self.ref.size
-
-    # -- (de)serialisation ------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "table_id": self.id.table_id,
-            "chunk_id": self.id.chunk_id,
-            "storage_node": self.ref.storage_node,
-            "path": self.ref.path,
-            "offset": self.ref.offset,
-            "size": self.ref.size,
-            "attributes": list(self.attributes),
-            "extractors": list(self.extractors),
-            "bbox": self.bbox.to_dict(),
-            "num_records": self.num_records,
-            "replicas": [
-                {
-                    "storage_node": r.storage_node,
-                    "path": r.path,
-                    "offset": r.offset,
-                    "size": r.size,
-                }
-                for r in self.replicas
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "ChunkDescriptor":
-        return cls(
-            id=SubTableId(int(d["table_id"]), int(d["chunk_id"])),
-            ref=ChunkRef(
-                storage_node=int(d["storage_node"]),
-                path=str(d["path"]),
-                offset=int(d["offset"]),
-                size=int(d["size"]),
-            ),
-            attributes=tuple(str(a) for a in d["attributes"]),
-            extractors=tuple(str(e) for e in d["extractors"]),
-            bbox=BoundingBox.from_dict({str(k): (float(v[0]), float(v[1])) for k, v in dict(d["bbox"]).items()}),
-            num_records=int(d["num_records"]),
-            replicas=tuple(
-                ChunkRef(
-                    storage_node=int(r["storage_node"]),
-                    path=str(r["path"]),
-                    offset=int(r["offset"]),
-                    size=int(r["size"]),
-                )
-                for r in d.get("replicas", ())
-            ),
-        )

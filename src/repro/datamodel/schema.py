@@ -201,18 +201,3 @@ class Schema:
         if self._np_dtype is None:
             self._np_dtype = np.dtype([(a.name, a.dtype) for a in self._attributes])
         return self._np_dtype
-
-    # -- (de)serialisation ----------------------------------------------------------
-
-    def to_dict(self) -> List[Dict[str, object]]:
-        return [
-            {"name": a.name, "dtype": a.dtype, "coordinate": a.coordinate}
-            for a in self._attributes
-        ]
-
-    @classmethod
-    def from_dict(cls, data: Iterable[Dict[str, object]]) -> "Schema":
-        return cls(
-            Attribute(str(d["name"]), str(d["dtype"]), bool(d.get("coordinate", False)))
-            for d in data
-        )

@@ -224,12 +224,6 @@ class GraceHashQES(QES):
         if tel is not None:
             tel.recorder.finish(self.pspan)
         report.extras["partition_phase_time"] = cluster.engine.now
-        # all scratch activity so far is bucket writes: snapshot it as
-        # the per-joiner Write term
-        for j in range(cluster.num_compute):
-            joiner = cluster.joiner(j)
-            if joiner.has_local_disk:
-                report.per_joiner[j].scratch_write = joiner.scratch.stats.busy_time
         # Grace Hash cannot survive a compute-node loss: the node's
         # scratch disk held one h1-partition of *both* tables, and
         # unlike the Indexed Join there is no replica to re-read
@@ -438,6 +432,10 @@ class GraceHashQES(QES):
             pb.transfer += dt
             pb.stall += dt  # GH never overlaps: the QES thread waits per batch
             write_ev = cluster.ingest_write(j, nbytes)
+            joiner = cluster.joiner(j)
+            if joiner.has_local_disk:
+                # the Write term: the scratch time this write reserved
+                pb.scratch_write += joiner.write_seconds(nbytes)
             if tel is not None:
                 # the receiver-side write is fire-and-forget: a detached
                 # span under the partition phase, causally linked to the

@@ -297,6 +297,8 @@ class IndexedJoinQES(QES):
                     return entry
             cache = self.caches[j]
             desc = self.metadata.chunk(sid)
+            if tel is not None:
+                tel.metrics.counter("metadata.chunk_lookups").inc()
             staged = None
             if inflight is not None:
                 staged = cache.take_prefetched(sid)
@@ -473,6 +475,8 @@ class IndexedJoinQES(QES):
                 if sid in active or sid in cache or sid in inflight:
                     continue
                 desc = self.metadata.chunk(sid)
+                if tel is not None:
+                    tel.metrics.counter("metadata.chunk_lookups").inc()
                 node = desc.ref.storage_node
                 if injector is not None and injector.storage_is_dead(node):
                     # primary known dead: stage from the first live replica

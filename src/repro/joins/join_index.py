@@ -17,6 +17,10 @@ two-stage scheduler deals out to compute nodes.
 :class:`ConnectivityStats` exposes the dataset parameters of Table 1 the
 index determines: ``n_e``, the per-component ``(a, b)`` counts, and the
 edge ratio ``n_e · c_R · c_S / T²``.
+
+"The page-index can be precomputed for common join attributes" (Section
+4.1): the planner keeps the built :class:`PageJoinIndex` itself in the
+MetaData Service's key-value store, so there is no serialised form.
 """
 
 from __future__ import annotations
@@ -87,23 +91,10 @@ class PageJoinIndex:
     arrays (:meth:`select`), component extraction a union/label pass over
     ints (:meth:`component_labels`); the tuple forms (:attr:`pairs`,
     :meth:`components`) are materialised on demand.  An index is never
-    mutated once built, which is what lets a planner hold one and hand
-    it, and the schedules remembered on it, to every query
-    (DESIGN.md §3.5).
+    mutated once built, which is what lets the MetaData Service hold one
+    and every planner hand it, and the schedules remembered on it, to
+    every query (DESIGN.md §3.5).
     """
-
-    def __init__(
-        self,
-        left_table: int,
-        right_table: int,
-        on: Tuple[str, ...],
-        pairs: Iterable[Tuple[SubTableId, SubTableId]],
-    ):
-        pairs = list(pairs)
-        left_ids, li = _ordinals([l for l, _ in pairs])
-        right_ids, ri = _ordinals([r for _, r in pairs])
-        order = np.lexsort((ri, li))
-        self._init(left_table, right_table, on, left_ids, right_ids, li[order], ri[order])
 
     @classmethod
     def from_ordinals(
@@ -117,22 +108,20 @@ class PageJoinIndex:
         ri: np.ndarray,
     ) -> "PageJoinIndex":
         """An index over two sorted id lists, its pairs given as endpoint
-        ordinals into them, already lexicographic by ``(li, ri)``."""
+        ordinals into them, already lexicographic by ``(li, ri)``: the one
+        constructor (:func:`build_join_index` calls it)."""
         index = cls.__new__(cls)
-        index._init(left_table, right_table, on, left_ids, right_ids, li, ri)
-        return index
-
-    def _init(self, left_table, right_table, on, left_ids, right_ids, li, ri) -> None:
-        self.left_table = left_table
-        self.right_table = right_table
-        self.on = tuple(on)
+        index.left_table = left_table
+        index.right_table = right_table
+        index.on = tuple(on)
         # sorted id lists (a superset of the endpoints) and each id's
         # ordinal in them
-        self._left_ids: List[SubTableId] = left_ids
-        self._right_ids: List[SubTableId] = right_ids
-        self._left_pos = {sid: k for k, sid in enumerate(left_ids)}
-        self._right_pos = {sid: k for k, sid in enumerate(right_ids)}
-        self._set_pairs(li, ri)
+        index._left_ids = left_ids
+        index._right_ids = right_ids
+        index._left_pos = {sid: k for k, sid in enumerate(left_ids)}
+        index._right_pos = {sid: k for k, sid in enumerate(right_ids)}
+        index._set_pairs(li, ri)
+        return index
 
     def _set_pairs(self, li: np.ndarray, ri: np.ndarray) -> None:
         # endpoint ordinals of every pair, lexicographic by (li, ri)
@@ -261,31 +250,6 @@ class PageJoinIndex:
 
         return self.select(
             overlapping(self._left_ids, self._li), overlapping(self._right_ids, self._ri)
-        )
-
-    # -- persistence (MetaData Service key-value store) ------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "left_table": self.left_table,
-            "right_table": self.right_table,
-            "on": list(self.on),
-            "pairs": [
-                [l.table_id, l.chunk_id, r.table_id, r.chunk_id] for l, r in self.pairs
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PageJoinIndex":
-        pairs = [
-            (SubTableId(int(p[0]), int(p[1])), SubTableId(int(p[2]), int(p[3])))
-            for p in data["pairs"]  # type: ignore[union-attr]
-        ]
-        return cls(
-            int(data["left_table"]),
-            int(data["right_table"]),
-            tuple(str(s) for s in data["on"]),  # type: ignore[union-attr]
-            pairs,
         )
 
 

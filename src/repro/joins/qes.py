@@ -128,7 +128,10 @@ class QES:
         tel = self.tel = cluster.telemetry
         self.spans: List = []
         if tel is not None:
-            self.metadata.attach_metrics(tel.metrics)
+            # catalog traffic is counted by the QES that makes it, on its
+            # own hub: the MetaData Service is shared by every run
+            tel.metrics.counter("metadata.chunk_lookups")
+            tel.metrics.counter("metadata.range_queries")
             self.spans.append(
                 tel.recorder.begin(
                     "query",

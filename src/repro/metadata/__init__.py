@@ -12,7 +12,8 @@ R-Trees [6]".
   query it).
 * :mod:`~repro.metadata.service` — the chunk catalog: registration,
   per-table R-tree indexes on coordinate attributes, range queries, and
-  JSON persistence.
+  the key-value store that holds each precomputed join index as the
+  built object.
 """
 
 from repro.metadata.rtree import RTree

@@ -1,4 +1,4 @@
-"""The MetaData Service: chunk catalogs, range queries, persistence.
+"""The MetaData Service: chunk catalogs, range queries, a key-value store.
 
 Per Section 4, the service stores for every chunk "which table the chunk
 belongs to, the location of the chunk in the storage system ... and its
@@ -9,16 +9,14 @@ part of queries "efficiently using index structures such as R-Trees".
 Each registered table gets a :class:`TableCatalog` holding its chunk
 descriptors plus an R-tree over the chunk bounding boxes projected onto the
 table's coordinate attributes.  The service also provides the generic
-key-value store other services use for persistent state (e.g. precomputed
-page-level join indexes).
+key-value store other services use for state that outlives a query: the
+planner keeps each precomputed page-level join index there, as the built
+object itself (DESIGN.md §3.5).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.datamodel.bounding_box import BoundingBox
@@ -117,18 +115,6 @@ class MetaDataService:
         self._by_id: Dict[int, TableCatalog] = {}
         self._by_name: Dict[str, int] = {}
         self._kv: Dict[str, object] = {}
-        self._metrics = None
-
-    def attach_metrics(self, registry) -> None:
-        """Count catalog traffic on a :class:`~repro.telemetry.metrics.MetricsRegistry`.
-
-        The MDS is shared state: a QES attaches the run's registry so
-        chunk lookups and range queries made on the query path are
-        visible in the run's metrics.
-        """
-        self._metrics = registry
-        registry.counter("metadata.chunk_lookups")
-        registry.counter("metadata.range_queries")
 
     # -- table registration -----------------------------------------------------
 
@@ -167,8 +153,6 @@ class MetaDataService:
         return [self._by_id[k] for k in sorted(self._by_id)]
 
     def chunk(self, id: SubTableId) -> ChunkDescriptor:
-        if self._metrics is not None:
-            self._metrics.counter("metadata.chunk_lookups").inc()
         catalog = self.table(id.table_id)
         try:
             return catalog.chunks[id.chunk_id]
@@ -177,8 +161,6 @@ class MetaDataService:
 
     def find_chunks(self, table: int | str, query: BoundingBox) -> List[ChunkDescriptor]:
         """Range query: chunk descriptors of ``table`` intersecting ``query``."""
-        if self._metrics is not None:
-            self._metrics.counter("metadata.range_queries").inc()
         return self.table(table).find_chunks(query)
 
     def replica_nodes(self, id: SubTableId) -> List[int]:
@@ -201,43 +183,9 @@ class MetaDataService:
     # -- generic key-value store -------------------------------------------------------
 
     def put(self, key: str, value: object) -> None:
-        """Store arbitrary JSON-serialisable service state."""
+        """Store any object as service state under ``key``; a later
+        ``get`` returns that same object, not a copy."""
         self._kv[key] = value
 
     def get(self, key: str, default: object = None) -> object:
         return self._kv.get(key, default)
-
-    # -- persistence --------------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "tables": [
-                {
-                    "table_id": cat.table_id,
-                    "name": cat.name,
-                    "schema": cat.schema.to_dict(),
-                    "chunks": [c.to_dict() for c in cat.all_chunks()],
-                }
-                for cat in self.tables()
-            ],
-            "kv": self._kv,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MetaDataService":
-        svc = cls()
-        for tbl in data.get("tables", []):  # type: ignore[union-attr]
-            catalog = svc.register_table(
-                int(tbl["table_id"]), str(tbl["name"]), Schema.from_dict(tbl["schema"])
-            )
-            for c in tbl["chunks"]:
-                catalog.add_chunk(ChunkDescriptor.from_dict(c))
-        svc._kv = dict(data.get("kv", {}))
-        return svc
-
-    def save(self, path: str | os.PathLike) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()))
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "MetaDataService":
-        return cls.from_dict(json.loads(Path(path).read_text()))

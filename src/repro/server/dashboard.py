@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.telemetry.validate import check_leaf_types, validate_observability, validate_oplog
+from repro.telemetry.validate import read_jsonl, validate_oplog, validate_report
 
 __all__ = [
     "SPARK_LEVELS",
@@ -58,42 +58,20 @@ __all__ = [
 SPARK_LEVELS = " .:-=+*#%@"
 
 
-#: top-level sections of a report payload the panels read, by JSON type
-_REPORT_SHAPE = (
-    ("queries", list),
-    ("tenants", dict),
-    ("dispositions", dict),
-    ("cache", dict),
-)
-
-#: leaves outside the ``observability`` section the panels count with
-_REPORT_LEAVES = (("dispositions.per_tenant.*.*", (int,)),)
-
-
 def load_report(path: str) -> Dict[str, Any]:
-    """Read and shape-check a ``repro serve --json-out`` payload.
+    """Read and check a ``repro serve --json-out`` payload.
 
     The one loader ``repro top`` and ``repro advise`` share: a file that
-    is not a server report, or whose ``observability`` section violates
-    the schema ``python -m repro.telemetry.validate`` checks, raises
-    ``ValueError`` naming the path and the first violation.
+    is not a server report, or that breaks the schema
+    ``python -m repro.telemetry.validate`` checks (:func:`validate_report`),
+    raises ``ValueError`` naming the path and the first violation.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ValueError(f"{path}: not a server report ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a server report (not a JSON object)")
-    for key, kind in _REPORT_SHAPE:
-        if not isinstance(doc.get(key), kind):
-            raise ValueError(
-                f"{path}: not a server report (no {key!r} {kind.__name__})"
-            )
-    violations: List[str] = []
-    check_leaf_types(doc, _REPORT_LEAVES, violations)
-    if "observability" in doc:
-        violations += validate_observability(doc["observability"])
+    violations = validate_report(doc)
     if violations:
         raise ValueError(f"{path}: {violations[0]}")
     return doc
@@ -103,19 +81,10 @@ def load_oplog(path: str) -> List[Dict[str, Any]]:
     """Read a ``repro serve --oplog-out`` JSONL file; a line that is not
     JSON or a log that breaks the schema (:func:`validate_oplog`) is a
     ``ValueError`` naming the file and the first violation."""
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}: line {lineno} unparseable ({exc})")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
+    try:
+        records = read_jsonl(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     violations = validate_oplog(records)
     if violations:
         raise ValueError(f"{path}: {violations[0]}")

@@ -2,9 +2,11 @@
 
 Two artifact kinds, one CLI:
 
-* **Ops logs** (``.jsonl`` from ``repro serve --oplog-out``): delegated
-  to :func:`repro.telemetry.oplog.validate_oplog`.
-* **Server reports** (``repro serve --json-out``): the embedded
+* **Ops logs** (``.jsonl`` from ``repro serve --oplog-out``): read by
+  :func:`read_jsonl`, checked by :func:`repro.telemetry.oplog.validate_oplog`.
+* **Server reports** (``repro serve --json-out``), checked by
+  :func:`validate_report`: the top-level sections the readers need, with
+  their JSON types, and the embedded
   ``observability`` section — windows contiguous over ``[0, t_end]``,
   per-window counter counts non-negative and summing to the track
   total, alert history ordered by fire time.  When the report carries
@@ -15,7 +17,10 @@ Two artifact kinds, one CLI:
   type they need (:data:`_RENDERED_LEAVES`).
 
 CI runs ``python -m repro.telemetry.validate <artifacts...>`` over the
-smoke-run outputs; tests call the validators directly.
+smoke-run outputs; tests call the validators directly.  ``repro top``
+and ``repro advise`` load their files through the same two functions
+(:mod:`repro.server.dashboard`), so a file this CLI passes they read,
+and one they refuse it fails.
 """
 
 from __future__ import annotations
@@ -28,8 +33,10 @@ from repro.telemetry.oplog import validate_oplog
 
 __all__ = [
     "check_leaf_types",
+    "read_jsonl",
     "validate_observability",
     "validate_oplog",
+    "validate_report",
     "main",
 ]
 
@@ -51,6 +58,18 @@ _RENDERED_LEAVES = (
     ("reuse.working_set.windows.*.hits", (int,)),
     ("reuse.working_set.windows.*.distinct_bytes", _NUMBER),
 )
+
+
+#: top-level sections of a report payload the readers use, by JSON type
+_REPORT_SHAPE = (
+    ("queries", list),
+    ("tenants", dict),
+    ("dispositions", dict),
+    ("cache", dict),
+)
+
+#: leaves outside the ``observability`` section the panels count with
+_REPORT_LEAVES = (("dispositions.per_tenant.*.*", (int,)),)
 
 
 def check_leaf_types(root: Any, table, errors: List[str]) -> None:
@@ -244,11 +263,30 @@ def validate_observability(section: Any) -> List[str]:
     return errors
 
 
-def _validate_file(path: str) -> List[str]:
-    """Dispatch one artifact to the right validator by shape."""
-    if path.endswith(".jsonl"):
-        records = []
-        with open(path, "r", encoding="utf-8") as fh:
+def validate_report(doc: Any) -> List[str]:
+    """Validate a ``repro serve --json-out`` payload: a JSON object with
+    every section of :data:`_REPORT_SHAPE` (the first one missing is the
+    only violation reported), the leaves of :data:`_REPORT_LEAVES`, and
+    the ``observability`` section when there is one."""
+    if not isinstance(doc, dict):
+        return ["not a server report (not a JSON object)"]
+    for key, kind in _REPORT_SHAPE:
+        if not isinstance(doc.get(key), kind):
+            return [f"not a server report (no {key!r} {kind.__name__})"]
+    errors: List[str] = []
+    check_leaf_types(doc, _REPORT_LEAVES, errors)
+    if "observability" in doc:
+        errors += validate_observability(doc["observability"])
+    return errors
+
+
+def read_jsonl(path: str) -> List[Any]:
+    """The records of a JSONL file, one per non-blank line.  A line that
+    is not JSON, or a file that is not UTF-8 text, is a ``ValueError``
+    saying which."""
+    records: List[Any] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -256,16 +294,19 @@ def _validate_file(path: str) -> List[str]:
                 try:
                     records.append(json.loads(line))
                 except json.JSONDecodeError as exc:
-                    return [f"line {lineno}: unparseable ({exc})"]
-        return validate_oplog(records)
+                    raise ValueError(f"line {lineno} unparseable ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"not UTF-8 text ({exc})") from exc
+    return records
+
+
+def _validate_file(path: str) -> List[str]:
+    """Dispatch one artifact to its validator by extension."""
+    if path.endswith(".jsonl"):
+        return validate_oplog(read_jsonl(path))
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if isinstance(doc, dict) and "observability" in doc:
-        return validate_observability(doc["observability"])
-    if isinstance(doc, dict) and "queries" in doc:
-        # a server report without observability: nothing to check here
-        return []
-    return ["unrecognised artifact (not an oplog or a server report)"]
+    return validate_report(doc)
 
 
 def main(argv: List[str]) -> int:

@@ -40,6 +40,28 @@ def test_sanitized_run_point_under_faults():
     assert full_digest(sanitized.gh_report) == full_digest(plain.gh_report)
 
 
+def test_sanitized_trace_dump_matches_unsanitized(tmp_path, capsys):
+    """``repro trace --sanitize`` prints and writes what the unsanitized
+    command does: the sanitizer's untraced shadow run shares the catalog
+    with the traced one, and must not count into its metrics."""
+    from repro.cli import main
+
+    argv = ["trace", "--grid", "16,16", "--p", "4,4", "--q", "8,8",
+            "--storage", "2", "--compute", "3", "--dump", "--replication", "2",
+            "--faults", "seed=7,transient=0.3,storage_crash=0.5"]
+    outputs = []
+    for flags in ([], ["--sanitize"]):
+        out = tmp_path / ("sanitized" if flags else "plain")
+        out.mkdir()
+        assert main(argv + flags + ["--out", str(out / "t.json")]) == 0
+        outputs.append((
+            capsys.readouterr().out.replace(str(out), "OUT"),
+            (out / "t.ij.json").read_bytes(),
+            (out / "t.gh.json").read_bytes(),
+        ))
+    assert outputs[0] == outputs[1]
+
+
 # -- individual hooks ----------------------------------------------------------------
 
 

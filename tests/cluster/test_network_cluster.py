@@ -218,17 +218,3 @@ class TestClusterSim:
         end = sim.engine.run()
         # Server NIC serialises the two 10s transfers; disk writes interleave.
         assert end >= 20.0
-
-    def test_resource_report(self):
-        sim = paper_cluster(2, 2)
-
-        def proc():
-            yield sim.read_and_send(0, 1, 1000)
-
-        sim.engine.run_process(proc())
-        report = sim.resource_report()
-        assert report["s0.disk"]["bytes"] == 1000
-        assert report["s0.disk"]["requests"] == 1
-        assert any(k.startswith("nic") for k in report)
-        # compute cpu exists and was unused
-        assert report["c0.cpu"]["busy_time"] == 0.0

@@ -96,7 +96,7 @@ class TestBasicReservation:
                         lambda x: BandwidthResource.reserve_joint_seconds([r], x)):
             with pytest.raises(ValueError):
                 reserve(nan)
-        assert r.stats.num_requests == 0
+        assert r._busy_until == 0.0
 
     def test_nan_duration_does_not_empty_the_queue(self):
         """A NaN reservation would leave ``busy_until`` NaN, and
@@ -120,22 +120,6 @@ class TestBasicReservation:
         eng.process(poisoner())
         eng.run()
         assert done == [2.0, 3.0]
-
-    def test_stats_accumulate(self):
-        eng = SimEngine()
-        r = BandwidthResource(eng, bandwidth=10.0)
-
-        def proc():
-            yield r.reserve(50)
-            yield r.reserve(30)
-
-        eng.run_process(proc())
-        assert r.stats.num_requests == 2
-        assert r.stats.bytes_served == 80
-        assert r.stats.busy_time == pytest.approx(8.0)
-        assert r.stats.utilisation(8.0) == pytest.approx(1.0)
-        assert r.stats.utilisation(16.0) == pytest.approx(0.5)
-        assert r.stats.utilisation(0.0) == 0.0
 
 
 class TestJointReservation:

@@ -277,12 +277,22 @@ class TestClusterTracing:
     def test_traced_execution_busy_matches_stats(self):
         ds = build_oil_reservoir_dataset(SPEC, num_storage=2, functional=False)
         sim = ClusterSim(ClusterTopology(2, 2), telemetry=True)
+        # a second subscriber recounts each resource's busy time from the
+        # engine's channel, beside the hub that records the spans
+        recount = {}
+
+        def on_event(kind, *fields):
+            if kind == "reserve":
+                name, _now, start, end, _nbytes = fields
+                recount[name] = recount.get(name, 0.0) + (end - start)
+
+        sim.engine.subscribe(on_event)
         IndexedJoinQES(sim, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider).run()
         tel = sim.telemetry
         assert resource_intervals(tel)
-        # trace busy time agrees with the resource counters
-        for s in sim.storage_nodes:
-            assert busy(tel, s.disk.name) == pytest.approx(s.disk.stats.busy_time)
+        assert all(s.disk.name in recount for s in sim.storage_nodes)
+        for name, seconds in recount.items():
+            assert busy(tel, name) == pytest.approx(seconds)
         # no interval extends past the simulation end
         assert horizon(tel) <= sim.engine.now + 1e-12
 

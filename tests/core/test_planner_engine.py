@@ -11,10 +11,10 @@ from repro.core import (
     JoinView,
     QueryPlanningService,
 )
+from repro.core import planner as planner_module
 from repro.core.cost_models import TermCalibration
 from repro.datamodel import BoundingBox
-from repro.joins import PageJoinIndex, reference_join
-from repro.metadata import MetaDataService
+from repro.joins import build_join_index, reference_join
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 MACHINE = MachineSpec()
@@ -192,9 +192,9 @@ class TestPlanner:
 
 
 class TestPlansOnce:
-    """The planner holds the built index and the unconstrained plan; what
-    it hands out twice must be equal, shared where that is safe, and never
-    outlive the MetaData Service entry it was built from."""
+    """The MetaData Service entry is the built index, and a planner holds
+    the unconstrained plan over it; what it hands out twice must be equal,
+    shared where that is safe, and never outlive the entry."""
 
     SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
     BOXES = [
@@ -225,10 +225,9 @@ class TestPlansOnce:
     def test_second_plan_is_equal_and_shares_the_base_index(self, monkeypatch):
         ds, view, qps = self.fresh()
         built = []
-        from_dict = PageJoinIndex.from_dict.__func__
         monkeypatch.setattr(
-            PageJoinIndex, "from_dict",
-            classmethod(lambda cls, data: built.append(1) or from_dict(cls, data)),
+            planner_module, "build_join_index",
+            lambda *args: built.append(1) or build_join_index(*args),
         )
         first = qps.plan(view)
         again = qps.plan(JoinView("V2", "T1", "T2", on=ds.join_attrs))
@@ -239,11 +238,13 @@ class TestPlansOnce:
         piped = qps.plan(view, pipeline=True)
         assert piped.pipeline and piped.index is first.index
         assert piped.ij_cost.total <= first.ij_cost.total
-        # a planner that finds the entry already there builds it once
+        # a planner that finds the entry already there adopts that index
+        # and builds nothing; its plans are its own
         other = QueryPlanningService(ds.metadata, 2, 2, machine=MACHINE)
         plans = [other.plan(view) for _ in range(3)]
         assert built == [1]
-        assert plans[0].index is plans[2].index is not first.index
+        assert plans[0].index is plans[2].index is first.index
+        assert plans[0].params is plans[2].params is not first.params
         self.same_plan(plans[0], first)
 
     def test_constrained_plans_are_cut_from_the_held_index(self):
@@ -270,27 +271,20 @@ class TestPlansOnce:
         ds, view, qps = self.fresh()
         first = qps.plan(view)
         key = f"join_index/T1/T2/{','.join(ds.join_attrs)}"
+        assert ds.metadata.get(key) is first.index
         boxes = self.chunk_boxes(ds)
         other = first.index.restrict(self.BOXES[0], boxes)
-        ds.metadata.put(key, other.to_dict())
+        ds.metadata.put(key, other)
         second = qps.plan(view)
-        assert second.index is not first.index
-        assert second.index.pairs == other.pairs
+        assert second.index is other
         assert second.params.n_e == other.num_edges == first.params.n_e // 2
-        assert qps.plan(view).index is second.index
+        assert qps.plan(view).index is other
         # an equal entry that is another object is a new entry all the same
-        ds.metadata.put(key, other.to_dict())
-        assert qps.plan(view).index is not second.index
-
-    def test_saved_and_loaded_catalog_plans_the_same(self, tmp_path):
-        ds, view, qps = self.fresh()
-        constrained = JoinView("V2", "T1", "T2", on=ds.join_attrs, where=self.BOXES[1])
-        before = qps.plan(view), qps.plan(constrained)
-        ds.metadata.save(tmp_path / "catalog.json")
-        loaded = MetaDataService.load(tmp_path / "catalog.json")
-        reloaded = QueryPlanningService(loaded, 2, 2, machine=MACHINE)
-        self.same_plan(reloaded.plan(view), before[0])
-        self.same_plan(reloaded.plan(constrained), before[1])
+        equal = first.index.restrict(self.BOXES[0], boxes)
+        ds.metadata.put(key, equal)
+        third = qps.plan(view)
+        assert third.index is equal and third.params is not second.params
+        self.same_plan(third, second)
 
     def test_calibrated_planner_shares_no_memo(self):
         ds, view, plain = self.fresh()

@@ -99,10 +99,6 @@ class TestBoundingBoxBasics:
     def test_repr_mentions_bounds(self):
         assert "x=[0,1]" in repr(BoundingBox({"x": (0, 1)}))
 
-    def test_roundtrip_dict(self):
-        box = BoundingBox({"x": (0, 64), "wp": (0.1, 0.9)})
-        assert BoundingBox.from_dict(box.to_dict()) == box
-
 
 class TestBoundingBoxGeometry:
     def test_overlap_on_shared_attrs(self):

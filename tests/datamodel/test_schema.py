@@ -115,10 +115,6 @@ class TestSchema:
         assert a == b and hash(a) == hash(b)
         assert a != Schema.of("y", "x")
 
-    def test_roundtrip_dict(self):
-        s = Schema.of("x", "y", "wp", coordinates=("x", "y"))
-        assert Schema.from_dict(s.to_dict()) == s
-
     def test_record_size_21_attributes(self):
         # Section 2: "a total of 21 attributes for each dataset"
         names = ["x", "y", "z"] + [f"a{i}" for i in range(18)]

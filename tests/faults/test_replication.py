@@ -69,10 +69,6 @@ class TestDescriptorReplicas:
         with pytest.raises(ValueError):
             self._desc((self._ref(0),))  # duplicates the primary's node
 
-    def test_json_round_trip_preserves_replicas(self):
-        desc = self._desc((self._ref(1), self._ref(3)))
-        assert ChunkDescriptor.from_dict(desc.to_dict()) == desc
-
 
 class TestGeneratedDescriptors:
     def test_replicas_on_failover_nodes(self):

@@ -222,17 +222,6 @@ class TestRangeQueries:
 
 
 class TestPersistence:
-    def test_roundtrip(self, service, tmp_path):
-        service.put("join_index/v1", {"edges": [[0, 1]]})
-        path = tmp_path / "meta.json"
-        service.save(path)
-        loaded = MetaDataService.load(path)
-        assert loaded.table("T1").num_records == 1600
-        assert loaded.get("join_index/v1") == {"edges": [[0, 1]]}
-        # range queries still work after reload (index rebuilt lazily)
-        hits = loaded.find_chunks("T1", BoundingBox({"x": (0, 15.9), "y": (0, 15.9)}))
-        assert len(hits) == 1
-
     def test_kv_default(self, service):
         assert service.get("missing", default=42) == 42
 

@@ -28,6 +28,15 @@ def _obs_section(counter_windows=None, total=2.0):
     }
 
 
+def _report(**sections):
+    """The smallest payload every reader of a server report accepts."""
+    return {
+        "queries": [], "tenants": {},
+        "dispositions": {"per_tenant": {"a": {"completed": 1}}}, "cache": {},
+        **sections,
+    }
+
+
 class TestValidateObservability:
     def test_clean_section_passes(self):
         assert validate_observability(_obs_section()) == []
@@ -125,11 +134,9 @@ class TestValidateCli:
             json.dumps({"seq": 0, "t": 0.0, "event": "submit"}) + "\n"
         )
         report = tmp_path / "report.json"
-        report.write_text(json.dumps(
-            {"queries": [], "observability": _obs_section()}
-        ))
+        report.write_text(json.dumps(_report(observability=_obs_section())))
         plain = tmp_path / "plain.json"
-        plain.write_text(json.dumps({"queries": []}))
+        plain.write_text(json.dumps(_report()))
         assert main([str(oplog), str(report), str(plain)]) == 0
         out = capsys.readouterr().out
         assert out.count("OK") == 3
@@ -139,6 +146,29 @@ class TestValidateCli:
         bad.write_text(json.dumps({"seq": 5, "t": 0.0, "event": "submit"}) + "\n")
         assert main([str(bad)]) == 1
         assert "seq" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("breaks", [
+        lambda r: r["dispositions"]["per_tenant"]["a"].update(completed="1"),
+        lambda r: r.pop("tenants"),
+        lambda r: r.update(queries={}),
+    ], ids=["per-tenant-count-a-string", "no-tenants", "queries-an-object"])
+    def test_what_the_readers_refuse_fails(self, breaks, tmp_path, capsys):
+        """One report check: a payload ``repro top`` and ``repro advise``
+        refuse (exit 2) fails here too, and the one they read passes."""
+        from repro.cli import main as cli_main
+
+        path = tmp_path / "report.json"
+        report = _report()
+        path.write_text(json.dumps(report))
+        assert main([str(path)]) == 0 and cli_main(["top", str(path)]) == 0
+        breaks(report)
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main([str(path)]) == 1
+        violation = capsys.readouterr().out
+        for command in ("top", "advise"):
+            assert cli_main([command, str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {violation}"
 
     def test_unrecognised_artifact_fails(self, tmp_path):
         mystery = tmp_path / "what.json"
