@@ -952,9 +952,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "is hit (default reject-newest)")
     p_serve.add_argument("--breaker-threshold", type=float, default=None,
                          metavar="S",
-                         help="open a circuit breaker shedding predicted-"
-                              "expensive queries while observed queue-wait "
-                              "p99 exceeds S seconds (default off)")
+                         help="open a circuit breaker while observed "
+                              "queue-wait p99 exceeds S seconds; an open "
+                              "breaker sheds every arriving query "
+                              "(default off)")
     p_serve.add_argument("--fail-mode", choices=["strict", "graceful"],
                          default="strict",
                          help="strict (default): a query exhausting its "

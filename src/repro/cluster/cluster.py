@@ -8,7 +8,7 @@ the composite operations the QES implementations need:
   read on the storage node, then network transfer to the compute node
   (synchronous RPC-style, mirroring the request/response implementation
   the paper describes).
-* ``scratch_write`` / ``scratch_read`` — Grace Hash bucket I/O on the
+* ``ingest_write`` / ``scratch_read`` — Grace Hash bucket I/O on the
   compute node; in the NFS topology these route over the network to the
   shared server's disk.
 * ``compute(...)`` — CPU reservations for hash build/probe work.
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.cluster.events import Event, Process, SimEngine, Timeout
+from repro.cluster.events import Event, Process, SimEngine
 from repro.cluster.network import NetworkFabric, NFSFabric
 from repro.cluster.nodes import ComputeNode, MachineSpec, StorageNode, PAPER_MACHINE
 from repro.cluster.resources import BandwidthResource
@@ -232,10 +232,6 @@ class ClusterSim:
             engine._emit("storage_read", read, storage, compute, nbytes)
         return read
 
-    def send(self, src_compute_or_storage_fabric: int, dst_fabric: int, nbytes: int) -> Timeout:
-        """Raw fabric transfer between two fabric ids."""
-        return self.fabric.transfer(src_compute_or_storage_fabric, dst_fabric, nbytes)
-
     def ingest_write(self, compute: int, nbytes: int) -> Event:
         """Bucket write of a just-received batch by the joiner's QES thread.
 
@@ -253,17 +249,6 @@ class ClusterSim:
         return BandwidthResource.reserve_joint_seconds(
             self._ingest[compute], c.write_seconds(nbytes), nbytes
         )
-
-    def scratch_write(self, compute: int, nbytes: int) -> Event:
-        """Write ``nbytes`` of bucket data from compute node ``compute``.
-
-        Local-disk topology: a write on the node's scratch disk.  NFS
-        topology: a transfer to the server followed by a server disk write.
-        """
-        c = self.compute_nodes[compute]
-        if c.has_local_disk:
-            return c.scratch_write(nbytes)
-        return self._nfs_scratch(c, nbytes, write=True)
 
     def scratch_read(self, compute: int, nbytes: int) -> Event:
         """Read bucket data back on compute node ``compute``."""

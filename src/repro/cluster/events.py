@@ -385,13 +385,6 @@ class AnyOf(Event):
         for i, ev in enumerate(self._children):
             ev.callbacks.append(lambda e, i=i: self._settle(i, e))
 
-    @property
-    def first(self) -> Event:
-        """The winning child event (only meaningful once triggered)."""
-        if self.first_index is None:
-            raise SimulationError("race not settled yet")
-        return self._children[self.first_index]
-
     def _settle(self, i: int, ev: Event) -> None:
         if self._triggered:
             return  # race already won by an earlier child

@@ -105,13 +105,11 @@ class StorageNode:
 class ComputeNode:
     """A compute-cluster node: CPU, memory, and (usually) a scratch disk.
 
-    ``scratch_read`` / ``scratch_write`` are separate serial resources with
-    distinct rates but share nothing — the IDE disks of the testbed do not
-    overlap reads and writes, so both reservations go through a single
-    underlying device resource (``_scratch``) whose rate is switched per
-    request by using the slower direction's service time.  We model the
-    device as one FIFO server and charge reads at ``disk_read_bw``, writes
-    at ``disk_write_bw``.
+    Bucket reads (:meth:`scratch_read`) and writes (``ClusterSim.ingest_write``,
+    timed by :meth:`write_seconds`) go through one serial device resource,
+    :attr:`scratch` — the IDE disks of the testbed do not overlap reads and
+    writes.  We model the device as one FIFO server and charge reads at
+    ``disk_read_bw``, writes at ``disk_write_bw``.
     """
 
     def __init__(
@@ -147,10 +145,6 @@ class ComputeNode:
     def write_seconds(self, nbytes: int) -> float:
         """Service time of an ``nbytes`` write on the local scratch disk."""
         return self.spec.disk_latency + nbytes / self.spec.disk_write_bw
-
-    def scratch_write(self, nbytes: int):
-        """Reserve a bucket write on the local scratch disk."""
-        return self.scratch.reserve_at_rate(nbytes, self.spec.disk_write_bw)
 
     def scratch_read(self, nbytes: int):
         """Reserve a bucket read on the local scratch disk."""

@@ -41,7 +41,7 @@ network once and the server disk once, serialised with everything else).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.cluster.nodes import MachineSpec
@@ -83,7 +83,8 @@ class TermCalibration:
     this deployment".  The drift observatory fits these from accumulated
     ``(predicted, observed)`` records (see
     :func:`repro.experiments.calibration.fit_term_calibration`) and feeds
-    them back through :meth:`CostParameters.with_calibration`, closing the
+    them back as the ``calibration`` field of :class:`CostParameters`
+    (``CostParameters.from_machine(..., calibration=)``), closing the
     planner's feedback loop without touching the physical Table 1 inputs.
     """
 
@@ -102,14 +103,6 @@ class TermCalibration:
     def is_identity(self) -> bool:
         return self == IDENTITY_CALIBRATION
 
-    def factor_for(self, term: str) -> float:
-        """Factor for a cost-model term name (``Transfer``, ``Write``,
-        ``Read``) or a breakdown field (``cpu_build``, ``cpu_lookup``)."""
-        key = term.lower().replace("-", "_")
-        if not hasattr(self, key):
-            raise KeyError(f"unknown cost term {term!r}")
-        return getattr(self, key)
-
     def to_dict(self) -> dict:
         return {
             "transfer": self.transfer,
@@ -118,10 +111,6 @@ class TermCalibration:
             "cpu_build": self.cpu_build,
             "cpu_lookup": self.cpu_lookup,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TermCalibration":
-        return cls(**{k: float(v) for k, v in data.items()})
 
 
 IDENTITY_CALIBRATION = TermCalibration()
@@ -220,10 +209,6 @@ class CostParameters:
                 calibration if calibration is not None else IDENTITY_CALIBRATION
             ),
         )
-
-    def with_calibration(self, calibration: TermCalibration) -> "CostParameters":
-        """The same Table 1 inputs with fitted per-term corrections."""
-        return replace(self, calibration=calibration)
 
 
 @dataclass(frozen=True)

@@ -56,11 +56,6 @@ class Plan:
         return self.ij_cost if self.algorithm == "indexed-join" else self.gh_cost
 
     @property
-    def counterfactual_cost(self) -> CostBreakdown:
-        """The cost breakdown of the algorithm the planner rejected."""
-        return self.gh_cost if self.algorithm == "indexed-join" else self.ij_cost
-
-    @property
     def counterfactual_algorithm(self) -> str:
         return "grace-hash" if self.algorithm == "indexed-join" else "indexed-join"
 

@@ -106,25 +106,6 @@ class BoundingBox:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_bounds(
-        cls,
-        names: Iterable[str],
-        lows: Iterable[float],
-        highs: Iterable[float],
-    ) -> "BoundingBox":
-        """Build a box from parallel sequences, the paper's tuple notation.
-
-        ``from_bounds(("x", "y"), (0, 0), (64, 64))`` is the box
-        ``[(0, 0), (64, 64)]`` over ``(x, y)``.
-        """
-        names = list(names)
-        lows = list(lows)
-        highs = list(highs)
-        if not (len(names) == len(lows) == len(highs)):
-            raise ValueError("names, lows and highs must have equal length")
-        return cls({n: Interval(float(lo), float(hi)) for n, lo, hi in zip(names, lows, highs)})
-
-    @classmethod
     def empty(cls) -> "BoundingBox":
         """The all-unbounded box (overlaps every other box)."""
         return cls()
@@ -142,8 +123,7 @@ class BoundingBox:
 
     def bounds(self, names: Iterable[str]) -> Tuple[List[float], List[float]]:
         """The box projected onto ``names`` as parallel ``(lows, highs)``
-        lists — the inverse of :meth:`from_bounds` and the form the R-tree
-        takes.  Attributes the box does not mention come out ``-inf``/``inf``."""
+        lists, the form the R-tree takes.  Attributes the box does not mention come out ``-inf``/``inf``."""
         intervals = [self.interval(n) for n in names]
         return [iv.lo for iv in intervals], [iv.hi for iv in intervals]
 
@@ -187,16 +167,6 @@ class BoundingBox:
                 return False
         return True
 
-    def contains_point(self, point: Mapping[str, float]) -> bool:
-        """True when every bounded attribute's interval contains the point.
-
-        Attributes missing from ``point`` are ignored (unconstrained).
-        """
-        for name, iv in self._intervals.items():
-            if name in point and not iv.contains(float(point[name])):
-                return False
-        return True
-
     def contains_box(self, other: "BoundingBox") -> bool:
         """True when ``other`` lies entirely inside this box."""
         for name, iv in self._intervals.items():
@@ -227,13 +197,3 @@ class BoundingBox:
                 return None
             out[name] = iv
         return BoundingBox(out)
-
-    def volume(self, names: Optional[Iterable[str]] = None) -> float:
-        """Product of interval lengths over ``names`` (default: all bounded
-        attributes).  Infinite if any requested attribute is unbounded; a
-        degenerate interval contributes factor 0."""
-        names = list(names) if names is not None else list(self._intervals)
-        vol = 1.0
-        for name in names:
-            vol *= self.interval(name).length
-        return vol

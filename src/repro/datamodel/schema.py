@@ -165,13 +165,6 @@ class Schema:
         """Schema restricted to ``names``, in the given order."""
         return Schema(self[name] for name in names)
 
-    def rename(self, mapping: Dict[str, str]) -> "Schema":
-        """Schema with attributes renamed per ``mapping`` (others unchanged)."""
-        return Schema(
-            Attribute(mapping.get(a.name, a.name), a.dtype, a.coordinate)
-            for a in self._attributes
-        )
-
     def join(self, other: "Schema", on: Sequence[str], suffix: str = "_r") -> "Schema":
         """Schema of the equi-join result: this schema, then ``other`` minus
         the join attributes; clashing non-join names on the right get

@@ -145,12 +145,6 @@ class SubTable:
             out[name] = self._columns[name]
         return out
 
-    @classmethod
-    def from_structured_array(
-        cls, id: SubTableId, schema: Schema, data: np.ndarray
-    ) -> "SubTable":
-        return cls(id, schema, {name: data[name] for name in schema.names})
-
     # -- relational operators ---------------------------------------------------
 
     def select(self, mask: np.ndarray) -> "SubTable":

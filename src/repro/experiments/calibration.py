@@ -20,7 +20,9 @@ direction of the loop.  ``repro run --analyze`` accumulates per-term
 per :class:`~repro.core.cost_models.TermCalibration` field and takes the
 ratio of total observed to total predicted seconds — the least-squares
 multiplier under the model's own linear structure.  The result plugs
-back into planning via :meth:`CostParameters.with_calibration`.
+back into planning as the ``calibration`` field of
+:class:`~repro.core.cost_models.CostParameters`, which
+``CostParameters.from_machine(..., calibration=)`` sets.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ disk's bandwidth by ``factor`` from time ``t`` on.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -61,8 +62,8 @@ class NodeCrash:
     def __post_init__(self):
         if self.kind not in ("storage", "compute"):
             raise ValueError(f"unknown crash kind {self.kind!r}")
-        if self.at < 0:
-            raise ValueError(f"negative crash time {self.at}")
+        if not (math.isfinite(self.at) and self.at >= 0):
+            raise ValueError(f"crash time must be finite and >= 0, got {self.at}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ class Degradation:
     def __post_init__(self):
         if self.kind not in ("disk", "nic"):
             raise ValueError(f"unknown degradation kind {self.kind!r}")
-        if self.at < 0:
-            raise ValueError(f"negative degradation time {self.at}")
+        if not (math.isfinite(self.at) and self.at >= 0):
+            raise ValueError(f"degradation time must be finite and >= 0, got {self.at}")
         if not (0 < self.factor < 1):
             raise ValueError(f"degradation factor must be in (0, 1), got {self.factor}")
 
@@ -105,8 +106,8 @@ class FaultPlan:
             )
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.retry_base < 0:
-            raise ValueError("retry_base must be >= 0")
+        if not (math.isfinite(self.retry_base) and self.retry_base >= 0):
+            raise ValueError(f"retry_base must be finite and >= 0, got {self.retry_base}")
 
     @property
     def is_trivial(self) -> bool:
@@ -129,16 +130,23 @@ class FaultPlan:
         ``compute_crash=<t>[@node]``, ``transient=<p>``,
         ``disk_degrade=<t>:<factor>[@node]``,
         ``nic_degrade=<t>:<factor>[@node]``, ``max_attempts=<int>``,
-        ``retry_base=<float>``.
+        ``retry_base=<float>``.  The four single-value keys (``seed``,
+        ``transient``, ``max_attempts``, ``retry_base``) may each be given
+        once; crash and degrade keys may repeat.
         """
         kw = dict(seed=0, transfer_failure_rate=0.0, max_attempts=8, retry_base=0.05)
         crashes, degradations = [], []
+        seen = set()
         for item in filter(None, (s.strip() for s in spec.split(","))):
             if "=" not in item:
                 raise ValueError(f"bad fault spec item {item!r} (expected key=value)")
             key, _, val = item.partition("=")
             key = key.strip()
             val = val.strip()
+            if key in ("seed", "transient", "max_attempts", "retry_base"):
+                if key in seen:
+                    raise ValueError(f"fault spec key {key!r} given twice")
+                seen.add(key)
             node = None
             if "@" in val:
                 val, _, node_s = val.partition("@")

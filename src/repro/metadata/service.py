@@ -52,13 +52,6 @@ class TableCatalog:
     def nbytes(self) -> int:
         return sum(c.size for c in self.chunks.values())
 
-    @property
-    def avg_chunk_records(self) -> float:
-        """Average sub-table cardinality — ``c_R`` / ``c_S`` of Table 1."""
-        if not self.chunks:
-            return 0.0
-        return self.num_records / len(self.chunks)
-
     def add_chunk(self, desc: ChunkDescriptor) -> None:
         if desc.table_id != self.table_id:
             raise ValueError(
@@ -149,9 +142,6 @@ class MetaDataService:
         except KeyError:
             raise KeyError(f"no table with id {key}") from None
 
-    def tables(self) -> List[TableCatalog]:
-        return [self._by_id[k] for k in sorted(self._by_id)]
-
     def chunk(self, id: SubTableId) -> ChunkDescriptor:
         catalog = self.table(id.table_id)
         try:
@@ -162,14 +152,6 @@ class MetaDataService:
     def find_chunks(self, table: int | str, query: BoundingBox) -> List[ChunkDescriptor]:
         """Range query: chunk descriptors of ``table`` intersecting ``query``."""
         return self.table(table).find_chunks(query)
-
-    def replica_nodes(self, id: SubTableId) -> List[int]:
-        """Storage nodes holding a copy of chunk ``id``, primary first.
-
-        The failover order: a reader tries these in sequence until one
-        serves the chunk.  Length 1 without replication.
-        """
-        return [r.storage_node for r in self.chunk(id).all_refs]
 
     def chunks_on_node(self, table: int | str, storage_node: int) -> List[ChunkDescriptor]:
         """Chunks of ``table`` that live on ``storage_node`` (what a local

@@ -237,11 +237,10 @@ class CircuitBreaker:
     Watches the p99 of recently *observed* queue waits (a sliding window
     fed at each admission); while that p99 exceeds ``threshold`` the
     breaker is open and queries the planner predicts to cost at least
-    ``cost_cutoff`` seconds are shed.  Cheap queries keep flowing — the
-    point is to stop predicted-expensive work from compounding an
-    already-backed-up queue, not to close the door.  The breaker closes
-    by itself once enough fast admissions age the slow waits out of the
-    window.
+    ``cost_cutoff`` seconds are shed.  At the default cutoff of 0.0,
+    which the CLI does not change, every prediction reaches the cutoff,
+    so an open breaker sheds every arriving query.  The breaker closes by itself once enough fast
+    admissions age the slow waits out of the window.
     """
 
     #: waits the window must hold before the breaker can open
@@ -307,6 +306,10 @@ class ResilienceConfig:
     ``serve()`` as a structured error (the CLI's strict default — a
     fault plan the deployment cannot mask should fail the run loudly,
     never hang it).
+
+    ``breaker_cost_cutoff`` is the predicted time from which an open
+    breaker sheds a query; at its default of 0.0 an open breaker sheds
+    every arriving query.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)

@@ -278,53 +278,6 @@ class ServerReport:
             payload["observability"] = self.observability
         return payload
 
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "ServerReport":
-        """Rebuild a report from its :meth:`to_payload` dump.
-
-        The round trip pins the JSON schema the dashboard consumes:
-        ``digest()`` and the per-tenant disposition counts of a reloaded
-        report must match the original exactly (asserted in tests).
-        Derived per-record fields (``queue_wait``/``latency``/...) are
-        recomputed from the base fields, never trusted from the file.
-        """
-        records = [
-            QueryRecord(
-                qid=q["qid"],
-                tenant=q["tenant"],
-                kind=q["kind"],
-                algorithm=q["algorithm"],
-                arrival_at=q["arrival_at"],
-                admitted_at=q["admitted_at"],
-                finished_at=q["finished_at"],
-                predicted_time=q["predicted_time"],
-                bytes_from_storage=q["bytes_from_storage"],
-                pairs_joined=q["pairs_joined"],
-                cache_hits=q["cache_hits"],
-                cache_misses=q["cache_misses"],
-                result_records=q["result_records"],
-                disposition=q["disposition"],
-                retries=q["retries"],
-                failure=q["failure"],
-            )
-            for q in payload["queries"]
-        ]
-        tenants = payload["tenants"]
-        return cls(
-            policy=payload["policy"],
-            slots=payload["slots"],
-            makespan=payload["makespan_s"],
-            records=records,
-            admission_order=list(payload["admission_order"]),
-            tenant_latency=tenants["latency"],
-            tenant_queue_wait=tenants["queue_wait"],
-            cache_per_node=payload["cache"]["per_node"],
-            bytes_from_storage=payload["bytes_from_storage"],
-            tenant_dispositions=payload["dispositions"]["per_tenant"],
-            disposition_latency=tenants["disposition_latency"],
-            observability=payload.get("observability"),
-        )
-
     def digest(self) -> str:
         """Hash of the tie-break-invariant observables.
 

@@ -74,20 +74,6 @@ class SLOObjective:
             return True
         return latency <= self.latency_target
 
-    @classmethod
-    def from_dict(cls, spec: Mapping[str, Any]) -> "SLOObjective":
-        """Parse the ``"slo"`` object of a tenant-mix JSON entry."""
-        known = {"availability", "latency"}
-        unknown = sorted(set(spec) - known)
-        if unknown:
-            raise ValueError(f"unknown slo keys {unknown}")
-        kwargs: Dict[str, Any] = {}
-        if "availability" in spec:
-            kwargs["availability"] = float(spec["availability"])
-        if "latency" in spec:
-            kwargs["latency_target"] = float(spec["latency"])
-        return cls(**kwargs)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "availability": self.availability,

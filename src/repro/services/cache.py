@@ -66,7 +66,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
     TypeVar,
 )
 
@@ -676,14 +675,6 @@ class CachingService(Generic[K, V]):
             self._emit("drop", key, entry.nbytes)
         return True
 
-    def clear(self) -> None:
-        """Drop every entry; refused, dropping nothing, while any is pinned."""
-        pinned = [k for k, e in self._entries.items() if e.pins]
-        if pinned:
-            raise ValueError(f"cannot clear a cache with pinned keys {pinned!r}")
-        for key in list(self._entries):
-            self.remove(key)
-
     # -- internals -----------------------------------------------------------------------
 
     def _evict_one(
@@ -711,10 +702,9 @@ class PinScope(Generic[K, V]):
 
     Every pin acquired *through the scope* — a hit of :meth:`acquire`,
     :meth:`pin`, or a :meth:`put` with ``pin=True`` that actually
-    inserted — is recorded, and any still-held pin is released when the
-    scope closes, however it closes.  Code may release early with
-    :meth:`release` (the normal after-probe unpin); the exit path then
-    has nothing left to do.
+    inserted — is recorded, and every pin it holds is released when the
+    scope closes, however it closes: a ``with cache.pin_scope()`` block
+    is the lifetime of its pins.
 
     The scope holds only pins it acquired, so independent queries can
     each run their own scopes against the same shared cache without
@@ -743,10 +733,6 @@ class PinScope(Generic[K, V]):
         self.close()
         return None
 
-    @property
-    def held(self) -> Tuple[K, ...]:
-        return tuple(self._held)
-
     def acquire(self, key: K) -> Optional[V]:
         """:meth:`CachingService.acquire`: the value, pinned and tracked
         by this scope, or ``None`` on a miss (nothing pinned)."""
@@ -774,14 +760,6 @@ class PinScope(Generic[K, V]):
         if ok and pin:
             self._held.append(key)
         return ok
-
-    def release(self, key: K) -> None:
-        """Release one held pin early (raises if the scope never took it)."""
-        try:
-            self._held.remove(key)
-        except ValueError:
-            raise ValueError(f"pin scope does not hold a pin on {key!r}") from None
-        self._cache.unpin(key)
 
     def close(self) -> None:
         """Release every pin still held; idempotent."""

@@ -52,15 +52,6 @@ class LayoutDescriptor:
     def layout(self) -> ChunkLayout:
         return layout_by_name(self.order)
 
-    def to_text(self) -> str:
-        """Render back to descriptor syntax (round-trips through the parser)."""
-        lines = [f"layout {self.name} {{", f"    order: {self.order};"]
-        for attr in self.schema:
-            coord = " coordinate" if attr.coordinate else ""
-            lines.append(f"    field {attr.name} {attr.dtype}{coord};")
-        lines.append("}")
-        return "\n".join(lines)
-
 
 class DescriptorSyntaxError(ValueError):
     """Raised on malformed descriptor text, with a line number."""

@@ -162,13 +162,6 @@ class ExtractorRegistry:
         self._extractors[extractor.name] = extractor
         return extractor
 
-    def register_descriptors(self, text: str) -> list[DescribedExtractor]:
-        """Parse descriptor text and register one extractor per block."""
-        built = [DescribedExtractor(d) for d in parse_layout_descriptor(text)]
-        for e in built:
-            self.register(e)
-        return built
-
     def get(self, name: str) -> Extractor:
         try:
             return self._extractors[name]

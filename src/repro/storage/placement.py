@@ -34,10 +34,6 @@ class PlacementPolicy:
         """Storage node for the ``ordinal``-th of ``total`` chunks."""
         raise NotImplementedError
 
-    def assign(self, total: int) -> Sequence[int]:
-        """Node ids for all ``total`` chunks, in order."""
-        return [self.node_for(i, total) for i in range(total)]
-
     def replicas_for(self, ordinal: int, total: int, k: int) -> Sequence[int]:
         """Node ids for the ``k`` copies of a chunk, primary first.
 

@@ -49,10 +49,6 @@ class WrittenTable:
     chunks: List[ChunkDescriptor] = field(default_factory=list)
 
     @property
-    def num_chunks(self) -> int:
-        return len(self.chunks)
-
-    @property
     def num_records(self) -> int:
         return sum(c.num_records for c in self.chunks)
 

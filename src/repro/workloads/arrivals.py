@@ -197,8 +197,11 @@ class TenantSpec:
         unknown = sorted(set(slo) - {"availability", "latency"})
         if unknown:
             raise ValueError(f"unknown slo keys {unknown}")
+        name = data["name"]
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"name must be a non-empty string, got {name!r}")
         return cls(
-            name=str(data["name"]),
+            name=name,
             rate=float(_number(data.get("rate", 1.0), "rate")),
             num_queries=int(num_queries),
             mix=mix_t,

@@ -188,7 +188,7 @@ class TestClusterSim:
         sim = ClusterSim(ClusterTopology(1, 1), spec=spec)
 
         def proc():
-            yield sim.scratch_write(0, 100)  # 5s at write rate
+            yield sim.ingest_write(0, 100)  # 5s at write rate, NIC held too
             yield sim.scratch_read(0, 100)  # 4s at read rate
             return sim.engine.now
 
@@ -200,7 +200,7 @@ class TestClusterSim:
 
         def proc():
             # write: net (10s) + server disk write (5s)
-            yield sim.scratch_write(0, 100)
+            yield sim.ingest_write(0, 100)
             return sim.engine.now
 
         assert sim.engine.run_process(proc()) == pytest.approx(15.0)
@@ -211,7 +211,7 @@ class TestClusterSim:
         sim = ClusterSim(ClusterTopology(1, 2, shared_nfs=True), spec=spec)
 
         def proc(j):
-            yield sim.scratch_write(j, 100)
+            yield sim.ingest_write(j, 100)
 
         for j in range(2):
             sim.engine.process(proc(j))

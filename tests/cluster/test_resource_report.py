@@ -22,7 +22,7 @@ class TestMachineSpecLatency:
         sim = ClusterSim(ClusterTopology(1, 1), spec=spec)
 
         def proc():
-            yield sim.send(0, 1, 0)
+            yield sim.fabric.transfer(0, 1, 0)
 
         sim.engine.run_process(proc())
         assert sim.engine.now == pytest.approx(0.002)

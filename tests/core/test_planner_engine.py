@@ -156,7 +156,6 @@ class TestPlanner:
         forced = replace(plan, algorithm="grace-hash")
         assert forced.predicted_time == plan.gh_cost.total
         assert forced.chosen_cost == plan.gh_cost
-        assert forced.counterfactual_cost == plan.ij_cost
         assert forced.counterfactual_algorithm == "indexed-join"
 
     def test_tossup_flagged_in_describe(self, dataset):

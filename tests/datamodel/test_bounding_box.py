@@ -1,7 +1,5 @@
 """Unit and property tests for BoundingBox / Interval algebra."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,8 +66,8 @@ class TestInterval:
 class TestBoundingBoxBasics:
     def test_paper_figure1_box(self):
         # lower-left chunk of T1: [(0, 0, 0.2, 0.3), (64, 64, 0.8, 0.5)]
-        box = BoundingBox.from_bounds(
-            ("x", "y", "oilp", "soil"), (0, 0, 0.2, 0.3), (64, 64, 0.8, 0.5)
+        box = BoundingBox(
+            {"x": (0, 64), "y": (0, 64), "oilp": (0.2, 0.8), "soil": (0.3, 0.5)}
         )
         assert box.interval("x") == Interval(0, 64)
         assert box.interval("soil") == Interval(0.3, 0.5)
@@ -78,10 +76,6 @@ class TestBoundingBoxBasics:
         box = BoundingBox({"x": (0, 1)})
         assert box.interval("y").is_unbounded
         assert "y" not in box
-
-    def test_from_bounds_length_mismatch(self):
-        with pytest.raises(ValueError):
-            BoundingBox.from_bounds(("x",), (0, 1), (2,))
 
     def test_unbounded_entries_are_normalised_away(self):
         box = BoundingBox({"x": Interval.unbounded(), "y": (0, 1)})
@@ -126,13 +120,6 @@ class TestBoundingBoxGeometry:
     def test_empty_box_overlaps_everything(self):
         assert BoundingBox.empty().overlaps(BoundingBox({"x": (0, 1)}))
 
-    def test_contains_point(self):
-        box = BoundingBox({"x": (0, 10), "y": (0, 10)})
-        assert box.contains_point({"x": 5, "y": 5})
-        assert not box.contains_point({"x": 5, "y": 11})
-        # unconstrained coordinate in the point is ignored
-        assert box.contains_point({"x": 5})
-
     def test_contains_box(self):
         outer = BoundingBox({"x": (0, 10)})
         inner = BoundingBox({"x": (2, 3), "y": (5, 6)})
@@ -159,12 +146,6 @@ class TestBoundingBoxGeometry:
 
     def test_intersect_disjoint_is_none(self):
         assert BoundingBox({"x": (0, 1)}).intersect(BoundingBox({"x": (2, 3)})) is None
-
-    def test_volume(self):
-        box = BoundingBox({"x": (0, 2), "y": (0, 3)})
-        assert box.volume() == 6.0
-        assert box.volume(("x",)) == 2.0
-        assert math.isinf(box.volume(("x", "z")))
 
 
 # ---------------------------------------------------------------------------

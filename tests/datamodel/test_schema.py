@@ -75,11 +75,6 @@ class TestSchema:
         p = s.project(["wp", "x"])
         assert p.names == ("wp", "x")
 
-    def test_rename(self):
-        s = Schema.of("x", "wp")
-        r = s.rename({"wp": "water_pressure"})
-        assert r.names == ("x", "water_pressure")
-
     def test_join_schema(self):
         t1 = Schema.of("x", "y", "oilp", coordinates=("x", "y"))
         t2 = Schema.of("x", "y", "wp", coordinates=("x", "y"))

@@ -1,5 +1,7 @@
 """Tests for the experiment runner, figure sweeps and host calibration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import PAPER_MACHINE
@@ -159,7 +161,9 @@ class TestTermCalibrationRoundTrip:
         )
         assert replanned.params.calibration == calibration
         assert replanned.gh_pred == pytest.approx(
-            grace_hash_cost(points[0].params.with_calibration(calibration)).total
+            grace_hash_cost(
+                replace(points[0].params, calibration=calibration)
+            ).total
         )
         # the simulation itself must not see the calibration
         assert replanned.gh_sim == points[0].gh_sim

@@ -85,6 +85,27 @@ class TestParse:
         with pytest.raises(ValueError):
             FaultPlan.parse("disk_degrade=0.8")
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("storage_crash=nan", "crash time must be finite and >= 0, got nan"),
+            ("storage_crash=inf", "crash time must be finite and >= 0, got inf"),
+            ("compute_crash=inf@1", "crash time must be finite and >= 0, got inf"),
+            ("disk_degrade=nan:0.5", "degradation time must be finite and >= 0, got nan"),
+            ("nic_degrade=inf:0.5", "degradation time must be finite and >= 0, got inf"),
+            ("retry_base=nan", "retry_base must be finite and >= 0, got nan"),
+            ("retry_base=inf", "retry_base must be finite and >= 0, got inf"),
+            ("seed=7,seed=8", "'seed' given twice"),
+            ("transient=0.1,transient=0.2", "'transient' given twice"),
+            ("max_attempts=3,max_attempts=5", "'max_attempts' given twice"),
+        ],
+    )
+    def test_parse_refuses_non_finite_times_and_repeated_keys(self, spec, named):
+        """A NaN retry base once skipped every backoff, an infinite crash
+        time never fired, and a repeated key silently kept its last value."""
+        with pytest.raises(ValueError, match=named):
+            FaultPlan.parse(spec)
+
     def test_round_trip(self):
         plan = FaultPlan.parse(
             "seed=9,transient=0.05,storage_crash=0.5@1,nic_degrade=2.0:0.5@0"

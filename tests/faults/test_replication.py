@@ -95,7 +95,7 @@ class TestDatasetReplication:
         )
         for table in (1, 2):
             for desc in ds.metadata.table(table).chunks.values():
-                nodes = ds.metadata.replica_nodes(desc.id)
+                nodes = [r.storage_node for r in ds.metadata.chunk(desc.id).all_refs]
                 assert len(nodes) == 2
                 assert nodes[1] == (nodes[0] + 1) % 3
 

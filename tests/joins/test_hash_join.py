@@ -150,7 +150,7 @@ class TestKernels:
         take = np.repeat(rng.choice(256, size=64, replace=False), 2)
         right = SubTable(
             SubTableId(2, 0),
-            schema.rename({"v": "w"}),
+            Schema.of(*on, "w", dtype="int32"),
             {**{name: left.column(name)[take] for name in on}, "w": take.astype(np.int32)},
         )
         out, stats = kernel(left, right, on=on)

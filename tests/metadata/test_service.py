@@ -80,13 +80,7 @@ class TestCatalogStats:
     def test_totals(self, service):
         cat = service.table("T1")
         assert cat.num_records == 1600
-        assert cat.avg_chunk_records == 100
         assert cat.nbytes == 16 * 800
-
-    def test_empty_catalog_avg(self):
-        svc = MetaDataService()
-        cat = svc.register_table(9, "E", Schema.of("x", coordinates=("x",)))
-        assert cat.avg_chunk_records == 0.0
 
 
 class TestRangeQueries:

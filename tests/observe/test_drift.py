@@ -43,7 +43,7 @@ class TestFingerprint:
 
     def test_insensitive_to_calibration(self):
         params = run_point(SMALL, n_s=2, n_j=2).params
-        calibrated = params.with_calibration(TermCalibration(transfer=1.5))
+        calibrated = replace(params, calibration=TermCalibration(transfer=1.5))
         assert config_fingerprint(params) == config_fingerprint(calibrated)
 
 
@@ -150,7 +150,7 @@ class TestMiscalibrationLoop:
     def test_replanning_with_calibration_shrinks_prediction(self, drifted):
         bad_params, records = drifted
         calibration = fit_term_calibration(records)
-        replanned = bad_params.with_calibration(calibration)
+        replanned = replace(bad_params, calibration=calibration)
         fresh = []
         res = run_point(SMALL, n_s=2, n_j=2, telemetry=True)
         for report in (res.ij_report, res.gh_report):

@@ -146,5 +146,6 @@ def test_bbox_relaxation_is_conservative(lo, width, seed):
     mask = pred.mask(sub)
     box = pred.bbox()
     matching = sub.select(mask)
-    for rec in zip(matching.column("x"), matching.column("wp")):
-        assert box.contains_point({"x": float(rec[0]), "wp": float(rec[1])})
+    for name in ("x", "wp"):
+        iv, col = box.interval(name), matching.column(name)
+        assert np.all((iv.lo <= col) & (col <= iv.hi))

@@ -37,14 +37,6 @@ class TestSLOObjective:
         with pytest.raises(ValueError):
             SLOObjective().is_good("vanished", None)
 
-    def test_from_dict_round_trip(self):
-        obj = SLOObjective.from_dict({"availability": 0.9, "latency": 2.0})
-        assert obj.availability == 0.9
-        assert obj.latency_target == 2.0
-        assert obj.to_dict() == {"availability": 0.9, "latency_target": 2.0}
-        with pytest.raises(ValueError):
-            SLOObjective.from_dict({"availability": 0.9, "latencies": 2.0})
-
 
 def _tracker(**kwargs):
     params = {

@@ -67,8 +67,6 @@ class TestBasicOperations:
         assert c.remove("a")
         assert not c.remove("a")
         assert c.used_bytes == 10
-        c.clear()
-        assert len(c) == 0 and c.used_bytes == 0
         assert c.stats.evictions == 0  # explicit removals aren't evictions
 
     def test_invalid_capacity(self):
@@ -125,7 +123,7 @@ class TestPinning:
 
     def test_a_pinned_entry_is_neither_removed_nor_cleared(self):
         """Removing a held entry once returned True, and the holder's
-        release then raised ``KeyError``; ``clear`` dropped it too."""
+        release then raised ``KeyError``."""
         c = CachingService(1000)
         c.put("a", 1, 10)
         c.put("b", 2, 10)
@@ -133,12 +131,9 @@ class TestPinning:
             scope.acquire("a")
             with pytest.raises(ValueError, match="cannot remove pinned key 'a'"):
                 c.remove("a")
-            with pytest.raises(ValueError, match=r"pinned keys \['a'\]"):
-                c.clear()
             assert list(c.keys()) == ["a", "b"] and c.used_bytes == 20
         assert c.remove("a")
-        c.clear()
-        assert len(c) == 0 and c.used_bytes == 0
+        assert list(c.keys()) == ["b"] and c.used_bytes == 10
 
 
 class TestLRU:

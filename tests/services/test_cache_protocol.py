@@ -96,7 +96,7 @@ class _Twin:
             "resident": list(entries),
             "used_bytes": cache.used_bytes,
             "victim": cache.policy.victim(lambda k: entries[k].pins == 0),
-            "held": self.scope.held,
+            "pinned_bytes": cache.pinned_bytes,
         }
 
 
@@ -146,7 +146,7 @@ def test_a_hit_notifies_hit_then_pin_and_a_miss_pins_nothing():
     with view.pin_scope() as scope:
         assert scope.acquire("a") == "va"
         assert scope.acquire("b") is None
-        assert scope.held == ("a",)
+        assert cache.pinned_bytes == 10
         assert cache._entries["a"].pins == 1
     assert seen == [
         ("hit", "a", 10, 5),

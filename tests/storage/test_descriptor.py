@@ -54,11 +54,6 @@ layout buffered {
         (d,) = parse_layout_descriptor(text)
         assert d.schema.names == ("x",)
 
-    def test_roundtrip_to_text(self):
-        (d,) = parse_layout_descriptor(T1_DESCRIPTOR)
-        (d2,) = parse_layout_descriptor(d.to_text())
-        assert d2 == d
-
     @pytest.mark.parametrize(
         "bad",
         [

@@ -149,6 +149,17 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == "" and "error: cpu_factor must be positive and finite" in err
 
+    def test_non_finite_retry_base_is_refused(self, capsys):
+        """A NaN retry base once ran every retry without its backoff and
+        exited 0."""
+        argv = ["run", "--grid", "16,16", "--p", "4,4", "--q", "4,4", "--storage", "2",
+                "--compute", "2", "--replication", "2",
+                "--faults", "seed=3,transient=0.5,retry_base=nan"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1
+        assert err.startswith("error: retry_base must be finite and >= 0, got nan")
+
     def test_run_reports_both_algorithms(self, capsys):
         assert main(["run", "--grid", "32,32,32", "--p", "8,8,8",
                      "--q", "8,8,8", "--storage", "2", "--compute", "2"]) == 0
@@ -565,10 +576,12 @@ class TestMalformedFiles:
         ('[{"name": "a", "num_querys": 5}]', "tenant #0: unknown keys ['num_querys']"),
         ('[{"name": "a", "rate": "fast"}]', "tenant #0: rate must be a number, got 'fast'"),
         ('[{"name": "a", "mix": ["scan"]}]', "tenant #0: mix must be"),
+        ('[{"name": "a", "slo": {"availability": 0.9, "latencies": 2.0}}]',
+         "tenant #0: unknown slo keys ['latencies']"),
         ('[{"name": ', "not JSON"),
     ], ids=["non-objects", "nameless", "no-tenants-key", "null-rate", "list-rate",
             "scalar-mix", "fractional-count", "misspelt-key", "word-rate",
-            "unpaired-mix", "unparsable"])
+            "unpaired-mix", "misspelt-slo-key", "unparsable"])
     def test_tenants_wrong_shape(self, content, reason, tmp_path, capsys):
         spec = tmp_path / "tenants.json"
         spec.write_text(content)
@@ -638,6 +651,21 @@ class TestMalformedFiles:
         assert status == 2
         assert captured.err.startswith(f"error: {spec}: tenant #0: ")
         assert self.NUMERIC_FIELDS[field] in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "name", [None, 7, ["a"], {"a": 1}, True], ids=["null", "number", "list", "object", "true"]
+    )
+    def test_tenant_name_must_be_a_string(self, name, tmp_path, capsys):
+        """A name that is not a JSON string was once served under Python's
+        ``str()`` of it: a tenant called ``None``, ``7`` or ``['a']``."""
+        spec = tmp_path / "tenants.json"
+        spec.write_text(json.dumps([{"name": name, "rate": 1.0, "num_queries": 2}]))
+        assert main(self.SERVE + [str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {spec}: tenant #0: name must be a non-empty string, got {name!r}"
+        )
         assert captured.out == ""
 
     @pytest.mark.parametrize("slo", [[], 0, False, ""], ids=["list", "zero", "false", "empty"])
