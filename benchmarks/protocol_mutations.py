@@ -145,19 +145,33 @@ CELLS: Tuple[Cell, ...] = (
     Cell(
         "pin/ij-joiner/never-closed", "pin", "joins/indexed_join.py",
         "IndexedJoinQES._joiner",
-        "the pair's `with cache.pin_scope()` becomes a bare scope nobody closes",
+        "the joiner's `with cache.pin_scope()` becomes a bare scope nobody "
+        "closes: the per-pair `release()` still runs, so the pins of the pair "
+        "in hand leak only when a fault unwinds the loop",
         (("with cache.pin_scope() as scope:",
           "for scope in (cache.pin_scope(),):"),),
     ),
     Cell(
         "pin/ij-joiner/normal-path-close", "pin", "joins/indexed_join.py",
         "IndexedJoinQES._joiner",
-        "a bare scope, closed only when the pair completes normally",
+        "a bare scope, closed only when the joiner completes its pair loop "
+        "normally",
         (("with cache.pin_scope() as scope:",
           "for scope in (cache.pin_scope(),):"),
-         ("                            probed.append((left_entry, right_entry))\n",
-          "                            probed.append((left_entry, right_entry))\n"
-          "                        scope.close()\n")),
+         ("                    progress[0] = seq + 1\n",
+          "                    progress[0] = seq + 1\n"
+          "                scope.close()\n")),
+    ),
+    Cell(
+        "pin/ij-joiner/pair-pins-kept", "pin", "joins/indexed_join.py",
+        "IndexedJoinQES._joiner",
+        "the per-pair `scope.release()` is dropped: a joiner carries every "
+        "pair's pins into the next until its scope closes",
+        (("                    scope.release()\n", ""),),
+        note=(
+            "no parent column: the parent tree opened one scope per pair, so "
+            "there was no per-pair release to drop"
+        ),
     ),
     Cell(
         "pin/scan-driver/normal-path-close", "pin", "joins/scan.py",
@@ -278,12 +292,12 @@ CELLS: Tuple[Cell, ...] = (
         (("                try:\n"
           "                    yield transfer\n"
           "                except TransientTransferFault:\n",
-          "                report.bytes_from_storage += desc.size\n"
+          "                report.bytes_from_storage += size\n"
           "                try:\n"
           "                    yield transfer\n"
           "                except TransientTransferFault:\n"),
          ("                pb.stall += dt  # the control loop waits out every byte\n"
-          "                report.bytes_from_storage += desc.size\n",
+          "                report.bytes_from_storage += size\n",
           "                pb.stall += dt  # the control loop waits out every byte\n")),
     ),
     Cell(

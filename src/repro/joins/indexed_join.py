@@ -267,8 +267,8 @@ class IndexedJoinQES(QES):
         """Cache-or-fetch one sub-table; charges transfer (and, for left
         sub-tables, the hash-table build) on a miss.  Generator: yields
         simulation events; returns the entry.  Every pin is taken through
-        ``scope`` (the pair's :class:`PinScope`) so a fault delivered at
-        any yield still releases it.
+        ``scope`` (the joiner's :class:`PinScope`, released at the end of
+        the pair) so a fault delivered at any yield still releases it.
 
         Untraced, the joiner has already looked ``sid`` up and missed (a
         hit never enters this generator), so the lookup here is the
@@ -342,16 +342,21 @@ class IndexedJoinQES(QES):
         so neither side re-issues a transfer the other has on the wire.
         """
         cluster, tel = self.cluster, self.tel
+        engine = cluster.engine
         cache = self.caches[j]
         pb = self.report.per_joiner[j]
         probed = self.probed[j]
+        # an untraced probe is charged here, not through ``_charge_cpu``:
+        # the joiner's CPU and per-record probe cost, read once
+        node = cluster.joiner(j)
+        cpu, lookup_cost = node.cpu, node.spec.lookup_cost
         track = f"qes{tag}"
         inflight = None
         if self.pipeline:
             if not pairs:
                 return
             inflight = {}
-        jspan = None
+        jspan = pspan = None
         if tel is not None:
             jspan = tel.recorder.begin(
                 f"joiner{j}{tag}", category="control", node=f"compute{j}",
@@ -360,62 +365,77 @@ class IndexedJoinQES(QES):
             if inflight is not None:
                 jspan.attrs["pipelined"] = True
         try:
-            if inflight is not None:
-                fetch_next = self._prefetch(j, pairs, 0, (), inflight, jspan, tag)
-            for seq, (lid, rid) in enumerate(pairs):
-                t_pair = cluster.engine.now
-                # per-pair sites guard on ``tel`` themselves: an untraced run
-                # formats no span name and stringifies no id (``maybe_span``)
-                with NULL_SPAN if tel is None else tel.recorder.span(
-                    f"pair{seq}", category="control",
-                    node=f"compute{j}", track=track,
-                    left=str(lid), right=str(rid), pair_seq=seq,
-                ):
+            # one scope for the whole loop, released at the end of every
+            # pair: a pair's pins live one pair, and a fault thrown into any
+            # yield below still unpins the pair in hand on the way out (before
+            # the staged hand-back below), so a dying query cannot leave the
+            # (shared) cache permanently shrunk by orphaned pins
+            with cache.pin_scope() as scope:
+                if inflight is not None:
+                    fetch_next = self._prefetch(j, pairs, 0, (), inflight, jspan, tag)
+                for seq, (lid, rid) in enumerate(pairs):
+                    if tel is not None:
+                        # per-pair sites guard on ``tel`` themselves: an
+                        # untraced run formats no span name, stringifies no
+                        # id and enters no span context
+                        t_pair = engine.now
+                        pspan = tel.recorder.begin(
+                            f"pair{seq}", category="control",
+                            node=f"compute{j}", track=track,
+                            left=str(lid), right=str(rid), pair_seq=seq,
+                        )
                     if inflight is not None:
-                        t0 = cluster.engine.now
+                        t0 = engine.now
                         with NULL_SPAN if tel is None else tel.recorder.span(
                             "await-prefetch", category="wait",
                             node=f"compute{j}", track=track, pair_seq=seq,
                         ):
                             yield fetch_next
-                        pb.stall += cluster.engine.now - t0
+                        pb.stall += engine.now - t0
                         if seq + 1 < len(pairs):
                             fetch_next = self._prefetch(
                                 j, pairs, seq + 1, (lid, rid), inflight, jspan, tag
                             )
-                    # the scope guarantees paired release: a fault thrown
-                    # into any yield below still unpins on the way out, so
-                    # a dying query cannot leave the (shared) cache
-                    # permanently shrunk by orphaned pins
-                    with cache.pin_scope() as scope:
-                        # untraced, a hit is one lookup, not a generator
-                        left_entry = None if tel is not None else scope.acquire(lid)
-                        if left_entry is None:
-                            left_entry = yield from self._fetch(
-                                j, lid, scope, jspan, track, inflight, is_left=True
-                            )
-                        right_entry = None if tel is not None else scope.acquire(rid)
-                        if right_entry is None:
-                            right_entry = yield from self._fetch(
-                                j, rid, scope, jspan, track, inflight, is_left=False
-                            )
-                        yield from self._charge_cpu(
-                            "probe", j, right_entry.num_records, track
+                    # untraced, a hit is one lookup, not a generator
+                    left_entry = None if tel is not None else scope.acquire(lid)
+                    if left_entry is None:
+                        left_entry = yield from self._fetch(
+                            j, lid, scope, jspan, track, inflight, is_left=True
                         )
-                        if probed is not None:
-                            # joined set-at-a-time by :func:`_join_probed`
-                            assert isinstance(left_entry, SubTable)
-                            assert isinstance(right_entry, SubTable)
-                            probed.append((left_entry, right_entry))
-                if tel is not None:
-                    tel.metrics.histogram("ij.pair_seconds").observe(
-                        cluster.engine.now - t_pair
-                    )
-                # no simulation events between emitting the pair's output
-                # above and this update, so a pair is either fully done or
-                # not started from the driver's point of view
-                progress[0] = seq + 1
-        except BaseException:
+                    right_entry = None if tel is not None else scope.acquire(rid)
+                    if right_entry is None:
+                        right_entry = yield from self._fetch(
+                            j, rid, scope, jspan, track, inflight, is_left=False
+                        )
+                    records = right_entry.num_records
+                    if tel is None:
+                        # ``_charge_cpu``'s untraced probe, without its generator
+                        t0 = engine.now
+                        yield cpu.reserve_time(records * lookup_cost)
+                        self._credit_cpu(False, j, records, engine.now - t0)
+                    else:
+                        yield from self._charge_cpu("probe", j, records, track)
+                    if probed is not None:
+                        # joined set-at-a-time by :func:`_join_probed`
+                        assert isinstance(left_entry, SubTable)
+                        assert isinstance(right_entry, SubTable)
+                        probed.append((left_entry, right_entry))
+                    scope.release()
+                    if tel is not None:
+                        tel.recorder.finish(pspan)
+                        pspan = None
+                        tel.metrics.histogram("ij.pair_seconds").observe(
+                            engine.now - t_pair
+                        )
+                    # no simulation events between emitting the pair's output
+                    # above and this update, so a pair is either fully done or
+                    # not started from the driver's point of view
+                    progress[0] = seq + 1
+        except BaseException as exc:
+            if pspan is not None:
+                # the pair a fault interrupted: its span ends with the cause
+                pspan.attrs.setdefault("error", type(exc).__name__)
+                tel.recorder.finish(pspan)
             # killed mid-pair (abort, node death, exhausted recovery):
             # nobody is left to take what the prefetchers parked for the
             # pair in hand and the one ahead, so hand that staging budget

@@ -236,15 +236,23 @@ class QES:
                 node=f"compute{j}", track=track, records=records, **attrs,
             ):
                 yield node.cpu.reserve_time(seconds)
+        self._credit_cpu(build, j, records, engine.now - t0)
+
+    def _credit_cpu(self, build: bool, j: int, records: int, waited: float) -> None:
+        """Credit a charge waited out: ``waited`` seconds to joiner ``j``'s
+        build or probe breakdown field, ``records`` to the kernel counter
+        and (traced) to the records metric.  The one copy of the credit,
+        shared by :meth:`_charge_cpu` and the Indexed Join's untraced
+        probe, which charges without a generator."""
         pb, kernel = self.report.per_joiner[j], self.report.kernel
         if build:
-            pb.cpu_build += engine.now - t0
+            pb.cpu_build += waited
             kernel.builds += records
         else:
-            pb.cpu_lookup += engine.now - t0
+            pb.cpu_lookup += waited
             kernel.probes += records
-        if tel is not None:
-            tel.metrics.counter(
+        if self.tel is not None:
+            self.tel.metrics.counter(
                 "op.hash-build.records" if build else "op.probe.records"
             ).inc(records)
 
@@ -268,6 +276,7 @@ class QES:
         cache = self.caches[j]
         pb = report.per_joiner[j]
         rec = report.recovery
+        size = desc.size  # a property: read once per transfer
         last_node = None
         for ref in desc.all_refs:
             node = last_node = ref.storage_node
@@ -275,7 +284,7 @@ class QES:
             while True:
                 attempt += 1
                 t0 = cluster.engine.now
-                transfer = cluster.read_and_send(node, j, desc.size)
+                transfer = cluster.read_and_send(node, j, size)
                 tspan = None
                 if tel is not None:
                     tspan = tel.recorder.begin(
@@ -284,7 +293,7 @@ class QES:
                         node=f"storage{node}",
                         track=f"serve-compute{j}",
                         chunk=str(desc.id),
-                        bytes=desc.size,
+                        bytes=size,
                         attempt=attempt,
                     )
                     if link_span is not None:
@@ -302,7 +311,7 @@ class QES:
                     pb.stall += dt
                     rec.retries += 1
                     rec.wasted_seconds += dt
-                    rec.wasted_bytes += desc.size
+                    rec.wasted_bytes += size
                     plan = injector.plan
                     if attempt >= plan.max_attempts:
                         break  # give up on this replica, try the next
@@ -331,9 +340,9 @@ class QES:
                 dt = cluster.engine.now - t0
                 pb.transfer += dt
                 pb.stall += dt  # the control loop waits out every byte
-                report.bytes_from_storage += desc.size
+                report.bytes_from_storage += size
                 if tel is not None:
-                    tel.metrics.counter("op.transfer.bytes").inc(desc.size)
+                    tel.metrics.counter("op.transfer.bytes").inc(size)
                 return node
         raise UnrecoverableFault(
             "no surviving replica for chunk", chunk=desc.id, node=last_node

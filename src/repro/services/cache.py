@@ -50,7 +50,12 @@ is one call, :meth:`CachingService.acquire` — usually through
 is counted, moves the policy's recency and takes one pin, notifying
 ``hit`` exactly as a :meth:`~CachingService.get` followed by a
 :meth:`~CachingService.pin` would; a miss is counted and notified as
-``miss`` and pins nothing.  A pinned entry cannot be removed.
+``miss`` and pins nothing.  A pinned entry cannot be removed.  The
+pins live one pair: a joiner opens one scope for its whole pair loop
+and calls :meth:`PinScope.release` at the end of each pair, and the
+scope's close releases the pair in hand when a fault unwinds the loop.
+The lookup's policy hooks are bound once, when the service is built, so
+:attr:`CachingService.policy` is read-only.
 """
 
 from __future__ import annotations
@@ -164,12 +169,12 @@ class LRUPolicy(EvictionPolicy[K]):
 
     def __init__(self) -> None:
         self._order: "OrderedDict[K, None]" = OrderedDict()
+        #: an access moves the key to the young end: the OrderedDict's own
+        #: C method, so a hit costs no Python frame here
+        self.on_access = self._order.move_to_end
 
     def on_insert(self, key: K) -> None:
         self._order[key] = None
-        self._order.move_to_end(key)
-
-    def on_access(self, key: K) -> None:
         self._order.move_to_end(key)
 
     def on_remove(self, key: K) -> None:
@@ -346,7 +351,15 @@ class CachingService(Generic[K, V]):
         if prefetch_budget_bytes < 0:
             raise ValueError("prefetch_budget_bytes must be >= 0")
         self.prefetch_budget_bytes = int(prefetch_budget_bytes)
-        self.policy: EvictionPolicy[K] = policy if policy is not None else LRUPolicy()
+        if policy is None:
+            policy = LRUPolicy()
+        self._policy: EvictionPolicy[K] = policy
+        # the lookup's two policy hooks, bound once: a hit calls
+        # ``on_access`` directly, and only Belady counts references
+        self._on_access = policy.on_access
+        self._note_reference = (
+            policy.note_reference if isinstance(policy, BeladyPolicy) else None
+        )
         self._entries: Dict[K, _Entry[V]] = {}
         self._bytes = 0
         #: staged prefetches: key -> [value-or-None, nbytes, ready?]
@@ -385,6 +398,12 @@ class CachingService(Generic[K, V]):
     # -- observers ----------------------------------------------------------------
 
     @property
+    def policy(self) -> EvictionPolicy[K]:
+        """The eviction policy, fixed at construction: the lookup's hooks
+        are bound from it there, so it cannot be swapped afterwards."""
+        return self._policy
+
+    @property
     def used_bytes(self) -> int:
         return self._bytes
 
@@ -420,8 +439,11 @@ class CachingService(Generic[K, V]):
         private ledger is bumped alongside the shared counters and its
         ``qid`` rides on the notification.
         """
-        entry = self._lookup(key, view)
-        return None if entry is None else entry.value
+        value = self.acquire(key, view)
+        if value is not None:
+            # the hit's pin, handed straight back: a pin notifies nobody
+            self._entries[key].pins -= 1
+        return value
 
     def acquire(
         self, key: K, view: Optional[QueryCacheView[K, V]] = None
@@ -429,20 +451,12 @@ class CachingService(Generic[K, V]):
         """:meth:`get` and, on a hit, :meth:`pin`, as one call: the same
         counters, policy update and notification (``hit``).  Returns the
         pinned value, or ``None`` on a miss, which pins nothing.  Each hit
-        owes one :meth:`unpin`; :meth:`PinScope.acquire` records it."""
-        entry = self._lookup(key, view)
-        if entry is None:
-            return None
-        entry.pins += 1
-        return entry.value
+        owes one :meth:`unpin`; :meth:`PinScope.acquire` records it.
 
-    def _lookup(
-        self, key: K, view: Optional[QueryCacheView[K, V]]
-    ) -> Optional[_Entry[V]]:
-        """The counted lookup behind :meth:`get` and :meth:`acquire`:
-        the entry on a hit, ``None`` on a miss."""
-        if isinstance(self.policy, BeladyPolicy):
-            self.policy.note_reference(key)
+        This is the counted lookup, in one frame: :meth:`get` is an
+        acquire whose pin is handed back at once."""
+        if self._note_reference is not None:
+            self._note_reference(key)
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -454,10 +468,11 @@ class CachingService(Generic[K, V]):
         self.stats.hits += 1
         if view is not None:
             view.stats.hits += 1
-        self.policy.on_access(key)
+        self._on_access(key)
         if self._subscribers:
             self._emit("hit", key, entry.nbytes, view)
-        return entry
+        entry.pins += 1
+        return entry.value
 
     def peek(self, key: K) -> Optional[V]:
         """Look up without touching statistics or recency state."""
@@ -520,7 +535,7 @@ class CachingService(Generic[K, V]):
             old.source = source
             if pin:
                 old.pins += 1
-            self.policy.on_access(key)
+            self._on_access(key)
             return True
         if nbytes > self.capacity_bytes:
             return False
@@ -532,7 +547,7 @@ class CachingService(Generic[K, V]):
         self.stats.bytes_inserted += nbytes
         if view is not None:
             view.stats.bytes_inserted += nbytes
-        self.policy.on_insert(key)
+        self._policy.on_insert(key)
         return True
 
     def pin(self, key: K) -> None:
@@ -670,7 +685,7 @@ class CachingService(Generic[K, V]):
             raise ValueError(f"cannot remove pinned key {key!r}")
         del self._entries[key]
         self._bytes -= entry.nbytes
-        self.policy.on_remove(key)
+        self._policy.on_remove(key)
         if self._subscribers:
             self._emit("drop", key, entry.nbytes)
         return True
@@ -683,7 +698,7 @@ class CachingService(Generic[K, V]):
         exclude: Optional[K] = None,
     ) -> bool:
         entries = self._entries
-        victim = self.policy.victim(lambda k: entries[k].pins == 0 and k != exclude)
+        victim = self._policy.victim(lambda k: entries[k].pins == 0 and k != exclude)
         if victim is None:
             return False
         entry = entries.pop(victim)
@@ -693,7 +708,7 @@ class CachingService(Generic[K, V]):
         if view is not None:
             view.stats.evictions += 1
             view.stats.bytes_evicted += entry.nbytes
-        self.policy.on_remove(victim)
+        self._policy.on_remove(victim)
         return True
 
 
@@ -704,7 +719,12 @@ class PinScope(Generic[K, V]):
     :meth:`pin`, or a :meth:`put` with ``pin=True`` that actually
     inserted — is recorded, and every pin it holds is released when the
     scope closes, however it closes: a ``with cache.pin_scope()`` block
-    is the lifetime of its pins.
+    bounds the lifetime of its pins.  :meth:`release` ends them sooner
+    and keeps the scope open.  That is how an Indexed Join joiner holds
+    one scope across its whole pair loop while each pair's pins live
+    only as long as the pair: it releases at the end of every pair, and
+    a fault thrown into any yield closes the scope with whatever the
+    pair in hand had pinned.
 
     The scope holds only pins it acquired, so independent queries can
     each run their own scopes against the same shared cache without
@@ -761,13 +781,29 @@ class PinScope(Generic[K, V]):
             self._held.append(key)
         return ok
 
+    def release(self) -> None:
+        """Release every pin held so far and keep the scope open: the
+        next pins it takes are released by the next ``release`` or by
+        :meth:`close`.  Unpins in place, with :meth:`CachingService.unpin`'s
+        two refusals: a ``KeyError`` for an absent key, a ``ValueError``
+        for one that holds no pin."""
+        entries, held = self._cache._entries, self._held
+        while held:
+            key = held.pop()
+            try:
+                entry = entries[key]
+            except KeyError:
+                raise KeyError(f"cannot unpin absent key {key!r}") from None
+            if entry.pins <= 0:
+                raise ValueError(f"key {key!r} is not pinned")
+            entry.pins -= 1
+
     def close(self) -> None:
         """Release every pin still held; idempotent."""
         if self._closed:
             return
         self._closed = True
-        while self._held:
-            self._cache.unpin(self._held.pop())
+        self.release()
 
 
 class QueryCacheView(Generic[K, V]):

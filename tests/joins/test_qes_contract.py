@@ -145,6 +145,11 @@ def test_abort_leaves_nothing_behind(make_qes, mode, functional, fraction):
         if "error" in span.attrs
     }
     assert ("query", "QueryAborted") in errors
+    if mode.startswith("ij"):
+        # a joiner dies mid-pair: the pair's span ends with the interrupt
+        assert any(
+            name.startswith("pair") and error == "Interrupt" for name, error in errors
+        )
     if mode == "gh":
         assert (("partition", "QueryAborted") in errors) == (fraction < 0.8)
         if functional and fraction == 0.4:

@@ -136,6 +136,45 @@ class TestPinning:
         assert list(c.keys()) == ["b"] and c.used_bytes == 10
 
 
+    def test_release_ends_the_pins_and_keeps_the_scope_open(self):
+        c = CachingService(100)
+        c.put("a", 1, 60)
+        c.put("b", 2, 30)
+        with c.pin_scope() as scope:
+            assert scope.acquire("a") == 1 and scope.acquire("b") == 2
+            assert c.pinned_bytes == 90
+            scope.release()
+            assert c.pinned_bytes == 0
+            assert c.put("c", 3, 60)  # "a" is evictable again
+            assert scope.acquire("b") == 2
+            assert c.pinned_bytes == 30
+        assert c.pinned_bytes == 0
+        scope.close()  # idempotent, and releases nothing twice
+        assert c._entries["b"].pins == 0
+
+    def test_release_keeps_unpins_refusals(self):
+        c = CachingService(100)
+        c.put("a", 1, 10)
+        scope = c.pin_scope()
+        scope.pin("a")
+        c.unpin("a")  # released behind the scope's back
+        with pytest.raises(ValueError, match="'a' is not pinned"):
+            scope.release()
+        scope.pin("a")
+        c.unpin("a")
+        c.remove("a")
+        with pytest.raises(KeyError, match="cannot unpin absent key 'a'"):
+            scope.release()
+
+    def test_the_policy_cannot_be_swapped(self):
+        """The lookup's hooks are bound from the policy at construction:
+        a reassigned policy would leave them on the old one."""
+        c = CachingService(100, make_policy("fifo"))
+        with pytest.raises(AttributeError):
+            c.policy = make_policy("lru")
+        assert c.policy.name == "fifo"
+
+
 class TestLRU:
     def test_lru_evicts_least_recent(self):
         c = CachingService(30, LRUPolicy())

@@ -6,7 +6,9 @@ A QES checks the cache for each sub-table of a pair with
 replaced, on drawn operation sequences over every eviction policy, with
 and without a :class:`QueryCacheView` in front of the cache: the same
 values, counters, pins, bytes, next victim and notifications, and the
-same state again when nobody subscribes.
+same state again when nobody subscribes.  The drawn sequences also end
+pins with ``scope.release()`` (how a joiner ends each pair's pins while
+its one scope stays open) as well as by closing the scope.
 
 Tier-1 runs the default example budget; CI reruns the module under a
 larger one by loading a wider Hypothesis profile before pytest starts.
@@ -27,7 +29,7 @@ _ops = st.lists(
         # lookups weighted up, so that most of them hit a filling cache
         st.sampled_from([
             "lookup", "lookup", "lookup", "lookup", "get", "put", "put", "put",
-            "pin", "unpin", "remove", "invalidate", "close",
+            "pin", "unpin", "remove", "invalidate", "release", "close",
         ]),
         st.sampled_from(KEYS),
         st.integers(min_value=5, max_value=20),
@@ -81,6 +83,8 @@ class _Twin:
             return front.remove(key)
         elif op == "invalidate":
             return front.invalidate_from(size % 3)
+        elif op == "release":
+            self.scope.release()
         elif op == "close":
             self.scope.close()
             self.scope = front.pin_scope()
