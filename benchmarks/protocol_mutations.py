@@ -177,11 +177,12 @@ CELLS: Tuple[Cell, ...] = (
         "pin/scan-driver/normal-path-close", "pin", "joins/scan.py",
         "ScanQES._driver",
         "a bare scope, closed only when the scan completes normally",
-        (("        ), cache.pin_scope() as scope:\n",
-          "        ):\n            scope = cache.pin_scope()\n"),
+        (("        ), nullcontext() if cache is None else cache.pin_scope() as scope:\n",
+          "        ):\n            scope = None if cache is None else cache.pin_scope()\n"),
          ("                    self.selected += int(bbox_mask(value, self.where).sum())\n",
           "                    self.selected += int(bbox_mask(value, self.where).sum())\n"
-          "            scope.close()\n")),
+          "            if scope is not None:\n"
+          "                scope.close()\n")),
     ),
     Cell(
         "stage/prefetch-pair/unwind-cancel", "stage", "joins/indexed_join.py",

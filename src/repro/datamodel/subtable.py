@@ -90,6 +90,11 @@ class SubTable:
         self.num_records: int = num_records
         self._bbox = bbox
 
+    @classmethod
+    def empty(cls, id: SubTableId, schema: Schema) -> "SubTable":
+        """No records: every column of ``schema``, empty, in its dtype."""
+        return cls(id, schema, {a.name: np.empty(0, dtype=a.np_dtype) for a in schema})
+
     # -- basic accessors ------------------------------------------------------
 
     def __len__(self) -> int:

@@ -68,7 +68,8 @@ class QES:
     algorithm: str
     driver_name: str
     #: one Caching Service per compute node, set by :meth:`_start` at the
-    #: latest by the executions that cache; ``None`` for the one that does not
+    #: latest by the executions that cache; ``None`` for those that do not
+    #: (Grace Hash, a standalone scan)
     caches: Optional[List] = None
 
     def __init__(
@@ -260,20 +261,20 @@ class QES:
         """Move one sub-table to compute node ``j``, surviving transient
         faults and storage-node crashes.  Generator; returns the storage
         node that ultimately served the bytes.  The one fetch-with-recovery:
-        the Indexed Join's ``_fetch`` and the scan both miss into it, and
-        both keep per-node ``self.caches`` for it to invalidate.
+        the Indexed Join's ``_fetch`` and the scan both miss into it.
 
         Replicas are tried primary-first.  On each node, transient faults
         are retried with exponential backoff up to ``plan.max_attempts``;
-        a node crash invalidates cache entries sourced from that node and
-        fails over to the next replica.  Without fault injection the loop
-        collapses to the single primary transfer of the fault-free code
-        path — same events, same accounting.  Raises
-        :class:`UnrecoverableFault` when no replica can serve the chunk.
+        a node crash invalidates the entries ``self.caches[j]`` holds from
+        that node (a standalone scan has no caches) and fails over to the
+        next replica.  Without fault injection the loop collapses to the
+        single primary transfer of the fault-free code path — same events,
+        same accounting.  Raises :class:`UnrecoverableFault` when no
+        replica can serve the chunk.
         """
         cluster, tel, report = self.cluster, self.tel, self.report
         injector = cluster.faults
-        cache = self.caches[j]
+        caches = self.caches
         pb = report.per_joiner[j]
         rec = report.recovery
         size = desc.size  # a property: read once per transfer
@@ -330,7 +331,8 @@ class QES:
                     pb.stall += dt
                     rec.failovers += 1
                     rec.wasted_seconds += dt
-                    rec.cache_invalidations += cache.invalidate_from(node)
+                    if caches is not None:
+                        rec.cache_invalidations += caches[j].invalidate_from(node)
                     break  # fail over to the next replica
                 finally:
                     if inflight is not None:

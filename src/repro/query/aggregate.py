@@ -98,6 +98,25 @@ def _segment_reduce(func: str, values: np.ndarray, starts: np.ndarray, counts: n
     raise ValueError(f"unknown aggregate {func!r}")
 
 
+def aggregate_schema(
+    source: Schema, aggregates: Sequence[Aggregate], group_by: Sequence[str] = ()
+) -> Schema:
+    """The schema :func:`aggregate` gives over records of ``source``: the
+    group keys as they are, then one float64 column per aggregate.
+    Refuses an attribute ``source`` lacks and a duplicate output name."""
+    if not aggregates:
+        raise ValueError("need at least one aggregate")
+    for a in aggregates:
+        if a.attr not in source and not (a.func == "count" and a.attr == "*"):
+            raise KeyError(f"aggregate attribute {a.attr!r} not in {source.names}")
+    for g in group_by:
+        if g not in source:
+            raise KeyError(f"group-by attribute {g!r} not in {source.names}")
+    return Schema([
+        Attribute(g, source[g].dtype, source[g].coordinate) for g in group_by
+    ] + [Attribute(a.alias, "float64") for a in aggregates])
+
+
 def aggregate(
     sub: SubTable,
     aggregates: Sequence[Aggregate],
@@ -110,21 +129,9 @@ def aggregate(
     Groups come out in key order (``NaN`` last, every ``NaN`` key a group
     of its own) and carry the key values of their first record.
     """
-    if not aggregates:
-        raise ValueError("need at least one aggregate")
-    for a in aggregates:
-        if a.attr not in sub.schema and not (a.func == "count" and a.attr == "*"):
-            raise KeyError(f"aggregate attribute {a.attr!r} not in {sub.schema.names}")
-    for g in group_by:
-        if g not in sub.schema:
-            raise KeyError(f"group-by attribute {g!r} not in {sub.schema.names}")
-
     # built before any reduction, so a duplicate output name is refused
     # ahead of an empty-input error
-    schema = Schema([
-        Attribute(g, sub.schema[g].dtype, sub.schema[g].coordinate) for g in group_by
-    ] + [Attribute(a.alias, "float64") for a in aggregates])
-
+    schema = aggregate_schema(sub.schema, aggregates, group_by)
     n = sub.num_records
     if group_by:
         ids = key_ids([sub.column(g) for g in group_by])

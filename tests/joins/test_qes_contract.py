@@ -6,7 +6,8 @@ returns the execution itself, ``process`` is the driver to wait on,
 kills the whole process tree and leaves nothing behind.  The query
 server relies on every clause; these tests exercise them with no server
 in the way — Indexed Join synchronous and pipelined, Grace Hash and the
-range scan, model-only and functional.
+range scan (streaming, and through a Caching Service per compute node),
+model-only and functional.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.datamodel.bounding_box import BoundingBox
 from repro.joins import GraceHashQES, IndexedJoinQES, ScanQES
 from repro.joins import grace_hash, indexed_join
 from repro.server.resilience import QueryAborted
+from repro.services.cache import CachingService, make_policy
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 #: 192-byte sub-tables on a slow fabric, so an abort lands mid-transfer
@@ -26,7 +28,7 @@ SLOW = MachineSpec(disk_read_bw=1e5, link_bw=5e4)
 BOX = BoundingBox({"x": (3.0, 21.0), "y": (9.0, 30.0)})
 
 
-@pytest.fixture(params=["ij-sync", "ij-pipe", "gh", "scan"])
+@pytest.fixture(params=["ij-sync", "ij-pipe", "gh", "scan", "scan-cached"])
 def mode(request):
     return request.param
 
@@ -43,8 +45,12 @@ def make_qes(mode, functional):
 
     def make(telemetry=False):
         cluster = paper_cluster(2, 3, spec=SLOW, telemetry=telemetry)
-        if mode == "scan":
-            return ScanQES(cluster, ds.metadata, "T1", BOX, ds.provider, compute=1)
+        if mode.startswith("scan"):
+            caches = None
+            if mode == "scan-cached":
+                caches = [CachingService(SLOW.memory_bytes, make_policy("lru")) for _ in range(3)]
+            return ScanQES(cluster, ds.metadata, "T1", BOX, ds.provider, compute=1,
+                           caches=caches)
         args = (cluster, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider)
         if mode == "gh":
             return GraceHashQES(*args)
@@ -94,7 +100,7 @@ def test_finish_twice_is_one_report_and_one_fill(
     qes.cluster.engine.drive(run.process)
     report = run.finish()
     joined = len(kernel_calls)
-    assert (joined > 0) == (functional and mode != "scan")  # a scan joins nothing
+    assert (joined > 0) == (functional and not mode.startswith("scan"))  # a scan joins nothing
     assert run.finish() is report
     assert len(kernel_calls) == joined
     assert report.result_tuples == make_qes().run().result_tuples
@@ -127,7 +133,7 @@ def test_abort_leaves_nothing_behind(make_qes, mode, functional, fraction):
     engine.run()
     assert run.process.triggered and not run.process.ok
     # a scan's driver is the scan: it is the one execution with no workers
-    assert bool(run.children) == (mode != "scan")
+    assert bool(run.children) == (not mode.startswith("scan"))
     assert all(proc.triggered for proc in run.children)
     assert engine.pending_processes() == []
     for cache in getattr(qes, "caches", None) or ():

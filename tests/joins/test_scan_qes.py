@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.sanitizer import RunSanitizer
-from repro.cluster import MachineSpec, paper_cluster
+from repro.cluster import PAPER_MACHINE, MachineSpec, paper_cluster
 from repro.cluster.events import Interrupt
 from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.subtable import bbox_mask, concat_subtables
@@ -26,6 +26,7 @@ from repro.faults.errors import ComputeNodeDown
 from repro.joins import ScanQES
 from repro.server.queries import draw_box
 from repro.server.resilience import QueryAborted
+from repro.services.cache import CachingService, make_policy
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 GRIDS = {
@@ -60,6 +61,12 @@ def scan(ds, table, box, **kw):
     return ScanQES(cluster, ds.metadata, table, box, ds.provider, **kw)
 
 
+def fresh_caches(spec=PAPER_MACHINE):
+    """One empty LRU cache per compute node of :func:`scan`'s cluster: a
+    scan without caches streams, and these tests watch what a cache sees."""
+    return [CachingService(spec.memory_bytes, make_policy("lru")) for _ in range(3)]
+
+
 @pytest.mark.parametrize("which", BOXES, ids=str)
 @pytest.mark.parametrize("table", ["T1", "T2"])
 def test_count_bytes_and_warm_rescan(spec, table, which):
@@ -73,7 +80,7 @@ def test_count_bytes_and_warm_rescan(spec, table, which):
     if which == "unconstrained":
         assert len(kept) == len(catalog.chunks)
 
-    cold = scan(ds, table, box, compute=2)
+    cold = scan(ds, table, box, compute=2, caches=fresh_caches())
     report = cold.run()
     assert report.extras["selected_records"] == expected
     assert report.bytes_from_storage == sum(c.size for c in kept)
@@ -167,6 +174,43 @@ def test_planned_chunks_are_taken_as_given():
     assert report.bytes_from_storage == sum(c.size for c in some)
 
 
+@pytest.mark.parametrize("which", [3, "unconstrained"], ids=str)
+def test_a_standalone_scan_streams_what_a_fresh_cache_would_miss(which):
+    """No caches: the same transfers at the same instants as through fresh
+    ones (a scan reads each chunk once), and a sink is handed every chunk,
+    whole, in chunk order."""
+    ds = build_oil_reservoir_dataset(GRIDS["p<q"], num_storage=2, functional=True)
+    box = the_box(ds, which)
+    cached = scan(ds, "T1", box, compute=1, caches=fresh_caches(), telemetry=True).run()
+    handed = []
+    streamed = scan(ds, "T1", box, compute=1, telemetry=True, sink=handed.append).run()
+    assert streamed.cache_stats == [] and streamed.recovery == cached.recovery
+    assert (streamed.total_time, streamed.bytes_from_storage) == (
+        cached.total_time, cached.bytes_from_storage
+    )
+    spans = [[(s.name, s.start, s.end) for s in r.telemetry.recorder.spans]
+             for r in (cached, streamed)]
+    assert spans[0] == spans[1]
+    kept = ds.metadata.table("T1").find_chunks(box)
+    assert [sub.id for sub in handed] == [c.id for c in kept]
+    assert [sub.num_records for sub in handed] == [c.num_records for c in kept]
+    assert sum(int(bbox_mask(sub, box).sum()) for sub in handed) == (
+        cached.extras["selected_records"]
+    )
+    assert "selected_records" not in streamed.extras and streamed.results == [[], [], []]
+
+
+def test_a_projected_scan_refuses_shared_caches():
+    """A projected entry stored under its chunk's id would be read back as
+    the whole chunk by every other execution on the cache."""
+    ds = build_oil_reservoir_dataset(GRIDS["p<q"], num_storage=2, functional=True)
+    with pytest.raises(ValueError, match="columns= with caches="):
+        scan(ds, "T1", BoundingBox({}), columns=["oilp"], caches=fresh_caches())
+    handed = []
+    scan(ds, "T1", BoundingBox({}), columns=["oilp"], sink=handed.append).run()
+    assert {sub.schema.names for sub in handed} == {("oilp",)}
+
+
 def test_a_target_outside_the_cluster_is_refused():
     ds = build_oil_reservoir_dataset(GRIDS["p<q"], num_storage=2, functional=False)
     with pytest.raises(ValueError, match="outside a cluster of 3"):
@@ -187,7 +231,7 @@ def test_compute_crash_mid_scan_fails_the_driver_with_the_node_death():
         seed=7, crashes=(NodeCrash("compute", at=0.4 * makespan(ds), node=1),)
     )
     qes = scan(ds, "T1", BoundingBox({}), spec=SLOW, faults=plan, compute=1,
-               contain_faults=True)
+               caches=fresh_caches(SLOW), contain_faults=True)
     qes.begin()
     qes.cluster.engine.run()
     assert qes.process.triggered and not qes.process.ok
@@ -207,7 +251,7 @@ def test_scan_streams_to_the_next_survivor_of_a_dead_target():
     def late_scan():
         yield cluster.engine.timeout(1.0)  # the node is long dead by now
         qes = ScanQES(cluster, ds.metadata, "T1", BoundingBox({}), ds.provider,
-                      compute=2).begin()
+                      compute=2, caches=fresh_caches()).begin()
         yield qes.process
         return qes.finish()
 
@@ -252,7 +296,7 @@ def test_a_scans_recovery_is_counted():
     )
     # the sanitizer holds the report to the wire: bytes_from_storage must
     # equal the bytes of *successful* transfers, and no span may stay open
-    qes = faulted_scan(ds, sanitizer=RunSanitizer())
+    qes = faulted_scan(ds, caches=fresh_caches(SLOW), sanitizer=RunSanitizer())
     report = qes.run()
     rec = report.recovery
     assert rec.retries > 0 and rec.failovers > 0
@@ -276,7 +320,7 @@ def test_an_aborted_faulted_scan_leaves_no_open_span():
     ds = build_oil_reservoir_dataset(
         GRIDS["p<q"], num_storage=2, functional=True, replication=2
     )
-    qes = faulted_scan(ds, contain_faults=True)
+    qes = faulted_scan(ds, caches=fresh_caches(SLOW), contain_faults=True)
     engine = qes.cluster.engine
     qes.begin()
 

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import MachineSpec
-from repro.core import Aggregate, DerivedDataSource, JoinView
-from repro.datamodel import Schema, SubTable, SubTableId
-from repro.query import QueryExecutor, aggregate
+from repro.core import Aggregate, AggregationView, DerivedDataSource, JoinView
+from repro.datamodel import BoundingBox, Schema, SubTable, SubTableId
+from repro.query import QueryExecutor, aggregate, parse_query
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 from tests.datamodel.key_draws import column, key_columns, typed_table
 from tests.query.reference_aggregate import reference_aggregate
 
 agg_module = importlib.import_module("repro.query.aggregate")
+engine_module = importlib.import_module("repro.core.engine")
 
 #: example budgets are multiples of the loaded Hypothesis profile's (100 by
 #: default), so a wider profile widens every draw here
@@ -348,6 +349,13 @@ class TestQueryExecutor:
         out = ex.execute("SELECT * FROM T1 WHERE x > 1000")
         assert out.num_records == 0
 
+    def test_a_table_without_chunks_is_the_empty_answer(self):
+        ds = build_oil_reservoir_dataset(GridSpec(g=(8, 8), p=(4, 4), q=(4, 4)), num_storage=2)
+        ds.metadata.register_table(77, "E", ds.metadata.table("T1").schema)
+        ex = QueryExecutor(ds.metadata, ds.provider)
+        assert ex.execute("SELECT oilp FROM E WHERE x < 3").schema.names == ("oilp",)
+        assert ex.execute("SELECT COUNT(*) FROM E").column("count_all").tolist() == [0.0]
+
     def test_view_query(self, executor_setup):
         ds, ex, _ = executor_setup
         out = ex.execute("SELECT * FROM V1")
@@ -393,6 +401,108 @@ class TestQueryExecutor:
         has = "x, y, oilp" + (", wp" if source == "V1" else "")
         with pytest.raises(KeyError, match=f"unknown column 'nope': {source} has {has}"):
             ex.execute(sql)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT * FROM V1 WHERE nope < 3",
+        "SELECT MAX(nope) FROM V1",
+        "SELECT * FROM A1 WHERE wp > 0.5",
+    ])
+    def test_unknown_column_in_a_view_query_runs_no_qes(self, executor_setup,
+                                                        monkeypatch, sql):
+        """The view's schema comes from the catalogs: an unknown column is
+        refused before anything is joined (the aggregation view has y and
+        its aggregates, not the records' wp)."""
+        ds, _, dds = executor_setup
+        ex = QueryExecutor(ds.metadata, ds.provider)
+        ex.register_dds(dds)
+        ex.register_dds(DerivedDataSource(
+            AggregationView("A1", dds.view, (Aggregate("avg", "wp"),), group_by=("y",)),
+            ds.metadata, ds.provider, num_storage=2, num_compute=2,
+        ))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a QES ran before the column was refused")
+
+        monkeypatch.setattr(engine_module, "view_qes", no_work)
+        with pytest.raises(KeyError, match="unknown column"):
+            ex.execute(sql)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT * FROM V2 WHERE x > 9",
+        "SELECT oilp FROM V2 WHERE y IN [0, 3] AND x IN [-5, 1]",
+        "SELECT COUNT(*) FROM V2 WHERE x > 7.5",
+    ])
+    def test_a_box_disjoint_from_the_views_range_runs_no_qes(self, executor_setup,
+                                                             monkeypatch, sql):
+        """V2 keeps x in [2, 7]: a query outside it is the empty answer with
+        the view's schema, from no cluster and no QES."""
+        ds, whole_view, _ = executor_setup
+        expected = whole_view.execute(
+            sql.replace("V2", "V1").replace("WHERE", "WHERE x < 0 AND")
+        )
+        view = JoinView("V2", "T1", "T2", on=ds.join_attrs,
+                        where=BoundingBox({"x": (2, 7)}))
+        ex = QueryExecutor(ds.metadata, ds.provider)
+        ex.register_dds(DerivedDataSource(
+            view, ds.metadata, ds.provider, num_storage=2, num_compute=2,
+        ))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("built a cluster or ran a QES for a disjoint box")
+
+        monkeypatch.setattr(engine_module, "view_qes", no_work)
+        monkeypatch.setattr(engine_module, "ClusterSim", no_work)
+        out = ex.execute(sql)
+        assert out.schema == expected.schema
+        assert out.equals_unordered(expected)
+
+    def test_an_aggregation_view_is_never_restricted(self, executor_setup, monkeypatch):
+        """Its WHERE filters groups: ``x`` below is each y-group's largest
+        x (15), so nothing passes ``x < 8`` — restricting the records to
+        x < 8 first would make every group pass, with x = 7."""
+        ds, _, dds = executor_setup
+        grouped = AggregationView(
+            "A1", dds.view, (Aggregate("max", "x", alias="x"),), group_by=("y",)
+        )
+        agg_dds = DerivedDataSource(
+            grouped, ds.metadata, ds.provider, num_storage=2, num_compute=2,
+        )
+        ex = QueryExecutor(ds.metadata, ds.provider)
+        ex.register_dds(agg_dds)
+        ran = []
+        view_qes = engine_module.view_qes
+        monkeypatch.setattr(
+            engine_module, "view_qes",
+            lambda *args, **kw: ran.append(args[4]) or view_qes(*args, **kw),
+        )
+        assert ex.execute("SELECT * FROM A1 WHERE x < 8").num_records == 0
+        assert ex.execute("SELECT * FROM A1 WHERE x > 8").num_records == 16
+        whole = agg_dds.execute(box=BoundingBox({"x": (0, 7)})).table
+        assert (whole.column("x") == 15).all() and whole.num_records == 16
+        assert ran == [grouped] * 3
+
+    @pytest.mark.parametrize("algorithm", ["indexed-join", "grace-hash"])
+    @pytest.mark.parametrize("where", [
+        "y IN [1, 2]", "y < 3 AND x > 4", "y_r > 5", "attr0 > 0.5", "attr0_r < 0.3",
+    ])
+    def test_a_bound_on_a_column_both_tables_have_prunes_neither(self, where, algorithm):
+        """V3 joins on x alone, so both tables keep a y and an attr0: in
+        the answer ``y``/``attr0`` are T1's and ``y_r``/``attr0_r`` T2's.
+        A bound on T1's y must not prune T2's chunks by T2's own y."""
+        ds = build_oil_reservoir_dataset(
+            GridSpec(g=(8, 8), p=(4, 4), q=(4, 4)), num_storage=2, extra_attributes=1,
+        )
+        ex = QueryExecutor(ds.metadata, ds.provider)
+        ex.register_dds(DerivedDataSource(
+            JoinView("V3", "T1", "T2", on=("x",)), ds.metadata, ds.provider,
+            num_storage=2, num_compute=2,
+        ))
+        whole = ex.execute("SELECT * FROM V3", algorithm=algorithm)
+        assert whole.num_records == 8 * 8 * 8
+        out = ex.execute(f"SELECT * FROM V3 WHERE {where}", algorithm=algorithm)
+        expected = whole.select(parse_query(f"SELECT * FROM V3 WHERE {where}").where.mask(whole))
+        assert expected.num_records > 0
+        assert out.equals_unordered(expected)
 
     def test_duplicate_dds_rejected(self, executor_setup):
         _, ex, dds = executor_setup

@@ -1,5 +1,8 @@
 """Tests for chunk stores, placement policies and the dataset writer."""
 
+import gc
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +19,7 @@ from repro.storage import (
 from repro.storage.chunkstore import InMemoryChunkStore
 from repro.storage.extractor import ExtractorRegistry
 from repro.storage.writer import TablePartition
+from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 DESCRIPTOR = """
 layout t1 {
@@ -120,6 +124,29 @@ def test_local_store_persists_across_instances(tmp_path):
     # appends continue at the right offset
     ref2 = s2.append(1, b"more")
     assert ref2.offset == ref.size
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_dropped_file_backed_datasets_leave_no_descriptor_open(tmp_path):
+    """A store reads through one descriptor per table file and closes them
+    when it is collected: building, reading and dropping many datasets
+    leaves the process's descriptor count where it was."""
+
+    def open_descriptors():
+        gc.collect()
+        return len(os.listdir("/proc/self/fd"))
+
+    spec = GridSpec(g=(8, 8), p=(4, 4), q=(4, 4))
+    before = open_descriptors()
+    for i in range(24):
+        ds = build_oil_reservoir_dataset(
+            spec, num_storage=2, functional=True, storage_dir=tmp_path / f"d{i}"
+        )
+        for name in (ds.left, ds.right):
+            for desc in ds.metadata.table(name).all_chunks():
+                ds.provider.fetch(desc)
+        del ds
+    assert open_descriptors() == before
 
 
 def test_memory_store_missing_file():
