@@ -48,9 +48,10 @@ Two columns per cell and side:
 edits, fills both columns and restores the file; they go under
 ``cells[name][side]`` of the cell's family file, other sides untouched.
 A suite run that outlives :data:`TIMEOUT_S` counts as caught.  ``check``
-re-runs each cell's recorded ``change`` test files against this tree
-and exits 1 if any cell escapes them (a cell with none recorded always
-does).  ``--cell``
+re-runs each cell's recorded ``change`` test files against this tree,
+prints each file's recorded and current failure counts, and exits 1
+naming every recorded file that no longer fails a test (a cell with none
+recorded escapes every gate).  ``--cell``
 (repeatable) takes a cell name or a family name and restricts either
 command.
 """
@@ -646,25 +647,33 @@ def measure(tree: str, side: str, cells: List[Cell]) -> int:
 
 
 def check(cells: List[Cell]) -> int:
-    """Re-run each cell against its recorded change-side test files."""
+    """Re-run each cell against its recorded change-side test files: each
+    of them must still fail at least one test (a hung run fails them all)."""
     rows = {}
     for family in {cell.family for cell in cells}:
         rows.update(load_results(family)["cells"])
-    escaped = []
+    escaped, drifted = [], []
     with tempfile.TemporaryDirectory(prefix="mutation-tree-") as root:
         copy_tree(REPO, root)
         for cell in cells:
-            files = sorted(rows[cell.name]["change"]["failed"])
+            recorded = rows[cell.name]["change"]["failed"]
             with mutated(root, cell):
-                failed = run_cell_tests(root, files, cell)[0] if files else {}
+                failed = run_cell_tests(root, sorted(recorded), cell)[0] if recorded else {}
             print(f"{cell.name}: {sum(failed.values())} failing test(s) in "
-                  f"{', '.join(failed) or 'none'}")
+                  f"{len(failed)} file(s)")
+            for path, count in sorted(recorded.items()):
+                print(f"  {path}: recorded {count}, now {failed.get(path, 0)}")
+                if not failed.get(path) and "<timeout>" not in failed:
+                    drifted.append(f"{cell.name} {path}")
             if not failed:
                 escaped.append(cell.name)
     if escaped:
         print(f"{len(escaped)} cell(s) escaped every gate: {', '.join(escaped)}")
+    if drifted:
+        print(f"{len(drifted)} recorded file(s) no longer fail: {'; '.join(drifted)}")
+    if escaped or drifted:
         return 1
-    print(f"every one of {len(cells)} cell(s) caught")
+    print(f"every one of {len(cells)} cell(s) caught by every recorded file")
     return 0
 
 

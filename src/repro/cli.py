@@ -6,13 +6,11 @@ Commands
 ``info``
     Print a grid configuration's dataset statistics (the Section 6 closed
     forms: T, c_R, c_S, n_e, N_C, E_C, a, b, edge ratio).
-``plan``
-    Evaluate both cost models for a configuration and show the Query
-    Planning Service's choice.
 ``explain``
     Render the plan tree without executing: both cost models laid out
     operator by operator (the rows ``run --analyze`` later annotates),
-    the chosen QES, the crossover point and the config fingerprint.
+    the Query Planning Service's chosen QES, the crossover point and the
+    config fingerprint (``--json`` for the machine-readable form).
 ``run``
     Execute both QES algorithms on the simulated cluster (model-only) and
     report simulated times next to the predictions.  ``--analyze``
@@ -42,10 +40,6 @@ Commands
     the cache-reuse panel (working set and what-if miss-ratio curve)
     when the report carries one (``--json`` for the machine-readable
     panels).
-``advise``
-    Read a served report's ``observability.reuse`` section and print its
-    trace summary and the what-if miss-ratio curve at alternative cache
-    capacities.
 ``sweep``
     Regenerate one of the paper's figure sweeps at a chosen scale
     (``ne-cs``, ``compute-nodes``, ``tuples``, ``attributes``, ``cpu``,
@@ -59,17 +53,17 @@ Commands
 
 Each command registers exactly the flags its handler reads, and argparse
 refuses the rest (exit 2).  ``--grid/--p/--q`` (comma-separated sizes):
-``info``, ``plan``, ``explain``, ``run``, ``trace``, ``serve``.
+``info``, ``explain``, ``run``, ``trace``, ``serve``.
 ``--storage/--compute/--cpu-factor`` (the deployment shape) and
 ``--calibrated`` (bare or ``host``: this host's measured CPU constants
-instead of the paper testbed's): ``plan``, ``explain``, ``run``, ``trace``,
+instead of the paper testbed's): ``explain``, ``run``, ``trace``,
 ``serve``, and each ``sweep`` axis for the ones its figure takes (``nfs``
 fixes its own deployment and takes none; ``compute-nodes`` sweeps
 ``--compute`` itself).  ``--calibrated drift`` with ``--drift-store``
 (re-plan with per-term corrections fitted from the drift store): the
-commands that predict from the cost models — ``plan``, ``explain``,
-``run``, ``serve``.  ``--nfs``: ``plan``, ``explain``, ``run``, ``trace``.
-``--pipeline``: those four and ``sweep``.  ``--faults/--replication``:
+commands that predict from the cost models — ``explain``, ``run``,
+``serve``.  ``--nfs``: ``explain``, ``run``, ``trace``.
+``--pipeline``: those three and ``sweep``.  ``--faults/--replication``:
 ``run``, ``trace``, ``serve``.  ``--sanitize`` (the runtime simulation
 sanitizer — invariant hooks plus a nondeterminism-detecting shadow run
 per QES; a violation exits with status 4): ``run``, ``sweep``, ``trace``,
@@ -93,9 +87,6 @@ from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
 from repro.core.cost_models import (
     CostParameters,
     TermCalibration,
-    crossover_ne_cs,
-    grace_hash_cost,
-    indexed_join_cost,
 )
 from repro.experiments.calibration import (
     calibrate_host_machine,
@@ -297,28 +288,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(spec.describe())
     print(f"left sub-tables (m_R): {spec.m_R:,}   right sub-tables (m_S): {spec.m_S:,}")
     print(f"avg right-sub-table degree (n_e/m_S): {spec.n_e / spec.m_S:g}")
-    return 0
-
-
-def _cmd_plan(args: argparse.Namespace) -> int:
-    spec = _spec(args)
-    params = _view_params(args)
-    ij = indexed_join_cost(params, pipelined=args.pipeline)
-    gh = grace_hash_cost(params)
-    ij_name = "indexed-join (pipe)" if args.pipeline else "indexed-join"
-    print(spec.describe())
-    print(_table(
-        ["QES", "transfer", "write", "read", "cpu", "total (s)"],
-        [
-            [ij_name, f"{ij.transfer:.3f}", "-", "-", f"{ij.cpu:.3f}", f"{ij.total:.3f}"],
-            ["grace-hash", f"{gh.transfer:.3f}", f"{gh.write:.3f}", f"{gh.read:.3f}",
-             f"{gh.cpu:.3f}", f"{gh.total:.3f}"],
-        ],
-    ))
-    winner = "indexed-join" if ij.total <= gh.total else "grace-hash"
-    print(f"planner choice: {winner}")
-    print(f"predicted crossover: n_e*c_S = {crossover_ne_cs(params):,.0f} "
-          f"(this configuration: {spec.ne_cs:,})")
     return 0
 
 
@@ -624,7 +593,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"reuse: {trace['accesses']} accesses over "
                   f"{trace['distinct_keys']} keys "
                   f"({trace['hits']} hits / {trace['misses']} misses) "
-                  f"— run `repro advise` on the report")
+                  f"— run `repro top` on the report")
         for alert in alerts:
             cleared = (
                 f"cleared at {alert['cleared_at']:.4f}s"
@@ -660,46 +629,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         print(json.dumps(dash, indent=2, sort_keys=True))
     else:
         print(render_dashboard(dash, width=args.width), end="")
-    return 0
-
-
-def _cmd_advise(args: argparse.Namespace) -> int:
-    from repro.server.dashboard import load_report
-
-    payload = load_report(args.report)
-    reuse = (payload.get("observability") or {}).get("reuse")
-    if reuse is None:
-        raise ValueError(
-            f"{args.report} carries no reuse section; serve it with "
-            f"--observe (and without --no-reuse)"
-        )
-    if args.json:
-        # the keys this version writes: an older report's extra ones drop
-        keys = ("capacity_bytes", "policy", "window_s", "trace", "mrc", "working_set")
-        print(json.dumps({k: reuse[k] for k in keys if k in reuse}, indent=2, sort_keys=True))
-        return 0
-
-    trace = reuse["trace"]
-    hit_rate = trace["hits"] / trace["accesses"] if trace["accesses"] else 0.0
-    print(f"cache reuse — {trace['accesses']} accesses over "
-          f"{trace['distinct_keys']} keys, hit rate {hit_rate:.1%}, "
-          f"footprint {trace['footprint_bytes']:,} B "
-          f"(capacity {reuse['capacity_bytes']:,} B, "
-          f"policy {reuse['policy']})")
-
-    print("\nwhat-if miss-ratio curve (per-node capacity):")
-    configured = reuse["capacity_bytes"]
-    rows = [
-        [
-            f"{point['capacity_bytes']:,}"
-            + (" *" if point["capacity_bytes"] == configured else ""),
-            point["misses"],
-            f"{point['miss_ratio']:.3f}",
-        ]
-        for point in reuse["mrc"]["global"]
-    ]
-    print(_table(["capacity (B)", "misses", "miss ratio"], rows))
-    print("(* = configured capacity; per-tenant curves in --json)")
     return 0
 
 
@@ -851,12 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p_info)
     p_info.set_defaults(fn=_cmd_info)
 
-    p_plan = sub.add_parser("plan", help="evaluate the cost models and pick a QES")
-    _add_spec_args(p_plan)
-    _add_flags(p_plan, *_CLUSTER_FLAGS, "nfs", "pipeline")
-    _add_calibrated_args(p_plan, drift=True)
-    p_plan.set_defaults(fn=_cmd_plan)
-
     p_explain = sub.add_parser(
         "explain",
         help="render the plan tree (both models, operator by operator) "
@@ -952,10 +875,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "is hit (default reject-newest)")
     p_serve.add_argument("--breaker-threshold", type=float, default=None,
                          metavar="S",
-                         help="open a circuit breaker while observed "
+                         help="open a circuit breaker once observed "
                               "queue-wait p99 exceeds S seconds; an open "
-                              "breaker sheds every arriving query "
-                              "(default off)")
+                              "breaker sheds every later arrival, and only "
+                              "queries already queued when it opened can "
+                              "close it again (default off)")
     p_serve.add_argument("--fail-mode", choices=["strict", "graceful"],
                          default="strict",
                          help="strict (default): a query exhausting its "
@@ -998,19 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--width", type=_count, default=60, metavar="COLS",
                        help="sparkline width in columns (default 60)")
     p_top.set_defaults(fn=_cmd_top)
-
-    p_advise = sub.add_parser(
-        "advise",
-        help="print the what-if miss-ratio curve from a served report's "
-             "cache reuse trace",
-    )
-    p_advise.add_argument("report", metavar="REPORT.json",
-                          help="report payload from `repro serve --observe "
-                               "--json-out` (needs the reuse section)")
-    p_advise.add_argument("--json", action="store_true",
-                          help="emit the full reuse section as sorted-key "
-                               "JSON instead of text")
-    p_advise.set_defaults(fn=_cmd_advise)
 
     p_sweep = sub.add_parser("sweep", help="regenerate one of the paper's sweeps")
     axes = p_sweep.add_subparsers(dest="axis", required=True)

@@ -51,16 +51,9 @@ class Interval:
     def is_unbounded(self) -> bool:
         return self.lo == _NEG_INF and self.hi == _POS_INF
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
     def overlaps(self, other: "Interval") -> bool:
         """Closed-interval overlap test (shared endpoints count)."""
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
 
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi

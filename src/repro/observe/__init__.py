@@ -12,8 +12,8 @@ and the simulated executions they predict:
   ``repro run --analyze`` / ``repro drift``, and the calibration hook
   that feeds fitted per-term constants back into the planner.
 - :mod:`repro.observe.reuse` — the cache reuse observatory behind
-  ``repro advise``: per-entry access traces, Mattson miss-ratio
-  curves and working-set windows.
+  ``repro top``'s cache-reuse panel: per-entry access traces, Mattson
+  miss-ratio curves and working-set windows.
 """
 
 from repro.observe.drift import (

@@ -15,8 +15,7 @@
   and multi-window burn-rate alerts.
 * :mod:`~repro.server.observatory` — the passive observability layer
   (windowed time-series, structured ops log, SLO tracking, and the
-  per-entry cache reuse trace behind ``repro advise``) the
-  ``repro top`` dashboard renders.
+  per-entry cache reuse trace) the ``repro top`` dashboard renders.
 """
 
 from repro.server.admission import (
@@ -42,7 +41,6 @@ from repro.server.resilience import (
     RetryPolicy,
     ShedPolicy,
     TokenBucketShedder,
-    make_shed_policy,
 )
 from repro.server.observatory import ObservabilityConfig, ServeObservatory
 from repro.server.server import (
@@ -88,6 +86,5 @@ __all__ = [
     "check_shadow_serve",
     "draw_box",
     "make_admission_policy",
-    "make_shed_policy",
     "run_serial_baseline",
 ]

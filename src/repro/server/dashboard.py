@@ -61,7 +61,7 @@ SPARK_LEVELS = " .:-=+*#%@"
 def load_report(path: str) -> Dict[str, Any]:
     """Read and check a ``repro serve --json-out`` payload.
 
-    The one loader ``repro top`` and ``repro advise`` share: a file that
+    The loader ``repro top`` reads a report through: a file that
     is not a server report, or that breaks the schema
     ``python -m repro.telemetry.validate`` checks (:func:`validate_report`),
     raises ``ValueError`` naming the path and the first violation.

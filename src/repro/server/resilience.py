@@ -46,7 +46,6 @@ __all__ = [
     "TokenBucketShedder",
     "CircuitBreaker",
     "ResilienceConfig",
-    "make_shed_policy",
     "is_retryable",
 ]
 
@@ -105,28 +104,27 @@ class RetryPolicy:
 
     ``budget`` is the number of *retries* (attempts beyond the first);
     ``backoff(seed, attempt)`` is the delay before retry ``attempt``
-    (1-based): ``base * 2**(attempt-1)`` capped at ``cap``, scaled by a
+    (1-based): ``BASE * 2**(attempt-1)`` capped at ``CAP``, scaled by a
     jitter factor in ``[0.5, 1.0)`` drawn from the query seed's
     counter stream — deterministic per (seed, attempt), decorrelated
     across queries so synchronized retry storms cannot form.
     """
 
+    #: the first retry's delay before jitter, in simulated seconds
+    BASE = 0.05
+    #: the longest delay before jitter, in simulated seconds
+    CAP = 2.0
+
     budget: int = 2
-    base: float = 0.05
-    cap: float = 2.0
 
     def __post_init__(self) -> None:
         if self.budget < 0:
             raise ValueError(f"retry budget must be >= 0, got {self.budget}")
-        if not (self.base > 0 and math.isfinite(self.base)):
-            raise ValueError(f"retry base must be positive and finite, got {self.base}")
-        if not (self.cap >= self.base and math.isfinite(self.cap)):
-            raise ValueError(f"retry cap {self.cap} below base {self.base} or not finite")
 
     def backoff(self, seed: int, attempt: int) -> float:
         if attempt < 1:
             raise ValueError(f"attempt is 1-based, got {attempt}")
-        raw = min(self.cap, self.base * (2 ** (attempt - 1)))
+        raw = min(self.CAP, self.BASE * (2 ** (attempt - 1)))
         jitter = 0.5 + 0.5 * uniform(seed, _BACKOFF_DRAW_BASE + attempt)
         return raw * jitter
 
@@ -190,7 +188,7 @@ class RejectLowestPriority(ShedPolicy):
 
 class TokenBucketShedder(ShedPolicy):
     """Per-tenant token bucket: each admission costs one token; buckets
-    refill at ``rate`` tokens per simulated second up to ``burst``.
+    refill at ``RATE`` tokens per simulated second up to ``BURST``.
 
     A tenant that outruns its refill rate has its excess queries shed
     while other tenants are untouched — per-tenant isolation that a
@@ -199,24 +197,22 @@ class TokenBucketShedder(ShedPolicy):
     """
 
     name = "token-bucket"
+    #: tokens refilled per simulated second
+    RATE = 1.0
+    #: a bucket's capacity, and its level before the tenant's first query
+    BURST = 4.0
 
-    def __init__(self, rate: float, burst: float, limit: Optional[int] = None):
-        if not (rate > 0 and math.isfinite(rate)):
-            raise ValueError(f"token rate must be positive and finite, got {rate}")
-        if not (burst >= 1 and math.isfinite(burst)):
-            raise ValueError(f"token burst must be >= 1 and finite, got {burst}")
+    def __init__(self, limit: Optional[int] = None):
         if limit is not None and limit < 1:
             raise ValueError(f"queue limit must be >= 1, got {limit}")
-        self.rate = rate
-        self.burst = burst
         self.limit = limit
         self._tokens: Dict[str, float] = {}
         self._refilled_at: Dict[str, float] = {}
 
     def _refill(self, tenant: str, now: float) -> float:
-        tokens = self._tokens.get(tenant, self.burst)
+        tokens = self._tokens.get(tenant, self.BURST)
         last = self._refilled_at.get(tenant, 0.0)
-        tokens = min(self.burst, tokens + (now - last) * self.rate)
+        tokens = min(self.BURST, tokens + (now - last) * self.RATE)
         self._tokens[tenant] = tokens
         self._refilled_at[tenant] = now
         return tokens
@@ -231,6 +227,13 @@ class TokenBucketShedder(ShedPolicy):
         return None
 
 
+#: the shed policies by name, the one dispatch on ``shed_policy``
+_SHED_POLICIES = {
+    policy.name: policy
+    for policy in (RejectNewest, RejectLowestPriority, TokenBucketShedder)
+}
+
+
 class CircuitBreaker:
     """Cost-model-driven overload breaker.
 
@@ -239,8 +242,13 @@ class CircuitBreaker:
     breaker is open and queries the planner predicts to cost at least
     ``cost_cutoff`` seconds are shed.  At the default cutoff of 0.0,
     which the CLI does not change, every prediction reaches the cutoff,
-    so an open breaker sheds every arriving query.  The breaker closes by itself once enough fast
-    admissions age the slow waits out of the window.
+    so an open breaker sheds every later arrival.  Only admissions of
+    queries already queued when it opened can then age the slow waits
+    out of the window and close it; in ``repro serve --grid 32,32 --p
+    4,4 --q 8,8 --storage 2 --compute 2 --seed 3 --tenants
+    benchmarks/fence_tenants.json --observe`` with ``--breaker-threshold``
+    0.002, 0.005 or 0.01 and ``--slots`` 1 or 2 it opened once and never
+    closed.
     """
 
     #: waits the window must hold before the breaker can open
@@ -315,8 +323,6 @@ class ResilienceConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     queue_limit: Optional[int] = None
     shed_policy: str = "reject-newest"
-    bucket_rate: float = 1.0
-    bucket_burst: float = 4.0
     breaker_threshold: Optional[float] = None
     breaker_cost_cutoff: float = 0.0
     breaker_window: int = 32
@@ -344,18 +350,9 @@ class ResilienceConfig:
         The token bucket is active whenever selected; the queue-bound
         policies need ``queue_limit`` set to mean anything.
         """
-        if self.shed_policy == "token-bucket":
-            return TokenBucketShedder(
-                self.bucket_rate, self.bucket_burst, limit=self.queue_limit
-            )
-        if self.queue_limit is None:
+        if self.queue_limit is None and self.shed_policy != "token-bucket":
             return None
-        return make_shed_policy(
-            self.shed_policy,
-            limit=self.queue_limit,
-            rate=self.bucket_rate,
-            burst=self.bucket_burst,
-        )
+        return _SHED_POLICIES[self.shed_policy](self.queue_limit)
 
     def build_breaker(self) -> Optional[CircuitBreaker]:
         if self.breaker_threshold is None:
@@ -366,29 +363,3 @@ class ResilienceConfig:
             window=self.breaker_window,
         )
 
-
-_SHED_POLICIES = ("reject-newest", "reject-lowest-priority", "token-bucket")
-
-
-def make_shed_policy(
-    name: str,
-    limit: Optional[int] = None,
-    rate: float = 1.0,
-    burst: float = 4.0,
-) -> ShedPolicy:
-    """Factory: ``reject-newest`` / ``reject-lowest-priority`` /
-    ``token-bucket``."""
-    key = name.lower()
-    if key == "reject-newest":
-        if limit is None:
-            raise ValueError("reject-newest needs a queue limit")
-        return RejectNewest(limit)
-    if key == "reject-lowest-priority":
-        if limit is None:
-            raise ValueError("reject-lowest-priority needs a queue limit")
-        return RejectLowestPriority(limit)
-    if key == "token-bucket":
-        return TokenBucketShedder(rate, burst, limit=limit)
-    raise ValueError(
-        f"unknown shed policy {name!r} (know {sorted(_SHED_POLICIES)})"
-    )

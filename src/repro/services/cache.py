@@ -330,9 +330,9 @@ class CachingService(Generic[K, V]):
     """Byte-budgeted object cache with pluggable eviction, pinning and a
     bounded prefetch staging area.
 
-    ``prefetch_budget_bytes`` caps the staging area (defaults to a quarter
-    of the capacity — enough to double-buffer a pair of sub-tables without
-    letting a deep prefetcher crowd out the cache's host memory).  Staged
+    ``prefetch_budget_bytes`` caps the staging area at a quarter of the
+    capacity — enough to double-buffer a pair of sub-tables without
+    letting a deep prefetcher crowd out the cache's host memory.  Staged
     entries live outside the entry map: they are implicitly pinned (never
     eviction victims) and never evict resident entries.
     """
@@ -341,16 +341,11 @@ class CachingService(Generic[K, V]):
         self,
         capacity_bytes: int,
         policy: Optional[EvictionPolicy[K]] = None,
-        prefetch_budget_bytes: Optional[int] = None,
     ):
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         self.capacity_bytes = int(capacity_bytes)
-        if prefetch_budget_bytes is None:
-            prefetch_budget_bytes = max(1, self.capacity_bytes // 4)
-        if prefetch_budget_bytes < 0:
-            raise ValueError("prefetch_budget_bytes must be >= 0")
-        self.prefetch_budget_bytes = int(prefetch_budget_bytes)
+        self.prefetch_budget_bytes = max(1, self.capacity_bytes // 4)
         if policy is None:
             policy = LRUPolicy()
         self._policy: EvictionPolicy[K] = policy

@@ -13,14 +13,14 @@ Two artifact kinds, one CLI:
   a ``reuse`` section, additionally: every miss-ratio curve monotone
   non-increasing in capacity, and working-set window accesses summing
   to the trace total.  Last, every leaf that
-  ``repro top`` / ``repro advise`` compute or format with has the JSON
-  type they need (:data:`_RENDERED_LEAVES`).
+  ``repro top`` computes or formats with has the JSON type it needs
+  (:data:`_RENDERED_LEAVES`).
 
 CI runs ``python -m repro.telemetry.validate <artifacts...>`` over the
 smoke-run outputs; tests call the validators directly.  ``repro top``
-and ``repro advise`` load their files through the same two functions
-(:mod:`repro.server.dashboard`), so a file this CLI passes they read,
-and one they refuse it fails.
+loads its files through the same two functions
+(:mod:`repro.server.dashboard`), so a file this CLI passes it reads,
+and one it refuses this CLI fails.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ __all__ = [
 _NUMBER = (int, float)
 _OPTIONAL_NUMBER = (int, float, type(None))
 
-#: leaves of the ``observability`` section that ``repro top`` and
-#: ``repro advise`` do arithmetic on or format with a numeric spec, by
-#: path (``*``: every key of an object / element of an array) → the JSON
-#: types they can take.  Checked where the section is validated, so no
+#: leaves of the ``observability`` section that ``repro top`` does
+#: arithmetic on or formats with a numeric spec, by path (``*``: every
+#: key of an object / element of an array) → the JSON types they can
+#: take.  Checked where the section is validated, so no
 #: renderer has to distrust a loaded report.
 _RENDERED_LEAVES = (
     ("timeseries.gauges.*.windows.*.mean", _OPTIONAL_NUMBER),

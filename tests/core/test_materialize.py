@@ -152,7 +152,7 @@ class TestMaterialize:
         )
         for chunk in cat.all_chunks():
             iv = chunk.bbox.interval("x")
-            assert iv.length == 0  # each chunk holds exactly one x plane
+            assert iv.lo == iv.hi  # each chunk holds exactly one x plane
 
 
 class TestEmptyViewMaterialization:

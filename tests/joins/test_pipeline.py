@@ -16,7 +16,7 @@ from repro.faults import FaultPlan
 from repro.faults.errors import UnrecoverableFault
 from repro.joins import IndexedJoinQES, reference_join
 from repro.joins.scheduler import schedule_random
-from repro.services.cache import CachingService, make_policy
+from repro.services.cache import CachingService
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 #: Transfer-bound machine: slow link relative to CPU, so the synchronous
@@ -39,15 +39,12 @@ def run_ij(ds, pipeline, n_s=2, n_j=2, machine=TRANSFER_BOUND, **kw):
     ).run()
 
 
-def staging_free_caches(n_j):
-    """The caches an Indexed Join on ``TRANSFER_BOUND`` builds by default,
-    but with no staging budget: every prefetch is skipped."""
-    return [
-        CachingService(
-            TRANSFER_BOUND.memory_bytes, make_policy("lru"), prefetch_budget_bytes=0
-        )
-        for _ in range(n_j)
-    ]
+class StagingFreeCache(CachingService):
+    """A default-sized cache refusing every prefetch: on ``p<q`` a cache
+    whose quarter is below every sub-table holds no right sub-table."""
+
+    def prefetch_begin(self, key, nbytes):
+        return False
 
 
 def assert_same_execution(sync, pipe):
@@ -111,9 +108,14 @@ class TestEquivalence:
         sub-table pays its transfer synchronously in the consume path —
         same clock as the baseline, not just same bytes."""
         ds = build_oil_reservoir_dataset(SPEC, num_storage=2, functional=True)
-        sync = run_ij(ds, pipeline=False)
-        pipe = run_ij(ds, pipeline=True, caches=staging_free_caches(2))
+        # a staging budget, a quarter of the capacity, below every sub-table
+        size = ds.metadata.table("T1").all_chunks()[0].size  # all one size on SPEC
+        sync, pipe = (
+            run_ij(ds, pipeline, caches=[CachingService(4 * size - 1) for _ in range(2)])
+            for pipeline in (False, True)
+        )
         assert_same_execution(sync, pipe)
+        assert sum(stats.prefetches for stats in pipe.cache_stats) == 0
         assert pipe.total_time == pytest.approx(sync.total_time)
         assert pipe.overlap_ratio == 0.0
 
@@ -199,7 +201,8 @@ def regime_kwargs(shape, ds, regime):
         right = ds.metadata.table("T2").all_chunks()[0].size
         return {"cache_capacity": 4 * (2 * left + right)}
     if regime == "no-prefetch-budget":
-        return {"caches": staging_free_caches(SHAPES[shape][2])}
+        n_j = SHAPES[shape][2]
+        return {"caches": [StagingFreeCache(TRANSFER_BOUND.memory_bytes) for _ in range(n_j)]}
     return {}
 
 

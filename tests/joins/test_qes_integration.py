@@ -173,8 +173,7 @@ class TestAccountingInvariants:
         counts = {}
         for traced in (False, True):
             shared = [
-                CachingService(capacity, make_policy("lru"),
-                               prefetch_budget_bytes=capacity // 4)
+                CachingService(capacity, make_policy("lru"))
                 for _ in range(2)
             ]
             counts[traced] = []

@@ -175,6 +175,6 @@ class TestCalibratedReplanning:
         assert gh_model(plain) != gh_model(calibrated)
 
     def test_calibrated_drift_needs_store(self, tmp_path, capsys):
-        assert main(["plan", *SMALL, "--calibrated", "drift",
+        assert main(["explain", *SMALL, "--calibrated", "drift",
                      "--drift-store", str(tmp_path / "missing.jsonl")]) == 2
         assert "empty" in capsys.readouterr().err

@@ -179,7 +179,7 @@ def test_refused_put_that_evicted_is_sampled():
     """A put can evict victims and still be refused: ``reject`` moves
     ``used_bytes`` then, so it is sampled like an insert or a drop."""
     now = [0.0]
-    cache = CachingService(10, LRUPolicy(), prefetch_budget_bytes=4)
+    cache = CachingService(10, LRUPolicy())  # stages up to 10 // 4 bytes
     current, before = watch_both([cache], lambda: now[0])
     seen = count_ops([cache])
     steps = [
@@ -189,7 +189,7 @@ def test_refused_put_that_evicted_is_sampled():
         lambda: cache.put("c", "C", 7),  # evicts b, then cannot fit beside pinned a
         lambda: cache.unpin("a"),
         lambda: cache.put("d", "D", 2),
-        lambda: cache.prefetch_begin("e", 3),
+        lambda: cache.prefetch_begin("e", 2),
         lambda: cache.prefetch_complete("e", "E"),
         lambda: cache.take_prefetched("e"),
         lambda: cache.remove("d"),
@@ -204,7 +204,7 @@ def test_refused_put_that_evicted_is_sampled():
     assert got[0, "occupancy_bytes"] == [
         (0.0, 0.0), (1.0, 4.0), (3.0, 8.0), (4.0, 4.0), (6.0, 6.0), (10.0, 4.0)
     ]
-    assert got[0, "staged_bytes"] == [(0.0, 0.0), (7.0, 3.0), (9.0, 0.0)]
+    assert got[0, "staged_bytes"] == [(0.0, 0.0), (7.0, 2.0), (9.0, 0.0)]
     assert got == samples(before, [0])
 
 

@@ -268,9 +268,7 @@ class TestOverload:
         stream = arrivals(tenants=BURSTY)
         server = QueryServer(
             make_dataset(), num_compute=2, sanitize=True,
-            resilience=ResilienceConfig(
-                shed_policy="token-bucket", bucket_rate=2.0, bucket_burst=2.0
-            ),
+            resilience=ResilienceConfig(shed_policy="token-bucket"),
         )
         rep = server.serve(stream)
         per_tenant = rep.tenant_dispositions

@@ -226,8 +226,7 @@ CHAOS = [
          deadline=0.5),
     dict(tenants=BURSTY, slots=1, resilience=ResilienceConfig(
         queue_limit=2, shed_policy="reject-lowest-priority")),
-    dict(tenants=BURSTY, resilience=ResilienceConfig(
-        shed_policy="token-bucket", bucket_rate=2.0, bucket_burst=2.0)),
+    dict(tenants=BURSTY, resilience=ResilienceConfig(shed_policy="token-bucket")),
     dict(tenants=BURSTY, slots=1, resilience=ResilienceConfig(
         breaker_threshold=0.01, breaker_window=8)),
     dict(faults="seed=9,transient=0.5,max_attempts=2",
@@ -299,8 +298,8 @@ def test_breaker_opens_then_closes():
 
 def test_same_instant_slot_hand_back():
     # A named seed: the one arm no generated stream reaches.  At T three
-    # timers fire in the order they were set: q0's deadline (it is backing
-    # off after a compute crash, so the slot is released one step later),
+    # timers fire in the order they were set: q0's deadline (backing off
+    # 0.025–0.05 s after a compute crash, so the slot is released one step later),
     # q2's arrival (which wakes the dispatcher) and q1's deadline (which
     # settles q1's admission race).  One step later the dispatcher grants
     # q1 the slot q0 just freed, and only then does q1's lifecycle resume —
@@ -315,7 +314,6 @@ def test_same_instant_slot_hand_back():
     ]
     _, recorder, report, spelled = keep_the_contract(
         stream, slots=1, faults="compute_crash=0.002@0",
-        resilience=ResilienceConfig(retry=RetryPolicy(base=0.5)),
     )
     assert spelled == {0: "SQAFRDbTd", 1: "SQADqTd", 2: "SQATc"}
     # the slot q1 never used is visible as free on its deadline event,
@@ -441,7 +439,7 @@ def test_generated_serves_speak_the_grammar():
             cache_capacity=cache_capacity, cache_policy=cache_policy,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(budget=retry_budget), queue_limit=queue_limit,
-                shed_policy=shed_policy, bucket_rate=4.0, bucket_burst=2.0,
+                shed_policy=shed_policy,
                 breaker_threshold=breaker, breaker_window=8,
             ),
         )

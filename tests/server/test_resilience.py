@@ -25,7 +25,6 @@ from repro.server import (
     RetryPolicy,
     TokenBucketShedder,
     make_admission_policy,
-    make_shed_policy,
 )
 from repro.server.resilience import is_retryable
 
@@ -44,36 +43,32 @@ class FakeEntry:
 
 class TestRetryPolicy:
     def test_backoff_deterministic_per_seed_and_attempt(self):
-        policy = RetryPolicy(budget=3, base=0.05, cap=2.0)
+        policy = RetryPolicy(budget=3)
         assert policy.backoff(42, 1) == policy.backoff(42, 1)
         assert policy.backoff(42, 1) != policy.backoff(42, 2)
         assert policy.backoff(42, 1) != policy.backoff(43, 1)
 
     def test_backoff_exponential_with_bounded_jitter(self):
-        policy = RetryPolicy(budget=8, base=0.05, cap=100.0)
+        policy = RetryPolicy(budget=8)
+        assert (RetryPolicy.BASE, RetryPolicy.CAP) == (0.05, 2.0)
         for seed in (0, 7, 12345):
-            for attempt in range(1, 9):
+            # 0.05 s doubles five times before the 2 s cap
+            for attempt in range(1, 7):
                 raw = 0.05 * 2 ** (attempt - 1)
                 delay = policy.backoff(seed, attempt)
                 # jitter scales by a factor in [0.5, 1.0)
                 assert raw * 0.5 <= delay < raw
 
     def test_backoff_caps(self):
-        policy = RetryPolicy(budget=8, base=0.05, cap=0.2)
-        assert policy.backoff(1, 10) < 0.2
+        # from the seventh retry on, the 2 s cap times a [0.5, 1.0) jitter
+        assert all(1.0 <= RetryPolicy(budget=8).backoff(seed, attempt) < 2.0
+                   for seed in (0, 7, 12345) for attempt in (7, 10))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(budget=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(base=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base=1.0, cap=0.5)
-        with pytest.raises(ValueError):
             RetryPolicy().backoff(0, 0)
-        for bad in (dict(base=math.nan), dict(base=math.inf), dict(cap=math.inf)):
-            with pytest.raises(ValueError, match="finite"):
-                RetryPolicy(**bad)
 
     def test_is_retryable(self):
         assert is_retryable(TransientTransferFault(node=0))
@@ -125,30 +120,28 @@ class TestShedPolicies:
         assert victim.qid == 7  # newest goes first on ties
 
     def test_token_bucket_isolates_tenants(self):
-        shed = TokenBucketShedder(rate=1.0, burst=2.0)
+        shed = TokenBucketShedder()
         queue = self._queue([])
-        # tenant a burns its burst...
-        assert shed.victim(FakeEntry(0, tenant="a"), queue, 0.0) is None
-        assert shed.victim(FakeEntry(1, tenant="a"), queue, 0.0) is None
-        victim, reason = shed.victim(FakeEntry(2, tenant="a"), queue, 0.0)
-        assert victim.qid == 2 and reason == "token-bucket"
+        # tenant a burns its burst of four...
+        assert (TokenBucketShedder.RATE, TokenBucketShedder.BURST) == (1.0, 4.0)
+        for qid in range(4):
+            assert shed.victim(FakeEntry(qid, tenant="a"), queue, 0.0) is None
+        victim, reason = shed.victim(FakeEntry(4, tenant="a"), queue, 0.0)
+        assert victim.qid == 4 and reason == "token-bucket"
         # ...tenant b is untouched
-        assert shed.victim(FakeEntry(3, tenant="b"), queue, 0.0) is None
+        assert shed.victim(FakeEntry(5, tenant="b"), queue, 0.0) is None
 
     def test_token_bucket_refills_from_simulated_clock(self):
-        shed = TokenBucketShedder(rate=2.0, burst=2.0)
+        shed = TokenBucketShedder()
         queue = self._queue([])
-        assert shed.victim(FakeEntry(0, tenant="a"), queue, 0.0) is None
-        assert shed.victim(FakeEntry(1, tenant="a"), queue, 0.0) is None
-        assert shed.victim(FakeEntry(2, tenant="a"), queue, 0.0) is not None
-        # half a second at rate 2 restores one token
-        assert shed.victim(FakeEntry(3, tenant="a"), queue, 0.5) is None
-
-    def test_factory_rejects_unknown_and_missing_limit(self):
-        with pytest.raises(ValueError, match="unknown shed policy"):
-            make_shed_policy("drop-everything")
-        with pytest.raises(ValueError, match="needs a queue limit"):
-            make_shed_policy("reject-newest")
+        for qid in range(4):
+            assert shed.victim(FakeEntry(qid, tenant="a"), queue, 0.0) is None
+        assert shed.victim(FakeEntry(4, tenant="a"), queue, 0.0) is not None
+        # half a second at one token a second restores half a token...
+        assert shed.victim(FakeEntry(5, tenant="a"), queue, 0.5) is not None
+        # ...and the next half second the whole one
+        assert shed.victim(FakeEntry(6, tenant="a"), queue, 1.0) is None
+        assert shed.victim(FakeEntry(7, tenant="a"), queue, 1.0) is not None
 
 
 class TestCircuitBreaker:
@@ -191,9 +184,6 @@ class TestCircuitBreaker:
         for threshold, cutoff in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf)):
             with pytest.raises(ValueError, match="finite"):
                 CircuitBreaker(threshold=threshold, cost_cutoff=cutoff)
-        for rate, burst in ((math.nan, 2.0), (math.inf, 2.0), (1.0, math.inf)):
-            with pytest.raises(ValueError, match="finite"):
-                TokenBucketShedder(rate=rate, burst=burst)
 
 
 class TestResilienceConfig:
@@ -201,16 +191,20 @@ class TestResilienceConfig:
         cfg = ResilienceConfig()
         assert cfg.build_shedder() is None
         assert cfg.build_breaker() is None
+        # a queue-bound policy without a queue limit sheds nothing
+        assert ResilienceConfig(shed_policy="reject-lowest-priority").build_shedder() is None
 
     def test_queue_limit_builds_selected_policy(self):
-        cfg = ResilienceConfig(queue_limit=4, shed_policy="reject-lowest-priority")
-        assert isinstance(cfg.build_shedder(), RejectLowestPriority)
+        # the one dispatch on ``shed_policy``: the limit reaches the named policy
+        for policy in (RejectNewest, RejectLowestPriority, TokenBucketShedder):
+            shedder = ResilienceConfig(queue_limit=4, shed_policy=policy.name).build_shedder()
+            assert type(shedder) is policy and shedder.limit == 4
 
     def test_token_bucket_active_without_queue_limit(self):
-        cfg = ResilienceConfig(shed_policy="token-bucket", bucket_rate=2.0)
+        cfg = ResilienceConfig(shed_policy="token-bucket")
         shedder = cfg.build_shedder()
         assert isinstance(shedder, TokenBucketShedder)
-        assert shedder.rate == 2.0
+        assert shedder.limit is None
 
     def test_breaker_built_from_threshold(self):
         cfg = ResilienceConfig(breaker_threshold=0.5, breaker_cost_cutoff=0.1)
@@ -219,7 +213,7 @@ class TestResilienceConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown shed policy"):
-            ResilienceConfig(shed_policy="nope")
+            ResilienceConfig(shed_policy="drop-everything")
         with pytest.raises(ValueError, match="on_unrecoverable"):
             ResilienceConfig(on_unrecoverable="explode")
         with pytest.raises(ValueError, match="queue limit"):

@@ -316,7 +316,7 @@ class TestStatsSnapshots:
 
 class TestPrefetchStaging:
     def test_begin_complete_take_cycle(self):
-        c = CachingService(100, prefetch_budget_bytes=50)
+        c = CachingService(200)
         assert c.prefetch_begin("a", 30)
         assert c.has_prefetched("a")
         assert c.prefetch_bytes == 30
@@ -329,27 +329,28 @@ class TestPrefetchStaging:
         assert c.stats.bytes_prefetched == 30
 
     def test_budget_bounds_inflight_reservations(self):
-        c = CachingService(100, prefetch_budget_bytes=50)
+        c = CachingService(200)
+        assert c.prefetch_budget_bytes == 50  # a quarter of the capacity
         assert c.prefetch_begin("a", 30)
         assert not c.prefetch_begin("b", 30)  # 60 > 50, even before arrival
         assert c.prefetch_begin("c", 20)
 
     def test_resident_or_staged_key_rejected(self):
-        c = CachingService(100, prefetch_budget_bytes=100)
+        c = CachingService(100)
         c.put("a", 1, 10)
         assert not c.prefetch_begin("a", 10)
         assert c.prefetch_begin("b", 10)
         assert not c.prefetch_begin("b", 10)
 
     def test_cancel_releases_budget(self):
-        c = CachingService(100, prefetch_budget_bytes=30)
+        c = CachingService(120)
         c.prefetch_begin("a", 30)
         c.prefetch_cancel("a")
         assert c.prefetch_bytes == 0
         assert c.prefetch_begin("b", 30)
 
     def test_complete_errors(self):
-        c = CachingService(100, prefetch_budget_bytes=50)
+        c = CachingService(100)
         with pytest.raises(KeyError):
             c.prefetch_complete("nope", 1)
         c.prefetch_begin("a", 10)
@@ -358,13 +359,13 @@ class TestPrefetchStaging:
             c.prefetch_complete("a", 1)
 
     def test_staged_entries_do_not_touch_main_cache(self):
-        c = CachingService(20, prefetch_budget_bytes=100)
-        c.put("resident", 1, 20)
-        c.prefetch_begin("staged", 80)
+        c = CachingService(80)
+        c.put("resident", 1, 80)
+        assert c.prefetch_begin("staged", 20)
         c.prefetch_complete("staged", 2)
         # staging never evicts residents nor counts toward used_bytes
         assert "resident" in c
-        assert c.used_bytes == 20
+        assert c.used_bytes == 80
         assert c.stats.evictions == 0
 
 
@@ -435,11 +436,11 @@ class TestAccessTraceFeed:
     def test_every_operation_notifies_exactly_once(self):
         """Every operation that moves the entries or a byte level
         notifies once; pins and a completed prefetch move neither."""
-        c = CachingService(30, prefetch_budget_bytes=10)
+        c = CachingService(40)  # stages up to 10 bytes
         seen = self.watch(c)
         c.put("a", 1, 10, source=0)
         c.put("b", 2, 10, pin=True)
-        c.put("big", 3, 31)  # refused, but subscribers still hear of it
+        c.put("big", 3, 41)  # refused, but subscribers still hear of it
         c.pin("a")
         c.unpin("a")
         c.prefetch_begin("p", 10)
@@ -645,11 +646,11 @@ def test_view_ledgers_partition_the_shared_counters(ops):
     lookup and state change notifies once (a pin, an unpin or a completed
     prefetch notifies nobody, a pinned key is never removed), and none of
     it depends on being watched."""
-    shared = CachingService(35, prefetch_budget_bytes=25)
+    shared = CachingService(56)  # stages up to 14 bytes
     events = []
     shared.subscribe(lambda *event: events.append(event))
     views = [QueryCacheView(shared, qid=qid) for qid in range(3)]
-    unwatched = CachingService(35, prefetch_budget_bytes=25)
+    unwatched = CachingService(56)
     twins = [QueryCacheView(unwatched, qid=qid) for qid in range(3)]
     for v, op, key, size in ops:
         before = len(events)

@@ -153,8 +153,8 @@ class TestValidateCli:
         lambda r: r.update(queries={}),
     ], ids=["per-tenant-count-a-string", "no-tenants", "queries-an-object"])
     def test_what_the_readers_refuse_fails(self, breaks, tmp_path, capsys):
-        """One report check: a payload ``repro top`` and ``repro advise``
-        refuse (exit 2) fails here too, and the one they read passes."""
+        """One report check: a payload ``repro top [--json]`` refuses (exit
+        2) fails here too, and the one it reads passes."""
         from repro.cli import main as cli_main
 
         path = tmp_path / "report.json"
@@ -166,8 +166,8 @@ class TestValidateCli:
         capsys.readouterr()
         assert main([str(path)]) == 1
         violation = capsys.readouterr().out
-        for command in ("top", "advise"):
-            assert cli_main([command, str(path)]) == 2
+        for flags in ([], ["--json"]):
+            assert cli_main(["top", str(path), *flags]) == 2
             assert capsys.readouterr().err == f"error: {violation}"
 
     def test_unrecognised_artifact_fails(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -38,7 +39,6 @@ def walk_report_leaf_mutations(workdir, every=1):
     readers = [
         ("top", lambda f: main(["top", f]), 2),
         ("top --json", lambda f: main(["top", f, "--json"]), 2),
-        ("advise", lambda f: main(["advise", f]), 2),
         # the validator's own "violations found" status is 1
         ("validate", lambda f: validate_main([f]), 1),
     ]
@@ -92,6 +92,14 @@ class TestParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "bogus"])
 
+    @pytest.mark.parametrize("argv", [["info", "--p", "0,4"], ["calibrate", "--tuples", "x"]],
+                             ids=["info", "calibrate"])
+    def test_a_bad_value_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit, match="2"):
+            main(argv)
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
 
 class TestInfo:
     def test_info_prints_closed_forms(self, capsys):
@@ -107,40 +115,39 @@ class TestInfo:
         assert "error:" in capsys.readouterr().err
 
 
+def explain(capsys, *argv):
+    """``repro explain --json``: the planner's pick and both model totals."""
+    assert main(["explain", *argv, "--json"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    totals = {name: a["predicted_total_s"] for name, a in info["algorithms"].items()}
+    assert info["chosen"] == min(totals, key=totals.get)
+    return info, totals
+
+
 class TestPlan:
     def test_plan_picks_ij_low_degree(self, capsys):
-        assert main(["plan", "--grid", "64,64,64", "--p", "16,16,16",
-                     "--q", "16,16,16"]) == 0
-        out = capsys.readouterr().out
-        assert "planner choice: indexed-join" in out
-        assert "crossover" in out
+        info, _ = explain(capsys, "--grid", "64,64,64", "--p", "16,16,16", "--q", "16,16,16")
+        assert info["chosen"] == "indexed-join" and info["ne_cs"] < info["crossover_ne_cs"]
 
     def test_plan_picks_gh_high_degree(self, capsys):
-        assert main(["plan", "--grid", "64,64,64", "--p", "4,4,4",
-                     "--q", "32,32,32"]) == 0
-        assert "planner choice: grace-hash" in capsys.readouterr().out
+        info, _ = explain(capsys, "--grid", "64,64,64", "--p", "4,4,4", "--q", "32,32,32")
+        assert info["chosen"] == "grace-hash"
 
     def test_plan_nfs_mode(self, capsys):
-        assert main(["plan", "--grid", "32,32,32", "--p", "8,8,8",
-                     "--q", "8,8,8", "--nfs"]) == 0
-        assert "planner choice: indexed-join" in capsys.readouterr().out
+        info, _ = explain(capsys, "--grid", "32,32,32", "--p", "8,8,8", "--q", "8,8,8", "--nfs")
+        assert info["chosen"] == "indexed-join"
 
     def test_cpu_factor_changes_plan(self, capsys):
-        args = ["plan", "--grid", "64,64,64", "--p", "16,16,16",
-                "--q", "32,32,32"]
-        main(args + ["--cpu-factor", "0.1"])
-        slow = capsys.readouterr().out
-        main(args + ["--cpu-factor", "10"])
-        fast = capsys.readouterr().out
-        assert "grace-hash" in slow.split("planner choice:")[1]
-        assert "indexed-join" in fast.split("planner choice:")[1]
+        args = ["--grid", "64,64,64", "--p", "16,16,16", "--q", "32,32,32"]
+        assert explain(capsys, *args, "--cpu-factor", "0.1")[0]["chosen"] == "grace-hash"
+        assert explain(capsys, *args, "--cpu-factor", "10")[0]["chosen"] == "indexed-join"
 
 
 class TestRun:
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     @pytest.mark.parametrize("command", [
         ["run", "--grid", "16,16", "--p", "4,4", "--q", "4,4"],
-        ["plan", "--grid", "16,16", "--p", "4,4", "--q", "4,4"],
+        ["explain", "--grid", "16,16", "--p", "4,4", "--q", "4,4"],
         ["sweep", "cpu"],
     ])
     def test_cpu_factor_must_be_positive_and_finite(self, capsys, command, value):
@@ -189,21 +196,12 @@ class TestPipelineFlag:
         assert args.pipeline is False
 
     def test_plan_with_pipeline_lowers_ij_total(self, capsys):
-        base = ["plan", "--grid", "64,64,64", "--p", "16,16,16",
-                "--q", "16,16,16"]
-        assert main(base) == 0
-        sync_out = capsys.readouterr().out
-        assert main(base + ["--pipeline"]) == 0
-        pipe_out = capsys.readouterr().out
-
-        def ij_total(out):
-            for line in out.splitlines():
-                if line.strip().startswith("indexed-join"):
-                    return float(line.split()[-1])
-            raise AssertionError(out)
-
-        assert ij_total(pipe_out) < ij_total(sync_out)
-        assert "indexed-join (pipe)" in pipe_out
+        base = ["--grid", "64,64,64", "--p", "16,16,16", "--q", "16,16,16"]
+        sync, sync_totals = explain(capsys, *base)
+        pipe, pipe_totals = explain(capsys, *base, "--pipeline")
+        assert pipe["pipelined"] and not sync["pipelined"]
+        assert pipe_totals["indexed-join"] < sync_totals["indexed-join"]
+        assert pipe_totals["grace-hash"] == sync_totals["grace-hash"]
 
 
 class TestCalibrate:
@@ -428,6 +426,28 @@ class TestTop:
         out = capsys.readouterr().out
         assert "== cache reuse" in out
         assert "configured capacity" in out
+        # the what-if curve is the report's global one
+        assert main(["top", report, "--json"]) == 0
+        dash = json.loads(capsys.readouterr().out)
+        reuse = json.loads(Path(report).read_text())["observability"]["reuse"]
+        assert dash["reuse"]["mrc"] == reuse["mrc"]["global"]
+
+    def test_a_report_with_an_advisor_section_reads_as_one_without(self, tmp_path, capsys):
+        """Reports written while the reuse section carried a
+        materialization advisor still read: every reader ignores it."""
+        report, _ = self._artifacts(tmp_path, capsys)
+        payload = json.loads(Path(report).read_text())
+        payload["observability"]["reuse"]["advisor"] = {"cost_model": {"link_bw": 1.25e8},
+                                                        "candidates": [{"key": "(1,0)"}]}
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(payload))
+        for flags in ([], ["--json"]):
+            outputs = []
+            for path in (report, str(legacy)):
+                assert main(["top", path, *flags]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1], flags
+        assert validate_main([report, str(legacy)]) == 0
 
     def test_top_degrades_when_served_with_no_reuse(self, tmp_path, capsys):
         # an observed report from before the reuse observatory existed
@@ -443,57 +463,6 @@ class TestTop:
         assert "reuse: disabled for this serve" in out
 
 
-class TestAdvise:
-    def _report(self, tmp_path, capsys, extra=()):
-        report = tmp_path / "report.json"
-        assert main(TestServe.SMALL + [
-            "--observe", *extra, "--json-out", str(report),
-        ]) == 0
-        capsys.readouterr()
-        return str(report)
-
-    def test_a_report_with_an_advisor_section_reads_as_one_without(self, tmp_path, capsys):
-        """Reports written while the reuse section carried a
-        materialization advisor still read: every reader ignores it."""
-        report = self._report(tmp_path, capsys)
-        payload = json.loads(Path(report).read_text())
-        payload["observability"]["reuse"]["advisor"] = {
-            "cost_model": {"link_bw": 1.25e8, "read_io_bw": 5e7, "write_io_bw": 4e7,
-                           "build_cost": 2e-7, "record_size": 24.0, "cpu_build": 1.0},
-            "candidates": [{
-                "key": "(1,0)", "origin": "derived", "nbytes": 384, "accesses": 12,
-                "hits": 9, "misses": 3, "nodes": 2, "tenants": ["batch"],
-                "benefit_s": 5.6e-05, "cost_s": 4.7e-05, "score_s": 8.96e-06,
-            }],
-        }
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps(payload))
-        for argv in (["advise"], ["advise", "--json"], ["top"], ["top", "--json"]):
-            outputs = []
-            for path in (report, str(legacy)):
-                assert main([argv[0], path, *argv[1:]]) == 0
-                outputs.append(capsys.readouterr().out)
-            assert outputs[0] == outputs[1], argv
-        assert validate_main([report, str(legacy)]) == 0
-        assert main(["advise", report]) == 0
-        out = capsys.readouterr().out
-        assert "cache reuse —" in out
-        assert "what-if miss-ratio curve" in out
-
-    def test_advise_json_matches_report_section(self, tmp_path, capsys):
-        report = self._report(tmp_path, capsys)
-        assert main(["advise", report, "--json"]) == 0
-        out = capsys.readouterr().out
-        with open(report, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        assert json.loads(out) == payload["observability"]["reuse"]
-
-    def test_advise_rejects_report_without_reuse(self, tmp_path, capsys):
-        report = self._report(tmp_path, capsys, extra=("--no-reuse",))
-        assert main(["advise", report]) == 2
-        assert "no reuse section" in capsys.readouterr().err
-
-
 class TestMalformedFiles:
     """A file argument that is missing or holds the wrong JSON shape is
     rejected with ``error: <path>: <reason>`` and exit 2, not a traceback."""
@@ -502,7 +471,7 @@ class TestMalformedFiles:
              "--storage", "2", "--compute", "2", "--tenants"]
 
     @pytest.mark.parametrize(
-        "argv", [SERVE, ["top"], ["advise"]], ids=["serve-tenants", "top", "advise"]
+        "argv", [SERVE, ["top"]], ids=["serve-tenants", "top"]
     )
     def test_missing_file(self, argv, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -511,7 +480,8 @@ class TestMalformedFiles:
         assert err.startswith(f"error: {missing}: ")
         assert "No such file" in err
 
-    @pytest.mark.parametrize("command", ["top", "advise"])
+    @pytest.mark.parametrize("argv", [["top"], ["top", "--json"]],
+                             ids=["top", "top-json"])
     @pytest.mark.parametrize("content, reason", [
         ('{"queries": 3}', "not a server report (no 'queries' list)"),
         ('{"queries": []}', "not a server report (no 'tenants' dict)"),
@@ -534,29 +504,26 @@ class TestMalformedFiles:
         ),
     ], ids=["queries-not-a-list", "no-sections", "gauge-windows-not-a-list",
             "counters-not-an-object", "gauge-track-not-an-object"])
-    def test_report_wrong_shape(self, command, content, reason, tmp_path, capsys):
+    def test_report_wrong_shape(self, argv, content, reason, tmp_path, capsys):
         report = tmp_path / "report.json"
         report.write_text(content)
-        assert main([command, str(report)]) == 2
+        assert main(argv + [str(report)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {report}: {reason}\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", ["top", "top-oplog", "advise", "drift"])
+    @pytest.mark.parametrize("argv", [
+        ["top", "BAD"], ["top", "REPORT", "--oplog", "BAD"], ["drift", "--store", "BAD"],
+    ], ids=["top", "top-oplog", "drift"])
     @pytest.mark.parametrize("content", [b"\xff\xfe", b"root:x:0:0:root:/root:/bin/sh\n"],
                              ids=["binary", "text"])
-    def test_unreadable_file_is_named(self, command, content, tmp_path, capsys):
+    def test_unreadable_file_is_named(self, argv, content, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
         report = tmp_path / "report.json"
         report.write_text('{"queries": [], "tenants": {}, "dispositions": {}, "cache": {}}')
-        argv = {
-            "top": ["top", str(bad)],
-            "top-oplog": ["top", str(report), "--oplog", str(bad)],
-            "advise": ["advise", str(bad)],
-            "drift": ["drift", "--store", str(bad)],
-        }[command]
-        assert main(argv) == 2
+        paths = {"BAD": str(bad), "REPORT": str(report)}
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {bad}:")
         assert captured.out == ""
@@ -824,10 +791,6 @@ class TestUnreadFlagsRefused:
         ["sweep", "nfs", "--calibrated", "drift"],
         ["sweep", "nfs", "--drift-store", "/nonexistent/x"],
         ["sweep", "nfs", "--nfs"],
-        ["plan", *SMALL, "--faults", "not a spec"],
-        ["plan", *SMALL, "--replication", "9"],
-        ["plan", *SMALL, "--sanitize"],
-        ["plan", *SMALL, "--trace-out", "/nonexistent/dir/x.json"],
         ["explain", *SMALL, "--faults", "not a spec"],
         ["explain", *SMALL, "--replication", "9"],
         ["explain", *SMALL, "--sanitize"],
@@ -866,8 +829,6 @@ class TestUnreadFlagsRefused:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
-        ["plan", "--nfs", "--cpu-factor", "2", "--calibrated", "drift",
-         "--drift-store", "x", "--pipeline"],
         ["explain", "--nfs", "--cpu-factor", "2", "--calibrated", "drift",
          "--drift-store", "x", "--pipeline", "--json"],
         ["run", "--nfs", "--cpu-factor", "2", "--calibrated", "drift",
@@ -883,3 +844,33 @@ class TestUnreadFlagsRefused:
     def test_every_flag_a_handler_reads_still_parses(self, argv):
         args = build_parser().parse_args(argv + ["--storage", "3", "--compute", "4"])
         assert (args.storage, args.compute, args.cpu_factor) == (3, 4, 2.0)
+
+
+
+#: the tables of bad input, each of whose rows exits 2
+REFUSAL_TABLES = (
+    TestParsing.test_a_bad_value_exits_2, TestRun.test_cpu_factor_must_be_positive_and_finite,
+    TestMalformedFiles.test_missing_file, TestMalformedFiles.test_report_wrong_shape,
+    TestMalformedFiles.test_unreadable_file_is_named,
+    TestMalformedFiles.test_count_flags_must_be_positive,
+    TestMalformedFiles.test_unwritable_command_output,
+    TestUnreadFlagsRefused.test_refused_before_anything_runs,
+)
+
+
+def argv_rows(test):
+    """The command lines a parametrized test drives: each value of its
+    ``argv`` or ``command`` parameter (the first of a tuple)."""
+    for mark in getattr(test, "pytestmark", ()):
+        if mark.name == "parametrize" and mark.args[0].split(",")[0] in ("argv", "command"):
+            yield from (v[0] if isinstance(v, tuple) else v for v in mark.args[1])
+
+
+def test_the_refusal_tables_follow_the_command_set():
+    """Every command the parser registers has a bad-input row that exits
+    2, and no row in this file drives a command it no longer registers."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    tests = [t for g in list(globals().values())
+             for t in (vars(g).values() if isinstance(g, type) else [g])]
+    assert {row[0] for test in tests for row in argv_rows(test)} <= set(sub.choices)
+    assert {row[0] for test in REFUSAL_TABLES for row in argv_rows(test)} == set(sub.choices)

@@ -2,6 +2,7 @@
 tree, and each family's committed matrix is complete.  (Running the cells
 is CI's job: each one runs a test suite.)"""
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -31,6 +32,21 @@ def test_a_stale_anchor_is_loud():
     text = (SRC / cell.file).read_text(encoding="utf-8")
     with pytest.raises(pm.AnchorError, match="matches 2 times"):
         pm.mutate(text + text, cell)
+
+
+def test_check_names_a_recorded_file_that_no_longer_fails(monkeypatch, capsys):
+    """A cell still caught by one file is not enough: each recorded file
+    must still fail a test, or ``check`` names it and exits 1."""
+    cell, recorded = pm.CELLS[0], {"tests/a.py": 2, "tests/b.py": 1}
+    monkeypatch.setattr(pm, "load_results", lambda f: {"cells": {cell.name: {
+        "change": {"failed": recorded}}}})
+    monkeypatch.setattr(pm, "copy_tree", lambda tree, dest: None)
+    monkeypatch.setattr(pm, "mutated", lambda root, cell: contextlib.nullcontext())
+    monkeypatch.setattr(pm, "run_cell_tests", lambda root, files, cell: ({"tests/a.py": 3}, {}))
+    assert pm.check([cell]) == 1
+    out = capsys.readouterr().out
+    assert "tests/a.py: recorded 2, now 3" in out and "tests/b.py: recorded 1, now 0" in out
+    assert out.splitlines()[-1] == f"1 recorded file(s) no longer fail: {cell.name} tests/b.py"
 
 
 def test_a_family_name_selects_its_cells():
@@ -100,11 +116,11 @@ def test_the_trace_validators_kept_are_the_oplog_one():
     # validate_chrome_trace flagged only a cell the trace fence catches.
     # On the parent the ops-log cell failed only a test that calls
     # validate_oplog itself; now the fence's observed cell fails on it too
-    # (DESIGN.md §7.1).  validate_oplog stays as the check of ops logs
-    # handed to `repro top --oplog`.
+    # (DESIGN.md §7.1).  validate_oplog stays as the check of ops logs handed
+    # to `repro top --oplog`; validate_report, of reports, was never a candidate.
     results = committed("trace")
     assert results["sides"]["parent"]["rules"] == ["validate_chrome_trace", "validate_oplog"]
-    assert results["sides"]["change"]["rules"] == ["validate_oplog"]
+    assert results["sides"]["change"]["rules"] == ["validate_oplog", "validate_report"]
     flow = results["cells"]["trace/export/flow-without-source"]["parent"]
     assert flow["lint"] == ["validate_chrome_trace"] and "tests/test_fence.py" in flow["failed"]
     oplog = results["cells"]["trace/oplog/written-out-of-seq"]
