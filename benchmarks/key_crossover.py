@@ -1,4 +1,5 @@
-"""Where counting beats sorting: the cutoffs of the key path, measured.
+"""Where counting beats sorting: the cutoffs of the key path, measured,
+and what each fast path of the data path wins end to end.
 
 Four places choose between a pass over a key space and a sort or binary
 search over the records, and each choice is a bound on the input:
@@ -19,11 +20,11 @@ search over the records, and each choice is a bound on the input:
   is unique and the direct build cannot take them: the kernel's sorted
   search against the frozen counted probe.
 * ``ranks`` — ranking one key column (``repro.datamodel.keys``): counting
-  one flag per value of its span (``_counted_ranks``) for a column of at
-  least ``_COUNTED_MIN`` values whose span is at most ``_COUNTED_SPAN``
-  times its length, else ``np.unique``.  Timed on prefixes of that Indexed
-  Join call's key columns (grid order) and on float32 whole numbers drawn
-  uniformly over ``ratio`` times the column's length.
+  one flag per value of its span (``_counted_ranks``), taken on a column
+  of any length whose span is at most ``_COUNTED_SPAN`` times its length,
+  against ``np.unique``.  Timed on prefixes of that Indexed Join call's
+  key columns (grid order) and on float32 whole numbers drawn uniformly
+  over ``ratio`` times the column's length.
 * ``groupby`` — GROUP BY (``repro.query.aggregate``): COUNT and exact
   SUM/AVG counted over the id space while the largest id is below
   ``_COUNTED_SPACE`` times the records, against the sort and segmented
@@ -32,34 +33,67 @@ search over the records, and each choice is a bound on the input:
   keys drawn uniformly, their id space about ``ratio`` times the records.
 
 Each cell alternates the paths ``--reps`` times and prints their medians
-and how many of the rounds the first path won against each other::
+and how many of the rounds the first path won against each other.
+
+``census`` asks the question the kernel-level cells cannot: does a path
+pay on the workloads?  It runs the six ``bench`` workloads in this
+process, each fast path of :data:`FAST_PATHS` forced off in turn by
+``mock.patch`` (nothing in ``src/`` switches one off), in ``--pairs``
+alternating on/off pairs, each side of a pair the median of ``--runs``
+runs, each run set up afresh.  A workload whose spied first run never
+takes the path is ``not taken``; on the others it prints the seconds of
+the timed region per side and the off/on ratio per pair (quartiles and
+median of each), raw and then normalised to the reference host by
+``bench``'s pilot, how many pairs ran slower with the path off, and a
+verdict from the pairs, since the host drifts between them: ``win`` when
+the lower quartile of the ratios is above 1 (three pairs in four slower
+off), ``loss`` when the upper one is below 1, else ``noise``.  Every run
+must keep the workload's digest, and the first forced-off run must pass
+its oracles.  Last, the host microseconds per chunk of a
+model-only ``ScanQES`` over the chunks ``view_query``'s base-table
+SELECTs read, set-up included::
 
     PYTHONPATH=src python benchmarks/key_crossover.py build
     PYTHONPATH=src python benchmarks/key_crossover.py probe
     PYTHONPATH=src python benchmarks/key_crossover.py ranks
     PYTHONPATH=src python benchmarks/key_crossover.py groupby
+    PYTHONPATH=src python benchmarks/key_crossover.py census [--pairs 10] [--runs 3] [--scale 1.0]
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import statistics
+import sys
+import tempfile
 import time
+from contextlib import ExitStack
+from dataclasses import dataclass
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
+from repro.cluster.cluster import ClusterSim, ClusterTopology
+from repro.cluster.nodes import PAPER_MACHINE
 from repro.core.engine import DerivedDataSource
 from repro.core.view import Aggregate, JoinView
 from repro.datamodel import Attribute, Schema, SubTable, SubTableId, keys
+from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.subtable import concat_subtables
 from repro.joins import grace_hash, hash_join, indexed_join
+from repro.joins.scan import ScanQES
+from repro.query.parser import parse_query
+from repro.query.predicate import TruePredicate
 from repro.workloads.generator import GridSpec
 from repro.workloads.oilres import build_oil_reservoir_dataset
 
-#: the module, which ``repro.query``'s ``aggregate`` function shadows
+#: the modules, which ``repro.query``'s ``aggregate`` function and
+#: ``QueryExecutor`` class shadow
 aggregate = importlib.import_module("repro.query.aggregate")
+executor = importlib.import_module("repro.query.executor")
 
 
 def _alternate(calls, reps, inner=1):
@@ -154,7 +188,7 @@ def probe(reps):
 
 def _ranks_row(label, column, reps):
     inner = max(1, 20_000 // len(column))
-    with mock.patch.object(keys, "_COUNTED_MIN", 0), mock.patch.object(keys, "_COUNTED_SPAN", np.inf):
+    with mock.patch.object(keys, "_COUNTED_SPAN", np.inf):
         assert keys._counted_ranks(column) is not None
         (c, u), (wins,) = _alternate([
             lambda: keys._counted_ranks(column), lambda: np.unique(column, return_inverse=True),
@@ -214,13 +248,218 @@ def groupby(reps):
                          aggs, ["g", "h"], reps)
 
 
+# -- census: each kept fast path's end-to-end win ------------------------------
+
+
+def _stable_argsort(ids):
+    return np.argsort(ids, kind="stable")
+
+
+class _NoPredicate:
+    """A class no predicate is an instance of."""
+
+
+@dataclass(frozen=True)
+class FastPath:
+    """One data-path fast path, as the census forces it off."""
+
+    #: ``(target, attribute, replacement)`` patches that force it off
+    off: tuple
+    #: ``(targets, attribute, hit)``: a spy on ``attribute`` of each target
+    #: counting the calls for which ``hit(args, result)`` says it was taken
+    spy: tuple
+    #: ``view_query`` templates whose per-query time its rows also report
+    templates: tuple = ()
+    #: patches both sides run under: the setting it is measured in
+    base: tuple = ()
+
+
+#: the census's paths, forced off one at a time
+FAST_PATHS = {
+    "counted ranks": FastPath(
+        [(keys, "_counted_ranks", lambda column: None)],
+        ([keys], "_counted_ranks", lambda args, out: out is not None),
+    ),
+    "direct-address probe": FastPath(
+        [(hash_join, "_direct_probe", lambda lkeys, rkeys, space: None)],
+        ([hash_join], "_direct_probe", lambda args, out: out is not None),
+    ),
+    "counted GROUP BY": FastPath(
+        [(aggregate, "_COUNTED_SPACE", 0)],
+        ([aggregate], "_counted", lambda args, out: True), ("groupby",),
+    ),
+    # taken by a GROUP BY that sorts (MIN, MAX, an inexact SUM) and by a
+    # join of repeated left keys; no workload runs either, so it is
+    # measured on view_query's GROUP BY with the counting forced off
+    "radix id_order": FastPath(
+        [(aggregate, "id_order", _stable_argsort), (hash_join, "id_order", _stable_argsort)],
+        ([aggregate, hash_join], "id_order", lambda args, out: len(args[0]) > 0), ("groupby",),
+        base=[(aggregate, "_COUNTED_SPACE", 0)],
+    ),
+    "scan whole-chunk count": FastPath(
+        [(BoundingBox, "contains_box", lambda box, other: False)],
+        ([BoundingBox], "contains_box", lambda args, out: out),
+    ),
+    "SELECT whole sink": FastPath(
+        [(executor, "TruePredicate", _NoPredicate)],
+        ([executor.QueryExecutor], "_scan",
+         lambda args, out: isinstance(args[1].where, TruePredicate)),
+        ("scan", "project"),
+    ),
+}
+
+
+def _spy(targets, attr, hit):
+    """Patches wrapping ``attr`` of each of ``targets``, and the one-element
+    list they count the calls for which ``hit(args, result)`` holds in."""
+    count = [0]
+
+    def wrap(real):
+        def spied(*args, **kwargs):
+            out = real(*args, **kwargs)
+            count[0] += bool(hit(args, out))
+            return out
+        return spied
+
+    return [mock.patch.object(t, attr, wrap(getattr(t, attr))) for t in targets], count
+
+
+def _repetition(workload, seed, scale, patches, verify=False):
+    """Set ``workload`` up in a fresh directory and time its region once
+    under ``patches`` and ``bench``'s pilot: raw seconds (net of the
+    pilot's own), reference-host seconds and the outcome.  With
+    ``verify``, its oracles must find no wrong answer."""
+    from bench.hostclock import Pilot
+
+    with tempfile.TemporaryDirectory(prefix="census-") as tmp:
+        state = workload.setup(seed, scale, Path(tmp))
+        gc.collect()
+        with ExitStack() as stack:
+            for patch in patches:
+                stack.enter_context(patch)
+            pilot = stack.enter_context(Pilot())
+            start = time.perf_counter()
+            outcome = workload.run(state)
+            wall = time.perf_counter() - start
+            reading = pilot.read()
+        failures = workload.verify(state) if verify else []
+    assert not failures, failures[:3]
+    return wall - reading.handler_s, reading.normalise(wall), outcome
+
+
+def _spread(values, scale=1.0):
+    q1, median, q3 = np.percentile(values, (25, 50, 75)) * scale
+    return f"{q1:.4g} {median:.4g} {q3:.4g}"
+
+
+def _census_row(path, name, workload, seed, scale, pairs, runs):
+    fast = FAST_PATHS[path]
+    templates = fast.templates if name == "view_query" else ()
+    spies, taken = _spy(*fast.spy)
+
+    def patches(on):
+        return [mock.patch.object(*p) for p in (fast.base if on else [*fast.base, *fast.off])]
+
+    *_, first = _repetition(workload, seed, scale, [*patches(True), *spies], verify=True)
+    if not taken[0]:
+        print(f"{path:24s}  {name:16s}  not taken")
+        return
+    walls = {(clock, on): [] for clock in ("raw", "normalised") for on in (True, False)}
+    per_query = {(t, on): [] for t in templates for on in (True, False)}
+    for pair in range(pairs):
+        for on in (True, False) if pair % 2 == 0 else (False, True):
+            side = []
+            for run in range(runs):
+                verify = not (on or pair or run)
+                *seconds, outcome = _repetition(workload, seed, scale, patches(on), verify)
+                assert outcome.digest == first.digest, f"{path} moved {name}'s digest"
+                side.append(seconds)
+                for t in templates:
+                    per_query[t, on].append(statistics.median(outcome.timings[t]))
+            for clock, values in zip(("raw", "normalised"), zip(*side)):
+                walls[clock, on].append(statistics.median(values))
+    for clock in ("raw", "normalised"):
+        on, off = np.array(walls[clock, True]), np.array(walls[clock, False])
+        ratios = off / on
+        low, _, high = np.percentile(ratios, (25, 50, 75))
+        verdict = "win" if low > 1 else "loss" if high < 1 else "noise"
+        print(f"{path if clock == 'raw' else '':24s}  {name:16s}  "
+              f"{taken[0] if clock == 'raw' else clock[:4]:>6}  {_spread(on):22s}  "
+              f"{_spread(off):22s}  {_spread(ratios):22s}  {sum(ratios > 1):3d}/{pairs}  {verdict}")
+    for t in templates:
+        print(f"{'':24s}  {name + ' ' + t:16s}  {'ms/q':>6s}  "
+              f"{_spread(per_query[t, True], 1e3):22s}  {_spread(per_query[t, False], 1e3):22s}")
+
+
+def _stub_scan(seed, reps):
+    """Host microseconds per chunk of a model-only ``ScanQES``, set-up
+    included, over the chunks ``view_query``'s base-table SELECTs read:
+    raw, and normalised to the reference host by ``bench``'s pilot."""
+    from bench.hostclock import Pilot
+    from bench.workloads import WORKLOADS
+
+    dataset = build_oil_reservoir_dataset(
+        GridSpec((64,) * 3, (16,) * 3, (16,) * 3), num_storage=4, functional=False, seed=seed
+    )
+    catalog = dataset.metadata.table(dataset.left)
+    with tempfile.TemporaryDirectory(prefix="census-") as tmp:
+        plan = WORKLOADS["view_query"].setup(seed, 1.0, Path(tmp))["plan"]
+    scans = []
+    for _, _, sql in (q for queries in plan for q in queries):
+        box = parse_query(sql).where.bbox()
+        scans.append((box, catalog.find_chunks(box) if len(box) else catalog.all_chunks()))
+    chunks = sum(len(c) for _, c in scans)
+
+    def run():
+        for box, found in scans:
+            ScanQES(
+                ClusterSim(ClusterTopology(4, 1), spec=PAPER_MACHINE), dataset.metadata,
+                catalog.table_id, box, dataset.provider, chunks=found,
+            ).run()
+
+    raw, normalised = [], []
+    with Pilot() as pilot:
+        for _ in range(reps):
+            before = pilot.read()
+            start = time.perf_counter()
+            run()
+            wall = time.perf_counter() - start
+            reading = pilot.read().since(before)
+            raw.append((wall - reading.handler_s) / chunks * 1e6)
+            normalised.append(reading.normalise(wall) / chunks * 1e6)
+    print(f"stub ScanQES: {len(scans)} SELECTs, {chunks} chunks, µs per chunk "
+          f"(q1 median q3 of {reps}): raw {_spread(raw)}, normalised {_spread(normalised)}")
+
+
+def census(reps, pairs=10, runs=3, scale=1.0, seed=7, paths=None, workloads=None):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # the bench package
+    from bench.workloads import WORKLOADS
+
+    print(f"{'path':24s}  {'workload':16s}  {'taken':>6s}  {'on s (q1 med q3)':22s}  "
+          f"{'off s (q1 med q3)':22s}  {'off/on per pair':22s}  slower  verdict")
+    for path in paths or FAST_PATHS:
+        for name in workloads or WORKLOADS:
+            _census_row(path, name, WORKLOADS[name], seed, scale, pairs, runs)
+    _stub_scan(seed, reps)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    modes = {"build": build, "probe": probe, "ranks": ranks, "groupby": groupby}
+    modes = {"build": build, "probe": probe, "ranks": ranks, "groupby": groupby, "census": census}
     parser.add_argument("which", choices=tuple(modes))
     parser.add_argument("--reps", type=int, default=11)
+    census_args = parser.add_argument_group("census")
+    census_args.add_argument("--pairs", type=int, default=10)
+    census_args.add_argument("--runs", type=int, default=3, help="per side of a pair")
+    census_args.add_argument("--scale", type=float, default=1.0)
+    census_args.add_argument("--path", action="append", choices=tuple(FAST_PATHS))
+    census_args.add_argument("--workload", action="append")
     args = parser.parse_args(argv)
-    modes[args.which](args.reps)
+    if args.which == "census":
+        census(args.reps, args.pairs, args.runs, args.scale, paths=args.path,
+               workloads=args.workload)
+    else:
+        modes[args.which](args.reps)
 
 
 if __name__ == "__main__":

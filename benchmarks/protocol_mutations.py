@@ -4,7 +4,7 @@ replay guarantee or a malformed trace?
 Each cell of :data:`CELLS` breaks one clause at one real ``src/`` site
 with anchored ``(old, new)`` edits — an anchor that does not match
 exactly once is an :class:`AnchorError`, never a silently skipped cell —
-and records which gate notices.  Cells come in three families, one
+and records which gate notices.  Cells come in four families, one
 results file each (``results/MUTATION_<family>.json``):
 
 * ``protocol``: the Section 4.1 joiner loop and the server around it
@@ -20,18 +20,27 @@ results file each (``results/MUTATION_<family>.json``):
   container mutated while iterated, an unobserved ``fail_after``, a raw
   ``heapq`` push;
 * ``trace``: a span never closed, a flow event with no source, an ops
-  log written out of ``seq`` order.
+  log written out of ``seq`` order;
+* ``answers``: each data-path fast path that computes an answer more
+  cheaply — counted ranks and radix order in ``key_ids``/``id_order``,
+  the kernel's direct-address table, the counted GROUP BY and its
+  exact-sum and ``-0.0`` rules, a scan counting a chunk inside its
+  box whole, the SELECT's whole-answer sink, Grace Hash's ``-0.0`` key
+  normalisation and a view query's box pushdown — broken where it
+  decides, so that a wrong answer or a wrong path shows.  It runs its
+  own suite, :data:`ANSWERS_SUITE`, and has only a ``change`` side.
 
 Two columns per cell and side:
 
 * the *lint* column: for ``trace``, the validators (:data:`VALIDATED`)
   that flag the CI smoke artifacts (:data:`ARTIFACT_RUNS`) regenerated
-  from the edited tree and not those of the unedited one.  ``protocol``
-  and ``determinism`` have no static tool any more and record ``[]``;
+  from the edited tree and not those of the unedited one.  ``protocol``,
+  ``determinism`` and ``answers`` have no static tool and record ``[]``;
   their ``parent`` columns keep what the simlint rules flagged while
   they existed;
-* the *runtime* column: the test files of :data:`SUITE` (the sanitizer,
-  the QES contract, chaos quiescence, the fence, ...) with at least one
+* the *runtime* column: the test files of the family's suite (for all
+  but ``answers``, :data:`SUITE`: the sanitizer, the QES contract, chaos
+  quiescence, the fence, ...) with at least one
   failing test, and how many.  A cell with ``hashseeds`` runs the suite
   once per ``PYTHONHASHSEED`` and is caught only if every seed fails a
   test (the per-seed counts are kept under ``hashseeds``).
@@ -43,8 +52,8 @@ Two columns per cell and side:
     python benchmarks/protocol_mutations.py check
 
 ``measure`` copies a tree (``src``, ``tests``, ``benchmarks``,
-``examples``, ``pyproject.toml``) into a scratch directory, runs
-:data:`SUITE` there unedited (it must pass), then per cell applies the
+``examples``, ``pyproject.toml``) into a scratch directory, runs each
+measured family's suite there unedited (it must pass), then per cell applies the
 edits, fills both columns and restores the file; they go under
 ``cells[name][side]`` of the cell's family file, other sides untouched.
 A suite run that outlives :data:`TIMEOUT_S` counts as caught.  ``check``
@@ -73,7 +82,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
-FAMILIES = ("protocol", "determinism", "trace")
+FAMILIES = ("protocol", "determinism", "trace", "answers")
 
 #: what a cell's test run imports and reads, copied per measured tree
 TREE = ("src", "tests", "benchmarks", "examples", "pyproject.toml")
@@ -90,6 +99,20 @@ SUITE = (
     "tests/test_invariants.py",
     "tests/test_fence.py",
 )
+
+#: the answers family's gates: the kernel, key, scan, aggregate and SQL
+#: suites, whose oracles compare answers byte for byte, and the fence
+ANSWERS_SUITE = (
+    "tests/joins",
+    "tests/datamodel",
+    "tests/query",
+    "tests/test_fence.py",
+)
+
+
+def suite_of(family: str) -> Tuple[str, ...]:
+    return ANSWERS_SUITE if family == "answers" else SUITE
+
 
 #: per test run; a mutation that hangs the suite is recorded as caught
 TIMEOUT_S = 900
@@ -442,6 +465,104 @@ CELLS: Tuple[Cell, ...] = (
           '            for record in sorted(self.records, key=lambda r: (r["t"], r["event"]))\n'),),
         family="trace",
     ),
+    # -- answers: each kept data-path fast path, broken where it decides --------
+    Cell(
+        "keys/counted-ranks/offset", "ranks", "datamodel/keys.py", "_counted_ranks",
+        "a holed span's running count of flags starts at 1: every rank is one "
+        "too high, so the largest equals the base and spills into the next digit",
+        (("    rank_of = np.cumsum(seen, dtype=np.intp) - 1\n",
+          "    rank_of = np.cumsum(seen, dtype=np.intp)\n"),),
+        family="answers",
+    ),
+    Cell(
+        "keys/radix/high-digit-dropped", "radix", "datamodel/keys.py", "id_order",
+        "ids below 2**32 are sorted by their low 16 bits only",
+        (("        return order[np.argsort((ids[order] >> 16).astype(np.uint16), "
+          "kind=\"stable\")]\n",
+          "        return order\n"),),
+        family="answers",
+    ),
+    Cell(
+        "kernel/direct-address/skip-readback", "direct", "joins/hash_join.py",
+        "_direct_probe",
+        "the uniqueness read-back is skipped: of two left rows sharing an id "
+        "the later one overwrites the slot and the earlier never matches",
+        (("    if not np.array_equal(slot[lkeys], rows):\n        return None\n", ""),),
+        family="answers",
+    ),
+    Cell(
+        "kernel/direct-address/span-bound-off-by-one", "direct", "joins/hash_join.py",
+        "_direct_probe",
+        "an id space of exactly `_DIRECT_SPACE` times the ids is refused the "
+        "table; the answer is the same, the path is not",
+        (("    if space > _DIRECT_SPACE * (len(lkeys) + len(rkeys)):\n",
+          "    if space >= _DIRECT_SPACE * (len(lkeys) + len(rkeys)):\n"),),
+        family="answers",
+    ),
+    Cell(
+        "groupby/counted/inexact-sum-taken", "groupby", "query/aggregate.py",
+        "_exact_sums",
+        "every value column counts as exact: a SUM that rounds, a NaN or an "
+        "infinity is counted in record order instead of summed pairwise",
+        (("    return len(column) * top <= 2.0**52 * unit\n", "    return True\n"),),
+        family="answers",
+    ),
+    Cell(
+        "groupby/counted/neg-zero-sign", "groupby", "query/aggregate.py", "_counted",
+        "a counted group of only `-0.0` values sums to `+0.0`",
+        (("        if not sums.all():  # an exact zero is -0.0 when every value was -0.0\n"
+          "            negative = np.bincount(ids, weights=np.signbit(values))[present]\n"
+          "            sums[(sums == 0) & (negative == counts)] = -0.0\n", ""),),
+        family="answers",
+    ),
+    Cell(
+        "scan/whole-chunk-count/overlaps-not-contains", "scan", "joins/scan.py",
+        "ScanQES._driver",
+        "a chunk whose bounds merely cross the box counts whole",
+        (("                elif self.where.contains_box(desc.bbox):\n",
+          "                elif self.where.overlaps(desc.bbox):\n"),),
+        family="answers",
+    ),
+    Cell(
+        "sql/whole-sink/offset", "sink", "query/executor.py", "QueryExecutor._scan",
+        "the whole-answer sink's write offset lags a record behind each chunk: "
+        "every chunk overwrites the last record of the one before",
+        (("                at = end\n", "                at = end - 1\n"),),
+        family="answers",
+    ),
+    Cell(
+        "grace-hash/neg-zero/unnormalised", "neg-zero", "joins/grace_hash.py",
+        "hash_records",
+        "a float key's `-0.0` is hashed by its own bits, so it reaches another "
+        "joiner or bucket than the `0.0` it joins",
+        (("        if col.dtype.kind == \"f\":\n"
+          "            col = col + col.dtype.type(0)  # -0.0 + 0.0 is 0.0; all else as it was\n",
+          ""),),
+        family="answers",
+    ),
+    Cell(
+        "view/pushdown/into-aggregation-view", "pushdown", "core/engine.py",
+        "DerivedDataSource.execute",
+        "a box is pushed into an aggregation view's join, so its WHERE filters "
+        "the records the groups aggregate instead of the groups",
+        (("        if box is not None and isinstance(view, JoinView):\n",
+          "        if box is not None and isinstance(view, AggregationView):\n"
+          "            view = replace(view, source=replace(\n"
+          "                view.source, where=self._prunable(box) or None))\n"
+          "        if box is not None and isinstance(view, JoinView):\n"),),
+        family="answers",
+    ),
+    Cell(
+        "view/pushdown/disjoint-box-runs-qes", "pushdown", "core/engine.py",
+        "DerivedDataSource.execute",
+        "a box disjoint from the view's range runs the whole view's QES, "
+        "its range dropped",
+        (("                if where is None:\n"
+          "                    empty = SubTable.empty(SubTableId(-1, 0), self.schema)\n"
+          "                    return QueryResult(table=empty, report=None, plan=None)\n",
+          ""),),
+        family="answers",
+    ),
 )
 
 CELLS_BY_NAME = {cell.name: cell for cell in CELLS}
@@ -602,7 +723,7 @@ def results_path(family: str) -> str:
 def load_results(family: str) -> dict:
     path = results_path(family)
     if not os.path.exists(path):
-        return {"suite": list(SUITE), "sides": {}, "cells": {}}
+        return {"suite": list(suite_of(family)), "sides": {}, "cells": {}}
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -613,11 +734,12 @@ def measure(tree: str, side: str, cells: List[Cell]) -> int:
     with tempfile.TemporaryDirectory(prefix="mutation-tree-") as root:
         copy_tree(tree, root)
         for seed in sorted({None, *(s for c in cells for s in c.hashseeds)}, key=str):
-            clean = run_tests(root, SUITE, seed)
-            if clean:
-                print(f"the unedited suite fails (PYTHONHASHSEED={seed}): {clean}",
-                      file=sys.stderr)
-                return 1
+            for suite in sorted({suite_of(family) for family in families}):
+                clean = run_tests(root, suite, seed)
+                if clean:
+                    print(f"the unedited suite fails (PYTHONHASHSEED={seed}): {clean}",
+                          file=sys.stderr)
+                    return 1
         for family in families:
             rules = sorted(validator_counts(root)) if family == "trace" else []
             results[family]["sides"][side] = {"rules": rules}
@@ -625,7 +747,7 @@ def measure(tree: str, side: str, cells: List[Cell]) -> int:
             before = tool_counts(root, cell)
             with mutated(root, cell):
                 after = tool_counts(root, cell)
-                failed, per_seed = run_cell_tests(root, SUITE, cell)
+                failed, per_seed = run_cell_tests(root, suite_of(cell.family), cell)
             flagged = sorted(rule for rule in after if after[rule] > before[rule])
             row = results[cell.family]["cells"].setdefault(cell.name, {})
             row.update(

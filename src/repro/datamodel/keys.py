@@ -13,10 +13,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 #: every float dtype that holds it), and in int64
 _EXACT = 2**53
 #: counting ranks sets one flag per value between a column's least and
-#: greatest, and beats ``np.unique`` (measured with
-#: ``benchmarks/key_crossover.py ranks``) on a column of at least this many
-#: values whose span is at most ``_COUNTED_SPAN`` times its length
-_COUNTED_MIN = 512
+#: greatest, so it ranks a column whose span is at most this many times its
+#: length, however short (``benchmarks/key_crossover.py census``,
+#: EXPERIMENTS.md)
 _COUNTED_SPAN = 2
 
 
@@ -67,10 +66,10 @@ def _counted_ranks(column: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
     """``column``'s dense ranks and how many distinct values it holds, by
     counting: one flag per value of its span, a running count of the flags
     set — or, when every value of the span is held, the offsets from the
-    least value themselves.  ``None`` unless every value is a whole number
-    within ``±2**53`` (so no ``NaN`` or ``±inf``), the column is long and
-    its span is small (``_COUNTED_MIN``, ``_COUNTED_SPAN``)."""
-    if len(column) < _COUNTED_MIN or column.dtype.kind not in "fiu":
+    least value themselves.  ``None`` for an empty column, and unless every
+    value is a whole number within ``±2**53`` (so no ``NaN`` or ``±inf``)
+    and the span is at most ``_COUNTED_SPAN`` times the length."""
+    if not len(column) or column.dtype.kind not in "fiu":
         return None
     lo, hi = column.min().item(), column.max().item()
     # NaN, an infinity and a wide span all fail the first test

@@ -6,6 +6,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datamodel import keys
@@ -82,20 +83,24 @@ def whole_column(draw, n):
     span = draw(st.sampled_from((1, 3, limit, limit + 1)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     offsets = rng.integers(0, span + 1, n)
-    if draw(st.booleans()):
+    if n >= 2 and draw(st.booleans()):
         offsets[:2] = (0, span)  # the whole span, so a limit + 1 span is refused
     column = np.minimum(base + offsets, hi_bound).astype(dtype)
-    if dtype.kind == "f" and draw(st.booleans()):
+    if n and dtype.kind == "f" and draw(st.booleans()):
         column[draw(st.integers(min_value=0, max_value=n - 1))] = draw(
             st.sampled_from((-0.0, 0.5, float("nan"), float("inf")))
         )
     return column
 
 
+#: short columns, the empty one included, and columns of about 512 values
+LENGTHS = st.integers(min_value=0, max_value=40) | st.integers(min_value=488, max_value=536)
+
+
 @st.composite
 def whole_columns(draw):
-    """Columns as long as the counting path's shortest, or one shorter."""
-    n = keys._COUNTED_MIN + draw(st.integers(min_value=-1, max_value=24))
+    """One to three equally long columns, of any length from none up."""
+    n = draw(LENGTHS)
     return [draw(whole_column(n)) for _ in range(draw(st.integers(min_value=1, max_value=3)))]
 
 
@@ -133,7 +138,7 @@ def occupied_column(draw, n, full):
 def occupied_columns(draw):
     """A fully occupied span beside a partly occupied one, in either order,
     and now and then a third of either kind."""
-    n = keys._COUNTED_MIN + draw(st.integers(min_value=0, max_value=24))
+    n = draw(LENGTHS.filter(lambda n: n >= 2))  # a holed span's two ends
     kinds = draw(st.permutations([True, False])) + draw(st.lists(st.booleans(), max_size=1))
     return [draw(occupied_column(n, full)) for full in kinds]
 
@@ -170,3 +175,13 @@ def test_named_cases():
     ids = key_ids([np.array([nan, nan, 1.0]), np.array([5, 3, 9])])
     assert ids[2] < ids[1] < ids[0]
     assert key_ids([np.empty(0), np.empty(0, dtype=np.int32)]).shape == (0,)
+
+
+@pytest.mark.parametrize("dtypes", [("int8",), ("uint64",), ("float32",), ("float64", "int32")])
+def test_empty_key_columns_are_the_empty_answer(dtypes):
+    """Counting ranks any column that holds a value; an empty one has no
+    least value to count from and goes to ``np.unique``."""
+    columns = [np.empty(0, dtype=d) for d in dtypes]
+    assert keys._counted_ranks(columns[0]) is None
+    ids = key_ids(columns)
+    assert ids.dtype == np.int64 and ids.shape == (0,)

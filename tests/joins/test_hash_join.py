@@ -290,3 +290,17 @@ def test_repeated_left_keys_take_the_sorted_search():
         out, _ = vectorized_hash_join(unique, right, on=("x", "y"))
     assert searched.call_count == 0
     np.testing.assert_array_equal(out.column("a"), [10, 11])
+
+
+def test_the_direct_table_is_built_up_to_its_bound_and_not_past_it():
+    """An id space of exactly ``_DIRECT_SPACE`` times the ids is addressed
+    directly; one id past it, the left ids are sorted and searched."""
+    left = make_table(1, [0, 1], [0, 1], [10, 11], "a")
+    at = make_table(2, [2], [1], [20], "b"), ("x",)  # ids 0, 1, 2: a space of 3
+    past = make_table(2, [0], [1], [20], "b"), ("x", "y")  # ids 0, 3, 1: a space of 4
+    for (right, on), direct in ((at, True), (past, False)):
+        with mock.patch.object(hash_join, "_DIRECT_SPACE", 1), mock.patch.object(
+            hash_join, "_sorted_probe", wraps=hash_join._sorted_probe
+        ) as searched:
+            vectorized_hash_join(left, right, on=on)
+        assert searched.called != direct, on

@@ -40,8 +40,15 @@ def run_ij(ds, pipeline, n_s=2, n_j=2, machine=TRANSFER_BOUND, **kw):
 
 
 class StagingFreeCache(CachingService):
-    """A default-sized cache refusing every prefetch: on ``p<q`` a cache
-    whose quarter is below every sub-table holds no right sub-table."""
+    """A default-sized cache refusing every prefetch: the no-prefetch-budget
+    regime.  A small cache cannot stand in for it, because "no staging
+    budget ⇒ the synchronous clock" holds only while storage contention is
+    low.  On ``p<q`` (32×32 grid, p 2×2, q 4×4, 2 storage nodes, 3
+    joiners) ``CachingService(4·48 − 1)`` caches, whose quarter is below
+    every sub-table, hold no right sub-table at all: with the same hits,
+    misses and evictions and zero prefetches, the pipelined run took
+    3.70 ms against 3.49 ms synchronous, its extra event hops reordering
+    same-instant storage requests."""
 
     def prefetch_begin(self, key, nbytes):
         return False
