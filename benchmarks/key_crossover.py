@@ -39,8 +39,8 @@ and how many of the rounds the first path won against each other.
 pay on the workloads?  It runs the six ``bench`` workloads in this
 process, each fast path of :data:`FAST_PATHS` forced off in turn by
 ``mock.patch`` (nothing in ``src/`` switches one off), in ``--pairs``
-alternating on/off pairs, each side of a pair the median of ``--runs``
-runs, each run set up afresh.  A workload whose spied first run never
+alternating on/off pairs, each side of a pair the median of
+:data:`RUNS` runs, each run set up afresh.  A workload whose spied first run never
 takes the path is ``not taken``; on the others it prints the seconds of
 the timed region per side and the off/on ratio per pair (quartiles and
 median of each), raw and then normalised to the reference host by
@@ -57,7 +57,7 @@ SELECTs read, set-up included::
     PYTHONPATH=src python benchmarks/key_crossover.py probe
     PYTHONPATH=src python benchmarks/key_crossover.py ranks
     PYTHONPATH=src python benchmarks/key_crossover.py groupby
-    PYTHONPATH=src python benchmarks/key_crossover.py census [--pairs 10] [--runs 3] [--scale 1.0]
+    PYTHONPATH=src python benchmarks/key_crossover.py census [--pairs 10] [--scale 1.0]
 """
 
 from __future__ import annotations
@@ -250,6 +250,9 @@ def groupby(reps):
 
 # -- census: each kept fast path's end-to-end win ------------------------------
 
+#: the census's seed, and the runs each side of a pair is the median of
+SEED, RUNS = 7, 3
+
 
 def _stable_argsort(ids):
     return np.argsort(ids, kind="stable")
@@ -257,6 +260,19 @@ def _stable_argsort(ids):
 
 class _NoPredicate:
     """A class no predicate is an instance of."""
+
+
+_real_scan = executor.QueryExecutor._scan
+
+
+def _masked_scan(self, query, catalog):
+    """``QueryExecutor._scan`` with its sink deciding as if every query
+    had a WHERE: the whole-answer sink off, and nothing else."""
+    executor.TruePredicate = _NoPredicate
+    try:
+        return _real_scan(self, query, catalog)
+    finally:
+        executor.TruePredicate = TruePredicate
 
 
 @dataclass(frozen=True)
@@ -301,7 +317,7 @@ FAST_PATHS = {
         ([BoundingBox], "contains_box", lambda args, out: out),
     ),
     "SELECT whole sink": FastPath(
-        [(executor, "TruePredicate", _NoPredicate)],
+        [(executor.QueryExecutor, "_scan", _masked_scan)],
         ([executor.QueryExecutor], "_scan",
          lambda args, out: isinstance(args[1].where, TruePredicate)),
         ("scan", "project"),
@@ -352,7 +368,7 @@ def _spread(values, scale=1.0):
     return f"{q1:.4g} {median:.4g} {q3:.4g}"
 
 
-def _census_row(path, name, workload, seed, scale, pairs, runs):
+def _census_row(path, name, workload, scale, pairs):
     fast = FAST_PATHS[path]
     templates = fast.templates if name == "view_query" else ()
     spies, taken = _spy(*fast.spy)
@@ -360,7 +376,7 @@ def _census_row(path, name, workload, seed, scale, pairs, runs):
     def patches(on):
         return [mock.patch.object(*p) for p in (fast.base if on else [*fast.base, *fast.off])]
 
-    *_, first = _repetition(workload, seed, scale, [*patches(True), *spies], verify=True)
+    *_, first = _repetition(workload, SEED, scale, [*patches(True), *spies], verify=True)
     if not taken[0]:
         print(f"{path:24s}  {name:16s}  not taken")
         return
@@ -369,9 +385,9 @@ def _census_row(path, name, workload, seed, scale, pairs, runs):
     for pair in range(pairs):
         for on in (True, False) if pair % 2 == 0 else (False, True):
             side = []
-            for run in range(runs):
+            for run in range(RUNS):
                 verify = not (on or pair or run)
-                *seconds, outcome = _repetition(workload, seed, scale, patches(on), verify)
+                *seconds, outcome = _repetition(workload, SEED, scale, patches(on), verify)
                 assert outcome.digest == first.digest, f"{path} moved {name}'s digest"
                 side.append(seconds)
                 for t in templates:
@@ -391,7 +407,7 @@ def _census_row(path, name, workload, seed, scale, pairs, runs):
               f"{_spread(per_query[t, True], 1e3):22s}  {_spread(per_query[t, False], 1e3):22s}")
 
 
-def _stub_scan(seed, reps):
+def _stub_scan(reps):
     """Host microseconds per chunk of a model-only ``ScanQES``, set-up
     included, over the chunks ``view_query``'s base-table SELECTs read:
     raw, and normalised to the reference host by ``bench``'s pilot."""
@@ -399,11 +415,11 @@ def _stub_scan(seed, reps):
     from bench.workloads import WORKLOADS
 
     dataset = build_oil_reservoir_dataset(
-        GridSpec((64,) * 3, (16,) * 3, (16,) * 3), num_storage=4, functional=False, seed=seed
+        GridSpec((64,) * 3, (16,) * 3, (16,) * 3), num_storage=4, functional=False, seed=SEED
     )
     catalog = dataset.metadata.table(dataset.left)
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
-        plan = WORKLOADS["view_query"].setup(seed, 1.0, Path(tmp))["plan"]
+        plan = WORKLOADS["view_query"].setup(SEED, 1.0, Path(tmp))["plan"]
     scans = []
     for _, _, sql in (q for queries in plan for q in queries):
         box = parse_query(sql).where.bbox()
@@ -431,16 +447,16 @@ def _stub_scan(seed, reps):
           f"(q1 median q3 of {reps}): raw {_spread(raw)}, normalised {_spread(normalised)}")
 
 
-def census(reps, pairs=10, runs=3, scale=1.0, seed=7, paths=None, workloads=None):
+def census(reps, pairs=10, scale=1.0):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # the bench package
     from bench.workloads import WORKLOADS
 
     print(f"{'path':24s}  {'workload':16s}  {'taken':>6s}  {'on s (q1 med q3)':22s}  "
           f"{'off s (q1 med q3)':22s}  {'off/on per pair':22s}  slower  verdict")
-    for path in paths or FAST_PATHS:
-        for name in workloads or WORKLOADS:
-            _census_row(path, name, WORKLOADS[name], seed, scale, pairs, runs)
-    _stub_scan(seed, reps)
+    for path in FAST_PATHS:
+        for name, workload in WORKLOADS.items():
+            _census_row(path, name, workload, scale, pairs)
+    _stub_scan(reps)
 
 
 def main(argv=None):
@@ -450,14 +466,10 @@ def main(argv=None):
     parser.add_argument("--reps", type=int, default=11)
     census_args = parser.add_argument_group("census")
     census_args.add_argument("--pairs", type=int, default=10)
-    census_args.add_argument("--runs", type=int, default=3, help="per side of a pair")
     census_args.add_argument("--scale", type=float, default=1.0)
-    census_args.add_argument("--path", action="append", choices=tuple(FAST_PATHS))
-    census_args.add_argument("--workload", action="append")
     args = parser.parse_args(argv)
     if args.which == "census":
-        census(args.reps, args.pairs, args.runs, args.scale, paths=args.path,
-               workloads=args.workload)
+        census(args.reps, args.pairs, args.scale)
     else:
         modes[args.which](args.reps)
 

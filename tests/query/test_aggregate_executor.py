@@ -280,16 +280,17 @@ class TestCountedGroupBy:
 
     def test_sum_of_an_all_negative_zero_group_is_negative_zero(self):
         """Counting starts from +0.0, and +0.0 + -0.0 is +0.0; the sorted
-        sum of only -0.0s is -0.0.  The float32 column is counted, the
-        float64 one (2.0's last place is too fine for 640 records) sorted."""
-        for dtype, counts in ((np.float32, True), (np.float64, False)):
-            with mock.patch.object(agg_module, "_counted", wraps=agg_module._counted) as spy:
+        sum of only -0.0s is -0.0.  The same column is counted, then sorted
+        with the counting bound forced to zero."""
+        for space, counts in ((agg_module._COUNTED_SPACE, True), (0, False)):
+            with mock.patch.object(agg_module, "_COUNTED_SPACE", space), \
+                    mock.patch.object(agg_module, "_counted", wraps=agg_module._counted) as spy:
                 out = self.both(
                     {"g": np.array([1, 2, 1, 2, 3] * 128, dtype=np.int32),
-                     "v": np.array([-0.0, 0.0, -0.0, -0.0, 2.0] * 128, dtype=dtype)},
+                     "v": np.array([-0.0, 0.0, -0.0, -0.0, 2.0] * 128, dtype=np.float32)},
                     [Aggregate("sum", "v"), Aggregate("avg", "v")], ["g"],
                 )
-            assert spy.called == counts, dtype
+            assert spy.called == counts, space
             assert np.signbit(out.column("sum_v")).tolist() == [True, False, False]
             assert np.signbit(out.column("avg_v")).tolist() == [True, False, False]
 
