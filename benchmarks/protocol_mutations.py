@@ -4,7 +4,7 @@ replay guarantee or a malformed trace?
 Each cell of :data:`CELLS` breaks one clause at one real ``src/`` site
 with anchored ``(old, new)`` edits — an anchor that does not match
 exactly once is an :class:`AnchorError`, never a silently skipped cell —
-and records which gate notices.  Cells come in four families, one
+and records which gate notices.  Cells come in five families, one
 results file each (``results/MUTATION_<family>.json``):
 
 * ``protocol``: the Section 4.1 joiner loop and the server around it
@@ -29,21 +29,33 @@ results file each (``results/MUTATION_<family>.json``):
   normalisation and a view query's box pushdown — broken where it
   decides, so that a wrong answer or a wrong path shows.  It runs its
   own suite, :data:`ANSWERS_SUITE`, and has only a ``change`` side.
+* ``folds``: each running fold of the observatory — the reuse trace's
+  miss back-fill, its stop at an unresolved miss, the LRU stack carried
+  across blocks and the working set's window index, the gauge roll's
+  segment weight and the counter horizon — broken where it folds.  It
+  runs :data:`FOLDS_SUITE`, whose oracles are the frozen reuse and
+  time-series references; a test file that was merged into another is
+  named in :data:`SUCCESSORS`, so a catch it recorded on the ``parent``
+  side is owed by its successor on the ``change`` side.
 
 Two columns per cell and side:
 
 * the *lint* column: for ``trace``, the validators (:data:`VALIDATED`)
   that flag the CI smoke artifacts (:data:`ARTIFACT_RUNS`) regenerated
-  from the edited tree and not those of the unedited one.  ``protocol``,
-  ``determinism`` and ``answers`` have no static tool and record ``[]``;
-  their ``parent`` columns keep what the simlint rules flagged while
-  they existed;
+  from the edited tree and not those of the unedited one.  The other
+  families have no static tool and record ``[]``; the ``parent``
+  columns of ``protocol`` and ``determinism`` keep what the simlint
+  rules flagged while they existed;
 * the *runtime* column: the test files of the family's suite (for all
-  but ``answers``, :data:`SUITE`: the sanitizer, the QES contract, chaos
-  quiescence, the fence, ...) with at least one
+  but ``answers`` and ``folds``, :data:`SUITE`: the sanitizer, the QES
+  contract, chaos quiescence, the fence, ...) with at least one
   failing test, and how many.  A cell with ``hashseeds`` runs the suite
   once per ``PYTHONHASHSEED`` and is caught only if every seed fails a
-  test (the per-seed counts are kept under ``hashseeds``).
+  test (the per-seed counts are kept under ``hashseeds``).  Every run
+  passes pytest the one :data:`HYPOTHESIS_SEED`, so a property draws the
+  same examples in ``measure`` and in ``check``, and loads
+  ``benchmarks/mutation_plugin.py``, so a failing property neither
+  shrinks nor explains its example.
 
 ::
 
@@ -82,7 +94,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
-FAMILIES = ("protocol", "determinism", "trace", "answers")
+FAMILIES = ("protocol", "determinism", "trace", "answers", "folds")
 
 #: what a cell's test run imports and reads, copied per measured tree
 TREE = ("src", "tests", "benchmarks", "examples", "pyproject.toml")
@@ -110,8 +122,34 @@ ANSWERS_SUITE = (
 )
 
 
+#: the folds family's gates: the reuse and time-series suites and the
+#: server tests that read the folded tracks and the reuse payload
+FOLDS_SUITE = (
+    "tests/observe",
+    "tests/telemetry",
+    "tests/server/test_counter_tracks.py",
+    "tests/server/test_cache_gauges.py",
+    "tests/server/test_observed_memory.py",
+    "tests/server/test_reuse_observatory.py",
+)
+
+#: per family, each test file merged into another -> the file its tests
+#: went to; a parent-side catch of the first is owed by the second
+SUCCESSORS: Dict[str, Dict[str, str]] = {
+    "folds": {
+        "tests/telemetry/test_counter_fold.py": "tests/telemetry/test_timeseries.py",
+        "tests/telemetry/test_gauge_roll.py": "tests/telemetry/test_timeseries.py",
+    },
+}
+
+
 def suite_of(family: str) -> Tuple[str, ...]:
-    return ANSWERS_SUITE if family == "answers" else SUITE
+    return {"answers": ANSWERS_SUITE, "folds": FOLDS_SUITE}.get(family, SUITE)
+
+
+#: the one Hypothesis seed of every suite run: a property that draws
+#: afresh per run would catch a mutant in one run and miss it in the next
+HYPOTHESIS_SEED = "0"
 
 
 #: per test run; a mutation that hangs the suite is recorded as caught
@@ -563,6 +601,58 @@ CELLS: Tuple[Cell, ...] = (
           ""),),
         family="answers",
     ),
+    # -- folds: each running fold of the observatory, broken where it folds ---
+    Cell(
+        "backfill/earlier-fold/fallback-zero", "backfill", "observe/reuse.py", "_backfill",
+        "a miss with no size after it and none before it in its block takes 0, "
+        "not the last size its key had in an earlier fold",
+        (("np.where(key[prv] == key[:-1], size[prv], np.maximum(before[order], 0)),\n",
+          "np.where(key[prv] == key[:-1], size[prv], 0),\n"),),
+        family="folds",
+    ),
+    Cell(
+        "fold/unresolved-miss/folded-early", "fold", "observe/reuse.py",
+        "AccessTraceRecorder._fold",
+        "a fold takes every buffered row, so a miss whose put has not come yet "
+        "is folded at its provisional size",
+        (("            upto = n if final or known.all() else int(np.argmin(known))\n",
+          "            upto = n\n"),),
+        family="folds",
+    ),
+    Cell(
+        "lru/block-carry/stack-dropped", "lru", "observe/reuse.py", "_fold_stacks",
+        "no key stays on an access string's LRU stack past its block: the first "
+        "re-access in each later block is a compulsory miss",
+        (("        keep = resident[np.searchsorted(resident, begin) : "
+          "np.searchsorted(resident, end)]\n",
+          "        keep = resident[:0]\n"),),
+        family="folds",
+    ),
+    Cell(
+        "working-set/window-index/rounded", "window", "observe/reuse.py", "_WorkingSet.add",
+        "an access goes to the nearest window edge's window, not the window "
+        "holding it: the second half of each window counts in the next",
+        (("        index = (t / self.width).astype(np.int64)\n",
+          "        index = np.rint(t / self.width).astype(np.int64)\n"),),
+        family="folds",
+    ),
+    Cell(
+        "gauge/segment-weight/whole-segment", "gauge", "telemetry/timeseries.py",
+        "roll_gauge",
+        "a segment weighs its level by its whole length in every window it "
+        "overlaps, not by the overlap",
+        (("                weighted += value * (hi - lo)\n",
+          "                weighted += value * (s1 - s0)\n"),),
+        family="folds",
+    ),
+    Cell(
+        "horizon/counts/past-horizon-dropped", "horizon", "telemetry/timeseries.py",
+        "horizon_counts",
+        "counts in windows past the horizon are dropped instead of joining its "
+        "final window, so a counter's windows no longer sum to its total",
+        (("+ [sum(counts[windows - 1 :])]\n", "+ [sum(counts[windows - 1 : windows])]\n"),),
+        family="folds",
+    ),
 )
 
 CELLS_BY_NAME = {cell.name: cell for cell in CELLS}
@@ -591,6 +681,8 @@ def copy_tree(tree: str, dest: str) -> None:
             )
         else:
             shutil.copy2(src, os.path.join(dest, name))
+    # this harness's plugin, which an older measured tree may not have
+    shutil.copy2(os.path.join(HERE, "mutation_plugin.py"), os.path.join(dest, "benchmarks"))
 
 
 def _env(root: str, hashseed: Optional[str] = None) -> Dict[str, str]:
@@ -612,6 +704,7 @@ def run_tests(
         try:
             subprocess.run(
                 [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+                 "-p", "benchmarks.mutation_plugin", f"--hypothesis-seed={HYPOTHESIS_SEED}",
                  "-o", "junit_family=xunit1", f"--junitxml={xml}", *paths],
                 cwd=root, env=_env(root, hashseed), capture_output=True,
                 check=False, timeout=TIMEOUT_S,
@@ -743,6 +836,8 @@ def measure(tree: str, side: str, cells: List[Cell]) -> int:
         for family in families:
             rules = sorted(validator_counts(root)) if family == "trace" else []
             results[family]["sides"][side] = {"rules": rules}
+            if family in SUCCESSORS:
+                results[family]["successors"] = SUCCESSORS[family]
         for cell in cells:
             before = tool_counts(root, cell)
             with mutated(root, cell):

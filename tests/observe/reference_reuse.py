@@ -1,20 +1,24 @@
-"""The reuse analysis the vectorised one is tested against.
+"""The reuse analysis the vectorised, block-folded one is tested against.
 
-A tuple-per-event recorder whose analysis walks the retained tuples: the
-miss-size back-fill in two dict passes, Mattson byte-weighted stack
-distances through a Fenwick tree over last-access positions, one
-sorted-list curve per access string and a dict per working-set window.
-It shares the production module's capacity fractions and nothing of
-its trace layout or kernel, so the two analyses can be
-compared byte for byte on the same recorded serve.
+A tuple-per-event recorder that retains the whole trace and walks it at
+``analyze``: the miss-size back-fill in two dict passes, Mattson
+byte-weighted stack distances through a Fenwick tree over last-access
+positions, one sorted-list curve per access string and a dict per
+working-set window; and :func:`oracle_distances`, the O(n^2) LRU stack
+both distance kernels are held to.  It shares the production module's
+capacity fractions and nothing of its trace layout, fold or kernel — its
+window grid is the frozen one of ``tests/telemetry/reference_timeseries.py``
+— so the two analyses can be compared byte for byte on the same
+recorded serve.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.observe.reuse import CAPACITY_FRACTIONS
-from repro.telemetry.timeseries import window_edges
+from tests.telemetry.reference_timeseries import window_edges
 
 _TRACED_OPS = frozenset({"hit", "miss", "insert", "drop"})
 
@@ -41,6 +45,30 @@ class _Fenwick:
             total += self._tree[i]
             i -= i & -i
         return total
+
+
+def oracle_distances(trace: Sequence[Tuple[str, Hashable, int]]) -> List[Optional[int]]:
+    """O(n^2) reference: simulate the LRU stack directly.
+
+    The stack holds (key, nbytes) most-recent-first; an access's
+    distance is the sum of sizes from the top of the stack down to and
+    including the key's previous entry, or None on first touch.
+    """
+    stack = []  # [(key, nbytes)], index 0 = most recent
+    out = []
+    for kind, key, nbytes in trace:
+        pos = next((i for i, (k, _) in enumerate(stack) if k == key), None)
+        if kind == "drop":
+            if pos is not None:
+                stack.pop(pos)
+            continue
+        if pos is None:
+            out.append(None)
+        else:
+            out.append(sum(n for _, n in stack[: pos + 1]))
+            stack.pop(pos)
+        stack.insert(0, (key, nbytes))
+    return out
 
 
 def reuse_distances(
@@ -100,7 +128,7 @@ def miss_ratio_curve(
     total = len(distances)
     points = []
     for cap in sorted({int(c) for c in capacities}):
-        hits = _count_at_most(finite, cap)
+        hits = bisect_right(finite, cap)
         misses = total - hits
         points.append({
             "capacity_bytes": cap,
@@ -112,17 +140,6 @@ def miss_ratio_curve(
     return points
 
 
-def _count_at_most(sorted_values: List[int], bound: int) -> int:
-    lo, hi = 0, len(sorted_values)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sorted_values[mid] <= bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def working_set_windows(
     events: Sequence[Tuple[float, str, Hashable, int]],
     width: float,
@@ -131,10 +148,9 @@ def working_set_windows(
     """Windowed working-set estimate over timestamped accesses.
 
     ``events`` are ``(t, op, key, nbytes)`` with ``op`` in ``hit``/
-    ``miss``; the window grid is the observatory's own
-    (:func:`repro.telemetry.timeseries.window_edges`, final window
-    closed), so per-window access counts sum to the trace total exactly
-    — the reconciliation the validator checks.
+    ``miss``; the window grid is the frozen one (final window closed),
+    so per-window access counts sum to the trace total exactly — the
+    reconciliation the validator checks.
     """
     edges = window_edges(width, t_end)
     buckets: List[Dict[str, Any]] = [
@@ -257,9 +273,7 @@ class FrozenAccessTraceRecorder:
         return sorted(grid)
 
     def configured_capacity(self) -> int:
-        if not self._watched:
-            return 0
-        return max(w["capacity_bytes"] for w in self._watched.values())
+        return max((w["capacity_bytes"] for w in self._watched.values()), default=0)
 
     def analyze(self, makespan: float) -> Dict[str, Any]:
         """Distil the trace into the ``observability.reuse`` payload."""

@@ -13,39 +13,8 @@ from repro.observe.reuse import (
     reuse_distances,
     working_set_windows,
 )
-
-
-def oracle_distances(trace):
-    """O(n^2) reference: simulate the LRU stack directly.
-
-    The stack holds (key, nbytes) most-recent-first; an access's
-    distance is the sum of sizes from the top of the stack down to and
-    including the key's previous entry, or None on first touch.
-    """
-    stack = []  # [(key, nbytes)], index 0 = most recent
-    out = []
-    for kind, key, nbytes in trace:
-        pos = next((i for i, (k, _) in enumerate(stack) if k == key), None)
-        if kind == "drop":
-            if pos is not None:
-                stack.pop(pos)
-            continue
-        if pos is None:
-            out.append(None)
-        else:
-            out.append(sum(n for _, n in stack[: pos + 1]))
-            stack.pop(pos)
-        stack.insert(0, (key, nbytes))
-    return out
-
-
-def trace_strategy():
-    op = st.tuples(
-        st.sampled_from(["access", "access", "access", "drop"]),
-        st.integers(min_value=0, max_value=7),
-        st.integers(min_value=0, max_value=64),
-    ).map(lambda t: (t[0], t[1], 0 if t[0] == "drop" else t[2]))
-    return st.lists(op, max_size=120)
+from tests.observe.reference_reuse import oracle_distances
+from tests.observe.test_reuse_equivalence import access_strings
 
 
 class TestReuseDistances:
@@ -77,14 +46,14 @@ class TestReuseDistances:
         with pytest.raises(ValueError):
             reuse_distances([("access", "a", -1)])
 
-    @given(trace_strategy())
+    @given(access_strings(max_size=120))
     @settings(max_examples=200, deadline=None)
     def test_matches_naive_oracle(self, trace):
         assert reuse_distances(trace) == oracle_distances(trace)
 
 
 class TestMissRatioCurve:
-    @given(trace_strategy(), st.lists(
+    @given(access_strings(max_size=120), st.lists(
         st.integers(min_value=0, max_value=512), min_size=1, max_size=8,
     ))
     @settings(max_examples=100, deadline=None)

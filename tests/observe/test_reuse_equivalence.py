@@ -1,10 +1,13 @@
 """The vectorised reuse analysis equals the tuple-walking one it replaced.
 
 ``tests/observe/reference_reuse.py`` keeps the Fenwick-tree stack
-distances and the tuple-per-event recorder; these properties hold the
-production kernel and fold to them byte for byte — the kernel also to
-the O(n^2) LRU-stack oracle — on drawn access strings, drawn cache event
-streams and drawn observed serves.
+distances, the O(n^2) LRU-stack oracle and the tuple-per-event recorder;
+these properties hold the production kernel and fold to them byte for
+byte on drawn access strings, drawn cache event streams and drawn
+observed serves.  The strategies, the :class:`Replay` of events into
+both recorders and :func:`observed_serve` are shared with
+``test_reuse_fold.py``, which runs the same comparisons at forced block
+sizes.
 
 ``REPRO_REUSE_EXAMPLES`` multiplies every example budget (CI runs the
 module at 10); tier-1 keeps the default of 1.
@@ -26,7 +29,6 @@ from repro.observe.reuse import (
 from repro.server import ObservabilityConfig, QueryServer
 from repro.workloads import GridSpec, TenantSpec, build_oil_reservoir_dataset, generate_workload
 from tests.observe import reference_reuse as frozen
-from tests.observe.test_reuse import oracle_distances
 
 SCALE = int(os.environ.get("REPRO_REUSE_EXAMPLES", "1"))
 
@@ -42,11 +44,16 @@ def access_strings(max_size=160):
                     max_size=max_size)
 
 
+def assert_same_distances(trace):
+    assert reuse_distances(trace) == frozen.reuse_distances(trace) \
+        == frozen.oracle_distances(trace)
+
+
 class TestKernel:
     @settings(max_examples=300 * SCALE, deadline=None)
     @given(access_strings())
     def test_equals_the_fenwick_walk_and_the_oracle(self, trace):
-        assert reuse_distances(trace) == frozen.reuse_distances(trace) == oracle_distances(trace)
+        assert_same_distances(trace)
 
     @pytest.mark.parametrize("trace", [
         [],
@@ -57,7 +64,7 @@ class TestKernel:
         [("access", "a", 4), ("access", "a", 9), ("access", "a", 2)],
     ])
     def test_edge_strings(self, trace):
-        assert reuse_distances(trace) == frozen.reuse_distances(trace) == oracle_distances(trace)
+        assert_same_distances(trace)
 
     @settings(max_examples=100 * SCALE, deadline=None)
     @given(
@@ -122,21 +129,52 @@ def cache_events(draw):
     return node, draw(st.sampled_from([0.0, 0.0, 0.1, 0.37, 1.0])), op, key, nbytes, qid
 
 
-def both_recorders(clock, window, nodes, capacity):
-    caches = {node: FakeCache(capacity + node) for node in nodes}
-    new = AccessTraceRecorder(clock, window=window)
-    old = frozen.FrozenAccessTraceRecorder(clock, window=window)
-    for node, cache in caches.items():
-        new.watch(node, cache)
-        old.watch(node, cache)
-    return caches, new, old
+def assert_same_json(ours, theirs):
+    """``json.dumps`` of both byte-equal, a mismatch named by its first
+    differing byte: pytest's diff of two long payloads takes minutes per
+    failing example once Hypothesis shrinks one."""
+    a, b = json.dumps(ours), json.dumps(theirs)
+    if a != b:
+        at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"payloads differ at byte {at}: {a[at:at + 80]!r} != {b[at:at + 80]!r}")
 
 
 def assert_same_payload(new, old, makespan):
-    ours, theirs = new.analyze(makespan), old.analyze(makespan)
-    assert json.dumps(ours) == json.dumps(theirs)
-    assert json.dumps(ours, sort_keys=True) == json.dumps(theirs, sort_keys=True)
+    ours = new.analyze(makespan)
+    assert_same_json(ours, old.analyze(makespan))
     return ours
+
+
+class Replay:
+    """The recorder and the frozen one on the same fake caches, fed
+    ``(node, dt, op, key, nbytes, qid)`` events on one clock."""
+
+    def __init__(self, nodes=(0, 1), window=0.5, capacity=1 << 12, tenants=None):
+        self.now = 0.0
+        self.caches = {node: FakeCache(capacity + node) for node in nodes}
+        clock = lambda: self.now  # noqa: E731
+        self.new = AccessTraceRecorder(clock, window=window)
+        self.old = frozen.FrozenAccessTraceRecorder(clock, window=window)
+        for node, cache in self.caches.items():
+            self.new.watch(node, cache)
+            self.old.watch(node, cache)
+        for qid, tenant in (tenants or {}).items():
+            self.new.note_query(qid, tenant)
+            self.old.note_query(qid, tenant)
+
+    def feed(self, events):
+        for node, dt, *args in events:
+            self.now += dt
+            for fn in self.caches[node].subscribers:
+                fn(*args)
+
+    @property
+    def buffered(self):
+        """Rows the recorder holds unfolded."""
+        return len(self.new._times)
+
+    def check(self, extra=0.0):
+        return assert_same_payload(self.new, self.old, self.now + extra)
 
 
 class TestFold:
@@ -150,26 +188,15 @@ class TestFold:
         st.integers(1, 2**33),
     )
     def test_drawn_event_streams(self, events, order, tenants, window, extra, capacity):
-        now = [0.0]
-        caches, new, old = both_recorders(lambda: now[0], window, order, capacity)
         # a tenant that submitted but never reached a cache
-        for qid, tenant in list(tenants.items()) + [(99, "idle")]:
-            new.note_query(qid, tenant)
-            old.note_query(qid, tenant)
-        for node, dt, *args in events:
-            now[0] += dt
-            for fn in caches[node].subscribers:
-                fn(*args)
-        payload = assert_same_payload(new, old, now[0] + extra)
+        replay = Replay(order, window, capacity, {**tenants, 99: "idle"})
+        replay.feed(events)
+        payload = replay.check(extra)
         assert set(payload["mrc"]["per_tenant"]) >= {"idle"}
 
     def test_nothing_recorded(self):
-        _, new, old = both_recorders(lambda: 0.0, 1.0, [], 1)
-        assert_same_payload(new, old, 0.0)
-        _, new, old = both_recorders(lambda: 0.0, 1.0, [0, 1], 64)
-        new.note_query(0, "a")
-        old.note_query(0, "a")
-        assert_same_payload(new, old, 3.0)
+        Replay(nodes=(), window=1.0, capacity=1).check()
+        Replay(nodes=(0, 1), window=1.0, capacity=64, tenants={0: "a"}).check(3.0)
 
 
 SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
@@ -219,7 +246,7 @@ class TestObservedServes:
     def test_analyze_equals_the_frozen_recorder(self, seed, faults, slots, idle):
         report, ours, old, _ = observed_serve(seed, faults, slots, idle)
         payload = assert_same_payload(ours, old, report.makespan)
-        assert json.dumps(report.observability["reuse"]) == json.dumps(payload)
+        assert_same_json(report.observability["reuse"], payload)
 
     def test_the_pinned_example_invalidates_mid_serve(self):
         """The ``@example`` above is the serve whose storage crash drops

@@ -1,11 +1,12 @@
-"""The block fold equals the whole-trace analysis it replaced.
+"""The block fold equals a whole-trace analysis of the same events.
 
 :class:`repro.observe.reuse.AccessTraceRecorder` folds its trace a block
-at a time while the serve runs; ``tests/observe/reference_whole_trace.py``
-keeps the recorder that retained every event and analysed the whole
-trace at the end.  At forced block sizes of 1, 2 and 7 rows — so every
-drawn stream spans many folds — ``analyze`` must produce the same JSON
-bytes, and ``reuse_distances`` the same distances, on drawn cache event
+at a time while the serve runs; ``tests/observe/reference_reuse.py``
+keeps a recorder that retains every event and walks the whole trace at
+the end, sharing no kernel with the fold.  At forced block sizes of 1, 2
+and 7 rows — so every drawn stream spans many folds — ``analyze`` must
+produce the same JSON bytes, and ``reuse_distances`` the same distances
+as the Fenwick walk and the LRU-stack oracle, on drawn cache event
 streams and on four scripted shapes the fold has to get right: a miss
 folded apart from its put, a drop closing a block, a query that dies
 between its miss and its put, and a key untouched for many blocks.
@@ -14,19 +15,22 @@ between its miss and its put, and a key untouched for many blocks.
 module at 10); tier-1 keeps the default of 1.
 """
 
-import json
-import os
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.observe import reuse
-from tests.observe import reference_whole_trace as whole
-from tests.observe.test_reuse import oracle_distances
-from tests.observe.test_reuse_equivalence import FakeCache, access_strings, cache_events
+from tests.observe.test_reuse_equivalence import (
+    SCALE,
+    Replay,
+    access_strings,
+    assert_same_distances,
+    assert_same_json,
+    cache_events,
+    observed_serve,
+)
 
-SCALE = int(os.environ.get("REPRO_REUSE_EXAMPLES", "1"))
 BLOCKS = [1, 2, 7]
 
 
@@ -38,39 +42,6 @@ def block_size(rows):
         yield
     finally:
         reuse._BLOCK = saved
-
-
-class Replay:
-    """The folding recorder and the whole-trace one on the same fake
-    caches, fed ``(node, dt, op, key, nbytes, qid)`` events."""
-
-    def __init__(self, nodes=(0, 1), window=0.5, capacity=1 << 12, tenants=None):
-        self.now = 0.0
-        self.caches = {node: FakeCache(capacity + node) for node in nodes}
-        clock = lambda: self.now  # noqa: E731
-        self.new = reuse.AccessTraceRecorder(clock, window=window)
-        self.old = whole.WholeTraceRecorder(clock, window=window)
-        for node, cache in self.caches.items():
-            self.new.watch(node, cache)
-            self.old.watch(node, cache)
-        for qid, tenant in (tenants or {}).items():
-            self.new.note_query(qid, tenant)
-            self.old.note_query(qid, tenant)
-
-    def feed(self, events):
-        for node, dt, *args in events:
-            self.now += dt
-            for fn in self.caches[node].subscribers:
-                fn(*args)
-
-    @property
-    def buffered(self):
-        return len(self.new._times)
-
-    def check(self, extra=0.0):
-        ours = self.new.analyze(self.now + extra)
-        assert json.dumps(ours) == json.dumps(self.old.analyze(self.now + extra))
-        return ours
 
 
 @st.composite
@@ -111,8 +82,7 @@ class TestFoldEqualsWholeTrace:
     @given(access_strings())
     def test_distances(self, block, trace):
         with block_size(block):
-            assert reuse.reuse_distances(trace) == whole.reuse_distances(trace) \
-                == oracle_distances(trace)
+            assert_same_distances(trace)
 
     @settings(max_examples=100 * SCALE, deadline=None)
     @given(st.lists(cache_events(), max_size=60), st.floats(0, 1.0))
@@ -198,26 +168,6 @@ class TestScriptedShapes:
 @pytest.mark.parametrize("block", BLOCKS)
 def test_observed_serve(block):
     """A faulted observed serve folded at a forced block size."""
-    from repro.server import ObservabilityConfig, QueryServer
-    from repro.workloads import GridSpec, TenantSpec, build_oil_reservoir_dataset, generate_workload
-
     with block_size(block):
-        dataset = build_oil_reservoir_dataset(
-            GridSpec(g=(16, 16), p=(4, 4), q=(2, 2)), num_storage=2, functional=True, seed=7,
-            replication=2,
-        )
-        server = QueryServer(dataset, num_compute=2, slots=2, faults="seed=3,storage_crash=1.0",
-                             observe=ObservabilityConfig(window=0.5))
-        ours = server.observatory.reuse
-        old = whole.WholeTraceRecorder(ours._clock, window=ours.window)
-        for node, cache in enumerate(server.caches):
-            old.watch(node, cache)
-        server.subscribe(lambda kind, subject, *_: old.note_query(subject.qid, subject.tenant)
-                         if kind == "submit" else None)
-        tenants = [
-            TenantSpec("a", 6.0, 6, (("scan", 1.0), ("join", 1.0), ("aggregate", 1.0))),
-            TenantSpec("b", 5.0, 5, (("join", 1.0), ("scan", 1.0)), process="bursty"),
-            TenantSpec("c", 4.0, 2, (("scan", 1.0),), deadline=1e-12),
-        ]
-        report = server.serve(generate_workload(tenants, seed=42))
-        assert json.dumps(report.observability["reuse"]) == json.dumps(old.analyze(report.makespan))
+        report, _, old, _ = observed_serve(42, "seed=3,storage_crash=1.0", 2, True)
+        assert_same_json(report.observability["reuse"], old.analyze(report.makespan))

@@ -1,9 +1,23 @@
-"""Windowed time-series tracks: recording, rolling, serialisation."""
+"""Windowed time-series tracks: recording, rolling, serialisation.
+
+Two rolls are held to ``tests/telemetry/reference_timeseries.py``
+byte for byte (``json.dumps``, which tells ``1`` from ``1.0`` and every
+last bit apart): a counter track's whole counts per window against the
+walk over the retained ``(t, cumulative)`` history it replaced, and the
+one-pass :func:`~repro.telemetry.timeseries.roll_gauge` against the roll
+that scanned every segment for every window — on drawn streams with
+repeated instants, instants on window edges, at the horizon and past it.
+
+``REPRO_REUSE_EXAMPLES`` multiplies those properties' example budgets
+(CI runs the module at 10); tier-1 keeps the default of 1.
+"""
 
 import json
 import math
+import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.observe.reuse import working_set_windows
 from repro.telemetry.timeseries import (
@@ -13,10 +27,65 @@ from repro.telemetry.timeseries import (
     window_edges,
     window_index,
 )
+from tests.telemetry import reference_timeseries as reference
+
+SCALE = int(os.environ.get("REPRO_REUSE_EXAMPLES", "1"))
+
+WIDTHS = st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.7, 1.0])
+NAMES = ("a", "b", "c")
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 0.1, 1e16]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+def instants(draw, past, max_size):
+    """``(width, k, times)``: sorted times, with repeats, drawn on and
+    between the window edges of ``[0, k * width]`` and on the ``past``
+    edges after it."""
+    width = draw(WIDTHS)
+    k = draw(st.integers(1, 8))
+    edge = k * width
+    at = st.one_of(
+        st.floats(0.0, 1.0).map(lambda f: f * edge),
+        st.integers(0, k + past).map(lambda i: i * width),
+        st.just(edge),
+    )
+    return width, k, sorted(draw(st.lists(at, max_size=max_size)))
+
+
+@st.composite
+def streams(draw):
+    """``(width, t_end, [(t, name)])`` counter events; ``t_end`` is the
+    edge ``k * width`` itself, past it, or before some events."""
+    width, k, times = instants(draw, 0, 60)
+    events = [(t, draw(st.sampled_from(NAMES))) for t in times]
+    edge = k * width
+    t_end = draw(st.sampled_from([edge, edge + width * 0.5, edge + 3 * width,
+                                  (k - 1) * width, edge * 0.5]))
+    return width, t_end, events
+
+
+@st.composite
+def gauges(draw):
+    """``(width, t_end, [(t, value)])`` gauge samples, some past the
+    horizon; ``t_end`` is an edge, between edges or zero."""
+    width, k, times = instants(draw, 2, 40)
+    samples = [(t, draw(VALUES)) for t in times]
+    edge = k * width
+    t_end = draw(st.sampled_from([edge, edge - width * 0.5, edge + width * 0.5, 0.0]))
+    return width, t_end, samples
 
 
 def counts(windows):
     return [w["count"] for w in windows]
+
+
+def expected(width, t_end, times):
+    """The frozen roll of unit increments at ``times``."""
+    return reference.roll_counter(
+        reference.cumulative_history([(t, 1.0) for t in times]), width, t_end
+    )
 
 
 class Clocked:
@@ -182,6 +251,27 @@ class TestRollCounter:
         windows = rolled([0.5, 2.5, 3.5, 3.5], 1.0, 1.5)
         assert [w["count"] for w in windows] == [1.0, 3.0]
 
+    @settings(max_examples=200 * SCALE, deadline=None)
+    @given(streams())
+    @example((0.3, 0.3 * 3, [(0.6, "a"), (0.3 * 3, "a"), (0.3 * 3, "a")]))
+    @example((1.0, 2.0, [(0.5, "a"), (1.0, "a"), (2.0, "a"), (2.0, "a"), (2.0, "a")]))
+    # increments past a horizon that is not a window edge join its final window
+    @example((0.5, 0.75, [(0.1, "a"), (0.6, "a"), (1.0, "a"), (1.0, "a"), (2.5, "a")]))
+    def test_windows_equal_the_whole_history_roll(self, stream):
+        width, t_end, events = stream
+        times = [t for t, _ in events]
+        clocked = Clocked(width)
+        for t in times:
+            clocked.inc_at(t)
+        if not times:
+            assert clocked.series.counter_names() == []
+            return
+        track = clocked.series.to_payload(t_end)["counters"]["x"]
+        assert json.dumps(track["windows"]) == json.dumps(expected(width, t_end, times))
+        assert json.dumps(track["total"]) == json.dumps(float(len(times)))
+        # one whole count per window reached, and no more
+        assert len(clocked.series._counts["x"]) == int(times[-1] / width) + 1
+
 
 class TestRollGauge:
     def test_time_weighted_mean(self):
@@ -202,6 +292,17 @@ class TestRollGauge:
         assert roll_gauge([], 1.0, 1.0) == [
             {"t0": 0.0, "t1": 1.0, "mean": None, "max": None, "last": None}
         ]
+
+    @settings(max_examples=300 * SCALE, deadline=None)
+    @given(gauges())
+    @example((1.0, 0.0, [(0.0, 1.0), (0.0, -2.0), (0.5, 3.0)]))
+    @example((0.1, 0.1 * 3, [(0.0, 1.0), (0.1 * 3, 4.0)]))
+    @example((0.25, 1.0, [(0.25, -1.0), (1.0, 2.0), (1.5, 5.0)]))
+    @example((0.5, 1.0, []))
+    def test_one_pass_equals_the_full_scan(self, gauge):
+        width, t_end, samples = gauge
+        got = roll_gauge(samples, width, t_end)
+        assert json.dumps(got) == json.dumps(reference.roll_gauge(samples, width, t_end))
 
 
 class TestTimeSeriesRecorder:
@@ -246,3 +347,18 @@ class TestTimeSeriesRecorder:
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             TimeSeriesRecorder(lambda: 0.0, window=0.0)
+
+    @settings(max_examples=50 * SCALE, deadline=None)
+    @given(streams())
+    def test_the_recorder_payload_rolls_the_same_windows(self, stream):
+        width, t_end, events = stream
+        clocked = Clocked(width)
+        for t, name in events:
+            clocked.inc_at(t, name)
+        clocked.series.set("level", 1.0)
+        counters = clocked.series.to_payload(t_end)["counters"]
+        assert list(counters) == sorted({name for _, name in events})
+        for name, track in counters.items():
+            want = expected(width, t_end, [t for t, n in events if n == name])
+            assert json.dumps(track["windows"]) == json.dumps(want)
+        assert clocked.series.point_count() == len(events) + 1

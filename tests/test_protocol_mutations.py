@@ -49,6 +49,26 @@ def test_check_names_a_recorded_file_that_no_longer_fails(monkeypatch, capsys):
     assert out.splitlines()[-1] == f"1 recorded file(s) no longer fail: {cell.name} tests/b.py"
 
 
+def test_every_suite_run_passes_pytest_the_one_hypothesis_seed(monkeypatch, tmp_path):
+    """``measure`` and ``check`` both run suites through ``run_tests``, so
+    a property draws the same examples in each (and stops at the first
+    failing one)."""
+    argvs = []
+
+    def run(argv, **kwargs):
+        argvs.append(argv)
+        xml = next(a for a in argv if a.startswith("--junitxml=")).split("=", 1)[1]
+        Path(xml).write_text('<testsuite><testcase file="tests/a.py"><failure/></testcase>'
+                             '</testsuite>', encoding="utf-8")
+
+    monkeypatch.setattr(pm.subprocess, "run", run)
+    assert pm.run_tests(str(tmp_path), ["tests/a.py"]) == {"tests/a.py": 1}
+    (argv,) = argvs
+    assert argv[1:3] == ["-m", "pytest"]
+    assert f"--hypothesis-seed={pm.HYPOTHESIS_SEED}" in argv
+    assert argv[argv.index("benchmarks.mutation_plugin") - 1] == "-p"
+
+
 def test_a_family_name_selects_its_cells():
     assert pm._select(["trace"]) == [c for c in pm.CELLS if c.family == "trace"]
     assert {c.family for c in pm.CELLS} == set(pm.FAMILIES)
@@ -133,3 +153,20 @@ def test_the_trace_validators_kept_are_the_oplog_one():
     }
     for side in ("parent", "change"):
         assert oplog[side]["lint"] == ["validate_oplog"]
+
+
+def test_a_folds_catch_survives_the_retirement_of_its_file():
+    """The folds family was measured before its test files were merged
+    (``parent``) and after (``change``): every cell is caught on both
+    sides, and every file that caught a cell on the parent side still
+    catches it, or was retired and the successor recorded for it does."""
+    results = committed("folds")
+    successors = results["successors"]
+    assert successors == pm.SUCCESSORS["folds"]
+    for retired, successor in successors.items():
+        assert not (Path(pm.REPO) / retired).exists()
+        assert (Path(pm.REPO) / successor).exists()
+    for name, row in results["cells"].items():
+        assert row["parent"]["failed"] and row["change"]["failed"], name
+        for path in row["parent"]["failed"]:
+            assert row["change"]["failed"].get(successors.get(path, path)), (name, path)
