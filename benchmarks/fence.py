@@ -239,6 +239,9 @@ SMOKE = (
 )
 
 
+SLICES = ("smoke", "serve", "qes", "sql", "trace", "sweep")
+
+
 def _grid_flags(grid: str) -> List[str]:
     """``--grid/--p/--q`` for one of :data:`QES_GRIDS`."""
     return [
@@ -462,8 +465,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_man = sub.add_parser("manifest", help="run a slice, print its manifest")
     p_man.add_argument(
-        "--slice", choices=("smoke", "serve", "qes", "sql", "trace", "sweep"),
-        default="serve",
+        "--slice", choices=SLICES, default="serve",
     )
     p_man.add_argument("--src", default=DEFAULT_SRC, metavar="DIR",
                        help="src/ directory to import repro from")

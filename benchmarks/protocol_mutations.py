@@ -68,11 +68,14 @@ Two columns per cell and side:
 measured family's suite there unedited (it must pass), then per cell applies the
 edits, fills both columns and restores the file; they go under
 ``cells[name][side]`` of the cell's family file, other sides untouched.
-A suite run that outlives :data:`TIMEOUT_S` counts as caught.  ``check``
+A suite run that outlives :data:`TIMEOUT_S` is *not caught, timed out*:
+``measure`` records no failing file for it (and ``timed_out``).  ``check``
 re-runs each cell's recorded ``change`` test files against this tree,
 prints each file's recorded and current failure counts, and exits 1
 naming every recorded file that no longer fails a test (a cell with none
-recorded escapes every gate).  ``--cell``
+recorded escapes every gate) and every cell whose run timed out; with
+``--counts`` also every file whose failure count is not the recorded
+one.  ``--cell``
 (repeatable) takes a cell name or a family name and restricts either
 command.
 """
@@ -152,7 +155,7 @@ def suite_of(family: str) -> Tuple[str, ...]:
 HYPOTHESIS_SEED = "0"
 
 
-#: per test run; a mutation that hangs the suite is recorded as caught
+#: per test run; a mutation that hangs the suite is not caught, timed out
 TIMEOUT_S = 900
 
 #: the CI smoke runs ("Traced smoke run", "Observed serve smoke run")
@@ -697,8 +700,9 @@ def _env(root: str, hashseed: Optional[str] = None) -> Dict[str, str]:
 
 def run_tests(
     root: str, paths: Sequence[str], hashseed: Optional[str] = None
-) -> Dict[str, int]:
-    """Failing (or erroring) tests per file of ``paths`` run under ``root``."""
+) -> Optional[Dict[str, int]]:
+    """Failing (or erroring) tests per file of ``paths`` run under ``root``;
+    ``None`` when the run outlived :data:`TIMEOUT_S`."""
     with tempfile.TemporaryDirectory(prefix="mutation-junit-") as tmp:
         xml = os.path.join(tmp, "junit.xml")
         try:
@@ -710,7 +714,7 @@ def run_tests(
                 check=False, timeout=TIMEOUT_S,
             )
         except subprocess.TimeoutExpired:
-            return {"<timeout>": 1}
+            return None
         failed: Counter = Counter()
         for case in ET.parse(xml).iter("testcase"):
             if case.find("failure") is not None or case.find("error") is not None:
@@ -720,13 +724,16 @@ def run_tests(
 
 def run_cell_tests(
     root: str, paths: Sequence[str], cell: Cell
-) -> Tuple[Dict[str, int], Dict[str, Dict[str, int]]]:
+) -> Tuple[Optional[Dict[str, int]], Dict[str, Dict[str, int]]]:
     """The cell's runtime column, and per hash seed what it was drawn from:
     empty unless every one of ``cell.hashseeds`` fails a test, else each
-    file that failed under some seed with its largest count."""
+    file that failed under some seed with its largest count; ``None`` if
+    a run timed out."""
     if not cell.hashseeds:
         return run_tests(root, paths), {}
     per_seed = {seed: run_tests(root, paths, seed) for seed in cell.hashseeds}
+    if any(failed is None for failed in per_seed.values()):
+        return None, {}
     if not all(per_seed.values()):
         return {}, per_seed
     files = sorted(set().union(*per_seed.values()))
@@ -829,9 +836,9 @@ def measure(tree: str, side: str, cells: List[Cell]) -> int:
         for seed in sorted({None, *(s for c in cells for s in c.hashseeds)}, key=str):
             for suite in sorted({suite_of(family) for family in families}):
                 clean = run_tests(root, suite, seed)
-                if clean:
-                    print(f"the unedited suite fails (PYTHONHASHSEED={seed}): {clean}",
-                          file=sys.stderr)
+                if clean is None or clean:
+                    what = "times out" if clean is None else f"fails: {clean}"
+                    print(f"the unedited suite {what} (PYTHONHASHSEED={seed})", file=sys.stderr)
                     return 1
         for family in families:
             rules = sorted(validator_counts(root)) if family == "trace" else []
@@ -849,12 +856,14 @@ def measure(tree: str, side: str, cells: List[Cell]) -> int:
                 clause=cell.clause, site=f"{cell.file} {cell.site}",
                 mutation=cell.mutation, note=cell.note,
             )
-            row[side] = {"lint": flagged, "failed": failed}
+            row[side] = {"lint": flagged, "failed": failed or {}}
+            if failed is None:
+                row[side]["timed_out"] = TIMEOUT_S
             if per_seed:
                 row[side]["hashseeds"] = per_seed
-            print(f"{cell.name}: lint {flagged or '-'}; "
-                  f"{sum(failed.values())} failing test(s) in {len(failed)} file(s)",
-                  file=sys.stderr)
+            caught = (f"not caught, timed out after {TIMEOUT_S} s" if failed is None else
+                      f"{sum(failed.values())} failing test(s) in {len(failed)} file(s)")
+            print(f"{cell.name}: lint {flagged or '-'}; {caught}", file=sys.stderr)
     for family, data in results.items():
         data["cells"] = dict(sorted(data["cells"].items()))
         with open(results_path(family), "w", encoding="utf-8") as fh:
@@ -863,32 +872,44 @@ def measure(tree: str, side: str, cells: List[Cell]) -> int:
     return 0
 
 
-def check(cells: List[Cell]) -> int:
+def check(cells: List[Cell], counts: bool = False) -> int:
     """Re-run each cell against its recorded change-side test files: each
-    of them must still fail at least one test (a hung run fails them all)."""
+    of them must still fail at least one test, within :data:`TIMEOUT_S`,
+    and with ``counts`` exactly as many tests as recorded."""
     rows = {}
     for family in {cell.family for cell in cells}:
         rows.update(load_results(family)["cells"])
-    escaped, drifted = [], []
+    escaped, drifted, timed_out, moved = [], [], [], []
     with tempfile.TemporaryDirectory(prefix="mutation-tree-") as root:
         copy_tree(REPO, root)
         for cell in cells:
             recorded = rows[cell.name]["change"]["failed"]
             with mutated(root, cell):
                 failed = run_cell_tests(root, sorted(recorded), cell)[0] if recorded else {}
+            if failed is None:
+                print(f"{cell.name}: not caught, timed out after {TIMEOUT_S} s")
+                timed_out.append(cell.name)
+                continue
             print(f"{cell.name}: {sum(failed.values())} failing test(s) in "
                   f"{len(failed)} file(s)")
             for path, count in sorted(recorded.items()):
-                print(f"  {path}: recorded {count}, now {failed.get(path, 0)}")
-                if not failed.get(path) and "<timeout>" not in failed:
+                now = failed.get(path, 0)
+                print(f"  {path}: recorded {count}, now {now}")
+                if not now:
                     drifted.append(f"{cell.name} {path}")
+                elif counts and now != count:
+                    moved.append(f"{cell.name} {path} ({count} -> {now})")
             if not failed:
                 escaped.append(cell.name)
     if escaped:
         print(f"{len(escaped)} cell(s) escaped every gate: {', '.join(escaped)}")
+    if timed_out:
+        print(f"{len(timed_out)} cell(s) not caught, timed out: {', '.join(timed_out)}")
+    if moved:
+        print(f"{len(moved)} recorded count(s) moved: {'; '.join(moved)}")
     if drifted:
         print(f"{len(drifted)} recorded file(s) no longer fail: {'; '.join(drifted)}")
-    if escaped or drifted:
+    if escaped or drifted or timed_out or moved:
         return 1
     print(f"every one of {len(cells)} cell(s) caught by every recorded file")
     return 0
@@ -901,13 +922,15 @@ def main(argv=None) -> int:
     p_measure.add_argument("--tree", default=REPO, help="tree to measure (default: this one)")
     p_measure.add_argument("--side", required=True, choices=("parent", "change"))
     p_check = sub.add_parser("check", help="re-run the recorded runtime column")
+    p_check.add_argument("--counts", action="store_true",
+                         help="also fail when a file's failure count is not the recorded one")
     for p in (p_measure, p_check):
         p.add_argument("--cell", action="append", metavar="NAME|FAMILY")
     args = parser.parse_args(argv)
     cells = _select(args.cell)
     if args.command == "measure":
         return measure(os.path.abspath(args.tree), args.side, cells)
-    return check(cells)
+    return check(cells, args.counts)
 
 
 if __name__ == "__main__":

@@ -25,14 +25,15 @@ def main() -> None:
     left = make_grid_chunk_descriptors(1, spec.g, spec.p, record_size=16, num_storage=2)
     right = make_grid_chunk_descriptors(2, spec.g, spec.q, record_size=16, num_storage=2)
     index = build_join_index(left, right, on=on)
-    stats = index.stats()
+    components = index.components()
+    num_right = sum(comp.b for comp in components)
 
-    print(f"connectivity graph: {stats.num_edges} edges, "
-          f"{stats.num_components} components, "
-          f"avg right-sub-table degree {stats.avg_right_degree:.1f}")
-    assert stats.num_edges == spec.n_e, "graph disagrees with the closed form!"
+    print(f"connectivity graph: {index.num_edges} edges, "
+          f"{index.num_components} components, "
+          f"avg right-sub-table degree {index.num_edges / num_right:.1f}")
+    assert index.num_edges == spec.n_e, "graph disagrees with the closed form!"
 
-    for k, comp in enumerate(index.components()):
+    for k, comp in enumerate(components):
         print(f"\ncomponent {k}:  a={comp.a} left, b={comp.b} right, "
               f"{comp.num_edges} edges")
         for lid in comp.left_ids:

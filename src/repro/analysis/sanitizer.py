@@ -312,12 +312,6 @@ class RunSanitizer:
                     f"not the makespan {cp.total!r}"
                 )
 
-    def summary(self) -> Dict[str, int]:
-        """Counts of invariant evaluations (all hooks must have fired)."""
-        out = dict(self.checks)
-        out["transferred_ok_bytes"] = self.transferred_ok
-        return out
-
 
 # -- report digests for the shadow-run comparison ------------------------------------
 

@@ -503,7 +503,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retry=RetryPolicy(budget=args.retry_budget),
         queue_limit=args.queue_limit,
         shed_policy=args.shed_policy,
-        breaker_threshold=args.breaker_threshold,
         on_unrecoverable="raise" if args.fail_mode == "strict" else "fail",
     )
 
@@ -843,8 +842,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "re-serve with the engine's same-instant "
                               "tie-break reversed; a semantic digest "
                               "mismatch exits 4 (with faults, deadlines, "
-                              "a non-fifo policy, shedding or a breaker "
-                              "the shadow is a byte-identical replay "
+                              "a non-fifo policy or shedding the shadow "
+                              "is a byte-identical replay "
                               "instead)")
     p_serve.add_argument("--json-out", type=str, default=None, metavar="FILE",
                          help="write the full deterministic report payload "
@@ -873,13 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "token-bucket"],
                          help="load-shedding policy once the queue limit "
                               "is hit (default reject-newest)")
-    p_serve.add_argument("--breaker-threshold", type=float, default=None,
-                         metavar="S",
-                         help="open a circuit breaker once observed "
-                              "queue-wait p99 exceeds S seconds; an open "
-                              "breaker sheds every later arrival, and only "
-                              "queries already queued when it opened can "
-                              "close it again (default off)")
     p_serve.add_argument("--fail-mode", choices=["strict", "graceful"],
                          default="strict",
                          help="strict (default): a query exhausting its "

@@ -179,9 +179,6 @@ class ClusterSim:
     def num_compute(self) -> int:
         return self.topology.num_compute
 
-    def storage(self, i: int) -> StorageNode:
-        return self.storage_nodes[i]
-
     def joiner(self, j: int) -> ComputeNode:
         return self.compute_nodes[j]
 

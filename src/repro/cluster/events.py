@@ -519,24 +519,15 @@ class SimEngine:
             fn()
         return self.now
 
-    def run_process(self, gen: Generator[Event, Any, Any], name: str = "") -> Any:
-        """Convenience: start a process, run to completion, return its value.
+    def drive(self, proc: Process) -> Any:
+        """Drain the queue until ``proc`` (already spawned) completes and
+        return its value.
 
         A deadlock (the queue drained but the process never completed)
         raises :class:`SimulationError` enumerating every still-pending
         named process and the event each is blocked on — with fault
         injection able to strand processes, "who is waiting on what" is
         the first question a deadlock report must answer.
-        """
-        return self.drive(self.process(gen, name=name))
-
-    def drive(self, proc: Process) -> Any:
-        """Drain the queue until ``proc`` (already spawned) completes.
-
-        The split from :meth:`run_process` exists for callers that spawn a
-        process early — e.g. a query server admitting an execution whose
-        driver was started by ``begin()`` — and only later hand the engine
-        the reins.  Deadlock diagnostics are identical.
         """
         self.run()
         if not proc.triggered:

@@ -94,13 +94,6 @@ class StorageNode:
             engine, spec.disk_read_bw, latency=spec.disk_latency, name=f"s{node_id}.disk"
         )
 
-    def read(self, nbytes: int):
-        """Reserve a chunk read on the local disk."""
-        return self.disk.reserve(nbytes)
-
-    def __repr__(self) -> str:
-        return f"StorageNode(id={self.node_id}, fabric={self.fabric_id})"
-
 
 class ComputeNode:
     """A compute-cluster node: CPU, memory, and (usually) a scratch disk.
@@ -149,9 +142,3 @@ class ComputeNode:
     def scratch_read(self, nbytes: int):
         """Reserve a bucket read on the local scratch disk."""
         return self.scratch.reserve_at_rate(nbytes, self.spec.disk_read_bw)
-
-    def __repr__(self) -> str:
-        return (
-            f"ComputeNode(id={self.node_id}, fabric={self.fabric_id}, "
-            f"local_disk={self.has_local_disk})"
-        )

@@ -4,7 +4,8 @@ Disks, NICs and CPUs are all *serial, non-preemptive, FIFO* servers in this
 model.  For such a server there is a closed form for queueing: a request
 arriving at time ``t`` needing ``s`` seconds of service completes at
 ``max(t, busy_until) + s`` and pushes ``busy_until`` to that completion
-time.  :meth:`BandwidthResource.reserve` implements exactly that, returning
+time.  :meth:`BandwidthResource.reserve_at_rate` and
+:meth:`~BandwidthResource.reserve_time` implement exactly that, returning
 a :class:`~repro.cluster.events.Timeout` the caller waits on.
 
 The calculus is O(1) per request, which is what lets a multi-terabyte
@@ -63,15 +64,6 @@ class BandwidthResource:
 
     def service_time(self, nbytes: int) -> float:
         return self.latency + nbytes / self.bandwidth
-
-    def reserve(self, nbytes: int) -> Timeout:
-        """Reserve the resource for ``nbytes`` of work; FIFO-queued.
-
-        Returns a timeout that fires when the request completes.
-        """
-        if not nbytes >= 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        return self._reserve_seconds(self.service_time(nbytes), nbytes)
 
     def reserve_time(self, seconds: float) -> Timeout:
         """Reserve the resource for a raw duration (CPU work)."""
@@ -178,9 +170,3 @@ class BandwidthResource:
             if emit:
                 engine._emit("reserve", r.name, now, start, completion, nbytes)
         return Timeout(engine, completion - now)
-
-    def __repr__(self) -> str:
-        return (
-            f"BandwidthResource(name={self.name!r}, bw={self.bandwidth:g} B/s, "
-            f"busy_until={self._busy_until:g})"
-        )

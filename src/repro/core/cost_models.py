@@ -173,11 +173,6 @@ class CostParameters:
         """``T·(RS_R + RS_S)``: bytes both algorithms pull from storage."""
         return self.T * (self.RS_R + self.RS_S)
 
-    @property
-    def avg_right_degree(self) -> float:
-        """``n_e / m_S``: lookups per right record in IJ."""
-        return self.n_e / self.m_S
-
     @classmethod
     def from_machine(
         cls,

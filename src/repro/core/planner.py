@@ -56,10 +56,6 @@ class Plan:
         return self.ij_cost if self.algorithm == "indexed-join" else self.gh_cost
 
     @property
-    def counterfactual_algorithm(self) -> str:
-        return "grace-hash" if self.algorithm == "indexed-join" else "indexed-join"
-
-    @property
     def predicted_time(self) -> float:
         """The *chosen* algorithm's predicted total.
 

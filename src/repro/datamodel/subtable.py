@@ -100,11 +100,6 @@ class SubTable:
     def __len__(self) -> int:
         return self.num_records
 
-    @property
-    def nbytes(self) -> int:
-        """Payload size in bytes (records × record size)."""
-        return self.num_records * self.schema.record_size
-
     def column(self, name: str) -> np.ndarray:
         """The column array for ``name`` (a view — do not mutate)."""
         try:
@@ -208,10 +203,6 @@ class SubTableStub:
     num_records: int
     record_size: int
     bbox: BoundingBox
-
-    @property
-    def nbytes(self) -> int:
-        return self.num_records * self.record_size
 
     def __len__(self) -> int:
         return self.num_records

@@ -33,7 +33,6 @@ from repro.joins.hash_join import JoinKernelStats, vectorized_hash_join
 from repro.joins.indexed_join import IndexedJoinQES
 from repro.joins.join_index import (
     Component,
-    ConnectivityStats,
     PageJoinIndex,
     build_join_index,
 )
@@ -48,7 +47,6 @@ from repro.joins.scheduler import (
 
 __all__ = [
     "Component",
-    "ConnectivityStats",
     "ExecutionReport",
     "GraceHashQES",
     "IndexedJoinQES",

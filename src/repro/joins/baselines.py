@@ -10,7 +10,7 @@ cannot hide.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,16 +22,6 @@ from repro.services.bds import SubTableProvider
 __all__ = ["reference_join", "sort_merge_join"]
 
 
-def _key_struct(sub: SubTable, on: Sequence[str]) -> np.ndarray:
-    """The join-key columns as one structured array, which NumPy sorts
-    and searches lexicographically."""
-    dtype = np.dtype([(name, sub.schema[name].np_dtype) for name in on])
-    out = np.empty(sub.num_records, dtype=dtype)
-    for name in on:
-        out[name] = sub.column(name)
-    return out
-
-
 def sort_merge_join(
     left: SubTable,
     right: SubTable,
@@ -39,32 +29,40 @@ def sort_merge_join(
     result_id: Optional[SubTableId] = None,
     suffix: str = "_r",
 ) -> SubTable:
-    """Classic sort-merge equi-join (vectorised merge via searchsorted).
+    """Classic sort-merge equi-join: one stable sort of both sides' keys,
+    whose equal-key runs are found by comparing neighbours.
 
-    Output row order differs from the hash kernels in general; compare with
+    Keys are equal by value, as in the hash kernels: ``-0.0 == 0.0``, and
+    a NaN key equals nothing, so it joins nothing.  Rows come out run by
+    run in key order, each right row of a run (in table order) with every
+    left row of the run (in table order).  That differs from the hash
+    kernels' order in general; compare with
     :meth:`SubTable.equals_unordered`.
     """
     _check_join(left, right, on)
-    lkeys = _key_struct(left, on)
-    rkeys = _key_struct(right, on)
-    lorder = np.argsort(lkeys, order=list(on), kind="stable")
-    rorder = np.argsort(rkeys, order=list(on), kind="stable")
-    lsorted = lkeys[lorder]
-    rsorted = rkeys[rorder]
-
-    # for each right row (sorted), the run of equal left rows
-    starts = np.searchsorted(lsorted, rsorted, side="left")
-    stops = np.searchsorted(lsorted, rsorted, side="right")
-    counts = stops - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return _assemble(left, right, on, empty, empty, result_id, suffix)
-    right_idx = rorder[np.repeat(np.arange(len(rsorted), dtype=np.intp), counts)]
-    cum = np.concatenate(([0], np.cumsum(counts)))
-    within = np.arange(total, dtype=np.intp) - np.repeat(cum[:-1], counts)
-    left_idx = lorder[np.repeat(starts, counts) + within]
+    left_idx, right_idx = _merge(left, right, on)
     return _assemble(left, right, on, left_idx, right_idx, result_id, suffix)
+
+
+def _merge(left: SubTable, right: SubTable, on: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """The matching left and right rows, pair by pair in output order (its
+    sort's temporaries are freed before the answer is assembled)."""
+    n_left = left.num_records
+    keys = [np.concatenate((left.column(name), right.column(name))) for name in on]
+    order = np.lexsort(keys[::-1])  # stable: within a run, left rows come first
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in keys:
+        ranked = column[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]  # NaN != NaN: a run of its own
+    run = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    is_right = order >= n_left
+    right_runs = run[is_right]
+    counts = np.bincount(run[~is_right], minlength=len(first))[right_runs]
+    right_idx = np.repeat(order[is_right] - n_left, counts)
+    within = np.arange(len(right_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return order[np.repeat(first[right_runs], counts) + within], right_idx
 
 
 def reference_join(

@@ -14,10 +14,6 @@ components are a union-find label pass over those ints — "independent
 components of this graph are identified" (Section 5.1), the unit the
 two-stage scheduler deals out to compute nodes.
 
-:class:`ConnectivityStats` exposes the dataset parameters of Table 1 the
-index determines: ``n_e``, the per-component ``(a, b)`` counts, and the
-edge ratio ``n_e · c_R · c_S / T²``.
-
 "The page-index can be precomputed for common join attributes" (Section
 4.1): the planner keeps the built :class:`PageJoinIndex` itself in the
 MetaData Service's key-value store, so there is no serialised form.
@@ -35,7 +31,7 @@ from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.chunk import ChunkDescriptor
 from repro.datamodel.subtable import SubTableId
 
-__all__ = ["PageJoinIndex", "Component", "ConnectivityStats", "build_join_index"]
+__all__ = ["PageJoinIndex", "Component", "build_join_index"]
 
 
 @dataclass
@@ -59,26 +55,6 @@ class Component:
     @property
     def num_edges(self) -> int:
         return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class ConnectivityStats:
-    """Dataset parameters derived from the connectivity graph."""
-
-    num_edges: int            # n_e
-    num_components: int       # N_C (for fully regular partitions)
-    num_left: int             # sub-tables of R
-    num_right: int            # m_S: sub-tables of S
-    avg_left_degree: float
-    avg_right_degree: float   # n_e / m_S — the IJ lookup multiplier
-    max_component_a: int
-    max_component_b: int
-
-    def edge_ratio(self, c_r: float, c_s: float, total_tuples: float) -> float:
-        """``n_e · c_R · c_S / T²`` (the parameter earlier works target)."""
-        if total_tuples == 0:
-            return 0.0
-        return self.num_edges * c_r * c_s / (total_tuples**2)
 
 
 class PageJoinIndex:
@@ -198,21 +174,6 @@ class PageJoinIndex:
                 getattr(comps[c], side).append(ids[o])
         return comps
 
-    def stats(self) -> ConnectivityStats:
-        lefts, left_labels = self._endpoint_components(self._li)
-        rights, right_labels = self._endpoint_components(self._ri)
-        n_e = self.num_edges
-        return ConnectivityStats(
-            num_edges=n_e,
-            num_components=self.num_components,
-            num_left=len(lefts),
-            num_right=len(rights),
-            avg_left_degree=n_e / len(lefts) if len(lefts) else 0.0,
-            avg_right_degree=n_e / len(rights) if len(rights) else 0.0,
-            max_component_a=int(np.bincount(left_labels).max(initial=0)),
-            max_component_b=int(np.bincount(right_labels).max(initial=0)),
-        )
-
     # -- pruning ---------------------------------------------------------------
 
     def select(
@@ -281,8 +242,8 @@ def build_join_index(
     each right chunk a window of sorted positions by two binary searches —
     no left outside it can overlap — and one vectorised filter over every
     join attribute keeps the windows' overlapping pairs.  Memory is the
-    candidate count.  A view's WHERE range prunes the built index
-    (:meth:`PageJoinIndex.restrict`).  The index keeps its pairs in
+    candidate count.  A query's range prunes the built index
+    (:meth:`PageJoinIndex.select`).  The index keeps its pairs in
     lexicographic ``(left id, right id)`` order.
     """
     on = tuple(on)

@@ -149,10 +149,6 @@ class MetaDataService:
         except KeyError:
             raise KeyError(f"no chunk {id} in table {catalog.name!r}") from None
 
-    def find_chunks(self, table: int | str, query: BoundingBox) -> List[ChunkDescriptor]:
-        """Range query: chunk descriptors of ``table`` intersecting ``query``."""
-        return self.table(table).find_chunks(query)
-
     def chunks_on_node(self, table: int | str, storage_node: int) -> List[ChunkDescriptor]:
         """Chunks of ``table`` that live on ``storage_node`` (what a local
         BDS instance may serve)."""

@@ -70,12 +70,6 @@ class DriftRecord:
     #: silently flip the planner's choice, so reports call them out.
     tossup: bool = False
 
-    @property
-    def ratio(self) -> Optional[float]:
-        if self.predicted_s <= 0:
-            return None
-        return self.observed_s / self.predicted_s
-
     def to_json_obj(self) -> Dict[str, object]:
         return {
             "fingerprint": self.fingerprint,

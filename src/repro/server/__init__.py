@@ -6,8 +6,7 @@
 * :mod:`~repro.server.queries` — seeded query construction: arrival →
   concrete scan/join/aggregate → planner → :class:`PlannedQuery`.
 * :mod:`~repro.server.resilience` — serving under failure and overload:
-  terminal dispositions, retry backoff, load-shedding policies and the
-  queue-wait circuit breaker.
+  terminal dispositions, retry backoff and load-shedding policies.
 * :mod:`~repro.server.server` — the :class:`QueryServer` itself, its
   shadow serve (:func:`check_shadow_serve`) and the cold-cache serial
   baseline it is measured against.
@@ -32,7 +31,6 @@ from repro.server.resilience import (
     DISPOSITIONS,
     FAILED,
     SHED,
-    CircuitBreaker,
     QueryAborted,
     QueryShed,
     RejectLowestPriority,
@@ -57,7 +55,6 @@ __all__ = [
     "AdmissionPolicy",
     "BurnAlert",
     "COMPLETED",
-    "CircuitBreaker",
     "DEADLINE_EXCEEDED",
     "DISPOSITIONS",
     "FAILED",

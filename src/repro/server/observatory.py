@@ -101,8 +101,6 @@ class ServeObservatory:
         self.series.set("server.queue_depth", 0.0)
         self.series.set("server.inflight", 0.0)
         self.series.set("server.slot_utilization", 0.0)
-        if server.resilience.breaker_threshold is not None:
-            self.series.set("server.breaker_open", 0.0)
         for node, cache in enumerate(server.caches):
             self._watch_cache(node, cache)
         server.subscribe(self)
@@ -140,10 +138,6 @@ class ServeObservatory:
         series.set("server.slot_utilization", in_use / self._slots)
         if kind == "terminal":
             self._terminal(subject)
-            return
-        if kind == "breaker":
-            series.set("server.breaker_open", float(fields["open"]))
-            emit("breaker_open" if fields["open"] else "breaker_close")
             return
         who = {"qid": subject.qid, "tenant": subject.tenant}
         if kind == "retry":

@@ -1,5 +1,5 @@
-"""Resilience policies for the query server: dispositions, retries,
-load shedding and the overload circuit breaker.
+"""Resilience policies for the query server: dispositions, retries and
+load shedding.
 
 The server promises that **every submitted query reaches exactly one
 terminal disposition**:
@@ -22,14 +22,10 @@ faulted workloads byte-for-byte on top of these policies.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.rng import uniform
-from repro.faults.errors import FaultError, UnrecoverableFault
-from repro.telemetry.latency import percentile
 
 __all__ = [
     "COMPLETED",
@@ -44,9 +40,7 @@ __all__ = [
     "RejectNewest",
     "RejectLowestPriority",
     "TokenBucketShedder",
-    "CircuitBreaker",
     "ResilienceConfig",
-    "is_retryable",
 ]
 
 COMPLETED = "completed"
@@ -85,17 +79,6 @@ class QueryShed(Exception):
         super().__init__(f"q{qid} shed: {reason}")
         self.qid = qid
         self.reason = reason
-
-
-def is_retryable(exc: BaseException) -> bool:
-    """Whether a server-level retry may salvage a killed attempt.
-
-    Injected faults (``FaultError`` subclasses) and exhausted-recovery
-    terminations (``UnrecoverableFault``) are retryable: a fresh attempt
-    re-draws its transient faults and re-places work on surviving nodes.
-    Anything else is a model bug and must stay loud.
-    """
-    return isinstance(exc, (FaultError, UnrecoverableFault))
 
 
 @dataclass(frozen=True)
@@ -234,76 +217,12 @@ _SHED_POLICIES = {
 }
 
 
-class CircuitBreaker:
-    """Cost-model-driven overload breaker.
-
-    Watches the p99 of recently *observed* queue waits (a sliding window
-    fed at each admission); while that p99 exceeds ``threshold`` the
-    breaker is open and queries the planner predicts to cost at least
-    ``cost_cutoff`` seconds are shed.  At the default cutoff of 0.0,
-    which the CLI does not change, every prediction reaches the cutoff,
-    so an open breaker sheds every later arrival.  Only admissions of
-    queries already queued when it opened can then age the slow waits
-    out of the window and close it; in ``repro serve --grid 32,32 --p
-    4,4 --q 8,8 --storage 2 --compute 2 --seed 3 --tenants
-    benchmarks/fence_tenants.json --observe`` with ``--breaker-threshold``
-    0.002, 0.005 or 0.01 and ``--slots`` 1 or 2 it opened once and never
-    closed.
-    """
-
-    #: waits the window must hold before the breaker can open
-    MIN_SAMPLES = 4
-
-    def __init__(self, threshold: float, cost_cutoff: float, window: int = 32):
-        if not (threshold > 0 and math.isfinite(threshold)):
-            raise ValueError(f"breaker threshold must be positive and finite, got {threshold}")
-        if not (cost_cutoff >= 0 and math.isfinite(cost_cutoff)):
-            raise ValueError(f"breaker cost cutoff must be >= 0 and finite, got {cost_cutoff}")
-        if window < self.MIN_SAMPLES:
-            raise ValueError(
-                f"window {window} smaller than MIN_SAMPLES {self.MIN_SAMPLES}"
-            )
-        self.threshold = threshold
-        self.cost_cutoff = cost_cutoff
-        self.window = window
-        self._waits: Deque[float] = deque(maxlen=window)
-        #: queries shed while open (diagnostic, reported by the server)
-        self.tripped = 0
-
-    def observe_wait(self, wait: float) -> Optional[bool]:
-        """Feed one observed queue wait into the window.
-
-        The breaker's state is a pure function of the wait window, so it
-        can only flip here: returns the new state (``True`` = open) when
-        this wait flipped it, else ``None``.
-        """
-        if wait < 0:
-            raise ValueError(f"negative queue wait {wait}")
-        was_open = self.is_open()
-        self._waits.append(wait)
-        now_open = self.is_open()
-        return now_open if now_open != was_open else None
-
-    def is_open(self) -> bool:
-        if len(self._waits) < self.MIN_SAMPLES:
-            return False
-        return percentile(list(self._waits), 99) > self.threshold
-
-    def should_shed(self, predicted_time: float) -> bool:
-        if predicted_time < self.cost_cutoff:
-            return False
-        if not self.is_open():
-            return False
-        self.tripped += 1
-        return True
-
-
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Bundle of the server's resilience knobs.
 
     The default configuration is maximally permissive — unbounded queue,
-    no breaker, two retries — so a server constructed without explicit
+    no shedding, two retries — so a server constructed without explicit
     resilience behaves exactly like the pre-resilience server on
     fault-free, deadline-free workloads.
 
@@ -314,18 +233,11 @@ class ResilienceConfig:
     ``serve()`` as a structured error (the CLI's strict default — a
     fault plan the deployment cannot mask should fail the run loudly,
     never hang it).
-
-    ``breaker_cost_cutoff`` is the predicted time from which an open
-    breaker sheds a query; at its default of 0.0 an open breaker sheds
-    every arriving query.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     queue_limit: Optional[int] = None
     shed_policy: str = "reject-newest"
-    breaker_threshold: Optional[float] = None
-    breaker_cost_cutoff: float = 0.0
-    breaker_window: int = 32
     on_unrecoverable: str = "fail"
 
     def __post_init__(self) -> None:
@@ -353,13 +265,3 @@ class ResilienceConfig:
         if self.queue_limit is None and self.shed_policy != "token-bucket":
             return None
         return _SHED_POLICIES[self.shed_policy](self.queue_limit)
-
-    def build_breaker(self) -> Optional[CircuitBreaker]:
-        if self.breaker_threshold is None:
-            return None
-        return CircuitBreaker(
-            self.breaker_threshold,
-            self.breaker_cost_cutoff,
-            window=self.breaker_window,
-        )
-

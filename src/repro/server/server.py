@@ -26,10 +26,10 @@ arrival stream (:mod:`repro.workloads.arrivals`) inside a single
 
 Serving is *resilient* (:mod:`repro.server.resilience`): a fault plan
 can crash nodes mid-stream (``faults=``), tenants can carry per-query
-SLO deadlines, the admission queue can be bounded with load shedding and
-a queue-wait circuit breaker, and queries killed by faults are retried
-with seeded backoff — every submitted query reaches exactly one terminal
-disposition (``completed | deadline_exceeded | shed | failed``), and the
+SLO deadlines, the admission queue can be bounded with load shedding,
+and queries killed by faults are retried with seeded backoff — every
+submitted query reaches exactly one terminal disposition (``completed |
+deadline_exceeded | shed | failed``), and the
 server quiesces with zero leaked slots or cache pins no matter what the
 fault plan did.
 
@@ -329,7 +329,7 @@ class QueryServer:
     the stream is in flight, and the QES recovery paths run under
     concurrency.  ``resilience`` bundles the serving-side knobs —
     deadline enforcement needs nothing here (SLOs ride on the arrivals),
-    retry/shedding/breaker come from :class:`ResilienceConfig`.
+    retry and shedding come from :class:`ResilienceConfig`.
     """
 
     def __init__(
@@ -377,7 +377,6 @@ class QueryServer:
         ]
         self._policy = make_admission_policy(policy)
         self._shedder = self.resilience.build_shedder()
-        self._breaker = self.resilience.build_breaker()
         self.sanitizer = None
         if sanitize:
             from repro.analysis.sanitizer import RunSanitizer
@@ -423,11 +422,11 @@ class QueryServer:
 
         The one lifecycle channel (DESIGN.md §13).  ``fn`` runs after
         each decision's state change, in the simulated process that made
-        it: ``kind`` is one of ``submit queue evict admit breaker
-        deadline fault retry terminal``, ``subject`` the
-        :class:`QueuedQuery` (the :class:`QueryRecord` for ``terminal``,
-        ``None`` for ``breaker``), the two levels — free slots and
-        admission-queue depth — are as that change left them, and
+        it: ``kind`` is one of ``submit queue evict admit deadline
+        fault retry terminal``, ``subject`` the :class:`QueuedQuery`
+        (the :class:`QueryRecord` for ``terminal``), the two levels —
+        free slots and admission-queue depth — are as that change left
+        them, and
         ``fields`` holds the kind's own scalars.  Every change of either
         level is followed at the same simulated instant by an event.
         Subscribers are passive: they read the serve, never steer it.
@@ -564,11 +563,6 @@ class QueryServer:
         with :class:`QueryShed` and records the disposition itself.
         """
         engine = self.cluster.engine
-        if self._breaker is not None and self._breaker.should_shed(
-            entry.predicted_time
-        ):
-            self._finalize(entry, SHED, _Outcome(), note="circuit-breaker")
-            return True
         if self._shedder is None:
             return False
         verdict = self._shedder.victim(entry, self._policy, engine.now)
@@ -605,10 +599,6 @@ class QueryServer:
                 entry.admitted_at = engine.now
                 self._admission_order.append(entry.qid)
                 wait = engine.now - entry.submitted_at
-                if self._breaker is not None:
-                    flipped = self._breaker.observe_wait(wait)
-                    if flipped is not None:
-                        self._emit("breaker", None, open=flipped)
                 self._emit("admit", entry, wait=wait)
                 entry.admitted.succeed()
             if (
@@ -903,7 +893,7 @@ def check_shadow_serve(
     Reordering simultaneous events legitimately moves timing, so the
     tie-break is reversed (and :meth:`ServerReport.digest` must not move)
     only where no decision reads the timing: no faults or deadline, FIFO
-    admission, no shedding or breaker.  Elsewhere the payload, minus the
+    admission, no shedding.  Elsewhere the payload, minus the
     observability section, must replay byte for byte.  Returns
     ``"reversed"`` or ``"replay"``; a divergence is a SanitizerViolation.
     """
@@ -914,7 +904,6 @@ def check_shadow_serve(
         and all(a.deadline is None for a in arrivals)
         and server._policy.name == "fifo"
         and server._shedder is None
-        and server._breaker is None
     ):
         shadow = build("reversed").serve(arrivals)
         if shadow.digest() != report.digest():

@@ -87,9 +87,6 @@ class BasicDataSourceService:
         self.bytes_read += len(data)
         return extractor.extract(data, desc.id, bbox=desc.bbox, columns=names)
 
-    def __repr__(self) -> str:
-        return f"BasicDataSourceService(node={self.storage_node})"
-
 
 class SubTableProvider:
     """Strategy interface: descriptor → sub-table (real or stub)."""

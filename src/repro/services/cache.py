@@ -111,14 +111,6 @@ class CacheStats:
     #: Entries dropped because their source storage node failed.
     invalidations: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
     def snapshot(self) -> "CacheStats":
         """An immutable-by-convention copy of the current counters."""
         return replace(self)
@@ -578,10 +570,6 @@ class CachingService(Generic[K, V]):
         """Bytes currently held (or reserved in flight) by the staging area."""
         return self._staged_bytes
 
-    def has_prefetched(self, key: K) -> bool:
-        """Whether ``key`` is staged — in flight or ready to be taken."""
-        return key in self._staged
-
     def prefetch_begin(self, key: K, nbytes: int) -> bool:
         """Reserve staging budget for an in-flight prefetch of ``key``.
 
@@ -867,9 +855,6 @@ class QueryCacheView(Generic[K, V]):
         source: Optional[int] = None,
     ) -> bool:
         return self.shared.put(key, value, nbytes, pin, source, self)
-
-    def has_prefetched(self, key: K) -> bool:
-        return self.shared.has_prefetched(key)
 
     def prefetch_begin(self, key: K, nbytes: int) -> bool:
         return self.shared.prefetch_begin(key, nbytes)

@@ -35,10 +35,6 @@ class ChunkStore:
         """Append a chunk for ``table_id``; returns its location handle."""
         raise NotImplementedError
 
-    def read(self, ref: ChunkRef) -> bytes:
-        """Read the chunk bytes behind ``ref``."""
-        return self.read_ranges(ref, [(0, ref.size)])
-
     def read_ranges(self, ref: ChunkRef, ranges: "List[Tuple[int, int]]") -> bytes:
         """Read chunk-relative ``(offset, size)`` ranges, concatenated.
 

@@ -85,9 +85,6 @@ class Extractor:
         """Serialise a sub-table into chunk bytes this extractor can parse."""
         raise NotImplementedError(f"extractor {self.name!r} is read-only")
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
-
 
 class DescribedExtractor(Extractor):
     """Extractor compiled from a :class:`LayoutDescriptor`."""

@@ -109,9 +109,6 @@ class ChunkLayout:
             raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
         return lengths.pop() if lengths else 0
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
 
 class RowMajorLayout(ChunkLayout):
     """Record-interleaved layout (the classic C struct array)."""
@@ -235,9 +232,6 @@ class InterleavedBlockLayout(ChunkLayout):
                 )
                 offset += count * attr.itemsize
         return out
-
-    def __repr__(self) -> str:
-        return f"InterleavedBlockLayout(block_records={self.block_records})"
 
 
 # ---------------------------------------------------------------------------

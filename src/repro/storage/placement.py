@@ -52,9 +52,6 @@ class PlacementPolicy:
         primary = self.node_for(ordinal, total)
         return [(primary + r) % self.num_nodes for r in range(k)]
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(num_nodes={self.num_nodes})"
-
 
 class BlockCyclicPlacement(PlacementPolicy):
     """Deal out blocks of ``block`` consecutive chunks round-robin."""
@@ -69,9 +66,6 @@ class BlockCyclicPlacement(PlacementPolicy):
         if ordinal < 0 or ordinal >= total:
             raise IndexError(f"ordinal {ordinal} out of range [0, {total})")
         return (ordinal // self.block) % self.num_nodes
-
-    def __repr__(self) -> str:
-        return f"BlockCyclicPlacement(num_nodes={self.num_nodes}, block={self.block})"
 
 
 class ContiguousPlacement(PlacementPolicy):

@@ -48,14 +48,6 @@ class WrittenTable:
     extractor_name: str
     chunks: List[ChunkDescriptor] = field(default_factory=list)
 
-    @property
-    def num_records(self) -> int:
-        return sum(c.num_records for c in self.chunks)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(c.size for c in self.chunks)
-
 
 class DatasetWriter:
     """Writes tables into a group of chunk stores.

@@ -130,10 +130,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "type": "histogram",

@@ -38,8 +38,6 @@ OPLOG_EVENTS = frozenset(
         "evict",  # queued victim evicted in favour of an arrival
         "retry",  # attempt failed, another will run (field: attempt)
         "backoff",  # retry delay begins (field: delay)
-        "breaker_open",  # circuit breaker opened
-        "breaker_close",  # circuit breaker closed again
         "deadline",  # deadline race lost (field: where)
         "fault",  # an attempt died to an injected fault (fields: attempt, cause)
         "failed",  # terminal failure after retries exhausted

@@ -81,14 +81,6 @@ class Span:
             raise ValueError(f"span {self.name!r} (#{self.span_id}) is still open")
         return self.end - self.start
 
-    @property
-    def closed(self) -> bool:
-        return self.end is not None
-
-    @property
-    def term(self) -> str:
-        return TERM_OF_CATEGORY.get(self.category, "Other")
-
 
 class _NullSpan:
     """Do-nothing stand-in returned by :func:`maybe_span` when disabled.

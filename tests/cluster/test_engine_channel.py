@@ -167,7 +167,7 @@ class TestStorageRead:
             elif kind == "storage_read":
                 ev, storage, compute, nbytes = fields
                 wire = (
-                    c.storage(storage).fabric_id, c.joiner(compute).fabric_id, nbytes
+                    c.storage_nodes[storage].fabric_id, c.joiner(compute).fabric_id, nbytes
                 )
                 if last_transfer != wire:
                     # refused before touching a resource: the node was dead
@@ -247,10 +247,10 @@ class TestPassive:
 class TestSubscribe:
     def reserve_twice(self, engine, dev):
         def proc():
-            yield dev.reserve(50)
-            yield dev.reserve(30)
+            yield dev.reserve_at_rate(50, dev.bandwidth)
+            yield dev.reserve_at_rate(30, dev.bandwidth)
 
-        engine.run_process(proc())
+        engine.drive(engine.process(proc()))
 
     def test_equal_subscriber_is_dropped(self):
         engine = SimEngine()
@@ -275,7 +275,7 @@ class TestSubscribe:
         def reader():
             yield cluster.read_and_send(0, 0, 100)
 
-        cluster.engine.run_process(reader())
+        cluster.engine.drive(cluster.engine.process(reader()))
         assert (san.checks["transfer"], san.transferred_ok) == (1, 100)
 
     def test_events_follow_the_state_change(self):

@@ -15,7 +15,7 @@ class TestTimeout:
             yield eng.timeout(2.5)
             return eng.now
 
-        assert eng.run_process(proc()) == 2.5
+        assert eng.drive(eng.process(proc())) == 2.5
 
     def test_sequential_timeouts_accumulate(self):
         eng = SimEngine()
@@ -25,7 +25,7 @@ class TestTimeout:
             yield eng.timeout(2.0)
             return eng.now
 
-        assert eng.run_process(proc()) == 3.0
+        assert eng.drive(eng.process(proc())) == 3.0
 
     def test_zero_delay(self):
         eng = SimEngine()
@@ -34,7 +34,7 @@ class TestTimeout:
             yield eng.timeout(0.0)
             return eng.now
 
-        assert eng.run_process(proc()) == 0.0
+        assert eng.drive(eng.process(proc())) == 0.0
 
     def test_negative_delay_rejected(self):
         eng = SimEngine()
@@ -60,7 +60,7 @@ class TestProcess:
             yield eng.timeout(1)
             return "done"
 
-        assert eng.run_process(proc()) == "done"
+        assert eng.drive(eng.process(proc())) == "done"
 
     def test_process_waits_on_process(self):
         eng = SimEngine()
@@ -79,7 +79,7 @@ class TestProcess:
             log.append(("joined", eng.now))
             return value
 
-        assert eng.run_process(parent()) == 42
+        assert eng.drive(eng.process(parent())) == 42
         assert log == [("parent-awake", 1.0), ("child", 5.0), ("joined", 5.0)]
 
     def test_waiting_on_already_triggered_event(self):
@@ -95,7 +95,7 @@ class TestProcess:
             value = yield c  # triggered long ago
             return (value, eng.now)
 
-        assert eng.run_process(parent()) == ("early", 10.0)
+        assert eng.drive(eng.process(parent())) == ("early", 10.0)
 
     def test_yielding_non_event_raises(self):
         eng = SimEngine()
@@ -125,7 +125,7 @@ class TestProcess:
             yield eng.event()  # nobody triggers this
 
         with pytest.raises(SimulationError, match="deadlock"):
-            eng.run_process(waiter())
+            eng.drive(eng.process(waiter()))
 
     def test_long_chain_of_immediate_events_no_recursion_error(self):
         eng = SimEngine()
@@ -135,7 +135,7 @@ class TestProcess:
                 yield eng.timeout(0.0)
             return eng.now
 
-        assert eng.run_process(proc()) == 0.0
+        assert eng.drive(eng.process(proc())) == 0.0
 
 
 class TestProcessErrors:
@@ -170,7 +170,7 @@ class TestAllOf:
             values = yield eng.all_of(procs)
             return (values, eng.now)
 
-        values, t = eng.run_process(parent())
+        values, t = eng.drive(eng.process(parent()))
         assert values == [3.0, 1.0, 2.0]  # order preserved
         assert t == 3.0
 
@@ -181,7 +181,7 @@ class TestAllOf:
             values = yield eng.all_of([])
             return (values, eng.now)
 
-        assert eng.run_process(parent()) == ([], 0.0)
+        assert eng.drive(eng.process(parent())) == ([], 0.0)
 
     def test_barrier_over_triggered_events(self):
         eng = SimEngine()
@@ -196,7 +196,7 @@ class TestAllOf:
             yield eng.timeout(0)
             return v
 
-        assert eng.run_process(parent()) == [1]
+        assert eng.drive(eng.process(parent())) == [1]
 
 
 class TestEngine:
@@ -260,7 +260,7 @@ class TestEventFailure:
                 return (str(exc), eng.now)
 
         eng.process(producer())
-        assert eng.run_process(consumer()) == ("disk gone", 2.0)
+        assert eng.drive(eng.process(consumer())) == ("disk gone", 2.0)
 
     def test_fail_requires_exception_instance(self):
         eng = SimEngine()
@@ -291,7 +291,7 @@ class TestEventFailure:
             yield eng.timeout(1)
             return eng.now
 
-        assert eng.run_process(proc()) == 1.0
+        assert eng.drive(eng.process(proc())) == 1.0
 
     def test_fail_after_helper(self):
         eng = SimEngine()
@@ -302,7 +302,7 @@ class TestEventFailure:
             except TimeoutError:
                 return eng.now
 
-        assert eng.run_process(proc()) == 3.0
+        assert eng.drive(eng.process(proc())) == 3.0
 
     def test_allof_fails_with_failed_child(self):
         eng = SimEngine()
@@ -321,7 +321,7 @@ class TestEventFailure:
             except Interrupt:
                 return ("failed", eng.now)
 
-        assert eng.run_process(parent()) == ("failed", 2.0)
+        assert eng.drive(eng.process(parent())) == ("failed", 2.0)
 
 
 class TestInterrupt:
@@ -394,7 +394,7 @@ class TestInterrupt:
             yield v
 
         with pytest.raises(SimulationError, match="killed"):
-            eng.run_process(observer(), name="observer")
+            eng.drive(eng.process(observer(), name="observer"))
 
     def test_interrupt_then_original_event_fires(self):
         """The interrupted process must not be resumed a second time when
@@ -438,7 +438,7 @@ class TestAnyOf:
             value = yield race
             return (value, race.first_index, eng.now)
 
-        assert eng.run_process(parent()) == ("fast", 1, 1.0)
+        assert eng.drive(eng.process(parent())) == ("fast", 1, 1.0)
 
     def test_timeout_race(self):
         """The timeout-race combinator: an operation bounded by a deadline."""
@@ -454,7 +454,7 @@ class TestAnyOf:
             yield race
             return (race.first_index == 1, eng.now)
 
-        assert eng.run_process(parent()) == (True, 10.0)
+        assert eng.drive(eng.process(parent())) == (True, 10.0)
 
     def test_empty_rejected(self):
         eng = SimEngine()
@@ -471,7 +471,7 @@ class TestAnyOf:
             value = yield race
             return (value, race.first_index, eng.now)
 
-        assert eng.run_process(parent()) == ("early", 1, 0.0)
+        assert eng.drive(eng.process(parent())) == ("early", 1, 0.0)
 
     def test_failed_child_fails_the_race(self):
         eng = SimEngine()
@@ -483,7 +483,7 @@ class TestAnyOf:
             except IOError:
                 return eng.now
 
-        assert eng.run_process(parent()) == 1.0
+        assert eng.drive(eng.process(parent())) == 1.0
 
     def test_losers_keep_running(self):
         eng = SimEngine()
@@ -501,7 +501,7 @@ class TestAnyOf:
             ])
             return eng.now
 
-        assert eng.run_process(parent()) == 1.0
+        assert eng.drive(eng.process(parent())) == 1.0
         eng.run()
         assert log == ["fast", "slow"]
 
@@ -524,7 +524,7 @@ class TestDeadlockDiagnostic:
             yield eng.event()
 
         with pytest.raises(SimulationError) as excinfo:
-            eng.run_process(waiter(), name="driver")
+            eng.drive(eng.process(waiter(), name="driver"))
         msg = str(excinfo.value)
         assert "deadlock" in msg
         assert "streamer-0" in msg and "streamer-1" in msg
@@ -541,7 +541,7 @@ def test_parallel_processes_finish_at_max_delay(delays):
         yield eng.all_of([eng.process(worker(d)) for d in delays])
         return eng.now
 
-    assert eng.run_process(parent()) == pytest.approx(max(delays))
+    assert eng.drive(eng.process(parent())) == pytest.approx(max(delays))
 
 
 @given(st.lists(st.floats(min_value=0, max_value=10, allow_nan=False), max_size=20))
@@ -553,4 +553,4 @@ def test_sequential_timeouts_sum(delays):
             yield eng.timeout(d)
         return eng.now
 
-    assert eng.run_process(proc()) == pytest.approx(sum(delays))
+    assert eng.drive(eng.process(proc())) == pytest.approx(sum(delays))

@@ -44,8 +44,8 @@ class TestOverrides:
             storage_specs={0: SLOW_DISK},
             compute_specs={1: SLOW_CPU},
         )
-        assert sim.storage(0).spec.disk_read_bw == 5e6
-        assert sim.storage(1).spec.disk_read_bw == BASE.disk_read_bw
+        assert sim.storage_nodes[0].spec.disk_read_bw == 5e6
+        assert sim.storage_nodes[1].spec.disk_read_bw == BASE.disk_read_bw
         assert sim.joiner(1).spec.cpu_factor == 0.25
         assert sim.joiner(0).spec.cpu_factor == 1.0
 

@@ -63,7 +63,7 @@ class TestNetworkFabric:
             yield fab.transfer(0, 2, 100)
             return eng.now
 
-        assert eng.run_process(proc()) == pytest.approx(10.0)
+        assert eng.drive(eng.process(proc())) == pytest.approx(10.0)
 
     def test_loopback_is_free(self):
         eng = SimEngine()
@@ -73,7 +73,7 @@ class TestNetworkFabric:
             yield fab.transfer(1, 1, 10_000)
             return eng.now
 
-        assert eng.run_process(proc()) == 0.0
+        assert eng.drive(eng.process(proc())) == 0.0
 
     def test_disjoint_pairs_transfer_in_parallel(self):
         """A switch lets disjoint node pairs run concurrently."""
@@ -157,7 +157,7 @@ class TestClusterSim:
             return sim.engine.now
 
         # pipelined: disk (1s alone) overlaps the 10s network leg
-        assert sim.engine.run_process(proc()) == pytest.approx(10.0)
+        assert sim.engine.drive(sim.engine.process(proc())) == pytest.approx(10.0)
 
     def test_read_and_send_disk_bound_when_disk_slower(self):
         spec = MachineSpec(disk_read_bw=5.0, link_bw=10.0)
@@ -167,7 +167,7 @@ class TestClusterSim:
             yield sim.read_and_send(0, 0, 100)
             return sim.engine.now
 
-        assert sim.engine.run_process(proc()) == pytest.approx(20.0)
+        assert sim.engine.drive(sim.engine.process(proc())) == pytest.approx(20.0)
 
     def test_read_and_send_aggregate_bandwidth_emerges(self):
         """With n_s=n_j=2 and disk >> net, total transfer time for B bytes
@@ -192,7 +192,7 @@ class TestClusterSim:
             yield sim.scratch_read(0, 100)  # 4s at read rate
             return sim.engine.now
 
-        assert sim.engine.run_process(proc()) == pytest.approx(9.0)
+        assert sim.engine.drive(sim.engine.process(proc())) == pytest.approx(9.0)
 
     def test_scratch_routes_via_server_on_nfs(self):
         spec = MachineSpec(disk_read_bw=25.0, disk_write_bw=20.0, link_bw=10.0)
@@ -203,7 +203,7 @@ class TestClusterSim:
             yield sim.ingest_write(0, 100)
             return sim.engine.now
 
-        assert sim.engine.run_process(proc()) == pytest.approx(15.0)
+        assert sim.engine.drive(sim.engine.process(proc())) == pytest.approx(15.0)
 
     def test_nfs_scratch_contention_across_joiners(self):
         """Two diskless joiners writing buckets thrash the shared server."""

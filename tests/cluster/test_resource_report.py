@@ -12,9 +12,9 @@ class TestMachineSpecLatency:
 
         def proc():
             for _ in range(5):
-                yield sim.storage(0).read(0)  # zero bytes: pure seeks
+                yield sim.storage_nodes[0].disk.reserve_at_rate(0, sim.storage_nodes[0].disk.bandwidth)  # zero bytes: pure seeks
 
-        sim.engine.run_process(proc())
+        sim.engine.drive(sim.engine.process(proc()))
         assert sim.engine.now == pytest.approx(0.05)
 
     def test_net_latency_on_transfers(self):
@@ -24,5 +24,5 @@ class TestMachineSpecLatency:
         def proc():
             yield sim.fabric.transfer(0, 1, 0)
 
-        sim.engine.run_process(proc())
+        sim.engine.drive(sim.engine.process(proc()))
         assert sim.engine.now == pytest.approx(0.002)

@@ -17,10 +17,10 @@ class TestBasicReservation:
         r = BandwidthResource(eng, bandwidth=10.0)
 
         def proc():
-            yield r.reserve(50)
+            yield r.reserve_at_rate(50, r.bandwidth)
             return eng.now
 
-        assert eng.run_process(proc()) == pytest.approx(5.0)
+        assert eng.drive(eng.process(proc())) == pytest.approx(5.0)
 
     def test_fifo_serialisation(self):
         """Two processes hitting one resource serialise: second waits."""
@@ -29,7 +29,7 @@ class TestBasicReservation:
         done = []
 
         def user(tag, nbytes):
-            yield r.reserve(nbytes)
+            yield r.reserve_at_rate(nbytes, r.bandwidth)
             done.append((tag, eng.now))
 
         eng.process(user("a", 50))
@@ -42,12 +42,12 @@ class TestBasicReservation:
         r = BandwidthResource(eng, bandwidth=10.0)
 
         def proc():
-            yield r.reserve(10)  # done at t=1
+            yield r.reserve_at_rate(10, r.bandwidth)  # done at t=1
             yield eng.timeout(9)  # t=10
-            yield r.reserve(10)  # resource idle since t=1 -> done t=11
+            yield r.reserve_at_rate(10, r.bandwidth)  # resource idle since t=1 -> done t=11
             return eng.now
 
-        assert eng.run_process(proc()) == pytest.approx(11.0)
+        assert eng.drive(eng.process(proc())) == pytest.approx(11.0)
 
     def test_reserve_time(self):
         eng = SimEngine()
@@ -57,7 +57,7 @@ class TestBasicReservation:
             yield cpu.reserve_time(3.5)
             return eng.now
 
-        assert eng.run_process(proc()) == pytest.approx(3.5)
+        assert eng.drive(eng.process(proc())) == pytest.approx(3.5)
 
     def test_reserve_at_rate(self):
         eng = SimEngine()
@@ -67,7 +67,7 @@ class TestBasicReservation:
             yield disk.reserve_at_rate(100, 20.0)  # write at the slower rate
             return eng.now
 
-        assert eng.run_process(proc()) == pytest.approx(5.0)
+        assert eng.drive(eng.process(proc())) == pytest.approx(5.0)
 
     def test_invalid_args(self):
         eng = SimEngine()
@@ -77,7 +77,7 @@ class TestBasicReservation:
             BandwidthResource(eng, bandwidth=1, latency=-1)
         r = BandwidthResource(eng, bandwidth=1)
         with pytest.raises(ValueError):
-            r.reserve(-1)
+            r.reserve_at_rate(-1, r.bandwidth)
         with pytest.raises(ValueError):
             r.reserve_time(-1)
         with pytest.raises(ValueError):
@@ -91,7 +91,8 @@ class TestBasicReservation:
         with pytest.raises(ValueError):
             BandwidthResource(eng, bandwidth=1, latency=nan)
         r = BandwidthResource(eng, bandwidth=1)
-        for reserve in (r.reserve, r.reserve_time, lambda x: r.reserve_at_rate(1, x),
+        for reserve in (lambda x: r.reserve_at_rate(x, 1), r.reserve_time,
+                        lambda x: r.reserve_at_rate(1, x),
                         lambda x: BandwidthResource.reserve_pipeline([r], x),
                         lambda x: BandwidthResource.reserve_joint_seconds([r], x)):
             with pytest.raises(ValueError):
@@ -132,7 +133,7 @@ class TestJointReservation:
             yield BandwidthResource.reserve_joint([fast, slow], 50)
             return eng.now
 
-        assert eng.run_process(proc()) == pytest.approx(5.0)
+        assert eng.drive(eng.process(proc())) == pytest.approx(5.0)
 
     def test_joint_waits_for_all_free(self):
         eng = SimEngine()
@@ -141,7 +142,7 @@ class TestJointReservation:
         done = []
 
         def hog():
-            yield a.reserve(100)  # a busy until t=10
+            yield a.reserve_at_rate(100, a.bandwidth)  # a busy until t=10
             done.append(("hog", eng.now))
 
         def joint_user():
@@ -165,7 +166,7 @@ class TestJointReservation:
             done.append(("joint", eng.now))
 
         def b_user():
-            yield b.reserve(10)
+            yield b.reserve_at_rate(10, b.bandwidth)
             done.append(("b", eng.now))
 
         eng.process(joint_user())
@@ -189,7 +190,7 @@ def test_backlogged_resource_time_equals_total_bytes_over_bw(sizes, bw):
     r = BandwidthResource(eng, bandwidth=bw)
 
     def user(n):
-        yield r.reserve(n)
+        yield r.reserve_at_rate(n, r.bandwidth)
 
     for n in sizes:
         eng.process(user(n))
@@ -207,7 +208,7 @@ def test_resource_completions_are_monotone_in_arrival_order(arrivals):
 
     def user(delay, nbytes):
         yield eng.timeout(delay)
-        yield r.reserve(nbytes)
+        yield r.reserve_at_rate(nbytes, r.bandwidth)
         completions.append(eng.now)
 
     # All processes start at t=0 and sleep `delay` first; reservation order is

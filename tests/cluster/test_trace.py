@@ -232,10 +232,10 @@ class TestEngineIntegration:
         r = BandwidthResource(eng, bandwidth=10.0, name="dev")
 
         def proc():
-            yield r.reserve(50)
-            yield r.reserve(30)
+            yield r.reserve_at_rate(50, r.bandwidth)
+            yield r.reserve_at_rate(30, r.bandwidth)
 
-        eng.run_process(proc())
+        eng.drive(eng.process(proc()))
         ivs = resource_intervals(tel)["dev"]
         assert len(ivs) == 2
         assert ivs[0].start == 0.0 and ivs[0].end == pytest.approx(5.0)
@@ -246,9 +246,9 @@ class TestEngineIntegration:
         r = BandwidthResource(eng, bandwidth=10.0, name="dev")
 
         def proc():
-            yield r.reserve(50)
+            yield r.reserve_at_rate(50, r.bandwidth)
 
-        eng.run_process(proc())  # must not raise; nothing is subscribed
+        eng.drive(eng.process(proc()))  # must not raise; nothing is subscribed
 
     def test_joint_and_pipeline_record_per_resource(self):
         eng, tel = self.watched()
@@ -259,7 +259,7 @@ class TestEngineIntegration:
             yield BandwidthResource.reserve_joint([a, b], 100)
             yield BandwidthResource.reserve_pipeline([a, b], 100)
 
-        eng.run_process(proc())
+        eng.drive(eng.process(proc()))
         a_ivs = resource_intervals(tel)["a"]
         b_ivs = resource_intervals(tel)["b"]
         assert len(a_ivs) == len(b_ivs) == 2

@@ -54,7 +54,7 @@ class TestParameters:
         p = params()
         assert p.m_S == p.T // p.c_S
         assert p.bytes_total == p.T * 32
-        assert p.avg_right_degree == pytest.approx(1.0)
+        assert p.n_e / p.m_S == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -56,7 +56,7 @@ class TestMaterialize:
         assert cat.num_records == SPEC.T
         assert cat.schema.names == ("x", "y", "oilp", "wp")
         # range query against the materialised view works via the R-tree
-        hits = ds.metadata.find_chunks("V1mat", BoundingBox({"x": (0, 3)}))
+        hits = ds.metadata.table("V1mat").find_chunks(BoundingBox({"x": (0, 3)}))
         assert hits
         for h in hits:
             assert h.bbox.interval("x").lo <= 3
@@ -191,7 +191,7 @@ class TestEmptyViewMaterialization:
             res.table, "Vem", 11, ds.metadata, ds.stores, ds.registry,
             chunk_records=16,
         )
-        hits = ds.metadata.find_chunks("Vem", BoundingBox({"x": (0, 15)}))
+        hits = ds.metadata.table("Vem").find_chunks(BoundingBox({"x": (0, 15)}))
         assert hits == []
 
     def test_empty_view_joins_like_a_base_table(self, dataset_with_t3):

@@ -195,6 +195,18 @@ def test_hash_join_agrees_with_sort_merge(left, right):
     assert out_h.equals_unordered(out_m)
 
 
+def test_sort_merge_keys_join_by_value():
+    """The oracle keeps the kernels' key contract: ``-0.0 == 0.0``, and a
+    NaN key joins nothing, another NaN included (it used to match)."""
+    nan = float("nan")
+    left = make_table(1, [nan, 1, -0.0], [0, 0, 0], [10, 11, 12], "a")
+    right = make_table(2, [nan, 1, 0.0], [0, 0, 0], [20, 21, 22], "b")
+    out = sort_merge_join(left, right, on=("x", "y"))
+    assert out.equals_unordered(vectorized_hash_join(left, right, on=("x", "y"))[0])
+    np.testing.assert_array_equal(out.column("a"), [12, 11])
+    np.testing.assert_array_equal(out.column("b"), [22, 21])
+
+
 @settings(max_examples=BUDGET * 3 // 5, deadline=None)
 @given(left=random_table(1, "a"), right=random_table(2, "b"))
 def test_match_count_equals_key_multiplicity_product(left, right):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datamodel import BoundingBox, ChunkDescriptor, ChunkRef, SubTableId
-from repro.joins import ConnectivityStats, PageJoinIndex, build_join_index
+from repro.joins import PageJoinIndex, build_join_index
 from repro.workloads import GridSpec, make_grid_chunk_descriptors
 from repro.workloads.generator import dim_names
 from repro.workloads.oilres import build_oil_reservoir_dataset
@@ -32,6 +32,17 @@ def chunks_for(spec: GridSpec, record_size=16, num_storage=2):
 def index_for(spec: GridSpec) -> PageJoinIndex:
     left, right = chunks_for(spec)
     return build_join_index(left, right, on=dim_names(spec.ndim))
+
+
+def table1(idx: PageJoinIndex) -> dict:
+    """The Table 1 statistics the index determines: ``n_e``, ``N_C``, the
+    sub-tables with an edge on each side and the largest ``(a, b)``."""
+    comps = idx.components()
+    return dict(
+        num_edges=idx.num_edges, num_components=len(comps),
+        num_left=sum(c.a for c in comps), num_right=sum(c.b for c in comps),
+        max_a=max((c.a for c in comps), default=0), max_b=max((c.b for c in comps), default=0),
+    )
 
 
 class TestAgainstPaperFormulas:
@@ -81,9 +92,7 @@ class TestAgainstPaperFormulas:
         """Right strictly finer than left: every right sub-table has one edge."""
         spec = GridSpec(g=(8, 8), p=(4, 4), q=(2, 2))
         idx = index_for(spec)
-        stats = idx.stats()
-        assert stats.avg_right_degree == 1.0
-        assert idx.num_edges == spec.m_S
+        assert table1(idx)["num_right"] == idx.num_edges == spec.m_S
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -99,11 +108,11 @@ class TestAgainstPaperFormulas:
         idx = index_for(spec)
         assert idx.num_edges == spec.n_e
         assert len(idx.components()) == spec.N_C
-        stats = idx.stats()
-        assert stats.num_left == spec.m_R
-        assert stats.num_right == spec.m_S
-        assert stats.avg_right_degree == pytest.approx(spec.n_e / spec.m_S)
-        assert stats.edge_ratio(spec.c_R, spec.c_S, spec.T) == pytest.approx(spec.edge_ratio)
+        stats = table1(idx)
+        assert stats["num_left"] == spec.m_R
+        assert stats["num_right"] == spec.m_S
+        edge_ratio = idx.num_edges * spec.c_R * spec.c_S / spec.T**2
+        assert edge_ratio == pytest.approx(spec.edge_ratio)
 
 
 class TestIndexMechanics:
@@ -134,7 +143,7 @@ class TestIndexMechanics:
         idx = build_join_index([], [], on=("x",))
         assert idx.num_edges == 0
         assert idx.components() == []
-        assert idx.stats().num_components == 0
+        assert idx.num_components == 0
 
     def test_no_join_attrs_rejected(self):
         with pytest.raises(ValueError):
@@ -281,7 +290,7 @@ def test_one_empty_side_has_no_pairs(side):
     assert (idx.left_table, idx.right_table) == (
         (-1, 2) if side == "left" else (1, -1)
     )
-    assert idx.stats().num_components == 0
+    assert idx.num_components == 0
 
 
 def test_the_t_sweep_point_matches_figure_3s_closed_form():
@@ -291,9 +300,9 @@ def test_the_t_sweep_point_matches_figure_3s_closed_form():
     left, right = chunks_for(spec)
     assert len(left) == len(right) == spec.m_R == spec.m_S == 2048
     idx = build_join_index(left, right, on=dim_names(3))
-    assert idx.stats() == ConnectivityStats(
+    assert table1(idx) == dict(
         num_edges=spec.n_e, num_components=spec.N_C, num_left=2048, num_right=2048,
-        avg_left_degree=1.0, avg_right_degree=1.0, max_component_a=1, max_component_b=1,
+        max_a=1, max_b=1,
     )
     assert spec.n_e == spec.N_C == 2048 and (spec.a, spec.b, spec.E_C) == (1, 1, 1)
     # equal partitionings enumerate their tiles alike: chunk k meets chunk k
@@ -332,13 +341,11 @@ def assert_matches_networkx(idx: PageJoinIndex):
     assert sorted(p for c in comps for p in c.pairs) == idx.pairs
     labels = idx.component_labels().tolist()
     assert all(pair in comps[c].pairs for c, pair in zip(labels, idx.pairs))
-    stats = idx.stats()
-    assert stats.num_edges == idx.num_edges == len(idx.pairs)
-    assert stats.num_components == idx.num_components == len(comps)
-    assert stats.num_left == len({l for l, _ in idx.pairs})
-    assert stats.num_right == len({r for _, r in idx.pairs})
-    assert stats.max_component_a == max((c.a for c in comps), default=0)
-    assert stats.max_component_b == max((c.b for c in comps), default=0)
+    stats = table1(idx)
+    assert stats["num_edges"] == len(idx.pairs)
+    assert stats["num_components"] == idx.num_components
+    assert stats["num_left"] == len({l for l, _ in idx.pairs})
+    assert stats["num_right"] == len({r for _, r in idx.pairs})
 
 
 def entry_json(idx: PageJoinIndex) -> str:
@@ -367,15 +374,13 @@ def test_array_index_against_its_oracles(case):
     assert_matches_networkx(idx)
     spec = case.spec
     if spec is not None and len(case.on) == spec.ndim:
-        assert idx.stats() == ConnectivityStats(
+        assert table1(idx) == dict(
             num_edges=spec.n_e,
             num_components=spec.N_C,
             num_left=spec.m_R,
             num_right=spec.m_S,
-            avg_left_degree=spec.n_e / spec.m_R,
-            avg_right_degree=spec.n_e / spec.m_S,
-            max_component_a=spec.a,
-            max_component_b=spec.b,
+            max_a=spec.a,
+            max_b=spec.b,
         )
     boxes = case.chunk_boxes
     for query in case.boxes:

@@ -255,7 +255,7 @@ def test_scan_streams_to_the_next_survivor_of_a_dead_target():
         yield qes.process
         return qes.finish()
 
-    report = cluster.engine.run_process(late_scan())
+    report = cluster.engine.drive(cluster.engine.process(late_scan()))
     assert [s.misses for s in report.cache_stats] == [64, 0, 0]  # 2 → 0
     assert report.extras["selected_records"] == 1024
 
@@ -273,7 +273,7 @@ def test_no_surviving_compute_node_is_an_unrecoverable_fault():
                       compute=1).begin().process
 
     with pytest.raises(UnrecoverableFault, match="no surviving compute node"):
-        cluster.engine.run_process(late_scan())
+        cluster.engine.drive(cluster.engine.process(late_scan()))
 
 
 # -- a scan's recovery is in its report --------------------------------------

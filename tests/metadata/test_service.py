@@ -87,13 +87,13 @@ class TestRangeQueries:
     def test_paper_style_range_query(self, service):
         # "SELECT * FROM T1 WHERE x in [0, 256], y in [0, 512]" style pruning:
         # query window covering only the lower-left 2x2 cells
-        hits = service.find_chunks("T1", BoundingBox({"x": (0, 31.9), "y": (0, 31.9)}))
+        hits = service.table("T1").find_chunks(BoundingBox({"x": (0, 31.9), "y": (0, 31.9)}))
         assert len(hits) == 4
         for h in hits:
             assert h.bbox.interval("x").lo < 32 and h.bbox.interval("y").lo < 32
 
     def test_full_range_returns_all(self, service):
-        hits = service.find_chunks("T1", BoundingBox.empty())
+        hits = service.table("T1").find_chunks(BoundingBox.empty())
         assert len(hits) == 16
         # results sorted by chunk id
         assert [h.chunk_id for h in hits] == sorted(h.chunk_id for h in hits)
@@ -102,7 +102,7 @@ class TestRangeQueries:
         cat = service.table("T1")
         query = BoundingBox({"x": (10, 40), "y": (20, 20)})
         expected = [c for c in cat.all_chunks() if c.bbox.overlaps(query)]
-        assert service.find_chunks("T1", query) == expected
+        assert service.table("T1").find_chunks(query) == expected
 
     def test_independent_of_registration_order(self):
         """Same chunks, three registration orders, boxes that touch, repeat
@@ -128,7 +128,7 @@ class TestRangeQueries:
             cat = svc.register_table(1, "T", Schema.of("x", "y", "wp", coordinates=("x", "y")))
             for c in order:
                 cat.add_chunk(c)
-            answers.append([svc.find_chunks("T", q) for q in queries])
+            answers.append([svc.table("T").find_chunks(q) for q in queries])
         assert answers[0] == answers[1] == answers[2]
         for q, hits in zip(queries, answers[0]):
             assert hits == [c for c in chunks if c.bbox.overlaps(q)]
@@ -136,11 +136,11 @@ class TestRangeQueries:
 
     def test_chunk_added_after_first_query_is_found(self, service):
         window = BoundingBox({"x": (100, 110), "y": (100, 110)})
-        assert service.find_chunks("T1", window) == []  # builds the index
+        assert service.table("T1").find_chunks(window) == []  # builds the index
         late = make_chunk(1, 99, node=0, xlo=105, xhi=120, ylo=90, yhi=100)
         service.table("T1").add_chunk(late)
-        assert service.find_chunks("T1", window) == [late]
-        assert len(service.find_chunks("T1", BoundingBox.empty())) == 17
+        assert service.table("T1").find_chunks(window) == [late]
+        assert len(service.table("T1").find_chunks(BoundingBox.empty())) == 17
 
     def test_scalar_attribute_refinement(self):
         svc = MetaDataService()
@@ -157,8 +157,8 @@ class TestRangeQueries:
             )
         )
         # x matches, but the wp bound excludes the chunk
-        assert svc.find_chunks("T", BoundingBox({"x": (0, 5), "wp": (0.0, 0.4)})) == []
-        assert len(svc.find_chunks("T", BoundingBox({"x": (0, 5), "wp": (0.6, 0.7)}))) == 1
+        assert svc.table("T").find_chunks(BoundingBox({"x": (0, 5), "wp": (0.0, 0.4)})) == []
+        assert len(svc.table("T").find_chunks(BoundingBox({"x": (0, 5), "wp": (0.6, 0.7)}))) == 1
 
     def test_refinement_sees_only_what_the_rtree_did_not(self):
         """The R-tree answers the coordinate bounds exactly; the refinement
@@ -189,8 +189,8 @@ class TestRangeQueries:
             BoundingBox({"wp": (5.0, 6.0)}),
         ]:
             expected = [c for c in cat.all_chunks() if c.bbox.overlaps(query)]
-            assert svc.find_chunks("T", query) == expected
-        assert 0 < len(svc.find_chunks("T", BoundingBox({"wp": (5.0, 6.0)}))) < 120
+            assert svc.table("T").find_chunks(query) == expected
+        assert 0 < len(svc.table("T").find_chunks(BoundingBox({"wp": (5.0, 6.0)}))) < 120
 
     def test_chunks_on_node(self, service):
         on0 = service.chunks_on_node("T1", 0)
@@ -212,7 +212,7 @@ class TestRangeQueries:
             )
         )
         with pytest.raises(ValueError):
-            svc.find_chunks("T", BoundingBox.empty())
+            svc.table("T").find_chunks(BoundingBox.empty())
 
 
 class TestPersistence:
@@ -241,5 +241,5 @@ class TestEndToEndWithWriter:
         cat = svc.register_written_table("T_oil", written)
         assert cat.num_records == 40
         # range query that hits exactly the second partition (x in [10,20))
-        hits = svc.find_chunks("T_oil", BoundingBox({"x": (10, 19.5)}))
+        hits = svc.table("T_oil").find_chunks(BoundingBox({"x": (10, 19.5)}))
         assert [h.chunk_id for h in hits] == [1]

@@ -276,24 +276,6 @@ class TestOverload:
         # throttles alice — shedding one tenant never charges another
         assert per_tenant["bob"].get(SHED, 0) > 0
 
-    def test_circuit_breaker_sheds_predicted_expensive_work(self):
-        stream = arrivals(tenants=BURSTY)
-        server = QueryServer(
-            make_dataset(), num_compute=2, machine=SLOW, slots=1,
-            sanitize=True,
-            resilience=ResilienceConfig(
-                breaker_threshold=0.01, breaker_window=8
-            ),
-        )
-        rep = server.serve(stream)
-        assert rep.disposition_counts[SHED] > 0
-        assert server._breaker.tripped == rep.disposition_counts[SHED]
-        assert all(
-            "circuit-breaker" in r.failure
-            for r in rep.records
-            if r.disposition == SHED
-        )
-
 
 class TestReplayAndReporting:
     def test_latency_percentiles_exclude_non_completed(self):

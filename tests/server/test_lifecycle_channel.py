@@ -73,7 +73,7 @@ class Recorder:
         server.subscribe(self)
 
     def __call__(self, kind, subject, slots_free, depth, fields):
-        qid = None if subject is None else subject.qid
+        qid = subject.qid
         if kind == "terminal":
             fields = {"disposition": subject.disposition}
         self.events.append(
@@ -85,8 +85,6 @@ def words(events):
     """Per-qid lifecycle words, in event order."""
     out = {}
     for _, kind, qid, _, _, fields in events:
-        if kind == "breaker":
-            continue
         if kind == "deadline":
             letter = "D" + _DEADLINE[fields["where"]]
         elif kind == "terminal":
@@ -98,21 +96,11 @@ def words(events):
 
 
 def recount(events, slots):
-    """Yield ``(event, slots_free, depth)`` recounted from the kinds alone.
-
-    A ``breaker`` event is emitted between an admission's state change
-    and its ``admit`` event, so it already carries that admission's
-    levels; it is checked against the ``admit`` that must follow it.
-    """
+    """Yield ``(event, slots_free, depth)`` recounted from the kinds alone."""
     free, depth = slots, 0
     holding = set()
-    for i, event in enumerate(events):
-        t, kind, qid, _, _, fields = event
-        if kind == "breaker":
-            nxt = events[i + 1]
-            assert nxt[1] == "admit" and nxt[0] == t
-            yield event, nxt[3], nxt[4]
-            continue
+    for event in events:
+        _, kind, qid, _, _, fields = event
         if kind == "queue":
             depth += 1
         elif kind == "evict":
@@ -167,10 +155,6 @@ def check_channel(server, recorder, report, stream):
         for kind in ("submit", "queue", "evict", "admit", "fault", "retry"):
             assert counts.get(kind, 0) == kinds.count(kind)
         assert counts.get("backoff", 0) == kinds.count("retry")
-        assert (
-            counts.get("breaker_open", 0) + counts.get("breaker_close", 0)
-            == kinds.count("breaker")
-        )
     return spelled
 
 
@@ -227,8 +211,7 @@ CHAOS = [
     dict(tenants=BURSTY, slots=1, resilience=ResilienceConfig(
         queue_limit=2, shed_policy="reject-lowest-priority")),
     dict(tenants=BURSTY, resilience=ResilienceConfig(shed_policy="token-bucket")),
-    dict(tenants=BURSTY, slots=1, resilience=ResilienceConfig(
-        breaker_threshold=0.01, breaker_window=8)),
+    dict(tenants=BURSTY, slots=1),
     dict(faults="seed=9,transient=0.5,max_attempts=2",
          resilience=ResilienceConfig(retry=RetryPolicy(budget=3))),
     dict(faults="seed=7,storage_crash=0.3"),
@@ -261,39 +244,6 @@ def test_retry_budget_exhaustion_reaches_failed():
     failed = [w for w in spelled.values() if w.endswith("Tf")]
     assert failed and all(w.endswith("FRFTf") for w in failed)
     assert server.observatory.oplog.counts()["failed"] == len(failed)
-
-
-def test_breaker_opens_then_closes():
-    # a burst backs the one slot up until the observed queue-wait p99
-    # opens the breaker; well-spaced scans afterwards are admitted with
-    # no wait and age the slow waits out of the window, closing it.  The
-    # cost cutoff sits above every prediction so nothing is shed and the
-    # admissions that close the breaker keep flowing.
-    burst = [
-        QueryArrival(qid=i, tenant="a", kind="scan", at=0.0, seed=i + 1)
-        for i in range(5)
-    ]
-    tail = [
-        QueryArrival(qid=5 + i, tenant="b", kind="scan", at=50.0 + 10.0 * i,
-                     seed=100 + i)
-        for i in range(5)
-    ]
-    stream = burst + tail
-    server, recorder, _, _ = keep_the_contract(
-        stream, slots=1,
-        resilience=ResilienceConfig(
-            breaker_threshold=0.01, breaker_window=4, breaker_cost_cutoff=1e9,
-        ),
-    )
-    flips = [e[5]["open"] for e in recorder.events if e[1] == "breaker"]
-    assert flips == [True, False]
-    events = [r["event"] for r in server.observatory.oplog.records]
-    opened, closed = events.index("breaker_open"), events.index("breaker_close")
-    # the flip is logged before the admission whose wait caused it
-    assert events[opened + 1] == "admit" and events[closed + 1] == "admit"
-    assert opened < closed
-    gauge = server.observatory.series.gauge("server.breaker_open")
-    assert [v for _, v in gauge.samples] == [0.0, 1.0, 0.0]
 
 
 def test_same_instant_slot_hand_back():
@@ -412,7 +362,6 @@ def test_generated_serves_speak_the_grammar():
         shed_policy=st.sampled_from(
             ["reject-newest", "reject-lowest-priority", "token-bucket"]
         ),
-        breaker=st.one_of(st.none(), st.sampled_from([0.005, 0.05])),
         deadlines=st.tuples(*[st.sampled_from([None, 0.005, 0.02, 0.05, 0.2])] * 2),
         cache_capacity=st.sampled_from([None, 4096, 512]),
         cache_policy=st.sampled_from(["lru", "fifo", "lfu"]),
@@ -422,7 +371,7 @@ def test_generated_serves_speak_the_grammar():
     )
     def serving_contract(
         grid, cpu_factor, rate, mixes, stream_seed, faults, replication, retry_budget,
-        queue_limit, shed_policy, breaker, deadlines, cache_capacity,
+        queue_limit, shed_policy, deadlines, cache_capacity,
         cache_policy, slots, policy, functional,
     ):
         tenants = (
@@ -440,7 +389,6 @@ def test_generated_serves_speak_the_grammar():
             resilience=ResilienceConfig(
                 retry=RetryPolicy(budget=retry_budget), queue_limit=queue_limit,
                 shed_policy=shed_policy,
-                breaker_threshold=breaker, breaker_window=8,
             ),
         )
         reached.add(("grid", grid))

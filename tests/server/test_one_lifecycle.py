@@ -117,7 +117,7 @@ def test_every_attempt_is_a_qes_driver(name):
     # the server's own processes: the two loops and one lifecycle per query
     own = [n for n in probe.spawned if n.startswith("server-")]
     queued = [r.qid for r in report.records if r.failure is None
-              or not r.failure.startswith(("circuit-breaker", "reject-"))]
+              or not r.failure.startswith("reject-")]
     assert sorted(own) == sorted(
         ["server-arrivals", "server-dispatcher", *(f"server-q{q}" for q in queued)]
     )

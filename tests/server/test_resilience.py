@@ -2,23 +2,15 @@
 
 Covers the pure policy layer (:mod:`repro.server.resilience`) — backoff
 determinism and jitter bounds, victim selection of each shedding policy,
-the circuit breaker's open/close behaviour, config validation — plus the
+config validation — plus the
 admission-queue extensions (``remove`` / ``entries``) the shedding and
 deadline machinery drives.  The integrated behaviour under concurrency
 lives in ``test_chaos.py``.
 """
 
-import math
-
 import pytest
 
-from repro.faults.errors import (
-    ComputeNodeDown,
-    TransientTransferFault,
-    UnrecoverableFault,
-)
 from repro.server import (
-    CircuitBreaker,
     RejectLowestPriority,
     RejectNewest,
     ResilienceConfig,
@@ -26,7 +18,6 @@ from repro.server import (
     TokenBucketShedder,
     make_admission_policy,
 )
-from repro.server.resilience import is_retryable
 
 
 class FakeEntry:
@@ -69,12 +60,6 @@ class TestRetryPolicy:
             RetryPolicy(budget=-1)
         with pytest.raises(ValueError):
             RetryPolicy().backoff(0, 0)
-
-    def test_is_retryable(self):
-        assert is_retryable(TransientTransferFault(node=0))
-        assert is_retryable(ComputeNodeDown(node=1))
-        assert is_retryable(UnrecoverableFault("gone"))
-        assert not is_retryable(ValueError("model bug"))
 
 
 class TestShedPolicies:
@@ -144,53 +129,10 @@ class TestShedPolicies:
         assert shed.victim(FakeEntry(7, tenant="a"), queue, 1.0) is not None
 
 
-class TestCircuitBreaker:
-    def test_closed_until_enough_samples(self):
-        breaker = CircuitBreaker(threshold=0.1, cost_cutoff=0.0)
-        for _ in range(CircuitBreaker.MIN_SAMPLES - 1):
-            breaker.observe_wait(5.0)
-        assert not breaker.is_open()
-        breaker.observe_wait(5.0)
-        assert breaker.is_open()
-
-    def test_opens_on_p99_and_closes_as_window_ages(self):
-        breaker = CircuitBreaker(threshold=0.1, cost_cutoff=0.0, window=4)
-        for _ in range(4):
-            breaker.observe_wait(1.0)
-        assert breaker.should_shed(0.5)
-        assert breaker.tripped == 1
-        # fast admissions push the slow waits out of the sliding window
-        for _ in range(4):
-            breaker.observe_wait(0.01)
-        assert not breaker.is_open()
-        assert not breaker.should_shed(0.5)
-
-    def test_cost_cutoff_lets_cheap_queries_flow(self):
-        breaker = CircuitBreaker(threshold=0.1, cost_cutoff=1.0)
-        for _ in range(CircuitBreaker.MIN_SAMPLES):
-            breaker.observe_wait(9.0)
-        assert breaker.is_open()
-        assert not breaker.should_shed(0.2)  # predicted cheap: admitted
-        assert breaker.should_shed(3.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=0.0, cost_cutoff=0.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=1.0, cost_cutoff=-1.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=1.0, cost_cutoff=0.0, window=2)
-        # a NaN threshold once passed `<= 0` and never tripped
-        for threshold, cutoff in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf)):
-            with pytest.raises(ValueError, match="finite"):
-                CircuitBreaker(threshold=threshold, cost_cutoff=cutoff)
-
-
 class TestResilienceConfig:
     def test_defaults_build_no_shedder_or_breaker(self):
         cfg = ResilienceConfig()
         assert cfg.build_shedder() is None
-        assert cfg.build_breaker() is None
         # a queue-bound policy without a queue limit sheds nothing
         assert ResilienceConfig(shed_policy="reject-lowest-priority").build_shedder() is None
 
@@ -205,11 +147,6 @@ class TestResilienceConfig:
         shedder = cfg.build_shedder()
         assert isinstance(shedder, TokenBucketShedder)
         assert shedder.limit is None
-
-    def test_breaker_built_from_threshold(self):
-        cfg = ResilienceConfig(breaker_threshold=0.5, breaker_cost_cutoff=0.1)
-        breaker = cfg.build_breaker()
-        assert breaker is not None and breaker.threshold == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown shed policy"):

@@ -98,5 +98,5 @@ class TestProviders:
         stub = provider.fetch(desc)
         assert isinstance(stub, SubTableStub)
         assert stub.num_records == 8
-        assert stub.nbytes == desc.size
+        assert stub.num_records * stub.record_size == desc.size
         assert stub.bbox == desc.bbox

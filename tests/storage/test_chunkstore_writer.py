@@ -101,8 +101,8 @@ class TestChunkStore:
         ref2 = store.append(1, b"world!")
         assert ref1.offset == 0 and ref1.size == 5
         assert ref2.offset == 5 and ref2.size == 6
-        assert store.read(ref1) == b"hello"
-        assert store.read(ref2) == b"world!"
+        assert store.read_ranges(ref1, [(0, ref1.size)]) == b"hello"
+        assert store.read_ranges(ref2, [(0, ref2.size)]) == b"world!"
 
     def test_tables_are_separate_files(self, store):
         r1 = store.append(1, b"aa")
@@ -113,14 +113,14 @@ class TestChunkStore:
     def test_wrong_node_rejected(self, store):
         ref = ChunkRef(storage_node=9, path="x", offset=0, size=1)
         with pytest.raises(ValueError):
-            store.read(ref)
+            store.read_ranges(ref, [(0, ref.size)])
 
 
 def test_local_store_persists_across_instances(tmp_path):
     s1 = LocalChunkStore(tmp_path, node_id=0)
     ref = s1.append(1, b"persist me")
     s2 = LocalChunkStore(tmp_path, node_id=0)
-    assert s2.read(ref) == b"persist me"
+    assert s2.read_ranges(ref, [(0, ref.size)]) == b"persist me"
     # appends continue at the right offset
     ref2 = s2.append(1, b"more")
     assert ref2.offset == ref.size
@@ -152,7 +152,7 @@ def test_dropped_file_backed_datasets_leave_no_descriptor_open(tmp_path):
 def test_memory_store_missing_file():
     store = InMemoryChunkStore(0)
     with pytest.raises(FileNotFoundError):
-        store.read(ChunkRef(storage_node=0, path="mem://nope", offset=0, size=1))
+        store.read_ranges(ChunkRef(storage_node=0, path="mem://nope", offset=0, size=1), [(0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +179,8 @@ class TestDatasetWriter:
         written = writer.write_table(5, ex, parts)
 
         assert len(written.chunks) == 4
-        assert written.num_records == 100
-        assert written.nbytes == 100 * ex.schema.record_size
+        assert sum(c.num_records for c in written.chunks) == 100
+        assert sum(c.size for c in written.chunks) == 100 * ex.schema.record_size
         # block-cyclic placement
         assert [c.ref.storage_node for c in written.chunks] == [0, 1, 2, 0]
         # chunk ids in emission order
@@ -189,7 +189,7 @@ class TestDatasetWriter:
         # read back chunk 2 through its extractor list
         registry = ExtractorRegistry([ex])
         desc = written.chunks[2]
-        raw = stores[desc.ref.storage_node].read(desc.ref)
+        raw = stores[desc.ref.storage_node].read_ranges(desc.ref, [(0, desc.ref.size)])
         sub = registry.resolve_first(desc.extractors).extract(raw, desc.id, desc.bbox)
         assert sub.num_records == 30
         np.testing.assert_array_equal(sub.column("x"), parts[2].columns["x"])

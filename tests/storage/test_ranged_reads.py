@@ -45,4 +45,4 @@ class TestReadRanges:
     def test_full_chunk_via_ranges_equals_read(self, store):
         payload = bytes(range(97, 123))
         ref = store.append(2, payload)
-        assert store.read_ranges(ref, [(0, len(payload))]) == store.read(ref)
+        assert store.read_ranges(ref, [(0, len(payload))]) == payload

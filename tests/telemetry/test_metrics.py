@@ -69,7 +69,6 @@ class TestHistogram:
         assert h.count == 4
         assert h.total == pytest.approx(106.5)
         assert h.min == 0.5 and h.max == 100.0
-        assert h.mean == pytest.approx(106.5 / 4)
 
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ValueError, match="sorted"):

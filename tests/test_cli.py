@@ -651,11 +651,7 @@ class TestMalformedFiles:
         (["--deadline=-inf"], "tenant 'interactive': deadline must be positive and finite"),
         (["--observe", "--obs-window", "nan"], "observability window must be positive"),
         (["--observe", "--obs-window", "inf"], "observability window must be positive"),
-        # a NaN threshold once served exactly like no breaker at all
-        (["--breaker-threshold", "nan"], "breaker threshold must be positive and finite"),
-        (["--breaker-threshold", "inf"], "breaker threshold must be positive and finite"),
-    ], ids=["deadline-nan", "deadline-neg-inf", "obs-window-nan", "obs-window-inf",
-            "breaker-threshold-nan", "breaker-threshold-inf"])
+    ], ids=["deadline-nan", "deadline-neg-inf", "obs-window-nan", "obs-window-inf"])
     def test_non_finite_serve_flags(self, flags, message, capsys):
         assert main(self.SERVE[:-1] + flags) == 2
         captured = capsys.readouterr()

@@ -34,19 +34,53 @@ def test_a_stale_anchor_is_loud():
         pm.mutate(text + text, cell)
 
 
-def test_check_names_a_recorded_file_that_no_longer_fails(monkeypatch, capsys):
-    """A cell still caught by one file is not enough: each recorded file
-    must still fail a test, or ``check`` names it and exits 1."""
-    cell, recorded = pm.CELLS[0], {"tests/a.py": 2, "tests/b.py": 1}
+def _check_stubbed(monkeypatch, recorded, run_cell_tests):
+    cell = pm.CELLS[0]
     monkeypatch.setattr(pm, "load_results", lambda f: {"cells": {cell.name: {
         "change": {"failed": recorded}}}})
     monkeypatch.setattr(pm, "copy_tree", lambda tree, dest: None)
     monkeypatch.setattr(pm, "mutated", lambda root, cell: contextlib.nullcontext())
-    monkeypatch.setattr(pm, "run_cell_tests", lambda root, files, cell: ({"tests/a.py": 3}, {}))
+    monkeypatch.setattr(pm, "run_cell_tests", run_cell_tests)
+    return cell
+
+
+def test_check_names_a_recorded_file_that_no_longer_fails(monkeypatch, capsys):
+    """A cell still caught by one file is not enough: each recorded file
+    must still fail a test, or ``check`` names it and exits 1."""
+    cell = _check_stubbed(monkeypatch, {"tests/a.py": 2, "tests/b.py": 1},
+                          lambda root, files, cell: ({"tests/a.py": 3}, {}))
     assert pm.check([cell]) == 1
     out = capsys.readouterr().out
     assert "tests/a.py: recorded 2, now 3" in out and "tests/b.py: recorded 1, now 0" in out
     assert out.splitlines()[-1] == f"1 recorded file(s) no longer fail: {cell.name} tests/b.py"
+
+
+def test_a_suite_run_that_times_out_is_not_a_catch(monkeypatch, capsys, tmp_path):
+    """A hung or slow suite run names no failing file, and ``check`` exits 1
+    naming the cell as not caught, timed out."""
+    def run(argv, **kwargs):
+        raise pm.subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+    monkeypatch.setattr(pm.subprocess, "run", run)
+    assert pm.run_tests(str(tmp_path), ["tests/a.py"]) is None
+    assert pm.run_cell_tests(str(tmp_path), ["tests/a.py"], pm.CELLS[0])[0] is None
+    cell = _check_stubbed(monkeypatch, {"tests/a.py": 2},
+                          lambda root, files, cell: (pm.run_tests(root, files), {}))
+    assert pm.check([cell]) == 1
+    out = capsys.readouterr().out
+    assert f"{cell.name}: not caught, timed out after {pm.TIMEOUT_S} s" in out
+    assert out.splitlines()[-1] == f"1 cell(s) not caught, timed out: {cell.name}"
+
+
+def test_check_counts_names_a_recorded_count_that_moved(monkeypatch, capsys):
+    """Every recorded file still fails, but one by a different number of
+    tests: only ``--counts`` fails on it."""
+    cell = _check_stubbed(monkeypatch, {"tests/a.py": 2, "tests/b.py": 1},
+                          lambda root, files, cell: ({"tests/a.py": 3, "tests/b.py": 1}, {}))
+    assert pm.check([cell]) == 0
+    assert pm.check([cell], counts=True) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == f"1 recorded count(s) moved: {cell.name} tests/a.py (2 -> 3)"
 
 
 def test_every_suite_run_passes_pytest_the_one_hypothesis_seed(monkeypatch, tmp_path):
