@@ -545,7 +545,8 @@ CELLS: Tuple[Cell, ...] = (
         "_exact_sums",
         "every value column counts as exact: a SUM that rounds, a NaN or an "
         "infinity is counted in record order instead of summed pairwise",
-        (("    return len(column) * top <= 2.0**52 * unit\n", "    return True\n"),),
+        (("    return bound < math.inf and np.array_equal(np.floor(magnitude / unit) * unit, "
+          "magnitude)\n", "    return True\n"),),
         family="answers",
     ),
     Cell(

@@ -45,6 +45,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.services.cache import QueryCacheView
+
 __all__ = [
     "SanitizerViolation",
     "RunSanitizer",
@@ -124,7 +126,10 @@ class RunSanitizer:
         self._last_now = now
 
     def attach_cache(self, cache, name: str = "") -> None:
-        """Re-check the cache's byte accounting after every mutation."""
+        """Re-check the cache's byte accounting after every mutation; a
+        per-query view is checked through the shared cache behind it."""
+        if isinstance(cache, QueryCacheView):
+            cache = cache.shared
         self._caches.append((name, cache))
 
         def validate(op, key, nbytes, qid) -> None:

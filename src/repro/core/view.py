@@ -80,10 +80,3 @@ class AggregationView:
             raise ValueError(f"view name {self.name!r} must be an identifier")
         if not self.aggregates:
             raise ValueError("aggregation view needs at least one aggregate")
-
-    def describe(self) -> str:
-        aggs = ", ".join(f"{a.func.upper()}({a.attr}) AS {a.alias}" for a in self.aggregates)
-        s = f"{self.name} = SELECT {aggs} FROM {self.source.name}"
-        if self.group_by:
-            s += f" GROUP BY {', '.join(self.group_by)}"
-        return s

@@ -184,29 +184,6 @@ class FaultPlan:
             crashes=tuple(crashes), degradations=tuple(degradations), **kw
         )
 
-    def to_spec(self) -> str:
-        """Inverse of :meth:`parse` (canonical form, for reports/logs)."""
-        parts = [f"seed={self.seed}"]
-        for c in self.crashes:
-            suffix = f"@{c.node}" if c.node is not None else ""
-            parts.append(f"{c.kind}_crash={c.at:g}{suffix}")
-        if self.transfer_failure_rate:
-            parts.append(f"transient={self.transfer_failure_rate:g}")
-        for d in self.degradations:
-            suffix = f"@{d.node}" if d.node is not None else ""
-            parts.append(f"{d.kind}_degrade={d.at:g}:{d.factor:g}{suffix}")
-        if self.max_attempts != 8:
-            parts.append(f"max_attempts={self.max_attempts}")
-        if self.retry_base != 0.05:
-            parts.append(f"retry_base={self.retry_base:g}")
-        return ",".join(parts)
-
-    def __str__(self) -> str:
-        """The canonical spec — ``FaultPlan.parse(str(plan))`` round-trips
-        for every plan whose floats survive ``%g`` formatting (i.e. any
-        plan that itself came from a spec)."""
-        return self.to_spec()
-
     # keep dataclass niceties but define stable draw helpers --------------------
 
     def draw(self, counter: int) -> float:

@@ -15,7 +15,7 @@ bulk case never needs):
   and the children of node ``i`` are the slice ``[i*M, (i+1)*M)`` of the
   level below, so there are no node objects and no pointers;
 * ``search`` walks the levels top down with one vectorised closed-interval
-  test per level.
+  test per level, and answers in insertion order.
 
 **Load-once contract:** an insert between two searches costs a full
 re-pack at the second one.  That is correct but O(n log n); fill the tree,
@@ -108,7 +108,8 @@ class RTree:
         self._levels = None
 
     def search(self, box: Boxish) -> List[object]:
-        """All payloads whose boxes intersect the (closed) query box."""
+        """All payloads whose boxes intersect the (closed) query box, in
+        insertion order."""
         qlo, qhi = self._check_box(box)
         levels = self._packed()
         lo, hi = levels[-1]
@@ -119,7 +120,7 @@ class RTree:
             kids = kids[kids < len(lo)]  # the last node of a level may be short
             hits = kids[((lo[kids] <= qhi) & (hi[kids] >= qlo)).all(axis=1)]
         payloads = self._payloads
-        return [payloads[i] for i in self._order[hits].tolist()]
+        return [payloads[i] for i in np.sort(self._order[hits]).tolist()]
 
     def __iter__(self) -> Iterator[object]:
         """Iterate all payloads (no particular order)."""

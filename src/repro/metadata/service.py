@@ -61,8 +61,7 @@ class TableCatalog:
         if desc.chunk_id in self.chunks:
             raise ValueError(f"duplicate chunk id {desc.id}")
         self.chunks[desc.chunk_id] = desc
-        if self._rtree is not None:
-            self._rtree.insert(desc.bbox.bounds(self.coordinate_names), desc)
+        self._rtree = None  # repacked, in chunk order, at the next search
 
     def _ensure_index(self) -> RTree:
         if self._rtree is None:
@@ -72,15 +71,14 @@ class TableCatalog:
                     f"table {self.name!r} has no coordinate attributes to index on"
                 )
             tree = RTree(ndim=len(names))
-            # sorted: the R-tree's structure (and hence candidate order)
-            # must not depend on chunk registration order
+            # inserted in chunk order, which is the order search answers in
             for _, desc in sorted(self.chunks.items()):
                 tree.insert(desc.bbox.bounds(names), desc)
             self._rtree = tree
         return self._rtree
 
     def find_chunks(self, query: BoundingBox) -> List[ChunkDescriptor]:
-        """Chunks whose bounding boxes intersect ``query``.
+        """Chunks whose bounding boxes intersect ``query``, in chunk order.
 
         The R-tree prunes on coordinate attributes; any non-coordinate
         bounds in ``query`` are applied as a refinement filter against the
@@ -94,7 +92,6 @@ class TableCatalog:
         rest = [n for n in query if n not in names]
         if rest:
             out = [c for c in out if c.bbox.overlaps(query, on=rest)]
-        out.sort(key=lambda c: c.chunk_id)
         return out
 
     def all_chunks(self) -> List[ChunkDescriptor]:

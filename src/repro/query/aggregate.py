@@ -18,6 +18,7 @@ only when every value added was ``-0.0``, which a count that starts from
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Sequence
 
 import numpy as np
@@ -38,19 +39,24 @@ _COUNTED_SPACE = 1
 def _exact_sums(column: np.ndarray) -> bool:
     """Whether every partial sum of ``column``, as float64, is exact.
 
-    Each value is a whole multiple of one power of two ``unit`` (1 for
-    integers; for floats, the least value's unit in the last place), and
-    the record count times the largest magnitude stays within ``2**52``
-    units.  A ``NaN`` or an infinity fails the bound.
+    They are when every value is a whole multiple of one power of two
+    ``unit`` and the record count times the largest magnitude stays
+    within ``2**52`` units — when the largest power of two dividing every
+    value is at least the least ``unit`` that bound allows, that is, when
+    every value is a multiple of that least one.  A ``NaN``, an infinity
+    or a bound past float64's range fails.
     """
-    if column.dtype.kind in "iu":
-        top, unit = max(-int(column.min()), int(column.max())), 1.0
-    else:
-        magnitude = np.abs(column)
-        top = float(magnitude.max())
-        least = magnitude.min(where=magnitude > 0, initial=np.inf)
-        unit = np.ldexp(1.0, int(np.frexp(least)[1]) - np.finfo(column.dtype).nmant - 1)
-    return len(column) * top <= 2.0**52 * unit
+    values = column if column.dtype.kind == "f" else column.astype(np.float64)
+    magnitude = np.abs(values)
+    bound = len(values) * float(magnitude.max())
+    fraction, exponent = math.frexp(bound / 2.0**52)
+    # the least power of two at or above bound / 2**52, but no less than the
+    # dtype's least subnormal, of which every value is a multiple
+    unit = max(
+        math.ldexp(1.0, exponent - (fraction == 0.5)), np.finfo(values.dtype).smallest_subnormal
+    )
+    # a value below ``unit`` floors to 0 however its quotient rounds
+    return bound < math.inf and np.array_equal(np.floor(magnitude / unit) * unit, magnitude)
 
 
 def _counted(

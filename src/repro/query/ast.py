@@ -33,12 +33,6 @@ class SelectItem:
     def is_aggregate(self) -> bool:
         return self.aggregate is not None
 
-    def describe(self) -> str:
-        if self.aggregate is not None:
-            a = self.aggregate
-            return f"{a.func.upper()}({a.attr}) AS {a.alias}"
-        return str(self.column)
-
 
 @dataclass(frozen=True)
 class SelectQuery:
@@ -73,12 +67,3 @@ class SelectQuery:
                     raise ValueError(
                         f"non-aggregated column {item.column!r} must appear in GROUP BY"
                     )
-
-    def describe(self) -> str:
-        cols = ", ".join(i.describe() for i in self.items) if self.items else "*"
-        s = f"SELECT {cols} FROM {self.source}"
-        if not isinstance(self.where, TruePredicate):
-            s += f" WHERE {self.where!r}"
-        if self.group_by:
-            s += f" GROUP BY {', '.join(self.group_by)}"
-        return s

@@ -31,7 +31,7 @@ _OPS = ("<", "<=", ">", ">=", "=", "!=")
 
 
 class Predicate:
-    """Base class; combine with ``&`` and ``|``."""
+    """Base class; :class:`And` and :class:`Or` combine predicates."""
 
     def mask(self, sub: SubTable) -> np.ndarray:
         raise NotImplementedError
@@ -42,12 +42,6 @@ class Predicate:
     def attrs(self) -> Set[str]:
         """Every attribute the predicate reads."""
         raise NotImplementedError
-
-    def __and__(self, other: "Predicate") -> "Predicate":
-        return And((self, other))
-
-    def __or__(self, other: "Predicate") -> "Predicate":
-        return Or((self, other))
 
 
 @dataclass(frozen=True)
@@ -163,9 +157,6 @@ class And(Predicate):
 
     def attrs(self) -> Set[str]:
         return set().union(*(c.attrs() for c in self.children))
-
-    def __repr__(self) -> str:
-        return " AND ".join(repr(c) for c in self.children)
 
 
 @dataclass(frozen=True)

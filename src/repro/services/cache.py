@@ -805,8 +805,19 @@ class QueryCacheView(Generic[K, V]):
 
     Only stats are virtualised; entries, budgets and pins are the shared
     cache's own (that sharing is the point of a view server).  A view
-    offers exactly the operations a query's execution uses, each written
-    out below; anything else is read off :attr:`shared`.
+    offers exactly what a QES calls on it, each written out below:
+
+    * :meth:`pin_scope` — every lookup, insert and pin of a joiner or a
+      scan goes through the scope's ``acquire``/``put``/``pin``;
+    * ``stats`` — the run's per-query ledger (``snapshot``/``since``);
+    * :meth:`invalidate_from` — dropping what a crashed node served;
+    * the prefetch staging (``prefetch_begin``/``_complete``/``_cancel``,
+      :meth:`take_prefetched`) and ``in`` — a pipelined Indexed Join;
+    * :meth:`subscribe` and :attr:`used_bytes` — a traced QES's hub.
+
+    :meth:`get`, :meth:`pin` and :meth:`unpin` are the reference
+    ``scope.acquire`` is held to.  Anything else, the sanitizer's ledger
+    checks included, is read off :attr:`shared`.
     """
 
     __slots__ = ("shared", "qid", "stats")
@@ -821,9 +832,6 @@ class QueryCacheView(Generic[K, V]):
     def __contains__(self, key: K) -> bool:
         return key in self.shared
 
-    def __len__(self) -> int:
-        return len(self.shared)
-
     @property
     def used_bytes(self) -> int:
         return self.shared.used_bytes
@@ -834,27 +842,11 @@ class QueryCacheView(Generic[K, V]):
     def get(self, key: K) -> Optional[V]:
         return self.shared.get(key, self)
 
-    def acquire(self, key: K) -> Optional[V]:
-        return self.shared.acquire(key, self)
-
     def pin(self, key: K) -> None:
         self.shared.pin(key)
 
     def unpin(self, key: K) -> None:
         self.shared.unpin(key)
-
-    def remove(self, key: K) -> bool:
-        return self.shared.remove(key)
-
-    def put(
-        self,
-        key: K,
-        value: V,
-        nbytes: int,
-        pin: bool = False,
-        source: Optional[int] = None,
-    ) -> bool:
-        return self.shared.put(key, value, nbytes, pin, source, self)
 
     def prefetch_begin(self, key: K, nbytes: int) -> bool:
         return self.shared.prefetch_begin(key, nbytes)

@@ -159,14 +159,6 @@ class ExtractorRegistry:
         self._extractors[extractor.name] = extractor
         return extractor
 
-    def get(self, name: str) -> Extractor:
-        try:
-            return self._extractors[name]
-        except KeyError:
-            raise KeyError(
-                f"no extractor {name!r} registered (known: {sorted(self._extractors)})"
-            ) from None
-
     def resolve_first(self, names: Iterable[str]) -> Extractor:
         """First registered extractor out of a chunk's extractor list."""
         names = list(names)
@@ -180,7 +172,3 @@ class ExtractorRegistry:
 
     def __len__(self) -> int:
         return len(self._extractors)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._extractors))

@@ -79,9 +79,6 @@ class LatencyTracker:
     def keys(self) -> List[str]:
         return sorted(self._samples)
 
-    def samples(self, key: str) -> List[float]:
-        return list(self._samples.get(key, []))
-
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-key exact stats: count, mean, p50, p99, max.
 

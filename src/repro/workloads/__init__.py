@@ -36,7 +36,6 @@ from repro.workloads.oilres import (
 from repro.workloads.sweeps import (
     SweepPoint,
     constant_edge_ratio_sweep,
-    power_of_two_partitions,
 )
 
 __all__ = [
@@ -54,5 +53,4 @@ __all__ = [
     "make_grid_partitions",
     "oil_reservoir_schema_full",
     "poisson_gaps",
-    "power_of_two_partitions",
 ]

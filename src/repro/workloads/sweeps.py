@@ -17,13 +17,12 @@ dimension by dimension, doubling ``n_e·c_S`` at every step.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.workloads.generator import GridSpec
 
-__all__ = ["SweepPoint", "constant_edge_ratio_sweep", "power_of_two_partitions", "tuple_count_sweep"]
+__all__ = ["SweepPoint", "constant_edge_ratio_sweep", "tuple_count_sweep"]
 
 
 @dataclass(frozen=True)
@@ -33,22 +32,6 @@ class SweepPoint:
     spec: GridSpec
     axis_value: float
     label: str
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def power_of_two_partitions(g: Tuple[int, ...], minimum: int = 1) -> Iterator[Tuple[int, ...]]:
-    """All per-dimension power-of-two partition size tuples for grid ``g``."""
-    for gd in g:
-        if not _is_power_of_two(gd):
-            raise ValueError(f"grid dimension {gd} is not a power of two")
-    choices = [
-        [p for p in (2**k for k in range(gd.bit_length())) if p >= minimum]
-        for gd in g
-    ]
-    return itertools.product(*choices)
 
 
 def constant_edge_ratio_sweep(

@@ -12,10 +12,12 @@ from repro.analysis.sanitizer import (
     full_digest,
     semantic_digest,
 )
+from repro.cluster import paper_cluster
 from repro.cluster.events import SimEngine
 from repro.experiments.runner import run_point
-from repro.services.cache import CachingService
-from repro.workloads.generator import GridSpec
+from repro.joins import IndexedJoinQES
+from repro.services.cache import CachingService, QueryCacheView, make_policy
+from repro.workloads import GridSpec, build_oil_reservoir_dataset
 
 SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(4, 4))
 
@@ -60,6 +62,21 @@ def test_sanitized_trace_dump_matches_unsanitized(tmp_path, capsys):
             (out / "t.gh.json").read_bytes(),
         ))
     assert outputs[0] == outputs[1]
+
+
+def test_sanitized_join_through_per_query_views():
+    """A sanitized Indexed Join given per-query cache views checks the
+    shared caches behind them, and takes the time it takes on those."""
+    ds = build_oil_reservoir_dataset(GridSpec((16, 16), (4, 4), (2, 2)), num_storage=2, seed=7)
+
+    def total_time(front):
+        caches = [front(CachingService(10**6, make_policy("lru"))) for _ in range(2)]
+        return IndexedJoinQES(
+            paper_cluster(2, 2), ds.metadata, "T1", "T2", ds.join_attrs, ds.provider,
+            caches=caches, sanitizer=RunSanitizer(),
+        ).run().total_time
+
+    assert total_time(lambda cache: QueryCacheView(cache, qid=1)) == total_time(lambda cache: cache)
 
 
 # -- individual hooks ----------------------------------------------------------------

@@ -182,7 +182,7 @@ class TestEmptyViewMaterialization:
         assert cat.schema.names == ("x", "y", "oilp", "wp")
         # schema provenance: the catalog serves the generated extractor's
         # schema object, same as any non-empty materialisation
-        assert cat.schema is ds.registry.get("mat_Vem").schema
+        assert cat.schema is ds.registry.resolve_first(["mat_Vem"]).schema
 
     def test_empty_view_range_query_round_trip(self, dataset_with_t3):
         ds = dataset_with_t3

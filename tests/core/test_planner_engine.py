@@ -55,16 +55,6 @@ class TestViews:
         with pytest.raises(ValueError):
             Aggregate("median", "wp")
 
-    def test_aggregation_view_describe(self):
-        v = AggregationView(
-            "A1",
-            JoinView("V1", "T1", "T2", on=("x",)),
-            aggregates=(Aggregate("avg", "wp"),),
-            group_by=("x",),
-        )
-        assert "AVG(wp)" in v.describe()
-        assert "GROUP BY x" in v.describe()
-
     def test_aggregation_view_validation(self):
         src = JoinView("V1", "T1", "T2", on=("x",))
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Property tests for the fault-spec mini-language.
 
-``FaultPlan.to_spec`` documents itself as the inverse of ``parse``; this
-suite makes that contract executable with a seeded generator of random
-plans (counter-based splitmix64, same determinism discipline as the rest
-of the repo — no ``random`` module, no hypothesis).  Floats are drawn
-already canonical under ``%g`` formatting so the round-trip is exact.
+A seeded generator (counter-based splitmix64, same determinism discipline
+as the rest of the repo — no ``random`` module, no hypothesis) draws a
+plan's fields and spells them as spec text the way a user may: items in
+any order (crashes and degradations keep theirs), optional keys left
+out, stray spaces and empty items, floats written by ``repr``.  Parsing
+the text must give back exactly the drawn fields.
 """
+
+import itertools
 
 import pytest
 
@@ -13,94 +16,74 @@ from repro.core.rng import splitmix64
 from repro.faults.plan import Degradation, FaultPlan, NodeCrash, _SPEC_KEYS
 
 
-def _u(seed, counter):
-    """Uniform [0, 1) draw ``counter`` from stream ``seed``."""
-    return splitmix64(seed, counter) / 2.0**64
+def random_spec(seed):
+    """A seeded random spec text exercising every key, and the plan it
+    spells."""
+    draws = (splitmix64(seed, i) for i in itertools.count())
 
+    def u():
+        return next(draws) / 2.0**64
 
-def _gfloat(seed, counter, lo, hi):
-    """A float in [lo, hi) that survives ``%g`` formatting exactly."""
-    return float(f"{lo + (hi - lo) * _u(seed, counter):g}")
+    def node():
+        return next(draws) % 8 if u() < 0.5 else None
 
+    def at(text, node):
+        return text if node is None else f"{text}@{node}"
 
-def random_plan(seed):
-    """A seeded random FaultPlan exercising every spec feature."""
-    c = iter(range(1000))
-    crashes = []
-    for _ in range(int(_u(seed, next(c)) * 3)):
-        kind = ("storage", "compute")[splitmix64(seed, next(c)) % 2]
-        node = None
-        if _u(seed, next(c)) < 0.5:
-            node = splitmix64(seed, next(c)) % 8
-        crashes.append(
-            NodeCrash(kind=kind, at=_gfloat(seed, next(c), 0.0, 5.0), node=node)
-        )
-    degradations = []
-    for _ in range(int(_u(seed, next(c)) * 3)):
-        kind = ("disk", "nic")[splitmix64(seed, next(c)) % 2]
-        node = None
-        if _u(seed, next(c)) < 0.5:
-            node = splitmix64(seed, next(c)) % 8
-        degradations.append(
-            Degradation(
-                kind=kind,
-                at=_gfloat(seed, next(c), 0.0, 5.0),
-                factor=_gfloat(seed, next(c), 0.01, 0.99),
-                node=node,
-            )
-        )
-    transient = 0.0
-    if _u(seed, next(c)) < 0.6:
-        transient = _gfloat(seed, next(c), 0.0, 0.9)
-    max_attempts = 8
-    if _u(seed, next(c)) < 0.4:
-        max_attempts = 1 + splitmix64(seed, next(c)) % 12
-    retry_base = 0.05
-    if _u(seed, next(c)) < 0.4:
-        retry_base = _gfloat(seed, next(c), 0.001, 1.0)
-    return FaultPlan(
-        seed=splitmix64(seed, next(c)) % 10_000,
-        crashes=tuple(crashes),
-        transfer_failure_rate=transient,
-        degradations=tuple(degradations),
-        max_attempts=max_attempts,
-        retry_base=retry_base,
+    crashes = tuple(
+        NodeCrash(("storage", "compute")[next(draws) % 2], 5 * u(), node())
+        for _ in range(int(u() * 3))
     )
+    degradations = tuple(
+        Degradation(("disk", "nic")[next(draws) % 2], 5 * u(), 0.01 + 0.98 * u(), node())
+        for _ in range(int(u() * 3))
+    )
+    items = [at(f"{c.kind}_crash={c.at!r}", c.node) for c in crashes]
+    items += [at(f"{d.kind}_degrade={d.at!r}:{d.factor!r}", d.node) for d in degradations]
+    fields = {}
+    for key, field, value in (
+        ("seed", "seed", next(draws) % 10_000),
+        ("transient", "transfer_failure_rate", 0.9 * u()),
+        ("max_attempts", "max_attempts", 1 + next(draws) % 12),
+        ("retry_base", "retry_base", 0.001 + u()),
+    ):
+        if u() < 0.6:
+            # anywhere: only crashes and degradations keep their order,
+            # which is the order of the plan's tuples
+            fields[field] = value
+            items.insert(next(draws) % (len(items) + 1), f"{key}={value!r}")
+    spec = ",".join(" " * (next(draws) % 2) + item + " " * (next(draws) % 2) for item in items)
+    plan = FaultPlan(crashes=crashes, degradations=degradations, **fields)
+    return spec + "," * (next(draws) % 2), plan
+
+
+_DOCUMENTED = {
+    "seed=7,storage_crash=0.5": dict(seed=7, crashes=(NodeCrash("storage", 0.5),)),
+    "transient=0.1,max_attempts=3": dict(transfer_failure_rate=0.1, max_attempts=3),
+    "storage_crash=0.5@2,compute_crash=1.0,disk_degrade=0.8:0.25": dict(
+        crashes=(NodeCrash("storage", 0.5, 2), NodeCrash("compute", 1.0)),
+        degradations=(Degradation("disk", 0.8, 0.25),),
+    ),
+    "nic_degrade=1.5:0.5@3,retry_base=0.1": dict(
+        degradations=(Degradation("nic", 1.5, 0.5, 3),), retry_base=0.1
+    ),
+}
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(200))
     def test_parse_str_round_trips(self, seed):
-        plan = random_plan(seed)
-        assert FaultPlan.parse(str(plan)) == plan
-
-    def test_str_is_to_spec(self):
-        plan = random_plan(3)
-        assert str(plan) == plan.to_spec()
+        """Drawn fields, spelled as spec text, parse back to themselves."""
+        spec, plan = random_spec(seed)
+        assert FaultPlan.parse(spec) == plan, spec
 
     def test_trivial_plan_round_trips(self):
-        plan = FaultPlan()
-        assert plan.is_trivial
-        assert FaultPlan.parse(str(plan)) == plan
+        assert FaultPlan.parse("") == FaultPlan()
+        assert FaultPlan.parse("seed=4").is_trivial
 
-    def test_spec_is_canonical_fixed_point(self):
-        # parse → str → parse → str is stable after one normalisation
-        for seed in range(50):
-            spec = str(random_plan(seed))
-            assert str(FaultPlan.parse(spec)) == spec
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "seed=7,storage_crash=0.5",
-            "transient=0.1,max_attempts=3",
-            "storage_crash=0.5@2,compute_crash=1.0,disk_degrade=0.8:0.25",
-            "nic_degrade=1.5:0.5@3,retry_base=0.1",
-        ],
-    )
+    @pytest.mark.parametrize("spec", list(_DOCUMENTED))
     def test_documented_examples_round_trip(self, spec):
-        plan = FaultPlan.parse(spec)
-        assert FaultPlan.parse(str(plan)) == plan
+        assert FaultPlan.parse(spec) == FaultPlan(**_DOCUMENTED[spec])
 
 
 class TestErrors:

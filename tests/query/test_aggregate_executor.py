@@ -278,6 +278,21 @@ class TestCountedGroupBy:
         in_record_order = np.bincount(g.astype(np.intp), weights=rounds["v"])
         assert in_record_order.tobytes() != out.column("sum_v").tobytes()
 
+    def test_whole_float64_columns_are_counted(self):
+        """Whole numbers, or signed zeros and twos, sum exactly in float64
+        too, so they are counted, in the sorted path's bits."""
+        columns = {"g": np.arange(1000, dtype=np.int32) % 7, "v": np.arange(1, 1001.0),
+                   "w": np.array([-0.0, 0.0, -0.0, -0.0, 2.0] * 200)}
+        aggs = [Aggregate("sum", "v"), Aggregate("avg", "v"), Aggregate("sum", "w")]
+        answers = []
+        for space, counts in ((agg_module._COUNTED_SPACE, True), (0, False)):
+            with mock.patch.object(agg_module, "_COUNTED_SPACE", space), \
+                    mock.patch.object(agg_module, "_counted", wraps=agg_module._counted) as spy:
+                out = self.both(columns, aggs, ["g"])
+            assert spy.called == counts, space
+            answers.append([out.column(n).tobytes() for n in out.schema.names])
+        assert answers[0] == answers[1]
+
     def test_sum_of_an_all_negative_zero_group_is_negative_zero(self):
         """Counting starts from +0.0, and +0.0 + -0.0 is +0.0; the sorted
         sum of only -0.0s is -0.0.  The same column is counted, then sorted

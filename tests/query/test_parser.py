@@ -127,9 +127,3 @@ class TestErrors:
     def test_unexpected_character(self):
         with pytest.raises(QuerySyntaxError, match="unexpected character"):
             parse_query("SELECT * FROM T1 WHERE x @ 2")
-
-    def test_describe_roundtrip_smoke(self):
-        q = parse_query("SELECT x, AVG(wp) AS m FROM V1 WHERE x IN [0, 2] GROUP BY x")
-        text = q.describe()
-        assert "SELECT x, AVG(wp) AS m FROM V1" in text
-        assert "GROUP BY x" in text

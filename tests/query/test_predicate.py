@@ -81,13 +81,13 @@ class TestRange:
 
 class TestBoolean:
     def test_and(self, sub):
-        p = RangePredicate("x", 0, 9) & Comparison("y", "=", 0.0)
+        p = And((RangePredicate("x", 0, 9), Comparison("y", "=", 0.0)))
         mask = p.mask(sub)
         # x in 0..9 and y == 0: x in {0, 5}
         assert mask.sum() == 2
 
     def test_or(self, sub):
-        p = Comparison("x", "=", 0.0) | Comparison("x", "=", 19.0)
+        p = Or((Comparison("x", "=", 0.0), Comparison("x", "=", 19.0)))
         assert p.mask(sub).sum() == 2
 
     def test_true_predicate(self, sub):
@@ -96,23 +96,24 @@ class TestBoolean:
 
     def test_attrs_is_every_attribute_read(self):
         assert TruePredicate().attrs() == set()
-        tree = (Comparison("x", "<", 3) | (RangePredicate("y", 0, 2) & Comparison("v", "!=", 1)))
+        branch = And((RangePredicate("y", 0, 2), Comparison("v", "!=", 1)))
+        tree = Or((Comparison("x", "<", 3), branch))
         assert tree.attrs() == {"x", "y", "v"}
-        assert (tree & TruePredicate()).attrs() == {"x", "y", "v"}
+        assert And((tree, TruePredicate())).attrs() == {"x", "y", "v"}
 
     def test_and_bbox_intersects(self):
-        p = RangePredicate("x", 0, 10) & RangePredicate("x", 5, 20)
+        p = And((RangePredicate("x", 0, 10), RangePredicate("x", 5, 20)))
         iv = p.bbox().interval("x")
         assert iv.lo == 5 and iv.hi == 10
 
     def test_or_bbox_hull(self):
-        p = RangePredicate("x", 0, 2) | RangePredicate("x", 8, 10)
+        p = Or((RangePredicate("x", 0, 2), RangePredicate("x", 8, 10)))
         iv = p.bbox().interval("x")
         assert iv.lo == 0 and iv.hi == 10
 
     def test_or_bbox_drops_mixed_attrs(self):
         # one branch constrains x, the other y: neither survives the union
-        p = RangePredicate("x", 0, 2) | RangePredicate("y", 0, 2)
+        p = Or((RangePredicate("x", 0, 2), RangePredicate("y", 0, 2)))
         assert p.bbox() == BoundingBox.empty()
 
     def test_empty_children_rejected(self):
@@ -140,9 +141,10 @@ def test_bbox_relaxation_is_conservative(lo, width, seed):
             "wp": rng.random(50).astype(np.float32),
         },
     )
-    pred = RangePredicate("x", lo, lo + width) | (
-        Comparison("x", ">", lo) & Comparison("wp", "<", 0.5)
-    )
+    pred = Or((
+        RangePredicate("x", lo, lo + width),
+        And((Comparison("x", ">", lo), Comparison("wp", "<", 0.5))),
+    ))
     mask = pred.mask(sub)
     box = pred.bbox()
     matching = sub.select(mask)

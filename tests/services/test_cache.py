@@ -476,10 +476,10 @@ class TestAccessTraceFeed:
         shared = CachingService(100)
         seen = self.watch(shared)
         view = QueryCacheView(shared, qid=7)
-        view.get("x")
-        view.put("x", 1, 10)
         with view.pin_scope() as scope:
-            scope.put("y", 2, 10)
+            assert scope.acquire("x") is None
+            scope.put("x", 1, 10)
+            scope.put("y", 2, 10, pin=True)
         shared.get("x")
         by_op = {(op, key): qid for op, key, _, qid in seen}
         assert by_op[("miss", "x")] == 7
@@ -581,8 +581,8 @@ _view_ops = st.lists(
         # lookups and inserts weighted up, and no list too short, so that
         # most examples fill the cache and evict
         st.sampled_from([
-            "get", "get", "get", "put", "put", "put", "put",
-            "pin", "unpin", "remove", "invalidate_from",
+            "acquire", "acquire", "acquire", "put", "put", "put", "put",
+            "pin", "release", "release", "invalidate_from",
             "prefetch_begin", "prefetch_complete", "prefetch_cancel",
             "take_prefetched",
         ]),
@@ -594,42 +594,36 @@ _view_ops = st.lists(
 )
 
 
-def _apply(shared, view, op, key, size):
-    """Run one operation through ``view``; returns how many notifications
-    it owes: one per lookup and per operation that moved the entries or a
-    byte level, none for a pin, an unpin or a completed prefetch, and
-    none for a refused remove of a pinned key."""
-    if op == "get":
-        view.get(key)
+def _apply(view, scope, op, key, size):
+    """Run one operation as a QES does: lookups, inserts and pins through
+    the view's pin scope, staging and invalidation on the view.  Returns
+    how many notifications it owes: one per lookup and per operation that
+    moved the entries or a byte level, none for a pin, a release or a
+    completed prefetch."""
+    staged = view.shared._staged
+    if op == "acquire":
+        scope.acquire(key)
     elif op == "put":
-        view.put(key, key, size, source=size % 2)
+        scope.put(key, key, size, pin=size % 3 == 0, source=size % 2)
     elif op == "pin":
         if key in view:
-            view.pin(key)
+            scope.pin(key)
         return 0
-    elif op == "unpin":
-        if key in view and shared._entries[key].pins:
-            view.unpin(key)
+    elif op == "release":
+        scope.release()
         return 0
-    elif op == "remove":
-        if key in view and shared._entries[key].pins:
-            with pytest.raises(ValueError, match="pinned"):
-                view.remove(key)
-            return 0
-        return int(view.remove(key))
     elif op == "invalidate_from":
         return view.invalidate_from(size % 2) + 1  # one drop each, then itself
     elif op == "prefetch_begin":
         return int(view.prefetch_begin(key, size))
     elif op == "prefetch_complete":
-        staged = shared._staged.get(key)
-        if staged is not None and not staged.ready:
+        if key in staged and not staged[key].ready:
             view.prefetch_complete(key, key)
         return 0
     elif op == "prefetch_cancel":
-        staged = key in shared._staged
+        owed = int(key in staged)
         view.prefetch_cancel(key)
-        return int(staged)
+        return owed
     elif op == "take_prefetched":
         return int(view.take_prefetched(key) is not None)
     return 1
@@ -637,24 +631,29 @@ def _apply(shared, view, op, key, size):
 
 @given(ops=_view_ops)
 def test_view_ledgers_partition_the_shared_counters(ops):
-    """Any interleaving of operations through several views of one small
-    (evicting) shared cache: the view ledgers sum to the shared counters,
-    each view's hits/misses are exactly the events carrying its qid, every
-    lookup and state change notifies once (a pin, an unpin or a completed
-    prefetch notifies nobody, a pinned key is never removed), and none of
-    it depends on being watched."""
+    """Any interleaving of what several queries' QES do through their
+    views of one small (evicting) shared cache: the view ledgers sum to
+    the shared counters, each view's hits/misses are exactly the events
+    carrying its qid, every lookup and state change notifies once (a pin,
+    a release or a completed prefetch notifies nobody), closing the
+    scopes leaves nothing pinned, and none of it depends on being
+    watched."""
     shared = CachingService(56)  # stages up to 14 bytes
     events = []
     shared.subscribe(lambda *event: events.append(event))
     views = [QueryCacheView(shared, qid=qid) for qid in range(3)]
     unwatched = CachingService(56)
     twins = [QueryCacheView(unwatched, qid=qid) for qid in range(3)]
+    scopes = [view.pin_scope() for view in views + twins]
     for v, op, key, size in ops:
         before = len(events)
-        owed = _apply(shared, views[v], op, key, size)
+        owed = _apply(views[v], scopes[v], op, key, size)
         assert len(events) - before == owed, (op, events[before:])
-        _apply(unwatched, twins[v], op, key, size)
+        _apply(twins[v], scopes[3 + v], op, key, size)
         assert shared.used_bytes <= shared.capacity_bytes
+    for scope in scopes:
+        scope.close()
+    assert shared.pinned_bytes == unwatched.pinned_bytes == 0
     for field in dataclasses.fields(shared.stats):
         assert sum(getattr(v.stats, field.name) for v in views) == getattr(
             shared.stats, field.name

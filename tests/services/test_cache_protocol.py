@@ -70,9 +70,7 @@ class _Twin:
             return front.get(key)
         if op == "put":
             value = (key, size)
-            if size % 2:
-                return front.put(key, value, size, source=size % 3)
-            return self.scope.put(key, value, size, pin=True, source=size % 3)
+            return self.scope.put(key, value, size, pin=not size % 2, source=size % 3)
         if op == "pin" and key in front:
             front.pin(key)
             self.raw_pins[key] += 1
@@ -80,7 +78,7 @@ class _Twin:
             front.unpin(key)
             self.raw_pins[key] -= 1
         elif op == "remove" and key in cache and cache._entries[key].pins == 0:
-            return front.remove(key)
+            return cache.remove(key)  # a QES never removes through a view
         elif op == "invalidate":
             return front.invalidate_from(size % 3)
         elif op == "release":

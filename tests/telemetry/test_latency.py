@@ -109,9 +109,3 @@ class TestLatencyTracker:
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             LatencyTracker().record("t", -0.1)
-
-    def test_samples_are_copies(self):
-        t = LatencyTracker()
-        t.record("a", 1.0)
-        t.samples("a").append(9.0)
-        assert t.samples("a") == [1.0]

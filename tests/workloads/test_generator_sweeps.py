@@ -9,7 +9,6 @@ from repro.workloads import (
     GridSpec,
     constant_edge_ratio_sweep,
     make_grid_partitions,
-    power_of_two_partitions,
 )
 from repro.workloads.oilres import (
     build_oil_reservoir_dataset,
@@ -122,13 +121,6 @@ class TestSweeps:
         assert all(p.spec.E_C == base.E_C for p in points)
         with pytest.raises(ValueError):
             tuple_count_sweep(base, (0,))
-
-    def test_power_of_two_partitions(self):
-        parts = list(power_of_two_partitions((4, 8)))
-        assert (1, 1) in parts and (4, 8) in parts
-        assert all(4 % p == 0 and 8 % q == 0 for p, q in parts)
-        with pytest.raises(ValueError):
-            list(power_of_two_partitions((6,)))
 
 
 class TestDatasetBuilder:
