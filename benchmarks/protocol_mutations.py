@@ -32,11 +32,13 @@ results file each (``results/MUTATION_<family>.json``):
 * ``folds``: each running fold of the observatory — the reuse trace's
   miss back-fill, its stop at an unresolved miss, the LRU stack carried
   across blocks and the working set's window index, the gauge roll's
-  segment weight and the counter horizon — broken where it folds.  It
-  runs :data:`FOLDS_SUITE`, whose oracles are the frozen reuse and
-  time-series references; a test file that was merged into another is
-  named in :data:`SUCCESSORS`, so a catch it recorded on the ``parent``
-  side is owed by its successor on the ``change`` side.
+  segment weight and the counter horizon — broken where it folds, and
+  which lifecycle kind increments which server counter.  It runs
+  :data:`FOLDS_SUITE`, whose oracles are the frozen reuse and time-series
+  references and a recount of the lifecycle channel.  A test file that
+  was merged into another is named in :data:`SUCCESSORS`, so a catch it
+  recorded on the ``parent`` side is owed by its successor on the
+  ``change`` side.
 
 Two columns per cell and side:
 
@@ -655,6 +657,16 @@ CELLS: Tuple[Cell, ...] = (
         "counts in windows past the horizon are dropped instead of joining its "
         "final window, so a counter's windows no longer sum to its total",
         (("+ [sum(counts[windows - 1 :])]\n", "+ [sum(counts[windows - 1 : windows])]\n"),),
+        family="folds",
+    ),
+    Cell(
+        "wiring/lifecycle-track/admit-as-submitted", "wiring", "server/observatory.py",
+        "ServeObservatory.__call__",
+        "an admission is counted under `server.submitted`, not `server.admitted`: "
+        "each track still rolls its increments right, but the wrong lifecycle "
+        "kind feeds it",
+        (('            series.inc("server.admitted")\n',
+          '            series.inc("server.submitted")\n'),),
         family="folds",
     ),
 )

@@ -51,7 +51,7 @@ OBSERVE = ObservabilityConfig(
         "interactive": SLOObjective(availability=0.9, latency_target=0.05),
         "batch": SLOObjective(availability=0.8),
     },
-    short_window=0.2, long_window=0.8, burn_threshold=2.0, min_events=4,
+    short_window=0.2, long_window=0.8,
 )
 
 

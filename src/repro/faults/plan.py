@@ -132,7 +132,7 @@ class FaultPlan:
         ``nic_degrade=<t>:<factor>[@node]``, ``max_attempts=<int>``,
         ``retry_base=<float>``.  The four single-value keys (``seed``,
         ``transient``, ``max_attempts``, ``retry_base``) may each be given
-        once; crash and degrade keys may repeat.
+        once and take no ``@node``; crash and degrade keys may repeat.
         """
         kw = dict(seed=0, transfer_failure_rate=0.0, max_attempts=8, retry_base=0.05)
         crashes, degradations = [], []
@@ -143,14 +143,20 @@ class FaultPlan:
             key, _, val = item.partition("=")
             key = key.strip()
             val = val.strip()
-            if key in ("seed", "transient", "max_attempts", "retry_base"):
+            single = key in ("seed", "transient", "max_attempts", "retry_base")
+            if single:
                 if key in seen:
                     raise ValueError(f"fault spec key {key!r} given twice")
                 seen.add(key)
             node = None
             if "@" in val:
+                if single:
+                    raise ValueError(f"fault spec key {key!r} takes no @node in {item!r}")
                 val, _, node_s = val.partition("@")
-                node = int(node_s)
+                try:
+                    node = int(node_s)
+                except ValueError:
+                    raise ValueError(f"bad node {node_s.strip()!r} in {item!r}") from None
             if key == "seed":
                 kw["seed"] = int(val)
             elif key == "transient":

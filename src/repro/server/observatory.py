@@ -50,16 +50,14 @@ class ObservabilityConfig:
     """Knobs for one serve's observability layer.
 
     ``slo`` maps tenant name → :class:`SLOObjective`; the burn-rate
-    alert parameters are shared across tenants (window lengths in
-    simulated seconds, threshold as a multiple of budget-neutral burn).
+    alert windows are shared across tenants (lengths in simulated
+    seconds; the threshold is :attr:`SLOTracker.THRESHOLD`).
     """
 
     window: float = 1.0
     slo: Mapping[str, SLOObjective] = field(default_factory=dict)
     short_window: float = 5.0
     long_window: float = 20.0
-    burn_threshold: float = 2.0
-    min_events: int = 4
     #: run the reuse analysis (miss-ratio curves, working set) and emit
     #: it under ``observability.reuse``; off, the access trace still folds
     #: the cache hit/miss tracks
@@ -90,8 +88,6 @@ class ServeObservatory:
             dict(config.slo),
             short_window=config.short_window,
             long_window=config.long_window,
-            threshold=config.burn_threshold,
-            min_events=config.min_events,
         )
         #: key-granular access recorder: the cache hit/miss tracks and,
         #: when config.reuse is on, the reuse analysis

@@ -144,14 +144,18 @@ class SLOTracker:
     instant.
     """
 
+    #: the burn rate both windows must reach, as a multiple of the
+    #: budget-neutral burn
+    THRESHOLD = 2.0
+    #: events the long window must hold before an alert can fire
+    MIN_EVENTS = 4
+
     def __init__(
         self,
         objectives: Mapping[str, SLOObjective],
         *,
         short_window: float = 5.0,
         long_window: float = 20.0,
-        threshold: float = 2.0,
-        min_events: int = 4,
     ) -> None:
         if short_window <= 0 or long_window <= 0:
             raise ValueError("burn windows must be positive")
@@ -159,14 +163,8 @@ class SLOTracker:
             raise ValueError(
                 f"short window {short_window} exceeds long window {long_window}"
             )
-        if threshold <= 0:
-            raise ValueError(f"burn threshold {threshold} must be positive")
-        if min_events < 1:
-            raise ValueError(f"min_events {min_events} must be >= 1")
         self.short_window = short_window
         self.long_window = long_window
-        self.threshold = threshold
-        self.min_events = min_events
         self._budgets = {
             tenant: _TenantBudget(objective)
             for tenant, objective in objectives.items()
@@ -197,9 +195,9 @@ class SLOTracker:
         short_burn, _ = budget.burn_rate(t, self.short_window)
         long_burn, long_count = budget.burn_rate(t, self.long_window)
         burning = (
-            long_count >= self.min_events
-            and short_burn >= self.threshold
-            and long_burn >= self.threshold
+            long_count >= self.MIN_EVENTS
+            and short_burn >= self.THRESHOLD
+            and long_burn >= self.THRESHOLD
         )
         out: List[Tuple[str, BurnAlert]] = []
         if burning and budget.active_alert is None:
@@ -208,7 +206,7 @@ class SLOTracker:
                 fired_at=t,
                 short_burn=short_burn,
                 long_burn=long_burn,
-                threshold=self.threshold,
+                threshold=self.THRESHOLD,
                 short_window=self.short_window,
                 long_window=self.long_window,
             )

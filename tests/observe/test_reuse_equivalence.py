@@ -27,8 +27,9 @@ from repro.observe.reuse import (
     working_set_windows,
 )
 from repro.server import ObservabilityConfig, QueryServer
-from repro.workloads import GridSpec, TenantSpec, build_oil_reservoir_dataset, generate_workload
+from repro.workloads import TenantSpec, generate_workload
 from tests.observe import reference_reuse as frozen
+from tests.server.test_chaos import make_dataset
 
 SCALE = int(os.environ.get("REPRO_REUSE_EXAMPLES", "1"))
 
@@ -199,16 +200,10 @@ class TestFold:
         Replay(nodes=(0, 1), window=1.0, capacity=64, tenants={0: "a"}).check(3.0)
 
 
-SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
-
-
 def observed_serve(seed, faults, slots, idle):
     """One observed serve with the frozen recorder on the same caches."""
-    dataset = build_oil_reservoir_dataset(
-        SPEC, num_storage=2, functional=True, seed=7, replication=2
-    )
     server = QueryServer(
-        dataset, num_compute=2, slots=slots, faults=faults,
+        make_dataset(replication=2), num_compute=2, slots=slots, faults=faults,
         observe=ObservabilityConfig(window=0.5),
     )
     ours = server.observatory.reuse

@@ -26,7 +26,9 @@ from repro.observe.reuse import AccessTraceRecorder
 from repro.server import ObservabilityConfig, QueryServer, ServeObservatory
 from repro.services.cache import CachingService, LRUPolicy
 from repro.telemetry.timeseries import TimeSeriesRecorder, window_edges
-from repro.workloads import GridSpec, TenantSpec, build_oil_reservoir_dataset, generate_workload
+from repro.workloads import TenantSpec, generate_workload
+
+from .test_chaos import make_dataset
 
 LEVELS = ("occupancy_bytes", "staged_bytes")
 #: every notification a cache still makes
@@ -34,7 +36,6 @@ VOCABULARY = {
     "hit", "miss", "insert", "reject", "drop", "invalidate_from",
     "prefetch_begin", "prefetch_cancel", "take_prefetched",
 }
-SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
 CRASH = "seed=3,storage_crash=1.0"
 
 
@@ -124,10 +125,9 @@ def watch_both(caches, clock):
 
 
 def serve(nodes, faults, observe, subscribe=lambda server: None):
-    dataset = build_oil_reservoir_dataset(
-        SPEC, num_storage=2, functional=True, seed=7, replication=2
+    server = QueryServer(
+        make_dataset(replication=2), num_compute=nodes, slots=2, faults=faults, observe=observe
     )
-    server = QueryServer(dataset, num_compute=nodes, slots=2, faults=faults, observe=observe)
     subscribe(server)
     tenants = [
         TenantSpec("a", 6.0, 8, (("scan", 1.0), ("join", 1.0), ("aggregate", 1.0))),
@@ -158,7 +158,7 @@ def test_observed_serve_gauges_equal_the_always_set_hook():
 def test_pipelined_join_gauges_equal_the_always_set_hook():
     """A pipelined Indexed Join stages prefetches: every ``prefetch_begin``
     and ``take_prefetched`` moves ``staged_bytes``; a completion does not."""
-    dataset = build_oil_reservoir_dataset(SPEC, num_storage=2, functional=True, seed=7)
+    dataset = make_dataset()
     cluster = paper_cluster(2, 2)
     caches = [CachingService(cluster.joiner(j).memory_bytes, LRUPolicy()) for j in range(2)]
     current, before = watch_both(caches, lambda: cluster.engine.now)

@@ -51,16 +51,7 @@ TENANTS = (
 )
 NUM_QUERIES = 11
 #: arrivals far faster than the slot can drain — forces a deep queue
-BURSTY = (
-    TenantSpec(
-        name="alice", rate=50.0, num_queries=6,
-        mix=(("scan", 2.0), ("join", 1.0), ("aggregate", 1.0)),
-    ),
-    TenantSpec(
-        name="bob", rate=50.0, num_queries=5, process="bursty",
-        mix=(("scan", 1.0), ("join", 1.0)),
-    ),
-)
+BURSTY = tuple(dataclasses.replace(t, rate=50.0) for t in TENANTS)
 
 
 def make_dataset(replication=1, functional=True, spec=SPEC):

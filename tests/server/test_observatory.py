@@ -17,24 +17,14 @@ from repro.server import (
     QueryServer,
     ResilienceConfig,
     SLOObjective,
+    SLOTracker,
 )
 from repro.telemetry.oplog import validate_oplog
 from repro.telemetry.validate import validate_observability, validate_report
 from repro.workloads import TenantSpec, generate_workload
-from repro.workloads.generator import GridSpec
-from repro.workloads.oilres import build_oil_reservoir_dataset
 
-SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
-TENANTS = (
-    TenantSpec(
-        name="alice", rate=6.0, num_queries=6,
-        mix=(("scan", 2.0), ("join", 1.0), ("aggregate", 1.0)),
-    ),
-    TenantSpec(
-        name="bob", rate=5.0, num_queries=5, process="bursty",
-        mix=(("scan", 1.0), ("join", 1.0)),
-    ),
-)
+from .test_chaos import arrivals, make_dataset
+
 #: a stream arriving far faster than one slot drains, with a latency
 #: objective tight enough that even completed queries burn the budget —
 #: the deterministic overload that must page
@@ -50,27 +40,19 @@ OVERLOAD_CONFIG = ObservabilityConfig(
         "hot": SLOObjective(availability=0.9, latency_target=0.0002),
         "calm": SLOObjective(availability=0.9),
     },
-    short_window=0.01, long_window=0.05, burn_threshold=2.0, min_events=4,
+    short_window=0.01, long_window=0.05,
 )
 
 
-def make_dataset(replication=1):
-    return build_oil_reservoir_dataset(
-        SPEC, num_storage=2, functional=True, seed=7,
-        replication=replication,
-    )
-
-
-def chaos_serve(observe):
+def chaos_serve(observe, tie_break="fifo"):
     """The sanitized chaos scenario: transient faults + graceful retry."""
-    stream = generate_workload(TENANTS, seed=42)
     server = QueryServer(
         make_dataset(replication=2), num_compute=2, slots=2, sanitize=True,
         faults="seed=9,transient=0.5,max_attempts=2",
         resilience=ResilienceConfig(on_unrecoverable="fail"),
-        observe=observe,
+        observe=observe, tie_break=tie_break,
     )
-    return server, server.serve(stream)
+    return server, server.serve(arrivals())
 
 
 def overload_serve():
@@ -170,8 +152,8 @@ class TestBurnRateAlerts:
         assert len(alerts) >= 1
         first = alerts[0]
         assert first["tenant"] == "hot"
-        assert first["short_burn"] >= OVERLOAD_CONFIG.burn_threshold
-        assert first["long_burn"] >= OVERLOAD_CONFIG.burn_threshold
+        assert first["short_burn"] >= SLOTracker.THRESHOLD
+        assert first["long_burn"] >= SLOTracker.THRESHOLD
         # the alert is mirrored into the ops log at the same instant
         fired = [
             r for r in server.observatory.oplog.records
@@ -230,9 +212,7 @@ class TestReportRoundTrip:
 
 class TestConfig:
     def test_observe_true_uses_defaults(self):
-        stream = generate_workload(TENANTS, seed=42)
-        server = QueryServer(make_dataset(), num_compute=2, observe=True)
-        report = server.serve(stream)
+        report = QueryServer(make_dataset(), num_compute=2, observe=True).serve(arrivals())
         assert report.observability is not None
         assert report.observability["timeseries"]["window_s"] == 1.0
         assert report.observability["slo"] == {}

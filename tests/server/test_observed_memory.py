@@ -12,7 +12,9 @@ import pytest
 from repro.observe import reuse
 from repro.server import ObservabilityConfig, QueryServer
 from repro.telemetry.timeseries import TimeSeriesRecorder
-from repro.workloads import GridSpec, TenantSpec, build_oil_reservoir_dataset, generate_workload
+from repro.workloads import TenantSpec, generate_workload
+
+from .test_chaos import make_dataset
 
 BLOCK = 64
 TRACED = ("hit", "miss", "insert", "drop")
@@ -54,11 +56,9 @@ def observed_serve(queries, monkeypatch):
 
     monkeypatch.setattr(reuse, "_BLOCK", BLOCK)
     monkeypatch.setattr(TimeSeriesRecorder, "inc", counting_inc)
-    dataset = build_oil_reservoir_dataset(
-        GridSpec(g=(16, 16), p=(4, 4), q=(2, 2)), num_storage=2, functional=True, seed=7,
-        replication=2,
+    server = QueryServer(
+        make_dataset(replication=2), num_compute=2, slots=2, observe=ObservabilityConfig(window=0.5)
     )
-    server = QueryServer(dataset, num_compute=2, slots=2, observe=ObservabilityConfig(window=0.5))
     probe = TraceProbe(server.observatory.reuse)
     for node, cache in enumerate(server.caches):
         cache.subscribe(probe.on(node))

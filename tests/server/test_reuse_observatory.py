@@ -15,63 +15,24 @@ Three contracts, on the same sanitized chaos harness as
 
 import json
 
-from repro.server import (
-    ObservabilityConfig,
-    QueryServer,
-    ResilienceConfig,
-    SLOObjective,
-)
+from repro.server import ObservabilityConfig, QueryServer, SLOObjective
 from repro.telemetry.validate import validate_observability
-from repro.workloads import TenantSpec, generate_workload
-from repro.workloads.generator import GridSpec
-from repro.workloads.oilres import build_oil_reservoir_dataset
 
-SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
-TENANTS = (
-    TenantSpec(
-        name="alice", rate=6.0, num_queries=6,
-        mix=(("scan", 2.0), ("join", 1.0), ("aggregate", 1.0)),
-    ),
-    TenantSpec(
-        name="bob", rate=5.0, num_queries=5, process="bursty",
-        mix=(("scan", 1.0), ("join", 1.0)),
-    ),
-)
-OBSERVED = ObservabilityConfig(
-    window=0.5, slo={"alice": SLOObjective(availability=0.9)}
-)
+from .test_chaos import arrivals, make_dataset
+from .test_observatory import OBSERVED, chaos_serve
+
 NO_REUSE = ObservabilityConfig(
     window=0.5, slo={"alice": SLOObjective(availability=0.9)}, reuse=False
 )
 
 
-def make_dataset(replication=1):
-    return build_oil_reservoir_dataset(
-        SPEC, num_storage=2, functional=True, seed=7,
-        replication=replication,
-    )
-
-
-def chaos_serve(observe, tie_break="fifo"):
-    """The sanitized chaos scenario from the observatory suite."""
-    stream = generate_workload(TENANTS, seed=42)
-    server = QueryServer(
-        make_dataset(replication=2), num_compute=2, slots=2, sanitize=True,
-        faults="seed=9,transient=0.5,max_attempts=2",
-        resilience=ResilienceConfig(on_unrecoverable="fail"),
-        observe=observe, tie_break=tie_break,
-    )
-    return server, server.serve(stream)
-
-
 def clean_serve(observe=OBSERVED, **kwargs):
     """Fault-free serve — the regime where the MRC is provably exact."""
-    stream = generate_workload(TENANTS, seed=42)
     server = QueryServer(
         make_dataset(replication=2), num_compute=2, slots=kwargs.pop("slots", 2),
         observe=observe, **kwargs,
     )
-    return server, server.serve(stream)
+    return server, server.serve(arrivals())
 
 
 class TestByteIdentity:

@@ -20,12 +20,9 @@ import pytest
 from repro.cluster.nodes import MachineSpec
 from repro.server import QueryServer, run_serial_baseline
 from repro.workloads import QueryArrival, TenantSpec, generate_workload
-from repro.workloads.generator import GridSpec
-from repro.workloads.oilres import build_oil_reservoir_dataset
 
-from .test_chaos import force_grace_hash
+from .test_chaos import force_grace_hash, make_dataset
 
-SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
 TENANTS = (
     TenantSpec(
         name="alice", rate=2.0, num_queries=6,
@@ -40,18 +37,12 @@ SEED = 42
 NUM_QUERIES = 11
 
 
-def make_dataset(functional=True):
-    return build_oil_reservoir_dataset(
-        SPEC, num_storage=2, functional=functional, seed=7
-    )
-
-
 def arrivals():
     return generate_workload(TENANTS, seed=SEED)
 
 
 def serve(dataset=None, functional=True, **kwargs):
-    ds = dataset if dataset is not None else make_dataset(functional)
+    ds = dataset if dataset is not None else make_dataset(functional=functional)
     kwargs.setdefault("policy", "fifo")
     kwargs.setdefault("slots", 2)
     return QueryServer(ds, num_compute=2, **kwargs).serve(arrivals())

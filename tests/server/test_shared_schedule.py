@@ -11,7 +11,6 @@ reads ahead in its list) — and compare the lists element for element.
 """
 
 from repro.cluster import paper_cluster
-from repro.cluster.nodes import MachineSpec
 from repro.cli import main
 from repro.core import JoinView, QueryPlanningService
 from repro.core.rng import uniform
@@ -19,12 +18,8 @@ from repro.joins import IndexedJoinQES, reference_join
 from repro.joins.scheduler import PairSchedule, schedule_two_stage
 from repro.server import COMPLETED, QueryServer
 from repro.workloads.arrivals import QueryArrival
-from repro.workloads.generator import GridSpec
-from repro.workloads.oilres import build_oil_reservoir_dataset
 
-SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
-#: slow fabric, so joins overlap and the crash lands mid-join
-SLOW = MachineSpec(disk_read_bw=1e5, link_bw=5e4)
+from .test_chaos import SLOW, SPEC, make_dataset
 
 
 def snapshot(schedule):
@@ -46,9 +41,7 @@ def test_dead_joiner_reassignment_leaves_the_shared_schedule_alone(monkeypatch):
         QueryArrival(qid=i, tenant="a", kind="join", at=0.01 * i, seed=s)
         for i, s in enumerate(seeds)
     ]
-    dataset = build_oil_reservoir_dataset(
-        SPEC, num_storage=2, functional=True, seed=7, replication=2
-    )
+    dataset = make_dataset(replication=2)
     server = QueryServer(
         dataset, num_compute=3, machine=SLOW, slots=2, sanitize=True,
         faults="compute_crash=0.05@1",
@@ -82,7 +75,7 @@ def test_dead_joiner_reassignment_leaves_the_shared_schedule_alone(monkeypatch):
 
 
 def test_pipelined_executions_share_one_schedule():
-    dataset = build_oil_reservoir_dataset(SPEC, num_storage=2, functional=True, seed=7)
+    dataset = make_dataset()
     view = JoinView("v", dataset.left, dataset.right, on=dataset.join_attrs)
     planner = QueryPlanningService(dataset.metadata, num_storage=2, num_compute=3)
 

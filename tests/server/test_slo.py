@@ -39,10 +39,7 @@ class TestSLOObjective:
 
 
 def _tracker(**kwargs):
-    params = {
-        "short_window": 2.0, "long_window": 8.0,
-        "threshold": 2.0, "min_events": 4,
-    }
+    params = {"short_window": 2.0, "long_window": 8.0}
     params.update(kwargs)
     return SLOTracker(
         {"a": SLOObjective(availability=0.9)}, **params
@@ -71,7 +68,7 @@ class TestSLOTracker:
         assert kind == "alert"
         assert isinstance(alert, BurnAlert)
         assert alert.fired_at == 1.8
-        assert alert.short_burn >= tracker.threshold
+        assert alert.short_burn >= SLOTracker.THRESHOLD
         assert alert.cleared_at is None
 
     def test_alert_is_edge_triggered_and_clears(self):
@@ -93,7 +90,7 @@ class TestSLOTracker:
     def test_short_window_spike_alone_does_not_page(self):
         # long window full of good events, then one tight burst of bad:
         # the short window burns but the long window stays below threshold
-        tracker = _tracker(min_events=2)
+        tracker = _tracker()
         for i in range(30):
             tracker.record(i * 0.25, "a", COMPLETED, 0.1)
         events = tracker.record(7.6, "a", SHED)
@@ -125,7 +122,3 @@ class TestSLOTracker:
             _tracker(short_window=0.0)
         with pytest.raises(ValueError):
             _tracker(short_window=9.0)  # exceeds long window
-        with pytest.raises(ValueError):
-            _tracker(threshold=0.0)
-        with pytest.raises(ValueError):
-            _tracker(min_events=0)

@@ -167,6 +167,23 @@ class TestRun:
         assert out == "" and err.count("error:") == 1
         assert err.startswith("error: retry_base must be finite and >= 0, got nan")
 
+    @pytest.mark.parametrize("item, named", [
+        ("seed=7@2", "fault spec key 'seed' takes no @node in 'seed=7@2'"),
+        ("transient=0.1@3", "fault spec key 'transient' takes no @node"),
+        ("max_attempts=3@1", "fault spec key 'max_attempts' takes no @node"),
+        ("retry_base=0.1@0", "fault spec key 'retry_base' takes no @node"),
+        ("storage_crash=1@x", "bad node 'x' in 'storage_crash=1@x'"),
+    ], ids=["seed", "transient", "max-attempts", "retry-base", "crash-node"])
+    def test_a_misread_fault_item_is_refused(self, capsys, item, named):
+        """An ``@node`` on a single-value key was once dropped and the
+        serve exited 0; a non-integer node printed only int()'s message."""
+        argv = ["serve", "--grid", "16,16", "--p", "4,4", "--q", "2,2", "--storage", "2",
+                "--compute", "2", "--faults", item]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1
+        assert err.startswith(f"error: {named}")
+
     def test_run_reports_both_algorithms(self, capsys):
         assert main(["run", "--grid", "32,32,32", "--p", "8,8,8",
                      "--q", "8,8,8", "--storage", "2", "--compute", "2"]) == 0
