@@ -91,6 +91,21 @@ class SubTable:
         self._bbox = bbox
 
     @classmethod
+    def _unchecked(
+        cls, id: SubTableId, schema: Schema, columns: Dict[str, np.ndarray]
+    ) -> "SubTable":
+        """A sub-table over ``columns`` as they are, without the
+        constructor's normalisation: for the join path's own tables, whose
+        columns are gathers, slices, repeats and concatenations of
+        sub-tables' columns — one-dimensional, C-contiguous, of the
+        schema's dtypes, equally long and keyed in schema order, which
+        is all the constructor would make sure of."""
+        table = cls.__new__(cls)
+        table.id, table.schema, table._columns, table._bbox = id, schema, columns, None
+        table.num_records = len(next(iter(columns.values())))
+        return table
+
+    @classmethod
     def empty(cls, id: SubTableId, schema: Schema) -> "SubTable":
         """No records: every column of ``schema``, empty, in its dtype."""
         return cls(id, schema, {a.name: np.empty(0, dtype=a.np_dtype) for a in schema})

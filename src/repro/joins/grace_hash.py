@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.cluster import ClusterSim
-from repro.cluster.events import Interrupt
+from repro.cluster.events import Event, Interrupt
 from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.chunk import ChunkDescriptor
 from repro.datamodel.keys import id_order
@@ -160,8 +160,11 @@ class GraceHashQES(QES):
             if self.results is not None
             else None
         )
-        #: the fire-and-forget bucket writes the partition barrier waits on
-        self.pending_writes: list = []
+        #: per joiner, the last fire-and-forget bucket write posted to it —
+        #: what the partition barrier waits on.  One joiner's writes queue
+        #: on the same devices and each takes time, so each ends strictly
+        #: after the one posted before it: the last one ends last
+        self.pending_writes: Dict[int, Event] = {}
         #: chunk ids whose bucket contributions are fully recorded; a chunk
         #: interrupted mid-stream never commits and is redone from a replica
         self.committed: set = set()
@@ -220,7 +223,7 @@ class GraceHashQES(QES):
                 )
                 for node, descs in sorted(groups.items())
             ])
-        yield cluster.engine.all_of(self.pending_writes)
+        yield cluster.engine.all_of(self.pending_writes.values())
         if tel is not None:
             tel.recorder.finish(self.pspan)
         report.extras["partition_phase_time"] = cluster.engine.now
@@ -451,7 +454,7 @@ class GraceHashQES(QES):
                 )
                 tel.recorder.link(wspan, tspan)
                 tel.span_until(write_ev, wspan)
-            self.pending_writes.append(write_ev)
+            self.pending_writes[j] = write_ev
             report.bytes_from_storage += nbytes
             report.bytes_scratch_written += nbytes
             if tel is not None:

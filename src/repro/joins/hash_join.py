@@ -85,7 +85,7 @@ def _assemble(
             continue
         columns[next(names_iter)] = right.column(attr.name)[right_idx]
     rid = result_id if result_id is not None else SubTableId(-1, 0)
-    return SubTable(rid, schema, columns)
+    return SubTable._unchecked(rid, schema, columns)
 
 
 def _check_join(left: SubTable, right: SubTable, on: Sequence[str]) -> None:

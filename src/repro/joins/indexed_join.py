@@ -42,6 +42,7 @@ costs.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -148,10 +149,13 @@ class IndexedJoinQES(QES):
         return {"pipeline": self.pipeline}
 
     def _start(self) -> None:
+        """Set up the record lists and the caches (and, traced, record the
+        ``schedule`` span).  A functional run's joiners join nothing: each
+        appends its pairs to its compute node's list, and ``_fill`` joins
+        the lists together, one kernel call per run of :func:`_batches`."""
         cluster = self.cluster
         #: functional runs: per compute node, the ``(left entry, right
-        #: entry)`` of every pair probed there, in emission order —
-        #: joined set-at-a-time by ``_fill`` (see :func:`_join_probed`)
+        #: entry)`` of every pair probed there, in emission order
         self.probed: List[Optional[list]] = [
             [] if self.results is not None else None
             for _ in range(cluster.num_compute)
@@ -252,9 +256,11 @@ class IndexedJoinQES(QES):
     def _fill(self) -> None:
         report = self.report
         if self.results is not None:
-            for j, records in enumerate(self.probed):
-                self.results[j], matches = _join_probed(records, self.on)
+            j = 0
+            for batch in _batches(self.probed):
+                self.results[j : j + len(batch)], matches = _join_probed(batch, self.on)
                 report.kernel.matches += matches
+                j += len(batch)
         report.pairs_joined = self.schedule.total_pairs
         report.extras["num_edges"] = float(self.index.num_edges)
         report.extras["num_components"] = float(self.index.num_components)
@@ -558,50 +564,123 @@ class IndexedJoinQES(QES):
                 del inflight[sid]
 
 
-def _join_probed(records, on: Sequence[str]) -> Tuple[List[SubTable], int]:
-    """Join every recorded ``(left, right)`` pair with one kernel call;
-    returns the kernel's output whole — one sub-table, none when nothing
-    matched — and the match count.
+#: the probe-side records one kernel call takes at most, unless one node
+#: alone has more.  A serve's executions fit in one call (1,024 records
+#: at most at seed 7); ``view_query``'s four 16,384-record nodes do not:
+#: in one call its arrays, four times larger, each crossed glibc's
+#: 128 KiB mmap threshold and were faulted in afresh — 16.3 ms against
+#: 7.3 ms for four calls (DESIGN.md §3.2)
+_BATCH_RECORDS = 1 << 13
+
+
+def _batches(probed: Sequence[list]):
+    """``probed`` cut into runs of consecutive compute nodes, one kernel
+    call each: a run takes nodes while its probe side stays within
+    :data:`_BATCH_RECORDS` records, and a node over it runs alone."""
+    batch, size = [], 0
+    for records in probed:
+        n = sum(right.num_records for _, right in records)
+        if batch and size + n > _BATCH_RECORDS:
+            yield batch
+            batch, size = [], 0
+        batch.append(records)
+        size += n
+    if batch:
+        yield batch
+
+
+def _join_probed(
+    probed: Sequence[list], on: Sequence[str]
+) -> Tuple[List[List[SubTable]], int]:
+    """Join the recorded ``(left, right)`` pairs of every compute node of
+    ``probed`` (a run of :func:`_batches`: all of an execution's nodes
+    but in a very large one) with one kernel call; returns each node's
+    answer — one sub-table, none when nothing of its matched — and the
+    match count.
 
     Section 4.1 builds a left sub-table's hash table once and probes it
     with every right sub-table of its component.  The simulated clock
     has charged exactly that, pair by pair; this is the host doing the
-    same: each *distinct* left sub-table (by identity — a re-fetched
-    copy is a new build) enters the build side once, tagged with its
-    number, every pair's right sub-table enters the probe side tagged
-    with its left's number, and the kernel joins on ``(tag, *on)``.
-    Its output is in right-row order, hence already in pair order with
-    each pair's rows in the order a join of that pair alone would give:
-    it is the concatenation of the per-pair joins and is never cut.
+    same, set-at-a-time over the whole execution: each *distinct* left
+    sub-table (by identity — a re-fetched copy is a new build) enters the
+    build side once, tagged with its number; every pair's right sub-table
+    enters the probe side, node after node, tagged with its left's number
+    and with its node; and the kernel joins on ``(tag, *on)``.  Its
+    output is in right-row order, so its node column is sorted and one
+    ``searchsorted`` cuts it into the nodes' answers, each in pair order
+    with each pair's rows in the order a join of that pair alone would
+    give: a node's answer is the concatenation of its per-pair joins.
     """
-    if not records:
-        return [], 0
-    lefts = list({id(left): left for left, _ in records}.values())
+    results: List[List[SubTable]] = [[] for _ in probed]
+    pairs = [pair for records in probed for pair in records]
+    if not pairs:
+        return results, 0
+    lefts = list({id(left): left for left, _ in pairs}.values())
     tag_of = {id(left): t for t, left in enumerate(lefts)}
-    rights = [right for _, right in records]
-    pair_schema = lefts[0].schema.join(rights[0].schema, on=on)
-    # a column name no attribute of either side or of the output has
-    taken = {*pair_schema.names, *rights[0].schema.names}
-    tag = "left_tag"
-    while tag in taken:
-        tag += "_"
-    tag_attr = Attribute(tag, "int64")
-
-    def tagged(parts: List[SubTable], marks: Sequence[int]) -> SubTable:
-        """``parts`` (one table's sub-tables, so one schema) concatenated
-        column by column, behind an int64 ``tag`` column that repeats
-        ``marks[i]`` over the rows of part ``i``."""
-        schema = parts[0].schema
-        columns = {tag: np.repeat(marks, [part.num_records for part in parts])}
-        per_column = zip(*[part.columns() for part in parts])
-        columns.update(zip(schema.names, map(np.concatenate, per_column)))
-        return SubTable(parts[0].id, Schema([tag_attr, *schema]), columns)
+    rights = [right for _, right in pairs]
+    tag, node, left_schema, right_schema, pair_schema = _batch_schemas(
+        lefts[0].schema, rights[0].schema, tuple(on)
+    )
+    # each side column by column, straight from the parts' arrays (a
+    # side's parts come from one table, so they share its column order)
+    left_columns = {
+        tag: np.repeat(
+            np.arange(len(lefts)),
+            np.fromiter([left.num_records for left in lefts], np.intp, len(lefts)),
+        )
+    }
+    per_column = zip(*[left._columns.values() for left in lefts])
+    left_columns.update(zip(left_schema.names[1:], map(np.concatenate, per_column)))
+    # counts as arrays: ``np.repeat`` converts a list argument slowly
+    sizes = np.fromiter([right.num_records for right in rights], np.intp, len(rights))
+    right_columns = {
+        tag: np.repeat(
+            np.fromiter([tag_of[id(left)] for left, _ in pairs], np.int64, len(pairs)), sizes
+        ),
+        node: np.repeat(np.repeat(np.arange(len(probed)), list(map(len, probed))), sizes),
+    }
+    per_column = zip(*[right._columns.values() for right in rights])
+    right_columns.update(zip(right_schema.names[2:], map(np.concatenate, per_column)))
 
     out, stats = vectorized_hash_join(
-        tagged(lefts, range(len(lefts))),
-        tagged(rights, [tag_of[id(left)] for left, _ in records]),
+        SubTable._unchecked(lefts[0].id, left_schema, left_columns),
+        SubTable._unchecked(rights[0].id, right_schema, right_columns),
         (tag, *on),
     )
     if not stats.matches:
-        return [], 0
-    return [out.project(pair_schema.names)], stats.matches
+        return results, 0
+    columns = out.columns(pair_schema.names)
+    bounds = np.searchsorted(out.column(node), np.arange(len(probed) + 1)).tolist()
+    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if a < b:
+            results[j].append(SubTable._unchecked(
+                out.id, pair_schema,
+                {n: c[a:b] for n, c in zip(pair_schema.names, columns)},
+            ))
+    return results, stats.matches
+
+
+@functools.lru_cache(maxsize=16)
+def _batch_schemas(
+    left: Schema, right: Schema, on: Tuple[str, ...]
+) -> Tuple[str, str, Schema, Schema, Schema]:
+    """What :func:`_join_probed` joins pairs of ``left`` and ``right``
+    sub-tables with: the tag and node column names (two names no
+    attribute of either side or of the output has), the tagged build
+    side's schema (tag first), the tagged probe side's (tag, node
+    first) and the schema of a node's answer.  Schemas are immutable,
+    and an execution's pairs all have the same two."""
+    pair_schema = left.join(right, on=on)
+    taken = {*pair_schema.names, *right.names}
+    tag = "left_tag"
+    while tag in taken:
+        tag += "_"
+    node = tag + "_node"
+    while node in taken:
+        node += "_"
+    tag_attr, node_attr = Attribute(tag, "int64"), Attribute(node, "int64")
+    return (
+        tag, node,
+        Schema([tag_attr, *left]), Schema([tag_attr, node_attr, *right]),
+        pair_schema,
+    )

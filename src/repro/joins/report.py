@@ -131,9 +131,10 @@ class ExecutionReport:
     #: Number of sub-table pairs / bucket pairs joined.
     pairs_joined: int = 0
     #: Result tuples per compute node (functional runs only).  Invariant:
-    #: one sub-table per kernel call, never a slice of one — ``[]`` or
-    #: one table per node for the Indexed Join, one table per non-empty
-    #: bucket for Grace Hash; an answer is their concatenation in order.
+    #: never a per-pair part — ``[]`` or one table per node for the
+    #: Indexed Join (its slice of the execution's one kernel output),
+    #: one table per non-empty bucket for Grace Hash; an answer is their
+    #: concatenation in order.
     results: Optional[List[List[SubTable]]] = None
     #: Free-form extras (algorithm-specific numbers worth surfacing).
     extras: Dict[str, float] = field(default_factory=dict)

@@ -1,12 +1,14 @@
 """The set-at-a-time functional join of the Indexed Join QES.
 
-The QES records the pairs it probes and joins them with one kernel call
-per compute node when the execution's results are first needed.  These
-tests pin what that must not change: a node's one output table equal to
-the concatenation of each pair joined alone, never more than one part
-per node, nothing lost or duplicated when a joiner dies, nothing
-joined for a query that never finishes, and every result record still
-flowing through ``repro.joins.hash_join.vectorized_hash_join`` — the name
+The QES records the pairs each compute node probes and joins every
+node's pairs with one kernel call per execution when its results are
+first needed, cutting the kernel's output back into the nodes' answers.
+These tests pin what that must not change: each node's one output table
+equal to the concatenation of each of its pairs joined alone, never
+more than one part per node, nothing lost or duplicated when a joiner
+dies, nothing joined for a query that never finishes, and every result
+record still flowing through
+``repro.joins.hash_join.vectorized_hash_join`` — the name
 ``bench/trace.py`` counts records by.
 """
 
@@ -24,7 +26,7 @@ from repro.datamodel import Attribute, Schema, SubTable, SubTableId
 from repro.datamodel.subtable import concat_subtables
 from repro.faults import FaultPlan, NodeCrash
 from repro.joins import GraceHashQES, IndexedJoinQES, reference_join
-from repro.joins import hash_join
+from repro.joins import hash_join, indexed_join
 from repro.joins.indexed_join import _join_probed
 from repro.server import COMPLETED, DEADLINE_EXCEEDED, QueryServer
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
@@ -113,32 +115,83 @@ def pair_records(draw):
     return picks
 
 
-@settings(max_examples=BUDGET * 3 // 2, deadline=None)
-@given(records=pair_records(), on=st.sampled_from([("x",), ("x", "y"), ("y", "x")]))
-def test_batched_join_equals_per_pair_join(records, on):
-    """The one returned table is the concatenation, in record order, of
-    each pair joined alone: schema, dtypes, bytes and row order."""
+def joined_alone(records, on):
+    """Each pair joined by its own kernel call: the concatenated output
+    (``None`` when nothing matched) and the match count."""
     alone, matches = [], 0
     for left, right in records:
         out, stats = hash_join.vectorized_hash_join(left, right, on)
         matches += stats.matches
         alone.append(out)
+    return (concat_subtables(alone) if matches else None), matches
+
+
+def assert_same_bytes(got, expected):
+    """Schema, dtypes, bytes and row order."""
+    assert got.schema == expected.schema
+    for name in expected.schema.names:
+        assert got.column(name).dtype == expected.column(name).dtype
+        assert got.column(name).tobytes() == expected.column(name).tobytes()
+
+
+@settings(max_examples=BUDGET * 3 // 2, deadline=None)
+@given(records=pair_records(), on=st.sampled_from([("x",), ("x", "y"), ("y", "x")]))
+def test_batched_join_equals_per_pair_join(records, on):
+    """The one returned table is the concatenation, in record order, of
+    each pair joined alone: schema, dtypes, bytes and row order."""
+    expected, matches = joined_alone(records, on)
 
     with counted_kernel() as seen:
-        got, got_matches = _join_probed(records, on)
+        (got,), got_matches = _join_probed([records], on)
 
     assert seen["calls"] == (1 if records else 0)
     assert got_matches == matches
-    # the kernel's output whole, never a slice of it: one part, or none
+    # one part, or none
     assert len(got) == (1 if matches else 0)
-    if not matches:
-        return
-    (whole,) = got
-    expected = concat_subtables(alone)
-    assert whole.schema == expected.schema
-    for name in expected.schema.names:
-        assert whole.column(name).dtype == expected.column(name).dtype
-        assert whole.column(name).tobytes() == expected.column(name).tobytes()
+    if matches:
+        assert_same_bytes(got[0], expected)
+
+
+@st.composite
+def node_records(draw):
+    """Every compute node's record list of one execution, drawn from one
+    pool of sub-tables — so a left object is shared by two nodes — with
+    a node that probed nothing and a node whose pairs match nothing, at
+    drawn places."""
+    lefts = [draw(sub_table(LEFT_SCHEMA, 1, i)) for i in range(draw(st.integers(1, 3)))]
+    rights = [draw(sub_table(RIGHT_SCHEMA, 2, i)) for i in range(draw(st.integers(1, 3)))]
+    pair = st.tuples(st.sampled_from(lefts), st.sampled_from(rights))
+    nodes = draw(st.lists(st.lists(pair, min_size=1, max_size=5), min_size=1, max_size=3))
+    nodes.append([(nodes[0][0][0], draw(st.sampled_from(rights)))])
+    # every join key holds ``x``, and no left holds an ``x`` of 9
+    n = draw(st.integers(1, 4))
+    stray = SubTable(
+        SubTableId(2, 99), RIGHT_SCHEMA,
+        {"x": np.full(n, 9), "y": np.zeros(n), "v": np.zeros(n), "left_tag": np.zeros(n)},
+    )
+    for records in ([(draw(st.sampled_from(lefts)), stray)], []):
+        nodes.insert(draw(st.integers(0, len(nodes))), records)
+    return nodes
+
+
+@settings(max_examples=BUDGET, deadline=None)
+@given(probed=node_records(), on=st.sampled_from([("x",), ("x", "y"), ("y", "x")]))
+def test_one_call_equals_each_node_joined_alone(probed, on):
+    """One kernel call for all the nodes; each node's answer is byte for
+    byte what joining its own pairs alone gives, and a node none of
+    whose pairs matched (or that probed none) has no part."""
+    with counted_kernel() as seen:
+        got, matches = _join_probed(probed, on)
+    assert seen["calls"] == 1
+    assert len(got) == len(probed)
+    total = 0
+    for records, parts in zip(probed, got):
+        expected, node_matches = joined_alone(records, on)
+        total += node_matches
+        assert len(parts) == (1 if node_matches else 0)
+        if node_matches:
+            assert_same_bytes(parts[0], expected)
+    assert matches == total
 
 
 def test_each_distinct_left_enters_the_kernel_once():
@@ -152,7 +205,7 @@ def test_each_distinct_left_enters_the_kernel_once():
          "left_tag": np.zeros(4)},
     )
     with counted_kernel() as seen:
-        got, matches = _join_probed([(left, right)] * 5, ("x", "y"))
+        (got,), matches = _join_probed([[(left, right)] * 5], ("x", "y"))
     assert matches == 20 and [sub.num_records for sub in got] == [20]
     assert seen["records_in"] == 4 + 5 * 4  # one left, five rights
     assert seen["records_out"] == 20
@@ -187,7 +240,7 @@ def test_compute_crash_loses_and_duplicates_no_pair(pipeline):
     rep = run_ij(ds, faults=plan, pipeline=pipeline)
     assert rep.recovery.reassigned_pairs > 0
     assert rep.pairs_joined == baseline.pairs_joined
-    # one kernel call per node, its output never cut: at most one part each
+    # one kernel call, cut back per node: at most one part each
     assert all(len(per) <= 1 for per in rep.results)
     # the dead joiner keeps what it finished; survivors hold their own
     # pairs and the reassigned ones
@@ -198,6 +251,26 @@ def test_compute_crash_loses_and_duplicates_no_pair(pipeline):
     got = concat_subtables(outputs, id=oracle.id)
     assert got.equals_unordered(oracle)  # multiset equality: no loss, no duplicate
     assert rep.kernel.matches == rep.result_tuples == oracle.num_records
+
+
+def test_a_large_execution_is_joined_node_by_node(monkeypatch):
+    """Past ``_BATCH_RECORDS`` probe records a node's pairs are a kernel
+    call of their own; no node's answer moves."""
+    ds = build_oil_reservoir_dataset(SPEC, num_storage=2, functional=True)
+
+    def run():
+        with counted_kernel() as seen:
+            rep = run_ij(ds)
+        return rep.results, seen["calls"]
+
+    whole, calls = run()
+    assert calls == 1
+    monkeypatch.setattr(indexed_join, "_BATCH_RECORDS", 1)
+    split, calls = run()
+    assert calls == sum(1 for parts in split if parts) == 3
+    for got, expected in zip(split, whole):
+        assert len(got) == len(expected) == 1
+        assert_same_bytes(got[0], expected[0])
 
 
 # -- (c) an aborted query joins nothing -------------------------------------------
@@ -240,4 +313,4 @@ def test_kernel_boundary_sees_every_result_record(qes):
     assert rep.result_tuples == ds.spec.T > 0
     assert seen["records_out"] == rep.result_tuples == rep.kernel.matches
     if qes is IndexedJoinQES:
-        assert seen["calls"] <= cluster.num_compute
+        assert seen["calls"] == 1  # one set-at-a-time join per execution

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repro.cluster import MachineSpec, paper_cluster
+from repro.cluster import MachineSpec, nfs_cluster, paper_cluster
 from repro.datamodel import Schema, SubTable, SubTableId
 from repro.joins import GraceHashQES, reference_join
 from repro.joins.grace_hash import hash_records
@@ -203,3 +203,55 @@ class TestBucketSelection:
         ds = build_oil_reservoir_dataset(spec, num_storage=1, functional=False)
         with pytest.raises(ValueError):
             reference_join(ds.metadata, ds.provider, "T1", "T2", ds.join_attrs)
+
+
+class IngestWrites:
+    """Engine subscriber: the latest end of a reservation a bucket write
+    makes — a streamer's reservation of a scratch disk, or any reservation
+    an NFS write's process makes (its disk reservation ends last)."""
+
+    def __init__(self, engine):
+        self.engine, self.last_end = engine, 0.0
+        engine.subscribe(self)
+
+    def __call__(self, kind, *fields):
+        if kind != "reserve":
+            return
+        name, _now, _start, end, _nbytes = fields
+        proc = self.engine.current_process.name
+        if proc.startswith("nfs_write") or (
+            proc.startswith("gh-storage") and name.endswith(".scratch")
+        ):
+            self.last_end = max(self.last_end, end)
+
+
+class TestPartitionBarrier:
+    """The barrier waits on each joiner's last bucket write only; it
+    still closes the partition phase when the last write of all ends."""
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "reversed"])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(nfs=False),
+            dict(nfs=True),
+            dict(nfs=False, replication=2,
+                 faults="seed=7,transient=0.2,storage_crash=0.05"),
+        ],
+        ids=["local", "nfs", "faulted"],
+    )
+    def test_partition_ends_with_the_last_bucket_write(self, shape, tie_break):
+        spec = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
+        nfs = shape["nfs"]
+        ds = build_oil_reservoir_dataset(
+            spec, num_storage=1 if nfs else 2, functional=False,
+            replication=shape.get("replication", 1),
+        )
+        kwargs = dict(faults=shape.get("faults"), tie_break=tie_break)
+        cluster = nfs_cluster(3, **kwargs) if nfs else paper_cluster(2, 3, **kwargs)
+        writes = IngestWrites(cluster.engine)
+        report = GraceHashQES(
+            cluster, ds.metadata, "T1", "T2", ds.join_attrs, ds.provider
+        ).run()
+        assert writes.last_end > 0
+        assert report.extras["partition_phase_time"] == writes.last_end
