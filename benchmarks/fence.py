@@ -44,13 +44,14 @@ trees.  Slices:
     bytes, ``kernel.*``, per-node cache stats, recovery.  CI diffs it
     against ``benchmarks/baselines/FENCE_qes.json``.
 ``sql``
-    13 cells, ~10 s: the answer bytes of the query layer, through the
+    15 cells, ~10 s: the answer bytes of the query layer, through the
     public ``QueryExecutor`` and registered derived data sources over a
     file-backed 16³ functional dataset.  One cell per SQL text
     (:data:`SQL_CELLS`): the host benchmark's five ``view_query``
     templates, its view query under each QES, GROUP BY on several keys,
     under a WHERE that selects nothing and over a view, ``COUNT(*)``
-    alone, and an ``AggregationView``.  A cell prints the answer's schema
+    alone, an ``AggregationView``, an ``OR`` and a view query whose box
+    selects nothing.  A cell prints the answer's schema
     and the SHA-256 of its names, dtypes and column bytes, row order
     included.
     Answers only: error texts are unit-tested.  CI diffs it against
@@ -226,6 +227,8 @@ SQL_CELLS = {
     "view-groupby": ("SELECT y, z, AVG(wp), MAX(oilp) FROM V1 GROUP BY y, z", "indexed-join"),
     "view-agg-gh": ("SELECT SUM(wp), COUNT(*) FROM V1 WHERE z IN [4, 9]", "grace-hash"),
     "aggview-central": ("SELECT * FROM A1c", "indexed-join"),
+    "or": ("SELECT * FROM T1 WHERE x < 2 OR y > 13", "auto"),
+    "view-empty": ("SELECT * FROM V1 WHERE x > 1000", "indexed-join"),
 }
 
 #: the CI slice: one cell per mechanism the fence exists to watch

@@ -26,8 +26,9 @@ results file each (``results/MUTATION_<family>.json``):
   the kernel's direct-address table, the counted GROUP BY and its
   exact-sum and ``-0.0`` rules, a scan counting a chunk inside its
   box whole, the SELECT's whole-answer sink, Grace Hash's ``-0.0`` key
-  normalisation and a view query's box pushdown — broken where it
-  decides, so that a wrong answer or a wrong path shows.  It runs its
+  normalisation, a view query's box pushdown and a serve's join
+  buffer, whose answers land after the query completed — broken where
+  it decides, so that a wrong answer or a wrong path shows.  It runs its
   own suite, :data:`ANSWERS_SUITE`, and has only a ``change`` side.
 * ``folds``: each running fold of the observatory — the reuse trace's
   miss back-fill, its stop at an unresolved miss, the LRU stack carried
@@ -605,6 +606,14 @@ CELLS: Tuple[Cell, ...] = (
           "                    empty = SubTable.empty(SubTableId(-1, 0), self.schema)\n"
           "                    return QueryResult(table=empty, report=None, plan=None)\n",
           ""),),
+        family="answers",
+    ),
+    Cell(
+        "serve/join-buffer/final-flush-lost", "flush", "server/server.py",
+        "QueryServer.serve",
+        "the join buffer is not flushed when the serve ends: each completed "
+        "Indexed Join whose pairs still wait there reports no answer",
+        (("            )\n        self._flush_joins()\n", "            )\n"),),
         family="answers",
     ),
     # -- folds: each running fold of the observatory, broken where it folds ---

@@ -211,7 +211,8 @@ class RunSanitizer:
         every slot is free again; every submitted qid holds exactly one
         terminal record (a count alone would pass a query retired twice
         beside one never retired) with a known disposition; the report's
-        byte total is its records' sum; no unfinished query answers."""
+        byte total is its records' sum; no unfinished query answers, and
+        on a functional serve every completed one does."""
         if server._slots_free != server.slots:
             self._fail(
                 f"{server._slots_free} of {server.slots} admission slots free "
@@ -233,11 +234,14 @@ class RunSanitizer:
             )
         from repro.server.resilience import COMPLETED, DISPOSITIONS
 
+        functional = server.dataset.functional
         for r in report.records:
             if r.disposition not in DISPOSITIONS:
                 self._fail(f"q{r.qid} ended in unknown disposition {r.disposition!r}")
             if r.disposition != COMPLETED and (r.result_records, r.pairs_joined) != (None, 0):
                 self._fail(f"q{r.qid} ended {r.disposition} yet reports an answer")
+            if r.disposition == COMPLETED and functional and r.result_records is None:
+                self._fail(f"q{r.qid} completed on a functional serve without an answer")
 
     def allow_transfer_underclaim(self, reason: str) -> None:
         """Tolerate successful transfers the report does not claim.

@@ -43,6 +43,7 @@ costs.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,7 +62,7 @@ from repro.services.bds import SubTableProvider
 from repro.services.cache import CachingService, make_policy
 from repro.telemetry.spans import NULL_SPAN
 
-__all__ = ["IndexedJoinQES"]
+__all__ = ["IndexedJoinQES", "JoinBuffer"]
 
 
 class IndexedJoinQES(QES):
@@ -151,15 +152,17 @@ class IndexedJoinQES(QES):
     def _start(self) -> None:
         """Set up the record lists and the caches (and, traced, record the
         ``schedule`` span).  A functional run's joiners join nothing: each
-        appends its pairs to its compute node's list, and ``_fill`` joins
-        the lists together, one kernel call per run of :func:`_batches`."""
+        appends its pairs to its compute node's list, and a
+        :class:`JoinBuffer` joins the lists together, one kernel call per
+        run of :func:`_batches`."""
         cluster = self.cluster
         #: functional runs: per compute node, the ``(left entry, right
-        #: entry)`` of every pair probed there, in emission order
-        self.probed: List[Optional[list]] = [
-            [] if self.results is not None else None
-            for _ in range(cluster.num_compute)
-        ]
+        #: entry)`` of every pair probed there, in emission order, until a
+        #: :class:`JoinBuffer` takes them; ``None`` on model-only runs
+        self.probed: Optional[List[list]] = (
+            [[] for _ in range(cluster.num_compute)]
+            if self.results is not None else None
+        )
         if self.caches is None:
             # built here, not in the constructor, and left on the instance
             # so callers can warm a later execution with them
@@ -255,12 +258,11 @@ class IndexedJoinQES(QES):
 
     def _fill(self) -> None:
         report = self.report
-        if self.results is not None:
-            j = 0
-            for batch in _batches(self.probed):
-                self.results[j : j + len(batch)], matches = _join_probed(batch, self.on)
-                report.kernel.matches += matches
-                j += len(batch)
+        if self.probed is not None:
+            # no serve's buffer took the pairs: the one-execution flush
+            buffer = JoinBuffer()
+            buffer.add(self)
+            buffer.flush()
         report.pairs_joined = self.schedule.total_pairs
         report.extras["num_edges"] = float(self.index.num_edges)
         report.extras["num_components"] = float(self.index.num_components)
@@ -351,7 +353,7 @@ class IndexedJoinQES(QES):
         engine = cluster.engine
         cache = self.caches[j]
         pb = self.report.per_joiner[j]
-        probed = self.probed[j]
+        probed = None if self.probed is None else self.probed[j]
         # an untraced probe is charged here, not through ``_charge_cpu``:
         # the joiner's CPU and per-record probe cost, read once
         node = cluster.joiner(j)
@@ -565,12 +567,69 @@ class IndexedJoinQES(QES):
 
 
 #: the probe-side records one kernel call takes at most, unless one node
-#: alone has more.  A serve's executions fit in one call (1,024 records
-#: at most at seed 7); ``view_query``'s four 16,384-record nodes do not:
-#: in one call its arrays, four times larger, each crossed glibc's
-#: 128 KiB mmap threshold and were faulted in afresh — 16.3 ms against
-#: 7.3 ms for four calls (DESIGN.md §3.2)
+#: alone has more, and those a :class:`JoinBuffer` holds before it is
+#: full.  A serve's execution probes 1,024 records at most at seed 7, so
+#: a flush joins several in one call; ``view_query``'s four
+#: 16,384-record nodes do not fit: in one call its arrays, four times
+#: larger, each crossed glibc's 128 KiB mmap threshold and were faulted
+#: in afresh — 16.3 ms against 7.3 ms for four calls (DESIGN.md §3.2)
 _BATCH_RECORDS = 1 << 13
+
+
+class JoinBuffer:
+    """Functional Indexed Join executions whose recorded pairs wait to be
+    joined, set-at-a-time across executions (DESIGN.md §3.2).
+
+    :meth:`add` takes a completed execution's pairs, so its ``finish()``
+    joins nothing; :meth:`flush` joins the compute nodes of every
+    execution held, one kernel call per run of :func:`_batches` across
+    executions — a run holds only executions with one ``(left schema,
+    right schema, on)`` — and fills each execution's ``results`` and
+    ``report.kernel.matches``, the records of its nodes' answers.  A
+    standalone execution's ``finish()`` is the one-execution flush; a
+    query server holds one buffer per serve, flushes it whenever it is
+    :attr:`full` and once more when the serve ends.
+    """
+
+    def __init__(self) -> None:
+        self._held: List[Tuple[IndexedJoinQES, List[list]]] = []
+        #: the probe-side records of the pairs held
+        self.records = 0
+
+    @property
+    def full(self) -> bool:
+        return self.records >= _BATCH_RECORDS
+
+    def add(self, qes: IndexedJoinQES) -> None:
+        """Take the recorded pairs of ``qes``, a functional execution
+        whose driver has completed, ahead of its ``finish()``."""
+        probed, qes.probed = qes.probed, None
+        self._held.append((qes, probed))
+        self.records += sum(
+            right.num_records for records in probed for _, right in records
+        )
+
+    def flush(self) -> None:
+        """Join every execution held, in the order added, and empty the
+        buffer.  An execution that probed nothing keeps its empty
+        ``results``."""
+        runs: Dict[tuple, list] = {}
+        for qes, probed in self._held:
+            first = next((records[0] for records in probed if records), None)
+            if first is not None:
+                key = (first[0].schema, first[1].schema, qes.on)
+                runs.setdefault(key, []).extend(
+                    (qes, j, records) for j, records in enumerate(probed)
+                )
+        self._held, self.records = [], 0
+        for (_, _, on), nodes in runs.items():
+            k = 0
+            for batch in _batches([records for _, _, records in nodes]):
+                answers, _ = _join_probed(batch, on)
+                for (qes, j, _), parts in zip(nodes[k:], answers):
+                    qes.results[j] = parts
+                    qes.report.kernel.matches += sum(p.num_records for p in parts)
+                k += len(batch)
 
 
 def _batches(probed: Sequence[list]):
@@ -593,19 +652,23 @@ def _join_probed(
     probed: Sequence[list], on: Sequence[str]
 ) -> Tuple[List[List[SubTable]], int]:
     """Join the recorded ``(left, right)`` pairs of every compute node of
-    ``probed`` (a run of :func:`_batches`: all of an execution's nodes
-    but in a very large one) with one kernel call; returns each node's
-    answer — one sub-table, none when nothing of its matched — and the
-    match count.
+    ``probed`` (a run of :func:`_batches`: the nodes of one or of several
+    executions, or one node of a very large one) with one kernel call;
+    returns each node's answer — one sub-table, none when nothing of its
+    matched — and the match count.
 
     Section 4.1 builds a left sub-table's hash table once and probes it
     with every right sub-table of its component.  The simulated clock
     has charged exactly that, pair by pair; this is the host doing the
-    same, set-at-a-time over the whole execution: each *distinct* left
-    sub-table (by identity — a re-fetched copy is a new build) enters the
-    build side once, tagged with its number; every pair's right sub-table
-    enters the probe side, node after node, tagged with its left's number
-    and with its node; and the kernel joins on ``(tag, *on)``.  Its
+    same, set-at-a-time over the whole run: each *distinct* left
+    sub-table (by identity — a :class:`SubTable` hashes by identity, and
+    a re-fetched copy is a new build) enters the build side once, tagged
+    with its number; every pair's right sub-table enters the probe side,
+    node after node, tagged with its left's number and with its node;
+    and the kernel joins on ``(tag, *on)``.  When a right sub-table is
+    probed by several pairs, the distinct rights are concatenated once
+    and the probe side gathered from them: a serve's run probes each
+    about 3.6 times, and concatenating costs per part.  Its
     output is in right-row order, so its node column is sorted and one
     ``searchsorted`` cuts it into the nodes' answers, each in pair order
     with each pair's rows in the order a join of that pair alone would
@@ -615,32 +678,42 @@ def _join_probed(
     pairs = [pair for records in probed for pair in records]
     if not pairs:
         return results, 0
-    lefts = list({id(left): left for left, _ in pairs}.values())
-    tag_of = {id(left): t for t, left in enumerate(lefts)}
-    rights = [right for _, right in pairs]
+    n_pairs = len(pairs)
+    left_of, right_of = zip(*pairs)
+    num_records = operator.attrgetter("num_records")
+    lefts, rights = list(dict.fromkeys(left_of)), list(dict.fromkeys(right_of))
     tag, node, left_schema, right_schema, pair_schema = _batch_schemas(
         lefts[0].schema, rights[0].schema, tuple(on)
     )
     # each side column by column, straight from the parts' arrays (a
-    # side's parts come from one table, so they share its column order)
+    # side's parts come from one table, so they share its column order);
+    # counts as arrays: ``np.repeat`` converts a list argument slowly
     left_columns = {
         tag: np.repeat(
-            np.arange(len(lefts)),
-            np.fromiter([left.num_records for left in lefts], np.intp, len(lefts)),
+            np.arange(len(lefts)), np.fromiter(map(num_records, lefts), np.intp, len(lefts))
         )
     }
     per_column = zip(*[left._columns.values() for left in lefts])
     left_columns.update(zip(left_schema.names[1:], map(np.concatenate, per_column)))
-    # counts as arrays: ``np.repeat`` converts a list argument slowly
-    sizes = np.fromiter([right.num_records for right in rights], np.intp, len(rights))
+    tag_of = dict(zip(lefts, range(len(lefts))))
+    sizes = np.fromiter(map(num_records, right_of), np.intp, n_pairs)
     right_columns = {
-        tag: np.repeat(
-            np.fromiter([tag_of[id(left)] for left, _ in pairs], np.int64, len(pairs)), sizes
-        ),
+        tag: np.repeat(np.fromiter(map(tag_of.__getitem__, left_of), np.int64, n_pairs), sizes),
         node: np.repeat(np.repeat(np.arange(len(probed)), list(map(len, probed))), sizes),
     }
-    per_column = zip(*[right._columns.values() for right in rights])
-    right_columns.update(zip(right_schema.names[2:], map(np.concatenate, per_column)))
+    per_column = map(np.concatenate, zip(*[right._columns.values() for right in rights]))
+    if len(rights) < n_pairs:
+        # pair i's rows are its right's rows of the distinct rights' columns
+        which = np.fromiter(
+            map(dict(zip(rights, range(len(rights)))).__getitem__, right_of), np.intp, n_pairs
+        )
+        distinct = np.fromiter(map(num_records, rights), np.intp, len(rights))
+        ends = np.cumsum(sizes)
+        rows = np.arange(ends[-1]) + np.repeat(
+            (np.cumsum(distinct) - distinct)[which] - (ends - sizes), sizes
+        )
+        per_column = (column[rows] for column in per_column)
+    right_columns.update(zip(right_schema.names[2:], per_column))
 
     out, stats = vectorized_hash_join(
         SubTable._unchecked(lefts[0].id, left_schema, left_columns),

@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import ClusterSim, ClusterTopology
 from repro.cluster.events import Event, Interrupt, SimulationError
@@ -53,6 +53,7 @@ from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
 from repro.core.engine import assemble_result, view_qes
 from repro.core.planner import QueryPlanningService
 from repro.faults.errors import FaultError, UnrecoverableFault
+from repro.joins.indexed_join import IndexedJoinQES, JoinBuffer
 from repro.joins.qes import QES
 from repro.joins.report import ExecutionReport
 from repro.joins.scan import ScanQES
@@ -134,7 +135,10 @@ class QueryRecord:
     cache_hits: int
     cache_misses: int
     #: record count of the assembled answer; ``None`` on model-only runs
-    #: and on every non-completed disposition
+    #: and on every non-completed disposition.  A functional Indexed
+    #: Join's count is filled in when the serve's join buffer is flushed,
+    #: after the query completed: the record a ``terminal`` event carries
+    #: still holds ``None`` there
     result_records: Optional[int]
     disposition: str = COMPLETED
     #: server-level re-executions after fault kills (not QES-internal
@@ -414,6 +418,10 @@ class QueryServer:
         self._queue_wait = LatencyTracker()
         self._disposition_latency = LatencyTracker()
         self._dispositions: Dict[int, Dict[str, int]] = {}
+        #: the recorded pairs of completed functional Indexed Joins, and
+        #: the qid, execution and view of each, waiting for a flush
+        self._joins = JoinBuffer()
+        self._unanswered: List[Tuple[int, QES, object]] = []
 
     # -- public API ----------------------------------------------------
 
@@ -465,6 +473,7 @@ class QueryServer:
                 f"server quiesced with {self._terminal}/{self._total} "
                 "queries at a terminal disposition"
             )
+        self._flush_joins()
         # pending fault timers or stranded in-flight transfers may tick
         # past the last disposition; the served makespan ends at the
         # final terminal query, like the QES reports
@@ -662,7 +671,21 @@ class QueryServer:
         self._terminal += 1
         self._last_terminal_at = engine.now
         self._emit("terminal", record)
+        if self._joins.full:
+            self._flush_joins()
         self._kick()
+
+    def _flush_joins(self) -> None:
+        """Join the answers the join buffer holds and fill each one's
+        count into its query's record (DESIGN.md §3.2)."""
+        self._joins.flush()
+        metadata = self.dataset.metadata
+        for qid, qes, view in self._unanswered:
+            table = assemble_result(qes.report, view, metadata)
+            self._records[qid] = replace(
+                self._records[qid], result_records=table.num_records
+            )
+        self._unanswered.clear()
 
     def _lifecycle(self, entry: QueuedQuery):
         """One query, cradle to grave: wait for a slot, execute, record.
@@ -823,7 +846,8 @@ class QueryServer:
         The byte count and the per-query cache ledgers are whatever the
         attempt really did, finished or killed (the report counts bytes
         as they arrive; the views' stats freeze at unwind).  Only a
-        finished attempt answered anything.
+        finished attempt answered anything; a functional Indexed Join's
+        pairs go to the join buffer, which counts its answer later.
         """
         views = qes.caches or ()
         outcome = _Outcome(
@@ -833,12 +857,16 @@ class QueryServer:
         )
         if not finished:
             return outcome
+        buffered = isinstance(qes, IndexedJoinQES) and qes.probed is not None
+        if buffered:
+            self._joins.add(qes)
+            self._unanswered.append((planned.qid, qes, planned.view))
         report = qes.finish()
         outcome.pairs_joined = report.pairs_joined
         if planned.kind == "scan":
             selected = report.extras.get("selected_records")
             outcome.result_records = None if selected is None else int(selected)
-        else:
+        elif not buffered:
             table = assemble_result(report, planned.view, self.dataset.metadata)
             outcome.result_records = (
                 table.num_records if table is not None else None

@@ -1,35 +1,41 @@
 """The set-at-a-time functional join of the Indexed Join QES.
 
-The QES records the pairs each compute node probes and joins every
-node's pairs with one kernel call per execution when its results are
-first needed, cutting the kernel's output back into the nodes' answers.
-These tests pin what that must not change: each node's one output table
-equal to the concatenation of each of its pairs joined alone, never
-more than one part per node, nothing lost or duplicated when a joiner
-dies, nothing joined for a query that never finishes, and every result
-record still flowing through
-``repro.joins.hash_join.vectorized_hash_join`` — the name
+The QES records the pairs each compute node probes, and a join buffer
+joins the nodes' pairs — of one execution, or of every execution a
+serve completed since its last flush — one kernel call per run of
+nodes, cutting the kernel's output back into the nodes' answers.  These
+tests pin what that must not change: each node's one output table equal
+to the concatenation of each of its pairs joined alone, never more than
+one part per node, nothing lost or duplicated when a joiner dies,
+nothing joined for a query that never finishes, a serve's report the
+same whenever its buffer flushes, and every result record still flowing
+through ``repro.joins.hash_join.vectorized_hash_join`` — the name
 ``bench/trace.py`` counts records by.
 """
 
 import contextlib
 import dataclasses
 import functools
+import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.sanitizer import SanitizerViolation
 from repro.cluster import MachineSpec, paper_cluster
 from repro.datamodel import Attribute, Schema, SubTable, SubTableId
 from repro.datamodel.subtable import concat_subtables
 from repro.faults import FaultPlan, NodeCrash
 from repro.joins import GraceHashQES, IndexedJoinQES, reference_join
 from repro.joins import hash_join, indexed_join
-from repro.joins.indexed_join import _join_probed
-from repro.server import COMPLETED, DEADLINE_EXCEEDED, QueryServer
-from repro.workloads import GridSpec, build_oil_reservoir_dataset
+from repro.joins.indexed_join import JoinBuffer, _join_probed
+from repro.server import (
+    COMPLETED, DEADLINE_EXCEEDED, QueryServer, ResilienceConfig, RetryPolicy,
+)
+from repro.workloads import GridSpec, TenantSpec, build_oil_reservoir_dataset, generate_workload
 from repro.workloads.arrivals import QueryArrival
 
 #: example budgets are multiples of the loaded Hypothesis profile's (100 by
@@ -84,6 +90,7 @@ RIGHT_SCHEMA = Schema(
 #: the two values whose equality is not byte equality
 INTS = st.integers(min_value=0, max_value=3)
 FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.0, float("nan")])
+ONS = st.sampled_from([("x",), ("x", "y"), ("y", "x")])
 
 
 @st.composite
@@ -135,7 +142,7 @@ def assert_same_bytes(got, expected):
 
 
 @settings(max_examples=BUDGET * 3 // 2, deadline=None)
-@given(records=pair_records(), on=st.sampled_from([("x",), ("x", "y"), ("y", "x")]))
+@given(records=pair_records(), on=ONS)
 def test_batched_join_equals_per_pair_join(records, on):
     """The one returned table is the concatenation, in record order, of
     each pair joined alone: schema, dtypes, bytes and row order."""
@@ -175,7 +182,7 @@ def node_records(draw):
 
 
 @settings(max_examples=BUDGET, deadline=None)
-@given(probed=node_records(), on=st.sampled_from([("x",), ("x", "y"), ("y", "x")]))
+@given(probed=node_records(), on=ONS)
 def test_one_call_equals_each_node_joined_alone(probed, on):
     """One kernel call for all the nodes; each node's answer is byte for
     byte what joining its own pairs alone gives, and a node none of
@@ -192,6 +199,57 @@ def test_one_call_equals_each_node_joined_alone(probed, on):
         if node_matches:
             assert_same_bytes(parts[0], expected)
     assert matches == total
+
+
+@st.composite
+def executions(draw):
+    """Several executions' node lists and join keys, drawn from one pool
+    of sub-tables — so a left object is shared across executions, as a
+    serve's shared cache shares it — with nodes that probed nothing."""
+    lefts = [draw(sub_table(LEFT_SCHEMA, 1, i)) for i in range(draw(st.integers(1, 3)))]
+    rights = [draw(sub_table(RIGHT_SCHEMA, 2, i)) for i in range(draw(st.integers(1, 3)))]
+    pair = st.tuples(st.sampled_from(lefts), st.sampled_from(rights))
+    nodes = st.lists(st.lists(pair, max_size=4), min_size=1, max_size=3)
+    return draw(st.lists(st.tuples(nodes, ONS), min_size=1, max_size=4))
+
+
+def held_execution(probed, on):
+    """What a :class:`JoinBuffer` reads and fills of an execution."""
+    return SimpleNamespace(
+        probed=[list(records) for records in probed], on=on,
+        results=[[] for _ in probed],
+        report=SimpleNamespace(kernel=SimpleNamespace(matches=0)),
+    )
+
+
+@settings(max_examples=BUDGET, deadline=None)
+@given(runs=executions())
+def test_a_flush_gives_each_execution_its_answers_alone(runs):
+    """One flush over several executions: one kernel call per join key
+    that has pairs (executions of another key never share a call), and
+    each execution's nodes get byte for byte the answers they get when
+    joined alone, its match count their records."""
+    held = [held_execution(probed, on) for probed, on in runs]
+    buffer = JoinBuffer()
+    for execution in held:
+        buffer.add(execution)
+    assert buffer.records == sum(
+        right.num_records for probed, _ in runs for records in probed for _, right in records
+    )
+    with counted_kernel() as seen:
+        buffer.flush()
+    assert seen["calls"] == len({on for probed, on in runs if any(probed)})
+    assert buffer.records == 0
+    for execution, (probed, on) in zip(held, runs):
+        assert execution.probed is None
+        total = 0
+        for records, parts in zip(probed, execution.results):
+            expected, matches = joined_alone(records, on)
+            total += matches
+            assert len(parts) == (1 if matches else 0)
+            if matches:
+                assert_same_bytes(parts[0], expected)
+        assert execution.report.kernel.matches == total
 
 
 def test_each_distinct_left_enters_the_kernel_once():
@@ -314,3 +372,94 @@ def test_kernel_boundary_sees_every_result_record(qes):
     assert seen["records_out"] == rep.result_tuples == rep.kernel.matches
     if qes is IndexedJoinQES:
         assert seen["calls"] == 1  # one set-at-a-time join per execution
+
+
+# -- (e) a serve's join buffer ----------------------------------------------------
+
+SERVE_SPEC = GridSpec(g=(16, 16), p=(4, 4), q=(2, 2))
+#: mostly joins and aggregates, so most answers wait in the buffer
+SERVE_TENANTS = (
+    TenantSpec(name="alice", rate=6.0, num_queries=6,
+               mix=(("scan", 1.0), ("join", 2.0), ("aggregate", 1.0))),
+    TenantSpec(name="bob", rate=5.0, num_queries=6, process="bursty",
+               mix=(("join", 1.0), ("aggregate", 1.0))),
+)
+#: plain: nothing races; chaos: transients that kill attempts (retried),
+#: and a deadline that some queries miss
+SERVES = {
+    "plain": ({}, None),
+    "chaos": (
+        {"faults": "seed=9,transient=0.5,max_attempts=2",
+         "resilience": ResilienceConfig(retry=RetryPolicy(budget=3))},
+        0.4,
+    ),
+}
+
+
+def serve(kind, sanitize=False):
+    kwargs, deadline = SERVES[kind]
+    dataset = build_oil_reservoir_dataset(
+        SERVE_SPEC, num_storage=2, functional=True, seed=7, replication=2
+    )
+    stream = generate_workload(SERVE_TENANTS, seed=42)
+    if deadline is not None:
+        stream = [dataclasses.replace(a, deadline=deadline) for a in stream]
+    return QueryServer(dataset, num_compute=2, sanitize=sanitize, **kwargs).serve(stream)
+
+
+@pytest.mark.parametrize("kind", list(SERVES))
+def test_the_report_does_not_depend_on_when_the_buffer_flushes(monkeypatch, kind):
+    """After every execution, when full, only once the serve ended:
+    byte-equal payloads, with the chaos serve's deadlines and retries."""
+    payloads = {}
+    for when, full in (("at-full", None), ("each", True), ("at-end", False)):
+        with monkeypatch.context() as m:
+            if full is not None:
+                m.setattr(JoinBuffer, "full", property(lambda self, full=full: full))
+            report = serve(kind)
+        payloads[when] = json.dumps(report.to_payload(), sort_keys=True)
+    assert payloads["each"] == payloads["at-full"] == payloads["at-end"]
+    records = report.records
+    assert sum(r.algorithm == "indexed-join" and r.disposition == COMPLETED for r in records) >= 4
+    if kind == "chaos":
+        assert any(r.retries for r in records)
+        assert any(r.disposition == DEADLINE_EXCEEDED for r in records)
+
+
+@pytest.mark.parametrize("limit", [300, indexed_join._BATCH_RECORDS])
+def test_the_buffer_holds_at_most_a_batch_and_one_execution(monkeypatch, limit):
+    """Before an execution is added the buffer holds fewer than
+    ``_BATCH_RECORDS`` probe records; a small limit flushes mid-serve."""
+    monkeypatch.setattr(indexed_join, "_BATCH_RECORDS", limit)
+    held, flushes = [], []
+    add, flush = JoinBuffer.add, JoinBuffer.flush
+
+    def watched_add(self, qes):
+        held.append(self.records)
+        add(self, qes)
+
+    def watched_flush(self):
+        flushes.append(self.records)
+        flush(self)
+
+    monkeypatch.setattr(JoinBuffer, "add", watched_add)
+    monkeypatch.setattr(JoinBuffer, "flush", watched_flush)
+    serve("plain")
+    assert held and max(held) < limit
+    # every flush but the one after the serve found the buffer full
+    assert all(n >= limit for n in flushes[:-1])
+    assert len(flushes) > 2 if limit == 300 else len(flushes) == 1
+
+
+def test_a_lost_final_flush_fails_the_sanitized_serve(monkeypatch):
+    """Without the flush after the serve, a completed join has no answer:
+    the sanitizer names it rather than ``report.json`` carrying a null."""
+    flushes = []
+    monkeypatch.setattr(QueryServer, "_flush_joins", lambda self: flushes.append(1))
+    report = serve("plain")
+    assert len(flushes) == 1  # this serve never fills the buffer
+    unanswered = [r.qid for r in report.records if r.result_records is None]
+    assert unanswered
+    named = rf"q{unanswered[0]} completed on a functional serve without an answer"
+    with pytest.raises(SanitizerViolation, match=named):
+        serve("plain", sanitize=True)
