@@ -20,9 +20,7 @@ Commands
     records to the drift store.
 ``drift``
     Report accumulated cost-model drift from the store: per (algorithm,
-    term) observed/predicted ratios, flagging terms beyond a threshold;
-    ``--calibrated`` fits per-term corrections and shows the ratios a
-    re-planned (calibrated) model would achieve.
+    term) observed/predicted ratios, flagging terms beyond a threshold.
 ``serve``
     Run the multi-tenant query server: a seeded arrival stream (JSON
     tenant-mix spec or a built-in default) planned per query, admitted
@@ -48,21 +46,15 @@ Commands
     Execute both QES with causal span telemetry, write Chrome trace-event
     JSON (loadable in Perfetto / ``chrome://tracing``) and print the
     critical-path and per-resource utilisation summaries.
-``calibrate``
-    Measure this host's per-tuple hash constants (α_build, α_lookup).
 
 Each command registers exactly the flags its handler reads, and argparse
 refuses the rest (exit 2).  ``--grid/--p/--q`` (comma-separated sizes):
 ``info``, ``explain``, ``run``, ``trace``, ``serve``.
-``--storage/--compute/--cpu-factor`` (the deployment shape) and
-``--calibrated`` (bare or ``host``: this host's measured CPU constants
-instead of the paper testbed's): ``explain``, ``run``, ``trace``,
-``serve``, and each ``sweep`` axis for the ones its figure takes (``nfs``
-fixes its own deployment and takes none; ``compute-nodes`` sweeps
-``--compute`` itself).  ``--calibrated drift`` with ``--drift-store``
-(re-plan with per-term corrections fitted from the drift store): the
-commands that predict from the cost models — ``explain``, ``run``,
-``serve``.  ``--nfs``: ``explain``, ``run``, ``trace``.
+``--storage/--compute/--cpu-factor`` (the deployment shape):
+``explain``, ``run``, ``trace``, ``serve``, and each ``sweep`` axis for
+the ones its figure takes (``nfs`` fixes its own deployment and takes
+none; ``compute-nodes`` sweeps ``--compute`` itself).  ``--nfs``:
+``explain``, ``run``, ``trace``.
 ``--pipeline``: those three and ``sweep``.  ``--faults/--replication``:
 ``run``, ``trace``, ``serve``.  ``--sanitize`` (the runtime simulation
 sanitizer — invariant hooks plus a nondeterminism-detecting shadow run
@@ -84,14 +76,7 @@ import sys
 from typing import Optional, Sequence, Tuple
 
 from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
-from repro.core.cost_models import (
-    CostParameters,
-    TermCalibration,
-)
-from repro.experiments.calibration import (
-    calibrate_host_machine,
-    fit_term_calibration,
-)
+from repro.core.cost_models import CostParameters
 from repro.observe import (
     DEFAULT_DRIFT_THRESHOLD,
     DriftStore,
@@ -192,41 +177,8 @@ def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(f"--{name}", **_FLAGS[name])
 
 
-def _add_calibrated_args(p: argparse.ArgumentParser, drift: bool) -> None:
-    """``--calibrated``; its ``drift`` choice and the store that reads only
-    for the commands that predict from the cost models (``drift``)."""
-    text = ("re-plan with calibrated constants: 'host' (the default when "
-            "the flag is bare) measures this host's hash constants")
-    if drift:
-        text += ("; 'drift' applies per-term corrections fitted from the "
-                 "drift store (see `repro drift`)")
-        p.add_argument("--drift-store", type=str, default=None, metavar="FILE",
-                       help="drift-record store (default benchmarks/results/"
-                            "DRIFT.jsonl; 'none' disables appending on "
-                            "`run --analyze`)")
-    p.add_argument("--calibrated", nargs="?", const="host", default=None,
-                   choices=["host", "drift"] if drift else ["host"], help=text)
-
-
 def _machine(args: argparse.Namespace) -> MachineSpec:
-    base = PAPER_MACHINE
-    if args.calibrated == "host":
-        base = calibrate_host_machine().machine(base)
-    return base.with_cpu_factor(args.cpu_factor)
-
-
-def _drift_calibration(args: argparse.Namespace) -> Optional[TermCalibration]:
-    """Fitted per-term corrections when ``--calibrated drift`` was given."""
-    if args.calibrated != "drift":
-        return None
-    store = DriftStore(_store_path(args))
-    records = store.load()
-    if not records:
-        raise ValueError(
-            f"drift store {store.path} is empty; run `repro run --analyze` "
-            f"first"
-        )
-    return fit_term_calibration(records)
+    return PAPER_MACHINE.with_cpu_factor(args.cpu_factor)
 
 
 def _store_path(args: argparse.Namespace) -> Optional[str]:
@@ -243,7 +195,6 @@ def _view_params(args: argparse.Namespace) -> CostParameters:
         RS_R=rs, RS_S=rs,
         n_s=1 if args.nfs else args.storage, n_j=args.compute,
         shared_nfs=args.nfs,
-        calibration=_drift_calibration(args),
     )
 
 
@@ -323,7 +274,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         replication=args.replication,
         sanitize=args.sanitize,
         telemetry=args.trace_out is not None or args.analyze,
-        calibration=_drift_calibration(args),
     )
     ij_name = "indexed-join (pipe)" if args.pipeline else "indexed-join"
     print(spec.describe())
@@ -489,7 +439,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     _claim_outputs(args.oplog_out, args.json_out)
     spec = _spec(args)
     machine = _machine(args)
-    calibration = _drift_calibration(args)
     tenants = _load_tenants(args.tenants)
     if args.deadline is not None:
         # a blanket SLO for tenants whose spec does not set its own
@@ -520,7 +469,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             policy=args.policy,
             slots=args.slots,
             cache_policy=args.cache_policy,
-            calibration=calibration,
             sanitize=args.sanitize,
             tie_break=tie_break,
             faults=args.faults,
@@ -566,7 +514,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         base = run_serial_baseline(
             dataset, arrivals, num_compute=args.compute, machine=machine,
-            cache_policy=args.cache_policy, calibration=calibration,
+            cache_policy=args.cache_policy,
         )
         print(f"serial cold-cache baseline: hit rate "
               f"{base.cache_hit_rate:.1%} "
@@ -641,33 +589,20 @@ def _cmd_drift(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    calibration = fit_term_calibration(records) if args.calibrated else None
-    summaries = summarize_drift(records, calibration=calibration)
-
-    def flagged(s) -> bool:
-        if calibration is not None:
-            return s.calibrated_flagged(args.threshold)
-        return s.flagged(args.threshold)
-
+    summaries = summarize_drift(records)
     if args.json:
         payload = {
             "records": len(records),
             "threshold": args.threshold,
-            "calibration": (
-                calibration.to_dict() if calibration is not None else None
-            ),
             "terms": [
-                {**s.to_dict(), "flagged": flagged(s)} for s in summaries
+                {**s.to_dict(), "flagged": s.flagged(args.threshold)}
+                for s in summaries
             ],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(
-            render_drift_report(
-                summaries, threshold=args.threshold, calibration=calibration
-            )
-        )
-    if args.check and any(flagged(s) for s in summaries):
+        print(render_drift_report(summaries, threshold=args.threshold))
+    if args.check and any(s.flagged(args.threshold) for s in summaries):
         return 1
     return 0
 
@@ -676,7 +611,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
 _SWEEP_DEPLOYMENT = {
     "n_s": ("storage", lambda args: args.storage),
     "n_j": ("compute", lambda args: args.compute),
-    "machine": ("cpu-factor", _machine),  # which reads --calibrated too
+    "machine": ("cpu-factor", _machine),
 }
 
 #: sweep axis → (figure, the deployment arguments it takes, headers of the
@@ -757,16 +692,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    result = calibrate_host_machine(tuples=args.tuples, repeats=args.repeats)
-    print(f"alpha_build  = {result.alpha_build:.3e} s/tuple")
-    print(f"alpha_lookup = {result.alpha_lookup:.3e} s/tuple")
-    ratio = PAPER_MACHINE.alpha_build / result.alpha_build
-    print(f"host is ~{ratio:.1f}x the paper testbed's hash-build rate "
-          f"(F = {ratio:.1f} in Figure 8 terms)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -786,7 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_spec_args(p_explain)
     _add_flags(p_explain, *_CLUSTER_FLAGS, "nfs", "pipeline")
-    _add_calibrated_args(p_explain, drift=True)
     p_explain.add_argument("--json", action="store_true",
                            help="emit the machine-readable explanation "
                                 "(sorted keys) instead of the tree")
@@ -796,7 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p_run)
     _add_flags(p_run, *_CLUSTER_FLAGS, "nfs", "pipeline", "faults",
                "replication", "sanitize", "trace-out")
-    _add_calibrated_args(p_run, drift=True)
     p_run.add_argument("--analyze", action="store_true",
                        help="profile the executions operator by operator "
                             "(predicted vs. observed per model term), report "
@@ -805,6 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--analyze-json", type=str, default=None, metavar="FILE",
                        help="also write the --analyze profiles as sorted-key "
                             "JSON to FILE")
+    p_run.add_argument("--drift-store", type=str, default=None, metavar="FILE",
+                       help="drift-record store --analyze appends to (default "
+                            "benchmarks/results/DRIFT.jsonl; 'none' disables "
+                            "appending)")
     p_run.set_defaults(fn=_cmd_run)
 
     p_serve = sub.add_parser(
@@ -814,7 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_spec_args(p_serve)
     _add_flags(p_serve, *_CLUSTER_FLAGS)
-    _add_calibrated_args(p_serve, drift=True)
     p_serve.add_argument("--seed", type=int, default=0,
                          help="workload seed (default 0); the whole served "
                               "stream is a pure function of (tenants, seed)")
@@ -922,8 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_axis = axes.add_parser(axis)
         _add_flags(p_axis, *(_SWEEP_DEPLOYMENT[name][0] for name in takes),
                    "pipeline", "sanitize", "trace-out")
-        if "machine" in takes:
-            _add_calibrated_args(p_axis, drift=False)
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_trace = sub.add_parser(
@@ -933,7 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p_trace)
     _add_flags(p_trace, *_CLUSTER_FLAGS, "nfs", "pipeline", "faults",
                "replication", "sanitize")
-    _add_calibrated_args(p_trace, drift=False)
     p_trace.add_argument("--out", type=str, default="run.json", metavar="FILE",
                          help="Chrome trace-event output base name (default "
                               "run.json; written as run.ij.json / run.gh.json)")
@@ -956,20 +879,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="flag terms whose observed/predicted ratio (or "
                               "its inverse) exceeds 1+X (default "
                               f"{DEFAULT_DRIFT_THRESHOLD})")
-    p_drift.add_argument("--calibrated", action="store_true",
-                         help="fit per-term corrections from the store and "
-                              "report the ratios calibrated re-planning "
-                              "would achieve")
     p_drift.add_argument("--check", action="store_true",
                          help="exit 1 if any term is flagged (for CI)")
     p_drift.add_argument("--json", action="store_true",
                          help="emit the report as sorted-key JSON")
     p_drift.set_defaults(fn=_cmd_drift)
-
-    p_cal = sub.add_parser("calibrate", help="measure this host's hash constants")
-    p_cal.add_argument("--tuples", type=int, default=100_000)
-    p_cal.add_argument("--repeats", type=int, default=3)
-    p_cal.set_defaults(fn=_cmd_calibrate)
 
     return parser
 

@@ -47,8 +47,6 @@ from typing import Optional, Tuple
 from repro.cluster.nodes import MachineSpec
 
 __all__ = [
-    "TermCalibration",
-    "IDENTITY_CALIBRATION",
     "CostParameters",
     "CostBreakdown",
     "indexed_join_cost",
@@ -75,48 +73,6 @@ def models_are_tossup(
 
 
 @dataclass(frozen=True)
-class TermCalibration:
-    """Per-term multiplicative corrections to the Section 5 models.
-
-    Each field scales one cost-model term: a value of 1.2 on ``transfer``
-    says "observed transfer time runs 20% over the analytic prediction on
-    this deployment".  The drift observatory fits these from accumulated
-    ``(predicted, observed)`` records (see
-    :func:`repro.experiments.calibration.fit_term_calibration`) and feeds
-    them back as the ``calibration`` field of :class:`CostParameters`
-    (``CostParameters.from_machine(..., calibration=)``), closing the
-    planner's feedback loop without touching the physical Table 1 inputs.
-    """
-
-    transfer: float = 1.0
-    write: float = 1.0
-    read: float = 1.0
-    cpu_build: float = 1.0
-    cpu_lookup: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("transfer", "write", "read", "cpu_build", "cpu_lookup"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"calibration factor {name!r} must be positive")
-
-    @property
-    def is_identity(self) -> bool:
-        return self == IDENTITY_CALIBRATION
-
-    def to_dict(self) -> dict:
-        return {
-            "transfer": self.transfer,
-            "write": self.write,
-            "read": self.read,
-            "cpu_build": self.cpu_build,
-            "cpu_lookup": self.cpu_lookup,
-        }
-
-
-IDENTITY_CALIBRATION = TermCalibration()
-
-
-@dataclass(frozen=True)
 class CostParameters:
     """Table 1: dataset and system parameters, plus the topology flag."""
 
@@ -134,9 +90,6 @@ class CostParameters:
     alpha_build: float      #: hash-table insert cost (s/tuple)
     alpha_lookup: float     #: hash-table probe cost (s/tuple)
     shared_nfs: bool = False
-    #: Fitted per-term corrections (identity unless the drift observatory
-    #: calibrated this deployment); applied by the cost functions.
-    calibration: TermCalibration = IDENTITY_CALIBRATION
 
     def __post_init__(self) -> None:
         if self.T < 0 or self.c_R <= 0 or self.c_S <= 0 or self.n_e < 0:
@@ -187,7 +140,6 @@ class CostParameters:
         n_s: int,
         n_j: int,
         shared_nfs: bool = False,
-        calibration: Optional[TermCalibration] = None,
     ) -> "CostParameters":
         """Fill the system half of Table 1 from a machine spec (α values
         already scaled by the spec's computing-power factor F)."""
@@ -200,9 +152,6 @@ class CostParameters:
             alpha_build=machine.build_cost,
             alpha_lookup=machine.lookup_cost,
             shared_nfs=shared_nfs,
-            calibration=(
-                calibration if calibration is not None else IDENTITY_CALIBRATION
-            ),
         )
 
 
@@ -238,12 +187,10 @@ class CostBreakdown:
 
 def indexed_join_cost(p: CostParameters, pipelined: bool = False) -> CostBreakdown:
     """``Total_IJ`` and its terms (``Total_IJ_pipe`` when ``pipelined``)."""
-    cal = p.calibration
-    transfer = p.bytes_total / min(p.net_bw, p.read_io_bw * p.n_s)
     return CostBreakdown(
-        transfer=cal.transfer * transfer,
-        cpu_build=cal.cpu_build * p.alpha_build * p.T / p.n_j,
-        cpu_lookup=cal.cpu_lookup * p.alpha_lookup * p.n_e * p.c_S / p.n_j,
+        transfer=p.bytes_total / min(p.net_bw, p.read_io_bw * p.n_s),
+        cpu_build=p.alpha_build * p.T / p.n_j,
+        cpu_lookup=p.alpha_lookup * p.n_e * p.c_S / p.n_j,
         pipelined=pipelined,
     )
 
@@ -256,8 +203,6 @@ def grace_hash_cost(p: CostParameters) -> CostBreakdown:
     server link and the server disk, and does not parallelise over
     ``n_j`` — which is why adding compute nodes cannot help GH there.
     """
-    cal = p.calibration
-    transfer = p.bytes_total / min(p.net_bw, p.read_io_bw * p.n_s)
     if p.shared_nfs:
         write = p.bytes_total / min(p.link_bw, p.write_io_bw)
         read = p.bytes_total / min(p.link_bw, p.read_io_bw)
@@ -265,11 +210,11 @@ def grace_hash_cost(p: CostParameters) -> CostBreakdown:
         write = p.bytes_total / (p.write_io_bw * p.n_j)
         read = p.bytes_total / (p.read_io_bw * p.n_j)
     return CostBreakdown(
-        transfer=cal.transfer * transfer,
-        write=cal.write * write,
-        read=cal.read * read,
-        cpu_build=cal.cpu_build * p.alpha_build * p.T / p.n_j,
-        cpu_lookup=cal.cpu_lookup * p.alpha_lookup * p.T / p.n_j,
+        transfer=p.bytes_total / min(p.net_bw, p.read_io_bw * p.n_s),
+        write=write,
+        read=read,
+        cpu_build=p.alpha_build * p.T / p.n_j,
+        cpu_lookup=p.alpha_lookup * p.T / p.n_j,
     )
 
 
@@ -305,12 +250,9 @@ def crossover_ne_cs(p: CostParameters) -> float:
     """The ``n_e·c_S`` value where ``Total_IJ == Total_GH`` (Figure 4's
     crossover point), holding everything else in ``p`` fixed.
 
-    Solving ``α_lookup·n_e·c_S/n_j = Write_GH + Read_GH + α_lookup·T/n_j``
-    (with any fitted per-term calibration applied on both sides).
+    Solving ``α_lookup·n_e·c_S/n_j = Write_GH + Read_GH + α_lookup·T/n_j``.
     """
     if p.alpha_lookup <= 0:
         return math.inf
     gh = grace_hash_cost(p)
-    extra_io = gh.write + gh.read  # already calibrated
-    lookup_slope = p.calibration.cpu_lookup * p.alpha_lookup
-    return (extra_io * p.n_j / lookup_slope) + p.T
+    return ((gh.write + gh.read) * p.n_j / p.alpha_lookup) + p.T

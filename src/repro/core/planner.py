@@ -19,7 +19,6 @@ from repro.core.cost_models import (
     TOSSUP_MARGIN,
     CostBreakdown,
     CostParameters,
-    TermCalibration,
     grace_hash_cost,
     indexed_join_cost,
     models_are_tossup,
@@ -146,7 +145,6 @@ class QueryPlanningService:
         num_compute: int,
         machine: MachineSpec = PAPER_MACHINE,
         shared_nfs: bool = False,
-        calibration: Optional[TermCalibration] = None,
     ):
         if num_storage <= 0 or num_compute <= 0:
             raise ValueError("need at least one storage and one compute node")
@@ -155,9 +153,6 @@ class QueryPlanningService:
         self.num_compute = num_compute
         self.machine = machine
         self.shared_nfs = shared_nfs
-        #: fitted per-term model corrections (see the drift observatory,
-        #: DESIGN.md §9); ``None`` plans with the raw Section 5 models
-        self.calibration = calibration
         self._held: Dict[str, _HeldIndex] = {}
 
     # -- join index management ----------------------------------------------------
@@ -229,7 +224,6 @@ class QueryPlanningService:
             n_s=self.num_storage,
             n_j=self.num_compute,
             shared_nfs=self.shared_nfs,
-            calibration=self.calibration,
         )
         return params, index
 

@@ -7,13 +7,8 @@ evaluation through this package:
   simulated + predicted) and produce a :class:`PointResult`.
 * :mod:`~repro.experiments.figures` — one function per table/figure of the
   paper's evaluation, each returning the full measured series.
-* :mod:`~repro.experiments.calibration` — measure the ``α_build`` /
-  ``α_lookup`` CPU constants of the *host* machine, for users who want the
-  cost models parameterised for their own hardware rather than the
-  paper's testbed.
 """
 
-from repro.experiments.calibration import CalibrationResult, calibrate_host_machine
 from repro.experiments.figures import (
     run_figure4,
     run_figure5,
@@ -25,9 +20,7 @@ from repro.experiments.figures import (
 from repro.experiments.runner import PointResult, run_point
 
 __all__ = [
-    "CalibrationResult",
     "PointResult",
-    "calibrate_host_machine",
     "run_figure4",
     "run_figure5",
     "run_figure6",

@@ -14,17 +14,14 @@ useful for seeing how much of each figure's IJ curve is exposed transfer
 time; ``sanitize=True`` to run every point under the runtime sanitizer
 (invariant hooks plus a shadow execution per QES — see
 :func:`repro.experiments.runner.run_point`); ``telemetry=True`` to record
-spans on every point; ``calibration`` to re-predict every point with
-fitted per-term model corrections (the simulations are unaffected; see
-:mod:`repro.observe`).
+spans on every point.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
-from repro.core.cost_models import TermCalibration
 from repro.experiments.runner import PointResult, run_point
 from repro.workloads.generator import GridSpec
 from repro.workloads.sweeps import constant_edge_ratio_sweep, tuple_count_sweep
@@ -46,12 +43,11 @@ def _run_options(
     pipeline: bool = False,
     sanitize: bool = False,
     telemetry: bool = False,
-    calibration: Optional[TermCalibration] = None,
 ) -> Dict[str, Any]:
     """The options every figure forwards to each :func:`run_point`,
     checked against this one signature."""
     return dict(machine=machine, pipeline=pipeline, sanitize=sanitize,
-                telemetry=telemetry, calibration=calibration)
+                telemetry=telemetry)
 
 
 def run_figure4(

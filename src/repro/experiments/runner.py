@@ -17,7 +17,6 @@ from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
 from repro.faults.plan import FaultPlan
 from repro.core.cost_models import (
     CostParameters,
-    TermCalibration,
     grace_hash_cost,
     indexed_join_cost,
 )
@@ -83,7 +82,6 @@ def run_point(
     replication: int = 1,
     sanitize: bool = False,
     telemetry: bool = False,
-    calibration: Optional[TermCalibration] = None,
 ) -> PointResult:
     """Execute IJ and GH for one configuration and collect predictions.
 
@@ -114,11 +112,6 @@ def run_point(
     carry ``critical_path`` and ``telemetry`` for the exporters.  Shadow
     executions stay untraced — telemetry is observation-only, so primary
     and shadow observables still compare equal.
-
-    ``calibration`` applies fitted per-term model corrections (see the
-    drift observatory, :mod:`repro.observe`) to the *predictions* only —
-    the simulation is the ground truth being predicted, so it never sees
-    calibration.
     """
     ds = build_oil_reservoir_dataset(
         spec, num_storage=n_s, functional=functional,
@@ -132,7 +125,6 @@ def run_point(
         RS_R=ds.metadata.table("T1").schema.record_size,
         RS_S=ds.metadata.table("T2").schema.record_size,
         n_s=n_s, n_j=n_j, shared_nfs=shared_nfs,
-        calibration=calibration,
     )
 
     def cluster(tie_break: str = "fifo", traced: bool = False):

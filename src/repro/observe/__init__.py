@@ -9,15 +9,15 @@ and the simulated executions they predict:
 - :mod:`repro.observe.explain` — the pre-execution plan tree behind
   ``repro explain``.
 - :mod:`repro.observe.drift` — the persistent drift store behind
-  ``repro run --analyze`` / ``repro drift``, and the calibration hook
-  that feeds fitted per-term constants back into the planner.
+  ``repro run --analyze`` / ``repro drift``.  Drift is reported, never
+  fitted back into the planner: ``benchmarks/test_model_residual.py``
+  measures where the gap between model and simulation goes.
 - :mod:`repro.observe.reuse` — the cache reuse observatory behind
   ``repro top``'s cache-reuse panel: per-entry access traces, Mattson
   miss-ratio curves and working-set windows.
 """
 
 from repro.observe.drift import (
-    CALIBRATION_FIELD_OF_TERM,
     DEFAULT_DRIFT_THRESHOLD,
     DriftRecord,
     DriftStore,
@@ -44,7 +44,6 @@ from repro.observe.reuse import (
 )
 
 __all__ = [
-    "CALIBRATION_FIELD_OF_TERM",
     "DEFAULT_DRIFT_THRESHOLD",
     "DriftRecord",
     "DriftStore",

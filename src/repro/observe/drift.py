@@ -6,11 +6,8 @@ Every ``repro run --analyze`` appends one :class:`DriftRecord` per
 *configuration fingerprint* (a hash of the Table 1 inputs plus the
 deployment shape).  ``repro drift`` then pools the records per
 (algorithm, term), compares observed against predicted seconds, and
-flags terms whose ratio departs from 1.0 beyond a threshold; with
-``--calibrated`` it additionally fits per-term correction factors (see
-:func:`repro.experiments.calibration.fit_term_calibration`) and shows
-the post-calibration ratios, which is how a flagged deployment verifies
-that re-planning with the fitted constants would clear the flag.
+flags terms whose ratio departs from 1.0 beyond a threshold.  A flag is
+a report, not a correction: nothing here is fed back into the planner.
 
 Everything here is seed-free and deterministically ordered: records are
 appended sorted by ``(fingerprint, algorithm, term)``, serialised with
@@ -27,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
-from repro.core.cost_models import CostParameters, TermCalibration
+from repro.core.cost_models import CostParameters
 
 __all__ = [
     "DriftRecord",
@@ -36,20 +33,8 @@ __all__ = [
     "config_fingerprint",
     "summarize_drift",
     "render_drift_report",
-    "CALIBRATION_FIELD_OF_TERM",
     "DEFAULT_DRIFT_THRESHOLD",
 ]
-
-#: Maps a profile operator name to the :class:`TermCalibration` field its
-#: drift calibrates.  ``coordination`` is deliberately absent: the models
-#: predict zero coordination time, so there is nothing to scale.
-CALIBRATION_FIELD_OF_TERM: Dict[str, str] = {
-    "transfer": "transfer",
-    "partition-write": "write",
-    "bucket-read": "read",
-    "hash-build": "cpu_build",
-    "probe": "cpu_lookup",
-}
 
 #: Default symmetric drift tolerance: flag a term once observed/predicted
 #: (or its inverse) exceeds 1.25.
@@ -98,9 +83,8 @@ def config_fingerprint(
     """Deterministic id for one planned configuration.
 
     Hashes the Table 1 inputs, the deployment shape and the execution
-    mode — but *not* any fitted calibration, so calibrated re-runs of the
-    same deployment land on the same fingerprint and their drift history
-    stays in one series.
+    mode, so repeated runs of one deployment land on one fingerprint and
+    their drift history stays in one series.
     """
     payload = {
         "T": params.T,
@@ -184,9 +168,6 @@ class TermDriftSummary:
     runs: int
     predicted_s: float
     observed_s: float
-    #: predicted seconds after applying a fitted per-term correction
-    #: (equals ``predicted_s`` when no calibration was supplied).
-    calibrated_predicted_s: float
     tossup_runs: int
 
     @property
@@ -194,12 +175,6 @@ class TermDriftSummary:
         if self.predicted_s <= 0:
             return None
         return self.observed_s / self.predicted_s
-
-    @property
-    def calibrated_ratio(self) -> Optional[float]:
-        if self.calibrated_predicted_s <= 0:
-            return None
-        return self.observed_s / self.calibrated_predicted_s
 
     @staticmethod
     def _deviation(ratio: Optional[float]) -> float:
@@ -211,11 +186,6 @@ class TermDriftSummary:
     def flagged(self, threshold: float = DEFAULT_DRIFT_THRESHOLD) -> bool:
         return self._deviation(self.ratio) > threshold
 
-    def calibrated_flagged(
-        self, threshold: float = DEFAULT_DRIFT_THRESHOLD
-    ) -> bool:
-        return self._deviation(self.calibrated_ratio) > threshold
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "algorithm": self.algorithm,
@@ -223,17 +193,12 @@ class TermDriftSummary:
             "runs": self.runs,
             "predicted_s": self.predicted_s,
             "observed_s": self.observed_s,
-            "calibrated_predicted_s": self.calibrated_predicted_s,
             "ratio": self.ratio,
-            "calibrated_ratio": self.calibrated_ratio,
             "tossup_runs": self.tossup_runs,
         }
 
 
-def summarize_drift(
-    records: Iterable[DriftRecord],
-    calibration: Optional[TermCalibration] = None,
-) -> List[TermDriftSummary]:
+def summarize_drift(records: Iterable[DriftRecord]) -> List[TermDriftSummary]:
     """Pool records per (algorithm, term), sorted for deterministic output."""
     grouped: Dict[tuple, List[DriftRecord]] = {}
     for rec in records:
@@ -241,20 +206,13 @@ def summarize_drift(
     out: List[TermDriftSummary] = []
     for (algorithm, term) in sorted(grouped):
         group = grouped[(algorithm, term)]
-        predicted = math.fsum(r.predicted_s for r in group)
-        factor = 1.0
-        if calibration is not None:
-            field = CALIBRATION_FIELD_OF_TERM.get(term)
-            if field is not None:
-                factor = getattr(calibration, field)
         out.append(
             TermDriftSummary(
                 algorithm=algorithm,
                 term=term,
                 runs=len(group),
-                predicted_s=predicted,
+                predicted_s=math.fsum(r.predicted_s for r in group),
                 observed_s=math.fsum(r.observed_s for r in group),
-                calibrated_predicted_s=factor * predicted,
                 tossup_runs=sum(1 for r in group if r.tossup),
             )
         )
@@ -264,38 +222,27 @@ def summarize_drift(
 def render_drift_report(
     summaries: List[TermDriftSummary],
     threshold: float = DEFAULT_DRIFT_THRESHOLD,
-    calibration: Optional[TermCalibration] = None,
 ) -> str:
     """Deterministic text table of per-term drift, flags last column."""
 
     def ratio_text(ratio: Optional[float]) -> str:
         return "-" if ratio is None else f"{ratio:.3f}x"
 
-    calibrated = calibration is not None
     header = ["algorithm", "term", "runs", "predicted (s)", "observed (s)",
-              "ratio"]
-    if calibrated:
-        header.append("calibrated")
-    header.append("flag")
+              "ratio", "flag"]
     rows: List[List[str]] = []
     flagged = 0
     tossups = 0
     for s in summaries:
-        is_flagged = (
-            s.calibrated_flagged(threshold) if calibrated
-            else s.flagged(threshold)
-        )
+        is_flagged = s.flagged(threshold)
         flagged += is_flagged
         tossups += s.tossup_runs
-        row = [
+        rows.append([
             s.algorithm, s.term, str(s.runs),
             f"{s.predicted_s:.4f}", f"{s.observed_s:.4f}",
             ratio_text(s.ratio),
-        ]
-        if calibrated:
-            row.append(ratio_text(s.calibrated_ratio))
-        row.append("DRIFT" if is_flagged else "")
-        rows.append(row)
+            "DRIFT" if is_flagged else "",
+        ])
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) if rows
         else len(header[i])
@@ -309,14 +256,7 @@ def render_drift_report(
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:
         lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
-    lines.append(
-        f"{flagged} of {len(summaries)} terms flagged"
-        + (" after calibration" if calibrated else "")
-    )
-    if calibrated:
-        cal = calibration.to_dict()
-        factors = ", ".join(f"{k}={cal[k]:.3f}" for k in sorted(cal))
-        lines.append(f"fitted calibration: {factors}")
+    lines.append(f"{flagged} of {len(summaries)} terms flagged")
     if tossups:
         lines.append(
             f"note: {tossups} record(s) come from toss-up plans (models "

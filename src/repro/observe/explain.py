@@ -55,8 +55,6 @@ def explain_plan(
         "algorithms": algorithms,
         "crossover_ne_cs": crossover_ne_cs(params),
         "ne_cs": params.n_e * params.c_S,
-        "calibration": params.calibration.to_dict(),
-        "calibrated": not params.calibration.is_identity,
     }
 
 
@@ -89,10 +87,6 @@ def render_explanation(info: Dict[str, object]) -> str:
         f"(this view: {info['ne_cs']:,})"
     )
     lines.append(f"config fingerprint: {info['fingerprint']}")
-    if info["calibrated"]:
-        cal: Dict[str, float] = info["calibration"]  # type: ignore[assignment]
-        factors = ", ".join(f"{k}={cal[k]:.3f}" for k in sorted(cal))
-        lines.append(f"calibration: {factors}")
     if info["tossup"]:
         lines.append(
             "note: toss-up — the models are within 5% of each other; the "

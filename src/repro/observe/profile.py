@@ -72,8 +72,7 @@ class PlannedOperator:
     """One model term of one algorithm, before execution."""
 
     name: str
-    #: predicted seconds for this term (already calibrated if the
-    #: parameters carry a fitted :class:`TermCalibration`)
+    #: predicted seconds for this term (the Section 5 model)
     predicted_s: float
     #: work volume the model charges for, in :attr:`unit` units
     predicted_units: float

@@ -7,8 +7,8 @@ query on a private cluster; :class:`QueryServer` runs a whole seeded
 arrival stream (:mod:`repro.workloads.arrivals`) inside a single
 :class:`~repro.cluster.events.SimEngine`:
 
-* every arrival is planned on submission (QPS cost models, including
-  calibrated ones) and parked in an admission queue;
+* every arrival is planned on submission (QPS cost models) and parked
+  in an admission queue;
 * an admission controller (:mod:`repro.server.admission`) releases
   queries into a bounded pool of execution slots — FIFO,
   shortest-predicted-first, or per-tenant fair share;
@@ -345,7 +345,6 @@ class QueryServer:
         slots: int = 2,
         cache_policy: str = "lru",
         cache_capacity: Optional[int] = None,
-        calibration=None,
         sanitize: bool = False,
         tie_break: str = "fifo",
         faults=None,
@@ -372,7 +371,6 @@ class QueryServer:
             num_storage=dataset.num_storage,
             num_compute=num_compute,
             machine=machine,
-            calibration=calibration,
         )
         capacity = cache_capacity if cache_capacity is not None else machine.memory_bytes
         self.caches: List[CachingService] = [

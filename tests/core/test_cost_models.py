@@ -1,7 +1,6 @@
 """Tests for the Section 5 cost models and Section 6.2 decision rules."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -216,63 +215,3 @@ def test_both_models_linear_in_T(scale):
     pk = params(T=p1.T * scale, n_e=p1.n_e * scale)
     assert indexed_join_cost(pk).total == pytest.approx(scale * indexed_join_cost(p1).total)
     assert grace_hash_cost(pk).total == pytest.approx(scale * grace_hash_cost(p1).total)
-
-
-class TestTermCalibration:
-    def test_identity_by_default(self):
-        from repro.core.cost_models import IDENTITY_CALIBRATION, TermCalibration
-
-        assert params().calibration.is_identity
-        assert TermCalibration() == IDENTITY_CALIBRATION
-        assert not TermCalibration(transfer=1.1).is_identity
-
-    def test_factors_must_be_positive(self):
-        from repro.core.cost_models import TermCalibration
-
-        with pytest.raises(ValueError):
-            TermCalibration(read=0.0)
-        with pytest.raises(ValueError):
-            TermCalibration(cpu_build=-1.0)
-
-    def test_scales_each_model_term_independently(self):
-        from repro.core.cost_models import TermCalibration
-
-        cal = TermCalibration(
-            transfer=2.0, write=3.0, read=4.0, cpu_build=5.0, cpu_lookup=6.0
-        )
-        p0, p1 = params(), params(calibration=cal)
-        ij0, ij1 = indexed_join_cost(p0), indexed_join_cost(p1)
-        assert ij1.transfer == pytest.approx(2.0 * ij0.transfer)
-        assert ij1.cpu_build == pytest.approx(5.0 * ij0.cpu_build)
-        assert ij1.cpu_lookup == pytest.approx(6.0 * ij0.cpu_lookup)
-        gh0, gh1 = grace_hash_cost(p0), grace_hash_cost(p1)
-        assert gh1.write == pytest.approx(3.0 * gh0.write)
-        assert gh1.read == pytest.approx(4.0 * gh0.read)
-
-    def test_calibration_moves_the_crossover(self):
-        """Cheaper scratch I/O (write/read < 1) pulls the GH-favouring
-        crossover point down; dearer lookups push it down too."""
-        from repro.core.cost_models import TermCalibration
-
-        base = crossover_ne_cs(params())
-        cheap_io = crossover_ne_cs(
-            params(calibration=TermCalibration(write=0.5, read=0.5))
-        )
-        dear_lookup = crossover_ne_cs(
-            params(calibration=TermCalibration(cpu_lookup=2.0))
-        )
-        assert cheap_io < base
-        assert dear_lookup < base
-
-    def test_calibration_can_flip_the_planner(self):
-        """Fitted drift on GH's exclusive terms can flip the choice: if
-        scratch I/O observably runs ~free (overlapped), GH's corrected
-        model undercuts IJ."""
-        from repro.core.cost_models import TermCalibration
-
-        p = params(n_e=2 * (2**21 // 4096))  # degree 2: IJ ahead, not far
-        winner0, ij, gh = preferred_algorithm(p)
-        assert winner0 == "indexed-join"
-        cal = TermCalibration(write=0.01, read=0.01)
-        winner1, _, _ = preferred_algorithm(replace(p, calibration=cal))
-        assert winner1 == "grace-hash"

@@ -12,7 +12,6 @@ from repro.core import (
     QueryPlanningService,
 )
 from repro.core import planner as planner_module
-from repro.core.cost_models import TermCalibration
 from repro.datamodel import BoundingBox
 from repro.joins import build_join_index, reference_join
 from repro.workloads import GridSpec, build_oil_reservoir_dataset
@@ -163,21 +162,6 @@ class TestPlanner:
         assert near.is_tossup
         assert "toss-up" in near.describe()
 
-    def test_planner_applies_calibration(self, dataset):
-        from repro.core.cost_models import TermCalibration
-
-        cal = TermCalibration(transfer=2.0)
-        plain = QueryPlanningService(dataset.metadata, 2, 2, machine=MACHINE)
-        calibrated = QueryPlanningService(
-            dataset.metadata, 2, 2, machine=MACHINE, calibration=cal
-        )
-        view = JoinView("V1", "T1", "T2", on=dataset.join_attrs)
-        p0 = plain.plan(view)
-        p1 = calibrated.plan(view)
-        assert p1.params.calibration == cal
-        assert p1.ij_cost.transfer == pytest.approx(2 * p0.ij_cost.transfer)
-        assert p1.ij_cost.cpu == pytest.approx(p0.ij_cost.cpu)
-
 
 class TestPlansOnce:
     """The MetaData Service entry is the built index, and a planner holds
@@ -191,10 +175,10 @@ class TestPlansOnce:
         BoundingBox({"y": (40, 50)}),  # beyond the grid: no chunk, no pair
     ]
 
-    def fresh(self, **planner_args):
+    def fresh(self):
         ds = build_oil_reservoir_dataset(self.SPEC, num_storage=2, functional=False)
         view = JoinView("V1", "T1", "T2", on=ds.join_attrs)
-        return ds, view, QueryPlanningService(ds.metadata, 2, 2, machine=MACHINE, **planner_args)
+        return ds, view, QueryPlanningService(ds.metadata, 2, 2, machine=MACHINE)
 
     @staticmethod
     def chunk_boxes(ds):
@@ -273,24 +257,6 @@ class TestPlansOnce:
         third = qps.plan(view)
         assert third.index is equal and third.params is not second.params
         self.same_plan(third, second)
-
-    def test_calibrated_planner_shares_no_memo(self):
-        ds, view, plain = self.fresh()
-        calibration = TermCalibration(transfer=3.0, cpu_lookup=2.0)
-        uncalibrated = plain.plan(view)
-        calibrated = QueryPlanningService(
-            ds.metadata, 2, 2, machine=MACHINE, calibration=calibration
-        )
-        assert calibrated._held is not plain._held and not calibrated._held
-        plan = calibrated.plan(view)
-        assert plan.params.calibration == calibration
-        assert plan.ij_cost.total > uncalibrated.ij_cost.total
-        # the same as a calibrated planner that never saw the other one,
-        # whichever of the two plans first
-        _, _, alone = self.fresh(calibration=calibration)
-        self.same_plan(plan, alone.plan(view))
-        self.same_plan(plain.plan(view), uncalibrated)
-        assert plain.plan(view).params.calibration != calibration
 
 
 class TestDerivedDataSource:

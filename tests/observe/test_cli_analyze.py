@@ -146,35 +146,3 @@ class TestDriftCommand:
         # a zero threshold flags every term with any drift at all
         assert main(["drift", "--store", str(store), "--check",
                      "--threshold", "0"]) == 1
-
-    def test_calibrated_report_shows_fit(self, store, capsys):
-        assert main(["drift", "--store", str(store), "--calibrated"]) == 0
-        out = capsys.readouterr().out
-        assert "calibrated" in out
-        assert "fitted calibration:" in out
-
-
-class TestCalibratedReplanning:
-    def test_run_calibrated_drift_changes_predictions(self, tmp_path, capsys):
-        store = tmp_path / "drift.jsonl"
-        assert main(["run", *SMALL, "--analyze",
-                     "--drift-store", str(store)]) == 0
-        plain = capsys.readouterr().out
-        assert main(["run", *SMALL, "--analyze", "--calibrated", "drift",
-                     "--drift-store", str(store)]) == 0
-        calibrated = capsys.readouterr().out
-
-        def gh_model(text):
-            for line in text.splitlines():
-                if line.strip().startswith("grace-hash") and "model" not in line:
-                    return line.split()[2]
-            raise AssertionError("no grace-hash row")
-
-        # GH carries real drift (overlapped partition writes), so fitted
-        # re-planning must move its predicted total
-        assert gh_model(plain) != gh_model(calibrated)
-
-    def test_calibrated_drift_needs_store(self, tmp_path, capsys):
-        assert main(["explain", *SMALL, "--calibrated", "drift",
-                     "--drift-store", str(tmp_path / "missing.jsonl")]) == 2
-        assert "empty" in capsys.readouterr().err

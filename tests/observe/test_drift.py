@@ -1,11 +1,9 @@
-"""Drift store, drift reports, and the calibration loop closing them."""
+"""Drift store and drift reports."""
 
 from dataclasses import replace
 
 import pytest
 
-from repro.core.cost_models import TermCalibration
-from repro.experiments.calibration import fit_term_calibration
 from repro.experiments.runner import run_point
 from repro.observe import (
     DriftRecord,
@@ -40,11 +38,6 @@ class TestFingerprint:
         b = run_point(SMALL, n_s=2, n_j=4).params
         assert config_fingerprint(a) != config_fingerprint(b)
         assert config_fingerprint(a) != config_fingerprint(a, pipelined=True)
-
-    def test_insensitive_to_calibration(self):
-        params = run_point(SMALL, n_s=2, n_j=2).params
-        calibrated = replace(params, calibration=TermCalibration(transfer=1.5))
-        assert config_fingerprint(params) == config_fingerprint(calibrated)
 
 
 class TestDriftStore:
@@ -106,14 +99,13 @@ class TestSummaries:
 
 
 class TestMiscalibrationLoop:
-    """The acceptance scenario: an intentionally mis-calibrated cost term
-    is flagged by the drift report, and re-planning with the fitted
-    calibration removes the flag."""
+    """The acceptance scenario: an intentionally mis-set cost term is
+    flagged by the drift report."""
 
     @pytest.fixture(scope="class")
     def drifted(self):
         res = run_point(SMALL, n_s=2, n_j=2, telemetry=True)
-        # Mis-calibrate the planner's probe constant 4x: the simulation
+        # Inflate the planner's probe constant 4x: the simulation
         # (ground truth) ran with the real machine, so the profile's
         # probe rows now under-run their prediction 4x.
         bad_params = replace(
@@ -124,62 +116,14 @@ class TestMiscalibrationLoop:
             records.extend(
                 profile_execution(bad_params, report).drift_records()
             )
-        return bad_params, records
+        return records
 
     def test_miscalibrated_term_is_flagged(self, drifted):
-        _, records = drifted
         flagged = {
             (s.algorithm, s.term)
-            for s in summarize_drift(records)
+            for s in summarize_drift(drifted)
             if s.flagged(0.25)
         }
         assert ("indexed-join", "probe") in flagged
         assert ("grace-hash", "probe") in flagged
         assert ("indexed-join", "hash-build") not in flagged
-
-    def test_fitted_calibration_removes_the_flag(self, drifted):
-        _, records = drifted
-        calibration = fit_term_calibration(records)
-        # the 4x inflation shows up as a ~0.25 correction on cpu_lookup
-        assert calibration.cpu_lookup == pytest.approx(0.25, rel=0.05)
-        for s in summarize_drift(records, calibration=calibration):
-            if s.term == "probe":
-                assert not s.calibrated_flagged(0.25)
-                assert s.calibrated_ratio == pytest.approx(1.0, rel=0.05)
-
-    def test_replanning_with_calibration_shrinks_prediction(self, drifted):
-        bad_params, records = drifted
-        calibration = fit_term_calibration(records)
-        replanned = replace(bad_params, calibration=calibration)
-        fresh = []
-        res = run_point(SMALL, n_s=2, n_j=2, telemetry=True)
-        for report in (res.ij_report, res.gh_report):
-            fresh.extend(
-                profile_execution(replanned, report).drift_records()
-            )
-        assert all(
-            not s.flagged(0.25)
-            for s in summarize_drift(fresh)
-            if s.term == "probe"
-        )
-
-
-class TestFitTermCalibration:
-    def test_identity_on_empty(self):
-        assert fit_term_calibration([]).is_identity
-
-    def test_unknown_and_unpredicted_terms_ignored(self):
-        recs = [
-            DriftRecord("f", "indexed-join", "coordination", 0.0, 1.0),
-            DriftRecord("f", "indexed-join", "mystery", 1.0, 2.0),
-        ]
-        assert fit_term_calibration(recs).is_identity
-
-    def test_pools_across_runs(self):
-        recs = [
-            DriftRecord("a", "indexed-join", "transfer", 1.0, 3.0),
-            DriftRecord("b", "grace-hash", "transfer", 3.0, 5.0),
-        ]
-        cal = fit_term_calibration(recs)
-        assert cal.transfer == pytest.approx(8.0 / 4.0)
-        assert cal.cpu_build == 1.0
