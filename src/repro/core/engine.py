@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from repro.cluster.cluster import ClusterSim, ClusterTopology
 from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
 from repro.core.planner import Plan, QueryPlanningService
@@ -34,7 +36,14 @@ from repro.metadata.service import MetaDataService
 from repro.query.aggregate import aggregate, aggregate_schema
 from repro.services.bds import SubTableProvider
 
-__all__ = ["DerivedDataSource", "QueryResult", "assemble_result", "bbox_mask", "view_qes"]
+__all__ = [
+    "DerivedDataSource",
+    "QueryResult",
+    "assemble_result",
+    "bbox_mask",
+    "count_result",
+    "view_qes",
+]
 
 
 @dataclass
@@ -201,4 +210,24 @@ def assemble_result(
     if isinstance(view, AggregationView):
         table = aggregate(table, view.aggregates, view.group_by)
     return table
+
+
+def count_result(
+    report: ExecutionReport,
+    view: JoinView | AggregationView,
+    metadata: MetaDataService,
+) -> Optional[int]:
+    """``assemble_result(report, view, metadata).num_records`` without
+    building a join view's answer: each part's records inside the range
+    constraint, summed.  An aggregation view is assembled (AVG over no
+    records must still raise).  ``None`` for model-only runs."""
+    if report.results is None:
+        return None
+    if isinstance(view, AggregationView):
+        return assemble_result(report, view, metadata).num_records
+    where = view.where
+    parts = [sub for per in report.results for sub in per]
+    if where is None or not len(where):
+        return sum(sub.num_records for sub in parts)
+    return sum(int(np.count_nonzero(bbox_mask(sub, where))) for sub in parts)
 

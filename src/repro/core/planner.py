@@ -12,7 +12,9 @@ the cheaper QES.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
 from repro.core.cost_models import (
@@ -26,8 +28,9 @@ from repro.core.cost_models import (
 from repro.core.view import JoinView
 from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.chunk import ChunkDescriptor
-from repro.joins.join_index import PageJoinIndex, build_join_index
-from repro.metadata.service import MetaDataService
+from repro.datamodel.subtable import SubTableId
+from repro.joins.join_index import PageJoinIndex, build_join_index, label_components
+from repro.metadata.service import MetaDataService, TableCatalog
 
 __all__ = ["Plan", "ScanPlan", "QueryPlanningService"]
 
@@ -116,6 +119,16 @@ class ScanPlan:
         return self.transfer
 
 
+def _chunk_masks(catalog: TableCatalog, wheres: Sequence[Optional[BoundingBox]]) -> np.ndarray:
+    """:meth:`TableCatalog.chunk_masks` for a block of range constraints,
+    of which ``None`` or an empty box constrains nothing: every chunk."""
+    masks = np.ones((len(wheres), len(catalog.chunks)), dtype=bool)
+    rows = [k for k, where in enumerate(wheres) if where is not None and len(where)]
+    if rows:
+        masks[rows] = catalog.chunk_masks([wheres[k] for k in rows])
+    return masks
+
+
 @dataclass
 class _HeldIndex:
     """The built unconstrained join index a MetaData Service entry holds,
@@ -125,6 +138,27 @@ class _HeldIndex:
     #: ``pipeline`` → the plan of a view without a range constraint; its
     #: parameters and costs are frozen and shared by every such Plan
     plans: Dict[bool, Plan] = field(default_factory=dict)
+    #: table id → (the catalog's chunk count, and each index ordinal's
+    #: column in its chunk masks, or None where the two orders coincide)
+    columns: Dict[int, Tuple[int, Optional[np.ndarray]]] = field(default_factory=dict)
+
+    def endpoint_masks(
+        self, catalog: TableCatalog, ids: List[SubTableId], masks: np.ndarray
+    ) -> np.ndarray:
+        """``masks`` over ``catalog``'s chunks as masks over the index's
+        id list ``ids`` (an id the catalog lacks is never kept).  A
+        catalog only grows, so its chunk count dates the column map."""
+        count, cols = self.columns.get(catalog.table_id, (-1, None))
+        if count != len(catalog.chunks):
+            chunk_ids = [c.id for c in catalog.all_chunks()]
+            cols = None
+            if chunk_ids != ids:
+                pos = {sid: k for k, sid in enumerate(chunk_ids)}
+                cols = np.array([pos.get(sid, len(pos)) for sid in ids], dtype=np.intp)
+            self.columns[catalog.table_id] = (len(catalog.chunks), cols)
+        if cols is None:
+            return masks
+        return np.pad(masks, ((0, 0), (0, 1)))[:, cols]
 
 
 class QueryPlanningService:
@@ -134,8 +168,11 @@ class QueryPlanningService:
     under a view's key *is* the built join index, which every planner on
     the catalog adopts, and this planner keeps the costed plan of the
     unconstrained view per ``pipeline`` for as long as the entry is that
-    index.  A range constraint is not memoised; it is one
-    ``find_chunks`` per table and a mask over the held index.
+    index.  Range constraints are planned a block at a time
+    (:meth:`plan_many`, :meth:`plan_scans`): one R-tree walk per table
+    for the block's boxes, one mask over the held index per query, one
+    component-labelling pass for the block.  :meth:`plan` and
+    :meth:`plan_scan` are the blocks of one.
     """
 
     def __init__(
@@ -188,44 +225,60 @@ class QueryPlanningService:
 
     # -- planning ---------------------------------------------------------------------
 
-    def derive_parameters(
-        self, view: JoinView, index: Optional[PageJoinIndex] = None
-    ) -> Tuple[CostParameters, PageJoinIndex]:
+    def derive_parameters(self, view: JoinView) -> Tuple[CostParameters, PageJoinIndex]:
         """Fill Table 1 from metadata for ``view`` under this deployment."""
-        left = self.metadata.table(view.left)
-        right = self.metadata.table(view.right)
-        constrained = view.where is not None and len(view.where)
-        if constrained:
-            left_chunks = left.find_chunks(view.where)
-            right_chunks = right.find_chunks(view.where)
-        else:
-            left_chunks = left.all_chunks()
-            right_chunks = right.all_chunks()
-        if index is None:
-            index = self._held_index(view).index
-            if constrained:
-                # ``find_chunks`` keeps exactly the chunks whose boxes
-                # overlap the constraint: the endpoints a pair may have
-                index = index.select(
-                    [c.id for c in left_chunks], [c.id for c in right_chunks]
+        return self._derive([view])[0]
+
+    def _derive(
+        self, views: Sequence[JoinView]
+    ) -> List[Tuple[CostParameters, PageJoinIndex]]:
+        """:meth:`derive_parameters` for a block of views.
+
+        Per table, one :meth:`~TableCatalog.chunk_masks` walk for the
+        block's boxes (no box: every chunk); per range-constrained view,
+        its row of the held index's pair mask — the pairs whose two
+        endpoints' boxes overlap the constraint — and one labelling pass
+        for all of those indexes.  T, c_R, c_S and n_e are integer sums
+        of the masks.
+        """
+        out: List[Tuple[CostParameters, PageJoinIndex]] = [None] * len(views)  # type: ignore[list-item]
+        groups: Dict[str, List[int]] = {}
+        for k, view in enumerate(views):
+            groups.setdefault(self._index_key(view), []).append(k)
+        restricted: List[PageJoinIndex] = []
+        for ks in groups.values():
+            first = views[ks[0]]
+            held = self._held_index(first)
+            left = self.metadata.table(first.left)
+            right = self.metadata.table(first.right)
+            wheres = [views[k].where for k in ks]
+            left_masks, right_masks = _chunk_masks(left, wheres), _chunk_masks(right, wheres)
+            keep = held.index.endpoint_masks(
+                held.endpoint_masks(left, held.index._left_ids, left_masks),
+                held.endpoint_masks(right, held.index._right_ids, right_masks),
+            )
+            left_n, left_t, _ = left.mask_totals(left_masks)
+            right_n, right_t, _ = right.mask_totals(right_masks)
+            for row, k in enumerate(ks):
+                index = held.index
+                if wheres[row] is not None and len(wheres[row]):
+                    index = index.subset(keep[row])
+                    restricted.append(index)
+                params = CostParameters.from_machine(
+                    self.machine,
+                    T=left_t[row],
+                    c_R=max(1, round(left_t[row] / left_n[row])) if left_n[row] else 1,
+                    c_S=max(1, round(right_t[row] / right_n[row])) if right_n[row] else 1,
+                    n_e=index.num_edges,
+                    RS_R=left.schema.record_size,
+                    RS_S=right.schema.record_size,
+                    n_s=self.num_storage,
+                    n_j=self.num_compute,
+                    shared_nfs=self.shared_nfs,
                 )
-        T_left = sum(c.num_records for c in left_chunks)
-        c_R = max(1, round(T_left / len(left_chunks))) if left_chunks else 1
-        T_right = sum(c.num_records for c in right_chunks)
-        c_S = max(1, round(T_right / len(right_chunks))) if right_chunks else 1
-        params = CostParameters.from_machine(
-            self.machine,
-            T=T_left,
-            c_R=c_R,
-            c_S=c_S,
-            n_e=index.num_edges,
-            RS_R=left.schema.record_size,
-            RS_S=right.schema.record_size,
-            n_s=self.num_storage,
-            n_j=self.num_compute,
-            shared_nfs=self.shared_nfs,
-        )
-        return params, index
+                out[k] = (params, index)
+        label_components(restricted)
+        return out
 
     def plan_scan(
         self, table: int | str, where: Optional[BoundingBox] = None
@@ -234,20 +287,31 @@ class QueryPlanningService:
         transfer model for moving the surviving chunks to one compute
         node (disk→link pipeline bounded by the slower stage, plus
         per-chunk latency)."""
-        catalog = self.metadata.table(table)
-        if where is not None and len(where):
-            chunks = catalog.find_chunks(where)
-        else:
-            chunks = catalog.all_chunks()
-        nbytes = sum(c.size for c in chunks)
+        return self.plan_scans([(table, where)])[0]
+
+    def plan_scans(
+        self, scans: Sequence[Tuple[int | str, Optional[BoundingBox]]]
+    ) -> List[ScanPlan]:
+        """:meth:`plan_scan` for a block of ``(table, where)`` scans: one
+        R-tree walk per table."""
+        out: List[ScanPlan] = [None] * len(scans)  # type: ignore[list-item]
+        groups: Dict[str, List[int]] = {}
+        for k, (table, _) in enumerate(scans):
+            groups.setdefault(self.metadata.table(table).name, []).append(k)
         bw = min(self.machine.disk_read_bw, self.machine.link_bw)
         latency = self.machine.disk_latency + self.machine.net_latency
-        return ScanPlan(
-            table=catalog.name,
-            where=where,
-            chunks=tuple(chunks),
-            transfer=nbytes / bw + latency * len(chunks),
-        )
+        for name, ks in groups.items():
+            catalog = self.metadata.table(name)
+            masks = _chunk_masks(catalog, [scans[k][1] for k in ks])
+            counts, _, nbytes = catalog.mask_totals(masks)
+            for row, k in enumerate(ks):
+                out[k] = ScanPlan(
+                    table=name,
+                    where=scans[k][1],
+                    chunks=tuple(catalog.masked_chunks(masks[row])),
+                    transfer=nbytes[row] / bw + latency * counts[row],
+                )
+        return out
 
     def plan(self, view: JoinView, pipeline: bool = False) -> Plan:
         """Evaluate both cost models and choose the QES.
@@ -256,15 +320,30 @@ class QueryPlanningService:
         mode (``Total_IJ_pipe = max(Transfer, Cpu)``), which can flip the
         choice towards IJ on transfer-bound deployments.
         """
-        if view.where is not None and len(view.where):
-            return self._costed(view, pipeline)
-        plans = self._held_index(view).plans
-        if pipeline not in plans:
-            plans[pipeline] = self._costed(view, pipeline)
-        return replace(plans[pipeline], view=view)
+        return self.plan_many([view], pipeline)[0]
 
-    def _costed(self, view: JoinView, pipeline: bool) -> Plan:
-        params, index = self.derive_parameters(view)
+    def plan_many(self, views: Sequence[JoinView], pipeline: bool = False) -> List[Plan]:
+        """:meth:`plan` for a block of views, range constraints derived
+        together (:meth:`_derive`); costs stay one scalar evaluation per
+        view."""
+        out: List[Plan] = [None] * len(views)  # type: ignore[list-item]
+        constrained = []
+        for k, view in enumerate(views):
+            if view.where is not None and len(view.where):
+                constrained.append(k)
+                continue
+            plans = self._held_index(view).plans
+            if pipeline not in plans:
+                plans[pipeline] = self._costed(view, pipeline, *self.derive_parameters(view))
+            out[k] = replace(plans[pipeline], view=view)
+        derived = self._derive([views[k] for k in constrained])
+        for k, (params, index) in zip(constrained, derived):
+            out[k] = self._costed(views[k], pipeline, params, index)
+        return out
+
+    def _costed(
+        self, view: JoinView, pipeline: bool, params: CostParameters, index: PageJoinIndex
+    ) -> Plan:
         ij = indexed_join_cost(params, pipelined=pipeline)
         gh = grace_hash_cost(params)
         algorithm = "indexed-join" if ij.total <= gh.total else "grace-hash"

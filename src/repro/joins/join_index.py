@@ -10,7 +10,8 @@ whose bounding boxes overlap on the join attributes.  The index is built
 by one sort-and-sweep over both tables' chunk boxes (the box join by
 sorting of "Faster Relational Algorithms Using Geometric Data
 Structures") and held as two int arrays of endpoint ordinals; connected
-components are a union-find label pass over those ints — "independent
+components are a vectorised union-find over those ints, one pass for a
+whole block of indexes (:func:`label_components`) — "independent
 components of this graph are identified" (Section 5.1), the unit the
 two-stage scheduler deals out to compute nodes.
 
@@ -31,7 +32,7 @@ from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.chunk import ChunkDescriptor
 from repro.datamodel.subtable import SubTableId
 
-__all__ = ["PageJoinIndex", "Component", "build_join_index"]
+__all__ = ["PageJoinIndex", "Component", "build_join_index", "label_components"]
 
 
 @dataclass
@@ -64,9 +65,11 @@ class PageJoinIndex:
     lists — one :class:`SubTableId` object per chunk, shared by every
     pair, component and schedule made from the index — in lexicographic
     ``(left id, right id)`` order.  Pruning is a boolean mask over the
-    arrays (:meth:`select`), component extraction a union/label pass over
-    ints (:meth:`component_labels`); the tuple forms (:attr:`pairs`,
-    :meth:`components`) are materialised on demand.  An index is never
+    arrays (:meth:`subset`, :meth:`select`), component extraction a
+    union/label pass over ints (:meth:`component_labels`); the tuple forms
+    (:attr:`pairs`, :meth:`components`) are materialised on demand, and a
+    pruned index gathers its pair tuples from the index it was cut from
+    rather than building them again.  An index is never
     mutated once built, which is what lets the MetaData Service hold one
     and every planner hand it, and the schedules remembered on it, to
     every query (DESIGN.md §3.5).
@@ -96,13 +99,20 @@ class PageJoinIndex:
         index._right_ids = right_ids
         index._left_pos = {sid: k for k, sid in enumerate(left_ids)}
         index._right_pos = {sid: k for k, sid in enumerate(right_ids)}
-        index._set_pairs(li, ri)
+        index._set_pairs(li, ri, index, None)
         return index
 
-    def _set_pairs(self, li: np.ndarray, ri: np.ndarray) -> None:
+    def _set_pairs(
+        self, li: np.ndarray, ri: np.ndarray,
+        base: "PageJoinIndex", at: Optional[np.ndarray],
+    ) -> None:
         # endpoint ordinals of every pair, lexicographic by (li, ri)
         self._li = li
         self._ri = ri
+        # the index whose pair tuples this one shares, and this index's
+        # pairs as positions in that one's (None: base is self)
+        self._base = base
+        self._at = at
         self._pairs: Optional[List[Tuple[SubTableId, SubTableId]]] = None
         self._labels: Optional[np.ndarray] = None
         #: two-stage schedules by joiner count, remembered by
@@ -119,36 +129,32 @@ class PageJoinIndex:
     def pairs(self) -> List[Tuple[SubTableId, SubTableId]]:
         """The candidate pairs, lexicographic by ``(left id, right id)``."""
         if self._pairs is None:
-            left, right = self._left_ids, self._right_ids
-            self._pairs = [
-                (left[i], right[j])
-                for i, j in zip(self._li.tolist(), self._ri.tolist())
-            ]
+            if self._at is None:
+                left, right = self._left_ids, self._right_ids
+                self._pairs = [
+                    (left[i], right[j])
+                    for i, j in zip(self._li.tolist(), self._ri.tolist())
+                ]
+            else:
+                self._pairs = self.pairs_where(np.ones(self.num_edges, dtype=bool))
         return self._pairs
+
+    def pairs_where(self, keep: np.ndarray) -> List[Tuple[SubTableId, SubTableId]]:
+        """The pairs a boolean mask over :attr:`pairs` keeps, in index
+        order, gathered from the base index's tuples."""
+        if self._at is None:
+            at, tuples = np.flatnonzero(keep), self.pairs
+        else:
+            at, tuples = self._at[keep], self._base.pairs
+        return [tuples[k] for k in at.tolist()]
 
     def component_labels(self) -> np.ndarray:
         """Per pair, the ordinal of its component in :meth:`components`
         order: union-find over endpoint ordinals, roots numbered by first
         appearance (pairs are lexicographic, so by smallest left id)."""
         if self._labels is None:
-            n_left = len(self._left_ids)
-            parent = list(range(n_left + len(self._right_ids)))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]  # path halving
-                    x = parent[x]
-                return x
-
-            lefts = self._li.tolist()
-            for l, r in zip(lefts, (self._ri + n_left).tolist()):
-                parent[find(r)] = find(l)
-            numbering: Dict[int, int] = {}
-            self._labels = np.fromiter(
-                (numbering.setdefault(find(l), len(numbering)) for l in lefts),
-                np.intp, len(lefts),
-            )
-        return self._labels
+            label_components([self])
+        return self._labels  # type: ignore[return-value]
 
     @property
     def num_components(self) -> int:
@@ -188,12 +194,22 @@ class PageJoinIndex:
             mask[[k for k in map(pos.get, ids) if k is not None]] = True
             return mask
 
-        keep = (
+        return self.subset(
             member(self._left_pos, left_ids)[self._li]
             & member(self._right_pos, right_ids)[self._ri]
         )
+
+    def endpoint_masks(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Per row of two blocks of endpoint masks — ``left[k]`` over
+        the left id list, ``right[k]`` over the right one — which pairs
+        have both endpoints in row ``k``: ``left[:, li] & right[:, ri]``."""
+        return left[:, self._li] & right[:, self._ri]
+
+    def subset(self, keep: np.ndarray) -> "PageJoinIndex":
+        """The pairs a boolean mask over :attr:`pairs` keeps."""
         out = copy.copy(self)  # shares the id lists and their ordinals
-        out._set_pairs(self._li[keep], self._ri[keep])
+        at = np.flatnonzero(keep) if self._at is None else self._at[keep]
+        out._set_pairs(self._li[keep], self._ri[keep], self._base, at)
         return out
 
     def restrict(self, query: BoundingBox, chunk_boxes: Dict[SubTableId, BoundingBox]) -> "PageJoinIndex":
@@ -212,6 +228,47 @@ class PageJoinIndex:
         return self.select(
             overlapping(self._left_ids, self._li), overlapping(self._right_ids, self._ri)
         )
+
+
+def label_components(indexes: Sequence[PageJoinIndex]) -> None:
+    """Give every index of a block its :meth:`PageJoinIndex.component_labels`
+    in one vectorised union-find.
+
+    Each index's endpoints get their own node range (its left ordinals,
+    then its right ones), so the block is one graph of disjoint parts.
+    Every round hooks the larger root of each edge under the smaller
+    (``parent[x] <= x`` always holds) and then jumps pointers until every
+    node points at its root; it stops when no edge joins two roots.  A
+    component's root is then its smallest node, a left one — the smallest
+    left ordinal in it — so ranking the roots numbers an index's
+    components in the order of their first pair.
+    """
+    todo = [index for index in indexes if index._labels is None]
+    if not todo:
+        return
+    sizes = [len(ix._left_ids) + len(ix._right_ids) for ix in todo]
+    base = np.cumsum([0] + sizes[:-1]).tolist()
+    u = np.concatenate([ix._li + b for ix, b in zip(todo, base)])
+    v = np.concatenate(
+        [ix._ri + (b + len(ix._left_ids)) for ix, b in zip(todo, base)]
+    )
+    parent = np.arange(sum(sizes))
+    while True:
+        pu, pv = parent[u], parent[v]
+        if np.array_equal(pu, pv):
+            break
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    _, rank = np.unique(parent[u], return_inverse=True)
+    start = 0
+    for index in todo:
+        labels = rank[start : start + index.num_edges]
+        start += index.num_edges
+        index._labels = labels - labels[0] if len(labels) else labels
 
 
 def _ordinals(ids: Sequence[SubTableId]) -> Tuple[List[SubTableId], np.ndarray]:

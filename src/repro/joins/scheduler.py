@@ -118,21 +118,21 @@ def schedule_two_stage(index: PageJoinIndex, num_joiners: int) -> PairSchedule:
     schedule = index.schedules.get(num_joiners)
     if schedule is None:
         labels = index.component_labels()
-        sizes = np.bincount(labels).tolist()
+        sizes = np.bincount(labels)
         owner = np.zeros(len(sizes), dtype=np.intp)
         loads = [0] * num_joiners
         # stable greedy: biggest component to least-loaded joiner; ties keep
         # deterministic component order
-        for c in sorted(range(len(sizes)), key=lambda c: -sizes[c]):
+        by_size = np.argsort(-sizes, kind="stable")
+        for c, size in zip(by_size.tolist(), sizes[by_size].tolist()):
             owner[c] = target = loads.index(min(loads))
-            loads[target] += sizes[c]
+            loads[target] += size
         # the index's pairs are lexicographic ((i1,j1),(i2,j2)), so each
         # joiner's share taken in index order already is
-        pairs, joiner_of_pair = index.pairs, owner[labels]
+        joiner_of_pair = owner[labels]
         schedule = index.schedules[num_joiners] = PairSchedule(
             per_joiner=[
-                [pairs[k] for k in np.flatnonzero(joiner_of_pair == j).tolist()]
-                for j in range(num_joiners)
+                index.pairs_where(joiner_of_pair == j) for j in range(num_joiners)
             ],
             strategy="two-stage",
         )

@@ -14,8 +14,10 @@ bulk case never needs):
   their union.  Each level is one ``(n, ndim)`` ``lo``/``hi`` array pair
   and the children of node ``i`` are the slice ``[i*M, (i+1)*M)`` of the
   level below, so there are no node objects and no pointers;
-* ``search`` walks the levels top down with one vectorised closed-interval
-  test per level, and answers in insertion order.
+* ``search_many`` answers a block of query boxes with one walk: the
+  levels top down, one vectorised closed-interval test per level over
+  every surviving (query box, node) pair, answers in insertion order;
+  ``search`` is its block of one.
 
 **Load-once contract:** an insert between two searches costs a full
 re-pack at the second one.  That is correct but O(n log n); fill the tree,
@@ -89,6 +91,7 @@ class RTree:
         self._payloads: List[object] = []
         # set by _packed, dropped by insert
         self._levels: Optional[List[_Level]] = None
+        self._keys: List[np.ndarray] = []  # per level, [lo, -hi] side by side
         self._order = np.arange(0)
 
     # -- public API ------------------------------------------------------------
@@ -110,17 +113,44 @@ class RTree:
     def search(self, box: Boxish) -> List[object]:
         """All payloads whose boxes intersect the (closed) query box, in
         insertion order."""
-        qlo, qhi = self._check_box(box)
-        levels = self._packed()
-        lo, hi = levels[-1]
-        hits = np.flatnonzero(((lo <= qhi) & (hi >= qlo)).all(axis=1))
-        fan = np.arange(self.max_entries)
-        for lo, hi in reversed(levels[:-1]):
-            kids = (hits[:, None] * self.max_entries + fan).ravel()
-            kids = kids[kids < len(lo)]  # the last node of a level may be short
-            hits = kids[((lo[kids] <= qhi) & (hi[kids] >= qlo)).all(axis=1)]
+        return self.search_many([box])[0]
+
+    def search_many(self, boxes: Sequence[Boxish]) -> List[List[object]]:
+        """:meth:`search` for every box of a block, answered by one walk."""
+        query, entry = self.hits(boxes)
         payloads = self._payloads
-        return [payloads[i] for i in np.sort(self._order[hits]).tolist()]
+        cuts = np.searchsorted(query, np.arange(len(boxes) + 1)).tolist()
+        entries = entry.tolist()
+        return [[payloads[i] for i in entries[a:b]] for a, b in zip(cuts, cuts[1:])]
+
+    def hits(self, boxes: Sequence[Boxish]) -> Tuple[np.ndarray, np.ndarray]:
+        """Every intersecting (query box, entry) pair of a block of query
+        boxes, as two int arrays — the box's position in ``boxes`` and the
+        entry's insertion ordinal — sorted by box, then entry.
+
+        One level-by-level walk over candidate (box, node) pairs: a pair
+        whose node box meets the query box fans out to the node's
+        children at the level below.
+        """
+        q = self._check_boxes(boxes)
+        # lo <= qhi and hi >= qlo, as one <= over [lo, -hi] and [qhi, -qlo]
+        want = np.concatenate([q[:, 1], -q[:, 0]], axis=1)
+        levels = self._packed()
+        keys = self._keys
+        m, top = self.max_entries, len(keys[-1])
+        query = np.repeat(np.arange(len(q)), top)
+        node = np.tile(np.arange(top), len(q))
+        for depth in range(len(keys) - 1, -1, -1):
+            meet = (keys[depth][node] <= want[query]).all(axis=1)
+            query, node = query[meet], node[meet]
+            if depth:
+                node = (node[:, None] * m + np.arange(m)).ravel()
+                query = np.repeat(query, m)
+                real = node < len(levels[depth - 1][0])  # a level's last node may be short
+                query, node = query[real], node[real]
+        n = len(self)
+        key = np.sort(query * n + self._order[node])
+        return (key // n, key % n) if n else (key, key)
 
     def __iter__(self) -> Iterator[object]:
         """Iterate all payloads (no particular order)."""
@@ -130,13 +160,22 @@ class RTree:
 
     def _check_box(self, box: Boxish) -> np.ndarray:
         """``box`` as a ``(2, ndim)`` array ``[lo, hi]``, or ``ValueError``."""
-        b = np.asarray(box, dtype=float)  # ragged lo/hi raise ValueError here
-        if b.shape != (2, self.ndim):
+        return self._check_boxes([box])[0]
+
+    def _check_boxes(self, boxes: Sequence[Boxish]) -> np.ndarray:
+        """``boxes`` as a ``(k, 2, ndim)`` array of ``[lo, hi]``, or
+        ``ValueError`` naming the first bad one."""
+        if not len(boxes):
+            return np.zeros((0, 2, self.ndim))
+        b = np.asarray(boxes, dtype=float)  # ragged lo/hi raise ValueError here
+        if b.shape != (len(boxes), 2, self.ndim):
             raise ValueError(f"box must be two length-{self.ndim} vectors")
-        if not (b[0] <= b[1]).all():  # a NaN bound compares False as well
-            if np.isnan(b).any():
+        ok = (b[:, 0] <= b[:, 1]).all(axis=1)  # a NaN bound compares False as well
+        if not ok.all():
+            bad = b[np.argmin(ok)]
+            if np.isnan(bad).any():
                 raise ValueError("box bounds may not be NaN")
-            raise ValueError(f"empty box: lo={b[0]} > hi={b[1]}")
+            raise ValueError(f"empty box: lo={bad[0]} > hi={bad[1]}")
         return b
 
     def _packed(self) -> List[_Level]:
@@ -152,6 +191,7 @@ class RTree:
                 hi = np.maximum.reduceat(hi, starts, axis=0)
                 levels.append((lo, hi))
             self._levels = levels
+            self._keys = [np.concatenate([lo, -hi], axis=1) for lo, hi in levels]
         return self._levels
 
     # -- diagnostics -------------------------------------------------------------

@@ -17,7 +17,10 @@ object itself (DESIGN.md §3.5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.datamodel.bounding_box import BoundingBox
 from repro.datamodel.chunk import ChunkDescriptor
@@ -38,6 +41,10 @@ class TableCatalog:
     schema: Schema
     chunks: Dict[int, ChunkDescriptor] = field(default_factory=dict)
     _rtree: Optional[RTree] = field(default=None, repr=False)
+    #: all_chunks() as the R-tree was loaded from it, entry ordinal order,
+    #: and each one's records and bytes
+    _ordered: Optional[List[ChunkDescriptor]] = field(default=None, repr=False)
+    _totals: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def coordinate_names(self) -> Tuple[str, ...]:
@@ -62,6 +69,7 @@ class TableCatalog:
             raise ValueError(f"duplicate chunk id {desc.id}")
         self.chunks[desc.chunk_id] = desc
         self._rtree = None  # repacked, in chunk order, at the next search
+        self._ordered = None
 
     def _ensure_index(self) -> RTree:
         if self._rtree is None:
@@ -71,11 +79,20 @@ class TableCatalog:
                     f"table {self.name!r} has no coordinate attributes to index on"
                 )
             tree = RTree(ndim=len(names))
-            # inserted in chunk order, which is the order search answers in
-            for _, desc in sorted(self.chunks.items()):
+            # inserted in chunk order: an entry's insertion ordinal is its
+            # position in all_chunks()
+            for desc in self._chunk_order():
                 tree.insert(desc.bbox.bounds(names), desc)
             self._rtree = tree
         return self._rtree
+
+    def _chunk_order(self) -> List[ChunkDescriptor]:
+        if self._ordered is None:
+            self._ordered = self.all_chunks()
+            self._totals = np.array(
+                [(c.num_records, c.size) for c in self._ordered], dtype=np.int64
+            ).reshape(-1, 2)
+        return self._ordered
 
     def find_chunks(self, query: BoundingBox) -> List[ChunkDescriptor]:
         """Chunks whose bounding boxes intersect ``query``, in chunk order.
@@ -83,7 +100,7 @@ class TableCatalog:
         The R-tree prunes on coordinate attributes; any non-coordinate
         bounds in ``query`` are applied as a refinement filter against the
         full chunk bounding boxes (chunk bboxes bound scalar attributes
-        too — see Figure 1).
+        too — see Figure 1).  A block of queries is :meth:`chunk_masks`.
         """
         names = self.coordinate_names
         out = self._ensure_index().search(query.bounds(names))
@@ -93,6 +110,32 @@ class TableCatalog:
         if rest:
             out = [c for c in out if c.bbox.overlaps(query, on=rest)]
         return out
+
+    def masked_chunks(self, mask: np.ndarray) -> List[ChunkDescriptor]:
+        """The chunks one row of :meth:`chunk_masks` keeps, in chunk order."""
+        return list(compress(self._chunk_order(), mask))
+
+    def mask_totals(self, masks: np.ndarray) -> Tuple[List[int], List[int], List[int]]:
+        """Per row of :meth:`chunk_masks`: the chunks, records and bytes
+        it keeps, as integer sums."""
+        self._chunk_order()
+        records, nbytes = (masks.astype(np.int64) @ self._totals).T.tolist()
+        return masks.sum(axis=1).tolist(), records, nbytes
+
+    def chunk_masks(self, queries: Sequence[BoundingBox]) -> np.ndarray:
+        """:meth:`find_chunks` for a block of query boxes, all answered
+        by one R-tree walk: a ``(len(queries), chunks)`` boolean array
+        over :meth:`all_chunks`."""
+        names = self.coordinate_names
+        tree = self._ensure_index()
+        query, entry = tree.hits([q.bounds(names) for q in queries])
+        masks = np.zeros((len(queries), len(tree)), dtype=bool)
+        masks[query, entry] = True
+        for k, q in enumerate(queries):
+            rest = [n for n in q if n not in names]
+            for i in np.flatnonzero(masks[k]).tolist() if rest else ():
+                masks[k, i] = self._chunk_order()[i].bbox.overlaps(q, on=rest)
+        return masks
 
     def all_chunks(self) -> List[ChunkDescriptor]:
         return [self.chunks[k] for k in sorted(self.chunks)]

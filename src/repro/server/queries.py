@@ -3,9 +3,10 @@
 A :class:`~repro.workloads.arrivals.QueryArrival` names only a *kind*
 (scan / join / aggregate) and carries a per-query seed; this module draws
 the query's concrete parameters from that seed — which table a scan hits,
-the bounding box of a restricted query — plans it with the
-:class:`~repro.core.planner.QueryPlanningService`, and packages the result
-as a :class:`PlannedQuery` the server can queue, order and execute.
+the bounding box of a restricted query — plans a block of arrivals at a
+time with the :class:`~repro.core.planner.QueryPlanningService`, and
+packages each result as a :class:`PlannedQuery` the server can queue,
+order and execute.
 
 Every draw is a counter-based :mod:`repro.core.rng` value on the query's
 own seed, so the planned workload is a pure function of the arrival
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.planner import Plan, QueryPlanningService, ScanPlan
 from repro.core.rng import choose, uniform
@@ -26,7 +27,7 @@ from repro.datamodel.bounding_box import BoundingBox
 from repro.workloads.arrivals import QueryArrival
 from repro.workloads.oilres import OilReservoirDataset
 
-__all__ = ["PlannedQuery", "build_query", "draw_box"]
+__all__ = ["PlannedQuery", "build_queries", "build_query", "draw_box"]
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,17 @@ def build_query(
     planner: QueryPlanningService,
     arrival: QueryArrival,
 ) -> PlannedQuery:
-    """Draw parameters from the arrival's seed and plan the query.
+    """Draw parameters from the arrival's seed and plan the query:
+    :func:`build_queries`' block of one."""
+    return build_queries(dataset, planner, [arrival])[0]
+
+
+def build_queries(
+    dataset: OilReservoirDataset,
+    planner: QueryPlanningService,
+    arrivals: Sequence[QueryArrival],
+) -> List[PlannedQuery]:
+    """Draw each arrival's parameters from its seed and plan the block.
 
     * ``scan`` — a box-restricted range scan of T1 or T2 (coin flip).
     * ``join`` — the dataset's equi-join, restricted to a drawn box half
@@ -93,44 +104,58 @@ def build_query(
     * ``aggregate`` — AVG/COUNT over the (always box-restricted) join,
       i.e. the paper's "average oil pressure in a region" view.
 
+    The draws are per arrival; the planning is per block
+    (:meth:`~QueryPlanningService.plan_scans`,
+    :meth:`~QueryPlanningService.plan_many`), and each query's plan is
+    what planning it alone gives.
+
     Counter layout on the per-query seed: 0–9 scalar coin flips,
     10+ the box draw — disjoint from the arrival generator's counters,
     which live on the *tenant* seed.
     """
-    seed = arrival.seed
-    if arrival.kind == "scan":
-        table = dataset.left if choose(seed, 0, 2) == 0 else dataset.right
-        box = draw_box(dataset, seed, base=10)
-        return PlannedQuery(
-            arrival=arrival,
-            kind=arrival.kind,
+    scans: List[Tuple[int, str, BoundingBox]] = []
+    joins: List[Tuple[int, JoinView]] = []
+    for k, arrival in enumerate(arrivals):
+        seed = arrival.seed
+        if arrival.kind == "scan":
+            table = dataset.left if choose(seed, 0, 2) == 0 else dataset.right
+            scans.append((k, table, draw_box(dataset, seed, base=10)))
+            continue
+        restricted = uniform(seed, 1) < 0.5 or arrival.kind == "aggregate"
+        joins.append((k, JoinView(
+            f"q{arrival.qid}_join",
+            dataset.left,
+            dataset.right,
+            on=dataset.join_attrs,
+            where=draw_box(dataset, seed, base=10) if restricted else None,
+        )))
+    out: List[PlannedQuery] = [None] * len(arrivals)  # type: ignore[list-item]
+    scan_plans = planner.plan_scans([(table, box) for _, table, box in scans])
+    for (k, table, box), plan in zip(scans, scan_plans):
+        out[k] = PlannedQuery(
+            arrival=arrivals[k],
+            kind="scan",
             algorithm="scan",
-            plan=planner.plan_scan(table, box),
+            plan=plan,
             table=table,
             where=box,
         )
-    restricted = uniform(seed, 1) < 0.5 or arrival.kind == "aggregate"
-    box = draw_box(dataset, seed, base=10) if restricted else None
-    join = JoinView(
-        f"q{arrival.qid}_join",
-        dataset.left,
-        dataset.right,
-        on=dataset.join_attrs,
-        where=box,
-    )
-    plan = planner.plan(join)
-    view: Union[JoinView, AggregationView] = join
-    if arrival.kind == "aggregate":
-        view = AggregationView(
-            f"q{arrival.qid}_agg",
-            join,
-            (Aggregate("avg", "oilp"), Aggregate("count", "*")),
+    join_plans = planner.plan_many([join for _, join in joins])
+    for (k, join), plan in zip(joins, join_plans):
+        arrival = arrivals[k]
+        view: Union[JoinView, AggregationView] = join
+        if arrival.kind == "aggregate":
+            view = AggregationView(
+                f"q{arrival.qid}_agg",
+                join,
+                (Aggregate("avg", "oilp"), Aggregate("count", "*")),
+            )
+        out[k] = PlannedQuery(
+            arrival=arrival,
+            kind=arrival.kind,
+            algorithm=plan.algorithm,
+            plan=plan,
+            view=view,
+            where=join.where,
         )
-    return PlannedQuery(
-        arrival=arrival,
-        kind=arrival.kind,
-        algorithm=plan.algorithm,
-        plan=plan,
-        view=view,
-        where=box,
-    )
+    return out

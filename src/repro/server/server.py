@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cluster.cluster import ClusterSim, ClusterTopology
 from repro.cluster.events import Event, Interrupt, SimulationError
 from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
-from repro.core.engine import assemble_result, view_qes
+from repro.core.engine import count_result, view_qes
 from repro.core.planner import QueryPlanningService
 from repro.faults.errors import FaultError, UnrecoverableFault
 from repro.joins.indexed_join import IndexedJoinQES, JoinBuffer
@@ -59,7 +59,7 @@ from repro.joins.report import ExecutionReport
 from repro.joins.scan import ScanQES
 from repro.server.admission import make_admission_policy
 from repro.server.observatory import ObservabilityConfig, ServeObservatory
-from repro.server.queries import PlannedQuery, build_query
+from repro.server.queries import PlannedQuery, build_queries
 from repro.server.resilience import (
     COMPLETED,
     DEADLINE_EXCEEDED,
@@ -74,6 +74,12 @@ from repro.services.cache import CachingService, QueryCacheView, make_policy
 from repro.telemetry.latency import LatencyTracker, goodput
 from repro.workloads.arrivals import QueryArrival
 from repro.workloads.oilres import OilReservoirDataset
+
+#: Arrivals planned together (:func:`build_queries`): one R-tree walk per
+#: table, one pair mask and one labelling pass per block.  Plans wait at
+#: most a block ahead of their arrival, so memory stays flat in serve
+#: length.
+_PLAN_BLOCK = 64
 
 __all__ = [
     "QueryRecord",
@@ -536,28 +542,34 @@ class QueryServer:
     def _arrival_source(self, arrivals: Sequence[QueryArrival]):
         """Deliver arrivals at their timestamps; plan and enqueue each.
 
-        Planning happens at submission, driver-side (zero simulated
-        cost): the paper's QPS is metadata arithmetic, negligible next
-        to the transfers it predicts.  Overload protection runs here
-        too — a shed query is refused before it ever queues (or evicts
-        a lower-priority waiter), reaching its terminal disposition
+        Planning is driver-side (zero simulated cost): the paper's QPS is
+        metadata arithmetic, negligible next to the transfers it
+        predicts.  It is done :data:`_PLAN_BLOCK` arrivals at a time, at
+        the first arrival of each block (:func:`build_queries`); a
+        query's plan is a pure function of its arrival, so planning it
+        early moves nothing.  Overload protection runs here too — a shed
+        query is refused before it ever queues (or evicts a
+        lower-priority waiter), reaching its terminal disposition
         without consuming a slot.
         """
         engine = self.cluster.engine
-        for arrival in arrivals:
-            if arrival.at > engine.now:
-                yield engine.timeout(arrival.at - engine.now)
-            planned = build_query(self.dataset, self.planner, arrival)
-            entry = QueuedQuery(planned, engine.now, engine.event())
-            self._emit(
-                "submit", entry, kind=planned.kind, predicted=planned.predicted_time
-            )
-            if self._shed_on_submit(entry):
-                continue
-            self._policy.submit(entry)
-            self._emit("queue", entry)
-            engine.process(self._lifecycle(entry), name=f"server-q{entry.qid}")
-            self._kick()
+        for start in range(0, len(arrivals), _PLAN_BLOCK):
+            block = arrivals[start : start + _PLAN_BLOCK]
+            planned_block = build_queries(self.dataset, self.planner, block)
+            for arrival, planned in zip(block, planned_block):
+                if arrival.at > engine.now:
+                    yield engine.timeout(arrival.at - engine.now)
+                entry = QueuedQuery(planned, engine.now, engine.event())
+                self._emit(
+                    "submit", entry, kind=planned.kind,
+                    predicted=planned.predicted_time,
+                )
+                if self._shed_on_submit(entry):
+                    continue
+                self._policy.submit(entry)
+                self._emit("queue", entry)
+                engine.process(self._lifecycle(entry), name=f"server-q{entry.qid}")
+                self._kick()
         self._arrivals_done = True
         self._kick()
 
@@ -679,9 +691,9 @@ class QueryServer:
         self._joins.flush()
         metadata = self.dataset.metadata
         for qid, qes, view in self._unanswered:
-            table = assemble_result(qes.report, view, metadata)
             self._records[qid] = replace(
-                self._records[qid], result_records=table.num_records
+                self._records[qid],
+                result_records=count_result(qes.report, view, metadata),
             )
         self._unanswered.clear()
 
@@ -865,9 +877,8 @@ class QueryServer:
             selected = report.extras.get("selected_records")
             outcome.result_records = None if selected is None else int(selected)
         elif not buffered:
-            table = assemble_result(report, planned.view, self.dataset.metadata)
-            outcome.result_records = (
-                table.num_records if table is not None else None
+            outcome.result_records = count_result(
+                report, planned.view, self.dataset.metadata
             )
         return outcome
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datamodel import BoundingBox, ChunkDescriptor, ChunkRef, SubTableId
 from repro.joins import PageJoinIndex, build_join_index
+from repro.joins.join_index import label_components
 from repro.workloads import GridSpec, make_grid_chunk_descriptors
 from repro.workloads.generator import dim_names
 from repro.workloads.oilres import build_oil_reservoir_dataset
@@ -404,6 +405,35 @@ def test_array_index_against_its_oracles(case):
     # the second box lies beyond the grid on a join attribute
     assert idx.restrict(case.boxes[1], boxes).pairs == []
     assert idx.restrict(case.boxes[1], boxes).components() == []
+
+
+def networkx_labels(idx: PageJoinIndex) -> list:
+    """Per pair, its networkx connected component, numbered by first
+    appearance in pair order."""
+    comp_of = {
+        node: k
+        for k, nodes in enumerate(nx.connected_components(to_networkx(idx)))
+        for node in nodes
+    }
+    numbering: dict = {}
+    return [numbering.setdefault(comp_of[("L", l)], len(numbering)) for l, _ in idx.pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=index_cases(), data=st.data())
+def test_block_labels_equal_networkx_components(case, data):
+    """One labelling pass over a block of indexes — the unconstrained one
+    and a drawn sample of range-pruned ones, in drawn order, empty ones
+    included — labels each as networkx does."""
+    boxes = case.chunk_boxes
+    pieces = [build_join_index(case.left, case.right, on=case.on)]
+    pieces += [pieces[0].restrict(query, boxes) for query in case.boxes]
+    block = data.draw(st.lists(st.sampled_from(range(len(pieces))), max_size=8))
+    # fresh copies: restrict leaves labels unset, but draw order may repeat one
+    fresh = [pieces[k].subset(np.ones(pieces[k].num_edges, dtype=bool)) for k in block]
+    label_components(fresh)
+    for idx in fresh:
+        assert idx.component_labels().tolist() == networkx_labels(idx)
 
 
 def test_select_ignores_ids_the_index_does_not_know():

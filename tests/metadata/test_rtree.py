@@ -240,3 +240,29 @@ class TestPackedTree:
             t.search(((2, 2), (1, 1)))
         with pytest.raises(ValueError):
             t.search(((float("nan"), 0), (1, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ndim=st.integers(1, 3),
+    n=st.integers(0, 200),
+    capacity=st.integers(2, 16),
+    queries=st.sampled_from([0, 1, 2, 9, 40]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_search_many_equals_a_linear_scan_box_by_box(ndim, n, capacity, queries, seed):
+    """One walk for a block of query boxes answers each box as the linear
+    scan does, in insertion order: infinite, degenerate and duplicate
+    bounds, every node capacity, blocks of none, one and many."""
+    rng = np.random.default_rng(seed)
+    boxes = lattice_boxes(rng, n, ndim)
+    tree = RTree(ndim=ndim, max_entries=capacity)
+    for box, payload in boxes:
+        tree.insert(box, payload)
+    block = [query for query, _ in lattice_boxes(rng, queries, ndim)]
+    answers = tree.search_many(block)
+    assert len(answers) == len(block)
+    for query, answer in zip(block, answers):
+        assert answer == brute_force(boxes, query)
+    if block:
+        assert tree.search(block[0]) == answers[0]

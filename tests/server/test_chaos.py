@@ -70,16 +70,17 @@ def arrivals(seed=42, deadline=None, tenants=TENANTS):
 
 def force_grace_hash(monkeypatch):
     """Route every join/aggregate through the Grace Hash QES instead of
-    the planner's pick."""
-    original = server_mod.build_query
+    the planner's pick, by patching the block planner the server calls."""
+    original = server_mod.build_queries
 
-    def force_gh(dataset, planner, arrival):
-        planned = original(dataset, planner, arrival)
-        if planned.kind == "scan":
-            return planned
-        return dataclasses.replace(planned, algorithm="grace-hash")
+    def force_gh(dataset, planner, arrivals):
+        return [
+            planned if planned.kind == "scan"
+            else dataclasses.replace(planned, algorithm="grace-hash")
+            for planned in original(dataset, planner, arrivals)
+        ]
 
-    monkeypatch.setattr(server_mod, "build_query", force_gh)
+    monkeypatch.setattr(server_mod, "build_queries", force_gh)
 
 
 class TestMaskedFaults:
