@@ -122,8 +122,10 @@ class ScanPlan:
 def _chunk_masks(catalog: TableCatalog, wheres: Sequence[Optional[BoundingBox]]) -> np.ndarray:
     """:meth:`TableCatalog.chunk_masks` for a block of range constraints,
     of which ``None`` or an empty box constrains nothing: every chunk."""
-    masks = np.ones((len(wheres), len(catalog.chunks)), dtype=bool)
     rows = [k for k, where in enumerate(wheres) if where is not None and len(where)]
+    if len(rows) == len(wheres):
+        return catalog.chunk_masks(wheres)  # type: ignore[arg-type]
+    masks = np.ones((len(wheres), len(catalog.chunks)), dtype=bool)
     if rows:
         masks[rows] = catalog.chunk_masks([wheres[k] for k in rows])
     return masks
@@ -237,15 +239,13 @@ class QueryPlanningService:
         Per table, one :meth:`~TableCatalog.chunk_masks` walk for the
         block's boxes (no box: every chunk); per range-constrained view,
         its row of the held index's pair mask — the pairs whose two
-        endpoints' boxes overlap the constraint — and one labelling pass
-        for all of those indexes.  T, c_R, c_S and n_e are integer sums
-        of the masks.
+        endpoints' boxes overlap the constraint.  T, c_R, c_S and n_e are
+        integer sums of the masks.
         """
         out: List[Tuple[CostParameters, PageJoinIndex]] = [None] * len(views)  # type: ignore[list-item]
         groups: Dict[str, List[int]] = {}
         for k, view in enumerate(views):
             groups.setdefault(self._index_key(view), []).append(k)
-        restricted: List[PageJoinIndex] = []
         for ks in groups.values():
             first = views[ks[0]]
             held = self._held_index(first)
@@ -253,17 +253,22 @@ class QueryPlanningService:
             right = self.metadata.table(first.right)
             wheres = [views[k].where for k in ks]
             left_masks, right_masks = _chunk_masks(left, wheres), _chunk_masks(right, wheres)
+            cut = [row for row, where in enumerate(wheres) if where is not None and len(where)]
+            if len(cut) < len(wheres):
+                left_cut, right_cut = left_masks[cut], right_masks[cut]
+            else:
+                left_cut, right_cut = left_masks, right_masks
             keep = held.index.endpoint_masks(
-                held.endpoint_masks(left, held.index._left_ids, left_masks),
-                held.endpoint_masks(right, held.index._right_ids, right_masks),
+                held.endpoint_masks(left, held.index._left_ids, left_cut),
+                held.endpoint_masks(right, held.index._right_ids, right_cut),
             )
-            left_n, left_t, _ = left.mask_totals(left_masks)
-            right_n, right_t, _ = right.mask_totals(right_masks)
+            left_n, left_t = left.mask_records(left_masks)
+            right_n, right_t = right.mask_records(right_masks)
+            cut_row = dict(zip(cut, keep))
             for row, k in enumerate(ks):
                 index = held.index
-                if wheres[row] is not None and len(wheres[row]):
-                    index = index.subset(keep[row])
-                    restricted.append(index)
+                if row in cut_row:
+                    index = index.subset(cut_row[row])
                 params = CostParameters.from_machine(
                     self.machine,
                     T=left_t[row],
@@ -277,7 +282,6 @@ class QueryPlanningService:
                     shared_nfs=self.shared_nfs,
                 )
                 out[k] = (params, index)
-        label_components(restricted)
         return out
 
     def plan_scan(
@@ -303,13 +307,13 @@ class QueryPlanningService:
         for name, ks in groups.items():
             catalog = self.metadata.table(name)
             masks = _chunk_masks(catalog, [scans[k][1] for k in ks])
-            counts, _, nbytes = catalog.mask_totals(masks)
             for row, k in enumerate(ks):
+                chunks = tuple(catalog.masked_chunks(masks[row]))
                 out[k] = ScanPlan(
                     table=name,
                     where=scans[k][1],
-                    chunks=tuple(catalog.masked_chunks(masks[row])),
-                    transfer=nbytes[row] / bw + latency * counts[row],
+                    chunks=chunks,
+                    transfer=sum(c.size for c in chunks) / bw + latency * len(chunks),
                 )
         return out
 
@@ -336,9 +340,15 @@ class QueryPlanningService:
             if pipeline not in plans:
                 plans[pipeline] = self._costed(view, pipeline, *self.derive_parameters(view))
             out[k] = replace(plans[pipeline], view=view)
-        derived = self._derive([views[k] for k in constrained])
-        for k, (params, index) in zip(constrained, derived):
-            out[k] = self._costed(views[k], pipeline, params, index)
+        if constrained:
+            derived = self._derive([views[k] for k in constrained])
+            for k, (params, index) in zip(constrained, derived):
+                out[k] = self._costed(views[k], pipeline, params, index)
+            # one labelling pass for the cut indexes a schedule will deal; a
+            # lone one is labelled when it is first scheduled
+            dealt = [out[k].index for k in constrained if out[k].algorithm == "indexed-join"]
+            if len(dealt) > 1:
+                label_components(dealt)
         return out
 
     def _costed(

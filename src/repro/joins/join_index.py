@@ -99,18 +99,20 @@ class PageJoinIndex:
         index._right_ids = right_ids
         index._left_pos = {sid: k for k, sid in enumerate(left_ids)}
         index._right_pos = {sid: k for k, sid in enumerate(right_ids)}
-        index._set_pairs(li, ri, index, None)
+        index._set_pairs(li, ri, None, None)
         return index
 
     def _set_pairs(
         self, li: np.ndarray, ri: np.ndarray,
-        base: "PageJoinIndex", at: Optional[np.ndarray],
+        base: Optional["PageJoinIndex"], at: Optional[np.ndarray],
     ) -> None:
         # endpoint ordinals of every pair, lexicographic by (li, ri)
         self._li = li
         self._ri = ri
         # the index whose pair tuples this one shares, and this index's
-        # pairs as positions in that one's (None: base is self)
+        # pairs as positions in that one's (both None: its own tuples; a
+        # reference to itself would keep every built index alive until a
+        # cyclic collection)
         self._base = base
         self._at = at
         self._pairs: Optional[List[Tuple[SubTableId, SubTableId]]] = None
@@ -208,8 +210,11 @@ class PageJoinIndex:
     def subset(self, keep: np.ndarray) -> "PageJoinIndex":
         """The pairs a boolean mask over :attr:`pairs` keeps."""
         out = copy.copy(self)  # shares the id lists and their ordinals
-        at = np.flatnonzero(keep) if self._at is None else self._at[keep]
-        out._set_pairs(self._li[keep], self._ri[keep], self._base, at)
+        if self._base is None:
+            base, at = self, np.flatnonzero(keep)
+        else:
+            base, at = self._base, self._at[keep]
+        out._set_pairs(self._li[keep], self._ri[keep], base, at)
         return out
 
     def restrict(self, query: BoundingBox, chunk_boxes: Dict[SubTableId, BoundingBox]) -> "PageJoinIndex":
@@ -237,10 +242,11 @@ def label_components(indexes: Sequence[PageJoinIndex]) -> None:
     Each index's endpoints get their own node range (its left ordinals,
     then its right ones), so the block is one graph of disjoint parts.
     Every round hooks the larger root of each edge under the smaller
-    (``parent[x] <= x`` always holds) and then jumps pointers until every
-    node points at its root; it stops when no edge joins two roots.  A
-    component's root is then its smallest node, a left one — the smallest
-    left ordinal in it — so ranking the roots numbers an index's
+    (``parent[x] <= x`` always holds; of a root's several hooks one is
+    kept, the rest wait for a later round) and then jumps pointers until
+    every node points at its root; it stops when no edge joins two roots.
+    A component's root is then its smallest node, a left one — the
+    smallest left ordinal in it — so ranking the roots numbers an index's
     components in the order of their first pair.
     """
     todo = [index for index in indexes if index._labels is None]
@@ -255,15 +261,22 @@ def label_components(indexes: Sequence[PageJoinIndex]) -> None:
     parent = np.arange(sum(sizes))
     while True:
         pu, pv = parent[u], parent[v]
-        if np.array_equal(pu, pv):
+        apart = pu != pv
+        if not np.count_nonzero(apart):
             break
-        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        pu, pv = pu[apart], pv[apart]
+        parent[np.maximum(pu, pv)] = np.minimum(pu, pv)
         while True:
             grand = parent[parent]
-            if np.array_equal(grand, parent):
+            if not np.count_nonzero(grand != parent):
                 break
             parent = grand
-    _, rank = np.unique(parent[u], return_inverse=True)
+    roots = parent[u]
+    is_root = np.zeros(len(parent), dtype=bool)
+    is_root[roots] = True
+    rank = np.zeros(len(parent), dtype=np.intp)
+    rank[is_root] = np.arange(np.count_nonzero(is_root))
+    rank = rank[roots]
     start = 0
     for index in todo:
         labels = rank[start : start + index.num_edges]

@@ -118,15 +118,14 @@ def schedule_two_stage(index: PageJoinIndex, num_joiners: int) -> PairSchedule:
     schedule = index.schedules.get(num_joiners)
     if schedule is None:
         labels = index.component_labels()
-        sizes = np.bincount(labels)
+        sizes = np.bincount(labels).tolist()
         owner = np.zeros(len(sizes), dtype=np.intp)
         loads = [0] * num_joiners
         # stable greedy: biggest component to least-loaded joiner; ties keep
         # deterministic component order
-        by_size = np.argsort(-sizes, kind="stable")
-        for c, size in zip(by_size.tolist(), sizes[by_size].tolist()):
+        for c in sorted(range(len(sizes)), key=lambda c: -sizes[c]):
             owner[c] = target = loads.index(min(loads))
-            loads[target] += size
+            loads[target] += sizes[c]
         # the index's pairs are lexicographic ((i1,j1),(i2,j2)), so each
         # joiner's share taken in index order already is
         joiner_of_pair = owner[labels]

@@ -14,10 +14,11 @@ bulk case never needs):
   their union.  Each level is one ``(n, ndim)`` ``lo``/``hi`` array pair
   and the children of node ``i`` are the slice ``[i*M, (i+1)*M)`` of the
   level below, so there are no node objects and no pointers;
-* ``search_many`` answers a block of query boxes with one walk: the
+* ``hit_masks`` answers a block of query boxes with one walk: the
   levels top down, one vectorised closed-interval test per level over
-  every surviving (query box, node) pair, answers in insertion order;
-  ``search`` is its block of one.
+  every surviving (query box, node) pair, one boolean row per box over
+  the insertion ordinals; ``search`` reads the payloads of a block of
+  one off its row, in insertion order.
 
 **Load-once contract:** an insert between two searches costs a full
 re-pack at the second one.  That is correct but O(n log n); fill the tree,
@@ -112,21 +113,13 @@ class RTree:
 
     def search(self, box: Boxish) -> List[object]:
         """All payloads whose boxes intersect the (closed) query box, in
-        insertion order."""
-        return self.search_many([box])[0]
-
-    def search_many(self, boxes: Sequence[Boxish]) -> List[List[object]]:
-        """:meth:`search` for every box of a block, answered by one walk."""
-        query, entry = self.hits(boxes)
+        insertion order: the row of :meth:`hit_masks` for a block of one."""
         payloads = self._payloads
-        cuts = np.searchsorted(query, np.arange(len(boxes) + 1)).tolist()
-        entries = entry.tolist()
-        return [[payloads[i] for i in entries[a:b]] for a, b in zip(cuts, cuts[1:])]
+        return [payloads[i] for i in self.hit_masks([box])[0].nonzero()[0].tolist()]
 
-    def hits(self, boxes: Sequence[Boxish]) -> Tuple[np.ndarray, np.ndarray]:
-        """Every intersecting (query box, entry) pair of a block of query
-        boxes, as two int arrays — the box's position in ``boxes`` and the
-        entry's insertion ordinal — sorted by box, then entry.
+    def hit_masks(self, boxes: Sequence[Boxish]) -> np.ndarray:
+        """Which entries each box of a block intersects: a ``(len(boxes),
+        len(self))`` boolean array, row ``k`` over insertion ordinals.
 
         One level-by-level walk over candidate (box, node) pairs: a pair
         whose node box meets the query box fans out to the node's
@@ -135,22 +128,19 @@ class RTree:
         q = self._check_boxes(boxes)
         # lo <= qhi and hi >= qlo, as one <= over [lo, -hi] and [qhi, -qlo]
         want = np.concatenate([q[:, 1], -q[:, 0]], axis=1)
-        levels = self._packed()
+        self._packed()
         keys = self._keys
-        m, top = self.max_entries, len(keys[-1])
-        query = np.repeat(np.arange(len(q)), top)
-        node = np.tile(np.arange(top), len(q))
-        for depth in range(len(keys) - 1, -1, -1):
-            meet = (keys[depth][node] <= want[query]).all(axis=1)
+        m = self.max_entries
+        fan = np.arange(m)
+        query, node = np.nonzero((keys[-1] <= want[:, None]).all(axis=2))
+        for level in reversed(keys[:-1]):
+            node = (node[:, None] * m + fan).ravel()
+            query = np.repeat(query, m)
+            meet = (level[node] <= want[query]).all(axis=1)
             query, node = query[meet], node[meet]
-            if depth:
-                node = (node[:, None] * m + np.arange(m)).ravel()
-                query = np.repeat(query, m)
-                real = node < len(levels[depth - 1][0])  # a level's last node may be short
-                query, node = query[real], node[real]
-        n = len(self)
-        key = np.sort(query * n + self._order[node])
-        return (key // n, key % n) if n else (key, key)
+        out = np.zeros((len(q), len(self)), dtype=bool)
+        out[query, self._order[node]] = True
+        return out
 
     def __iter__(self) -> Iterator[object]:
         """Iterate all payloads (no particular order)."""
@@ -170,9 +160,9 @@ class RTree:
         b = np.asarray(boxes, dtype=float)  # ragged lo/hi raise ValueError here
         if b.shape != (len(boxes), 2, self.ndim):
             raise ValueError(f"box must be two length-{self.ndim} vectors")
-        ok = (b[:, 0] <= b[:, 1]).all(axis=1)  # a NaN bound compares False as well
+        ok = b[:, 0] <= b[:, 1]  # a NaN bound compares False as well
         if not ok.all():
-            bad = b[np.argmin(ok)]
+            bad = b[np.argmin(ok.all(axis=1))]
             if np.isnan(bad).any():
                 raise ValueError("box bounds may not be NaN")
             raise ValueError(f"empty box: lo={bad[0]} > hi={bad[1]}")
@@ -191,7 +181,14 @@ class RTree:
                 hi = np.maximum.reduceat(hi, starts, axis=0)
                 levels.append((lo, hi))
             self._levels = levels
-            self._keys = [np.concatenate([lo, -hi], axis=1) for lo, hi in levels]
+            # [lo, -hi] per level, padded to whole nodes with NaN rows, which
+            # meet no box (every comparison with NaN is False)
+            self._keys = []
+            for lo, hi in levels:
+                keys = np.full((-(-len(lo) // self.max_entries) * self.max_entries,
+                                2 * self.ndim), np.nan)
+                keys[: len(lo)] = np.concatenate([lo, -hi], axis=1)
+                self._keys.append(keys)
         return self._levels
 
     # -- diagnostics -------------------------------------------------------------

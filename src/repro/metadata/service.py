@@ -17,7 +17,6 @@ object itself (DESIGN.md §3.5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,9 +41,9 @@ class TableCatalog:
     chunks: Dict[int, ChunkDescriptor] = field(default_factory=dict)
     _rtree: Optional[RTree] = field(default=None, repr=False)
     #: all_chunks() as the R-tree was loaded from it, entry ordinal order,
-    #: and each one's records and bytes
+    #: and each one's record count
     _ordered: Optional[List[ChunkDescriptor]] = field(default=None, repr=False)
-    _totals: Optional[np.ndarray] = field(default=None, repr=False)
+    _records: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def coordinate_names(self) -> Tuple[str, ...]:
@@ -89,51 +88,47 @@ class TableCatalog:
     def _chunk_order(self) -> List[ChunkDescriptor]:
         if self._ordered is None:
             self._ordered = self.all_chunks()
-            self._totals = np.array(
-                [(c.num_records, c.size) for c in self._ordered], dtype=np.int64
-            ).reshape(-1, 2)
+            self._records = np.array(
+                [c.num_records for c in self._ordered], dtype=np.int64
+            )
         return self._ordered
 
     def find_chunks(self, query: BoundingBox) -> List[ChunkDescriptor]:
         """Chunks whose bounding boxes intersect ``query``, in chunk order.
 
-        The R-tree prunes on coordinate attributes; any non-coordinate
-        bounds in ``query`` are applied as a refinement filter against the
-        full chunk bounding boxes (chunk bboxes bound scalar attributes
-        too — see Figure 1).  A block of queries is :meth:`chunk_masks`.
+        The block of one of :meth:`chunk_masks`.
         """
-        names = self.coordinate_names
-        out = self._ensure_index().search(query.bounds(names))
-        # the R-tree's entry test is the exact closed-interval one on every
-        # coordinate; only what it did not see is left to refine on
-        rest = [n for n in query if n not in names]
-        if rest:
-            out = [c for c in out if c.bbox.overlaps(query, on=rest)]
-        return out
+        return self.masked_chunks(self.chunk_masks([query])[0])
 
     def masked_chunks(self, mask: np.ndarray) -> List[ChunkDescriptor]:
         """The chunks one row of :meth:`chunk_masks` keeps, in chunk order."""
-        return list(compress(self._chunk_order(), mask))
+        order = self._chunk_order()
+        return [order[i] for i in mask.nonzero()[0].tolist()]
 
-    def mask_totals(self, masks: np.ndarray) -> Tuple[List[int], List[int], List[int]]:
-        """Per row of :meth:`chunk_masks`: the chunks, records and bytes
-        it keeps, as integer sums."""
+    def mask_records(self, masks: np.ndarray) -> Tuple[List[int], List[int]]:
+        """Per row of :meth:`chunk_masks`: how many chunks it keeps, and
+        their records, as integer sums."""
         self._chunk_order()
-        records, nbytes = (masks.astype(np.int64) @ self._totals).T.tolist()
-        return masks.sum(axis=1).tolist(), records, nbytes
+        kept = [self._records[row].tolist() for row in masks]  # type: ignore[index]
+        return [len(k) for k in kept], [sum(k) for k in kept]
 
     def chunk_masks(self, queries: Sequence[BoundingBox]) -> np.ndarray:
         """:meth:`find_chunks` for a block of query boxes, all answered
         by one R-tree walk: a ``(len(queries), chunks)`` boolean array
-        over :meth:`all_chunks`."""
+        over :meth:`all_chunks`.
+
+        The R-tree prunes on coordinate attributes; any non-coordinate
+        bounds in a query are applied as a refinement filter against the
+        full chunk bounding boxes (chunk bboxes bound scalar attributes
+        too — see Figure 1).
+        """
         names = self.coordinate_names
-        tree = self._ensure_index()
-        query, entry = tree.hits([q.bounds(names) for q in queries])
-        masks = np.zeros((len(queries), len(tree)), dtype=bool)
-        masks[query, entry] = True
+        masks = self._ensure_index().hit_masks([q.bounds(names) for q in queries])
         for k, q in enumerate(queries):
+            # the R-tree's entry test is the exact closed-interval one on
+            # every coordinate; only what it did not see is left to refine on
             rest = [n for n in q if n not in names]
-            for i in np.flatnonzero(masks[k]).tolist() if rest else ():
+            for i in masks[k].nonzero()[0].tolist() if rest else ():
                 masks[k, i] = self._chunk_order()[i].bbox.overlaps(q, on=rest)
         return masks
 

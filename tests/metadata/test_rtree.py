@@ -250,7 +250,7 @@ class TestPackedTree:
     queries=st.sampled_from([0, 1, 2, 9, 40]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_search_many_equals_a_linear_scan_box_by_box(ndim, n, capacity, queries, seed):
+def test_hit_masks_equal_a_linear_scan_box_by_box(ndim, n, capacity, queries, seed):
     """One walk for a block of query boxes answers each box as the linear
     scan does, in insertion order: infinite, degenerate and duplicate
     bounds, every node capacity, blocks of none, one and many."""
@@ -260,9 +260,9 @@ def test_search_many_equals_a_linear_scan_box_by_box(ndim, n, capacity, queries,
     for box, payload in boxes:
         tree.insert(box, payload)
     block = [query for query, _ in lattice_boxes(rng, queries, ndim)]
-    answers = tree.search_many(block)
-    assert len(answers) == len(block)
-    for query, answer in zip(block, answers):
-        assert answer == brute_force(boxes, query)
+    masks = tree.hit_masks(block)
+    assert masks.shape == (len(block), n)
+    for query, row in zip(block, masks):
+        assert [boxes[i][1] for i in np.flatnonzero(row)] == brute_force(boxes, query)
     if block:
-        assert tree.search(block[0]) == answers[0]
+        assert tree.search(block[0]) == brute_force(boxes, block[0])
